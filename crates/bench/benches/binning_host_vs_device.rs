@@ -38,7 +38,15 @@ fn binning_paths(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
 
         group.bench_with_input(BenchmarkId::new("host_sum", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(host_impl::bin_host(&xs, &ys, &vs, BinOp::Sum, &grid)));
+            b.iter(|| {
+                std::hint::black_box(host_impl::bin_host(
+                    &xs[..],
+                    &ys[..],
+                    Some(&vs[..]),
+                    BinOp::Sum,
+                    &grid,
+                ))
+            });
         });
 
         let node = SimNode::new(NodeConfig::fast_test(1));
@@ -64,7 +72,13 @@ fn binning_paths(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("host_count", n), &n, |b, _| {
             b.iter(|| {
-                std::hint::black_box(host_impl::bin_host(&xs, &ys, &[], BinOp::Count, &grid))
+                std::hint::black_box(host_impl::bin_host(
+                    &xs[..],
+                    &ys[..],
+                    None,
+                    BinOp::Count,
+                    &grid,
+                ))
             });
         });
         group.bench_with_input(BenchmarkId::new("device_count_atomic", n), &n, |b, _| {

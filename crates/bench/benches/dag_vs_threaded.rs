@@ -3,12 +3,11 @@
 //!
 //! Both arms run the same spec set (heavy 13-op instances interleaved
 //! with count-only ones) through a shallow snapshot queue; the only
-//! difference is the engine:
+//! difference is the worker engine's mode:
 //!
-//! * `threaded` — the asynchronous `ThreadedEngine`: the suite's inline
-//!   `execute` on one persistent worker, every kernel routed to one
-//!   device's streams;
-//! * `dag` — the `DagEngine`: the suite emits a task graph per step and
+//! * `threaded` — `asynchronous`: the suite's inline `execute` on one
+//!   persistent worker, every kernel routed to one device's streams;
+//! * `dag` — the suite emits a task graph per step and
 //!   the work-stealing scheduler spreads kernel tasks across every
 //!   device, overlapping downloads by construction.
 //!

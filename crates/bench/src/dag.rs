@@ -6,11 +6,11 @@
 //!
 //! 1. **inline** — the lockstep [`sensei::InlineEngine`]; captures the
 //!    reference [`BinnedResult`]s and the full apparent in situ cost.
-//! 2. **async_fused** — the threaded [`sensei::ThreadedEngine`]: the
-//!    suite's inline `execute` on a persistent worker, all kernels
+//! 2. **async_fused** — [`sensei::WorkerEngine`] under `asynchronous`:
+//!    the suite's inline `execute` on a persistent worker, all kernels
 //!    routed to one device's streams.
-//! 3. **dag/{deep,delta,cow}** (three arms) — the dataflow
-//!    [`sensei::DagEngine`]: the suite emits a task graph per step and
+//! 3. **dag/{deep,delta,cow}** (three arms) — the same engine under
+//!    `dag`: the suite emits a task graph per step and
 //!    the work-stealing [`sensei::DagScheduler`] spreads the kernel
 //!    tasks across *every* device on the node, overlapping downloads
 //!    by construction.

@@ -1,9 +1,11 @@
 //! The SENSEI analysis back-end wrapping the binning implementations.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use hamr::Pm;
+use minimpi::Comm;
 use parking_lot::Mutex;
 use sensei::{
     AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DataAdaptor,
@@ -14,8 +16,9 @@ use svtk::{DataObject, HamrDataArray, TableData};
 
 use crate::bounds;
 use crate::device_impl;
+use crate::fused::{spec_ops, FusedStep};
 use crate::grid::GridParams;
-use crate::host_impl;
+use crate::host_impl::{self, Column};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
@@ -106,6 +109,35 @@ impl BinnedResult {
 /// `Arc`).
 pub type ResultSink = Arc<Mutex<Vec<BinnedResult>>>;
 
+/// Stream one step's finished `results` into `sink`, rank 0 only.
+pub(crate) fn publish_to_sink(sink: &Option<ResultSink>, comm: &Comm, results: &[BinnedResult]) {
+    if let Some(sink) = sink {
+        if comm.rank() == 0 {
+            sink.lock().extend(results.iter().cloned());
+        }
+    }
+}
+
+/// A communicator's collective totals when a binning step starts.
+pub(crate) struct CommMark {
+    allreduces: u64,
+    tiers: minimpi::TierSnapshot,
+}
+
+impl CommMark {
+    /// Mark `comm`'s current totals.
+    pub fn new(comm: &Comm) -> Self {
+        CommMark { allreduces: comm.allreduce_count(), tiers: comm.tier_stats() }
+    }
+
+    /// Charge what `comm` issued since the mark — allreduce rounds, and
+    /// messages and bytes per network tier — to `counters`.
+    pub fn charge(self, comm: &Comm, counters: &AnalysisCounters) {
+        counters.add_allreduces(comm.allreduce_count() - self.allreduces);
+        counters.add_comm(&comm.tier_stats().delta_since(&self.tiers));
+    }
+}
+
 /// The data-binning analysis back-end (§4.2).
 ///
 /// "We provide a CPU implementation that runs on the host as well as a
@@ -117,13 +149,12 @@ pub type ResultSink = Arc<Mutex<Vec<BinnedResult>>>;
 pub struct BinningAnalysis {
     controls: BackendControls,
     spec: BinningSpec,
-    /// `true` (default): single-pass fused binning, fused bounds, and one
-    /// packed allreduce for all grids. `false`: the per-op reference path
-    /// (one pass/kernel/download/allreduce per operation), kept for A/B
+    /// `true` (default): the fused step ([`FusedStep`]) over this one
+    /// spec. `false`: the per-op reference path (one
+    /// pass/kernel/download/allreduce per operation), kept for A/B
     /// comparison and as the correctness reference.
     fused: bool,
     sink: Option<ResultSink>,
-    keep_results: bool,
     output_dir: Option<PathBuf>,
     last: Option<BinnedResult>,
     executes: u64,
@@ -138,7 +169,6 @@ impl BinningAnalysis {
             spec,
             fused: true,
             sink: None,
-            keep_results: false,
             output_dir: None,
             last: None,
             executes: 0,
@@ -156,7 +186,6 @@ impl BinningAnalysis {
     /// Send every step's result to `sink`.
     pub fn with_sink(mut self, sink: ResultSink) -> Self {
         self.sink = Some(sink);
-        self.keep_results = true;
         self
     }
 
@@ -177,29 +206,48 @@ impl BinningAnalysis {
         self.executes
     }
 
-    /// Fetch every required variable of `table` exactly once into the
-    /// execution space (host vectors or device views), batching the
-    /// synchronization: all moves are enqueued first and waited for once.
-    /// This is the access pattern a well-written HDA consumer uses — data
-    /// already in place is granted zero-copy, and re-reads cost nothing.
-    fn fetch(
+    /// The per-op reference step: every stage runs once per operation
+    /// (or per axis), nothing is packed.
+    fn per_op_step(
         &self,
-        table: &TableData,
-        device: Option<usize>,
+        data: &dyn DataAdaptor,
         ctx: &ExecContext<'_>,
-    ) -> Result<Fetched> {
+        device: Option<usize>,
+    ) -> Result<BinnedResult> {
+        let tables = local_tables(&data.mesh(&self.spec.mesh)?)?;
         let vars = self.spec.required_variables();
-        self.counters.add_fetches(vars.len() as u64);
-        fetch_table(table, &vars, device, ctx.node, &self.counters, true)
+        let fetched = fetch_tables(data, &tables, &vars, device, ctx.node, &self.counters, true)?;
+        let (bx, by) = self.per_op_bounds(&fetched, device, ctx)?;
+        let grid = self.spec.grid(bx, by);
+
+        // Counts first (averages finalize with them), then one allreduce
+        // per requested operation.
+        let mut local = self.per_op_bin(&fetched, grid, device, ctx)?.into_iter();
+        let (_, count_local) = local.next().expect("counts are always computed");
+        let counts = reduce::allreduce_grid(ctx.comm, BinOp::Count, count_local);
+        let mut arrays = Vec::with_capacity(self.spec.ops.len());
+        for (vo, local_grid) in local {
+            let values = if vo.op == BinOp::Count {
+                counts.clone()
+            } else {
+                let mut global = reduce::allreduce_grid(ctx.comm, vo.op, local_grid);
+                host_impl::finalize(vo.op, &mut global, &counts);
+                global
+            };
+            arrays.push((vo.output_name(), values));
+        }
+        Ok(BinnedResult {
+            step: data.time_step(),
+            time: data.time(),
+            axes: self.spec.axes.clone(),
+            grid,
+            arrays,
+        })
     }
 
-    /// Global axis bounds: manual, or min/max computed where the data is.
-    ///
-    /// Fused: one pass covers **both** axes (host single traversal /
-    /// device single kernel + packed download) and one packed allreduce
-    /// merges both axes' bounds. Per-op reference: one pass and one
-    /// allreduce per axis.
-    fn compute_bounds(
+    /// Per-op reference bounds: manual, or one min/max pass per axis
+    /// where the data is and one allreduce per axis.
+    fn per_op_bounds(
         &self,
         fetched: &[Fetched],
         device: Option<usize>,
@@ -208,81 +256,20 @@ impl BinningAnalysis {
         if let Some(b) = self.spec.bounds {
             return Ok(b);
         }
-        let mut per_axis = [[f64::INFINITY, f64::NEG_INFINITY]; 2];
-        if self.fused {
-            for f in fetched {
-                let pairs = match f {
-                    Fetched::Host(data) => {
-                        let xs = &data[self.spec.axes.0.as_str()];
-                        let ys = &data[self.spec.axes.1.as_str()];
-                        self.counters.add_table_passes(1);
-                        ctx.node.host().run(
-                            "bin_bounds_fused",
-                            devsim::KernelCost::bytes(((xs.len() + ys.len()) * 8) as f64),
-                            || bounds::minmax_multi_host(&[xs, ys]),
-                        )
-                    }
-                    Fetched::HostMapped { cols, layout, .. } => {
-                        let xs = &cols[self.spec.axes.0.as_str()];
-                        let ys = &cols[self.spec.axes.1.as_str()];
-                        self.counters.add_table_passes(1);
-                        ctx.node.host().run(
-                            "bin_bounds_fused",
-                            device_impl::fused_bounds_cost(xs.len() + ys.len(), *layout),
-                            || bounds::minmax_multi_mapped(&[xs, ys]),
-                        )
-                    }
-                    Fetched::Device { views, .. } => {
-                        let d = device.expect("device fetch implies device placement");
-                        let stream = ctx.node.device(d)?.default_stream();
-                        self.counters.add_kernel_launches(1);
-                        self.counters.add_downloads(1);
-                        device_impl::minmax_multi_device(
-                            ctx.node,
-                            d,
-                            &stream,
-                            &[
-                                views[self.spec.axes.0.as_str()].cells(),
-                                views[self.spec.axes.1.as_str()].cells(),
-                            ],
-                        )?
-                    }
-                };
-                for (a, (lo, hi)) in pairs.into_iter().enumerate() {
-                    per_axis[a][0] = per_axis[a][0].min(lo);
-                    per_axis[a][1] = per_axis[a][1].max(hi);
-                }
-            }
-            let merged = bounds::global_bounds_packed(
-                ctx.comm,
-                &[(per_axis[0][0], per_axis[0][1]), (per_axis[1][0], per_axis[1][1])],
-            )?;
-            let (xlo, xhi) = bounds::usable_range(merged[0].0, merged[0].1);
-            let (ylo, yhi) = bounds::usable_range(merged[1].0, merged[1].1);
-            return Ok(([xlo, xhi], [ylo, yhi]));
-        }
+        let mut ranges = [[f64::INFINITY, f64::NEG_INFINITY]; 2];
         for f in fetched {
-            for (a, name) in [&self.spec.axes.0, &self.spec.axes.1].into_iter().enumerate() {
+            for (range, name) in ranges.iter_mut().zip([&self.spec.axes.0, &self.spec.axes.1]) {
                 let (lo, hi) = match f {
-                    Fetched::Host(data) => {
-                        let vals = &data[name.as_str()];
+                    Fetched::Host(host) => with_host_cols!(host, |col, layout| {
+                        let vals = col(name);
                         self.counters.add_table_passes(1);
                         ctx.node.host().run(
                             "bin_bounds",
-                            devsim::KernelCost::bytes((vals.len() * 8) as f64),
-                            || bounds::minmax_host(vals),
+                            device_impl::fused_bounds_cost(vals.len(), layout),
+                            || bounds::minmax(vals),
                         )
-                    }
-                    Fetched::HostMapped { cols, layout, .. } => {
-                        let col = &cols[name.as_str()];
-                        self.counters.add_table_passes(1);
-                        ctx.node.host().run(
-                            "bin_bounds",
-                            device_impl::fused_bounds_cost(col.len(), *layout),
-                            || bounds::minmax_mapped(col),
-                        )
-                    }
-                    Fetched::Device { views, .. } => {
+                    }),
+                    Fetched::Device(views) => {
                         let d = device.expect("device fetch implies device placement");
                         let stream = ctx.node.device(d)?.default_stream();
                         self.counters.add_kernel_launches(1);
@@ -295,176 +282,79 @@ impl BinningAnalysis {
                         )?
                     }
                 };
-                per_axis[a][0] = per_axis[a][0].min(lo);
-                per_axis[a][1] = per_axis[a][1].max(hi);
+                range[0] = range[0].min(lo);
+                range[1] = range[1].max(hi);
             }
         }
-        let (xlo, xhi) = bounds::global_bounds(ctx.comm, (per_axis[0][0], per_axis[0][1]));
-        let (ylo, yhi) = bounds::global_bounds(ctx.comm, (per_axis[1][0], per_axis[1][1]));
-        let (xlo, xhi) = bounds::usable_range(xlo, xhi);
-        let (ylo, yhi) = bounds::usable_range(ylo, yhi);
-        Ok(([xlo, xhi], [ylo, yhi]))
+        let [x, y] = ranges.map(|[lo, hi]| {
+            let (lo, hi) = bounds::global_bounds(ctx.comm, (lo, hi));
+            let (lo, hi) = bounds::usable_range(lo, hi);
+            [lo, hi]
+        });
+        Ok((x, y))
     }
 
-    /// Compute the local accumulation grid of every operation (counts
-    /// first) over the fetched tables.
-    ///
-    /// Fused: the bin index of each row is computed **once** and
-    /// scattered into every op's grid — one pass per fetched block on the
-    /// host, one batched multi-op kernel plus one packed download per
-    /// fetched block on a device. Per-op reference: one pass (or kernel
-    /// pair + download) per op per block. Device work is enqueued for all
-    /// blocks before a single synchronization either way.
-    fn bin_all_local(
+    /// Per-op reference binning: the local accumulation grid of every
+    /// operation (counts first) over the fetched tables, one pass — or
+    /// kernel pair (init + reduce) plus download — per op per block.
+    /// Device work is enqueued for all blocks before a single
+    /// synchronization.
+    fn per_op_bin(
         &self,
         fetched: &[Fetched],
         grid: GridParams,
         device: Option<usize>,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<(VarOp, Vec<f64>)>> {
-        // counts first (always needed for averages), then the user ops.
-        let mut all_ops = vec![VarOp { var: String::new(), op: BinOp::Count }];
-        all_ops.extend(self.spec.ops.iter().cloned());
-
-        let mut results: Vec<(VarOp, Vec<f64>)> = all_ops
-            .iter()
-            .map(|vo| (vo.clone(), vec![host_impl::identity(vo.op); grid.num_bins()]))
+        let mut results: Vec<(VarOp, Vec<f64>)> = spec_ops(&self.spec)
+            .into_iter()
+            .map(|vo| {
+                let bins = vec![host_impl::identity(vo.op); grid.num_bins()];
+                (vo, bins)
+            })
             .collect();
+        let (x, y) = (self.spec.axes.0.as_str(), self.spec.axes.1.as_str());
 
-        // Packed downloads staged across all device blocks; synchronized
-        // once before unpacking.
-        let mut staged_packed = Vec::new();
+        // (op index, host buffer) downloads staged across all device
+        // blocks; synchronized once before merging.
+        let mut staged = Vec::new();
         let mut dev_stream = None;
 
         for f in fetched {
             match f {
-                Fetched::Host(data) => {
-                    let xs = &data[self.spec.axes.0.as_str()];
-                    let ys = &data[self.spec.axes.1.as_str()];
-                    let n = xs.len();
-                    if self.fused {
-                        let ops: Vec<(BinOp, Option<&[f64]>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals = if vo.op == BinOp::Count {
-                                    None
-                                } else {
-                                    Some(data[vo.var.as_str()].as_slice())
-                                };
-                                (vo.op, vals)
-                            })
-                            .collect();
+                Fetched::Host(host) => with_host_cols!(host, |col, _layout| {
+                    let (xs, ys) = (col(x), col(y));
+                    for (vo, acc) in results.iter_mut() {
+                        let vals = (vo.op != BinOp::Count).then(|| col(&vo.var));
                         self.counters.add_table_passes(1);
-                        let parts = ctx.node.host().run(
-                            "bin_fused_host",
-                            device_impl::fused_bin_cost(n, ops.len()),
-                            || host_impl::bin_all_host(xs, ys, &ops, &grid),
+                        let part = ctx.node.host().run(
+                            "bin_host",
+                            device_impl::bin_cost(xs.len()),
+                            || host_impl::bin_host(xs, ys, vals, vo.op, &grid),
                         );
-                        for ((vo, acc), part) in results.iter_mut().zip(parts) {
-                            *acc = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                        }
-                    } else {
-                        for (vo, acc) in results.iter_mut() {
-                            let empty: Vec<f64> = Vec::new();
-                            let vals: &[f64] =
-                                if vo.op == BinOp::Count { &empty } else { &data[vo.var.as_str()] };
-                            self.counters.add_table_passes(1);
-                            let part =
-                                ctx.node.host().run("bin_host", device_impl::bin_cost(n), || {
-                                    host_impl::bin_host(xs, ys, vals, vo.op, &grid)
-                                });
-                            let merged = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                            *acc = merged;
-                        }
+                        reduce::merge_into(vo.op, acc, &part);
                     }
-                }
-                Fetched::HostMapped { cols, layout, n } => {
-                    let xs = &cols[self.spec.axes.0.as_str()];
-                    let ys = &cols[self.spec.axes.1.as_str()];
-                    if self.fused {
-                        let ops: Vec<(BinOp, Option<&host_impl::MappedCol>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals = if vo.op == BinOp::Count {
-                                    None
-                                } else {
-                                    Some(&cols[vo.var.as_str()])
-                                };
-                                (vo.op, vals)
-                            })
-                            .collect();
-                        self.counters.add_table_passes(1);
-                        let parts = ctx.node.host().run(
-                            "bin_fused_host_lanes",
-                            device_impl::fused_bin_cost_layout(*n, ops.len(), *layout),
-                            || host_impl::bin_all_host_lanes(xs, ys, &ops, &grid),
-                        );
-                        for ((vo, acc), part) in results.iter_mut().zip(parts) {
-                            *acc = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                        }
-                    } else {
-                        for (vo, acc) in results.iter_mut() {
-                            let vals = if vo.op == BinOp::Count {
-                                None
-                            } else {
-                                Some(&cols[vo.var.as_str()])
-                            };
-                            self.counters.add_table_passes(1);
-                            let part =
-                                ctx.node.host().run("bin_host", device_impl::bin_cost(*n), || {
-                                    host_impl::bin_host_mapped(xs, ys, vals, vo.op, &grid)
-                                });
-                            let merged = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                            *acc = merged;
-                        }
-                    }
-                }
-                Fetched::Device { views, .. } => {
+                }),
+                Fetched::Device(views) => {
                     let d = device.expect("device fetch implies device placement");
                     let stream = ctx.node.device(d)?.default_stream();
-                    let xs = views[self.spec.axes.0.as_str()].cells();
-                    let ys = views[self.spec.axes.1.as_str()].cells();
-                    if self.fused {
-                        // One batched multi-op kernel + one packed
-                        // download for this block.
-                        let ops: Vec<(BinOp, Option<&devsim::CellBuffer>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals = if vo.op == BinOp::Count {
-                                    None
-                                } else {
-                                    Some(views[vo.var.as_str()].cells())
-                                };
-                                (vo.op, vals)
-                            })
-                            .collect();
-                        let packed =
-                            device_impl::bin_all_device(ctx.node, d, &stream, xs, ys, &ops, grid)?;
-                        let host = ctx.node.host_alloc_f64(packed.len());
-                        stream.copy(&packed, &host).map_err(Error::Device)?;
-                        self.counters.add_kernel_launches(1);
+                    for (k, (vo, _)) in results.iter().enumerate() {
+                        let vals = (vo.op != BinOp::Count).then(|| views[vo.var.as_str()].cells());
+                        let dbins = device_impl::bin_device(
+                            ctx.node,
+                            d,
+                            &stream,
+                            views[x].cells(),
+                            views[y].cells(),
+                            vals,
+                            vo.op,
+                            grid,
+                        )?;
+                        let host = ctx.node.host_alloc_f64(grid.num_bins());
+                        stream.copy(&dbins, &host).map_err(Error::Device)?;
+                        self.counters.add_kernel_launches(2);
                         self.counters.add_downloads(1);
-                        staged_packed.push((true, vec![host]));
-                    } else {
-                        // Per-op reference: two launches (init + reduce)
-                        // and one download per op.
-                        let mut staged = Vec::with_capacity(results.len());
-                        for (vo, _) in results.iter() {
-                            let vals = if vo.op == BinOp::Count {
-                                None
-                            } else {
-                                Some(views[vo.var.as_str()].cells())
-                            };
-                            let dbins = device_impl::bin_device(
-                                ctx.node, d, &stream, xs, ys, vals, vo.op, grid,
-                            )?;
-                            let host = ctx.node.host_alloc_f64(grid.num_bins());
-                            stream.copy(&dbins, &host).map_err(Error::Device)?;
-                            self.counters.add_kernel_launches(2);
-                            self.counters.add_downloads(1);
-                            staged.push(host);
-                        }
-                        staged_packed.push((false, staged));
+                        staged.push((k, host));
                     }
                     dev_stream = Some(stream);
                 }
@@ -473,23 +363,10 @@ impl BinningAnalysis {
 
         if let Some(stream) = dev_stream {
             stream.synchronize().map_err(Error::Device)?;
-            for (packed, buffers) in staged_packed {
-                if packed {
-                    let host = &buffers[0];
-                    let v = host.host_f64_ro().map_err(Error::Device)?;
-                    for (seg, (vo, acc)) in results.iter_mut().enumerate() {
-                        let part: Vec<f64> = (0..grid.num_bins())
-                            .map(|b| v.get(seg * grid.num_bins() + b))
-                            .collect();
-                        *acc = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                    }
-                } else {
-                    for ((vo, acc), host) in results.iter_mut().zip(buffers) {
-                        let part = host.host_f64_ro().map_err(Error::Device)?.to_vec();
-                        let merged = reduce::merge_grids(vo.op, std::mem::take(acc), part);
-                        *acc = merged;
-                    }
-                }
+            for (k, host) in staged {
+                let (vo, acc) = &mut results[k];
+                let part = host.host_f64_ro().map_err(Error::Device)?.to_vec();
+                reduce::merge_into(vo.op, acc, &part);
             }
         }
         Ok(results)
@@ -498,25 +375,47 @@ impl BinningAnalysis {
 
 /// A table's required variables, resident in the execution space.
 pub(crate) enum Fetched {
-    /// Host placement: plain vectors.
-    Host(std::collections::HashMap<String, Vec<f64>>),
-    /// Host placement over a layout-grouped table: zero-copy mapped
-    /// columns over the shared interleaved block, consumed by the
-    /// lane-blocked host kernels.
-    HostMapped {
-        cols: std::collections::HashMap<String, host_impl::MappedCol>,
+    /// Host placement.
+    Host(HostCols),
+    /// Device placement: access views (zero-copy when already resident).
+    Device(HashMap<String, hamr::AccessView<f64>>),
+}
+
+/// A fetched table's columns on the host, by name.
+pub(crate) enum HostCols {
+    /// Plain vectors.
+    Dense(HashMap<String, Vec<f64>>),
+    /// A layout-grouped table: zero-copy mapped columns over the shared
+    /// interleaved block.
+    Mapped {
+        cols: HashMap<String, host_impl::MappedCol>,
         /// The group's physical layout (drives the lane cost model).
         layout: hamr::Layout,
-        /// Logical row count.
-        n: usize,
-    },
-    /// Device placement: access views (zero-copy when already resident).
-    Device {
-        views: std::collections::HashMap<String, hamr::AccessView<f64>>,
-        #[allow(dead_code)]
-        n: usize,
     },
 }
+
+/// Run `$stage` over a fetched host table whatever its storage. `$col` is
+/// bound to a by-name column lookup — yielding `&[f64]` for dense tables,
+/// `&MappedCol` for grouped ones — and `$layout` to the physical layout,
+/// so a stage is written once against [`host_impl::Column`] and
+/// monomorphised per storage: dense columns stay plain slice loops.
+macro_rules! with_host_cols {
+    ($host:expr, |$col:ident, $layout:ident| $stage:expr) => {
+        match $host {
+            $crate::adaptor::HostCols::Dense(cols) => {
+                let $col = |name: &str| cols[name].as_slice();
+                let $layout = hamr::Layout::Scalar;
+                $stage
+            }
+            $crate::adaptor::HostCols::Mapped { cols, layout } => {
+                let $col = |name: &str| &cols[name];
+                let $layout = *layout;
+                $stage
+            }
+        }
+    };
+}
+pub(crate) use with_host_cols;
 
 /// The tables making up the requested mesh (a bare table, or the local
 /// blocks of a multiblock).
@@ -560,7 +459,7 @@ pub(crate) fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDat
 ///
 /// Layout handling is data-driven: a grouped table (columns sharing an
 /// interleaved AoS/SoA/AoSoA block) is consumed zero-copy on the host
-/// through [`Fetched::HostMapped`] when `mapped` is true, or gathered
+/// through [`HostCols::Mapped`] when `mapped` is true, or gathered
 /// into dense vectors (a charged relayout, counted in `counters`) when
 /// the caller needs plain slices — the DAG engine pins itself to the
 /// dense path so stolen kernels keep their plain-column contract. On a
@@ -568,7 +467,7 @@ pub(crate) fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDat
 /// the cells the pack moved are charged by the buffer layer and counted
 /// into `counters` here, and downstream device code sees ordinary dense
 /// views either way.
-pub(crate) fn fetch_table(
+fn fetch_table(
     table: &TableData,
     vars: &[&str],
     device: Option<usize>,
@@ -590,7 +489,7 @@ pub(crate) fn fetch_table(
             let grouped = views.iter().any(|(_, _, v)| v.layout_map().is_some());
             if mapped && grouped {
                 // Zero-copy: lane kernels read straight through the maps.
-                let mut cols = std::collections::HashMap::new();
+                let mut cols = HashMap::new();
                 let mut layout = hamr::Layout::Scalar;
                 for (name, col, view) in views {
                     let mc = match view.layout_map() {
@@ -609,7 +508,7 @@ pub(crate) fn fetch_table(
                     };
                     cols.insert(name, mc);
                 }
-                return Ok(Fetched::HostMapped { cols, layout, n: table.num_rows() });
+                return Ok(Fetched::Host(HostCols::Mapped { cols, layout }));
             }
             // Dense path; gathering out of a grouped block is an honest
             // relayout (read mapped + write dense), charged like a pack.
@@ -618,8 +517,8 @@ pub(crate) fn fetch_table(
                 .filter(|(_, _, v)| v.layout_map().is_some())
                 .map(|(_, _, v)| v.len())
                 .sum();
-            let build = move || -> Result<std::collections::HashMap<String, Vec<f64>>> {
-                let mut data = std::collections::HashMap::new();
+            let build = move || -> Result<HashMap<String, Vec<f64>>> {
+                let mut data = HashMap::new();
                 for (name, _, view) in views {
                     data.insert(name, view.to_vec()?);
                 }
@@ -635,49 +534,62 @@ pub(crate) fn fetch_table(
             } else {
                 build()?
             };
-            Ok(Fetched::Host(data))
+            Ok(Fetched::Host(HostCols::Dense(data)))
         }
         Some(d) => {
-            let mut views = std::collections::HashMap::new();
+            let mut views = HashMap::new();
             for name in vars {
                 let col = column(table, name)?;
-                views.insert(name.to_string(), (col.device_accessible(d, Pm::Cuda)?, ()));
+                views.insert(name.to_string(), col.device_accessible(d, Pm::Cuda)?);
             }
             for name in vars {
                 column(table, name)?.synchronize()?;
             }
             // Grouped columns were packed dense in flight during upload;
             // surface the relayout traffic the buffer layer charged.
-            let relayout_cells: usize = views.values().map(|(v, ())| v.relayout_cells()).sum();
+            let relayout_cells: usize = views.values().map(|v| v.relayout_cells()).sum();
             if relayout_cells > 0 {
                 counters.add_relayout_bytes((2 * relayout_cells * 8) as u64);
             }
-            let n = table.num_rows();
-            let views = views.into_iter().map(|(k, (v, ()))| (k, v)).collect();
-            Ok(Fetched::Device { views, n })
+            Ok(Fetched::Device(views))
         }
     }
 }
 
-/// Hint that the snapshot's CoW shares may be released: every fetched
-/// column has been materialized away from the snapshot's own
-/// allocations (host fetches always copy into plain vectors, and device
-/// fetches alias the snapshot only when access was granted in place).
-/// Releasing early lets the producer's subsequent writes skip the fault
-/// copy. The snapshot honors the hint only when this analysis is its
-/// sole remaining consumer — other engines reading the same shared
-/// snapshot keep their pins until the last one finishes.
-pub(crate) fn release_if_materialized(data: &dyn DataAdaptor, fetched: &[Fetched]) {
+/// [`fetch_table`] for every one of `tables`, counted as fetches, then
+/// hint that the snapshot's CoW shares may be released if every fetched
+/// column has been materialized away from the snapshot's own allocations
+/// (dense host fetches always copy into plain vectors, and device fetches
+/// alias the snapshot only when access was granted in place). Releasing
+/// early lets the producer's subsequent writes skip the fault copy. The
+/// snapshot honors the hint only when this analysis is its sole remaining
+/// consumer — other engines reading the same shared snapshot keep their
+/// pins until the last one finishes.
+pub(crate) fn fetch_tables(
+    data: &dyn DataAdaptor,
+    tables: &[TableData],
+    vars: &[&str],
+    device: Option<usize>,
+    node: &Arc<devsim::SimNode>,
+    counters: &AnalysisCounters,
+    mapped: bool,
+) -> Result<Vec<Fetched>> {
+    counters.add_fetches(vars.len() as u64 * tables.len() as u64);
+    let fetched: Vec<Fetched> = tables
+        .iter()
+        .map(|t| fetch_table(t, vars, device, node, counters, mapped))
+        .collect::<Result<_>>()?;
     let detached = fetched.iter().all(|f| match f {
-        Fetched::Host(_) => true,
+        Fetched::Host(HostCols::Dense(_)) => true,
         // Mapped columns alias the snapshot's own grouped block — the
         // zero-copy read is exactly what forbids an early release.
-        Fetched::HostMapped { .. } => false,
-        Fetched::Device { views, .. } => views.values().all(|v| !v.is_direct()),
+        Fetched::Host(HostCols::Mapped { .. }) => false,
+        Fetched::Device(views) => views.values().all(|v| !v.is_direct()),
     });
     if detached {
         data.release_shared();
     }
+    Ok(fetched)
 }
 
 impl AnalysisAdaptor for BinningAnalysis {
@@ -704,78 +616,18 @@ impl AnalysisAdaptor for BinningAnalysis {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
-        let allreduces_before = ctx.comm.allreduce_count();
-        let mesh = data.mesh(&self.spec.mesh)?;
-        let tables = local_tables(&mesh)?;
+        let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-
-        // Fetch every required column once per table, then bin locally.
-        let fetched: Vec<Fetched> =
-            tables.iter().map(|t| self.fetch(t, device, ctx)).collect::<Result<_>>()?;
-        release_if_materialized(data, &fetched);
-        let (bx, by) = self.compute_bounds(&fetched, device, ctx)?;
-        let grid = GridParams::new(
-            self.spec.resolution.0,
-            self.spec.resolution.1,
-            [bx[0], by[0]],
-            [bx[1], by[1]],
-        );
-        let local = self.bin_all_local(&fetched, grid, device, ctx)?;
-
-        let mut arrays = Vec::with_capacity(self.spec.ops.len());
-        if self.fused {
-            // Cross-rank reduction: every grid (counts + all ops) shares a
-            // single packed allreduce with per-segment merge semantics.
-            let (ops, packed): (Vec<VarOp>, Vec<(BinOp, Vec<f64>)>) = local
-                .into_iter()
-                .map(|(vo, g)| {
-                    let op = vo.op;
-                    (vo, (op, g))
-                })
-                .unzip();
-            let mut globals = reduce::allreduce_grids_packed(ctx.comm, packed)?.into_iter();
-            let counts = globals.next().expect("counts are always computed");
-            for (vo, mut global) in ops.into_iter().skip(1).zip(globals) {
-                let values = if vo.op == BinOp::Count {
-                    counts.clone()
-                } else {
-                    host_impl::finalize(vo.op, &mut global, &counts);
-                    global
-                };
-                arrays.push((vo.output_name(), values));
-            }
+        let result = if self.fused {
+            let step =
+                FusedStep { specs: std::slice::from_ref(&self.spec), counters: &self.counters };
+            // One spec runs on the device's default stream: no pool to keep.
+            step.run(data, ctx, device, &mut Vec::new())?.pop().expect("one spec, one result")
         } else {
-            // Per-op reference: counts first (averages finalize with
-            // them), then one allreduce per requested operation.
-            let mut iter = local.into_iter();
-            let (_, count_local) = iter.next().expect("counts are always computed");
-            let counts = reduce::allreduce_grid(ctx.comm, BinOp::Count, count_local);
-
-            for (vo, local_grid) in iter {
-                let values = if vo.op == BinOp::Count {
-                    counts.clone()
-                } else {
-                    let mut global = reduce::allreduce_grid(ctx.comm, vo.op, local_grid);
-                    host_impl::finalize(vo.op, &mut global, &counts);
-                    global
-                };
-                arrays.push((vo.output_name(), values));
-            }
-        }
-        self.counters.add_allreduces(ctx.comm.allreduce_count() - allreduces_before);
-
-        let result = BinnedResult {
-            step: data.time_step(),
-            time: data.time(),
-            axes: self.spec.axes.clone(),
-            grid,
-            arrays,
+            self.per_op_step(data, ctx, device)?
         };
-        if let Some(sink) = &self.sink {
-            if ctx.comm.rank() == 0 {
-                sink.lock().push(result.clone());
-            }
-        }
+        comm_mark.charge(ctx.comm, &self.counters);
+        publish_to_sink(&self.sink, ctx.comm, std::slice::from_ref(&result));
         self.last = Some(result);
         self.executes += 1;
         Ok(true)

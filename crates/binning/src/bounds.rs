@@ -4,48 +4,10 @@
 use minimpi::{Comm, Segment, SegmentOp};
 use sensei::{Error, Result};
 
+use crate::host_impl::Column;
+
 /// Min/max of a host-resident column, skipping non-finite values.
-pub fn minmax_host(col: &[f64]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in col {
-        if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-    }
-    (lo, hi)
-}
-
-/// Combine per-rank `(lo, hi)` pairs into the global bounds with an
-/// allreduce (§4.2: bounds "obtained on the fly by calculating the
-/// minimum and maximum of the respective coordinate variables").
-pub fn global_bounds(comm: &Comm, local: (f64, f64)) -> (f64, f64) {
-    comm.allreduce(local, |a, b| (a.0.min(b.0), a.1.max(b.1)))
-}
-
-/// Fused min/max over several host-resident columns in one traversal:
-/// each row touches every column once, instead of one full pass per
-/// column. Returns `(lo, hi)` per column, skipping non-finite values
-/// exactly like [`minmax_host`].
-pub fn minmax_multi_host(cols: &[&[f64]]) -> Vec<(f64, f64)> {
-    let mut out = vec![(f64::INFINITY, f64::NEG_INFINITY); cols.len()];
-    let rows = cols.iter().map(|c| c.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        for (k, col) in cols.iter().enumerate() {
-            let Some(&v) = col.get(i) else { continue };
-            if v.is_finite() {
-                out[k].0 = out[k].0.min(v);
-                out[k].1 = out[k].1.max(v);
-            }
-        }
-    }
-    out
-}
-
-/// [`minmax_host`] over a layout-mapped column (the per-op reference
-/// path for grouped tables).
-pub fn minmax_mapped(col: &crate::host_impl::MappedCol) -> (f64, f64) {
+pub fn minmax<C: Column + ?Sized>(col: &C) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for i in 0..col.len() {
@@ -58,32 +20,19 @@ pub fn minmax_mapped(col: &crate::host_impl::MappedCol) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Fused min/max over several layout-mapped columns with a lane-blocked
-/// inner loop: each lane block of every column is reduced before moving
-/// on (for an AoSoA group the block's values are contiguous, which is
-/// what the simulated vector units reward). Min/max folds commute over
-/// finite values and non-finite rows are skipped exactly like
-/// [`minmax_host`], so the result equals [`minmax_multi_host`] over the
-/// same logical values bit for bit.
-pub fn minmax_multi_mapped(cols: &[&crate::host_impl::MappedCol]) -> Vec<(f64, f64)> {
-    let mut out = vec![(f64::INFINITY, f64::NEG_INFINITY); cols.len()];
-    let lane = cols.iter().map(|c| c.map().layout().lane_width().max(1)).max().unwrap_or(1);
-    for (k, col) in cols.iter().enumerate() {
-        let n = col.len();
-        let mut start = 0;
-        while start < n {
-            let m = lane.min(n - start);
-            for l in 0..m {
-                let v = col.get(start + l);
-                if v.is_finite() {
-                    out[k].0 = out[k].0.min(v);
-                    out[k].1 = out[k].1.max(v);
-                }
-            }
-            start += m;
-        }
-    }
-    out
+/// [`minmax`] of each of several host-resident columns: `(lo, hi)` per
+/// column, one traversal per column (column-major — the rows are not
+/// fused). Columns may have different lengths; empty columns return
+/// `(+inf, -inf)`.
+pub fn minmax_multi<C: Column + ?Sized>(cols: &[&C]) -> Vec<(f64, f64)> {
+    cols.iter().map(|col| minmax(*col)).collect()
+}
+
+/// Combine per-rank `(lo, hi)` pairs into the global bounds with an
+/// allreduce (§4.2: bounds "obtained on the fly by calculating the
+/// minimum and maximum of the respective coordinate variables").
+pub fn global_bounds(comm: &Comm, local: (f64, f64)) -> (f64, f64) {
+    comm.allreduce(local, |a, b| (a.0.min(b.0), a.1.max(b.1)))
 }
 
 /// Combine per-rank `(lo, hi)` pairs for **several** axes in a single
@@ -120,7 +69,7 @@ pub fn usable_range(lo: f64, hi: f64) -> (f64, f64) {
 
 /// Full pipeline for one axis: local min/max → allreduce → usable range.
 pub fn axis_bounds(comm: &Comm, local_col: &[f64]) -> Result<(f64, f64)> {
-    let local = minmax_host(local_col);
+    let local = minmax(local_col);
     let (lo, hi) = global_bounds(comm, local);
     Ok(usable_range(lo, hi))
 }
@@ -132,13 +81,13 @@ mod tests {
 
     #[test]
     fn host_minmax_skips_nonfinite() {
-        let (lo, hi) = minmax_host(&[1.0, f64::NAN, -2.0, f64::INFINITY, 3.0]);
+        let (lo, hi) = minmax(&[1.0, f64::NAN, -2.0, f64::INFINITY, 3.0][..]);
         assert_eq!((lo, hi), (-2.0, 3.0));
     }
 
     #[test]
     fn empty_column_gives_unit_interval() {
-        let (lo, hi) = minmax_host(&[]);
+        let (lo, hi) = minmax::<[f64]>(&[]);
         assert_eq!(usable_range(lo, hi), (0.0, 1.0));
     }
 
@@ -154,13 +103,13 @@ mod tests {
 
     #[test]
     fn multi_column_minmax_matches_per_column() {
-        let a = [1.0, f64::NAN, -2.0, 3.0];
-        let b = [9.0, -9.0];
-        let got = minmax_multi_host(&[&a, &b, &[]]);
-        assert_eq!(got[0], minmax_host(&a));
-        assert_eq!(got[1], minmax_host(&b));
+        let a = &[1.0, f64::NAN, -2.0, 3.0][..];
+        let b = &[9.0, -9.0][..];
+        let got = minmax_multi(&[a, b, &[]]);
+        assert_eq!(got[0], minmax(a));
+        assert_eq!(got[1], minmax(b));
         assert_eq!(got[2], (f64::INFINITY, f64::NEG_INFINITY));
-        assert!(minmax_multi_host(&[]).is_empty());
+        assert!(minmax_multi::<[f64]>(&[]).is_empty());
     }
 
     #[test]

@@ -24,26 +24,24 @@ pub fn bin_cost(n: usize) -> KernelCost {
 }
 
 /// Modeled cost of the fused pass binning `num_ops` operations over `n`
-/// rows: the coordinate reads and index arithmetic are paid **once**,
-/// then each op adds its value read and atomic bin update. With
-/// `num_ops == 1` this is exactly [`bin_cost`]; for `k` ops it saves
-/// `(k-1)` coordinate traversals and index recomputations (plus `k-1`
-/// launch overheads, which the time model charges per launch).
-pub fn fused_bin_cost(n: usize, num_ops: usize) -> KernelCost {
-    let (n, k) = (n as f64, num_ops as f64);
-    KernelCost { flops: (12.0 + 8.0 * k) * n, bytes: (16.0 + 24.0 * k) * n }
-}
-
-/// Layout-aware cost of the fused host pass. Scalar, AoS, and SoA run
-/// the plain row loop and cost exactly [`fused_bin_cost`] — AoS strides
-/// defeat the vector units and SoA is what the scalar columns already
-/// are. An AoSoA group feeds the lane-blocked kernel whole contiguous
-/// lanes: index arithmetic and accumulation vectorize across the lane
-/// (flops divided by the effective lane width, capped at the simulated
-/// 8-wide vector unit) and the streaming lane loads halve the effective
-/// byte cost versus gathered column traversals.
+/// rows of columns laid out as `layout` (device columns are always
+/// dense, i.e. [`hamr::Layout::Scalar`]): the coordinate reads and index
+/// arithmetic are paid **once**, then each op adds its value read and
+/// atomic bin update. With `num_ops == 1` this is exactly [`bin_cost`];
+/// for `k` ops it saves `(k-1)` coordinate traversals and index
+/// recomputations (plus `k-1` launch overheads, which the time model
+/// charges per launch).
+///
+/// Scalar, AoS, and SoA run the plain row loop and cost the same — AoS
+/// strides defeat the vector units and SoA is what the scalar columns
+/// already are. An AoSoA group feeds the lane-blocked kernel whole
+/// contiguous lanes: index arithmetic and accumulation vectorize across
+/// the lane (flops divided by the effective lane width, capped at the
+/// simulated 8-wide vector unit) and the streaming lane loads halve the
+/// effective byte cost versus gathered column traversals.
 pub fn fused_bin_cost_layout(n: usize, num_ops: usize, layout: hamr::Layout) -> KernelCost {
-    let base = fused_bin_cost(n, num_ops);
+    let (n, k) = (n as f64, num_ops as f64);
+    let base = KernelCost { flops: (12.0 + 8.0 * k) * n, bytes: (16.0 + 24.0 * k) * n };
     match layout {
         hamr::Layout::AoSoA { lane_width } => {
             let w = lane_width.clamp(1, 8) as f64;
@@ -189,7 +187,8 @@ pub fn bin_all_device(
     let ops_owned: Vec<(BinOp, Option<CellBuffer>)> =
         ops.iter().map(|(op, v)| (*op, v.cloned())).collect();
     let out = packed.clone();
-    let cost = fused_bin_cost(n, ops.len()) + KernelCost::bytes((ops.len() * num_bins * 8) as f64);
+    let cost = fused_bin_cost_layout(n, ops.len(), hamr::Layout::Scalar)
+        + KernelCost::bytes((ops.len() * num_bins * 8) as f64);
     stream
         .launch("bin_fused", cost, move |scope| {
             let xv = xs.f64_view_ro(scope)?;
@@ -273,7 +272,7 @@ pub fn minmax_device(
 /// all columns and one packed download returns every `(lo, hi)` pair —
 /// instead of one kernel + copy + sync per column. Columns may have
 /// different lengths; empty columns return `(+inf, -inf)` like
-/// [`crate::bounds::minmax_host`].
+/// [`crate::bounds::minmax`].
 pub fn minmax_multi_device(
     node: &Arc<SimNode>,
     device: usize,
@@ -362,8 +361,7 @@ mod tests {
             let vals = if op == BinOp::Count { None } else { Some(&dv) };
             let dbins = bin_device(&node, 0, &stream, &dx, &dy, vals, op, grid).unwrap();
             let got = download(&node, &stream, &dbins);
-            let host_vals: &[f64] = if op == BinOp::Count { &[] } else { &vs };
-            let expect = bin_host(&xs, &ys, host_vals, op, &grid);
+            let expect = bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &grid);
             for (b, (g, e)) in got.iter().zip(&expect).enumerate() {
                 assert!(
                     (g - e).abs() < 1e-9 || (g.is_infinite() && e.is_infinite()),
@@ -426,9 +424,9 @@ mod tests {
 
     #[test]
     fn fused_cost_matches_per_op_cost_for_single_op() {
-        assert_eq!(fused_bin_cost(1000, 1), bin_cost(1000));
+        assert_eq!(fused_bin_cost_layout(1000, 1, hamr::Layout::Scalar), bin_cost(1000));
         let k = 10;
-        let fused = fused_bin_cost(1000, k);
+        let fused = fused_bin_cost_layout(1000, k, hamr::Layout::Scalar);
         let per_op = bin_cost(1000);
         assert!(fused.flops < k as f64 * per_op.flops);
         assert!(fused.bytes < k as f64 * per_op.bytes);

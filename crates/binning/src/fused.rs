@@ -1,0 +1,491 @@
+//! The fused binning step, written once.
+//!
+//! [`crate::BinningSuite`] runs it over its N specs and
+//! [`crate::BinningAnalysis`] (fused) over its one:
+//!
+//! * the union of every spec's required variables is fetched/moved
+//!   **once per table per step** and shared across all specs;
+//! * auto-computed axis bounds for **all** specs share one min/max stage
+//!   per table (on the host one charge over a per-column traversal, on a
+//!   device one kernel) and one packed bounds allreduce;
+//! * each `(table, spec)` pair is one fused multi-op pass — on a device,
+//!   one kernel plus one packed download routed to the least-loaded of a
+//!   small pool of streams (by accumulated modeled kernel cost), so the
+//!   coordinate systems overlap instead of serializing on one stream and
+//!   skewed specs don't pile up the way position-based round-robin lets
+//!   them;
+//! * every spec's grids (counts + ops) accumulate in a single segmented
+//!   buffer that is reduced with **one** allreduce per step.
+
+use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
+
+use devsim::{CellBuffer, Stream};
+use minimpi::{Comm, Segment};
+use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
+use svtk::TableData;
+
+use crate::adaptor::{fetch_tables, local_tables, with_host_cols, BinnedResult, Fetched};
+use crate::bounds;
+use crate::device_impl;
+use crate::grid::GridParams;
+use crate::host_impl::{self, Column};
+use crate::reduce;
+use crate::spec::{BinOp, BinningSpec, VarOp};
+
+/// Streams a step spreads device work across; more specs than this share
+/// streams, routed least-loaded by accumulated kernel cost.
+const MAX_STREAMS: usize = 4;
+
+/// Index of the stream with the smallest accumulated relative kernel
+/// cost. Ties break to the lowest index, so a uniform-cost spec set
+/// degenerates to the old round-robin rotation — the policies only
+/// diverge when costs are skewed, which is exactly when round-robin
+/// piles heavy kernels onto one stream.
+fn least_loaded_stream(loads: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, load) in loads.iter().enumerate().skip(1) {
+        if *load < loads[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// The ops of `spec`, counts first (the layout of its grids everywhere
+/// downstream).
+pub(crate) fn spec_ops(spec: &BinningSpec) -> Vec<VarOp> {
+    let mut ops = vec![VarOp { var: String::new(), op: BinOp::Count }];
+    ops.extend(spec.ops.iter().cloned());
+    ops
+}
+
+/// `ops` paired with their value columns out of `col` (`None` for
+/// counts) — the argument shape of the fused host and device kernels.
+fn kernel_ops<'c, C: ?Sized>(
+    ops: &[VarOp],
+    col: impl Fn(&str) -> &'c C,
+) -> Vec<(BinOp, Option<&'c C>)> {
+    ops.iter().map(|vo| (vo.op, (vo.op != BinOp::Count).then(|| col(&vo.var)))).collect()
+}
+
+/// One fused host pass of a spec (`axes`, `ops`) over one table's
+/// columns, charged to the host as a `layout`-shaped traversal: the
+/// per-op partial grids, index-aligned with `ops`.
+pub(crate) fn host_pass<'c, C: Column + ?Sized + 'c>(
+    node: &devsim::SimNode,
+    col: impl Fn(&str) -> &'c C,
+    layout: hamr::Layout,
+    axes: &(String, String),
+    ops: &[VarOp],
+    grid: &GridParams,
+) -> Vec<Vec<f64>> {
+    let (xs, ys) = (col(&axes.0), col(&axes.1));
+    let kops = kernel_ops(ops, &col);
+    node.host().run(
+        "bin_fused_host",
+        device_impl::fused_bin_cost_layout(xs.len(), kops.len(), layout),
+        || host_impl::bin_all_host(xs, ys, &kops, grid),
+    )
+}
+
+/// One fused device kernel of a spec (`axes`, `ops`) over one table's
+/// device-resident columns, enqueued on `stream`: the packed partial
+/// grids, still on the device.
+pub(crate) fn device_pass<'c>(
+    node: &Arc<devsim::SimNode>,
+    device: usize,
+    stream: &Arc<Stream>,
+    col: impl Fn(&str) -> &'c CellBuffer,
+    axes: &(String, String),
+    ops: &[VarOp],
+    grid: GridParams,
+) -> Result<CellBuffer> {
+    let kops = kernel_ops(ops, &col);
+    device_impl::bin_all_device(node, device, stream, col(&axes.0), col(&axes.1), &kops, grid)
+}
+
+/// Layout of a step's flat accumulation buffer: every spec's grids
+/// (counts first) laid back to back. The flat buffer doubles as the
+/// packed-collective payload, so local accumulation, the allreduce, and
+/// the unpack all work on one allocation with no repacking.
+pub(crate) struct StepLayout {
+    /// Per spec, its ops with the implicit count grid first.
+    pub ops: Vec<Vec<VarOp>>,
+    /// Per spec, the start of its grids in the flat buffer and the bins
+    /// of each of them.
+    spans: Vec<(usize, usize)>,
+    /// One segment per (spec, op), in buffer order.
+    segments: Vec<Segment>,
+}
+
+impl StepLayout {
+    /// The step's flat-buffer layout over the resolved grids.
+    pub fn new(specs: &[BinningSpec], grids: &[GridParams]) -> Self {
+        let mut ops = Vec::with_capacity(specs.len());
+        let mut spans = Vec::with_capacity(specs.len());
+        let mut segments = Vec::new();
+        let mut total = 0;
+        for (spec, grid) in specs.iter().zip(grids) {
+            spans.push((total, grid.num_bins()));
+            let spec_ops = spec_ops(spec);
+            for vo in &spec_ops {
+                segments.push(Segment::new(reduce::segment_op(vo.op), grid.num_bins()));
+                total += grid.num_bins();
+            }
+            ops.push(spec_ops);
+        }
+        StepLayout { ops, spans, segments }
+    }
+
+    /// Where grid `k` of spec `si` lives in the flat buffer.
+    fn segment(&self, si: usize, k: usize) -> Range<usize> {
+        let (off, nb) = self.spans[si];
+        off + k * nb..off + (k + 1) * nb
+    }
+
+    /// A fresh flat accumulator: every segment at its reduction identity.
+    pub fn identities(&self) -> Vec<f64> {
+        let mut flat = Vec::with_capacity(self.segments.iter().map(|s| s.len).sum());
+        for (spec_ops, &(_, nb)) in self.ops.iter().zip(&self.spans) {
+            for vo in spec_ops {
+                flat.resize(flat.len() + nb, host_impl::identity(vo.op));
+            }
+        }
+        flat
+    }
+
+    /// Merge spec `si`'s per-op partial grids of one host pass into `flat`.
+    pub fn merge_host(&self, flat: &mut [f64], si: usize, parts: &[Vec<f64>]) {
+        for ((k, vo), part) in self.ops[si].iter().enumerate().zip(parts) {
+            reduce::merge_into(vo.op, &mut flat[self.segment(si, k)], part);
+        }
+    }
+
+    /// Merge spec `si`'s packed partial grids of one device kernel,
+    /// downloaded into `packed`, straight into `flat` (no intermediate
+    /// owned grid).
+    pub fn merge_downloaded(&self, flat: &mut [f64], si: usize, packed: &CellBuffer) -> Result<()> {
+        let v = packed.host_f64_ro().map_err(Error::Device)?;
+        let nb = self.spans[si].1;
+        for (k, vo) in self.ops[si].iter().enumerate() {
+            let acc = &mut flat[self.segment(si, k)];
+            let part = (k * nb..(k + 1) * nb).map(|j| v.get(j));
+            match vo.op {
+                BinOp::Count | BinOp::Sum | BinOp::Average => {
+                    acc.iter_mut().zip(part).for_each(|(a, p)| *a += p)
+                }
+                BinOp::Min => acc.iter_mut().zip(part).for_each(|(a, p)| *a = a.min(p)),
+                BinOp::Max => acc.iter_mut().zip(part).for_each(|(a, p)| *a = a.max(p)),
+            }
+        }
+        Ok(())
+    }
+
+    /// The step's single packed allreduce: the flat accumulator IS the
+    /// collective's payload, one round covers every spec's grids.
+    pub fn allreduce(&self, comm: &Comm, flat: Vec<f64>) -> Result<Vec<f64>> {
+        comm.allreduce_packed(flat, &self.segments)
+            .map_err(|e| Error::Analysis(format!("packed grid allreduce: {e}")))
+    }
+
+    /// Unpack the globally reduced buffer into one finalized result per
+    /// spec, in spec order.
+    pub fn publish(
+        &self,
+        specs: &[BinningSpec],
+        grids: &[GridParams],
+        merged: &[f64],
+        data: &dyn DataAdaptor,
+    ) -> Vec<BinnedResult> {
+        let mut results = Vec::with_capacity(specs.len());
+        for (si, (spec, grid)) in specs.iter().zip(grids).enumerate() {
+            let counts = merged[self.segment(si, 0)].to_vec();
+            let mut arrays = Vec::with_capacity(spec.ops.len());
+            for (k, vo) in self.ops[si].iter().enumerate().skip(1) {
+                let values = if vo.op == BinOp::Count {
+                    counts.clone()
+                } else {
+                    let mut global = merged[self.segment(si, k)].to_vec();
+                    host_impl::finalize(vo.op, &mut global, &counts);
+                    global
+                };
+                arrays.push((vo.output_name(), values));
+            }
+            results.push(BinnedResult {
+                step: data.time_step(),
+                time: data.time(),
+                axes: spec.axes.clone(),
+                grid: *grid,
+                arrays,
+            });
+        }
+        results
+    }
+}
+
+/// The fused step over `specs` (which share one mesh), counting its work
+/// into `counters`.
+#[derive(Clone, Copy)]
+pub(crate) struct FusedStep<'a> {
+    pub specs: &'a [BinningSpec],
+    pub counters: &'a AnalysisCounters,
+}
+
+impl<'a> FusedStep<'a> {
+    /// Union of every spec's required variables, deduped in first-seen
+    /// order (the shared per-step fetch list).
+    pub fn union_variables(&self) -> Vec<&'a str> {
+        let mut vars: Vec<&str> = Vec::new();
+        for spec in self.specs {
+            for v in spec.required_variables() {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        vars
+    }
+
+    /// One fetch of the union of every spec's variables per table.
+    pub fn fetch(
+        &self,
+        data: &dyn DataAdaptor,
+        tables: &[TableData],
+        device: Option<usize>,
+        ctx: &ExecContext<'_>,
+        mapped: bool,
+    ) -> Result<Vec<Fetched>> {
+        fetch_tables(data, tables, &self.union_variables(), device, ctx.node, self.counters, mapped)
+    }
+
+    /// Resolve every spec's grid. Manual bounds come straight from the
+    /// spec; automatic bounds share one min/max stage per table over the
+    /// union of auto-bounded axis columns (host: per-column traversals
+    /// under one charge; device: one kernel) and a single packed allreduce
+    /// across all of them.
+    pub fn resolve_grids(
+        &self,
+        fetched: &[Fetched],
+        device: Option<usize>,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Vec<GridParams>> {
+        // Unique axis columns of specs whose bounds are computed on the
+        // fly (specs share axes across coordinate systems).
+        let mut auto_cols: Vec<&str> = Vec::new();
+        for spec in self.specs.iter().filter(|s| s.bounds.is_none()) {
+            for ax in [spec.axes.0.as_str(), spec.axes.1.as_str()] {
+                if !auto_cols.contains(&ax) {
+                    auto_cols.push(ax);
+                }
+            }
+        }
+
+        let mut merged: HashMap<&str, (f64, f64)> = HashMap::new();
+        if !auto_cols.is_empty() {
+            let mut local = vec![(f64::INFINITY, f64::NEG_INFINITY); auto_cols.len()];
+            for f in fetched {
+                let pairs = match f {
+                    Fetched::Host(host) => with_host_cols!(host, |col, layout| {
+                        let cols: Vec<_> = auto_cols.iter().map(|c| col(c)).collect();
+                        let total: usize = cols.iter().map(|c| c.len()).sum();
+                        self.counters.add_table_passes(1);
+                        ctx.node.host().run(
+                            "bin_bounds_fused",
+                            device_impl::fused_bounds_cost(total, layout),
+                            || bounds::minmax_multi(&cols),
+                        )
+                    }),
+                    Fetched::Device(views) => {
+                        let d = device.expect("device fetch implies device placement");
+                        let stream = ctx.node.device(d)?.default_stream();
+                        let cols: Vec<&CellBuffer> =
+                            auto_cols.iter().map(|c| views[*c].cells()).collect();
+                        self.counters.add_kernel_launches(1);
+                        self.counters.add_downloads(1);
+                        device_impl::minmax_multi_device(ctx.node, d, &stream, &cols)?
+                    }
+                };
+                for (acc, (lo, hi)) in local.iter_mut().zip(pairs) {
+                    acc.0 = acc.0.min(lo);
+                    acc.1 = acc.1.max(hi);
+                }
+            }
+            let global = bounds::global_bounds_packed(ctx.comm, &local)?;
+            for (col, pair) in auto_cols.iter().zip(global) {
+                merged.insert(col, pair);
+            }
+        }
+
+        Ok(self
+            .specs
+            .iter()
+            .map(|spec| {
+                let (bx, by) = spec.bounds.unwrap_or_else(|| {
+                    let (xlo, xhi) = merged[spec.axes.0.as_str()];
+                    let (ylo, yhi) = merged[spec.axes.1.as_str()];
+                    let x = bounds::usable_range(xlo, xhi);
+                    let y = bounds::usable_range(ylo, yhi);
+                    ([x.0, x.1], [y.0, y.1])
+                });
+                spec.grid(bx, by)
+            })
+            .collect())
+    }
+
+    /// Local fused binning of every spec over every fetched table,
+    /// accumulated into one flat buffer laid out by `layout` — the exact
+    /// payload of the step's packed allreduce. Each device kernel goes to
+    /// the stream of the pool with the least accumulated modeled cost; all
+    /// streams are synchronized once at the end, then merged straight from
+    /// the downloaded views.
+    fn bin_local(
+        &self,
+        fetched: &[Fetched],
+        grids: &[GridParams],
+        layout: &StepLayout,
+        device: Option<usize>,
+        ctx: &ExecContext<'_>,
+        streams: &mut Vec<Arc<Stream>>,
+    ) -> Result<Vec<f64>> {
+        let mut flat = layout.identities();
+        // (spec index, packed host buffer) downloads awaiting the sync.
+        let mut staged: Vec<(usize, CellBuffer)> = Vec::new();
+        // A pool of one is the device's default stream, resolved every
+        // step (placement may change between steps): a lone spec has
+        // nothing to overlap with, and its kernel stays ordered with the
+        // bounds pass. More specs share `streams`, created on first use.
+        let default_stream;
+        let pool: &[Arc<Stream>] = match device.filter(|_| !fetched.is_empty()) {
+            None => &[],
+            Some(d) if self.specs.len() == 1 => {
+                default_stream = [ctx.node.device(d)?.default_stream()];
+                &default_stream
+            }
+            Some(d) => {
+                if streams.is_empty() {
+                    let dev = ctx.node.device(d)?;
+                    let n = MAX_STREAMS.min(self.specs.len());
+                    *streams = (0..n).map(|_| dev.create_stream()).collect();
+                }
+                streams
+            }
+        };
+        // Accumulated relative cost routed to each stream this step (the
+        // streams drain fully at the step's closing synchronize, so loads
+        // reset per call).
+        let mut stream_loads = vec![0.0; pool.len()];
+        let work = || self.specs.iter().zip(grids).zip(&layout.ops).enumerate();
+
+        for f in fetched {
+            match f {
+                Fetched::Host(host) => with_host_cols!(host, |col, blk_layout| {
+                    for (si, ((spec, grid), ops)) in work() {
+                        self.counters.add_table_passes(1);
+                        let parts = host_pass(ctx.node, col, blk_layout, &spec.axes, ops, grid);
+                        layout.merge_host(&mut flat, si, &parts);
+                    }
+                }),
+                Fetched::Device(views) => {
+                    let d = device.expect("device fetch implies device placement");
+                    for (si, ((spec, grid), ops)) in work() {
+                        let rows = views[spec.axes.0.as_str()].len();
+                        let kc = device_impl::fused_bin_cost_layout(
+                            rows,
+                            ops.len(),
+                            hamr::Layout::Scalar,
+                        );
+                        let sidx = least_loaded_stream(&stream_loads);
+                        stream_loads[sidx] += kc.flops + kc.bytes;
+                        let stream = &pool[sidx];
+                        let cells = |name: &str| views[name].cells();
+                        let packed =
+                            device_pass(ctx.node, d, stream, cells, &spec.axes, ops, *grid)?;
+                        let host = ctx.node.host_alloc_f64(packed.len());
+                        stream.copy(&packed, &host).map_err(Error::Device)?;
+                        self.counters.add_kernel_launches(1);
+                        self.counters.add_downloads(1);
+                        staged.push((si, host));
+                    }
+                }
+            }
+        }
+
+        if !staged.is_empty() {
+            for stream in pool {
+                stream.synchronize().map_err(Error::Device)?;
+            }
+            for (si, host) in staged {
+                layout.merge_downloaded(&mut flat, si, &host)?;
+            }
+        }
+        Ok(flat)
+    }
+
+    /// The whole step: fetch, resolve grids, bin locally, one packed
+    /// allreduce, publish — one result per spec, in spec order. `streams`
+    /// is the caller's device stream pool for more than one spec,
+    /// provisioned on first use; a lone spec leaves it untouched.
+    pub fn run(
+        &self,
+        data: &dyn DataAdaptor,
+        ctx: &ExecContext<'_>,
+        device: Option<usize>,
+        streams: &mut Vec<Arc<Stream>>,
+    ) -> Result<Vec<BinnedResult>> {
+        let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
+        let fetched = self.fetch(data, &tables, device, ctx, true)?;
+        let grids = self.resolve_grids(&fetched, device, ctx)?;
+        let layout = StepLayout::new(self.specs, &grids);
+        let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, streams)?;
+        let merged = layout.allreduce(ctx.comm, flat)?;
+        Ok(layout.publish(self.specs, &grids, &merged, data))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Simulate routing a sequence of kernel costs over `n` streams and
+    /// return each kernel's stream index.
+    fn route(costs: &[f64], n: usize) -> Vec<usize> {
+        let mut loads = vec![0.0; n];
+        costs
+            .iter()
+            .map(|c| {
+                let i = least_loaded_stream(&loads);
+                loads[i] += c;
+                i
+            })
+            .collect()
+    }
+
+    #[test]
+    fn skewed_costs_split_heavy_kernels_across_streams() {
+        // Heavy/light alternation over two streams: round-robin by
+        // position would put both heavy kernels on stream 0; least-loaded
+        // routing pairs each heavy kernel with a light one.
+        let (heavy, light) = (1000.0, 1.0);
+        let picks = route(&[heavy, light, heavy, light], 2);
+        assert_eq!(picks, vec![0, 1, 1, 0]);
+        let mut per_stream = [0.0f64; 2];
+        for (pick, cost) in picks.iter().zip([heavy, light, heavy, light]) {
+            per_stream[*pick] += cost;
+        }
+        assert_eq!(per_stream[0], per_stream[1], "loads must balance");
+    }
+
+    #[test]
+    fn uniform_costs_degenerate_to_round_robin() {
+        let picks = route(&[5.0; 8], 4);
+        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn ties_break_to_the_lowest_index() {
+        assert_eq!(least_loaded_stream(&[2.0, 1.0, 1.0]), 1);
+        assert_eq!(least_loaded_stream(&[0.0]), 0);
+    }
+}

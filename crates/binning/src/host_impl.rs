@@ -1,14 +1,55 @@
 //! The host (CPU) binning implementation.
+//!
+//! The kernels are generic over [`Column`], so the storage a column is
+//! read through — a plain slice, or a [`MappedCol`] over a layout group's
+//! interleaved block — is the only thing that varies between the
+//! monomorphised copies; the row loops are written once.
 
 use hamr::{LayoutMap, Mapping};
 
 use crate::grid::GridParams;
 use crate::spec::BinOp;
 
-/// A column for the layout-polymorphic host kernels: a shared backing
-/// block read through a [`LayoutMap`] (identity-mapped for plain dense
-/// columns). Reads go through the host view's atomic cells, so a kernel
-/// can consume a layout group's interleaved block zero-copy.
+/// A column of doubles the host kernels can traverse.
+pub trait Column {
+    /// Logical element count.
+    fn len(&self) -> usize;
+
+    /// True when the column holds no rows.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Logical element `i`.
+    fn get(&self, i: usize) -> f64;
+
+    /// Rows per contiguous block of the backing storage: above 1 (an
+    /// AoSoA group) the fused kernel walks the rows in blocks of this
+    /// width; 1 means a plain row loop.
+    fn lane_width(&self) -> usize;
+}
+
+impl Column for [f64] {
+    #[inline]
+    fn len(&self) -> usize {
+        <[f64]>::len(self)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> f64 {
+        self[i]
+    }
+
+    #[inline]
+    fn lane_width(&self) -> usize {
+        1
+    }
+}
+
+/// A column read out of a shared backing block through a [`LayoutMap`]
+/// (identity-mapped for plain dense columns). Reads go through the host
+/// view's atomic cells, so a kernel can consume a layout group's
+/// interleaved block zero-copy.
 pub struct MappedCol {
     view: devsim::HostF64View,
     map: LayoutMap,
@@ -24,26 +65,20 @@ impl MappedCol {
     pub fn dense(view: devsim::HostF64View, len: usize) -> Self {
         MappedCol { view, map: LayoutMap::new(hamr::Layout::Scalar, len, 1, 0) }
     }
+}
 
-    /// The layout mapping the column reads through.
-    pub fn map(&self) -> &LayoutMap {
-        &self.map
-    }
-
-    /// Logical element `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> f64 {
-        self.view.get(self.map.index(i))
-    }
-
-    /// Logical element count.
-    pub fn len(&self) -> usize {
+impl Column for MappedCol {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    #[inline]
+    fn get(&self, i: usize) -> f64 {
+        self.view.get(self.map.index(i))
+    }
+
+    fn lane_width(&self) -> usize {
+        self.map.layout().lane_width().max(1)
     }
 }
 
@@ -67,25 +102,41 @@ pub fn accumulate(op: BinOp, acc: f64, v: f64) -> f64 {
     }
 }
 
-/// Bin one variable on the host: returns the per-bin accumulation buffer
-/// (average returns the running sum; finalize with the count separately).
+/// The column `op` reduces, checked against the `rows` coordinate rows;
+/// `None` for counts, which read no values.
+fn value_column<C: Column + ?Sized>(op: BinOp, values: Option<&C>, rows: usize) -> Option<&C> {
+    if op == BinOp::Count {
+        return None;
+    }
+    let v = values.unwrap_or_else(|| panic!("operation {} needs a value column", op.name()));
+    assert_eq!(v.len(), rows, "value column must be co-occurring");
+    Some(v)
+}
+
+/// Bin one variable on the host — the per-op reference kernel: returns
+/// the per-bin accumulation buffer (average returns the running sum;
+/// finalize with the count separately).
 ///
-/// `values` may be empty for [`BinOp::Count`]. Rows outside the mesh are
+/// `values` is ignored for [`BinOp::Count`]. Rows outside the mesh are
 /// dropped, as in the paper's implementation.
 ///
 /// # Panics
-/// Panics when the coordinate arrays' lengths differ, or a non-count
-/// reduction's value array length differs from the coordinates.
-pub fn bin_host(xs: &[f64], ys: &[f64], values: &[f64], op: BinOp, grid: &GridParams) -> Vec<f64> {
+/// Panics when the coordinate columns' lengths differ, a non-count
+/// reduction's value column is missing, or its length differs from the
+/// coordinates.
+pub fn bin_host<C: Column + ?Sized>(
+    xs: &C,
+    ys: &C,
+    values: Option<&C>,
+    op: BinOp,
+    grid: &GridParams,
+) -> Vec<f64> {
     assert_eq!(xs.len(), ys.len(), "coordinate columns must be co-occurring");
-    if op != BinOp::Count {
-        assert_eq!(values.len(), xs.len(), "value column must be co-occurring");
-    }
+    let values = value_column(op, values, xs.len());
     let mut bins = vec![identity(op); grid.num_bins()];
     for i in 0..xs.len() {
-        if let Some(b) = grid.bin_index(xs[i], ys[i]) {
-            let v = if op == BinOp::Count { 0.0 } else { values[i] };
-            bins[b] = accumulate(op, bins[b], v);
+        if let Some(b) = grid.bin_index(xs.get(i), ys.get(i)) {
+            bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(i)));
         }
     }
     bins
@@ -97,134 +148,55 @@ pub fn bin_host(xs: &[f64], ys: &[f64], values: &[f64], op: BinOp, grid: &GridPa
 /// with its value column (`None` for [`BinOp::Count`]); the returned
 /// grids are index-aligned with `ops`.
 ///
-/// Accumulation visits rows in the same order as [`bin_host`], so each
-/// returned grid is bit-identical to the corresponding per-op result.
-///
-/// # Panics
-/// Panics when the coordinate arrays' lengths differ, a non-count
-/// reduction's value column is missing, or its length differs from the
-/// coordinates.
-pub fn bin_all_host(
-    xs: &[f64],
-    ys: &[f64],
-    ops: &[(BinOp, Option<&[f64]>)],
-    grid: &GridParams,
-) -> Vec<Vec<f64>> {
-    assert_eq!(xs.len(), ys.len(), "coordinate columns must be co-occurring");
-    for (op, values) in ops {
-        if *op != BinOp::Count {
-            let v =
-                values.unwrap_or_else(|| panic!("operation {} needs a value column", op.name()));
-            assert_eq!(v.len(), xs.len(), "value column must be co-occurring");
-        }
-    }
-    let mut grids: Vec<Vec<f64>> =
-        ops.iter().map(|(op, _)| vec![identity(*op); grid.num_bins()]).collect();
-    for i in 0..xs.len() {
-        let Some(b) = grid.bin_index(xs[i], ys[i]) else { continue };
-        for ((op, values), bins) in ops.iter().zip(grids.iter_mut()) {
-            let v = match values {
-                Some(values) if *op != BinOp::Count => values[i],
-                _ => 0.0,
-            };
-            bins[b] = accumulate(*op, bins[b], v);
-        }
-    }
-    grids
-}
-
-/// [`bin_host`] over layout-mapped columns: the per-op reference kernel
-/// for grouped tables. Row order (and therefore every accumulation) is
-/// identical to the dense kernel, so the result is bit-identical to
-/// [`bin_host`] over the same logical values.
-///
-/// # Panics
-/// Panics when the coordinate columns' lengths differ, or a non-count
-/// reduction's value column length differs from the coordinates.
-pub fn bin_host_mapped(
-    xs: &MappedCol,
-    ys: &MappedCol,
-    values: Option<&MappedCol>,
-    op: BinOp,
-    grid: &GridParams,
-) -> Vec<f64> {
-    assert_eq!(xs.len(), ys.len(), "coordinate columns must be co-occurring");
-    if op != BinOp::Count {
-        let v = values.unwrap_or_else(|| panic!("operation {} needs a value column", op.name()));
-        assert_eq!(v.len(), xs.len(), "value column must be co-occurring");
-    }
-    let mut bins = vec![identity(op); grid.num_bins()];
-    for i in 0..xs.len() {
-        if let Some(b) = grid.bin_index(xs.get(i), ys.get(i)) {
-            let v = match values {
-                Some(values) if op != BinOp::Count => values.get(i),
-                _ => 0.0,
-            };
-            bins[b] = accumulate(op, bins[b], v);
-        }
-    }
-    bins
-}
-
-/// Fused single-pass binning over layout-mapped columns with an explicit
-/// lane-blocked inner loop — the vectorized path for AoSoA groups.
-///
-/// Rows are processed in lane-width blocks: one lane pass computes the
-/// block's bin indices (the vectorizable part — for an AoSoA group the
-/// lane's coordinates are contiguous in the backing block), then each
-/// op scatters the block's rows in ascending order. Because every
-/// `(op, bin)` accumulator still sees its rows in ascending global row
-/// order, each returned grid is **bit-identical** to [`bin_all_host`]
-/// over the same logical values — including the ragged final block when
-/// the row count is not a lane multiple. The lane width comes from the
-/// coordinate column's layout (1 for scalar/AoS/SoA, i.e. a plain loop).
+/// Columns whose [`Column::lane_width`] is above 1 are walked in lane
+/// blocks: one lane pass computes the block's bin indices (the
+/// vectorizable part — for an AoSoA group the lane's coordinates are
+/// contiguous in the backing block), then each op scatters the block's
+/// rows in ascending order. Either way every `(op, bin)` accumulator
+/// folds its rows in ascending global row order, so each returned grid is
+/// **bit-identical** to [`bin_host`] over the same logical values,
+/// whatever the storage — including the ragged final block when the row
+/// count is not a lane multiple.
 ///
 /// # Panics
 /// Panics when the coordinate columns' lengths differ, a non-count
 /// reduction's value column is missing, or its length differs from the
 /// coordinates.
-pub fn bin_all_host_lanes(
-    xs: &MappedCol,
-    ys: &MappedCol,
-    ops: &[(BinOp, Option<&MappedCol>)],
+pub fn bin_all_host<C: Column + ?Sized>(
+    xs: &C,
+    ys: &C,
+    ops: &[(BinOp, Option<&C>)],
     grid: &GridParams,
 ) -> Vec<Vec<f64>> {
     assert_eq!(xs.len(), ys.len(), "coordinate columns must be co-occurring");
-    for (op, values) in ops {
-        if *op != BinOp::Count {
-            let v =
-                values.unwrap_or_else(|| panic!("operation {} needs a value column", op.name()));
-            assert_eq!(v.len(), xs.len(), "value column must be co-occurring");
-        }
-    }
     let n = xs.len();
-    let lane = xs.map().layout().lane_width().max(1);
+    let ops: Vec<(BinOp, Option<&C>)> =
+        ops.iter().map(|&(op, values)| (op, value_column(op, values, n))).collect();
     let mut grids: Vec<Vec<f64>> =
         ops.iter().map(|(op, _)| vec![identity(*op); grid.num_bins()]).collect();
-    // Per-lane scratch: the block's bin indices, None for dropped rows.
-    let mut bidx: Vec<Option<usize>> = vec![None; lane];
-    let mut start = 0;
-    while start < n {
-        let m = lane.min(n - start);
-        // Lane pass 1: bin indices for the whole block.
-        for (l, slot) in bidx.iter_mut().take(m).enumerate() {
-            let i = start + l;
-            *slot = grid.bin_index(xs.get(i), ys.get(i));
-        }
-        // Lane pass 2: per op, scatter the block's rows in ascending
-        // order (each (op, bin) accumulator folds rows in global row
-        // order, which is what keeps the grids bit-identical).
-        for ((op, values), bins) in ops.iter().zip(grids.iter_mut()) {
-            for (l, slot) in bidx.iter().take(m).enumerate() {
-                let Some(b) = *slot else { continue };
-                let v = match values {
-                    Some(values) if *op != BinOp::Count => values.get(start + l),
-                    _ => 0.0,
-                };
-                bins[b] = accumulate(*op, bins[b], v);
+    let lane = xs.lane_width();
+    if lane <= 1 {
+        for i in 0..n {
+            let Some(b) = grid.bin_index(xs.get(i), ys.get(i)) else { continue };
+            for (&(op, values), bins) in ops.iter().zip(grids.iter_mut()) {
+                bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(i)));
             }
         }
-        start += m;
+        return grids;
+    }
+    // Per-lane scratch: the block's bin indices, None for dropped rows.
+    let mut bidx: Vec<Option<usize>> = vec![None; lane];
+    for start in (0..n).step_by(lane) {
+        let m = lane.min(n - start);
+        for (l, slot) in bidx.iter_mut().take(m).enumerate() {
+            *slot = grid.bin_index(xs.get(start + l), ys.get(start + l));
+        }
+        for (&(op, values), bins) in ops.iter().zip(grids.iter_mut()) {
+            for (l, slot) in bidx.iter().take(m).enumerate() {
+                let Some(b) = *slot else { continue };
+                bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(start + l)));
+            }
+        }
     }
     grids
 }
@@ -274,25 +246,25 @@ mod tests {
 
     #[test]
     fn count_histogram() {
-        let bins = bin_host(&XS, &YS, &[], BinOp::Count, &grid2x2());
+        let bins = bin_host(&XS[..], &YS[..], None, BinOp::Count, &grid2x2());
         assert_eq!(bins, vec![1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn sum_per_bin() {
-        let bins = bin_host(&XS, &YS, &VS, BinOp::Sum, &grid2x2());
+        let bins = bin_host(&XS[..], &YS[..], Some(&VS[..]), BinOp::Sum, &grid2x2());
         assert_eq!(bins, vec![10.0, 20.0, 30.0, 40.0]);
     }
 
     #[test]
     fn min_max_and_empty_bins() {
         // All four points into cell 0.
-        let xs = [0.1, 0.2, 0.3, 0.4];
-        let ys = [0.1, 0.2, 0.3, 0.4];
+        let xs = &[0.1, 0.2, 0.3, 0.4][..];
+        let ys = &[0.1, 0.2, 0.3, 0.4][..];
         let g = grid2x2();
-        let mut mins = bin_host(&xs, &ys, &VS, BinOp::Min, &g);
-        let mut maxs = bin_host(&xs, &ys, &VS, BinOp::Max, &g);
-        let counts = bin_host(&xs, &ys, &[], BinOp::Count, &g);
+        let mut mins = bin_host(xs, ys, Some(&VS[..]), BinOp::Min, &g);
+        let mut maxs = bin_host(xs, ys, Some(&VS[..]), BinOp::Max, &g);
+        let counts = bin_host(xs, ys, None, BinOp::Count, &g);
         finalize(BinOp::Min, &mut mins, &counts);
         finalize(BinOp::Max, &mut maxs, &counts);
         assert_eq!(mins[0], 10.0);
@@ -305,12 +277,12 @@ mod tests {
 
     #[test]
     fn average_divides_by_count() {
-        let xs = [0.5, 0.6, 1.5];
-        let ys = [0.5, 0.6, 1.7];
-        let vs = [2.0, 4.0, 9.0];
+        let xs = &[0.5, 0.6, 1.5][..];
+        let ys = &[0.5, 0.6, 1.7][..];
+        let vs = &[2.0, 4.0, 9.0][..];
         let g = grid2x2();
-        let counts = bin_host(&xs, &ys, &[], BinOp::Count, &g);
-        let mut avg = bin_host(&xs, &ys, &vs, BinOp::Average, &g);
+        let counts = bin_host(xs, ys, None, BinOp::Count, &g);
+        let mut avg = bin_host(xs, ys, Some(vs), BinOp::Average, &g);
         finalize(BinOp::Average, &mut avg, &counts);
         assert_eq!(avg[0], 3.0);
         assert_eq!(avg[3], 9.0);
@@ -319,23 +291,23 @@ mod tests {
 
     #[test]
     fn out_of_range_rows_are_dropped() {
-        let xs = [0.5, 10.0, f64::NAN];
-        let ys = [0.5, 0.5, 0.5];
-        let vs = [1.0, 2.0, 3.0];
-        let bins = bin_host(&xs, &ys, &vs, BinOp::Sum, &grid2x2());
+        let xs = &[0.5, 10.0, f64::NAN][..];
+        let ys = &[0.5, 0.5, 0.5][..];
+        let vs = &[1.0, 2.0, 3.0][..];
+        let bins = bin_host(xs, ys, Some(vs), BinOp::Sum, &grid2x2());
         assert_eq!(bins.iter().sum::<f64>(), 1.0);
     }
 
     #[test]
     fn empty_input_yields_identity_grid() {
-        let bins = bin_host(&[], &[], &[], BinOp::Count, &grid2x2());
+        let bins = bin_host::<[f64]>(&[], &[], None, BinOp::Count, &grid2x2());
         assert_eq!(bins, vec![0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "co-occurring")]
     fn mismatched_columns_panic() {
-        bin_host(&[1.0], &[1.0, 2.0], &[], BinOp::Count, &grid2x2());
+        bin_host::<[f64]>(&[1.0], &[1.0, 2.0], None, BinOp::Count, &grid2x2());
     }
 
     #[test]
@@ -348,9 +320,9 @@ mod tests {
             (BinOp::Max, Some(&VS)),
             (BinOp::Average, Some(&VS)),
         ];
-        let fused = bin_all_host(&XS, &YS, &ops, &g);
+        let fused = bin_all_host(&XS[..], &YS[..], &ops, &g);
         for ((op, values), fused_grid) in ops.iter().zip(&fused) {
-            let reference = bin_host(&XS, &YS, values.unwrap_or(&[]), *op, &g);
+            let reference = bin_host(&XS[..], &YS[..], *values, *op, &g);
             assert_eq!(
                 fused_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -363,7 +335,7 @@ mod tests {
     fn fused_pass_on_empty_input_yields_identities() {
         let ops: Vec<(BinOp, Option<&[f64]>)> =
             vec![(BinOp::Count, None), (BinOp::Min, Some(&[])), (BinOp::Max, Some(&[]))];
-        let fused = bin_all_host(&[], &[], &ops, &grid2x2());
+        let fused = bin_all_host::<[f64]>(&[], &[], &ops, &grid2x2());
         assert_eq!(fused[0], vec![0.0; 4]);
         assert_eq!(fused[1], vec![f64::INFINITY; 4]);
         assert_eq!(fused[2], vec![f64::NEG_INFINITY; 4]);
@@ -372,7 +344,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs a value column")]
     fn fused_pass_rejects_missing_value_column() {
-        bin_all_host(&XS, &YS, &[(BinOp::Sum, None)], &grid2x2());
+        bin_all_host(&XS[..], &YS[..], &[(BinOp::Sum, None)], &grid2x2());
     }
 
     /// Pack `fields` (all the same length) into one backing block laid
@@ -397,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_is_bit_identical_to_scalar_across_layouts() {
+    fn kernels_are_bit_identical_across_column_storages() {
         let node = devsim::SimNode::new(devsim::NodeConfig::fast_test(1));
         // n = 7: not a multiple of lane 4 or 8, forcing a ragged tail.
         let xs: Vec<f64> = vec![0.5, 1.5, 0.5, 1.5, 0.5, 10.0, f64::NAN];
@@ -411,10 +383,10 @@ mod tests {
             (BinOp::Max, Some(&vs)),
             (BinOp::Average, Some(&vs)),
         ];
-        let reference = bin_all_host(&xs, &ys, &ops, &g);
+        let reference = bin_all_host(&xs[..], &ys[..], &ops, &g);
 
-        // Scalar is exercised through the dense (identity-mapped) path;
-        // a multi-field group needs an interleaving layout.
+        // Scalar is exercised through the identity-mapped view; a
+        // multi-field group needs an interleaving layout.
         let dense_cols: Vec<MappedCol> = [&xs, &ys, &vs]
             .iter()
             .map(|vals| {
@@ -428,7 +400,7 @@ mod tests {
             .collect();
         let dense_ops: Vec<(BinOp, Option<&MappedCol>)> =
             ops.iter().map(|(op, v)| (*op, v.map(|_| &dense_cols[2]))).collect();
-        let dense = bin_all_host_lanes(&dense_cols[0], &dense_cols[1], &dense_ops, &g);
+        let dense = bin_all_host(&dense_cols[0], &dense_cols[1], &dense_ops, &g);
         for (lane_grid, ref_grid) in dense.iter().zip(&reference) {
             assert_eq!(
                 lane_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -447,7 +419,7 @@ mod tests {
             let cols = group(&node, layout, &[&xs, &ys, &vs]);
             let mops: Vec<(BinOp, Option<&MappedCol>)> =
                 ops.iter().map(|(op, v)| (*op, v.map(|_| &cols[2]))).collect();
-            let lanes = bin_all_host_lanes(&cols[0], &cols[1], &mops, &g);
+            let lanes = bin_all_host(&cols[0], &cols[1], &mops, &g);
             for ((op, _), (lane_grid, ref_grid)) in ops.iter().zip(lanes.iter().zip(&reference)) {
                 assert_eq!(
                     lane_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -457,7 +429,7 @@ mod tests {
                     layout.name()
                 );
                 // The per-op mapped reference agrees too.
-                let per_op = bin_host_mapped(
+                let per_op = bin_host(
                     &cols[0],
                     &cols[1],
                     (*op != BinOp::Count).then_some(&cols[2]),
@@ -480,14 +452,14 @@ mod tests {
         let node = devsim::SimNode::new(devsim::NodeConfig::fast_test(1));
         let a: Vec<f64> = vec![1.0, f64::NAN, -2.0, 3.0, 0.25, -7.5, 9.0];
         let b: Vec<f64> = vec![9.0, -9.0, 0.0, f64::INFINITY, 1.0, 2.0, 3.0];
-        let dense = crate::bounds::minmax_multi_host(&[&a, &b]);
+        let dense = crate::bounds::minmax_multi(&[&a[..], &b[..]]);
         for layout in [hamr::Layout::AoS, hamr::Layout::SoA, hamr::Layout::AoSoA { lane_width: 4 }]
         {
             let cols = group(&node, layout, &[&a, &b]);
-            let mapped = crate::bounds::minmax_multi_mapped(&[&cols[0], &cols[1]]);
+            let mapped = crate::bounds::minmax_multi(&[&cols[0], &cols[1]]);
             assert_eq!(mapped, dense, "bounds under {}", layout.name());
-            assert_eq!(crate::bounds::minmax_mapped(&cols[0]), dense[0]);
-            assert_eq!(crate::bounds::minmax_mapped(&cols[1]), dense[1]);
+            assert_eq!(crate::bounds::minmax(&cols[0]), dense[0]);
+            assert_eq!(crate::bounds::minmax(&cols[1]), dense[1]);
         }
     }
 }

@@ -6,8 +6,7 @@
 //! (sum, count) pairs and finalized after the reduction — reducing
 //! per-rank averages would weight ranks, not rows.
 
-use minimpi::{Comm, Segment, SegmentOp};
-use sensei::{Error, Result};
+use minimpi::{Comm, SegmentOp};
 
 use crate::spec::BinOp;
 
@@ -55,32 +54,6 @@ pub fn allreduce_grid(comm: &Comm, op: BinOp, local: Vec<f64>) -> Vec<f64> {
     comm.allreduce(local, move |a, b| merge_grids(op, a, b))
 }
 
-/// Allreduce **all** per-rank accumulation grids in one packed collective:
-/// the grids are laid back to back into a single buffer, each segment
-/// merged under its own operation's semantics, and unpacked afterwards —
-/// one communication round per step instead of one per grid. The grid
-/// layout (count and shape) must be identical on every rank.
-pub fn allreduce_grids_packed(comm: &Comm, grids: Vec<(BinOp, Vec<f64>)>) -> Result<Vec<Vec<f64>>> {
-    let mut data = Vec::with_capacity(grids.iter().map(|(_, g)| g.len()).sum());
-    let mut segments = Vec::with_capacity(grids.len());
-    let mut lens = Vec::with_capacity(grids.len());
-    for (op, grid) in grids {
-        segments.push(Segment::new(segment_op(op), grid.len()));
-        lens.push(grid.len());
-        data.extend_from_slice(&grid);
-    }
-    let merged = comm
-        .allreduce_packed(data, &segments)
-        .map_err(|e| Error::Analysis(format!("packed grid allreduce: {e}")))?;
-    let mut out = Vec::with_capacity(lens.len());
-    let mut base = 0;
-    for len in lens {
-        out.push(merged[base..base + len].to_vec());
-        base += len;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,26 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_reduction_matches_per_grid_reduction_in_one_round() {
-        let ops = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
-        let got = World::new(3).run(move |comm| {
-            let r = comm.rank() as f64;
-            let local: Vec<(BinOp, Vec<f64>)> =
-                ops.iter().map(|&op| (op, vec![r, 10.0 - r, r * r, -r])).collect();
-            let reference: Vec<Vec<f64>> =
-                local.iter().map(|(op, g)| allreduce_grid(&comm, *op, g.clone())).collect();
-            let before = comm.allreduce_count();
-            let packed = allreduce_grids_packed(&comm, local).unwrap();
-            let rounds = comm.allreduce_count() - before;
-            (packed, reference, rounds)
-        });
-        for (packed, reference, rounds) in got {
-            assert_eq!(packed, reference);
-            assert_eq!(rounds, 1, "all grids must share one allreduce round");
-        }
-    }
-
-    #[test]
     fn distributed_binning_equals_serial_binning() {
         // 4 ranks each bin a slice of a global dataset; the reduced grid
         // must equal binning the whole dataset serially.
@@ -134,9 +87,8 @@ mod tests {
         let grid = GridParams::new(5, 5, [0.0, 0.0], [1.0, 1.0]);
 
         for op in [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average] {
-            let serial_vals: &[f64] = if op == BinOp::Count { &[] } else { &vs };
-            let mut serial = bin_host(&xs, &ys, serial_vals, op, &grid);
-            let serial_counts = bin_host(&xs, &ys, &[], BinOp::Count, &grid);
+            let mut serial = bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &grid);
+            let serial_counts = bin_host(&xs[..], &ys[..], None, BinOp::Count, &grid);
             finalize(op, &mut serial, &serial_counts);
 
             let (xs2, ys2, vs2, g2) = (xs.clone(), ys.clone(), vs.clone(), grid);
@@ -144,13 +96,12 @@ mod tests {
                 let chunk = n / comm.size();
                 let s = comm.rank() * chunk;
                 let e = if comm.rank() + 1 == comm.size() { n } else { s + chunk };
-                let local_vals: &[f64] = if op == BinOp::Count { &[] } else { &vs2[s..e] };
-                let local = bin_host(&xs2[s..e], &ys2[s..e], local_vals, op, &g2);
+                let local = bin_host(&xs2[s..e], &ys2[s..e], Some(&vs2[s..e]), op, &g2);
                 let mut global = allreduce_grid(&comm, op, local);
                 let counts = allreduce_grid(
                     &comm,
                     BinOp::Count,
-                    bin_host(&xs2[s..e], &ys2[s..e], &[], BinOp::Count, &g2),
+                    bin_host(&xs2[s..e], &ys2[s..e], None, BinOp::Count, &g2),
                 );
                 finalize(op, &mut global, &counts);
                 global

@@ -191,6 +191,11 @@ impl BinningSpec {
         Ok(BinningSpec { mesh, axes: (ax, ay), resolution: (rx, ry), ops, bounds })
     }
 
+    /// The spec's mesh over the axis ranges `x` and `y` (`[lo, hi]` each).
+    pub(crate) fn grid(&self, x: [f64; 2], y: [f64; 2]) -> crate::GridParams {
+        crate::GridParams::new(self.resolution.0, self.resolution.1, [x[0], y[0]], [x[1], y[1]])
+    }
+
     /// Every variable the spec reads (axes + reduced variables, deduped).
     pub fn required_variables(&self) -> Vec<&str> {
         let mut vars = vec![self.axes.0.as_str(), self.axes.1.as_str()];

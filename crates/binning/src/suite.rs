@@ -4,30 +4,19 @@
 //! same particle table (nine coordinate systems, ten operations each).
 //! Run as independent [`crate::BinningAnalysis`] back-ends, every
 //! instance fetches its columns, computes its bounds, and reduces its
-//! grids on its own — nine fetches, nine (or eighteen) bounds
-//! collectives, and ninety grid allreduces per step.
+//! grids on its own — nine fetches, nine bounds collectives, and nine
+//! grid allreduces per step.
 //!
-//! [`BinningSuite`] executes the same specs as one back-end on the fused
-//! path end to end:
-//!
-//! * the union of every spec's required variables is fetched/moved
-//!   **once per table per step** and shared across all specs;
-//! * on a device, each spec's fused multi-op kernel and packed download
-//!   are routed to the least-loaded of a small pool of streams (by
-//!   accumulated modeled kernel cost), so the coordinate systems overlap
-//!   instead of serializing on one stream and skewed specs don't pile up
-//!   the way position-based round-robin lets them;
-//! * auto-computed axis bounds for **all** specs share one fused min/max
-//!   pass per table and one packed bounds allreduce;
-//! * every spec's grids (counts + ops) are packed into a single segmented
-//!   buffer and reduced with **one** allreduce per step.
+//! [`BinningSuite`] executes the same specs as one back-end: one fused
+//! step ([`crate::fused`]) over all of them — one shared fetch, one fused
+//! bounds pass and collective, one packed grid allreduce — run inline, or
+//! planned as a task graph under the `dag` execution method.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use devsim::{CellBuffer, Event};
-use minimpi::Segment;
 use parking_lot::Mutex;
 use sensei::{
     AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DagOutcome, DagScheduler,
@@ -35,68 +24,13 @@ use sensei::{
 };
 use svtk::FieldAssociation;
 
-use crate::adaptor::{fetch_table, local_tables, BinnedResult, Fetched, ResultSink};
-use crate::bounds;
+use crate::adaptor::{
+    local_tables, publish_to_sink, BinnedResult, CommMark, Fetched, HostCols, ResultSink,
+};
 use crate::device_impl;
+use crate::fused::{device_pass, host_pass, spec_ops, FusedStep, StepLayout};
 use crate::grid::GridParams;
-use crate::host_impl;
-use crate::reduce;
-use crate::spec::{BinOp, BinningSpec, VarOp};
-
-/// Streams the suite spreads device work across; more specs than this
-/// share streams, routed least-loaded by accumulated kernel cost.
-const MAX_STREAMS: usize = 4;
-
-/// Index of the stream with the smallest accumulated relative kernel
-/// cost. Ties break to the lowest index, so a uniform-cost spec set
-/// degenerates to the old round-robin rotation — the policies only
-/// diverge when costs are skewed, which is exactly when round-robin
-/// piles heavy kernels onto one stream.
-pub(crate) fn least_loaded_stream(loads: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, load) in loads.iter().enumerate().skip(1) {
-        if *load < loads[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Layout of a step's flat accumulation buffer: every spec's grids
-/// (counts first) laid back to back. The flat buffer doubles as the
-/// packed-collective payload, so local accumulation, the allreduce, and
-/// the unpack all work on one allocation with no repacking.
-struct StepLayout {
-    /// Per spec, its ops with the implicit count grid first.
-    ops: Vec<Vec<VarOp>>,
-    /// Start of each spec's grids in the flat buffer.
-    offsets: Vec<usize>,
-    /// One segment per (spec, op), in buffer order.
-    segments: Vec<Segment>,
-    total: usize,
-}
-
-/// Merge a downloaded packed segment straight into the flat accumulator
-/// (no intermediate owned grid).
-fn merge_segment_from_view(op: BinOp, acc: &mut [f64], v: &devsim::HostF64View, base: usize) {
-    match op {
-        BinOp::Count | BinOp::Sum | BinOp::Average => {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += v.get(base + j);
-            }
-        }
-        BinOp::Min => {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = a.min(v.get(base + j));
-            }
-        }
-        BinOp::Max => {
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = a.max(v.get(base + j));
-            }
-        }
-    }
-}
+use crate::spec::BinningSpec;
 
 /// Where one (table, spec) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
@@ -171,7 +105,6 @@ impl DagState {
 /// Many binning specs over one mesh, executed as a single fused back-end.
 pub struct BinningSuite {
     controls: BackendControls,
-    mesh: String,
     specs: Vec<BinningSpec>,
     sink: Option<ResultSink>,
     output_dir: Option<PathBuf>,
@@ -187,9 +120,9 @@ impl BinningSuite {
     pub fn new(specs: Vec<BinningSpec>) -> Result<Self> {
         let mesh = match specs.first() {
             None => return Err(Error::Config("binning suite needs at least one spec".into())),
-            Some(s) => s.mesh.clone(),
+            Some(s) => &s.mesh,
         };
-        if let Some(other) = specs.iter().find(|s| s.mesh != mesh) {
+        if let Some(other) = specs.iter().find(|s| s.mesh != *mesh) {
             return Err(Error::Config(format!(
                 "binning suite specs must share one mesh: '{}' vs '{}'",
                 mesh, other.mesh
@@ -197,7 +130,6 @@ impl BinningSuite {
         }
         Ok(BinningSuite {
             controls: BackendControls::default(),
-            mesh,
             specs,
             sink: None,
             output_dir: None,
@@ -237,273 +169,9 @@ impl BinningSuite {
         &self.specs
     }
 
-    /// Union of every spec's required variables, deduped in first-seen
-    /// order (the shared per-step fetch list).
-    fn union_variables(&self) -> Vec<&str> {
-        let mut vars: Vec<&str> = Vec::new();
-        for spec in &self.specs {
-            for v in spec.required_variables() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        }
-        vars
-    }
-
-    /// Resolve every spec's grid. Manual bounds come straight from the
-    /// spec; automatic bounds share one fused min/max pass per table over
-    /// the union of auto-bounded axis columns and a single packed
-    /// allreduce across all of them.
-    fn resolve_grids(
-        &self,
-        fetched: &[Fetched],
-        device: Option<usize>,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Vec<GridParams>> {
-        // Unique axis columns of specs whose bounds are computed on the
-        // fly (specs share axes across coordinate systems).
-        let mut auto_cols: Vec<&str> = Vec::new();
-        for spec in self.specs.iter().filter(|s| s.bounds.is_none()) {
-            for ax in [spec.axes.0.as_str(), spec.axes.1.as_str()] {
-                if !auto_cols.contains(&ax) {
-                    auto_cols.push(ax);
-                }
-            }
-        }
-
-        let mut merged: HashMap<&str, (f64, f64)> = HashMap::new();
-        if !auto_cols.is_empty() {
-            let mut local = vec![(f64::INFINITY, f64::NEG_INFINITY); auto_cols.len()];
-            for f in fetched {
-                let pairs = match f {
-                    Fetched::Host(data) => {
-                        let cols: Vec<&[f64]> =
-                            auto_cols.iter().map(|c| data[*c].as_slice()).collect();
-                        let total: usize = cols.iter().map(|c| c.len()).sum();
-                        self.counters.add_table_passes(1);
-                        ctx.node.host().run(
-                            "bin_bounds_fused",
-                            devsim::KernelCost::bytes((total * 8) as f64),
-                            || bounds::minmax_multi_host(&cols),
-                        )
-                    }
-                    Fetched::HostMapped { cols, layout, .. } => {
-                        let cols: Vec<&host_impl::MappedCol> =
-                            auto_cols.iter().map(|c| &cols[*c]).collect();
-                        let total: usize = cols.iter().map(|c| c.len()).sum();
-                        self.counters.add_table_passes(1);
-                        ctx.node.host().run(
-                            "bin_bounds_fused",
-                            device_impl::fused_bounds_cost(total, *layout),
-                            || bounds::minmax_multi_mapped(&cols),
-                        )
-                    }
-                    Fetched::Device { views, .. } => {
-                        let d = device.expect("device fetch implies device placement");
-                        let stream = ctx.node.device(d)?.default_stream();
-                        let cols: Vec<&devsim::CellBuffer> =
-                            auto_cols.iter().map(|c| views[*c].cells()).collect();
-                        self.counters.add_kernel_launches(1);
-                        self.counters.add_downloads(1);
-                        device_impl::minmax_multi_device(ctx.node, d, &stream, &cols)?
-                    }
-                };
-                for (acc, (lo, hi)) in local.iter_mut().zip(pairs) {
-                    acc.0 = acc.0.min(lo);
-                    acc.1 = acc.1.max(hi);
-                }
-            }
-            let global = bounds::global_bounds_packed(ctx.comm, &local)?;
-            for (col, pair) in auto_cols.iter().zip(global) {
-                merged.insert(col, pair);
-            }
-        }
-
-        self.specs
-            .iter()
-            .map(|spec| {
-                let (bx, by) = match spec.bounds {
-                    Some(b) => b,
-                    None => {
-                        let (xlo, xhi) = merged[spec.axes.0.as_str()];
-                        let (ylo, yhi) = merged[spec.axes.1.as_str()];
-                        let x = bounds::usable_range(xlo, xhi);
-                        let y = bounds::usable_range(ylo, yhi);
-                        ([x.0, x.1], [y.0, y.1])
-                    }
-                };
-                Ok(GridParams::new(
-                    spec.resolution.0,
-                    spec.resolution.1,
-                    [bx[0], by[0]],
-                    [bx[1], by[1]],
-                ))
-            })
-            .collect()
-    }
-
-    /// The ops of `spec`, counts first (the layout of its grids
-    /// everywhere downstream).
-    fn spec_ops(spec: &BinningSpec) -> Vec<VarOp> {
-        let mut ops = vec![VarOp { var: String::new(), op: BinOp::Count }];
-        ops.extend(spec.ops.iter().cloned());
-        ops
-    }
-
-    /// The step's flat-buffer layout over the resolved grids.
-    fn layout(&self, grids: &[GridParams]) -> StepLayout {
-        let mut ops = Vec::with_capacity(self.specs.len());
-        let mut offsets = Vec::with_capacity(self.specs.len());
-        let mut segments = Vec::new();
-        let mut total = 0;
-        for (spec, grid) in self.specs.iter().zip(grids) {
-            offsets.push(total);
-            let spec_ops = Self::spec_ops(spec);
-            for vo in &spec_ops {
-                segments.push(Segment::new(reduce::segment_op(vo.op), grid.num_bins()));
-                total += grid.num_bins();
-            }
-            ops.push(spec_ops);
-        }
-        StepLayout { ops, offsets, segments, total }
-    }
-
-    /// Local fused binning of every spec over every fetched table,
-    /// accumulated into one flat buffer laid out by `layout` — the exact
-    /// payload of the step's packed allreduce. Each device kernel goes to
-    /// the stream with the least accumulated modeled cost; all streams
-    /// are synchronized once at the end, then merged straight from the
-    /// downloaded views.
-    fn bin_all_specs(
-        &mut self,
-        fetched: &[Fetched],
-        grids: &[GridParams],
-        layout: &StepLayout,
-        device: Option<usize>,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Vec<f64>> {
-        let mut flat = Vec::with_capacity(layout.total);
-        for (spec_ops, grid) in layout.ops.iter().zip(grids) {
-            for vo in spec_ops {
-                flat.resize(flat.len() + grid.num_bins(), host_impl::identity(vo.op));
-            }
-        }
-
-        // (spec index, packed host buffer) downloads awaiting the sync.
-        let mut staged: Vec<(usize, devsim::CellBuffer)> = Vec::new();
-        let mut used_streams = false;
-        // Accumulated relative cost routed to each stream this step (the
-        // streams drain fully at the step's closing synchronize, so loads
-        // reset per call).
-        let mut stream_loads: Vec<f64> = Vec::new();
-
-        for f in fetched {
-            match f {
-                Fetched::Host(data) => {
-                    for (si, (spec, grid)) in self.specs.iter().zip(grids).enumerate() {
-                        let xs = &data[spec.axes.0.as_str()];
-                        let ys = &data[spec.axes.1.as_str()];
-                        let all_ops = &layout.ops[si];
-                        let ops: Vec<(BinOp, Option<&[f64]>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals = (vo.op != BinOp::Count)
-                                    .then(|| data[vo.var.as_str()].as_slice());
-                                (vo.op, vals)
-                            })
-                            .collect();
-                        self.counters.add_table_passes(1);
-                        let parts = ctx.node.host().run(
-                            "bin_fused_host",
-                            device_impl::fused_bin_cost(xs.len(), ops.len()),
-                            || host_impl::bin_all_host(xs, ys, &ops, grid),
-                        );
-                        let (off, nb) = (layout.offsets[si], grid.num_bins());
-                        for ((k, vo), part) in all_ops.iter().enumerate().zip(parts) {
-                            let seg = &mut flat[off + k * nb..off + (k + 1) * nb];
-                            reduce::merge_into(vo.op, seg, &part);
-                        }
-                    }
-                }
-                Fetched::HostMapped { cols, layout: blk_layout, n } => {
-                    for (si, (spec, grid)) in self.specs.iter().zip(grids).enumerate() {
-                        let xs = &cols[spec.axes.0.as_str()];
-                        let ys = &cols[spec.axes.1.as_str()];
-                        let all_ops = &layout.ops[si];
-                        let ops: Vec<(BinOp, Option<&host_impl::MappedCol>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals = (vo.op != BinOp::Count).then(|| &cols[vo.var.as_str()]);
-                                (vo.op, vals)
-                            })
-                            .collect();
-                        self.counters.add_table_passes(1);
-                        let parts = ctx.node.host().run(
-                            "bin_fused_host_lanes",
-                            device_impl::fused_bin_cost_layout(*n, ops.len(), *blk_layout),
-                            || host_impl::bin_all_host_lanes(xs, ys, &ops, grid),
-                        );
-                        let (off, nb) = (layout.offsets[si], grid.num_bins());
-                        for ((k, vo), part) in all_ops.iter().enumerate().zip(parts) {
-                            let seg = &mut flat[off + k * nb..off + (k + 1) * nb];
-                            reduce::merge_into(vo.op, seg, &part);
-                        }
-                    }
-                }
-                Fetched::Device { views, .. } => {
-                    let d = device.expect("device fetch implies device placement");
-                    if self.streams.is_empty() {
-                        let n = MAX_STREAMS.min(self.specs.len().max(1));
-                        let dev = ctx.node.device(d)?;
-                        self.streams = (0..n).map(|_| dev.create_stream()).collect();
-                    }
-                    used_streams = true;
-                    if stream_loads.len() != self.streams.len() {
-                        stream_loads = vec![0.0; self.streams.len()];
-                    }
-                    for (si, (spec, grid)) in self.specs.iter().zip(grids).enumerate() {
-                        let xs = views[spec.axes.0.as_str()].cells();
-                        let ys = views[spec.axes.1.as_str()].cells();
-                        let all_ops = &layout.ops[si];
-                        let ops: Vec<(BinOp, Option<&devsim::CellBuffer>)> = all_ops
-                            .iter()
-                            .map(|vo| {
-                                let vals =
-                                    (vo.op != BinOp::Count).then(|| views[vo.var.as_str()].cells());
-                                (vo.op, vals)
-                            })
-                            .collect();
-                        let kc = device_impl::fused_bin_cost(xs.len(), all_ops.len());
-                        let sidx = least_loaded_stream(&stream_loads);
-                        stream_loads[sidx] += kc.flops + kc.bytes;
-                        let stream = &self.streams[sidx];
-                        let packed =
-                            device_impl::bin_all_device(ctx.node, d, stream, xs, ys, &ops, *grid)?;
-                        let host = ctx.node.host_alloc_f64(packed.len());
-                        stream.copy(&packed, &host).map_err(Error::Device)?;
-                        self.counters.add_kernel_launches(1);
-                        self.counters.add_downloads(1);
-                        staged.push((si, host));
-                    }
-                }
-            }
-        }
-
-        if used_streams {
-            for stream in &self.streams {
-                stream.synchronize().map_err(Error::Device)?;
-            }
-            for (si, host) in staged {
-                let v = host.host_f64_ro().map_err(Error::Device)?;
-                let (off, nb) = (layout.offsets[si], grids[si].num_bins());
-                for (k, vo) in layout.ops[si].iter().enumerate() {
-                    let seg = &mut flat[off + k * nb..off + (k + 1) * nb];
-                    merge_segment_from_view(vo.op, seg, &v, k * nb);
-                }
-            }
-        }
-        Ok(flat)
+    /// The fused step over this suite's specs.
+    fn step(&self) -> FusedStep<'_> {
+        FusedStep { specs: &self.specs, counters: &self.counters }
     }
 }
 
@@ -522,71 +190,20 @@ impl AnalysisAdaptor for BinningSuite {
 
     fn required_arrays(&self) -> DataRequirements {
         DataRequirements::none().with_arrays(
-            &self.mesh,
+            &self.specs[0].mesh,
             FieldAssociation::Point,
-            self.union_variables(),
+            self.step().union_variables(),
         )
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
-        let allreduces_before = ctx.comm.allreduce_count();
-        let tiers_before = ctx.comm.tier_stats();
-        let mesh = data.mesh(&self.mesh)?;
-        let tables = local_tables(&mesh)?;
+        let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-
-        // One fetch of the union of every spec's variables per table.
-        let vars = self.union_variables();
-        self.counters.add_fetches(vars.len() as u64 * tables.len() as u64);
-        let fetched: Vec<Fetched> = tables
-            .iter()
-            .map(|t| fetch_table(t, &vars, device, ctx.node, &self.counters, true))
-            .collect::<Result<_>>()?;
-        crate::adaptor::release_if_materialized(data, &fetched);
-
-        let grids = self.resolve_grids(&fetched, device, ctx)?;
-        let layout = self.layout(&grids);
-        let flat = self.bin_all_specs(&fetched, &grids, &layout, device, ctx)?;
-
-        // The flat accumulator IS the packed-collective payload: one
-        // allreduce covers every spec's grids, with no repacking.
-        let merged = ctx
-            .comm
-            .allreduce_packed(flat, &layout.segments)
-            .map_err(|e| Error::Analysis(format!("packed grid allreduce: {e}")))?;
-
-        let mut step_results = Vec::with_capacity(self.specs.len());
-        for (si, (spec, grid)) in self.specs.iter().zip(&grids).enumerate() {
-            let (off, nb) = (layout.offsets[si], grid.num_bins());
-            let counts = merged[off..off + nb].to_vec();
-            let mut arrays = Vec::with_capacity(spec.ops.len());
-            for (k, vo) in layout.ops[si].iter().enumerate().skip(1) {
-                let values = if vo.op == BinOp::Count {
-                    counts.clone()
-                } else {
-                    let mut global = merged[off + k * nb..off + (k + 1) * nb].to_vec();
-                    host_impl::finalize(vo.op, &mut global, &counts);
-                    global
-                };
-                arrays.push((vo.output_name(), values));
-            }
-            step_results.push(BinnedResult {
-                step: data.time_step(),
-                time: data.time(),
-                axes: spec.axes.clone(),
-                grid: *grid,
-                arrays,
-            });
-        }
-        self.counters.add_allreduces(ctx.comm.allreduce_count() - allreduces_before);
-        self.counters.add_comm(&ctx.comm.tier_stats().delta_since(&tiers_before));
-
-        if let Some(sink) = &self.sink {
-            if ctx.comm.rank() == 0 {
-                sink.lock().extend(step_results.iter().cloned());
-            }
-        }
-        self.last = step_results;
+        let step = FusedStep { specs: &self.specs, counters: &self.counters };
+        let results = step.run(data, ctx, device, &mut self.streams)?;
+        comm_mark.charge(ctx.comm, &self.counters);
+        publish_to_sink(&self.sink, ctx.comm, &results);
+        self.last = results;
         self.executes += 1;
         Ok(true)
     }
@@ -610,10 +227,8 @@ impl AnalysisAdaptor for BinningSuite {
         ctx: &ExecContext<'_>,
         sched: &mut DagScheduler,
     ) -> Result<bool> {
-        let allreduces_before = ctx.comm.allreduce_count();
-        let tiers_before = ctx.comm.tier_stats();
-        let mesh = data.mesh(&self.mesh)?;
-        let tables = local_tables(&mesh)?;
+        let comm_mark = CommMark::new(ctx.comm);
+        let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         let policy = self.controls.recovery;
         let nspecs = self.specs.len();
@@ -629,6 +244,7 @@ impl AnalysisAdaptor for BinningSuite {
             results: Mutex::new(Vec::new()),
         });
         let this = &*self;
+        let step = this.step();
         let node = ctx.node.clone();
 
         let mut g = TaskGraph::new(this.name(), this.counters.clone(), policy);
@@ -638,29 +254,25 @@ impl AnalysisAdaptor for BinningSuite {
         // because of the collective and the data-adaptor borrow.
         let fetch = {
             let state = state.clone();
-            let vars: Vec<&str> = this.union_variables();
             g.add_coordinator_task(TaskKind::Fetch, "tables+bounds", move |_| {
                 // Idempotent under retry: the step's staging is rebuilt
                 // from scratch on every attempt.
                 state.host_tables.lock().clear();
                 state.dev_cols.lock().clear();
-                this.counters.add_fetches(vars.len() as u64 * tables.len() as u64);
                 // The DAG engine keeps its plain-column contract: grouped
                 // tables are gathered dense here (a charged relayout), so
                 // stolen kernels never see a mapped block.
-                let fetched: Vec<Fetched> = tables
-                    .iter()
-                    .map(|t| fetch_table(t, &vars, device, ctx.node, &this.counters, false))
-                    .collect::<Result<_>>()?;
-                crate::adaptor::release_if_materialized(data, &fetched);
-                *state.grids.lock() = this.resolve_grids(&fetched, device, ctx)?;
+                let fetched = step.fetch(data, &tables, device, ctx, false)?;
+                *state.grids.lock() = step.resolve_grids(&fetched, device, ctx)?;
                 for (ti, f) in fetched.into_iter().enumerate() {
                     match f {
-                        Fetched::Host(cols) => state.host_tables.lock().push(Arc::new(cols)),
-                        Fetched::HostMapped { .. } => {
+                        Fetched::Host(HostCols::Dense(cols)) => {
+                            state.host_tables.lock().push(Arc::new(cols))
+                        }
+                        Fetched::Host(HostCols::Mapped { .. }) => {
                             return Err(Error::Analysis("dag fetch expects dense columns".into()))
                         }
-                        Fetched::Device { views, .. } => {
+                        Fetched::Device(views) => {
                             let p = device.expect("device fetch implies device placement");
                             let cols: HashMap<String, CellBuffer> =
                                 views.iter().map(|(k, v)| (k.clone(), v.cells().clone())).collect();
@@ -681,23 +293,23 @@ impl AnalysisAdaptor for BinningSuite {
         for (ti, &rows) in row_counts.iter().enumerate() {
             for (si, spec) in this.specs.iter().enumerate() {
                 let idx = ti * nspecs + si;
-                let all_ops = Self::spec_ops(spec);
+                let all_ops = spec_ops(spec);
                 let nbins = spec.resolution.0 * spec.resolution.1;
-                let kc = device_impl::fused_bin_cost(rows, all_ops.len());
+                let kc =
+                    device_impl::fused_bin_cost_layout(rows, all_ops.len(), hamr::Layout::Scalar);
                 let dl_event = Event::new();
 
-                let kernel = match device {
-                    Some(primary) => {
-                        let state = state.clone();
-                        let node = node.clone();
-                        let counters = this.counters.clone();
-                        let axes = spec.axes.clone();
-                        let ops = all_ops.clone();
-                        let k = g.add_worker_task(
-                            TaskKind::Kernel,
-                            format!("t{ti}s{si}"),
-                            TaskSite::AnyDevice,
-                            move |tctx| {
+                let kernel = {
+                    let state = state.clone();
+                    let node = node.clone();
+                    let counters = this.counters.clone();
+                    let axes = spec.axes.clone();
+                    let ops = all_ops.clone();
+                    let label = format!("t{ti}s{si}");
+                    match device {
+                        Some(primary) => {
+                            let site = TaskSite::AnyDevice;
+                            let k = g.add_worker_task(TaskKind::Kernel, label, site, move |tctx| {
                                 let dw = tctx.device().ok_or_else(|| {
                                     Error::Analysis("binning kernel needs a device worker".into())
                                 })?;
@@ -709,71 +321,31 @@ impl AnalysisAdaptor for BinningSuite {
                                     .clone();
                                 let grid = state.grids.lock()[si];
                                 let cols = state.cols_on(&node, ti, dw, primary, &stream)?;
-                                let xs = &cols[axes.0.as_str()];
-                                let ys = &cols[axes.1.as_str()];
-                                let kops: Vec<(BinOp, Option<&CellBuffer>)> = ops
-                                    .iter()
-                                    .map(|vo| {
-                                        let vals =
-                                            (vo.op != BinOp::Count).then(|| &cols[vo.var.as_str()]);
-                                        (vo.op, vals)
-                                    })
-                                    .collect();
-                                let packed = device_impl::bin_all_device(
-                                    &node, dw, &stream, xs, ys, &kops, grid,
-                                )?;
+                                let col = |name: &str| &cols[name];
+                                let packed =
+                                    device_pass(&node, dw, &stream, col, &axes, &ops, grid)?;
                                 counters.add_kernel_launches(1);
                                 let ready = Event::new();
                                 stream.record(&ready).map_err(Error::Device)?;
                                 *state.staged[idx].lock() =
                                     Some(StagedPart::Device { device: dw, packed, ready });
                                 Ok(())
-                            },
-                        );
-                        g.set_home(k, primary);
-                        k
-                    }
-                    None => {
-                        let state = state.clone();
-                        let node = node.clone();
-                        let counters = this.counters.clone();
-                        let axes = spec.axes.clone();
-                        let ops = all_ops.clone();
-                        g.add_worker_task(
-                            TaskKind::Kernel,
-                            format!("t{ti}s{si}"),
-                            TaskSite::Host,
-                            move |_| {
+                            });
+                            g.set_home(k, primary);
+                            k
+                        }
+                        None => {
+                            g.add_worker_task(TaskKind::Kernel, label, TaskSite::Host, move |_| {
                                 let grid = state.grids.lock()[si];
                                 let cols = state.host_tables.lock()[ti].clone();
+                                let col = |name: &str| cols[name].as_slice();
                                 counters.add_table_passes(1);
-                                let parts = node.host().run(
-                                    "bin_fused_host",
-                                    device_impl::fused_bin_cost(
-                                        cols[axes.0.as_str()].len(),
-                                        ops.len(),
-                                    ),
-                                    || {
-                                        let hops: Vec<(BinOp, Option<&[f64]>)> = ops
-                                            .iter()
-                                            .map(|vo| {
-                                                let vals = (vo.op != BinOp::Count)
-                                                    .then(|| cols[vo.var.as_str()].as_slice());
-                                                (vo.op, vals)
-                                            })
-                                            .collect();
-                                        host_impl::bin_all_host(
-                                            &cols[axes.0.as_str()],
-                                            &cols[axes.1.as_str()],
-                                            &hops,
-                                            &grid,
-                                        )
-                                    },
-                                );
+                                let parts =
+                                    host_pass(&node, col, hamr::Layout::Scalar, &axes, &ops, &grid);
                                 *state.staged[idx].lock() = Some(StagedPart::Host(parts));
                                 Ok(())
-                            },
-                        )
+                            })
+                        }
                     }
                 };
                 g.set_cost(kernel, kc.flops + kc.bytes);
@@ -855,30 +427,14 @@ impl AnalysisAdaptor for BinningSuite {
         let reduce = {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Reduce, "packed-allreduce", move |_| {
-                let grids = state.grids.lock().clone();
-                let layout = this.layout(&grids);
-                let mut flat = Vec::with_capacity(layout.total);
-                for (spec_ops, grid) in layout.ops.iter().zip(&grids) {
-                    for vo in spec_ops {
-                        flat.resize(flat.len() + grid.num_bins(), host_impl::identity(vo.op));
-                    }
-                }
+                let layout = StepLayout::new(step.specs, &state.grids.lock());
+                let mut flat = layout.identities();
                 for (idx, slot) in state.staged.iter().enumerate() {
-                    let si = idx % grids.len().max(1);
-                    let (off, nb) = (layout.offsets[si], grids[si].num_bins());
+                    let si = idx % nspecs;
                     match slot.lock().as_ref() {
-                        Some(StagedPart::Host(parts)) => {
-                            for (k, vo) in layout.ops[si].iter().enumerate() {
-                                let seg = &mut flat[off + k * nb..off + (k + 1) * nb];
-                                reduce::merge_into(vo.op, seg, &parts[k]);
-                            }
-                        }
+                        Some(StagedPart::Host(parts)) => layout.merge_host(&mut flat, si, parts),
                         Some(StagedPart::Downloaded(host)) => {
-                            let v = host.host_f64_ro().map_err(Error::Device)?;
-                            for (k, vo) in layout.ops[si].iter().enumerate() {
-                                let seg = &mut flat[off + k * nb..off + (k + 1) * nb];
-                                merge_segment_from_view(vo.op, seg, &v, k * nb);
-                            }
+                            layout.merge_downloaded(&mut flat, si, host)?
                         }
                         _ => {
                             return Err(Error::Analysis(format!(
@@ -887,11 +443,7 @@ impl AnalysisAdaptor for BinningSuite {
                         }
                     }
                 }
-                let merged = ctx
-                    .comm
-                    .allreduce_packed(flat, &layout.segments)
-                    .map_err(|e| Error::Analysis(format!("packed grid allreduce: {e}")))?;
-                *state.merged.lock() = Some(merged);
+                *state.merged.lock() = Some(layout.allreduce(ctx.comm, flat)?);
                 Ok(())
             })
         };
@@ -911,44 +463,17 @@ impl AnalysisAdaptor for BinningSuite {
                         Error::Analysis("dag publish: reduced grids missing".into())
                     })?;
                 let grids = state.grids.lock().clone();
-                let layout = this.layout(&grids);
-                let mut step_results = Vec::with_capacity(this.specs.len());
-                for (si, (spec, grid)) in this.specs.iter().zip(&grids).enumerate() {
-                    let (off, nb) = (layout.offsets[si], grid.num_bins());
-                    let counts = merged[off..off + nb].to_vec();
-                    let mut arrays = Vec::with_capacity(spec.ops.len());
-                    for (k, vo) in layout.ops[si].iter().enumerate().skip(1) {
-                        let values = if vo.op == BinOp::Count {
-                            counts.clone()
-                        } else {
-                            let mut global = merged[off + k * nb..off + (k + 1) * nb].to_vec();
-                            host_impl::finalize(vo.op, &mut global, &counts);
-                            global
-                        };
-                        arrays.push((vo.output_name(), values));
-                    }
-                    step_results.push(BinnedResult {
-                        step: data.time_step(),
-                        time: data.time(),
-                        axes: spec.axes.clone(),
-                        grid: *grid,
-                        arrays,
-                    });
-                }
-                if let Some(sink) = &this.sink {
-                    if ctx.comm.rank() == 0 {
-                        sink.lock().extend(step_results.iter().cloned());
-                    }
-                }
-                *state.results.lock() = step_results;
+                let layout = StepLayout::new(step.specs, &grids);
+                let results = layout.publish(step.specs, &grids, &merged, data);
+                publish_to_sink(&this.sink, ctx.comm, &results);
+                *state.results.lock() = results;
                 Ok(())
             })
         };
         g.add_dep(publish, reduce);
 
         let outcome = sched.run(g)?;
-        self.counters.add_allreduces(ctx.comm.allreduce_count() - allreduces_before);
-        self.counters.add_comm(&ctx.comm.tier_stats().delta_since(&tiers_before));
+        comm_mark.charge(ctx.comm, &self.counters);
         if outcome == DagOutcome::Skipped {
             return Ok(true);
         }
@@ -987,50 +512,4 @@ pub fn register_suite(registry: &mut AnalysisRegistry) {
         }
         Ok(Box::new(suite))
     });
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Simulate routing a sequence of kernel costs over `n` streams and
-    /// return each kernel's stream index.
-    fn route(costs: &[f64], n: usize) -> Vec<usize> {
-        let mut loads = vec![0.0; n];
-        costs
-            .iter()
-            .map(|c| {
-                let i = least_loaded_stream(&loads);
-                loads[i] += c;
-                i
-            })
-            .collect()
-    }
-
-    #[test]
-    fn skewed_costs_split_heavy_kernels_across_streams() {
-        // Heavy/light alternation over two streams: round-robin by
-        // position would put both heavy kernels on stream 0; least-loaded
-        // routing pairs each heavy kernel with a light one.
-        let (heavy, light) = (1000.0, 1.0);
-        let picks = route(&[heavy, light, heavy, light], 2);
-        assert_eq!(picks, vec![0, 1, 1, 0]);
-        let mut per_stream = [0.0f64; 2];
-        for (pick, cost) in picks.iter().zip([heavy, light, heavy, light]) {
-            per_stream[*pick] += cost;
-        }
-        assert_eq!(per_stream[0], per_stream[1], "loads must balance");
-    }
-
-    #[test]
-    fn uniform_costs_degenerate_to_round_robin() {
-        let picks = route(&[5.0; 8], 4);
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_to_the_lowest_index() {
-        assert_eq!(least_loaded_stream(&[2.0, 1.0, 1.0]), 1);
-        assert_eq!(least_loaded_stream(&[0.0]), 0);
-    }
 }

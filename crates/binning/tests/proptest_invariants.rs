@@ -39,8 +39,8 @@ proptest! {
     fn conservation(data in rows()) {
         let g = grid();
         let (xs, ys, vs) = split3(&data);
-        let counts = host_impl::bin_host(&xs, &ys, &[], BinOp::Count, &g);
-        let sums = host_impl::bin_host(&xs, &ys, &vs, BinOp::Sum, &g);
+        let counts = host_impl::bin_host(&xs[..], &ys[..], None, BinOp::Count, &g);
+        let sums = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), BinOp::Sum, &g);
         let in_range: Vec<&(f64, f64, f64)> =
             data.iter().filter(|r| g.bin_index(r.0, r.1).is_some()).collect();
         prop_assert_eq!(counts.iter().sum::<f64>() as usize, in_range.len());
@@ -53,10 +53,10 @@ proptest! {
     fn per_bin_ordering(data in rows()) {
         let g = grid();
         let (xs, ys, vs) = split3(&data);
-        let counts = host_impl::bin_host(&xs, &ys, &[], BinOp::Count, &g);
-        let mut mins = host_impl::bin_host(&xs, &ys, &vs, BinOp::Min, &g);
-        let mut maxs = host_impl::bin_host(&xs, &ys, &vs, BinOp::Max, &g);
-        let mut avgs = host_impl::bin_host(&xs, &ys, &vs, BinOp::Average, &g);
+        let counts = host_impl::bin_host(&xs[..], &ys[..], None, BinOp::Count, &g);
+        let mut mins = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), BinOp::Min, &g);
+        let mut maxs = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), BinOp::Max, &g);
+        let mut avgs = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), BinOp::Average, &g);
         host_impl::finalize(BinOp::Min, &mut mins, &counts);
         host_impl::finalize(BinOp::Max, &mut maxs, &counts);
         host_impl::finalize(BinOp::Average, &mut avgs, &counts);
@@ -84,10 +84,10 @@ proptest! {
             (BinOp::Max, Some(&vs)),
             (BinOp::Average, Some(&vs)),
         ];
-        let fused = host_impl::bin_all_host(&xs, &ys, &ops, &g);
+        let fused = host_impl::bin_all_host(&xs[..], &ys[..], &ops, &g);
         let counts = fused[0].clone();
         for ((op, vals), fused_grid) in ops.iter().zip(&fused) {
-            let reference = host_impl::bin_host(&xs, &ys, vals.unwrap_or(&[]), *op, &g);
+            let reference = host_impl::bin_host(&xs[..], &ys[..], *vals, *op, &g);
             prop_assert_eq!(
                 fused_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -114,13 +114,12 @@ proptest! {
         let k = split_at.min(data.len());
         for op in [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max] {
             let (xs, ys, vs) = split3(&data);
-            let vals: &[f64] = if op == BinOp::Count { &[] } else { &vs };
-            let whole = host_impl::bin_host(&xs, &ys, vals, op, &g);
+            let whole = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &g);
 
             let (xa, ya, va) = split3(&data[..k]);
             let (xb, yb, vb) = split3(&data[k..]);
-            let pa = host_impl::bin_host(&xa, &ya, if op == BinOp::Count { &[] } else { &va }, op, &g);
-            let pb = host_impl::bin_host(&xb, &yb, if op == BinOp::Count { &[] } else { &vb }, op, &g);
+            let pa = host_impl::bin_host(&xa[..], &ya[..], Some(&va[..]), op, &g);
+            let pb = host_impl::bin_host(&xb[..], &yb[..], Some(&vb[..]), op, &g);
             let merged = reduce::merge_grids(op, pa, pb);
             for (m, w) in merged.iter().zip(&whole) {
                 prop_assert!((m - w).abs() < 1e-9 || (m.is_infinite() && w.is_infinite()));
@@ -155,11 +154,11 @@ proptest! {
     // Each case builds small node-backed buffers; keep the count modest.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The lane-vectorized kernels over every grouped layout — AoS, SoA,
-    /// and AoSoA at lane widths 1, 4, and 8 (arbitrary row counts, so
-    /// ragged tails are routine) — are bit-identical to the dense scalar
-    /// baseline for **every** operation, and so are the map-translated
-    /// per-op and bounds paths.
+    /// The generic kernels over every grouped layout — AoS, SoA, and
+    /// AoSoA at lane widths 1, 4, and 8 (arbitrary row counts, so ragged
+    /// tails of the lane-blocked walk are routine) — are bit-identical to
+    /// the same kernels over dense slices for **every** operation, fused,
+    /// per-op and bounds alike.
     #[test]
     fn grouped_layouts_are_bit_identical_to_scalar(data in rows()) {
         let node = SimNode::new(NodeConfig::fast_test(1));
@@ -170,8 +169,8 @@ proptest! {
         let all = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
         let dense_ops: Vec<(BinOp, Option<&[f64]>)> =
             all.iter().map(|&op| (op, (op != BinOp::Count).then_some(&vs[..]))).collect();
-        let reference = host_impl::bin_all_host(&xs, &ys, &dense_ops, &g);
-        let ref_bounds = bounds::minmax_multi_host(&[&xs, &ys]);
+        let reference = host_impl::bin_all_host(&xs[..], &ys[..], &dense_ops, &g);
+        let ref_bounds = bounds::minmax_multi(&[&xs[..], &ys[..]]);
 
         for layout in [
             Layout::AoS,
@@ -185,7 +184,7 @@ proptest! {
 
             let ops: Vec<(BinOp, Option<&host_impl::MappedCol>)> =
                 all.iter().map(|&op| (op, (op != BinOp::Count).then_some(cv))).collect();
-            let fused = host_impl::bin_all_host_lanes(cx, cy, &ops, &g);
+            let fused = host_impl::bin_all_host(cx, cy, &ops, &g);
             for ((op, _), (got, want)) in all.iter().zip(&ops).zip(fused.iter().zip(&reference)) {
                 prop_assert_eq!(
                     got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -196,10 +195,8 @@ proptest! {
 
             for &op in &all {
                 let vals = (op != BinOp::Count).then_some(cv);
-                let per_op = host_impl::bin_host_mapped(cx, cy, vals, op, &g);
-                let want = host_impl::bin_host(
-                    &xs, &ys, if op == BinOp::Count { &[] } else { &vs }, op, &g,
-                );
+                let per_op = host_impl::bin_host(cx, cy, vals, op, &g);
+                let want = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &g);
                 prop_assert_eq!(
                     per_op.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -207,7 +204,7 @@ proptest! {
                 );
             }
 
-            let mapped_bounds = bounds::minmax_multi_mapped(&[cx, cy]);
+            let mapped_bounds = bounds::minmax_multi(&[cx, cy]);
             for (axis, ((lo, hi), (rlo, rhi))) in
                 mapped_bounds.iter().zip(&ref_bounds).enumerate()
             {
@@ -247,8 +244,7 @@ proptest! {
             stream.copy(&dbins, &host_out).unwrap();
             stream.synchronize().unwrap();
             let got = host_out.host_f64().unwrap().to_vec();
-            let host_vals: &[f64] = if op == BinOp::Count { &[] } else { &vs };
-            let expect = host_impl::bin_host(&xs, &ys, host_vals, op, &g);
+            let expect = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &g);
             for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
                 prop_assert!(
                     (a - b).abs() < 1e-9 || (a.is_infinite() && b.is_infinite()),

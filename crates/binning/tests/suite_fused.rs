@@ -89,29 +89,36 @@ fn specs() -> Vec<BinningSpec> {
         .collect()
 }
 
-fn run_suite(
+/// [`specs`], optionally with the bounds computed on the fly.
+fn specs_with(auto_bounds: bool) -> Vec<BinningSpec> {
+    let mut specs = specs();
+    if auto_bounds {
+        for s in &mut specs {
+            s.bounds = None;
+        }
+    }
+    specs
+}
+
+/// Attach the back-end `build` makes around a sink, step it over the
+/// particle fixture, and return what reached the sink plus rank 0's
+/// counters — read through the handle taken **before** `build`'s
+/// back-end has its placement applied through `controls_mut()`, the
+/// order the XML registry path (and so the benchmark) uses.
+fn run_backend(
     ranks: usize,
     device_spec: DeviceSpec,
     steps: u64,
-    auto_bounds: bool,
+    build: impl Fn(ResultSink) -> Box<dyn AnalysisAdaptor> + Send + Sync,
 ) -> (Vec<BinnedResult>, sensei::CounterSnapshot) {
     let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
-    let sink2 = sink.clone();
-    let snaps = World::new(ranks).run(move |comm| {
+    let snaps = World::new(ranks).run(|comm| {
         let node = SimNode::new(NodeConfig::fast_test(2));
-        let mut specs = specs();
-        if auto_bounds {
-            for s in &mut specs {
-                s.bounds = None;
-            }
-        }
-        let suite = BinningSuite::new(specs)
-            .unwrap()
-            .with_sink(sink2.clone())
-            .with_controls(BackendControls { device: device_spec, ..Default::default() });
-        let counters = suite.counters().unwrap();
+        let mut backend = build(sink.clone());
+        let counters = backend.counters().unwrap();
+        backend.controls_mut().device = device_spec;
         let mut bridge = Bridge::new(node.clone());
-        bridge.add_analysis(Box::new(suite), &comm).unwrap();
+        bridge.add_analysis(backend, &comm).unwrap();
         let device = match device_spec {
             DeviceSpec::Host => None,
             DeviceSpec::Explicit(d) => Some(d),
@@ -129,18 +136,33 @@ fn run_suite(
     (results, snaps[0])
 }
 
+fn run_suite_of(
+    specs: Vec<BinningSpec>,
+    ranks: usize,
+    device_spec: DeviceSpec,
+    steps: u64,
+) -> (Vec<BinnedResult>, sensei::CounterSnapshot) {
+    run_backend(ranks, device_spec, steps, |sink| {
+        Box::new(BinningSuite::new(specs.clone()).unwrap().with_sink(sink))
+    })
+}
+
+fn run_suite(
+    ranks: usize,
+    device_spec: DeviceSpec,
+    steps: u64,
+    auto_bounds: bool,
+) -> (Vec<BinnedResult>, sensei::CounterSnapshot) {
+    run_suite_of(specs_with(auto_bounds), ranks, device_spec, steps)
+}
+
 fn run_per_op_reference(
     ranks: usize,
     device_spec: DeviceSpec,
     steps: u64,
     auto_bounds: bool,
 ) -> Vec<Vec<BinnedResult>> {
-    let mut specs = specs();
-    if auto_bounds {
-        for s in &mut specs {
-            s.bounds = None;
-        }
-    }
+    let specs = specs_with(auto_bounds);
     let sinks: Vec<ResultSink> = specs.iter().map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
     let sinks2 = sinks.clone();
     World::new(ranks).run(move |comm| {
@@ -281,4 +303,100 @@ fn suite_fetches_union_once_per_step() {
     // Union of variables across all specs: x, y, z, m — not the 9
     // per-spec fetches (3 specs x 3 variables).
     assert_eq!(counters.fetches, 4 * steps);
+}
+
+/// One `data_binning` back-end over the first fixture spec (auto bounds),
+/// on the fused or the per-op reference path.
+fn run_data_binning(
+    ranks: usize,
+    device_spec: DeviceSpec,
+    steps: u64,
+    fused: bool,
+) -> (Vec<BinnedResult>, sensei::CounterSnapshot) {
+    run_backend(ranks, device_spec, steps, move |sink| {
+        let spec = specs_with(true).swap_remove(0);
+        Box::new(BinningAnalysis::new(spec).with_fused(fused).with_sink(sink))
+    })
+}
+
+#[test]
+fn data_binning_wrapper_contract() {
+    // What the benchmark relies on of the one-spec wrapper around the
+    // fused step. `run_backend` takes the counters handle before the
+    // placement goes in through `controls_mut()`.
+    let spec = specs_with(true).swap_remove(0);
+    assert_eq!(BinningAnalysis::new(spec.clone()).name(), "data_binning");
+
+    let steps = 3;
+    for device_spec in [DeviceSpec::Host, DeviceSpec::Explicit(0)] {
+        let (results, wrapper) = run_data_binning(2, device_spec, steps, true);
+        // One result per step reaches the sink, from rank 0 only.
+        assert_eq!(
+            results.iter().map(|r| r.step).collect::<Vec<_>>(),
+            (0..steps).collect::<Vec<_>>(),
+            "{device_spec:?}"
+        );
+        // The early handle kept counting, and step for step the wrapper
+        // does exactly a one-spec suite's work.
+        let (_, suite) = run_suite_of(vec![spec.clone()], 2, device_spec, steps);
+        let work = |c: &sensei::CounterSnapshot| {
+            [c.table_passes, c.kernel_launches, c.downloads, c.allreduces, c.fetches]
+        };
+        assert_eq!(work(&wrapper), work(&suite), "{device_spec:?}");
+        assert_eq!(wrapper.allreduces, 2 * steps, "bounds + grids, one packed round each");
+        assert_eq!(wrapper.fetches, 3 * steps, "x, y, m");
+    }
+
+    // Placement may change between steps: each step's kernels run on the
+    // stream of the device it resolved that step.
+    World::new(1).run({
+        let spec = spec.clone();
+        move |comm| {
+            let node = SimNode::new(NodeConfig::fast_test(2));
+            let sim = Particles::new(node.clone(), None, comm.rank());
+            let ctx = sensei::ExecContext::new(&comm, &node);
+            let mut analysis = BinningAnalysis::new(spec.clone());
+            let submitted = |d: usize| node.device(d).unwrap().default_stream().submitted();
+            for d in [0, 1, 0] {
+                analysis.controls_mut().device = DeviceSpec::Explicit(d);
+                let before = [submitted(0), submitted(1)];
+                analysis.execute(&sim, &ctx).unwrap();
+                assert!(submitted(d) > before[d], "device {d} ran the step");
+                assert_eq!(submitted(1 - d), before[1 - d], "device {} sat it out", 1 - d);
+            }
+        }
+    });
+
+    // `output` is the directory the files land in, not a parent of
+    // per-spec directories.
+    let dir = std::env::temp_dir().join(format!("data_binning_contract_{}", std::process::id()));
+    let dir2 = dir.clone();
+    World::new(1).run(move |comm| {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let analysis = BinningAnalysis::new(spec.clone()).with_output_dir(&dir2);
+        let mut bridge = Bridge::new(node.clone());
+        bridge.add_analysis(Box::new(analysis), &comm).unwrap();
+        let sim = Particles::new(node, None, comm.rank());
+        bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+        bridge.finalize(&comm).unwrap();
+    });
+    assert!(dir.join("x_y_count.csv").exists(), "results are written into `output` itself");
+    assert!(!dir.join("spec0").exists());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn data_binning_reports_its_communication() {
+    // Both paths issue collectives on a 2-rank run (bounds + grids), and
+    // both must charge them to the back-end's counters.
+    for fused in [true, false] {
+        let (_, counters) = run_data_binning(2, DeviceSpec::Host, 2, fused);
+        let comm = counters.comm;
+        assert!(
+            comm.intra_messages + comm.inter_messages > 0,
+            "fused={fused}: no comm messages counted"
+        );
+        assert!(comm.intra_bytes + comm.inter_bytes > 0, "fused={fused}: no comm bytes counted");
+        assert!(counters.allreduces > 0, "fused={fused}");
+    }
 }

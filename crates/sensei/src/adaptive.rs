@@ -155,8 +155,6 @@ pub struct AdaptiveEnv<'a> {
     pub snapshot_mode: SnapshotMode,
     /// True when at least one engine consumes snapshots.
     pub snapshot_consumers: bool,
-    /// Execution-mode names the registry can build.
-    pub available_modes: &'a [&'a str],
 }
 
 /// One tunable dimension of one target.
@@ -321,7 +319,7 @@ impl AdaptiveController {
             if self.config.tune_placement && env.num_devices > 0 {
                 self.stages.push(Stage { backend: Some(b), dim: Dim::Placement });
             }
-            if self.config.tune_execution && env.available_modes.len() > 1 {
+            if self.config.tune_execution {
                 self.stages.push(Stage { backend: Some(b), dim: Dim::Execution });
             }
             if self.config.tune_layout {
@@ -386,7 +384,7 @@ impl AdaptiveController {
                 let cur = env.controls[b];
                 [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag]
                     .into_iter()
-                    .filter(|m| *m != cur.execution && env.available_modes.contains(&m.name()))
+                    .filter(|m| *m != cur.execution)
                     .map(|execution| Candidate::Controls(b, BackendControls { execution, ..cur }))
                     .collect()
             }
@@ -666,7 +664,6 @@ mod tests {
                     reconfigurable: &reconf,
                     snapshot_mode: self.snapshot_mode,
                     snapshot_consumers: true,
-                    available_modes: &["lockstep", "asynchronous", "dag"],
                 };
                 for d in ctrl.observe_and_decide(&env, &obs, &backends) {
                     self.apply(&d);

@@ -124,8 +124,9 @@ pub trait AnalysisAdaptor: Send {
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool>;
 
     /// True when this back-end can plan its step as a task graph for
-    /// [`execute_dag`](Self::execute_dag). The `dag` execution engine
-    /// falls back to plain [`execute`](Self::execute) dispatch otherwise.
+    /// [`execute_dag`](Self::execute_dag). Under the `dag` execution
+    /// method the worker engine falls back to plain
+    /// [`execute`](Self::execute) dispatch otherwise.
     fn supports_dag(&self) -> bool {
         false
     }

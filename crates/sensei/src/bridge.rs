@@ -1,12 +1,11 @@
 //! The simulation-facing bridge: initialize, execute per iteration,
 //! finalize.
 //!
-//! The bridge no longer hard-codes the two execution methods; each
-//! attached back-end is wrapped in an [`ExecutionEngine`] resolved from
-//! an [`EngineRegistry`] by the back-end's execution-mode name. Snapshot
-//! capture is requirements-driven: per iteration the bridge unions the
-//! [`crate::DataRequirements`] of the due snapshot-consuming engines and
-//! deep-copies exactly that.
+//! Each attached back-end is wrapped in an [`ExecutionEngine`] chosen by
+//! its [`ExecutionMethod`]: lockstep runs inline, asynchronous and dag
+//! run on a snapshot-fed worker. Snapshot capture is requirements-driven:
+//! per iteration the bridge unions the [`crate::DataRequirements`] of the
+//! due snapshot-consuming engines and deep-copies exactly that.
 //!
 //! Back-ends attached with [`Bridge::add_reconfigurable_analysis`] can be
 //! rebuilt mid-run under new [`BackendControls`] — the hook the
@@ -26,8 +25,9 @@ use crate::adaptive::{
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
 use crate::counters::{CounterSnapshot, FaultSnapshot, SnapshotCounterSnapshot};
-use crate::engine::{EngineContext, EngineRegistry, ExecutionEngine};
+use crate::engine::{ExecutionEngine, InlineEngine, WorkerEngine};
 use crate::error::{Error, Result};
+use crate::execution::ExecutionMethod;
 use crate::profiler::Profiler;
 use crate::requirements::DataRequirements;
 use crate::serve::{ServeHub, Steer, SteeringCommand};
@@ -54,7 +54,6 @@ pub type AdaptorFactory = Box<dyn Fn(&BackendControls) -> Result<Box<dyn Analysi
 pub struct Bridge {
     node: Arc<SimNode>,
     engines: Vec<Attached>,
-    registry: EngineRegistry,
     profiler: Profiler,
     pipeline: SnapshotPipeline,
     adaptive: Option<AdaptiveState>,
@@ -87,20 +86,11 @@ struct AdaptiveState {
 }
 
 impl Bridge {
-    /// A bridge for one rank on `node`, with the built-in engines
-    /// (lockstep inline, asynchronous threaded).
+    /// A bridge for one rank on `node`.
     pub fn new(node: Arc<SimNode>) -> Self {
-        Self::with_engines(node, EngineRegistry::with_defaults())
-    }
-
-    /// A bridge dispatching through a caller-supplied engine registry —
-    /// the hook for replacing how a mode executes (or adding new modes)
-    /// without changing the bridge.
-    pub fn with_engines(node: Arc<SimNode>, registry: EngineRegistry) -> Self {
         Bridge {
             node,
             engines: Vec::new(),
-            registry,
             profiler: Profiler::new(),
             pipeline: SnapshotPipeline::new(SnapshotMode::Deep),
             adaptive: None,
@@ -156,12 +146,11 @@ impl Bridge {
         self.serve.as_ref()
     }
 
-    /// Attach a back-end. Its [`crate::ExecutionMethod`]'s name selects
-    /// the engine from the registry: lockstep back-ends run inline;
-    /// asynchronous back-ends get a persistent worker thread with a
-    /// bounded snapshot queue and a dedicated duplicate of `comm`
-    /// (collective: every rank must attach the same back-ends in the same
-    /// order).
+    /// Attach a back-end. Its [`ExecutionMethod`] selects the engine:
+    /// lockstep back-ends run inline; asynchronous and dag back-ends get a
+    /// persistent worker thread with a bounded snapshot queue and a
+    /// dedicated duplicate of `comm` (collective: every rank must attach
+    /// the same back-ends in the same order).
     pub fn add_analysis(&mut self, adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm) -> Result<()> {
         self.attach(adaptor, None, comm)
     }
@@ -188,10 +177,8 @@ impl Bridge {
         if self.finalized {
             return Err(Error::Finalized);
         }
-        let mode = adaptor.controls().execution.name();
         let name = adaptor.name().to_string();
-        let ctx = EngineContext { comm, node: &self.node };
-        let engine = self.registry.create(mode, adaptor, &ctx)?;
+        let engine = self.engine_for(adaptor, comm);
         let copies = self.engines.iter().filter(|a| a.engine.backend_name() == name).count();
         let label = if copies == 0 { name } else { format!("{}#{}", name, copies + 1) };
         self.engines.push(Attached {
@@ -202,6 +189,20 @@ impl Bridge {
             paused_from: None,
         });
         Ok(())
+    }
+
+    /// Wrap `adaptor` in the engine its execution method calls for.
+    fn engine_for(
+        &self,
+        adaptor: Box<dyn AnalysisAdaptor>,
+        comm: &Comm,
+    ) -> Box<dyn ExecutionEngine> {
+        match adaptor.controls().execution {
+            ExecutionMethod::Lockstep => Box::new(InlineEngine::new(adaptor)),
+            ExecutionMethod::Asynchronous | ExecutionMethod::Dag => {
+                Box::new(WorkerEngine::spawn(adaptor, comm.dup(), self.node.clone()))
+            }
+        }
     }
 
     /// Number of attached back-ends.
@@ -244,9 +245,7 @@ impl Bridge {
         self.engines[idx].engine.finalize(comm, &self.node)?;
         self.retire_counters(idx);
         let adaptor = (self.engines[idx].factory.as_ref().expect("checked above"))(&controls)?;
-        let ctx = EngineContext { comm, node: &self.node };
-        let engine = self.registry.create(controls.execution.name(), adaptor, &ctx)?;
-        self.engines[idx].engine = engine;
+        self.engines[idx].engine = self.engine_for(adaptor, comm);
         self.engines[idx].faults_seen = FaultSnapshot::default();
         Ok(())
     }
@@ -393,7 +392,6 @@ impl Bridge {
         let controls: Vec<BackendControls> =
             self.engines.iter().map(|a| *a.engine.controls()).collect();
         let reconfigurable: Vec<bool> = self.engines.iter().map(|a| a.factory.is_some()).collect();
-        let modes = self.registry.mode_names();
         let snapshot_consumers = self.engines.iter().any(|a| a.engine.needs_snapshot());
 
         let state = self.adaptive.as_mut().expect("caller checked");
@@ -414,7 +412,6 @@ impl Bridge {
             reconfigurable: &reconfigurable,
             snapshot_mode: self.pipeline.mode(),
             snapshot_consumers,
-            available_modes: &modes,
         };
         let decisions: Vec<AdaptiveDecision> = if comm.size() > 1 {
             // Timings are rank-local and would diverge; engine rebuilds

@@ -1,14 +1,14 @@
-//! The pluggable execution-engine layer.
+//! The execution-engine layer.
 //!
 //! An [`ExecutionEngine`] owns one analysis back-end and decides *how* it
-//! runs relative to the simulation. The two engines the paper describes
-//! (§3) ship here — [`InlineEngine`] for lockstep and [`ThreadedEngine`]
-//! for asynchronous execution — and the bridge resolves a back-end's
-//! [`crate::ExecutionMethod`] to an engine through an [`EngineRegistry`],
-//! so alternative engines (a pool, an in-transit sender, a recording
-//! harness) can be plugged in without touching the bridge.
+//! runs relative to the simulation. There are two: [`InlineEngine`] runs
+//! lockstep back-ends on the simulation's thread with zero-copy access to
+//! the live data, and [`WorkerEngine`] feeds snapshots to a persistent
+//! worker thread for the `asynchronous` and `dag` modes — the mode is the
+//! worker's policy (monolithic dispatch or task graphs), not a third
+//! engine. The bridge picks between them by matching the back-end's
+//! [`crate::ExecutionMethod`].
 
-use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -19,6 +19,7 @@ use crate::adaptor::{AnalysisAdaptor, DataAdaptor, ExecContext};
 use crate::controls::BackendControls;
 use crate::counters::AnalysisCounters;
 use crate::error::{Error, Result};
+use crate::execution::ExecutionMethod;
 use crate::queue::{bounded, BoundedSender, SendError};
 use crate::recovery::run_with_recovery;
 use crate::requirements::DataRequirements;
@@ -36,20 +37,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One guarded attempt at running `adaptor.execute`: fault injection is
+/// One guarded attempt at running a back-end's step: fault injection is
 /// armed for this rank for the duration of the call, and a panicking
 /// back-end is caught and converted to [`Error::Analysis`] so the engine's
 /// recovery policy gets to decide what happens, instead of the panic
 /// unwinding into the solver loop (or killing a worker thread silently).
-fn guarded_execute(
-    adaptor: &mut Box<dyn AnalysisAdaptor>,
-    name: &str,
-    rank: usize,
-    data: &dyn DataAdaptor,
-    ctx: &ExecContext<'_>,
-) -> Result<bool> {
+fn guarded(name: &str, rank: usize, step: impl FnOnce() -> Result<bool>) -> Result<bool> {
     let _armed = devsim::fault::arm(rank);
-    match std::panic::catch_unwind(AssertUnwindSafe(|| adaptor.execute(data, ctx))) {
+    match std::panic::catch_unwind(AssertUnwindSafe(step)) {
         Ok(result) => result,
         Err(payload) => Err(Error::Analysis(format!(
             "analysis '{name}' panicked: {}",
@@ -87,8 +82,8 @@ pub trait ExecutionEngine: Send {
     }
 
     /// Work-stealing scheduler counters, for engines that execute steps
-    /// as task graphs ([`DagEngine`]); the bridge records them into the
-    /// profiler at finalize.
+    /// as task graphs ([`WorkerEngine`] under `dag`); the bridge records
+    /// them into the profiler at finalize.
     fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
         None
     }
@@ -126,6 +121,7 @@ pub trait ExecutionEngine: Send {
 /// retried, skipped, or surfaced per policy — and counted in the
 /// back-end's [`FaultCounters`](crate::FaultCounters).
 pub struct InlineEngine {
+    name: String,
     adaptor: Box<dyn AnalysisAdaptor>,
     /// The adaptor's counters, or engine-owned ones for back-ends without
     /// any — recovery outcomes need somewhere to be recorded either way.
@@ -135,14 +131,15 @@ pub struct InlineEngine {
 impl InlineEngine {
     /// Wrap `adaptor` for inline execution.
     pub fn new(adaptor: Box<dyn AnalysisAdaptor>) -> Self {
+        let name = adaptor.name().to_string();
         let counters = adaptor.counters().unwrap_or_default();
-        InlineEngine { adaptor, counters }
+        InlineEngine { name, adaptor, counters }
     }
 }
 
 impl ExecutionEngine for InlineEngine {
     fn backend_name(&self) -> &str {
-        self.adaptor.name()
+        &self.name
     }
 
     fn controls(&self) -> &BackendControls {
@@ -169,13 +166,10 @@ impl ExecutionEngine for InlineEngine {
         node: &Arc<SimNode>,
     ) -> Result<bool> {
         let ctx = ExecContext::new(comm, node);
-        let policy = self.adaptor.controls().recovery;
+        let InlineEngine { name, adaptor, counters } = self;
         let rank = comm.rank();
-        let name = self.adaptor.name().to_string();
-        let counters = self.counters.clone();
-        let adaptor = &mut self.adaptor;
-        run_with_recovery(policy, &counters, &name, || {
-            guarded_execute(adaptor, &name, rank, data, &ctx)
+        run_with_recovery(adaptor.controls().recovery, counters, name, || {
+            guarded(name, rank, || adaptor.execute(data, &ctx))
         })
     }
 
@@ -185,18 +179,29 @@ impl ExecutionEngine for InlineEngine {
     }
 }
 
-/// Asynchronous execution: a persistent worker thread owns the back-end
-/// and a dedicated duplicate communicator; `dispatch` hands a deep-copied
+/// Snapshot-fed execution: a persistent worker thread owns the back-end
+/// and a dedicated duplicate communicator; `dispatch` hands the step's
 /// snapshot through a bounded queue and returns immediately (§4.3).
+///
+/// The back-end's [`ExecutionMethod`] is the worker's policy, not a
+/// different engine. Under `asynchronous` every snapshot runs as one
+/// monolithic `execute` with per-snapshot recovery. Under `dag`, back-ends
+/// that plan task graphs ([`AnalysisAdaptor::supports_dag`]) run each
+/// step under a work-stealing [`DagScheduler`] spanning every device slot
+/// and stream of the node (DESIGN.md §13), with recovery per task node;
+/// back-ends that do not are dispatched exactly as under `asynchronous`.
 ///
 /// The queue depth and overflow policy come from the back-end's
 /// [`BackendControls`]; a worker that fails or panics surfaces as
 /// [`Error::Analysis`] from the next `dispatch` or from `finalize`.
-pub struct ThreadedEngine {
+pub struct WorkerEngine {
     name: String,
     controls: BackendControls,
     requirements: DataRequirements,
     counters: Arc<AnalysisCounters>,
+    /// Present under `dag`, so the profiler gets a scheduler row even
+    /// when the back-end fell back to monolithic dispatch.
+    scheduler_counters: Option<Arc<SchedulerCounters>>,
     tx: Option<BoundedSender<Arc<SnapshotAdaptor>>>,
     handle: Option<std::thread::JoinHandle<Result<()>>>,
     /// A failure already observed (spawn failure, or a dead worker found
@@ -205,7 +210,7 @@ pub struct ThreadedEngine {
     failed: Option<Error>,
 }
 
-impl ThreadedEngine {
+impl WorkerEngine {
     /// Move `adaptor` onto a new worker thread. `comm` must be a
     /// dedicated duplicate (the worker owns it; analysis traffic must not
     /// interfere with the simulation's communicator).
@@ -222,57 +227,70 @@ impl ThreadedEngine {
         // without counters get engine-owned ones so recovery outcomes are
         // still recorded.
         let counters = adaptor.counters().unwrap_or_default();
+        let dag = controls.execution == ExecutionMethod::Dag;
+        let scheduler_counters = dag.then(SchedulerCounters::new);
+        // Dataflow: only under `dag`, and only a back-end that plans task
+        // graphs gets a scheduler to hand them to.
+        let dataflow_counters = scheduler_counters.clone().filter(|_| adaptor.supports_dag());
         let (tx, rx) = bounded::<Arc<SnapshotAdaptor>>(controls.queue_depth, controls.overflow);
-        let thread_name = format!("sensei-insitu-{name}");
         let worker_name = name.clone();
         let worker_counters = counters.clone();
         let policy = controls.recovery;
-        let spawned = std::thread::Builder::new().name(thread_name).spawn(move || -> Result<()> {
-            let ctx = ExecContext::new(&comm, &node);
-            let rank = comm.rank();
-            while let Some(snapshot) = rx.recv() {
-                // Delta snapshots arrive with copies possibly still in
-                // flight on the dedicated copy stream; the *worker* pays
-                // the wait (overlapped with the solver), not the solver.
-                snapshot.wait_copies();
-                // Per-snapshot recovery: a fault in one iteration is
-                // retried or skipped per policy without killing the
-                // worker; only an abort (or exhausted retries) ends it.
-                let outcome = run_with_recovery(policy, &worker_counters, &worker_name, || {
-                    guarded_execute(&mut adaptor, &worker_name, rank, snapshot.as_ref(), &ctx)
-                });
-                // This worker is done with the snapshot either way; the
-                // last consumer's finish drops the CoW pins so later
-                // producer writes skip the fault copy.
-                snapshot.consumer_finished();
-                outcome?;
-            }
-            adaptor.finalize(&ctx)
-        });
-        match spawned {
-            Ok(handle) => ThreadedEngine {
-                name,
-                controls,
-                requirements,
-                counters,
-                tx: Some(tx),
-                handle: Some(handle),
-                failed: None,
+        let spawned = std::thread::Builder::new().name(format!("sensei-insitu-{name}")).spawn(
+            move || -> Result<()> {
+                let rank = comm.rank();
+                let mut sched = dataflow_counters.map(|c| DagScheduler::new(node.clone(), rank, c));
+                let ctx = ExecContext::new(&comm, &node);
+                while let Some(snapshot) = rx.recv() {
+                    // Delta snapshots arrive with copies possibly still in
+                    // flight on the dedicated copy stream; the *worker*
+                    // pays the wait (overlapped with the solver), not the
+                    // solver.
+                    snapshot.wait_copies();
+                    let outcome = match &mut sched {
+                        // Recovery applies per task node inside the
+                        // scheduler; wrapping the whole step again would
+                        // double-count faults and re-run collectives.
+                        // Panics (plan-time or escaping a scoped worker)
+                        // are still contained here.
+                        Some(sched) => guarded(&worker_name, rank, || {
+                            adaptor.execute_dag(snapshot.as_ref(), &ctx, sched)
+                        }),
+                        // Per-snapshot recovery: a fault in one iteration
+                        // is retried or skipped per policy without killing
+                        // the worker; only an abort (or exhausted retries)
+                        // ends it.
+                        None => run_with_recovery(policy, &worker_counters, &worker_name, || {
+                            guarded(&worker_name, rank, || adaptor.execute(snapshot.as_ref(), &ctx))
+                        }),
+                    };
+                    // This worker is done with the snapshot either way;
+                    // the last consumer's finish drops the CoW pins so
+                    // later producer writes skip the fault copy.
+                    snapshot.consumer_finished();
+                    outcome?;
+                }
+                adaptor.finalize(&ctx)
             },
+        );
+        let (tx, handle, failed) = match spawned {
+            Ok(handle) => (Some(tx), Some(handle), None),
             Err(io) => {
                 let failed = Error::Analysis(format!(
                     "failed to spawn in situ worker thread for '{name}': {io}"
                 ));
-                ThreadedEngine {
-                    name,
-                    controls,
-                    requirements,
-                    counters,
-                    tx: None,
-                    handle: None,
-                    failed: Some(failed),
-                }
+                (None, None, Some(failed))
             }
+        };
+        WorkerEngine {
+            name,
+            controls,
+            requirements,
+            counters,
+            scheduler_counters,
+            tx,
+            handle,
+            failed,
         }
     }
 
@@ -289,7 +307,7 @@ impl ThreadedEngine {
     }
 }
 
-impl ExecutionEngine for ThreadedEngine {
+impl ExecutionEngine for WorkerEngine {
     fn backend_name(&self) -> &str {
         &self.name
     }
@@ -308,6 +326,10 @@ impl ExecutionEngine for ThreadedEngine {
 
     fn counters(&self) -> Option<Arc<AnalysisCounters>> {
         Some(self.counters.clone())
+    }
+
+    fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
+        self.scheduler_counters.clone()
     }
 
     fn queue_occupancy(&self) -> Option<usize> {
@@ -382,308 +404,37 @@ impl ExecutionEngine for ThreadedEngine {
     }
 }
 
-/// Dataflow execution: like [`ThreadedEngine`], a persistent worker
-/// thread owns the back-end and consumes deep-copied snapshots from a
-/// bounded queue — but each step runs as a task graph under a
-/// work-stealing [`DagScheduler`] spanning every device slot and stream
-/// of the node (DESIGN.md §13).
-///
-/// Back-ends that plan task graphs
-/// ([`AnalysisAdaptor::supports_dag`]) get per-task-node recovery inside
-/// the scheduler; back-ends that do not are dispatched exactly like
-/// [`ThreadedEngine`] does (per-snapshot recovery around a monolithic
-/// `execute`), which is what lets this engine subsume the threaded path:
-/// `asynchronous` remains selectable for one more release, after which it
-/// becomes an alias for `dag`.
-pub struct DagEngine {
-    name: String,
-    controls: BackendControls,
-    requirements: DataRequirements,
-    counters: Arc<AnalysisCounters>,
-    scheduler_counters: Arc<SchedulerCounters>,
-    tx: Option<BoundedSender<Arc<SnapshotAdaptor>>>,
-    handle: Option<std::thread::JoinHandle<Result<()>>>,
-    failed: Option<Error>,
-}
-
-impl DagEngine {
-    /// Move `adaptor` onto a new worker thread owning a [`DagScheduler`].
-    /// `comm` must be a dedicated duplicate, exactly as for
-    /// [`ThreadedEngine::spawn`].
-    pub fn spawn(mut adaptor: Box<dyn AnalysisAdaptor>, comm: Comm, node: Arc<SimNode>) -> Self {
-        let name = adaptor.name().to_string();
-        let controls = *adaptor.controls();
-        let requirements = adaptor.required_arrays();
-        let counters = adaptor.counters().unwrap_or_default();
-        let scheduler_counters = SchedulerCounters::new();
-        let (tx, rx) = bounded::<Arc<SnapshotAdaptor>>(controls.queue_depth, controls.overflow);
-        let thread_name = format!("sensei-dag-{name}");
-        let worker_name = name.clone();
-        let worker_counters = counters.clone();
-        let worker_sched_counters = scheduler_counters.clone();
-        let policy = controls.recovery;
-        let spawned = std::thread::Builder::new().name(thread_name).spawn(move || -> Result<()> {
-            let rank = comm.rank();
-            let mut sched = DagScheduler::new(node.clone(), rank, worker_sched_counters);
-            let ctx = ExecContext::new(&comm, &node);
-            let dataflow = adaptor.supports_dag();
-            while let Some(snapshot) = rx.recv() {
-                snapshot.wait_copies();
-                let outcome = if dataflow {
-                    // Recovery applies per task node inside the scheduler;
-                    // wrapping the whole step again would double-count
-                    // faults and re-run collectives. Panics (plan-time or
-                    // escaping a scoped worker) are still contained here.
-                    let _armed = devsim::fault::arm(rank);
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        adaptor.execute_dag(snapshot.as_ref(), &ctx, &mut sched)
-                    })) {
-                        Ok(result) => result,
-                        Err(payload) => Err(Error::Analysis(format!(
-                            "analysis '{worker_name}' panicked: {}",
-                            panic_message(payload.as_ref())
-                        ))),
-                    }
-                } else {
-                    run_with_recovery(policy, &worker_counters, &worker_name, || {
-                        guarded_execute(&mut adaptor, &worker_name, rank, snapshot.as_ref(), &ctx)
-                    })
-                };
-                snapshot.consumer_finished();
-                outcome?;
-            }
-            adaptor.finalize(&ctx)
-        });
-        match spawned {
-            Ok(handle) => DagEngine {
-                name,
-                controls,
-                requirements,
-                counters,
-                scheduler_counters,
-                tx: Some(tx),
-                handle: Some(handle),
-                failed: None,
-            },
-            Err(io) => {
-                let failed = Error::Analysis(format!(
-                    "failed to spawn dag worker thread for '{name}': {io}"
-                ));
-                DagEngine {
-                    name,
-                    controls,
-                    requirements,
-                    counters,
-                    scheduler_counters,
-                    tx: None,
-                    handle: None,
-                    failed: Some(failed),
-                }
-            }
-        }
-    }
-
-    fn join_worker(&mut self) -> Result<()> {
-        match self.handle.take() {
-            Some(h) => match h.join() {
-                Ok(result) => result,
-                Err(_) => Err(Error::Analysis(format!("dag worker '{}' panicked", self.name))),
-            },
-            None => Ok(()),
-        }
-    }
-}
-
-impl ExecutionEngine for DagEngine {
-    fn backend_name(&self) -> &str {
-        &self.name
-    }
-
-    fn controls(&self) -> &BackendControls {
-        &self.controls
-    }
-
-    fn requirements(&self) -> DataRequirements {
-        self.requirements.clone()
-    }
-
-    fn needs_snapshot(&self) -> bool {
-        true
-    }
-
-    fn counters(&self) -> Option<Arc<AnalysisCounters>> {
-        Some(self.counters.clone())
-    }
-
-    fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
-        Some(self.scheduler_counters.clone())
-    }
-
-    fn queue_occupancy(&self) -> Option<usize> {
-        self.tx.as_ref().map(|tx| tx.len())
-    }
-
-    fn dispatch(
-        &mut self,
-        _data: &dyn DataAdaptor,
-        snapshot: Option<&Arc<SnapshotAdaptor>>,
-        _comm: &Comm,
-        _node: &Arc<SimNode>,
-    ) -> Result<bool> {
-        if let Some(err) = &self.failed {
-            return Err(err.clone());
-        }
-        let Some(snapshot) = snapshot else {
-            return Err(Error::Analysis(format!(
-                "dag engine '{}' expected a snapshot but the bridge supplied none",
-                self.name
-            )));
-        };
-        let tx = self.tx.as_ref().ok_or(Error::Finalized)?;
-        match tx.send(snapshot.clone()) {
-            Ok(_) => Ok(true),
-            Err(SendError::Full) => Err(Error::Analysis(format!(
-                "in situ queue for '{}' is full ({} snapshots in flight, overflow policy \
-                 'error')",
-                self.name, self.controls.queue_depth
-            ))),
-            Err(SendError::Closed) => {
-                let err = Error::Analysis(format!("in situ queue for '{}' is closed", self.name));
-                self.failed = Some(err.clone());
-                Err(err)
-            }
-            Err(SendError::Disconnected) => {
-                self.tx = None;
-                let err = match self.join_worker() {
-                    Ok(()) => {
-                        Error::Analysis(format!("dag worker '{}' terminated early", self.name))
-                    }
-                    Err(e) => e,
-                };
-                self.failed = Some(err.clone());
-                Err(err)
-            }
-        }
-    }
-
-    fn finalize(&mut self, _comm: &Comm, _node: &Arc<SimNode>) -> Result<()> {
-        if let Some(tx) = self.tx.take() {
-            tx.close();
-        }
-        let join_result = self.join_worker();
-        match self.failed.take() {
-            Some(err) => Err(err),
-            None => join_result,
-        }
-    }
-}
-
-/// Context an [`EngineFactory`] builds an engine in.
-pub struct EngineContext<'a> {
-    /// The simulation's communicator. Engines needing their own duplicate
-    /// (threaded engines) call [`Comm::dup`] — collectively, so every
-    /// rank must attach the same back-ends in the same order.
-    pub comm: &'a Comm,
-    /// The heterogeneous node the rank runs on.
-    pub node: &'a Arc<SimNode>,
-}
-
-/// Builds an [`ExecutionEngine`] around a back-end.
-pub type EngineFactory = Box<
-    dyn Fn(Box<dyn AnalysisAdaptor>, &EngineContext<'_>) -> Result<Box<dyn ExecutionEngine>>
-        + Send
-        + Sync,
->;
-
-/// Maps execution-mode names (the XML `mode` spellings) to engine
-/// factories. The bridge looks a back-end's
-/// [`crate::ExecutionMethod::name`] up here, so replacing or extending
-/// how a mode executes is a registration, not a bridge change.
-pub struct EngineRegistry {
-    factories: HashMap<String, EngineFactory>,
-}
-
-impl EngineRegistry {
-    /// A registry with no engines (register your own).
-    pub fn empty() -> Self {
-        EngineRegistry { factories: HashMap::new() }
-    }
-
-    /// The built-in engines: `lockstep` → [`InlineEngine`],
-    /// `asynchronous` → [`ThreadedEngine`] (deprecated; one more release
-    /// before it aliases to `dag`), `dag` → [`DagEngine`].
-    pub fn with_defaults() -> Self {
-        let mut reg = EngineRegistry::empty();
-        reg.register("lockstep", |adaptor, _ctx| {
-            Ok(Box::new(InlineEngine::new(adaptor)) as Box<dyn ExecutionEngine>)
-        });
-        reg.register("asynchronous", |adaptor, ctx| {
-            Ok(Box::new(ThreadedEngine::spawn(adaptor, ctx.comm.dup(), ctx.node.clone()))
-                as Box<dyn ExecutionEngine>)
-        });
-        reg.register("dag", |adaptor, ctx| {
-            Ok(Box::new(DagEngine::spawn(adaptor, ctx.comm.dup(), ctx.node.clone()))
-                as Box<dyn ExecutionEngine>)
-        });
-        reg
-    }
-
-    /// Register (or replace) the factory for `mode`.
-    pub fn register(
-        &mut self,
-        mode: impl Into<String>,
-        factory: impl Fn(Box<dyn AnalysisAdaptor>, &EngineContext<'_>) -> Result<Box<dyn ExecutionEngine>>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.factories.insert(mode.into(), Box::new(factory));
-    }
-
-    /// True when a factory is registered for `mode`.
-    pub fn contains(&self, mode: &str) -> bool {
-        self.factories.contains_key(mode)
-    }
-
-    /// Registered mode names, sorted.
-    pub fn mode_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.factories.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
-
-    /// Build the engine for `mode` around `adaptor`.
-    pub fn create(
-        &self,
-        mode: &str,
-        adaptor: Box<dyn AnalysisAdaptor>,
-        ctx: &EngineContext<'_>,
-    ) -> Result<Box<dyn ExecutionEngine>> {
-        let factory = self.factories.get(mode).ok_or_else(|| {
-            Error::Config(format!("no execution engine registered for mode '{mode}'"))
-        })?;
-        factory(adaptor, ctx)
-    }
-}
-
-impl Default for EngineRegistry {
-    /// [`EngineRegistry::with_defaults`].
-    fn default() -> Self {
-        EngineRegistry::with_defaults()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::ExecutionMethod;
     use devsim::NodeConfig;
     use minimpi::World;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The two policies of the one worker engine.
+    const WORKER_MODES: [ExecutionMethod; 2] =
+        [ExecutionMethod::Asynchronous, ExecutionMethod::Dag];
+
+    /// How often each entry point of a [`Counting`] back-end ran.
+    #[derive(Clone, Default)]
+    struct Calls {
+        execute: Arc<AtomicU64>,
+        execute_dag: Arc<AtomicU64>,
+    }
+
+    impl Calls {
+        fn totals(&self) -> (u64, u64) {
+            (self.execute.load(Ordering::SeqCst), self.execute_dag.load(Ordering::SeqCst))
+        }
+    }
+
+    /// Counts monolithic and task-graph executes separately; optionally
+    /// claims task-graph support.
+    #[derive(Default)]
     struct Counting {
         controls: BackendControls,
-        executes: Arc<AtomicU64>,
+        plans_graphs: bool,
+        calls: Calls,
     }
 
     impl AnalysisAdaptor for Counting {
@@ -700,36 +451,21 @@ mod tests {
             DataRequirements::none().with_mesh("bodies")
         }
         fn execute(&mut self, _d: &dyn DataAdaptor, _c: &ExecContext<'_>) -> Result<bool> {
-            self.executes.fetch_add(1, Ordering::SeqCst);
+            self.calls.execute.fetch_add(1, Ordering::SeqCst);
             Ok(true)
         }
-    }
-
-    #[test]
-    fn default_registry_has_all_builtin_modes() {
-        let reg = EngineRegistry::with_defaults();
-        for m in [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag] {
-            assert!(reg.contains(m.name()), "missing engine for {}", m.name());
+        fn supports_dag(&self) -> bool {
+            self.plans_graphs
         }
-        assert_eq!(reg.mode_names(), vec!["asynchronous", "dag", "lockstep"]);
-        assert!(!reg.contains("warp"));
-    }
-
-    #[test]
-    fn unknown_mode_is_a_config_error() {
-        let reg = EngineRegistry::empty();
-        World::new(1).run(move |comm| {
-            let node = SimNode::new(NodeConfig::fast_test(1));
-            let adaptor = Box::new(Counting {
-                controls: BackendControls::default(),
-                executes: Arc::new(AtomicU64::new(0)),
-            });
-            let err = reg
-                .create("lockstep", adaptor, &EngineContext { comm: &comm, node: &node })
-                .err()
-                .expect("empty registry rejects");
-            assert!(matches!(err, Error::Config(_)), "got {err:?}");
-        });
+        fn execute_dag(
+            &mut self,
+            _d: &dyn DataAdaptor,
+            _c: &ExecContext<'_>,
+            _s: &mut DagScheduler,
+        ) -> Result<bool> {
+            self.calls.execute_dag.fetch_add(1, Ordering::SeqCst);
+            Ok(true)
+        }
     }
 
     /// A data adaptor publishing nothing (snapshots of it are empty).
@@ -753,85 +489,125 @@ mod tests {
         }
     }
 
-    #[test]
-    fn closed_queue_dispatch_failure_surfaces_at_finalize() {
-        let executes = Arc::new(AtomicU64::new(0));
-        let e2 = executes.clone();
-        World::new(1).run(move |comm| {
+    /// Spawn a worker engine around `build`'s back-end on a one-rank
+    /// world, hand it to `body`, and return the (execute, execute_dag)
+    /// call counts once the world has joined.
+    fn with_engine(
+        build: impl Fn(Calls) -> Counting + Send + Sync,
+        body: impl Fn(&mut WorkerEngine, &Comm, &Arc<SimNode>) + Send + Sync,
+    ) -> (u64, u64) {
+        let calls = Calls::default();
+        World::new(1).run(|comm| {
             let node = SimNode::new(NodeConfig::fast_test(1));
-            let controls =
-                BackendControls { execution: ExecutionMethod::Asynchronous, ..Default::default() };
-            let adaptor = Box::new(Counting { controls, executes: e2.clone() });
-            let mut engine = ThreadedEngine::spawn(adaptor, comm.dup(), node.clone());
-            // Close the queue through a second sender handle, as a
-            // finalizer racing a dispatch on another thread would.
-            engine.tx.as_ref().unwrap().clone().close();
-
-            let data = EmptyData;
-            let snap = Arc::new(SnapshotAdaptor::capture(&data).unwrap());
-            let err = engine.dispatch(&data, Some(&snap), &comm, &node).unwrap_err();
-            assert!(matches!(err, Error::Analysis(_)), "got {err:?}");
-
-            // The dropped iteration must surface at finalize even though
-            // the caller swallowed the dispatch error.
-            let fin = engine.finalize(&comm, &node);
-            assert!(
-                matches!(fin, Err(Error::Analysis(ref m)) if m.contains("closed")),
-                "finalize must report the dropped dispatch, got {fin:?}"
-            );
+            let adaptor = Box::new(build(calls.clone()));
+            let mut engine = WorkerEngine::spawn(adaptor, comm.dup(), node.clone());
+            body(&mut engine, &comm, &node);
         });
-        assert_eq!(executes.load(Ordering::SeqCst), 0);
+        calls.totals()
+    }
+
+    /// Dispatch one (empty) snapshot.
+    fn dispatch(engine: &mut WorkerEngine, comm: &Comm, node: &Arc<SimNode>) -> Result<bool> {
+        let snap = Arc::new(SnapshotAdaptor::capture(&EmptyData).unwrap());
+        engine.dispatch(&EmptyData, Some(&snap), comm, node)
     }
 
     #[test]
-    fn dag_engine_falls_back_to_monolithic_dispatch() {
-        // A back-end without `supports_dag` runs through the DagEngine
-        // exactly like the threaded path: the step executes once per
-        // snapshot on the worker thread and finalize drains cleanly.
-        let executes = Arc::new(AtomicU64::new(0));
-        let e2 = executes.clone();
-        World::new(1).run(move |comm| {
-            let node = SimNode::new(NodeConfig::fast_test(1));
-            let controls =
-                BackendControls { execution: ExecutionMethod::Dag, ..Default::default() };
-            let adaptor = Box::new(Counting { controls, executes: e2.clone() });
-            let reg = EngineRegistry::with_defaults();
-            let mut engine =
-                reg.create("dag", adaptor, &EngineContext { comm: &comm, node: &node }).unwrap();
-            assert!(engine.needs_snapshot());
-            let sc = engine.scheduler_counters().expect("dag engine exposes counters");
-            let data = EmptyData;
-            for _ in 0..3 {
-                let snap = Arc::new(SnapshotAdaptor::capture(&data).unwrap());
-                assert!(engine.dispatch(&data, Some(&snap), &comm, &node).unwrap());
+    fn closed_queue_dispatch_failure_surfaces_at_finalize() {
+        for execution in WORKER_MODES {
+            let controls = BackendControls { execution, ..Default::default() };
+            let totals = with_engine(
+                |calls| Counting { controls, calls, ..Default::default() },
+                |engine, comm, node| {
+                    // Close the queue through a second sender handle, as
+                    // a finalizer racing a dispatch on another thread
+                    // would.
+                    engine.tx.as_ref().unwrap().clone().close();
+                    let err = dispatch(engine, comm, node).unwrap_err();
+                    assert!(matches!(err, Error::Analysis(_)), "({execution:?}) got {err:?}");
+
+                    // The dropped iteration must surface at finalize even
+                    // though the caller swallowed the dispatch error.
+                    let fin = engine.finalize(comm, node);
+                    assert!(
+                        matches!(fin, Err(Error::Analysis(ref m)) if m.contains("closed")),
+                        "({execution:?}) finalize must report the dropped dispatch, got {fin:?}"
+                    );
+                },
+            );
+            assert_eq!(totals, (0, 0));
+        }
+    }
+
+    #[test]
+    fn missing_snapshot_is_an_analysis_error_not_a_panic() {
+        for execution in WORKER_MODES {
+            let controls = BackendControls { execution, ..Default::default() };
+            let totals = with_engine(
+                |calls| Counting { controls, calls, ..Default::default() },
+                |engine, comm, node| {
+                    let err = engine.dispatch(&EmptyData, None, comm, node).unwrap_err();
+                    assert!(
+                        matches!(err, Error::Analysis(ref m) if m.contains("expected a snapshot")),
+                        "({execution:?}) got {err:?}"
+                    );
+                    // A contract violation by the bridge does not poison
+                    // the engine: the worker is alive and finalizes.
+                    engine.finalize(comm, node).unwrap();
+                },
+            );
+            assert_eq!(totals, (0, 0));
+        }
+    }
+
+    #[test]
+    fn task_graphs_are_planned_only_under_dag_and_only_when_supported() {
+        // The mode is the worker's policy: `asynchronous` keeps
+        // monolithic dispatch even for a back-end that could plan graphs,
+        // and `dag` falls back to it for a back-end that cannot.
+        for execution in WORKER_MODES {
+            for plans_graphs in [false, true] {
+                let controls = BackendControls { execution, ..Default::default() };
+                let dag = execution == ExecutionMethod::Dag;
+                let totals = with_engine(
+                    |calls| Counting { controls, plans_graphs, calls },
+                    |engine, comm, node| {
+                        // The profiler's scheduler row follows the mode,
+                        // not the back-end's capabilities.
+                        let sc = engine.scheduler_counters();
+                        assert_eq!(sc.is_some(), dag, "({execution:?})");
+                        for _ in 0..3 {
+                            assert!(dispatch(engine, comm, node).unwrap());
+                        }
+                        engine.finalize(comm, node).unwrap();
+                        if let Some(sc) = sc {
+                            assert_eq!(sc.snapshot().tasks, 0, "no graph reached the scheduler");
+                        }
+                    },
+                );
+                let expect = if dag && plans_graphs { (0, 3) } else { (3, 0) };
+                assert_eq!(
+                    totals, expect,
+                    "({execution:?}, plans_graphs={plans_graphs}) (execute, execute_dag) calls"
+                );
             }
-            engine.finalize(&comm, &node).unwrap();
-            assert_eq!(sc.snapshot().tasks, 0, "fallback path plans no task graph");
-        });
-        assert_eq!(executes.load(Ordering::SeqCst), 3);
+        }
     }
 
     #[test]
     fn engines_expose_backend_controls_and_requirements() {
-        let executes = Arc::new(AtomicU64::new(0));
-        let e2 = executes.clone();
-        World::new(1).run(move |comm| {
-            let node = SimNode::new(NodeConfig::fast_test(1));
-            let controls = BackendControls {
-                execution: ExecutionMethod::Asynchronous,
-                frequency: 2,
-                ..Default::default()
-            };
-            let adaptor = Box::new(Counting { controls, executes: e2.clone() });
-            let reg = EngineRegistry::with_defaults();
-            let mut engine = reg
-                .create("asynchronous", adaptor, &EngineContext { comm: &comm, node: &node })
-                .unwrap();
-            assert_eq!(engine.backend_name(), "counting");
-            assert_eq!(engine.controls().frequency, 2);
-            assert!(engine.needs_snapshot());
-            assert_eq!(engine.requirements(), DataRequirements::none().with_mesh("bodies"));
-            engine.finalize(&comm, &node).unwrap();
-        });
+        for execution in WORKER_MODES {
+            let controls = BackendControls { execution, frequency: 2, ..Default::default() };
+            with_engine(
+                |calls| Counting { controls, calls, ..Default::default() },
+                |engine, comm, node| {
+                    assert_eq!(engine.backend_name(), "counting");
+                    assert_eq!(engine.controls().frequency, 2);
+                    assert!(engine.needs_snapshot());
+                    assert_eq!(engine.requirements(), DataRequirements::none().with_mesh("bodies"));
+                    engine.finalize(comm, node).unwrap();
+                },
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Execution methods (§3): lockstep and asynchronous.
+//! Execution methods (§3): lockstep and asynchronous, plus the dataflow
+//! variant of asynchronous.
 
 /// How an analysis back-end executes relative to the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -13,9 +13,11 @@
 //!
 //! **Execution-model extensions (§3)** live here:
 //!
-//! * [`ExecutionMethod`] — *lockstep* (simulation and in situ take turns)
-//!   or *asynchronous* (in situ deep-copies its inputs and runs in a
-//!   separate thread, concurrently with the simulation);
+//! * [`ExecutionMethod`] — *lockstep* (simulation and in situ take turns),
+//!   *asynchronous* (in situ deep-copies its inputs and runs in a
+//!   separate thread, concurrently with the simulation), or *dag*
+//!   (asynchronous, each step a task graph under a work-stealing
+//!   scheduler);
 //! * [`Placement`] — run-time control over whether in situ work runs on
 //!   the host, on the data's device, or on dedicated device(s);
 //! * [`DeviceSelector`] — automatic device selection, Eq. (1):
@@ -23,12 +25,13 @@
 //! * [`BackendControls`] — the new control parameters, defined once and
 //!   available to every analysis back-end (the paper puts them in the
 //!   back-end base class);
-//! * [`ExecutionEngine`] — the pluggable layer that decides *how* a mode
-//!   executes: the built-in [`InlineEngine`] runs lockstep back-ends in
-//!   the simulation's thread; [`ThreadedEngine`] gives each asynchronous
-//!   back-end a persistent worker fed through a bounded snapshot queue
-//!   with a configurable [`OverflowPolicy`] (block / drop-oldest / error).
-//!   New modes register through an [`EngineRegistry`];
+//! * [`ExecutionEngine`] — the layer that decides *how* a mode executes.
+//!   There are two engines: [`InlineEngine`] runs lockstep back-ends in
+//!   the simulation's thread; [`WorkerEngine`] gives each asynchronous or
+//!   dag back-end a persistent worker fed through a bounded snapshot
+//!   queue with a configurable [`OverflowPolicy`] (block / drop-oldest /
+//!   error), the mode being the worker's policy: monolithic dispatch, or
+//!   one task graph per step for back-ends that plan them;
 //! * [`DataRequirements`] — what each back-end declares it reads
 //!   ([`AnalysisAdaptor::required_arrays`]); asynchronous snapshots deep
 //!   copy only the union of the due back-ends' requirements;
@@ -85,10 +88,7 @@ pub use counters::{
 };
 pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind, TaskSite};
 pub use device_select::{select_device, DeviceSelector};
-pub use engine::{
-    DagEngine, EngineContext, EngineFactory, EngineRegistry, ExecutionEngine, InlineEngine,
-    ThreadedEngine,
-};
+pub use engine::{ExecutionEngine, InlineEngine, WorkerEngine};
 pub use error::{Error, Result};
 pub use execution::ExecutionMethod;
 pub use placement::Placement;

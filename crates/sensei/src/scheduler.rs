@@ -414,7 +414,7 @@ impl<'a, 's> Exec<'a, 's> {
 /// The scheduler owns a lazily provisioned per-device stream pair
 /// (compute + copy) reused across steps, and cumulative
 /// [`SchedulerCounters`] shared with whoever created it (typically a
-/// `DagEngine`, which surfaces them through the profiler).
+/// `WorkerEngine` under `dag`, which surfaces them through the profiler).
 pub struct DagScheduler {
     node: Arc<SimNode>,
     rank: usize,

@@ -1,7 +1,9 @@
 //! Worker-failure paths: analyses that error or panic mid-run must not
 //! take the solver down, must surface at finalize, and must not leak
 //! snapshots or pool blocks — under every overflow policy and recovery
-//! policy.
+//! policy, and under both policies of the one worker engine (`Flaky`
+//! plans no task graphs, so `dag` must behave exactly like
+//! `asynchronous` here).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,6 +135,16 @@ impl AnalysisAdaptor for Flaky {
     }
 }
 
+/// The snapshot-fed modes: one worker engine, the mode is its policy.
+const WORKER_MODES: [ExecutionMethod; 2] = [ExecutionMethod::Asynchronous, ExecutionMethod::Dag];
+
+/// Run `test` on a fresh one-rank world under each worker mode.
+fn each_worker_mode(test: impl Fn(ExecutionMethod, minimpi::Comm) + Send + Sync) {
+    for mode in WORKER_MODES {
+        World::new(1).run(|comm| test(mode, comm));
+    }
+}
+
 /// Drive `steps` bridge iterations, tolerating per-step dispatch errors
 /// (the solver keeps stepping regardless), and return how many execute
 /// calls errored.
@@ -149,39 +161,40 @@ fn run_tolerant(bridge: &mut Bridge, sim: &mut Sim, comm: &minimpi::Comm, steps:
 
 #[test]
 fn erroring_async_worker_surfaces_at_finalize_under_each_policy() {
-    for overflow in [OverflowPolicy::Block, OverflowPolicy::DropOldest, OverflowPolicy::Error] {
-        World::new(1).run(move |comm| {
-            let node = SimNode::new(NodeConfig::fast_test(1));
-            let baseline = node.pool_stats(MemSpace::Host).live_bytes;
-            let (adaptor, counters, _attempts, successes) = Flaky::boxed(
-                ExecutionMethod::Asynchronous,
-                overflow,
-                RecoveryPolicy::Abort,
-                vec![1],
-                false,
-            );
-            let mut bridge = Bridge::new(node.clone());
-            bridge.add_analysis(adaptor, &comm).unwrap();
-            let mut sim = Sim { node: node.clone(), values: vec![1.0, 2.0, 3.0], step: 0 };
-            // The solver completes all 6 steps even though the worker dies
-            // on its second snapshot.
-            run_tolerant(&mut bridge, &mut sim, &comm, 6);
-            let err = bridge.finalize(&comm).unwrap_err();
-            assert!(
-                matches!(err, sensei::Error::Analysis(_)),
-                "({overflow:?}) finalize reports the worker failure, got {err:?}"
-            );
-            assert_eq!(successes.load(Ordering::SeqCst), 1, "({overflow:?}) first step ran");
-            let f = counters.snapshot().faults;
-            assert_eq!((f.injected, f.aborted), (1, 1), "({overflow:?})");
-            // No snapshot or pool blocks leak: queued snapshots are freed
-            // when the engine shuts down.
-            assert_eq!(
-                node.pool_stats(MemSpace::Host).live_bytes,
-                baseline,
-                "({overflow:?}) host pool back to baseline"
-            );
-        });
+    for mode in WORKER_MODES {
+        for overflow in [OverflowPolicy::Block, OverflowPolicy::DropOldest, OverflowPolicy::Error] {
+            World::new(1).run(move |comm| {
+                let node = SimNode::new(NodeConfig::fast_test(1));
+                let baseline = node.pool_stats(MemSpace::Host).live_bytes;
+                let (adaptor, counters, _attempts, successes) =
+                    Flaky::boxed(mode, overflow, RecoveryPolicy::Abort, vec![1], false);
+                let mut bridge = Bridge::new(node.clone());
+                bridge.add_analysis(adaptor, &comm).unwrap();
+                let mut sim = Sim { node: node.clone(), values: vec![1.0, 2.0, 3.0], step: 0 };
+                // The solver completes all 6 steps even though the worker
+                // dies on its second snapshot.
+                run_tolerant(&mut bridge, &mut sim, &comm, 6);
+                let err = bridge.finalize(&comm).unwrap_err();
+                assert!(
+                    matches!(err, sensei::Error::Analysis(_)),
+                    "({mode:?}, {overflow:?}) finalize reports the worker failure, got {err:?}"
+                );
+                assert_eq!(
+                    successes.load(Ordering::SeqCst),
+                    1,
+                    "({mode:?}, {overflow:?}) first step ran"
+                );
+                let f = counters.snapshot().faults;
+                assert_eq!((f.injected, f.aborted), (1, 1), "({mode:?}, {overflow:?})");
+                // No snapshot or pool blocks leak: queued snapshots are
+                // freed when the engine shuts down.
+                assert_eq!(
+                    node.pool_stats(MemSpace::Host).live_bytes,
+                    baseline,
+                    "({mode:?}, {overflow:?}) host pool back to baseline"
+                );
+            });
+        }
     }
 }
 
@@ -191,15 +204,10 @@ fn failed_worker_partial_counters_survive_finalize() {
     // 0..N; `Bridge::finalize` used to drop the profiler (and with it the
     // merged counter samples) when surfacing the typed error, losing
     // those partial totals. `finalize_partial` returns both.
-    World::new(1).run(|comm| {
+    each_worker_mode(|mode, comm| {
         let node = SimNode::new(NodeConfig::fast_test(1));
-        let (adaptor, counters, _attempts, successes) = Flaky::boxed(
-            ExecutionMethod::Asynchronous,
-            OverflowPolicy::Block,
-            RecoveryPolicy::Abort,
-            vec![2],
-            false,
-        );
+        let (adaptor, counters, _attempts, successes) =
+            Flaky::boxed(mode, OverflowPolicy::Block, RecoveryPolicy::Abort, vec![2], false);
         let mut bridge = Bridge::new(node.clone());
         bridge.add_analysis(adaptor, &comm).unwrap();
         let mut sim = Sim { node: node.clone(), values: vec![1.0, 2.0], step: 0 };
@@ -226,16 +234,11 @@ fn failed_worker_partial_counters_survive_finalize() {
 
 #[test]
 fn panicking_async_worker_is_reported_not_fatal() {
-    World::new(1).run(|comm| {
+    each_worker_mode(|mode, comm| {
         let node = SimNode::new(NodeConfig::fast_test(1));
         let baseline = node.pool_stats(MemSpace::Host).live_bytes;
-        let (adaptor, counters, _attempts, _successes) = Flaky::boxed(
-            ExecutionMethod::Asynchronous,
-            OverflowPolicy::Block,
-            RecoveryPolicy::Abort,
-            vec![0],
-            true,
-        );
+        let (adaptor, counters, _attempts, _successes) =
+            Flaky::boxed(mode, OverflowPolicy::Block, RecoveryPolicy::Abort, vec![0], true);
         let mut bridge = Bridge::new(node.clone());
         bridge.add_analysis(adaptor, &comm).unwrap();
         let mut sim = Sim { node: node.clone(), values: vec![4.0], step: 0 };
@@ -250,17 +253,12 @@ fn panicking_async_worker_is_reported_not_fatal() {
 
 #[test]
 fn skip_step_keeps_the_worker_alive_through_failures() {
-    World::new(1).run(|comm| {
+    each_worker_mode(|mode, comm| {
         let node = SimNode::new(NodeConfig::fast_test(1));
         // Attempts 1 and 3 fail; under SkipStep the worker drops those
         // iterations and keeps consuming.
-        let (adaptor, counters, attempts, successes) = Flaky::boxed(
-            ExecutionMethod::Asynchronous,
-            OverflowPolicy::Block,
-            RecoveryPolicy::SkipStep,
-            vec![1, 3],
-            false,
-        );
+        let (adaptor, counters, attempts, successes) =
+            Flaky::boxed(mode, OverflowPolicy::Block, RecoveryPolicy::SkipStep, vec![1, 3], false);
         let mut bridge = Bridge::new(node.clone());
         bridge.add_analysis(adaptor, &comm).unwrap();
         let mut sim = Sim { node: node.clone(), values: vec![1.0], step: 0 };
@@ -276,10 +274,10 @@ fn skip_step_keeps_the_worker_alive_through_failures() {
 
 #[test]
 fn retry_recovers_an_async_panic_within_budget() {
-    World::new(1).run(|comm| {
+    each_worker_mode(|mode, comm| {
         let node = SimNode::new(NodeConfig::fast_test(1));
         let (adaptor, counters, _attempts, successes) = Flaky::boxed(
-            ExecutionMethod::Asynchronous,
+            mode,
             OverflowPolicy::Block,
             RecoveryPolicy::Retry { max_retries: 2, backoff_ms: 0 },
             vec![2],

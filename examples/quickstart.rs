@@ -16,9 +16,7 @@ use binning::{BinOp, BinningAnalysis, BinningSpec, ResultSink, VarOp};
 use devsim::{NodeConfig, SimNode};
 use minimpi::World;
 use parking_lot::Mutex;
-use sensei::{
-    BackendControls, Bridge, DataAdaptor, DeviceSpec, EngineRegistry, MeshMetadata, Result,
-};
+use sensei::{BackendControls, Bridge, DataAdaptor, DeviceSpec, MeshMetadata, Result};
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
 /// A miniature "simulation": particles on a circle that spin each step.
@@ -95,11 +93,10 @@ fn main() {
             .with_sink(sink.clone())
             .with_controls(BackendControls { device: DeviceSpec::Auto, ..Default::default() });
 
-        // `Bridge::new(node)` is the usual constructor; spelling out the
-        // engine registry shows where execution methods are pluggable —
-        // "lockstep" resolves to the inline engine, "asynchronous" to the
-        // threaded one, and `EngineRegistry::register` can add more.
-        let mut bridge = Bridge::with_engines(node.clone(), EngineRegistry::with_defaults());
+        // The back-end's execution method picks the engine: "lockstep"
+        // (the default here) runs inline on this thread; "asynchronous"
+        // and "dag" hand snapshots to a worker thread.
+        let mut bridge = Bridge::new(node.clone());
         bridge.add_analysis(Box::new(analysis), &comm).unwrap();
 
         // The simulation loop: rank r owns half of the ring.

@@ -357,30 +357,34 @@ fn gated(queue_depth: usize, overflow: OverflowPolicy) -> (Gated, GatedSetup) {
 
 #[test]
 fn full_queue_with_error_policy_fails_the_submit() {
-    World::new(1).run(|comm| {
-        let node = SimNode::new(NodeConfig::fast_test(1));
-        let (adaptor, setup) = gated(2, OverflowPolicy::Error);
-        let mut bridge = Bridge::new(node.clone());
-        bridge.add_analysis(Box::new(adaptor), &comm).unwrap();
+    // Both snapshot-fed modes share the one worker engine and its queue.
+    for mode in [ExecutionMethod::Asynchronous, ExecutionMethod::Dag] {
+        World::new(1).run(move |comm| {
+            let node = SimNode::new(NodeConfig::fast_test(1));
+            let (mut adaptor, setup) = gated(2, OverflowPolicy::Error);
+            adaptor.controls.execution = mode;
+            let mut bridge = Bridge::new(node.clone());
+            bridge.add_analysis(Box::new(adaptor), &comm).unwrap();
 
-        let mut sim = Stepped { inner: Tiny::new(node), step: 0 };
-        bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
-        assert!(setup.started.wait_for(Duration::from_secs(10)), "worker never started");
-
-        // Worker holds snapshot 0; these two fill the depth-2 queue.
-        for step in [1, 2] {
-            sim.step = step;
+            let mut sim = Stepped { inner: Tiny::new(node), step: 0 };
             bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
-        }
-        sim.step = 3;
-        let err = bridge.execute(&sim, &comm, Duration::ZERO).unwrap_err();
-        assert!(matches!(err, Error::Analysis(_)), "got {err:?}");
-        assert!(err.to_string().contains("full"), "got {err}");
+            assert!(setup.started.wait_for(Duration::from_secs(10)), "worker never started");
 
-        setup.release.open();
-        bridge.finalize(&comm).unwrap();
-        assert_eq!(*setup.processed.lock().unwrap(), vec![0, 1, 2], "step 3 was rejected");
-    });
+            // Worker holds snapshot 0; these two fill the depth-2 queue.
+            for step in [1, 2] {
+                sim.step = step;
+                bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
+            }
+            sim.step = 3;
+            let err = bridge.execute(&sim, &comm, Duration::ZERO).unwrap_err();
+            assert!(matches!(err, Error::Analysis(_)), "({mode:?}) got {err:?}");
+            assert!(err.to_string().contains("full"), "({mode:?}) got {err}");
+
+            setup.release.open();
+            bridge.finalize(&comm).unwrap();
+            assert_eq!(*setup.processed.lock().unwrap(), vec![0, 1, 2], "step 3 was rejected");
+        });
+    }
 }
 
 #[test]
