@@ -132,6 +132,16 @@ grep -q '"results_identical_across_arms": true' /tmp/ci_serve/BENCH_serve.json
 grep -q '"steering_bit_identical": true' /tmp/ci_serve/BENCH_serve.json
 grep -Eq '"steers_applied": [1-9]' /tmp/ci_serve/BENCH_serve.json
 
+echo "== benchmark spine smoke + contract tests"
+# The spine is its own package (benchmarks/), outside the workspace, so
+# nothing above builds it. The smoke run walks all four workloads at tiny
+# sizes and fails on a bit-identity mismatch against the host per-op
+# oracle or a wrong in-range row count — what a broken binning kernel
+# trips first; the contract tests pin the public crate API the spine
+# drives.
+bash benchmarks/run.sh all --smoke
+(cd benchmarks && cargo test --release --offline)
+
 echo "== documented results present"
 # Every BENCH_*.json a doc references must exist in results/ — a
 # documented experiment whose committed report is missing is a doc bug

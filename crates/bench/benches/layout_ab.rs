@@ -4,8 +4,8 @@
 //!
 //! Wall time per arm includes the modeled costs (zero time scale keeps
 //! sleeps out), so the comparison measures the real per-layout overhead
-//! of the accessor path: map-translated host fetches, lane-blocked
-//! kernels, and the device arms' in-flight pack to dense.
+//! of the accessor path: map-translated host fetches and tile gathers,
+//! and the device arms' in-flight pack to dense.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -13,7 +13,7 @@ use devsim::{CellBuffer, KernelCost, SimNode, Stream};
 use sensei::{Error, Result};
 
 use crate::grid::GridParams;
-use crate::host_impl::identity;
+use crate::host_impl::{self, identity, PassSpec};
 use crate::spec::BinOp;
 
 /// Modeled cost of binning `n` rows: a few flops of index arithmetic per
@@ -32,13 +32,13 @@ pub fn bin_cost(n: usize) -> KernelCost {
 /// recomputations (plus `k-1` launch overheads, which the time model
 /// charges per launch).
 ///
-/// Scalar, AoS, and SoA run the plain row loop and cost the same — AoS
-/// strides defeat the vector units and SoA is what the scalar columns
-/// already are. An AoSoA group feeds the lane-blocked kernel whole
-/// contiguous lanes: index arithmetic and accumulation vectorize across
-/// the lane (flops divided by the effective lane width, capped at the
-/// simulated 8-wide vector unit) and the streaming lane loads halve the
-/// effective byte cost versus gathered column traversals.
+/// Scalar, AoS, and SoA cost the same — AoS strides defeat the vector
+/// units and SoA is what the scalar columns already are. An AoSoA group
+/// feeds the kernel's row tiles whole contiguous lanes: index arithmetic
+/// and accumulation vectorize across the lane (flops divided by the
+/// effective lane width, capped at the simulated 8-wide vector unit) and
+/// the streaming lane loads halve the effective byte cost versus gathered
+/// column traversals.
 pub fn fused_bin_cost_layout(n: usize, num_ops: usize, layout: hamr::Layout) -> KernelCost {
     let (n, k) = (n as f64, num_ops as f64);
     let base = KernelCost { flops: (12.0 + 8.0 * k) * n, bytes: (16.0 + 24.0 * k) * n };
@@ -139,14 +139,24 @@ pub fn bin_device(
     Ok(bins)
 }
 
-/// Bin **all** of a coordinate system's operations in one batched kernel:
-/// the packed accumulation buffer holds `ops.len()` grids back to back
-/// (segment `i` belongs to `ops[i]`), the single launch initializes every
-/// segment to its reduction identity and then walks the rows once,
-/// computing each row's bin index once and scattering it into every
-/// segment. Download the whole buffer with one `stream.copy` — one launch
-/// plus one packed download per (coordinate system, fetched block),
-/// versus two launches and one download *per op* with [`bin_device`].
+/// Bin **all** of a coordinate system's operations in one batched kernel
+/// over the device-resident `cols` that `spec` indexes: the packed
+/// accumulation buffer holds `spec.ops.len()` grids back to back (segment
+/// `i` belongs to `spec.ops[i]`). Download the whole buffer with one
+/// `stream.copy` — one launch plus one packed download per (coordinate
+/// system, fetched block), versus two launches and one download *per op*
+/// with [`bin_device`].
+///
+/// The launch runs the tiled core ([`host_impl::bin_all_host`], reading
+/// the columns through their kernel views) into a launch-private
+/// accumulator in ascending row order, then walks the packed buffer once:
+/// every cell is set to its reduction identity and, where the private
+/// partial left its identity, committed with `atomic_add`/`atomic_min`/
+/// `atomic_max` — one atomic per touched `(op, bin)` instead of one per
+/// `(op, row)`. The kernel runs as one block here; the atomic commit is
+/// what lets a device's many blocks combine such partials in the shared
+/// grid, and since identity ⊕ partial is exact, the packed grids stay
+/// bit-identical to [`bin_device`]'s.
 ///
 /// The buffer is allocated stream-ordered on `stream`, so the caching
 /// pool can recycle the previous step's block without a device-wide sync.
@@ -154,71 +164,39 @@ pub fn bin_all_device(
     node: &Arc<SimNode>,
     device: usize,
     stream: &Arc<Stream>,
-    xs: &CellBuffer,
-    ys: &CellBuffer,
-    ops: &[(BinOp, Option<&CellBuffer>)],
-    grid: GridParams,
+    cols: &[&CellBuffer],
+    spec: &PassSpec,
 ) -> Result<CellBuffer> {
-    let n = xs.len();
-    if ys.len() != n {
-        return Err(Error::Analysis("coordinate columns must be co-occurring".into()));
-    }
-    for (op, values) in ops {
-        if *op != BinOp::Count {
-            match values {
-                Some(v) if v.len() == n => {}
-                Some(_) => return Err(Error::Analysis("value column must be co-occurring".into())),
-                None => {
-                    return Err(Error::Analysis(format!(
-                        "operation {} needs a value column",
-                        op.name()
-                    )))
-                }
-            }
-        }
-    }
+    let n = host_impl::pass_rows(|c| cols[c].len(), std::slice::from_ref(spec))
+        .map_err(Error::Analysis)?;
 
-    let num_bins = grid.num_bins();
+    let num_bins = spec.grid.num_bins();
     let packed =
-        node.device(device)?.alloc_cells_on_stream(ops.len() * num_bins, stream.as_ref())?;
+        node.device(device)?.alloc_cells_on_stream(spec.ops.len() * num_bins, stream.as_ref())?;
 
-    let xs = xs.clone();
-    let ys = ys.clone();
-    let ops_owned: Vec<(BinOp, Option<CellBuffer>)> =
-        ops.iter().map(|(op, v)| (*op, v.cloned())).collect();
+    let cols: Vec<CellBuffer> = cols.iter().map(|&c| c.clone()).collect();
+    let spec = spec.clone();
     let out = packed.clone();
-    let cost = fused_bin_cost_layout(n, ops.len(), hamr::Layout::Scalar)
-        + KernelCost::bytes((ops.len() * num_bins * 8) as f64);
+    let cost = fused_bin_cost_layout(n, spec.ops.len(), hamr::Layout::Scalar)
+        + KernelCost::bytes((spec.ops.len() * num_bins * 8) as f64);
     stream
         .launch("bin_fused", cost, move |scope| {
-            let xv = xs.f64_view_ro(scope)?;
-            let yv = ys.f64_view_ro(scope)?;
-            let views = ops_owned
-                .iter()
-                .map(|(_, v)| v.as_ref().map(|v| v.f64_view_ro(scope)).transpose())
-                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let views =
+                cols.iter().map(|c| c.f64_view_ro(scope)).collect::<devsim::Result<Vec<_>>>()?;
+            let views: Vec<&devsim::F64View> = views.iter().collect();
+            let private = host_impl::bin_all_host(&views, std::slice::from_ref(&spec)).remove(0);
             let bv = out.f64_view(scope)?;
-            for (seg, (op, _)) in ops_owned.iter().enumerate() {
-                let init = identity(*op);
-                for b in 0..num_bins {
-                    bv.set(seg * num_bins + b, init);
-                }
-            }
-            for i in 0..xv.len() {
-                let Some(b) = grid.bin_index(xv.get(i), yv.get(i)) else { continue };
-                for (seg, ((op, _), vv)) in ops_owned.iter().zip(&views).enumerate() {
-                    let slot = seg * num_bins + b;
-                    match op {
-                        BinOp::Count => bv.atomic_add(slot, 1.0),
-                        BinOp::Sum | BinOp::Average => {
-                            bv.atomic_add(slot, vv.as_ref().expect("validated above").get(i))
-                        }
-                        BinOp::Min => {
-                            bv.atomic_min(slot, vv.as_ref().expect("validated above").get(i))
-                        }
-                        BinOp::Max => {
-                            bv.atomic_max(slot, vv.as_ref().expect("validated above").get(i))
-                        }
+            for (seg, grid) in private.grids() {
+                let (op, untouched) = (spec.ops[seg].0, identity(spec.ops[seg].0));
+                let commit = match op {
+                    BinOp::Count | BinOp::Sum | BinOp::Average => devsim::F64View::atomic_add,
+                    BinOp::Min => devsim::F64View::atomic_min,
+                    BinOp::Max => devsim::F64View::atomic_max,
+                };
+                for (cell, &v) in (seg * num_bins..).zip(grid) {
+                    bv.set(cell, untouched);
+                    if v.to_bits() != untouched.to_bits() {
+                        commit(&bv, cell, v);
                     }
                 }
             }
@@ -388,9 +366,9 @@ mod tests {
         let dv = upload(&node, &stream, 0, &vs);
 
         let all = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
-        let ops: Vec<(BinOp, Option<&CellBuffer>)> =
-            all.iter().map(|&op| (op, if op == BinOp::Count { None } else { Some(&dv) })).collect();
-        let packed = bin_all_device(&node, 0, &stream, &dx, &dy, &ops, grid).unwrap();
+        let ops = all.iter().map(|&op| (op, (op != BinOp::Count).then_some(2))).collect();
+        let spec = PassSpec { axes: [0, 1], grid, ops };
+        let packed = bin_all_device(&node, 0, &stream, &[&dx, &dy, &dv], &spec).unwrap();
         assert_eq!(packed.len(), all.len() * grid.num_bins());
         let fused = download(&node, &stream, &packed);
 
@@ -414,12 +392,14 @@ mod tests {
         let grid = GridParams::new(2, 2, [0.0, 0.0], [1.0, 1.0]);
         let a = node.device(0).unwrap().alloc_f64(4).unwrap();
         let b = node.device(0).unwrap().alloc_f64(3).unwrap();
-        let count_only: [(BinOp, Option<&CellBuffer>); 1] = [(BinOp::Count, None)];
-        assert!(bin_all_device(&node, 0, &stream, &a, &b, &count_only, grid).is_err());
-        let missing: [(BinOp, Option<&CellBuffer>); 1] = [(BinOp::Sum, None)];
-        assert!(bin_all_device(&node, 0, &stream, &a, &a, &missing, grid).is_err());
-        let short: [(BinOp, Option<&CellBuffer>); 1] = [(BinOp::Sum, Some(&b))];
-        assert!(bin_all_device(&node, 0, &stream, &a, &a, &short, grid).is_err());
+        let pass = |cols: &[&CellBuffer], op, values| {
+            let spec = PassSpec { axes: [0, 1], grid, ops: vec![(op, values)] };
+            bin_all_device(&node, 0, &stream, cols, &spec)
+        };
+        assert!(pass(&[&a, &b], BinOp::Count, None).is_err());
+        assert!(pass(&[&a, &a], BinOp::Sum, None).is_err());
+        assert!(pass(&[&a, &a, &b], BinOp::Sum, Some(2)).is_err());
+        assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2)).is_ok());
     }
 
     #[test]

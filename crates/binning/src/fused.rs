@@ -8,12 +8,13 @@
 //! * auto-computed axis bounds for **all** specs share one min/max stage
 //!   per table (on the host one charge over a per-column traversal, on a
 //!   device one kernel) and one packed bounds allreduce;
-//! * each `(table, spec)` pair is one fused multi-op pass — on a device,
-//!   one kernel plus one packed download routed to the least-loaded of a
-//!   small pool of streams (by accumulated modeled kernel cost), so the
-//!   coordinate systems overlap instead of serializing on one stream and
-//!   skewed specs don't pile up the way position-based round-robin lets
-//!   them;
+//! * on the host each table is walked **once** for every spec (shared
+//!   axis indices, one value gather per row tile); on a device each
+//!   `(table, spec)` pair is one kernel plus one packed download routed to
+//!   the least-loaded of a small pool of streams (by accumulated modeled
+//!   kernel cost), so the coordinate systems overlap instead of
+//!   serializing on one stream and skewed specs don't pile up the way
+//!   position-based round-robin lets them;
 //! * every spec's grids (counts + ops) accumulate in a single segmented
 //!   buffer that is reduced with **one** allreduce per step.
 
@@ -30,7 +31,7 @@ use crate::adaptor::{fetch_tables, local_tables, with_host_cols, BinnedResult, F
 use crate::bounds;
 use crate::device_impl;
 use crate::grid::GridParams;
-use crate::host_impl::{self, Column};
+use crate::host_impl::{self, Column, FusedGrids, PassSpec};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
@@ -61,33 +62,46 @@ pub(crate) fn spec_ops(spec: &BinningSpec) -> Vec<VarOp> {
     ops
 }
 
-/// `ops` paired with their value columns out of `col` (`None` for
-/// counts) — the argument shape of the fused host and device kernels.
-fn kernel_ops<'c, C: ?Sized>(
-    ops: &[VarOp],
-    col: impl Fn(&str) -> &'c C,
-) -> Vec<(BinOp, Option<&'c C>)> {
-    ops.iter().map(|vo| (vo.op, (vo.op != BinOp::Count).then(|| col(&vo.var)))).collect()
+/// What a fused pass over some coordinate systems reads and computes:
+/// the column names (deduped, first-seen order) and every `(axes, ops,
+/// grid)` resolved to indices into them — the argument shape of the
+/// fused host and device kernels.
+pub(crate) fn plan_pass<'a>(
+    systems: impl IntoIterator<Item = (&'a (String, String), &'a [VarOp], GridParams)>,
+) -> (Vec<&'a str>, Vec<PassSpec>) {
+    let mut names: Vec<&str> = Vec::new();
+    let mut index = |name: &'a str| host_impl::intern(&mut names, name);
+    let pass = systems
+        .into_iter()
+        .map(|(axes, ops, grid)| PassSpec {
+            axes: [index(&axes.0), index(&axes.1)],
+            grid,
+            ops: ops
+                .iter()
+                .map(|vo| (vo.op, (vo.op != BinOp::Count).then(|| index(&vo.var))))
+                .collect(),
+        })
+        .collect();
+    (names, pass)
 }
 
-/// One fused host pass of a spec (`axes`, `ops`) over one table's
-/// columns, charged to the host as a `layout`-shaped traversal: the
-/// per-op partial grids, index-aligned with `ops`.
+/// One fused host pass of every coordinate system in `pass` over one
+/// table's columns (`names`, looked up through `col`), charged to the
+/// host as the sum of the systems' `layout`-shaped traversals: per
+/// system, its partial grids.
 pub(crate) fn host_pass<'c, C: Column + ?Sized + 'c>(
     node: &devsim::SimNode,
     col: impl Fn(&str) -> &'c C,
     layout: hamr::Layout,
-    axes: &(String, String),
-    ops: &[VarOp],
-    grid: &GridParams,
-) -> Vec<Vec<f64>> {
-    let (xs, ys) = (col(&axes.0), col(&axes.1));
-    let kops = kernel_ops(ops, &col);
-    node.host().run(
-        "bin_fused_host",
-        device_impl::fused_bin_cost_layout(xs.len(), kops.len(), layout),
-        || host_impl::bin_all_host(xs, ys, &kops, grid),
-    )
+    names: &[&str],
+    pass: &[PassSpec],
+) -> Vec<FusedGrids> {
+    let cols: Vec<&C> = names.iter().map(|name| col(name)).collect();
+    let cost = pass
+        .iter()
+        .map(|s| device_impl::fused_bin_cost_layout(cols[s.axes[0]].len(), s.ops.len(), layout))
+        .sum();
+    node.host().run("bin_fused_host", cost, || host_impl::bin_all_host(&cols, pass))
 }
 
 /// One fused device kernel of a spec (`axes`, `ops`) over one table's
@@ -102,8 +116,9 @@ pub(crate) fn device_pass<'c>(
     ops: &[VarOp],
     grid: GridParams,
 ) -> Result<CellBuffer> {
-    let kops = kernel_ops(ops, &col);
-    device_impl::bin_all_device(node, device, stream, col(&axes.0), col(&axes.1), &kops, grid)
+    let (names, pass) = plan_pass([(axes, ops, grid)]);
+    let cols: Vec<&CellBuffer> = names.iter().map(|name| col(name)).collect();
+    device_impl::bin_all_device(node, device, stream, &cols, &pass[0])
 }
 
 /// Layout of a step's flat accumulation buffer: every spec's grids
@@ -156,29 +171,20 @@ impl StepLayout {
         flat
     }
 
-    /// Merge spec `si`'s per-op partial grids of one host pass into `flat`.
-    pub fn merge_host(&self, flat: &mut [f64], si: usize, parts: &[Vec<f64>]) {
-        for ((k, vo), part) in self.ops[si].iter().enumerate().zip(parts) {
-            reduce::merge_into(vo.op, &mut flat[self.segment(si, k)], part);
+    /// Merge spec `si`'s partial grids of one host pass into `flat`.
+    pub fn merge_host(&self, flat: &mut [f64], si: usize, part: &FusedGrids) {
+        for (k, grid) in part.grids() {
+            reduce::merge_into(self.ops[si][k].op, &mut flat[self.segment(si, k)], grid);
         }
     }
 
     /// Merge spec `si`'s packed partial grids of one device kernel,
-    /// downloaded into `packed`, straight into `flat` (no intermediate
-    /// owned grid).
+    /// downloaded into `packed`, into `flat`.
     pub fn merge_downloaded(&self, flat: &mut [f64], si: usize, packed: &CellBuffer) -> Result<()> {
-        let v = packed.host_f64_ro().map_err(Error::Device)?;
+        let packed = packed.host_f64_ro().map_err(Error::Device)?.to_vec();
         let nb = self.spans[si].1;
-        for (k, vo) in self.ops[si].iter().enumerate() {
-            let acc = &mut flat[self.segment(si, k)];
-            let part = (k * nb..(k + 1) * nb).map(|j| v.get(j));
-            match vo.op {
-                BinOp::Count | BinOp::Sum | BinOp::Average => {
-                    acc.iter_mut().zip(part).for_each(|(a, p)| *a += p)
-                }
-                BinOp::Min => acc.iter_mut().zip(part).for_each(|(a, p)| *a = a.min(p)),
-                BinOp::Max => acc.iter_mut().zip(part).for_each(|(a, p)| *a = a.max(p)),
-            }
+        for ((k, vo), part) in self.ops[si].iter().enumerate().zip(packed.chunks(nb)) {
+            reduce::merge_into(vo.op, &mut flat[self.segment(si, k)], part);
         }
         Ok(())
     }
@@ -377,14 +383,18 @@ impl<'a> FusedStep<'a> {
         // reset per call).
         let mut stream_loads = vec![0.0; pool.len()];
         let work = || self.specs.iter().zip(grids).zip(&layout.ops).enumerate();
+        let (names, pass) =
+            plan_pass(work().map(|(_, ((spec, grid), ops))| (&spec.axes, &ops[..], *grid)));
 
         for f in fetched {
             match f {
+                // Every spec in one pass over the table, merged in spec
+                // order — table-major per grid, as the device arm below.
                 Fetched::Host(host) => with_host_cols!(host, |col, blk_layout| {
-                    for (si, ((spec, grid), ops)) in work() {
-                        self.counters.add_table_passes(1);
-                        let parts = host_pass(ctx.node, col, blk_layout, &spec.axes, ops, grid);
-                        layout.merge_host(&mut flat, si, &parts);
+                    self.counters.add_table_passes(1);
+                    let parts = host_pass(ctx.node, col, blk_layout, &names, &pass);
+                    for (si, part) in parts.iter().enumerate() {
+                        layout.merge_host(&mut flat, si, part);
                     }
                 }),
                 Fetched::Device(views) => {

@@ -1,16 +1,18 @@
-//! The host (CPU) binning implementation.
+//! The host (CPU) binning implementation and the tiled fused core the
+//! device kernel shares.
 //!
 //! The kernels are generic over [`Column`], so the storage a column is
-//! read through — a plain slice, or a [`MappedCol`] over a layout group's
-//! interleaved block — is the only thing that varies between the
-//! monomorphised copies; the row loops are written once.
+//! read through — a plain slice, a [`MappedCol`] over a layout group's
+//! interleaved block, or a device kernel's [`devsim::F64View`] — is the
+//! only thing that varies between the monomorphised copies; the row loops
+//! are written once.
 
 use hamr::{LayoutMap, Mapping};
 
 use crate::grid::GridParams;
 use crate::spec::BinOp;
 
-/// A column of doubles the host kernels can traverse.
+/// A column of doubles the kernels can traverse.
 pub trait Column {
     /// Logical element count.
     fn len(&self) -> usize;
@@ -22,11 +24,6 @@ pub trait Column {
 
     /// Logical element `i`.
     fn get(&self, i: usize) -> f64;
-
-    /// Rows per contiguous block of the backing storage: above 1 (an
-    /// AoSoA group) the fused kernel walks the rows in blocks of this
-    /// width; 1 means a plain row loop.
-    fn lane_width(&self) -> usize;
 }
 
 impl Column for [f64] {
@@ -39,10 +36,16 @@ impl Column for [f64] {
     fn get(&self, i: usize) -> f64 {
         self[i]
     }
+}
+
+impl Column for devsim::F64View {
+    fn len(&self) -> usize {
+        devsim::F64View::len(self)
+    }
 
     #[inline]
-    fn lane_width(&self) -> usize {
-        1
+    fn get(&self, i: usize) -> f64 {
+        devsim::F64View::get(self, i)
     }
 }
 
@@ -75,10 +78,6 @@ impl Column for MappedCol {
     #[inline]
     fn get(&self, i: usize) -> f64 {
         self.view.get(self.map.index(i))
-    }
-
-    fn lane_width(&self) -> usize {
-        self.map.layout().lane_width().max(1)
     }
 }
 
@@ -142,63 +141,201 @@ pub fn bin_host<C: Column + ?Sized>(
     bins
 }
 
-/// Fused single-pass binning: compute each row's bin index once and
-/// scatter it into **every** operation's grid, instead of re-traversing
-/// the coordinate columns once per operation. `ops[i]` pairs a reduction
-/// with its value column (`None` for [`BinOp::Count`]); the returned
-/// grids are index-aligned with `ops`.
+/// One coordinate system of a fused pass, its columns given as indices
+/// into the pass's column list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PassSpec {
+    /// The two axis columns.
+    pub axes: [usize; 2],
+    /// The binning mesh.
+    pub grid: GridParams,
+    /// Each reduction with its value column (`None` for [`BinOp::Count`]).
+    pub ops: Vec<(BinOp, Option<usize>)>,
+}
+
+/// The row count of a pass over columns whose lengths `len` looks up, or
+/// why the pass is malformed.
+pub(crate) fn pass_rows(len: impl Fn(usize) -> usize, specs: &[PassSpec]) -> Result<usize, String> {
+    let rows = specs.first().map_or(0, |s| len(s.axes[0]));
+    for spec in specs {
+        if spec.axes.iter().any(|&c| len(c) != rows) {
+            return Err("coordinate columns must be co-occurring".into());
+        }
+        for &(op, values) in spec.ops.iter().filter(|(op, _)| *op != BinOp::Count) {
+            match values {
+                Some(c) if len(c) == rows => {}
+                Some(_) => return Err("value column must be co-occurring".into()),
+                None => return Err(format!("operation {} needs a value column", op.name())),
+            }
+        }
+    }
+    Ok(rows)
+}
+
+/// Rows per tile of [`bin_all_host`]: a multiple of 8, so the lanes of an
+/// AoSoA group never straddle tiles, and small enough that the tile's
+/// axis indices and staged values stay cache-resident.
+const TILE: usize = 256;
+
+/// The position of `key` in `pool`, appended when new.
+pub(crate) fn intern<T: PartialEq>(pool: &mut Vec<T>, key: T) -> usize {
+    pool.iter().position(|k| *k == key).unwrap_or_else(|| {
+        pool.push(key);
+        pool.len() - 1
+    })
+}
+
+/// Fold one tile into a spec's accumulator: row `r` of the row-major
+/// `stage` goes to bin `iy[r] * nx + ix[r]` of the bin-major `acc`. Both
+/// hold `width` slots per row — adds up to `adds`, mins up to `mins`,
+/// maxes after. Out of line so the slices keep their no-alias guarantee
+/// and the three loops vectorize without overlap checks.
+#[inline(never)]
+fn fold_tile(
+    acc: &mut [f64],
+    stage: &[f64],
+    ix: &[u32],
+    iy: &[u32],
+    nx: usize,
+    [adds, mins, width]: [usize; 3],
+) {
+    if width == 0 {
+        return;
+    }
+    assert!(adds <= mins && mins <= width, "slot groups are ordered");
+    for ((&i, &j), row) in ix.iter().zip(iy).zip(stage.chunks_exact(width)) {
+        if i.max(j) == u32::MAX {
+            continue;
+        }
+        let acc = &mut acc[(j as usize * nx + i as usize) * width..][..width];
+        let (acc_add, acc_rest) = acc.split_at_mut(adds);
+        let (acc_min, acc_max) = acc_rest.split_at_mut(mins - adds);
+        let (row_add, row_rest) = row.split_at(adds);
+        let (row_min, row_max) = row_rest.split_at(mins - adds);
+        acc_add.iter_mut().zip(row_add).for_each(|(a, v)| *a += *v);
+        acc_min.iter_mut().zip(row_min).for_each(|(a, v)| *a = a.min(*v));
+        acc_max.iter_mut().zip(row_max).for_each(|(a, v)| *a = a.max(*v));
+    }
+}
+
+/// One spec's grids out of [`bin_all_host`], still in the kernel's
+/// op-interleaved layout (`[bin][slot]`): read them through
+/// [`FusedGrids::grids`], or [`FusedGrids::packed`] for `[op][bin]`.
+pub struct FusedGrids {
+    /// `order[slot]` is the op (an index into `spec.ops`) a slot accumulates.
+    order: Vec<usize>,
+    acc: Vec<f64>,
+    axes: [usize; 2],
+    stage: usize,
+    /// End of the add slots, end of the min slots, slot count.
+    ends: [usize; 3],
+}
+
+/// One op's grid inside a [`FusedGrids`], bin by bin.
+pub type Grid<'a> = std::iter::StepBy<std::iter::Skip<std::slice::Iter<'a, f64>>>;
+
+impl FusedGrids {
+    /// Every op's grid as `(index into spec.ops, cells)` — each op once,
+    /// in the accumulator's slot order, not in `spec.ops` order.
+    pub fn grids(&self) -> impl Iterator<Item = (usize, Grid<'_>)> {
+        let width = self.order.len();
+        self.order
+            .iter()
+            .enumerate()
+            .map(move |(s, &op)| (op, self.acc.iter().skip(s).step_by(width)))
+    }
+
+    /// The grids packed back to back in `spec.ops` order (`[op][bin]`).
+    pub fn packed(&self) -> Vec<f64> {
+        let bins = self.acc.len() / self.order.len().max(1);
+        let mut packed = vec![0.0; self.acc.len()];
+        for (op, grid) in self.grids() {
+            packed[op * bins..][..bins].iter_mut().zip(grid).for_each(|(p, a)| *p = *a);
+        }
+        packed
+    }
+}
+
+/// Fused tiled binning of every spec in `specs` over one table's `cols`:
+/// per spec, the grids of its ops.
 ///
-/// Columns whose [`Column::lane_width`] is above 1 are walked in lane
-/// blocks: one lane pass computes the block's bin indices (the
-/// vectorizable part — for an AoSoA group the lane's coordinates are
-/// contiguous in the backing block), then each op scatters the block's
-/// rows in ascending order. Either way every `(op, bin)` accumulator
-/// folds its rows in ascending global row order, so each returned grid is
+/// The rows are walked once, a tile at a time. Per tile, (1) each
+/// **unique** axis `(column, lo, hi, cells)` is range-checked and indexed
+/// once, whatever number of specs share it; (2) the value columns are
+/// gathered once into a row-major stage whose slots are a spec's ops
+/// grouped by kind — adds (count stages `1.0`), then mins, then maxes —
+/// shared by every spec with the same op list; (3) each spec folds its
+/// in-range rows into a private bin-major accumulator `[bin][slot]` with
+/// three branch-free slice loops. That layout is the kernel's own choice;
+/// [`FusedGrids`] hands the grids out op by op.
+///
+/// Every `(op, bin)` accumulator still folds its rows in ascending row
+/// order with the per-op kernel's own operations, so each grid is
 /// **bit-identical** to [`bin_host`] over the same logical values,
-/// whatever the storage — including the ragged final block when the row
-/// count is not a lane multiple.
+/// whatever the column storage.
 ///
 /// # Panics
-/// Panics when the coordinate columns' lengths differ, a non-count
-/// reduction's value column is missing, or its length differs from the
-/// coordinates.
-pub fn bin_all_host<C: Column + ?Sized>(
-    xs: &C,
-    ys: &C,
-    ops: &[(BinOp, Option<&C>)],
-    grid: &GridParams,
-) -> Vec<Vec<f64>> {
-    assert_eq!(xs.len(), ys.len(), "coordinate columns must be co-occurring");
-    let n = xs.len();
-    let ops: Vec<(BinOp, Option<&C>)> =
-        ops.iter().map(|&(op, values)| (op, value_column(op, values, n))).collect();
-    let mut grids: Vec<Vec<f64>> =
-        ops.iter().map(|(op, _)| vec![identity(*op); grid.num_bins()]).collect();
-    let lane = xs.lane_width();
-    if lane <= 1 {
-        for i in 0..n {
-            let Some(b) = grid.bin_index(xs.get(i), ys.get(i)) else { continue };
-            for (&(op, values), bins) in ops.iter().zip(grids.iter_mut()) {
-                bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(i)));
+/// Panics when the columns a spec reads differ in length or a non-count
+/// reduction has no value column.
+pub fn bin_all_host<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<FusedGrids> {
+    let rows = pass_rows(|c| cols[c].len(), specs).unwrap_or_else(|e| panic!("{e}"));
+
+    let mut axes: Vec<(usize, f64, f64, usize)> = Vec::new();
+    let mut stages: Vec<Vec<Option<usize>>> = Vec::new();
+    let mut plans: Vec<FusedGrids> = Vec::with_capacity(specs.len());
+    for spec in specs {
+        let g = &spec.grid;
+        assert!(g.nx.max(g.ny) < u32::MAX as usize, "axis resolution exceeds the index scratch");
+        let kind = |k: &usize| match spec.ops[*k].0 {
+            BinOp::Count | BinOp::Sum | BinOp::Average => 0,
+            BinOp::Min => 1,
+            BinOp::Max => 2,
+        };
+        let mut order: Vec<usize> = (0..spec.ops.len()).collect();
+        order.sort_by_key(kind);
+        let ends = [1, 2, 3].map(|k| order.partition_point(|o| kind(o) < k));
+        let slots = order.iter().map(|&k| spec.ops[k].1.filter(|_| spec.ops[k].0 != BinOp::Count));
+        let identities: Vec<f64> = order.iter().map(|&k| identity(spec.ops[k].0)).collect();
+        plans.push(FusedGrids {
+            axes: [
+                intern(&mut axes, (spec.axes[0], g.lo[0], g.hi[0], g.nx)),
+                intern(&mut axes, (spec.axes[1], g.lo[1], g.hi[1], g.ny)),
+            ],
+            stage: intern(&mut stages, slots.collect()),
+            ends,
+            acc: identities.repeat(g.num_bins()),
+            order,
+        });
+    }
+
+    // Out-of-range rows are marked `u32::MAX`; count slots keep their 1.0.
+    let tile = TILE.min(rows);
+    let mut index = vec![u32::MAX; axes.len() * tile];
+    let mut staged: Vec<Vec<f64>> = stages.iter().map(|s| vec![1.0; s.len() * tile]).collect();
+    for start in (0..rows).step_by(TILE) {
+        let m = tile.min(rows - start);
+        for (&(c, lo, hi, cells), out) in axes.iter().zip(index.chunks_mut(tile)) {
+            let (col, span, scale, last) = (cols[c], hi - lo, cells as f64, (cells - 1) as u32);
+            for (r, out) in out[..m].iter_mut().enumerate() {
+                let v = col.get(start + r);
+                let i = (((v - lo) / span * scale) as u32).min(last);
+                *out = if v.is_finite() && v >= lo && v <= hi { i } else { u32::MAX };
             }
         }
-        return grids;
-    }
-    // Per-lane scratch: the block's bin indices, None for dropped rows.
-    let mut bidx: Vec<Option<usize>> = vec![None; lane];
-    for start in (0..n).step_by(lane) {
-        let m = lane.min(n - start);
-        for (l, slot) in bidx.iter_mut().take(m).enumerate() {
-            *slot = grid.bin_index(xs.get(start + l), ys.get(start + l));
-        }
-        for (&(op, values), bins) in ops.iter().zip(grids.iter_mut()) {
-            for (l, slot) in bidx.iter().take(m).enumerate() {
-                let Some(b) = *slot else { continue };
-                bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(start + l)));
+        for (slots, stage) in stages.iter().zip(&mut staged) {
+            for (s, c) in slots.iter().enumerate() {
+                let Some(col) = c.map(|c| cols[c]) else { continue };
+                for (r, row) in stage.chunks_exact_mut(slots.len()).take(m).enumerate() {
+                    row[s] = col.get(start + r);
+                }
             }
         }
+        for (plan, spec) in plans.iter_mut().zip(specs) {
+            let [ix, iy] = plan.axes.map(|a| &index[a * tile..][..m]);
+            fold_tile(&mut plan.acc, &staged[plan.stage], ix, iy, spec.grid.nx, plan.ends);
+        }
     }
-    grids
+    plans
 }
 
 /// Finalize an accumulation buffer into presentable values:
@@ -310,41 +447,54 @@ mod tests {
         bin_host::<[f64]>(&[1.0], &[1.0, 2.0], None, BinOp::Count, &grid2x2());
     }
 
+    const ALL: [BinOp; 5] = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
+
+    /// One fused pass of `ops` (all reducing `vs`) over the `xs`/`ys`
+    /// axes, split into per-op grids.
+    fn fused<C: Column + ?Sized>(
+        xs: &C,
+        ys: &C,
+        vs: Option<&C>,
+        ops: &[BinOp],
+        g: &GridParams,
+    ) -> Vec<Vec<f64>> {
+        let value = |op| if op == BinOp::Count { None } else { vs.map(|_| 2) };
+        let spec = PassSpec {
+            axes: [0, 1],
+            grid: *g,
+            ops: ops.iter().map(|&op| (op, value(op))).collect(),
+        };
+        let packed = bin_all_host(&[xs, ys, vs.unwrap_or(xs)], &[spec]).remove(0).packed();
+        packed.chunks(g.num_bins()).map(<[f64]>::to_vec).collect()
+    }
+
+    fn bits(grid: &[f64]) -> Vec<u64> {
+        grid.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn fused_pass_matches_per_op_reference_bitwise() {
         let g = grid2x2();
-        let ops: Vec<(BinOp, Option<&[f64]>)> = vec![
-            (BinOp::Count, None),
-            (BinOp::Sum, Some(&VS)),
-            (BinOp::Min, Some(&VS)),
-            (BinOp::Max, Some(&VS)),
-            (BinOp::Average, Some(&VS)),
-        ];
-        let fused = bin_all_host(&XS[..], &YS[..], &ops, &g);
-        for ((op, values), fused_grid) in ops.iter().zip(&fused) {
-            let reference = bin_host(&XS[..], &YS[..], *values, *op, &g);
-            assert_eq!(
-                fused_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "op {op:?}"
-            );
+        let grids = fused(&XS[..], &YS[..], Some(&VS[..]), &ALL, &g);
+        for (op, grid) in ALL.iter().zip(&grids) {
+            let reference = bin_host(&XS[..], &YS[..], Some(&VS[..]), *op, &g);
+            assert_eq!(bits(grid), bits(&reference), "op {op:?}");
         }
     }
 
     #[test]
     fn fused_pass_on_empty_input_yields_identities() {
-        let ops: Vec<(BinOp, Option<&[f64]>)> =
-            vec![(BinOp::Count, None), (BinOp::Min, Some(&[])), (BinOp::Max, Some(&[]))];
-        let fused = bin_all_host::<[f64]>(&[], &[], &ops, &grid2x2());
-        assert_eq!(fused[0], vec![0.0; 4]);
-        assert_eq!(fused[1], vec![f64::INFINITY; 4]);
-        assert_eq!(fused[2], vec![f64::NEG_INFINITY; 4]);
+        let ops = [BinOp::Count, BinOp::Min, BinOp::Max];
+        let grids = fused::<[f64]>(&[], &[], Some(&[]), &ops, &grid2x2());
+        assert_eq!(grids[0], vec![0.0; 4]);
+        assert_eq!(grids[1], vec![f64::INFINITY; 4]);
+        assert_eq!(grids[2], vec![f64::NEG_INFINITY; 4]);
     }
 
     #[test]
     #[should_panic(expected = "needs a value column")]
     fn fused_pass_rejects_missing_value_column() {
-        bin_all_host(&XS[..], &YS[..], &[(BinOp::Sum, None)], &grid2x2());
+        fused(&XS[..], &YS[..], None, &[BinOp::Sum], &grid2x2());
     }
 
     /// Pack `fields` (all the same length) into one backing block laid
@@ -366,85 +516,6 @@ mod tests {
             cols.push(MappedCol::new(block.host_f64().unwrap(), map));
         }
         cols
-    }
-
-    #[test]
-    fn kernels_are_bit_identical_across_column_storages() {
-        let node = devsim::SimNode::new(devsim::NodeConfig::fast_test(1));
-        // n = 7: not a multiple of lane 4 or 8, forcing a ragged tail.
-        let xs: Vec<f64> = vec![0.5, 1.5, 0.5, 1.5, 0.5, 10.0, f64::NAN];
-        let ys: Vec<f64> = vec![0.5, 0.5, 1.5, 1.5, 0.7, 0.5, 0.5];
-        let vs: Vec<f64> = vec![10.0, 20.0, 30.0, -40.0, 5.5, 7.0, 8.0];
-        let g = grid2x2();
-        let ops: Vec<(BinOp, Option<&[f64]>)> = vec![
-            (BinOp::Count, None),
-            (BinOp::Sum, Some(&vs)),
-            (BinOp::Min, Some(&vs)),
-            (BinOp::Max, Some(&vs)),
-            (BinOp::Average, Some(&vs)),
-        ];
-        let reference = bin_all_host(&xs[..], &ys[..], &ops, &g);
-
-        // Scalar is exercised through the identity-mapped view; a
-        // multi-field group needs an interleaving layout.
-        let dense_cols: Vec<MappedCol> = [&xs, &ys, &vs]
-            .iter()
-            .map(|vals| {
-                let buf = node.host_alloc_f64(vals.len());
-                let view = buf.host_f64().unwrap();
-                for (i, &v) in vals.iter().enumerate() {
-                    view.set(i, v);
-                }
-                MappedCol::dense(buf.host_f64().unwrap(), vals.len())
-            })
-            .collect();
-        let dense_ops: Vec<(BinOp, Option<&MappedCol>)> =
-            ops.iter().map(|(op, v)| (*op, v.map(|_| &dense_cols[2]))).collect();
-        let dense = bin_all_host(&dense_cols[0], &dense_cols[1], &dense_ops, &g);
-        for (lane_grid, ref_grid) in dense.iter().zip(&reference) {
-            assert_eq!(
-                lane_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                ref_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "dense identity mapping"
-            );
-        }
-
-        for layout in [
-            hamr::Layout::AoS,
-            hamr::Layout::SoA,
-            hamr::Layout::AoSoA { lane_width: 1 },
-            hamr::Layout::AoSoA { lane_width: 4 },
-            hamr::Layout::AoSoA { lane_width: 8 },
-        ] {
-            let cols = group(&node, layout, &[&xs, &ys, &vs]);
-            let mops: Vec<(BinOp, Option<&MappedCol>)> =
-                ops.iter().map(|(op, v)| (*op, v.map(|_| &cols[2]))).collect();
-            let lanes = bin_all_host(&cols[0], &cols[1], &mops, &g);
-            for ((op, _), (lane_grid, ref_grid)) in ops.iter().zip(lanes.iter().zip(&reference)) {
-                assert_eq!(
-                    lane_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ref_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} under {}",
-                    op.name(),
-                    layout.name()
-                );
-                // The per-op mapped reference agrees too.
-                let per_op = bin_host(
-                    &cols[0],
-                    &cols[1],
-                    (*op != BinOp::Count).then_some(&cols[2]),
-                    *op,
-                    &g,
-                );
-                assert_eq!(
-                    per_op.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    ref_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "per-op {} under {}",
-                    op.name(),
-                    layout.name()
-                );
-            }
-        }
     }
 
     #[test]

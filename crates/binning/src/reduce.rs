@@ -22,7 +22,11 @@ pub fn segment_op(op: BinOp) -> SegmentOp {
 }
 
 /// Element-wise in-place combination of `part` into `acc` under `op`.
-pub fn merge_into(op: BinOp, acc: &mut [f64], part: &[f64]) {
+pub fn merge_into<'p, P>(op: BinOp, acc: &mut [f64], part: P)
+where
+    P: IntoIterator<Item = &'p f64, IntoIter: ExactSizeIterator>,
+{
+    let part = part.into_iter();
     assert_eq!(acc.len(), part.len(), "grids must have identical shape");
     match op {
         BinOp::Count | BinOp::Sum | BinOp::Average => {

@@ -28,15 +28,16 @@ use crate::adaptor::{
     local_tables, publish_to_sink, BinnedResult, CommMark, Fetched, HostCols, ResultSink,
 };
 use crate::device_impl;
-use crate::fused::{device_pass, host_pass, spec_ops, FusedStep, StepLayout};
+use crate::fused::{device_pass, host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
 use crate::grid::GridParams;
+use crate::host_impl::FusedGrids;
 use crate::spec::BinningSpec;
 
 /// Where one (table, spec) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
 enum StagedPart {
-    /// Host placement: the per-op grids of one fused host table pass.
-    Host(Vec<Vec<f64>>),
+    /// Host placement: the grids of one fused host table pass.
+    Host(FusedGrids),
     /// Device kernel enqueued on `device`: the packed grids plus the
     /// event its compute stream records after the launch (the download
     /// node's cross-stream ordering point).
@@ -340,9 +341,10 @@ impl AnalysisAdaptor for BinningSuite {
                                 let cols = state.host_tables.lock()[ti].clone();
                                 let col = |name: &str| cols[name].as_slice();
                                 counters.add_table_passes(1);
-                                let parts =
-                                    host_pass(&node, col, hamr::Layout::Scalar, &axes, &ops, &grid);
-                                *state.staged[idx].lock() = Some(StagedPart::Host(parts));
+                                let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
+                                let scalar = hamr::Layout::Scalar;
+                                let part = host_pass(&node, col, scalar, &names, &pass).remove(0);
+                                *state.staged[idx].lock() = Some(StagedPart::Host(part));
                                 Ok(())
                             })
                         }

@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use binning::host_impl::{Column, PassSpec};
 use binning::{bounds, device_impl, host_impl, reduce, BinOp, GridParams};
 use devsim::{CellBuffer, NodeConfig, SimNode, Stream};
 use hamr::{Layout, LayoutMap, Mapping};
@@ -28,6 +29,30 @@ fn split3(v: &[(f64, f64, f64)]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let ys = v.iter().map(|r| r.1).collect();
     let vs = v.iter().map(|r| r.2).collect();
     (xs, ys, vs)
+}
+
+const ALL: [BinOp; 5] = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
+
+fn bits(grid: &[f64]) -> Vec<u64> {
+    grid.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The one-spec pass over columns `[xs, ys, vs]`: `ops`, all reducing `vs`.
+fn xyv_spec(ops: &[BinOp], grid: GridParams) -> PassSpec {
+    let ops = ops.iter().map(|&op| (op, (op != BinOp::Count).then_some(2))).collect();
+    PassSpec { axes: [0, 1], grid, ops }
+}
+
+/// One fused pass of `spec` over `cols`, split into per-op grids.
+fn fused_grids<C: Column + ?Sized>(cols: &[&C], spec: &PassSpec) -> Vec<Vec<f64>> {
+    let packed = packed_grids(cols, std::slice::from_ref(spec)).remove(0);
+    packed.chunks(spec.grid.num_bins()).map(<[f64]>::to_vec).collect()
+}
+
+/// One fused pass of `specs` over `cols`: per spec, its grids packed
+/// `[op][bin]`.
+fn packed_grids<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<Vec<f64>> {
+    host_impl::bin_all_host(cols, specs).iter().map(|grids| grids.packed()).collect()
 }
 
 proptest! {
@@ -77,22 +102,11 @@ proptest! {
     fn fused_host_pass_is_bit_identical_per_op(data in rows()) {
         let g = grid();
         let (xs, ys, vs) = split3(&data);
-        let ops: Vec<(BinOp, Option<&[f64]>)> = vec![
-            (BinOp::Count, None),
-            (BinOp::Sum, Some(&vs)),
-            (BinOp::Min, Some(&vs)),
-            (BinOp::Max, Some(&vs)),
-            (BinOp::Average, Some(&vs)),
-        ];
-        let fused = host_impl::bin_all_host(&xs[..], &ys[..], &ops, &g);
+        let fused = fused_grids(&[&xs[..], &ys[..], &vs[..]], &xyv_spec(&ALL, g));
         let counts = fused[0].clone();
-        for ((op, vals), fused_grid) in ops.iter().zip(&fused) {
-            let reference = host_impl::bin_host(&xs[..], &ys[..], *vals, *op, &g);
-            prop_assert_eq!(
-                fused_grid.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "op {:?}", op
-            );
+        for (op, fused_grid) in ALL.iter().zip(&fused) {
+            let reference = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), *op, &g);
+            prop_assert_eq!(bits(fused_grid), bits(&reference), "op {:?}", op);
             // Finalized grids are NaN-free except where the bin is empty.
             let mut fin = fused_grid.clone();
             host_impl::finalize(*op, &mut fin, &counts);
@@ -156,7 +170,7 @@ proptest! {
 
     /// The generic kernels over every grouped layout — AoS, SoA, and
     /// AoSoA at lane widths 1, 4, and 8 (arbitrary row counts, so ragged
-    /// tails of the lane-blocked walk are routine) — are bit-identical to
+    /// final lane blocks are routine) — are bit-identical to
     /// the same kernels over dense slices for **every** operation, fused,
     /// per-op and bounds alike.
     #[test]
@@ -166,10 +180,8 @@ proptest! {
         let (xs, ys, vs) = split3(&data);
 
         // Dense scalar references.
-        let all = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
-        let dense_ops: Vec<(BinOp, Option<&[f64]>)> =
-            all.iter().map(|&op| (op, (op != BinOp::Count).then_some(&vs[..]))).collect();
-        let reference = host_impl::bin_all_host(&xs[..], &ys[..], &dense_ops, &g);
+        let spec = xyv_spec(&ALL, g);
+        let reference = fused_grids(&[&xs[..], &ys[..], &vs[..]], &spec);
         let ref_bounds = bounds::minmax_multi(&[&xs[..], &ys[..]]);
 
         for layout in [
@@ -182,18 +194,12 @@ proptest! {
             let (_block, cols) = group(&node, layout, &[&xs, &ys, &vs]);
             let (cx, cy, cv) = (&cols[0], &cols[1], &cols[2]);
 
-            let ops: Vec<(BinOp, Option<&host_impl::MappedCol>)> =
-                all.iter().map(|&op| (op, (op != BinOp::Count).then_some(cv))).collect();
-            let fused = host_impl::bin_all_host(cx, cy, &ops, &g);
-            for ((op, _), (got, want)) in all.iter().zip(&ops).zip(fused.iter().zip(&reference)) {
-                prop_assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} fused op {:?}", layout.name(), op
-                );
+            let fused = fused_grids(&[cx, cy, cv], &spec);
+            for (op, (got, want)) in ALL.iter().zip(fused.iter().zip(&reference)) {
+                prop_assert_eq!(bits(got), bits(want), "{} fused op {:?}", layout.name(), op);
             }
 
-            for &op in &all {
+            for &op in &ALL {
                 let vals = (op != BinOp::Count).then_some(cv);
                 let per_op = host_impl::bin_host(cx, cy, vals, op, &g);
                 let want = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &g);
@@ -210,6 +216,138 @@ proptest! {
             {
                 prop_assert_eq!(lo.to_bits(), rlo.to_bits(), "{} axis {axis} lo", layout.name());
                 prop_assert_eq!(hi.to_bits(), rhi.to_bits(), "{} axis {axis} hi", layout.name());
+            }
+        }
+    }
+}
+
+/// splitmix64: a case's table and spec set follow from its seed alone.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Rows per tile of the fused core (a private constant of `host_impl`);
+/// the row counts below sit on both sides of one and of several tiles.
+const TILE: usize = 256;
+const ROW_COUNTS: [usize; 7] = [0, 1, 7, TILE - 1, TILE, TILE + 1, 2 * TILE + 13];
+
+/// Columns of a random table: 0..3 are axis-only and carry NaN, both
+/// infinities, out-of-range values and values exactly on a bound; 3..6
+/// serve as axes and as values, finite or infinite.
+const NUM_COLS: usize = 6;
+
+/// A random table of `rows` rows and a random spec set over it. Specs
+/// draw their axes from every column and their mesh from a small pool,
+/// so some share an axis with its bounds and resolution (one shared
+/// index), some share only the column, some nothing; op lists are fresh
+/// (any length from none, ops and value columns repeating freely), a
+/// copy of the previous spec's (one shared stage) or its reverse (the
+/// same slots in another order).
+fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
+    let mut rng = Mix(seed);
+    let mut cell = |axis_only: bool| match rng.below(if axis_only { 12 } else { 40 }) {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 if axis_only => f64::NAN,
+        3 if axis_only => 7.5,
+        4 if axis_only => 1.0,
+        5 if axis_only => -1.0,
+        _ => (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.5 - 1.25,
+    };
+    let cols: Vec<Vec<f64>> =
+        (0..NUM_COLS).map(|c| (0..rows).map(|_| cell(c < 3)).collect()).collect();
+
+    let meshes = [
+        GridParams::new(7, 5, [-1.0, -1.0], [1.0, 1.0]),
+        GridParams::new(7, 5, [-1.0, -1.0], [1.0, 1.0]),
+        GridParams::new(7, 3, [-1.0, -0.5], [1.0, 1.25]),
+        GridParams::new(4, 9, [-0.25, -1.0], [0.75, 1.0]),
+        GridParams::new(1, 1, [-1.0, -1.0], [1.0, 1.0]),
+    ];
+    let mut specs: Vec<PassSpec> = Vec::new();
+    for _ in 0..1 + rng.below(5) {
+        let ops = match (specs.last(), rng.below(3)) {
+            (Some(prev), 0) => prev.ops.clone(),
+            (Some(prev), 1) => prev.ops.iter().rev().cloned().collect(),
+            _ => (0..rng.below(8))
+                .map(|_| {
+                    let op = ALL[rng.below(ALL.len())];
+                    (op, (op != BinOp::Count).then(|| 3 + rng.below(NUM_COLS - 3)))
+                })
+                .collect(),
+        };
+        let axes = [rng.below(NUM_COLS), rng.below(NUM_COLS)];
+        specs.push(PassSpec { axes, grid: meshes[rng.below(meshes.len())], ops });
+    }
+    (cols, specs)
+}
+
+proptest! {
+    // Each case walks every row count under every column storage.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The tiled core over random spec sets is bit-identical to the per-op
+    /// reference for every `(spec, op)`, at row counts around the tile
+    /// size, and reads every column storage — dense slices, the
+    /// identity-mapped view, AoS, SoA, AoSoA lanes 1/4/8 with their
+    /// ragged tails — to the same bits.
+    #[test]
+    fn tiled_core_matches_per_op_over_random_spec_sets(seed in any::<u64>()) {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        for rows in ROW_COUNTS {
+            let (cols, specs) = random_pass(seed ^ rows as u64, rows);
+            let dense: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
+            let fused = packed_grids(&dense, &specs);
+            prop_assert_eq!(fused.len(), specs.len());
+            for (si, (spec, packed)) in specs.iter().zip(&fused).enumerate() {
+                let bins = spec.grid.num_bins();
+                prop_assert_eq!(packed.len(), spec.ops.len() * bins);
+                for (k, &(op, values)) in spec.ops.iter().enumerate() {
+                    let [xs, ys] = spec.axes.map(|c| dense[c]);
+                    let want = host_impl::bin_host(xs, ys, values.map(|c| dense[c]), op, &spec.grid);
+                    prop_assert_eq!(
+                        bits(&packed[k * bins..(k + 1) * bins]),
+                        bits(&want),
+                        "rows {rows} spec {si} {:?} op {k} {:?}", spec, op
+                    );
+                }
+            }
+
+            let scalar: Vec<host_impl::MappedCol> = cols
+                .iter()
+                .map(|vals| {
+                    let buf = node.host_alloc_f64(vals.len());
+                    buf.host_f64().unwrap().copy_from_slice(vals);
+                    host_impl::MappedCol::dense(buf.host_f64().unwrap(), vals.len())
+                })
+                .collect();
+            let fields: Vec<&[f64]> = dense.clone();
+            let storages = [
+                Layout::AoS,
+                Layout::SoA,
+                Layout::AoSoA { lane_width: 1 },
+                Layout::AoSoA { lane_width: 4 },
+                Layout::AoSoA { lane_width: 8 },
+            ]
+            .map(|layout| (layout.name(), group(&node, layout, &fields).1));
+            for (name, mapped) in storages.iter().chain([&("scalar".to_string(), scalar)]) {
+                let refs: Vec<&host_impl::MappedCol> = mapped.iter().collect();
+                let got = packed_grids(&refs, &specs);
+                for (si, (got, want)) in got.iter().zip(&fused).enumerate() {
+                    prop_assert_eq!(bits(got), bits(want), "rows {rows} spec {si} under {name}");
+                }
             }
         }
     }
@@ -265,17 +403,14 @@ proptest! {
         let dx = upload(&node, &stream, &xs);
         let dy = upload(&node, &stream, &ys);
         let dv = upload(&node, &stream, &vs);
-        let all = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
-        let ops: Vec<(BinOp, Option<&CellBuffer>)> = all
-            .iter()
-            .map(|&op| (op, if op == BinOp::Count { None } else { Some(&dv) }))
-            .collect();
-        let packed = device_impl::bin_all_device(&node, 0, &stream, &dx, &dy, &ops, g).unwrap();
+        let spec = xyv_spec(&ALL, g);
+        let packed =
+            device_impl::bin_all_device(&node, 0, &stream, &[&dx, &dy, &dv], &spec).unwrap();
         let host_out = node.host_alloc_f64(packed.len());
         stream.copy(&packed, &host_out).unwrap();
         stream.synchronize().unwrap();
         let fused = host_out.host_f64().unwrap().to_vec();
-        for (seg, &op) in all.iter().enumerate() {
+        for (seg, &op) in ALL.iter().enumerate() {
             let vals = if op == BinOp::Count { None } else { Some(&dv) };
             let dbins = device_impl::bin_device(&node, 0, &stream, &dx, &dy, vals, op, g).unwrap();
             let ref_out = node.host_alloc_f64(g.num_bins());
@@ -288,6 +423,52 @@ proptest! {
                 reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "op {:?}", op
             );
+        }
+    }
+
+    /// The privatized device kernel over random spec sets equals the
+    /// per-op device kernels bit for bit, and a bin no row fell into still
+    /// holds its reduction's identity — nothing but touched cells is ever
+    /// committed to the shared buffer.
+    #[test]
+    fn privatized_device_kernel_matches_per_op_and_spares_untouched_bins(seed in any::<u64>()) {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let stream = node.device(0).unwrap().create_stream();
+        let download = |buf: &CellBuffer| {
+            let host = node.host_alloc_f64(buf.len());
+            stream.copy(buf, &host).unwrap();
+            stream.synchronize().unwrap();
+            host.host_f64_ro().unwrap().to_vec()
+        };
+        for rows in [0, 1, TILE + 1] {
+            let (cols, specs) = random_pass(seed ^ rows as u64, rows);
+            let dev: Vec<CellBuffer> = cols.iter().map(|c| upload(&node, &stream, c)).collect();
+            let dev_refs: Vec<&CellBuffer> = dev.iter().collect();
+            for (si, spec) in specs.iter().enumerate() {
+                let g = spec.grid;
+                let bins = g.num_bins();
+                let packed =
+                    device_impl::bin_all_device(&node, 0, &stream, &dev_refs, spec).unwrap();
+                let fused = download(&packed);
+                prop_assert_eq!(fused.len(), spec.ops.len() * bins);
+                let [xs, ys] = spec.axes.map(|c| &cols[c][..]);
+                let counts = host_impl::bin_host(xs, ys, None, BinOp::Count, &g);
+                for (k, &(op, values)) in spec.ops.iter().enumerate() {
+                    let [dx, dy] = spec.axes.map(|c| &dev[c]);
+                    let per_op = device_impl::bin_device(
+                        &node, 0, &stream, dx, dy, values.map(|c| &dev[c]), op, g,
+                    )
+                    .unwrap();
+                    let got = &fused[k * bins..(k + 1) * bins];
+                    prop_assert_eq!(
+                        bits(got), bits(&download(&per_op)), "rows {rows} spec {si} op {k} {:?}", op
+                    );
+                    let identity = host_impl::identity(op).to_bits();
+                    for (b, v) in got.iter().enumerate().filter(|(b, _)| counts[*b] == 0.0) {
+                        prop_assert_eq!(v.to_bits(), identity, "untouched bin {b} of {:?}", op);
+                    }
+                }
+            }
         }
     }
 }

@@ -400,3 +400,102 @@ fn data_binning_reports_its_communication() {
         assert!(counters.allreduces > 0, "fused={fused}");
     }
 }
+
+/// Two particle tables per rank, published as the local blocks of one
+/// multiblock.
+struct TwoTables {
+    blocks: [Particles; 2],
+    step: u64,
+}
+
+impl DataAdaptor for TwoTables {
+    fn num_meshes(&self) -> usize {
+        1
+    }
+    fn mesh_metadata(&self, _i: usize) -> Result<MeshMetadata> {
+        Ok(MeshMetadata { name: "bodies".into(), arrays: vec![] })
+    }
+    fn mesh(&self, _name: &str) -> Result<DataObject> {
+        let mut mb = svtk::MultiBlock::new(2);
+        for (i, block) in self.blocks.iter().enumerate() {
+            mb.set_block(i, DataObject::Table(block.table.clone()));
+        }
+        Ok(DataObject::Multi(mb))
+    }
+    fn time(&self) -> f64 {
+        self.step as f64 * 0.1
+    }
+    fn time_step(&self) -> u64 {
+        self.step
+    }
+}
+
+#[test]
+fn all_specs_host_pass_merges_multiblock_tables_table_major() {
+    // The host arm bins every spec in ONE pass per table. Each table's
+    // partial grids must still start from the identities and be merged
+    // into the step's accumulator table by table — (a1 + a2) + (b1 + b2),
+    // not one running sum over both tables' rows — which is what the
+    // per-op reference does one (table, op) at a time. Sums of these
+    // fixture values round differently under the two orders, so bit
+    // identity with the reference pins the merge order.
+    let steps = 2;
+    let run = |build: &(dyn Fn(ResultSink) -> Vec<Box<dyn AnalysisAdaptor>> + Sync)| {
+        let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
+        let snaps = World::new(2).run(|comm| {
+            let node = SimNode::new(NodeConfig::fast_test(1));
+            let mut bridge = Bridge::new(node.clone());
+            let mut counters = Vec::new();
+            for mut backend in build(sink.clone()) {
+                counters.push(backend.counters().unwrap());
+                backend.controls_mut().device = DeviceSpec::Host;
+                bridge.add_analysis(backend, &comm).unwrap();
+            }
+            let blocks = [0, 1].map(|b| Particles::new(node.clone(), None, 2 * comm.rank() + b));
+            let mut sim = TwoTables { blocks, step: 0 };
+            for step in 0..steps {
+                sim.step = step;
+                bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+            }
+            bridge.finalize(&comm).unwrap();
+            counters.iter().map(|c| c.snapshot().table_passes).sum::<u64>()
+        });
+        let results = sink.lock().clone();
+        (results, snaps[0])
+    };
+
+    let (suite, suite_passes) = run(&|sink| {
+        vec![Box::new(BinningSuite::new(specs()).unwrap().with_sink(sink))
+            as Box<dyn AnalysisAdaptor>]
+    });
+    let (per_op, per_op_passes) = run(&|sink| {
+        specs()
+            .into_iter()
+            .map(|spec| {
+                let analysis = BinningAnalysis::new(spec).with_fused(false).with_sink(sink.clone());
+                Box::new(analysis) as Box<dyn AnalysisAdaptor>
+            })
+            .collect()
+    });
+
+    // Both sinks hold one result per spec per step, in (step, spec) order.
+    assert_eq!(suite.len(), specs().len() * steps as usize);
+    assert_eq!(suite.len(), per_op.len());
+    for (s, r) in suite.iter().zip(&per_op) {
+        assert_eq!((s.step, &s.axes), (r.step, &r.axes));
+        for ((sn, sv), (rn, rv)) in s.arrays.iter().zip(&r.arrays) {
+            assert_eq!(sn, rn);
+            assert_eq!(
+                sv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                rv.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "step {} axes {:?} array {sn}",
+                s.step,
+                s.axes
+            );
+        }
+    }
+    // One pass per host table for all three specs, against one per
+    // (table, spec, op) on the reference path (6 grids per spec).
+    assert_eq!(suite_passes, 2 * steps);
+    assert_eq!(per_op_passes, 2 * 3 * 6 * steps);
+}

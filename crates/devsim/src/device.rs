@@ -21,6 +21,19 @@ pub(crate) struct DeviceCore {
     used_bytes: Mutex<usize>,
 }
 
+/// A consistent snapshot of one device's memory ledger ([`Device::ledger`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeviceLedger {
+    /// Bytes held by live allocations (the capacity charge).
+    pub used_bytes: usize,
+    /// Bytes still allocatable: capacity minus live allocations minus
+    /// pool-cached blocks (the latter are reclaimed under pressure, but
+    /// they are not free *now*).
+    pub free_bytes: usize,
+    /// The pool's counters for this device's space (live, cached, ...).
+    pub pool: PoolStats,
+}
+
 /// One simulated accelerator on a [`crate::SimNode`].
 ///
 /// A device owns a bounded memory space (allocate with
@@ -110,23 +123,35 @@ impl Device {
         &self.core.params
     }
 
-    /// Bytes currently held by live allocations on the device.
-    pub fn used_bytes(&self) -> usize {
-        *self.core.used_bytes.lock()
+    /// One reading of the device's memory ledger, taken under the pool's
+    /// lock — the lock every capacity hook above runs under — so its
+    /// fields are mutually consistent even while a stream thread is
+    /// releasing blocks.
+    pub fn ledger(&self) -> DeviceLedger {
+        let capacity = self.core.params.memory_bytes;
+        self.pool.with_stats(MemSpace::Device(self.core.id), |pool| {
+            let used_bytes = *self.core.used_bytes.lock();
+            DeviceLedger {
+                used_bytes,
+                free_bytes: capacity.saturating_sub(used_bytes + pool.cached_bytes),
+                pool,
+            }
+        })
     }
 
-    /// Bytes still allocatable: capacity minus live allocations minus
-    /// pool-cached blocks (the latter are reclaimed under pressure, but
-    /// they are not free *now*).
+    /// Bytes currently held by live allocations on the device.
+    pub fn used_bytes(&self) -> usize {
+        self.ledger().used_bytes
+    }
+
+    /// Bytes still allocatable (see [`DeviceLedger::free_bytes`]).
     pub fn free_bytes(&self) -> usize {
-        self.core.params.memory_bytes.saturating_sub(
-            self.used_bytes() + self.pool.cached_bytes(MemSpace::Device(self.core.id)),
-        )
+        self.ledger().free_bytes
     }
 
     /// This device's pool counters.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats(MemSpace::Device(self.core.id))
+        self.ledger().pool
     }
 
     /// Allocate `len` 64-bit cells in this device's memory space.

@@ -63,7 +63,7 @@ mod stats;
 mod stream;
 pub mod timemodel;
 
-pub use device::Device;
+pub use device::{Device, DeviceLedger};
 pub use error::{Error, Result};
 pub use event::Event;
 pub use fault::{FaultConfig, FaultInjector, FaultInjectorStats, FaultKind, FaultRule};

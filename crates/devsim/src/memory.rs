@@ -654,12 +654,15 @@ macro_rules! f64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<f64> {
-                (0..self.len()).map(|i| self.get(i)).collect()
+                self.cells[..self.len]
+                    .iter()
+                    .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
+                    .collect()
             }
 
             /// Fill every element with `v`.
             pub fn fill(&self, v: f64) {
-                for c in self.cells.iter().take(self.len) {
+                for c in &self.cells[..self.len] {
                     c.store(v.to_bits(), Ordering::Relaxed);
                 }
             }
@@ -667,7 +670,7 @@ macro_rules! f64_ops {
             /// Copy from a slice; panics if lengths differ.
             pub fn copy_from_slice(&self, src: &[f64]) {
                 assert_eq!(src.len(), self.len(), "copy_from_slice length mismatch");
-                for (c, v) in self.cells.iter().zip(src) {
+                for (c, v) in self.cells[..self.len].iter().zip(src) {
                     c.store(v.to_bits(), Ordering::Relaxed);
                 }
             }
@@ -700,7 +703,7 @@ macro_rules! u64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<u64> {
-                (0..self.len()).map(|i| self.get(i)).collect()
+                self.cells[..self.len].iter().map(|c| c.load(Ordering::Relaxed)).collect()
             }
         }
     };
@@ -786,6 +789,22 @@ mod tests {
         assert_eq!(v.get(0), 1.5);
         assert_eq!(v.get(3), -2.25);
         assert_eq!(v.to_vec(), vec![1.5, 0.0, 0.0, -2.25]);
+    }
+
+    #[test]
+    fn bulk_view_ops_honour_the_logical_length_on_a_padded_block() {
+        // Three logical cells on an eight-cell size-class block.
+        let cells: Arc<[AtomicU64]> = (0..8).map(|_| AtomicU64::new(7.0f64.to_bits())).collect();
+        let b = CellBuffer::from_parts(cells.clone(), 3, MemSpace::Host, None);
+        let v = b.host_f64().unwrap();
+        assert_eq!(v.to_vec(), vec![7.0; 3]);
+        v.fill(1.0);
+        v.copy_from_slice(&[1.0, 2.0, 3.0]);
+        assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(b.host_u64_ro().unwrap().to_vec().len(), 3);
+        let padding: Vec<f64> =
+            cells[3..].iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect();
+        assert_eq!(padding, vec![7.0; 5], "padding cells are never touched");
     }
 
     #[test]

@@ -388,7 +388,15 @@ impl MemoryPool {
 
     /// Counters of one space (unified spaces report with their device).
     pub fn stats(&self, space: MemSpace) -> PoolStats {
-        self.spaces.lock().get(&normalize(space)).map(|s| s.stats).unwrap_or_default()
+        self.with_stats(space, |stats| stats)
+    }
+
+    /// Run `f` on one space's counters while the pool lock is held, so
+    /// whatever else `f` reads that only moves under that lock (a device's
+    /// capacity charge) belongs to the same instant.
+    pub(crate) fn with_stats<R>(&self, space: MemSpace, f: impl FnOnce(PoolStats) -> R) -> R {
+        let spaces = self.spaces.lock();
+        f(spaces.get(&normalize(space)).map(|s| s.stats).unwrap_or_default())
     }
 
     /// Sum of all spaces' counters.

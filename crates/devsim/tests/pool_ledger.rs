@@ -36,8 +36,10 @@ const CAPACITY: usize = 8 * 1024; // bytes; small enough to hit OOM paths
 /// closure in flight holds buffer clones, keeping blocks live past the
 /// test's own drop.
 fn check_ledger(node: &SimNode, live_expected: Option<usize>) {
-    let dev = node.device(0).unwrap();
-    let s = dev.pool_stats();
+    // One snapshot under one lock: the stream thread may release blocks
+    // at any moment, so fields read across two calls need not agree.
+    let ledger = node.device(0).unwrap().ledger();
+    let s = ledger.pool;
     // Conservation: every raw-allocated byte is live, cached, or trimmed.
     assert_eq!(
         s.live_bytes as u64 + s.cached_bytes as u64 + s.trimmed_bytes,
@@ -49,7 +51,7 @@ fn check_ledger(node: &SimNode, live_expected: Option<usize>) {
         s.raw_alloc_bytes
     );
     // The device's capacity charge is exactly the live ledger.
-    assert_eq!(dev.used_bytes(), s.live_bytes, "capacity charge out of sync with live ledger");
+    assert_eq!(ledger.used_bytes, s.live_bytes, "capacity charge out of sync with live ledger");
     if let Some(expected) = live_expected {
         assert_eq!(s.live_bytes, expected, "live ledger out of sync with held buffers");
     }
@@ -63,7 +65,7 @@ fn check_ledger(node: &SimNode, live_expected: Option<usize>) {
         CAPACITY
     );
     assert!(s.high_water_bytes >= s.live_bytes + s.cached_bytes);
-    assert_eq!(dev.free_bytes(), CAPACITY - s.live_bytes - s.cached_bytes);
+    assert_eq!(ledger.free_bytes, CAPACITY - s.live_bytes - s.cached_bytes);
 }
 
 fn run_schedule(seed: u64, trim_threshold: usize) {
