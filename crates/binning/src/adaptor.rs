@@ -14,6 +14,7 @@ use sensei::{
 use svtk::FieldAssociation;
 use svtk::{DataObject, HamrDataArray, TableData};
 
+use crate::arena::StepArena;
 use crate::bounds;
 use crate::device_impl;
 use crate::fused::{spec_ops, FusedStep};
@@ -109,12 +110,52 @@ impl BinnedResult {
 /// `Arc`).
 pub type ResultSink = Arc<Mutex<Vec<BinnedResult>>>;
 
-/// Stream one step's finished `results` into `sink`, rank 0 only.
-pub(crate) fn publish_to_sink(sink: &Option<ResultSink>, comm: &Comm, results: &[BinnedResult]) {
-    if let Some(sink) = sink {
-        if comm.rank() == 0 {
-            sink.lock().extend(results.iter().cloned());
+/// Where a back-end's finished results go, and the one tail of every
+/// step: rank 0 moves them into the sink and keeps the last step's only
+/// when an `output` directory wants them written at finalize. No other
+/// rank has a consumer, so none builds or retains results.
+#[derive(Default)]
+pub(crate) struct Delivery {
+    pub sink: Option<ResultSink>,
+    pub output_dir: Option<PathBuf>,
+    last: Vec<BinnedResult>,
+    executes: u64,
+}
+
+impl Delivery {
+    /// True when this rank consumes the step's results.
+    pub fn wanted(&self, comm: &Comm) -> bool {
+        comm.rank() == 0 && (self.sink.is_some() || self.output_dir.is_some())
+    }
+
+    /// Finish one step, handing over what it built where
+    /// [`Delivery::wanted`].
+    pub fn deliver(&mut self, comm: &Comm, results: Vec<BinnedResult>) {
+        self.executes += 1;
+        if comm.rank() != 0 {
+            return;
         }
+        match &self.sink {
+            Some(sink) => {
+                if self.output_dir.is_some() {
+                    self.last.clone_from(&results);
+                }
+                sink.lock().extend(results);
+            }
+            None if self.output_dir.is_some() => self.last = results,
+            None => {}
+        }
+    }
+
+    /// Number of finished steps.
+    pub fn executes(&self) -> u64 {
+        self.executes
+    }
+
+    /// At finalize on rank 0, the output directory and the last step's
+    /// results to write there.
+    pub fn output(&self, comm: &Comm) -> Option<(&PathBuf, &[BinnedResult])> {
+        self.output_dir.as_ref().filter(|_| comm.rank() == 0).map(|dir| (dir, &self.last[..]))
     }
 }
 
@@ -154,11 +195,10 @@ pub struct BinningAnalysis {
     /// pass/kernel/download/allreduce per operation), kept for A/B
     /// comparison and as the correctness reference.
     fused: bool,
-    sink: Option<ResultSink>,
-    output_dir: Option<PathBuf>,
-    last: Option<BinnedResult>,
-    executes: u64,
+    delivery: Delivery,
     counters: Arc<AnalysisCounters>,
+    /// The fused step's resident memory (unused by the per-op path).
+    arena: StepArena,
 }
 
 impl BinningAnalysis {
@@ -168,11 +208,9 @@ impl BinningAnalysis {
             controls: BackendControls::default(),
             spec,
             fused: true,
-            sink: None,
-            output_dir: None,
-            last: None,
-            executes: 0,
+            delivery: Delivery::default(),
             counters: AnalysisCounters::new(),
+            arena: StepArena::default(),
         }
     }
 
@@ -185,13 +223,13 @@ impl BinningAnalysis {
 
     /// Send every step's result to `sink`.
     pub fn with_sink(mut self, sink: ResultSink) -> Self {
-        self.sink = Some(sink);
+        self.delivery.sink = Some(sink);
         self
     }
 
     /// Write the final result to `dir` (PGM + CSV) at finalize, rank 0 only.
     pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.output_dir = Some(dir.into());
+        self.delivery.output_dir = Some(dir.into());
         self
     }
 
@@ -203,7 +241,7 @@ impl BinningAnalysis {
 
     /// Number of completed executes (diagnostic).
     pub fn executes(&self) -> u64 {
-        self.executes
+        self.delivery.executes()
     }
 
     /// The per-op reference step: every stage runs once per operation
@@ -332,7 +370,7 @@ impl BinningAnalysis {
                             device_impl::bin_cost(xs.len()),
                             || host_impl::bin_host(xs, ys, vals, vo.op, &grid),
                         );
-                        reduce::merge_into(vo.op, acc, &part);
+                        reduce::merge_into(vo.op, acc, part.into_iter());
                     }
                 }),
                 Fetched::Device(views) => {
@@ -366,7 +404,7 @@ impl BinningAnalysis {
             for (k, host) in staged {
                 let (vo, acc) = &mut results[k];
                 let part = host.host_f64_ro().map_err(Error::Device)?.to_vec();
-                reduce::merge_into(vo.op, acc, &part);
+                reduce::merge_into(vo.op, acc, part.into_iter());
             }
         }
         Ok(results)
@@ -618,27 +656,23 @@ impl AnalysisAdaptor for BinningAnalysis {
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
         let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-        let result = if self.fused {
+        let results = if self.fused {
             let step =
                 FusedStep { specs: std::slice::from_ref(&self.spec), counters: &self.counters };
-            // One spec runs on the device's default stream: no pool to keep.
-            step.run(data, ctx, device, &mut Vec::new())?.pop().expect("one spec, one result")
+            step.run(data, ctx, device, &self.arena, self.delivery.wanted(ctx.comm))?
         } else {
-            self.per_op_step(data, ctx, device)?
+            vec![self.per_op_step(data, ctx, device)?]
         };
         comm_mark.charge(ctx.comm, &self.counters);
-        publish_to_sink(&self.sink, ctx.comm, std::slice::from_ref(&result));
-        self.last = Some(result);
-        self.executes += 1;
+        self.delivery.deliver(ctx.comm, results);
         Ok(true)
     }
 
     fn finalize(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        if let (Some(dir), Some(result)) = (&self.output_dir, &self.last) {
-            if ctx.comm.rank() == 0 {
-                crate::io::write_result(dir, result)
-                    .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
-            }
+        self.arena.release();
+        if let Some((dir, [result])) = self.delivery.output(ctx.comm) {
+            crate::io::write_result(dir, result)
+                .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
         }
         Ok(())
     }

@@ -13,7 +13,7 @@ use devsim::{CellBuffer, KernelCost, SimNode, Stream};
 use sensei::{Error, Result};
 
 use crate::grid::GridParams;
-use crate::host_impl::{self, identity, PassSpec};
+use crate::host_impl::{self, identity, PassSpec, ScratchPool};
 use crate::spec::BinOp;
 
 /// Modeled cost of binning `n` rows: a few flops of index arithmetic per
@@ -140,43 +140,41 @@ pub fn bin_device(
 }
 
 /// Bin **all** of a coordinate system's operations in one batched kernel
-/// over the device-resident `cols` that `spec` indexes: the packed
-/// accumulation buffer holds `spec.ops.len()` grids back to back (segment
-/// `i` belongs to `spec.ops[i]`). Download the whole buffer with one
+/// over the device-resident `cols` that `spec` indexes, into the caller's
+/// device block `packed`: `spec.ops.len()` grids back to back (segment `i`
+/// belongs to `spec.ops[i]`). Download the whole buffer with one
 /// `stream.copy` — one launch plus one packed download per (coordinate
 /// system, fetched block), versus two launches and one download *per op*
 /// with [`bin_device`].
 ///
 /// The launch runs the tiled core ([`host_impl::bin_all_host`], reading
-/// the columns through their kernel views) into a launch-private
-/// accumulator in ascending row order, then walks the packed buffer once:
-/// every cell is set to its reduction identity and, where the private
-/// partial left its identity, committed with `atomic_add`/`atomic_min`/
-/// `atomic_max` — one atomic per touched `(op, bin)` instead of one per
-/// `(op, row)`. The kernel runs as one block here; the atomic commit is
-/// what lets a device's many blocks combine such partials in the shared
-/// grid, and since identity ⊕ partial is exact, the packed grids stay
-/// bit-identical to [`bin_device`]'s.
-///
-/// The buffer is allocated stream-ordered on `stream`, so the caching
-/// pool can recycle the previous step's block without a device-wide sync.
+/// the columns through their kernel views, in a scratch borrowed from
+/// `scratches`) into a launch-private accumulator in ascending row order,
+/// then commits it in one walk of that accumulator, a transposing store
+/// of every `(op, bin)` cell. The kernel runs as one block that owns
+/// `packed` for the launch, and its partial started from the reduction
+/// identities, so what a zero-initialised grid would hold after an
+/// `atomic_add`/`atomic_min`/`atomic_max` of the partial *is* the partial,
+/// bit for bit — the packed grids stay bit-identical to [`bin_device`]'s,
+/// whatever `packed` held before.
 pub fn bin_all_device(
-    node: &Arc<SimNode>,
-    device: usize,
     stream: &Arc<Stream>,
     cols: &[&CellBuffer],
     spec: &PassSpec,
-) -> Result<CellBuffer> {
+    packed: &CellBuffer,
+    scratches: &Arc<ScratchPool>,
+) -> Result<()> {
     let n = host_impl::pass_rows(|c| cols[c].len(), std::slice::from_ref(spec))
         .map_err(Error::Analysis)?;
-
     let num_bins = spec.grid.num_bins();
-    let packed =
-        node.device(device)?.alloc_cells_on_stream(spec.ops.len() * num_bins, stream.as_ref())?;
+    if packed.len() != spec.ops.len() * num_bins {
+        return Err(Error::Analysis("packed block must hold one grid per operation".into()));
+    }
 
     let cols: Vec<CellBuffer> = cols.iter().map(|&c| c.clone()).collect();
     let spec = spec.clone();
     let out = packed.clone();
+    let scratches = scratches.clone();
     let cost = fused_bin_cost_layout(n, spec.ops.len(), hamr::Layout::Scalar)
         + KernelCost::bytes((spec.ops.len() * num_bins * 8) as f64);
     stream
@@ -184,27 +182,17 @@ pub fn bin_all_device(
             let views =
                 cols.iter().map(|c| c.f64_view_ro(scope)).collect::<devsim::Result<Vec<_>>>()?;
             let views: Vec<&devsim::F64View> = views.iter().collect();
-            let private = host_impl::bin_all_host(&views, std::slice::from_ref(&spec)).remove(0);
             let bv = out.f64_view(scope)?;
-            for (seg, grid) in private.grids() {
-                let (op, untouched) = (spec.ops[seg].0, identity(spec.ops[seg].0));
-                let commit = match op {
-                    BinOp::Count | BinOp::Sum | BinOp::Average => devsim::F64View::atomic_add,
-                    BinOp::Min => devsim::F64View::atomic_min,
-                    BinOp::Max => devsim::F64View::atomic_max,
-                };
-                for (cell, &v) in (seg * num_bins..).zip(grid) {
-                    bv.set(cell, untouched);
-                    if v.to_bits() != untouched.to_bits() {
-                        commit(&bv, cell, v);
-                    }
-                }
-            }
+            let mut scratch = scratches.take();
+            let private =
+                &host_impl::bin_all_host(&views, std::slice::from_ref(&spec), &mut scratch)[0];
+            let (rows, order) = private.rows();
+            let starts: Vec<usize> = order.iter().map(|&op| op * num_bins).collect();
+            bv.store_columns(rows, &starts);
+            scratches.give(scratch);
             Ok(())
         })
-        .map_err(Error::Device)?;
-
-    Ok(packed)
+        .map_err(Error::Device)
 }
 
 /// Compute the minimum and maximum of a device-resident column — the
@@ -368,8 +356,22 @@ mod tests {
         let all = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
         let ops = all.iter().map(|&op| (op, (op != BinOp::Count).then_some(2))).collect();
         let spec = PassSpec { axes: [0, 1], grid, ops };
-        let packed = bin_all_device(&node, 0, &stream, &[&dx, &dy, &dv], &spec).unwrap();
-        assert_eq!(packed.len(), all.len() * grid.num_bins());
+        // A resident block still holding an earlier launch's cells: the
+        // commit overwrites every one of them.
+        let packed = node.device(0).unwrap().alloc_f64(all.len() * grid.num_bins()).unwrap();
+        stream
+            .launch("dirty", KernelCost::bytes(0.0), {
+                let packed = packed.clone();
+                move |scope| {
+                    packed.f64_view(scope)?.fill(f64::NAN);
+                    Ok(())
+                }
+            })
+            .unwrap();
+        let scratches = Arc::new(ScratchPool::default());
+        for _ in 0..2 {
+            bin_all_device(&stream, &[&dx, &dy, &dv], &spec, &packed, &scratches).unwrap();
+        }
         let fused = download(&node, &stream, &packed);
 
         for (seg, &op) in all.iter().enumerate() {
@@ -392,14 +394,17 @@ mod tests {
         let grid = GridParams::new(2, 2, [0.0, 0.0], [1.0, 1.0]);
         let a = node.device(0).unwrap().alloc_f64(4).unwrap();
         let b = node.device(0).unwrap().alloc_f64(3).unwrap();
-        let pass = |cols: &[&CellBuffer], op, values| {
+        let packed = node.device(0).unwrap().alloc_f64(4).unwrap();
+        let scratches = Arc::new(ScratchPool::default());
+        let pass = |cols: &[&CellBuffer], op, values, packed: &CellBuffer| {
             let spec = PassSpec { axes: [0, 1], grid, ops: vec![(op, values)] };
-            bin_all_device(&node, 0, &stream, cols, &spec)
+            bin_all_device(&stream, cols, &spec, packed, &scratches)
         };
-        assert!(pass(&[&a, &b], BinOp::Count, None).is_err());
-        assert!(pass(&[&a, &a], BinOp::Sum, None).is_err());
-        assert!(pass(&[&a, &a, &b], BinOp::Sum, Some(2)).is_err());
-        assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2)).is_ok());
+        assert!(pass(&[&a, &b], BinOp::Count, None, &packed).is_err());
+        assert!(pass(&[&a, &a], BinOp::Sum, None, &packed).is_err());
+        assert!(pass(&[&a, &a, &b], BinOp::Sum, Some(2), &packed).is_err());
+        assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2), &b).is_err());
+        assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2), &packed).is_ok());
     }
 
     #[test]

@@ -16,7 +16,13 @@
 //!   serializing on one stream and skewed specs don't pile up the way
 //!   position-based round-robin lets them;
 //! * every spec's grids (counts + ops) accumulate in a single segmented
-//!   buffer that is reduced with **one** allreduce per step.
+//!   buffer that is reduced with **one** allreduce per step;
+//! * every grid-sized buffer on the way lives in the caller's
+//!   [`StepArena`] and each hop writes where the next one reads: a
+//!   table's first partial is *copied* to its segment of the flat buffer
+//!   (a kernel's partial starts from the reduction identities, so merging
+//!   it into an identity grid would change no bit of it), later tables
+//!   merge, and the reduced buffer comes back as the next step's flat.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -28,16 +34,13 @@ use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
 
 use crate::adaptor::{fetch_tables, local_tables, with_host_cols, BinnedResult, Fetched};
+use crate::arena::StepArena;
 use crate::bounds;
 use crate::device_impl;
 use crate::grid::GridParams;
-use crate::host_impl::{self, Column, FusedGrids, PassSpec};
+use crate::host_impl::{self, Column, FusedGrids, KernelScratch, PassSpec, ScratchPool};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
-
-/// Streams a step spreads device work across; more specs than this share
-/// streams, routed least-loaded by accumulated kernel cost.
-const MAX_STREAMS: usize = 4;
 
 /// Index of the stream with the smallest accumulated relative kernel
 /// cost. Ties break to the lowest index, so a uniform-cost spec set
@@ -88,37 +91,38 @@ pub(crate) fn plan_pass<'a>(
 /// One fused host pass of every coordinate system in `pass` over one
 /// table's columns (`names`, looked up through `col`), charged to the
 /// host as the sum of the systems' `layout`-shaped traversals: per
-/// system, its partial grids.
-pub(crate) fn host_pass<'c, C: Column + ?Sized + 'c>(
+/// system, its partial grids, left in `scratch`.
+pub(crate) fn host_pass<'s, 'c, C: Column + ?Sized + 'c>(
     node: &devsim::SimNode,
     col: impl Fn(&str) -> &'c C,
     layout: hamr::Layout,
     names: &[&str],
     pass: &[PassSpec],
-) -> Vec<FusedGrids> {
+    scratch: &'s mut KernelScratch,
+) -> &'s [FusedGrids] {
     let cols: Vec<&C> = names.iter().map(|name| col(name)).collect();
     let cost = pass
         .iter()
         .map(|s| device_impl::fused_bin_cost_layout(cols[s.axes[0]].len(), s.ops.len(), layout))
         .sum();
-    node.host().run("bin_fused_host", cost, || host_impl::bin_all_host(&cols, pass))
+    node.host().run("bin_fused_host", cost, || host_impl::bin_all_host(&cols, pass, scratch))
 }
 
 /// One fused device kernel of a spec (`axes`, `ops`) over one table's
-/// device-resident columns, enqueued on `stream`: the packed partial
-/// grids, still on the device.
+/// device-resident columns, enqueued on `stream`: its partial grids land
+/// packed in the device block `packed`.
 pub(crate) fn device_pass<'c>(
-    node: &Arc<devsim::SimNode>,
-    device: usize,
     stream: &Arc<Stream>,
     col: impl Fn(&str) -> &'c CellBuffer,
     axes: &(String, String),
     ops: &[VarOp],
     grid: GridParams,
-) -> Result<CellBuffer> {
+    packed: &CellBuffer,
+    scratches: &Arc<ScratchPool>,
+) -> Result<()> {
     let (names, pass) = plan_pass([(axes, ops, grid)]);
     let cols: Vec<&CellBuffer> = names.iter().map(|name| col(name)).collect();
-    device_impl::bin_all_device(node, device, stream, &cols, &pass[0])
+    device_impl::bin_all_device(stream, &cols, &pass[0], packed, scratches)
 }
 
 /// Layout of a step's flat accumulation buffer: every spec's grids
@@ -133,6 +137,8 @@ pub(crate) struct StepLayout {
     spans: Vec<(usize, usize)>,
     /// One segment per (spec, op), in buffer order.
     segments: Vec<Segment>,
+    /// Length of the flat buffer.
+    len: usize,
 }
 
 impl StepLayout {
@@ -151,7 +157,7 @@ impl StepLayout {
             }
             ops.push(spec_ops);
         }
-        StepLayout { ops, spans, segments }
+        StepLayout { ops, spans, segments, len: total }
     }
 
     /// Where grid `k` of spec `si` lives in the flat buffer.
@@ -160,31 +166,63 @@ impl StepLayout {
         off + k * nb..off + (k + 1) * nb
     }
 
-    /// A fresh flat accumulator: every segment at its reduction identity.
-    pub fn identities(&self) -> Vec<f64> {
-        let mut flat = Vec::with_capacity(self.segments.iter().map(|s| s.len).sum());
-        for (spec_ops, &(_, nb)) in self.ops.iter().zip(&self.spans) {
-            for vo in spec_ops {
-                flat.resize(flat.len() + nb, host_impl::identity(vo.op));
+    /// The flat accumulator of a step with `tables` local tables, out of
+    /// `arena`. With tables to bin, every element is about to be
+    /// overwritten by the first one's partials ([`Self::land_host`],
+    /// [`Self::land_downloaded`]); a rank without any contributes the
+    /// reduction identities.
+    pub fn flat(&self, arena: &StepArena, tables: usize) -> Vec<f64> {
+        let mut flat = arena.take_flat(self.len);
+        if tables == 0 {
+            for (si, ops) in self.ops.iter().enumerate() {
+                for (k, vo) in ops.iter().enumerate() {
+                    flat[self.segment(si, k)].fill(host_impl::identity(vo.op));
+                }
             }
         }
         flat
     }
 
-    /// Merge spec `si`'s partial grids of one host pass into `flat`.
-    pub fn merge_host(&self, flat: &mut [f64], si: usize, part: &FusedGrids) {
-        for (k, grid) in part.grids() {
-            reduce::merge_into(self.ops[si][k].op, &mut flat[self.segment(si, k)], grid);
+    /// Land one partial grid in segment `k` of spec `si`: the step's first
+    /// table seeds the segment, later tables merge into it.
+    fn land(
+        &self,
+        flat: &mut [f64],
+        si: usize,
+        k: usize,
+        first: bool,
+        part: impl ExactSizeIterator<Item = f64>,
+    ) {
+        let seg = &mut flat[self.segment(si, k)];
+        if first {
+            assert_eq!(seg.len(), part.len(), "grids must have identical shape");
+            seg.iter_mut().zip(part).for_each(|(a, v)| *a = v);
+        } else {
+            reduce::merge_into(self.ops[si][k].op, seg, part);
         }
     }
 
-    /// Merge spec `si`'s packed partial grids of one device kernel,
-    /// downloaded into `packed`, into `flat`.
-    pub fn merge_downloaded(&self, flat: &mut [f64], si: usize, packed: &CellBuffer) -> Result<()> {
-        let packed = packed.host_f64_ro().map_err(Error::Device)?.to_vec();
-        let nb = self.spans[si].1;
-        for ((k, vo), part) in self.ops[si].iter().enumerate().zip(packed.chunks(nb)) {
-            reduce::merge_into(vo.op, &mut flat[self.segment(si, k)], part);
+    /// Land spec `si`'s partial grids of one host pass in `flat`; `first`
+    /// on the step's first table.
+    pub fn land_host(&self, flat: &mut [f64], si: usize, first: bool, part: &FusedGrids) {
+        for (k, grid) in part.grids() {
+            self.land(flat, si, k, first, grid);
+        }
+    }
+
+    /// Land spec `si`'s packed partial grids of one device kernel,
+    /// downloaded into `packed`, in `flat`, straight from the host view;
+    /// `first` on the step's first table.
+    pub fn land_downloaded(
+        &self,
+        flat: &mut [f64],
+        si: usize,
+        first: bool,
+        packed: &CellBuffer,
+    ) -> Result<()> {
+        let packed = packed.host_f64_ro().map_err(Error::Device)?;
+        for (k, part) in packed.chunks(self.spans[si].1).enumerate() {
+            self.land(flat, si, k, first, part);
         }
         Ok(())
     }
@@ -207,16 +245,11 @@ impl StepLayout {
     ) -> Vec<BinnedResult> {
         let mut results = Vec::with_capacity(specs.len());
         for (si, (spec, grid)) in specs.iter().zip(grids).enumerate() {
-            let counts = merged[self.segment(si, 0)].to_vec();
+            let counts = &merged[self.segment(si, 0)];
             let mut arrays = Vec::with_capacity(spec.ops.len());
             for (k, vo) in self.ops[si].iter().enumerate().skip(1) {
-                let values = if vo.op == BinOp::Count {
-                    counts.clone()
-                } else {
-                    let mut global = merged[self.segment(si, k)].to_vec();
-                    host_impl::finalize(vo.op, &mut global, &counts);
-                    global
-                };
+                let mut values = merged[self.segment(si, k)].to_vec();
+                host_impl::finalize(vo.op, &mut values, counts);
                 arrays.push((vo.output_name(), values));
             }
             results.push(BinnedResult {
@@ -341,11 +374,12 @@ impl<'a> FusedStep<'a> {
     }
 
     /// Local fused binning of every spec over every fetched table,
-    /// accumulated into one flat buffer laid out by `layout` — the exact
-    /// payload of the step's packed allreduce. Each device kernel goes to
-    /// the stream of the pool with the least accumulated modeled cost; all
-    /// streams are synchronized once at the end, then merged straight from
-    /// the downloaded views.
+    /// accumulated into the arena's flat buffer laid out by `layout` — the
+    /// exact payload of the step's packed allreduce. Each device kernel
+    /// goes to the stream of the arena's pool with the least accumulated
+    /// modeled cost, writes its resident device block and is downloaded
+    /// into its resident host block; all streams are synchronized once at
+    /// the end, then the partials land straight from the host views.
     fn bin_local(
         &self,
         fetched: &[Fetched],
@@ -353,30 +387,14 @@ impl<'a> FusedStep<'a> {
         layout: &StepLayout,
         device: Option<usize>,
         ctx: &ExecContext<'_>,
-        streams: &mut Vec<Arc<Stream>>,
+        arena: &StepArena,
     ) -> Result<Vec<f64>> {
-        let mut flat = layout.identities();
-        // (spec index, packed host buffer) downloads awaiting the sync.
-        let mut staged: Vec<(usize, CellBuffer)> = Vec::new();
-        // A pool of one is the device's default stream, resolved every
-        // step (placement may change between steps): a lone spec has
-        // nothing to overlap with, and its kernel stays ordered with the
-        // bounds pass. More specs share `streams`, created on first use.
-        let default_stream;
-        let pool: &[Arc<Stream>] = match device.filter(|_| !fetched.is_empty()) {
-            None => &[],
-            Some(d) if self.specs.len() == 1 => {
-                default_stream = [ctx.node.device(d)?.default_stream()];
-                &default_stream
-            }
-            Some(d) => {
-                if streams.is_empty() {
-                    let dev = ctx.node.device(d)?;
-                    let n = MAX_STREAMS.min(self.specs.len());
-                    *streams = (0..n).map(|_| dev.create_stream()).collect();
-                }
-                streams
-            }
+        let mut flat = layout.flat(arena, fetched.len());
+        // (table, spec, packed host block) downloads awaiting the sync.
+        let mut staged: Vec<(usize, usize, CellBuffer)> = Vec::new();
+        let pool: Vec<Arc<Stream>> = match device.filter(|_| !fetched.is_empty()) {
+            None => Vec::new(),
+            Some(_) => arena.streams(ctx.node, self.specs.len())?,
         };
         // Accumulated relative cost routed to each stream this step (the
         // streams drain fully at the step's closing synchronize, so loads
@@ -386,16 +404,19 @@ impl<'a> FusedStep<'a> {
         let (names, pass) =
             plan_pass(work().map(|(_, ((spec, grid), ops))| (&spec.axes, &ops[..], *grid)));
 
-        for f in fetched {
+        // Partials land table-major per grid, on either placement: the
+        // first table seeds every segment, later ones merge in order.
+        for (ti, f) in fetched.iter().enumerate() {
             match f {
-                // Every spec in one pass over the table, merged in spec
-                // order — table-major per grid, as the device arm below.
+                // Every spec in one pass over the table.
                 Fetched::Host(host) => with_host_cols!(host, |col, blk_layout| {
                     self.counters.add_table_passes(1);
-                    let parts = host_pass(ctx.node, col, blk_layout, &names, &pass);
+                    let mut scratch = arena.scratches().take();
+                    let parts = host_pass(ctx.node, col, blk_layout, &names, &pass, &mut scratch);
                     for (si, part) in parts.iter().enumerate() {
-                        layout.merge_host(&mut flat, si, part);
+                        layout.land_host(&mut flat, si, ti == 0, part);
                     }
+                    arena.scratches().give(scratch);
                 }),
                 Fetched::Device(views) => {
                     let d = device.expect("device fetch implies device placement");
@@ -409,48 +430,63 @@ impl<'a> FusedStep<'a> {
                         let sidx = least_loaded_stream(&stream_loads);
                         stream_loads[sidx] += kc.flops + kc.bytes;
                         let stream = &pool[sidx];
+                        let idx = ti * self.specs.len() + si;
+                        let len = ops.len() * grid.num_bins();
+                        let slot = arena.slot(ctx.node, idx, d, len, stream)?;
                         let cells = |name: &str| views[name].cells();
-                        let packed =
-                            device_pass(ctx.node, d, stream, cells, &spec.axes, ops, *grid)?;
-                        let host = ctx.node.host_alloc_f64(packed.len());
-                        stream.copy(&packed, &host).map_err(Error::Device)?;
+                        let scratches = arena.scratches();
+                        device_pass(
+                            stream,
+                            cells,
+                            &spec.axes,
+                            ops,
+                            *grid,
+                            &slot.packed,
+                            scratches,
+                        )?;
+                        stream.copy(&slot.packed, &slot.host).map_err(Error::Device)?;
                         self.counters.add_kernel_launches(1);
                         self.counters.add_downloads(1);
-                        staged.push((si, host));
+                        staged.push((ti, si, slot.host));
                     }
                 }
             }
         }
 
         if !staged.is_empty() {
-            for stream in pool {
+            for stream in &pool {
                 stream.synchronize().map_err(Error::Device)?;
             }
-            for (si, host) in staged {
-                layout.merge_downloaded(&mut flat, si, &host)?;
+            for (ti, si, host) in staged {
+                layout.land_downloaded(&mut flat, si, ti == 0, &host)?;
             }
         }
         Ok(flat)
     }
 
-    /// The whole step: fetch, resolve grids, bin locally, one packed
-    /// allreduce, publish — one result per spec, in spec order. `streams`
-    /// is the caller's device stream pool for more than one spec,
-    /// provisioned on first use; a lone spec leaves it untouched.
+    /// The whole step on `device`, in `arena`'s memory: fetch, resolve
+    /// grids, bin locally, one packed allreduce — and, where `publish`
+    /// says the rank has a consumer for them, one result per spec, in spec
+    /// order (no results otherwise).
     pub fn run(
         &self,
         data: &dyn DataAdaptor,
         ctx: &ExecContext<'_>,
         device: Option<usize>,
-        streams: &mut Vec<Arc<Stream>>,
+        arena: &StepArena,
+        publish: bool,
     ) -> Result<Vec<BinnedResult>> {
+        arena.place(device);
         let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
         let fetched = self.fetch(data, &tables, device, ctx, true)?;
         let grids = self.resolve_grids(&fetched, device, ctx)?;
         let layout = StepLayout::new(self.specs, &grids);
-        let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, streams)?;
+        let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, arena)?;
         let merged = layout.allreduce(ctx.comm, flat)?;
-        Ok(layout.publish(self.specs, &grids, &merged, data))
+        let results =
+            if publish { layout.publish(self.specs, &grids, &merged, data) } else { Vec::new() };
+        arena.keep_flat(merged);
+        Ok(results)
     }
 }
 

@@ -8,6 +8,7 @@
 //! are written once.
 
 use hamr::{LayoutMap, Mapping};
+use parking_lot::Mutex;
 
 use crate::grid::GridParams;
 use crate::spec::BinOp;
@@ -220,10 +221,14 @@ fn fold_tile(
 
 /// One spec's grids out of [`bin_all_host`], still in the kernel's
 /// op-interleaved layout (`[bin][slot]`): read them through
-/// [`FusedGrids::grids`], or [`FusedGrids::packed`] for `[op][bin]`.
+/// [`FusedGrids::grids`], [`FusedGrids::rows`], or [`FusedGrids::packed`]
+/// for `[op][bin]`.
+#[derive(Default)]
 pub struct FusedGrids {
     /// `order[slot]` is the op (an index into `spec.ops`) a slot accumulates.
     order: Vec<usize>,
+    /// One bin's worth of reduction identities, in slot order.
+    identities: Vec<f64>,
     acc: Vec<f64>,
     axes: [usize; 2],
     stage: usize,
@@ -232,7 +237,8 @@ pub struct FusedGrids {
 }
 
 /// One op's grid inside a [`FusedGrids`], bin by bin.
-pub type Grid<'a> = std::iter::StepBy<std::iter::Skip<std::slice::Iter<'a, f64>>>;
+pub type Grid<'a> =
+    std::iter::Copied<std::iter::StepBy<std::iter::Skip<std::slice::Iter<'a, f64>>>>;
 
 impl FusedGrids {
     /// Every op's grid as `(index into spec.ops, cells)` — each op once,
@@ -242,7 +248,13 @@ impl FusedGrids {
         self.order
             .iter()
             .enumerate()
-            .map(move |(s, &op)| (op, self.acc.iter().skip(s).step_by(width)))
+            .map(move |(s, &op)| (op, self.acc.iter().skip(s).step_by(width).copied()))
+    }
+
+    /// The accumulator as it lies in memory — one row per bin, one value
+    /// per slot — and the op (an index into `spec.ops`) of each slot.
+    pub fn rows(&self) -> (&[f64], &[usize]) {
+        (&self.acc, &self.order)
     }
 
     /// The grids packed back to back in `spec.ops` order (`[op][bin]`).
@@ -250,14 +262,58 @@ impl FusedGrids {
         let bins = self.acc.len() / self.order.len().max(1);
         let mut packed = vec![0.0; self.acc.len()];
         for (op, grid) in self.grids() {
-            packed[op * bins..][..bins].iter_mut().zip(grid).for_each(|(p, a)| *p = *a);
+            packed[op * bins..][..bins].iter_mut().zip(grid).for_each(|(p, a)| *p = a);
         }
         packed
     }
 }
 
-/// Fused tiled binning of every spec in `specs` over one table's `cols`:
-/// per spec, the grids of its ops.
+/// Everything [`bin_all_host`] allocates: the per-spec plans with their
+/// accumulators, the tile's axis indices and staged values. A caller that
+/// keeps one across launches pays for them once; each launch re-plans and
+/// re-initialises them in place.
+#[derive(Default)]
+pub struct KernelScratch {
+    axes: Vec<(usize, f64, f64, usize)>,
+    stages: Vec<Vec<Option<usize>>>,
+    plans: Vec<FusedGrids>,
+    index: Vec<u32>,
+    staged: Vec<Vec<f64>>,
+}
+
+impl KernelScratch {
+    /// The grids of the last pass run in this scratch, one per spec.
+    pub fn grids(&self) -> &[FusedGrids] {
+        &self.plans
+    }
+}
+
+/// [`KernelScratch`]es between launches. A launch takes one — a fresh one
+/// when every pooled scratch is in use — and gives it back when its grids
+/// have been read, so the pool grows to the launches in flight and then
+/// stops allocating.
+#[derive(Default)]
+pub struct ScratchPool(Mutex<Vec<KernelScratch>>);
+
+impl ScratchPool {
+    /// A scratch nobody else holds.
+    pub fn take(&self) -> KernelScratch {
+        self.0.lock().pop().unwrap_or_default()
+    }
+
+    /// Return `scratch` for the next launch.
+    pub fn give(&self, scratch: KernelScratch) {
+        self.0.lock().push(scratch);
+    }
+
+    /// Free every pooled scratch.
+    pub fn clear(&self) {
+        self.0.lock().clear();
+    }
+}
+
+/// Fused tiled binning of every spec in `specs` over one table's `cols`,
+/// in `scratch`: per spec, the grids of its ops.
 ///
 /// The rows are walked once, a tile at a time. Per tile, (1) each
 /// **unique** axis `(column, lo, hi, cells)` is range-checked and indexed
@@ -269,21 +325,27 @@ impl FusedGrids {
 /// three branch-free slice loops. That layout is the kernel's own choice;
 /// [`FusedGrids`] hands the grids out op by op.
 ///
-/// Every `(op, bin)` accumulator still folds its rows in ascending row
-/// order with the per-op kernel's own operations, so each grid is
-/// **bit-identical** to [`bin_host`] over the same logical values,
-/// whatever the column storage.
+/// Every `(op, bin)` accumulator starts at its reduction identity and
+/// folds its rows in ascending row order with the per-op kernel's own
+/// operations, so each grid is **bit-identical** to [`bin_host`] over the
+/// same logical values, whatever the column storage — and combining it
+/// with an identity grid changes no bit of it.
 ///
 /// # Panics
 /// Panics when the columns a spec reads differ in length or a non-count
 /// reduction has no value column.
-pub fn bin_all_host<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<FusedGrids> {
+pub fn bin_all_host<'s, C: Column + ?Sized>(
+    cols: &[&C],
+    specs: &[PassSpec],
+    scratch: &'s mut KernelScratch,
+) -> &'s [FusedGrids] {
     let rows = pass_rows(|c| cols[c].len(), specs).unwrap_or_else(|e| panic!("{e}"));
+    let KernelScratch { axes, stages, plans, index, staged } = scratch;
 
-    let mut axes: Vec<(usize, f64, f64, usize)> = Vec::new();
-    let mut stages: Vec<Vec<Option<usize>>> = Vec::new();
-    let mut plans: Vec<FusedGrids> = Vec::with_capacity(specs.len());
-    for spec in specs {
+    axes.clear();
+    stages.clear();
+    plans.resize_with(specs.len(), FusedGrids::default);
+    for (plan, spec) in plans.iter_mut().zip(specs) {
         let g = &spec.grid;
         assert!(g.nx.max(g.ny) < u32::MAX as usize, "axis resolution exceeds the index scratch");
         let kind = |k: &usize| match spec.ops[*k].0 {
@@ -291,27 +353,34 @@ pub fn bin_all_host<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<
             BinOp::Min => 1,
             BinOp::Max => 2,
         };
-        let mut order: Vec<usize> = (0..spec.ops.len()).collect();
+        let FusedGrids { order, identities, acc, .. } = plan;
+        order.clear();
+        order.extend(0..spec.ops.len());
         order.sort_by_key(kind);
-        let ends = [1, 2, 3].map(|k| order.partition_point(|o| kind(o) < k));
+        plan.ends = [1, 2, 3].map(|k| order.partition_point(|o| kind(o) < k));
         let slots = order.iter().map(|&k| spec.ops[k].1.filter(|_| spec.ops[k].0 != BinOp::Count));
-        let identities: Vec<f64> = order.iter().map(|&k| identity(spec.ops[k].0)).collect();
-        plans.push(FusedGrids {
-            axes: [
-                intern(&mut axes, (spec.axes[0], g.lo[0], g.hi[0], g.nx)),
-                intern(&mut axes, (spec.axes[1], g.lo[1], g.hi[1], g.ny)),
-            ],
-            stage: intern(&mut stages, slots.collect()),
-            ends,
-            acc: identities.repeat(g.num_bins()),
-            order,
-        });
+        plan.stage = intern(stages, slots.collect());
+        plan.axes = [
+            intern(axes, (spec.axes[0], g.lo[0], g.hi[0], g.nx)),
+            intern(axes, (spec.axes[1], g.lo[1], g.hi[1], g.ny)),
+        ];
+        identities.clear();
+        identities.extend(order.iter().map(|&k| identity(spec.ops[k].0)));
+        acc.resize(identities.len() * g.num_bins(), 0.0);
+        if !identities.is_empty() {
+            acc.chunks_exact_mut(identities.len()).for_each(|bin| bin.copy_from_slice(identities));
+        }
     }
 
     // Out-of-range rows are marked `u32::MAX`; count slots keep their 1.0.
     let tile = TILE.min(rows);
-    let mut index = vec![u32::MAX; axes.len() * tile];
-    let mut staged: Vec<Vec<f64>> = stages.iter().map(|s| vec![1.0; s.len() * tile]).collect();
+    index.clear();
+    index.resize(axes.len() * tile, u32::MAX);
+    staged.resize_with(stages.len(), Vec::new);
+    for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
+        stage.clear();
+        stage.resize(slots.len() * tile, 1.0);
+    }
     for start in (0..rows).step_by(TILE) {
         let m = tile.min(rows - start);
         for (&(c, lo, hi, cells), out) in axes.iter().zip(index.chunks_mut(tile)) {
@@ -322,7 +391,7 @@ pub fn bin_all_host<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<
                 *out = if v.is_finite() && v >= lo && v <= hi { i } else { u32::MAX };
             }
         }
-        for (slots, stage) in stages.iter().zip(&mut staged) {
+        for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
             for (s, c) in slots.iter().enumerate() {
                 let Some(col) = c.map(|c| cols[c]) else { continue };
                 for (r, row) in stage.chunks_exact_mut(slots.len()).take(m).enumerate() {
@@ -464,7 +533,8 @@ mod tests {
             grid: *g,
             ops: ops.iter().map(|&op| (op, value(op))).collect(),
         };
-        let packed = bin_all_host(&[xs, ys, vs.unwrap_or(xs)], &[spec]).remove(0).packed();
+        let mut scratch = KernelScratch::default();
+        let packed = bin_all_host(&[xs, ys, vs.unwrap_or(xs)], &[spec], &mut scratch)[0].packed();
         packed.chunks(g.num_bins()).map(<[f64]>::to_vec).collect()
     }
 

@@ -25,6 +25,7 @@ pub mod io;
 pub mod reduce;
 
 mod adaptor;
+mod arena;
 mod fused;
 mod grid;
 mod spec;

@@ -22,34 +22,19 @@ pub fn segment_op(op: BinOp) -> SegmentOp {
 }
 
 /// Element-wise in-place combination of `part` into `acc` under `op`.
-pub fn merge_into<'p, P>(op: BinOp, acc: &mut [f64], part: P)
-where
-    P: IntoIterator<Item = &'p f64, IntoIter: ExactSizeIterator>,
-{
-    let part = part.into_iter();
+pub fn merge_into(op: BinOp, acc: &mut [f64], part: impl ExactSizeIterator<Item = f64>) {
     assert_eq!(acc.len(), part.len(), "grids must have identical shape");
+    let pairs = acc.iter_mut().zip(part);
     match op {
-        BinOp::Count | BinOp::Sum | BinOp::Average => {
-            for (x, y) in acc.iter_mut().zip(part) {
-                *x += *y;
-            }
-        }
-        BinOp::Min => {
-            for (x, y) in acc.iter_mut().zip(part) {
-                *x = x.min(*y);
-            }
-        }
-        BinOp::Max => {
-            for (x, y) in acc.iter_mut().zip(part) {
-                *x = x.max(*y);
-            }
-        }
+        BinOp::Count | BinOp::Sum | BinOp::Average => pairs.for_each(|(x, y)| *x += y),
+        BinOp::Min => pairs.for_each(|(x, y)| *x = x.min(y)),
+        BinOp::Max => pairs.for_each(|(x, y)| *x = x.max(y)),
     }
 }
 
 /// Element-wise combination of two accumulation grids under `op`.
 pub fn merge_grids(op: BinOp, mut a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
-    merge_into(op, &mut a, &b);
+    merge_into(op, &mut a, b.into_iter());
     a
 }
 

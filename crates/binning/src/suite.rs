@@ -25,23 +25,25 @@ use sensei::{
 use svtk::FieldAssociation;
 
 use crate::adaptor::{
-    local_tables, publish_to_sink, BinnedResult, CommMark, Fetched, HostCols, ResultSink,
+    local_tables, BinnedResult, CommMark, Delivery, Fetched, HostCols, ResultSink,
 };
+use crate::arena::{Slot, StepArena};
 use crate::device_impl;
 use crate::fused::{device_pass, host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
 use crate::grid::GridParams;
-use crate::host_impl::FusedGrids;
+use crate::host_impl::KernelScratch;
 use crate::spec::BinningSpec;
 
 /// Where one (table, spec) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
 enum StagedPart {
-    /// Host placement: the grids of one fused host table pass.
-    Host(FusedGrids),
-    /// Device kernel enqueued on `device`: the packed grids plus the
-    /// event its compute stream records after the launch (the download
-    /// node's cross-stream ordering point).
-    Device { device: usize, packed: CellBuffer, ready: Event },
+    /// Host placement: the arena scratch holding the grids of one fused
+    /// host table pass, given back once the step is over.
+    Host(KernelScratch),
+    /// Device kernel enqueued on `device`: its arena slot's packed device
+    /// block and host block, plus the event its compute stream records
+    /// after the launch (the download node's cross-stream ordering point).
+    Device { device: usize, packed: CellBuffer, host: CellBuffer, ready: Event },
     /// Download enqueued: the packed host buffer, valid once the download
     /// node's event fires.
     Downloaded(CellBuffer),
@@ -107,13 +109,10 @@ impl DagState {
 pub struct BinningSuite {
     controls: BackendControls,
     specs: Vec<BinningSpec>,
-    sink: Option<ResultSink>,
-    output_dir: Option<PathBuf>,
-    last: Vec<BinnedResult>,
-    executes: u64,
+    delivery: Delivery,
     counters: Arc<AnalysisCounters>,
-    /// Device stream pool, created lazily on the first device execute.
-    streams: Vec<Arc<devsim::Stream>>,
+    /// The step's resident memory and device stream pool.
+    arena: StepArena,
 }
 
 impl BinningSuite {
@@ -132,25 +131,22 @@ impl BinningSuite {
         Ok(BinningSuite {
             controls: BackendControls::default(),
             specs,
-            sink: None,
-            output_dir: None,
-            last: Vec::new(),
-            executes: 0,
+            delivery: Delivery::default(),
             counters: AnalysisCounters::new(),
-            streams: Vec::new(),
+            arena: StepArena::default(),
         })
     }
 
     /// Send every step's results (one per spec, in spec order) to `sink`.
     pub fn with_sink(mut self, sink: ResultSink) -> Self {
-        self.sink = Some(sink);
+        self.delivery.sink = Some(sink);
         self
     }
 
     /// Write each spec's final result to `dir/spec<i>` at finalize,
     /// rank 0 only.
     pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.output_dir = Some(dir.into());
+        self.delivery.output_dir = Some(dir.into());
         self
     }
 
@@ -162,7 +158,7 @@ impl BinningSuite {
 
     /// Number of completed executes (diagnostic).
     pub fn executes(&self) -> u64 {
-        self.executes
+        self.delivery.executes()
     }
 
     /// The specs the suite computes.
@@ -200,12 +196,10 @@ impl AnalysisAdaptor for BinningSuite {
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
         let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-        let step = FusedStep { specs: &self.specs, counters: &self.counters };
-        let results = step.run(data, ctx, device, &mut self.streams)?;
+        let publish = self.delivery.wanted(ctx.comm);
+        let results = self.step().run(data, ctx, device, &self.arena, publish)?;
         comm_mark.charge(ctx.comm, &self.counters);
-        publish_to_sink(&self.sink, ctx.comm, &results);
-        self.last = results;
-        self.executes += 1;
+        self.delivery.deliver(ctx.comm, results);
         Ok(true)
     }
 
@@ -231,6 +225,7 @@ impl AnalysisAdaptor for BinningSuite {
         let comm_mark = CommMark::new(ctx.comm);
         let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
+        self.arena.place(device);
         let policy = self.controls.recovery;
         let nspecs = self.specs.len();
         let ntables = tables.len();
@@ -246,6 +241,8 @@ impl AnalysisAdaptor for BinningSuite {
         });
         let this = &*self;
         let step = this.step();
+        let arena = &this.arena;
+        let publish = this.delivery.wanted(ctx.comm);
         let node = ctx.node.clone();
 
         let mut g = TaskGraph::new(this.name(), this.counters.clone(), policy);
@@ -323,13 +320,24 @@ impl AnalysisAdaptor for BinningSuite {
                                 let grid = state.grids.lock()[si];
                                 let cols = state.cols_on(&node, ti, dw, primary, &stream)?;
                                 let col = |name: &str| &cols[name];
-                                let packed =
-                                    device_pass(&node, dw, &stream, col, &axes, &ops, grid)?;
+                                let len = ops.len() * grid.num_bins();
+                                let slot = arena.slot(&node, idx, dw, len, &stream)?;
+                                let scratches = arena.scratches();
+                                device_pass(
+                                    &stream,
+                                    col,
+                                    &axes,
+                                    &ops,
+                                    grid,
+                                    &slot.packed,
+                                    scratches,
+                                )?;
                                 counters.add_kernel_launches(1);
                                 let ready = Event::new();
                                 stream.record(&ready).map_err(Error::Device)?;
+                                let Slot { packed, host } = slot;
                                 *state.staged[idx].lock() =
-                                    Some(StagedPart::Device { device: dw, packed, ready });
+                                    Some(StagedPart::Device { device: dw, packed, host, ready });
                                 Ok(())
                             });
                             g.set_home(k, primary);
@@ -343,8 +351,9 @@ impl AnalysisAdaptor for BinningSuite {
                                 counters.add_table_passes(1);
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
                                 let scalar = hamr::Layout::Scalar;
-                                let part = host_pass(&node, col, scalar, &names, &pass).remove(0);
-                                *state.staged[idx].lock() = Some(StagedPart::Host(part));
+                                let mut scratch = arena.scratches().take();
+                                host_pass(&node, col, scalar, &names, &pass, &mut scratch);
+                                *state.staged[idx].lock() = Some(StagedPart::Host(scratch));
                                 Ok(())
                             })
                         }
@@ -356,7 +365,6 @@ impl AnalysisAdaptor for BinningSuite {
                 let download = match device {
                     Some(primary) => {
                         let state = state.clone();
-                        let node = node.clone();
                         let counters = this.counters.clone();
                         let ev = dl_event.clone();
                         let d = g.add_worker_task(
@@ -365,8 +373,8 @@ impl AnalysisAdaptor for BinningSuite {
                             TaskSite::AnyDevice,
                             move |tctx| {
                                 let part = match state.staged[idx].lock().as_ref() {
-                                    Some(StagedPart::Device { device, packed, ready }) => {
-                                        Some((*device, packed.clone(), ready.clone()))
+                                    Some(StagedPart::Device { device, packed, host, ready }) => {
+                                        Some((*device, packed.clone(), host.clone(), ready.clone()))
                                     }
                                     // A retried submission already landed.
                                     Some(StagedPart::Downloaded(_)) => None,
@@ -376,7 +384,7 @@ impl AnalysisAdaptor for BinningSuite {
                                         )))
                                     }
                                 };
-                                if let Some((dev, packed, ready)) = part {
+                                if let Some((dev, packed, host, ready)) = part {
                                     let cp = tctx
                                         .copy_stream(dev)
                                         .ok_or_else(|| {
@@ -385,7 +393,6 @@ impl AnalysisAdaptor for BinningSuite {
                                             ))
                                         })?
                                         .clone();
-                                    let host = node.host_alloc_f64(packed.len());
                                     cp.wait_event(&ready).map_err(Error::Device)?;
                                     cp.copy(&packed, &host).map_err(Error::Device)?;
                                     cp.record(&ev).map_err(Error::Device)?;
@@ -430,13 +437,15 @@ impl AnalysisAdaptor for BinningSuite {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Reduce, "packed-allreduce", move |_| {
                 let layout = StepLayout::new(step.specs, &state.grids.lock());
-                let mut flat = layout.identities();
+                let mut flat = layout.flat(arena, ntables);
                 for (idx, slot) in state.staged.iter().enumerate() {
-                    let si = idx % nspecs;
+                    let (first, si) = (idx < nspecs, idx % nspecs);
                     match slot.lock().as_ref() {
-                        Some(StagedPart::Host(parts)) => layout.merge_host(&mut flat, si, parts),
+                        Some(StagedPart::Host(scratch)) => {
+                            layout.land_host(&mut flat, si, first, &scratch.grids()[0])
+                        }
                         Some(StagedPart::Downloaded(host)) => {
-                            layout.merge_downloaded(&mut flat, si, host)?
+                            layout.land_downloaded(&mut flat, si, first, host)?
                         }
                         _ => {
                             return Err(Error::Analysis(format!(
@@ -456,7 +465,8 @@ impl AnalysisAdaptor for BinningSuite {
             g.gate_on_event(reduce, ev);
         }
 
-        // Publish: unpack the reduced buffer into per-spec results.
+        // Publish: unpack the reduced buffer into per-spec results where
+        // the rank consumes them; the buffer goes back to the arena.
         let publish = {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Publish, "results", move |_| {
@@ -464,33 +474,38 @@ impl AnalysisAdaptor for BinningSuite {
                     state.merged.lock().take().ok_or_else(|| {
                         Error::Analysis("dag publish: reduced grids missing".into())
                     })?;
-                let grids = state.grids.lock().clone();
-                let layout = StepLayout::new(step.specs, &grids);
-                let results = layout.publish(step.specs, &grids, &merged, data);
-                publish_to_sink(&this.sink, ctx.comm, &results);
-                *state.results.lock() = results;
+                if publish {
+                    let grids = state.grids.lock().clone();
+                    let layout = StepLayout::new(step.specs, &grids);
+                    *state.results.lock() = layout.publish(step.specs, &grids, &merged, data);
+                }
+                arena.keep_flat(merged);
                 Ok(())
             })
         };
         g.add_dep(publish, reduce);
 
         let outcome = sched.run(g)?;
+        for slot in &state.staged {
+            if let Some(StagedPart::Host(scratch)) = slot.lock().take() {
+                self.arena.scratches().give(scratch);
+            }
+        }
         comm_mark.charge(ctx.comm, &self.counters);
         if outcome == DagOutcome::Skipped {
             return Ok(true);
         }
-        self.last = std::mem::take(&mut *state.results.lock());
-        self.executes += 1;
+        let results = std::mem::take(&mut *state.results.lock());
+        self.delivery.deliver(ctx.comm, results);
         Ok(true)
     }
 
     fn finalize(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        if let Some(dir) = &self.output_dir {
-            if ctx.comm.rank() == 0 {
-                for (i, result) in self.last.iter().enumerate() {
-                    crate::io::write_result(&dir.join(format!("spec{i}")), result)
-                        .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
-                }
+        self.arena.release();
+        if let Some((dir, results)) = self.delivery.output(ctx.comm) {
+            for (i, result) in results.iter().enumerate() {
+                crate::io::write_result(&dir.join(format!("spec{i}")), result)
+                    .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
             }
         }
         Ok(())

@@ -1,0 +1,216 @@
+//! Allocation budget of a warm fused step: once a suite's arena has seen
+//! a step, the next ones allocate nothing grid-sized except the result
+//! arrays they publish, and ask the node's pool for no raw block.
+//!
+//! This binary holds a single `#[test]`: the counting allocator sees every
+//! thread of the process, so nothing else may run beside the measurement.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use devsim::{NodeConfig, SimNode};
+use minimpi::World;
+use sensei::{
+    AnalysisAdaptor, DagScheduler, DataAdaptor, DeviceSpec, ExecContext, MeshMetadata, Result,
+    SchedulerCounters,
+};
+use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
+
+use binning::{BinOp, BinningSpec, BinningSuite, ResultSink, VarOp};
+
+/// Allocations at least this large are "grid-sized" here.
+const BIG: usize = 64 * 1024;
+
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BIG_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting every request of [`BIG`] bytes or more.
+struct Counting;
+
+fn note(size: usize) {
+    if size >= BIG {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BIG_BYTES.fetch_add(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// 96 x 96 bins: one grid is 73 728 B, so every grid-shaped buffer of the
+/// step — and every published array — counts as big.
+const RESOLUTION: usize = 96;
+const GRID_BYTES: usize = RESOLUTION * RESOLUTION * 8;
+
+fn specs() -> Vec<BinningSpec> {
+    [("x", "y"), ("y", "z")]
+        .iter()
+        .map(|(a, b)| {
+            BinningSpec::new(
+                "bodies",
+                (*a, *b),
+                RESOLUTION,
+                vec![
+                    VarOp { var: String::new(), op: BinOp::Count },
+                    VarOp { var: "m".into(), op: BinOp::Sum },
+                    VarOp { var: "m".into(), op: BinOp::Min },
+                    VarOp { var: "z".into(), op: BinOp::Max },
+                    VarOp { var: "m".into(), op: BinOp::Average },
+                ],
+            )
+        })
+        .collect()
+}
+
+/// `tables` small particle tables per rank (auto bounds: the step issues
+/// both of its collectives).
+struct Tables {
+    tables: Vec<TableData>,
+    step: u64,
+}
+
+impl Tables {
+    fn new(node: &Arc<SimNode>, device: Option<usize>, rank: usize, tables: usize) -> Self {
+        let alloc = if device.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
+        let table = |salt: usize| {
+            let mut table = TableData::new();
+            for (name, seed) in [("x", 37), ("y", 53), ("z", 71), ("m", 97)] {
+                let col: Vec<f64> =
+                    (0..200).map(|i| (((i * seed + salt * 7919) % 1000) as f64) / 500.0).collect();
+                let arr = HamrDataArray::<f64>::from_slice(
+                    name,
+                    node.clone(),
+                    &col,
+                    1,
+                    alloc,
+                    device,
+                    HamrStream::default_stream(),
+                    StreamMode::Sync,
+                )
+                .unwrap();
+                table.set_column(arr.as_array_ref());
+            }
+            table
+        };
+        Tables { tables: (0..tables).map(|t| table(rank * tables + t)).collect(), step: 0 }
+    }
+}
+
+impl DataAdaptor for Tables {
+    fn num_meshes(&self) -> usize {
+        1
+    }
+    fn mesh_metadata(&self, _i: usize) -> Result<MeshMetadata> {
+        Ok(MeshMetadata { name: "bodies".into(), arrays: vec![] })
+    }
+    fn mesh(&self, _name: &str) -> Result<DataObject> {
+        let mut mb = svtk::MultiBlock::new(self.tables.len());
+        for (i, table) in self.tables.iter().enumerate() {
+            mb.set_block(i, DataObject::Table(table.clone()));
+        }
+        Ok(DataObject::Multi(mb))
+    }
+    fn time(&self) -> f64 {
+        self.step as f64
+    }
+    fn time_step(&self) -> u64 {
+        self.step
+    }
+}
+
+const WARMUP: u64 = 4;
+const MEASURED: u64 = 5;
+
+/// Run one configuration; returns the big allocations (count, bytes) the
+/// process made during the measured steps and asserts per rank that the
+/// pool made no raw allocation in them.
+fn measure(device: Option<usize>, dag: bool, tables: usize) -> (usize, usize) {
+    let out = World::new(2).run(move |comm| {
+        // One device: a task graph's kernels cannot be stolen to another
+        // device, so what the arena holds after warm-up is what it needs.
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let ctx = ExecContext::new(&comm, &node);
+        let mut sim = Tables::new(&node, device, comm.rank(), tables);
+        let sink: ResultSink = Arc::default();
+        let mut suite = BinningSuite::new(specs()).unwrap().with_sink(sink.clone());
+        suite.controls_mut().device = device.map_or(DeviceSpec::Host, DeviceSpec::Explicit);
+        let mut sched = DagScheduler::new(node.clone(), comm.rank(), SchedulerCounters::new());
+        let mut step = |sim: &mut Tables, n: u64| {
+            for _ in 0..n {
+                sim.step += 1;
+                if dag {
+                    suite.execute_dag(sim, &ctx, &mut sched).unwrap();
+                } else {
+                    suite.execute(sim, &ctx).unwrap();
+                }
+                // Dropping drained results frees memory; it allocates none.
+                sink.lock().clear();
+            }
+        };
+        step(&mut sim, WARMUP);
+        comm.barrier();
+        let before = (BIG_ALLOCS.load(Ordering::Relaxed), BIG_BYTES.load(Ordering::Relaxed));
+        let raw_before = node.pool_stats_total().raw_allocs;
+        comm.barrier();
+        step(&mut sim, MEASURED);
+        comm.barrier();
+        let after = (BIG_ALLOCS.load(Ordering::Relaxed), BIG_BYTES.load(Ordering::Relaxed));
+        assert_eq!(
+            node.pool_stats_total().raw_allocs,
+            raw_before,
+            "rank {}: raw pool allocations in warm steps",
+            comm.rank()
+        );
+        comm.barrier();
+        suite.finalize(&ctx).unwrap();
+        (after.0 - before.0, after.1 - before.1)
+    });
+    out[0]
+}
+
+#[test]
+fn warm_fused_steps_allocate_only_the_arrays_they_publish() {
+    // Rank 0 alone consumes results: one array per requested op per spec.
+    let arrays: usize = specs().iter().map(|s| s.ops.len()).sum::<usize>() * MEASURED as usize;
+    for device in [None, Some(0)] {
+        for dag in [false, true] {
+            for tables in [1, 2] {
+                let (count, bytes) = measure(device, dag, tables);
+                assert_eq!(
+                    (count, bytes),
+                    (arrays, arrays * GRID_BYTES),
+                    "device {device:?} dag {dag} tables {tables}: big allocations beyond the \
+                     published arrays"
+                );
+            }
+        }
+    }
+}

@@ -237,6 +237,49 @@ fn dag_retry_recovers_injected_launch_faults_bit_identically() {
     assert_results_bit_identical(&dag, &inline, "fault-injected retry");
 }
 
+#[test]
+fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
+    // The suite keeps its device blocks, host staging and streams across
+    // steps; `finalize` hands them back. After `Bridge::finalize` the
+    // node's live pool bytes are what they were before `add_analysis`
+    // (the simulation's own columns), whichever engine ran the steps.
+    for execution in
+        [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag]
+    {
+        World::new(2).run(move |comm| {
+            let node = SimNode::new(NodeConfig::fast_test(2));
+            let mut sim = Particles::new(node.clone(), Some(0), comm.rank());
+            let baseline = node.pool_stats_total().live_bytes;
+            let suite =
+                BinningSuite::new(spec_set(3, 8, true)).unwrap().with_controls(BackendControls {
+                    execution,
+                    device: DeviceSpec::Explicit(0),
+                    ..Default::default()
+                });
+            let mut bridge = Bridge::new(node.clone());
+            bridge.set_snapshot_mode(SnapshotMode::Cow);
+            bridge.add_analysis(Box::new(suite), &comm).unwrap();
+            for step in 0..3 {
+                sim.step = step;
+                bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+            }
+            assert!(
+                execution != ExecutionMethod::Lockstep
+                    || node.pool_stats_total().live_bytes > baseline,
+                "the arena is resident between steps"
+            );
+            bridge.finalize(&comm).unwrap();
+            assert_eq!(
+                node.pool_stats_total().live_bytes,
+                baseline,
+                "rank {} under {}: pool blocks still live after finalize",
+                comm.rank(),
+                execution.name()
+            );
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -50,9 +50,32 @@ fn fused_grids<C: Column + ?Sized>(cols: &[&C], spec: &PassSpec) -> Vec<Vec<f64>
 }
 
 /// One fused pass of `specs` over `cols`: per spec, its grids packed
-/// `[op][bin]`.
+/// `[op][bin]`. The pass runs in a scratch an earlier launch — the same
+/// specs in reverse order — has left its plans and partials in, as every
+/// launch after a back-end's first does.
 fn packed_grids<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<Vec<f64>> {
-    host_impl::bin_all_host(cols, specs).iter().map(|grids| grids.packed()).collect()
+    let mut scratch = host_impl::KernelScratch::default();
+    let earlier: Vec<PassSpec> = specs.iter().rev().cloned().collect();
+    host_impl::bin_all_host(cols, &earlier, &mut scratch);
+    host_impl::bin_all_host(cols, specs, &mut scratch).iter().map(|grids| grids.packed()).collect()
+}
+
+/// One fused device pass of `spec` over `cols`, launched twice into the
+/// same resident block through `scratches`: the packed grids, which must
+/// not depend on what the block or the scratch held before.
+fn fused_device(
+    node: &Arc<SimNode>,
+    stream: &Arc<Stream>,
+    cols: &[&CellBuffer],
+    spec: &PassSpec,
+    scratches: &Arc<host_impl::ScratchPool>,
+) -> CellBuffer {
+    let len = spec.ops.len() * spec.grid.num_bins();
+    let packed = node.device(0).unwrap().alloc_cells_on_stream(len, stream).unwrap();
+    for _ in 0..2 {
+        device_impl::bin_all_device(stream, cols, spec, &packed, scratches).unwrap();
+    }
+    packed
 }
 
 proptest! {
@@ -404,8 +427,7 @@ proptest! {
         let dy = upload(&node, &stream, &ys);
         let dv = upload(&node, &stream, &vs);
         let spec = xyv_spec(&ALL, g);
-        let packed =
-            device_impl::bin_all_device(&node, 0, &stream, &[&dx, &dy, &dv], &spec).unwrap();
+        let packed = fused_device(&node, &stream, &[&dx, &dy, &dv], &spec, &Arc::default());
         let host_out = node.host_alloc_f64(packed.len());
         stream.copy(&packed, &host_out).unwrap();
         stream.synchronize().unwrap();
@@ -426,10 +448,9 @@ proptest! {
         }
     }
 
-    /// The privatized device kernel over random spec sets equals the
-    /// per-op device kernels bit for bit, and a bin no row fell into still
-    /// holds its reduction's identity — nothing but touched cells is ever
-    /// committed to the shared buffer.
+    /// The privatized device kernel over random spec sets — every launch
+    /// through one scratch pool — equals the per-op device kernels bit for
+    /// bit, and a bin no row fell into holds its reduction's identity.
     #[test]
     fn privatized_device_kernel_matches_per_op_and_spares_untouched_bins(seed in any::<u64>()) {
         let node = SimNode::new(NodeConfig::fast_test(1));
@@ -440,6 +461,7 @@ proptest! {
             stream.synchronize().unwrap();
             host.host_f64_ro().unwrap().to_vec()
         };
+        let scratches = Arc::default();
         for rows in [0, 1, TILE + 1] {
             let (cols, specs) = random_pass(seed ^ rows as u64, rows);
             let dev: Vec<CellBuffer> = cols.iter().map(|c| upload(&node, &stream, c)).collect();
@@ -447,9 +469,7 @@ proptest! {
             for (si, spec) in specs.iter().enumerate() {
                 let g = spec.grid;
                 let bins = g.num_bins();
-                let packed =
-                    device_impl::bin_all_device(&node, 0, &stream, &dev_refs, spec).unwrap();
-                let fused = download(&packed);
+                let fused = download(&fused_device(&node, &stream, &dev_refs, spec, &scratches));
                 prop_assert_eq!(fused.len(), spec.ops.len() * bins);
                 let [xs, ys] = spec.axes.map(|c| &cols[c][..]);
                 let counts = host_impl::bin_host(xs, ys, None, BinOp::Count, &g);

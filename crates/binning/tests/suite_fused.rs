@@ -28,13 +28,20 @@ impl Particles {
         let col = |seed: usize| -> Vec<f64> {
             (0..n).map(|i| (((i * seed + rank * 7919) % 1000) as f64) / 500.0 - 1.0).collect()
         };
+        let cols =
+            [("x", 37), ("y", 53), ("z", 71), ("m", 97)].map(|(name, seed)| (name, col(seed)));
+        Particles::of(node, device, &cols)
+    }
+
+    /// A table of the given columns, resident on `device` (or the host).
+    fn of(node: Arc<SimNode>, device: Option<usize>, cols: &[(&str, Vec<f64>)]) -> Self {
         let alloc = if device.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
         let mut table = TableData::new();
-        for (name, seed) in [("x", 37), ("y", 53), ("z", 71), ("m", 97)] {
+        for (name, values) in cols {
             let arr = HamrDataArray::<f64>::from_slice(
-                name,
+                *name,
                 node.clone(),
-                &col(seed),
+                values,
                 1,
                 alloc,
                 device,
@@ -498,4 +505,179 @@ fn all_specs_host_pass_merges_multiblock_tables_table_major() {
     // (table, spec, op) on the reference path (6 grids per spec).
     assert_eq!(suite_passes, 2 * steps);
     assert_eq!(per_op_passes, 2 * 3 * 6 * steps);
+}
+
+/// Every published array as `(step, "x/y/name", value bits)`.
+fn bits_of(results: &[BinnedResult]) -> Vec<(u64, String, Vec<u64>)> {
+    let arrays = |r: &BinnedResult| {
+        let (step, (a, b)) = (r.step, r.axes.clone());
+        let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect();
+        r.arrays
+            .iter()
+            .map(move |(n, v)| (step, format!("{a}/{b}/{n}"), bits(v)))
+            .collect::<Vec<_>>()
+    };
+    results.iter().flat_map(arrays).collect()
+}
+
+#[test]
+fn placement_change_mid_run_rebuilds_the_device_side() {
+    // The adaptive controller and steering move a live back-end through
+    // `controls_mut()`. The suite's streams and resident blocks belong to
+    // the device they were made on, so every move must rebuild them:
+    // device 0 -> device 1 -> host -> device 0, each step bit-identical to
+    // a fresh suite that only ever ran at that placement.
+    World::new(2).run(|comm| {
+        let node = SimNode::new(NodeConfig::fast_test(2));
+        let ctx = sensei::ExecContext::new(&comm, &node);
+        let mut sim = Particles::new(node.clone(), None, comm.rank());
+        let sink: ResultSink = Arc::default();
+        let mut suite = BinningSuite::new(specs_with(true)).unwrap().with_sink(sink.clone());
+        let placements = [Some(0), Some(1), None, Some(0)];
+        for (step, placement) in placements.into_iter().enumerate() {
+            let spec = placement.map_or(DeviceSpec::Host, DeviceSpec::Explicit);
+            sim.step = step as u64;
+            suite.controls_mut().device = spec;
+            suite.execute(&sim, &ctx).unwrap();
+
+            let fresh_sink: ResultSink = Arc::default();
+            let mut fresh =
+                BinningSuite::new(specs_with(true)).unwrap().with_sink(fresh_sink.clone());
+            fresh.controls_mut().device = spec;
+            fresh.execute(&sim, &ctx).unwrap();
+            fresh.finalize(&ctx).unwrap();
+            if comm.rank() == 0 {
+                let moved = std::mem::take(&mut *sink.lock());
+                assert_eq!(moved.len(), 3);
+                assert_eq!(bits_of(&moved), bits_of(&fresh_sink.lock()), "step {step} on {spec:?}");
+            }
+        }
+        suite.finalize(&ctx).unwrap();
+        assert_eq!(suite.executes(), 4);
+    });
+}
+
+/// Coordinate systems over the edge-case tables: sums and averages read
+/// `m` (finite values, signed zeros, NaN, +inf), minima and maxima read
+/// `w` (both infinities and NaN too).
+fn edge_specs() -> Vec<BinningSpec> {
+    [("x", "y"), ("y", "x")]
+        .iter()
+        .map(|(a, b)| {
+            let mut s = BinningSpec::new(
+                "bodies",
+                (*a, *b),
+                4,
+                vec![
+                    VarOp { var: String::new(), op: BinOp::Count },
+                    VarOp { var: "m".into(), op: BinOp::Sum },
+                    VarOp { var: "w".into(), op: BinOp::Min },
+                    VarOp { var: "w".into(), op: BinOp::Max },
+                    VarOp { var: "m".into(), op: BinOp::Average },
+                ],
+            );
+            s.bounds = Some(([-1.0, 1.0], [-1.0, 1.0]));
+            s
+        })
+        .collect()
+}
+
+/// One of the edge-case tables, `n` rows: every row of bin (0, 0) sums
+/// -0.0, other bins see NaN, +inf and ordinary values; `shift` moves all
+/// rows out of the mesh.
+fn edge_table(
+    node: &Arc<SimNode>,
+    device: Option<usize>,
+    n: usize,
+    salt: usize,
+    shift: f64,
+) -> Particles {
+    let coord = |seed: usize| -> Vec<f64> {
+        (0..n).map(|i| (((i * seed + salt * 7919) % 1000) as f64) / 500.0 - 1.0 + shift).collect()
+    };
+    let (x, y) = (coord(37), coord(53));
+    let special = [f64::NAN, f64::INFINITY, 0.25, -3.5, 1.0e15, -0.0];
+    let m: Vec<f64> = (0..n)
+        .map(
+            |i| if x[i] < -0.5 && y[i] < -0.5 { -0.0 } else { special[(i + salt) % special.len()] },
+        )
+        .collect();
+    let w: Vec<f64> = (0..n)
+        .map(|i| [f64::NEG_INFINITY, 2.0, f64::NAN, f64::INFINITY, -7.0][(i * 3 + salt) % 5])
+        .collect();
+    Particles::of(node.clone(), device, &[("x", x), ("y", y), ("m", m), ("w", w)])
+}
+
+#[test]
+fn first_table_copied_later_tables_merged_matches_per_op_on_edge_cases() {
+    // The fused step seeds each grid segment with the first table's
+    // partial and merges the second table's into it; the per-op reference
+    // starts every grid at its identities and merges both. Same bits, on
+    // host and device placement, lockstep and as a task graph, over: sums
+    // of -0.0 only, NaN / +-inf values, an empty first or second table,
+    // and a table whose rows all fall outside the mesh.
+    use sensei::ExecutionMethod;
+    // (rows, shift) of the two local tables.
+    let cases = [
+        [(150, 0.0), (90, 0.0)],
+        [(0, 0.0), (120, 0.0)],
+        [(120, 0.0), (0, 0.0)],
+        [(80, 5.0), (100, 0.0)],
+        [(100, 0.0), (80, 5.0)],
+        [(0, 0.0), (0, 0.0)],
+    ];
+    for device_spec in [DeviceSpec::Explicit(0), DeviceSpec::Host] {
+        for case in cases {
+            let run = |execution: ExecutionMethod,
+                       build: &(dyn Fn(ResultSink) -> Vec<Box<dyn AnalysisAdaptor>> + Sync)| {
+                let sink: ResultSink = Arc::default();
+                World::new(2).run(|comm| {
+                    let node = SimNode::new(NodeConfig::fast_test(2));
+                    let mut bridge = Bridge::new(node.clone());
+                    for mut backend in build(sink.clone()) {
+                        backend.controls_mut().device = device_spec;
+                        backend.controls_mut().execution = execution;
+                        bridge.add_analysis(backend, &comm).unwrap();
+                    }
+                    let device = match device_spec {
+                        DeviceSpec::Explicit(d) => Some(d),
+                        _ => None,
+                    };
+                    let blocks = [0, 1].map(|b| {
+                        let (rows, shift) = case[b];
+                        edge_table(&node, device, rows, 2 * comm.rank() + b, shift)
+                    });
+                    let mut sim = TwoTables { blocks, step: 0 };
+                    for step in 0..2 {
+                        sim.step = step;
+                        bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+                    }
+                    bridge.finalize(&comm).unwrap();
+                });
+                let mut results = std::mem::take(&mut *sink.lock());
+                // Per-op instances fill the sink spec-major within a step;
+                // asynchronous engines interleave them freely.
+                results.sort_by(|a, b| (a.step, &a.axes).cmp(&(b.step, &b.axes)));
+                bits_of(&results)
+            };
+            let reference = run(ExecutionMethod::Lockstep, &|sink| {
+                edge_specs()
+                    .into_iter()
+                    .map(|spec| {
+                        let a =
+                            BinningAnalysis::new(spec).with_fused(false).with_sink(sink.clone());
+                        Box::new(a) as Box<dyn AnalysisAdaptor>
+                    })
+                    .collect()
+            });
+            assert_eq!(reference.len(), 2 * 2 * 5, "two specs, two steps, five arrays");
+            for execution in [ExecutionMethod::Lockstep, ExecutionMethod::Dag] {
+                let fused = run(execution, &|sink| {
+                    vec![Box::new(BinningSuite::new(edge_specs()).unwrap().with_sink(sink))
+                        as Box<dyn AnalysisAdaptor>]
+                });
+                assert_eq!(fused, reference, "{device_spec:?} {execution:?} tables {case:?}");
+            }
+        }
+    }
 }

@@ -530,7 +530,7 @@ impl CellBuffer {
         // pin resolves here and the read below routes to the holder.
         self.begin_write();
         let (src_cells, _read) = src.read_cells();
-        for (d, s) in self.cells.iter().take(self.len).zip(src_cells.iter()) {
+        for (d, s) in self.cells[..self.len].iter().zip(&src_cells[..self.len]) {
             d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         Ok(())
@@ -580,6 +580,13 @@ macro_rules! view_bounds {
             &self.cells[i]
         }
     };
+}
+
+/// One cell read as an `f64`. Inlined into the view iterators, which are
+/// instantiated in the calling crate.
+#[inline]
+fn load_f64(cell: &AtomicU64) -> f64 {
+    f64::from_bits(cell.load(Ordering::Relaxed))
 }
 
 macro_rules! f64_ops {
@@ -654,10 +661,52 @@ macro_rules! f64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<f64> {
-                self.cells[..self.len]
-                    .iter()
-                    .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-                    .collect()
+                self.iter().collect()
+            }
+
+            /// The elements in order, without copying them out first.
+            pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+                self.cells[..self.len].iter().map(load_f64)
+            }
+
+            /// The elements `n` at a time (the last run may be shorter),
+            /// each run an iterator like [`Self::iter`].
+            ///
+            /// # Panics
+            /// Panics if `n` is zero.
+            pub fn chunks(
+                &self,
+                n: usize,
+            ) -> impl Iterator<Item = impl ExactSizeIterator<Item = f64> + '_> + '_ {
+                self.cells[..self.len].chunks(n).map(|run| run.iter().map(load_f64))
+            }
+
+            /// Store the row-major `rows`, each `starts.len()` values wide,
+            /// column by column: value `c` of row `r` lands at element
+            /// `starts[c] + r`.
+            ///
+            /// # Panics
+            /// Panics if `rows` is not a whole number of rows or a column
+            /// runs past the end of the view.
+            pub fn store_columns(&self, rows: &[f64], starts: &[usize]) {
+                let Some(n) = rows.len().checked_div(starts.len()) else {
+                    assert!(rows.is_empty(), "store_columns needs whole rows");
+                    return;
+                };
+                assert_eq!(rows.len(), n * starts.len(), "store_columns needs whole rows");
+                let (cells, width) = (&self.cells[..self.len], starts.len());
+                let columns: Vec<&[AtomicU64]> = starts.iter().map(|&s| &cells[s..s + n]).collect();
+                // A block of rows at a time, so the strided reads of one
+                // column hit lines the previous column just pulled in.
+                const BLOCK: usize = 64;
+                for (b, block) in rows.chunks(BLOCK * width).enumerate() {
+                    for (c, column) in columns.iter().enumerate() {
+                        let block_rows = block.chunks_exact(width);
+                        for (cell, row) in column[b * BLOCK..].iter().zip(block_rows) {
+                            cell.store(row[c].to_bits(), Ordering::Relaxed);
+                        }
+                    }
+                }
             }
 
             /// Fill every element with `v`.
@@ -927,6 +976,31 @@ mod tests {
         assert_eq!(v.to_vec(), vec![9.0; 3]);
         v.copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn iter_chunks_and_column_stores() {
+        let b = host_buf(7);
+        let v = b.host_f64().unwrap();
+        v.fill(-1.0);
+        // Three rows of two values; column 0 lands at 4.., column 1 at 0...
+        v.store_columns(&[1.0, 10.0, 2.0, 20.0, 3.0, 30.0], &[4, 0]);
+        assert_eq!(v.to_vec(), vec![10.0, 20.0, 30.0, -1.0, 1.0, 2.0, 3.0]);
+        assert_eq!(v.iter().len(), 7);
+        assert_eq!(v.iter().skip(4).collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
+        let runs: Vec<Vec<f64>> = v.chunks(3).map(Iterator::collect).collect();
+        assert_eq!(runs, vec![vec![10.0, 20.0, 30.0], vec![-1.0, 1.0, 2.0], vec![3.0]]);
+        let before = v.to_vec();
+        v.store_columns(&[], &[]);
+        v.store_columns(&[], &[3]);
+        assert_eq!(v.to_vec(), before);
+    }
+
+    #[test]
+    #[should_panic]
+    fn column_store_past_the_view_panics() {
+        let b = host_buf(4);
+        b.host_f64().unwrap().store_columns(&[1.0, 2.0, 3.0], &[2]);
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! fresh slice of the reserved tag space so that back-to-back collectives
 //! and user point-to-point traffic can never cross-match.
 
+use std::cell::RefCell;
+
 use crate::comm::{Comm, COLLECTIVE_TAG_BASE};
 use crate::error::{Error, Result};
 use crate::topology::Topology;
@@ -72,13 +74,17 @@ pub enum SegmentOp {
 }
 
 impl SegmentOp {
-    fn merge(self, a: f64, b: f64) -> f64 {
+    /// `acc[i] = acc[i] ⊕ part[i]` over one segment. The op is matched
+    /// once, outside the loop, so each arm is a plain zipped slice loop the
+    /// compiler vectorises.
+    fn merge(self, acc: &mut [f64], part: &[f64]) {
+        let pairs = acc.iter_mut().zip(part);
         match self {
-            SegmentOp::Sum => a + b,
+            SegmentOp::Sum => pairs.for_each(|(a, b)| *a += *b),
             // `f64::min`/`max` are NaN-ignoring: if one side is NaN the
             // other wins, which is what empty-bin Min/Max identities need.
-            SegmentOp::Min => a.min(b),
-            SegmentOp::Max => a.max(b),
+            SegmentOp::Min => pairs.for_each(|(a, b)| *a = a.min(*b)),
+            SegmentOp::Max => pairs.for_each(|(a, b)| *a = a.max(*b)),
         }
     }
 }
@@ -118,13 +124,17 @@ impl Comm {
     /// broadcast is tiered — root to the other nodes' leaders over the
     /// interconnect, then node-local fan-out.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: T) -> Result<T> {
-        self.bcast_metered(root, value, std::mem::size_of::<T>())
+        self.bcast_metered(root, value, &T::clone, std::mem::size_of::<T>())
     }
 
-    pub(crate) fn bcast_metered<T: Clone + Send + 'static>(
+    /// [`Comm::bcast`] charging `bytes` per message. Every copy a sender
+    /// hands out is made by `dup` — `T::clone`, or a caller with buffers
+    /// to reuse.
+    pub(crate) fn bcast_metered<T: Send + 'static>(
         &self,
         root: usize,
         value: T,
+        dup: &impl Fn(&T) -> T,
         bytes: usize,
     ) -> Result<T> {
         let tag = self.next_coll_tag();
@@ -132,12 +142,12 @@ impl Comm {
             return Ok(value);
         }
         if self.hierarchical() {
-            return self.bcast_hier(root, value, bytes, tag);
+            return self.bcast_hier(root, value, dup, bytes, tag);
         }
         if self.rank() == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.coll_send_metered(dst, tag + SLOT_DATA, value.clone(), bytes);
+                    self.coll_send_metered(dst, tag + SLOT_DATA, dup(&value), bytes);
                 }
             }
             Ok(value)
@@ -148,12 +158,13 @@ impl Comm {
 
     /// Tiered broadcast: `root` hands the value to every other node's
     /// leader (inter-node tier, on this comm's tag), then each node fans
-    /// out locally on the node sub-communicator. The value is cloned
+    /// out locally on the node sub-communicator. The value is duplicated
     /// verbatim, so flat and hierarchical broadcasts agree trivially.
-    fn bcast_hier<T: Clone + Send + 'static>(
+    fn bcast_hier<T: Send + 'static>(
         &self,
         root: usize,
         value: T,
+        dup: &impl Fn(&T) -> T,
         bytes: usize,
         tag: u64,
     ) -> Result<T> {
@@ -171,7 +182,7 @@ impl Comm {
                             self.coll_send_metered(
                                 topo.leader(node),
                                 tag + SLOT_DATA,
-                                value.clone(),
+                                dup(&value),
                                 bytes,
                             );
                         }
@@ -182,7 +193,7 @@ impl Comm {
                 };
                 for nr in 0..h.node.size() {
                     if nr != h.node.rank() {
-                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, v.clone(), bytes);
+                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes);
                     }
                 }
                 Ok(v)
@@ -244,13 +255,18 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
     {
-        self.allreduce_metered(value, &op, std::mem::size_of::<T>())
+        self.allreduce_metered(value, &op, &T::clone, std::mem::size_of::<T>())
     }
 
-    pub(crate) fn allreduce_metered<T, F>(&self, value: T, op: &F, bytes: usize) -> T
+    /// [`Comm::allreduce`] charging `bytes` per message, the copies of the
+    /// result handed back down made by `dup` (see [`Comm::bcast_metered`]).
+    /// Every rank sends down exactly as many copies as it merged partials
+    /// on the way up, on the flat and the tiered path alike.
+    pub(crate) fn allreduce_metered<T, F, D>(&self, value: T, op: &F, dup: &D, bytes: usize) -> T
     where
-        T: Clone + Send + 'static,
+        T: Send + 'static,
         F: Fn(T, T) -> T,
+        D: Fn(&T) -> T,
     {
         self.allreduce_rounds.set(self.allreduce_rounds.get() + 1);
         if self.size() == 1 {
@@ -263,10 +279,10 @@ impl Comm {
             return value;
         }
         if self.hierarchical() {
-            return self.allreduce_hier(value, op, bytes);
+            return self.allreduce_hier(value, op, dup, bytes);
         }
         let reduced = self.reduce_metered(0, value, op, bytes).expect("rank 0 is always valid");
-        self.bcast_metered(0, reduced, bytes)
+        self.bcast_metered(0, reduced, &|v: &Option<T>| v.as_ref().map(dup), bytes)
             .expect("rank 0 is always valid")
             .expect("root always holds the reduced value")
     }
@@ -275,10 +291,11 @@ impl Comm {
     /// (the hook observes the logical allreduce), then each tier's
     /// collective claims its own slot on its sub-communicator — so a hook
     /// such as the `mpi.collective` fault site fires on every tier.
-    fn allreduce_hier<T, F>(&self, value: T, op: &F, bytes: usize) -> T
+    fn allreduce_hier<T, F, D>(&self, value: T, op: &F, dup: &D, bytes: usize) -> T
     where
-        T: Clone + Send + 'static,
+        T: Send + 'static,
         F: Fn(T, T) -> T,
+        D: Fn(&T) -> T,
     {
         let _ = self.next_coll_tag();
         self.with_hier(|h| {
@@ -287,14 +304,15 @@ impl Comm {
             let partial = h.node.reduce_metered(0, value, op, bytes).expect("node rank 0 valid");
             // Tier 2 (inter-node): binomial-tree allreduce among leaders.
             let result = h.leader.as_ref().map(|l| {
-                leader_allreduce(l, partial.expect("leader holds its node partial"), op, bytes)
+                let partial = partial.expect("leader holds its node partial");
+                leader_allreduce(l, partial, op, dup, bytes)
             });
             // Tier 3 (intra-node): node-local broadcast of the result.
             let node_tag = h.node.next_coll_tag();
             if h.node.rank() == 0 {
                 let v = result.expect("node leader ran the leader tier");
                 for nr in 1..h.node.size() {
-                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, v.clone(), bytes);
+                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes);
                 }
                 v
             } else {
@@ -320,19 +338,30 @@ impl Comm {
             return Err(Error::LengthMismatch { expected, got: data.len() });
         }
         let bytes = data.len() * std::mem::size_of::<f64>();
-        let segments = segments.to_vec();
-        let op = move |mut a: Vec<f64>, b: Vec<f64>| {
-            debug_assert_eq!(a.len(), b.len(), "packed buffers must agree across ranks");
-            let mut base = 0;
-            for seg in &segments {
-                for i in base..base + seg.len {
-                    a[i] = seg.op.merge(a[i], b[i]);
-                }
-                base += seg.len;
+        // A merged-in partial's buffer is dead weight its rank already
+        // holds: the copies of the result sent back down are written into
+        // those, so the round allocates nothing payload-sized and every
+        // non-merging rank gets the allocation it sent back.
+        let spares = RefCell::new(Vec::new());
+        let op = |mut a: Vec<f64>, b: Vec<f64>| {
+            assert_eq!(a.len(), b.len(), "packed buffers must agree across ranks");
+            let (mut acc, mut part) = (&mut a[..], &b[..]);
+            for seg in segments {
+                let (head, tail) = acc.split_at_mut(seg.len);
+                seg.op.merge(head, &part[..seg.len]);
+                (acc, part) = (tail, &part[seg.len..]);
             }
+            spares.borrow_mut().push(b);
             a
         };
-        Ok(self.allreduce_metered(data, &op, bytes))
+        let dup = |result: &Vec<f64>| match spares.borrow_mut().pop() {
+            Some(mut spare) => {
+                spare.copy_from_slice(result);
+                spare
+            }
+            None => result.clone(),
+        };
+        Ok(self.allreduce_metered(data, &op, &dup, bytes))
     }
 
     /// Gather every rank's `value` at `root`, in rank order.
@@ -499,10 +528,11 @@ impl Comm {
 /// the mirrored tree back down. One collective slot on the leader comm
 /// covers both sweeps, so hooks (fault sites) observe one leader-tier
 /// collective per allreduce.
-fn leader_allreduce<T, F>(l: &Comm, mine: T, op: &F, bytes: usize) -> T
+fn leader_allreduce<T, F, D>(l: &Comm, mine: T, op: &F, dup: &D, bytes: usize) -> T
 where
-    T: Clone + Send + 'static,
+    T: Send + 'static,
     F: Fn(T, T) -> T,
+    D: Fn(&T) -> T,
 {
     let tag = l.next_coll_tag();
     let m = l.size();
@@ -536,7 +566,7 @@ where
     while gap >= 1 {
         if i.is_multiple_of(2 * gap) {
             if i + gap < m {
-                let v = acc.clone().expect("holders forward the result");
+                let v = dup(acc.as_ref().expect("holders forward the result"));
                 l.coll_send_metered(i + gap, tag + SLOT_RESULT, v, bytes);
             }
         } else if i % (2 * gap) == gap {
