@@ -24,8 +24,8 @@ cargo run --release -p bench --bin harness -- run-config configs/sensei_xml/binn
 cargo run --release -p bench --bin harness -- run-config configs/sensei_xml/binning_90ops_fused.xml --steps 5
 
 echo
-echo "== Criterion micro/ablation benchmarks =="
-cargo bench --workspace
+echo "== Benchmark spine: four workloads, end-to-end + per-layer metrics =="
+bash benchmarks/run.sh
 
 echo
-echo "All experiment outputs are under $OUT/ and target/criterion/."
+echo "All experiment outputs are under $OUT/ and benchmarks/out/."

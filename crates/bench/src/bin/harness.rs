@@ -40,10 +40,10 @@
 //! `--out`. The workload's rows/resolution/instance mix are fixed by
 //! the A/B; `--steps`, `--devices`, and `--scale` apply.
 //!
-//! `snapshot` runs the deep-vs-delta-vs-cow snapshot A/B on the bounded
+//! `snapshot` runs the deep-vs-cow snapshot A/B on the bounded
 //! fused binning workload (see `bench::run_snapshot_bench`), prints the
-//! snapshot-layer counters per arm, hard-asserts that the delta and cow
-//! arms' binned results are bit-identical to the deep reference and that
+//! snapshot-layer counters per arm, hard-asserts that the cow arm's
+//! binned results are bit-identical to the deep reference and that
 //! the cow arm copies at least 70% fewer bytes per step, and writes
 //! `BENCH_snapshot.json` under `--out`.
 //!
@@ -707,7 +707,7 @@ fn write_snapshot_json(path: &Path, report: &bench::SnapshotReport) {
         json.push_str(&format!(
             "  {{\"mode\": \"{}\", \"steps\": {}, \"instances\": {}, \"results\": {}, \
              \"arrays_shared\": {}, \"arrays_copied\": {}, \"bytes_copied\": {}, \
-             \"bytes_per_step\": {:.1}, \"cow_faults\": {}, \"copy_overlap_ns\": {}, \
+             \"bytes_per_step\": {:.1}, \"cow_faults\": {}, \
              \"mean_insitu_s\": {:.9}, \"total_s\": {:.6}, \
              \"bit_identical_to_deep\": {}}}{}\n",
             a.mode.name(),
@@ -719,7 +719,6 @@ fn write_snapshot_json(path: &Path, report: &bench::SnapshotReport) {
             c.bytes_copied,
             a.bytes_per_step(steps),
             c.cow_faults,
-            c.copy_overlap_ns,
             a.mean_insitu.as_secs_f64(),
             a.total.as_secs_f64(),
             report.bit_identical_to_deep(a),
@@ -732,9 +731,9 @@ fn write_snapshot_json(path: &Path, report: &bench::SnapshotReport) {
     println!("wrote {}", path.display());
 }
 
-/// The snapshot A/B smoke: run the deep, delta, and cow arms, print the
+/// The snapshot A/B smoke: run the deep and cow arms, print the
 /// snapshot-layer counters, and hard-assert the deterministic claims CI
-/// relies on — every arm's binned results are bit-identical to the deep
+/// relies on — the cow arm's binned results are bit-identical to the deep
 /// reference, cow captures eager-copy nothing, and cow fault traffic
 /// never exceeds the deep reference. The headline ≥70% byte reduction
 /// depends on OS scheduling (the consumer must release its shares
@@ -748,30 +747,29 @@ fn run_snapshot_mode(base: &CaseConfig, out_dir: &Path) {
         time_scale: base.time_scale,
     };
     println!(
-        "\nSnapshot capture A/B: deep vs delta vs cow, {} bodies, {} steps, \
+        "\nSnapshot capture A/B: deep vs cow, {} bodies, {} steps, \
          {} instances on {}^2 bins, async host-placed suite",
         cfg.bodies, cfg.steps, cfg.instances, cfg.resolution
     );
 
     let t0 = Instant::now();
     let report = bench::run_snapshot_bench(&cfg);
-    eprintln!("three arms done in {:.2?}", t0.elapsed());
+    eprintln!("both arms done in {:.2?}", t0.elapsed());
 
     println!(
-        "\n  {:<7} {:>8} {:>8} {:>12} {:>12} {:>7} {:>12} {:>12}",
-        "mode", "shared", "copied", "bytes", "bytes/step", "faults", "overlap_ms", "insitu/iter"
+        "\n  {:<7} {:>8} {:>8} {:>12} {:>12} {:>7} {:>12}",
+        "mode", "shared", "copied", "bytes", "bytes/step", "faults", "insitu/iter"
     );
     for a in report.arms() {
         let c = &a.counters;
         println!(
-            "  {:<7} {:>8} {:>8} {:>12} {:>12.0} {:>7} {:>12.3} {:>9.3} ms",
+            "  {:<7} {:>8} {:>8} {:>12} {:>12.0} {:>7} {:>9.3} ms",
             a.mode.name(),
             c.arrays_shared,
             c.arrays_copied,
             c.bytes_copied,
             a.bytes_per_step(cfg.steps),
             c.cow_faults,
-            c.copy_overlap_ns as f64 / 1e6,
             a.mean_insitu.as_secs_f64() * 1e3,
         );
     }
@@ -785,19 +783,11 @@ fn run_snapshot_mode(base: &CaseConfig, out_dir: &Path) {
 
     // Correctness before savings: sharing must never leak post-capture
     // writes into a capture.
-    for a in [&report.delta, &report.cow] {
-        assert_eq!(a.results.len(), d.results.len(), "{} delivers every step", a.mode.name());
-        if !report.bit_identical_to_deep(a) {
-            eprintln!("FAIL: {} arm results differ from the deep reference", a.mode.name());
-            std::process::exit(1);
-        }
+    assert_eq!(report.cow.results.len(), d.results.len(), "cow delivers every step");
+    if !report.bit_identical_to_deep(&report.cow) {
+        eprintln!("FAIL: cow arm results differ from the deep reference");
+        std::process::exit(1);
     }
-
-    // Delta savings are bounded (Newton++ rewrites all but mass each
-    // step) but must exist; cow sharing must dominate it.
-    assert!(report.delta.counters.arrays_shared > 0, "delta shares unmodified arrays");
-    assert!(report.delta.counters.bytes_copied < d.counters.bytes_copied);
-    assert!(report.cow.counters.arrays_shared > report.delta.counters.arrays_shared);
 
     // Deterministic cow invariants, independent of how the OS schedules
     // the consumer worker: a cow capture itself never copies (all of its
@@ -878,7 +868,7 @@ fn write_dag_json(path: &Path, report: &bench::DagBenchReport) {
     println!("wrote {}", path.display());
 }
 
-/// The dag smoke: run the five arms on the skewed mixed-cost workload,
+/// The dag smoke: run the four arms on the skewed mixed-cost workload,
 /// print the timings and scheduler counters, and hard-assert the claims
 /// CI relies on — every arm bit-identical to the inline reference, the
 /// dag stealing at least one task and aborting none, and the
@@ -907,7 +897,7 @@ fn run_dag_mode(base: &CaseConfig, out_dir: &Path) {
 
     let t0 = Instant::now();
     let report = bench::run_dag_bench(&cfg);
-    eprintln!("five arms done in {:.2?}", t0.elapsed());
+    eprintln!("four arms done in {:.2?}", t0.elapsed());
 
     println!(
         "\n  {:<12} {:<9} {:>9} {:>12} {:>7} {:>7} {:>10} {:>13}",

@@ -48,8 +48,8 @@ pub struct CaseConfig {
     /// fused path's packed grid reduction is the step's only allreduce.
     pub bounded: bool,
     /// How the bridge's snapshot layer captures solver state each step:
-    /// unconditional deep copies, generation-gated delta copies, or
-    /// copy-on-write shares (see `sensei::SnapshotMode`).
+    /// unconditional deep copies or copy-on-write shares (see
+    /// `sensei::SnapshotMode`).
     pub snapshot: SnapshotMode,
     /// The physical layout label threaded into the back-end controls
     /// (tags the profiler's counter rows; see `hamr::Layout`). Newton++

@@ -1,6 +1,6 @@
 //! DAG vs threaded execution A/B on a skewed mixed-cost binning workload.
 //!
-//! Five arms of the same workload (a static particle table feeding a
+//! Four arms of the same workload (a static particle table feeding a
 //! [`binning::BinningSuite`] over specs with deliberately unequal kernel
 //! costs — heavy multi-op instances interleaved with count-only ones):
 //!
@@ -9,7 +9,7 @@
 //! 2. **async_fused** — [`sensei::WorkerEngine`] under `asynchronous`:
 //!    the suite's inline `execute` on a persistent worker, all kernels
 //!    routed to one device's streams.
-//! 3. **dag/{deep,delta,cow}** (three arms) — the same engine under
+//! 3. **dag/{deep,cow}** (two arms) — the same engine under
 //!    `dag`: the suite emits a task graph per step and
 //!    the work-stealing [`sensei::DagScheduler`] spreads the kernel
 //!    tasks across *every* device on the node, overlapping downloads
@@ -217,7 +217,7 @@ pub struct DagArm {
     pub counters: sensei::CounterSnapshot,
 }
 
-/// The five arms of one dag A/B run.
+/// The four arms of one dag A/B run.
 #[derive(Debug, Clone)]
 pub struct DagBenchReport {
     /// The configuration that produced this report.
@@ -226,7 +226,7 @@ pub struct DagBenchReport {
     pub inline_arm: DagArm,
     /// Asynchronous threaded arm (the incumbent the dag must beat).
     pub threaded: DagArm,
-    /// Dag arms, one per snapshot mode: deep, delta, cow.
+    /// Dag arms, one per snapshot mode: deep, cow.
     pub dag: Vec<DagArm>,
 }
 
@@ -304,12 +304,12 @@ pub fn run_dag_arm(
     }
 }
 
-/// Run all five arms and collect their outcomes.
+/// Run all four arms and collect their outcomes.
 pub fn run_dag_bench(cfg: &DagBenchConfig) -> DagBenchReport {
     let inline_arm = run_dag_arm(cfg, "inline", ExecutionMethod::Lockstep, SnapshotMode::Deep);
     let threaded =
         run_dag_arm(cfg, "async_fused", ExecutionMethod::Asynchronous, SnapshotMode::Deep);
-    let dag = [SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow]
+    let dag = [SnapshotMode::Deep, SnapshotMode::Cow]
         .into_iter()
         .map(|mode| run_dag_arm(cfg, &format!("dag/{}", mode.name()), ExecutionMethod::Dag, mode))
         .collect();
@@ -348,7 +348,7 @@ mod tests {
         let report = run_dag_bench(&cfg);
         let expected = cfg.steps as usize * cfg.instances();
         assert_eq!(report.inline_arm.results.len(), expected, "inline delivers every step");
-        for arm in [&report.threaded, &report.dag[0], &report.dag[1], &report.dag[2]] {
+        for arm in std::iter::once(&report.threaded).chain(&report.dag) {
             assert_eq!(arm.results.len(), expected, "{} delivers every step", arm.arm);
             assert!(
                 report.bit_identical_to_inline(arm),

@@ -452,13 +452,12 @@ mod tests {
             // Lockstep feeds the live grouped table straight to the
             // lane kernels (host) or through the charged in-flight pack
             // (device); asynchronous modes densify through the snapshot
-            // layer's deep/delta/cow captures. All must agree bit for
+            // layer's deep/cow captures. All must agree bit for
             // bit with the scalar lockstep reference.
             let cases = [
                 (None, ExecutionMethod::Lockstep, SnapshotMode::Deep),
                 (Some(0), ExecutionMethod::Lockstep, SnapshotMode::Deep),
                 (None, ExecutionMethod::Asynchronous, SnapshotMode::Deep),
-                (None, ExecutionMethod::Asynchronous, SnapshotMode::Delta),
                 (None, ExecutionMethod::Asynchronous, SnapshotMode::Cow),
             ];
             for (device, execution, snapshot) in cases {

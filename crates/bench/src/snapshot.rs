@@ -1,19 +1,14 @@
-//! Snapshot mode: the bounded fused binning workload under the three
+//! Snapshot mode: the bounded fused binning workload under the two
 //! snapshot capture modes.
 //!
-//! Three arms of the same asynchronous, host-placed workload (Newton++
+//! Two arms of the same asynchronous, host-placed workload (Newton++
 //! feeding a [`binning::BinningSuite`] over the bounded paper specs),
 //! differing only in how the bridge's snapshot layer captures the
 //! solver's arrays each step:
 //!
 //! 1. **deep** — the reference arm: every selected array is deep-copied
 //!    at every capture, as the pre-CoW bridge always did.
-//! 2. **delta** — only generation-advanced arrays are copied; arrays the
-//!    solver has not touched since the previous capture are shared
-//!    zero-copy behind a pin. Newton++ rewrites all but the mass column
-//!    every step, so the delta arm's savings are modest — it bounds what
-//!    generation gating alone can buy on a write-heavy solver.
-//! 3. **cow** — every array is shared zero-copy at capture; a copy is
+//! 2. **cow** — every array is shared zero-copy at capture; a copy is
 //!    materialized lazily only when the solver overwrites a still-pinned
 //!    array. Because the host-placed suite fetches (and thereby detaches
 //!    from) the shares early in the step while the solver's next kernels
@@ -22,7 +17,7 @@
 //!    drops by the share of arrays that outrun the consumer.
 //!
 //! The arms run the identical simulation (same IC seed), so rank 0's
-//! [`BinnedResult`] streams must be bit-identical across all three: CoW
+//! [`BinnedResult`] streams must be bit-identical across both: CoW
 //! sharing must never let a capture observe post-capture writes.
 
 use std::sync::Arc;
@@ -94,23 +89,21 @@ impl SnapshotArm {
     }
 }
 
-/// The three arms of one snapshot A/B run.
+/// The two arms of one snapshot A/B run.
 #[derive(Debug, Clone)]
 pub struct SnapshotReport {
     /// The configuration that produced this report.
     pub config: SnapshotBenchConfig,
     /// Unconditional per-step deep copies (the reference).
     pub deep: SnapshotArm,
-    /// Generation-gated eager copies.
-    pub delta: SnapshotArm,
     /// Zero-copy shares with lazy fault copies.
     pub cow: SnapshotArm,
 }
 
 impl SnapshotReport {
     /// The arms in report order.
-    pub fn arms(&self) -> [&SnapshotArm; 3] {
-        [&self.deep, &self.delta, &self.cow]
+    pub fn arms(&self) -> [&SnapshotArm; 2] {
+        [&self.deep, &self.cow]
     }
 
     /// True when `arm`'s results match the deep arm bit for bit.
@@ -144,12 +137,11 @@ fn snapshot_node_config(time_scale: f64) -> NodeConfig {
     cfg
 }
 
-/// Run the three arms and collect their outcomes.
+/// Run both arms and collect their outcomes.
 pub fn run_snapshot_bench(cfg: &SnapshotBenchConfig) -> SnapshotReport {
     SnapshotReport {
         config: *cfg,
         deep: run_arm(cfg, SnapshotMode::Deep),
-        delta: run_arm(cfg, SnapshotMode::Delta),
         cow: run_arm(cfg, SnapshotMode::Cow),
     }
 }
@@ -193,7 +185,7 @@ fn run_arm(cfg: &SnapshotBenchConfig, mode: SnapshotMode) -> SnapshotArm {
             bridge.set_snapshot_mode(mode);
             bridge.add_analysis(Box::new(suite), &comm).expect("attach suite");
 
-            // Fixed IC seed: all three arms simulate identical data, so
+            // Fixed IC seed: both arms simulate identical data, so
             // the bit-identical claim compares capture modes, not seeds.
             let newton_cfg = NewtonConfig {
                 ic: IcKind::Uniform(UniformIc {
@@ -248,22 +240,14 @@ mod tests {
         assert_eq!(d.counters.cow_faults, 0, "deep mode never faults");
         assert!(d.counters.bytes_copied > 0);
 
-        for arm in [&report.delta, &report.cow] {
-            assert!(
-                report.bit_identical_to_deep(arm),
-                "{} arm results must match the deep reference",
-                arm.mode.name()
-            );
-        }
-
-        // Newton++ leaves the mass column untouched, so delta must share
-        // at least that one array per steady-state capture.
-        assert!(report.delta.counters.arrays_shared > 0, "delta shares unmodified arrays");
-        assert!(report.delta.counters.bytes_copied < d.counters.bytes_copied);
+        assert!(
+            report.bit_identical_to_deep(&report.cow),
+            "cow arm results must match the deep reference"
+        );
 
         // CoW shares everything and only fault-copies what the solver
         // overwrites while the consumer still holds the pin.
-        assert!(report.cow.counters.arrays_shared > report.delta.counters.arrays_shared);
+        assert_eq!(report.cow.counters.arrays_shared, d.counters.arrays_copied);
         assert!(report.cow.counters.bytes_copied < d.counters.bytes_copied);
     }
 }

@@ -216,7 +216,7 @@ fn layout() -> impl Strategy<Value = hamr::Layout> {
 }
 
 fn snapshot() -> impl Strategy<Value = SnapshotMode> {
-    proptest::sample::select(vec![SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow])
+    proptest::sample::select(vec![SnapshotMode::Deep, SnapshotMode::Cow])
 }
 
 fn controls() -> impl Strategy<Value = BackendControls> {

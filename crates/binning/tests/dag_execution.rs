@@ -212,7 +212,7 @@ fn dag_matches_inline_on_device() {
 
 #[test]
 fn dag_matches_inline_with_auto_bounds_across_snapshot_modes() {
-    for mode in [SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow] {
+    for mode in [SnapshotMode::Deep, SnapshotMode::Cow] {
         let specs = spec_set(3, 4, true);
         let (dag, sched, _) =
             run_binning(dag_run(2, DeviceSpec::Auto, mode, 2), specs.clone(), None);
@@ -293,7 +293,7 @@ proptest! {
             DeviceSpec::Explicit(1),
             DeviceSpec::Auto,
         ]),
-        mode in sample::select(vec![SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow]),
+        mode in sample::select(vec![SnapshotMode::Deep, SnapshotMode::Cow]),
         nspecs in 1usize..5,
         resolution in 2usize..5,
         steps in 1u64..3,

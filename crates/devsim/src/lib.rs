@@ -69,8 +69,7 @@ pub use event::Event;
 pub use fault::{FaultConfig, FaultInjector, FaultInjectorStats, FaultKind, FaultRule};
 pub use host::HostExec;
 pub use memory::{
-    CellBuffer, CopyFence, F64View, HostF64View, HostU64View, KernelScope, MemSpace, PinStats,
-    U64View,
+    CellBuffer, F64View, HostF64View, HostU64View, KernelScope, MemSpace, PinStats, U64View,
 };
 pub use node::{NodeConfig, SimNode};
 pub use pool::{MemoryPool, PoolConfig, PoolStats};

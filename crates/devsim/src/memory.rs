@@ -23,7 +23,6 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::event::Event;
 use crate::stream::StreamTimeline;
 
 /// Where a buffer's cells live.
@@ -107,27 +106,20 @@ impl PinStats {
     }
 }
 
-/// What a registered pin protects.
-enum PinKind {
-    /// A copy-on-write read-pin: readers of the pinned clone see the
-    /// allocation's contents as of pin time. The first post-pin write
-    /// materializes those contents into `resolved` (the CoW fault).
-    Share { resolved: Mutex<Option<Arc<[AtomicU64]>>>, stats: Arc<PinStats> },
-    /// An in-flight asynchronous copy reading this allocation: a writer
-    /// must wait for `event` (recorded after the copy on its stream)
-    /// before mutating the cells the copy is still reading.
-    Fence { event: Event },
-}
-
-/// One pin registered on an allocation. Clones of the pinned buffer hold
-/// this `Arc`; the allocation's registry holds only a `Weak`, so a pin
-/// dies (and costs writers nothing) once every holder has dropped.
+/// One copy-on-write read-pin registered on an allocation: readers of
+/// the pinned clone see the allocation's contents as of pin time. Clones
+/// of the pinned buffer hold this `Arc`; the allocation's registry holds
+/// only a `Weak`, so a pin dies (and costs writers nothing) once every
+/// holder has dropped.
 struct PinSlot {
     /// Cleared by `release_pin` when the holder promises it will not read
     /// through the pin again (e.g. an analysis that has ingested its own
     /// copy of the data); a deactivated pin never triggers a fault copy.
     active: AtomicBool,
-    kind: PinKind,
+    /// The pin-time contents, materialized by the first post-pin write
+    /// (the CoW fault).
+    resolved: Mutex<Option<Arc<[AtomicU64]>>>,
+    stats: Arc<PinStats>,
 }
 
 /// Per-allocation tracking state shared by every clone of a buffer (it
@@ -140,9 +132,9 @@ struct Track {
     readers: AtomicU64,
     pins: Mutex<Vec<Weak<PinSlot>>>,
     /// Serializes [`CellBuffer::begin_write`] per allocation: pin
-    /// resolution (fault copies, fence waits, reader drains) must look
-    /// atomic to other writers, or a second writer could observe the
-    /// drained registry and mutate cells a fence still protects.
+    /// resolution (fault copy, reader drain) must look atomic to other
+    /// writers, or a second writer could observe the drained registry
+    /// and mutate cells the first is still copying into the fault holder.
     write_serial: Mutex<()>,
 }
 
@@ -176,14 +168,6 @@ impl Drop for ReadGuard {
     fn drop(&mut self) {
         self.track.readers.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// Keeps a [`CellBuffer::copy_fence`] registration alive: while held, a
-/// writer of the fenced allocation waits for the fence's event before
-/// mutating. Dropping the fence (e.g. with the snapshot that owns the
-/// copy's destination) retires the protection.
-pub struct CopyFence {
-    _slot: Arc<PinSlot>,
 }
 
 /// A buffer of 64-bit cells in some memory space.
@@ -281,7 +265,8 @@ impl CellBuffer {
     pub fn cow_pinned(&self, stats: &Arc<PinStats>) -> CellBuffer {
         let slot = Arc::new(PinSlot {
             active: AtomicBool::new(true),
-            kind: PinKind::Share { resolved: Mutex::new(None), stats: stats.clone() },
+            resolved: Mutex::new(None),
+            stats: stats.clone(),
         });
         self.track.pins.lock().push(Arc::downgrade(&slot));
         CellBuffer { pin: Some(slot), ..self.clone() }
@@ -299,55 +284,35 @@ impl CellBuffer {
     /// True when this clone carries a live (unresolved, active) read-pin —
     /// i.e. its reads still alias the live cells. Diagnostic.
     pub fn is_cow_pinned(&self) -> bool {
-        match &self.pin {
-            Some(pin) => {
-                pin.active.load(Ordering::Acquire)
-                    && matches!(&pin.kind,
-                        PinKind::Share { resolved, .. } if resolved.lock().is_none())
-            }
-            None => false,
-        }
-    }
-
-    /// Register an in-flight-copy fence: while the returned handle is
-    /// held and `event` unsignaled, a writer of this allocation waits for
-    /// the event before mutating — protecting an asynchronous copy that
-    /// is still reading these cells on another stream.
-    pub fn copy_fence(&self, event: &Event) -> CopyFence {
-        let slot = Arc::new(PinSlot {
-            active: AtomicBool::new(true),
-            kind: PinKind::Fence { event: event.clone() },
-        });
-        self.track.pins.lock().push(Arc::downgrade(&slot));
-        CopyFence { _slot: slot }
+        self.pin
+            .as_ref()
+            .is_some_and(|pin| pin.active.load(Ordering::Acquire) && pin.resolved.lock().is_none())
     }
 
     /// The cells a *read* of this clone must target, plus a reader
     /// registration when the read aliases live, still-pinned cells.
     fn read_cells(&self) -> (Arc<[AtomicU64]>, Option<ReadGuard>) {
-        if let Some(pin) = &self.pin {
-            if let PinKind::Share { resolved, .. } = &pin.kind {
-                // Register *before* checking resolution: a faulting
-                // writer publishes the holder under this same mutex
-                // before draining readers, so it either sees this
-                // registration (and waits) or this check sees the
-                // holder — never a live read of post-pin writes.
-                let guard = ReadGuard::register(&self.track);
-                let snapshot = resolved.lock().clone();
-                if let Some(cells) = snapshot {
-                    // Faulted: the pre-write copy is the pinned contents.
-                    return (cells, None);
-                }
-                return (self.cells.clone(), Some(guard));
-            }
+        let Some(pin) = &self.pin else {
+            return (self.cells.clone(), None);
+        };
+        // Register *before* checking resolution: a faulting writer
+        // publishes the holder under this same mutex before draining
+        // readers, so it either sees this registration (and waits) or
+        // this check sees the holder — never a live read of post-pin
+        // writes.
+        let guard = ReadGuard::register(&self.track);
+        let snapshot = pin.resolved.lock().clone();
+        match snapshot {
+            // Faulted: the pre-write copy is the pinned contents.
+            Some(cells) => (cells, None),
+            None => (self.cells.clone(), Some(guard)),
         }
-        (self.cells.clone(), None)
     }
 
     /// Write-intent entry point: bump the generation and resolve every
-    /// live pin — share-pins get a lazy pre-write copy (the CoW fault),
-    /// fences are waited for — then drain registered readers so nobody
-    /// mid-read observes the caller's upcoming writes.
+    /// live pin with a lazy pre-write copy (the CoW fault), then drain
+    /// registered readers so nobody mid-read observes the caller's
+    /// upcoming writes.
     ///
     /// Callers must not hold a read-only view of this same allocation
     /// while acquiring a write view (the drain would wait on the caller).
@@ -356,8 +321,8 @@ impl CellBuffer {
         // One writer resolves pins at a time, and the registry drain is
         // only decisive while this lock is held: a concurrent writer
         // must not see the emptied registry and mutate while the first
-        // is still waiting on a fence event or materializing the fault
-        // copy (it would tear the async copy / fault holder).
+        // is still materializing the fault copy (it would tear the
+        // holder the pinned readers are about to be routed to).
         let _serial = self.track.write_serial.lock();
         let pins: Vec<Weak<PinSlot>> = {
             let mut registry = self.track.pins.lock();
@@ -367,40 +332,28 @@ impl CellBuffer {
             std::mem::take(&mut *registry)
         };
         let mut holder: Option<Arc<[AtomicU64]>> = None;
-        let mut resolved_any = false;
         for weak in pins {
             let Some(pin) = weak.upgrade() else { continue };
             if !pin.active.load(Ordering::Acquire) {
                 continue;
             }
-            match &pin.kind {
-                PinKind::Fence { event } => {
-                    if !event.is_signaled() {
-                        event.wait();
-                    }
-                }
-                PinKind::Share { resolved, stats } => {
-                    let cells = holder.get_or_insert_with(|| {
-                        // The fault: materialize the pre-write contents
-                        // once; every outstanding pin shares the copy
-                        // (they all pinned the same post-last-write
-                        // state). Allocated raw — never pooled — because
-                        // faults fire on stream workers where a pool
-                        // round-trip could self-deadlock.
-                        stats.faults.fetch_add(1, Ordering::Relaxed);
-                        stats.bytes.fetch_add(self.len as u64 * 8, Ordering::Relaxed);
-                        self.cells
-                            .iter()
-                            .take(self.len)
-                            .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                            .collect()
-                    });
-                    *resolved.lock() = Some(cells.clone());
-                    resolved_any = true;
-                }
-            }
+            let cells = holder.get_or_insert_with(|| {
+                // The fault: materialize the pre-write contents once;
+                // every outstanding pin shares the copy (they all pinned
+                // the same post-last-write state). Allocated raw — never
+                // pooled — because faults fire on stream workers where a
+                // pool round-trip could self-deadlock.
+                pin.stats.faults.fetch_add(1, Ordering::Relaxed);
+                pin.stats.bytes.fetch_add(self.len as u64 * 8, Ordering::Relaxed);
+                self.cells
+                    .iter()
+                    .take(self.len)
+                    .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
+                    .collect()
+            });
+            *pin.resolved.lock() = Some(cells.clone());
         }
-        if resolved_any {
+        if holder.is_some() {
             // Stragglers that acquired a live-cell read view before the
             // resolution above finish reading pre-write data first.
             while self.track.readers.load(Ordering::Acquire) > 0 {
@@ -1111,64 +1064,35 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_both_wait_on_one_fence() {
-        // The first writer drains the pin registry and blocks on the
-        // fence event; a second writer arriving meanwhile must not slip
-        // past the (now empty) registry and mutate while the fence is
-        // still unsignaled.
-        let b = Arc::new(host_buf(1));
-        let event = Event::new();
-        let fence = b.copy_fence(&event);
-        let wrote = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let writers: Vec<_> = (0..2)
-            .map(|_| {
-                let (b, wrote) = (b.clone(), wrote.clone());
+    fn concurrent_writers_fault_a_share_pin_exactly_once() {
+        // Two writers race into `begin_write` on a share-pinned
+        // allocation. Whichever wins takes the pin registry and
+        // materializes the fault copy; the loser must neither fault
+        // again nor store into the live cells while that copy is being
+        // read out of them.
+        const N: usize = 1 << 18;
+        let b = host_buf(N);
+        b.host_f64().unwrap().fill(1.0);
+        let stats = PinStats::new_shared();
+        let pinned = b.cow_pinned(&stats);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let writers: Vec<_> = [8.0, 9.0]
+            .into_iter()
+            .map(|v| {
+                let (b, start) = (b.clone(), start.clone());
                 std::thread::spawn(move || {
-                    b.host_f64().unwrap().set(0, 1.0);
-                    wrote.fetch_add(1, Ordering::SeqCst);
+                    start.wait();
+                    b.host_f64().unwrap().fill(v);
                 })
             })
             .collect();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(wrote.load(Ordering::SeqCst), 0, "no writer may pass the unsignaled fence");
-        event.signal();
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(wrote.load(Ordering::SeqCst), 2);
-        drop(fence);
-    }
-
-    #[test]
-    fn copy_fence_blocks_writer_until_signaled() {
-        let b = Arc::new(host_buf(1));
-        let event = Event::new();
-        let fence = b.copy_fence(&event);
-        let wrote = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let (b, wrote) = (b.clone(), wrote.clone());
-            std::thread::spawn(move || {
-                b.host_f64().unwrap().set(0, 1.0);
-                wrote.store(true, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        assert!(!wrote.load(Ordering::SeqCst), "writer must wait for the fence event");
-        event.signal();
-        writer.join().unwrap();
-        assert!(wrote.load(Ordering::SeqCst));
-        drop(fence);
-        // A signaled/retired fence no longer delays writers.
-        b.host_f64().unwrap().set(0, 2.0);
-    }
-
-    #[test]
-    fn dropped_fence_does_not_block() {
-        let b = host_buf(1);
-        let event = Event::new(); // never signaled
-        drop(b.copy_fence(&event));
-        b.host_f64().unwrap().set(0, 3.0); // must not hang
-        assert_eq!(b.host_f64_ro().unwrap().get(0), 3.0);
+        assert_eq!(stats.faults(), 1, "one fault copy serves both writers");
+        assert_eq!(stats.bytes(), N as u64 * 8);
+        assert_eq!(pinned.host_f64_ro().unwrap().to_vec(), vec![1.0; N]);
+        assert!(b.host_f64_ro().unwrap().iter().all(|v| v == 8.0 || v == 9.0));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct AdaptiveConfig {
     pub tune_execution: bool,
     /// Tune per-backend data layout for the current placement.
     pub tune_layout: bool,
-    /// Tune the bridge-wide snapshot mode (deep / delta / cow).
+    /// Tune the bridge-wide snapshot mode (deep / cow).
     pub tune_snapshot: bool,
 }
 
@@ -409,17 +409,16 @@ impl AdaptiveController {
                     .map(|&layout| Candidate::Controls(b, BackendControls { layout, ..cur }))
                     .collect()
             }
-            (None, Dim::Snapshot) | (_, Dim::Snapshot) => {
+            (_, Dim::Snapshot) => {
                 let wf = obs.written_fraction;
-                [SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow]
+                [SnapshotMode::Deep, SnapshotMode::Cow]
                     .into_iter()
                     .filter(|m| *m != env.snapshot_mode)
                     // The write-generation signal prunes deep when most
-                    // arrays are stale: delta copies a strict subset of
-                    // what deep copies, so probing deep wastes budget.
+                    // arrays are stale: cow fault-copies only the arrays
+                    // the producer rewrites, deep copies them all, so
+                    // probing deep wastes budget.
                     .filter(|m| !(matches!(m, SnapshotMode::Deep) && wf < 0.5))
-                    .collect::<Vec<_>>()
-                    .into_iter()
                     .map(Candidate::Snapshot)
                     .collect()
             }
@@ -806,28 +805,28 @@ mod tests {
             tune_layout: false,
             ..Default::default()
         };
-        // Cow is cheapest; deep would be probed only if wf allowed it.
+        // Cow is cheapest; deep is probed only if wf allows it.
         fn cost(_c: &BackendControls, m: SnapshotMode) -> f64 {
             match m {
                 SnapshotMode::Deep => 0.010,
-                SnapshotMode::Delta => 0.004,
                 SnapshotMode::Cow => 0.001,
             }
         }
-        let mut sim = Sim {
-            controls: vec![BackendControls::default()],
-            snapshot_mode: SnapshotMode::Delta,
-            cost,
+        let probes_deep = |written_fraction: f64| {
+            let mut sim = Sim {
+                controls: vec![BackendControls::default()],
+                snapshot_mode: SnapshotMode::Cow,
+                cost,
+            };
+            let mut ctrl = AdaptiveController::new(cfg);
+            let log = sim.run(&mut ctrl, 40, written_fraction, &[]);
+            assert_eq!(sim.snapshot_mode, SnapshotMode::Cow);
+            log.iter().any(|d| {
+                matches!(d.action, AdaptiveAction::SetSnapshotMode { mode: SnapshotMode::Deep })
+            })
         };
-        let mut ctrl = AdaptiveController::new(cfg);
-        // Written fraction 0.2: deep must not be probed.
-        let log = sim.run(&mut ctrl, 40, 0.2, &[]);
-        assert_eq!(sim.snapshot_mode, SnapshotMode::Cow);
-        for d in &log {
-            if let AdaptiveAction::SetSnapshotMode { mode } = &d.action {
-                assert_ne!(*mode, SnapshotMode::Deep, "deep pruned by write rate");
-            }
-        }
+        assert!(!probes_deep(0.2), "deep pruned by write rate");
+        assert!(probes_deep(1.0), "deep is a candidate when every array is rewritten");
     }
 
     #[test]

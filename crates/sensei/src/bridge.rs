@@ -99,9 +99,9 @@ impl Bridge {
         }
     }
 
-    /// Select how per-iteration snapshots are captured (deep copy,
-    /// generation-tracked delta, or copy-on-write). The default is the
-    /// paper's unconditional deep copy.
+    /// Select how per-iteration snapshots are captured (deep copy or
+    /// copy-on-write). The default is the paper's unconditional deep
+    /// copy.
     pub fn set_snapshot_mode(&mut self, mode: SnapshotMode) {
         self.pipeline.set_mode(mode);
     }
@@ -578,9 +578,9 @@ impl Bridge {
             let sched = a.engine.scheduler_counters().map(|s| s.snapshot()).unwrap_or_default();
             self.profiler.record_scheduler_counters(a.label.as_str(), sched);
         }
-        // Snapshot-layer totals (shares vs copies, CoW faults, overlap)
-        // are exact now too: every worker that could fault a pinned
-        // array or wait a copy event has joined.
+        // Snapshot-layer totals (shares vs copies, CoW faults) are exact
+        // now too: every worker that could fault a pinned array has
+        // joined.
         self.profiler.record_snapshot_counters(
             self.pipeline.mode().name(),
             self.pipeline.counters().snapshot(),

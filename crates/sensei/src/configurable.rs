@@ -228,9 +228,7 @@ impl ConfigurableAnalysis {
             Some(el) => {
                 let mode = el.attr_or("mode", "deep");
                 Some(SnapshotMode::parse(mode).ok_or_else(|| {
-                    Error::Config(format!(
-                        "bad snapshot mode '{mode}' (expected deep, delta, or cow)"
-                    ))
+                    Error::Config(format!("bad snapshot mode '{mode}' (expected deep or cow)"))
                 })?)
             }
         };
@@ -462,7 +460,7 @@ impl ConfigurableAnalysis {
         self.faults.as_ref()
     }
 
-    /// The `<snapshot mode="deep|delta|cow">` selection, if the document
+    /// The `<snapshot mode="deep|cow">` selection, if the document
     /// carries the element. The caller applies it with
     /// [`crate::Bridge::set_snapshot_mode`]; absent means the deep-copy
     /// default.
@@ -820,10 +818,18 @@ mod tests {
         assert_eq!(bare.snapshot_mode(), Some(SnapshotMode::Deep));
         assert_eq!(ConfigurableAnalysis::from_xml("<sensei/>").unwrap().snapshot_mode(), None);
 
-        assert!(matches!(
-            ConfigurableAnalysis::from_xml(r#"<sensei><snapshot mode="shallow"/></sensei>"#),
-            Err(Error::Config(_))
-        ));
+        // An unknown mode is a typed error naming the valid ones, never
+        // a silent default — `delta`, which older configs may carry,
+        // included.
+        for bad in ["shallow", "delta"] {
+            let doc = format!(r#"<sensei><snapshot mode="{bad}"/></sensei>"#);
+            match ConfigurableAnalysis::from_xml(&doc) {
+                Err(Error::Config(msg)) => {
+                    assert!(msg.contains(bad) && msg.contains("expected deep or cow"), "{msg}")
+                }
+                other => panic!("mode '{bad}' must be rejected, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

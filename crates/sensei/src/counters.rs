@@ -352,10 +352,9 @@ impl CounterSnapshot {
     }
 }
 
-/// Counters for the copy-on-write delta snapshot layer: how many arrays
-/// each capture shared zero-copy vs copied, the bytes those copies (and
-/// any lazy CoW fault copies) materialized, and how long the issued
-/// asynchronous copies got to overlap the solver.
+/// Counters for the snapshot layer: how many arrays each capture shared
+/// zero-copy vs copied, and the bytes those copies (and any lazy CoW
+/// fault copies) materialized.
 ///
 /// The fault half lives in a [`devsim::PinStats`] handle so the memory
 /// layer can report faults without knowing about sensei; `snapshot()`
@@ -364,10 +363,9 @@ impl CounterSnapshot {
 pub struct SnapshotCounters {
     arrays_shared: AtomicU64,
     arrays_copied: AtomicU64,
-    /// Bytes materialized by *eager* capture-time copies (deep and delta
-    /// modes); lazy CoW fault bytes are tracked in `pin_stats`.
+    /// Bytes materialized by *eager* capture-time copies (deep mode);
+    /// lazy CoW fault bytes are tracked in `pin_stats`.
     bytes_copied: AtomicU64,
-    copy_overlap_ns: AtomicU64,
     pin_stats: Arc<PinStats>,
 }
 
@@ -377,7 +375,6 @@ impl Default for SnapshotCounters {
             arrays_shared: AtomicU64::new(0),
             arrays_copied: AtomicU64::new(0),
             bytes_copied: AtomicU64::new(0),
-            copy_overlap_ns: AtomicU64::new(0),
             pin_stats: PinStats::new_shared(),
         }
     }
@@ -401,12 +398,6 @@ impl SnapshotCounters {
         self.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Record `ns` nanoseconds an asynchronous capture's copies had to
-    /// overlap the solver before the consumer needed them.
-    pub fn add_overlap_ns(&self, ns: u64) {
-        self.copy_overlap_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// The fault-copy counters the devsim write path reports into when a
     /// solver write hits a still-pinned array.
     pub fn pin_stats(&self) -> &Arc<PinStats> {
@@ -421,7 +412,6 @@ impl SnapshotCounters {
             arrays_copied: self.arrays_copied.load(Ordering::Relaxed),
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed) + self.pin_stats.bytes(),
             cow_faults: self.pin_stats.faults(),
-            copy_overlap_ns: self.copy_overlap_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -438,8 +428,6 @@ pub struct SnapshotCounterSnapshot {
     pub bytes_copied: u64,
     /// Lazy pre-write copies triggered by solver writes to pinned arrays.
     pub cow_faults: u64,
-    /// Nanoseconds asynchronous capture copies overlapped the solver.
-    pub copy_overlap_ns: u64,
 }
 
 impl SnapshotCounterSnapshot {
@@ -449,7 +437,6 @@ impl SnapshotCounterSnapshot {
         self.arrays_copied += other.arrays_copied;
         self.bytes_copied += other.bytes_copied;
         self.cow_faults += other.cow_faults;
-        self.copy_overlap_ns += other.copy_overlap_ns;
     }
 }
 

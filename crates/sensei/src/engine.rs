@@ -242,11 +242,6 @@ impl WorkerEngine {
                 let mut sched = dataflow_counters.map(|c| DagScheduler::new(node.clone(), rank, c));
                 let ctx = ExecContext::new(&comm, &node);
                 while let Some(snapshot) = rx.recv() {
-                    // Delta snapshots arrive with copies possibly still in
-                    // flight on the dedicated copy stream; the *worker*
-                    // pays the wait (overlapped with the solver), not the
-                    // solver.
-                    snapshot.wait_copies();
                     let outcome = match &mut sched {
                         // Recovery applies per task node inside the
                         // scheduler; wrapping the whole step again would

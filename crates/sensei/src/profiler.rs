@@ -99,11 +99,11 @@ pub struct CounterSample {
 }
 
 /// The snapshot layer's totals at the end of a run: arrays shared vs
-/// copied, bytes moved, CoW faults, and copy/solver overlap, labeled
-/// with the capture mode so A/B harness runs identify their arm.
+/// copied, bytes moved and CoW faults, labeled with the capture mode so
+/// A/B harness runs identify their arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotSample {
-    /// Capture mode name (`deep`, `delta`, `cow`).
+    /// Capture mode name (`deep`, `cow`).
     pub mode: String,
     /// The snapshot-layer counter totals.
     pub counters: SnapshotCounterSnapshot,
@@ -371,19 +371,12 @@ impl Profiler {
 
     /// Dump the snapshot-layer samples as CSV.
     pub fn snapshot_csv(&self) -> String {
-        let mut out = String::from(
-            "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults,copy_overlap_ns\n",
-        );
+        let mut out = String::from("mode,arrays_shared,arrays_copied,bytes_copied,cow_faults\n");
         for s in &self.snapshot_samples {
             let c = &s.counters;
             out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                s.mode,
-                c.arrays_shared,
-                c.arrays_copied,
-                c.bytes_copied,
-                c.cow_faults,
-                c.copy_overlap_ns,
+                "{},{},{},{},{}\n",
+                s.mode, c.arrays_shared, c.arrays_copied, c.bytes_copied, c.cow_faults,
             ));
         }
         out
@@ -621,12 +614,12 @@ mod tests {
         let mut p = Profiler::new();
         p.record_adaptive(4, "binning_suite", "probe", "device=0 layout=scalar");
         p.record_adaptive(8, "binning_suite", "commit", "device=-1 layout=aosoa8");
-        p.record_adaptive(8, "bridge", "commit", "snapshot=delta");
+        p.record_adaptive(8, "bridge", "commit", "snapshot=cow");
         assert_eq!(p.adaptive_samples().len(), 3);
         let lines: Vec<_> = p.adaptive_csv().lines().map(String::from).collect();
         assert_eq!(lines[0], "step,backend,action,detail");
         assert_eq!(lines[1], "4,binning_suite,probe,device=0 layout=scalar");
-        assert_eq!(lines[3], "8,bridge,commit,snapshot=delta");
+        assert_eq!(lines[3], "8,bridge,commit,snapshot=cow");
     }
 
     /// Every CSV the profiler emits has a fixed schema: the full headers
@@ -646,10 +639,7 @@ mod tests {
              inter_messages,inter_bytes,inter_modeled_ns,relayout_bytes,\
              serve_delivered,serve_dropped,serve_bytes,layout\n"
         );
-        assert_eq!(
-            p.snapshot_csv(),
-            "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults,copy_overlap_ns\n"
-        );
+        assert_eq!(p.snapshot_csv(), "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults\n");
         assert_eq!(p.scheduler_csv(), "backend,tasks,steals,idle_ns,critical_path_ns\n");
         assert_eq!(
             p.pool_csv(),
@@ -769,17 +759,13 @@ mod tests {
                 arrays_copied: 0,
                 bytes_copied: 98304,
                 cow_faults: 3,
-                copy_overlap_ns: 12345,
             },
         );
         assert_eq!(p.snapshot_samples().len(), 1);
         let csv = p.snapshot_csv();
         let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(
-            lines[0],
-            "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults,copy_overlap_ns"
-        );
-        assert_eq!(lines[1], "cow,1080,0,98304,3,12345");
+        assert_eq!(lines[0], "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults");
+        assert_eq!(lines[1], "cow,1080,0,98304,3");
     }
 
     #[test]

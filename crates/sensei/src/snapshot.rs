@@ -1,37 +1,28 @@
-//! Simulation snapshots for asynchronous execution: deep-copied,
-//! generation-tracked delta, or copy-on-write.
+//! Simulation snapshots for asynchronous execution: deep-copied or
+//! copy-on-write.
 //!
 //! The asynchronous execution method (§3/§4.3) "deep copies the relevant
 //! data, launches a thread for in situ processing, and returns
 //! immediately to the simulation". [`SnapshotAdaptor::capture`] is that
-//! deep copy. The [`SnapshotPipeline`] generalizes it into three
-//! strategies selected per bridge:
+//! deep copy. The [`SnapshotPipeline`] selects between two strategies
+//! per bridge:
 //!
-//! * **deep** — the baseline: every selected array is deep-copied every
-//!   capture and the capture synchronizes before returning.
-//! * **delta** — arrays whose backing allocation's write generation has
-//!   not advanced since the previous capture are shared zero-copy
-//!   (CoW-pinned, so a later producer write faults a lazy copy); changed
-//!   arrays are copied asynchronously on a dedicated per-device copy
-//!   stream, double-buffered by a [`CopyFence`] that makes the producer's
-//!   *next* write wait for the in-flight copy instead of the producer
-//!   waiting at capture.
+//! * **deep** — the paper's method: every selected array is deep-copied
+//!   every capture and the capture synchronizes before returning.
 //! * **cow** — nothing is copied at capture: every array is shared
 //!   zero-copy behind a CoW pin, and only the arrays the producer
 //!   actually overwrites while the snapshot is alive pay a fault copy.
 //!
-//! All three strategies capture the same stream-ordered contents a deep
-//! copy would (shares drain the producer stream before pinning), so the
-//! analysis results are bit-identical across modes; only the bytes moved
-//! and where the waiting happens differ.
+//! Both strategies capture the same stream-ordered contents (shares
+//! drain the producer stream before pinning), so the analysis results
+//! are bit-identical across modes; only the bytes moved and where the
+//! waiting happens differ.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
-use devsim::{CopyFence, Event, SimNode, Stream};
+use devsim::{SimNode, Stream};
 use hamr::HamrStream;
 use svtk::{ArrayRef, DataArray, DataObject, FieldAssociation, MultiBlock, TableData};
 
@@ -46,9 +37,6 @@ pub enum SnapshotMode {
     /// Deep-copy every selected array on every capture (the baseline).
     #[default]
     Deep,
-    /// Copy generation-advanced arrays asynchronously on a dedicated
-    /// copy stream; share unchanged arrays zero-copy behind a CoW pin.
-    Delta,
     /// Share every array zero-copy behind a CoW pin; copies happen
     /// lazily, only when the producer overwrites a pinned array.
     Cow,
@@ -59,16 +47,14 @@ impl SnapshotMode {
     pub fn name(&self) -> &'static str {
         match self {
             SnapshotMode::Deep => "deep",
-            SnapshotMode::Delta => "delta",
             SnapshotMode::Cow => "cow",
         }
     }
 
-    /// Parse an XML attribute value (`deep`, `delta`, `cow`).
+    /// Parse an XML attribute value (`deep` or `cow`).
     pub fn parse(s: &str) -> Option<SnapshotMode> {
         match s {
             "deep" => Some(SnapshotMode::Deep),
-            "delta" => Some(SnapshotMode::Delta),
             "cow" => Some(SnapshotMode::Cow),
             _ => None,
         }
@@ -76,16 +62,15 @@ impl SnapshotMode {
 }
 
 /// The bridge-owned snapshot strategy: mode, counters, the generation
-/// table delta captures diff against, and the dedicated per-device copy
-/// streams asynchronous copies and CoW-share fetches ride.
+/// table the write-rate observation diffs against, and the dedicated
+/// per-device copy streams CoW-share fetches ride.
 pub struct SnapshotPipeline {
     mode: SnapshotMode,
     counters: Arc<SnapshotCounters>,
     /// Last captured `(allocation_id, write_generation)` per array key
-    /// (`mesh/block-path/association/name`). Sampled under *every* mode
-    /// (delta uses it to skip copies; deep and cow sample it purely as a
-    /// write-rate observation), so the adaptive controller can read the
-    /// workload's write rate regardless of the active mode.
+    /// (`mesh/block-path/association/name`), sampled under both modes
+    /// purely as a write-rate observation, so the adaptive controller
+    /// can read the workload's write rate regardless of the active mode.
     last: HashMap<String, (u64, u64)>,
     /// Arrays written / arrays seen at the capture in progress.
     cap_written: u64,
@@ -93,8 +78,8 @@ pub struct SnapshotPipeline {
     /// Arrays written / arrays seen at the last completed capture.
     last_written: (u64, u64),
     /// One dedicated copy stream per device, created lazily. Keeping
-    /// capture traffic off the producer's streams is what lets the
-    /// copies overlap the next solver step.
+    /// the consumers' share fetches off the producer's streams is what
+    /// lets them overlap the next solver step.
     copy_streams: HashMap<usize, Arc<Stream>>,
 }
 
@@ -117,8 +102,8 @@ impl SnapshotPipeline {
         self.mode
     }
 
-    /// Switch capture modes. The generation table is cleared so the next
-    /// delta capture conservatively copies everything once.
+    /// Switch capture modes. The generation table is cleared, so the
+    /// first capture under the new mode observes every array as written.
     pub fn set_mode(&mut self, mode: SnapshotMode) {
         if mode != self.mode {
             self.last.clear();
@@ -133,7 +118,7 @@ impl SnapshotPipeline {
 
     /// The share of arrays whose write generation advanced at the last
     /// capture, observed from the per-array generations the pipeline
-    /// samples under every mode. `1.0` when nothing has been captured
+    /// samples under both modes. `1.0` when nothing has been captured
     /// yet or no generations were visible (conservative: assume every
     /// array is rewritten every step). The first capture after a
     /// [`SnapshotPipeline::set_mode`] also reads `1.0` — the generation
@@ -150,7 +135,11 @@ impl SnapshotPipeline {
     /// Diff `identity` against the generation table, updating it, and
     /// count the array into the capture's write-rate observation.
     /// Untracked arrays (no generation) are conservatively "written".
-    fn note_generation(&mut self, key: String, identity: Option<(u64, u64)>) -> bool {
+    ///
+    /// The sample is a pure observation: no drain first, so an enqueued
+    /// producer kernel may read one step stale — acceptable for a
+    /// write-rate signal, free for the capture.
+    fn note_generation(&mut self, key: String, identity: Option<(u64, u64)>) {
         let changed = match identity {
             Some(id) => self.last.get(&key) != Some(&id),
             None => true,
@@ -160,7 +149,6 @@ impl SnapshotPipeline {
         }
         self.cap_seen += 1;
         self.cap_written += changed as u64;
-        changed
     }
 
     fn copy_stream(&mut self, node: &Arc<SimNode>, device: usize) -> Result<Arc<Stream>> {
@@ -173,124 +161,32 @@ impl SnapshotPipeline {
     }
 
     /// Capture the state `requirements` selects from `src` under the
-    /// active mode. Deep captures synchronize before returning; delta
-    /// captures return with copies still in flight (the consumer calls
-    /// [`SnapshotAdaptor::wait_copies`]); cow captures move no data.
+    /// active mode. Deep captures synchronize before returning; cow
+    /// captures move no data.
     pub fn capture(
         &mut self,
         src: &dyn DataAdaptor,
         requirements: &DataRequirements,
         node: &Arc<SimNode>,
     ) -> Result<SnapshotAdaptor> {
-        let captured_at = Instant::now();
         self.cap_written = 0;
         self.cap_seen = 0;
-        let mut shared = Vec::new();
-        let mut fences = Vec::new();
-        let mut pending: HashMap<usize, (Arc<Stream>, Event)> = HashMap::new();
-
-        let mut meshes = Vec::with_capacity(src.num_meshes());
-        for i in 0..src.num_meshes() {
-            let md = src.mesh_metadata(i)?;
-            let Some(mesh_req) = requirements.mesh_requirements(&md.name) else {
-                continue;
-            };
-            let obj = src.mesh(&md.name)?;
-            let copied = partial_copy(&obj, &mesh_req, &md.name, &mut |key, arr| {
-                self.capture_array(key, arr, node, &mut shared, &mut fences, &mut pending)
-            })?;
-            meshes.push((md.name, copied));
-        }
-
-        // Record one event per copy stream used: stream execution is
-        // FIFO, so each event signals once all of this capture's copies
-        // on that stream have landed.
-        let mut copy_events = Vec::with_capacity(pending.len());
-        for (stream, event) in pending.into_values() {
-            stream.record(&event)?;
-            copy_events.push(event);
-        }
-
-        if self.mode == SnapshotMode::Deep {
-            for (_, obj) in &meshes {
-                synchronize_object(obj)?;
-            }
-        }
-        self.last_written = (self.cap_written, self.cap_seen);
-
-        Ok(SnapshotAdaptor {
-            meshes,
-            time: src.time(),
-            step: src.time_step(),
-            shared,
-            consumers: AtomicUsize::new(0),
-            _fences: fences,
-            copy_events,
-            captured_at: Some(captured_at),
-            counters: Some(self.counters.clone()),
-        })
-    }
-
-    fn capture_array(
-        &mut self,
-        key: String,
-        arr: &ArrayRef,
-        node: &Arc<SimNode>,
-        shared: &mut Vec<ArrayRef>,
-        fences: &mut Vec<CopyFence>,
-        pending: &mut HashMap<usize, (Arc<Stream>, Event)>,
-    ) -> Result<ArrayRef> {
-        let bytes = (arr.len() * 8) as u64;
-        match self.mode {
-            SnapshotMode::Deep => {
-                // The generation sample is a pure observation here (the
-                // copy is unconditional): no drain first, so an enqueued
-                // producer kernel may read one step stale — acceptable
-                // for a write-rate signal, free for the capture.
+        let snapshot = match self.mode {
+            SnapshotMode::Deep => SnapshotAdaptor::deep(src, requirements, &mut |key, arr| {
                 self.note_generation(key, arr.generation_erased());
-                self.counters.add_copied(1, bytes);
-                Ok(arr.deep_copy_erased()?)
-            }
+                self.counters.add_copied(1, (arr.len() * 8) as u64);
+            })?,
             SnapshotMode::Cow => {
-                self.note_generation(key, arr.generation_erased());
-                self.share_or_copy(arr, node, shared, bytes)
+                let mut shared = Vec::new();
+                let meshes = capture_meshes(src, requirements, &mut |key, arr| {
+                    self.note_generation(key, arr.generation_erased());
+                    self.share_or_copy(arr, node, &mut shared)
+                })?;
+                SnapshotAdaptor::over(src, meshes, shared)
             }
-            SnapshotMode::Delta => {
-                // Drain the producer stream *before* sampling the write
-                // generation: a producer kernel still queued here bumps
-                // the generation only when it executes, so sampling
-                // first would record a stale value into `last` and the
-                // next capture would re-copy the untouched array. The
-                // drain also guarantees any copy below reads the same
-                // stream-ordered contents a deep copy enqueued behind
-                // the producer's kernels would.
-                arr.synchronize_erased()?;
-                let changed = self.note_generation(key, arr.generation_erased());
-                if !changed {
-                    return self.share_or_copy(arr, node, shared, bytes);
-                }
-                let Some(device) = arr.device() else {
-                    // Host arrays copy synchronously; there is no stream
-                    // to pipeline the transfer on.
-                    self.counters.add_copied(1, bytes);
-                    return Ok(arr.deep_copy_erased()?);
-                };
-                let copy_stream = self.copy_stream(node, device)?;
-                let (stream, event) = match pending.entry(device) {
-                    Entry::Occupied(e) => e.into_mut(),
-                    Entry::Vacant(v) => v.insert((copy_stream, Event::new())),
-                };
-                let copy = arr.deep_copy_async_erased(stream)?;
-                // Double-buffering: the producer's *next* write to this
-                // array waits on the fence (i.e. on the in-flight copy),
-                // not the producer at capture time.
-                if let Some(cells) = arr.cells_erased() {
-                    fences.push(cells.copy_fence(event));
-                }
-                self.counters.add_copied(1, bytes);
-                Ok(copy)
-            }
-        }
+        };
+        self.last_written = (self.cap_written, self.cap_seen);
+        Ok(snapshot)
     }
 
     fn share_or_copy(
@@ -298,7 +194,6 @@ impl SnapshotPipeline {
         arr: &ArrayRef,
         node: &Arc<SimNode>,
         shared: &mut Vec<ArrayRef>,
-        bytes: u64,
     ) -> Result<ArrayRef> {
         // The pin freezes the array's current cells, so in-flight
         // producer kernel writes must land first for the share to hold
@@ -317,16 +212,16 @@ impl SnapshotPipeline {
             None => {
                 // Array type without CoW support: fall back to an eager
                 // stream-ordered deep copy (already synchronized above).
-                self.counters.add_copied(1, bytes);
+                self.counters.add_copied(1, (arr.len() * 8) as u64);
                 Ok(arr.deep_copy_erased()?)
             }
         }
     }
 }
 
-/// A [`DataAdaptor`] over a captured copy (deep, delta, or CoW-shared)
-/// of another adaptor's state, safe to hand to an in situ thread while
-/// the simulation overwrites its own arrays.
+/// A [`DataAdaptor`] over a captured copy (deep or CoW-shared) of
+/// another adaptor's state, safe to hand to an in situ thread while the
+/// simulation overwrites its own arrays.
 pub struct SnapshotAdaptor {
     meshes: Vec<(String, DataObject)>,
     time: f64,
@@ -340,14 +235,6 @@ pub struct SnapshotAdaptor {
     /// snapshot; see [`SnapshotAdaptor::expect_consumers`]. Zero means
     /// no registration: a lone `release_shared` call unpins directly.
     consumers: AtomicUsize,
-    /// Fences keeping the producer's next write to a delta-copied array
-    /// behind the in-flight asynchronous copy. Held only for ownership:
-    /// dropping the snapshot releases them.
-    _fences: Vec<CopyFence>,
-    /// One event per copy stream carrying this capture's async copies.
-    copy_events: Vec<Event>,
-    captured_at: Option<Instant>,
-    counters: Option<Arc<SnapshotCounters>>,
 }
 
 impl SnapshotAdaptor {
@@ -367,46 +254,37 @@ impl SnapshotAdaptor {
     /// memory footprint and copy time scale with what the due back-ends
     /// declared, not with everything the simulation publishes.
     pub fn capture_with(src: &dyn DataAdaptor, requirements: &DataRequirements) -> Result<Self> {
-        let mut meshes = Vec::with_capacity(src.num_meshes());
-        for i in 0..src.num_meshes() {
-            let md = src.mesh_metadata(i)?;
-            let Some(mesh_req) = requirements.mesh_requirements(&md.name) else {
-                continue;
-            };
-            let obj = src.mesh(&md.name)?;
-            let copied =
-                partial_copy(&obj, &mesh_req, &md.name, &mut |_, arr| Ok(arr.deep_copy_erased()?))?;
-            meshes.push((md.name, copied));
-        }
+        Self::deep(src, requirements, &mut |_, _| {})
+    }
+
+    /// The deep strategy; `observe` sees each selected array (with its
+    /// generation-table key) before it is copied.
+    fn deep(
+        src: &dyn DataAdaptor,
+        requirements: &DataRequirements,
+        observe: &mut dyn FnMut(String, &ArrayRef),
+    ) -> Result<Self> {
+        let meshes = capture_meshes(src, requirements, &mut |key, arr| {
+            observe(key, arr);
+            Ok(arr.deep_copy_erased()?)
+        })?;
         for (_, obj) in &meshes {
             synchronize_object(obj)?;
         }
-        Ok(SnapshotAdaptor {
+        Ok(Self::over(src, meshes, Vec::new()))
+    }
+
+    fn over(
+        src: &dyn DataAdaptor,
+        meshes: Vec<(String, DataObject)>,
+        shared: Vec<ArrayRef>,
+    ) -> Self {
+        SnapshotAdaptor {
             meshes,
             time: src.time(),
             step: src.time_step(),
-            shared: Vec::new(),
+            shared,
             consumers: AtomicUsize::new(0),
-            _fences: Vec::new(),
-            copy_events: Vec::new(),
-            captured_at: None,
-            counters: None,
-        })
-    }
-
-    /// Block until this capture's asynchronous copies have landed. The
-    /// consuming engine calls this before the first analysis touches the
-    /// snapshot; the elapsed time since capture — the window the copies
-    /// had to overlap the producer — is recorded into the counters.
-    pub fn wait_copies(&self) {
-        if self.copy_events.is_empty() {
-            return;
-        }
-        if let (Some(at), Some(counters)) = (self.captured_at, &self.counters) {
-            counters.add_overlap_ns(at.elapsed().as_nanos() as u64);
-        }
-        for event in &self.copy_events {
-            event.wait();
         }
     }
 
@@ -491,11 +369,31 @@ fn assoc_key(assoc: FieldAssociation) -> &'static str {
     }
 }
 
+/// Walk the meshes of `src` that `requirements` selects, capturing each
+/// selected array with `capture` (see [`partial_copy`]).
+fn capture_meshes(
+    src: &dyn DataAdaptor,
+    requirements: &DataRequirements,
+    capture: &mut dyn FnMut(String, &ArrayRef) -> Result<ArrayRef>,
+) -> Result<Vec<(String, DataObject)>> {
+    let mut meshes = Vec::with_capacity(src.num_meshes());
+    for i in 0..src.num_meshes() {
+        let md = src.mesh_metadata(i)?;
+        let Some(mesh_req) = requirements.mesh_requirements(&md.name) else {
+            continue;
+        };
+        let obj = src.mesh(&md.name)?;
+        let copied = partial_copy(&obj, &mesh_req, &md.name, capture)?;
+        meshes.push((md.name, copied));
+    }
+    Ok(meshes)
+}
+
 /// Capture the arrays of `obj` that `req` selects, preserving the
 /// dataset structure. Each selected array is passed to `capture` along
-/// with a stable key (`mesh/block-path/association/name`) the delta
-/// strategy diffs generations against. Table columns count as point
-/// data.
+/// with a stable key (`mesh/block-path/association/name`) the
+/// pipeline's generation table is indexed by. Table columns count as
+/// point data.
 fn partial_copy(
     obj: &DataObject,
     req: &MeshRequirements,
@@ -767,10 +665,11 @@ mod tests {
 
     #[test]
     fn mode_names_round_trip() {
-        for mode in [SnapshotMode::Deep, SnapshotMode::Delta, SnapshotMode::Cow] {
+        for mode in [SnapshotMode::Deep, SnapshotMode::Cow] {
             assert_eq!(SnapshotMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(SnapshotMode::parse("shallow"), None);
+        assert_eq!(SnapshotMode::parse("delta"), None, "the removed third mode");
         assert_eq!(SnapshotMode::default(), SnapshotMode::Deep);
     }
 
@@ -859,127 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_capture_copies_changed_then_shares_unchanged() {
-        let node = SimNode::new(NodeConfig::fast_test(1));
-        let sim = ToySim::on(node.clone(), None);
-        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Delta);
-
-        // First sight of the allocation: copied.
-        let snap1 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap1.wait_copies();
-        let c = pipeline.counters().snapshot();
-        assert_eq!((c.arrays_shared, c.arrays_copied), (0, 1));
-        assert_eq!(c.bytes_copied, 24);
-        let ch = snapshot_column(&snap1);
-        assert!(!cells(&sim.column()).same_allocation(&cells(&ch)));
-        assert_eq!(values(&ch), vec![1.0, 2.0, 3.0]);
-
-        // Generation unchanged: the second capture shares zero-copy.
-        let snap2 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap2.wait_copies();
-        let c = pipeline.counters().snapshot();
-        assert_eq!((c.arrays_shared, c.arrays_copied), (1, 1));
-        assert_eq!(c.bytes_copied, 24, "no new bytes for the shared capture");
-        assert!(cells(&sim.column()).same_allocation(&cells(&snapshot_column(&snap2))));
-
-        // Producer writes: the next capture copies again.
-        drop(snap2);
-        sim.write_all(4.0);
-        let snap3 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap3.wait_copies();
-        let c = pipeline.counters().snapshot();
-        assert_eq!((c.arrays_shared, c.arrays_copied), (1, 2));
-        assert_eq!(values(&snapshot_column(&snap3)), vec![4.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn delta_device_copy_rides_the_copy_stream() {
-        let node = SimNode::new(NodeConfig::fast_test(1));
-        let sim = ToySim::new(node.clone());
-        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Delta);
-
-        // Device-resident changed array: copied asynchronously on the
-        // dedicated copy stream, completed by wait_copies.
-        let snap1 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap1.wait_copies();
-        let ch = snapshot_column(&snap1);
-        assert!(!cells(&sim.column()).same_allocation(&cells(&ch)));
-        assert_eq!(values(&ch), vec![1.0, 2.0, 3.0]);
-        assert_eq!(ch.device(), Some(0), "placement preserved");
-
-        // Overwrite the device array through a stream copy (a write
-        // intent on its cells), then capture again: copied again, and
-        // the snapshot sees the new stream-ordered contents.
-        let nine = HamrDataArray::<f64>::from_slice(
-            "nine",
-            node.clone(),
-            &[9.0, 9.0, 9.0],
-            1,
-            Allocator::Cuda,
-            Some(0),
-            HamrStream::default_stream(),
-            StreamMode::Sync,
-        )
-        .unwrap();
-        let stream = node.device(0).unwrap().default_stream();
-        stream.copy(&nine.data(), &cells(&sim.column())).unwrap();
-        let snap2 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap2.wait_copies();
-        assert_eq!(values(&snapshot_column(&snap2)), vec![9.0, 9.0, 9.0]);
-        let c = pipeline.counters().snapshot();
-        assert_eq!((c.arrays_shared, c.arrays_copied), (0, 2));
-        assert!(c.copy_overlap_ns > 0, "overlap window recorded");
-    }
-
-    #[test]
-    fn delta_settles_queued_writes_before_sampling_generation() {
-        use std::time::Duration;
-
-        // Real modeled time with a long launch overhead, so a queued
-        // kernel is reliably still pending when the capture starts.
-        let cfg = devsim::NodeConfig {
-            num_devices: 1,
-            time_scale: 1.0,
-            device: devsim::DeviceParams {
-                launch_overhead: Duration::from_millis(30),
-                ..devsim::DeviceParams::default()
-            },
-            ..devsim::NodeConfig::default()
-        };
-        let node = SimNode::new(cfg);
-        let sim = ToySim::new(node.clone());
-        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Delta);
-
-        // First sight of the allocation: copied.
-        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap().wait_copies();
-
-        // Queue a stall, then a producer write behind it: the write is
-        // still pending when the next capture begins, so its generation
-        // bump only happens during the capture's drain. Sampling before
-        // the drain would store a stale generation into `last`.
-        let stream = node.device(0).unwrap().default_stream();
-        stream.launch("stall", devsim::KernelCost::ZERO, |_| Ok(())).unwrap();
-        let target = cells(&sim.column());
-        stream
-            .launch("write", devsim::KernelCost::ZERO, move |scope| {
-                target.f64_view(scope)?.fill(9.0);
-                Ok(())
-            })
-            .unwrap();
-
-        let snap2 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap2.wait_copies();
-        assert_eq!(values(&snapshot_column(&snap2)), vec![9.0, 9.0, 9.0]);
-
-        // Nothing written since: the third capture must share, not
-        // re-copy — the second capture recorded the settled generation.
-        let snap3 = pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        snap3.wait_copies();
-        let c = pipeline.counters().snapshot();
-        assert_eq!((c.arrays_shared, c.arrays_copied), (1, 2), "no spurious re-copy");
-    }
-
-    #[test]
     fn deep_pipeline_counts_every_copy() {
         let node = SimNode::new(NodeConfig::fast_test(1));
         let sim = ToySim::new(node.clone());
@@ -997,12 +775,19 @@ mod tests {
     fn set_mode_clears_the_generation_table() {
         let node = SimNode::new(NodeConfig::fast_test(1));
         let sim = ToySim::on(node.clone(), None);
-        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Delta);
+        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Cow);
+        assert_eq!(pipeline.written_fraction(), 1.0, "nothing captured yet");
         pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
+        assert_eq!(pipeline.written_fraction(), 1.0, "first sight of the allocation");
+        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
+        assert_eq!(pipeline.written_fraction(), 0.0, "generation unchanged");
+        pipeline.set_mode(SnapshotMode::Cow);
+        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
+        assert_eq!(pipeline.written_fraction(), 0.0, "same mode: table kept");
+        // After a real switch the next capture reads every array as
+        // written again.
         pipeline.set_mode(SnapshotMode::Deep);
-        pipeline.set_mode(SnapshotMode::Delta);
-        // After the round-trip the next delta capture copies again.
         pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        assert_eq!(pipeline.counters().snapshot().arrays_copied, 2);
+        assert_eq!(pipeline.written_fraction(), 1.0);
     }
 }

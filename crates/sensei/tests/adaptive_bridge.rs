@@ -399,8 +399,8 @@ fn snapshot_mode_flips_preserve_results() {
         let mut sim = Sim { node, rows: 128, step: 0 };
         for step in 0..steps {
             match step {
-                3 => bridge.set_snapshot_mode(SnapshotMode::Delta),
-                6 => bridge.set_snapshot_mode(SnapshotMode::Cow),
+                3 => bridge.set_snapshot_mode(SnapshotMode::Cow),
+                6 => bridge.set_snapshot_mode(SnapshotMode::Deep),
                 _ => {}
             }
             sim.step = step;

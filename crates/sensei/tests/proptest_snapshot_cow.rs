@@ -163,7 +163,6 @@ proptest! {
                     let cow = pipeline
                         .capture(&solver, &DataRequirements::All, &node)
                         .unwrap();
-                    cow.wait_copies();
                     let reference = SnapshotAdaptor::capture(&solver).unwrap();
                     live.push((cow, reference));
                 }

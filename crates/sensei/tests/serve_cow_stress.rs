@@ -156,7 +156,6 @@ fn hundreds_of_churning_sessions_release_every_pin() {
         held.clear();
 
         let cow = pipeline.capture(&solver, &DataRequirements::All, &node).unwrap();
-        cow.wait_copies();
         // The session pool is the snapshot's sole registered consumer;
         // its one `consumer_finished` is paid by the last pin drop.
         cow.expect_consumers(1);

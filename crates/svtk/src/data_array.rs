@@ -3,7 +3,7 @@
 use std::any::Any;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, PinStats, Stream};
+use devsim::PinStats;
 use hamr::HamrStream;
 
 /// Shared handle to a type-erased data array.
@@ -56,21 +56,6 @@ pub trait DataArray: Send + Sync {
     /// stream). `None` when the array type cannot share — the caller
     /// falls back to a deep copy.
     fn cow_share_erased(&self, _stats: &Arc<PinStats>, _stream: HamrStream) -> Option<ArrayRef> {
-        None
-    }
-
-    /// Deep-copy the array with the transfer enqueued on an explicit
-    /// `stream` instead of the array's own (the delta-snapshot path: all
-    /// needed copies ride one dedicated copy stream so the data producer
-    /// resumes immediately). Defaults to the array-stream-ordered
-    /// [`deep_copy_erased`](Self::deep_copy_erased).
-    fn deep_copy_async_erased(&self, _stream: &Arc<Stream>) -> hamr::Result<ArrayRef> {
-        self.deep_copy_erased()
-    }
-
-    /// The backing cells, for fence registration against in-flight
-    /// asynchronous copies. `None` for array types not backed by cells.
-    fn cells_erased(&self) -> Option<CellBuffer> {
         None
     }
 

@@ -227,50 +227,21 @@ impl<T: Element> HamrDataArray<T> {
     /// is what keeps the asynchronous execution method's apparent cost
     /// small.
     pub fn deep_copy(&self, name: impl Into<String>) -> hamr::Result<Arc<Self>> {
-        self.deep_copy_impl(name, None)
-    }
-
-    /// Deep-copy with the transfer enqueued on an explicit `stream` — the
-    /// delta-snapshot path, where all per-step copies ride one dedicated
-    /// copy stream so the producer's compute stream is never occupied.
-    /// The copy's buffer is ordered on that stream too, so synchronizing
-    /// it (or waiting an event recorded after the copies) completes it.
-    pub fn deep_copy_on(
-        &self,
-        name: impl Into<String>,
-        stream: &Arc<devsim::Stream>,
-    ) -> hamr::Result<Arc<Self>> {
-        self.deep_copy_impl(name, Some(stream))
-    }
-
-    fn deep_copy_impl(
-        &self,
-        name: impl Into<String>,
-        copy_stream: Option<&Arc<devsim::Stream>>,
-    ) -> hamr::Result<Arc<Self>> {
         let node = self.buffer.node().clone();
         let device = self.buffer.device();
-        let (buf_stream, mode) = match copy_stream {
-            Some(s) => (HamrStream::new(s.clone()), StreamMode::Async),
-            None => (self.buffer.stream().clone(), self.buffer.mode()),
-        };
         let copy = HamrBuffer::<T>::new(
             node.clone(),
             self.buffer.len(),
             self.allocator(),
             device,
-            buf_stream,
-            mode,
+            self.buffer.stream().clone(),
+            self.buffer.mode(),
         )?;
         let src = self.buffer.data();
         let dst = copy.data();
         match device {
             Some(d) => {
-                let stream = match copy_stream {
-                    Some(s) => s.clone(),
-                    None => self.buffer.stream().resolve(&node, d)?,
-                };
-                stream.copy(&src, &dst)?;
+                self.buffer.stream().resolve(&node, d)?.copy(&src, &dst)?;
             }
             None => {
                 // Host-to-host: copy through host views (read-only on the
@@ -377,14 +348,6 @@ impl<T: Element> DataArray for HamrDataArray<T> {
         }) as ArrayRef)
     }
 
-    fn deep_copy_async_erased(&self, stream: &Arc<devsim::Stream>) -> hamr::Result<ArrayRef> {
-        Ok(self.deep_copy_on(self.name.clone(), stream)? as ArrayRef)
-    }
-
-    fn cells_erased(&self) -> Option<devsim::CellBuffer> {
-        Some(self.buffer.data())
-    }
-
     fn release_cow_erased(&self) {
         self.buffer.release_cow();
     }
@@ -483,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn deep_copy_on_host() {
+    fn deep_copy_of_a_host_array() {
         let a = simple("h", &[3.0, 4.0]);
         let b = a.deep_copy("h2").unwrap();
         assert_eq!(b.to_vec().unwrap(), vec![3.0, 4.0]);
