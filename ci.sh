@@ -78,24 +78,6 @@ grep -Eq '"ranks": 16.*"hier_fewer_inter_messages": true' \
 grep -q '"fused_one_allreduce_per_step": true, "tier_counters_populated": true' \
     /tmp/ci_scale/BENCH_scale.json
 
-echo "== harness layout smoke (AoS/SoA/AoSoA layout-polymorphic data model)"
-# The harness hard-asserts the layout claims itself (every arm
-# bit-identical to the scalar reference, the lane-vectorized AoSoA arm
-# beating scalar on the host, zero-copy host fetches vs charged device
-# packs, and both placements' autopicks within 5% of the best static
-# layout); the greps re-check the written report so a silently-empty
-# JSON also fails CI.
-cargo run --release -p bench --bin harness -- layout \
-    --steps 6 --out /tmp/ci_layout
-grep -q '"all_bit_identical": true' /tmp/ci_layout/BENCH_layout.json
-! grep -q '"bit_identical_to_scalar": false' /tmp/ci_layout/BENCH_layout.json
-grep -q '"aosoa_beats_scalar_host": true' /tmp/ci_layout/BENCH_layout.json
-grep -q '"autopick_within_tolerance": true' /tmp/ci_layout/BENCH_layout.json
-grep -Eq '"placement": "host", "layout": "aosoa8", .*"relayout_bytes": 0' \
-    /tmp/ci_layout/BENCH_layout.json
-grep -Eq '"placement": "device0", "layout": "aos", .*"relayout_bytes": [1-9][0-9]*' \
-    /tmp/ci_layout/BENCH_layout.json
-
 echo "== harness adaptive smoke (closed-loop placement & autotuning)"
 # The harness hard-asserts the adaptive claims itself (the steady
 # adaptive arm starts from the worst static configuration and settles

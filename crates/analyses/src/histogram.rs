@@ -135,9 +135,7 @@ impl AnalysisAdaptor for Histogram {
                 let mut lo = f64::INFINITY;
                 let mut hi = f64::NEG_INFINITY;
                 for a in &arrays {
-                    // Stride-aware iteration: columns of a layout-grouped
-                    // table are walked through their map without
-                    // materializing a dense copy.
+                    // Walk the view in place instead of materializing a copy.
                     let typed = as_f64(a)?;
                     let view = typed.host_accessible()?;
                     typed.synchronize()?;

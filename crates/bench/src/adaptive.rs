@@ -2,18 +2,17 @@
 //! under the fused binning workload.
 //!
 //! Two experiments, both driven by the bridge-resident
-//! [`sensei::AdaptiveController`] rather than the offline probe sweep of
-//! `bench::layout`:
+//! [`sensei::AdaptiveController`]:
 //!
-//! * **steady** — a fixed per-step cost surface over (placement,
-//!   layout). The static arms sweep the four corners of that surface;
+//! * **steady** — a fixed per-step cost surface over the placement. The
+//!   static arms sweep both sides of that surface;
 //!   the adaptive arm starts from the *worst* static configuration and
 //!   must converge, within a bounded number of steps, to within
 //!   tolerance of the *best* static arm's steady-state apparent cost.
 //! * **drift** — the workload's per-step cost profile changes mid-run
 //!   (the stand-in for write rates / device contention shifting): phase
 //!   one favors a device placement, phase two inverts the surface so
-//!   the devices saturate and the host's lane-vectorized layouts win.
+//!   the devices saturate and the host wins.
 //!   Every static configuration is on the wrong side of one phase, so
 //!   the adaptive arm — which re-probes when its settled baseline
 //!   drifts — must beat *all* of them on end-to-end apparent cost.
@@ -30,7 +29,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use devsim::SimNode;
-use hamr::Layout;
 use minimpi::World;
 use parking_lot::Mutex;
 use sensei::{
@@ -84,15 +82,10 @@ impl Default for AdaptiveBenchConfig {
 /// static arm's steady-state apparent cost (the issue's ~10% bar).
 pub const ADAPTIVE_TOLERANCE: f64 = 0.10;
 
-/// The static (placement, layout) grid: the corners of the cost
-/// surface. First entry is the bit-identity reference; the adaptive
-/// arms start from whichever of these measures worst.
-pub const STATIC_ARMS: [(DeviceSpec, Layout); 4] = [
-    (DeviceSpec::Host, Layout::Scalar),
-    (DeviceSpec::Host, Layout::AoSoA { lane_width: 8 }),
-    (DeviceSpec::Explicit(0), Layout::Scalar),
-    (DeviceSpec::Explicit(0), Layout::AoS),
-];
+/// The static placements: the two sides of the cost surface. First
+/// entry is the bit-identity reference; the adaptive arms start from
+/// whichever of these measures worst.
+pub const STATIC_ARMS: [DeviceSpec; 2] = [DeviceSpec::Host, DeviceSpec::Explicit(0)];
 
 /// Which per-step cost surface an arm runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,41 +98,20 @@ pub enum Workload {
 
 /// Modeled apparent cost (microseconds, before `time_scale`) of one
 /// dispatch under the phase-one surface: the devices are fast and the
-/// host is uniformly slow, so the best corner is (device, scalar) and
-/// grouped layouts on the device pay the relayout pack.
+/// host is slow.
 fn phase1_us(c: &BackendControls) -> f64 {
     match c.device {
-        DeviceSpec::Host => match c.layout {
-            Layout::Scalar => 6200.0,
-            Layout::SoA => 6100.0,
-            Layout::AoSoA { lane_width: 4 } => 6050.0,
-            Layout::AoSoA { .. } => 6000.0,
-            Layout::AoS => 6300.0,
-        },
-        _ => match c.layout {
-            Layout::Scalar => 1200.0,
-            Layout::AoS => 2600.0,
-            _ => 3000.0,
-        },
+        DeviceSpec::Host => 6200.0,
+        _ => 1200.0,
     }
 }
 
 /// Phase-two surface: the devices saturate (contention / shifted write
-/// rates) and the host's lane-vectorized layouts win, with AoSoA-8 the
-/// new global best. Phase one's winner is this phase's worst region.
+/// rates) and the host wins. Phase one's winner is this phase's loser.
 fn phase2_us(c: &BackendControls) -> f64 {
     match c.device {
-        DeviceSpec::Host => match c.layout {
-            Layout::Scalar => 2000.0,
-            Layout::SoA => 1800.0,
-            Layout::AoSoA { lane_width: 4 } => 1500.0,
-            Layout::AoSoA { .. } => 1200.0,
-            Layout::AoS => 2200.0,
-        },
-        _ => match c.layout {
-            Layout::Scalar => 5200.0,
-            _ => 5600.0,
-        },
+        DeviceSpec::Host => 2000.0,
+        _ => 5200.0,
     }
 }
 
@@ -197,7 +169,7 @@ impl AnalysisAdaptor for ModeledSuite {
 const FIELDS: [&str; 4] = ["x", "y", "m", "e"];
 
 /// Deterministic per-(step, field, row) value (splitmix64): every arm
-/// publishes bit-identical data whatever layout it is asked for.
+/// publishes bit-identical data.
 fn field_value(step: u64, field: usize, i: usize) -> f64 {
     let mut z = step
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -214,21 +186,17 @@ fn field_value(step: u64, field: usize, i: usize) -> f64 {
     }
 }
 
-/// A simulation stand-in that republishes the particle table each step
-/// in whatever physical layout the bridge's *committed* back-end
-/// controls ask for — the closed half of the loop: when the controller
-/// re-picks a layout, the producer follows on the next step.
+/// A simulation stand-in that republishes the particle table each step.
 struct AdaptiveProducer {
     node: Arc<SimNode>,
-    layout: Layout,
     rows: usize,
     step: u64,
     table: TableData,
 }
 
 impl AdaptiveProducer {
-    fn new(node: Arc<SimNode>, layout: Layout, rows: usize) -> hamr::Result<Self> {
-        let mut p = AdaptiveProducer { node, layout, rows, step: 0, table: TableData::new() };
+    fn new(node: Arc<SimNode>, rows: usize) -> hamr::Result<Self> {
+        let mut p = AdaptiveProducer { node, rows, step: 0, table: TableData::new() };
         p.produce()?;
         Ok(p)
     }
@@ -249,16 +217,12 @@ impl AdaptiveProducer {
             )?;
             table.set_column(arr.as_array_ref());
         }
-        if self.layout != Layout::Scalar {
-            table.group_columns(&FIELDS, self.layout, &self.node)?;
-        }
         self.table = table;
         Ok(())
     }
 
-    fn advance(&mut self, layout: Layout) -> hamr::Result<()> {
+    fn advance(&mut self) -> hamr::Result<()> {
         self.step += 1;
-        self.layout = layout;
         self.produce()
     }
 }
@@ -322,7 +286,7 @@ fn adaptive_specs(resolution: usize) -> Vec<BinningSpec> {
 /// Outcome of one arm, static or adaptive.
 #[derive(Debug, Clone)]
 pub struct AdaptiveArm {
-    /// Human-readable arm label, e.g. `static host/scalar`.
+    /// Human-readable arm label, e.g. `static host`.
     pub label: String,
     /// The configuration the arm started from.
     pub start: BackendControls,
@@ -365,7 +329,7 @@ impl AdaptiveArm {
     }
 }
 
-/// One workload's sweep: the static grid plus the adaptive arm that
+/// One workload's sweep: the static arms plus the adaptive arm that
 /// started from the measured-worst static configuration.
 #[derive(Debug, Clone)]
 pub struct AdaptiveSweep {
@@ -458,20 +422,19 @@ impl AdaptiveBenchReport {
 
 /// Human-readable configuration label.
 pub fn controls_label(c: &BackendControls) -> String {
-    let place = match c.device {
+    match c.device {
         DeviceSpec::Host => "host".to_string(),
         DeviceSpec::Explicit(d) => format!("device{d}"),
         DeviceSpec::Auto => "auto".to_string(),
-    };
-    format!("{place}/{}", c.layout.name())
+    }
 }
 
-fn base_controls(device: DeviceSpec, layout: Layout) -> BackendControls {
-    BackendControls { execution: ExecutionMethod::Lockstep, device, layout, ..Default::default() }
+fn base_controls(device: DeviceSpec) -> BackendControls {
+    BackendControls { execution: ExecutionMethod::Lockstep, device, ..Default::default() }
 }
 
-/// Run one arm. `adaptive` enables the closed loop (placement + layout
-/// dimensions; execution and snapshot tuning are exercised by the
+/// Run one arm. `adaptive` enables the closed loop (the placement
+/// dimension; execution and snapshot tuning are exercised by the
 /// sensei-level tests — under lockstep the apparent-cost objective is
 /// the dispatch itself, which is what the injected model shapes).
 pub fn run_adaptive_arm(
@@ -531,8 +494,7 @@ pub fn run_adaptive_arm(
             });
         }
 
-        let mut producer =
-            AdaptiveProducer::new(node.clone(), start.layout, cfg.rows).expect("producer");
+        let mut producer = AdaptiveProducer::new(node.clone(), cfg.rows).expect("producer");
         let mut converged_by: Option<u64> = None;
         for step in 0..steps {
             bridge.execute(&producer, &comm, Duration::from_millis(1)).expect("in situ execute");
@@ -545,10 +507,7 @@ pub fn run_adaptive_arm(
                     converged_by = None;
                 }
             }
-            // The producer follows the committed layout — the loop's
-            // actuation path back into the data model.
-            let layout = bridge.backend_controls(0).expect("backend 0").layout;
-            producer.advance(layout).expect("producer step");
+            producer.advance().expect("producer step");
         }
         let final_controls = bridge.backend_controls(0).expect("backend 0");
         let probes = bridge.adaptive_controller().map_or(0, |c| c.probes_used());
@@ -594,9 +553,7 @@ pub fn run_adaptive_arm(
 fn run_sweep(cfg: &AdaptiveBenchConfig, workload: Workload) -> AdaptiveSweep {
     let statics: Vec<AdaptiveArm> = STATIC_ARMS
         .iter()
-        .map(|&(device, layout)| {
-            run_adaptive_arm(cfg, workload, base_controls(device, layout), false)
-        })
+        .map(|&device| run_adaptive_arm(cfg, workload, base_controls(device), false))
         .collect();
     let worst = statics
         .iter()
@@ -607,7 +564,7 @@ fn run_sweep(cfg: &AdaptiveBenchConfig, workload: Workload) -> AdaptiveSweep {
     AdaptiveSweep { workload, statics, adaptive }
 }
 
-/// Run the full adaptive bench: static grids and closed-loop arms over
+/// Run the full adaptive bench: static and closed-loop arms over
 /// both workloads.
 pub fn run_adaptive_bench(cfg: &AdaptiveBenchConfig) -> AdaptiveBenchReport {
     AdaptiveBenchReport {
@@ -642,14 +599,19 @@ mod tests {
 
     #[test]
     fn steady_adaptive_converges_from_the_worst_corner() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let sweep = run_sweep(&cfg, Workload::Steady);
         assert_eq!(sweep.adaptive.start, sweep.worst_static().start, "starts from the worst arm");
-        assert!(sweep.adaptive.converged_by.is_some(), "controller settled");
-        // The cost surface's global best is (device, scalar); the
-        // controller must land there from (host, scalar).
+        assert!(
+            sweep.adaptive.converged_by.is_some(),
+            "controller settled: log {:?} apparent {:?}",
+            sweep.adaptive.decision_log,
+            sweep.adaptive.apparent_s
+        );
+        // The cost surface's best side is the device; the controller
+        // must land there from the host.
         assert_ne!(sweep.adaptive.final_controls.device, DeviceSpec::Host);
-        assert_eq!(sweep.adaptive.final_controls.layout, Layout::Scalar);
         assert!(sweep.bit_identical(), "closed-loop reconfiguration never perturbs results");
         assert!(sweep.zero_aborts());
         assert!(sweep.adaptive.decisions > 0, "the decision log is populated");
@@ -657,6 +619,7 @@ mod tests {
 
     #[test]
     fn drifting_workload_beats_every_static_arm() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = AdaptiveBenchReport {
             config: cfg,
@@ -667,8 +630,10 @@ mod tests {
         assert!(report.zero_aborts());
         assert!(
             report.drift_adaptive_wins(),
-            "adaptive {:.6}s must beat statics {:?}",
+            "adaptive {:.6}s (log {:?} apparent {:?}) must beat statics {:?}",
             report.drift.adaptive.total_apparent(),
+            report.drift.adaptive.decision_log,
+            report.drift.adaptive.apparent_s,
             report
                 .drift
                 .statics
@@ -683,13 +648,9 @@ mod tests {
 
     #[test]
     fn arm_accounting_is_structurally_sound() {
+        let _serial = crate::serial();
         let cfg = AdaptiveBenchConfig { steady_steps: 4, time_scale: 0.0, ..tiny() };
-        let arm = run_adaptive_arm(
-            &cfg,
-            Workload::Steady,
-            base_controls(DeviceSpec::Host, Layout::Scalar),
-            false,
-        );
+        let arm = run_adaptive_arm(&cfg, Workload::Steady, base_controls(DeviceSpec::Host), false);
         assert_eq!(arm.apparent_s.len(), cfg.steady_steps as usize);
         assert_eq!(arm.results.len(), cfg.steady_steps as usize * 2, "one result per (step, spec)");
         assert_eq!(arm.converged_by, None, "statics never report convergence");

@@ -9,7 +9,6 @@
 //! harness snapshot [--bodies N] [--steps N] [--resolution N]
 //!         [--instances N] [--scale F] [--out DIR]
 //! harness scale [--rank-counts N,N,...] [--steps N] [--out DIR]
-//! harness layout [--steps N] [--resolution N] [--scale F] [--out DIR]
 //! harness serve [--sessions N,N,...] [--out DIR]
 //! harness run-config <sensei.xml> [--bodies N] [--steps N] [--devices N]
 //!         [--scale F]
@@ -55,19 +54,8 @@
 //! and the fused suite's 1-allreduce-per-step invariant on the tiered
 //! path; writes `BENCH_scale.json` under `--out`.
 //!
-//! `layout` runs the layout-polymorphic data-model A/B (see
-//! `bench::run_layout_bench`): the same synthetic particle table
-//! published as dense scalar columns vs one interleaved AoS / SoA /
-//! AoSoA block, consumed lockstep by the fused binning suite on the
-//! host and device placements, plus a probe-based per-placement
-//! autopick. Hard-asserts bit identity of every arm against the scalar
-//! reference, a host win for the lane-vectorized AoSoA arm, zero-copy
-//! host fetches vs charged device packs (`relayout_bytes`), and the
-//! autopick landing within 5% of the best static layout; writes
-//! `BENCH_layout.json` under `--out`.
-//!
-//! `adaptive` closes the profiler loop: static (placement, layout)
-//! grids plus bridge-resident `AdaptiveController` arms over a steady
+//! `adaptive` closes the profiler loop: static placement arms plus
+//! bridge-resident `AdaptiveController` arms over a steady
 //! and a drifting cost surface. Hard-asserts that the adaptive arm,
 //! started from the *worst* static configuration, settles within the
 //! step bound at a steady-state apparent cost within 10% of the best
@@ -122,7 +110,7 @@ fn parse_args() -> (String, CaseConfig, PathBuf, Option<PathBuf>, u64, Vec<usize
         };
         match args[i].as_str() {
             "table1" | "figure2" | "figure3" | "binning" | "chaos" | "snapshot" | "dag"
-            | "scale" | "layout" | "adaptive" | "serve" | "all" => mode = args[i].clone(),
+            | "scale" | "adaptive" | "serve" | "all" => mode = args[i].clone(),
             "run-config" => {
                 mode = "run-config".into();
                 xml = Some(PathBuf::from(next(&mut i)));
@@ -1138,184 +1126,9 @@ fn run_scale_mode(base: &CaseConfig, rank_counts: &[usize], out_dir: &Path) {
     );
 }
 
-/// Machine-readable layout report: one JSON object per (placement,
-/// layout) arm plus an autopick object per placement. Hand-rolled like
-/// `write_pool_json`; the boolean fields are what CI greps.
-fn write_layout_json(path: &Path, report: &bench::LayoutReport) {
-    let mut json = String::from("{\n  \"arms\": [\n");
-    let sweeps = report.sweeps();
-    for (si, sweep) in sweeps.iter().enumerate() {
-        let reference = &sweep.scalar().results;
-        for (ai, a) in sweep.arms.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"placement\": \"{}\", \"layout\": \"{}\", \"lanes\": {}, \
-                 \"steps\": {}, \"results\": {}, \"mean_insitu_s\": {:.9}, \
-                 \"total_s\": {:.6}, \"relayout_bytes\": {}, \
-                 \"bit_identical_to_scalar\": {}}}{}\n",
-                sweep.placement_name(),
-                a.layout.name(),
-                a.layout.lane_width(),
-                report.config.steps,
-                a.results.len(),
-                a.mean_insitu.as_secs_f64(),
-                a.total.as_secs_f64(),
-                a.counters.relayout_bytes,
-                bench::results_bit_identical(reference, &a.results),
-                if si + 1 < sweeps.len() || ai + 1 < sweep.arms.len() { "," } else { "" },
-            ));
-        }
-    }
-    json.push_str("  ],\n  \"autopick\": [\n");
-    for (si, sweep) in sweeps.iter().enumerate() {
-        let best = sweep.best_static();
-        json.push_str(&format!(
-            "    {{\"placement\": \"{}\", \"picked\": \"{}\", \"auto_mean_insitu_s\": {:.9}, \
-             \"best_static\": \"{}\", \"best_static_mean_insitu_s\": {:.9}, \
-             \"within_tolerance\": {}}}{}\n",
-            sweep.placement_name(),
-            sweep.picked.name(),
-            sweep.auto_arm.mean_insitu.as_secs_f64(),
-            best.layout.name(),
-            best.mean_insitu.as_secs_f64(),
-            sweep.autopick_within(LAYOUT_PICK_TOLERANCE),
-            if si + 1 < sweeps.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"all_bit_identical\": {},\n  \"aosoa_beats_scalar_host\": {},\n  \
-         \"autopick_within_tolerance\": {}\n}}\n",
-        report.all_bit_identical(),
-        report.aosoa_beats_scalar_host(),
-        report.autopick_within(LAYOUT_PICK_TOLERANCE),
-    ));
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The autopicked configuration must land within 5% of the best static
-/// layout per placement (the acceptance bar for the probe heuristic).
-const LAYOUT_PICK_TOLERANCE: f64 = 0.05;
-
-/// The layout smoke: sweep the candidate layouts over both placements,
-/// print the apparent costs and relayout traffic, and hard-assert the
-/// claims CI relies on — every arm bit-identical to the scalar
-/// reference, the AoSoA host arm beating the scalar-array host arm on
-/// apparent cost, and both placements' autopicks within tolerance of
-/// their best static layout.
-fn run_layout_mode(base: &CaseConfig, out_dir: &Path) {
-    let cfg = bench::LayoutBenchConfig {
-        steps: base.steps.max(2),
-        resolution: base.resolution.min(32),
-        time_scale: base.time_scale,
-        ..Default::default()
-    };
-    println!(
-        "\nLayout A/B: {:?} over {} rows x {} steps ({}-step probe), {}^2 bins, \
-         lockstep fused suite on host and device placements",
-        bench::CANDIDATE_LAYOUTS.iter().map(|l| l.name()).collect::<Vec<_>>(),
-        cfg.rows,
-        cfg.steps,
-        cfg.probe_steps,
-        cfg.resolution
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_layout_bench(&cfg);
-    eprintln!("both sweeps done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:<9} {:<8} {:>13} {:>15} {:>5}",
-        "placement", "layout", "insitu/iter", "relayout bytes", "bits"
-    );
-    for sweep in report.sweeps() {
-        let reference = &sweep.scalar().results;
-        for a in &sweep.arms {
-            println!(
-                "  {:<9} {:<8} {:>10.3} ms {:>15} {:>5}",
-                sweep.placement_name(),
-                a.layout.name(),
-                a.mean_insitu.as_secs_f64() * 1e3,
-                a.counters.relayout_bytes,
-                if bench::results_bit_identical(reference, &a.results) { "ok" } else { "DIFF" },
-            );
-        }
-        let best = sweep.best_static();
-        println!(
-            "  {:<9} autopick: {} (probe) -> {:.3} ms full; best static {} at {:.3} ms",
-            sweep.placement_name(),
-            sweep.picked.name(),
-            sweep.auto_arm.mean_insitu.as_secs_f64() * 1e3,
-            best.layout.name(),
-            best.mean_insitu.as_secs_f64() * 1e3,
-        );
-    }
-
-    // Correctness before speed: relayout must never perturb a bit, on
-    // either placement, under any candidate layout.
-    for sweep in report.sweeps() {
-        if !sweep.bit_identical() {
-            eprintln!(
-                "FAIL: {} sweep has arms that differ from the scalar reference",
-                sweep.placement_name()
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // The relayout accounting: zero-copy on the host (grouped tables are
-    // consumed through their maps), charged and surfaced on the device
-    // (grouped tables pack dense in flight on upload).
-    let host_grouped = report.host.arm(hamr::Layout::AoS);
-    let device_grouped = report.device.arm(hamr::Layout::AoS);
-    assert_eq!(
-        host_grouped.counters.relayout_bytes, 0,
-        "host fetch of a grouped table must be zero-copy"
-    );
-    assert!(
-        device_grouped.counters.relayout_bytes > 0,
-        "device fetch of a grouped table must surface its in-flight pack"
-    );
-
-    write_layout_json(&out_dir.join("BENCH_layout.json"), &report);
-
-    // The headline: lane vectorization must pay off on the host arm.
-    let scalar = report.host.scalar();
-    let aosoa = report.host.arm(hamr::Layout::AoSoA { lane_width: 8 });
-    println!(
-        "  apparent in situ cost, host: aosoa8 {:.3} ms vs scalar {:.3} ms (x{:.2})",
-        aosoa.mean_insitu.as_secs_f64() * 1e3,
-        scalar.mean_insitu.as_secs_f64() * 1e3,
-        aosoa.mean_insitu.as_secs_f64() / scalar.mean_insitu.as_secs_f64().max(1e-12),
-    );
-    if !report.aosoa_beats_scalar_host() {
-        eprintln!("FAIL: the AoSoA host arm does not beat the scalar-array host arm");
-        std::process::exit(1);
-    }
-    for sweep in report.sweeps() {
-        if !sweep.autopick_within(LAYOUT_PICK_TOLERANCE) {
-            eprintln!(
-                "FAIL: {} autopick ({}) is not within {:.0}% of the best static layout ({})",
-                sweep.placement_name(),
-                sweep.picked.name(),
-                LAYOUT_PICK_TOLERANCE * 100.0,
-                sweep.best_static().layout.name(),
-            );
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "  PASS: all arms bit-identical; aosoa8 beat scalar on the host; \
-         autopicks ({} host, {} device) within {:.0}% of best static",
-        report.host.picked.name(),
-        report.device.picked.name(),
-        LAYOUT_PICK_TOLERANCE * 100.0,
-    );
-}
-
 /// Machine-readable adaptive report: one JSON object per arm in both
 /// sweeps plus the headline booleans CI greps. Hand-rolled like
-/// `write_layout_json`.
+/// `write_pool_json`.
 fn write_adaptive_json(path: &Path, report: &bench::AdaptiveBenchReport) {
     let mut json = String::from("{\n  \"arms\": [\n");
     let sweeps = [("steady", &report.steady), ("drift", &report.drift)];
@@ -1363,7 +1176,7 @@ fn write_adaptive_json(path: &Path, report: &bench::AdaptiveBenchReport) {
     println!("wrote {}", path.display());
 }
 
-/// The adaptive smoke: static (placement, layout) grids plus the
+/// The adaptive smoke: static placement arms plus the
 /// closed-loop arms over the steady and drifting workloads, with the
 /// issue's acceptance bars hard-asserted — the steady adaptive arm
 /// starts from the worst static configuration and must settle within
@@ -1585,10 +1398,6 @@ fn main() {
     }
     if mode == "scale" {
         run_scale_mode(&base, &rank_counts, &out_dir);
-        return;
-    }
-    if mode == "layout" {
-        run_layout_mode(&base, &out_dir);
         return;
     }
     if mode == "adaptive" {

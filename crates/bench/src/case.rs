@@ -51,11 +51,6 @@ pub struct CaseConfig {
     /// unconditional deep copies or copy-on-write shares (see
     /// `sensei::SnapshotMode`).
     pub snapshot: SnapshotMode,
-    /// The physical layout label threaded into the back-end controls
-    /// (tags the profiler's counter rows; see `hamr::Layout`). Newton++
-    /// publishes dense device columns, so this stays [`Layout::Scalar`]
-    /// for the paper matrix — the layout A/B lives in `bench::layout`.
-    pub layout: hamr::Layout,
 }
 
 impl CaseConfig {
@@ -75,7 +70,6 @@ impl CaseConfig {
             fused: false,
             bounded: false,
             snapshot: SnapshotMode::Deep,
-            layout: hamr::Layout::Scalar,
         }
     }
 
@@ -297,7 +291,6 @@ fn run_rank(node: Arc<SimNode>, comm: &minimpi::Comm, cfg: &CaseConfig) -> CaseO
         device: device_spec,
         selector,
         queue_depth: cfg.steps.max(1) as usize,
-        layout: cfg.layout,
         ..Default::default()
     };
 
@@ -366,12 +359,12 @@ mod tests {
             fused: false,
             bounded: false,
             snapshot: SnapshotMode::Deep,
-            layout: hamr::Layout::Scalar,
         }
     }
 
     #[test]
     fn all_eight_cases_run_to_completion() {
+        let _serial = crate::serial();
         for cfg in CaseConfig::matrix(&tiny(Placement::Host, ExecutionMethod::Lockstep)) {
             let out = run_case(&cfg);
             assert_eq!(out.ranks, cfg.placement.ranks_per_node(4));
@@ -381,6 +374,7 @@ mod tests {
 
     #[test]
     fn pool_toggle_controls_caching() {
+        let _serial = crate::serial();
         let base = tiny(Placement::Host, ExecutionMethod::Lockstep);
         let on = run_case(&base);
         assert!(on.pool_total().hits > 0, "steady-state iterations reuse pooled blocks");
@@ -394,6 +388,7 @@ mod tests {
 
     #[test]
     fn fused_suite_packs_the_step_collectives() {
+        let _serial = crate::serial();
         // The asynchronous bounded workload: the fused arm must issue
         // exactly one allreduce per step per rank and one kernel launch +
         // one packed download per (coordinate system, fetched block).

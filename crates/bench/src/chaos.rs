@@ -310,6 +310,7 @@ mod tests {
 
     #[test]
     fn retry_arm_recovers_bit_identically() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = run_chaos(&cfg);
         let ranks = report.retry.ranks as u64;
@@ -331,6 +332,7 @@ mod tests {
 
     #[test]
     fn skip_arm_drops_one_step_and_finishes() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = run_chaos(&cfg);
         let s = &report.skip;

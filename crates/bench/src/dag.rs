@@ -344,6 +344,7 @@ mod tests {
 
     #[test]
     fn all_arms_deliver_bit_identical_results() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = run_dag_bench(&cfg);
         let expected = cfg.steps as usize * cfg.instances();

@@ -13,7 +13,6 @@ mod case;
 mod chaos;
 mod chart;
 mod dag;
-mod layout;
 mod scale;
 mod serve;
 mod snapshot;
@@ -29,10 +28,6 @@ pub use chart::{ascii_bars, ascii_stack};
 pub use dag::{
     run_dag_arm, run_dag_bench, skewed_binning_specs, DagArm, DagBenchConfig, DagBenchReport,
 };
-pub use layout::{
-    run_layout_arm, run_layout_bench, LayoutArm, LayoutBenchConfig, LayoutReport, PlacementSweep,
-    CANDIDATE_LAYOUTS,
-};
 pub use scale::{
     run_scale_bench, ScaleArm, ScaleBenchConfig, ScaleCheck, ScalePoint, ScaleReport, ScaleSweep,
 };
@@ -44,3 +39,15 @@ pub use snapshot::{run_snapshot_bench, SnapshotArm, SnapshotBenchConfig, Snapsho
 pub use workload::{
     paper_binning_specs, paper_binning_specs_bounded, COORDINATE_SYSTEMS, VARIABLE_OPS,
 };
+
+/// Taken by every in-lib test that runs ranks. The adaptive and snapshot
+/// tests assert on slept (modeled) costs, and any other test computing
+/// beside them on the runner's two cores stretches those sleeps past the
+/// margins they assert (phantom drift, a probe that loses to noise).
+/// Almost all of this binary's time is sleep, so one at a time costs
+/// ~0.2 s.
+#[cfg(test)]
+pub(crate) fn serial() -> parking_lot::MutexGuard<'static, ()> {
+    static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    SERIAL.lock()
+}

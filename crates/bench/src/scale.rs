@@ -363,6 +363,7 @@ mod tests {
 
     #[test]
     fn sweeps_are_bit_identical_and_cut_inter_traffic() {
+        let _serial = crate::serial();
         let report = run_scale_bench(&tiny());
         for (kind, p) in report.points() {
             assert!(p.bit_identical, "{kind} @ {} ranks must be bit-identical", p.ranks);
@@ -385,6 +386,7 @@ mod tests {
 
     #[test]
     fn strong_scaling_divides_the_rows() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = run_scale_bench(&cfg);
         let rows: Vec<usize> = report.strong.points.iter().map(|p| p.rows_per_rank).collect();
@@ -395,6 +397,7 @@ mod tests {
 
     #[test]
     fn check_arm_keeps_the_fused_invariant_on_the_tiered_path() {
+        let _serial = crate::serial();
         let check = run_check(2);
         assert_eq!(check.per_rank.len(), 4);
         assert!(check.one_allreduce_per_step(), "{:?}", check.per_rank);

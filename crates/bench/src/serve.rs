@@ -596,6 +596,7 @@ mod tests {
 
     #[test]
     fn fan_out_bytes_stay_flat_and_fast_clients_lose_nothing() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let arms: Vec<ServeArm> =
             cfg.session_counts.iter().map(|&n| run_serve_arm(&cfg, n)).collect();
@@ -627,6 +628,7 @@ mod tests {
 
     #[test]
     fn steering_replay_is_bit_identical() {
+        let _serial = crate::serial();
         let cfg = ServeBenchConfig { steps: 10, ..tiny() };
         let outcome = run_steering_pair(&cfg);
         assert_eq!(outcome.steers_applied, 4, "frequency, resolution, pause, resume");

@@ -231,6 +231,7 @@ mod tests {
 
     #[test]
     fn arms_are_bit_identical_and_cow_copies_less() {
+        let _serial = crate::serial();
         let cfg = tiny();
         let report = run_snapshot_bench(&cfg);
 

@@ -1,10 +1,9 @@
 //! Property: an adaptively reconfigured run is bit-identical to its
 //! static reference, whatever schedule of mid-run reconfigurations the
 //! controller (or anything driving `Bridge::reconfigure_backend`) could
-//! apply — random reconfiguration points × placements × layouts ×
-//! execution methods × snapshot modes. Placement, execution, layout,
-//! and snapshot policy decide *when and where* work runs, never *what*
-//! it computes.
+//! apply — random reconfiguration points × placements × execution
+//! methods × snapshot modes. Placement, execution, and snapshot policy
+//! decide *when and where* work runs, never *what* it computes.
 
 use std::sync::Arc;
 
@@ -40,19 +39,17 @@ fn field_value(step: u64, field: usize, i: usize) -> f64 {
     }
 }
 
-/// Publishes the particle table each step in the layout the committed
-/// back-end controls ask for.
+/// Publishes the particle table each step.
 struct Producer {
     node: Arc<SimNode>,
-    layout: hamr::Layout,
     rows: usize,
     step: u64,
     table: TableData,
 }
 
 impl Producer {
-    fn new(node: Arc<SimNode>, layout: hamr::Layout, rows: usize) -> Self {
-        let mut p = Producer { node, layout, rows, step: 0, table: TableData::new() };
+    fn new(node: Arc<SimNode>, rows: usize) -> Self {
+        let mut p = Producer { node, rows, step: 0, table: TableData::new() };
         p.produce();
         p
     }
@@ -74,15 +71,11 @@ impl Producer {
             .expect("column");
             table.set_column(arr.as_array_ref());
         }
-        if self.layout != hamr::Layout::Scalar {
-            table.group_columns(&FIELDS, self.layout, &self.node).expect("group");
-        }
         self.table = table;
     }
 
-    fn advance(&mut self, layout: hamr::Layout) {
+    fn advance(&mut self) {
         self.step += 1;
-        self.layout = layout;
         self.produce();
     }
 }
@@ -171,7 +164,7 @@ fn run_scheduled(
         });
         let mut bridge = Bridge::new(node.clone());
         bridge.add_reconfigurable_analysis(start, factory, &comm).expect("attach");
-        let mut producer = Producer::new(node.clone(), start.layout, rows);
+        let mut producer = Producer::new(node.clone(), rows);
         for step in 0..steps {
             for c in schedule.iter().filter(|c| c.at == step) {
                 bridge.reconfigure_backend(0, c.controls, &comm).expect("reconfigure");
@@ -180,8 +173,7 @@ fn run_scheduled(
             bridge
                 .execute(&producer, &comm, std::time::Duration::from_micros(100))
                 .expect("execute");
-            let layout = bridge.backend_controls(0).expect("backend 0").layout;
-            producer.advance(layout);
+            producer.advance();
         }
         bridge.finalize(&comm).expect("finalize");
     });
@@ -206,24 +198,14 @@ fn device() -> impl Strategy<Value = DeviceSpec> {
     ])
 }
 
-fn layout() -> impl Strategy<Value = hamr::Layout> {
-    proptest::sample::select(vec![
-        hamr::Layout::Scalar,
-        hamr::Layout::AoS,
-        hamr::Layout::SoA,
-        hamr::Layout::AoSoA { lane_width: 4 },
-    ])
-}
-
 fn snapshot() -> impl Strategy<Value = SnapshotMode> {
     proptest::sample::select(vec![SnapshotMode::Deep, SnapshotMode::Cow])
 }
 
 fn controls() -> impl Strategy<Value = BackendControls> {
-    (execution(), device(), layout()).prop_map(|(execution, device, layout)| BackendControls {
+    (execution(), device()).prop_map(|(execution, device)| BackendControls {
         execution,
         device,
-        layout,
         queue_depth: 4,
         ..Default::default()
     })
@@ -241,7 +223,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any schedule of mid-run reconfigurations — arbitrary points,
-    /// placements, layouts, execution methods, snapshot modes — yields
+    /// placements, execution methods, snapshot modes — yields
     /// results bit-identical to the untouched static reference.
     #[test]
     fn scheduled_reconfiguration_is_bit_identical(

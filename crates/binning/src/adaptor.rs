@@ -19,7 +19,7 @@ use crate::bounds;
 use crate::device_impl;
 use crate::fused::{spec_ops, FusedStep};
 use crate::grid::GridParams;
-use crate::host_impl::{self, Column};
+use crate::host_impl;
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
@@ -254,7 +254,7 @@ impl BinningAnalysis {
     ) -> Result<BinnedResult> {
         let tables = local_tables(&data.mesh(&self.spec.mesh)?)?;
         let vars = self.spec.required_variables();
-        let fetched = fetch_tables(data, &tables, &vars, device, ctx.node, &self.counters, true)?;
+        let fetched = fetch_tables(data, &tables, &vars, device, &self.counters)?;
         let (bx, by) = self.per_op_bounds(&fetched, device, ctx)?;
         let grid = self.spec.grid(bx, by);
 
@@ -298,15 +298,15 @@ impl BinningAnalysis {
         for f in fetched {
             for (range, name) in ranges.iter_mut().zip([&self.spec.axes.0, &self.spec.axes.1]) {
                 let (lo, hi) = match f {
-                    Fetched::Host(host) => with_host_cols!(host, |col, layout| {
-                        let vals = col(name);
+                    Fetched::Host(cols) => {
+                        let vals = cols[name.as_str()].as_slice();
                         self.counters.add_table_passes(1);
                         ctx.node.host().run(
                             "bin_bounds",
-                            device_impl::fused_bounds_cost(vals.len(), layout),
+                            devsim::KernelCost::bytes((vals.len() * 8) as f64),
                             || bounds::minmax(vals),
                         )
-                    }),
+                    }
                     Fetched::Device(views) => {
                         let d = device.expect("device fetch implies device placement");
                         let stream = ctx.node.device(d)?.default_stream();
@@ -360,7 +360,8 @@ impl BinningAnalysis {
 
         for f in fetched {
             match f {
-                Fetched::Host(host) => with_host_cols!(host, |col, _layout| {
+                Fetched::Host(cols) => {
+                    let col = |name: &str| cols[name].as_slice();
                     let (xs, ys) = (col(x), col(y));
                     for (vo, acc) in results.iter_mut() {
                         let vals = (vo.op != BinOp::Count).then(|| col(&vo.var));
@@ -372,7 +373,7 @@ impl BinningAnalysis {
                         );
                         reduce::merge_into(vo.op, acc, part.into_iter());
                     }
-                }),
+                }
                 Fetched::Device(views) => {
                     let d = device.expect("device fetch implies device placement");
                     let stream = ctx.node.device(d)?.default_stream();
@@ -413,47 +414,11 @@ impl BinningAnalysis {
 
 /// A table's required variables, resident in the execution space.
 pub(crate) enum Fetched {
-    /// Host placement.
-    Host(HostCols),
+    /// Host placement: the columns by name.
+    Host(HashMap<String, Vec<f64>>),
     /// Device placement: access views (zero-copy when already resident).
     Device(HashMap<String, hamr::AccessView<f64>>),
 }
-
-/// A fetched table's columns on the host, by name.
-pub(crate) enum HostCols {
-    /// Plain vectors.
-    Dense(HashMap<String, Vec<f64>>),
-    /// A layout-grouped table: zero-copy mapped columns over the shared
-    /// interleaved block.
-    Mapped {
-        cols: HashMap<String, host_impl::MappedCol>,
-        /// The group's physical layout (drives the lane cost model).
-        layout: hamr::Layout,
-    },
-}
-
-/// Run `$stage` over a fetched host table whatever its storage. `$col` is
-/// bound to a by-name column lookup — yielding `&[f64]` for dense tables,
-/// `&MappedCol` for grouped ones — and `$layout` to the physical layout,
-/// so a stage is written once against [`host_impl::Column`] and
-/// monomorphised per storage: dense columns stay plain slice loops.
-macro_rules! with_host_cols {
-    ($host:expr, |$col:ident, $layout:ident| $stage:expr) => {
-        match $host {
-            $crate::adaptor::HostCols::Dense(cols) => {
-                let $col = |name: &str| cols[name].as_slice();
-                let $layout = hamr::Layout::Scalar;
-                $stage
-            }
-            $crate::adaptor::HostCols::Mapped { cols, layout } => {
-                let $col = |name: &str| &cols[name];
-                let $layout = *layout;
-                $stage
-            }
-        }
-    };
-}
-pub(crate) use with_host_cols;
 
 /// The tables making up the requested mesh (a bare table, or the local
 /// blocks of a multiblock).
@@ -494,25 +459,7 @@ pub(crate) fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDat
 /// Move `vars` of `table` into the execution space (host vectors or
 /// device views) with one batched synchronization: all moves are enqueued
 /// first and waited for once. Data already in place is granted zero-copy.
-///
-/// Layout handling is data-driven: a grouped table (columns sharing an
-/// interleaved AoS/SoA/AoSoA block) is consumed zero-copy on the host
-/// through [`HostCols::Mapped`] when `mapped` is true, or gathered
-/// into dense vectors (a charged relayout, counted in `counters`) when
-/// the caller needs plain slices — the DAG engine pins itself to the
-/// dense path so stolen kernels keep their plain-column contract. On a
-/// device, `hamr` packs grouped blocks dense in flight during upload;
-/// the cells the pack moved are charged by the buffer layer and counted
-/// into `counters` here, and downstream device code sees ordinary dense
-/// views either way.
-fn fetch_table(
-    table: &TableData,
-    vars: &[&str],
-    device: Option<usize>,
-    node: &Arc<devsim::SimNode>,
-    counters: &AnalysisCounters,
-    mapped: bool,
-) -> Result<Fetched> {
+fn fetch_table(table: &TableData, vars: &[&str], device: Option<usize>) -> Result<Fetched> {
     match device {
         None => {
             let mut views = Vec::with_capacity(vars.len());
@@ -524,55 +471,11 @@ fn fetch_table(
             for (_, col, _) in &views {
                 col.synchronize()?;
             }
-            let grouped = views.iter().any(|(_, _, v)| v.layout_map().is_some());
-            if mapped && grouped {
-                // Zero-copy: lane kernels read straight through the maps.
-                let mut cols = HashMap::new();
-                let mut layout = hamr::Layout::Scalar;
-                for (name, col, view) in views {
-                    let mc = match view.layout_map() {
-                        Some(m) => {
-                            if m.layout() != hamr::Layout::Scalar {
-                                layout = m.layout();
-                            }
-                            let v = col.data().host_f64_ro().map_err(Error::Device)?;
-                            host_impl::MappedCol::new(v, m)
-                        }
-                        None => {
-                            let len = view.len();
-                            let v = view.cells().host_f64_ro().map_err(Error::Device)?;
-                            host_impl::MappedCol::dense(v, len)
-                        }
-                    };
-                    cols.insert(name, mc);
-                }
-                return Ok(Fetched::Host(HostCols::Mapped { cols, layout }));
+            let mut data = HashMap::new();
+            for (name, _, view) in views {
+                data.insert(name, view.to_vec()?);
             }
-            // Dense path; gathering out of a grouped block is an honest
-            // relayout (read mapped + write dense), charged like a pack.
-            let gather_cells: usize = views
-                .iter()
-                .filter(|(_, _, v)| v.layout_map().is_some())
-                .map(|(_, _, v)| v.len())
-                .sum();
-            let build = move || -> Result<HashMap<String, Vec<f64>>> {
-                let mut data = HashMap::new();
-                for (name, _, view) in views {
-                    data.insert(name, view.to_vec()?);
-                }
-                Ok(data)
-            };
-            let data = if gather_cells > 0 {
-                counters.add_relayout_bytes((2 * gather_cells * 8) as u64);
-                node.host().run(
-                    "bin_relayout_gather",
-                    devsim::KernelCost::bytes((2 * gather_cells * 8) as f64),
-                    build,
-                )?
-            } else {
-                build()?
-            };
-            Ok(Fetched::Host(HostCols::Dense(data)))
+            Ok(Fetched::Host(data))
         }
         Some(d) => {
             let mut views = HashMap::new();
@@ -583,12 +486,6 @@ fn fetch_table(
             for name in vars {
                 column(table, name)?.synchronize()?;
             }
-            // Grouped columns were packed dense in flight during upload;
-            // surface the relayout traffic the buffer layer charged.
-            let relayout_cells: usize = views.values().map(|v| v.relayout_cells()).sum();
-            if relayout_cells > 0 {
-                counters.add_relayout_bytes((2 * relayout_cells * 8) as u64);
-            }
             Ok(Fetched::Device(views))
         }
     }
@@ -597,7 +494,7 @@ fn fetch_table(
 /// [`fetch_table`] for every one of `tables`, counted as fetches, then
 /// hint that the snapshot's CoW shares may be released if every fetched
 /// column has been materialized away from the snapshot's own allocations
-/// (dense host fetches always copy into plain vectors, and device fetches
+/// (host fetches always copy into plain vectors, and device fetches
 /// alias the snapshot only when access was granted in place). Releasing
 /// early lets the producer's subsequent writes skip the fault copy. The
 /// snapshot honors the hint only when this analysis is its sole remaining
@@ -608,20 +505,13 @@ pub(crate) fn fetch_tables(
     tables: &[TableData],
     vars: &[&str],
     device: Option<usize>,
-    node: &Arc<devsim::SimNode>,
     counters: &AnalysisCounters,
-    mapped: bool,
 ) -> Result<Vec<Fetched>> {
     counters.add_fetches(vars.len() as u64 * tables.len() as u64);
-    let fetched: Vec<Fetched> = tables
-        .iter()
-        .map(|t| fetch_table(t, vars, device, node, counters, mapped))
-        .collect::<Result<_>>()?;
+    let fetched: Vec<Fetched> =
+        tables.iter().map(|t| fetch_table(t, vars, device)).collect::<Result<_>>()?;
     let detached = fetched.iter().all(|f| match f {
-        Fetched::Host(HostCols::Dense(_)) => true,
-        // Mapped columns alias the snapshot's own grouped block — the
-        // zero-copy read is exactly what forbids an early release.
-        Fetched::Host(HostCols::Mapped { .. }) => false,
+        Fetched::Host(_) => true,
         Fetched::Device(views) => views.values().all(|v| !v.is_direct()),
     });
     if detached {

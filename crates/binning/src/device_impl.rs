@@ -24,42 +24,14 @@ pub fn bin_cost(n: usize) -> KernelCost {
 }
 
 /// Modeled cost of the fused pass binning `num_ops` operations over `n`
-/// rows of columns laid out as `layout` (device columns are always
-/// dense, i.e. [`hamr::Layout::Scalar`]): the coordinate reads and index
-/// arithmetic are paid **once**, then each op adds its value read and
-/// atomic bin update. With `num_ops == 1` this is exactly [`bin_cost`];
-/// for `k` ops it saves `(k-1)` coordinate traversals and index
-/// recomputations (plus `k-1` launch overheads, which the time model
-/// charges per launch).
-///
-/// Scalar, AoS, and SoA cost the same — AoS strides defeat the vector
-/// units and SoA is what the scalar columns already are. An AoSoA group
-/// feeds the kernel's row tiles whole contiguous lanes: index arithmetic
-/// and accumulation vectorize across the lane (flops divided by the
-/// effective lane width, capped at the simulated 8-wide vector unit) and
-/// the streaming lane loads halve the effective byte cost versus gathered
-/// column traversals.
-pub fn fused_bin_cost_layout(n: usize, num_ops: usize, layout: hamr::Layout) -> KernelCost {
+/// rows: the coordinate reads and index arithmetic are paid **once**,
+/// then each op adds its value read and atomic bin update. With
+/// `num_ops == 1` this is exactly [`bin_cost`]; for `k` ops it saves
+/// `(k-1)` coordinate traversals and index recomputations (plus `k-1`
+/// launch overheads, which the time model charges per launch).
+pub fn fused_bin_cost(n: usize, num_ops: usize) -> KernelCost {
     let (n, k) = (n as f64, num_ops as f64);
-    let base = KernelCost { flops: (12.0 + 8.0 * k) * n, bytes: (16.0 + 24.0 * k) * n };
-    match layout {
-        hamr::Layout::AoSoA { lane_width } => {
-            let w = lane_width.clamp(1, 8) as f64;
-            KernelCost { flops: base.flops / w, bytes: base.bytes / 2.0 }
-        }
-        _ => base,
-    }
-}
-
-/// Layout-aware cost of the fused host bounds pass over `total` cells
-/// (the sum of the traversed columns' lengths): byte-bound either way,
-/// with AoSoA lane streaming halving the effective traffic.
-pub fn fused_bounds_cost(total: usize, layout: hamr::Layout) -> KernelCost {
-    let bytes = (total * 8) as f64;
-    match layout {
-        hamr::Layout::AoSoA { .. } => KernelCost::bytes(bytes / 2.0),
-        _ => KernelCost::bytes(bytes),
-    }
+    KernelCost { flops: (12.0 + 8.0 * k) * n, bytes: (16.0 + 24.0 * k) * n }
 }
 
 /// Bin one variable on `device`: allocates the per-bin accumulation
@@ -175,7 +147,7 @@ pub fn bin_all_device(
     let spec = spec.clone();
     let out = packed.clone();
     let scratches = scratches.clone();
-    let cost = fused_bin_cost_layout(n, spec.ops.len(), hamr::Layout::Scalar)
+    let cost = fused_bin_cost(n, spec.ops.len())
         + KernelCost::bytes((spec.ops.len() * num_bins * 8) as f64);
     stream
         .launch("bin_fused", cost, move |scope| {
@@ -409,9 +381,10 @@ mod tests {
 
     #[test]
     fn fused_cost_matches_per_op_cost_for_single_op() {
-        assert_eq!(fused_bin_cost_layout(1000, 1, hamr::Layout::Scalar), bin_cost(1000));
+        assert_eq!(fused_bin_cost(1000, 1), bin_cost(1000));
         let k = 10;
-        let fused = fused_bin_cost_layout(1000, k, hamr::Layout::Scalar);
+        let fused = fused_bin_cost(1000, k);
+        assert_eq!(fused, KernelCost { flops: 92_000.0, bytes: 256_000.0 });
         let per_op = bin_cost(1000);
         assert!(fused.flops < k as f64 * per_op.flops);
         assert!(fused.bytes < k as f64 * per_op.bytes);

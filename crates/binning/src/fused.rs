@@ -33,12 +33,12 @@ use minimpi::{Comm, Segment};
 use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
 
-use crate::adaptor::{fetch_tables, local_tables, with_host_cols, BinnedResult, Fetched};
+use crate::adaptor::{fetch_tables, local_tables, BinnedResult, Fetched};
 use crate::arena::StepArena;
 use crate::bounds;
 use crate::device_impl;
 use crate::grid::GridParams;
-use crate::host_impl::{self, Column, FusedGrids, KernelScratch, PassSpec, ScratchPool};
+use crate::host_impl::{self, FusedGrids, KernelScratch, PassSpec, ScratchPool};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
@@ -90,21 +90,18 @@ pub(crate) fn plan_pass<'a>(
 
 /// One fused host pass of every coordinate system in `pass` over one
 /// table's columns (`names`, looked up through `col`), charged to the
-/// host as the sum of the systems' `layout`-shaped traversals: per
-/// system, its partial grids, left in `scratch`.
-pub(crate) fn host_pass<'s, 'c, C: Column + ?Sized + 'c>(
+/// host as the sum of the systems' traversals: per system, its partial
+/// grids, left in `scratch`.
+pub(crate) fn host_pass<'s>(
     node: &devsim::SimNode,
-    col: impl Fn(&str) -> &'c C,
-    layout: hamr::Layout,
+    table: &HashMap<String, Vec<f64>>,
     names: &[&str],
     pass: &[PassSpec],
     scratch: &'s mut KernelScratch,
 ) -> &'s [FusedGrids] {
-    let cols: Vec<&C> = names.iter().map(|name| col(name)).collect();
-    let cost = pass
-        .iter()
-        .map(|s| device_impl::fused_bin_cost_layout(cols[s.axes[0]].len(), s.ops.len(), layout))
-        .sum();
+    let cols: Vec<&[f64]> = names.iter().map(|name| table[*name].as_slice()).collect();
+    let cost =
+        pass.iter().map(|s| device_impl::fused_bin_cost(cols[s.axes[0]].len(), s.ops.len())).sum();
     node.host().run("bin_fused_host", cost, || host_impl::bin_all_host(&cols, pass, scratch))
 }
 
@@ -293,10 +290,8 @@ impl<'a> FusedStep<'a> {
         data: &dyn DataAdaptor,
         tables: &[TableData],
         device: Option<usize>,
-        ctx: &ExecContext<'_>,
-        mapped: bool,
     ) -> Result<Vec<Fetched>> {
-        fetch_tables(data, tables, &self.union_variables(), device, ctx.node, self.counters, mapped)
+        fetch_tables(data, tables, &self.union_variables(), device, self.counters)
     }
 
     /// Resolve every spec's grid. Manual bounds come straight from the
@@ -326,16 +321,17 @@ impl<'a> FusedStep<'a> {
             let mut local = vec![(f64::INFINITY, f64::NEG_INFINITY); auto_cols.len()];
             for f in fetched {
                 let pairs = match f {
-                    Fetched::Host(host) => with_host_cols!(host, |col, layout| {
-                        let cols: Vec<_> = auto_cols.iter().map(|c| col(c)).collect();
+                    Fetched::Host(table) => {
+                        let cols: Vec<&[f64]> =
+                            auto_cols.iter().map(|c| table[*c].as_slice()).collect();
                         let total: usize = cols.iter().map(|c| c.len()).sum();
                         self.counters.add_table_passes(1);
                         ctx.node.host().run(
                             "bin_bounds_fused",
-                            device_impl::fused_bounds_cost(total, layout),
+                            devsim::KernelCost::bytes((total * 8) as f64),
                             || bounds::minmax_multi(&cols),
                         )
-                    }),
+                    }
                     Fetched::Device(views) => {
                         let d = device.expect("device fetch implies device placement");
                         let stream = ctx.node.device(d)?.default_stream();
@@ -409,24 +405,20 @@ impl<'a> FusedStep<'a> {
         for (ti, f) in fetched.iter().enumerate() {
             match f {
                 // Every spec in one pass over the table.
-                Fetched::Host(host) => with_host_cols!(host, |col, blk_layout| {
+                Fetched::Host(table) => {
                     self.counters.add_table_passes(1);
                     let mut scratch = arena.scratches().take();
-                    let parts = host_pass(ctx.node, col, blk_layout, &names, &pass, &mut scratch);
+                    let parts = host_pass(ctx.node, table, &names, &pass, &mut scratch);
                     for (si, part) in parts.iter().enumerate() {
                         layout.land_host(&mut flat, si, ti == 0, part);
                     }
                     arena.scratches().give(scratch);
-                }),
+                }
                 Fetched::Device(views) => {
                     let d = device.expect("device fetch implies device placement");
                     for (si, ((spec, grid), ops)) in work() {
                         let rows = views[spec.axes.0.as_str()].len();
-                        let kc = device_impl::fused_bin_cost_layout(
-                            rows,
-                            ops.len(),
-                            hamr::Layout::Scalar,
-                        );
+                        let kc = device_impl::fused_bin_cost(rows, ops.len());
                         let sidx = least_loaded_stream(&stream_loads);
                         stream_loads[sidx] += kc.flops + kc.bytes;
                         let stream = &pool[sidx];
@@ -478,7 +470,7 @@ impl<'a> FusedStep<'a> {
     ) -> Result<Vec<BinnedResult>> {
         arena.place(device);
         let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
-        let fetched = self.fetch(data, &tables, device, ctx, true)?;
+        let fetched = self.fetch(data, &tables, device)?;
         let grids = self.resolve_grids(&fetched, device, ctx)?;
         let layout = StepLayout::new(self.specs, &grids);
         let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, arena)?;

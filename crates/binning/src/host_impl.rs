@@ -2,12 +2,10 @@
 //! device kernel shares.
 //!
 //! The kernels are generic over [`Column`], so the storage a column is
-//! read through — a plain slice, a [`MappedCol`] over a layout group's
-//! interleaved block, or a device kernel's [`devsim::F64View`] — is the
-//! only thing that varies between the monomorphised copies; the row loops
-//! are written once.
+//! read through — a plain slice or a device kernel's [`devsim::F64View`]
+//! — is the only thing that varies between the monomorphised copies; the
+//! row loops are written once.
 
-use hamr::{LayoutMap, Mapping};
 use parking_lot::Mutex;
 
 use crate::grid::GridParams;
@@ -47,38 +45,6 @@ impl Column for devsim::F64View {
     #[inline]
     fn get(&self, i: usize) -> f64 {
         devsim::F64View::get(self, i)
-    }
-}
-
-/// A column read out of a shared backing block through a [`LayoutMap`]
-/// (identity-mapped for plain dense columns). Reads go through the host
-/// view's atomic cells, so a kernel can consume a layout group's
-/// interleaved block zero-copy.
-pub struct MappedCol {
-    view: devsim::HostF64View,
-    map: LayoutMap,
-}
-
-impl MappedCol {
-    /// A column over `view` read through `map`.
-    pub fn new(view: devsim::HostF64View, map: LayoutMap) -> Self {
-        MappedCol { view, map }
-    }
-
-    /// A plain dense column of `len` elements (identity mapping).
-    pub fn dense(view: devsim::HostF64View, len: usize) -> Self {
-        MappedCol { view, map: LayoutMap::new(hamr::Layout::Scalar, len, 1, 0) }
-    }
-}
-
-impl Column for MappedCol {
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        self.view.get(self.map.index(i))
     }
 }
 
@@ -565,42 +531,5 @@ mod tests {
     #[should_panic(expected = "needs a value column")]
     fn fused_pass_rejects_missing_value_column() {
         fused(&XS[..], &YS[..], None, &[BinOp::Sum], &grid2x2());
-    }
-
-    /// Pack `fields` (all the same length) into one backing block laid
-    /// out by `layout`, returning one mapped column per field.
-    fn group(
-        node: &std::sync::Arc<devsim::SimNode>,
-        layout: hamr::Layout,
-        fields: &[&[f64]],
-    ) -> Vec<MappedCol> {
-        let n = fields[0].len();
-        let block = node.host_alloc_f64(layout.block_cells(n, fields.len()));
-        let view = block.host_f64().unwrap();
-        let mut cols = Vec::with_capacity(fields.len());
-        for (f, vals) in fields.iter().enumerate() {
-            let map = LayoutMap::new(layout, n, fields.len(), f);
-            for (i, &v) in vals.iter().enumerate() {
-                view.set(map.index(i), v);
-            }
-            cols.push(MappedCol::new(block.host_f64().unwrap(), map));
-        }
-        cols
-    }
-
-    #[test]
-    fn mapped_bounds_match_dense_bounds_bitwise() {
-        let node = devsim::SimNode::new(devsim::NodeConfig::fast_test(1));
-        let a: Vec<f64> = vec![1.0, f64::NAN, -2.0, 3.0, 0.25, -7.5, 9.0];
-        let b: Vec<f64> = vec![9.0, -9.0, 0.0, f64::INFINITY, 1.0, 2.0, 3.0];
-        let dense = crate::bounds::minmax_multi(&[&a[..], &b[..]]);
-        for layout in [hamr::Layout::AoS, hamr::Layout::SoA, hamr::Layout::AoSoA { lane_width: 4 }]
-        {
-            let cols = group(&node, layout, &[&a, &b]);
-            let mapped = crate::bounds::minmax_multi(&[&cols[0], &cols[1]]);
-            assert_eq!(mapped, dense, "bounds under {}", layout.name());
-            assert_eq!(crate::bounds::minmax(&cols[0]), dense[0]);
-            assert_eq!(crate::bounds::minmax(&cols[1]), dense[1]);
-        }
     }
 }

@@ -24,9 +24,7 @@ use sensei::{
 };
 use svtk::FieldAssociation;
 
-use crate::adaptor::{
-    local_tables, BinnedResult, CommMark, Delivery, Fetched, HostCols, ResultSink,
-};
+use crate::adaptor::{local_tables, BinnedResult, CommMark, Delivery, Fetched, ResultSink};
 use crate::arena::{Slot, StepArena};
 use crate::device_impl;
 use crate::fused::{device_pass, host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
@@ -257,19 +255,11 @@ impl AnalysisAdaptor for BinningSuite {
                 // from scratch on every attempt.
                 state.host_tables.lock().clear();
                 state.dev_cols.lock().clear();
-                // The DAG engine keeps its plain-column contract: grouped
-                // tables are gathered dense here (a charged relayout), so
-                // stolen kernels never see a mapped block.
-                let fetched = step.fetch(data, &tables, device, ctx, false)?;
+                let fetched = step.fetch(data, &tables, device)?;
                 *state.grids.lock() = step.resolve_grids(&fetched, device, ctx)?;
                 for (ti, f) in fetched.into_iter().enumerate() {
                     match f {
-                        Fetched::Host(HostCols::Dense(cols)) => {
-                            state.host_tables.lock().push(Arc::new(cols))
-                        }
-                        Fetched::Host(HostCols::Mapped { .. }) => {
-                            return Err(Error::Analysis("dag fetch expects dense columns".into()))
-                        }
+                        Fetched::Host(cols) => state.host_tables.lock().push(Arc::new(cols)),
                         Fetched::Device(views) => {
                             let p = device.expect("device fetch implies device placement");
                             let cols: HashMap<String, CellBuffer> =
@@ -293,8 +283,7 @@ impl AnalysisAdaptor for BinningSuite {
                 let idx = ti * nspecs + si;
                 let all_ops = spec_ops(spec);
                 let nbins = spec.resolution.0 * spec.resolution.1;
-                let kc =
-                    device_impl::fused_bin_cost_layout(rows, all_ops.len(), hamr::Layout::Scalar);
+                let kc = device_impl::fused_bin_cost(rows, all_ops.len());
                 let dl_event = Event::new();
 
                 let kernel = {
@@ -347,12 +336,10 @@ impl AnalysisAdaptor for BinningSuite {
                             g.add_worker_task(TaskKind::Kernel, label, TaskSite::Host, move |_| {
                                 let grid = state.grids.lock()[si];
                                 let cols = state.host_tables.lock()[ti].clone();
-                                let col = |name: &str| cols[name].as_slice();
                                 counters.add_table_passes(1);
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
-                                let scalar = hamr::Layout::Scalar;
                                 let mut scratch = arena.scratches().take();
-                                host_pass(&node, col, scalar, &names, &pass, &mut scratch);
+                                host_pass(&node, &cols, &names, &pass, &mut scratch);
                                 *state.staged[idx].lock() = Some(StagedPart::Host(scratch));
                                 Ok(())
                             })

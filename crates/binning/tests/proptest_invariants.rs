@@ -3,10 +3,9 @@
 
 use std::sync::Arc;
 
-use binning::host_impl::{Column, PassSpec};
-use binning::{bounds, device_impl, host_impl, reduce, BinOp, GridParams};
+use binning::host_impl::PassSpec;
+use binning::{device_impl, host_impl, reduce, BinOp, GridParams};
 use devsim::{CellBuffer, NodeConfig, SimNode, Stream};
-use hamr::{Layout, LayoutMap, Mapping};
 use proptest::prelude::*;
 
 fn rows() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
@@ -44,7 +43,7 @@ fn xyv_spec(ops: &[BinOp], grid: GridParams) -> PassSpec {
 }
 
 /// One fused pass of `spec` over `cols`, split into per-op grids.
-fn fused_grids<C: Column + ?Sized>(cols: &[&C], spec: &PassSpec) -> Vec<Vec<f64>> {
+fn fused_grids(cols: &[&[f64]], spec: &PassSpec) -> Vec<Vec<f64>> {
     let packed = packed_grids(cols, std::slice::from_ref(spec)).remove(0);
     packed.chunks(spec.grid.num_bins()).map(<[f64]>::to_vec).collect()
 }
@@ -53,7 +52,7 @@ fn fused_grids<C: Column + ?Sized>(cols: &[&C], spec: &PassSpec) -> Vec<Vec<f64>
 /// `[op][bin]`. The pass runs in a scratch an earlier launch — the same
 /// specs in reverse order — has left its plans and partials in, as every
 /// launch after a back-end's first does.
-fn packed_grids<C: Column + ?Sized>(cols: &[&C], specs: &[PassSpec]) -> Vec<Vec<f64>> {
+fn packed_grids(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<Vec<f64>> {
     let mut scratch = host_impl::KernelScratch::default();
     let earlier: Vec<PassSpec> = specs.iter().rev().cloned().collect();
     host_impl::bin_all_host(cols, &earlier, &mut scratch);
@@ -165,85 +164,6 @@ proptest! {
     }
 }
 
-/// Scatter `fields` into one interleaved backing block arranged as
-/// `layout` and wrap each field as a map-translated column — the shape
-/// a grouped table's columns reach the binning kernels in.
-fn group(
-    node: &Arc<SimNode>,
-    layout: Layout,
-    fields: &[&[f64]],
-) -> (CellBuffer, Vec<host_impl::MappedCol>) {
-    let n = fields[0].len();
-    let block = node.host_alloc_f64(layout.block_cells(n, fields.len()));
-    let view = block.host_f64().unwrap();
-    let mut cols = Vec::with_capacity(fields.len());
-    for (f, vals) in fields.iter().enumerate() {
-        let map = LayoutMap::new(layout, n, fields.len(), f);
-        for (i, &v) in vals.iter().enumerate() {
-            view.set(map.index(i), v);
-        }
-        cols.push(host_impl::MappedCol::new(block.host_f64().unwrap(), map));
-    }
-    (block, cols)
-}
-
-proptest! {
-    // Each case builds small node-backed buffers; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The generic kernels over every grouped layout — AoS, SoA, and
-    /// AoSoA at lane widths 1, 4, and 8 (arbitrary row counts, so ragged
-    /// final lane blocks are routine) — are bit-identical to
-    /// the same kernels over dense slices for **every** operation, fused,
-    /// per-op and bounds alike.
-    #[test]
-    fn grouped_layouts_are_bit_identical_to_scalar(data in rows()) {
-        let node = SimNode::new(NodeConfig::fast_test(1));
-        let g = grid();
-        let (xs, ys, vs) = split3(&data);
-
-        // Dense scalar references.
-        let spec = xyv_spec(&ALL, g);
-        let reference = fused_grids(&[&xs[..], &ys[..], &vs[..]], &spec);
-        let ref_bounds = bounds::minmax_multi(&[&xs[..], &ys[..]]);
-
-        for layout in [
-            Layout::AoS,
-            Layout::SoA,
-            Layout::AoSoA { lane_width: 1 },
-            Layout::AoSoA { lane_width: 4 },
-            Layout::AoSoA { lane_width: 8 },
-        ] {
-            let (_block, cols) = group(&node, layout, &[&xs, &ys, &vs]);
-            let (cx, cy, cv) = (&cols[0], &cols[1], &cols[2]);
-
-            let fused = fused_grids(&[cx, cy, cv], &spec);
-            for (op, (got, want)) in ALL.iter().zip(fused.iter().zip(&reference)) {
-                prop_assert_eq!(bits(got), bits(want), "{} fused op {:?}", layout.name(), op);
-            }
-
-            for &op in &ALL {
-                let vals = (op != BinOp::Count).then_some(cv);
-                let per_op = host_impl::bin_host(cx, cy, vals, op, &g);
-                let want = host_impl::bin_host(&xs[..], &ys[..], Some(&vs[..]), op, &g);
-                prop_assert_eq!(
-                    per_op.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{} per-op {:?}", layout.name(), op
-                );
-            }
-
-            let mapped_bounds = bounds::minmax_multi(&[cx, cy]);
-            for (axis, ((lo, hi), (rlo, rhi))) in
-                mapped_bounds.iter().zip(&ref_bounds).enumerate()
-            {
-                prop_assert_eq!(lo.to_bits(), rlo.to_bits(), "{} axis {axis} lo", layout.name());
-                prop_assert_eq!(hi.to_bits(), rhi.to_bits(), "{} axis {axis} hi", layout.name());
-            }
-        }
-    }
-}
-
 /// splitmix64: a case's table and spec set follow from its seed alone.
 struct Mix(u64);
 
@@ -318,17 +238,14 @@ fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
 }
 
 proptest! {
-    // Each case walks every row count under every column storage.
+    // Each case walks every row count.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tiled core over random spec sets is bit-identical to the per-op
     /// reference for every `(spec, op)`, at row counts around the tile
-    /// size, and reads every column storage — dense slices, the
-    /// identity-mapped view, AoS, SoA, AoSoA lanes 1/4/8 with their
-    /// ragged tails — to the same bits.
+    /// size.
     #[test]
     fn tiled_core_matches_per_op_over_random_spec_sets(seed in any::<u64>()) {
-        let node = SimNode::new(NodeConfig::fast_test(1));
         for rows in ROW_COUNTS {
             let (cols, specs) = random_pass(seed ^ rows as u64, rows);
             let dense: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
@@ -345,31 +262,6 @@ proptest! {
                         bits(&want),
                         "rows {rows} spec {si} {:?} op {k} {:?}", spec, op
                     );
-                }
-            }
-
-            let scalar: Vec<host_impl::MappedCol> = cols
-                .iter()
-                .map(|vals| {
-                    let buf = node.host_alloc_f64(vals.len());
-                    buf.host_f64().unwrap().copy_from_slice(vals);
-                    host_impl::MappedCol::dense(buf.host_f64().unwrap(), vals.len())
-                })
-                .collect();
-            let fields: Vec<&[f64]> = dense.clone();
-            let storages = [
-                Layout::AoS,
-                Layout::SoA,
-                Layout::AoSoA { lane_width: 1 },
-                Layout::AoSoA { lane_width: 4 },
-                Layout::AoSoA { lane_width: 8 },
-            ]
-            .map(|layout| (layout.name(), group(&node, layout, &fields).1));
-            for (name, mapped) in storages.iter().chain([&("scalar".to_string(), scalar)]) {
-                let refs: Vec<&host_impl::MappedCol> = mapped.iter().collect();
-                let got = packed_grids(&refs, &specs);
-                for (si, (got, want)) in got.iter().zip(&fused).enumerate() {
-                    prop_assert_eq!(bits(got), bits(want), "rows {rows} spec {si} under {name}");
                 }
             }
         }

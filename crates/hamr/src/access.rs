@@ -6,7 +6,6 @@ use devsim::{CellBuffer, HostU64View, MemSpace};
 
 use crate::element::Element;
 use crate::error::{Error, Result};
-use crate::layout::{LayoutMap, Mapping};
 
 /// A read view of a buffer's data in the place the caller asked for.
 ///
@@ -17,13 +16,6 @@ use crate::layout::{LayoutMap, Mapping};
 /// data was moved into, released when the view drops — the role the
 /// returned `std::shared_ptr` plays in the C++ implementation.
 ///
-/// Views of a layout-grouped buffer carry the group's [`LayoutMap`]:
-/// [`AccessView::get`], [`AccessView::to_vec`] and [`AccessView::iter`]
-/// translate logical indices through it, so access code is identical for
-/// every physical layout. [`AccessView::cells`] hands out the raw backing
-/// block and is only meaningful for unmapped views — it debug-asserts on
-/// a mapped view so a non-scalar layout can never silently misread.
-///
 /// In asynchronous stream mode the movement may still be in flight when
 /// the view is returned; call [`crate::HamrBuffer::synchronize`] before
 /// consuming the data, as the paper's Listings 3 and 4 do.
@@ -31,49 +23,17 @@ pub struct AccessView<T: Element> {
     cells: CellBuffer,
     direct: bool,
     pm_converted: bool,
-    map: Option<LayoutMap>,
-    /// Cells gathered through an in-flight relayout to materialize this
-    /// view (0 when access needed no layout change).
-    relayout_cells: usize,
     _marker: PhantomData<T>,
 }
 
 impl<T: Element> AccessView<T> {
     pub(crate) fn new(cells: CellBuffer, direct: bool, pm_converted: bool) -> Self {
-        AccessView {
-            cells,
-            direct,
-            pm_converted,
-            map: None,
-            relayout_cells: 0,
-            _marker: PhantomData,
-        }
-    }
-
-    /// A view whose element addresses go through `map` (grouped buffers
-    /// granted in place).
-    pub(crate) fn new_mapped(cells: CellBuffer, direct: bool, map: LayoutMap) -> Self {
-        AccessView {
-            cells,
-            direct,
-            pm_converted: false,
-            map: Some(map),
-            relayout_cells: 0,
-            _marker: PhantomData,
-        }
-    }
-
-    pub(crate) fn with_relayout(mut self, cells: usize) -> Self {
-        self.relayout_cells = cells;
-        self
+        AccessView { cells, direct, pm_converted, _marker: PhantomData }
     }
 
     /// Number of elements visible through the view.
     pub fn len(&self) -> usize {
-        match &self.map {
-            Some(m) => m.len(),
-            None => self.cells.len(),
-        }
+        self.cells.len()
     }
 
     /// True when the view is empty.
@@ -93,28 +53,9 @@ impl<T: Element> AccessView<T> {
         self.pm_converted
     }
 
-    /// The layout map the view's element addresses go through, if the
-    /// viewed buffer is part of a layout group granted in place.
-    pub fn layout_map(&self) -> Option<LayoutMap> {
-        self.map
-    }
-
-    /// Cells that were gathered through an in-flight relayout to
-    /// materialize this view; 0 when the grant needed no layout change.
-    /// Multiply by the element size to charge relayout bytes.
-    pub fn relayout_cells(&self) -> usize {
-        self.relayout_cells
-    }
-
     /// The underlying cells, for handing to kernels (device views) or the
-    /// transfer engine. Only meaningful for unmapped (scalar-layout)
-    /// views: raw cell `i` of a mapped view is *not* element `i`.
+    /// transfer engine.
     pub fn cells(&self) -> &CellBuffer {
-        debug_assert!(
-            self.map.is_none(),
-            "raw cell access to a layout-mapped view ({} layout): go through get()/iter()",
-            self.map.map(|m| m.layout().name()).unwrap_or_default()
-        );
         &self.cells
     }
 
@@ -129,32 +70,24 @@ impl<T: Element> AccessView<T> {
             return Err(Error::IndexOutOfBounds { index: i, len: self.len() });
         }
         let v = self.cells.host_u64_ro()?;
-        let pi = match &self.map {
-            Some(m) => m.index(i),
-            None => i,
-        };
-        Ok(T::from_cell(v.get(pi)))
+        Ok(T::from_cell(v.get(i)))
     }
 
-    /// A stride-aware iterator over the elements in logical order —
-    /// host-resident views only. This is the layout-safe way to walk a
-    /// view sequentially regardless of the physical arrangement.
+    /// An iterator over the elements — host-resident views only.
     pub fn iter(&self) -> Result<AccessIter<T>> {
         let view = self.cells.host_u64_ro()?;
-        Ok(AccessIter { view, map: self.map, i: 0, len: self.len(), _marker: PhantomData })
+        Ok(AccessIter { view, i: 0, len: self.len(), _marker: PhantomData })
     }
 
-    /// Copy the elements out in logical order — host-resident views only.
+    /// Copy the elements out — host-resident views only.
     pub fn to_vec(&self) -> Result<Vec<T>> {
         Ok(self.iter()?.collect())
     }
 }
 
-/// Iterator returned by [`AccessView::iter`]: walks elements in logical
-/// order, translating through the view's layout map when present.
+/// Iterator returned by [`AccessView::iter`].
 pub struct AccessIter<T: Element> {
     view: HostU64View,
-    map: Option<LayoutMap>,
     i: usize,
     len: usize,
     _marker: PhantomData<T>,
@@ -167,12 +100,9 @@ impl<T: Element> Iterator for AccessIter<T> {
         if self.i >= self.len {
             return None;
         }
-        let pi = match &self.map {
-            Some(m) => m.index(self.i),
-            None => self.i,
-        };
+        let cell = self.view.get(self.i);
         self.i += 1;
-        Some(T::from_cell(self.view.get(pi)))
+        Some(T::from_cell(cell))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -190,7 +120,6 @@ impl<T: Element> std::fmt::Debug for AccessView<T> {
             .field("space", &self.space())
             .field("direct", &self.direct)
             .field("pm_converted", &self.pm_converted)
-            .field("layout", &self.map.map(|m| m.layout().name()))
             .finish()
     }
 }

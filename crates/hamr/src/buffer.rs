@@ -10,18 +10,12 @@ use crate::access::AccessView;
 use crate::allocator::{Allocator, Pm};
 use crate::element::Element;
 use crate::error::{Error, Result};
-use crate::layout::{Layout, LayoutMap, Mapping};
 use crate::stream::{HamrStream, StreamMode};
 
 struct State {
     cells: CellBuffer,
     /// Current residency: `None` = host, `Some(d)` = device `d`.
     device: Option<usize>,
-    /// `Some` when this buffer is one field of a layout group: `cells` is
-    /// the group's shared interleaved block and element addresses go
-    /// through the map. Cleared when a placement move packs the field
-    /// back to a dense run.
-    map: Option<LayoutMap>,
 }
 
 /// A typed array managed by the heterogeneous memory resource.
@@ -89,7 +83,7 @@ impl<T: Element> HamrBuffer<T> {
         };
         Ok(HamrBuffer {
             node,
-            state: RwLock::new(State { cells, device: resident, map: None }),
+            state: RwLock::new(State { cells, device: resident }),
             len,
             allocator,
             stream,
@@ -177,45 +171,7 @@ impl<T: Element> HamrBuffer<T> {
         let len = cells.len();
         Ok(HamrBuffer {
             node,
-            state: RwLock::new(State { cells, device, map: None }),
-            len,
-            allocator,
-            stream,
-            mode,
-            _marker: PhantomData,
-        })
-    }
-
-    /// Wrap one field of a layout group: `cells` is the group's shared
-    /// interleaved host block (typically from the stream-ordered pool) and
-    /// `map` addresses this field's elements inside it. Zero-copy, like
-    /// [`HamrBuffer::adopt`] — all fields of a group alias one allocation,
-    /// so they share its life cycle, write generation, and CoW tracking.
-    pub fn from_group(
-        node: Arc<SimNode>,
-        cells: CellBuffer,
-        map: LayoutMap,
-        allocator: Allocator,
-        stream: HamrStream,
-        mode: StreamMode,
-    ) -> Result<Self> {
-        if cells.space().device().is_some() || allocator.is_device() {
-            return Err(Error::PlacementMismatch {
-                allocator: allocator.name(),
-                wanted_device: false,
-            });
-        }
-        if cells.len() != map.block_cells() {
-            return Err(Error::Layout(format!(
-                "group block holds {} cells, map addresses {}",
-                cells.len(),
-                map.block_cells()
-            )));
-        }
-        let len = map.len();
-        Ok(HamrBuffer {
-            node,
-            state: RwLock::new(State { cells, device: None, map: Some(map) }),
+            state: RwLock::new(State { cells, device }),
             len,
             allocator,
             stream,
@@ -265,23 +221,9 @@ impl<T: Element> HamrBuffer<T> {
     }
 
     /// Direct access to the managed cells — the `GetData()` fast path used
-    /// when the caller knows location and PM (Listing 3, line 24). For a
-    /// grouped buffer this is the group's whole interleaved block; go
-    /// through [`HamrBuffer::layout_map`] to address this field's elements.
+    /// when the caller knows location and PM (Listing 3, line 24).
     pub fn data(&self) -> CellBuffer {
         self.state.read().cells.clone()
-    }
-
-    /// The physical layout of this buffer's storage: the group's layout
-    /// when the buffer is one field of a layout group, [`Layout::Scalar`]
-    /// otherwise.
-    pub fn layout(&self) -> Layout {
-        self.state.read().map.map(|m| m.layout()).unwrap_or(Layout::Scalar)
-    }
-
-    /// The layout map of this buffer's field inside its group, if grouped.
-    pub fn layout_map(&self) -> Option<LayoutMap> {
-        self.state.read().map
     }
 
     /// The write generation of the managed allocation: bumped by every
@@ -316,7 +258,6 @@ impl<T: Element> HamrBuffer<T> {
             state: RwLock::new(State {
                 cells: state.cells.cow_pinned(stats),
                 device: state.device,
-                map: state.map,
             }),
             len: self.len,
             allocator: self.allocator,
@@ -357,18 +298,8 @@ impl<T: Element> HamrBuffer<T> {
             None => {
                 let v = state.cells.host_u64()?;
                 let cell = value.to_cell();
-                match &state.map {
-                    // Grouped: touch only this field's cells in the block.
-                    Some(m) => {
-                        for i in 0..m.len() {
-                            v.set(m.index(i), cell);
-                        }
-                    }
-                    None => {
-                        for i in 0..v.len() {
-                            v.set(i, cell);
-                        }
-                    }
+                for i in 0..v.len() {
+                    v.set(i, cell);
                 }
                 Ok(())
             }
@@ -403,14 +334,9 @@ impl<T: Element> HamrBuffer<T> {
     pub fn host_accessible(&self) -> Result<AccessView<T>> {
         let state = self.state.read();
         // Host memory and universally addressable memory are granted in
-        // place; only plain device memory moves. Grouped buffers are
-        // granted in place *with their map*: the view translates element
-        // addresses, so callers are layout-agnostic.
+        // place; only plain device memory moves.
         if state.cells.space().host_accessible() {
-            return Ok(match state.map {
-                Some(m) => AccessView::new_mapped(state.cells.clone(), true, m),
-                None => AccessView::new(state.cells.clone(), true, false),
-            });
+            return Ok(AccessView::new(state.cells.clone(), true, false));
         }
         match state.device {
             None => Ok(AccessView::new(state.cells.clone(), true, false)),
@@ -456,48 +382,15 @@ impl<T: Element> HamrBuffer<T> {
             }
             None => {
                 // Host-to-device move, ordered on the target's stream.
-                // A grouped field relayouts in flight: the upload cannot
-                // carry the interleaved block, so the field is packed to a
-                // dense host staging run (a charged host pass — the
-                // AoS→SoA pack of the LLAMA-style move) and the dense run
-                // is what crosses the link, exactly the way access
-                // temporaries are already materialized.
                 let stream = self.stream.resolve(&self.node, device)?;
                 let temp = self.node.device(device)?.alloc_cells_on_stream(self.len, &stream)?;
-                let (src, relayouted) = match state.map {
-                    Some(m) => (self.pack_dense(&state.cells, &m)?, self.len),
-                    None => (state.cells.clone(), 0),
-                };
-                stream.copy(&src, &temp)?;
+                stream.copy(&state.cells, &temp)?;
                 if self.mode == StreamMode::Sync {
                     stream.synchronize()?;
                 }
-                Ok(AccessView::new(temp, false, pm_converted).with_relayout(relayouted))
+                Ok(AccessView::new(temp, false, pm_converted))
             }
         }
-    }
-
-    /// Gather one grouped field into a dense host staging allocation,
-    /// charged as a host pass (`hamr_relayout_pack`): the in-flight
-    /// relayout half of a placement move.
-    fn pack_dense(&self, block: &CellBuffer, map: &LayoutMap) -> Result<CellBuffer> {
-        let staging = self.node.try_host_alloc_f64(map.len())?;
-        let src = block.clone();
-        let dst = staging.clone();
-        let m = *map;
-        self.node.host().run(
-            "hamr_relayout_pack",
-            KernelCost::bytes((2 * m.len() * 8) as f64),
-            move || -> Result<()> {
-                let s = src.host_u64_ro()?;
-                let d = dst.host_u64()?;
-                for i in 0..m.len() {
-                    d.set(i, s.get(m.index(i)));
-                }
-                Ok(())
-            },
-        )?;
-        Ok(staging)
     }
 
     /// Sugar: a CUDA-PM view on `device` (`GetCUDAAccessible`).
@@ -543,17 +436,10 @@ impl<T: Element> HamrBuffer<T> {
             None => self.node.try_host_alloc_f64(self.len)?,
             Some(d) => self.node.device(d)?.alloc_cells_on_stream(self.len, &stream)?,
         };
-        // A grouped field packs to a dense run in flight; the canonical
-        // storage after the move is dense scalar and leaves the group.
-        let src = match state.map {
-            Some(m) => self.pack_dense(&state.cells, &m)?,
-            None => state.cells.clone(),
-        };
-        stream.copy(&src, &new_cells)?;
+        stream.copy(&state.cells, &new_cells)?;
         stream.synchronize()?; // moves are always completed (they swap the canonical storage)
         state.cells = new_cells;
         state.device = target;
-        state.map = None;
         Ok(())
     }
 
@@ -971,145 +857,6 @@ mod tests {
         assert!(n.device(0).unwrap().used_bytes() > 0);
         drop((b, hv, dv));
         assert_eq!(n.device(0).unwrap().used_bytes(), 0);
-    }
-
-    /// A two-field AoSoA(2) group over the host pool: returns the shared
-    /// block and the two field buffers.
-    fn grouped_pair(
-        n: &Arc<SimNode>,
-        xs: &[f64],
-        ys: &[f64],
-        layout: crate::Layout,
-    ) -> (CellBuffer, HamrBuffer<f64>, HamrBuffer<f64>) {
-        use crate::layout::Mapping;
-        let count = xs.len();
-        let block = n.try_host_alloc_f64(layout.block_cells(count, 2)).unwrap();
-        let mx = crate::LayoutMap::new(layout, count, 2, 0);
-        let my = crate::LayoutMap::new(layout, count, 2, 1);
-        {
-            let v = block.host_u64().unwrap();
-            for i in 0..count {
-                v.set(mx.index(i), xs[i].to_cell());
-                v.set(my.index(i), ys[i].to_cell());
-            }
-        }
-        let bx = HamrBuffer::from_group(
-            n.clone(),
-            block.clone(),
-            mx,
-            Allocator::Malloc,
-            HamrStream::default_stream(),
-            StreamMode::Sync,
-        )
-        .unwrap();
-        let by = HamrBuffer::from_group(
-            n.clone(),
-            block.clone(),
-            my,
-            Allocator::Malloc,
-            HamrStream::default_stream(),
-            StreamMode::Sync,
-        )
-        .unwrap();
-        (block, bx, by)
-    }
-
-    #[test]
-    fn grouped_fields_read_logically_through_the_map() {
-        let n = node(1);
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [-1.0, -2.0, -3.0, -4.0, -5.0];
-        for layout in [
-            crate::Layout::AoS,
-            crate::Layout::SoA,
-            crate::Layout::AoSoA { lane_width: 2 },
-            crate::Layout::AoSoA { lane_width: 8 },
-        ] {
-            let (block, bx, by) = grouped_pair(&n, &xs, &ys, layout);
-            assert_eq!(bx.len(), 5);
-            assert_eq!(bx.layout(), layout);
-            let vx = bx.host_accessible().unwrap();
-            assert!(vx.is_direct(), "grouped host access is zero-copy");
-            assert_eq!(vx.to_vec().unwrap(), xs);
-            assert_eq!(by.to_vec().unwrap(), ys);
-            // Both fields alias the one block allocation.
-            assert!(bx.data().same_allocation(&block));
-            assert!(by.data().same_allocation(&block));
-        }
-    }
-
-    #[test]
-    fn grouped_upload_relayouts_in_flight() {
-        let n = node(1);
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [10.0, 20.0, 30.0, 40.0, 50.0];
-        let (_block, bx, _by) = grouped_pair(&n, &xs, &ys, crate::Layout::AoSoA { lane_width: 4 });
-        let before = n.stats();
-        let v = bx.cuda_accessible(0).unwrap();
-        bx.synchronize().unwrap();
-        // The dense pack crossed the link, not the interleaved block.
-        assert!(!v.is_direct());
-        assert_eq!(v.len(), 5);
-        assert_eq!(v.relayout_cells(), 5, "upload gathered the field in flight");
-        assert!(v.layout_map().is_none(), "device view is dense");
-        assert_eq!(n.stats().copies_h2d, before.copies_h2d + 1);
-    }
-
-    #[test]
-    fn grouped_move_to_device_packs_and_leaves_the_group() {
-        let n = node(1);
-        let xs = [7.0, 8.0, 9.0];
-        let ys = [70.0, 80.0, 90.0];
-        let (_block, bx, by) = grouped_pair(&n, &xs, &ys, crate::Layout::AoS);
-        bx.move_to(Some(0)).unwrap();
-        assert_eq!(bx.device(), Some(0));
-        assert_eq!(bx.layout(), crate::Layout::Scalar, "moved field is dense");
-        assert_eq!(bx.to_vec().unwrap(), xs);
-        // The sibling field still reads through the shared block.
-        assert_eq!(by.to_vec().unwrap(), ys);
-    }
-
-    #[test]
-    fn grouped_cow_share_keeps_the_mapping() {
-        let n = node(1);
-        let xs = [1.5, 2.5, 3.5];
-        let ys = [0.25, 0.5, 0.75];
-        let (_block, bx, _by) = grouped_pair(&n, &xs, &ys, crate::Layout::SoA);
-        let stats = PinStats::new_shared();
-        let share = bx.cow_share(&stats, HamrStream::default_stream());
-        assert_eq!(share.layout(), crate::Layout::SoA);
-        assert_eq!(share.to_vec().unwrap(), xs, "share reads through the map");
-        // Owner writes; the pinned share must keep the old values.
-        bx.fill(0.0).unwrap();
-        assert_eq!(share.to_vec().unwrap(), xs);
-        assert_eq!(bx.to_vec().unwrap(), vec![0.0; 3]);
-    }
-
-    #[test]
-    fn grouped_fill_touches_only_its_field() {
-        let n = node(1);
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [4.0, 5.0, 6.0];
-        let (_block, bx, by) = grouped_pair(&n, &xs, &ys, crate::Layout::AoSoA { lane_width: 2 });
-        bx.fill(9.0).unwrap();
-        assert_eq!(bx.to_vec().unwrap(), vec![9.0; 3]);
-        assert_eq!(by.to_vec().unwrap(), ys, "sibling field untouched");
-    }
-
-    #[test]
-    fn from_group_rejects_wrong_block_size() {
-        let n = node(1);
-        let block = n.try_host_alloc_f64(4).unwrap();
-        let map = crate::LayoutMap::new(crate::Layout::AoS, 4, 2, 0); // needs 8 cells
-        assert!(HamrBuffer::<f64>::from_group(
-            n,
-            block,
-            map,
-            Allocator::Malloc,
-            HamrStream::default_stream(),
-            StreamMode::Sync
-        )
-        .is_err());
     }
 
     #[test]

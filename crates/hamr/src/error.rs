@@ -16,9 +16,6 @@ pub enum Error {
     PlacementMismatch { allocator: &'static str, wanted_device: bool },
     /// An element index was out of bounds.
     IndexOutOfBounds { index: usize, len: usize },
-    /// A layout group was malformed (block size mismatch, missing or
-    /// mistyped field, ...).
-    Layout(String),
 }
 
 impl fmt::Display for Error {
@@ -44,7 +41,6 @@ impl fmt::Display for Error {
             Error::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds for buffer of length {len}")
             }
-            Error::Layout(msg) => write!(f, "layout group error: {msg}"),
         }
     }
 }

@@ -29,7 +29,6 @@ mod allocator;
 mod buffer;
 mod element;
 mod error;
-mod layout;
 mod stream;
 
 pub use access::{AccessIter, AccessView};
@@ -37,7 +36,6 @@ pub use allocator::{Allocator, Pm};
 pub use buffer::HamrBuffer;
 pub use element::Element;
 pub use error::{Error, Result};
-pub use layout::{Layout, LayoutMap, Mapping};
 pub use stream::{HamrStream, StreamMode};
 
 /// Convenience alias for the most common buffer type in the data model.

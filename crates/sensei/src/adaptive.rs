@@ -4,15 +4,15 @@
 //! question — *where should an analysis run on a heterogeneous node* —
 //! but answered it statically from XML. [`AdaptiveController`] answers it
 //! online: it samples a sliding window of profiler observations
-//! (per-backend apparent cost, snapshot bytes, CoW faults, relayout
-//! traffic, queue occupancy, pool hit rate, per-array write generations)
-//! and at step boundaries re-places analyses (host ↔ device ↔ dedicated
-//! device), flips lockstep ↔ asynchronous ↔ dag, re-picks the snapshot
-//! mode from observed write rates, and re-picks the layout per placement.
+//! (per-backend apparent cost, snapshot bytes, CoW faults, queue
+//! occupancy, pool hit rate, per-array write generations) and at step
+//! boundaries re-places analyses (host ↔ device ↔ dedicated device),
+//! flips lockstep ↔ asynchronous ↔ dag, and re-picks the snapshot mode
+//! from observed write rates.
 //!
 //! Decisions are *measured*, not modeled: the controller probes one
-//! candidate at a time (coordinate descent over placement → execution →
-//! layout per back-end, then the bridge-wide snapshot mode), compares the
+//! candidate at a time (coordinate descent over placement → execution
+//! per back-end, then the bridge-wide snapshot mode), compares the
 //! candidate's windowed mean apparent cost against the incumbent's, and
 //! commits only when the candidate wins by more than the hysteresis
 //! margin. A shared probe budget bounds total exploration so the
@@ -58,8 +58,6 @@ pub struct AdaptiveConfig {
     pub tune_placement: bool,
     /// Tune per-backend execution mode (lockstep / asynchronous / dag).
     pub tune_execution: bool,
-    /// Tune per-backend data layout for the current placement.
-    pub tune_layout: bool,
     /// Tune the bridge-wide snapshot mode (deep / cow).
     pub tune_snapshot: bool,
 }
@@ -75,7 +73,6 @@ impl Default for AdaptiveConfig {
             drift_margin: 0.5,
             tune_placement: true,
             tune_execution: true,
-            tune_layout: true,
             tune_snapshot: true,
         }
     }
@@ -137,8 +134,6 @@ pub struct StepObservation {
     pub snapshot_bytes: u64,
     /// CoW faults this step, delta.
     pub cow_faults: u64,
-    /// Relayout bytes this step across back-ends, delta.
-    pub relayout_bytes: u64,
     /// Allocation-pool hit rate over the run so far, 0..=1.
     pub pool_hit_rate: f64,
 }
@@ -162,7 +157,6 @@ pub struct AdaptiveEnv<'a> {
 enum Dim {
     Placement,
     Execution,
-    Layout,
     Snapshot,
 }
 
@@ -322,9 +316,6 @@ impl AdaptiveController {
             if self.config.tune_execution {
                 self.stages.push(Stage { backend: Some(b), dim: Dim::Execution });
             }
-            if self.config.tune_layout {
-                self.stages.push(Stage { backend: Some(b), dim: Dim::Layout });
-            }
         }
         if self.config.tune_snapshot && env.snapshot_consumers {
             self.stages.push(Stage { backend: None, dim: Dim::Snapshot });
@@ -386,27 +377,6 @@ impl AdaptiveController {
                     .into_iter()
                     .filter(|m| *m != cur.execution)
                     .map(|execution| Candidate::Controls(b, BackendControls { execution, ..cur }))
-                    .collect()
-            }
-            (Some(b), Dim::Layout) => {
-                let cur = env.controls[b];
-                // Layout candidates depend on the committed placement:
-                // host consumers vectorize over grouped layouts, device
-                // consumers pay the relayout on upload and prefer dense.
-                let layouts: &[hamr::Layout] = if cur.device == DeviceSpec::Host {
-                    &[
-                        hamr::Layout::Scalar,
-                        hamr::Layout::SoA,
-                        hamr::Layout::AoSoA { lane_width: 4 },
-                        hamr::Layout::AoSoA { lane_width: 8 },
-                    ]
-                } else {
-                    &[hamr::Layout::Scalar, hamr::Layout::AoS]
-                };
-                layouts
-                    .iter()
-                    .filter(|l| **l != cur.layout)
-                    .map(|&layout| Candidate::Controls(b, BackendControls { layout, ..cur }))
                     .collect()
             }
             (_, Dim::Snapshot) => {
@@ -633,6 +603,40 @@ mod tests {
             }
         }
 
+        /// One step: observe the current cost, apply what comes back.
+        fn step(
+            &mut self,
+            ctrl: &mut AdaptiveController,
+            step: u64,
+            written_fraction: f64,
+            tainted: bool,
+        ) -> Vec<AdaptiveDecision> {
+            let c = (self.cost)(&self.controls[0], self.snapshot_mode);
+            let obs = StepObservation {
+                step,
+                insitu_s: c,
+                written_fraction,
+                snapshot_bytes: 0,
+                cow_faults: 0,
+                pool_hit_rate: 1.0,
+            };
+            let backends = [BackendObservation { apparent_s: c, tainted, queue_occupancy: None }];
+            let reconf = [true];
+            let controls = self.controls.clone();
+            let env = AdaptiveEnv {
+                num_devices: 2,
+                controls: &controls,
+                reconfigurable: &reconf,
+                snapshot_mode: self.snapshot_mode,
+                snapshot_consumers: true,
+            };
+            let decisions = ctrl.observe_and_decide(&env, &obs, &backends);
+            for d in &decisions {
+                self.apply(d);
+            }
+            decisions
+        }
+
         fn run(
             &mut self,
             ctrl: &mut AdaptiveController,
@@ -640,36 +644,11 @@ mod tests {
             written_fraction: f64,
             tainted_at: &[u64],
         ) -> Vec<AdaptiveDecision> {
-            let mut log = Vec::new();
-            for step in 0..steps {
-                let c = (self.cost)(&self.controls[0], self.snapshot_mode);
-                let tainted = tainted_at.contains(&step);
-                let obs = StepObservation {
-                    step,
-                    insitu_s: c,
-                    written_fraction,
-                    snapshot_bytes: 0,
-                    cow_faults: 0,
-                    relayout_bytes: 0,
-                    pool_hit_rate: 1.0,
-                };
-                let backends =
-                    [BackendObservation { apparent_s: c, tainted, queue_occupancy: None }];
-                let reconf = [true];
-                let controls = self.controls.clone();
-                let env = AdaptiveEnv {
-                    num_devices: 2,
-                    controls: &controls,
-                    reconfigurable: &reconf,
-                    snapshot_mode: self.snapshot_mode,
-                    snapshot_consumers: true,
-                };
-                for d in ctrl.observe_and_decide(&env, &obs, &backends) {
-                    self.apply(&d);
-                    log.push(d);
-                }
-            }
-            log
+            (0..steps)
+                .flat_map(|step| {
+                    self.step(ctrl, step, written_fraction, tainted_at.contains(&step))
+                })
+                .collect()
         }
     }
 
@@ -687,7 +666,6 @@ mod tests {
             warmup: 0,
             cooldown: 1,
             tune_execution: false,
-            tune_layout: false,
             tune_snapshot: false,
             ..Default::default()
         }
@@ -802,7 +780,6 @@ mod tests {
             cooldown: 1,
             tune_placement: false,
             tune_execution: false,
-            tune_layout: false,
             ..Default::default()
         };
         // Cow is cheapest; deep is probed only if wf allows it.
@@ -830,11 +807,59 @@ mod tests {
     }
 
     #[test]
+    fn default_stages_are_placement_execution_snapshot_and_no_probe_is_a_no_op() {
+        // Async on the dedicated device under cow is cheapest, so every
+        // stage has a winner and every candidate gets probed.
+        fn cost(c: &BackendControls, m: SnapshotMode) -> f64 {
+            let place = match c.device {
+                DeviceSpec::Explicit(1) => 0.001,
+                DeviceSpec::Explicit(_) => 0.004,
+                _ => 0.010,
+            };
+            let exec = if c.execution == ExecutionMethod::Asynchronous { 0.5 } else { 1.0 };
+            let snap = if m == SnapshotMode::Cow { 0.5 } else { 1.0 };
+            place * exec * snap
+        }
+        let mut sim = Sim {
+            controls: vec![BackendControls { device: DeviceSpec::Host, ..Default::default() }],
+            snapshot_mode: SnapshotMode::Deep,
+            cost,
+        };
+        let mut ctrl = AdaptiveController::new(AdaptiveConfig::default());
+        let mut probes = 0;
+        for step in 0..200 {
+            for d in sim.step(&mut ctrl, step, 1.0, false) {
+                if d.cause != "probe" {
+                    continue;
+                }
+                probes += 1;
+                match (d.action, ctrl.incumbent.clone()) {
+                    (
+                        AdaptiveAction::Reconfigure { controls, .. },
+                        Some(Candidate::Controls(_, inc)),
+                    ) => assert!(
+                        controls.device != inc.device || controls.execution != inc.execution,
+                        "probe {controls:?} measures the incumbent {inc:?} again"
+                    ),
+                    (AdaptiveAction::SetSnapshotMode { .. }, Some(Candidate::Snapshot(_))) => {}
+                    other => panic!("probe and incumbent of different kinds: {other:?}"),
+                }
+            }
+        }
+        let dims: Vec<Dim> = ctrl.stages.iter().map(|s| s.dim).collect();
+        assert_eq!(dims, [Dim::Placement, Dim::Execution, Dim::Snapshot]);
+        assert!(ctrl.settled());
+        assert_eq!(probes, 5, "2 placements + 2 execution modes + 1 snapshot mode");
+        assert_eq!(sim.controls[0].device, DeviceSpec::Explicit(1));
+        assert_eq!(sim.controls[0].execution, ExecutionMethod::Asynchronous);
+        assert_eq!(sim.snapshot_mode, SnapshotMode::Cow);
+    }
+
+    #[test]
     fn no_stages_means_immediately_settled() {
         let cfg = AdaptiveConfig {
             tune_placement: false,
             tune_execution: false,
-            tune_layout: false,
             tune_snapshot: false,
             ..Default::default()
         };

@@ -82,7 +82,6 @@ struct Attached {
 struct AdaptiveState {
     controller: AdaptiveController,
     snap_seen: SnapshotCounterSnapshot,
-    relayout_seen: u64,
 }
 
 impl Bridge {
@@ -121,7 +120,6 @@ impl Bridge {
         self.adaptive = Some(AdaptiveState {
             controller: AdaptiveController::new(config),
             snap_seen: SnapshotCounterSnapshot::default(),
-            relayout_seen: 0,
         });
     }
 
@@ -211,8 +209,6 @@ impl Bridge {
     }
 
     /// The controls back-end `idx` (attach order) currently runs under.
-    /// Producers consult this each step so layout re-picks take effect on
-    /// the data they publish next.
     pub fn backend_controls(&self, idx: usize) -> Option<BackendControls> {
         self.engines.get(idx).map(|a| *a.engine.controls())
     }
@@ -255,11 +251,7 @@ impl Bridge {
     fn retire_counters(&mut self, idx: usize) {
         let a = &self.engines[idx];
         if let Some(c) = a.engine.counters() {
-            self.profiler.record_counters_labeled(
-                a.label.as_str(),
-                a.engine.controls().layout.name(),
-                c.snapshot(),
-            );
+            self.profiler.record_counters(a.label.as_str(), c.snapshot());
         }
         if let Some(s) = a.engine.scheduler_counters() {
             self.profiler.record_scheduler_counters(a.label.as_str(), s.snapshot());
@@ -383,12 +375,6 @@ impl Bridge {
         comm: &Comm,
     ) -> Result<()> {
         let snap = self.pipeline.counters().snapshot();
-        let relayout_total: u64 = self
-            .engines
-            .iter()
-            .filter_map(|a| a.engine.counters())
-            .map(|c| c.snapshot().relayout_bytes)
-            .sum();
         let controls: Vec<BackendControls> =
             self.engines.iter().map(|a| *a.engine.controls()).collect();
         let reconfigurable: Vec<bool> = self.engines.iter().map(|a| a.factory.is_some()).collect();
@@ -401,11 +387,9 @@ impl Bridge {
             written_fraction: self.pipeline.written_fraction(),
             snapshot_bytes: snap.bytes_copied.saturating_sub(state.snap_seen.bytes_copied),
             cow_faults: snap.cow_faults.saturating_sub(state.snap_seen.cow_faults),
-            relayout_bytes: relayout_total.saturating_sub(state.relayout_seen),
             pool_hit_rate: self.node.pool_stats(devsim::MemSpace::Host).hit_rate(),
         };
         state.snap_seen = snap;
-        state.relayout_seen = relayout_total;
         let env = AdaptiveEnv {
             num_devices: self.node.num_devices(),
             controls: &controls,
@@ -441,10 +425,9 @@ impl Bridge {
                     label,
                     d.cause,
                     format!(
-                        "mode={} device={} layout={} snapshot={} queue={}",
+                        "mode={} device={} snapshot={} queue={}",
                         controls.execution.name(),
                         controls.device.code(),
-                        controls.layout.name(),
                         self.pipeline.mode().name(),
                         controls.queue_depth,
                     ),
@@ -566,11 +549,7 @@ impl Bridge {
         // fault counters describing the failure itself) must survive.
         for a in &self.engines {
             if let Some(counters) = a.engine.counters() {
-                self.profiler.record_counters_labeled(
-                    a.label.as_str(),
-                    a.engine.controls().layout.name(),
-                    counters.snapshot(),
-                );
+                self.profiler.record_counters(a.label.as_str(), counters.snapshot());
             }
             // Every back-end gets a scheduler row — explicit zeros for
             // engines without a task-graph scheduler — so scheduler_csv
@@ -594,9 +573,8 @@ impl Bridge {
             for s in hub.drain_step_stats() {
                 self.profiler.record_serve(s);
             }
-            self.profiler.record_counters_labeled(
+            self.profiler.record_counters(
                 "serve",
-                "-",
                 CounterSnapshot { serve: hub.counter_snapshot(), ..Default::default() },
             );
         }

@@ -104,14 +104,6 @@ impl BackendConfig {
                 el.attributes.retain(|(k, _)| k != "max_retries" && k != "retry_backoff_ms");
             }
         }
-        // The layout rides as a child element, not an attribute; replace
-        // any source <layout> child with the normalized form and omit the
-        // scalar default entirely.
-        el.children.retain(|n| !matches!(n, xmlcfg::Node::Element(ce) if ce.name == "layout"));
-        if c.layout != hamr::Layout::Scalar {
-            el.children
-                .push(xmlcfg::Node::Element(Element::new("layout").with_text(c.layout.name())));
-        }
         el
     }
 }
@@ -276,6 +268,15 @@ impl ConfigurableAnalysis {
         let adaptive = match root.find_child("adaptive") {
             None => None,
             Some(el) => {
+                // Older configs may carry it; an ignored attribute would
+                // let them claim a tuning stage that no longer exists.
+                if el.attr("tune_layout").is_some() {
+                    return Err(Error::Config(
+                        "adaptive tune_layout was removed: layout selection is gone, \
+                         columns are dense (delete the attribute)"
+                            .into(),
+                    ));
+                }
                 if el.parse_attr_or::<u8>("enabled", 1).map_err(Error::Xml)? == 0 {
                     None
                 } else {
@@ -316,7 +317,6 @@ impl ConfigurableAnalysis {
                         drift_margin,
                         tune_placement: flag("tune_placement", d.tune_placement)?,
                         tune_execution: flag("tune_execution", d.tune_execution)?,
-                        tune_layout: flag("tune_layout", d.tune_layout)?,
                         tune_snapshot: flag("tune_snapshot", d.tune_snapshot)?,
                     })
                 }
@@ -385,27 +385,14 @@ impl ConfigurableAnalysis {
                 Some(s) => OverflowPolicy::parse(s)
                     .ok_or_else(|| Error::Config(format!("bad overflow policy '{s}'")))?,
             };
-            let layout = match el.find_child("layout") {
-                None => defaults.layout,
-                Some(le) => {
-                    let text = le.text();
-                    let name = if text.is_empty() { "scalar" } else { text.as_str() };
-                    let mut layout = hamr::Layout::parse(name).ok_or_else(|| {
-                        Error::Config(format!(
-                            "bad layout '{name}' (expected scalar, aos, soa, or aosoa<N>)"
-                        ))
-                    })?;
-                    if let Some(lanes) = le.parse_attr::<usize>("lanes").map_err(Error::Xml)? {
-                        if lanes == 0 {
-                            return Err(Error::Config("layout lanes must be at least 1".into()));
-                        }
-                        if let hamr::Layout::AoSoA { .. } = layout {
-                            layout = hamr::Layout::AoSoA { lane_width: lanes };
-                        }
-                    }
-                    layout
-                }
-            };
+            // Older configs may carry it; an ignored child would run them
+            // dense while they claim otherwise.
+            if el.find_child("layout").is_some() {
+                return Err(Error::Config(format!(
+                    "<layout> on analysis '{type_name}' was removed: layout selection is \
+                     gone, columns are dense (delete the element)"
+                )));
+            }
             let recovery = match el.attr("on_error") {
                 None => defaults.recovery,
                 Some(s) => {
@@ -437,7 +424,6 @@ impl ConfigurableAnalysis {
                     queue_depth,
                     overflow,
                     recovery,
-                    layout,
                 },
                 element: el.clone(),
             });
@@ -523,7 +509,6 @@ impl ConfigurableAnalysis {
             push("drift_margin", a.drift_margin.to_string());
             push("tune_placement", (a.tune_placement as u8).to_string());
             push("tune_execution", (a.tune_execution as u8).to_string());
-            push("tune_layout", (a.tune_layout as u8).to_string());
             push("tune_snapshot", (a.tune_snapshot as u8).to_string());
             root.children.push(xmlcfg::Node::Element(el));
         }
@@ -881,7 +866,7 @@ mod tests {
         assert_eq!(a.probe_budget, 12);
         assert_eq!(a.cooldown, 3);
         assert_eq!(a.drift_margin, 0.4);
-        assert!(a.tune_placement && a.tune_layout, "unset flags default on");
+        assert!(a.tune_placement, "unset flags default on");
         assert!(!a.tune_execution && !a.tune_snapshot);
 
         let again = ConfigurableAnalysis::from_xml(&cfg.to_xml()).unwrap();
@@ -960,41 +945,37 @@ mod tests {
     }
 
     #[test]
-    fn layout_element_parses_and_round_trips() {
-        let cfg = ConfigurableAnalysis::from_xml(
-            r#"<sensei>
-                 <analysis type="binning"><layout>aosoa4</layout></analysis>
-                 <analysis type="binning"><layout lanes="16">aosoa</layout></analysis>
-                 <analysis type="binning"><layout>soa</layout></analysis>
-                 <analysis type="binning"/>
-               </sensei>"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.configs()[0].controls.layout, hamr::Layout::AoSoA { lane_width: 4 });
-        assert_eq!(cfg.configs()[1].controls.layout, hamr::Layout::AoSoA { lane_width: 16 });
-        assert_eq!(cfg.configs()[2].controls.layout, hamr::Layout::SoA);
-        assert_eq!(cfg.configs()[3].controls.layout, hamr::Layout::Scalar, "default");
-
-        let text = cfg.to_xml();
-        assert!(text.contains("<layout>aosoa4</layout>"));
-        assert!(text.contains("<layout>aosoa16</layout>"), "lanes attr normalized into the name");
-        let again = ConfigurableAnalysis::from_xml(&text).unwrap();
-        for (a, b) in cfg.configs().iter().zip(again.configs()) {
-            assert_eq!(a.controls.layout, b.controls.layout);
+    fn removed_layout_options_are_rejected_and_never_emitted() {
+        for (xml, names) in [
+            (
+                r#"<sensei><analysis type="binning"><layout>aosoa4</layout></analysis></sensei>"#,
+                "<layout>",
+            ),
+            (
+                r#"<sensei><analysis type="binning"><layout>scalar</layout></analysis></sensei>"#,
+                "<layout>",
+            ),
+            (r#"<sensei><adaptive tune_layout="0"/></sensei>"#, "tune_layout"),
+            (r#"<sensei><adaptive enabled="0" tune_layout="1"/></sensei>"#, "tune_layout"),
+        ] {
+            match ConfigurableAnalysis::from_xml(xml) {
+                Err(Error::Config(msg)) => {
+                    assert!(msg.contains(names), "{msg}");
+                    assert!(msg.contains("removed") && msg.contains("columns are dense"), "{msg}");
+                }
+                other => panic!("{xml} must be a Config error, got {:?}", other.map(|_| ())),
+            }
         }
 
-        assert!(matches!(
-            ConfigurableAnalysis::from_xml(
-                r#"<sensei><analysis type="x"><layout>diagonal</layout></analysis></sensei>"#
-            ),
-            Err(Error::Config(_))
-        ));
-        assert!(matches!(
-            ConfigurableAnalysis::from_xml(
-                r#"<sensei><analysis type="x"><layout lanes="0">aosoa</layout></analysis></sensei>"#
-            ),
-            Err(Error::Config(_))
-        ));
+        let cfg = ConfigurableAnalysis::from_xml(
+            r#"<sensei><analysis type="binning" mode="dag"/><adaptive window="3"/></sensei>"#,
+        )
+        .unwrap();
+        let text = cfg.to_xml();
+        assert!(!text.contains("layout"), "{text}");
+        let again = ConfigurableAnalysis::from_xml(&text).unwrap();
+        assert_eq!(again.configs()[0].controls, cfg.configs()[0].controls);
+        assert_eq!(again.adaptive_config(), cfg.adaptive_config());
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub struct BackendControls {
     /// What the owning engine does when one dispatch of this back-end
     /// fails (abort / skip the step / retry with backoff).
     pub recovery: RecoveryPolicy,
-    /// Physical data layout the producer publishes this back-end's tables
-    /// in ([`hamr::Layout::Scalar`] = one dense allocation per column).
-    /// Consumers read through the accessor API either way; placement
-    /// moves relayout in flight.
-    pub layout: hamr::Layout,
 }
 
 impl Default for BackendControls {
@@ -82,7 +77,6 @@ impl Default for BackendControls {
             queue_depth: 4,
             overflow: OverflowPolicy::default(),
             recovery: RecoveryPolicy::default(),
-            layout: hamr::Layout::Scalar,
         }
     }
 }

@@ -24,7 +24,6 @@ pub struct AnalysisCounters {
     downloads: AtomicU64,
     allreduces: AtomicU64,
     fetches: AtomicU64,
-    relayout_bytes: AtomicU64,
     faults: FaultCounters,
     comm: CommCounters,
 }
@@ -276,13 +275,6 @@ impl AnalysisCounters {
         self.fetches.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` bytes moved by in-flight layout changes (AoS/SoA/AoSoA
-    /// packing on placement moves or fetch-side gathers). Reads and
-    /// writes both count, matching the modeled kernel cost.
-    pub fn add_relayout_bytes(&self, n: u64) {
-        self.relayout_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// The failure/recovery counters the owning engine updates.
     pub fn faults(&self) -> &FaultCounters {
         &self.faults
@@ -304,7 +296,6 @@ impl AnalysisCounters {
             downloads: self.downloads.load(Ordering::Relaxed),
             allreduces: self.allreduces.load(Ordering::Relaxed),
             fetches: self.fetches.load(Ordering::Relaxed),
-            relayout_bytes: self.relayout_bytes.load(Ordering::Relaxed),
             faults: self.faults.snapshot(),
             comm: self.comm.snapshot(),
             serve: ServeSnapshot::default(),
@@ -325,8 +316,6 @@ pub struct CounterSnapshot {
     pub allreduces: u64,
     /// Per-variable fetch/move requests.
     pub fetches: u64,
-    /// Bytes moved by in-flight layout changes (relayout packs/gathers).
-    pub relayout_bytes: u64,
     /// Failure/recovery outcomes.
     pub faults: FaultSnapshot,
     /// Per-tier communication traffic (intra- vs inter-node).
@@ -345,7 +334,6 @@ impl CounterSnapshot {
         self.downloads += other.downloads;
         self.allreduces += other.allreduces;
         self.fetches += other.fetches;
-        self.relayout_bytes += other.relayout_bytes;
         self.faults.accumulate(&other.faults);
         self.comm.accumulate(&other.comm);
         self.serve.accumulate(&other.serve);
@@ -452,7 +440,6 @@ mod tests {
         c.add_downloads(9);
         c.add_allreduces(1);
         c.add_fetches(11);
-        c.add_relayout_bytes(640);
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -462,7 +449,6 @@ mod tests {
                 downloads: 9,
                 allreduces: 1,
                 fetches: 11,
-                relayout_bytes: 640,
                 faults: FaultSnapshot::default(),
                 comm: TierSnapshot::default(),
                 serve: ServeSnapshot::default(),

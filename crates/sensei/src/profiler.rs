@@ -93,9 +93,6 @@ pub struct CounterSample {
     pub backend: String,
     /// The back-end's counter totals.
     pub counters: CounterSnapshot,
-    /// Physical data layout the back-end ran with (a [`hamr::Layout`]
-    /// name; "scalar" unless the run configured a layout group).
-    pub layout: String,
 }
 
 /// The snapshot layer's totals at the end of a run: arrays shared vs
@@ -271,22 +268,7 @@ impl Profiler {
     /// Record one back-end's work-counter totals (the bridge does this at
     /// finalize for every back-end that keeps counters).
     pub fn record_counters(&mut self, backend: impl Into<String>, counters: CounterSnapshot) {
-        self.record_counters_labeled(backend, "scalar", counters);
-    }
-
-    /// Like [`Profiler::record_counters`], labeling the sample with the
-    /// data layout the back-end ran with (a [`hamr::Layout`] name).
-    pub fn record_counters_labeled(
-        &mut self,
-        backend: impl Into<String>,
-        layout: impl Into<String>,
-        counters: CounterSnapshot,
-    ) {
-        self.counter_samples.push(CounterSample {
-            backend: backend.into(),
-            counters,
-            layout: layout.into(),
-        });
+        self.counter_samples.push(CounterSample { backend: backend.into(), counters });
     }
 
     /// Every recorded per-backend counter sample.
@@ -317,8 +299,8 @@ impl Profiler {
             "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
              faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
              intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,relayout_bytes,\
-             serve_delivered,serve_dropped,serve_bytes,layout\n",
+             inter_messages,inter_bytes,inter_modeled_ns,\
+             serve_delivered,serve_dropped,serve_bytes\n",
         );
         for s in &self.counter_samples {
             let c = &s.counters;
@@ -326,7 +308,7 @@ impl Profiler {
             let m = &c.comm;
             let v = &c.serve;
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                 s.backend,
                 c.table_passes,
                 c.kernel_launches,
@@ -344,11 +326,9 @@ impl Profiler {
                 m.inter_messages,
                 m.inter_bytes,
                 m.inter_modeled_ns,
-                c.relayout_bytes,
                 v.delivered,
                 v.dropped,
                 v.payload_bytes,
-                s.layout,
             ));
         }
         out
@@ -612,13 +592,13 @@ mod tests {
     #[test]
     fn adaptive_samples_record_and_dump() {
         let mut p = Profiler::new();
-        p.record_adaptive(4, "binning_suite", "probe", "device=0 layout=scalar");
-        p.record_adaptive(8, "binning_suite", "commit", "device=-1 layout=aosoa8");
+        p.record_adaptive(4, "binning_suite", "probe", "device=0 mode=lockstep");
+        p.record_adaptive(8, "binning_suite", "commit", "device=-1 mode=dag");
         p.record_adaptive(8, "bridge", "commit", "snapshot=cow");
         assert_eq!(p.adaptive_samples().len(), 3);
         let lines: Vec<_> = p.adaptive_csv().lines().map(String::from).collect();
         assert_eq!(lines[0], "step,backend,action,detail");
-        assert_eq!(lines[1], "4,binning_suite,probe,device=0 layout=scalar");
+        assert_eq!(lines[1], "4,binning_suite,probe,device=0 mode=lockstep");
         assert_eq!(lines[3], "8,bridge,commit,snapshot=cow");
     }
 
@@ -636,8 +616,8 @@ mod tests {
             "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
              faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
              intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,relayout_bytes,\
-             serve_delivered,serve_dropped,serve_bytes,layout\n"
+             inter_messages,inter_bytes,inter_modeled_ns,\
+             serve_delivered,serve_dropped,serve_bytes\n"
         );
         assert_eq!(p.snapshot_csv(), "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults\n");
         assert_eq!(p.scheduler_csv(), "backend,tasks,steals,idle_ns,critical_path_ns\n");
@@ -683,22 +663,19 @@ mod tests {
                 downloads: 9,
                 allreduces: 1,
                 fetches: 12,
-                relayout_bytes: 0,
                 faults: FaultSnapshot::default(),
                 comm: minimpi::TierSnapshot::default(),
                 serve: ServeSnapshot::default(),
             },
         );
-        p.record_counters_labeled(
+        p.record_counters(
             "data_binning",
-            "aosoa8",
             CounterSnapshot {
                 table_passes: 90,
                 kernel_launches: 90,
                 downloads: 90,
                 allreduces: 10,
                 fetches: 27,
-                relayout_bytes: 4096,
                 faults: FaultSnapshot {
                     injected: 2,
                     retried: 3,
@@ -735,18 +712,14 @@ mod tests {
             "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
              faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
              intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,relayout_bytes,\
-             serve_delivered,serve_dropped,serve_bytes,layout"
+             inter_messages,inter_bytes,inter_modeled_ns,\
+             serve_delivered,serve_dropped,serve_bytes"
         );
         // A run without faults, tiered communication, or serving dumps
         // explicit zeros in every column — never a ragged row.
-        assert_eq!(lines[1], "binning_suite,9,9,9,1,12,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,scalar");
-        assert_eq!(
-            lines[2],
-            "data_binning,90,90,90,10,27,2,3,2,0,0,18,1440,90,6,480,210,4096,7,1,640,aosoa8"
-        );
+        assert_eq!(lines[1], "binning_suite,9,9,9,1,12,0,0,0,0,0,0,0,0,0,0,0,0,0,0");
+        assert_eq!(lines[2], "data_binning,90,90,90,10,27,2,3,2,0,0,18,1440,90,6,480,210,7,1,640");
         assert_eq!(p.counters_total().comm.inter_bytes, 480);
-        assert_eq!(p.counters_total().relayout_bytes, 4096);
     }
 
     #[test]

@@ -207,7 +207,6 @@ fn retry_backoff_taints_the_sample_and_the_window_skips_it() {
             warmup: 0,
             tune_placement: false,
             tune_execution: false,
-            tune_layout: false,
             tune_snapshot: false,
             ..Default::default()
         });
@@ -232,8 +231,8 @@ fn retry_backoff_taints_the_sample_and_the_window_skips_it() {
     });
 }
 
-/// Mid-run reconfiguration across execution modes, placements, and
-/// layouts computes bit-identical per-step results to a static run —
+/// Mid-run reconfiguration across execution modes and placements
+/// computes bit-identical per-step results to a static run —
 /// reconfiguration changes *when* work runs, never *what* it computes.
 #[test]
 fn reconfiguration_is_bit_identical_to_static() {
@@ -255,7 +254,7 @@ fn reconfiguration_is_bit_identical_to_static() {
         let reference = spec_static.sorted_results();
         assert_eq!(reference.len(), steps as usize);
 
-        // Reconfigured run: flip mode/placement/layout every few steps.
+        // Reconfigured run: flip mode/placement every few steps.
         let node = SimNode::new(NodeConfig::fast_test(2));
         let spec = SummerSpec::quiet();
         let mut bridge = Bridge::new(node.clone());
@@ -268,7 +267,6 @@ fn reconfiguration_is_bit_identical_to_static() {
                 BackendControls {
                     execution: ExecutionMethod::Lockstep,
                     device: DeviceSpec::Explicit(1),
-                    layout: hamr::Layout::SoA,
                     ..base
                 },
             ),
@@ -277,7 +275,6 @@ fn reconfiguration_is_bit_identical_to_static() {
                 BackendControls {
                     execution: ExecutionMethod::Asynchronous,
                     device: DeviceSpec::Host,
-                    layout: hamr::Layout::AoSoA { lane_width: 4 },
                     queue_depth: 2,
                     ..base
                 },
@@ -319,7 +316,6 @@ fn controller_converges_on_a_live_bridge() {
             warmup: 1,
             cooldown: 1,
             tune_execution: false,
-            tune_layout: false,
             tune_snapshot: false,
             ..Default::default()
         });

@@ -64,12 +64,6 @@ pub trait DataArray: Send + Sync {
     /// array again, so the producer's later writes skip the fault copy.
     fn release_cow_erased(&self) {}
 
-    /// Physical storage layout: [`hamr::Layout::Scalar`] unless the array
-    /// is a field of a layout group sharing an interleaved block.
-    fn layout_erased(&self) -> hamr::Layout {
-        hamr::Layout::Scalar
-    }
-
     /// Total scalar element count (`tuples * components`).
     fn len(&self) -> usize {
         self.num_tuples() * self.num_components()

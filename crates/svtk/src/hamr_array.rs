@@ -4,10 +4,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use devsim::{CellBuffer, SimNode};
-use hamr::{
-    AccessView, Allocator, Element, HamrBuffer, HamrStream, Layout, LayoutMap, Mapping, Pm,
-    StreamMode,
-};
+use hamr::{AccessView, Allocator, Element, HamrBuffer, HamrStream, Pm, StreamMode};
 
 use crate::data_array::{ArrayRef, DataArray};
 
@@ -126,27 +123,6 @@ impl<T: Element> HamrDataArray<T> {
         Arc::new(HamrDataArray { name: name.into(), components, buffer })
     }
 
-    /// Wrap one field of a layout group sharing the interleaved host
-    /// block `cells` (see [`HamrBuffer::from_group`]): all fields of a
-    /// grouped table alias one pooled allocation.
-    pub fn from_group(
-        name: impl Into<String>,
-        node: Arc<SimNode>,
-        cells: CellBuffer,
-        map: LayoutMap,
-        stream: HamrStream,
-        mode: StreamMode,
-    ) -> hamr::Result<Arc<Self>> {
-        let buffer = HamrBuffer::from_group(node, cells, map, Allocator::Malloc, stream, mode)?;
-        Ok(Arc::new(HamrDataArray { name: name.into(), components: 1, buffer: Arc::new(buffer) }))
-    }
-
-    /// The physical layout of the backing storage ([`Layout::Scalar`]
-    /// unless the array is a field of a layout group).
-    pub fn layout(&self) -> Layout {
-        self.buffer.layout()
-    }
-
     /// The underlying HAMR buffer.
     pub fn buffer(&self) -> &Arc<HamrBuffer<T>> {
         &self.buffer
@@ -246,22 +222,10 @@ impl<T: Element> HamrDataArray<T> {
             None => {
                 // Host-to-host: copy through host views (read-only on the
                 // source so a pinned source yields its pinned contents).
-                // A grouped source gathers through its layout map — the
-                // copy is always a dense scalar run, so snapshots of
-                // grouped tables stay bit-identical to scalar ones.
                 let s = src.host_u64_ro()?;
                 let d = dst.host_u64()?;
-                match self.buffer.layout_map() {
-                    Some(m) => {
-                        for i in 0..m.len() {
-                            d.set(i, s.get(m.index(i)));
-                        }
-                    }
-                    None => {
-                        for i in 0..s.len() {
-                            d.set(i, s.get(i));
-                        }
-                    }
+                for i in 0..s.len() {
+                    d.set(i, s.get(i));
                 }
             }
         }
@@ -350,10 +314,6 @@ impl<T: Element> DataArray for HamrDataArray<T> {
 
     fn release_cow_erased(&self) {
         self.buffer.release_cow();
-    }
-
-    fn layout_erased(&self) -> Layout {
-        self.buffer.layout()
     }
 }
 

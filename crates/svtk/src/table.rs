@@ -7,23 +7,14 @@
 //! mass, ...`, each column a heterogeneous array that may live on a
 //! device.
 
-use std::sync::Arc;
-
-use devsim::{KernelCost, SimNode};
-use hamr::{Layout, LayoutMap, Mapping};
-
 use crate::attributes::FieldData;
 use crate::data_array::ArrayRef;
-use crate::hamr_array::{downcast, HamrDataArray};
 
 /// A table of equally long columns.
 #[derive(Default, Clone, Debug)]
 pub struct TableData {
     columns: FieldData,
     rows: usize,
-    /// Physical layout of the most recent [`TableData::group_columns`]
-    /// call ([`Layout::Scalar`] when columns own dense allocations).
-    layout: Layout,
 }
 
 impl TableData {
@@ -91,81 +82,6 @@ impl TableData {
     pub fn column_generation(&self, name: &str) -> Option<(u64, u64)> {
         self.column(name).and_then(|a| a.generation_erased())
     }
-
-    /// The layout handle of the table's grouped columns
-    /// ([`Layout::Scalar`] when no grouping is active).
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    /// Regroup `names` (double columns) into one interleaved backing
-    /// block from the stream-ordered host pool, arranged as `layout`.
-    /// The scatter is a charged host pass (`svtk_relayout_pack` — the
-    /// SoA→AoS relayout of a LLAMA-style mapping change); afterwards the
-    /// named columns alias the shared block through their layout maps and
-    /// read identically through the accessor API. Returns the number of
-    /// cells relayouted (0 for [`Layout::Scalar`], which ungroups nothing
-    /// and is a no-op).
-    pub fn group_columns(
-        &mut self,
-        names: &[&str],
-        layout: Layout,
-        node: &Arc<SimNode>,
-    ) -> hamr::Result<usize> {
-        if layout == Layout::Scalar || names.is_empty() {
-            self.layout = Layout::Scalar;
-            return Ok(0);
-        }
-        let n = self.num_rows();
-        let fields = names.len();
-        // Snapshot the sources through the accessor path first: a source
-        // may itself be grouped (regrouping) or device-resident.
-        let mut sources: Vec<(String, Vec<f64>)> = Vec::with_capacity(fields);
-        for name in names {
-            let col = self
-                .column(name)
-                .ok_or_else(|| hamr::Error::Layout(format!("no column '{name}' to group")))?;
-            let arr = downcast::<f64>(col).ok_or_else(|| {
-                hamr::Error::Layout(format!(
-                    "column '{name}' is {}, layout groups hold doubles",
-                    col.type_name()
-                ))
-            })?;
-            sources.push((name.to_string(), arr.to_vec()?));
-        }
-        let block = node.try_host_alloc_f64(layout.block_cells(n, fields))?;
-        let dst = block.clone();
-        let maps: Vec<LayoutMap> =
-            (0..fields).map(|f| LayoutMap::new(layout, n, fields, f)).collect();
-        let scatter_maps = maps.clone();
-        let (names_owned, cols): (Vec<String>, Vec<Vec<f64>>) = sources.into_iter().unzip();
-        node.host().run(
-            "svtk_relayout_pack",
-            KernelCost::bytes((2 * n * fields * 8) as f64),
-            move || -> hamr::Result<()> {
-                let v = dst.host_u64()?;
-                for (m, col) in scatter_maps.iter().zip(&cols) {
-                    for (i, x) in col.iter().enumerate() {
-                        v.set(m.index(i), x.to_bits());
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        for (name, map) in names_owned.into_iter().zip(maps) {
-            let arr = HamrDataArray::<f64>::from_group(
-                name,
-                node.clone(),
-                block.clone(),
-                map,
-                hamr::HamrStream::default_stream(),
-                hamr::StreamMode::Sync,
-            )?;
-            self.set_column(arr.as_array_ref());
-        }
-        self.layout = layout;
-        Ok(n * fields)
-    }
 }
 
 #[cfg(test)]
@@ -210,75 +126,6 @@ mod tests {
         let mut t = TableData::new();
         t.set_column(arr(&n, "x", &[1.0, 2.0, 3.0]));
         t.set_column(arr(&n, "y", &[1.0, 2.0]));
-    }
-
-    #[test]
-    fn grouped_columns_share_one_block_and_read_identically() {
-        let n = SimNode::new(NodeConfig::fast_test(1));
-        let mut t = TableData::new();
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [9.0, 8.0, 7.0, 6.0, 5.0];
-        let ms = [0.1, 0.2, 0.3, 0.4, 0.5];
-        t.set_column(arr(&n, "x", &xs));
-        t.set_column(arr(&n, "y", &ys));
-        t.set_column(arr(&n, "mass", &ms));
-        for layout in [hamr::Layout::AoS, hamr::Layout::SoA, hamr::Layout::AoSoA { lane_width: 4 }]
-        {
-            let mut g = t.clone();
-            let moved = g.group_columns(&["x", "y", "mass"], layout, &n).unwrap();
-            assert_eq!(moved, 15);
-            assert_eq!(g.layout(), layout);
-            assert_eq!(g.num_rows(), 5);
-            let gx = downcast::<f64>(g.column("x").unwrap()).unwrap();
-            let gy = downcast::<f64>(g.column("y").unwrap()).unwrap();
-            let gm = downcast::<f64>(g.column("mass").unwrap()).unwrap();
-            assert_eq!(gx.to_vec().unwrap(), xs);
-            assert_eq!(gy.to_vec().unwrap(), ys);
-            assert_eq!(gm.to_vec().unwrap(), ms);
-            assert!(gx.data().same_allocation(&gy.data()), "fields share the block");
-            assert_eq!(gx.layout(), layout);
-            assert_eq!(g.column("x").unwrap().layout_erased(), layout);
-            // A deep copy of a grouped column is dense scalar again.
-            let copy = g.column("x").unwrap().deep_copy_erased().unwrap();
-            assert_eq!(copy.layout_erased(), hamr::Layout::Scalar);
-            assert_eq!(downcast::<f64>(&copy).unwrap().to_vec().unwrap(), xs);
-        }
-        // Scalar grouping is a no-op.
-        let mut s = t.clone();
-        assert_eq!(s.group_columns(&["x", "y"], hamr::Layout::Scalar, &n).unwrap(), 0);
-        assert_eq!(s.layout(), hamr::Layout::Scalar);
-    }
-
-    #[test]
-    fn grouped_blocks_hit_the_pool_size_class_at_steady_state() {
-        // Repeated regrouping of the same table shape allocates the same
-        // interleaved block size every time; after the first raw
-        // allocation the host pool's size class must serve every later
-        // block from cache (the drop of the previous grouped table
-        // returns its block, and same-stream reuse is immediate).
-        let n = SimNode::new(NodeConfig::fast_test(1));
-        let mut t = TableData::new();
-        let vals: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        for name in ["x", "y", "mass"] {
-            t.set_column(arr(&n, name, &vals));
-        }
-        let layout = hamr::Layout::AoSoA { lane_width: 8 };
-        let before = n.pool_stats(devsim::MemSpace::Host);
-        for round in 0..8 {
-            let mut g = t.clone();
-            g.group_columns(&["x", "y", "mass"], layout, &n).unwrap();
-            let after = n.pool_stats(devsim::MemSpace::Host);
-            if round > 0 {
-                assert_eq!(
-                    after.raw_allocs,
-                    before.raw_allocs + 1,
-                    "round {round}: only the first block may raw-allocate"
-                );
-            }
-        }
-        let after = n.pool_stats(devsim::MemSpace::Host);
-        assert_eq!(after.raw_allocs, before.raw_allocs + 1);
-        assert!(after.hits >= before.hits + 7, "later rounds are served from cache");
     }
 
     #[test]
