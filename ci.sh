@@ -20,7 +20,7 @@ cargo test -q
 echo "== harness binning smoke (fused apparent cost <= per-op)"
 # Exits non-zero if the fused arm's lockstep apparent in situ cost
 # exceeds the per-op reference, or if the fused counters are off
-# (allreduces != 1/step, kernels/downloads != 1 per (system, block)).
+# (allreduces != 1/step, kernels/downloads != 1 per fetched block).
 cargo run --release -p bench --bin harness -- binning \
     --bodies 512 --steps 4 --resolution 32 --out /tmp/ci_binning
 
@@ -117,6 +117,21 @@ echo "== benchmark spine smoke + contract tests"
 # trips first; the contract tests pin the public crate API the spine
 # drives.
 bash benchmarks/run.sh all --smoke
+# The launch structure of the fused step, read off the smoke run's traced
+# rows_real counters — a guard that times nothing. One of the workload's
+# three segments is device-placed and two are host-placed, each over one
+# table per rank: one kernel launch and one packed download per table is
+# a third of each per step, one host pass per table is two thirds. A
+# slide back to a launch per coordinate system reads 3, not 1/3.
+traced=benchmarks/out/rows_real.traced.json
+for want in 'kernel_launches_per_step": {"value": 0.3333' \
+            'downloads_per_step": {"value": 0.3333' \
+            'table_passes_per_step": {"value": 0.6666'; do
+    if ! grep -q "\"binning.$want" "$traced"; then
+        echo "FAIL: $traced: binning.${want%%\"*} is not ${want##* } (one pass per table)"
+        exit 1
+    fi
+done
 (cd benchmarks && cargo test --release --offline)
 
 echo "== documented results present"

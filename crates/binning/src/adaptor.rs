@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use devsim::HostF64View;
 use hamr::Pm;
 use minimpi::Comm;
 use parking_lot::Mutex;
@@ -254,7 +255,17 @@ impl BinningAnalysis {
     ) -> Result<BinnedResult> {
         let tables = local_tables(&data.mesh(&self.spec.mesh)?)?;
         let vars = self.spec.required_variables();
-        let fetched = fetch_tables(data, &tables, &vars, device, &self.counters)?;
+        // The reference path reads plain vectors: every host column is
+        // copied out of its view, and nothing aliases the adaptor's
+        // allocations once it has been.
+        let fetched: Vec<Fetched<Vec<f64>>> =
+            fetch_tables(data, &tables, &vars, device, &self.counters)?
+                .into_iter()
+                .map(Fetched::copied)
+                .collect();
+        if device.is_none() {
+            data.release_shared();
+        }
         let (bx, by) = self.per_op_bounds(&fetched, device, ctx)?;
         let grid = self.spec.grid(bx, by);
 
@@ -287,7 +298,7 @@ impl BinningAnalysis {
     /// where the data is and one allreduce per axis.
     fn per_op_bounds(
         &self,
-        fetched: &[Fetched],
+        fetched: &[Fetched<Vec<f64>>],
         device: Option<usize>,
         ctx: &ExecContext<'_>,
     ) -> Result<([f64; 2], [f64; 2])> {
@@ -339,7 +350,7 @@ impl BinningAnalysis {
     /// synchronization.
     fn per_op_bin(
         &self,
-        fetched: &[Fetched],
+        fetched: &[Fetched<Vec<f64>>],
         grid: GridParams,
         device: Option<usize>,
         ctx: &ExecContext<'_>,
@@ -413,11 +424,29 @@ impl BinningAnalysis {
 }
 
 /// A table's required variables, resident in the execution space.
-pub(crate) enum Fetched {
-    /// Host placement: the columns by name.
-    Host(HashMap<String, Vec<f64>>),
+pub(crate) enum Fetched<H = HostF64View> {
+    /// Host placement: the columns by name. The fused step reads them
+    /// through read views of the memory the access API granted — the
+    /// producer's own under lockstep, the snapshot's share of it under the
+    /// asynchronous methods, the move temporary when the data was on a
+    /// device. A view pins its allocation while it lives, and a writer
+    /// that meets one on a CoW-shared column faults a copy and waits for
+    /// it to drop instead of racing it.
+    Host(HashMap<String, H>),
     /// Device placement: access views (zero-copy when already resident).
     Device(HashMap<String, hamr::AccessView<f64>>),
+}
+
+impl Fetched {
+    /// The same table with every host column copied out of its view.
+    fn copied(self) -> Fetched<Vec<f64>> {
+        match self {
+            Fetched::Host(cols) => {
+                Fetched::Host(cols.into_iter().map(|(name, v)| (name, v.to_vec())).collect())
+            }
+            Fetched::Device(views) => Fetched::Device(views),
+        }
+    }
 }
 
 /// The tables making up the requested mesh (a bare table, or the local
@@ -456,50 +485,50 @@ pub(crate) fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDat
     })
 }
 
-/// Move `vars` of `table` into the execution space (host vectors or
+/// Move `vars` of `table` into the execution space (host read views or
 /// device views) with one batched synchronization: all moves are enqueued
 /// first and waited for once. Data already in place is granted zero-copy.
-fn fetch_table(table: &TableData, vars: &[&str], device: Option<usize>) -> Result<Fetched> {
-    match device {
-        None => {
-            let mut views = Vec::with_capacity(vars.len());
-            for name in vars {
-                let col = column(table, name)?;
-                views.push((name.to_string(), col, col.host_accessible()?));
-            }
-            // One blocking wait; subsequent synchronizes are free.
-            for (_, col, _) in &views {
-                col.synchronize()?;
-            }
-            let mut data = HashMap::new();
-            for (name, _, view) in views {
-                data.insert(name, view.to_vec()?);
-            }
-            Ok(Fetched::Host(data))
-        }
-        Some(d) => {
-            let mut views = HashMap::new();
-            for name in vars {
-                let col = column(table, name)?;
-                views.insert(name.to_string(), col.device_accessible(d, Pm::Cuda)?);
-            }
-            for name in vars {
-                column(table, name)?.synchronize()?;
-            }
-            Ok(Fetched::Device(views))
-        }
+/// Also returns whether any view was granted in place, i.e. reads the
+/// adaptor's own allocations.
+fn fetch_table(table: &TableData, vars: &[&str], device: Option<usize>) -> Result<(Fetched, bool)> {
+    let mut views = Vec::with_capacity(vars.len());
+    for name in vars {
+        let col = column(table, name)?;
+        let view = match device {
+            None => col.host_accessible()?,
+            Some(d) => col.device_accessible(d, Pm::Cuda)?,
+        };
+        views.push((name.to_string(), col, view));
     }
+    // One blocking wait; subsequent synchronizes are free.
+    for (_, col, _) in &views {
+        col.synchronize()?;
+    }
+    let in_place = views.iter().any(|(_, _, view)| view.is_direct());
+    let fetched = match device {
+        None => Fetched::Host(
+            views
+                .into_iter()
+                .map(|(name, _, view)| {
+                    Ok((name, view.cells().host_f64_ro().map_err(Error::Device)?))
+                })
+                .collect::<Result<_>>()?,
+        ),
+        Some(_) => Fetched::Device(views.into_iter().map(|(name, _, view)| (name, view)).collect()),
+    };
+    Ok((fetched, in_place))
 }
 
-/// [`fetch_table`] for every one of `tables`, counted as fetches, then
-/// hint that the snapshot's CoW shares may be released if every fetched
-/// column has been materialized away from the snapshot's own allocations
-/// (host fetches always copy into plain vectors, and device fetches
-/// alias the snapshot only when access was granted in place). Releasing
-/// early lets the producer's subsequent writes skip the fault copy. The
-/// snapshot honors the hint only when this analysis is its sole remaining
-/// consumer — other engines reading the same shared snapshot keep their
-/// pins until the last one finishes.
+/// [`fetch_table`] for every one of `tables`, counted as fetches. When no
+/// column was granted in place — every one was moved into a temporary of
+/// its own — nothing fetched aliases the snapshot's CoW shares, and the
+/// snapshot is told so at once ([`DataAdaptor::release_shared`]): the
+/// producer's writes during the analysis then skip the fault copy. A
+/// caller whose views do read the shares in place gives the hint itself,
+/// once the last of them is dropped. The snapshot honors the hint only
+/// when this analysis is its sole remaining consumer — other engines
+/// reading the same shared snapshot keep their pins until the last one
+/// finishes.
 pub(crate) fn fetch_tables(
     data: &dyn DataAdaptor,
     tables: &[TableData],
@@ -508,13 +537,14 @@ pub(crate) fn fetch_tables(
     counters: &AnalysisCounters,
 ) -> Result<Vec<Fetched>> {
     counters.add_fetches(vars.len() as u64 * tables.len() as u64);
-    let fetched: Vec<Fetched> =
-        tables.iter().map(|t| fetch_table(t, vars, device)).collect::<Result<_>>()?;
-    let detached = fetched.iter().all(|f| match f {
-        Fetched::Host(_) => true,
-        Fetched::Device(views) => views.values().all(|v| !v.is_direct()),
-    });
-    if detached {
+    let mut in_place = false;
+    let mut fetched = Vec::with_capacity(tables.len());
+    for table in tables {
+        let (f, direct) = fetch_table(table, vars, device)?;
+        in_place |= direct;
+        fetched.push(f);
+    }
+    if !in_place {
         data.release_shared();
     }
     Ok(fetched)

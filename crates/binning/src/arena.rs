@@ -14,12 +14,13 @@ use sensei::Result;
 
 use crate::host_impl::ScratchPool;
 
-/// Streams a step spreads device work across; more specs than this share
+/// Streams a step spreads device work across; more tables than this share
 /// streams, routed least-loaded by accumulated kernel cost.
 const MAX_STREAMS: usize = 4;
 
-/// One `(table, spec)` kernel's packed grids on the device that ran it,
-/// and the host block they are downloaded into.
+/// One kernel's packed grids on the device that ran it — a table's under
+/// the fused step, a `(table, spec)` pair's under the task graph — and the
+/// host block they are downloaded into.
 #[derive(Clone)]
 pub(crate) struct Slot {
     pub packed: CellBuffer,
@@ -32,7 +33,8 @@ pub(crate) struct Slot {
 struct DeviceSide {
     device: usize,
     streams: Vec<Arc<Stream>>,
-    /// Indexed `table * nspecs + spec`.
+    /// Indexed by kernel: `table`, or `table * nspecs + spec` under the
+    /// task graph.
     slots: Vec<Option<Slot>>,
 }
 
@@ -80,14 +82,14 @@ impl StepArena {
         f(self.device.lock().as_mut().expect("device work in a step placed on the host"))
     }
 
-    /// The streams `nspecs` specs' kernels are routed over on the
-    /// placement device. A lone spec has nothing to overlap with: it runs
+    /// The streams `ntables` tables' kernels are routed over on the
+    /// placement device. A lone table has nothing to overlap with: it runs
     /// on the device's default stream, ordered with the bounds pass.
-    pub fn streams(&self, node: &SimNode, nspecs: usize) -> Result<Vec<Arc<Stream>>> {
+    pub fn streams(&self, node: &SimNode, ntables: usize) -> Result<Vec<Arc<Stream>>> {
         self.side(|side| {
             if side.streams.is_empty() {
                 let dev = node.device(side.device)?;
-                side.streams = match nspecs {
+                side.streams = match ntables {
                     1 => vec![dev.default_stream()],
                     n => (0..MAX_STREAMS.min(n)).map(|_| dev.create_stream()).collect(),
                 };

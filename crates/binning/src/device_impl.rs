@@ -111,44 +111,49 @@ pub fn bin_device(
     Ok(bins)
 }
 
-/// Bin **all** of a coordinate system's operations in one batched kernel
-/// over the device-resident `cols` that `spec` indexes, into the caller's
-/// device block `packed`: `spec.ops.len()` grids back to back (segment `i`
-/// belongs to `spec.ops[i]`). Download the whole buffer with one
-/// `stream.copy` — one launch plus one packed download per (coordinate
-/// system, fetched block), versus two launches and one download *per op*
-/// with [`bin_device`].
+/// Modeled cost of one fused pass of `specs` over `n` rows, on either
+/// placement: the sum of the coordinate systems' [`fused_bin_cost`]s.
+pub fn pass_cost(n: usize, specs: &[PassSpec]) -> KernelCost {
+    specs.iter().map(|s| fused_bin_cost(n, s.ops.len())).sum()
+}
+
+/// Bin **every** operation of every coordinate system in `specs` in one
+/// batched kernel over the device-resident `cols` they index, into the
+/// caller's device block `packed`: spec after spec, each spec's
+/// `ops.len()` grids back to back (its segment `i` belongs to its
+/// `ops[i]`) — the order of the step's flat buffer. Download the whole
+/// block with one `stream.copy`: one launch plus one packed download per
+/// fetched block, versus two launches and one download *per op* with
+/// [`bin_device`].
 ///
-/// The launch runs the tiled core ([`host_impl::bin_all_host`], reading
-/// the columns through their kernel views, in a scratch borrowed from
-/// `scratches`) into a launch-private accumulator in ascending row order,
-/// then commits it in one walk of that accumulator, a transposing store
-/// of every `(op, bin)` cell. The kernel runs as one block that owns
-/// `packed` for the launch, and its partial started from the reduction
-/// identities, so what a zero-initialised grid would hold after an
-/// `atomic_add`/`atomic_min`/`atomic_max` of the partial *is* the partial,
+/// The launch runs the blocked core ([`host_impl::bin_all_host_each`],
+/// reading the columns through their kernel views, in a scratch borrowed
+/// from `scratches`) into launch-private accumulators in ascending row
+/// order, and commits each as soon as it is complete in one walk of it, a
+/// transposing store of every `(op, bin)` cell. The kernel runs as one block that owns `packed` for
+/// the launch, and its partials started from the reduction identities, so
+/// what a zero-initialised grid would hold after an
+/// `atomic_add`/`atomic_min`/`atomic_max` of a partial *is* the partial,
 /// bit for bit — the packed grids stay bit-identical to [`bin_device`]'s,
 /// whatever `packed` held before.
 pub fn bin_all_device(
     stream: &Arc<Stream>,
     cols: &[&CellBuffer],
-    spec: &PassSpec,
+    specs: &[PassSpec],
     packed: &CellBuffer,
     scratches: &Arc<ScratchPool>,
 ) -> Result<()> {
-    let n = host_impl::pass_rows(|c| cols[c].len(), std::slice::from_ref(spec))
-        .map_err(Error::Analysis)?;
-    let num_bins = spec.grid.num_bins();
-    if packed.len() != spec.ops.len() * num_bins {
+    let n = host_impl::pass_rows(|c| cols[c].len(), specs).map_err(Error::Analysis)?;
+    let cells: usize = specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
+    if packed.len() != cells {
         return Err(Error::Analysis("packed block must hold one grid per operation".into()));
     }
 
     let cols: Vec<CellBuffer> = cols.iter().map(|&c| c.clone()).collect();
-    let spec = spec.clone();
+    let specs = specs.to_vec();
     let out = packed.clone();
     let scratches = scratches.clone();
-    let cost = fused_bin_cost(n, spec.ops.len())
-        + KernelCost::bytes((spec.ops.len() * num_bins * 8) as f64);
+    let cost = pass_cost(n, &specs) + KernelCost::bytes((cells * 8) as f64);
     stream
         .launch("bin_fused", cost, move |scope| {
             let views =
@@ -156,11 +161,16 @@ pub fn bin_all_device(
             let views: Vec<&devsim::F64View> = views.iter().collect();
             let bv = out.f64_view(scope)?;
             let mut scratch = scratches.take();
-            let private =
-                &host_impl::bin_all_host(&views, std::slice::from_ref(&spec), &mut scratch)[0];
-            let (rows, order) = private.rows();
-            let starts: Vec<usize> = order.iter().map(|&op| op * num_bins).collect();
-            bv.store_columns(rows, &starts);
+            // Each spec's partial is committed while it is still in cache,
+            // spec after spec through the block.
+            let mut offset = 0;
+            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, private| {
+                let num_bins = specs[si].grid.num_bins();
+                let (rows, order) = private.rows();
+                let starts: Vec<usize> = order.iter().map(|&op| offset + op * num_bins).collect();
+                bv.store_columns(rows, &starts);
+                offset += specs[si].ops.len() * num_bins;
+            });
             scratches.give(scratch);
             Ok(())
         })
@@ -342,7 +352,8 @@ mod tests {
             .unwrap();
         let scratches = Arc::new(ScratchPool::default());
         for _ in 0..2 {
-            bin_all_device(&stream, &[&dx, &dy, &dv], &spec, &packed, &scratches).unwrap();
+            let pass = std::slice::from_ref(&spec);
+            bin_all_device(&stream, &[&dx, &dy, &dv], pass, &packed, &scratches).unwrap();
         }
         let fused = download(&node, &stream, &packed);
 
@@ -370,13 +381,24 @@ mod tests {
         let scratches = Arc::new(ScratchPool::default());
         let pass = |cols: &[&CellBuffer], op, values, packed: &CellBuffer| {
             let spec = PassSpec { axes: [0, 1], grid, ops: vec![(op, values)] };
-            bin_all_device(&stream, cols, &spec, packed, &scratches)
+            bin_all_device(&stream, cols, &[spec], packed, &scratches)
         };
         assert!(pass(&[&a, &b], BinOp::Count, None, &packed).is_err());
         assert!(pass(&[&a, &a], BinOp::Sum, None, &packed).is_err());
         assert!(pass(&[&a, &a, &b], BinOp::Sum, Some(2), &packed).is_err());
         assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2), &b).is_err());
         assert!(pass(&[&a, &a, &a], BinOp::Sum, Some(2), &packed).is_ok());
+        // Several specs: every spec is checked, and the block holds all
+        // of their grids.
+        let count = PassSpec { axes: [0, 1], grid, ops: vec![(BinOp::Count, None)] };
+        let ragged = PassSpec { axes: [0, 2], ..count.clone() };
+        let two = node.device(0).unwrap().alloc_f64(8).unwrap();
+        let pass = |specs: &[PassSpec], packed| {
+            bin_all_device(&stream, &[&a, &a, &b], specs, packed, &scratches)
+        };
+        assert!(pass(&[count.clone(), ragged], &two).is_err());
+        assert!(pass(&[count.clone(), count.clone()], &packed).is_err());
+        assert!(pass(&[count.clone(), count], &two).is_ok());
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! * auto-computed axis bounds for **all** specs share one min/max stage
 //!   per table (on the host one charge over a per-column traversal, on a
 //!   device one kernel) and one packed bounds allreduce;
-//! * on the host each table is walked **once** for every spec (shared
-//!   axis indices, one value gather per row tile); on a device each
-//!   `(table, spec)` pair is one kernel plus one packed download routed to
-//!   the least-loaded of a small pool of streams (by accumulated modeled
-//!   kernel cost), so the coordinate systems overlap instead of
-//!   serializing on one stream and skewed specs don't pile up the way
-//!   position-based round-robin lets them;
+//! * nothing fetched is copied: a host-placed step reads every column
+//!   through a read view of the memory the access API granted, a
+//!   device-placed one through kernel views;
+//! * on either placement each table is walked **once** for every spec
+//!   (shared axis indices, one value gather per row block, the blocks
+//!   sized by the pass's shape): on the host in one charged pass, on a
+//!   device in one kernel that commits every spec's grids into one packed
+//!   block — laid out like the step's flat buffer — followed by one
+//!   download. Tables are routed to the least-loaded of a small pool of
+//!   streams (by accumulated modeled kernel cost), so the blocks of a
+//!   multiblock overlap instead of serializing on one stream and uneven
+//!   blocks don't pile up the way position-based round-robin lets them;
 //! * every spec's grids (counts + ops) accumulate in a single segmented
 //!   buffer that is reduced with **one** allreduce per step;
 //! * every grid-sized buffer on the way lives in the caller's
@@ -28,7 +33,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, Stream};
+use devsim::{CellBuffer, HostF64View, Stream};
 use minimpi::{Comm, Segment};
 use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
@@ -38,7 +43,7 @@ use crate::arena::StepArena;
 use crate::bounds;
 use crate::device_impl;
 use crate::grid::GridParams;
-use crate::host_impl::{self, FusedGrids, KernelScratch, PassSpec, ScratchPool};
+use crate::host_impl::{self, FusedGrids, PassSpec};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
@@ -89,37 +94,19 @@ pub(crate) fn plan_pass<'a>(
 }
 
 /// One fused host pass of every coordinate system in `pass` over one
-/// table's columns (`names`, looked up through `col`), charged to the
-/// host as the sum of the systems' traversals: per system, its partial
-/// grids, left in `scratch`.
-pub(crate) fn host_pass<'s>(
+/// table: `kernel` runs over the table's columns (`names`, read in place
+/// through `table`'s views), charged to the host as the sum of the
+/// systems' traversals.
+pub(crate) fn host_pass<R>(
     node: &devsim::SimNode,
-    table: &HashMap<String, Vec<f64>>,
+    table: &HashMap<String, HostF64View>,
     names: &[&str],
     pass: &[PassSpec],
-    scratch: &'s mut KernelScratch,
-) -> &'s [FusedGrids] {
-    let cols: Vec<&[f64]> = names.iter().map(|name| table[*name].as_slice()).collect();
-    let cost =
-        pass.iter().map(|s| device_impl::fused_bin_cost(cols[s.axes[0]].len(), s.ops.len())).sum();
-    node.host().run("bin_fused_host", cost, || host_impl::bin_all_host(&cols, pass, scratch))
-}
-
-/// One fused device kernel of a spec (`axes`, `ops`) over one table's
-/// device-resident columns, enqueued on `stream`: its partial grids land
-/// packed in the device block `packed`.
-pub(crate) fn device_pass<'c>(
-    stream: &Arc<Stream>,
-    col: impl Fn(&str) -> &'c CellBuffer,
-    axes: &(String, String),
-    ops: &[VarOp],
-    grid: GridParams,
-    packed: &CellBuffer,
-    scratches: &Arc<ScratchPool>,
-) -> Result<()> {
-    let (names, pass) = plan_pass([(axes, ops, grid)]);
-    let cols: Vec<&CellBuffer> = names.iter().map(|name| col(name)).collect();
-    device_impl::bin_all_device(stream, &cols, &pass[0], packed, scratches)
+    kernel: impl FnOnce(&[&HostF64View]) -> R,
+) -> R {
+    let cols: Vec<&HostF64View> = names.iter().map(|name| &table[*name]).collect();
+    let cost = device_impl::pass_cost(cols.first().map_or(0, |c| c.len()), pass);
+    node.host().run("bin_fused_host", cost, || kernel(&cols))
 }
 
 /// Layout of a step's flat accumulation buffer: every spec's grids
@@ -207,19 +194,30 @@ impl StepLayout {
         }
     }
 
-    /// Land spec `si`'s packed partial grids of one device kernel,
-    /// downloaded into `packed`, in `flat`, straight from the host view;
-    /// `first` on the step's first table.
+    /// Length of the flat buffer — and of the packed block one device
+    /// kernel over every spec fills.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Land the packed partial grids of one device kernel over `specs`,
+    /// downloaded into `packed`, in `flat`, grid by grid straight from
+    /// the host view; `first` on the step's first table. The block is
+    /// laid out like the specs' stretch of the flat buffer.
     pub fn land_downloaded(
         &self,
         flat: &mut [f64],
-        si: usize,
+        specs: Range<usize>,
         first: bool,
         packed: &CellBuffer,
     ) -> Result<()> {
         let packed = packed.host_f64_ro().map_err(Error::Device)?;
-        for (k, part) in packed.chunks(self.spans[si].1).enumerate() {
-            self.land(flat, si, k, first, part);
+        let base = self.spans.get(specs.start).map_or(0, |span| span.0);
+        for si in specs {
+            for k in 0..self.ops[si].len() {
+                let seg = self.segment(si, k);
+                self.land(flat, si, k, first, packed.range(seg.start - base..seg.end - base));
+            }
         }
         Ok(())
     }
@@ -322,8 +320,8 @@ impl<'a> FusedStep<'a> {
             for f in fetched {
                 let pairs = match f {
                     Fetched::Host(table) => {
-                        let cols: Vec<&[f64]> =
-                            auto_cols.iter().map(|c| table[*c].as_slice()).collect();
+                        let cols: Vec<&HostF64View> =
+                            auto_cols.iter().map(|c| &table[*c]).collect();
                         let total: usize = cols.iter().map(|c| c.len()).sum();
                         self.counters.add_table_passes(1);
                         ctx.node.host().run(
@@ -371,11 +369,12 @@ impl<'a> FusedStep<'a> {
 
     /// Local fused binning of every spec over every fetched table,
     /// accumulated into the arena's flat buffer laid out by `layout` — the
-    /// exact payload of the step's packed allreduce. Each device kernel
-    /// goes to the stream of the arena's pool with the least accumulated
-    /// modeled cost, writes its resident device block and is downloaded
-    /// into its resident host block; all streams are synchronized once at
-    /// the end, then the partials land straight from the host views.
+    /// exact payload of the step's packed allreduce. Each table is one
+    /// pass: on a device, one kernel on the stream of the arena's pool
+    /// with the least accumulated modeled cost, which fills the table's
+    /// resident device block and is downloaded into its resident host
+    /// block; all streams are synchronized once at the end, then the
+    /// partials land straight from the host views.
     fn bin_local(
         &self,
         fetched: &[Fetched],
@@ -386,61 +385,49 @@ impl<'a> FusedStep<'a> {
         arena: &StepArena,
     ) -> Result<Vec<f64>> {
         let mut flat = layout.flat(arena, fetched.len());
-        // (table, spec, packed host block) downloads awaiting the sync.
-        let mut staged: Vec<(usize, usize, CellBuffer)> = Vec::new();
+        // Per table, the packed host block its download is landing in.
+        let mut staged: Vec<CellBuffer> = Vec::new();
         let pool: Vec<Arc<Stream>> = match device.filter(|_| !fetched.is_empty()) {
             None => Vec::new(),
-            Some(_) => arena.streams(ctx.node, self.specs.len())?,
+            Some(_) => arena.streams(ctx.node, fetched.len())?,
         };
         // Accumulated relative cost routed to each stream this step (the
         // streams drain fully at the step's closing synchronize, so loads
         // reset per call).
         let mut stream_loads = vec![0.0; pool.len()];
-        let work = || self.specs.iter().zip(grids).zip(&layout.ops).enumerate();
+        let systems = self.specs.iter().zip(grids).zip(&layout.ops);
         let (names, pass) =
-            plan_pass(work().map(|(_, ((spec, grid), ops))| (&spec.axes, &ops[..], *grid)));
+            plan_pass(systems.map(|((spec, grid), ops)| (&spec.axes, &ops[..], *grid)));
+        let all = 0..self.specs.len();
 
         // Partials land table-major per grid, on either placement: the
         // first table seeds every segment, later ones merge in order.
         for (ti, f) in fetched.iter().enumerate() {
             match f {
-                // Every spec in one pass over the table.
                 Fetched::Host(table) => {
                     self.counters.add_table_passes(1);
                     let mut scratch = arena.scratches().take();
-                    let parts = host_pass(ctx.node, table, &names, &pass, &mut scratch);
-                    for (si, part) in parts.iter().enumerate() {
-                        layout.land_host(&mut flat, si, ti == 0, part);
-                    }
+                    host_pass(ctx.node, table, &names, &pass, |cols| {
+                        host_impl::bin_all_host_each(cols, &pass, &mut scratch, |si, part| {
+                            layout.land_host(&mut flat, si, ti == 0, part)
+                        })
+                    });
                     arena.scratches().give(scratch);
                 }
                 Fetched::Device(views) => {
                     let d = device.expect("device fetch implies device placement");
-                    for (si, ((spec, grid), ops)) in work() {
-                        let rows = views[spec.axes.0.as_str()].len();
-                        let kc = device_impl::fused_bin_cost(rows, ops.len());
-                        let sidx = least_loaded_stream(&stream_loads);
-                        stream_loads[sidx] += kc.flops + kc.bytes;
-                        let stream = &pool[sidx];
-                        let idx = ti * self.specs.len() + si;
-                        let len = ops.len() * grid.num_bins();
-                        let slot = arena.slot(ctx.node, idx, d, len, stream)?;
-                        let cells = |name: &str| views[name].cells();
-                        let scratches = arena.scratches();
-                        device_pass(
-                            stream,
-                            cells,
-                            &spec.axes,
-                            ops,
-                            *grid,
-                            &slot.packed,
-                            scratches,
-                        )?;
-                        stream.copy(&slot.packed, &slot.host).map_err(Error::Device)?;
-                        self.counters.add_kernel_launches(1);
-                        self.counters.add_downloads(1);
-                        staged.push((ti, si, slot.host));
-                    }
+                    let cols: Vec<&CellBuffer> = names.iter().map(|n| views[*n].cells()).collect();
+                    let kc = device_impl::pass_cost(cols.first().map_or(0, |c| c.len()), &pass);
+                    let sidx = least_loaded_stream(&stream_loads);
+                    stream_loads[sidx] += kc.flops + kc.bytes;
+                    let stream = &pool[sidx];
+                    let slot = arena.slot(ctx.node, ti, d, layout.len(), stream)?;
+                    let scratches = arena.scratches();
+                    device_impl::bin_all_device(stream, &cols, &pass, &slot.packed, scratches)?;
+                    stream.copy(&slot.packed, &slot.host).map_err(Error::Device)?;
+                    self.counters.add_kernel_launches(1);
+                    self.counters.add_downloads(1);
+                    staged.push(slot.host);
                 }
             }
         }
@@ -449,8 +436,8 @@ impl<'a> FusedStep<'a> {
             for stream in &pool {
                 stream.synchronize().map_err(Error::Device)?;
             }
-            for (ti, si, host) in staged {
-                layout.land_downloaded(&mut flat, si, ti == 0, &host)?;
+            for (ti, host) in staged.iter().enumerate() {
+                layout.land_downloaded(&mut flat, all.clone(), ti == 0, host)?;
             }
         }
         Ok(flat)
@@ -474,6 +461,10 @@ impl<'a> FusedStep<'a> {
         let grids = self.resolve_grids(&fetched, device, ctx)?;
         let layout = StepLayout::new(self.specs, &grids);
         let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, arena)?;
+        // The last view of the fetched columns is gone: a snapshot whose
+        // CoW shares they read in place may let go of them.
+        drop(fetched);
+        data.release_shared();
         let merged = layout.allreduce(ctx.comm, flat)?;
         let results =
             if publish { layout.publish(self.specs, &grids, &merged, data) } else { Vec::new() };

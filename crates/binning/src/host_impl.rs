@@ -1,10 +1,11 @@
-//! The host (CPU) binning implementation and the tiled fused core the
+//! The host (CPU) binning implementation and the blocked fused core the
 //! device kernel shares.
 //!
 //! The kernels are generic over [`Column`], so the storage a column is
-//! read through — a plain slice or a device kernel's [`devsim::F64View`]
-//! — is the only thing that varies between the monomorphised copies; the
-//! row loops are written once.
+//! read through — a plain slice, a host read view of the producer's own
+//! allocation ([`devsim::HostF64View`]) or a device kernel's
+//! [`devsim::F64View`] — is the only thing that varies between the
+//! monomorphised copies; the row loops are written once.
 
 use parking_lot::Mutex;
 
@@ -45,6 +46,17 @@ impl Column for devsim::F64View {
     #[inline]
     fn get(&self, i: usize) -> f64 {
         devsim::F64View::get(self, i)
+    }
+}
+
+impl Column for devsim::HostF64View {
+    fn len(&self) -> usize {
+        devsim::HostF64View::len(self)
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> f64 {
+        devsim::HostF64View::get(self, i)
     }
 }
 
@@ -139,10 +151,56 @@ pub(crate) fn pass_rows(len: impl Fn(usize) -> usize, specs: &[PassSpec]) -> Res
     Ok(rows)
 }
 
-/// Rows per tile of [`bin_all_host`]: a multiple of 8, so the lanes of an
-/// AoSoA group never straddle tiles, and small enough that the tile's
-/// axis indices and staged values stay cache-resident.
+/// Rows per block of a pass whose accumulators stay cache-resident — or
+/// cannot be: the block's axis indices and staged values never leave L1.
 const TILE: usize = 256;
+
+/// Rows per block of a pass whose accumulators rotate each other out of
+/// the cache (see [`block_rows`]).
+const BLOCK: usize = 16_384;
+
+/// The per-core L2 the measurements in [`block_rows`] were taken on.
+const L2_BYTES: usize = 2 << 20;
+
+/// Rows per block of [`bin_all_host`]'s walk, from the pass's own shape.
+///
+/// A block is indexed, gathered, and then folded into one spec's
+/// accumulator after another, so between two folds into the same
+/// accumulator every other spec's has been walked. While the accumulators
+/// together fit L2 that rotation costs nothing and the short [`TILE`]
+/// wins. Once they outgrow it, a short block makes nearly every fold a
+/// miss — the other accumulators evicted this one since its last 256
+/// rows — so the rows are walked [`BLOCK`] at a time: long enough that an
+/// accumulator is re-used from L2 while its block folds, at the price of
+/// an index and a stage that no longer fit L1. That price buys nothing
+/// for an accumulator too large to stay in L2 beside a block's stage —
+/// it misses in any order — nor for a one-spec pass, whose accumulator
+/// nothing rotates out.
+///
+/// Measured on 131 072 rows x 12 columns, specs of 11 slots, one thread,
+/// 2 MiB L2, whole pass, 256 against 16 384 rows per block:
+///
+/// | pass                              | accumulators | 256      | 16 384   |
+/// |-----------------------------------|--------------|----------|----------|
+/// | nine specs, 64 x 64 bins          | 2.9 MB       | 23-24 ms | 16-22 ms |
+/// | the same nine, one pass each      | 9 x 327 KB   | 20-22 ms | 42-52 ms |
+/// | three / five of them              | 1.1 / 1.8 MB | 4.5-6.4 / 10-12 ms | 6.2-7.7 / 10-11 ms |
+/// | six / seven of them               | 2.2 / 2.5 MB | 12-13 / 16-18 ms | 12 / 13-15 ms |
+/// | nine specs, 96 x 96 bins          | 9 x 811 KB   | 25-42 ms | 22-27 ms |
+/// | two specs, 128 x 128 bins         | 2 x 1.4 MB   | 5.8-6.4 ms | 7.3-7.7 ms |
+///
+/// 16 384 was the best of 256, 2 048, 8 192, 16 384 and 32 768 on the
+/// first row, 8 192 within noise of it.
+fn block_rows(specs: &[PassSpec]) -> usize {
+    let acc_bytes = |s: &PassSpec| s.ops.len() * s.grid.num_bins() * 8;
+    let total: usize = specs.iter().map(acc_bytes).sum();
+    let largest = specs.iter().map(acc_bytes).max().unwrap_or(0);
+    if total > L2_BYTES && largest <= L2_BYTES / 2 {
+        BLOCK
+    } else {
+        TILE
+    }
+}
 
 /// The position of `key` in `pool`, appended when new.
 pub(crate) fn intern<T: PartialEq>(pool: &mut Vec<T>, key: T) -> usize {
@@ -152,7 +210,7 @@ pub(crate) fn intern<T: PartialEq>(pool: &mut Vec<T>, key: T) -> usize {
     })
 }
 
-/// Fold one tile into a spec's accumulator: row `r` of the row-major
+/// Fold one block into a spec's accumulator: row `r` of the row-major
 /// `stage` goes to bin `iy[r] * nx + ix[r]` of the bin-major `acc`. Both
 /// hold `width` slots per row — adds up to `adds`, mins up to `mins`,
 /// maxes after. Out of line so the slices keep their no-alias guarantee
@@ -235,7 +293,7 @@ impl FusedGrids {
 }
 
 /// Everything [`bin_all_host`] allocates: the per-spec plans with their
-/// accumulators, the tile's axis indices and staged values. A caller that
+/// accumulators, the block's axis indices and staged values. A caller that
 /// keeps one across launches pays for them once; each launch re-plans and
 /// re-initialises them in place.
 #[derive(Default)]
@@ -245,6 +303,9 @@ pub struct KernelScratch {
     plans: Vec<FusedGrids>,
     index: Vec<u32>,
     staged: Vec<Vec<f64>>,
+    /// The one accumulator every spec of a one-block pass folds into when
+    /// its grids are handed over rather than kept.
+    shared: Vec<f64>,
 }
 
 impl KernelScratch {
@@ -278,18 +339,18 @@ impl ScratchPool {
     }
 }
 
-/// Fused tiled binning of every spec in `specs` over one table's `cols`,
+/// Fused blocked binning of every spec in `specs` over one table's `cols`,
 /// in `scratch`: per spec, the grids of its ops.
 ///
-/// The rows are walked once, a tile at a time. Per tile, (1) each
-/// **unique** axis `(column, lo, hi, cells)` is range-checked and indexed
-/// once, whatever number of specs share it; (2) the value columns are
-/// gathered once into a row-major stage whose slots are a spec's ops
-/// grouped by kind — adds (count stages `1.0`), then mins, then maxes —
-/// shared by every spec with the same op list; (3) each spec folds its
-/// in-range rows into a private bin-major accumulator `[bin][slot]` with
-/// three branch-free slice loops. That layout is the kernel's own choice;
-/// [`FusedGrids`] hands the grids out op by op.
+/// The rows are walked once, a block ([`block_rows`]) at a time. Per
+/// block, (1) each **unique** axis `(column, lo, hi, cells)` is
+/// range-checked and indexed once, whatever number of specs share it; (2)
+/// the value columns are gathered once into a row-major stage whose slots
+/// are a spec's ops grouped by kind — adds (count stages `1.0`), then
+/// mins, then maxes — shared by every spec with the same op list; (3)
+/// each spec folds its in-range rows into a private bin-major accumulator
+/// `[bin][slot]` with three branch-free slice loops. That layout is the
+/// kernel's own choice; [`FusedGrids`] hands the grids out op by op.
 ///
 /// Every `(op, bin)` accumulator starts at its reduction identity and
 /// folds its rows in ascending row order with the per-op kernel's own
@@ -305,8 +366,49 @@ pub fn bin_all_host<'s, C: Column + ?Sized>(
     specs: &[PassSpec],
     scratch: &'s mut KernelScratch,
 ) -> &'s [FusedGrids] {
+    pass(cols, specs, scratch, true, |_, _| {});
+    &scratch.plans
+}
+
+/// [`bin_all_host`] for a caller that consumes each spec's grids at once:
+/// `done` gets them (with the spec's index in `specs`, in ascending order)
+/// as soon as the spec's last row is folded, and they are not kept.
+///
+/// An accumulator is initialised right before its first fold and handed
+/// over right after its last, so a consumer that reads it there — the
+/// device commit, the landing in the step's flat buffer — finds it in
+/// cache. On a table of one block that is the whole life of an
+/// accumulator, and every spec then folds into the same one: the pass
+/// touches one accumulator's worth of memory, hot, instead of all of them.
+pub fn bin_all_host_each<C: Column + ?Sized>(
+    cols: &[&C],
+    specs: &[PassSpec],
+    scratch: &mut KernelScratch,
+    done: impl FnMut(usize, &FusedGrids),
+) {
+    pass(cols, specs, scratch, false, done);
+}
+
+/// The pass behind [`bin_all_host`] (`keep`: every spec's grids stay in
+/// `scratch`) and [`bin_all_host_each`].
+fn pass<C: Column + ?Sized>(
+    cols: &[&C],
+    specs: &[PassSpec],
+    scratch: &mut KernelScratch,
+    keep: bool,
+    mut done: impl FnMut(usize, &FusedGrids),
+) {
     let rows = pass_rows(|c| cols[c].len(), specs).unwrap_or_else(|e| panic!("{e}"));
-    let KernelScratch { axes, stages, plans, index, staged } = scratch;
+    let KernelScratch { axes, stages, plans, index, staged, shared } = scratch;
+
+    // An empty table is one block of no rows: every spec still gets its
+    // identities and its `done`.
+    let block = block_rows(specs);
+    let tile = block.min(rows).max(1);
+    let blocks = rows.div_ceil(block).max(1);
+    // Grids that are handed over and complete after the only block can
+    // all be accumulated in one buffer, spec after spec.
+    let share = !keep && blocks == 1;
 
     axes.clear();
     stages.clear();
@@ -332,14 +434,12 @@ pub fn bin_all_host<'s, C: Column + ?Sized>(
         ];
         identities.clear();
         identities.extend(order.iter().map(|&k| identity(spec.ops[k].0)));
-        acc.resize(identities.len() * g.num_bins(), 0.0);
-        if !identities.is_empty() {
-            acc.chunks_exact_mut(identities.len()).for_each(|bin| bin.copy_from_slice(identities));
+        if !share {
+            acc.resize(identities.len() * g.num_bins(), 0.0);
         }
     }
 
     // Out-of-range rows are marked `u32::MAX`; count slots keep their 1.0.
-    let tile = TILE.min(rows);
     index.clear();
     index.resize(axes.len() * tile, u32::MAX);
     staged.resize_with(stages.len(), Vec::new);
@@ -347,7 +447,8 @@ pub fn bin_all_host<'s, C: Column + ?Sized>(
         stage.clear();
         stage.resize(slots.len() * tile, 1.0);
     }
-    for start in (0..rows).step_by(TILE) {
+    for b in 0..blocks {
+        let start = b * block;
         let m = tile.min(rows - start);
         for (&(c, lo, hi, cells), out) in axes.iter().zip(index.chunks_mut(tile)) {
             let (col, span, scale, last) = (cols[c], hi - lo, cells as f64, (cells - 1) as u32);
@@ -365,12 +466,28 @@ pub fn bin_all_host<'s, C: Column + ?Sized>(
                 }
             }
         }
-        for (plan, spec) in plans.iter_mut().zip(specs) {
+        for (si, (plan, spec)) in plans.iter_mut().zip(specs).enumerate() {
+            if share {
+                // The spec borrows the shared accumulator for its one block.
+                std::mem::swap(&mut plan.acc, shared);
+                plan.acc.resize(plan.identities.len() * spec.grid.num_bins(), 0.0);
+            }
+            if b == 0 && !plan.identities.is_empty() {
+                let width = plan.identities.len();
+                plan.acc
+                    .chunks_exact_mut(width)
+                    .for_each(|bin| bin.copy_from_slice(&plan.identities));
+            }
             let [ix, iy] = plan.axes.map(|a| &index[a * tile..][..m]);
             fold_tile(&mut plan.acc, &staged[plan.stage], ix, iy, spec.grid.nx, plan.ends);
+            if b + 1 == blocks {
+                done(si, plan);
+            }
+            if share {
+                std::mem::swap(&mut plan.acc, shared);
+            }
         }
     }
-    plans
 }
 
 /// Finalize an accumulation buffer into presentable values:
@@ -525,6 +642,27 @@ mod tests {
         assert_eq!(grids[0], vec![0.0; 4]);
         assert_eq!(grids[1], vec![f64::INFINITY; 4]);
         assert_eq!(grids[2], vec![f64::NEG_INFINITY; 4]);
+    }
+
+    #[test]
+    fn block_length_follows_the_accumulators_of_the_pass() {
+        let spec = |n: usize, slots: usize| PassSpec {
+            axes: [0, 1],
+            grid: GridParams::new(n, n, [0.0, 0.0], [1.0, 1.0]),
+            ops: vec![(BinOp::Count, None); slots],
+        };
+        // Nine 64 x 64 systems of eleven slots: 2.9 MB rotating through
+        // a 2 MiB L2.
+        assert_eq!(block_rows(&vec![spec(64, 11); 9]), BLOCK);
+        assert_eq!(block_rows(&vec![spec(64, 11); 7]), BLOCK);
+        // Together in L2, alone in the pass, or too large to stay cached
+        // under any order: short tiles.
+        assert_eq!(block_rows(&vec![spec(64, 11); 5]), TILE);
+        assert_eq!(block_rows(&vec![spec(16, 11); 9]), TILE);
+        assert_eq!(block_rows(&[spec(64, 11)]), TILE);
+        assert_eq!(block_rows(&[spec(1024, 11)]), TILE);
+        assert_eq!(block_rows(&vec![spec(128, 11); 2]), TILE);
+        assert_eq!(block_rows(&[]), TILE);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, Event};
+use devsim::{CellBuffer, Event, HostF64View};
 use parking_lot::Mutex;
 use sensei::{
     AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DagOutcome, DagScheduler,
@@ -27,9 +27,9 @@ use svtk::FieldAssociation;
 use crate::adaptor::{local_tables, BinnedResult, CommMark, Delivery, Fetched, ResultSink};
 use crate::arena::{Slot, StepArena};
 use crate::device_impl;
-use crate::fused::{device_pass, host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
+use crate::fused::{host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
 use crate::grid::GridParams;
-use crate::host_impl::KernelScratch;
+use crate::host_impl::{self, KernelScratch};
 use crate::spec::BinningSpec;
 
 /// Where one (table, spec) kernel's partial grids live between the
@@ -53,9 +53,11 @@ enum StagedPart {
 struct DagState {
     /// Resolved grid of every spec (fetch node output).
     grids: Mutex<Vec<GridParams>>,
-    /// Host placement: per table, the union columns as plain vectors.
+    /// Host placement: per table, the union columns' read views, shared
+    /// by the table's kernel tasks and dropped before the reduce node
+    /// tells the snapshot its shares are no longer read.
     #[allow(clippy::type_complexity)]
-    host_tables: Mutex<Vec<Arc<HashMap<String, Vec<f64>>>>>,
+    host_tables: Mutex<Vec<Arc<HashMap<String, HostF64View>>>>,
     /// Device placement: `(table, device)` -> resident union columns.
     /// Seeded on the primary device by the fetch node; stolen kernels
     /// replicate a table's columns to their own device on first use.
@@ -307,19 +309,18 @@ impl AnalysisAdaptor for BinningSuite {
                                     })?
                                     .clone();
                                 let grid = state.grids.lock()[si];
-                                let cols = state.cols_on(&node, ti, dw, primary, &stream)?;
-                                let col = |name: &str| &cols[name];
+                                let resident = state.cols_on(&node, ti, dw, primary, &stream)?;
+                                let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
+                                let cols: Vec<&CellBuffer> =
+                                    names.iter().map(|name| &resident[*name]).collect();
                                 let len = ops.len() * grid.num_bins();
                                 let slot = arena.slot(&node, idx, dw, len, &stream)?;
-                                let scratches = arena.scratches();
-                                device_pass(
+                                device_impl::bin_all_device(
                                     &stream,
-                                    col,
-                                    &axes,
-                                    &ops,
-                                    grid,
+                                    &cols,
+                                    &pass,
                                     &slot.packed,
-                                    scratches,
+                                    arena.scratches(),
                                 )?;
                                 counters.add_kernel_launches(1);
                                 let ready = Event::new();
@@ -339,7 +340,9 @@ impl AnalysisAdaptor for BinningSuite {
                                 counters.add_table_passes(1);
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
                                 let mut scratch = arena.scratches().take();
-                                host_pass(&node, &cols, &names, &pass, &mut scratch);
+                                host_pass(&node, &cols, &names, &pass, |cols| {
+                                    host_impl::bin_all_host(cols, &pass, &mut scratch);
+                                });
                                 *state.staged[idx].lock() = Some(StagedPart::Host(scratch));
                                 Ok(())
                             })
@@ -432,7 +435,7 @@ impl AnalysisAdaptor for BinningSuite {
                             layout.land_host(&mut flat, si, first, &scratch.grids()[0])
                         }
                         Some(StagedPart::Downloaded(host)) => {
-                            layout.land_downloaded(&mut flat, si, first, host)?
+                            layout.land_downloaded(&mut flat, si..si + 1, first, host)?
                         }
                         _ => {
                             return Err(Error::Analysis(format!(
@@ -441,6 +444,12 @@ impl AnalysisAdaptor for BinningSuite {
                         }
                     }
                 }
+                // Every kernel has run: drop the step's views of the
+                // fetched columns, then the snapshot may let go of the
+                // CoW shares they read in place.
+                state.host_tables.lock().clear();
+                state.dev_cols.lock().clear();
+                data.release_shared();
                 *state.merged.lock() = Some(layout.allreduce(ctx.comm, flat)?);
                 Ok(())
             })

@@ -1,6 +1,8 @@
 //! Allocation budget of a warm fused step: once a suite's arena has seen
-//! a step, the next ones allocate nothing grid-sized except the result
-//! arrays they publish, and ask the node's pool for no raw block.
+//! a step, the next ones allocate nothing grid- or column-sized except
+//! the result arrays they publish, and ask the node's pool for no raw
+//! block. The fetch copies nothing: a host-placed step reads the columns
+//! where the access API granted them.
 //!
 //! This binary holds a single `#[test]`: the counting allocator sees every
 //! thread of the process, so nothing else may run beside the measurement.
@@ -19,7 +21,8 @@ use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableDa
 
 use binning::{BinOp, BinningSpec, BinningSuite, ResultSink, VarOp};
 
-/// Allocations at least this large are "grid-sized" here.
+/// Allocations at least this large are "grid-sized" here; so is a copy
+/// of one of the tables' columns ([`ROWS`]).
 const BIG: usize = 64 * 1024;
 
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -65,13 +68,20 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// 96 x 96 bins: one grid is 73 728 B, so every grid-shaped buffer of the
-/// step — and every published array — counts as big.
-const RESOLUTION: usize = 96;
+/// 128 x 128 bins: one grid is 131 072 B, so every grid-shaped buffer of
+/// the step — and every published array — counts as big.
+const RESOLUTION: usize = 128;
 const GRID_BYTES: usize = RESOLUTION * RESOLUTION * 8;
 
+/// Rows per table: a column is 72 000 B.
+const ROWS: usize = 9_000;
+
+/// Three coordinate systems of six grids each: 2.4 MB of accumulators in
+/// a host pass over all of them, which therefore walks its rows in long
+/// blocks — the kernel scratch's index and stage are big too, and grow to
+/// their size in the first step.
 fn specs() -> Vec<BinningSpec> {
-    [("x", "y"), ("y", "z")]
+    [("x", "y"), ("y", "z"), ("x", "z")]
         .iter()
         .map(|(a, b)| {
             BinningSpec::new(
@@ -90,28 +100,29 @@ fn specs() -> Vec<BinningSpec> {
         .collect()
 }
 
-/// `tables` small particle tables per rank (auto bounds: the step issues
-/// both of its collectives).
+/// `tables` particle tables per rank (auto bounds: the step issues both
+/// of its collectives).
 struct Tables {
     tables: Vec<TableData>,
     step: u64,
 }
 
 impl Tables {
-    fn new(node: &Arc<SimNode>, device: Option<usize>, rank: usize, tables: usize) -> Self {
-        let alloc = if device.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
+    /// Tables resident on `home` (`None`: the host).
+    fn new(node: &Arc<SimNode>, home: Option<usize>, rank: usize, tables: usize) -> Self {
+        let alloc = if home.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
         let table = |salt: usize| {
             let mut table = TableData::new();
             for (name, seed) in [("x", 37), ("y", 53), ("z", 71), ("m", 97)] {
                 let col: Vec<f64> =
-                    (0..200).map(|i| (((i * seed + salt * 7919) % 1000) as f64) / 500.0).collect();
+                    (0..ROWS).map(|i| (((i * seed + salt * 7919) % 1000) as f64) / 500.0).collect();
                 let arr = HamrDataArray::<f64>::from_slice(
                     name,
                     node.clone(),
                     &col,
                     1,
                     alloc,
-                    device,
+                    home,
                     HamrStream::default_stream(),
                     StreamMode::Sync,
                 )
@@ -146,19 +157,20 @@ impl DataAdaptor for Tables {
     }
 }
 
-const WARMUP: u64 = 4;
-const MEASURED: u64 = 5;
+const WARMUP: u64 = 2;
+const MEASURED: u64 = 3;
 
-/// Run one configuration; returns the big allocations (count, bytes) the
-/// process made during the measured steps and asserts per rank that the
-/// pool made no raw allocation in them.
-fn measure(device: Option<usize>, dag: bool, tables: usize) -> (usize, usize) {
+/// Run one configuration — tables resident on `home`, the suite placed on
+/// `device` — and return the big allocations (count, bytes) the process
+/// made during the measured steps; asserts per rank that the pool made no
+/// raw allocation in them.
+fn measure(home: Option<usize>, device: Option<usize>, dag: bool, tables: usize) -> (usize, usize) {
     let out = World::new(2).run(move |comm| {
         // One device: a task graph's kernels cannot be stolen to another
         // device, so what the arena holds after warm-up is what it needs.
         let node = SimNode::new(NodeConfig::fast_test(1));
         let ctx = ExecContext::new(&comm, &node);
-        let mut sim = Tables::new(&node, device, comm.rank(), tables);
+        let mut sim = Tables::new(&node, home, comm.rank(), tables);
         let sink: ResultSink = Arc::default();
         let mut suite = BinningSuite::new(specs()).unwrap().with_sink(sink.clone());
         suite.controls_mut().device = device.map_or(DeviceSpec::Host, DeviceSpec::Explicit);
@@ -200,15 +212,19 @@ fn measure(device: Option<usize>, dag: bool, tables: usize) -> (usize, usize) {
 fn warm_fused_steps_allocate_only_the_arrays_they_publish() {
     // Rank 0 alone consumes results: one array per requested op per spec.
     let arrays: usize = specs().iter().map(|s| s.ops.len()).sum::<usize>() * MEASURED as usize;
-    for device in [None, Some(0)] {
+    // Data and suite on the host, both on the device, and data on the
+    // device with the suite on the host: there the access API moves every
+    // column into a host temporary, a block of the node's pool — a hit in
+    // a warm step, so no request reaches the allocator for it either.
+    for (home, device) in [(None, None), (Some(0), Some(0)), (Some(0), None)] {
         for dag in [false, true] {
             for tables in [1, 2] {
-                let (count, bytes) = measure(device, dag, tables);
+                let (count, bytes) = measure(home, device, dag, tables);
                 assert_eq!(
                     (count, bytes),
                     (arrays, arrays * GRID_BYTES),
-                    "device {device:?} dag {dag} tables {tables}: big allocations beyond the \
-                     published arrays"
+                    "data {home:?} suite {device:?} dag {dag} tables {tables}: big allocations \
+                     beyond the published arrays"
                 );
             }
         }

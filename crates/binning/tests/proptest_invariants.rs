@@ -72,7 +72,8 @@ fn fused_device(
     let len = spec.ops.len() * spec.grid.num_bins();
     let packed = node.device(0).unwrap().alloc_cells_on_stream(len, stream).unwrap();
     for _ in 0..2 {
-        device_impl::bin_all_device(stream, cols, spec, &packed, scratches).unwrap();
+        device_impl::bin_all_device(stream, cols, std::slice::from_ref(spec), &packed, scratches)
+            .unwrap();
     }
     packed
 }
@@ -181,10 +182,15 @@ impl Mix {
     }
 }
 
-/// Rows per tile of the fused core (a private constant of `host_impl`);
-/// the row counts below sit on both sides of one and of several tiles.
+/// Rows per short tile and per long block of the fused core (private
+/// constants of `host_impl`, which picks between them by the pass's
+/// accumulator bytes); the row counts below sit on both sides of one and
+/// of several of each.
 const TILE: usize = 256;
+const BLOCK: usize = 16_384;
 const ROW_COUNTS: [usize; 7] = [0, 1, 7, TILE - 1, TILE, TILE + 1, 2 * TILE + 13];
+const BLOCK_ROW_COUNTS: [usize; 9] =
+    [0, 1, TILE - 1, TILE, TILE + 1, BLOCK - 1, BLOCK, BLOCK + 1, 40_000];
 
 /// Columns of a random table: 0..3 are axis-only and carry NaN, both
 /// infinities, out-of-range values and values exactly on a bound; 3..6
@@ -237,6 +243,103 @@ fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
     (cols, specs)
 }
 
+/// Three coordinate systems over the columns of a [`random_pass`] table
+/// that differ in resolution and in op list; the first and the last share
+/// an axis index and a stage. At `scale` 1 their accumulators are a few
+/// KB and the core walks short tiles; at `scale` 22 they are 0.7 to 0.9
+/// MB each and 2.3 MB together — more than an L2 holds, which is when the
+/// core walks long blocks.
+fn boundary_pass(scale: usize) -> Vec<PassSpec> {
+    let a = [
+        (BinOp::Count, None),
+        (BinOp::Sum, Some(3)),
+        (BinOp::Min, Some(4)),
+        (BinOp::Max, Some(5)),
+        (BinOp::Average, Some(3)),
+    ];
+    let b = [
+        (BinOp::Max, Some(3)),
+        (BinOp::Count, None),
+        (BinOp::Sum, Some(4)),
+        (BinOp::Min, Some(3)),
+        (BinOp::Average, Some(5)),
+        (BinOp::Sum, Some(5)),
+    ];
+    let square = GridParams::new(6 * scale, 6 * scale, [-1.0, -1.0], [1.0, 1.0]);
+    let oblong = GridParams::new(8 * scale, 5 * scale, [-0.25, -1.0], [0.75, 1.0]);
+    vec![
+        PassSpec { axes: [0, 1], grid: square, ops: a.to_vec() },
+        PassSpec { axes: [1, 2], grid: oblong, ops: b.to_vec() },
+        PassSpec { axes: [0, 4], grid: square, ops: a.iter().rev().cloned().collect() },
+    ]
+}
+
+/// Compare `packed` — the grids of `specs` spec after spec, each spec's
+/// `[op][bin]` — with the per-op `oracle`, bit for bit.
+fn assert_packed_matches(
+    packed: &[f64],
+    specs: &[PassSpec],
+    oracle: impl Fn(&PassSpec, BinOp, Option<usize>) -> Vec<f64>,
+    what: &str,
+) {
+    let mut cells = packed.iter().copied();
+    for (si, spec) in specs.iter().enumerate() {
+        for (k, &(op, values)) in spec.ops.iter().enumerate() {
+            let got: Vec<f64> = cells.by_ref().take(spec.grid.num_bins()).collect();
+            assert!(
+                bits(&got) == bits(&oracle(spec, op, values)),
+                "{what}: spec {si} op {k} {op:?}"
+            );
+        }
+    }
+    assert_eq!(cells.next(), None, "{what}: cells beyond the last grid");
+}
+
+/// The blocked core over plain slices (grids kept) and over host read
+/// views (grids handed over) — what a host-placed step borrows and how it
+/// consumes them — equals the per-op host kernel bit for bit
+/// at row counts around the short tile, around the long block and over
+/// several long blocks, with NaN, infinite and out-of-range rows.
+#[test]
+fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries() {
+    let node = SimNode::new(NodeConfig::fast_test(1));
+    for scale in [1, 22] {
+        let specs = boundary_pass(scale);
+        let mut scratch = host_impl::KernelScratch::default();
+        for rows in BLOCK_ROW_COUNTS {
+            let (cols, _) = random_pass(rows as u64 + 1, rows);
+            let dense: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
+            let oracle = |spec: &PassSpec, op, values: Option<usize>| {
+                let [xs, ys] = spec.axes.map(|c| dense[c]);
+                host_impl::bin_host(xs, ys, values.map(|c| dense[c]), op, &spec.grid)
+            };
+            let what = format!("scale {scale} rows {rows}");
+
+            let grids = host_impl::bin_all_host(&dense, &specs, &mut scratch);
+            let packed: Vec<f64> = grids.iter().flat_map(|g| g.packed()).collect();
+            assert_packed_matches(&packed, &specs, oracle, &format!("{what} slices"));
+
+            let views: Vec<devsim::HostF64View> = cols
+                .iter()
+                .map(|c| {
+                    let buf = node.host_alloc_f64(c.len());
+                    buf.host_f64().unwrap().copy_from_slice(c);
+                    buf.host_f64_ro().unwrap()
+                })
+                .collect();
+            let views: Vec<&devsim::HostF64View> = views.iter().collect();
+            // Handed over spec by spec, as the fused step consumes them: on
+            // a table of one block out of one shared accumulator.
+            let mut packed = Vec::new();
+            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, grids| {
+                assert_eq!(si, packed.len(), "{what}: specs are handed over in order");
+                packed.push(grids.packed());
+            });
+            assert_packed_matches(&packed.concat(), &specs, oracle, &format!("{what} host views"));
+        }
+    }
+}
+
 proptest! {
     // Each case walks every row count.
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -274,6 +377,45 @@ fn upload(node: &Arc<SimNode>, stream: &Arc<Stream>, data: &[f64]) -> CellBuffer
     let dev = node.device(0).unwrap().alloc_f64(data.len()).unwrap();
     stream.copy(&host, &dev).unwrap();
     dev
+}
+
+/// One multi-spec device launch — specs of unequal segment lengths in one
+/// packed block, committed twice into the same resident block — equals
+/// the per-op device kernels bit for bit at the same row counts.
+#[test]
+fn multi_spec_device_launch_matches_per_op_across_block_boundaries() {
+    let node = SimNode::new(NodeConfig::fast_test(1));
+    let stream = node.device(0).unwrap().create_stream();
+    let download = |buf: &CellBuffer| {
+        let host = node.host_alloc_f64(buf.len());
+        stream.copy(buf, &host).unwrap();
+        stream.synchronize().unwrap();
+        host.host_f64_ro().unwrap().to_vec()
+    };
+    let scratches = Arc::default();
+    for scale in [1, 22] {
+        let specs = boundary_pass(scale);
+        let len = specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
+        let packed = node.device(0).unwrap().alloc_cells_on_stream(len, &stream).unwrap();
+        for rows in BLOCK_ROW_COUNTS {
+            let (cols, _) = random_pass(rows as u64 + 1, rows);
+            let dev: Vec<CellBuffer> = cols.iter().map(|c| upload(&node, &stream, c)).collect();
+            let dev_refs: Vec<&CellBuffer> = dev.iter().collect();
+            for _ in 0..2 {
+                device_impl::bin_all_device(&stream, &dev_refs, &specs, &packed, &scratches)
+                    .unwrap();
+            }
+            let oracle = |spec: &PassSpec, op, values: Option<usize>| {
+                let [dx, dy] = spec.axes.map(|c| &dev[c]);
+                let values = values.map(|c| &dev[c]);
+                let per_op =
+                    device_impl::bin_device(&node, 0, &stream, dx, dy, values, op, spec.grid);
+                download(&per_op.unwrap())
+            };
+            let what = format!("scale {scale} rows {rows} device");
+            assert_packed_matches(&download(&packed), &specs, oracle, &what);
+        }
+    }
 }
 
 proptest! {

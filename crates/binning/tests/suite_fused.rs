@@ -250,15 +250,33 @@ fn suite_issues_one_allreduce_per_step() {
 }
 
 #[test]
-fn suite_launches_one_kernel_and_download_per_spec_per_step() {
+fn suite_launches_one_kernel_and_download_per_table_per_step() {
     let steps = 3;
-    let num_specs = 3;
     let (_, counters) = run_suite(1, DeviceSpec::Explicit(0), steps, false);
     // Prescribed bounds: no bounds kernels; one fused kernel and one
-    // packed download per (coordinate system, fetched block).
-    assert_eq!(counters.kernel_launches, num_specs * steps);
-    assert_eq!(counters.downloads, num_specs * steps);
+    // packed download per fetched block, whatever the number of
+    // coordinate systems (three here).
+    assert_eq!(counters.kernel_launches, steps, "one fused kernel per table");
+    assert_eq!(counters.downloads, steps, "one packed download per table");
     assert_eq!(counters.allreduces, steps);
+
+    // Two local blocks: two of each per step, still one allreduce.
+    let two_tables = World::new(1).run(move |comm| {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let ctx = sensei::ExecContext::new(&comm, &node);
+        let blocks = [0, 1].map(|b| Particles::new(node.clone(), Some(0), b));
+        let mut sim = TwoTables { blocks, step: 0 };
+        let mut suite = BinningSuite::new(specs()).unwrap();
+        suite.controls_mut().device = DeviceSpec::Explicit(0);
+        for step in 0..steps {
+            sim.step = step;
+            suite.execute(&sim, &ctx).unwrap();
+        }
+        suite.finalize(&ctx).unwrap();
+        suite.counters().unwrap().snapshot()
+    });
+    let work = |c: &sensei::CounterSnapshot| (c.kernel_launches, c.downloads, c.allreduces);
+    assert_eq!(work(&two_tables[0]), (2 * steps, 2 * steps, steps));
 }
 
 #[test]
@@ -559,27 +577,42 @@ fn placement_change_mid_run_rebuilds_the_device_side() {
 
 /// Coordinate systems over the edge-case tables: sums and averages read
 /// `m` (finite values, signed zeros, NaN, +inf), minima and maxima read
-/// `w` (both infinities and NaN too).
-fn edge_specs() -> Vec<BinningSpec> {
-    [("x", "y"), ("y", "x")]
-        .iter()
-        .map(|(a, b)| {
-            let mut s = BinningSpec::new(
-                "bodies",
-                (*a, *b),
-                4,
-                vec![
-                    VarOp { var: String::new(), op: BinOp::Count },
-                    VarOp { var: "m".into(), op: BinOp::Sum },
-                    VarOp { var: "w".into(), op: BinOp::Min },
-                    VarOp { var: "w".into(), op: BinOp::Max },
-                    VarOp { var: "m".into(), op: BinOp::Average },
-                ],
-            );
-            s.bounds = Some(([-1.0, 1.0], [-1.0, 1.0]));
-            s
-        })
-        .collect()
+/// `w` (both infinities and NaN too). They differ in resolution and in op
+/// list, so their segments of a packed device block differ in length and
+/// in number. At `resolution` 144 the three accumulators are 0.7 to 1.0
+/// MB each and 2.5 MB together: more than an L2 holds, which is when the
+/// fused core walks the rows in long blocks.
+fn edge_specs(resolution: usize) -> Vec<BinningSpec> {
+    let op = |var: &str, op| VarOp { var: var.into(), op };
+    let spec = |axes: (&str, &str), ops| {
+        let mut s = BinningSpec::new("bodies", axes, resolution, ops);
+        s.bounds = Some(([-1.0, 1.0], [-1.0, 1.0]));
+        s
+    };
+    let mut specs = vec![
+        spec(
+            ("x", "y"),
+            vec![
+                op("", BinOp::Count),
+                op("m", BinOp::Sum),
+                op("w", BinOp::Min),
+                op("w", BinOp::Max),
+                op("m", BinOp::Average),
+            ],
+        ),
+        spec(("y", "x"), vec![op("w", BinOp::Max), op("m", BinOp::Average), op("m", BinOp::Sum)]),
+        spec(
+            ("x", "y"),
+            vec![
+                op("w", BinOp::Min),
+                op("", BinOp::Count),
+                op("m", BinOp::Sum),
+                op("m", BinOp::Average),
+            ],
+        ),
+    ];
+    specs[1].resolution = (resolution - 1, resolution + 1);
+    specs
 }
 
 /// One of the edge-case tables, `n` rows: every row of bin (0, 0) sums
@@ -615,19 +648,21 @@ fn first_table_copied_later_tables_merged_matches_per_op_on_edge_cases() {
     // starts every grid at its identities and merges both. Same bits, on
     // host and device placement, lockstep and as a task graph, over: sums
     // of -0.0 only, NaN / +-inf values, an empty first or second table,
-    // and a table whose rows all fall outside the mesh.
+    // a table whose rows all fall outside the mesh, and tables of several
+    // long blocks under specs whose accumulators call for them.
     use sensei::ExecutionMethod;
-    // (rows, shift) of the two local tables.
+    // (mesh resolution, (rows, shift) of the two local tables).
     let cases = [
-        [(150, 0.0), (90, 0.0)],
-        [(0, 0.0), (120, 0.0)],
-        [(120, 0.0), (0, 0.0)],
-        [(80, 5.0), (100, 0.0)],
-        [(100, 0.0), (80, 5.0)],
-        [(0, 0.0), (0, 0.0)],
+        (4, [(150, 0.0), (90, 0.0)]),
+        (4, [(0, 0.0), (120, 0.0)]),
+        (4, [(120, 0.0), (0, 0.0)]),
+        (4, [(80, 5.0), (100, 0.0)]),
+        (4, [(100, 0.0), (80, 5.0)]),
+        (4, [(0, 0.0), (0, 0.0)]),
+        (144, [(40_000, 0.0), (500, 0.0)]),
     ];
     for device_spec in [DeviceSpec::Explicit(0), DeviceSpec::Host] {
-        for case in cases {
+        for (resolution, case) in cases {
             let run = |execution: ExecutionMethod,
                        build: &(dyn Fn(ResultSink) -> Vec<Box<dyn AnalysisAdaptor>> + Sync)| {
                 let sink: ResultSink = Arc::default();
@@ -661,7 +696,7 @@ fn first_table_copied_later_tables_merged_matches_per_op_on_edge_cases() {
                 bits_of(&results)
             };
             let reference = run(ExecutionMethod::Lockstep, &|sink| {
-                edge_specs()
+                edge_specs(resolution)
                     .into_iter()
                     .map(|spec| {
                         let a =
@@ -670,13 +705,17 @@ fn first_table_copied_later_tables_merged_matches_per_op_on_edge_cases() {
                     })
                     .collect()
             });
-            assert_eq!(reference.len(), 2 * 2 * 5, "two specs, two steps, five arrays");
+            assert_eq!(reference.len(), 2 * (5 + 3 + 4), "two steps of 5 + 3 + 4 arrays");
             for execution in [ExecutionMethod::Lockstep, ExecutionMethod::Dag] {
                 let fused = run(execution, &|sink| {
-                    vec![Box::new(BinningSuite::new(edge_specs()).unwrap().with_sink(sink))
-                        as Box<dyn AnalysisAdaptor>]
+                    vec![Box::new(
+                        BinningSuite::new(edge_specs(resolution)).unwrap().with_sink(sink),
+                    ) as Box<dyn AnalysisAdaptor>]
                 });
-                assert_eq!(fused, reference, "{device_spec:?} {execution:?} tables {case:?}");
+                assert!(
+                    fused == reference,
+                    "{device_spec:?} {execution:?} resolution {resolution} tables {case:?}"
+                );
             }
         }
     }

@@ -619,19 +619,18 @@ macro_rules! f64_ops {
 
             /// The elements in order, without copying them out first.
             pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-                self.cells[..self.len].iter().map(load_f64)
+                self.range(0..self.len)
             }
 
-            /// The elements `n` at a time (the last run may be shorter),
-            /// each run an iterator like [`Self::iter`].
+            /// The elements of `range` in order, like [`Self::iter`].
             ///
             /// # Panics
-            /// Panics if `n` is zero.
-            pub fn chunks(
+            /// Panics if `range` runs past the end of the view.
+            pub fn range(
                 &self,
-                n: usize,
-            ) -> impl Iterator<Item = impl ExactSizeIterator<Item = f64> + '_> + '_ {
-                self.cells[..self.len].chunks(n).map(|run| run.iter().map(load_f64))
+                range: std::ops::Range<usize>,
+            ) -> impl ExactSizeIterator<Item = f64> + '_ {
+                self.cells[..self.len][range].iter().map(load_f64)
             }
 
             /// Store the row-major `rows`, each `starts.len()` values wide,
@@ -932,7 +931,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_chunks_and_column_stores() {
+    fn iter_range_and_column_stores() {
         let b = host_buf(7);
         let v = b.host_f64().unwrap();
         v.fill(-1.0);
@@ -941,8 +940,8 @@ mod tests {
         assert_eq!(v.to_vec(), vec![10.0, 20.0, 30.0, -1.0, 1.0, 2.0, 3.0]);
         assert_eq!(v.iter().len(), 7);
         assert_eq!(v.iter().skip(4).collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
-        let runs: Vec<Vec<f64>> = v.chunks(3).map(Iterator::collect).collect();
-        assert_eq!(runs, vec![vec![10.0, 20.0, 30.0], vec![-1.0, 1.0, 2.0], vec![3.0]]);
+        assert_eq!(v.range(2..5).collect::<Vec<_>>(), vec![30.0, -1.0, 1.0]);
+        assert_eq!(v.range(7..7).len(), 0);
         let before = v.to_vec();
         v.store_columns(&[], &[]);
         v.store_columns(&[], &[3]);
