@@ -24,6 +24,12 @@ cargo run --release -p bench --bin harness -- run-config configs/sensei_xml/binn
 cargo run --release -p bench --bin harness -- run-config configs/sensei_xml/binning_90ops_fused.xml --steps 5
 
 echo
+echo "== The A/B modes: rows and claims to $OUT/BENCH_<mode>.jsonl =="
+for mode in binning chaos snapshot dag scale adaptive serve; do
+    cargo run --release -p bench --bin harness -- "$mode" --out "$OUT"
+done
+
+echo
 echo "== Benchmark spine: four workloads, end-to-end + per-layer metrics =="
 bash benchmarks/run.sh
 

@@ -41,6 +41,7 @@ use binning::{BinnedResult, BinningSpec, BinningSuite, ResultSink, VarOp};
 
 use crate::case::bench_node_config;
 use crate::chaos::results_bit_identical;
+use crate::report::{Claim, Label, Report, Row};
 
 /// Scale of the adaptive bench.
 #[derive(Debug, Clone, Copy)]
@@ -420,6 +421,81 @@ impl AdaptiveBenchReport {
     }
 }
 
+impl Report for AdaptiveBenchReport {
+    fn mode(&self) -> &'static str {
+        "adaptive"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?} tolerance {ADAPTIVE_TOLERANCE}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        // Placements as numbers, the way the decision log spells them.
+        let device = |c: &BackendControls| match c.device {
+            DeviceSpec::Explicit(d) => d as f64,
+            DeviceSpec::Host | DeviceSpec::Auto => -1.0,
+        };
+        let mut rows = Vec::new();
+        for (sweep_name, sweep) in [("steady", &self.steady), ("drift", &self.drift)] {
+            for a in sweep.statics.iter().chain(std::iter::once(&sweep.adaptive)) {
+                let arm = format!("{sweep_name}.{}", a.label);
+                let ms = |metric, s: f64| Row::new(&arm, metric, "ms", Label::Wall, s * 1e3);
+                rows.push(ms("total_apparent_ms", a.total_apparent()));
+                rows.push(ms("steady_mean_ms", a.steady_mean()));
+                let (start, landed) = (device(&a.start), device(&a.final_controls));
+                rows.push(Row::new(&arm, "start_device", "device", Label::Count, start));
+                rows.push(Row::new(&arm, "final_device", "device", Label::Count, landed));
+                let counters = [
+                    ("steps", a.apparent_s.len() as u64),
+                    ("results", a.results.len() as u64),
+                    ("decisions", a.decisions as u64),
+                    ("probes_used", a.probes_used as u64),
+                    ("aborted", a.aborted),
+                ];
+                rows.extend(Row::counts(&arm, &counters));
+                if let Some(step) = a.converged_by {
+                    rows.extend(Row::counts(&arm, &[("converged_by_step", step)]));
+                }
+            }
+        }
+        rows
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let (steady, drift) = (&self.steady.adaptive, &self.drift.adaptive);
+        let (steady_best, drift_best) = (self.steady.best_static(), self.drift.best_static());
+        let converged = format!(
+            "from {}: settled at step {} (bound {}), {:.3} ms/iter vs best static ({}) {:.3} \
+             ms/iter, tolerance {:.0}%",
+            controls_label(&steady.start),
+            steady.converged_by.map_or("never".to_string(), |s| s.to_string()),
+            self.config.converge_within,
+            steady.steady_mean() * 1e3,
+            steady_best.label,
+            steady_best.steady_mean() * 1e3,
+            ADAPTIVE_TOLERANCE * 100.0,
+        );
+        let drift_wins = format!(
+            "adaptive {:.3} ms vs best static ({}) {:.3} ms end to end; decisions {:?}",
+            drift.total_apparent() * 1e3,
+            drift_best.label,
+            drift_best.total_apparent() * 1e3,
+            drift.decision_log,
+        );
+        vec![
+            Claim::gate("all_bit_identical", self.all_bit_identical(), "every arm vs a static arm"),
+            Claim::gate("zero_aborts", self.zero_aborts(), "aborted dispatches, every arm"),
+            Claim::gate(
+                "converged_within_tolerance",
+                self.converged_within(ADAPTIVE_TOLERANCE),
+                converged,
+            ),
+            Claim::gate("drift_adaptive_beats_all_statics", self.drift_adaptive_wins(), drift_wins),
+        ]
+    }
+}
+
 /// Human-readable configuration label.
 pub fn controls_label(c: &BackendControls) -> String {
     match c.device {
@@ -597,11 +673,22 @@ mod tests {
         }
     }
 
+    /// One run of both sweeps, shared by the two tests below.
+    fn report() -> &'static AdaptiveBenchReport {
+        static REPORT: std::sync::OnceLock<AdaptiveBenchReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| {
+            let _serial = crate::serial();
+            run_adaptive_bench(&tiny())
+        })
+    }
+
     #[test]
     fn steady_adaptive_converges_from_the_worst_corner() {
-        let _serial = crate::serial();
-        let cfg = tiny();
-        let sweep = run_sweep(&cfg, Workload::Steady);
+        let report = report();
+        // (The tolerance claim is the harness's: a debug test run
+        // stretches the slept costs past its 10%.)
+        crate::report::assert_claims(report, &["all_bit_identical", "zero_aborts"]);
+        let sweep = &report.steady;
         assert_eq!(sweep.adaptive.start, sweep.worst_static().start, "starts from the worst arm");
         assert!(
             sweep.adaptive.converged_by.is_some(),
@@ -612,34 +699,15 @@ mod tests {
         // The cost surface's best side is the device; the controller
         // must land there from the host.
         assert_ne!(sweep.adaptive.final_controls.device, DeviceSpec::Host);
-        assert!(sweep.bit_identical(), "closed-loop reconfiguration never perturbs results");
-        assert!(sweep.zero_aborts());
         assert!(sweep.adaptive.decisions > 0, "the decision log is populated");
     }
 
     #[test]
     fn drifting_workload_beats_every_static_arm() {
-        let _serial = crate::serial();
-        let cfg = tiny();
-        let report = AdaptiveBenchReport {
-            config: cfg,
-            steady: run_sweep(&cfg, Workload::Steady),
-            drift: run_sweep(&cfg, Workload::Drifting),
-        };
-        assert!(report.all_bit_identical());
-        assert!(report.zero_aborts());
-        assert!(
-            report.drift_adaptive_wins(),
-            "adaptive {:.6}s (log {:?} apparent {:?}) must beat statics {:?}",
-            report.drift.adaptive.total_apparent(),
-            report.drift.adaptive.decision_log,
-            report.drift.adaptive.apparent_s,
-            report
-                .drift
-                .statics
-                .iter()
-                .map(|s| (s.label.clone(), s.total_apparent()))
-                .collect::<Vec<_>>(),
+        let report = report();
+        crate::report::assert_claims(
+            report,
+            &["all_bit_identical", "zero_aborts", "drift_adaptive_beats_all_statics"],
         );
         // After the drift the controller must have crossed to the host
         // side of the surface.

@@ -1,95 +1,50 @@
-//! The experiment harness: regenerates Table 1, Figure 2, and Figure 3.
+//! The experiment harness: regenerates Table 1, Figure 2, and Figure 3,
+//! and runs the A/B modes.
 //!
 //! ```text
-//! harness [table1|figure2|figure3|binning|all] [--bodies N] [--steps N]
+//! harness [table1|figure2|figure3|all] [--bodies N] [--steps N]
 //!         [--resolution N] [--instances N] [--devices N] [--scale F]
 //!         [--pool on|off] [--fused on|off] [--out DIR]
+//! harness binning [--bodies N] [--steps N] [--resolution N]
+//!         [--instances N] [--devices N] [--scale F] [--out DIR]
 //! harness chaos [--seed N] [--out DIR]
 //! harness dag [--steps N] [--devices N] [--scale F] [--out DIR]
 //! harness snapshot [--bodies N] [--steps N] [--resolution N]
 //!         [--instances N] [--scale F] [--out DIR]
 //! harness scale [--rank-counts N,N,...] [--steps N] [--out DIR]
+//! harness adaptive [--devices N] [--out DIR]
 //! harness serve [--sessions N,N,...] [--out DIR]
 //! harness run-config <sensei.xml> [--bodies N] [--steps N] [--devices N]
 //!         [--scale F]
 //! ```
 //!
-//! `binning` runs the fused-vs-per-op A/B on the bounded 90-op workload
-//! (lockstep for the apparent-cost comparison, asynchronous for the
-//! collective/kernel counters), prints both arms' work counters, writes
-//! `BENCH_binning.json` under `--out`, and exits non-zero if the fused
-//! arm's apparent cost is not at or below the per-op arm's.
+//! Every A/B mode is run → print → write → verdict through
+//! [`bench::report::emit`]: the mode's report struct (see the `bench`
+//! module of the same name for the arms and what they isolate) lists its
+//! rows and its claims, `emit` prints them as one table, writes
+//! `BENCH_<mode>.jsonl` under `--out` (default `results/`) in the
+//! benchmark spine's row shape, and the process exits 1 iff a gating
+//! claim failed — after the file is written. The claims are defined once,
+//! in `impl Report for <Mode>Report`, and the `bench` lib tests check the
+//! same list.
 //!
-//! `chaos` runs the bounded fused binning workload under a deterministic
-//! fault schedule (see `bench::run_chaos`), hard-asserts the recovery
-//! counters — retry must recover every injected fault with results
-//! bit-identical to the fault-free baseline, skip_step must drop exactly
-//! one step while the solver runs to completion — and writes
-//! `BENCH_chaos.json` under `--out`.
-//!
-//! `dag` runs the dataflow-vs-threaded execution A/B on a skewed
-//! mixed-cost binning workload (see `bench::run_dag_bench`): heavy
-//! multi-op instances interleaved with count-only ones, a shallow
-//! snapshot queue, and the dag arms' work-stealing scheduler spreading
-//! kernel tasks across every device. Hard-asserts that every arm's
-//! results are bit-identical to the inline reference, that the dag
-//! stole at least one task without aborting any, and that the
-//! deep-snapshot dag arm beats the threaded arm on both apparent in
-//! situ cost and total wall time; writes `BENCH_dag.json` under
-//! `--out`. The workload's rows/resolution/instance mix are fixed by
-//! the A/B; `--steps`, `--devices`, and `--scale` apply.
-//!
-//! `snapshot` runs the deep-vs-cow snapshot A/B on the bounded
-//! fused binning workload (see `bench::run_snapshot_bench`), prints the
-//! snapshot-layer counters per arm, hard-asserts that the cow arm's
-//! binned results are bit-identical to the deep reference and that
-//! the cow arm copies at least 70% fewer bytes per step, and writes
-//! `BENCH_snapshot.json` under `--out`.
-//!
-//! `scale` sweeps the hierarchical-vs-flat collective A/B over a list of
-//! rank counts (default 4, 64, 512 — the paper's Perlmutter span) in
-//! weak- and strong-scaling configurations (see `bench::run_scale_bench`).
-//! Hard-asserts bit identity at every count, fewer inter-node messages
-//! on every multi-node point, a modeled-total win at the largest count,
-//! and the fused suite's 1-allreduce-per-step invariant on the tiered
-//! path; writes `BENCH_scale.json` under `--out`.
-//!
-//! `adaptive` closes the profiler loop: static placement arms plus
-//! bridge-resident `AdaptiveController` arms over a steady
-//! and a drifting cost surface. Hard-asserts that the adaptive arm,
-//! started from the *worst* static configuration, settles within the
-//! step bound at a steady-state apparent cost within 10% of the best
-//! static arm; that under drift it beats *every* static arm end-to-end;
-//! that every arm is bit-identical to the static reference; and that no
-//! dispatch aborted. Writes `BENCH_adaptive.json` under `--out`.
-//!
-//! `serve` runs the live result-serving sweep (see
-//! `bench::run_serve_bench`): N concurrent client sessions — mixed fast
-//! block-policy, slow drop-oldest, and continuously churning —
-//! subscribe by (variable × coordinate system) while the fused binning
-//! suite runs asynchronously under CoW snapshots, with each step's
-//! results serialized once per coordinate system and fanned out as
-//! refcounted views. Sweeps the session counts (default 64, 512, 4096),
-//! hard-asserts that bytes serialized per step are *flat* across the
-//! sweep, that no block-policy fast client missed a frame, that the
-//! binned results are bit-identical whatever the audience, and that a
-//! session-steered two-rank run (frequency, resolution, pause, resume)
-//! matches a direct-reconfiguration replay bit for bit. Writes
-//! `BENCH_serve.json` under `--out`.
+//! `figure2`/`figure3` run the full 8-case matrix (4 placements × 2
+//! execution methods), print the paper-shaped bar charts, write the two
+//! figure CSVs (`figure2_figure3.csv`, `backend_breakdown.csv`) and the
+//! matrix's timings and caching-pool counters as `BENCH_pool.jsonl`;
+//! §4.4's "asynchronous beats lockstep" finding is a non-gating claim per
+//! placement.
 //!
 //! `run-config` runs Newton++ against a SENSEI XML configuration (the
 //! files under `configs/sensei_xml/`), with back-end selection, placement,
 //! and execution method all controlled by the XML, as in the paper's
 //! appendix. An optional `<topology>` element groups the ranks into
 //! simulated nodes and routes collectives hierarchically.
-//!
-//! `figure2`/`figure3` run the full 8-case matrix (4 placements × 2
-//! execution methods) and print the paper-shaped bar charts plus CSV
-//! files under `--out` (default `results/`).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use bench::report::{emit, write_text, Report};
 use bench::{ascii_bars, ascii_stack, bench_node_config, run_case, AggregatedCase, CaseConfig};
 use sensei::{ExecutionMethod, Placement};
 
@@ -341,33 +296,36 @@ fn run_matrix(base: &CaseConfig) -> Vec<AggregatedCase> {
     results
 }
 
-fn write_csv(path: &PathBuf, results: &[AggregatedCase]) {
+fn placement_execution(r: &AggregatedCase) -> String {
+    format!("{},{}", r.config.placement.label().replace(' ', "_"), r.config.execution.name())
+}
+
+/// Figure 2/3's data: one line per case.
+fn matrix_csv(results: &[AggregatedCase]) -> String {
     let mut csv = String::from("placement,execution,ranks,total_s,mean_solver_s,mean_insitu_s\n");
     for r in results {
         csv.push_str(&format!(
-            "{},{},{},{:.6},{:.6},{:.6}\n",
-            r.config.placement.label().replace(' ', "_"),
-            r.config.execution.name(),
+            "{},{},{:.6},{:.6},{:.6}\n",
+            placement_execution(r),
             r.ranks,
             r.total.as_secs_f64(),
             r.mean_solver.as_secs_f64(),
             r.mean_insitu.as_secs_f64(),
         ));
     }
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, csv).expect("write CSV");
-    println!("wrote {}", path.display());
+    csv
 }
 
-fn write_backend_csv(path: &PathBuf, results: &[AggregatedCase]) {
+/// What each attached instance cost the simulation per dispatch,
+/// averaged over ranks: one line per case and back-end.
+fn backend_csv(results: &[AggregatedCase]) -> String {
     let mut csv =
         String::from("placement,execution,backend,dispatches,mean_apparent_s,total_apparent_s\n");
     for r in results {
         for b in &r.backends {
             csv.push_str(&format!(
-                "{},{},{},{},{:.9},{:.9}\n",
-                r.config.placement.label().replace(' ', "_"),
-                r.config.execution.name(),
+                "{},{},{},{:.9},{:.9}\n",
+                placement_execution(r),
                 b.backend,
                 b.dispatches,
                 b.mean_apparent.as_secs_f64(),
@@ -375,1045 +333,20 @@ fn write_backend_csv(path: &PathBuf, results: &[AggregatedCase]) {
             ));
         }
     }
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, csv).expect("write CSV");
-    println!("wrote {}", path.display());
+    csv
 }
 
-/// Machine-readable pool report: one JSON object per case with the
-/// timings and the node-wide caching-pool counters. Hand-rolled — the
-/// schema is flat and the repo carries no JSON dependency.
-fn write_pool_json(path: &PathBuf, results: &[AggregatedCase]) {
-    let mut json = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let t = r.pool_total();
-        json.push_str(&format!(
-            "  {{\"placement\": \"{}\", \"execution\": \"{}\", \"pool\": {}, \
-             \"total_s\": {:.6}, \"mean_insitu_s\": {:.9}, \
-             \"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, \
-             \"bytes_from_cache\": {}, \"raw_allocs\": {}, \"raw_alloc_bytes\": {}, \
-             \"high_water_bytes\": {}}}{}\n",
-            r.config.placement.label().replace(' ', "_"),
-            r.config.execution.name(),
-            r.config.pool,
-            r.total.as_secs_f64(),
-            r.mean_insitu.as_secs_f64(),
-            t.hit_rate(),
-            t.hits,
-            t.misses,
-            t.bytes_served_from_cache,
-            t.raw_allocs,
-            t.raw_alloc_bytes,
-            t.high_water_bytes,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// Machine-readable fused-vs-per-op report: one JSON object per arm with
-/// the timings and work counters. Hand-rolled like `write_pool_json`.
-fn write_binning_json(path: &Path, results: &[AggregatedCase]) {
-    let mut json = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        let c = &r.counters;
-        json.push_str(&format!(
-            "  {{\"execution\": \"{}\", \"fused\": {}, \"ranks\": {}, \"steps\": {}, \
-             \"instances\": {}, \"total_s\": {:.6}, \"mean_insitu_s\": {:.9}, \
-             \"table_passes\": {}, \"kernel_launches\": {}, \"downloads\": {}, \
-             \"allreduces\": {}, \"fetches\": {}}}{}\n",
-            r.config.execution.name(),
-            r.config.fused,
-            r.ranks,
-            r.config.steps,
-            r.config.instances,
-            r.total.as_secs_f64(),
-            r.mean_insitu.as_secs_f64(),
-            c.table_passes,
-            c.kernel_launches,
-            c.downloads,
-            c.allreduces,
-            c.fetches,
-            if i + 1 < results.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The fused-vs-per-op A/B on the bounded workload: lockstep arms for the
-/// apparent-cost comparison (apparent == actual modeled in situ time),
-/// asynchronous arms for the per-step collective/kernel counters the
-/// fused path guarantees. Exits non-zero if the fused arm costs more.
-fn run_binning(base: &CaseConfig, out_dir: &Path) {
-    let mk = |fused: bool, execution: ExecutionMethod| CaseConfig {
-        fused,
-        bounded: true,
-        placement: Placement::SameDevice,
-        execution,
-        ..*base
-    };
-    println!(
-        "\nFused vs per-op binning A/B: {} instances x {} ops, bounded axes, same-device placement",
-        base.instances, VARIABLE_OPS_PER_INSTANCE
-    );
-
-    let mut results = Vec::new();
-    for execution in [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous] {
-        for fused in [true, false] {
-            let cfg = mk(fused, execution);
-            let t0 = Instant::now();
-            eprint!("{} / {} ... ", execution.name(), if fused { "fused" } else { "per-op" });
-            let out = run_case(&cfg);
-            eprintln!("done in {:.2?}", t0.elapsed());
-            results.push(out);
-        }
-    }
-
-    println!(
-        "\n  {:<14} {:<7} {:>12} {:>10} {:>10} {:>11} {:>9} {:>14}",
-        "execution",
-        "fused",
-        "passes",
-        "kernels",
-        "downloads",
-        "allreduces",
-        "fetches",
-        "insitu/iter"
-    );
-    for r in &results {
-        let c = &r.counters;
-        println!(
-            "  {:<14} {:<7} {:>12} {:>10} {:>10} {:>11} {:>9} {:>11.3} ms",
-            r.config.execution.name(),
-            r.config.fused,
-            c.table_passes,
-            c.kernel_launches,
-            c.downloads,
-            c.allreduces,
-            c.fetches,
-            r.mean_insitu.as_secs_f64() * 1e3,
-        );
-    }
-
-    // The fused path's per-step guarantees, on the asynchronous workload.
-    let async_fused = results
-        .iter()
-        .find(|r| r.config.fused && r.config.execution == ExecutionMethod::Asynchronous)
-        .expect("matrix is complete");
-    // Each rank publishes one table, so a rank-step is one fetched block.
-    let rank_steps = async_fused.ranks as u64 * base.steps;
-    assert_eq!(
-        async_fused.counters.allreduces, rank_steps,
-        "fused path must issue exactly one allreduce per step per rank"
-    );
-    assert_eq!(
-        async_fused.counters.kernel_launches, rank_steps,
-        "fused path must launch one kernel per fetched block"
-    );
-    assert_eq!(
-        async_fused.counters.downloads, rank_steps,
-        "fused path must make one packed download per fetched block"
-    );
-    println!(
-        "\n  verified: fused async arm did {} allreduces, {} kernel launches and {} downloads \
-         over {} rank-steps (one fetched block each, {} coordinate systems)",
-        async_fused.counters.allreduces,
-        async_fused.counters.kernel_launches,
-        async_fused.counters.downloads,
-        rank_steps,
-        base.instances
-    );
-
-    write_binning_json(&out_dir.join("BENCH_binning.json"), &results);
-
-    // The smoke assertion CI relies on: fusing must not cost more.
-    let lock_fused = results
-        .iter()
-        .find(|r| r.config.fused && r.config.execution == ExecutionMethod::Lockstep)
-        .expect("matrix is complete");
-    let lock_perop = results
-        .iter()
-        .find(|r| !r.config.fused && r.config.execution == ExecutionMethod::Lockstep)
-        .expect("matrix is complete");
-    let ratio =
-        lock_fused.mean_insitu.as_secs_f64() / lock_perop.mean_insitu.as_secs_f64().max(1e-12);
-    println!(
-        "  apparent in situ cost, lockstep: fused {:.3} ms vs per-op {:.3} ms (x{:.2})",
-        lock_fused.mean_insitu.as_secs_f64() * 1e3,
-        lock_perop.mean_insitu.as_secs_f64() * 1e3,
-        ratio,
-    );
-    if lock_fused.mean_insitu > lock_perop.mean_insitu {
-        eprintln!("FAIL: fused apparent cost exceeds the per-op reference");
-        std::process::exit(1);
-    }
-    println!("  PASS: fused apparent cost <= per-op apparent cost");
-}
-
-/// Machine-readable chaos report: one JSON object per arm with the
-/// recovery counters. Hand-rolled like `write_pool_json`.
-fn write_chaos_json(path: &Path, report: &bench::ChaosReport) {
-    let arms = [&report.baseline, &report.retry, &report.skip];
-    let mut json = String::from("[\n");
-    for (i, a) in arms.iter().enumerate() {
-        let f = &a.faults;
-        json.push_str(&format!(
-            "  {{\"arm\": \"{}\", \"policy\": \"{}\", \"seed\": {}, \"ranks\": {}, \
-             \"steps_completed\": {}, \"dispatch_errors\": {}, \"results\": {}, \
-             \"faults_injected\": {}, \"faults_retried\": {}, \"faults_recovered\": {}, \
-             \"faults_skipped\": {}, \"faults_aborted\": {}, \
-             \"injector_errors\": {}, \"injector_delays\": {}, \
-             \"bit_identical_to_baseline\": {}}}{}\n",
-            a.arm,
-            a.policy,
-            report.config.seed,
-            a.ranks,
-            a.steps_completed,
-            a.dispatch_errors,
-            a.results.len(),
-            f.injected,
-            f.retried,
-            f.recovered,
-            f.skipped,
-            f.aborted,
-            a.injector_errors,
-            a.injector_delays,
-            bench::results_bit_identical(&report.baseline.results, &a.results),
-            if i + 1 < arms.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The chaos smoke: run the three arms, print the recovery counters, and
-/// hard-assert the claims CI relies on — retry recovers every injected
-/// fault bit-identically, skip_step degrades gracefully, and the solver
-/// finishes every arm.
-fn run_chaos_mode(seed: u64, out_dir: &Path) {
-    let cfg = bench::ChaosConfig { seed, ..Default::default() };
-    println!(
-        "\nChaos: {} instances on {}^2 bins, {} steps, fault seed {}",
-        cfg.instances, cfg.resolution, cfg.steps, cfg.seed
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_chaos(&cfg);
-    eprintln!("three arms done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:<10} {:<10} {:>5} {:>6} {:>8} {:>9} {:>8} {:>10} {:>8} {:>8}",
-        "arm",
-        "policy",
-        "ranks",
-        "steps",
-        "results",
-        "injected",
-        "retried",
-        "recovered",
-        "skipped",
-        "aborted"
-    );
-    for a in [&report.baseline, &report.retry, &report.skip] {
-        let f = &a.faults;
-        println!(
-            "  {:<10} {:<10} {:>5} {:>6} {:>8} {:>9} {:>8} {:>10} {:>8} {:>8}",
-            a.arm,
-            a.policy,
-            a.ranks,
-            a.steps_completed,
-            a.results.len(),
-            f.injected,
-            f.retried,
-            f.recovered,
-            f.skipped,
-            f.aborted,
-        );
-    }
-
-    let steps = cfg.steps;
-    let instances = cfg.instances;
-
-    let b = &report.baseline;
-    assert_eq!(b.faults, sensei::FaultSnapshot::default(), "baseline must inject nothing");
-    assert_eq!(b.dispatch_errors, 0, "baseline must not error");
-    assert_eq!(b.results.len(), steps as usize * instances, "baseline delivers every step");
-
-    // Retry: every rank's dispatch fails twice and recovers on the third
-    // attempt; the solver loop never sees an error and the recovered
-    // results match the fault-free run bit for bit.
-    let r = &report.retry;
-    let ranks = r.ranks as u64;
-    assert_eq!(r.steps_completed, steps, "retry arm solver must finish");
-    assert_eq!(r.dispatch_errors, 0, "recovery must hide injected faults from the solver");
-    assert_eq!(r.faults.injected, ranks, "one injected dispatch per rank");
-    assert_eq!(r.faults.retried, 2 * ranks, "two retry attempts per rank");
-    assert_eq!(r.faults.recovered, ranks, "every rank's dispatch recovers");
-    assert_eq!(r.faults.aborted, 0, "nothing aborts under retry");
-    assert!(r.injector_delays >= 1, "the slow-rank collective delay must fire");
-    if !report.retry_bit_identical() {
-        eprintln!("FAIL: retry arm results differ from the fault-free baseline");
-        std::process::exit(1);
-    }
-
-    // Skip: the worker drops exactly the faulted step and keeps going;
-    // the simulation still runs to completion.
-    let s = &report.skip;
-    assert_eq!(s.steps_completed, steps, "skip_step keeps the simulation running");
-    assert_eq!(s.dispatch_errors, 0, "skip_step surfaces no dispatch errors");
-    assert_eq!(s.faults.skipped, 1, "exactly one step is skipped");
-    assert_eq!(s.faults.aborted, 0, "skip_step never aborts");
-    assert_eq!(
-        s.results.len(),
-        (steps as usize - 1) * instances,
-        "exactly one step's results are missing"
-    );
-
-    write_chaos_json(&out_dir.join("BENCH_chaos.json"), &report);
-    println!(
-        "  PASS: retry recovered {} faulted dispatches bit-identically; \
-         skip_step dropped 1 of {} steps and finished",
-        r.faults.recovered, steps
-    );
-}
-
-/// Machine-readable snapshot report: one JSON object per arm with the
-/// snapshot-layer counters. Hand-rolled like `write_pool_json`.
-fn write_snapshot_json(path: &Path, report: &bench::SnapshotReport) {
-    let steps = report.config.steps;
-    let arms = report.arms();
-    let mut json = String::from("[\n");
-    for (i, a) in arms.iter().enumerate() {
-        let c = &a.counters;
-        json.push_str(&format!(
-            "  {{\"mode\": \"{}\", \"steps\": {}, \"instances\": {}, \"results\": {}, \
-             \"arrays_shared\": {}, \"arrays_copied\": {}, \"bytes_copied\": {}, \
-             \"bytes_per_step\": {:.1}, \"cow_faults\": {}, \
-             \"mean_insitu_s\": {:.9}, \"total_s\": {:.6}, \
-             \"bit_identical_to_deep\": {}}}{}\n",
-            a.mode.name(),
-            steps,
-            report.config.instances,
-            a.results.len(),
-            c.arrays_shared,
-            c.arrays_copied,
-            c.bytes_copied,
-            a.bytes_per_step(steps),
-            c.cow_faults,
-            a.mean_insitu.as_secs_f64(),
-            a.total.as_secs_f64(),
-            report.bit_identical_to_deep(a),
-            if i + 1 < arms.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The snapshot A/B smoke: run the deep and cow arms, print the
-/// snapshot-layer counters, and hard-assert the deterministic claims CI
-/// relies on — the cow arm's binned results are bit-identical to the deep
-/// reference, cow captures eager-copy nothing, and cow fault traffic
-/// never exceeds the deep reference. The headline ≥70% byte reduction
-/// depends on OS scheduling (the consumer must release its shares
-/// within the modeled kernel-launch gap), so a shortfall only warns.
-fn run_snapshot_mode(base: &CaseConfig, out_dir: &Path) {
-    let cfg = bench::SnapshotBenchConfig {
-        bodies: base.bodies,
-        steps: base.steps,
-        resolution: base.resolution.min(32),
-        instances: base.instances,
-        time_scale: base.time_scale,
-    };
-    println!(
-        "\nSnapshot capture A/B: deep vs cow, {} bodies, {} steps, \
-         {} instances on {}^2 bins, async host-placed suite",
-        cfg.bodies, cfg.steps, cfg.instances, cfg.resolution
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_snapshot_bench(&cfg);
-    eprintln!("both arms done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:<7} {:>8} {:>8} {:>12} {:>12} {:>7} {:>12}",
-        "mode", "shared", "copied", "bytes", "bytes/step", "faults", "insitu/iter"
-    );
-    for a in report.arms() {
-        let c = &a.counters;
-        println!(
-            "  {:<7} {:>8} {:>8} {:>12} {:>12.0} {:>7} {:>9.3} ms",
-            a.mode.name(),
-            c.arrays_shared,
-            c.arrays_copied,
-            c.bytes_copied,
-            a.bytes_per_step(cfg.steps),
-            c.cow_faults,
-            a.mean_insitu.as_secs_f64() * 1e3,
-        );
-    }
-
-    // The deep reference behaves like the pre-CoW bridge.
-    let d = &report.deep;
-    assert_eq!(d.results.len(), cfg.steps as usize * cfg.instances, "deep delivers every step");
-    assert_eq!(d.counters.arrays_shared, 0, "deep mode never shares");
-    assert_eq!(d.counters.cow_faults, 0, "deep mode never takes a CoW fault");
-    assert!(d.counters.bytes_copied > 0, "deep mode copies every capture");
-
-    // Correctness before savings: sharing must never leak post-capture
-    // writes into a capture.
-    assert_eq!(report.cow.results.len(), d.results.len(), "cow delivers every step");
-    if !report.bit_identical_to_deep(&report.cow) {
-        eprintln!("FAIL: cow arm results differ from the deep reference");
-        std::process::exit(1);
-    }
-
-    // Deterministic cow invariants, independent of how the OS schedules
-    // the consumer worker: a cow capture itself never copies (all of its
-    // bytes come from CoW faults), and a fault copies a pinned array at
-    // most once per capture — so cow traffic can never exceed deep's,
-    // which copies every selected array every capture.
-    assert_eq!(report.cow.counters.arrays_copied, 0, "cow captures eager-copy nothing");
-    assert!(
-        report.cow.counters.bytes_copied <= d.counters.bytes_copied,
-        "cow fault traffic is bounded by the deep reference"
-    );
-
-    write_snapshot_json(&out_dir.join("BENCH_snapshot.json"), &report);
-
-    // The headline reduction relies on the consumer worker fetching and
-    // releasing its shares within the modeled kernel-launch gap. On a
-    // loaded runner a delayed worker faults more arrays, so a shortfall
-    // is scheduling noise, not a correctness failure — correctness is
-    // gated bit-identically above. Warn instead of failing.
-    let reduction = report.cow_bytes_reduction();
-    println!(
-        "  copy traffic: deep {:.0} B/step vs cow {:.0} B/step ({:.1}% reduction)",
-        d.bytes_per_step(cfg.steps),
-        report.cow.bytes_per_step(cfg.steps),
-        reduction * 100.0,
-    );
-    if reduction < 0.70 {
-        eprintln!(
-            "WARN: cow copied only {:.1}% fewer bytes than deep (steady-state target 70%); \
-             a loaded runner can delay the consumer's share release",
-            reduction * 100.0
-        );
-    }
-    println!(
-        "  PASS: all arms bit-identical; cow eager-copied nothing ({:.1}% fewer bytes than deep)",
-        reduction * 100.0
-    );
-}
-
-/// Machine-readable dag A/B report: one JSON object per arm with the
-/// timings, work counters, and scheduler counters. Hand-rolled like
-/// `write_pool_json`.
-fn write_dag_json(path: &Path, report: &bench::DagBenchReport) {
-    let arms = report.arms();
-    let mut json = String::from("[\n");
-    for (i, a) in arms.iter().enumerate() {
-        let s = &a.sched;
-        let c = &a.counters;
-        json.push_str(&format!(
-            "  {{\"arm\": \"{}\", \"execution\": \"{}\", \"snapshot\": \"{}\", \
-             \"steps\": {}, \"instances\": {}, \"total_s\": {:.6}, \
-             \"mean_insitu_s\": {:.9}, \"tasks\": {}, \"steals\": {}, \
-             \"idle_ns\": {}, \"critical_path_ns\": {}, \"kernel_launches\": {}, \
-             \"downloads\": {}, \"allreduces\": {}, \"faults_aborted\": {}, \
-             \"bit_identical_to_inline\": {}}}{}\n",
-            a.arm,
-            a.execution.name(),
-            a.snapshot.name(),
-            report.config.steps,
-            report.config.instances(),
-            a.total.as_secs_f64(),
-            a.mean_insitu.as_secs_f64(),
-            s.tasks,
-            s.steals,
-            s.idle_ns,
-            s.critical_path_ns,
-            c.kernel_launches,
-            c.downloads,
-            c.allreduces,
-            c.faults.aborted,
-            report.bit_identical_to_inline(a),
-            if i + 1 < arms.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The dag smoke: run the four arms on the skewed mixed-cost workload,
-/// print the timings and scheduler counters, and hard-assert the claims
-/// CI relies on — every arm bit-identical to the inline reference, the
-/// dag stealing at least one task and aborting none, and the
-/// deep-snapshot dag arm beating the threaded arm on both apparent cost
-/// and total wall time.
-fn run_dag_mode(base: &CaseConfig, out_dir: &Path) {
-    let cfg = bench::DagBenchConfig {
-        steps: base.steps,
-        num_devices: base.num_devices.max(2),
-        // `--scale` multiplies the dag workload's own (deliberately
-        // high) default time scale; the A/B must stay kernel-bound in
-        // modeled time for device overlap to be measurable.
-        time_scale: base.time_scale * bench::DagBenchConfig::default().time_scale,
-        ..Default::default()
-    };
-    println!(
-        "\nDag vs threaded A/B: {} heavy (13-op) + {} light (1-op) instances over {} rows \
-         on {}^2 bins, {} devices, queue depth {}",
-        cfg.heavy_instances,
-        cfg.light_instances,
-        cfg.rows,
-        cfg.resolution,
-        cfg.num_devices,
-        cfg.queue_depth
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_dag_bench(&cfg);
-    eprintln!("four arms done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:<12} {:<9} {:>9} {:>12} {:>7} {:>7} {:>10} {:>13}",
-        "arm", "snapshot", "total", "insitu/iter", "tasks", "steals", "idle_ms", "crit_path_ms"
-    );
-    for a in report.arms() {
-        println!(
-            "  {:<12} {:<9} {:>8.2?} {:>9.3} ms {:>7} {:>7} {:>10.3} {:>13.3}",
-            a.arm,
-            a.snapshot.name(),
-            a.total,
-            a.mean_insitu.as_secs_f64() * 1e3,
-            a.sched.tasks,
-            a.sched.steals,
-            a.sched.idle_ns as f64 / 1e6,
-            a.sched.critical_path_ns as f64 / 1e6,
-        );
-    }
-
-    // Correctness before speed: stealing across devices must not perturb
-    // a single bit of any arm's published grids.
-    for a in report.arms() {
-        if !report.bit_identical_to_inline(a) {
-            eprintln!("FAIL: {} arm results differ from the inline reference", a.arm);
-            std::process::exit(1);
-        }
-    }
-    for a in &report.dag {
-        assert!(a.sched.tasks > 0, "{} must run through the dataflow path", a.arm);
-        assert_eq!(a.counters.faults.aborted, 0, "{} must abort nothing", a.arm);
-    }
-
-    // The structural claims: with every kernel task homed on the primary
-    // device and multi-millisecond modeled kernels, the other device
-    // workers must steal; and the stolen parallelism plus by-construction
-    // download overlap must beat the single-device threaded worker on
-    // both throughput measures.
-    let dag = report.dag_deep();
-    let threaded = &report.threaded;
-    assert!(dag.sched.steals > 0, "idle device workers must steal ready kernel tasks");
-    println!(
-        "\n  dag/deep: {} tasks, {} steals, critical path {:.3} ms",
-        dag.sched.tasks,
-        dag.sched.steals,
-        dag.sched.critical_path_ns as f64 / 1e6
-    );
-    println!(
-        "  total: dag {:.2?} vs threaded {:.2?}; apparent/iter: dag {:.3} ms vs threaded {:.3} ms",
-        dag.total,
-        threaded.total,
-        dag.mean_insitu.as_secs_f64() * 1e3,
-        threaded.mean_insitu.as_secs_f64() * 1e3,
-    );
-
-    write_dag_json(&out_dir.join("BENCH_dag.json"), &report);
-
-    if dag.total >= threaded.total {
-        eprintln!("FAIL: dag total wall time does not beat the threaded arm");
-        std::process::exit(1);
-    }
-    if dag.mean_insitu >= threaded.mean_insitu {
-        eprintln!("FAIL: dag apparent in situ cost does not beat the threaded arm");
-        std::process::exit(1);
-    }
-    println!(
-        "  PASS: all arms bit-identical; dag beat threaded with {} steals and 0 aborts",
-        dag.sched.steals
-    );
-}
-
-/// Machine-readable scale report: one JSON object per (sweep, rank
-/// count) with both arms' tier counters and modeled totals, plus the
-/// fused-suite check. Hand-rolled like `write_pool_json`; the boolean
-/// fields are what CI greps.
-fn write_scale_json(path: &Path, report: &bench::ScaleReport) {
-    let points = report.points();
-    let mut json = String::from("{\n  \"sweeps\": [\n");
-    for (i, (kind, p)) in points.iter().enumerate() {
-        let arm = |a: &bench::ScaleArm| {
-            format!(
-                "{{\"intra_messages\": {}, \"intra_bytes\": {}, \"inter_messages\": {}, \
-                 \"inter_bytes\": {}, \"comm_modeled_s\": {:.9}, \"compute_modeled_s\": {:.9}, \
-                 \"modeled_total_s\": {:.9}}}",
-                a.comm.intra_messages,
-                a.comm.intra_bytes,
-                a.comm.inter_messages,
-                a.comm.inter_bytes,
-                a.comm.modeled().as_secs_f64(),
-                a.compute.as_secs_f64(),
-                a.modeled_total().as_secs_f64(),
-            )
-        };
-        json.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"ranks\": {}, \"nodes\": {}, \"ranks_per_node\": {}, \
-             \"rows_per_rank\": {}, \"steps\": {}, \"payload_doubles\": {}, \
-             \"flat\": {}, \"hier\": {}, \
-             \"speedup_modeled\": {:.4}, \"bit_identical\": {}, \
-             \"hier_fewer_inter_messages\": {}}}{}\n",
-            kind,
-            p.ranks,
-            p.nodes,
-            report.config.ranks_per_node,
-            p.rows_per_rank,
-            report.config.steps,
-            report.config.payload_len(),
-            arm(&p.flat),
-            arm(&p.hier),
-            p.speedup(),
-            p.bit_identical,
-            p.hier_fewer_inter_messages(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    let c = &report.check;
-    let mut check_comm = minimpi::TierSnapshot::default();
-    for r in &c.per_rank {
-        check_comm.accumulate(&r.comm);
-    }
-    json.push_str(&format!(
-        "  ],\n  \"check\": {{\"ranks\": {}, \"ranks_per_node\": {}, \"steps\": {}, \
-         \"fused_one_allreduce_per_step\": {}, \"tier_counters_populated\": {}, \
-         \"intra_messages\": {}, \"inter_messages\": {}}}\n}}\n",
-        c.ranks,
-        c.ranks_per_node,
-        c.steps,
-        c.one_allreduce_per_step(),
-        c.tier_counters_populated(),
-        check_comm.intra_messages,
-        check_comm.inter_messages,
-    ));
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The scale smoke: sweep the rank counts in weak- and strong-scaling
-/// configurations, print both arms' tier traffic and modeled totals,
-/// and hard-assert the claims CI relies on — bit identity at every
-/// count, fewer inter-node messages on every multi-node point, a
-/// modeled win at the largest count, and the fused suite's
-/// 1-allreduce-per-step invariant on the tiered path.
-fn run_scale_mode(base: &CaseConfig, rank_counts: &[usize], out_dir: &Path) {
-    let cfg = bench::ScaleBenchConfig {
-        rank_counts: rank_counts.to_vec(),
-        steps: base.steps.max(2),
-        ..Default::default()
-    };
-    println!(
-        "\nHierarchical vs flat collective scaling: ranks {:?}, {} per node, \
-         {} packed doubles x {} steps",
-        cfg.rank_counts,
-        cfg.ranks_per_node,
-        cfg.payload_len(),
-        cfg.steps
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_scale_bench(&cfg);
-    eprintln!("both sweeps done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:<7} {:>6} {:>6} {:>11} {:>11} {:>12} {:>12} {:>8} {:>5}",
-        "sweep",
-        "ranks",
-        "nodes",
-        "flat inter",
-        "hier inter",
-        "flat tot ms",
-        "hier tot ms",
-        "speedup",
-        "bits"
-    );
-    for (kind, p) in report.points() {
-        println!(
-            "  {:<7} {:>6} {:>6} {:>11} {:>11} {:>12.3} {:>12.3} {:>7.2}x {:>5}",
-            kind,
-            p.ranks,
-            p.nodes,
-            p.flat.comm.inter_messages,
-            p.hier.comm.inter_messages,
-            p.flat.modeled_total().as_secs_f64() * 1e3,
-            p.hier.modeled_total().as_secs_f64() * 1e3,
-            p.speedup(),
-            if p.bit_identical { "ok" } else { "DIFF" },
-        );
-    }
-
-    // Correctness before speed: the tiered path must never perturb a bit.
-    for (kind, p) in report.points() {
-        if !p.bit_identical {
-            eprintln!("FAIL: {kind} sweep at {} ranks is not bit-identical", p.ranks);
-            std::process::exit(1);
-        }
-        if p.nodes > 1 && !p.hier_fewer_inter_messages() {
-            eprintln!(
-                "FAIL: {kind} sweep at {} ranks: hierarchical issued {} inter-node messages \
-                 vs flat's {}",
-                p.ranks, p.hier.comm.inter_messages, p.flat.comm.inter_messages
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // The headline: the tiered path must win on modeled total time at
-    // the largest count of both sweeps.
-    for sweep in [&report.weak, &report.strong] {
-        let last = sweep.points.last().expect("at least one rank count");
-        if last.nodes > 1 && last.hier.modeled_total() >= last.flat.modeled_total() {
-            eprintln!(
-                "FAIL: {} sweep at {} ranks: hierarchical modeled total {:.3} ms does not \
-                 beat flat's {:.3} ms",
-                sweep.kind,
-                last.ranks,
-                last.hier.modeled_total().as_secs_f64() * 1e3,
-                last.flat.modeled_total().as_secs_f64() * 1e3
-            );
-            std::process::exit(1);
-        }
-    }
-
-    // The fused-suite invariant on the tiered path.
-    let c = &report.check;
-    assert!(
-        c.one_allreduce_per_step(),
-        "fused suite must issue exactly one packed allreduce per step on the tiered path"
-    );
-    assert!(c.tier_counters_populated(), "suite tier counters must reach the profiler");
-
-    write_scale_json(&out_dir.join("BENCH_scale.json"), &report);
-
-    let last = report.weak.points.last().expect("at least one point");
-    println!(
-        "  PASS: bit-identical at every count; {}-rank hierarchical beat flat x{:.2} on \
-         modeled total time; fused suite kept 1 allreduce/step across {} ranks",
-        last.ranks,
-        last.speedup(),
-        c.ranks
-    );
-}
-
-/// Machine-readable adaptive report: one JSON object per arm in both
-/// sweeps plus the headline booleans CI greps. Hand-rolled like
-/// `write_pool_json`.
-fn write_adaptive_json(path: &Path, report: &bench::AdaptiveBenchReport) {
-    let mut json = String::from("{\n  \"arms\": [\n");
-    let sweeps = [("steady", &report.steady), ("drift", &report.drift)];
-    for (si, (wname, sweep)) in sweeps.iter().enumerate() {
-        let reference = &sweep.statics[0].results;
-        let arms: Vec<&bench::AdaptiveArm> =
-            sweep.statics.iter().chain(std::iter::once(&sweep.adaptive)).collect();
-        for (ai, a) in arms.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"arm\": \"{}\", \"start\": \"{}\", \
-                 \"final\": \"{}\", \"steps\": {}, \"results\": {}, \
-                 \"total_apparent_s\": {:.9}, \"steady_mean_s\": {:.9}, \
-                 \"converged_by_step\": {}, \"decisions\": {}, \"probes_used\": {}, \
-                 \"aborted\": {}, \"bit_identical_to_reference\": {}}}{}\n",
-                wname,
-                a.label,
-                bench::controls_label(&a.start),
-                bench::controls_label(&a.final_controls),
-                a.apparent_s.len(),
-                a.results.len(),
-                a.total_apparent(),
-                a.steady_mean(),
-                a.converged_by.map_or("null".to_string(), |s| s.to_string()),
-                a.decisions,
-                a.probes_used,
-                a.aborted,
-                bench::results_bit_identical(reference, &a.results),
-                if si + 1 < sweeps.len() || ai + 1 < arms.len() { "," } else { "" },
-            ));
-        }
-    }
-    json.push_str(&format!(
-        "  ],\n  \"tolerance\": {:.2},\n  \"converge_within_steps\": {},\n  \
-         \"converged_within_tolerance\": {},\n  \"drift_adaptive_beats_all_statics\": {},\n  \
-         \"all_bit_identical\": {},\n  \"zero_aborts\": {}\n}}\n",
-        bench::ADAPTIVE_TOLERANCE,
-        report.config.converge_within,
-        report.converged_within(bench::ADAPTIVE_TOLERANCE),
-        report.drift_adaptive_wins(),
-        report.all_bit_identical(),
-        report.zero_aborts(),
-    ));
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The adaptive smoke: static placement arms plus the
-/// closed-loop arms over the steady and drifting workloads, with the
-/// issue's acceptance bars hard-asserted — the steady adaptive arm
-/// starts from the worst static configuration and must settle within
-/// the step bound at a steady-state apparent cost within 10% of the
-/// best static arm; the drift adaptive arm must beat every static arm
-/// end-to-end; every arm bit-identical; zero aborted dispatches.
-fn run_adaptive_mode(base: &CaseConfig, out_dir: &Path) {
-    let cfg =
-        bench::AdaptiveBenchConfig { num_devices: base.num_devices.max(1), ..Default::default() };
-    println!(
-        "\nAdaptive autotuning: {} static arms/workload over {} rows, steady {} steps, \
-         drift {} steps (surface inverts at {}), closed loop from the worst static corner",
-        bench::STATIC_ARMS.len(),
-        cfg.rows,
-        cfg.steady_steps,
-        cfg.drift_steps,
-        cfg.drift_at,
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_adaptive_bench(&cfg);
-    eprintln!("both sweeps done in {:.2?}", t0.elapsed());
-
-    for (wname, sweep) in [("steady", &report.steady), ("drift", &report.drift)] {
-        println!("\n  {:<28} {:>12} {:>14} {:>10}", wname, "total", "steady/iter", "converged");
-        for a in sweep.statics.iter().chain(std::iter::once(&sweep.adaptive)) {
-            println!(
-                "  {:<28} {:>9.3} ms {:>11.3} ms {:>10}",
-                a.label,
-                a.total_apparent() * 1e3,
-                a.steady_mean() * 1e3,
-                a.converged_by.map_or("-".to_string(), |s| format!("step {s}")),
-            );
-        }
-    }
-
-    write_adaptive_json(&out_dir.join("BENCH_adaptive.json"), &report);
-
-    if !report.all_bit_identical() {
-        eprintln!("FAIL: an arm's results differ from the static reference");
-        std::process::exit(1);
-    }
-    if !report.zero_aborts() {
-        eprintln!("FAIL: an arm aborted a dispatch");
-        std::process::exit(1);
-    }
-    if !report.converged_within(bench::ADAPTIVE_TOLERANCE) {
-        eprintln!(
-            "FAIL: steady adaptive arm (from {}) did not settle within {} steps at <= {:.0}% \
-             over the best static arm ({}: {:.3} ms/iter)",
-            bench::controls_label(&report.steady.adaptive.start),
-            report.config.converge_within,
-            bench::ADAPTIVE_TOLERANCE * 100.0,
-            report.steady.best_static().label,
-            report.steady.best_static().steady_mean() * 1e3,
-        );
-        std::process::exit(1);
-    }
-    if !report.drift_adaptive_wins() {
-        eprintln!(
-            "FAIL: drift adaptive arm ({:.3} ms) lost to a static arm (best {}: {:.3} ms)",
-            report.drift.adaptive.total_apparent() * 1e3,
-            report.drift.best_static().label,
-            report.drift.best_static().total_apparent() * 1e3,
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "  PASS: steady adaptive settled by step {} within {:.0}% of best static; drift \
-         adaptive ({:.1} ms) beat every static arm (best {:.1} ms); all arms bit-identical, \
-         zero aborts",
-        report.steady.adaptive.converged_by.unwrap_or(0),
-        bench::ADAPTIVE_TOLERANCE * 100.0,
-        report.drift.adaptive.total_apparent() * 1e3,
-        report.drift.best_static().total_apparent() * 1e3,
-    );
-}
-
-/// Machine-readable serving report: one JSON object per fan-out arm
-/// plus the steering outcome and the headline booleans CI greps.
-/// Hand-rolled like `write_adaptive_json`.
-fn write_serve_json(path: &Path, report: &bench::ServeBenchReport) {
-    let mut json = String::from("{\n  \"arms\": [\n");
-    for (i, a) in report.arms.iter().enumerate() {
-        let bytes: Vec<String> = a.bytes_per_step.iter().map(|b| b.to_string()).collect();
-        json.push_str(&format!(
-            "    {{\"sessions\": {}, \"fast\": {}, \"slow\": {}, \"churned\": {}, \
-             \"delivered\": {}, \"dropped\": {}, \"fast_missing\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"bytes_per_step\": [{}], \
-             \"wall_s\": {:.6}}}{}\n",
-            a.sessions,
-            a.fast,
-            a.slow,
-            a.churned,
-            a.delivered,
-            a.dropped,
-            a.fast_missing,
-            a.p50_ns,
-            a.p99_ns,
-            bytes.join(", "),
-            a.wall.as_secs_f64(),
-            if i + 1 < report.arms.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"steering\": {{\"steers_applied\": {}, \"steered_results\": {}, \
-         \"replayed_results\": {}, \"bit_identical\": {}}},\n  \
-         \"flat_bytes_across_sessions\": {},\n  \"zero_fast_drops\": {},\n  \
-         \"results_identical_across_arms\": {},\n  \"steering_bit_identical\": {}\n}}\n",
-        report.steering.steers_applied,
-        report.steering.steered.len(),
-        report.steering.replayed.len(),
-        report.steering.bit_identical(),
-        report.flat_bytes(),
-        report.zero_fast_drops(),
-        report.results_identical_across_arms(),
-        report.steering_bit_identical(),
-    ));
-    std::fs::create_dir_all(path.parent().unwrap_or(&PathBuf::from("."))).ok();
-    std::fs::write(path, json).expect("write JSON");
-    println!("wrote {}", path.display());
-}
-
-/// The serving smoke: the fan-out sweep over the session counts plus
-/// the two-rank steering pair, with the issue's acceptance bars
-/// hard-asserted — bytes serialized per step flat across session
-/// counts, zero missed frames for block-policy fast clients, binned
-/// results independent of the audience, and steered == replayed bit
-/// for bit.
-fn run_serve_mode(session_counts: &[usize], out_dir: &Path) {
-    let cfg =
-        bench::ServeBenchConfig { session_counts: session_counts.to_vec(), ..Default::default() };
-    println!(
-        "\nLive result serving: {} bodies, {} steps, {} instances on {}^2 bins, \
-         sessions {:?} (~80% fast block / ~15% slow drop-oldest / rest churning)",
-        cfg.bodies, cfg.steps, cfg.instances, cfg.resolution, cfg.session_counts,
-    );
-
-    let t0 = Instant::now();
-    let report = bench::run_serve_bench(&cfg);
-    eprintln!("sweep + steering pair done in {:.2?}", t0.elapsed());
-
-    println!(
-        "\n  {:>9} {:>10} {:>9} {:>9} {:>11} {:>11} {:>13}",
-        "sessions", "delivered", "dropped", "churned", "p50", "p99", "bytes/step"
-    );
-    for a in &report.arms {
-        println!(
-            "  {:>9} {:>10} {:>9} {:>9} {:>8.2} us {:>8.2} us {:>13}",
-            a.sessions,
-            a.delivered,
-            a.dropped,
-            a.churned,
-            a.p50_ns as f64 / 1e3,
-            a.p99_ns as f64 / 1e3,
-            a.bytes_per_step.first().copied().unwrap_or(0),
-        );
-    }
-    println!(
-        "  steering: {} commands applied, {} results steered vs {} replayed",
-        report.steering.steers_applied,
-        report.steering.steered.len(),
-        report.steering.replayed.len(),
-    );
-
-    write_serve_json(&out_dir.join("BENCH_serve.json"), &report);
-
-    if !report.flat_bytes() {
-        eprintln!(
-            "FAIL: bytes serialized per step scale with the session count: {:?}",
-            report.arms.iter().map(|a| (a.sessions, a.bytes_per_step.clone())).collect::<Vec<_>>(),
-        );
-        std::process::exit(1);
-    }
-    if !report.zero_fast_drops() {
-        eprintln!("FAIL: a block-policy fast client missed a frame");
-        std::process::exit(1);
-    }
-    if !report.results_identical_across_arms() {
-        eprintln!("FAIL: binned results changed with the session count");
-        std::process::exit(1);
-    }
-    if !report.steering_bit_identical() {
-        eprintln!("FAIL: the steered run diverged from the direct-reconfiguration replay");
-        std::process::exit(1);
-    }
-    println!(
-        "  PASS: bytes/step flat across {:?} sessions, zero fast-client losses, results \
-         audience-independent, steering bit-identical to its replay ({} commands)",
-        report.arms.iter().map(|a| a.sessions).collect::<Vec<_>>(),
-        report.steering.steers_applied,
-    );
-}
-
-/// Ops per binning instance in the paper workload (10: count + 9 more).
-const VARIABLE_OPS_PER_INSTANCE: usize = bench::VARIABLE_OPS.len();
-
-fn main() {
-    let (mode, base, out_dir, xml, chaos_seed, rank_counts, session_counts) = parse_args();
-    if mode == "run-config" {
-        run_config(&xml.expect("run-config needs an XML path"), &base);
-        return;
-    }
-    if mode == "binning" {
-        run_binning(&base, &out_dir);
-        return;
-    }
-    if mode == "chaos" {
-        run_chaos_mode(chaos_seed, &out_dir);
-        return;
-    }
-    if mode == "snapshot" {
-        run_snapshot_mode(&base, &out_dir);
-        return;
-    }
-    if mode == "dag" {
-        run_dag_mode(&base, &out_dir);
-        return;
-    }
-    if mode == "scale" {
-        run_scale_mode(&base, &rank_counts, &out_dir);
-        return;
-    }
-    if mode == "adaptive" {
-        run_adaptive_mode(&base, &out_dir);
-        return;
-    }
-    if mode == "serve" {
-        run_serve_mode(&session_counts, &out_dir);
-        return;
-    }
+/// Table 1 and the 8-case matrix behind Figures 2 and 3.
+fn figures(mode: &str, base: &CaseConfig, out_dir: &Path) -> Result<bool, String> {
     let node_cfg = bench_node_config(base.num_devices, base.time_scale);
     println!("== SENSEI heterogeneous-extensions experiment harness ==");
     println!(
-        "workload: {} bodies, {} steps, {} binning instances x 10 ops on {}^2 bins",
-        base.bodies, base.steps, base.instances, base.resolution
+        "workload: {} bodies, {} steps, {} binning instances x {} ops on {}^2 bins",
+        base.bodies,
+        base.steps,
+        base.instances,
+        bench::VARIABLE_OPS.len(),
+        base.resolution
     );
     println!(
         "time model: device {:.1e} F/s {:.1e} B/s, host {} slots x {:.1e} F/s, scale {}",
@@ -1423,90 +356,101 @@ fn main() {
         node_cfg.host.flops_per_sec,
         node_cfg.time_scale
     );
-
     if mode == "table1" || mode == "all" {
-        print_table1(&base);
+        print_table1(base);
     }
-    if mode == "figure2" || mode == "figure3" || mode == "all" {
-        let results = run_matrix(&base);
+    if mode == "table1" {
+        return Ok(true);
+    }
+    let results = run_matrix(base);
 
-        // Figure 2: total run time per case, grouped by placement.
-        let rows: Vec<(String, std::time::Duration)> =
-            results.iter().map(|r| (case_label(&r.config), r.total)).collect();
-        println!(
-            "\n{}",
-            ascii_bars("Figure 2: total run time (lockstep vs asynchronous)", &rows, 50)
-        );
+    // Figure 2: total run time per case, grouped by placement.
+    let rows: Vec<(String, std::time::Duration)> =
+        results.iter().map(|r| (case_label(&r.config), r.total)).collect();
+    println!("\n{}", ascii_bars("Figure 2: total run time (lockstep vs asynchronous)", &rows, 50));
 
-        // Figure 3: mean per-iteration solver + in situ stacks.
-        let stacks: Vec<(String, std::time::Duration, std::time::Duration)> =
-            results.iter().map(|r| (case_label(&r.config), r.mean_solver, r.mean_insitu)).collect();
-        println!(
-            "{}",
-            ascii_stack(
-                "Figure 3: average time per iteration (solver + apparent in situ)",
-                &stacks,
-                50
-            )
-        );
+    // Figure 3: mean per-iteration solver + in situ stacks.
+    let stacks: Vec<(String, std::time::Duration, std::time::Duration)> =
+        results.iter().map(|r| (case_label(&r.config), r.mean_solver, r.mean_insitu)).collect();
+    println!(
+        "{}",
+        ascii_stack(
+            "Figure 3: average time per iteration (solver + apparent in situ)",
+            &stacks,
+            50
+        )
+    );
 
-        write_csv(&out_dir.join("figure2_figure3.csv"), &results);
+    write_text(out_dir, "figure2_figure3.csv", &matrix_csv(&results))?;
+    write_text(out_dir, "backend_breakdown.csv", &backend_csv(&results))?;
+    emit(&bench::PoolReport(&results), out_dir)
+}
 
-        // Per-backend apparent-cost breakdown (what each attached
-        // instance cost the simulation per dispatch, averaged over ranks).
-        println!("\nPer-backend apparent-cost breakdown:");
-        for r in &results {
-            println!("  {}", case_label(&r.config));
-            for b in &r.backends {
-                println!(
-                    "    {:<24} {:>4} dispatches, mean apparent {:.3} ms, total {:.3} s",
-                    b.backend,
-                    b.dispatches,
-                    b.mean_apparent.as_secs_f64() * 1e3,
-                    b.total_apparent.as_secs_f64()
-                );
-            }
+/// Run one A/B mode at the scale the command line asked for.
+fn run_mode(
+    mode: &str,
+    base: &CaseConfig,
+    seed: u64,
+    rank_counts: &[usize],
+    session_counts: &[usize],
+) -> Option<Box<dyn Report>> {
+    Some(match mode {
+        "binning" => Box::new(bench::run_binning_bench(base)),
+        "chaos" => Box::new(bench::run_chaos(&bench::ChaosConfig { seed, ..Default::default() })),
+        "snapshot" => Box::new(bench::run_snapshot_bench(&bench::SnapshotBenchConfig {
+            bodies: base.bodies,
+            steps: base.steps,
+            resolution: base.resolution.min(32),
+            instances: base.instances,
+            time_scale: base.time_scale,
+        })),
+        "dag" => Box::new(bench::run_dag_bench(&bench::DagBenchConfig {
+            steps: base.steps,
+            num_devices: base.num_devices.max(2),
+            // `--scale` multiplies the dag workload's own (deliberately
+            // high) default time scale; the A/B must stay kernel-bound in
+            // modeled time for device overlap to be measurable.
+            time_scale: base.time_scale * bench::DagBenchConfig::default().time_scale,
+            ..Default::default()
+        })),
+        "scale" => Box::new(bench::run_scale_bench(&bench::ScaleBenchConfig {
+            rank_counts: rank_counts.to_vec(),
+            steps: base.steps.max(2),
+            ..Default::default()
+        })),
+        "adaptive" => Box::new(bench::run_adaptive_bench(&bench::AdaptiveBenchConfig {
+            num_devices: base.num_devices.max(1),
+            ..Default::default()
+        })),
+        "serve" => Box::new(bench::run_serve_bench(&bench::ServeBenchConfig {
+            session_counts: session_counts.to_vec(),
+            ..Default::default()
+        })),
+        _ => return None,
+    })
+}
+
+fn main() {
+    let (mode, base, out_dir, xml, chaos_seed, rank_counts, session_counts) = parse_args();
+    if mode == "run-config" {
+        run_config(&xml.expect("run-config needs an XML path"), &base);
+        return;
+    }
+    let t0 = Instant::now();
+    let outcome = match run_mode(&mode, &base, chaos_seed, &rank_counts, &session_counts) {
+        Some(report) => {
+            eprintln!("{mode}: arms done in {:.2?}", t0.elapsed());
+            emit(report.as_ref(), &out_dir)
         }
-        write_backend_csv(&out_dir.join("backend_breakdown.csv"), &results);
-
-        // Caching-pool effectiveness per case.
-        println!(
-            "\nMemory pool ({}):",
-            if base.pool { "on" } else { "off — run with --pool on to compare" }
-        );
-        for r in &results {
-            let t = r.pool_total();
-            println!(
-                "  {}  hit rate {:.1}% ({} hits / {} misses), {} raw allocs, high water {} MiB",
-                case_label(&r.config),
-                t.hit_rate() * 100.0,
-                t.hits,
-                t.misses,
-                t.raw_allocs,
-                t.high_water_bytes >> 20,
-            );
-        }
-        write_pool_json(&out_dir.join("BENCH_pool.json"), &results);
-
-        // The qualitative findings of §4.4, checked on this run.
-        println!("\n§4.4 shape checks:");
-        for placement in Placement::paper_placements() {
-            let find = |m: ExecutionMethod| {
-                results
-                    .iter()
-                    .find(|r| r.config.placement == placement && r.config.execution == m)
-                    .expect("matrix is complete")
-            };
-            let lock = find(ExecutionMethod::Lockstep);
-            let asyn = find(ExecutionMethod::Asynchronous);
-            println!(
-                "  {:<22} async/lockstep total = {:.2}  (async {} lockstep); solver slowdown x{:.2}; apparent insitu {:.1} ms",
-                placement.label(),
-                asyn.total.as_secs_f64() / lock.total.as_secs_f64(),
-                if asyn.total < lock.total { "beats" } else { "does NOT beat" },
-                asyn.mean_solver.as_secs_f64() / lock.mean_solver.as_secs_f64().max(1e-12),
-                asyn.mean_insitu.as_secs_f64() * 1e3,
-            );
-        }
+        None => figures(&mode, &base, &out_dir),
+    };
+    // The one verdict: a failed gating claim, or a report that could not
+    // be written.
+    let passed = outcome.unwrap_or_else(|e| {
+        eprintln!("FAIL: {e}");
+        false
+    });
+    if !passed {
+        std::process::exit(1);
     }
 }

@@ -43,6 +43,7 @@ use sensei::{
 use binning::{BinnedResult, BinningSuite, ResultSink};
 
 use crate::case::bench_node_config;
+use crate::report::{Claim, Report, Row};
 use crate::workload::paper_binning_specs_bounded;
 
 /// Scale of the chaos workload. The schedule's rules fire with
@@ -76,8 +77,6 @@ impl Default for ChaosConfig {
 pub struct ChaosArm {
     /// Arm name: `baseline`, `retry`, or `skip_step`.
     pub arm: &'static str,
-    /// The recovery policy the suite ran under.
-    pub policy: &'static str,
     /// Ranks the arm ran on.
     pub ranks: usize,
     /// Solver steps completed per rank (the solver must always finish).
@@ -112,6 +111,70 @@ impl ChaosReport {
     /// bit for bit.
     pub fn retry_bit_identical(&self) -> bool {
         results_bit_identical(&self.baseline.results, &self.retry.results)
+    }
+}
+
+impl Report for ChaosReport {
+    fn mode(&self) -> &'static str {
+        "chaos"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let arm_rows = |a: &ChaosArm| {
+            let counters = [
+                ("ranks", a.ranks as u64),
+                ("steps_completed", a.steps_completed),
+                ("dispatch_errors", a.dispatch_errors),
+                ("results", a.results.len() as u64),
+                ("faults_injected", a.faults.injected),
+                ("faults_retried", a.faults.retried),
+                ("faults_recovered", a.faults.recovered),
+                ("faults_skipped", a.faults.skipped),
+                ("faults_aborted", a.faults.aborted),
+                ("injector_errors", a.injector_errors),
+                ("injector_delays", a.injector_delays),
+            ];
+            Row::counts(a.arm, &counters)
+        };
+        [&self.baseline, &self.retry, &self.skip].into_iter().flat_map(arm_rows).collect()
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let (b, r, s) = (&self.baseline, &self.retry, &self.skip);
+        let (steps, per_step, ranks) =
+            (self.config.steps, self.config.instances as u64, r.ranks as u64);
+        let clean = b.faults == FaultSnapshot::default();
+        vec![
+            Claim::gate("baseline.injects_nothing", clean, format!("{:?}", b.faults)),
+            Claim::eq("baseline.zero_dispatch_errors", b.dispatch_errors, 0),
+            Claim::eq("baseline.delivers_every_step", b.results.len() as u64, steps * per_step),
+            // Retry: every rank's dispatch fails twice and recovers on
+            // the third attempt; the solver loop never sees an error and
+            // the recovered results match the fault-free run bit for bit.
+            Claim::eq("retry.solver_finishes", r.steps_completed, steps),
+            Claim::eq("retry.zero_dispatch_errors", r.dispatch_errors, 0),
+            Claim::eq("retry.one_injected_dispatch_per_rank", r.faults.injected, ranks),
+            Claim::eq("retry.two_retries_per_rank", r.faults.retried, 2 * ranks),
+            Claim::eq("retry.faults_recovered_eq_ranks", r.faults.recovered, ranks),
+            Claim::eq("retry.zero_aborted", r.faults.aborted, 0),
+            Claim::lt("retry.slow_rank_delay_fired", 0, r.injector_delays),
+            Claim::gate("retry.bit_identical_to_baseline", self.retry_bit_identical(), ""),
+            // Skip: the worker drops exactly the faulted step and keeps
+            // going; the simulation still runs to completion.
+            Claim::eq("skip_step.solver_finishes", s.steps_completed, steps),
+            Claim::eq("skip_step.zero_dispatch_errors", s.dispatch_errors, 0),
+            Claim::eq("skip_step.one_step_skipped", s.faults.skipped, 1),
+            Claim::eq("skip_step.zero_aborted", s.faults.aborted, 0),
+            Claim::eq(
+                "skip_step.one_steps_results_missing",
+                s.results.len() as u64,
+                (steps - 1) * per_step,
+            ),
+        ]
     }
 }
 
@@ -289,7 +352,6 @@ fn run_arm(
 
     ChaosArm {
         arm,
-        policy: recovery.name(),
         ranks,
         steps_completed,
         dispatch_errors,
@@ -308,43 +370,38 @@ mod tests {
         ChaosConfig { num_devices: 2, bodies: 64, steps: 3, resolution: 8, instances: 2, seed: 11 }
     }
 
+    /// One run of the three arms, shared by the tests below.
+    fn report() -> &'static ChaosReport {
+        static REPORT: std::sync::OnceLock<ChaosReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| {
+            let _serial = crate::serial();
+            run_chaos(&tiny())
+        })
+    }
+
     #[test]
     fn retry_arm_recovers_bit_identically() {
-        let _serial = crate::serial();
-        let cfg = tiny();
-        let report = run_chaos(&cfg);
-        let ranks = report.retry.ranks as u64;
-
-        let b = &report.baseline;
-        assert_eq!(b.faults, FaultSnapshot::default(), "baseline injects nothing");
-        assert_eq!(b.dispatch_errors, 0);
-        assert_eq!(b.results.len(), (cfg.steps as usize) * cfg.instances);
-
-        let r = &report.retry;
-        assert_eq!(r.faults.injected, ranks, "one injected dispatch per rank");
-        assert_eq!(r.faults.retried, 2 * ranks, "two retry attempts per rank");
-        assert_eq!(r.faults.recovered, ranks);
-        assert_eq!(r.faults.aborted, 0);
-        assert_eq!(r.dispatch_errors, 0, "recovery hides the faults from the solver loop");
-        assert_eq!(r.injector_delays, 2, "rank 0 stalled at its first two armed collectives");
-        assert!(report.retry_bit_identical(), "recovered results must match the baseline");
+        let report = report();
+        crate::report::assert_gates(report);
+        assert_eq!(
+            report.retry.injector_delays, 2,
+            "rank 0 stalled at its first two armed collectives"
+        );
     }
 
     #[test]
     fn skip_arm_drops_one_step_and_finishes() {
-        let _serial = crate::serial();
-        let cfg = tiny();
-        let report = run_chaos(&cfg);
-        let s = &report.skip;
-        assert_eq!(s.ranks, 1);
-        assert_eq!(s.steps_completed, cfg.steps, "the solver runs to completion");
-        assert_eq!(s.dispatch_errors, 0);
-        assert_eq!(s.faults.skipped, 1, "exactly one step is dropped");
-        assert_eq!(s.faults.aborted, 0);
-        assert_eq!(
-            s.results.len(),
-            (cfg.steps as usize - 1) * cfg.instances,
-            "one step's results are missing, the rest are delivered"
+        let report = report();
+        assert_eq!(report.skip.ranks, 1);
+        crate::report::assert_claims(
+            report,
+            &[
+                "skip_step.solver_finishes",
+                "skip_step.zero_dispatch_errors",
+                "skip_step.one_step_skipped",
+                "skip_step.zero_aborted",
+                "skip_step.one_steps_results_missing",
+            ],
         );
     }
 }

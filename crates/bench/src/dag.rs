@@ -38,6 +38,7 @@ use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableDa
 use binning::{BinOp, BinnedResult, BinningSpec, BinningSuite, ResultSink, VarOp};
 
 use crate::case::bench_node_config;
+use crate::report::{Claim, Label, Report, Row};
 
 /// Scale of the dag A/B workload.
 #[derive(Debug, Clone, Copy)]
@@ -201,10 +202,6 @@ impl sensei::DataAdaptor for SkewTable {
 pub struct DagArm {
     /// Arm name: `inline`, `async_fused`, or `dag/<snapshot mode>`.
     pub arm: String,
-    /// The engine the arm ran through.
-    pub execution: ExecutionMethod,
-    /// Snapshot capture mode (relevant to the threaded and dag arms).
-    pub snapshot: SnapshotMode,
     /// Total wall time: init + steps + queue drain at finalize.
     pub total: Duration,
     /// Mean apparent in situ time per iteration.
@@ -246,6 +243,73 @@ impl DagBenchReport {
     /// True when `arm`'s results match the inline reference bit for bit.
     pub fn bit_identical_to_inline(&self, arm: &DagArm) -> bool {
         crate::chaos::results_bit_identical(&self.inline_arm.results, &arm.results)
+    }
+}
+
+impl Report for DagBenchReport {
+    fn mode(&self) -> &'static str {
+        "dag"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for a in self.arms() {
+            let (arm, s, c) = (a.arm.as_str(), &a.sched, &a.counters);
+            rows.push(Row::new(arm, "total_s", "s", Label::Wall, a.total.as_secs_f64()));
+            rows.push(Row::ms(arm, "insitu_ms", Label::Wall, a.mean_insitu));
+            rows.extend(Row::counts(arm, &[("tasks", s.tasks), ("steals", s.steals)]));
+            rows.push(Row::ms(arm, "idle_ms", Label::Wall, Duration::from_nanos(s.idle_ns)));
+            let critical_path = Duration::from_nanos(s.critical_path_ns);
+            rows.push(Row::ms(arm, "critical_path_ms", Label::Wall, critical_path));
+            let counters = [
+                ("kernel_launches", c.kernel_launches),
+                ("downloads", c.downloads),
+                ("allreduces", c.allreduces),
+                ("faults_aborted", c.faults.aborted),
+            ];
+            rows.extend(Row::counts(arm, &counters));
+        }
+        rows
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let arms_where = |arms: Vec<&DagArm>, bad: &dyn Fn(&DagArm) -> bool| -> Vec<String> {
+            arms.into_iter().filter(|a| bad(a)).map(|a| a.arm.clone()).collect()
+        };
+        let dag_arms = || self.dag.iter().collect();
+        let (dag, threaded) = (self.dag_deep(), &self.threaded);
+        vec![
+            // Correctness before speed: stealing across devices must not
+            // perturb a single bit of any arm's published grids.
+            Claim::none(
+                "all_arms_bit_identical_to_inline",
+                arms_where(self.arms(), &|a| !self.bit_identical_to_inline(a)),
+            ),
+            Claim::none(
+                "dag_arms_run_the_dataflow_path",
+                arms_where(dag_arms(), &|a| a.sched.tasks == 0),
+            ),
+            Claim::none(
+                "dag_arms_abort_nothing",
+                arms_where(dag_arms(), &|a| a.counters.faults.aborted != 0),
+            ),
+            // With every kernel task homed on the primary device and
+            // multi-millisecond modeled kernels, the other device workers
+            // must steal; stolen parallelism plus by-construction download
+            // overlap must beat the single-device threaded worker on both
+            // throughput measures.
+            Claim::lt("dag_deep_steals", 0, dag.sched.steals),
+            Claim::lt("dag_deep_beats_async_fused_on_total", dag.total, threaded.total),
+            Claim::lt(
+                "dag_deep_beats_async_fused_on_insitu",
+                dag.mean_insitu,
+                threaded.mean_insitu,
+            ),
+        ]
     }
 }
 
@@ -292,16 +356,7 @@ pub fn run_dag_arm(
 
     let (total, mean_insitu, sched, counters) = out.into_iter().next().expect("one rank");
     let results = sink.lock().clone();
-    DagArm {
-        arm: arm.to_string(),
-        execution,
-        snapshot,
-        total,
-        mean_insitu,
-        results,
-        sched,
-        counters,
-    }
+    DagArm { arm: arm.to_string(), total, mean_insitu, results, sched, counters }
 }
 
 /// Run all four arms and collect their outcomes.
@@ -349,18 +404,16 @@ mod tests {
         let report = run_dag_bench(&cfg);
         let expected = cfg.steps as usize * cfg.instances();
         assert_eq!(report.inline_arm.results.len(), expected, "inline delivers every step");
-        for arm in std::iter::once(&report.threaded).chain(&report.dag) {
-            assert_eq!(arm.results.len(), expected, "{} delivers every step", arm.arm);
-            assert!(
-                report.bit_identical_to_inline(arm),
-                "{} results must match the inline reference",
-                arm.arm
-            );
-        }
-        for arm in &report.dag {
-            assert!(arm.sched.tasks > 0, "{} ran through the dataflow path", arm.arm);
-            assert_eq!(arm.counters.faults.aborted, 0, "{} aborted nothing", arm.arm);
-        }
+        // (Steals and the two beats-threaded claims need the time model
+        // on; `tiny` turns it off.)
+        crate::report::assert_claims(
+            &report,
+            &[
+                "all_arms_bit_identical_to_inline",
+                "dag_arms_run_the_dataflow_path",
+                "dag_arms_abort_nothing",
+            ],
+        );
         assert_eq!(report.threaded.sched, SchedulerSnapshot::default(), "threaded arm has no dag");
     }
 }

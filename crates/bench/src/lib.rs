@@ -13,6 +13,7 @@ mod case;
 mod chaos;
 mod chart;
 mod dag;
+pub mod report;
 mod scale;
 mod serve;
 mod snapshot;
@@ -22,7 +23,10 @@ pub use adaptive::{
     controls_label, run_adaptive_arm, run_adaptive_bench, AdaptiveArm, AdaptiveBenchConfig,
     AdaptiveBenchReport, AdaptiveSweep, Workload, ADAPTIVE_TOLERANCE, STATIC_ARMS,
 };
-pub use case::{bench_node_config, run_case, AggregatedCase, CaseConfig, CaseOutcome};
+pub use case::{
+    bench_node_config, run_binning_bench, run_case, AggregatedCase, BinningReport, CaseConfig,
+    CaseOutcome, PoolReport,
+};
 pub use chaos::{results_bit_identical, run_chaos, ChaosArm, ChaosConfig, ChaosReport};
 pub use chart::{ascii_bars, ascii_stack};
 pub use dag::{

@@ -40,6 +40,7 @@ use sensei::{BackendControls, Bridge, CounterSnapshot, DeviceSpec};
 
 use crate::case::bench_node_config;
 use crate::dag::{skewed_binning_specs, DagBenchConfig, SkewTable};
+use crate::report::{Claim, Label, Report, Row};
 
 /// Scale of the hierarchical-vs-flat sweep.
 #[derive(Debug, Clone)]
@@ -209,6 +210,87 @@ impl ScaleReport {
     }
 }
 
+impl Report for ScaleReport {
+    fn mode(&self) -> &'static str {
+        "scale"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for (kind, p) in self.points() {
+            for (mode, a) in [("flat", &p.flat), ("hier", &p.hier)] {
+                let arm = format!("{kind}.r{}.{mode}", p.ranks);
+                let counters = [
+                    ("nodes", p.nodes as u64),
+                    ("rows_per_rank", p.rows_per_rank as u64),
+                    ("intra_messages", a.comm.intra_messages),
+                    ("intra_bytes", a.comm.intra_bytes),
+                    ("inter_messages", a.comm.inter_messages),
+                    ("inter_bytes", a.comm.inter_bytes),
+                ];
+                rows.extend(Row::counts(&arm, &counters));
+                rows.push(Row::ms(&arm, "comm_ms", Label::Modeled, a.comm.modeled()));
+                rows.push(Row::ms(&arm, "compute_ms", Label::Modeled, a.compute));
+                rows.push(Row::ms(&arm, "modeled_total_ms", Label::Modeled, a.modeled_total()));
+                rows.push(Row::ms(&arm, "wall_ms", Label::Wall, a.wall));
+            }
+            let arm = format!("{kind}.r{}.hier", p.ranks);
+            rows.push(Row::new(&arm, "speedup_modeled", "ratio", Label::Modeled, p.speedup()));
+        }
+        let c = &self.check;
+        let mut comm = TierSnapshot::default();
+        c.per_rank.iter().for_each(|r| comm.accumulate(&r.comm));
+        let counters = [
+            ("ranks", c.ranks as u64),
+            ("ranks_per_node", c.ranks_per_node as u64),
+            ("steps", c.steps),
+            ("allreduces", c.per_rank.iter().map(|r| r.allreduces).sum()),
+            ("intra_messages", comm.intra_messages),
+            ("inter_messages", comm.inter_messages),
+        ];
+        rows.extend(Row::counts("check", &counters));
+        rows
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let points_where = |bad: &dyn Fn(&ScalePoint) -> bool| -> Vec<String> {
+            let points = self.points().into_iter().filter(|(_, p)| bad(p));
+            points.map(|(kind, p)| format!("{kind}@{}", p.ranks)).collect()
+        };
+        // The headline: the tiered path wins on modeled total time at the
+        // largest count of a sweep (a single-node point has nothing to win).
+        let wins_at_largest = |sweep: &ScaleSweep| {
+            let last = sweep.points.last().expect("at least one rank count");
+            let (hier, flat) = (last.hier.modeled_total(), last.flat.modeled_total());
+            Claim::gate(
+                format!("{}.hier_wins_modeled_total_at_largest", sweep.kind),
+                last.nodes <= 1 || hier < flat,
+                format!("{} ranks: {hier:.3?} vs flat {flat:.3?}", last.ranks),
+            )
+        };
+        let c = &self.check;
+        vec![
+            // Correctness before speed: the tiered path must never perturb
+            // a bit, and on every multi-node point it must put fewer
+            // messages on the interconnect.
+            Claim::none("bit_identical_every_point", points_where(&|p| !p.bit_identical)),
+            Claim::none(
+                "hier_fewer_inter_messages",
+                points_where(&|p| p.nodes > 1 && !p.hier_fewer_inter_messages()),
+            ),
+            wins_at_largest(&self.weak),
+            wins_at_largest(&self.strong),
+            // The fused suite's invariant survives the tiered path.
+            Claim::gate("fused_one_allreduce_per_step", c.one_allreduce_per_step(), ""),
+            Claim::gate("tier_counters_populated", c.tier_counters_populated(), ""),
+        ]
+    }
+}
+
 /// SplitMix64: the sweep's deterministic value source.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -361,34 +443,31 @@ mod tests {
         }
     }
 
+    /// One run of both sweeps and the check arm, shared by the tests below.
+    fn report() -> &'static ScaleReport {
+        static REPORT: std::sync::OnceLock<ScaleReport> = std::sync::OnceLock::new();
+        REPORT.get_or_init(|| {
+            let _serial = crate::serial();
+            run_scale_bench(&tiny())
+        })
+    }
+
     #[test]
     fn sweeps_are_bit_identical_and_cut_inter_traffic() {
-        let _serial = crate::serial();
-        let report = run_scale_bench(&tiny());
-        for (kind, p) in report.points() {
-            assert!(p.bit_identical, "{kind} @ {} ranks must be bit-identical", p.ranks);
-            if p.nodes > 1 {
-                assert!(
-                    p.hier_fewer_inter_messages(),
-                    "{kind} @ {} ranks: hier {} vs flat {} inter messages",
-                    p.ranks,
-                    p.hier.comm.inter_messages,
-                    p.flat.comm.inter_messages
-                );
-                assert!(
-                    p.hier.comm.modeled() < p.flat.comm.modeled(),
-                    "{kind} @ {} ranks: tiered comm must cost less",
-                    p.ranks
-                );
-            }
+        let report = report();
+        crate::report::assert_gates(report);
+        for (kind, p) in report.points().into_iter().filter(|(_, p)| p.nodes > 1) {
+            assert!(
+                p.hier.comm.modeled() < p.flat.comm.modeled(),
+                "{kind} @ {} ranks: tiered comm must cost less",
+                p.ranks
+            );
         }
     }
 
     #[test]
     fn strong_scaling_divides_the_rows() {
-        let _serial = crate::serial();
-        let cfg = tiny();
-        let report = run_scale_bench(&cfg);
+        let report = report();
         let rows: Vec<usize> = report.strong.points.iter().map(|p| p.rows_per_rank).collect();
         assert_eq!(rows, vec![30_000, 10_000]);
         let weak: Vec<usize> = report.weak.points.iter().map(|p| p.rows_per_rank).collect();
@@ -397,10 +476,11 @@ mod tests {
 
     #[test]
     fn check_arm_keeps_the_fused_invariant_on_the_tiered_path() {
-        let _serial = crate::serial();
-        let check = run_check(2);
-        assert_eq!(check.per_rank.len(), 4);
-        assert!(check.one_allreduce_per_step(), "{:?}", check.per_rank);
-        assert!(check.tier_counters_populated());
+        let report = report();
+        assert_eq!(report.check.per_rank.len(), 4);
+        crate::report::assert_claims(
+            report,
+            &["fused_one_allreduce_per_step", "tier_counters_populated"],
+        );
     }
 }

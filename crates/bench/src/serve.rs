@@ -41,6 +41,7 @@ use binning::{BinnedResult, BinningSpec, BinningSuite, ResultSink};
 
 use crate::case::bench_node_config;
 use crate::chaos::results_bit_identical;
+use crate::report::{Claim, Label, Report, Row};
 use crate::workload::paper_binning_specs_bounded;
 
 /// Scale of the serving bench.
@@ -97,7 +98,7 @@ pub struct ServeArm {
     pub slow: usize,
     /// Total attach/detach cycles the churner thread performed.
     pub churned: u64,
-    /// Per-step serving rows (the `serve_csv` data).
+    /// Per-step serving samples (`Profiler::serve_samples`).
     pub step_stats: Vec<ServeStepStats>,
     /// Frames delivered, run total.
     pub delivered: u64,
@@ -175,6 +176,64 @@ impl ServeBenchReport {
     /// The steering claim: steered == replayed, bit for bit.
     pub fn steering_bit_identical(&self) -> bool {
         self.steering.bit_identical()
+    }
+}
+
+impl Report for ServeBenchReport {
+    fn mode(&self) -> &'static str {
+        "serve"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for a in &self.arms {
+            let arm = format!("s{}", a.sessions);
+            let counters = [
+                ("sessions", a.sessions as u64),
+                ("fast", a.fast as u64),
+                ("slow", a.slow as u64),
+                ("churned", a.churned),
+                ("delivered", a.delivered),
+                ("dropped", a.dropped),
+                ("fast_missing", a.fast_missing),
+            ];
+            rows.extend(Row::counts(&arm, &counters));
+            rows.push(Row::new(&arm, "p50_us", "us", Label::Wall, a.p50_ns as f64 / 1e3));
+            rows.push(Row::new(&arm, "p99_us", "us", Label::Wall, a.p99_ns as f64 / 1e3));
+            let bytes = |metric, v: Option<u64>| {
+                Row::new(&arm, metric, "B", Label::Count, v.unwrap_or(0) as f64)
+            };
+            rows.push(bytes("bytes_per_step_min", a.bytes_per_step.iter().copied().min()));
+            rows.push(bytes("bytes_per_step_max", a.bytes_per_step.iter().copied().max()));
+            rows.push(Row::ms(&arm, "wall_ms", Label::Wall, a.wall));
+        }
+        let s = &self.steering;
+        let counters = [
+            ("steers_applied", s.steers_applied),
+            ("steered_results", s.steered.len() as u64),
+            ("replayed_results", s.replayed.len() as u64),
+        ];
+        rows.extend(Row::counts("steering", &counters));
+        rows
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let per_arm = |f: &dyn Fn(&ServeArm) -> u64| -> String {
+            let pairs = self.arms.iter().map(|a| format!("{}: {}", a.sessions, f(a)));
+            format!("by sessions: {}", pairs.collect::<Vec<_>>().join(", "))
+        };
+        let first_step_bytes = per_arm(&|a| a.bytes_per_step.first().copied().unwrap_or(0));
+        vec![
+            Claim::gate("flat_bytes_across_sessions", self.flat_bytes(), first_step_bytes),
+            Claim::gate("zero_fast_drops", self.zero_fast_drops(), per_arm(&|a| a.fast_missing)),
+            Claim::gate("results_identical_across_arms", self.results_identical_across_arms(), ""),
+            Claim::gate("steering_bit_identical", self.steering_bit_identical(), ""),
+            Claim::lt("steers_applied", 0, self.steering.steers_applied),
+        ]
     }
 }
 
@@ -598,11 +657,9 @@ mod tests {
     fn fan_out_bytes_stay_flat_and_fast_clients_lose_nothing() {
         let _serial = crate::serial();
         let cfg = tiny();
-        let arms: Vec<ServeArm> =
-            cfg.session_counts.iter().map(|&n| run_serve_arm(&cfg, n)).collect();
-        for arm in &arms {
+        let report = run_serve_bench(&cfg);
+        for arm in &report.arms {
             assert_eq!(arm.step_stats.len(), cfg.steps as usize, "one stats row per step");
-            assert_eq!(arm.fast_missing, 0, "block clients must see every frame");
             assert!(arm.delivered >= arm.fast as u64 * cfg.steps);
             assert_eq!(
                 arm.results.len(),
@@ -611,26 +668,19 @@ mod tests {
             );
             assert!(arm.bytes_per_step.iter().all(|&b| b > 0));
         }
-        let report = ServeBenchReport {
-            config: cfg,
-            arms,
-            steering: SteeringOutcome {
-                steered: Vec::new(),
-                replayed: Vec::new(),
-                steers_applied: 0,
-                steer_log: Vec::new(),
-            },
-        };
-        assert!(report.flat_bytes(), "bytes per step must not scale with sessions");
-        assert!(report.zero_fast_drops());
-        assert!(report.results_identical_across_arms());
+        crate::report::assert_claims(
+            &report,
+            &["flat_bytes_across_sessions", "zero_fast_drops", "results_identical_across_arms"],
+        );
     }
 
     #[test]
     fn steering_replay_is_bit_identical() {
         let _serial = crate::serial();
-        let cfg = ServeBenchConfig { steps: 10, ..tiny() };
-        let outcome = run_steering_pair(&cfg);
+        let cfg = ServeBenchConfig { steps: 10, session_counts: vec![4], ..tiny() };
+        let report = run_serve_bench(&cfg);
+        crate::report::assert_claims(&report, &["steering_bit_identical", "steers_applied"]);
+        let outcome = &report.steering;
         assert_eq!(outcome.steers_applied, 4, "frequency, resolution, pause, resume");
         assert_eq!(outcome.steer_log.len(), 4);
         assert!(
@@ -644,6 +694,5 @@ mod tests {
             "pause and frequency must thin the stream: {} results",
             outcome.steered.len()
         );
-        assert!(outcome.bit_identical(), "steered vs replayed sinks diverged");
     }
 }

@@ -36,6 +36,7 @@ use binning::{BinnedResult, BinningSuite, ResultSink};
 
 use crate::case::bench_node_config;
 use crate::chaos::results_bit_identical;
+use crate::report::{Claim, Label, Report, Row};
 use crate::workload::paper_binning_specs_bounded;
 
 /// Scale of the snapshot A/B workload.
@@ -119,6 +120,74 @@ impl SnapshotReport {
             return 0.0;
         }
         1.0 - self.cow.counters.bytes_copied as f64 / deep
+    }
+}
+
+impl Report for SnapshotReport {
+    fn mode(&self) -> &'static str {
+        "snapshot"
+    }
+
+    fn config(&self) -> String {
+        format!("{:?}", self.config)
+    }
+
+    fn rows(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for a in self.arms() {
+            let (arm, c) = (a.mode.name(), &a.counters);
+            let counters = [
+                ("results", a.results.len() as u64),
+                ("arrays_shared", c.arrays_shared),
+                ("arrays_copied", c.arrays_copied),
+                ("cow_faults", c.cow_faults),
+            ];
+            rows.extend(Row::counts(arm, &counters));
+            rows.push(Row::new(arm, "bytes_copied", "B", Label::Count, c.bytes_copied as f64));
+            let per_step = a.bytes_per_step(self.config.steps);
+            rows.push(Row::new(arm, "bytes_per_step", "B", Label::Count, per_step));
+            rows.push(Row::ms(arm, "insitu_ms", Label::Wall, a.mean_insitu));
+            rows.push(Row::new(arm, "total_s", "s", Label::Wall, a.total.as_secs_f64()));
+        }
+        let reduction = self.cow_bytes_reduction();
+        rows.push(Row::new("cow", "bytes_reduction_vs_deep", "ratio", Label::Count, reduction));
+        rows
+    }
+
+    fn claims(&self) -> Vec<Claim> {
+        let (d, c) = (&self.deep.counters, &self.cow.counters);
+        let expected = self.config.steps * self.config.instances as u64;
+        let reduction = self.cow_bytes_reduction();
+        vec![
+            // The deep reference behaves like the pre-CoW bridge.
+            Claim::eq("deep.delivers_every_step", self.deep.results.len() as u64, expected),
+            Claim::eq("deep.never_shares", d.arrays_shared, 0),
+            Claim::eq("deep.never_faults", d.cow_faults, 0),
+            Claim::lt("deep.copies_every_capture", 0, d.bytes_copied),
+            // Correctness before savings: sharing must never leak
+            // post-capture writes into a capture.
+            Claim::eq("cow.delivers_every_step", self.cow.results.len() as u64, expected),
+            Claim::gate("cow.bit_identical_to_deep", self.bit_identical_to_deep(&self.cow), ""),
+            // Independent of how the OS schedules the consumer: a cow
+            // capture shares, never copies (all of its bytes come from
+            // CoW faults), and a fault copies a pinned array at most once
+            // per capture — so cow traffic cannot exceed deep's.
+            Claim::lt("cow.shares_every_capture", 0, c.arrays_shared),
+            Claim::eq("cow.eager_copies_nothing", c.arrays_copied, 0),
+            Claim::gate(
+                "cow.fault_traffic_le_deep",
+                c.bytes_copied <= d.bytes_copied,
+                format!("{} B <= {} B", c.bytes_copied, d.bytes_copied),
+            ),
+            // The headline reduction relies on the consumer releasing its
+            // shares within the modeled kernel-launch gap; a loaded runner
+            // delays it and faults more arrays, so a shortfall only warns.
+            Claim::warn(
+                "cow.bytes_reduction_ge_70pct",
+                reduction >= 0.70,
+                format!("{:.1}% fewer bytes than deep", reduction * 100.0),
+            ),
+        ]
     }
 }
 
@@ -232,20 +301,10 @@ mod tests {
     #[test]
     fn arms_are_bit_identical_and_cow_copies_less() {
         let _serial = crate::serial();
-        let cfg = tiny();
-        let report = run_snapshot_bench(&cfg);
+        let report = run_snapshot_bench(&tiny());
+        crate::report::assert_gates(&report);
 
         let d = &report.deep;
-        assert_eq!(d.results.len(), cfg.steps as usize * cfg.instances);
-        assert_eq!(d.counters.arrays_shared, 0, "deep mode never shares");
-        assert_eq!(d.counters.cow_faults, 0, "deep mode never faults");
-        assert!(d.counters.bytes_copied > 0);
-
-        assert!(
-            report.bit_identical_to_deep(&report.cow),
-            "cow arm results must match the deep reference"
-        );
-
         // CoW shares everything and only fault-copies what the solver
         // overwrites while the consumer still holds the pin.
         assert_eq!(report.cow.counters.arrays_shared, d.counters.arrays_copied);

@@ -4,11 +4,10 @@
 //! question — *where should an analysis run on a heterogeneous node* —
 //! but answered it statically from XML. [`AdaptiveController`] answers it
 //! online: it samples a sliding window of profiler observations
-//! (per-backend apparent cost, snapshot bytes, CoW faults, queue
-//! occupancy, pool hit rate, per-array write generations) and at step
-//! boundaries re-places analyses (host ↔ device ↔ dedicated device),
-//! flips lockstep ↔ asynchronous ↔ dag, and re-picks the snapshot mode
-//! from observed write rates.
+//! (per-backend apparent cost, taint, and the share of arrays written at
+//! the last capture) and at step boundaries re-places analyses (host ↔
+//! device ↔ dedicated device), flips lockstep ↔ asynchronous ↔ dag, and
+//! re-picks the snapshot mode from observed write rates.
 //!
 //! Decisions are *measured*, not modeled: the controller probes one
 //! candidate at a time (coordinate descent over placement → execution
@@ -116,8 +115,6 @@ pub struct BackendObservation {
     /// True when retry recovery slept a backoff inside this sample
     /// (nonzero retried/recovered counter delta) — the window skips it.
     pub tainted: bool,
-    /// Snapshots waiting in the engine's queue, if it has one.
-    pub queue_occupancy: Option<usize>,
 }
 
 /// Bridge-wide observation for one step.
@@ -130,12 +127,6 @@ pub struct StepObservation {
     /// Share of arrays whose write generation advanced at the last
     /// capture ([`crate::SnapshotPipeline::written_fraction`]).
     pub written_fraction: f64,
-    /// Snapshot bytes copied this step (eager + CoW fault), delta.
-    pub snapshot_bytes: u64,
-    /// CoW faults this step, delta.
-    pub cow_faults: u64,
-    /// Allocation-pool hit rate over the run so far, 0..=1.
-    pub pool_hit_rate: f64,
 }
 
 /// What the controller may touch, described by the bridge each step.
@@ -612,15 +603,8 @@ mod tests {
             tainted: bool,
         ) -> Vec<AdaptiveDecision> {
             let c = (self.cost)(&self.controls[0], self.snapshot_mode);
-            let obs = StepObservation {
-                step,
-                insitu_s: c,
-                written_fraction,
-                snapshot_bytes: 0,
-                cow_faults: 0,
-                pool_hit_rate: 1.0,
-            };
-            let backends = [BackendObservation { apparent_s: c, tainted, queue_occupancy: None }];
+            let obs = StepObservation { step, insitu_s: c, written_fraction };
+            let backends = [BackendObservation { apparent_s: c, tainted }];
             let reconf = [true];
             let controls = self.controls.clone();
             let env = AdaptiveEnv {

@@ -24,7 +24,7 @@ use crate::adaptive::{
 };
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
-use crate::counters::{CounterSnapshot, FaultSnapshot, SnapshotCounterSnapshot};
+use crate::counters::{CounterSnapshot, FaultSnapshot};
 use crate::engine::{ExecutionEngine, InlineEngine, WorkerEngine};
 use crate::error::{Error, Result};
 use crate::execution::ExecutionMethod;
@@ -56,7 +56,7 @@ pub struct Bridge {
     engines: Vec<Attached>,
     profiler: Profiler,
     pipeline: SnapshotPipeline,
-    adaptive: Option<AdaptiveState>,
+    adaptive: Option<AdaptiveController>,
     serve: Option<Arc<ServeHub>>,
     finalized: bool,
 }
@@ -76,12 +76,6 @@ struct Attached {
     faults_seen: FaultSnapshot,
     /// The frequency a steering Pause saved, restored by Resume.
     paused_from: Option<u64>,
-}
-
-/// Controller plus the last-seen counter totals it diffs per step.
-struct AdaptiveState {
-    controller: AdaptiveController,
-    snap_seen: SnapshotCounterSnapshot,
 }
 
 impl Bridge {
@@ -117,16 +111,13 @@ impl Bridge {
     /// decides and broadcasts, so every rank reconfigures identically
     /// (engine rebuilds are collective).
     pub fn enable_adaptive(&mut self, config: AdaptiveConfig) {
-        self.adaptive = Some(AdaptiveState {
-            controller: AdaptiveController::new(config),
-            snap_seen: SnapshotCounterSnapshot::default(),
-        });
+        self.adaptive = Some(AdaptiveController::new(config));
     }
 
     /// The adaptive controller, when [`Bridge::enable_adaptive`] was
     /// called (harnesses read convergence state off it).
     pub fn adaptive_controller(&self) -> Option<&AdaptiveController> {
-        self.adaptive.as_ref().map(|s| &s.controller)
+        self.adaptive.as_ref()
     }
 
     /// Attach a live-serving hub ([`crate::serve`]): from the next step
@@ -354,7 +345,6 @@ impl Bridge {
                 // A not-due back-end contributed no sample this step;
                 // taint the placeholder so no window ingests the zero.
                 tainted: tainted || !due,
-                queue_occupancy: a.engine.queue_occupancy(),
             });
         }
         let apparent = t0.elapsed();
@@ -374,22 +364,17 @@ impl Bridge {
         backend_obs: &[BackendObservation],
         comm: &Comm,
     ) -> Result<()> {
-        let snap = self.pipeline.counters().snapshot();
         let controls: Vec<BackendControls> =
             self.engines.iter().map(|a| *a.engine.controls()).collect();
         let reconfigurable: Vec<bool> = self.engines.iter().map(|a| a.factory.is_some()).collect();
         let snapshot_consumers = self.engines.iter().any(|a| a.engine.needs_snapshot());
 
-        let state = self.adaptive.as_mut().expect("caller checked");
+        let controller = self.adaptive.as_mut().expect("caller checked");
         let obs = StepObservation {
             step,
             insitu_s: apparent.as_secs_f64(),
             written_fraction: self.pipeline.written_fraction(),
-            snapshot_bytes: snap.bytes_copied.saturating_sub(state.snap_seen.bytes_copied),
-            cow_faults: snap.cow_faults.saturating_sub(state.snap_seen.cow_faults),
-            pool_hit_rate: self.node.pool_stats(devsim::MemSpace::Host).hit_rate(),
         };
-        state.snap_seen = snap;
         let env = AdaptiveEnv {
             num_devices: self.node.num_devices(),
             controls: &controls,
@@ -401,13 +386,13 @@ impl Bridge {
             // Timings are rank-local and would diverge; engine rebuilds
             // are collective (Comm::dup). Rank 0 decides for everyone.
             let local = if comm.rank() == 0 {
-                state.controller.observe_and_decide(&env, &obs, backend_obs)
+                controller.observe_and_decide(&env, &obs, backend_obs)
             } else {
                 Vec::new()
             };
             comm.bcast(0, local).map_err(|e| Error::Analysis(format!("adaptive bcast: {e}")))?
         } else {
-            state.controller.observe_and_decide(&env, &obs, backend_obs)
+            controller.observe_and_decide(&env, &obs, backend_obs)
         };
         for d in &decisions {
             self.apply_decision(d, comm)?;
@@ -552,8 +537,9 @@ impl Bridge {
                 self.profiler.record_counters(a.label.as_str(), counters.snapshot());
             }
             // Every back-end gets a scheduler row — explicit zeros for
-            // engines without a task-graph scheduler — so scheduler_csv
-            // stays rectangular whatever mix of modes a run used.
+            // engines without a task-graph scheduler — so
+            // `scheduler_samples()` has one entry per back-end whatever
+            // mix of modes a run used.
             let sched = a.engine.scheduler_counters().map(|s| s.snapshot()).unwrap_or_default();
             self.profiler.record_scheduler_counters(a.label.as_str(), sched);
         }
@@ -566,7 +552,7 @@ impl Bridge {
         );
         // Serving totals: close every session queue (clients drain what
         // is buffered, then see end-of-stream), fold the per-step
-        // delivery stats into serve_csv, and record the hub's lifetime
+        // delivery stats into `serve_samples()`, and record the hub's lifetime
         // counters as a bridge-wide "serve" row.
         if let Some(hub) = &self.serve {
             hub.shutdown();

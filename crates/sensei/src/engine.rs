@@ -88,14 +88,6 @@ pub trait ExecutionEngine: Send {
         None
     }
 
-    /// Snapshots currently waiting in the engine's hand-off queue
-    /// (`None` for engines without one). A persistently full queue is
-    /// back-pressure: the adaptive controller reads it as a sign the
-    /// back-end cannot keep up with its current configuration.
-    fn queue_occupancy(&self) -> Option<usize> {
-        None
-    }
-
     /// Run (or hand off) one iteration. `snapshot` is `Some` iff
     /// [`needs_snapshot`](Self::needs_snapshot); it may contain the union
     /// of several back-ends' requirements. Returns `Ok(false)` when the
@@ -325,10 +317,6 @@ impl ExecutionEngine for WorkerEngine {
 
     fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
         self.scheduler_counters.clone()
-    }
-
-    fn queue_occupancy(&self) -> Option<usize> {
-        self.tx.as_ref().map(|tx| tx.len())
     }
 
     fn dispatch(

@@ -213,15 +213,6 @@ impl Profiler {
         &self.adaptive_samples
     }
 
-    /// Dump the adaptive decision log as CSV.
-    pub fn adaptive_csv(&self) -> String {
-        let mut out = String::from("step,backend,action,detail\n");
-        for s in &self.adaptive_samples {
-            out.push_str(&format!("{},{},{},{}\n", s.step, s.backend, s.action, s.detail));
-        }
-        out
-    }
-
     /// Every recorded per-backend sample, in dispatch order.
     pub fn backend_samples(&self) -> &[BackendSample] {
         &self.backend_samples
@@ -285,55 +276,6 @@ impl Profiler {
         total
     }
 
-    /// Dump the per-backend counter samples as CSV: work counters, the
-    /// failure/recovery outcome counters, then the per-tier communication
-    /// traffic (intra- vs inter-node messages, bytes, and modeled time).
-    ///
-    /// The schema is fixed: every column is emitted for every row, with
-    /// explicit zeros for features a run never exercised (no ragged or
-    /// blank rows), so window-parsing consumers — the adaptive
-    /// controller's offline analysis included — can rely on column
-    /// positions. The full header is pinned by `csv_headers_are_pinned`.
-    pub fn counters_csv(&self) -> String {
-        let mut out = String::from(
-            "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
-             faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
-             intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,\
-             serve_delivered,serve_dropped,serve_bytes\n",
-        );
-        for s in &self.counter_samples {
-            let c = &s.counters;
-            let f = &c.faults;
-            let m = &c.comm;
-            let v = &c.serve;
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                s.backend,
-                c.table_passes,
-                c.kernel_launches,
-                c.downloads,
-                c.allreduces,
-                c.fetches,
-                f.injected,
-                f.retried,
-                f.recovered,
-                f.skipped,
-                f.aborted,
-                m.intra_messages,
-                m.intra_bytes,
-                m.intra_modeled_ns,
-                m.inter_messages,
-                m.inter_bytes,
-                m.inter_modeled_ns,
-                v.delivered,
-                v.dropped,
-                v.payload_bytes,
-            ));
-        }
-        out
-    }
-
     /// Record the snapshot layer's counter totals (the bridge does this
     /// at finalize, labeled with the active capture mode).
     pub fn record_snapshot_counters(
@@ -347,19 +289,6 @@ impl Profiler {
     /// Every recorded snapshot-layer sample.
     pub fn snapshot_samples(&self) -> &[SnapshotSample] {
         &self.snapshot_samples
-    }
-
-    /// Dump the snapshot-layer samples as CSV.
-    pub fn snapshot_csv(&self) -> String {
-        let mut out = String::from("mode,arrays_shared,arrays_copied,bytes_copied,cow_faults\n");
-        for s in &self.snapshot_samples {
-            let c = &s.counters;
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                s.mode, c.arrays_shared, c.arrays_copied, c.bytes_copied, c.cow_faults,
-            ));
-        }
-        out
     }
 
     /// Record one back-end's scheduler counter totals (the bridge does
@@ -386,19 +315,6 @@ impl Profiler {
         total
     }
 
-    /// Dump the per-backend scheduler samples as CSV.
-    pub fn scheduler_csv(&self) -> String {
-        let mut out = String::from("backend,tasks,steals,idle_ns,critical_path_ns\n");
-        for s in &self.scheduler_samples {
-            let c = &s.counters;
-            out.push_str(&format!(
-                "{},{},{},{},{}\n",
-                s.backend, c.tasks, c.steals, c.idle_ns, c.critical_path_ns,
-            ));
-        }
-        out
-    }
-
     /// Record one step's live-serving aggregates (the bridge drains the
     /// hub's per-step stats into these at finalize).
     pub fn record_serve(&mut self, stats: ServeStepStats) {
@@ -408,21 +324,6 @@ impl Profiler {
     /// Every recorded per-step serving sample, in step order.
     pub fn serve_samples(&self) -> &[ServeStepStats] {
         &self.serve_samples
-    }
-
-    /// Dump the per-step serving samples as CSV: sessions registered,
-    /// frames delivered/dropped, client-observed delivery-latency
-    /// percentiles, and the bytes publication serialized (once per step,
-    /// independent of session count).
-    pub fn serve_csv(&self) -> String {
-        let mut out = String::from("step,sessions,delivered,dropped,p50_ns,p99_ns,bytes_copied\n");
-        for s in &self.serve_samples {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                s.step, s.sessions, s.delivered, s.dropped, s.p50_ns, s.p99_ns, s.bytes_copied,
-            ));
-        }
-        out
     }
 
     /// Pool counters summed over every recorded space.
@@ -457,62 +358,6 @@ impl Profiler {
             mean_insitu: if n == 0 { Duration::ZERO } else { sum(|r| r.insitu) / n as u32 },
             total_runtime: self.total.unwrap_or_else(|| self.started.elapsed()),
         }
-    }
-
-    /// Dump the records as CSV (`step,solver_s,insitu_s`), the format the
-    /// analysis scripts in the paper's reproducibility appendix consume.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("step,solver_s,insitu_s\n");
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{:.9},{:.9}\n",
-                r.step,
-                r.solver.as_secs_f64(),
-                r.insitu.as_secs_f64()
-            ));
-        }
-        out
-    }
-
-    /// Dump the per-backend samples as CSV
-    /// (`step,backend,apparent_s,tainted`).
-    pub fn backend_csv(&self) -> String {
-        let mut out = String::from("step,backend,apparent_s,tainted\n");
-        for s in &self.backend_samples {
-            out.push_str(&format!(
-                "{},{},{:.9},{}\n",
-                s.step,
-                s.backend,
-                s.apparent.as_secs_f64(),
-                s.tainted as u8
-            ));
-        }
-        out
-    }
-
-    /// Dump the per-space pool samples as CSV.
-    pub fn pool_csv(&self) -> String {
-        let mut out = String::from(
-            "space,hits,misses,hit_rate,bytes_from_cache,raw_allocs,raw_alloc_bytes,\
-             high_water_bytes,reclaims,trims\n",
-        );
-        for s in &self.pool_samples {
-            let st = &s.stats;
-            out.push_str(&format!(
-                "{},{},{},{:.4},{},{},{},{},{},{}\n",
-                s.space,
-                st.hits,
-                st.misses,
-                st.hit_rate(),
-                st.bytes_served_from_cache,
-                st.raw_allocs,
-                st.raw_alloc_bytes,
-                st.high_water_bytes,
-                st.reclaims,
-                st.trims,
-            ));
-        }
-        out
     }
 }
 
@@ -565,25 +410,17 @@ mod tests {
         assert_eq!(bd[0].mean_apparent, Duration::from_millis(5));
         assert_eq!(bd[1].backend, "histogram");
         assert_eq!(bd[1].dispatches, 1);
-
-        let csv = p.backend_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "step,backend,apparent_s,tainted");
-        assert_eq!(lines.len(), 4);
-        assert!(lines[1].starts_with("0,binning,0.004"));
-        assert!(lines[1].ends_with(",0"), "untainted samples dump a 0 flag");
+        assert_eq!(p.backend_samples().len(), 3);
+        assert!(p.backend_samples().iter().all(|s| !s.tainted));
     }
 
     #[test]
-    fn tainted_backend_samples_carry_the_flag_through_the_csv() {
+    fn tainted_backend_samples_carry_the_flag() {
         let mut p = Profiler::new();
         p.record_backend(0, "binning", Duration::from_millis(4));
         p.record_backend_tainted(1, "binning", Duration::from_millis(254), true);
         assert!(!p.backend_samples()[0].tainted);
         assert!(p.backend_samples()[1].tainted);
-        let lines: Vec<_> = p.backend_csv().lines().map(String::from).collect();
-        assert!(lines[1].ends_with(",0"));
-        assert!(lines[2].ends_with(",1"));
         // Taint excludes a sample from comparisons, not from the
         // aggregate: the breakdown still counts every dispatch.
         assert_eq!(p.backend_breakdown()[0].dispatches, 2);
@@ -595,39 +432,11 @@ mod tests {
         p.record_adaptive(4, "binning_suite", "probe", "device=0 mode=lockstep");
         p.record_adaptive(8, "binning_suite", "commit", "device=-1 mode=dag");
         p.record_adaptive(8, "bridge", "commit", "snapshot=cow");
-        assert_eq!(p.adaptive_samples().len(), 3);
-        let lines: Vec<_> = p.adaptive_csv().lines().map(String::from).collect();
-        assert_eq!(lines[0], "step,backend,action,detail");
-        assert_eq!(lines[1], "4,binning_suite,probe,device=0 mode=lockstep");
-        assert_eq!(lines[3], "8,bridge,commit,snapshot=cow");
-    }
-
-    /// Every CSV the profiler emits has a fixed schema: the full headers
-    /// are pinned here so a column appended without updating every
-    /// consumer (the adaptive controller's window parsing included) fails
-    /// loudly instead of silently misaligning.
-    #[test]
-    fn csv_headers_are_pinned() {
-        let p = Profiler::new();
-        assert_eq!(p.to_csv(), "step,solver_s,insitu_s\n");
-        assert_eq!(p.backend_csv(), "step,backend,apparent_s,tainted\n");
-        assert_eq!(
-            p.counters_csv(),
-            "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
-             faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
-             intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,\
-             serve_delivered,serve_dropped,serve_bytes\n"
-        );
-        assert_eq!(p.snapshot_csv(), "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults\n");
-        assert_eq!(p.scheduler_csv(), "backend,tasks,steals,idle_ns,critical_path_ns\n");
-        assert_eq!(
-            p.pool_csv(),
-            "space,hits,misses,hit_rate,bytes_from_cache,raw_allocs,raw_alloc_bytes,\
-             high_water_bytes,reclaims,trims\n"
-        );
-        assert_eq!(p.adaptive_csv(), "step,backend,action,detail\n");
-        assert_eq!(p.serve_csv(), "step,sessions,delivered,dropped,p50_ns,p99_ns,bytes_copied\n");
+        let s = p.adaptive_samples();
+        assert_eq!(s.len(), 3);
+        assert_eq!((s[0].step, s[0].action.as_str()), (4, "probe"));
+        assert_eq!(s[0].detail, "device=0 mode=lockstep");
+        assert_eq!((s[2].backend.as_str(), s[2].detail.as_str()), ("bridge", "snapshot=cow"));
     }
 
     #[test]
@@ -643,13 +452,9 @@ mod tests {
         assert_eq!(total.hits, 8);
         assert_eq!(total.misses, 6);
         assert_eq!(total.high_water_bytes, 4096);
-
-        let csv = p.pool_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("space,hits,misses,hit_rate"));
-        assert!(lines[1].starts_with("host,3,1,0.7500,1536"));
-        assert!(lines[2].starts_with("device0,5,5,0.5000"));
+        assert_eq!(p.pool_samples()[0].space, "host");
+        assert_eq!(p.pool_samples()[0].stats.hit_rate(), 0.75);
+        assert_eq!(p.pool_samples()[1].stats.hit_rate(), 0.5);
     }
 
     #[test]
@@ -704,21 +509,14 @@ mod tests {
         assert_eq!(total.allreduces, 11);
         assert_eq!(total.faults.injected, 2);
         assert_eq!(total.faults.recovered, 2);
-        let csv = p.counters_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "backend,table_passes,kernel_launches,downloads,allreduces,fetches,\
-             faults_injected,faults_retried,faults_recovered,faults_skipped,faults_aborted,\
-             intra_messages,intra_bytes,intra_modeled_ns,\
-             inter_messages,inter_bytes,inter_modeled_ns,\
-             serve_delivered,serve_dropped,serve_bytes"
-        );
-        // A run without faults, tiered communication, or serving dumps
-        // explicit zeros in every column — never a ragged row.
-        assert_eq!(lines[1], "binning_suite,9,9,9,1,12,0,0,0,0,0,0,0,0,0,0,0,0,0,0");
-        assert_eq!(lines[2], "data_binning,90,90,90,10,27,2,3,2,0,0,18,1440,90,6,480,210,7,1,640");
+        assert_eq!(p.counter_samples().len(), 2);
+        // A run without faults, tiered communication, or serving samples
+        // explicit zeros.
+        let quiet = &p.counter_samples()[0].counters;
+        assert_eq!(quiet.faults, FaultSnapshot::default());
+        assert_eq!(quiet.comm, minimpi::TierSnapshot::default());
+        assert_eq!(quiet.serve, ServeSnapshot::default());
+        assert_eq!(p.counter_samples()[1].counters.serve.payload_bytes, 640);
         assert_eq!(p.counters_total().comm.inter_bytes, 480);
     }
 
@@ -735,10 +533,9 @@ mod tests {
             },
         );
         assert_eq!(p.snapshot_samples().len(), 1);
-        let csv = p.snapshot_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "mode,arrays_shared,arrays_copied,bytes_copied,cow_faults");
-        assert_eq!(lines[1], "cow,1080,0,98304,3");
+        let s = &p.snapshot_samples()[0];
+        assert_eq!(s.mode, "cow");
+        assert_eq!((s.counters.arrays_shared, s.counters.cow_faults), (1080, 3));
     }
 
     #[test]
@@ -755,11 +552,8 @@ mod tests {
         let total = p.scheduler_total();
         assert_eq!((total.tasks, total.steals), (50, 7));
         assert_eq!((total.idle_ns, total.critical_path_ns), (1500, 1000));
-        let csv = p.scheduler_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "backend,tasks,steals,idle_ns,critical_path_ns");
-        assert_eq!(lines[1], "binning_suite,40,7,1200,900");
-        assert_eq!(lines[2], "histogram,10,0,300,100");
+        assert_eq!(p.scheduler_samples()[0].backend, "binning_suite");
+        assert_eq!(p.scheduler_samples()[1].counters.steals, 0);
     }
 
     #[test]
@@ -775,19 +569,6 @@ mod tests {
             bytes_copied: 8192,
         });
         assert_eq!(p.serve_samples().len(), 1);
-        let lines: Vec<_> = p.serve_csv().lines().map(String::from).collect();
-        assert_eq!(lines[0], "step,sessions,delivered,dropped,p50_ns,p99_ns,bytes_copied");
-        assert_eq!(lines[1], "2,512,1024,3,42000,910000,8192");
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_record() {
-        let mut p = Profiler::new();
-        p.record(5, Duration::from_secs(1), Duration::from_millis(500));
-        let csv = p.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "step,solver_s,insitu_s");
-        assert!(lines[1].starts_with("5,1.0"));
+        assert_eq!((p.serve_samples()[0].step, p.serve_samples()[0].bytes_copied), (2, 8192));
     }
 }

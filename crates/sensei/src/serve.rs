@@ -214,7 +214,7 @@ pub struct PublishStats {
     pub payload_bytes: u64,
 }
 
-/// Aggregated per-step serving statistics (the `serve_csv` row).
+/// Aggregated per-step serving statistics (one `Profiler::serve_samples` entry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStepStats {
     /// Simulation step.

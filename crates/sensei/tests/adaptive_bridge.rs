@@ -223,11 +223,6 @@ fn retry_backoff_taints_the_sample_and_the_window_skips_it() {
             profiler.backend_samples().iter().filter(|s| s.tainted).map(|s| s.step).collect();
         assert_eq!(tainted, vec![4], "only the retried step is flagged");
         assert!(profiler.adaptive_samples().is_empty(), "no decision made off the spike");
-        // The flag reaches the CSV surface the harnesses parse.
-        assert!(profiler
-            .backend_csv()
-            .lines()
-            .any(|l| l.starts_with("4,summer,") && l.ends_with(",1")));
     });
 }
 
@@ -330,7 +325,6 @@ fn controller_converges_on_a_live_bridge() {
             profiler.adaptive_samples().iter().any(|s| s.action == "probe"),
             "decision log records the exploration"
         );
-        assert!(profiler.adaptive_csv().starts_with("step,backend,action,detail\n"));
     });
 }
 
@@ -351,10 +345,10 @@ fn reconfigure_requires_a_factory_and_a_valid_index() {
 }
 
 /// Satellite: every back-end gets a scheduler row — explicit zeros for
-/// engines without a task-graph scheduler — so scheduler_csv stays
-/// rectangular whatever mix of modes a run used.
+/// engines without a task-graph scheduler — so `scheduler_samples()` has
+/// one entry per back-end whatever mix of modes a run used.
 #[test]
-fn scheduler_csv_emits_explicit_zero_rows_for_non_dag_backends() {
+fn scheduler_samples_carry_explicit_zero_rows_for_non_dag_backends() {
     World::new(1).run(|comm| {
         let node = SimNode::new(NodeConfig::fast_test(1));
         let spec = SummerSpec::quiet();
@@ -367,7 +361,6 @@ fn scheduler_csv_emits_explicit_zero_rows_for_non_dag_backends() {
         let row = &profiler.scheduler_samples()[0];
         assert_eq!(row.backend, "summer");
         assert_eq!(row.counters, sensei::SchedulerSnapshot::default(), "explicit zeros");
-        assert!(profiler.scheduler_csv().contains("summer,0,0,0,0"), "rectangular CSV");
     });
 }
 
