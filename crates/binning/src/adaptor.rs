@@ -428,8 +428,8 @@ pub(crate) enum Fetched<H = HostF64View> {
     /// Host placement: the columns by name. The fused step reads them
     /// through read views of the memory the access API granted — the
     /// producer's own under lockstep, the snapshot's share of it under the
-    /// asynchronous methods, the move temporary when the data was on a
-    /// device. A view pins its allocation while it lives, and a writer
+    /// asynchronous methods, the array's host replica when the data was on
+    /// a device. A view pins its allocation while it lives, and a writer
     /// that meets one on a CoW-shared column faults a copy and waits for
     /// it to drop instead of racing it.
     Host(HashMap<String, H>),
@@ -520,8 +520,8 @@ fn fetch_table(table: &TableData, vars: &[&str], device: Option<usize>) -> Resul
 }
 
 /// [`fetch_table`] for every one of `tables`, counted as fetches. When no
-/// column was granted in place — every one was moved into a temporary of
-/// its own — nothing fetched aliases the snapshot's CoW shares, and the
+/// column was granted in place — every one is read from its array's
+/// replica in the execution space — nothing fetched aliases the snapshot's CoW shares, and the
 /// snapshot is told so at once ([`DataAdaptor::release_shared`]): the
 /// producer's writes during the analysis then skip the fault copy. A
 /// caller whose views do read the shares in place gives the hint itself,

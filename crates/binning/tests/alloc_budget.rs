@@ -162,9 +162,15 @@ const MEASURED: u64 = 3;
 
 /// Run one configuration — tables resident on `home`, the suite placed on
 /// `device` — and return the big allocations (count, bytes) the process
-/// made during the measured steps; asserts per rank that the pool made no
-/// raw allocation in them.
-fn measure(home: Option<usize>, device: Option<usize>, dag: bool, tables: usize) -> (usize, usize) {
+/// made during the measured steps, and the bytes rank 0 saw requested
+/// from the host pool in them; asserts per rank that the pool made no raw
+/// allocation in them.
+fn measure(
+    home: Option<usize>,
+    device: Option<usize>,
+    dag: bool,
+    tables: usize,
+) -> (usize, usize, u64) {
     let out = World::new(2).run(move |comm| {
         // One device: a task graph's kernels cannot be stolen to another
         // device, so what the arena holds after warm-up is what it needs.
@@ -191,6 +197,8 @@ fn measure(home: Option<usize>, device: Option<usize>, dag: bool, tables: usize)
         comm.barrier();
         let before = (BIG_ALLOCS.load(Ordering::Relaxed), BIG_BYTES.load(Ordering::Relaxed));
         let raw_before = node.pool_stats_total().raw_allocs;
+        let host_served = || node.pool_stats(devsim::MemSpace::Host).bytes_served_from_cache;
+        let served_before = host_served();
         comm.barrier();
         step(&mut sim, MEASURED);
         comm.barrier();
@@ -201,9 +209,10 @@ fn measure(home: Option<usize>, device: Option<usize>, dag: bool, tables: usize)
             "rank {}: raw pool allocations in warm steps",
             comm.rank()
         );
+        let served = host_served() - served_before;
         comm.barrier();
         suite.finalize(&ctx).unwrap();
-        (after.0 - before.0, after.1 - before.1)
+        (after.0 - before.0, after.1 - before.1, served)
     });
     out[0]
 }
@@ -213,20 +222,28 @@ fn warm_fused_steps_allocate_only_the_arrays_they_publish() {
     // Rank 0 alone consumes results: one array per requested op per spec.
     let arrays: usize = specs().iter().map(|s| s.ops.len()).sum::<usize>() * MEASURED as usize;
     // Data and suite on the host, both on the device, and data on the
-    // device with the suite on the host: there the access API moves every
-    // column into a host temporary, a block of the node's pool — a hit in
-    // a warm step, so no request reaches the allocator for it either.
-    for (home, device) in [(None, None), (Some(0), Some(0)), (Some(0), None)] {
-        for dag in [false, true] {
-            for tables in [1, 2] {
-                let (count, bytes) = measure(home, device, dag, tables);
+    // device with the suite on the host: there the access API grants
+    // every column from the host replica its array keeps — nothing these
+    // steps rewrite, so a warm step asks the host pool for no more than
+    // it does with the data on the host: no column-sized block.
+    for dag in [false, true] {
+        for tables in [1, 2] {
+            let mut host_pool_bytes = Vec::new();
+            for (home, device) in [(None, None), (Some(0), Some(0)), (Some(0), None)] {
+                let (count, bytes, served) = measure(home, device, dag, tables);
                 assert_eq!(
                     (count, bytes),
                     (arrays, arrays * GRID_BYTES),
                     "data {home:?} suite {device:?} dag {dag} tables {tables}: big allocations \
                      beyond the published arrays"
                 );
+                host_pool_bytes.push(served);
             }
+            assert_eq!(
+                host_pool_bytes[2], host_pool_bytes[0],
+                "dag {dag} tables {tables}: device data under a host suite asked the host pool \
+                 for column blocks in warm steps"
+            );
         }
     }
 }

@@ -242,41 +242,62 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
     // The suite keeps its device blocks, host staging and streams across
     // steps; `finalize` hands them back. After `Bridge::finalize` the
     // node's live pool bytes are what they were before `add_analysis`
-    // (the simulation's own columns), whichever engine ran the steps.
+    // (the simulation's own columns), whichever engine ran the steps —
+    // also with the suite on the host, where every access request leaves
+    // a host replica on the simulation's device columns, and also when a
+    // step failed and the run ends through `finalize_partial`.
     for execution in
         [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag]
     {
-        World::new(2).run(move |comm| {
-            let node = SimNode::new(NodeConfig::fast_test(2));
-            let mut sim = Particles::new(node.clone(), Some(0), comm.rank());
-            let baseline = node.pool_stats_total().live_bytes;
-            let suite =
-                BinningSuite::new(spec_set(3, 8, true)).unwrap().with_controls(BackendControls {
-                    execution,
-                    device: DeviceSpec::Explicit(0),
-                    ..Default::default()
-                });
-            let mut bridge = Bridge::new(node.clone());
-            bridge.set_snapshot_mode(SnapshotMode::Cow);
-            bridge.add_analysis(Box::new(suite), &comm).unwrap();
-            for step in 0..3 {
-                sim.step = step;
-                bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
-            }
-            assert!(
-                execution != ExecutionMethod::Lockstep
-                    || node.pool_stats_total().live_bytes > baseline,
-                "the arena is resident between steps"
-            );
-            bridge.finalize(&comm).unwrap();
-            assert_eq!(
-                node.pool_stats_total().live_bytes,
-                baseline,
-                "rank {} under {}: pool blocks still live after finalize",
-                comm.rank(),
-                execution.name()
-            );
-        });
+        for (device, fail) in
+            [(DeviceSpec::Explicit(0), false), (DeviceSpec::Host, false), (DeviceSpec::Host, true)]
+        {
+            World::new(2).run(move |comm| {
+                let node = SimNode::new(NodeConfig::fast_test(2));
+                let mut sim = Particles::new(node.clone(), Some(0), comm.rank());
+                let baseline = node.pool_stats_total().live_bytes;
+                let suite = BinningSuite::new(spec_set(3, 8, true))
+                    .unwrap()
+                    .with_controls(BackendControls { execution, device, ..Default::default() });
+                let mut bridge = Bridge::new(node.clone());
+                bridge.set_snapshot_mode(SnapshotMode::Cow);
+                bridge.add_analysis(Box::new(suite), &comm).unwrap();
+                for step in 0..3 {
+                    sim.step = step;
+                    bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+                }
+                assert!(
+                    execution != ExecutionMethod::Lockstep
+                        || node.pool_stats_total().live_bytes > baseline,
+                    "the arena (and the replicas) are resident between steps"
+                );
+                if fail {
+                    // Every later copy submitted by the in situ side
+                    // fails, the first access request's fill included:
+                    // the step errors on both ranks before its first
+                    // collective (here, or in its worker and then out of
+                    // the drain).
+                    node.fault().configure(
+                        FaultConfig::seeded(1).with_rule(FaultRule::error(site::STREAM_COPY)),
+                    );
+                    sim.step = 3;
+                    let step = bridge.execute(&sim, &comm, std::time::Duration::ZERO);
+                    let (_, drain) = bridge.finalize_partial(&comm);
+                    node.fault().configure(FaultConfig::default());
+                    assert!(step.is_err() || drain.is_some(), "the injected failure surfaced");
+                } else {
+                    bridge.finalize(&comm).unwrap();
+                }
+                assert_eq!(
+                    node.pool_stats_total().live_bytes,
+                    baseline,
+                    "rank {} under {} on {device:?} (failed: {fail}): pool blocks still live \
+                     after finalize",
+                    comm.rank(),
+                    execution.name()
+                );
+            });
+        }
     }
 }
 

@@ -23,7 +23,9 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
-use crate::stream::StreamTimeline;
+use crate::event::Event;
+use crate::stats::NodeStats;
+use crate::stream::{Stream, StreamTimeline};
 
 /// Where a buffer's cells live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,6 +114,9 @@ impl PinStats {
 /// only a `Weak`, so a pin dies (and costs writers nothing) once every
 /// holder has dropped.
 struct PinSlot {
+    /// The allocation's write generation when the pin was taken: the
+    /// generation whose contents reads through the pin observe.
+    pinned_at: u64,
     /// Cleared by `release_pin` when the holder promises it will not read
     /// through the pin again (e.g. an analysis that has ingested its own
     /// copy of the data); a deactivated pin never triggers a fault copy.
@@ -122,15 +127,107 @@ struct PinSlot {
     stats: Arc<PinStats>,
 }
 
+/// [`Replica::filled`] of a block no fill has landed in yet.
+const UNFILLED: u64 = u64::MAX;
+/// [`Replica::filled`] of a block that holds no generation's contents but
+/// stands in for a replica that did: it replaced a stale one some view
+/// still reads, or a writer overlapped its last fill. Write generations
+/// count views taken and never reach either sentinel.
+const STALE: u64 = u64::MAX - 1;
+
+/// What a replica fill did when it executed (see [`Replica::fill_from`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fill {
+    /// The block already held the source's current contents: no copy.
+    Hit,
+    /// First fill of the block: the move, whose result is kept.
+    Move,
+    /// The block (or the one it replaced) held older contents: re-copied.
+    Refresh,
+}
+
+/// A copy of an allocation's contents in another memory space, kept by
+/// the allocation (on its [`Track`]) and tagged with the write generation
+/// it was filled at, so a repeat cross-space access request is granted
+/// from it instead of moving the data again.
+pub(crate) struct Replica {
+    block: CellBuffer,
+    /// Write generation of the source contents `block` holds, or
+    /// [`UNFILLED`] / [`STALE`]. Written by fill commands only.
+    filled: AtomicU64,
+    /// Unsignaled from the moment a fill is enqueued until it has
+    /// executed; at most one is in flight, because enqueuing one needs
+    /// the block unheld and the queued command holds it.
+    fill: Event,
+}
+
+impl Replica {
+    fn new(block: CellBuffer, filled: u64) -> Arc<Replica> {
+        Arc::new(Replica { block, filled: AtomicU64::new(filled), fill: Event::new() })
+    }
+
+    pub(crate) fn block(&self) -> &CellBuffer {
+        &self.block
+    }
+
+    /// The fill itself, run by the stream command in stream order: copy
+    /// `src` into the block unless the block already holds the contents a
+    /// read of `src` observes now, and tag the block with the generation
+    /// of what was actually copied.
+    pub(crate) fn fill_from(&self, src: &CellBuffer) -> Result<Fill> {
+        let want = src.read_generation();
+        let had = self.filled.load(Ordering::Acquire);
+        if had == want {
+            return Ok(Fill::Hit);
+        }
+        self.block.copy_cells_from(src)?;
+        // A pinned source reads pin-time contents whatever its writers
+        // do; a live one that was written meanwhile left a torn copy.
+        let tag = if src.read_generation() == want { want } else { STALE };
+        self.filled.store(tag, Ordering::Release);
+        Ok(if had == UNFILLED { Fill::Move } else { Fill::Refresh })
+    }
+
+    /// The enqueued fill has executed (or could not be enqueued).
+    pub(crate) fn fill_done(&self) {
+        self.fill.signal();
+    }
+}
+
+/// The node-wide registry's handle on one allocation that holds replicas.
+pub(crate) struct ReplicaOwner(Weak<Track>);
+
+impl ReplicaOwner {
+    /// Drop the allocation's replicas (all, or those in `space`) that
+    /// nothing but its table holds — no view, no queued fill. Returns
+    /// whether the allocation is alive and still holds replicas, i.e.
+    /// whether it stays registered. A table some request is working on
+    /// right now is left alone.
+    pub(crate) fn evict(&self, space: Option<MemSpace>) -> bool {
+        let Some(track) = self.0.upgrade() else { return false };
+        let Some(mut table) = track.replicas.try_lock() else { return true };
+        table.retain(|r| !(r.block.unheld() && space.is_none_or(|s| s == r.block.space())));
+        !table.is_empty()
+    }
+
+    pub(crate) fn is_alive(&self) -> bool {
+        self.0.strong_count() > 0
+    }
+}
+
 /// Per-allocation tracking state shared by every clone of a buffer (it
 /// travels with [`CellBuffer::clone`], surviving re-adoption into new
 /// wrapper objects): a monotonically increasing write generation, the
-/// count of live read-only views, and the registered read-pins.
+/// count of live read-only views, the registered read-pins, and the
+/// allocation's replicas in other memory spaces (at most one per space).
 struct Track {
     id: u64,
     generation: AtomicU64,
     readers: AtomicU64,
     pins: Mutex<Vec<Weak<PinSlot>>>,
+    /// Taken by cross-space access requests, `sync_replicas` and
+    /// eviction only — never by an in-place grant or a fill command.
+    replicas: Mutex<Vec<Arc<Replica>>>,
     /// Serializes [`CellBuffer::begin_write`] per allocation: pin
     /// resolution (fault copy, reader drain) must look atomic to other
     /// writers, or a second writer could observe the drained registry
@@ -145,6 +242,7 @@ impl Track {
             generation: AtomicU64::new(0),
             readers: AtomicU64::new(0),
             pins: Mutex::new(Vec::new()),
+            replicas: Mutex::new(Vec::new()),
             write_serial: Mutex::new(()),
         })
     }
@@ -263,12 +361,18 @@ impl CellBuffer {
     /// The pin dies with the last clone holding it, or earlier via
     /// [`CellBuffer::release_pin`].
     pub fn cow_pinned(&self, stats: &Arc<PinStats>) -> CellBuffer {
+        // Under the registry lock, where `begin_write` advances the
+        // generation: a writer either sees this pin and preserves the
+        // contents of the generation recorded here, or came first.
+        let mut pins = self.track.pins.lock();
         let slot = Arc::new(PinSlot {
+            pinned_at: self.generation(),
             active: AtomicBool::new(true),
             resolved: Mutex::new(None),
             stats: stats.clone(),
         });
-        self.track.pins.lock().push(Arc::downgrade(&slot));
+        pins.push(Arc::downgrade(&slot));
+        drop(pins);
         CellBuffer { pin: Some(slot), ..self.clone() }
     }
 
@@ -309,6 +413,106 @@ impl CellBuffer {
         }
     }
 
+    /// The write generation whose contents [`Self::read_cells`] yields:
+    /// pin time on a pinned clone, the current one otherwise (a released
+    /// pin that was never resolved reads the live cells again).
+    fn read_generation(&self) -> u64 {
+        match &self.pin {
+            Some(pin) if pin.active.load(Ordering::Acquire) || pin.resolved.lock().is_some() => {
+                pin.pinned_at
+            }
+            _ => self.generation(),
+        }
+    }
+
+    /// True when this is the only handle on the allocation: no other
+    /// buffer clone, view or queued stream command shares the cells.
+    fn unheld(&self) -> bool {
+        match &self.guard {
+            Some(guard) => Arc::strong_count(guard) == 1,
+            None => Arc::strong_count(&self.cells) == 1,
+        }
+    }
+
+    /// The cells of this allocation's replica in `space`, holding — once
+    /// the work this enqueues on `stream` has run — the contents a read
+    /// of this clone observes at the request's place in `stream`'s order.
+    ///
+    /// * A replica nothing else holds is reused: one [`Stream::fill`]
+    ///   command compares generations *when it executes* and re-copies
+    ///   into the same block only if they differ, so writes queued on
+    ///   `stream` ahead of the request are neither missed nor guessed at.
+    /// * A replica a view (or a fill in flight) still holds cannot be
+    ///   re-copied under its readers, so the choice between sharing it
+    ///   and replacing it is needed now: the caller waits for its place
+    ///   on `stream` and for the fill, then compares on this thread.
+    /// * No replica: `alloc` a block, fill it, and keep it.
+    ///
+    /// A pinned clone whose pin was resolved reads the fault copy, not
+    /// the live cells the table describes; it gets a private block.
+    pub(crate) fn replica(
+        &self,
+        space: MemSpace,
+        stream: &Stream,
+        stats: &NodeStats,
+        register: impl FnOnce(ReplicaOwner),
+        alloc: impl FnOnce() -> Result<CellBuffer>,
+    ) -> Result<CellBuffer> {
+        if self.pin.as_ref().is_some_and(|pin| pin.resolved.lock().is_some()) {
+            let private = Replica::new(alloc()?, UNFILLED);
+            stream.fill(self, &private)?;
+            return Ok(private.block.clone());
+        }
+        let mut table = self.track.replicas.lock();
+        let slot = table.iter().position(|r| r.block.space == space);
+        if let Some(kept) = slot.map(|i| &table[i]) {
+            if kept.block.unheld() {
+                kept.fill.reset();
+                if let Err(e) = stream.fill(self, kept) {
+                    kept.fill.signal();
+                    return Err(e);
+                }
+                return Ok(kept.block.clone());
+            }
+            stream.reach()?;
+            kept.fill.wait();
+            if kept.filled.load(Ordering::Acquire) == self.read_generation() {
+                NodeStats::bump(&stats.replica_hits);
+                return Ok(kept.block.clone());
+            }
+        }
+        // A block of its own: the first in `space`, or in the place of a
+        // stale one that is still being read.
+        let fresh = Replica::new(alloc()?, if slot.is_some() { STALE } else { UNFILLED });
+        stream.fill(self, &fresh)?;
+        match slot {
+            Some(i) => table[i] = fresh.clone(),
+            None => {
+                if table.is_empty() {
+                    register(ReplicaOwner(Arc::downgrade(&self.track)));
+                }
+                table.push(fresh.clone());
+            }
+        }
+        Ok(fresh.block.clone())
+    }
+
+    /// Wait until no fill of this allocation's replicas is in flight:
+    /// afterwards every replica handed out so far holds its data, whoever
+    /// enqueued the fill and on whichever stream.
+    pub fn sync_replicas(&self) {
+        // Collected first: a wait under the table's lock would stall the
+        // requests that are not waiting for anything. Allocates only
+        // when a fill is in flight.
+        let in_flight: Vec<Arc<Replica>> = {
+            let table = self.track.replicas.lock();
+            table.iter().filter(|r| !r.fill.is_signaled()).cloned().collect()
+        };
+        for replica in in_flight {
+            replica.fill.wait();
+        }
+    }
+
     /// Write-intent entry point: bump the generation and resolve every
     /// live pin with a lazy pre-write copy (the CoW fault), then drain
     /// registered readers so nobody mid-read observes the caller's
@@ -317,7 +521,6 @@ impl CellBuffer {
     /// Callers must not hold a read-only view of this same allocation
     /// while acquiring a write view (the drain would wait on the caller).
     pub(crate) fn begin_write(&self) {
-        self.track.generation.fetch_add(1, Ordering::Release);
         // One writer resolves pins at a time, and the registry drain is
         // only decisive while this lock is held: a concurrent writer
         // must not see the emptied registry and mutate while the first
@@ -326,6 +529,7 @@ impl CellBuffer {
         let _serial = self.track.write_serial.lock();
         let pins: Vec<Weak<PinSlot>> = {
             let mut registry = self.track.pins.lock();
+            self.track.generation.fetch_add(1, Ordering::Release);
             if registry.is_empty() {
                 return;
             }
@@ -1124,5 +1328,250 @@ mod tests {
         // Post-fault reads through the pin route to the holder copy.
         assert_eq!(pinned.host_f64_ro().unwrap().get(0), 1.0);
         assert_eq!(b.host_f64_ro().unwrap().get(0), 9.0);
+    }
+
+    mod replicas {
+        use super::*;
+        use crate::node::{NodeConfig, SimNode};
+        use crate::timemodel::KernelCost;
+
+        /// A node, a stream on device 0, and a device-0 buffer holding `data`.
+        fn device_source(data: &[f64]) -> (Arc<SimNode>, Arc<Stream>, CellBuffer) {
+            let node = SimNode::new(NodeConfig::fast_test(2));
+            let dev = node.device(0).unwrap();
+            let stream = dev.create_stream();
+            let staging = node.host_alloc_f64(data.len());
+            staging.host_f64().unwrap().copy_from_slice(data);
+            let src = dev.alloc_f64(data.len()).unwrap();
+            stream.copy(&staging, &src).unwrap();
+            stream.synchronize().unwrap();
+            (node, stream, src)
+        }
+
+        fn kernel_fill(stream: &Stream, buf: &CellBuffer, v: f64) {
+            let b = buf.clone();
+            stream
+                .launch("write", KernelCost::ZERO, move |scope| {
+                    b.f64_view(scope)?.fill(v);
+                    Ok(())
+                })
+                .unwrap();
+        }
+
+        /// Request the host replica and wait for it.
+        fn host_replica(node: &SimNode, stream: &Stream, src: &CellBuffer) -> CellBuffer {
+            let r = node.replica(src, None, stream).unwrap();
+            stream.synchronize().unwrap();
+            src.sync_replicas();
+            r
+        }
+
+        fn contents(host: &CellBuffer) -> Vec<f64> {
+            host.host_f64_ro().unwrap().to_vec()
+        }
+
+        #[test]
+        fn second_request_without_a_write_is_a_hit() {
+            let (node, stream, src) = device_source(&[1.0, 2.0, 3.0]);
+            let first = host_replica(&node, &stream, &src);
+            assert_eq!(contents(&first), vec![1.0, 2.0, 3.0]);
+            let moved = node.stats();
+            assert_eq!((moved.copies_d2h, moved.replica_hits, moved.replica_refreshes), (1, 0, 0));
+            drop(first);
+
+            let pool = node.pool_stats(MemSpace::Host);
+            let again = host_replica(&node, &stream, &src);
+            assert_eq!(contents(&again), vec![1.0, 2.0, 3.0]);
+            let hit = node.stats();
+            assert_eq!((hit.copies_d2h, hit.replica_hits, hit.replica_refreshes), (1, 1, 0));
+            assert_eq!(hit.total_link_bytes(), moved.total_link_bytes());
+            let after = node.pool_stats(MemSpace::Host);
+            assert_eq!(after.hits + after.misses, pool.hits + pool.misses, "no pool request");
+
+            // A second holder shares the block while the first is alive.
+            let shared = host_replica(&node, &stream, &src);
+            assert!(shared.same_allocation(&again));
+            assert_eq!(node.stats().replica_hits, 2);
+            assert_eq!(node.stats().copies_d2h, 1);
+        }
+
+        #[test]
+        fn a_write_view_makes_the_replica_stale_host_or_kernel() {
+            // Kernel write view on a device source.
+            let (node, stream, src) = device_source(&[1.0; 4]);
+            drop(host_replica(&node, &stream, &src));
+            kernel_fill(&stream, &src, 5.0);
+            assert_eq!(contents(&host_replica(&node, &stream, &src)), vec![5.0; 4]);
+            assert_eq!(node.stats().replica_refreshes, 1);
+            assert_eq!(node.stats().copies_d2h, 2);
+
+            // Host write view on a host source replicated to device 1.
+            let host = node.host_alloc_f64(4);
+            host.host_f64().unwrap().fill(2.0);
+            let s1 = node.device(1).unwrap().create_stream();
+            let read_back = |replica: &CellBuffer| {
+                let out = node.host_alloc_f64(4);
+                s1.copy(replica, &out).unwrap();
+                s1.synchronize().unwrap();
+                contents(&out)
+            };
+            let r = node.replica(&host, Some(1), &s1).unwrap();
+            assert_eq!(read_back(&r), vec![2.0; 4]);
+            drop(r);
+            host.host_f64().unwrap().fill(7.0);
+            let r = node.replica(&host, Some(1), &s1).unwrap();
+            assert_eq!(read_back(&r), vec![7.0; 4]);
+            assert_eq!(node.stats().copies_h2d, 2 + 1, "the set-up upload, the move, the refresh");
+            assert_eq!(node.stats().replica_refreshes, 2);
+            // Read-only views leave it current.
+            drop(r);
+            let _ = host.host_f64_ro().unwrap();
+            drop(node.replica(&host, Some(1), &s1).unwrap());
+            s1.synchronize().unwrap();
+            assert_eq!(node.stats().copies_h2d, 3);
+        }
+
+        #[test]
+        fn a_queued_write_is_seen_by_the_request_behind_it() {
+            // The write has not executed when the request is made: the
+            // decision is the fill command's, taken in stream order.
+            let (node, stream, src) = device_source(&[1.0; 4]);
+            drop(host_replica(&node, &stream, &src));
+            let gate = Event::new();
+            stream.wait_event(&gate).unwrap();
+            kernel_fill(&stream, &src, 9.0);
+            let generation = src.generation();
+            let r = node.replica(&src, None, &stream).unwrap();
+            assert_eq!(src.generation(), generation, "the write is still queued");
+            gate.signal();
+            stream.synchronize().unwrap();
+            assert_eq!(contents(&r), vec![9.0; 4]);
+            assert_eq!(node.stats().replica_refreshes, 1);
+        }
+
+        #[test]
+        fn refresh_reuses_an_unheld_block_and_replaces_a_held_one() {
+            let (node, stream, src) = device_source(&[1.0; 4]);
+            let first = host_replica(&node, &stream, &src);
+            let first_id = first.alloc_id();
+            drop(first);
+            kernel_fill(&stream, &src, 2.0);
+            let second = host_replica(&node, &stream, &src);
+            assert_eq!(second.alloc_id(), first_id, "unheld: re-copied in place");
+            assert_eq!(contents(&second), vec![2.0; 4]);
+
+            // `second` is still alive when the next refresh is due.
+            let old_view = second.host_f64_ro().unwrap();
+            kernel_fill(&stream, &src, 3.0);
+            let third = host_replica(&node, &stream, &src);
+            assert!(!third.same_allocation(&second), "held: a fresh block takes the entry");
+            assert_eq!(contents(&third), vec![3.0; 4]);
+            assert_eq!(old_view.to_vec(), vec![2.0; 4], "the old view keeps its generation");
+            assert_eq!(node.stats().replica_refreshes, 2);
+            assert_eq!(node.stats().copies_d2h, 3);
+            // The replaced block dies with its last holder; the entry lives on.
+            let live = node.pool_stats(MemSpace::Host).live_bytes;
+            drop((old_view, second));
+            assert!(node.pool_stats(MemSpace::Host).live_bytes < live);
+            let third_id = third.alloc_id();
+            drop(third);
+            assert_eq!(host_replica(&node, &stream, &src).alloc_id(), third_id);
+            assert_eq!(node.stats().replica_hits, 1);
+        }
+
+        #[test]
+        fn replicas_die_with_the_source_or_at_drop_replicas() {
+            let (node, stream, src) = device_source(&[1.0; 64]);
+            let host0 = node.pool_stats(MemSpace::Host).live_bytes;
+            let dev1 = node.device(1).unwrap();
+            drop(host_replica(&node, &stream, &src));
+            drop(node.replica(&src, Some(1), &stream).unwrap());
+            stream.synchronize().unwrap();
+            assert_eq!(node.pool_stats(MemSpace::Host).live_bytes, host0 + 512);
+            assert_eq!(dev1.used_bytes(), 512);
+
+            // A held replica survives the sweep, an unheld one does not.
+            let held = host_replica(&node, &stream, &src);
+            node.drop_replicas();
+            assert_eq!(dev1.used_bytes(), 0);
+            assert_eq!(node.pool_stats(MemSpace::Host).live_bytes, host0 + 512);
+            assert!(host_replica(&node, &stream, &src).same_allocation(&held));
+            drop(held);
+
+            drop(node.replica(&src, Some(1), &stream).unwrap());
+            stream.synchronize().unwrap();
+            drop(src);
+            assert_eq!(node.pool_stats(MemSpace::Host).live_bytes, host0);
+            assert_eq!(dev1.used_bytes(), 0);
+        }
+
+        #[test]
+        fn a_fill_racing_a_write_tags_the_contents_it_copied() {
+            // A share pinned at generation g asks for a replica; the
+            // producer writes (generation g + 1, the pin resolves) before
+            // the fill executes. The fill copies the pinned contents and
+            // must tag them g: the live buffer's next request may not be
+            // granted that block.
+            let (node, stream, src) = device_source(&[1.0; 4]);
+            let pin_stats = PinStats::new_shared();
+            let share = src.cow_pinned(&pin_stats);
+            let copy_stream = node.device(0).unwrap().create_stream();
+            let gate = Event::new();
+            copy_stream.wait_event(&gate).unwrap();
+            let pinned = node.replica(&share, None, &copy_stream).unwrap();
+            kernel_fill(&stream, &src, 8.0);
+            stream.synchronize().unwrap();
+            assert_eq!(pin_stats.faults(), 1);
+            gate.signal();
+            copy_stream.synchronize().unwrap();
+            assert_eq!(contents(&pinned), vec![1.0; 4], "the share reads pin-time contents");
+
+            let live = host_replica(&node, &stream, &src);
+            assert_eq!(contents(&live), vec![8.0; 4], "not granted the older generation");
+            assert!(!live.same_allocation(&pinned), "the share's view still holds its block");
+            assert_eq!(contents(&pinned), vec![1.0; 4]);
+
+            // Resolved, the share reads the fault copy: a private block,
+            // and the allocation's table is left to the live contents.
+            let private = node.replica(&share, None, &copy_stream).unwrap();
+            copy_stream.synchronize().unwrap();
+            assert_eq!(contents(&private), vec![1.0; 4]);
+            assert!(!private.same_allocation(&live) && !private.same_allocation(&pinned));
+            drop(private);
+            assert!(host_replica(&node, &stream, &src).same_allocation(&live));
+        }
+
+        #[test]
+        fn concurrent_requesters_share_one_move() {
+            let (node, stream, src) = device_source(&[4.0; 256]);
+            let gate = Event::new();
+            stream.wait_event(&gate).unwrap();
+            let start = std::sync::Barrier::new(4);
+            let blocks: Vec<CellBuffer> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            let r = node.replica(&src, None, &stream).unwrap();
+                            stream.synchronize().unwrap();
+                            src.sync_replicas();
+                            assert_eq!(contents(&r), vec![4.0; 256]);
+                            r
+                        })
+                    })
+                    .collect();
+                // The first fill is queued behind the gate; the others
+                // find its entry held and wait for it.
+                while stream.submitted() < 3 {
+                    std::thread::yield_now();
+                }
+                gate.signal();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            assert!(blocks.iter().all(|b| b.same_allocation(&blocks[0])));
+            let stats = node.stats();
+            assert_eq!(stats.copies_d2h, 1, "one move per (allocation, space, generation)");
+            assert_eq!(stats.replica_hits, 3);
+        }
     }
 }

@@ -9,6 +9,7 @@ use crate::host::HostExec;
 use crate::memory::{CellBuffer, MemSpace};
 use crate::pool::{MemoryPool, PoolConfig, PoolStats};
 use crate::stats::{NodeStats, StatsSnapshot};
+use crate::stream::Stream;
 use crate::timemodel::{DeviceParams, HostParams, LinkParams};
 
 /// Configuration of a simulated heterogeneous node.
@@ -125,6 +126,44 @@ impl SimNode {
     pub fn try_host_alloc_f64(&self, len: usize) -> Result<CellBuffer> {
         let (buf, _raw) = self.pool.alloc(MemSpace::Host, len, None)?;
         Ok(buf)
+    }
+
+    /// The answer to a cross-space access request: the cells of `src`'s
+    /// replica on `device` (`None` = host memory), which — once the work
+    /// this enqueues on `stream` has run — hold the contents `src` reads
+    /// at the request's place in `stream`'s order. A replica that is
+    /// already current is handed out again (no allocation, no copy); a
+    /// stale one is re-copied; a missing one is allocated, filled and
+    /// kept with the allocation. See [`StatsSnapshot::replica_hits`].
+    ///
+    /// The cells are ready once `stream` has been synchronized and
+    /// [`CellBuffer::sync_replicas`] has returned.
+    pub fn replica(
+        &self,
+        src: &CellBuffer,
+        device: Option<usize>,
+        stream: &Stream,
+    ) -> Result<CellBuffer> {
+        let space = device.map_or(MemSpace::Host, MemSpace::Device);
+        src.replica(
+            space,
+            stream,
+            &self.stats,
+            |owner| self.pool.track_replicas(owner),
+            || match device {
+                None => self.try_host_alloc_f64(src.len()),
+                // Allocated on the stream that fills it, so the pool can
+                // recycle a same-stream block without waiting.
+                Some(d) => self.device(d)?.alloc_cells_on_stream(src.len(), stream),
+            },
+        )
+    }
+
+    /// Drop every replica no view holds (they otherwise live as long as
+    /// the allocation they copy): called when a run finalizes, and what
+    /// the pool does by itself before it reports a device out of memory.
+    pub fn drop_replicas(&self) {
+        self.pool.evict_replicas(None);
     }
 
     /// The node's fault injector (disabled unless configured).

@@ -17,9 +17,10 @@
 //!   the new one — exactly `cudaMallocAsync` semantics;
 //! * device capacity accounting is preserved: `used_bytes` counts live
 //!   allocations only, cached blocks are tracked separately, and a request
-//!   that does not fit trims ready cached blocks before failing with the
-//!   same `OutOfMemory` error the failure-injection tests rely on (now
-//!   carrying pool diagnostics);
+//!   that does not fit trims ready cached blocks — and, once, evicts the
+//!   replicas no view holds (see [`crate::SimNode::drop_replicas`]) — before
+//!   failing with the same `OutOfMemory` error the failure-injection
+//!   tests rely on (now carrying pool diagnostics);
 //! * blocks served from the cache are zeroed, so pooled and raw
 //!   allocations are bit-identical to consumers.
 //!
@@ -36,7 +37,7 @@ use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
 use crate::fault::{self, FaultInjector};
-use crate::memory::{BufferGuard, CellBuffer, MemSpace};
+use crate::memory::{BufferGuard, CellBuffer, MemSpace, ReplicaOwner};
 use crate::stream::StreamTimeline;
 
 /// Tunables of the caching pool (a [`crate::NodeConfig`] field, also
@@ -192,6 +193,9 @@ struct SpaceState {
 pub struct MemoryPool {
     config: Mutex<PoolConfig>,
     spaces: Mutex<HashMap<MemSpace, SpaceState>>,
+    /// The allocations that hold replicas in other spaces (weakly): what
+    /// capacity pressure and the end of a run evict from.
+    replicated: Mutex<Vec<ReplicaOwner>>,
     fault: Arc<FaultInjector>,
 }
 
@@ -209,6 +213,7 @@ impl MemoryPool {
         Arc::new(MemoryPool {
             config: Mutex::new(config),
             spaces: Mutex::new(HashMap::new()),
+            replicated: Mutex::new(Vec::new()),
             fault,
         })
     }
@@ -292,28 +297,39 @@ impl MemoryPool {
         }
 
         stats.misses += 1;
-        if let Some(h) = hooks {
-            loop {
-                match (h.try_charge)(bytes, stats.cached_bytes) {
-                    Ok(()) => break,
-                    Err(free) => {
-                        if !trim_one(classes, stats) {
-                            return Err(Error::OutOfMemory {
-                                device: key.device().unwrap_or(usize::MAX),
-                                requested: bytes,
-                                free,
-                                live_bytes: stats.live_bytes,
-                                cached_bytes: stats.cached_bytes,
-                                high_water_bytes: stats.high_water_bytes,
-                                pool_hits: stats.hits,
-                                pool_misses: stats.misses,
-                            });
-                        }
-                    }
-                }
+        let mut evicted = false;
+        loop {
+            let SpaceState { classes, stats, hooks } = spaces.entry(key).or_default();
+            let Some(h) = hooks else { break };
+            let Err(free) = (h.try_charge)(bytes, stats.cached_bytes) else {
+                (h.on_raw_alloc)(bytes);
+                break;
+            };
+            if trim_one(classes, stats) {
+                continue;
             }
-            (h.on_raw_alloc)(bytes);
+            if !evicted {
+                // Last resort before OOM: replicas nothing holds go back
+                // to the free lists, where the next round trims them.
+                // Their release takes the pool lock, so let go of it.
+                evicted = true;
+                drop(spaces);
+                self.evict_replicas(Some(key));
+                spaces = self.spaces.lock();
+                continue;
+            }
+            return Err(Error::OutOfMemory {
+                device: key.device().unwrap_or(usize::MAX),
+                requested: bytes,
+                free,
+                live_bytes: stats.live_bytes,
+                cached_bytes: stats.cached_bytes,
+                high_water_bytes: stats.high_water_bytes,
+                pool_hits: stats.hits,
+                pool_misses: stats.misses,
+            });
         }
+        let stats = &mut spaces.entry(key).or_default().stats;
         stats.raw_allocs += 1;
         stats.raw_alloc_bytes += bytes as u64;
         stats.live_bytes += bytes;
@@ -384,6 +400,22 @@ impl MemoryPool {
         if let Some(h) = &state.hooks {
             (h.release)(bytes);
         }
+    }
+
+    /// Remember that an allocation now holds replicas.
+    pub(crate) fn track_replicas(&self, owner: ReplicaOwner) {
+        let mut owners = self.replicated.lock();
+        if owners.len() == owners.capacity() {
+            // About to grow: forget the allocations that have died.
+            owners.retain(ReplicaOwner::is_alive);
+        }
+        owners.push(owner);
+    }
+
+    /// Drop every replica no view (and no queued fill) holds, in `space`
+    /// or on the whole node; their blocks return to the free lists.
+    pub(crate) fn evict_replicas(&self, space: Option<MemSpace>) {
+        self.replicated.lock().retain(|owner| owner.evict(space));
     }
 
     /// Counters of one space (unified spaces report with their device).

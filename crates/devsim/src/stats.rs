@@ -21,6 +21,8 @@ pub struct NodeStats {
     pub(crate) device_allocs: AtomicU64,
     pub(crate) device_alloc_bytes: AtomicU64,
     pub(crate) stream_syncs: AtomicU64,
+    pub(crate) replica_hits: AtomicU64,
+    pub(crate) replica_refreshes: AtomicU64,
 }
 
 /// A point-in-time copy of [`NodeStats`].
@@ -38,6 +40,13 @@ pub struct StatsSnapshot {
     pub device_allocs: u64,
     pub device_alloc_bytes: u64,
     pub stream_syncs: u64,
+    /// Cross-space access requests granted from a replica that already
+    /// held the allocation's current contents: no allocation, no copy.
+    pub replica_hits: u64,
+    /// Requests that found a replica of older contents and re-copied
+    /// (counted in `copies_*` too). A request that found none is a move:
+    /// a copy counted in neither field.
+    pub replica_refreshes: u64,
 }
 
 impl NodeStats {
@@ -56,6 +65,8 @@ impl NodeStats {
             device_allocs: self.device_allocs.load(Ordering::Relaxed),
             device_alloc_bytes: self.device_alloc_bytes.load(Ordering::Relaxed),
             stream_syncs: self.stream_syncs.load(Ordering::Relaxed),
+            replica_hits: self.replica_hits.load(Ordering::Relaxed),
+            replica_refreshes: self.replica_refreshes.load(Ordering::Relaxed),
         }
     }
 

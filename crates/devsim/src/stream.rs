@@ -20,7 +20,7 @@ use crate::device::DeviceCore;
 use crate::error::{Error, Result};
 use crate::event::Event;
 use crate::fault::{self, FaultInjector};
-use crate::memory::{CellBuffer, KernelScope, MemSpace};
+use crate::memory::{CellBuffer, Fill, KernelScope, MemSpace, Replica};
 use crate::stats::NodeStats;
 use crate::timemodel::{self, KernelCost, LinkParams};
 
@@ -47,6 +47,42 @@ pub(crate) struct WorkerCtx {
     stats: Arc<NodeStats>,
     link: LinkParams,
     time_scale: f64,
+}
+
+/// Execution half of a transfer that copied `src` into `dst` starting at
+/// `t0`: hold the stream for the modeled link time and count the traffic
+/// by direction (h2d / d2h / d2d / h2h, from the buffers' spaces).
+fn charge_transfer(
+    ctx: &WorkerCtx,
+    deficit: &mut Duration,
+    src: &CellBuffer,
+    dst: &CellBuffer,
+    t0: Instant,
+) {
+    let bytes = src.len() * 8;
+    let host_involved = src.space() == MemSpace::Host || dst.space() == MemSpace::Host;
+    let duration = timemodel::transfer_duration(bytes, host_involved, &ctx.link, ctx.time_scale);
+    let elapsed = t0.elapsed();
+    if duration > elapsed {
+        sleep_or_defer(duration - elapsed, deficit);
+    }
+    // Unified memory is homed on a device; count it as device-side.
+    let is_host = |s: MemSpace| s == MemSpace::Host;
+    match (is_host(src.space()), is_host(dst.space())) {
+        (true, true) => NodeStats::bump(&ctx.stats.copies_h2h),
+        (true, false) => {
+            NodeStats::bump(&ctx.stats.copies_h2d);
+            NodeStats::add(&ctx.stats.bytes_h2d, bytes as u64);
+        }
+        (false, true) => {
+            NodeStats::bump(&ctx.stats.copies_d2h);
+            NodeStats::add(&ctx.stats.bytes_d2h, bytes as u64);
+        }
+        (false, false) => {
+            NodeStats::bump(&ctx.stats.copies_d2d);
+            NodeStats::add(&ctx.stats.bytes_d2d, bytes as u64);
+        }
+    }
 }
 
 /// Monotone progress counters of one stream, shared with the memory pool.
@@ -234,47 +270,73 @@ impl Stream {
         if src.len() != dst.len() {
             return Err(Error::CopyLengthMismatch { src: src.len(), dst: dst.len() });
         }
+        let (src, dst) = self.transfer_ends(src, dst)?;
+        let shared = self.shared.clone();
+        self.enqueue(Box::new(move |ctx, deficit| {
+            let t0 = Instant::now();
+            match dst.copy_cells_from(&src) {
+                Ok(()) => charge_transfer(ctx, deficit, &src, &dst, t0),
+                Err(e) => drop(shared.error.lock().get_or_insert(e)),
+            }
+        }))
+    }
+
+    /// Enqueue the fill of `replica` from `src`, the allocation it
+    /// replicates. When the command executes — after everything queued on
+    /// this stream before it — it copies only if the replica does not
+    /// already hold the contents `src` reads then
+    /// ([`Replica::fill_from`]), counts a hit or a refresh (the first move
+    /// counts as neither), and signals the replica's fill event.
+    pub(crate) fn fill(&self, src: &CellBuffer, replica: &Arc<Replica>) -> Result<()> {
+        // The queued command holds the block, so nothing refills or
+        // evicts it before this fill has run.
+        let (src, dst) = self.transfer_ends(src, replica.block())?;
+        let replica = replica.clone();
+        let shared = self.shared.clone();
+        self.enqueue(Box::new(move |ctx, deficit| {
+            let t0 = Instant::now();
+            match replica.fill_from(&src) {
+                Ok(Fill::Hit) => NodeStats::bump(&ctx.stats.replica_hits),
+                Ok(fill) => {
+                    if fill == Fill::Refresh {
+                        NodeStats::bump(&ctx.stats.replica_refreshes);
+                    }
+                    charge_transfer(ctx, deficit, &src, &dst, t0);
+                }
+                Err(e) => drop(shared.error.lock().get_or_insert(e)),
+            }
+            // Let go of the block first: whoever the signal wakes may
+            // find the replica unheld.
+            drop(dst);
+            replica.fill_done();
+        }))
+    }
+
+    /// Submission half of a transfer: the injected-fault check, and both
+    /// endpoints tagged as used by this stream — their pooled blocks must
+    /// not be handed to another stream until the transfer has completed.
+    fn transfer_ends(
+        &self,
+        src: &CellBuffer,
+        dst: &CellBuffer,
+    ) -> Result<(CellBuffer, CellBuffer)> {
         self.fault.check(fault::site::STREAM_COPY)?;
-        // Both endpoints are used by this stream: their pooled blocks must
-        // not be handed to another stream until this copy has completed.
         let (sid, timeline) = self.use_token();
         src.note_stream_use(sid, &timeline);
         dst.note_stream_use(sid, &timeline);
-        let src = src.clone();
-        let dst = dst.clone();
-        let shared = self.shared.clone();
-        self.enqueue(Box::new(move |ctx, deficit| {
-            let bytes = src.len() * 8;
-            let host_involved = src.space() == MemSpace::Host || dst.space() == MemSpace::Host;
-            let duration =
-                timemodel::transfer_duration(bytes, host_involved, &ctx.link, ctx.time_scale);
-            let t0 = Instant::now();
-            let result = dst.copy_cells_from(&src);
-            if let Err(e) = result {
-                shared.error.lock().get_or_insert(e);
-            }
-            let elapsed = t0.elapsed();
-            if duration > elapsed {
-                sleep_or_defer(duration - elapsed, deficit);
-            }
-            // Unified memory is homed on a device; count it as device-side.
-            let is_host = |s: MemSpace| s == MemSpace::Host;
-            match (is_host(src.space()), is_host(dst.space())) {
-                (true, true) => NodeStats::bump(&ctx.stats.copies_h2h),
-                (true, false) => {
-                    NodeStats::bump(&ctx.stats.copies_h2d);
-                    NodeStats::add(&ctx.stats.bytes_h2d, bytes as u64);
-                }
-                (false, true) => {
-                    NodeStats::bump(&ctx.stats.copies_d2h);
-                    NodeStats::add(&ctx.stats.bytes_d2h, bytes as u64);
-                }
-                (false, false) => {
-                    NodeStats::bump(&ctx.stats.copies_d2d);
-                    NodeStats::add(&ctx.stats.bytes_d2d, bytes as u64);
-                }
-            }
-        }))
+        Ok((src.clone(), dst.clone()))
+    }
+
+    /// Block the calling thread until every command submitted to this
+    /// stream so far has executed. Unlike [`Stream::synchronize`] it does
+    /// not wait for later submissions and leaves a sticky error in place.
+    pub(crate) fn reach(&self) -> Result<()> {
+        if !self.is_idle() {
+            let here = Event::new();
+            self.record(&here)?;
+            here.wait();
+        }
+        Ok(())
     }
 
     /// Enqueue an event record: the event signals once every previously

@@ -12,9 +12,12 @@ use crate::error::{Error, Result};
 /// Returned by [`crate::HamrBuffer::host_accessible`] and
 /// [`crate::HamrBuffer::device_accessible`]. When the data was already
 /// accessible where requested the view is **direct** (zero-copy); when it
-/// was not, the view owns an automatically managed **temporary** that the
-/// data was moved into, released when the view drops — the role the
-/// returned `std::shared_ptr` plays in the C++ implementation.
+/// was not, the view shares the allocation's **replica** in that place —
+/// a block the data was moved into by this request or an earlier one,
+/// kept alive by the view for as long as it reads it (the role the
+/// returned `std::shared_ptr` plays in the C++ implementation) and by the
+/// allocation for the next request. A later write to the allocation
+/// never shows through a view handed out before it.
 ///
 /// In asynchronous stream mode the movement may still be in flight when
 /// the view is returned; call [`crate::HamrBuffer::synchronize`] before
@@ -41,8 +44,9 @@ impl<T: Element> AccessView<T> {
         self.len() == 0
     }
 
-    /// True when access was granted in place (zero-copy); false when a
-    /// temporary was allocated and the data moved.
+    /// True when access was granted in place (zero-copy): the view reads
+    /// the allocation's own cells. False when it reads a replica, whether
+    /// this request moved the data or found it already there.
     pub fn is_direct(&self) -> bool {
         self.direct
     }

@@ -3,7 +3,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, KernelCost, PinStats, SimNode};
+use devsim::{CellBuffer, KernelCost, MemSpace, PinStats, SimNode};
 use parking_lot::RwLock;
 
 use crate::access::AccessView;
@@ -275,19 +275,24 @@ impl<T: Element> HamrBuffer<T> {
     }
 
     /// Wait until all in-flight operations on this buffer's stream have
-    /// completed (the paper's `Synchronize()`).
+    /// completed (the paper's `Synchronize()`), and with them every fill
+    /// of the allocation's replicas — whichever stream carries it: the
+    /// target device's default stream for a default-stream host buffer,
+    /// or another wrapper's stream when that wrapper's request moved the
+    /// data this one's was granted.
     pub fn synchronize(&self) -> Result<()> {
         match self.stream.get() {
-            Some(s) => s.synchronize().map_err(Error::from),
+            Some(s) => s.synchronize()?,
             None => {
                 // Default-stream buffers synchronize their device's default
-                // stream; host-resident buffers have nothing in flight.
+                // stream; host-resident ones have no stream of their own.
                 if let Some(d) = self.device() {
                     self.node.device(d)?.default_stream().synchronize()?;
                 }
-                Ok(())
             }
         }
+        self.state.read().cells.sync_replicas();
+        Ok(())
     }
 
     /// Fill every element with `value` (host write or device kernel,
@@ -328,28 +333,20 @@ impl<T: Element> HamrBuffer<T> {
 
     /// A view of the data accessible from host code (`GetHostAccessible`).
     ///
-    /// Zero-copy when the data is host-resident; otherwise the data is
-    /// moved into a temporary host allocation (ordered on the buffer's
-    /// stream; synchronize first in async mode).
+    /// Zero-copy when the data is host-resident; otherwise the view is of
+    /// the allocation's host replica (see [`Self::replica`]), ordered on
+    /// the buffer's stream; synchronize first in async mode.
     pub fn host_accessible(&self) -> Result<AccessView<T>> {
         let state = self.state.read();
-        // Host memory and universally addressable memory are granted in
-        // place; only plain device memory moves.
-        if state.cells.space().host_accessible() {
-            return Ok(AccessView::new(state.cells.clone(), true, false));
-        }
-        match state.device {
-            None => Ok(AccessView::new(state.cells.clone(), true, false)),
-            Some(d) => {
-                let temp = self.node.try_host_alloc_f64(self.len)?;
-                let stream = self.stream.resolve(&self.node, d)?;
-                stream.copy(&state.cells, &temp)?;
-                if self.mode == StreamMode::Sync {
-                    stream.synchronize()?;
-                }
-                Ok(AccessView::new(temp, false, false))
+        let cells = match state.cells.space() {
+            // Host memory and universally addressable memory are granted
+            // in place; only plain device memory moves.
+            MemSpace::Host | MemSpace::Unified(_) => {
+                return Ok(AccessView::new(state.cells.clone(), true, false))
             }
-        }
+            MemSpace::Device(d) => self.replica(&state.cells, None, d)?,
+        };
+        Ok(AccessView::new(cells, false, false))
     }
 
     /// A view of the data accessible from `pm` code on `device`
@@ -357,8 +354,8 @@ impl<T: Element> HamrBuffer<T> {
     ///
     /// Zero-copy when the data already resides on `device` — including
     /// when `pm` differs from the managing PM, in which case the grant is
-    /// flagged [`AccessView::pm_converted`]. Otherwise a temporary is
-    /// allocated on `device` and the data moved (h2d or d2d).
+    /// flagged [`AccessView::pm_converted`]. Otherwise the view is of the
+    /// allocation's replica on `device` (h2d or d2d).
     pub fn device_accessible(&self, device: usize, pm: Pm) -> Result<AccessView<T>> {
         let state = self.state.read();
         let pm_converted = pm != self.allocator.pm();
@@ -366,31 +363,33 @@ impl<T: Element> HamrBuffer<T> {
         if state.cells.space().device_accessible(device) {
             return Ok(AccessView::new(state.cells.clone(), true, pm_converted));
         }
-        match state.device {
-            Some(d) if d == device => Ok(AccessView::new(state.cells.clone(), true, pm_converted)),
-            Some(d) => {
-                // Inter-device move, ordered on the source device's stream.
-                // The temporary is allocated on that stream too, so the
-                // pool can recycle a same-stream block without waiting.
-                let stream = self.stream.resolve(&self.node, d)?;
-                let temp = self.node.device(device)?.alloc_cells_on_stream(self.len, &stream)?;
-                stream.copy(&state.cells, &temp)?;
-                if self.mode == StreamMode::Sync {
-                    stream.synchronize()?;
-                }
-                Ok(AccessView::new(temp, false, pm_converted))
-            }
-            None => {
-                // Host-to-device move, ordered on the target's stream.
-                let stream = self.stream.resolve(&self.node, device)?;
-                let temp = self.node.device(device)?.alloc_cells_on_stream(self.len, &stream)?;
-                stream.copy(&state.cells, &temp)?;
-                if self.mode == StreamMode::Sync {
-                    stream.synchronize()?;
-                }
-                Ok(AccessView::new(temp, false, pm_converted))
-            }
+        // An inter-device move is ordered on the source device's stream,
+        // a host-to-device one on the target's.
+        let cells = self.replica(&state.cells, Some(device), state.device.unwrap_or(device))?;
+        Ok(AccessView::new(cells, false, pm_converted))
+    }
+
+    /// The one cross-space path behind both access calls: the cells of
+    /// the allocation's replica on `target` (`None` = host), asked for on
+    /// this buffer's stream as resolved for `stream_device`. The node
+    /// keeps the replica with the allocation, tagged with the write
+    /// generation it was filled at, so the request is a hit (the replica
+    /// is current: nothing allocated, nothing copied), a refresh (stale:
+    /// re-copied) or a move (none yet: allocated, copied, kept) — decided
+    /// in stream order, see [`SimNode::replica`]. Not a direct grant in
+    /// any of the three: the view reads a copy.
+    fn replica(
+        &self,
+        cells: &CellBuffer,
+        target: Option<usize>,
+        stream_device: usize,
+    ) -> Result<CellBuffer> {
+        let stream = self.stream.resolve(&self.node, stream_device)?;
+        let replica = self.node.replica(cells, target, &stream)?;
+        if self.mode == StreamMode::Sync {
+            stream.synchronize()?;
         }
+        Ok(replica)
     }
 
     /// Sugar: a CUDA-PM view on `device` (`GetCUDAAccessible`).
@@ -466,7 +465,7 @@ impl<T: Element> std::fmt::Debug for HamrBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use devsim::{MemSpace, NodeConfig};
+    use devsim::NodeConfig;
 
     fn node(n: usize) -> Arc<SimNode> {
         SimNode::new(NodeConfig::fast_test(n))
@@ -820,16 +819,107 @@ mod tests {
     }
 
     #[test]
-    fn view_temporary_is_released_on_drop() {
+    fn replica_outlives_the_view_and_dies_with_the_allocation() {
         let n = node(2);
         let b = dbuf(&n, 0, &[1.0; 100]);
         let dev1 = n.device(1).unwrap();
         let before = dev1.used_bytes();
         let v = b.cuda_accessible(1).unwrap();
-        b.synchronize().unwrap();
-        assert!(dev1.used_bytes() > before, "temporary allocated on device 1");
+        assert!(!v.is_direct(), "a replica is a copy, never a direct grant");
+        let replica_bytes = dev1.used_bytes() - before;
+        assert!(replica_bytes > 0, "replica allocated on device 1");
         drop(v);
-        assert_eq!(dev1.used_bytes(), before, "temporary released with the view");
+        assert_eq!(dev1.used_bytes(), before + replica_bytes, "kept for the next request");
+
+        // The next request is granted the same block: no copy, no allocation.
+        let (copies, requests) = (n.stats().total_copies(), dev1.pool_stats());
+        let again = b.cuda_accessible(1).unwrap();
+        assert!(!again.is_direct());
+        assert_eq!(n.stats().total_copies(), copies);
+        assert_eq!(n.stats().replica_hits, 1);
+        let after = dev1.pool_stats();
+        assert_eq!(after.hits + after.misses, requests.hits + requests.misses);
+        drop(again);
+
+        drop(b);
+        assert_eq!(dev1.used_bytes(), before, "replica released with the allocation");
+    }
+
+    #[test]
+    fn synchronize_waits_for_a_move_on_the_target_devices_default_stream() {
+        // A host-resident, default-stream, asynchronous buffer has no
+        // stream of its own: the h2d move of `device_accessible` rides
+        // the target device's default stream, here behind a slow kernel.
+        let n = SimNode::new(NodeConfig {
+            device: devsim::DeviceParams { slots: 2, ..Default::default() },
+            ..NodeConfig::fast_test(1)
+        });
+        let data = [3.0, 4.0, 5.0];
+        let b: HamrBuffer<f64> = HamrBuffer::from_slice(
+            n.clone(),
+            &data,
+            Allocator::Malloc,
+            None,
+            HamrStream::default_stream(),
+            StreamMode::Async,
+        )
+        .unwrap();
+        let dev = n.device(0).unwrap();
+        dev.default_stream()
+            .launch("busy", KernelCost::ZERO, |_| {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                Ok(())
+            })
+            .unwrap();
+        let view = b.cuda_accessible(0).unwrap();
+        b.synchronize().unwrap();
+        assert!(dev.default_stream().is_idle(), "the move has landed");
+        // A consumer on another stream of the device reads filled cells.
+        let other = dev.create_stream();
+        let out = n.host_alloc_f64(data.len());
+        other.copy(view.cells(), &out).unwrap();
+        other.synchronize().unwrap();
+        assert_eq!(out.host_f64_ro().unwrap().to_vec(), data);
+    }
+
+    #[test]
+    fn a_second_wrapper_on_another_stream_is_granted_the_first_ones_move() {
+        // Two adoptions of one allocation (Newton++ re-adopts per call),
+        // each with a stream of its own: the second request finds the
+        // first one's replica still held and in flight, waits for it,
+        // and moves nothing.
+        let n = node(1);
+        let dev = n.device(0).unwrap();
+        let cells = dbuf(&n, 0, &[6.0; 8]).data();
+        let adopt = |stream| {
+            HamrBuffer::<f64>::adopt(
+                n.clone(),
+                cells.clone(),
+                Allocator::Cuda,
+                HamrStream::new(stream),
+                StreamMode::Async,
+            )
+            .unwrap()
+        };
+        let (s1, s2) = (dev.create_stream(), dev.create_stream());
+        let (w1, w2) = (adopt(s1.clone()), adopt(s2));
+        let gate = devsim::Event::new();
+        s1.wait_event(&gate).unwrap();
+        let v1 = w1.host_accessible().unwrap();
+        let second = std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let v2 = w2.host_accessible().unwrap();
+                w2.synchronize().unwrap();
+                v2.to_vec().unwrap()
+            });
+            gate.signal();
+            worker.join().unwrap()
+        });
+        assert_eq!(second, vec![6.0; 8]);
+        w1.synchronize().unwrap();
+        assert_eq!(v1.to_vec().unwrap(), vec![6.0; 8]);
+        assert_eq!(n.stats().copies_d2h, 1);
+        assert_eq!(n.stats().replica_hits, 1);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! 4. **Location- and PM-agnostic access** — [`HamrBuffer::host_accessible`]
 //!    and [`HamrBuffer::device_accessible`] return a view of the data in
 //!    the requested place and PM: direct (zero-copy) when the data is
-//!    already accessible there, otherwise backed by an automatically
-//!    managed temporary that is released when the view drops.
+//!    already accessible there, otherwise backed by a **replica** the
+//!    allocation keeps in that place, tagged with the write generation
+//!    it was filled at: a repeat request is granted from it, and the
+//!    data crosses the link again only after it has been written.
 
 mod access;
 mod allocator;

@@ -92,11 +92,11 @@ proptest! {
         prop_assert_eq!(n.device(1).unwrap().used_bytes(), used_before);
     }
 
-    /// Dropping an `AccessView` returns its temporary block to the
-    /// caching pool: live usage falls back to the baseline, and the next
-    /// same-shape access is served from cache instead of allocating.
+    /// A second identical cross-space access is a replica hit: the block
+    /// the first one filled outlives its view, so nothing is copied and
+    /// the pool is not asked for anything.
     #[test]
-    fn accessview_drop_returns_the_temporary_to_the_pool(
+    fn repeat_access_is_a_replica_hit_without_copy_or_pool_request(
         data in proptest::collection::vec(finite_f64(), 1..96),
         pm in proptest::sample::select(vec![Pm::Cuda, Pm::Hip, Pm::OpenMp]),
     ) {
@@ -106,24 +106,29 @@ proptest! {
             HamrStream::default_stream(), StreamMode::Sync,
         ).unwrap();
 
-        // First cross-space access materializes a device temporary.
+        // First cross-space access materializes a device replica.
         let dev = n.device(0).unwrap();
         let used_baseline = dev.used_bytes();
         let view = buf.device_accessible(0, pm).unwrap();
         prop_assert!(!view.is_direct());
-        prop_assert!(dev.used_bytes() > used_baseline);
+        let used_replica = dev.used_bytes();
+        prop_assert!(used_replica > used_baseline);
 
         drop(view);
-        prop_assert_eq!(dev.used_bytes(), used_baseline, "the temp is no longer live");
-        let after_drop = dev.pool_stats();
-        prop_assert!(after_drop.cached_bytes > 0, "the temp went to the free list, not free()");
+        prop_assert_eq!(dev.used_bytes(), used_replica, "the replica stays with the allocation");
+        let (pool, stats) = (dev.pool_stats(), n.stats());
 
-        // The next identical access is a pool hit, not an allocation.
+        // The next identical access moves nothing and allocates nothing.
         let view2 = buf.device_accessible(0, pm).unwrap();
+        prop_assert!(!view2.is_direct());
         let s = dev.pool_stats();
-        prop_assert_eq!(s.raw_allocs, after_drop.raw_allocs);
-        prop_assert_eq!(s.hits, after_drop.hits + 1);
+        prop_assert_eq!((s.raw_allocs, s.hits, s.misses), (pool.raw_allocs, pool.hits, pool.misses));
+        prop_assert_eq!(n.stats().total_copies(), stats.total_copies());
+        prop_assert_eq!(n.stats().replica_hits, stats.replica_hits + 1);
         drop(view2);
+
+        drop(buf);
+        prop_assert_eq!(dev.used_bytes(), used_baseline, "and dies with it");
     }
 
     /// move_to round trips preserve content through arbitrary residency
@@ -143,5 +148,208 @@ proptest! {
             prop_assert_eq!(buf.device(), target);
             prop_assert_eq!(buf.to_vec().unwrap(), data.clone());
         }
+    }
+}
+
+/// Where an access request of the model test comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Place {
+    Host,
+    Device(usize),
+}
+
+/// One step of the model test.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// The producer rewrites the array (a host write view, or a kernel
+    /// write view that has executed when the next op starts).
+    Write,
+    /// A kernel write queued on the buffer's stream behind a closed gate:
+    /// it has *not* executed when the next access is requested. Host
+    /// data has no stream of its own; there it is a plain write.
+    QueuedWrite,
+    Access {
+        from: Place,
+        hold: bool,
+        readopt: bool,
+    },
+    DropViews,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    (0usize..8, 0usize..3, proptest::num::f64::ANY).prop_map(|(kind, place, bits)| {
+        let from = if place == 0 { Place::Host } else { Place::Device(place - 1) };
+        let bits = bits.to_bits();
+        match kind {
+            0 => Op::Write,
+            1 => Op::QueuedWrite,
+            2 => Op::DropViews,
+            _ => Op::Access { from, hold: bits & 1 == 1, readopt: bits & 2 == 2 },
+        }
+    })
+}
+
+/// The model of one allocation's replica table: per other space, the
+/// write generation its replica was filled at.
+#[derive(Default)]
+struct Model {
+    generation: u64,
+    replicas: std::collections::HashMap<usize, u64>,
+    moves: u64,
+    refreshes: u64,
+    hits: u64,
+    /// Copies the test itself makes (set-up upload, device read-backs).
+    other_copies: u64,
+}
+
+impl Model {
+    fn request(&mut self, space: usize) {
+        match self.replicas.insert(space, self.generation) {
+            Some(at) if at == self.generation => self.hits += 1,
+            Some(_) => self.refreshes += 1,
+            None => self.moves += 1,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any interleaving of producer writes (executed or still queued on
+    /// the buffer's stream), access requests from every place, views
+    /// held or dropped, and per-request re-adoption: every view reads
+    /// bit for bit the contents at its request's place in stream order —
+    /// also long after, while newer generations are requested — and the
+    /// node copied exactly once per modeled move and refresh.
+    #[test]
+    fn replicas_follow_the_model_under_any_interleaving(
+        len in 1usize..40,
+        on_device in proptest::sample::select(vec![false, true]),
+        ops in proptest::collection::vec(op_strategy(), 1..24),
+    ) {
+        let n = node();
+        let dev0 = n.device(0).unwrap();
+        let stream = dev0.create_stream();
+        let readback = dev0.create_stream();
+        let mut model = Model::default();
+        let home = if on_device { Place::Device(0) } else { Place::Host };
+        let cells = if on_device {
+            model.other_copies += 1; // from_slice stages through the host
+            HamrBuffer::<f64>::from_slice(
+                n.clone(), &vec![0.0; len], Allocator::Cuda, Some(0),
+                HamrStream::new(stream.clone()), StreamMode::Sync,
+            ).unwrap().data()
+        } else {
+            n.host_alloc_f64(len)
+        };
+        let adopt = || if on_device {
+            HamrBuffer::<f64>::adopt(
+                n.clone(), cells.clone(), Allocator::Cuda,
+                HamrStream::new(stream.clone()), StreamMode::Async,
+            ).unwrap()
+        } else {
+            HamrBuffer::<f64>::adopt(
+                n.clone(), cells.clone(), Allocator::Malloc,
+                HamrStream::default_stream(), StreamMode::Async,
+            ).unwrap()
+        };
+        let persistent = adopt();
+        let write = |value: f64| {
+            if on_device {
+                let c = cells.clone();
+                stream.launch("write", devsim::KernelCost::ZERO, move |scope| {
+                    c.f64_view(scope)?.fill(value);
+                    Ok(())
+                }).unwrap();
+            } else {
+                cells.host_f64().unwrap().fill(value);
+            }
+        };
+        let read = |view: &hamr::AccessView<f64>, model: &mut Model| -> Vec<f64> {
+            if view.space().host_accessible() {
+                return view.to_vec().unwrap();
+            }
+            model.other_copies += 1;
+            let out = n.host_alloc_f64(len);
+            readback.copy(view.cells(), &out).unwrap();
+            readback.synchronize().unwrap();
+            out.host_f64_ro().unwrap().to_vec()
+        };
+
+        let mut value = 0.0;
+        let mut gate: Option<devsim::Event> = None;
+        let mut held: Vec<(hamr::AccessView<f64>, f64)> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Write | Op::QueuedWrite => {
+                    if on_device && matches!(op, Op::QueuedWrite) && gate.is_none() {
+                        let g = devsim::Event::new();
+                        stream.wait_event(&g).unwrap();
+                        gate = Some(g);
+                    }
+                    value += 1.0;
+                    model.generation += 1;
+                    write(value);
+                    if gate.is_none() {
+                        stream.synchronize().unwrap();
+                    }
+                }
+                Op::Access { from, hold, readopt } => {
+                    let fresh;
+                    let buf = if readopt { fresh = adopt(); &fresh } else { &persistent };
+                    let request = || match from {
+                        Place::Host => buf.host_accessible().unwrap(),
+                        Place::Device(d) => buf.cuda_accessible(d).unwrap(),
+                    };
+                    let view = match gate.take() {
+                        None => request(),
+                        // The write is queued, not executed. A request
+                        // that must wait for its place on the stream
+                        // blocks until the gate opens, so it runs beside
+                        // this thread, which opens the gate as soon as
+                        // the request has put its command on the stream.
+                        Some(g) => std::thread::scope(|scope| {
+                            let submitted = stream.submitted();
+                            let worker = scope.spawn(request);
+                            while !worker.is_finished() && stream.submitted() == submitted {
+                                std::thread::yield_now();
+                            }
+                            g.signal();
+                            worker.join().unwrap()
+                        }),
+                    };
+                    buf.synchronize().unwrap();
+                    prop_assert_eq!(view.is_direct(), from == home);
+                    if from != home {
+                        model.request(match from { Place::Host => 0, Place::Device(d) => d + 1 });
+                    }
+                    prop_assert_eq!(read(&view, &mut model), vec![value; len]);
+                    if hold {
+                        held.push((view, value));
+                    }
+                }
+                Op::DropViews => {
+                    for (view, expected) in held.drain(..) {
+                        // An in-place grant reads the live cells.
+                        let expected = if view.is_direct() { value } else { expected };
+                        if gate.is_none() {
+                            prop_assert_eq!(read(&view, &mut model), vec![expected; len]);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(g) = gate.take() {
+            g.signal();
+        }
+        stream.synchronize().unwrap();
+        for (view, expected) in &held {
+            let expected = if view.is_direct() { value } else { *expected };
+            prop_assert_eq!(read(view, &mut model), vec![expected; len]);
+        }
+        let stats = n.stats();
+        prop_assert_eq!(stats.total_copies(), model.moves + model.refreshes + model.other_copies);
+        prop_assert_eq!(stats.replica_refreshes, model.refreshes);
+        prop_assert_eq!(stats.replica_hits, model.hits);
     }
 }

@@ -527,6 +527,9 @@ impl Bridge {
                 first_err.get_or_insert(e);
             }
         }
+        // The simulation's arrays outlive the run, and so would the
+        // replicas the run's access requests left on them.
+        self.node.drop_replicas();
         // Work counters are read only after every engine has finalized
         // (asynchronous workers joined), so the totals are exact — and
         // they are read even when an engine failed: a worker that aborted

@@ -144,14 +144,14 @@ impl<T: Element> HamrDataArray<T> {
         self.buffer.data()
     }
 
-    /// `GetHostAccessible()`: a host view, moved into a temporary if the
-    /// data is device-resident.
+    /// `GetHostAccessible()`: a host view — of the array's host replica
+    /// if the data is device-resident.
     pub fn host_accessible(&self) -> hamr::Result<AccessView<T>> {
         self.buffer.host_accessible()
     }
 
-    /// `GetDeviceAccessible()`: a view on `device` in `pm`, moved into a
-    /// temporary unless already resident there.
+    /// `GetDeviceAccessible()`: a view on `device` in `pm` — of the
+    /// array's replica there unless the data is already resident.
     pub fn device_accessible(&self, device: usize, pm: Pm) -> hamr::Result<AccessView<T>> {
         self.buffer.device_accessible(device, pm)
     }

@@ -107,27 +107,42 @@ fn async_snapshot_doubles_the_published_footprint_until_dropped() {
 }
 
 #[test]
-fn mismatched_placement_pays_temporaries_that_views_release() {
+fn mismatched_placement_pays_replicas_that_die_with_the_data() {
     World::new(1).run(|_comm| {
         let node = SimNode::new(NodeConfig::fast_test(2));
         let sim = Sim::new(node.clone());
         let dev1 = node.device(1).unwrap();
         assert_eq!(dev1.used_bytes(), 0);
 
-        // Accessing device-0 data from device 1 allocates temporaries...
-        let mesh = sim.mesh("bodies").unwrap();
-        let table = mesh.as_table().unwrap();
-        let views: Vec<_> = table
-            .columns()
-            .iter()
-            .map(|c| svtk::downcast::<f64>(c).unwrap().cuda_accessible(1).unwrap())
-            .collect();
+        // Accessing device-0 data from device 1 allocates a replica per
+        // column...
+        let request = || -> Vec<_> {
+            let mesh = sim.mesh("bodies").unwrap();
+            let table = mesh.as_table().unwrap();
+            table
+                .columns()
+                .iter()
+                .map(|c| svtk::downcast::<f64>(c).unwrap().cuda_accessible(1).unwrap())
+                .collect()
+        };
+        let views = request();
         assert!(views.iter().all(|v| !v.is_direct()));
-        assert_eq!(dev1.used_bytes(), SIM_BYTES, "one temporary per column");
+        assert_eq!(dev1.used_bytes(), SIM_BYTES, "one replica per column");
 
-        // ...which the shared-pointer semantics release with the views.
+        // ...which the arrays keep when the views drop, so asking again
+        // costs no second copy of the data, in memory or over the link...
         drop(views);
-        assert_eq!(dev1.used_bytes(), 0, "temporaries freed when views drop");
+        let moved = node.stats().total_link_bytes();
+        drop(request());
+        assert_eq!(dev1.used_bytes(), SIM_BYTES, "the same replicas, granted again");
+        assert_eq!(node.stats().total_link_bytes(), moved);
+
+        // ...and which are released at the end of a run, or with the data.
+        node.drop_replicas();
+        assert_eq!(dev1.used_bytes(), 0, "replicas freed when the run finalizes");
+        drop(request());
+        drop(sim);
+        assert_eq!(dev1.used_bytes(), 0, "replicas freed with the arrays they copy");
     });
 }
 
