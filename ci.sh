@@ -9,6 +9,9 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
+# Every crate root under crates/ denies `unsafe_code`; the one module
+# allowed it is devsim's lease module (crates/devsim/src/lease.rs), next to
+# the SAFETY argument its read-view casts rest on. The build enforces it.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"

@@ -18,6 +18,8 @@
 //! [`register_all`] adds every back-end (including `data_binning` when
 //! combined with `binning::register`) to an [`sensei::AnalysisRegistry`].
 
+#![deny(unsafe_code)]
+
 mod autocorrelation;
 mod common;
 mod histogram;

@@ -9,6 +9,8 @@
 //! figure1 [--bodies N] [--steps N] [--resolution N] [--ranks N] [--out DIR]
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::path::PathBuf;
 use std::sync::Arc;
 

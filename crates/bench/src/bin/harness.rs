@@ -41,6 +41,8 @@
 //! appendix. An optional `<topology>` element groups the ranks into
 //! simulated nodes and routes collectives hierarchically.
 
+#![deny(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 

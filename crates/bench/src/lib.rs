@@ -8,6 +8,8 @@
 //! are configurable so the *shapes* — who wins, by what factor — can be
 //! compared against the paper's Figures 2 and 3.
 
+#![deny(unsafe_code)]
+
 mod adaptive;
 mod case;
 mod chaos;

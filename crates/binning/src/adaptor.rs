@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use devsim::HostF64View;
+use devsim::ReadView;
 use hamr::Pm;
 use minimpi::Comm;
 use parking_lot::Mutex;
@@ -424,7 +424,7 @@ impl BinningAnalysis {
 }
 
 /// A table's required variables, resident in the execution space.
-pub(crate) enum Fetched<H = HostF64View> {
+pub(crate) enum Fetched<H = ReadView<f64>> {
     /// Host placement: the columns by name. The fused step reads them
     /// through read views of the memory the access API granted — the
     /// producer's own under lockstep, the snapshot's share of it under the

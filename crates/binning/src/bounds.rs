@@ -4,14 +4,11 @@
 use minimpi::{Comm, Segment, SegmentOp};
 use sensei::{Error, Result};
 
-use crate::host_impl::Column;
-
 /// Min/max of a host-resident column, skipping non-finite values.
-pub fn minmax<C: Column + ?Sized>(col: &C) -> (f64, f64) {
+pub fn minmax(col: &[f64]) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
-    for i in 0..col.len() {
-        let v = col.get(i);
+    for &v in col {
         if v.is_finite() {
             lo = lo.min(v);
             hi = hi.max(v);
@@ -24,8 +21,8 @@ pub fn minmax<C: Column + ?Sized>(col: &C) -> (f64, f64) {
 /// column, one traversal per column (column-major — the rows are not
 /// fused). Columns may have different lengths; empty columns return
 /// `(+inf, -inf)`.
-pub fn minmax_multi<C: Column + ?Sized>(cols: &[&C]) -> Vec<(f64, f64)> {
-    cols.iter().map(|col| minmax(*col)).collect()
+pub fn minmax_multi(cols: &[&[f64]]) -> Vec<(f64, f64)> {
+    cols.iter().map(|col| minmax(col)).collect()
 }
 
 /// Combine per-rank `(lo, hi)` pairs into the global bounds with an
@@ -81,13 +78,13 @@ mod tests {
 
     #[test]
     fn host_minmax_skips_nonfinite() {
-        let (lo, hi) = minmax(&[1.0, f64::NAN, -2.0, f64::INFINITY, 3.0][..]);
+        let (lo, hi) = minmax(&[1.0, f64::NAN, -2.0, f64::INFINITY, 3.0]);
         assert_eq!((lo, hi), (-2.0, 3.0));
     }
 
     #[test]
     fn empty_column_gives_unit_interval() {
-        let (lo, hi) = minmax::<[f64]>(&[]);
+        let (lo, hi) = minmax(&[]);
         assert_eq!(usable_range(lo, hi), (0.0, 1.0));
     }
 
@@ -109,7 +106,7 @@ mod tests {
         assert_eq!(got[0], minmax(a));
         assert_eq!(got[1], minmax(b));
         assert_eq!(got[2], (f64::INFINITY, f64::NEG_INFINITY));
-        assert!(minmax_multi::<[f64]>(&[]).is_empty());
+        assert!(minmax_multi(&[]).is_empty());
     }
 
     #[test]

@@ -158,7 +158,7 @@ pub fn bin_all_device(
         .launch("bin_fused", cost, move |scope| {
             let views =
                 cols.iter().map(|c| c.f64_view_ro(scope)).collect::<devsim::Result<Vec<_>>>()?;
-            let views: Vec<&devsim::F64View> = views.iter().collect();
+            let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
             let bv = out.f64_view(scope)?;
             let mut scratch = scratches.take();
             // Each spec's partial is committed while it is still in cache,

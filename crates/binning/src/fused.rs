@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, HostF64View, Stream};
+use devsim::{CellBuffer, ReadView, Stream};
 use minimpi::{Comm, Segment};
 use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
@@ -99,12 +99,12 @@ pub(crate) fn plan_pass<'a>(
 /// systems' traversals.
 pub(crate) fn host_pass<R>(
     node: &devsim::SimNode,
-    table: &HashMap<String, HostF64View>,
+    table: &HashMap<String, ReadView<f64>>,
     names: &[&str],
     pass: &[PassSpec],
-    kernel: impl FnOnce(&[&HostF64View]) -> R,
+    kernel: impl FnOnce(&[&[f64]]) -> R,
 ) -> R {
-    let cols: Vec<&HostF64View> = names.iter().map(|name| &table[*name]).collect();
+    let cols: Vec<&[f64]> = names.iter().map(|name| &table[*name][..]).collect();
     let cost = device_impl::pass_cost(cols.first().map_or(0, |c| c.len()), pass);
     node.host().run("bin_fused_host", cost, || kernel(&cols))
 }
@@ -216,7 +216,8 @@ impl StepLayout {
         for si in specs {
             for k in 0..self.ops[si].len() {
                 let seg = self.segment(si, k);
-                self.land(flat, si, k, first, packed.range(seg.start - base..seg.end - base));
+                let part = &packed[seg.start - base..seg.end - base];
+                self.land(flat, si, k, first, part.iter().copied());
             }
         }
         Ok(())
@@ -320,8 +321,7 @@ impl<'a> FusedStep<'a> {
             for f in fetched {
                 let pairs = match f {
                     Fetched::Host(table) => {
-                        let cols: Vec<&HostF64View> =
-                            auto_cols.iter().map(|c| &table[*c]).collect();
+                        let cols: Vec<&[f64]> = auto_cols.iter().map(|c| &table[*c][..]).collect();
                         let total: usize = cols.iter().map(|c| c.len()).sum();
                         self.counters.add_table_passes(1);
                         ctx.node.host().run(

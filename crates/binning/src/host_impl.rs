@@ -1,64 +1,15 @@
 //! The host (CPU) binning implementation and the blocked fused core the
 //! device kernel shares.
 //!
-//! The kernels are generic over [`Column`], so the storage a column is
-//! read through — a plain slice, a host read view of the producer's own
-//! allocation ([`devsim::HostF64View`]) or a device kernel's
-//! [`devsim::F64View`] — is the only thing that varies between the
-//! monomorphised copies; the row loops are written once.
+//! The kernels read plain `&[f64]` columns: a host read view of the
+//! producer's own allocation and a device kernel's read view both deref
+//! to one ([`devsim::ReadView`]), so the row loops are written — and
+//! compiled — once.
 
 use parking_lot::Mutex;
 
 use crate::grid::GridParams;
 use crate::spec::BinOp;
-
-/// A column of doubles the kernels can traverse.
-pub trait Column {
-    /// Logical element count.
-    fn len(&self) -> usize;
-
-    /// True when the column holds no rows.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Logical element `i`.
-    fn get(&self, i: usize) -> f64;
-}
-
-impl Column for [f64] {
-    #[inline]
-    fn len(&self) -> usize {
-        <[f64]>::len(self)
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        self[i]
-    }
-}
-
-impl Column for devsim::F64View {
-    fn len(&self) -> usize {
-        devsim::F64View::len(self)
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        devsim::F64View::get(self, i)
-    }
-}
-
-impl Column for devsim::HostF64View {
-    fn len(&self) -> usize {
-        devsim::HostF64View::len(self)
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        devsim::HostF64View::get(self, i)
-    }
-}
 
 /// Initial value for a reduction's accumulation buffer.
 pub fn identity(op: BinOp) -> f64 {
@@ -82,7 +33,7 @@ pub fn accumulate(op: BinOp, acc: f64, v: f64) -> f64 {
 
 /// The column `op` reduces, checked against the `rows` coordinate rows;
 /// `None` for counts, which read no values.
-fn value_column<C: Column + ?Sized>(op: BinOp, values: Option<&C>, rows: usize) -> Option<&C> {
+fn value_column(op: BinOp, values: Option<&[f64]>, rows: usize) -> Option<&[f64]> {
     if op == BinOp::Count {
         return None;
     }
@@ -102,10 +53,10 @@ fn value_column<C: Column + ?Sized>(op: BinOp, values: Option<&C>, rows: usize) 
 /// Panics when the coordinate columns' lengths differ, a non-count
 /// reduction's value column is missing, or its length differs from the
 /// coordinates.
-pub fn bin_host<C: Column + ?Sized>(
-    xs: &C,
-    ys: &C,
-    values: Option<&C>,
+pub fn bin_host(
+    xs: &[f64],
+    ys: &[f64],
+    values: Option<&[f64]>,
     op: BinOp,
     grid: &GridParams,
 ) -> Vec<f64> {
@@ -113,8 +64,8 @@ pub fn bin_host<C: Column + ?Sized>(
     let values = value_column(op, values, xs.len());
     let mut bins = vec![identity(op); grid.num_bins()];
     for i in 0..xs.len() {
-        if let Some(b) = grid.bin_index(xs.get(i), ys.get(i)) {
-            bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v.get(i)));
+        if let Some(b) = grid.bin_index(xs[i], ys[i]) {
+            bins[b] = accumulate(op, bins[b], values.map_or(0.0, |v| v[i]));
         }
     }
     bins
@@ -361,8 +312,8 @@ impl ScratchPool {
 /// # Panics
 /// Panics when the columns a spec reads differ in length or a non-count
 /// reduction has no value column.
-pub fn bin_all_host<'s, C: Column + ?Sized>(
-    cols: &[&C],
+pub fn bin_all_host<'s>(
+    cols: &[&[f64]],
     specs: &[PassSpec],
     scratch: &'s mut KernelScratch,
 ) -> &'s [FusedGrids] {
@@ -380,8 +331,8 @@ pub fn bin_all_host<'s, C: Column + ?Sized>(
 /// cache. On a table of one block that is the whole life of an
 /// accumulator, and every spec then folds into the same one: the pass
 /// touches one accumulator's worth of memory, hot, instead of all of them.
-pub fn bin_all_host_each<C: Column + ?Sized>(
-    cols: &[&C],
+pub fn bin_all_host_each(
+    cols: &[&[f64]],
     specs: &[PassSpec],
     scratch: &mut KernelScratch,
     done: impl FnMut(usize, &FusedGrids),
@@ -391,8 +342,8 @@ pub fn bin_all_host_each<C: Column + ?Sized>(
 
 /// The pass behind [`bin_all_host`] (`keep`: every spec's grids stay in
 /// `scratch`) and [`bin_all_host_each`].
-fn pass<C: Column + ?Sized>(
-    cols: &[&C],
+fn pass(
+    cols: &[&[f64]],
     specs: &[PassSpec],
     scratch: &mut KernelScratch,
     keep: bool,
@@ -450,19 +401,19 @@ fn pass<C: Column + ?Sized>(
     for b in 0..blocks {
         let start = b * block;
         let m = tile.min(rows - start);
+        let rows = start..start + m;
         for (&(c, lo, hi, cells), out) in axes.iter().zip(index.chunks_mut(tile)) {
-            let (col, span, scale, last) = (cols[c], hi - lo, cells as f64, (cells - 1) as u32);
-            for (r, out) in out[..m].iter_mut().enumerate() {
-                let v = col.get(start + r);
+            let (span, scale, last) = (hi - lo, cells as f64, (cells - 1) as u32);
+            for (out, &v) in out.iter_mut().zip(&cols[c][rows.clone()]) {
                 let i = (((v - lo) / span * scale) as u32).min(last);
                 *out = if v.is_finite() && v >= lo && v <= hi { i } else { u32::MAX };
             }
         }
         for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
             for (s, c) in slots.iter().enumerate() {
-                let Some(col) = c.map(|c| cols[c]) else { continue };
-                for (r, row) in stage.chunks_exact_mut(slots.len()).take(m).enumerate() {
-                    row[s] = col.get(start + r);
+                let Some(col) = c.map(|c| &cols[c][rows.clone()]) else { continue };
+                for (row, &v) in stage.chunks_exact_mut(slots.len()).zip(col) {
+                    row[s] = v;
                 }
             }
         }
@@ -589,24 +540,24 @@ mod tests {
 
     #[test]
     fn empty_input_yields_identity_grid() {
-        let bins = bin_host::<[f64]>(&[], &[], None, BinOp::Count, &grid2x2());
+        let bins = bin_host(&[], &[], None, BinOp::Count, &grid2x2());
         assert_eq!(bins, vec![0.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "co-occurring")]
     fn mismatched_columns_panic() {
-        bin_host::<[f64]>(&[1.0], &[1.0, 2.0], None, BinOp::Count, &grid2x2());
+        bin_host(&[1.0], &[1.0, 2.0], None, BinOp::Count, &grid2x2());
     }
 
     const ALL: [BinOp; 5] = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
 
     /// One fused pass of `ops` (all reducing `vs`) over the `xs`/`ys`
     /// axes, split into per-op grids.
-    fn fused<C: Column + ?Sized>(
-        xs: &C,
-        ys: &C,
-        vs: Option<&C>,
+    fn fused(
+        xs: &[f64],
+        ys: &[f64],
+        vs: Option<&[f64]>,
         ops: &[BinOp],
         g: &GridParams,
     ) -> Vec<Vec<f64>> {
@@ -638,7 +589,7 @@ mod tests {
     #[test]
     fn fused_pass_on_empty_input_yields_identities() {
         let ops = [BinOp::Count, BinOp::Min, BinOp::Max];
-        let grids = fused::<[f64]>(&[], &[], Some(&[]), &ops, &grid2x2());
+        let grids = fused(&[], &[], Some(&[]), &ops, &grid2x2());
         assert_eq!(grids[0], vec![0.0; 4]);
         assert_eq!(grids[1], vec![f64::INFINITY; 4]);
         assert_eq!(grids[2], vec![f64::NEG_INFINITY; 4]);

@@ -18,6 +18,8 @@
 //! ([`reduce`]). [`BinningAnalysis`] packages everything as a SENSEI
 //! analysis back-end registered under the XML type `data_binning`.
 
+#![deny(unsafe_code)]
+
 pub mod bounds;
 pub mod device_impl;
 pub mod host_impl;

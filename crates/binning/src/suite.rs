@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, Event, HostF64View};
+use devsim::{CellBuffer, Event, ReadView};
 use parking_lot::Mutex;
 use sensei::{
     AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DagOutcome, DagScheduler,
@@ -57,7 +57,7 @@ struct DagState {
     /// by the table's kernel tasks and dropped before the reduce node
     /// tells the snapshot its shares are no longer read.
     #[allow(clippy::type_complexity)]
-    host_tables: Mutex<Vec<Arc<HashMap<String, HostF64View>>>>,
+    host_tables: Mutex<Vec<Arc<HashMap<String, ReadView<f64>>>>>,
     /// Device placement: `(table, device)` -> resident union columns.
     /// Seeded on the primary device by the fetch node; stolen kernels
     /// replicate a table's columns to their own device on first use.

@@ -319,7 +319,7 @@ fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries(
             let packed: Vec<f64> = grids.iter().flat_map(|g| g.packed()).collect();
             assert_packed_matches(&packed, &specs, oracle, &format!("{what} slices"));
 
-            let views: Vec<devsim::HostF64View> = cols
+            let views: Vec<devsim::ReadView<f64>> = cols
                 .iter()
                 .map(|c| {
                     let buf = node.host_alloc_f64(c.len());
@@ -327,7 +327,7 @@ fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries(
                     buf.host_f64_ro().unwrap()
                 })
                 .collect();
-            let views: Vec<&devsim::HostF64View> = views.iter().collect();
+            let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
             // Handed over spec by spec, as the fused step consumes them: on
             // a table of one block out of one shared accumulator.
             let mut packed = Vec::new();

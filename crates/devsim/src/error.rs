@@ -45,6 +45,9 @@ pub enum Error {
     /// A configured fault fired at the named injection site (see
     /// [`crate::fault`]).
     FaultInjected { site: String },
+    /// A read view and a write (a write view, a copy into the allocation
+    /// or a replica fill) would overlap on the allocation `alloc_id`.
+    Aliased { alloc_id: u64 },
 }
 
 impl fmt::Display for Error {
@@ -88,6 +91,9 @@ impl fmt::Display for Error {
             Error::StreamClosed => write!(f, "stream worker has shut down"),
             Error::FaultInjected { site } => {
                 write!(f, "injected fault at site '{site}'")
+            }
+            Error::Aliased { alloc_id } => {
+                write!(f, "allocation {alloc_id} is read and written at once")
             }
         }
     }

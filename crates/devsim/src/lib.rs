@@ -50,11 +50,15 @@
 //! assert_eq!(host.host_f64().unwrap().to_vec()[3], 3.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod device;
 mod error;
 mod event;
 pub mod fault;
 mod host;
+#[allow(unsafe_code)]
+mod lease;
 mod memory;
 mod node;
 mod pool;
@@ -68,6 +72,7 @@ pub use error::{Error, Result};
 pub use event::Event;
 pub use fault::{FaultConfig, FaultInjector, FaultInjectorStats, FaultKind, FaultRule};
 pub use host::HostExec;
+pub use lease::{ReadView, Word};
 pub use memory::{
     CellBuffer, F64View, HostF64View, HostU64View, KernelScope, MemSpace, PinStats, U64View,
 };

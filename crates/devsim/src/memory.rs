@@ -14,6 +14,11 @@
 //!   which proves the code is running on a particular device and checks
 //!   the buffer is resident there.
 //!
+//! Views come in two kinds, kept apart by the allocation's leases (the
+//! `lease` module): write views share atomic cells, while read-only
+//! views ([`ReadView`]) are plain slices — and a request for one kind
+//! while the other is held fails with [`Error::Aliased`].
+//!
 //! Moving data between spaces requires a [`crate::Stream`] copy, exactly
 //! like a real accelerator.
 
@@ -24,6 +29,7 @@ use parking_lot::Mutex;
 
 use crate::error::{Error, Result};
 use crate::event::Event;
+use crate::lease::{Leases, ReadLease, ReadView, SourceHold, Word, WriteLease};
 use crate::stats::NodeStats;
 use crate::stream::{Stream, StreamTimeline};
 
@@ -123,7 +129,7 @@ struct PinSlot {
     active: AtomicBool,
     /// The pin-time contents, materialized by the first post-pin write
     /// (the CoW fault).
-    resolved: Mutex<Option<Arc<[AtomicU64]>>>,
+    resolved: Mutex<Option<Arc<[u64]>>>,
     stats: Arc<PinStats>,
 }
 
@@ -218,12 +224,12 @@ impl ReplicaOwner {
 /// Per-allocation tracking state shared by every clone of a buffer (it
 /// travels with [`CellBuffer::clone`], surviving re-adoption into new
 /// wrapper objects): a monotonically increasing write generation, the
-/// count of live read-only views, the registered read-pins, and the
-/// allocation's replicas in other memory spaces (at most one per space).
-struct Track {
+/// leases of live views, the registered read-pins, and the allocation's
+/// replicas in other memory spaces (at most one per space).
+pub(crate) struct Track {
     id: u64,
     generation: AtomicU64,
-    readers: AtomicU64,
+    leases: Leases,
     pins: Mutex<Vec<Weak<PinSlot>>>,
     /// Taken by cross-space access requests, `sync_replicas` and
     /// eviction only — never by an in-place grant or a fill command.
@@ -240,31 +246,19 @@ impl Track {
         Arc::new(Track {
             id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
-            readers: AtomicU64::new(0),
+            leases: Leases::default(),
             pins: Mutex::new(Vec::new()),
             replicas: Mutex::new(Vec::new()),
             write_serial: Mutex::new(()),
         })
     }
-}
 
-/// RAII registration of a live read-only view: a writer faulting on a
-/// still-pinned allocation drains registered readers before mutating, so
-/// a reader mid-iteration never observes post-pin writes.
-pub(crate) struct ReadGuard {
-    track: Arc<Track>,
-}
-
-impl ReadGuard {
-    fn register(track: &Arc<Track>) -> ReadGuard {
-        track.readers.fetch_add(1, Ordering::AcqRel);
-        ReadGuard { track: track.clone() }
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
-}
 
-impl Drop for ReadGuard {
-    fn drop(&mut self) {
-        self.track.readers.fetch_sub(1, Ordering::AcqRel);
+    pub(crate) fn leases(&self) -> &Leases {
+        &self.leases
     }
 }
 
@@ -393,27 +387,27 @@ impl CellBuffer {
             .is_some_and(|pin| pin.active.load(Ordering::Acquire) && pin.resolved.lock().is_none())
     }
 
-    /// The cells a *read* of this clone must target, plus a reader
-    /// registration when the read aliases live, still-pinned cells.
-    fn read_cells(&self) -> (Arc<[AtomicU64]>, Option<ReadGuard>) {
+    /// A read view of what this clone reads: the live cells under a
+    /// shared read lease; on a pinned clone, the fault copy once a writer
+    /// has resolved the pin, and the live cells under a pinned lease —
+    /// which writers wait for instead of failing — until then.
+    fn read_view<T: Word>(&self) -> Result<ReadView<T>> {
+        let guard = self.guard.clone();
         let Some(pin) = &self.pin else {
-            return (self.cells.clone(), None);
+            let lease = ReadLease::shared(&self.track)?;
+            return Ok(ReadView::live(self.cells.clone(), self.len, guard, lease));
         };
-        // Register *before* checking resolution: a faulting writer
-        // publishes the holder under this same mutex before draining
-        // readers, so it either sees this registration (and waits) or
-        // this check sees the holder — never a live read of post-pin
-        // writes.
-        let guard = ReadGuard::register(&self.track);
-        let snapshot = pin.resolved.lock().clone();
-        match snapshot {
-            // Faulted: the pre-write copy is the pinned contents.
-            Some(cells) => (cells, None),
-            None => (self.cells.clone(), Some(guard)),
+        // Register *before* checking resolution (see `ReadLease::pinned`).
+        // A released pin is never resolved; its reads are shared ones.
+        let pinned = pin.active.load(Ordering::Acquire).then(|| ReadLease::pinned(&self.track));
+        if let Some(words) = pin.resolved.lock().clone() {
+            return Ok(ReadView::frozen(words, guard));
         }
+        let lease = pinned.unwrap_or_else(|| ReadLease::shared(&self.track))?;
+        Ok(ReadView::live(self.cells.clone(), self.len, guard, lease))
     }
 
-    /// The write generation whose contents [`Self::read_cells`] yields:
+    /// The write generation whose contents [`Self::read_view`] yields:
     /// pin time on a pinned clone, the current one otherwise (a released
     /// pin that was never resolved reads the live cells again).
     fn read_generation(&self) -> u64 {
@@ -513,14 +507,17 @@ impl CellBuffer {
         }
     }
 
-    /// Write-intent entry point: bump the generation and resolve every
-    /// live pin with a lazy pre-write copy (the CoW fault), then drain
-    /// registered readers so nobody mid-read observes the caller's
-    /// upcoming writes.
+    /// Write-intent entry point: bump the generation, resolve every live
+    /// pin with a lazy pre-write copy (the CoW fault), then take a write
+    /// lease — which waits for pinned readers that were already reading
+    /// the live cells, so nobody mid-read observes the caller's upcoming
+    /// writes.
     ///
-    /// Callers must not hold a read-only view of this same allocation
-    /// while acquiring a write view (the drain would wait on the caller).
-    pub(crate) fn begin_write(&self) {
+    /// Fails with [`Error::Aliased`] while a shared read view of the
+    /// allocation is alive — the caller's own included, where waiting
+    /// would deadlock. A pinned reader is waited for instead, so a caller
+    /// must still not hold one of its own while writing.
+    pub(crate) fn begin_write(&self) -> Result<WriteLease> {
         // One writer resolves pins at a time, and the registry drain is
         // only decisive while this lock is held: a concurrent writer
         // must not see the emptied registry and mutate while the first
@@ -530,18 +527,15 @@ impl CellBuffer {
         let pins: Vec<Weak<PinSlot>> = {
             let mut registry = self.track.pins.lock();
             self.track.generation.fetch_add(1, Ordering::Release);
-            if registry.is_empty() {
-                return;
-            }
             std::mem::take(&mut *registry)
         };
-        let mut holder: Option<Arc<[AtomicU64]>> = None;
+        let mut holder: Option<Arc<[u64]>> = None;
         for weak in pins {
             let Some(pin) = weak.upgrade() else { continue };
             if !pin.active.load(Ordering::Acquire) {
                 continue;
             }
-            let cells = holder.get_or_insert_with(|| {
+            let words = holder.get_or_insert_with(|| {
                 // The fault: materialize the pre-write contents once;
                 // every outstanding pin shares the copy (they all pinned
                 // the same post-last-write state). Allocated raw — never
@@ -549,61 +543,37 @@ impl CellBuffer {
                 // pool round-trip could self-deadlock.
                 pin.stats.faults.fetch_add(1, Ordering::Relaxed);
                 pin.stats.bytes.fetch_add(self.len as u64 * 8, Ordering::Relaxed);
-                self.cells
-                    .iter()
-                    .take(self.len)
-                    .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                    .collect()
+                self.cells[..self.len].iter().map(|c| c.load(Ordering::Relaxed)).collect()
             });
-            *pin.resolved.lock() = Some(cells.clone());
+            *pin.resolved.lock() = Some(words.clone());
         }
-        if holder.is_some() {
-            // Stragglers that acquired a live-cell read view before the
-            // resolution above finish reading pre-write data first.
-            while self.track.readers.load(Ordering::Acquire) > 0 {
-                std::thread::yield_now();
-            }
-        }
+        WriteLease::acquire(&self.track)
     }
 
     /// Host-side `f64` view with write intent (bumps the generation and
     /// resolves read-pins). Fails unless the buffer is host-resident.
     pub fn host_f64(&self) -> Result<HostF64View> {
         self.require_host()?;
-        self.begin_write();
-        Ok(HostF64View {
-            cells: self.cells.clone(),
-            len: self.len,
-            _guard: self.guard.clone(),
-            _read: None,
-        })
+        Ok(HostF64View(self.write_view()?))
     }
 
     /// Host-side `u64` view with write intent. Fails unless host-resident.
     pub fn host_u64(&self) -> Result<HostU64View> {
         self.require_host()?;
-        self.begin_write();
-        Ok(HostU64View {
-            cells: self.cells.clone(),
-            len: self.len,
-            _guard: self.guard.clone(),
-            _read: None,
-        })
+        Ok(HostU64View(self.write_view()?))
     }
 
     /// Read-only host-side `f64` view: does not advance the generation,
     /// and on a pinned clone routes to the pinned (pre-write) contents.
-    pub fn host_f64_ro(&self) -> Result<HostF64View> {
+    pub fn host_f64_ro(&self) -> Result<ReadView<f64>> {
         self.require_host()?;
-        let (cells, read) = self.read_cells();
-        Ok(HostF64View { cells, len: self.len, _guard: self.guard.clone(), _read: read })
+        self.read_view()
     }
 
     /// Read-only host-side `u64` view (see [`CellBuffer::host_f64_ro`]).
-    pub fn host_u64_ro(&self) -> Result<HostU64View> {
+    pub fn host_u64_ro(&self) -> Result<ReadView<u64>> {
         self.require_host()?;
-        let (cells, read) = self.read_cells();
-        Ok(HostU64View { cells, len: self.len, _guard: self.guard.clone(), _read: read })
+        self.read_view()
     }
 
     /// Kernel-side `f64` view with write intent; `scope` proves execution
@@ -611,13 +581,7 @@ impl CellBuffer {
     pub fn f64_view(&self, scope: &KernelScope) -> Result<F64View> {
         self.require_device(scope)?;
         self.note_scope_use(scope);
-        self.begin_write();
-        Ok(F64View {
-            cells: self.cells.clone(),
-            len: self.len,
-            _guard: self.guard.clone(),
-            _read: None,
-        })
+        Ok(F64View(self.write_view()?))
     }
 
     /// Kernel-side `u64` view with write intent; `scope` proves execution
@@ -625,30 +589,32 @@ impl CellBuffer {
     pub fn u64_view(&self, scope: &KernelScope) -> Result<U64View> {
         self.require_device(scope)?;
         self.note_scope_use(scope);
-        self.begin_write();
-        Ok(U64View {
-            cells: self.cells.clone(),
-            len: self.len,
-            _guard: self.guard.clone(),
-            _read: None,
-        })
+        Ok(U64View(self.write_view()?))
     }
 
     /// Read-only kernel-side `f64` view: no generation bump; on a pinned
     /// clone the view targets the pinned (pre-write) contents.
-    pub fn f64_view_ro(&self, scope: &KernelScope) -> Result<F64View> {
+    pub fn f64_view_ro(&self, scope: &KernelScope) -> Result<ReadView<f64>> {
         self.require_device(scope)?;
         self.note_scope_use(scope);
-        let (cells, read) = self.read_cells();
-        Ok(F64View { cells, len: self.len, _guard: self.guard.clone(), _read: read })
+        self.read_view()
     }
 
     /// Read-only kernel-side `u64` view (see [`CellBuffer::f64_view_ro`]).
-    pub fn u64_view_ro(&self, scope: &KernelScope) -> Result<U64View> {
+    pub fn u64_view_ro(&self, scope: &KernelScope) -> Result<ReadView<u64>> {
         self.require_device(scope)?;
         self.note_scope_use(scope);
-        let (cells, read) = self.read_cells();
-        Ok(U64View { cells, len: self.len, _guard: self.guard.clone(), _read: read })
+        self.read_view()
+    }
+
+    fn write_view(&self) -> Result<WriteCells> {
+        let lease = self.begin_write()?;
+        Ok(WriteCells {
+            cells: self.cells.clone(),
+            len: self.len,
+            _guard: self.guard.clone(),
+            _lease: lease,
+        })
     }
 
     fn note_scope_use(&self, scope: &KernelScope) {
@@ -676,19 +642,32 @@ impl CellBuffer {
     /// Raw cell copy used by the transfer engine. Not public: user code
     /// must go through stream copies.
     ///
-    /// Write-routed on the destination (generation bump, pin resolution)
-    /// and read-routed on the source (a pinned source clone copies its
-    /// pinned contents), so stream copies participate in CoW tracking.
+    /// Write-routed on the destination (generation bump, pin resolution,
+    /// a write lease while it stores) and read-routed on the source (a
+    /// pinned source clone copies its pinned contents), so stream copies
+    /// participate in CoW tracking. The source is read with atomic loads
+    /// and takes no read lease: a copy may read an allocation a write view
+    /// is still open on.
     pub(crate) fn copy_cells_from(&self, src: &CellBuffer) -> Result<()> {
         if self.len != src.len {
             return Err(Error::CopyLengthMismatch { src: src.len, dst: self.len });
         }
         // Destination first: if src aliases dst (same allocation), the
         // pin resolves here and the read below routes to the holder.
-        self.begin_write();
-        let (src_cells, _read) = src.read_cells();
-        for (d, s) in self.cells[..self.len].iter().zip(&src_cells[..self.len]) {
-            d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+        let _write = self.begin_write()?;
+        // Registered before the resolution check, like a pinned reader.
+        let source = src.pin.as_ref().map(|pin| (SourceHold::register(&src.track), pin));
+        let dst = &self.cells[..self.len];
+        match source.as_ref().and_then(|(_, pin)| pin.resolved.lock().clone()) {
+            Some(words) => {
+                drop(source);
+                dst.iter().zip(words.iter()).for_each(|(d, &w)| d.store(w, Ordering::Relaxed))
+            }
+            None => {
+                for (d, s) in dst.iter().zip(&src.cells[..self.len]) {
+                    d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+            }
         }
         Ok(())
     }
@@ -717,33 +696,42 @@ impl KernelScope {
     }
 }
 
+/// What every write view holds: the allocation's cells, the pool guard
+/// that keeps them out of the pool, and the write lease that keeps read
+/// views off them.
+struct WriteCells {
+    cells: Arc<[AtomicU64]>,
+    len: usize,
+    _guard: Option<Arc<dyn BufferGuard>>,
+    _lease: WriteLease,
+}
+
+impl WriteCells {
+    /// The cell backing element `i`, bounds-checked against the
+    /// *logical* length (the backing may be size-class padded).
+    #[inline]
+    fn cell(&self, i: usize) -> &AtomicU64 {
+        assert!(i < self.len, "index {i} out of bounds for view of {} elements", self.len);
+        &self.cells[i]
+    }
+
+    fn cells(&self) -> &[AtomicU64] {
+        &self.cells[..self.len]
+    }
+}
+
 macro_rules! view_bounds {
     () => {
         /// Number of elements.
         pub fn len(&self) -> usize {
-            self.len
+            self.0.len
         }
 
         /// True when the view is empty.
         pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-
-        /// The cell backing element `i`, bounds-checked against the
-        /// *logical* length (the backing may be size-class padded).
-        #[inline]
-        fn cell(&self, i: usize) -> &AtomicU64 {
-            assert!(i < self.len, "index {i} out of bounds for view of {} elements", self.len);
-            &self.cells[i]
+            self.0.len == 0
         }
     };
-}
-
-/// One cell read as an `f64`. Inlined into the view iterators, which are
-/// instantiated in the calling crate.
-#[inline]
-fn load_f64(cell: &AtomicU64) -> f64 {
-    f64::from_bits(cell.load(Ordering::Relaxed))
 }
 
 macro_rules! f64_ops {
@@ -754,20 +742,20 @@ macro_rules! f64_ops {
             /// Read element `i`.
             #[inline]
             pub fn get(&self, i: usize) -> f64 {
-                f64::from_bits(self.cell(i).load(Ordering::Relaxed))
+                f64::from_bits(self.0.cell(i).load(Ordering::Relaxed))
             }
 
             /// Write element `i`.
             #[inline]
             pub fn set(&self, i: usize, v: f64) {
-                self.cell(i).store(v.to_bits(), Ordering::Relaxed);
+                self.0.cell(i).store(v.to_bits(), Ordering::Relaxed);
             }
 
             /// Atomic `+=` on element `i` (CAS loop) — the `atomicAdd` the
             /// paper's binning kernel depends on.
             #[inline]
             pub fn atomic_add(&self, i: usize, v: f64) {
-                let cell = self.cell(i);
+                let cell = self.0.cell(i);
                 let mut cur = cell.load(Ordering::Relaxed);
                 loop {
                     let next = (f64::from_bits(cur) + v).to_bits();
@@ -797,7 +785,7 @@ macro_rules! f64_ops {
 
             #[inline]
             fn atomic_rmw(&self, i: usize, f: impl Fn(f64) -> f64) {
-                let cell = self.cell(i);
+                let cell = self.0.cell(i);
                 let mut cur = cell.load(Ordering::Relaxed);
                 loop {
                     let next = f(f64::from_bits(cur)).to_bits();
@@ -818,23 +806,7 @@ macro_rules! f64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<f64> {
-                self.iter().collect()
-            }
-
-            /// The elements in order, without copying them out first.
-            pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
-                self.range(0..self.len)
-            }
-
-            /// The elements of `range` in order, like [`Self::iter`].
-            ///
-            /// # Panics
-            /// Panics if `range` runs past the end of the view.
-            pub fn range(
-                &self,
-                range: std::ops::Range<usize>,
-            ) -> impl ExactSizeIterator<Item = f64> + '_ {
-                self.cells[..self.len][range].iter().map(load_f64)
+                self.0.cells().iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect()
             }
 
             /// Store the row-major `rows`, each `starts.len()` values wide,
@@ -850,7 +822,7 @@ macro_rules! f64_ops {
                     return;
                 };
                 assert_eq!(rows.len(), n * starts.len(), "store_columns needs whole rows");
-                let (cells, width) = (&self.cells[..self.len], starts.len());
+                let (cells, width) = (self.0.cells(), starts.len());
                 let columns: Vec<&[AtomicU64]> = starts.iter().map(|&s| &cells[s..s + n]).collect();
                 // A block of rows at a time, so the strided reads of one
                 // column hit lines the previous column just pulled in.
@@ -867,7 +839,7 @@ macro_rules! f64_ops {
 
             /// Fill every element with `v`.
             pub fn fill(&self, v: f64) {
-                for c in &self.cells[..self.len] {
+                for c in self.0.cells() {
                     c.store(v.to_bits(), Ordering::Relaxed);
                 }
             }
@@ -875,7 +847,7 @@ macro_rules! f64_ops {
             /// Copy from a slice; panics if lengths differ.
             pub fn copy_from_slice(&self, src: &[f64]) {
                 assert_eq!(src.len(), self.len(), "copy_from_slice length mismatch");
-                for (c, v) in self.cells[..self.len].iter().zip(src) {
+                for (c, v) in self.0.cells().iter().zip(src) {
                     c.store(v.to_bits(), Ordering::Relaxed);
                 }
             }
@@ -891,91 +863,66 @@ macro_rules! u64_ops {
             /// Read element `i`.
             #[inline]
             pub fn get(&self, i: usize) -> u64 {
-                self.cell(i).load(Ordering::Relaxed)
+                self.0.cell(i).load(Ordering::Relaxed)
             }
 
             /// Write element `i`.
             #[inline]
             pub fn set(&self, i: usize, v: u64) {
-                self.cell(i).store(v, Ordering::Relaxed);
+                self.0.cell(i).store(v, Ordering::Relaxed);
             }
 
             /// Atomic increment, returning the previous value.
             #[inline]
             pub fn atomic_add(&self, i: usize, v: u64) -> u64 {
-                self.cell(i).fetch_add(v, Ordering::Relaxed)
+                self.0.cell(i).fetch_add(v, Ordering::Relaxed)
             }
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<u64> {
-                self.cells[..self.len].iter().map(|c| c.load(Ordering::Relaxed)).collect()
+                self.0.cells().iter().map(|c| c.load(Ordering::Relaxed)).collect()
             }
         }
     };
 }
 
-/// `f64` view of a device-resident buffer, usable only inside a kernel.
-pub struct F64View {
-    cells: Arc<[AtomicU64]>,
-    len: usize,
-    /// Keeps the allocation out of the pool while the view is alive.
-    _guard: Option<Arc<dyn BufferGuard>>,
-    /// `Some` on read-only views of a live-pinned clone: a faulting
-    /// writer drains this registration before mutating.
-    _read: Option<ReadGuard>,
+macro_rules! write_view {
+    ($(#[$doc:meta])* $name:ident, $ops:ident) => {
+        $(#[$doc])*
+        pub struct $name(WriteCells);
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(f, "{}(len={})", stringify!($name), self.0.len)
+            }
+        }
+
+        $ops!($name);
+    };
 }
 
-impl std::fmt::Debug for F64View {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "F64View(len={})", self.len)
-    }
-}
-f64_ops!(F64View);
-
-/// `u64` view of a device-resident buffer, usable only inside a kernel.
-pub struct U64View {
-    cells: Arc<[AtomicU64]>,
-    len: usize,
-    _guard: Option<Arc<dyn BufferGuard>>,
-    _read: Option<ReadGuard>,
-}
-
-impl std::fmt::Debug for U64View {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "U64View(len={})", self.len)
-    }
-}
-u64_ops!(U64View);
-
-/// `f64` view of a host-resident buffer, usable from host code.
-pub struct HostF64View {
-    cells: Arc<[AtomicU64]>,
-    len: usize,
-    _guard: Option<Arc<dyn BufferGuard>>,
-    _read: Option<ReadGuard>,
-}
-
-impl std::fmt::Debug for HostF64View {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostF64View(len={})", self.len)
-    }
-}
-f64_ops!(HostF64View);
-
-/// `u64` view of a host-resident buffer, usable from host code.
-pub struct HostU64View {
-    cells: Arc<[AtomicU64]>,
-    len: usize,
-    _guard: Option<Arc<dyn BufferGuard>>,
-    _read: Option<ReadGuard>,
-}
-
-impl std::fmt::Debug for HostU64View {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostU64View(len={})", self.len)
-    }
-}
-u64_ops!(HostU64View);
+write_view!(
+    /// `f64` write view of a device-resident buffer, usable only inside a
+    /// kernel: shared atomic cells under a write lease.
+    F64View,
+    f64_ops
+);
+write_view!(
+    /// `u64` write view of a device-resident buffer, usable only inside a
+    /// kernel.
+    U64View,
+    u64_ops
+);
+write_view!(
+    /// `f64` write view of a host-resident buffer, usable from host code.
+    HostF64View,
+    f64_ops
+);
+write_view!(
+    /// `u64` write view of a host-resident buffer, usable from host code.
+    HostU64View,
+    u64_ops
+);
 
 #[cfg(test)]
 mod tests {
@@ -1006,7 +953,8 @@ mod tests {
         v.fill(1.0);
         v.copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(b.host_u64_ro().unwrap().to_vec().len(), 3);
+        drop(v);
+        assert_eq!(b.host_u64_ro().unwrap().len(), 3);
         let padding: Vec<f64> =
             cells[3..].iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect();
         assert_eq!(padding, vec![7.0; 5], "padding cells are never touched");
@@ -1135,21 +1083,23 @@ mod tests {
     }
 
     #[test]
-    fn iter_range_and_column_stores() {
+    fn column_stores_land_column_by_column() {
         let b = host_buf(7);
         let v = b.host_f64().unwrap();
         v.fill(-1.0);
         // Three rows of two values; column 0 lands at 4.., column 1 at 0...
         v.store_columns(&[1.0, 10.0, 2.0, 20.0, 3.0, 30.0], &[4, 0]);
         assert_eq!(v.to_vec(), vec![10.0, 20.0, 30.0, -1.0, 1.0, 2.0, 3.0]);
-        assert_eq!(v.iter().len(), 7);
-        assert_eq!(v.iter().skip(4).collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(v.range(2..5).collect::<Vec<_>>(), vec![30.0, -1.0, 1.0]);
-        assert_eq!(v.range(7..7).len(), 0);
         let before = v.to_vec();
         v.store_columns(&[], &[]);
         v.store_columns(&[], &[3]);
         assert_eq!(v.to_vec(), before);
+        drop(v);
+        // A read view is the same cells as a slice.
+        let r = b.host_f64_ro().unwrap();
+        assert_eq!(r[2..5], [30.0, -1.0, 1.0]);
+        assert_eq!(r.iter().skip(4).copied().collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(r.get(6), 3.0);
     }
 
     #[test]
@@ -1229,13 +1179,10 @@ mod tests {
         assert_eq!(stats.faults(), 1, "both pins hold the same pre-write state");
         assert_eq!(stats.bytes(), 4 * 8);
         assert_eq!(p1.host_f64_ro().unwrap().to_vec(), vec![2.0; 4]);
-        assert!(p1
-            .host_f64_ro()
-            .unwrap()
-            .cells
-            .iter()
-            .zip(p2.host_f64_ro().unwrap().cells.iter())
-            .all(|(a, b)| std::ptr::eq(a, b)));
+        assert!(std::ptr::eq(
+            p1.host_f64_ro().unwrap().as_ptr(),
+            p2.host_f64_ro().unwrap().as_ptr()
+        ));
     }
 
     #[test]
@@ -1295,7 +1242,7 @@ mod tests {
         assert_eq!(stats.faults(), 1, "one fault copy serves both writers");
         assert_eq!(stats.bytes(), N as u64 * 8);
         assert_eq!(pinned.host_f64_ro().unwrap().to_vec(), vec![1.0; N]);
-        assert!(b.host_f64_ro().unwrap().iter().all(|v| v == 8.0 || v == 9.0));
+        assert!(b.host_f64_ro().unwrap().iter().all(|&v| v == 8.0 || v == 9.0));
     }
 
     #[test]
@@ -1328,6 +1275,111 @@ mod tests {
         // Post-fault reads through the pin route to the holder copy.
         assert_eq!(pinned.host_f64_ro().unwrap().get(0), 1.0);
         assert_eq!(b.host_f64_ro().unwrap().get(0), 9.0);
+    }
+
+    mod leases {
+        use super::*;
+        use crate::node::{NodeConfig, SimNode};
+
+        fn aliased(b: &CellBuffer) -> Error {
+            Error::Aliased { alloc_id: b.alloc_id() }
+        }
+
+        #[test]
+        fn a_read_lease_refuses_writes_copies_and_fills() {
+            let node = SimNode::new(NodeConfig::fast_test(1));
+            let stream = node.device(0).unwrap().create_stream();
+            let b = node.host_alloc_f64(4);
+            b.host_f64().unwrap().fill(1.0);
+            let src = node.host_alloc_f64(4);
+            src.host_f64().unwrap().fill(2.0);
+            let view = b.host_f64_ro().unwrap();
+            let generation = b.generation();
+
+            assert_eq!(b.host_f64().unwrap_err(), aliased(&b));
+            assert_eq!(b.clone().host_u64().unwrap_err(), aliased(&b), "clones share the lease");
+            stream.copy(&src, &b).unwrap();
+            assert_eq!(stream.synchronize().unwrap_err(), aliased(&b));
+            let replica = Replica::new(b.clone(), UNFILLED);
+            stream.fill(&src, &replica).unwrap();
+            assert_eq!(stream.synchronize().unwrap_err(), aliased(&b));
+            assert_eq!(replica.filled.load(Ordering::Acquire), UNFILLED);
+
+            assert_eq!(*view, [1.0; 4], "nothing was stored under the lease");
+            assert!(b.generation() > generation, "a refused writer still counts");
+            // Read leases share.
+            assert_eq!(*b.host_f64_ro().unwrap(), *view);
+        }
+
+        #[test]
+        fn a_write_view_refuses_read_leases() {
+            let b = host_buf(3);
+            let w = b.host_f64().unwrap();
+            assert_eq!(b.host_f64_ro().unwrap_err(), aliased(&b));
+            assert_eq!(b.host_u64_ro().unwrap_err(), aliased(&b));
+            // Writers share: their stores are atomic.
+            let w2 = b.host_f64().unwrap();
+            w2.set(0, 4.0);
+            assert_eq!(w.get(0), 4.0);
+            // A pin taken while a writer is open pins a half-written
+            // generation: its live read is refused like any other.
+            let pinned = b.cow_pinned(&PinStats::new_shared());
+            assert_eq!(pinned.host_f64_ro().unwrap_err(), aliased(&b));
+            // The copy engine's atomic read of a source is not a lease.
+            let dst = host_buf(3);
+            dst.copy_cells_from(&b).unwrap();
+            assert_eq!(dst.host_f64_ro().unwrap()[0], 4.0);
+        }
+
+        #[test]
+        fn dropping_either_lease_frees_the_other_side() {
+            let b = host_buf(2);
+            let r = b.host_f64_ro().unwrap();
+            assert!(b.host_f64().is_err());
+            drop(r);
+            let w = b.host_f64().unwrap();
+            w.fill(3.0);
+            assert!(b.host_f64_ro().is_err());
+            drop(w);
+            assert_eq!(*b.host_f64_ro().unwrap(), [3.0; 2]);
+            let src = host_buf(2);
+            let r = b.host_u64_ro().unwrap();
+            assert!(b.copy_cells_from(&src).is_err());
+            drop(r);
+            b.copy_cells_from(&src).unwrap();
+            assert_eq!(*b.host_f64_ro().unwrap(), [0.0; 2]);
+        }
+
+        #[test]
+        fn a_pinned_reader_under_a_concurrent_writer_reads_pin_time_contents() {
+            const N: usize = 1 << 12;
+            let b = host_buf(N);
+            b.host_f64().unwrap().fill(1.0);
+            let stats = PinStats::new_shared();
+            let pinned = b.cow_pinned(&stats);
+            let start = std::sync::Barrier::new(2);
+            let reads = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    for v in 2..40 {
+                        b.host_f64().unwrap().fill(v as f64);
+                    }
+                });
+                let reader = scope.spawn(|| {
+                    start.wait();
+                    (0..200)
+                        .map(|_| {
+                            let view = pinned.host_f64_ro().expect("a pinned read never fails");
+                            view.iter().all(|&v| v == 1.0)
+                        })
+                        .collect::<Vec<_>>()
+                });
+                reader.join().unwrap()
+            });
+            assert!(reads.iter().all(|&pin_time| pin_time), "every read sees pin-time bytes");
+            assert_eq!(stats.faults(), 1);
+            assert_eq!(*b.host_f64_ro().unwrap(), [39.0; N]);
+        }
     }
 
     mod replicas {

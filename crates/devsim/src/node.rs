@@ -359,6 +359,16 @@ mod tests {
     }
 
     #[test]
+    fn each_synchronize_is_counted() {
+        let node = test_node(1);
+        let stream = node.device(0).unwrap().create_stream();
+        stream.launch("noop", KernelCost::ZERO, |_| Ok(())).unwrap();
+        let before = node.stats().stream_syncs;
+        stream.synchronize().unwrap();
+        assert_eq!(node.stats().stream_syncs, before + 1);
+    }
+
+    #[test]
     fn modeled_time_serializes_one_slot_device() {
         // Two 30ms kernels on one slots=1 device must take >= 60ms even on
         // different streams; the same kernels on two devices overlap.

@@ -126,6 +126,7 @@ struct Shared {
 pub struct Stream {
     id: u64,
     device_id: usize,
+    stats: Arc<NodeStats>,
     tx: Sender<Cmd>,
     shared: Arc<Shared>,
     timeline: Arc<StreamTimeline>,
@@ -150,7 +151,7 @@ impl Stream {
             Arc::new(StreamTimeline { submitted: AtomicU64::new(0), completed: AtomicU64::new(0) });
         let id = NEXT_STREAM_ID.fetch_add(1, Ordering::Relaxed);
         let device_id = device.id;
-        let ctx = WorkerCtx { device: Some(device), stats, link, time_scale };
+        let ctx = WorkerCtx { device: Some(device), stats: stats.clone(), link, time_scale };
         let worker_shared = shared.clone();
         let worker_timeline = timeline.clone();
         std::thread::Builder::new()
@@ -179,7 +180,7 @@ impl Stream {
                 }
             })
             .expect("spawn stream worker");
-        Arc::new(Stream { id, device_id, tx, shared, timeline, fault })
+        Arc::new(Stream { id, device_id, stats, tx, shared, timeline, fault })
     }
 
     /// The device this stream issues to.
@@ -364,6 +365,7 @@ impl Stream {
     /// Block the calling thread until every submitted command has
     /// completed; returns (and clears) the first asynchronous error.
     pub fn synchronize(&self) -> Result<()> {
+        NodeStats::bump(&self.stats.stream_syncs);
         let mut p = self.shared.pending.lock();
         while *p > 0 {
             self.shared.idle.wait(&mut p);

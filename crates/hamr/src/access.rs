@@ -2,7 +2,7 @@
 
 use std::marker::PhantomData;
 
-use devsim::{CellBuffer, HostU64View, MemSpace};
+use devsim::{CellBuffer, MemSpace, ReadView};
 
 use crate::element::Element;
 use crate::error::{Error, Result};
@@ -91,7 +91,7 @@ impl<T: Element> AccessView<T> {
 
 /// Iterator returned by [`AccessView::iter`].
 pub struct AccessIter<T: Element> {
-    view: HostU64View,
+    view: ReadView<u64>,
     i: usize,
     len: usize,
     _marker: PhantomData<T>,

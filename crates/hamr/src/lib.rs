@@ -26,6 +26,8 @@
 //!    it was filled at: a repeat request is granted from it, and the
 //!    data crosses the link again only after it has been written.
 
+#![deny(unsafe_code)]
+
 mod access;
 mod allocator;
 mod buffer;

@@ -48,6 +48,8 @@
 //! assert_eq!(sums, vec![6, 6, 6, 6]);
 //! ```
 
+#![deny(unsafe_code)]
+
 mod barrier;
 mod collectives;
 mod comm;

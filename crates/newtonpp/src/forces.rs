@@ -2,7 +2,8 @@
 //!
 //! The host implementation is the physics reference used by tests; the
 //! device kernel in [`crate::Newton`] computes the same expression on the
-//! simulated accelerator.
+//! simulated accelerator through [`accelerations`], which sweeps the
+//! sources once per block of targets.
 
 use crate::body::BodySet;
 
@@ -76,6 +77,74 @@ pub fn accelerations_host(targets: &BodySet, sources: &BodySet, grav: &Gravity) 
         *out = a;
     }
     acc
+}
+
+/// Targets one source sweep of [`accelerations`] advances together: enough
+/// independent sums to fill the vector unit, few enough to stay in
+/// registers. On 512 targets x 1 024 sources, default x86-64 (SSE2)
+/// target, 2-vCPU Xeon: 0.76-0.78 ms at 4, 0.76 ms at 8, against
+/// 1.54-1.56 ms for the one-target loop over atomic cells it replaced.
+const TARGET_BLOCK: usize = 4;
+
+/// Accelerations of the bodies at `targets` (`x, y, z`) due to every body
+/// in `sources` (`x, y, z, m`), handed to `out` as `(target, [ax, ay,
+/// az])` in target order.
+///
+/// The sources are swept once per block of `TARGET_BLOCK` (4) targets, and
+/// the compiler vectorises across the block. Every target still sums its
+/// sources on its own, in source order, with [`pair_accel`]'s operations
+/// in [`pair_accel`]'s order (Rust never fuses a multiply-add), so each
+/// result is bit-identical to [`accelerations_host`]'s — a NaN result is
+/// a NaN there too, though not necessarily the same one: Rust leaves the
+/// sign and payload of a NaN an operation produces unspecified.
+///
+/// A pair with `r2 == 0`, where [`pair_accel`] returns `+0.0`, has its
+/// factor `f` masked to `+0.0` instead of branched on, so the block stays
+/// one vector. Its terms `f * dx` are then zeros of either sign (`dx` is a
+/// finite zero or underflows), and adding `-0.0` changes no bit of an
+/// accumulator that is not itself `-0.0` — which one that starts at `+0.0`
+/// never becomes: a round-to-nearest sum is `-0.0` only when both addends
+/// are. A short last block is padded with lanes whose results are
+/// dropped.
+///
+/// # Panics
+/// Panics if the target or source columns differ in length.
+pub fn accelerations(
+    targets: [&[f64]; 3],
+    sources: [&[f64]; 4],
+    grav: &Gravity,
+    mut out: impl FnMut(usize, [f64; 3]),
+) {
+    let [tx, ty, tz] = targets;
+    let [sx, sy, sz, sm] = sources;
+    assert!(ty.len() == tx.len() && tz.len() == tx.len(), "target columns differ in length");
+    assert!([sy, sz, sm].iter().all(|c| c.len() == sx.len()), "source columns differ in length");
+    let eps2 = grav.eps * grav.eps;
+    for start in (0..tx.len()).step_by(TARGET_BLOCK) {
+        let lanes = TARGET_BLOCK.min(tx.len() - start);
+        let block = |col: &[f64]| {
+            let mut lane = [0.0; TARGET_BLOCK];
+            lane[..lanes].copy_from_slice(&col[start..start + lanes]);
+            lane
+        };
+        let (xi, yi, zi) = (block(tx), block(ty), block(tz));
+        let mut acc = [[0.0; TARGET_BLOCK]; 3];
+        for (((&xj, &yj), &zj), &mj) in sx.iter().zip(sy).zip(sz).zip(sm) {
+            for b in 0..TARGET_BLOCK {
+                let dx = xj - xi[b];
+                let dy = yj - yi[b];
+                let dz = zj - zi[b];
+                let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                let inv_r = 1.0 / r2.sqrt();
+                let keep = if r2 == 0.0 { 0 } else { u64::MAX };
+                let f = f64::from_bits((grav.g * mj * inv_r * inv_r * inv_r).to_bits() & keep);
+                acc[0][b] += f * dx;
+                acc[1][b] += f * dy;
+                acc[2][b] += f * dz;
+            }
+        }
+        (0..lanes).for_each(|b| out(start + b, acc.map(|axis| axis[b])));
+    }
 }
 
 #[cfg(test)]

@@ -23,6 +23,8 @@
 //! * [`NewtonAdaptor`] — the SENSEI data adaptor publishing the bodies
 //!   as a table of heterogeneous arrays, zero-copy.
 
+#![deny(unsafe_code)]
+
 pub mod energy;
 pub mod forces;
 pub mod ic;

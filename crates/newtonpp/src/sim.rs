@@ -25,7 +25,7 @@ use sensei::{Error, Result};
 
 use crate::body::BodySet;
 use crate::domain::Domain;
-use crate::forces::Gravity;
+use crate::forces::{self, Gravity};
 use crate::ic::{self, DiskIc, UniformIc};
 use crate::repartition::repartition;
 
@@ -89,6 +89,68 @@ struct DeviceState {
     speed: CellBuffer,
 }
 
+/// The exchange's buffers, kept from step to step: the host landing of
+/// the four local columns (x, y, z, m) a step downloads, and the host and
+/// device columns the gathered bodies are scattered into and uploaded to.
+/// Re-made only when the body counts change (a repartition).
+#[derive(Default)]
+struct Exchange {
+    local: Vec<CellBuffer>,
+    gathered: Vec<CellBuffer>,
+    sources: Vec<CellBuffer>,
+}
+
+/// `bufs`, re-made as four columns of `len` when they are not already.
+fn four_columns(
+    bufs: &mut Vec<CellBuffer>,
+    len: usize,
+    alloc: impl Fn() -> Result<CellBuffer>,
+) -> Result<&[CellBuffer]> {
+    if bufs.first().is_none_or(|b| b.len() != len) {
+        *bufs = (0..4).map(|_| alloc()).collect::<Result<_>>()?;
+    }
+    Ok(bufs)
+}
+
+/// Enqueue the O(n_local x n_global) force kernel on `stream`: `acc`
+/// receives the accelerations of the bodies at `targets` (x, y, z) due to
+/// every body in `sources` (x, y, z, m), computed by
+/// [`forces::accelerations`] over the columns' read views.
+fn launch_forces(
+    stream: &Stream,
+    targets: [CellBuffer; 3],
+    sources: [CellBuffer; 4],
+    acc: [CellBuffer; 3],
+    grav: Gravity,
+) -> Result<()> {
+    let (n, n_global) = (targets[0].len(), sources[0].len());
+    let cost = KernelCost {
+        flops: 20.0 * n as f64 * n_global as f64,
+        bytes: 32.0 * (n + n_global) as f64,
+    };
+    stream
+        .launch("nbody_forces", cost, move |scope| {
+            let [x, y, z] = &targets;
+            let (x, y, z) = (x.f64_view_ro(scope)?, y.f64_view_ro(scope)?, z.f64_view_ro(scope)?);
+            let [sx, sy, sz, sm] = &sources;
+            let (sx, sy, sz, sm) = (
+                sx.f64_view_ro(scope)?,
+                sy.f64_view_ro(scope)?,
+                sz.f64_view_ro(scope)?,
+                sm.f64_view_ro(scope)?,
+            );
+            let [ax, ay, az] = &acc;
+            let (ax, ay, az) = (ax.f64_view(scope)?, ay.f64_view(scope)?, az.f64_view(scope)?);
+            forces::accelerations([&x, &y, &z], [&sx, &sy, &sz, &sm], &grav, |i, a| {
+                ax.set(i, a[0]);
+                ay.set(i, a[1]);
+                az.set(i, a[2]);
+            });
+            Ok(())
+        })
+        .map_err(Error::Device)
+}
+
 /// The Newton++ simulation on one rank.
 pub struct Newton {
     node: Arc<SimNode>,
@@ -97,6 +159,7 @@ pub struct Newton {
     cfg: NewtonConfig,
     domain: Domain,
     state: DeviceState,
+    exchange: Exchange,
     n_local: usize,
     n_global: usize,
     needs_force_refresh: bool,
@@ -130,6 +193,7 @@ impl Newton {
             cfg,
             domain,
             state,
+            exchange: Exchange::default(),
             n_local: mine.len(),
             n_global,
             needs_force_refresh: true,
@@ -211,10 +275,10 @@ impl Newton {
                         (vx.f64_view(scope)?, vy.f64_view(scope)?, vz.f64_view(scope)?);
                     let (ax, ay, az) =
                         (ax.f64_view_ro(scope)?, ay.f64_view_ro(scope)?, az.f64_view_ro(scope)?);
-                    for i in 0..vx.len() {
-                        vx.set(i, vx.get(i) + ax.get(i) * half_dt);
-                        vy.set(i, vy.get(i) + ay.get(i) * half_dt);
-                        vz.set(i, vz.get(i) + az.get(i) * half_dt);
+                    for (i, ((&ax, &ay), &az)) in ax.iter().zip(&*ay).zip(&*az).enumerate() {
+                        vx.set(i, vx.get(i) + ax * half_dt);
+                        vy.set(i, vy.get(i) + ay * half_dt);
+                        vz.set(i, vz.get(i) + az * half_dt);
                     }
                     Ok(())
                 },
@@ -235,10 +299,10 @@ impl Newton {
                     let (x, y, z) = (x.f64_view(scope)?, y.f64_view(scope)?, z.f64_view(scope)?);
                     let (vx, vy, vz) =
                         (vx.f64_view_ro(scope)?, vy.f64_view_ro(scope)?, vz.f64_view_ro(scope)?);
-                    for i in 0..x.len() {
-                        x.set(i, x.get(i) + vx.get(i) * dt);
-                        y.set(i, y.get(i) + vy.get(i) * dt);
-                        z.set(i, z.get(i) + vz.get(i) * dt);
+                    for (i, ((&vx, &vy), &vz)) in vx.iter().zip(&*vy).zip(&*vz).enumerate() {
+                        x.set(i, x.get(i) + vx * dt);
+                        y.set(i, y.get(i) + vy * dt);
+                        z.set(i, z.get(i) + vz * dt);
                     }
                     Ok(())
                 },
@@ -250,25 +314,23 @@ impl Newton {
     ///
     /// The exchange is host-side work (download, allgather, upload) and is
     /// charged to the host executor; the O(n_local × n_global) force
-    /// evaluation runs as a device kernel.
+    /// evaluation runs as a device kernel. Every buffer on the way is the
+    /// rank's resident [`Exchange`].
     fn compute_forces(&mut self, comm: &Comm) -> Result<()> {
-        // Download local (x, y, z, m), bundled into one message.
+        // Download local (x, y, z, m) — four copies, one wait — and
+        // bundle them into one message.
         let n = self.n_local;
-        let staging = self.node.host_alloc_f64(n * 4);
-        // Pack on device into the staging layout via four ordered copies.
-        let pack = self.node.host_alloc_f64(n);
-        let mut bundle = vec![0.0f64; 4 * n];
-        for (k, buf) in
-            [&self.state.x, &self.state.y, &self.state.z, &self.state.m].into_iter().enumerate()
-        {
-            self.stream.copy(buf, &pack).map_err(Error::Device)?;
-            self.stream.synchronize().map_err(Error::Device)?;
-            let v = pack.host_f64_ro().map_err(Error::Device)?;
-            for i in 0..n {
-                bundle[k * n + i] = v.get(i);
-            }
+        let node = &self.node;
+        let local = four_columns(&mut self.exchange.local, n, || Ok(node.host_alloc_f64(n)))?;
+        let state = [&self.state.x, &self.state.y, &self.state.z, &self.state.m];
+        for (buf, host) in state.into_iter().zip(local) {
+            self.stream.copy(buf, host).map_err(Error::Device)?;
         }
-        drop(staging);
+        self.stream.synchronize().map_err(Error::Device)?;
+        let mut bundle = Vec::with_capacity(4 * n);
+        for host in local {
+            bundle.extend_from_slice(&host.host_f64_ro().map_err(Error::Device)?);
+        }
 
         // Allgather across ranks; charged as host work (this is the
         // MPI/staging phase of the solver that competes with host-placed
@@ -284,17 +346,16 @@ impl Newton {
         let n_global: usize = gathered.iter().map(|g| g.len() / 4).sum();
         self.n_global = n_global;
 
-        // Concatenate per-variable and upload to the device.
-        let gx = self.node.host_alloc_f64(n_global);
-        let gy = self.node.host_alloc_f64(n_global);
-        let gz = self.node.host_alloc_f64(n_global);
-        let gm = self.node.host_alloc_f64(n_global);
+        // Concatenate per variable and upload to the device.
+        let host = four_columns(&mut self.exchange.gathered, n_global, || {
+            Ok(node.host_alloc_f64(n_global))
+        })?;
         {
             let (vx, vy, vz, vm) = (
-                gx.host_f64().map_err(Error::Device)?,
-                gy.host_f64().map_err(Error::Device)?,
-                gz.host_f64().map_err(Error::Device)?,
-                gm.host_f64().map_err(Error::Device)?,
+                host[0].host_f64().map_err(Error::Device)?,
+                host[1].host_f64().map_err(Error::Device)?,
+                host[2].host_f64().map_err(Error::Device)?,
+                host[3].host_f64().map_err(Error::Device)?,
             );
             let mut off = 0;
             for part in &gathered {
@@ -308,59 +369,21 @@ impl Newton {
                 off += pn;
             }
         }
-        let dev = self.node.device(self.device)?;
-        let dgx = dev.alloc_f64(n_global)?;
-        let dgy = dev.alloc_f64(n_global)?;
-        let dgz = dev.alloc_f64(n_global)?;
-        let dgm = dev.alloc_f64(n_global)?;
-        for (h, d) in [(&gx, &dgx), (&gy, &dgy), (&gz, &dgz), (&gm, &dgm)] {
+        let dev = node.device(self.device)?;
+        let sources =
+            four_columns(&mut self.exchange.sources, n_global, || Ok(dev.alloc_f64(n_global)?))?;
+        for (h, d) in host.iter().zip(sources) {
             self.stream.copy(h, d).map_err(Error::Device)?;
         }
 
-        // The O(n_local x n_global) force kernel.
-        let grav = self.cfg.grav;
-        let (x, y, z) = (self.state.x.clone(), self.state.y.clone(), self.state.z.clone());
-        let (ax, ay, az) = (self.state.ax.clone(), self.state.ay.clone(), self.state.az.clone());
-        let cost = KernelCost {
-            flops: 20.0 * n as f64 * n_global as f64,
-            bytes: 32.0 * (n + n_global) as f64,
-        };
-        self.stream
-            .launch("nbody_forces", cost, move |scope| {
-                let (x, y, z) =
-                    (x.f64_view_ro(scope)?, y.f64_view_ro(scope)?, z.f64_view_ro(scope)?);
-                let (ax, ay, az) = (ax.f64_view(scope)?, ay.f64_view(scope)?, az.f64_view(scope)?);
-                let (sx, sy, sz, sm) = (
-                    dgx.f64_view_ro(scope)?,
-                    dgy.f64_view_ro(scope)?,
-                    dgz.f64_view_ro(scope)?,
-                    dgm.f64_view_ro(scope)?,
-                );
-                for i in 0..x.len() {
-                    let (xi, yi, zi) = (x.get(i), y.get(i), z.get(i));
-                    let (mut axx, mut ayy, mut azz) = (0.0, 0.0, 0.0);
-                    for j in 0..sx.len() {
-                        let a = crate::forces::pair_accel(
-                            xi,
-                            yi,
-                            zi,
-                            sx.get(j),
-                            sy.get(j),
-                            sz.get(j),
-                            sm.get(j),
-                            &grav,
-                        );
-                        axx += a[0];
-                        ayy += a[1];
-                        azz += a[2];
-                    }
-                    ax.set(i, axx);
-                    ay.set(i, ayy);
-                    az.set(i, azz);
-                }
-                Ok(())
-            })
-            .map_err(Error::Device)
+        let s = &self.state;
+        launch_forces(
+            &self.stream,
+            [s.x.clone(), s.y.clone(), s.z.clone()],
+            std::array::from_fn(|k| sources[k].clone()),
+            [s.ax.clone(), s.ay.clone(), s.az.clone()],
+            self.cfg.grav,
+        )
     }
 
     /// Advance one time step. Collective. Returns the solver wall time of
@@ -484,8 +507,8 @@ impl Newton {
                         ke.f64_view(scope)?,
                         speed.f64_view(scope)?,
                     );
-                    for i in 0..vx.len() {
-                        let (vxi, vyi, vzi, mi) = (vx.get(i), vy.get(i), vz.get(i), m.get(i));
+                    let velocities = vx.iter().zip(&*vy).zip(&*vz).zip(&*m);
+                    for (i, (((&vxi, &vyi), &vzi), &mi)) in velocities.enumerate() {
                         let v2 = vxi * vxi + vyi * vyi + vzi * vzi;
                         px.set(i, mi * vxi);
                         py.set(i, mi * vyi);
@@ -688,5 +711,197 @@ mod tests {
             assert_eq!(x_view, after.x);
             assert_ne!(before.x, after.x, "bodies moved");
         });
+    }
+
+    /// FNV-1a over the bits of every local body's position, velocity and
+    /// acceleration, buffer by buffer.
+    fn state_digest(sim: &Newton) -> u64 {
+        let s = &sim.state;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for buf in [&s.x, &s.y, &s.z, &s.vx, &s.vy, &s.vz, &s.ax, &s.ay, &s.az] {
+            let host = sim.node.host_alloc_f64(buf.len());
+            sim.stream.copy(buf, &host).unwrap();
+            sim.stream.synchronize().unwrap();
+            for v in host.host_f64_ro().unwrap().to_vec() {
+                for byte in v.to_bits().to_le_bytes() {
+                    h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn every_step_is_bit_identical_to_the_recorded_trajectory() {
+        // Digests of the state after each of six steps, recorded with the
+        // one-target force loop over atomic cells that `launch_forces`
+        // replaced. 23 bodies on two ranks split 11 / 12 and swap sides at
+        // the repartitions, so blocks with a short tail run, and the
+        // exchange is re-made, along the way.
+        const RECORDED: [[u64; 6]; 2] = [
+            [
+                0x8bc1_708f_c6b2_2364,
+                0x4735_f28d_3be9_8bac,
+                0x7760_8819_1ab9_61e4,
+                0xe948_4bf1_ef88_21b6,
+                0x1d71_fb2e_6479_83f9,
+                0xc620_15d6_d473_4b32,
+            ],
+            [
+                0xd1da_8d4f_2a73_9da9,
+                0xf392_1329_870d_607f,
+                0x4542_e87c_055a_1031,
+                0x3b2f_11ad_51dc_0ace,
+                0x4c8a_fb01_154d_8488,
+                0x84b7_6f4e_4f54_9500,
+            ],
+        ];
+        let mut cfg = small_cfg(23, 7);
+        cfg.repartition_every = Some(3);
+        let got = World::new(2).run(|comm| {
+            let node = SimNode::new(NodeConfig::fast_test(2));
+            let mut sim = Newton::new(node, &comm, comm.rank(), cfg).unwrap();
+            (0..6)
+                .map(|_| {
+                    sim.step(&comm).unwrap();
+                    state_digest(&sim)
+                })
+                .collect::<Vec<_>>()
+        });
+        for (rank, digests) in got.iter().enumerate() {
+            for (step, (got, want)) in digests.iter().zip(&RECORDED[rank]).enumerate() {
+                assert_eq!(got, want, "rank {rank} after step {}", step + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_step_requests_no_memory_and_waits_twice() {
+        World::new(2).run(|comm| {
+            let node = SimNode::new(NodeConfig::fast_test(2));
+            let mut sim = Newton::new(node.clone(), &comm, comm.rank(), small_cfg(24, 4)).unwrap();
+            sim.step(&comm).unwrap();
+            let (pool, before) = (node.pool_stats_total(), node.stats());
+            sim.step(&comm).unwrap();
+            let (after, stats) = (node.pool_stats_total(), node.stats());
+            assert_eq!(after.hits + after.misses, pool.hits + pool.misses, "no pool request");
+            assert_eq!(stats.stream_syncs - before.stream_syncs, 2, "one download, one step");
+            let moved =
+                |s: &devsim::StatsSnapshot| (s.copies_d2h, s.copies_h2d, s.total_link_bytes());
+            let n = (sim.num_local() * 8) as u64;
+            let global = (sim.num_global() * 8) as u64;
+            let (d2h, h2d, bytes) = moved(&stats);
+            let (d2h0, h2d0, bytes0) = moved(&before);
+            assert_eq!((d2h - d2h0, h2d - h2d0, bytes - bytes0), (4, 4, 4 * (n + global)));
+        });
+    }
+
+    /// Upload `data` to a fresh device column.
+    fn device_column(node: &Arc<SimNode>, stream: &Stream, data: &[f64]) -> CellBuffer {
+        let host = node.host_alloc_f64(data.len());
+        host.host_f64().unwrap().copy_from_slice(data);
+        let dev = node.device(0).unwrap().alloc_f64(data.len()).unwrap();
+        stream.copy(&host, &dev).unwrap();
+        dev
+    }
+
+    /// A value's bits, every NaN as one: Rust leaves the sign and payload
+    /// of a NaN an operation produces unspecified, so which of two NaN
+    /// operands a sum returns may differ between compiled loops.
+    fn bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Bodies at `positions`, with `masses`.
+    fn bodies(positions: &[[f64; 3]], masses: &[f64]) -> BodySet {
+        let mut set = BodySet::new();
+        for (&pos, &m) in positions.iter().zip(masses) {
+            set.push(pos, [0.0; 3], m);
+        }
+        set
+    }
+
+    #[test]
+    fn the_force_kernel_matches_the_host_reference_bit_for_bit() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let stream = node.device(0).unwrap().create_stream();
+        let kernel = |targets: &BodySet, sources: &BodySet, grav: Gravity| -> Vec<[u64; 3]> {
+            let column = |c: &Vec<f64>| device_column(&node, &stream, c);
+            let acc: [CellBuffer; 3] =
+                std::array::from_fn(|_| node.device(0).unwrap().alloc_f64(targets.len()).unwrap());
+            launch_forces(
+                &stream,
+                [column(&targets.x), column(&targets.y), column(&targets.z)],
+                [column(&sources.x), column(&sources.y), column(&sources.z), column(&sources.m)],
+                acc.clone(),
+                grav,
+            )
+            .unwrap();
+            let axes: Vec<Vec<f64>> = acc
+                .iter()
+                .map(|a| {
+                    let host = node.host_alloc_f64(a.len());
+                    stream.copy(a, &host).unwrap();
+                    stream.synchronize().unwrap();
+                    host.host_f64_ro().unwrap().to_vec()
+                })
+                .collect();
+            (0..targets.len()).map(|i| [0, 1, 2].map(|k| bits(axes[k][i]))).collect()
+        };
+        // Finite bodies, coincident pairs and zeros of both signs: with
+        // `eps = 0` the pairs at distance zero take the `r2 == 0` path.
+        // The signed zero comes first, so target [0, 0, 0] adds its -0.0
+        // terms to an accumulator still at +0.0.
+        let sources = bodies(
+            &[
+                [-0.0, 0.0, -0.0],
+                [0.5, -0.25, 1.0],
+                [0.5, -0.25, 1.0],
+                [1e-300, -2.0, 7.0],
+                [0.125, 0.75, -3.5],
+                [9.0, -8.0, 0.0625],
+            ],
+            &[1.0, 2.0, 0.0, 3.0, 2.5, 1e-3],
+        );
+        // Seven targets: one full block of four and a tail of three.
+        let targets = bodies(
+            &[
+                [0.5, -0.25, 1.0],
+                [0.0, 0.0, 0.0],
+                [1e-300, -2.0, 7.0],
+                [-0.0, -0.0, -0.0],
+                [0.125, 0.75, -3.5],
+                [2.0, -1.0, 3.0],
+                [1.0, 1.0, 1.0],
+            ],
+            &[1.0; 7],
+        );
+        // Infinite and NaN coordinates, on either side.
+        let special = bodies(
+            &[
+                [3.0, f64::INFINITY, 0.0],
+                [f64::NAN, 1.0, 2.0],
+                [-2.0, 4.0, f64::NEG_INFINITY],
+                [1.0, 1.0, 1.0],
+            ],
+            &[3.0, 0.5, 4.0, 1.0],
+        );
+        let cases = [
+            (&targets, &sources, Gravity { g: 1.0, eps: 0.0 }),
+            (&targets, &sources, Gravity { g: 0.5, eps: 0.05 }),
+            (&targets, &special, Gravity { g: 1.0, eps: 0.0 }),
+            (&special, &sources, Gravity { g: 1.0, eps: 0.05 }),
+        ];
+        for (case, (targets, sources, grav)) in cases.into_iter().enumerate() {
+            let want = crate::forces::accelerations_host(targets, sources, &grav);
+            let got = kernel(targets, sources, grav);
+            for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(*got, want.map(bits), "case {case} target {i}");
+            }
+        }
     }
 }

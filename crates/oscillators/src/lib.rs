@@ -26,6 +26,8 @@
 //! assert!(sums.iter().all(|s| s.is_finite()));
 //! ```
 
+#![deny(unsafe_code)]
+
 mod model;
 mod sim;
 

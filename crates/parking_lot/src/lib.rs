@@ -7,6 +7,8 @@
 //! panics, which is also what unwrapping std's `LockResult` would do),
 //! and `Condvar::wait` takes the guard by `&mut` reference.
 
+#![deny(unsafe_code)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 

@@ -10,6 +10,8 @@
 //! the deterministic seed, so it reproduces exactly), and `prop_assert*`
 //! are plain `assert*`.
 
+#![deny(unsafe_code)]
+
 pub mod test_runner;
 
 pub mod strategy;

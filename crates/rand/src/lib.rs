@@ -8,6 +8,8 @@
 //! generators and tests rely on; statistical quality is xoshiro-grade,
 //! not cryptographic.
 
+#![deny(unsafe_code)]
+
 use std::ops::Range;
 
 /// Construction of a generator from seed material.

@@ -45,6 +45,8 @@
 //!   per-backend apparent-cost breakdown (the data behind the paper's
 //!   Figures 2 and 3).
 
+#![deny(unsafe_code)]
+
 mod adaptive;
 mod adaptor;
 mod bridge;

@@ -25,6 +25,8 @@
 //! * [`MultiBlock`] — the per-rank block container SENSEI passes between
 //!   simulation and analysis adaptors.
 
+#![deny(unsafe_code)]
+
 mod attributes;
 mod data_array;
 mod dataset;

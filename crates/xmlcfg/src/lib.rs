@@ -20,6 +20,8 @@
 //! assert_eq!(analysis.find_child("axes").unwrap().text(), "x,y");
 //! ```
 
+#![deny(unsafe_code)]
+
 mod dom;
 mod error;
 mod parser;
