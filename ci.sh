@@ -50,16 +50,22 @@ bash benchmarks/run.sh all --smoke
 # table per rank: one kernel launch and one packed download per table is
 # a third of each per step, one host pass per table is two thirds. A
 # slide back to a launch per coordinate system reads 3, not 1/3.
-# Beside it, what the device_to_host segment moves: the smoke's producer
-# rewrites x, y, z of its twelve 4 096-row columns, so a step crosses the
-# link with 3 columns x 2 ranks on top of the device segment's packed
-# grids — 2 228 224 B as the mean of the three segments. Moving the nine
-# unchanged columns again, every step, reads 2 424 832.
+# Beside it, what crosses the link. The smoke's producer rewrites x, y, z
+# of its twelve 4 096-row columns, so the device_to_host segment moves
+# 3 columns x 2 ranks x 32 768 B = 196 608 B a step. The device segment
+# downloads each rank's block only as far as its kernel filled it: a
+# header of 1 + 9 cells, then per spec its touched bins' indices and 11
+# values each — all nine sparse here, 111 115 touched bins over the 3
+# timed steps x 2 ranks x 9 specs (50 % of 4 096). That is
+# (3 x 2 x 10 + 111 115 x 12) x 8 B / 3 = 3 555 840 B a step, and the
+# mean of the three segments (3 555 840 + 196 608) / 3 = 1 250 816 B.
+# Dense grids read 2 228 224; moving the nine unchanged columns again,
+# every step, adds 196 608 more.
 traced=benchmarks/out/rows_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 0.3333' \
             'binning.downloads_per_step": {"value": 0.3333' \
             'binning.table_passes_per_step": {"value": 0.6666' \
-            'devsim.d2h_bytes_per_step": {"value": 2228224,'; do
+            'devsim.d2h_bytes_per_step": {"value": 1250816,'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

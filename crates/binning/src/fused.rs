@@ -15,8 +15,10 @@
 //!   (shared axis indices, one value gather per row block, the blocks
 //!   sized by the pass's shape): on the host in one charged pass, on a
 //!   device in one kernel that commits every spec's grids into one packed
-//!   block — laid out like the step's flat buffer — followed by one
-//!   download. Tables are routed to the least-loaded of a small pool of
+//!   block — each spec's touched bins only, or dense where that is smaller
+//!   ([`device_impl::bin_all_device`]) — followed by one download of as
+//!   much of the block as the kernel filled ([`Stream::copy_counted`]).
+//!   Tables are routed to the least-loaded of a small pool of
 //!   streams (by accumulated modeled kernel cost), so the blocks of a
 //!   multiblock overlap instead of serializing on one stream and uneven
 //!   blocks don't pile up the way position-based round-robin lets them;
@@ -24,10 +26,12 @@
 //!   buffer that is reduced with **one** allreduce per step;
 //! * every grid-sized buffer on the way lives in the caller's
 //!   [`StepArena`] and each hop writes where the next one reads: a
-//!   table's first partial is *copied* to its segment of the flat buffer
-//!   (a kernel's partial starts from the reduction identities, so merging
-//!   it into an identity grid would change no bit of it), later tables
-//!   merge, and the reduced buffer comes back as the next step's flat.
+//!   table's first partial is *written* to its segment of the flat buffer
+//!   — every bin of a host pass's, the touched bins of a downloaded
+//!   block's over the identities the flat is seeded with (a kernel's
+//!   partial starts from the reduction identities, so merging it into an
+//!   identity grid would change no bit of it) — later tables merge, and
+//!   the reduced buffer comes back as the next step's flat.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -150,14 +154,15 @@ impl StepLayout {
         off + k * nb..off + (k + 1) * nb
     }
 
-    /// The flat accumulator of a step with `tables` local tables, out of
-    /// `arena`. With tables to bin, every element is about to be
-    /// overwritten by the first one's partials ([`Self::land_host`],
-    /// [`Self::land_downloaded`]); a rank without any contributes the
-    /// reduction identities.
-    pub fn flat(&self, arena: &StepArena, tables: usize) -> Vec<f64> {
+    /// The flat accumulator of a step, out of `arena`, seeded with the
+    /// reduction identities — what a rank without tables contributes, and
+    /// what a downloaded block leaves in every bin its table did not touch
+    /// ([`Self::land_downloaded`]) — unless `dense_first`: the step's
+    /// first table is a host pass, which writes every element
+    /// ([`Self::land_host`]).
+    pub fn flat(&self, arena: &StepArena, dense_first: bool) -> Vec<f64> {
         let mut flat = arena.take_flat(self.len);
-        if tables == 0 {
+        if !dense_first {
             for (si, ops) in self.ops.iter().enumerate() {
                 for (k, vo) in ops.iter().enumerate() {
                     flat[self.segment(si, k)].fill(host_impl::identity(vo.op));
@@ -167,43 +172,20 @@ impl StepLayout {
         flat
     }
 
-    /// Land one partial grid in segment `k` of spec `si`: the step's first
-    /// table seeds the segment, later tables merge into it.
-    fn land(
-        &self,
-        flat: &mut [f64],
-        si: usize,
-        k: usize,
-        first: bool,
-        part: impl ExactSizeIterator<Item = f64>,
-    ) {
-        let seg = &mut flat[self.segment(si, k)];
-        if first {
-            assert_eq!(seg.len(), part.len(), "grids must have identical shape");
-            seg.iter_mut().zip(part).for_each(|(a, v)| *a = v);
-        } else {
-            reduce::merge_into(self.ops[si][k].op, seg, part);
-        }
-    }
-
     /// Land spec `si`'s partial grids of one host pass in `flat`; `first`
     /// on the step's first table.
     pub fn land_host(&self, flat: &mut [f64], si: usize, first: bool, part: &FusedGrids) {
         for (k, grid) in part.grids() {
-            self.land(flat, si, k, first, grid);
+            reduce::land(self.ops[si][k].op, first, &mut flat[self.segment(si, k)], grid);
         }
     }
 
-    /// Length of the flat buffer — and of the packed block one device
-    /// kernel over every spec fills.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Land the packed partial grids of one device kernel over `specs`,
-    /// downloaded into `packed`, in `flat`, grid by grid straight from
-    /// the host view; `first` on the step's first table. The block is
-    /// laid out like the specs' stretch of the flat buffer.
+    /// Land the partial grids of one device kernel over `specs`,
+    /// downloaded into `packed` ([`device_impl::bin_all_device`]'s
+    /// block), in `flat`, grid by grid straight from the host view;
+    /// `first` on the step's first table. A spec the block holds dense
+    /// lands like a host pass's; one it holds sparse writes or merges its
+    /// touched bins only, over the identities [`Self::flat`] seeded.
     pub fn land_downloaded(
         &self,
         flat: &mut [f64],
@@ -212,12 +194,11 @@ impl StepLayout {
         packed: &CellBuffer,
     ) -> Result<()> {
         let packed = packed.host_f64_ro().map_err(Error::Device)?;
-        let base = self.spans.get(specs.start).map_or(0, |span| span.0);
-        for si in specs {
-            for k in 0..self.ops[si].len() {
-                let seg = self.segment(si, k);
-                let part = &packed[seg.start - base..seg.end - base];
-                self.land(flat, si, k, first, part.iter().copied());
+        let shapes = specs.clone().map(|si| (self.ops[si].len(), self.spans[si].1));
+        let parts = device_impl::spec_parts(&packed, shapes)?;
+        for (si, part) in specs.zip(parts) {
+            for (k, vo) in self.ops[si].iter().enumerate() {
+                part.land(k, vo.op, first, &mut flat[self.segment(si, k)]);
             }
         }
         Ok(())
@@ -372,9 +353,9 @@ impl<'a> FusedStep<'a> {
     /// exact payload of the step's packed allreduce. Each table is one
     /// pass: on a device, one kernel on the stream of the arena's pool
     /// with the least accumulated modeled cost, which fills the table's
-    /// resident device block and is downloaded into its resident host
-    /// block; all streams are synchronized once at the end, then the
-    /// partials land straight from the host views.
+    /// resident device block, of which as much as it filled is downloaded
+    /// into its resident host block; all streams are synchronized once at
+    /// the end, then the partials land straight from the host views.
     fn bin_local(
         &self,
         fetched: &[Fetched],
@@ -384,7 +365,7 @@ impl<'a> FusedStep<'a> {
         ctx: &ExecContext<'_>,
         arena: &StepArena,
     ) -> Result<Vec<f64>> {
-        let mut flat = layout.flat(arena, fetched.len());
+        let mut flat = layout.flat(arena, matches!(fetched.first(), Some(Fetched::Host(_))));
         // Per table, the packed host block its download is landing in.
         let mut staged: Vec<CellBuffer> = Vec::new();
         let pool: Vec<Arc<Stream>> = match device.filter(|_| !fetched.is_empty()) {
@@ -421,10 +402,11 @@ impl<'a> FusedStep<'a> {
                     let sidx = least_loaded_stream(&stream_loads);
                     stream_loads[sidx] += kc.flops + kc.bytes;
                     let stream = &pool[sidx];
-                    let slot = arena.slot(ctx.node, ti, d, layout.len(), stream)?;
+                    let len = device_impl::block_len(&pass);
+                    let slot = arena.slot(ctx.node, ti, d, len, stream)?;
                     let scratches = arena.scratches();
                     device_impl::bin_all_device(stream, &cols, &pass, &slot.packed, scratches)?;
-                    stream.copy(&slot.packed, &slot.host).map_err(Error::Device)?;
+                    stream.copy_counted(&slot.packed, &slot.host).map_err(Error::Device)?;
                     self.counters.add_kernel_launches(1);
                     self.counters.add_downloads(1);
                     staged.push(slot.host);

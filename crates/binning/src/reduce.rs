@@ -21,14 +21,68 @@ pub fn segment_op(op: BinOp) -> SegmentOp {
     }
 }
 
+/// Evaluate `$body` with `$f` bound to `$op`'s element combine — the one
+/// statement of how a grid's elements merge. The op is matched once,
+/// outside whatever loop `$body` runs, and each arm binds a plain function,
+/// so every arm's loop is compiled (and vectorised) on its own.
+macro_rules! with_combine {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            BinOp::Count | BinOp::Sum | BinOp::Average => {
+                let $f = |a: f64, b: f64| a + b;
+                $body
+            }
+            BinOp::Min => {
+                let $f = f64::min;
+                $body
+            }
+            BinOp::Max => {
+                let $f = f64::max;
+                $body
+            }
+        }
+    };
+}
+
 /// Element-wise in-place combination of `part` into `acc` under `op`.
 pub fn merge_into(op: BinOp, acc: &mut [f64], part: impl ExactSizeIterator<Item = f64>) {
     assert_eq!(acc.len(), part.len(), "grids must have identical shape");
     let pairs = acc.iter_mut().zip(part);
-    match op {
-        BinOp::Count | BinOp::Sum | BinOp::Average => pairs.for_each(|(x, y)| *x += y),
-        BinOp::Min => pairs.for_each(|(x, y)| *x = x.min(y)),
-        BinOp::Max => pairs.for_each(|(x, y)| *x = x.max(y)),
+    with_combine!(op, f => pairs.for_each(|(x, y)| *x = f(*x, y)))
+}
+
+/// Land the partial grid `part` in `acc`: written over it when `write` (a
+/// step's first table seeds the segment), else [`merge_into`] it.
+pub fn land(op: BinOp, write: bool, acc: &mut [f64], part: impl ExactSizeIterator<Item = f64>) {
+    if write {
+        assert_eq!(acc.len(), part.len(), "grids must have identical shape");
+        acc.iter_mut().zip(part).for_each(|(a, v)| *a = v);
+    } else {
+        merge_into(op, acc, part);
+    }
+}
+
+/// [`land`] of a grid given only at the bins `at`: `part[j]` is its value
+/// at bin `at[j]`, every other bin holds `op`'s identity, and only the
+/// bins `at` are written or merged.
+///
+/// Skipping the identities is exact: a kernel's sums start at `+0.0` and
+/// so are never `-0.0` (which `+0.0` would turn into `+0.0`), and its
+/// minima and maxima never NaN, so folding an identity into one changes no
+/// bit of it.
+pub fn land_at(
+    op: BinOp,
+    write: bool,
+    acc: &mut [f64],
+    at: impl ExactSizeIterator<Item = usize>,
+    part: &[f64],
+) {
+    assert_eq!(at.len(), part.len(), "one value per bin");
+    let pairs = at.zip(part);
+    if write {
+        pairs.for_each(|(b, &v)| acc[b] = v)
+    } else {
+        with_combine!(op, f => pairs.for_each(|(b, &v)| acc[b] = f(acc[b], v)))
     }
 }
 

@@ -105,6 +105,13 @@ impl DagState {
     }
 }
 
+/// The scheduler's cost hint for downloading one `(table, spec)` block
+/// of `ops` grids over `bins` bins, filled from `rows` rows: the bytes of
+/// the largest block such a kernel can fill.
+fn download_cost(rows: usize, ops: usize, bins: usize) -> f64 {
+    (device_impl::spec_cells_bound(rows, ops, bins) * 8) as f64
+}
+
 /// Many binning specs over one mesh, executed as a single fused back-end.
 pub struct BinningSuite {
     controls: BackendControls,
@@ -313,7 +320,7 @@ impl AnalysisAdaptor for BinningSuite {
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
                                 let cols: Vec<&CellBuffer> =
                                     names.iter().map(|name| &resident[*name]).collect();
-                                let len = ops.len() * grid.num_bins();
+                                let len = device_impl::block_len(&pass);
                                 let slot = arena.slot(&node, idx, dw, len, &stream)?;
                                 device_impl::bin_all_device(
                                     &stream,
@@ -384,7 +391,7 @@ impl AnalysisAdaptor for BinningSuite {
                                         })?
                                         .clone();
                                     cp.wait_event(&ready).map_err(Error::Device)?;
-                                    cp.copy(&packed, &host).map_err(Error::Device)?;
+                                    cp.copy_counted(&packed, &host).map_err(Error::Device)?;
                                     cp.record(&ev).map_err(Error::Device)?;
                                     counters.add_downloads(1);
                                     *state.staged[idx].lock() = Some(StagedPart::Downloaded(host));
@@ -393,7 +400,7 @@ impl AnalysisAdaptor for BinningSuite {
                             },
                         );
                         g.set_home(d, primary);
-                        g.set_cost(d, (all_ops.len() * nbins * 8) as f64);
+                        g.set_cost(d, download_cost(rows, all_ops.len(), nbins));
                         d
                     }
                     None => {
@@ -427,7 +434,7 @@ impl AnalysisAdaptor for BinningSuite {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Reduce, "packed-allreduce", move |_| {
                 let layout = StepLayout::new(step.specs, &state.grids.lock());
-                let mut flat = layout.flat(arena, ntables);
+                let mut flat = layout.flat(arena, ntables > 0 && device.is_none());
                 for (idx, slot) in state.staged.iter().enumerate() {
                     let (first, si) = (idx < nspecs, idx % nspecs);
                     match slot.lock().as_ref() {
@@ -525,4 +532,24 @@ pub fn register_suite(registry: &mut AnalysisRegistry) {
         }
         Ok(Box::new(suite))
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::download_cost;
+
+    #[test]
+    fn the_download_hint_never_exceeds_the_dense_block() {
+        for (ops, bins) in [(1, 1), (3, 7), (11, 4096), (11, 16_384)] {
+            let dense = (ops * bins * 8) as f64;
+            for rows in [0, 1, 17, 341, 372, 4096, 1 << 20] {
+                let hint = download_cost(rows, ops, bins);
+                assert!(hint <= dense, "rows {rows} ops {ops} bins {bins}: {hint} > {dense}");
+                // No more bins than rows are touched: few rows, small hint.
+                assert!(hint <= (rows * (ops + 1) * 8) as f64);
+            }
+        }
+        assert_eq!(download_cost(10, 11, 4096), (10 * 12 * 8) as f64);
+        assert_eq!(download_cost(1 << 20, 11, 4096), (11 * 4096 * 8) as f64);
+    }
 }

@@ -5,6 +5,7 @@
 //! `stream.launch` faults recovered per task node by the retry policy.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use devsim::fault::{site, FaultConfig, FaultRule};
 use devsim::{NodeConfig, SimNode};
@@ -259,12 +260,13 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
                 let suite = BinningSuite::new(spec_set(3, 8, true))
                     .unwrap()
                     .with_controls(BackendControls { execution, device, ..Default::default() });
+                let counters = suite.counters().expect("the suite counts its work");
                 let mut bridge = Bridge::new(node.clone());
                 bridge.set_snapshot_mode(SnapshotMode::Cow);
                 bridge.add_analysis(Box::new(suite), &comm).unwrap();
                 for step in 0..3 {
                     sim.step = step;
-                    bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+                    bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
                 }
                 assert!(
                     execution != ExecutionMethod::Lockstep
@@ -272,6 +274,17 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
                     "the arena (and the replicas) are resident between steps"
                 );
                 if fail {
+                    // An asynchronous worker may still be inside step 2.
+                    // Arming the fault then can fail one rank's step 2
+                    // before its collectives while the other rank's waits
+                    // in them for good, so wait until both rounds of every
+                    // step (the bounds, then the grids) have completed:
+                    // a step's rounds are counted once they return.
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    while counters.snapshot().allreduces < 3 * 2 {
+                        assert!(Instant::now() < deadline, "step 2 never finished its rounds");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     // Every later copy submitted by the in situ side
                     // fails, the first access request's fill included:
                     // the step errors on both ranks before its first
@@ -281,7 +294,7 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
                         FaultConfig::seeded(1).with_rule(FaultRule::error(site::STREAM_COPY)),
                     );
                     sim.step = 3;
-                    let step = bridge.execute(&sim, &comm, std::time::Duration::ZERO);
+                    let step = bridge.execute(&sim, &comm, Duration::ZERO);
                     let (_, drain) = bridge.finalize_partial(&comm);
                     node.fault().configure(FaultConfig::default());
                     assert!(step.is_err() || drain.is_some(), "the injected failure surfaced");

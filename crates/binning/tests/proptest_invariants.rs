@@ -59,9 +59,25 @@ fn packed_grids(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<Vec<f64>> {
     host_impl::bin_all_host(cols, specs, &mut scratch).iter().map(|grids| grids.packed()).collect()
 }
 
+/// The grids of `specs` in a block [`device_impl::bin_all_device`] filled,
+/// dense: spec after spec, each spec's `[op][bin]`.
+fn unpack(block: &[f64], specs: &[PassSpec]) -> Vec<f64> {
+    let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
+    let parts = device_impl::spec_parts(block, shapes).unwrap();
+    let mut grids = Vec::new();
+    for (spec, part) in specs.iter().zip(parts) {
+        for (k, &(op, _)) in spec.ops.iter().enumerate() {
+            let mut grid = vec![host_impl::identity(op); spec.grid.num_bins()];
+            part.land(k, op, true, &mut grid);
+            grids.extend(grid);
+        }
+    }
+    grids
+}
+
 /// One fused device pass of `spec` over `cols`, launched twice into the
-/// same resident block through `scratches`: the packed grids, which must
-/// not depend on what the block or the scratch held before.
+/// same resident block through `scratches`: the block, whose grids must
+/// not depend on what it or the scratch held before.
 fn fused_device(
     node: &Arc<SimNode>,
     stream: &Arc<Stream>,
@@ -69,7 +85,7 @@ fn fused_device(
     spec: &PassSpec,
     scratches: &Arc<host_impl::ScratchPool>,
 ) -> CellBuffer {
-    let len = spec.ops.len() * spec.grid.num_bins();
+    let len = device_impl::block_len(std::slice::from_ref(spec));
     let packed = node.device(0).unwrap().alloc_cells_on_stream(len, stream).unwrap();
     for _ in 0..2 {
         device_impl::bin_all_device(stream, cols, std::slice::from_ref(spec), &packed, scratches)
@@ -395,7 +411,7 @@ fn multi_spec_device_launch_matches_per_op_across_block_boundaries() {
     let scratches = Arc::default();
     for scale in [1, 22] {
         let specs = boundary_pass(scale);
-        let len = specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
+        let len = device_impl::block_len(&specs);
         let packed = node.device(0).unwrap().alloc_cells_on_stream(len, &stream).unwrap();
         for rows in BLOCK_ROW_COUNTS {
             let (cols, _) = random_pass(rows as u64 + 1, rows);
@@ -413,7 +429,7 @@ fn multi_spec_device_launch_matches_per_op_across_block_boundaries() {
                 download(&per_op.unwrap())
             };
             let what = format!("scale {scale} rows {rows} device");
-            assert_packed_matches(&download(&packed), &specs, oracle, &what);
+            assert_packed_matches(&unpack(&download(&packed), &specs), &specs, oracle, &what);
         }
     }
 }
@@ -465,7 +481,7 @@ proptest! {
         let host_out = node.host_alloc_f64(packed.len());
         stream.copy(&packed, &host_out).unwrap();
         stream.synchronize().unwrap();
-        let fused = host_out.host_f64().unwrap().to_vec();
+        let fused = unpack(&host_out.host_f64_ro().unwrap(), std::slice::from_ref(&spec));
         for (seg, &op) in ALL.iter().enumerate() {
             let vals = if op == BinOp::Count { None } else { Some(&dv) };
             let dbins = device_impl::bin_device(&node, 0, &stream, &dx, &dy, vals, op, g).unwrap();
@@ -503,7 +519,8 @@ proptest! {
             for (si, spec) in specs.iter().enumerate() {
                 let g = spec.grid;
                 let bins = g.num_bins();
-                let fused = download(&fused_device(&node, &stream, &dev_refs, spec, &scratches));
+                let block = download(&fused_device(&node, &stream, &dev_refs, spec, &scratches));
+                let fused = unpack(&block, std::slice::from_ref(spec));
                 prop_assert_eq!(fused.len(), spec.ops.len() * bins);
                 let [xs, ys] = spec.axes.map(|c| &cols[c][..]);
                 let counts = host_impl::bin_host(xs, ys, None, BinOp::Count, &g);
@@ -524,5 +541,119 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The tables of a sparse-against-dense landing case, all over the
+/// columns of one [`random_pass`] spec set: empty, touching no bin (every
+/// row NaN, infinite or out of range), touching nearly all of them, or a
+/// few rows with NaN, infinities, `-0.0` and out-of-range values.
+fn landing_tables(seed: u64) -> (Vec<Vec<Vec<f64>>>, Vec<PassSpec>) {
+    let mut rng = Mix(seed);
+    let (_, specs) = random_pass(seed, 0);
+    let tables = (0..1 + rng.below(4))
+        .map(|t| {
+            let salt = seed ^ (t as u64 + 1) << 32;
+            match rng.below(4) {
+                0 => vec![Vec::new(); NUM_COLS],
+                1 => {
+                    let outside = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 7.5];
+                    let col = |c: usize| (0..9).map(|r| outside[(r + c) % 4]).collect();
+                    (0..NUM_COLS).map(col).collect()
+                }
+                2 => random_pass(salt, 3_000).0,
+                _ => {
+                    let (mut cols, _) = random_pass(salt, 1 + rng.below(40));
+                    for col in &mut cols[3..] {
+                        col.iter_mut().step_by(3).for_each(|v| *v = -0.0);
+                    }
+                    cols
+                }
+            }
+        })
+        .collect();
+    (tables, specs)
+}
+
+/// Land one block per table, table-major — the first writes, later ones
+/// merge — into `flat`, laid out as `specs`' grids back to back.
+fn land_blocks(blocks: &[Vec<f64>], specs: &[PassSpec], flat: &mut [f64]) {
+    for (ti, block) in blocks.iter().enumerate() {
+        let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
+        let mut at = 0;
+        for (spec, part) in specs.iter().zip(device_impl::spec_parts(block, shapes).unwrap()) {
+            let bins = spec.grid.num_bins();
+            for (k, &(op, _)) in spec.ops.iter().enumerate() {
+                part.land(k, op, ti == 0, &mut flat[at..at + bins]);
+                at += bins;
+            }
+        }
+    }
+}
+
+/// One landing case: every table's device block as the kernel fills it
+/// and downloads it, landed over the identities, against the same grids
+/// written into all-dense blocks and landed over garbage. Returns, per
+/// block, whether it held a spec sparse and one dense.
+fn sparse_landing_equals_dense(seed: u64) -> Vec<[bool; 2]> {
+    let (tables, specs) = landing_tables(seed);
+    let node = SimNode::new(NodeConfig::fast_test(1));
+    let stream = node.device(0).unwrap().create_stream();
+    let len = device_impl::block_len(&specs);
+    let scratches = Arc::default();
+    let mut sparse_blocks = Vec::new();
+    let mut dense_blocks = Vec::new();
+    let mut formats = Vec::new();
+    for cols in &tables {
+        let dev: Vec<CellBuffer> = cols.iter().map(|c| upload(&node, &stream, c)).collect();
+        let dev_refs: Vec<&CellBuffer> = dev.iter().collect();
+        let packed = node.device(0).unwrap().alloc_cells_on_stream(len, &stream).unwrap();
+        device_impl::bin_all_device(&stream, &dev_refs, &specs, &packed, &scratches).unwrap();
+        let host = node.host_alloc_f64(len);
+        stream.copy_counted(&packed, &host).unwrap();
+        stream.synchronize().unwrap();
+        let block = host.host_f64_ro().unwrap().to_vec();
+        let words = &block[1..1 + specs.len()];
+        let dense = |w: &f64| w.to_bits() == device_impl::DENSE;
+        formats.push([words.iter().any(|w| !dense(w)), words.iter().any(dense)]);
+        let mut all_dense = vec![f64::from_bits(len as u64)];
+        all_dense.extend(specs.iter().map(|_| f64::from_bits(device_impl::DENSE)));
+        all_dense.extend(unpack(&block, &specs));
+        sparse_blocks.push(block);
+        dense_blocks.push(all_dense);
+    }
+    let identities: Vec<f64> = specs
+        .iter()
+        .flat_map(|s| {
+            s.ops.iter().flat_map(|&(op, _)| vec![host_impl::identity(op); s.grid.num_bins()])
+        })
+        .collect();
+    let mut from_sparse = identities.clone();
+    land_blocks(&sparse_blocks, &specs, &mut from_sparse);
+    let mut from_dense = vec![f64::from_bits(0x7ff4_dead_beef_0000); identities.len()];
+    land_blocks(&dense_blocks, &specs, &mut from_dense);
+    assert_eq!(bits(&from_sparse), bits(&from_dense), "seed {seed}: {specs:?}");
+    formats
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The flat buffer landed from the blocks the kernel fills — each spec
+    /// sparse or dense by the size rule — equals, bit for bit, the one
+    /// landed from the same grids held dense, over multi-table inputs.
+    #[test]
+    fn sparse_blocks_land_bit_identical_to_dense_blocks(seed in any::<u64>()) {
+        sparse_landing_equals_dense(seed);
+    }
+}
+
+/// The landing cases reach what the property is about: blocks holding
+/// every spec sparse, every spec dense, and both at once.
+#[test]
+fn landing_cases_mix_sparse_and_dense_specs_in_one_block() {
+    let formats: Vec<[bool; 2]> = (0..48).flat_map(sparse_landing_equals_dense).collect();
+    for want in [[true, false], [false, true], [true, true]] {
+        assert!(formats.contains(&want), "no block with formats {want:?}");
     }
 }

@@ -40,6 +40,10 @@ pub enum Error {
     CrossDeviceAccess { stream_device: usize, buffer_space: MemSpace },
     /// Source and destination of a copy have different lengths.
     CopyLengthMismatch { src: usize, dst: usize },
+    /// The length a counted copy read from its source's first cell
+    /// ([`crate::Stream::copy_counted`]) is zero or exceeds the source or
+    /// the destination.
+    CopyCountOutOfRange { count: u64, src: usize, dst: usize },
     /// The stream's worker thread is gone (node shut down).
     StreamClosed,
     /// A configured fault fired at the named injection site (see
@@ -87,6 +91,12 @@ impl fmt::Display for Error {
             }
             Error::CopyLengthMismatch { src, dst } => {
                 write!(f, "copy length mismatch: src has {src} cells, dst has {dst}")
+            }
+            Error::CopyCountOutOfRange { count, src, dst } => {
+                write!(
+                    f,
+                    "counted copy of {count} cells out of range: src has {src} cells, dst has {dst}"
+                )
             }
             Error::StreamClosed => write!(f, "stream worker has shut down"),
             Error::FaultInjected { site } => {

@@ -652,24 +652,55 @@ impl CellBuffer {
         if self.len != src.len {
             return Err(Error::CopyLengthMismatch { src: src.len, dst: self.len });
         }
+        self.copy_prefix_from(src, |_| Ok(self.len)).map(drop)
+    }
+
+    /// [`Self::copy_cells_from`] of the leading cells of `src` its first
+    /// cell counts, that cell included: reads the count from the contents
+    /// the copy reads, and returns it. A count of zero, or one beyond
+    /// either buffer, is [`Error::CopyCountOutOfRange`] and copies nothing.
+    pub(crate) fn copy_counted_from(&self, src: &CellBuffer) -> Result<usize> {
+        self.copy_prefix_from(src, |first| {
+            let out_of_range = || Error::CopyCountOutOfRange {
+                count: first.unwrap_or(0),
+                src: src.len,
+                dst: self.len,
+            };
+            let count = usize::try_from(first.ok_or_else(out_of_range)?).ok();
+            count.filter(|&n| n > 0 && n <= src.len && n <= self.len).ok_or_else(out_of_range)
+        })
+    }
+
+    /// Copy the first `count(first cell of src)` cells of `src` into
+    /// `self`, under the routing [`Self::copy_cells_from`] describes.
+    fn copy_prefix_from(
+        &self,
+        src: &CellBuffer,
+        count: impl FnOnce(Option<u64>) -> Result<usize>,
+    ) -> Result<usize> {
         // Destination first: if src aliases dst (same allocation), the
         // pin resolves here and the read below routes to the holder.
         let _write = self.begin_write()?;
         // Registered before the resolution check, like a pinned reader.
         let source = src.pin.as_ref().map(|pin| (SourceHold::register(&src.track), pin));
-        let dst = &self.cells[..self.len];
         match source.as_ref().and_then(|(_, pin)| pin.resolved.lock().clone()) {
             Some(words) => {
                 drop(source);
-                dst.iter().zip(words.iter()).for_each(|(d, &w)| d.store(w, Ordering::Relaxed))
+                let n = count(words.first().copied())?;
+                for (d, &w) in self.cells[..n].iter().zip(&words[..n]) {
+                    d.store(w, Ordering::Relaxed);
+                }
+                Ok(n)
             }
             None => {
-                for (d, s) in dst.iter().zip(&src.cells[..self.len]) {
+                let live = &src.cells[..src.len];
+                let n = count(live.first().map(|c| c.load(Ordering::Relaxed)))?;
+                for (d, s) in self.cells[..n].iter().zip(&live[..n]) {
                     d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
                 }
+                Ok(n)
             }
         }
-        Ok(())
     }
 }
 
@@ -834,6 +865,36 @@ macro_rules! f64_ops {
                             cell.store(row[c].to_bits(), Ordering::Relaxed);
                         }
                     }
+                }
+            }
+
+            /// [`Self::store_columns`] of the rows `picked` of the
+            /// row-major `rows` only, each `starts.len()` values wide:
+            /// value `c` of row `picked[j]` lands at element
+            /// `starts[c] + j` — a compacted append with no holes.
+            ///
+            /// # Panics
+            /// Panics if a picked row is not in `rows` or a column runs
+            /// past the end of the view.
+            pub fn store_picked(&self, rows: &[f64], picked: &[u32], starts: &[usize]) {
+                let (cells, width) = (self.0.cells(), starts.len());
+                for (c, &start) in starts.iter().enumerate() {
+                    let column = &cells[start..start + picked.len()];
+                    for (cell, &r) in column.iter().zip(picked) {
+                        cell.store(rows[r as usize * width + c].to_bits(), Ordering::Relaxed);
+                    }
+                }
+            }
+
+            /// Store the words `words` as the raw bits of the elements
+            /// from `start` on (counts and indices kept beside `f64`s).
+            ///
+            /// # Panics
+            /// Panics if the words run past the end of the view.
+            pub fn store_words(&self, start: usize, words: impl ExactSizeIterator<Item = u64>) {
+                let cells = &self.0.cells()[start..start + words.len()];
+                for (cell, w) in cells.iter().zip(words) {
+                    cell.store(w, Ordering::Relaxed);
                 }
             }
 

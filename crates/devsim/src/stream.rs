@@ -49,17 +49,18 @@ pub(crate) struct WorkerCtx {
     time_scale: f64,
 }
 
-/// Execution half of a transfer that copied `src` into `dst` starting at
-/// `t0`: hold the stream for the modeled link time and count the traffic
-/// by direction (h2d / d2h / d2d / h2h, from the buffers' spaces).
+/// Execution half of a transfer that copied `bytes` from `src` into `dst`
+/// starting at `t0`: hold the stream for the modeled link time and count
+/// the traffic by direction (h2d / d2h / d2d / h2h, from the buffers'
+/// spaces).
 fn charge_transfer(
     ctx: &WorkerCtx,
     deficit: &mut Duration,
     src: &CellBuffer,
     dst: &CellBuffer,
+    bytes: usize,
     t0: Instant,
 ) {
-    let bytes = src.len() * 8;
     let host_involved = src.space() == MemSpace::Host || dst.space() == MemSpace::Host;
     let duration = timemodel::transfer_duration(bytes, host_involved, &ctx.link, ctx.time_scale);
     let elapsed = t0.elapsed();
@@ -276,7 +277,32 @@ impl Stream {
         self.enqueue(Box::new(move |ctx, deficit| {
             let t0 = Instant::now();
             match dst.copy_cells_from(&src) {
-                Ok(()) => charge_transfer(ctx, deficit, &src, &dst, t0),
+                Ok(()) => charge_transfer(ctx, deficit, &src, &dst, src.len() * 8, t0),
+                Err(e) => drop(shared.error.lock().get_or_insert(e)),
+            }
+        }))
+    }
+
+    /// Enqueue an ordered copy of the leading cells of `src` its first
+    /// cell counts — that cell included, as a `u64` — into `dst`.
+    ///
+    /// The count is read **when the copy executes**, after everything
+    /// queued on this stream before it: a kernel ahead of it in the stream
+    /// writes how much of a worst-case-sized block it filled, and only that
+    /// much crosses the link and is charged. On a real GPU this is the
+    /// kernel writing into mapped pinned host memory; a copy sized on the
+    /// host would need the count read back first, one more round trip.
+    ///
+    /// A count of zero or one beyond either buffer is an asynchronous
+    /// [`Error::CopyCountOutOfRange`], reported by the next
+    /// [`Stream::synchronize`]; nothing is copied.
+    pub fn copy_counted(&self, src: &CellBuffer, dst: &CellBuffer) -> Result<()> {
+        let (src, dst) = self.transfer_ends(src, dst)?;
+        let shared = self.shared.clone();
+        self.enqueue(Box::new(move |ctx, deficit| {
+            let t0 = Instant::now();
+            match dst.copy_counted_from(&src) {
+                Ok(n) => charge_transfer(ctx, deficit, &src, &dst, n * 8, t0),
                 Err(e) => drop(shared.error.lock().get_or_insert(e)),
             }
         }))
@@ -302,7 +328,7 @@ impl Stream {
                     if fill == Fill::Refresh {
                         NodeStats::bump(&ctx.stats.replica_refreshes);
                     }
-                    charge_transfer(ctx, deficit, &src, &dst, t0);
+                    charge_transfer(ctx, deficit, &src, &dst, src.len() * 8, t0);
                 }
                 Err(e) => drop(shared.error.lock().get_or_insert(e)),
             }
@@ -397,3 +423,113 @@ impl Stream {
 
 /// Result type kernels return; `Err` surfaces at the next synchronize.
 pub type KernelResult = Result<()>;
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use crate::fault::{self, site, FaultConfig, FaultRule};
+    use crate::{Error, KernelCost, NodeConfig, SimNode};
+
+    /// A device block of `len` cells and a host block of `len` cells.
+    fn blocks(node: &SimNode, len: usize) -> (crate::CellBuffer, crate::CellBuffer) {
+        (node.device(0).unwrap().alloc_f64(len).unwrap(), node.host_alloc_f64(len))
+    }
+
+    #[test]
+    fn a_counted_copy_charges_exactly_the_cells_it_copies() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let s = node.device(0).unwrap().create_stream();
+        let (dev, host) = blocks(&node, 64);
+        let src = node.host_alloc_f64(64);
+        {
+            let v = src.host_f64().unwrap();
+            v.fill(7.0);
+            v.store_words(0, [5u64].into_iter());
+        }
+        s.copy(&src, &dev).unwrap();
+        s.synchronize().unwrap();
+        let before = node.stats();
+        s.copy_counted(&dev, &host).unwrap();
+        s.synchronize().unwrap();
+        let after = node.stats();
+        assert_eq!(after.bytes_d2h - before.bytes_d2h, 5 * 8, "five cells crossed the link");
+        assert_eq!(after.copies_d2h - before.copies_d2h, 1);
+        let got = host.host_u64_ro().unwrap();
+        assert_eq!(got[0], 5);
+        assert_eq!(&got[1..5], &[7.0f64.to_bits(); 4]);
+        assert!(got[5..].iter().all(|&w| w == 0), "nothing past the count is written");
+    }
+
+    #[test]
+    fn the_count_is_read_after_the_kernel_ahead_of_the_copy() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let s = node.device(0).unwrap().create_stream();
+        let (dev, host) = blocks(&node, 32);
+        let block = dev.clone();
+        // A slow kernel writes the header: a copy sized at submission
+        // would see the zeroed block and copy nothing.
+        s.launch("header", KernelCost::ZERO, move |scope| {
+            std::thread::sleep(Duration::from_millis(20));
+            let v = block.f64_view(scope)?;
+            v.store_words(0, [3u64, 11, 12].into_iter());
+            Ok(())
+        })
+        .unwrap();
+        let before = node.stats();
+        s.copy_counted(&dev, &host).unwrap();
+        s.synchronize().unwrap();
+        assert_eq!(node.stats().bytes_d2h - before.bytes_d2h, 3 * 8);
+        assert_eq!(&host.host_u64_ro().unwrap()[..4], &[3, 11, 12, 0]);
+    }
+
+    #[test]
+    fn a_count_beyond_either_buffer_is_a_typed_stream_error() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let s = node.device(0).unwrap().create_stream();
+        let (dev, host) = blocks(&node, 16);
+        let short = node.host_alloc_f64(8);
+        let write_count = |count: u64| {
+            let block = dev.clone();
+            s.launch("header", KernelCost::ZERO, move |scope| {
+                block.f64_view(scope)?.store_words(0, [count].into_iter());
+                Ok(())
+            })
+            .unwrap();
+        };
+        let before = node.stats();
+        for (count, dst) in [(17, &host), (12, &short), (0, &host)] {
+            write_count(count);
+            s.copy_counted(&dev, dst).unwrap();
+            let err = s.synchronize().unwrap_err();
+            let expect = Error::CopyCountOutOfRange { count, src: 16, dst: dst.len() };
+            assert_eq!(err, expect);
+        }
+        assert_eq!(node.stats().bytes_d2h, before.bytes_d2h, "a refused copy moves nothing");
+        // The error was taken by the synchronize: the stream goes on.
+        write_count(16);
+        s.copy_counted(&dev, &host).unwrap();
+        s.synchronize().unwrap();
+        assert_eq!(node.stats().bytes_d2h - before.bytes_d2h, 16 * 8);
+        // An empty source has no count to read.
+        let empty = node.device(0).unwrap().alloc_f64(0).unwrap();
+        s.copy_counted(&empty, &host).unwrap();
+        let err = s.synchronize().unwrap_err();
+        assert_eq!(err, Error::CopyCountOutOfRange { count: 0, src: 0, dst: 16 });
+    }
+
+    #[test]
+    fn an_injected_copy_fault_fires_on_a_counted_copy() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let s = node.device(0).unwrap().create_stream();
+        let (dev, host) = blocks(&node, 4);
+        node.fault()
+            .configure(FaultConfig::seeded(1).with_rule(FaultRule::error(site::STREAM_COPY)));
+        let armed = fault::arm(0);
+        let err = s.copy_counted(&dev, &host).unwrap_err();
+        drop(armed);
+        assert!(matches!(err, Error::FaultInjected { ref site } if site == site::STREAM_COPY));
+        node.fault().configure(FaultConfig::default());
+        assert_eq!(node.stats().copies_d2h, 0, "the faulted copy was never enqueued");
+    }
+}

@@ -398,6 +398,61 @@ impl Comm {
         }
     }
 
+    /// [`Comm::allgather`] of `f64` slices into buffers the caller keeps:
+    /// `out` is overwritten with every rank's `mine`, back to back in rank
+    /// order, and `lens` with their lengths. This is the allocation-free
+    /// form: each rank's message comes back to it as the result, so the
+    /// allocation it travels in goes to the root and back, round after
+    /// round, and once `out` and the messages have grown to a round's size
+    /// a round allocates nothing payload-sized. It claims the same two
+    /// collective slots as [`Comm::allgather`] (so hooks see it alike) and
+    /// charges its messages the same way, at the shallow size of the `Vec`
+    /// they travel in.
+    pub fn allgather_into(&self, mine: &[f64], out: &mut Vec<f64>, lens: &mut Vec<usize>) {
+        let tag = self.next_coll_tag();
+        let root = self.rank() == 0;
+        // The root holds the received messages until it sends them back;
+        // every other rank holds its one message between rounds.
+        let mut held = self.gather_spares.take();
+        if root {
+            out.clear();
+            out.extend_from_slice(mine);
+            lens.clear();
+            lens.push(mine.len());
+            for src in 1..self.size() {
+                let part: Vec<f64> = self.coll_recv(src, tag + SLOT_DATA).expect("ranks send");
+                out.extend_from_slice(&part);
+                lens.push(part.len());
+                held.push(part);
+            }
+        } else {
+            let mut msg = held.pop().unwrap_or_default();
+            msg.clear();
+            msg.extend_from_slice(mine);
+            self.coll_send(0, tag + SLOT_DATA, msg);
+        }
+        // The result goes down headed by the ranks' lengths, each exact
+        // as an `f64`.
+        let tag = self.next_coll_tag();
+        if root {
+            for (dst, mut msg) in (1..self.size()).zip(held.drain(..)) {
+                msg.clear();
+                msg.extend(lens.iter().map(|&n| n as f64));
+                msg.extend_from_slice(out);
+                self.coll_send(dst, tag + SLOT_RESULT, msg);
+            }
+        } else {
+            let all: Vec<f64> = self.coll_recv(0, tag + SLOT_RESULT).expect("root broadcasts");
+            let (header, data) = all.split_at(self.size());
+            lens.clear();
+            lens.extend(header.iter().map(|&n| n as usize));
+            out.clear();
+            out.extend_from_slice(data);
+            held.push(all);
+        }
+        self.gather_spares.replace(held);
+    }
+
     /// Personalized all-to-all: `values[i]` is delivered to rank `i`; the
     /// result's slot `j` holds what rank `j` sent to this rank.
     pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>> {
@@ -708,6 +763,25 @@ mod tests {
         let got = World::new(5).run(|c| c.gather(1, c.rank() * 10).unwrap());
         assert_eq!(got[1], Some(vec![0, 10, 20, 30, 40]));
         assert_eq!(got[0], None);
+    }
+
+    #[test]
+    fn allgather_into_lands_every_rank_in_the_callers_buffers() {
+        let got = World::new(3).run(|c| {
+            let (mut out, mut lens) = (vec![f64::NAN; 7], vec![9]);
+            let cap = out.capacity();
+            for step in 0..3 {
+                let mine: Vec<f64> =
+                    (0..=c.rank()).map(|i| (10 * c.rank() + i + step) as f64).collect();
+                c.allgather_into(&mine, &mut out, &mut lens);
+            }
+            (out, lens, cap)
+        });
+        for (out, lens, _) in &got {
+            assert_eq!(lens, &[1, 2, 3]);
+            assert_eq!(out, &[2.0, 12.0, 13.0, 22.0, 23.0, 24.0]);
+        }
+        assert_eq!(got[0].0.capacity(), got[0].2, "the root's buffer was kept");
     }
 
     #[test]

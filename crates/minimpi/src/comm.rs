@@ -86,6 +86,8 @@ pub struct Comm {
     /// Lazily built node-local/leader sub-communicators for the
     /// hierarchical collective path.
     hier: RefCell<Option<Box<Hier>>>,
+    /// [`Comm::allgather_into`]'s messages, kept between rounds.
+    pub(crate) gather_spares: RefCell<Vec<Vec<f64>>>,
 }
 
 /// The internal sub-communicators one rank uses on the tiered path.
@@ -156,6 +158,7 @@ impl Comm {
             mode,
             tiers,
             hier: RefCell::new(None),
+            gather_spares: RefCell::default(),
         }
     }
 

@@ -90,12 +90,18 @@ struct DeviceState {
 }
 
 /// The exchange's buffers, kept from step to step: the host landing of
-/// the four local columns (x, y, z, m) a step downloads, and the host and
-/// device columns the gathered bodies are scattered into and uploaded to.
-/// Re-made only when the body counts change (a repartition).
+/// the four local columns (x, y, z, m) a step downloads, the message they
+/// are bundled into and the buffer the allgather lands every rank's in,
+/// and the host and device columns the gathered bodies are scattered into
+/// and uploaded to. The columns are re-made only when the body counts
+/// change (a repartition); the message buffers only grow.
 #[derive(Default)]
 struct Exchange {
     local: Vec<CellBuffer>,
+    /// This rank's (x, y, z, m), one column after another: its message.
+    bundle: Vec<f64>,
+    /// Every rank's bundle in rank order, and each one's length.
+    received: (Vec<f64>, Vec<usize>),
     gathered: Vec<CellBuffer>,
     sources: Vec<CellBuffer>,
 }
@@ -327,7 +333,8 @@ impl Newton {
             self.stream.copy(buf, host).map_err(Error::Device)?;
         }
         self.stream.synchronize().map_err(Error::Device)?;
-        let mut bundle = Vec::with_capacity(4 * n);
+        let bundle = &mut self.exchange.bundle;
+        bundle.clear();
         for host in local {
             bundle.extend_from_slice(&host.host_f64_ro().map_err(Error::Device)?);
         }
@@ -338,12 +345,13 @@ impl Newton {
         // collective from queueing behind asynchronous in situ kernels —
         // a rank stuck behind analysis work would hold every other rank
         // inside the allgather.
-        let gathered: Vec<Vec<f64>> = self.node.host().run_urgent(
+        let (received, lens) = &mut self.exchange.received;
+        self.node.host().run_urgent(
             "nbody_exchange",
             KernelCost::bytes((self.n_global * 4 * 8) as f64),
-            || comm.allgather(bundle),
+            || comm.allgather_into(bundle, received, lens),
         );
-        let n_global: usize = gathered.iter().map(|g| g.len() / 4).sum();
+        let n_global = received.len() / 4;
         self.n_global = n_global;
 
         // Concatenate per variable and upload to the device.
@@ -357,9 +365,11 @@ impl Newton {
                 host[2].host_f64().map_err(Error::Device)?,
                 host[3].host_f64().map_err(Error::Device)?,
             );
-            let mut off = 0;
-            for part in &gathered {
-                let pn = part.len() / 4;
+            let (mut off, mut parts) = (0, &received[..]);
+            for &len in lens.iter() {
+                let (part, rest) = parts.split_at(len);
+                parts = rest;
+                let pn = len / 4;
                 for i in 0..pn {
                     vx.set(off + i, part[i]);
                     vy.set(off + i, part[pn + i]);
