@@ -20,6 +20,30 @@ cargo build --release
 echo "== cargo test -q"
 cargo test -q
 
+echo "== CoW and version-table suites, 20 release passes"
+# These suites find races only in the interleavings the OS scheduler
+# happens to produce, so one tier-1 pass is a weak gate for the version
+# table they exercise: run each 20 more times against one release build.
+executables() { grep -o '"executable":"[^"]*"' | sed 's/^"executable":"//; s/"$//'; }
+soak() {
+    "$@" > target/ci/soak.log 2>&1 || { cat target/ci/soak.log; echo "FAIL: $*"; exit 1; }
+}
+mkdir -p target/ci
+start=$SECONDS
+memory_tests=$(cargo test --release --no-run -q --message-format=json -p devsim --lib | executables)
+suites=$(cargo test --release --no-run -q --message-format=json \
+    -p devsim -p hamr -p sensei -p binning --test proptest_leases --test proptest_buffers \
+    --test proptest_snapshot_cow --test serve_cow_stress --test cow_borrow --test residency |
+    executables)
+built=$SECONDS
+for _ in $(seq 20); do
+    soak "$memory_tests" -q memory::tests
+    for suite in $suites; do
+        soak "$suite" -q
+    done
+done
+echo "release test build $((built - start)) s, 20 passes $((SECONDS - built)) s"
+
 echo "== harness smokes"
 # One A/B per mode at smoke sizes. Each mode's claims are defined once,
 # in its `impl Report` under crates/bench/src; the harness writes

@@ -59,8 +59,8 @@ struct DagState {
     #[allow(clippy::type_complexity)]
     host_tables: Mutex<Vec<Arc<HashMap<String, ReadView<f64>>>>>,
     /// Device placement: `(table, device)` -> resident union columns.
-    /// Seeded on the primary device by the fetch node; stolen kernels
-    /// replicate a table's columns to their own device on first use.
+    /// Seeded on the primary device by the fetch node; the first kernel
+    /// stolen onto another device asks for the columns' versions there.
     #[allow(clippy::type_complexity)]
     dev_cols: Mutex<HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>>,
     /// One slot per `(table, spec)`, indexed `table * nspecs + spec`.
@@ -72,36 +72,32 @@ struct DagState {
 }
 
 impl DagState {
-    /// The union columns of table `ti` resident on device `dw`,
-    /// replicating from the primary copy on first use. The replication
-    /// copies are enqueued on `stream` (the thief's compute stream), so
-    /// the kernel launched right after them is stream-ordered behind the
-    /// data with no blocking synchronize.
-    fn cols_on(
+    /// The union columns of table `ti` on device `dw`: on a thief, the
+    /// fetched columns' versions there, asked for on `stream` (its compute
+    /// stream) so the kernel launched right after is stream-ordered behind
+    /// them. The columns keep those versions, so a later step's steal
+    /// refreshes them, or is granted them if the producer left the
+    /// column alone.
+    fn columns_on(
         &self,
-        node: &Arc<devsim::SimNode>,
+        node: &devsim::SimNode,
         ti: usize,
         dw: usize,
         primary: usize,
-        stream: &Arc<devsim::Stream>,
+        stream: &devsim::Stream,
     ) -> Result<Arc<HashMap<String, CellBuffer>>> {
         let mut cache = self.dev_cols.lock();
         if let Some(cols) = cache.get(&(ti, dw)) {
             return Ok(cols.clone());
         }
-        let src = cache
+        let fetched = cache
             .get(&(ti, primary))
-            .cloned()
             .ok_or_else(|| Error::Analysis(format!("dag kernel: table {ti} was not fetched")))?;
-        let mut out = HashMap::with_capacity(src.len());
-        for (name, buf) in src.iter() {
-            let dst = node.device(dw)?.alloc_cells_on_stream(buf.len(), stream.as_ref())?;
-            stream.copy(buf, &dst).map_err(Error::Device)?;
-            out.insert(name.clone(), dst);
-        }
-        let cols = Arc::new(out);
-        cache.insert((ti, dw), cols.clone());
-        Ok(cols)
+        let cols = fetched
+            .iter()
+            .map(|(name, buf)| Ok((name.clone(), node.replica(buf, Some(dw), stream)?)))
+            .collect::<Result<HashMap<_, _>>>()?;
+        Ok(cache.entry((ti, dw)).or_insert(Arc::new(cols)).clone())
     }
 }
 
@@ -316,7 +312,7 @@ impl AnalysisAdaptor for BinningSuite {
                                     })?
                                     .clone();
                                 let grid = state.grids.lock()[si];
-                                let resident = state.cols_on(&node, ti, dw, primary, &stream)?;
+                                let resident = state.columns_on(&node, ti, dw, primary, &stream)?;
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
                                 let cols: Vec<&CellBuffer> =
                                     names.iter().map(|name| &resident[*name]).collect();

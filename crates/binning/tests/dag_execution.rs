@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use devsim::fault::{site, FaultConfig, FaultRule};
-use devsim::{NodeConfig, SimNode};
+use devsim::{DeviceParams, KernelCost, NodeConfig, SimNode};
 use minimpi::World;
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -19,7 +19,7 @@ use sensei::{
 };
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
-use binning::{BinOp, BinnedResult, BinningSpec, BinningSuite, ResultSink, VarOp};
+use binning::{BinOp, BinnedResult, BinningAnalysis, BinningSpec, BinningSuite, ResultSink, VarOp};
 
 /// Particle table with four columns; each rank owns a deterministic
 /// pseudo-random slice (same fixture as the fused-suite tests).
@@ -51,6 +51,29 @@ impl Particles {
             table.set_column(arr.as_array_ref());
         }
         Particles { table, step: 0 }
+    }
+
+    /// Overwrite `x` in place, where it lives, with its values for `step`;
+    /// complete on return.
+    fn rewrite_x(&self, node: &SimNode, rank: usize, step: u64) {
+        let x = svtk::downcast::<f64>(self.table.column("x").unwrap()).unwrap().data();
+        let seed = 37 + 2 * step as usize;
+        let values: Vec<f64> = (0..x.len())
+            .map(|i| (((i * seed + rank * 7919) % 1000) as f64) / 500.0 - 1.0)
+            .collect();
+        match x.space().device() {
+            None => x.host_f64().unwrap().copy_from_slice(&values),
+            Some(d) => {
+                let stream = node.device(d).unwrap().default_stream();
+                stream
+                    .launch("rewrite_x", KernelCost::ZERO, move |scope| {
+                        x.f64_view(scope)?.copy_from_slice(&values);
+                        Ok(())
+                    })
+                    .unwrap();
+                stream.synchronize().unwrap();
+            }
+        }
     }
 }
 
@@ -312,6 +335,129 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
             });
         }
     }
+}
+
+/// Every published array as `(step, axes/name, bits)`, sorted: one spec's
+/// fused result and its per-operation back-end's compare equal.
+fn bits_of(sink: &ResultSink) -> Vec<(u64, String, Vec<u64>)> {
+    let mut out = Vec::new();
+    for r in sink.lock().iter() {
+        for (name, values) in &r.arrays {
+            let key = format!("{}/{}/{name}", r.axes.0, r.axes.1);
+            out.push((r.step, key, values.iter().map(|v| v.to_bits()).collect()));
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn stolen_kernels_are_granted_their_columns_kept_versions() {
+    const STEPS: u64 = 6;
+    /// The union of the two specs' variables: x, y, z, m.
+    const COLUMNS: u64 = 4;
+    /// One per spec, each with a packed block the arena keeps on the
+    /// device that last ran it.
+    const KERNELS: u64 = 2;
+    let specs = spec_set(KERNELS as usize, 4, false);
+
+    // The oracle: one per-operation back-end per spec, on host data, in
+    // lockstep, with `x` rewritten between steps.
+    let oracle: ResultSink = Arc::default();
+    World::new(1).run(|comm| {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let mut bridge = Bridge::new(node.clone());
+        for spec in specs.clone() {
+            let analysis = BinningAnalysis::new(spec)
+                .with_fused(false)
+                .with_sink(oracle.clone())
+                .with_controls(BackendControls { device: DeviceSpec::Host, ..Default::default() });
+            bridge.add_analysis(Box::new(analysis), &comm).unwrap();
+        }
+        let mut sim = Particles::new(node.clone(), None, comm.rank());
+        for step in 0..STEPS {
+            sim.step = step;
+            bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
+            sim.rewrite_x(&node, comm.rank(), step + 1);
+        }
+        bridge.finalize(&comm).unwrap();
+    });
+
+    // Two devices with modeled time: each kernel holds its device for
+    // 40 ms, so while the home device runs one of a step's two kernels,
+    // the other device's worker steals the other.
+    let sink: ResultSink = Arc::default();
+    let steals = World::new(1).run(|comm| {
+        let node = SimNode::new(NodeConfig {
+            num_devices: 2,
+            device: DeviceParams {
+                launch_overhead: Duration::from_millis(40),
+                ..Default::default()
+            },
+            ..NodeConfig::default()
+        });
+        let mut sim = Particles::new(node.clone(), Some(0), comm.rank());
+        let baseline = node.pool_stats_total().live_bytes;
+        let suite = BinningSuite::new(specs.clone())
+            .unwrap()
+            .with_sink(sink.clone())
+            .with_controls(BackendControls {
+                execution: ExecutionMethod::Dag,
+                device: DeviceSpec::Explicit(0),
+                ..Default::default()
+            });
+        let mut bridge = Bridge::new(node.clone());
+        bridge.set_snapshot_mode(SnapshotMode::Cow);
+        bridge.add_analysis(Box::new(suite), &comm).unwrap();
+        let thief = node.device(1).unwrap();
+        let (mut moved_at, mut granted) = (None, 0);
+        for step in 0..STEPS {
+            let (before, pool) = (node.stats(), thief.pool_stats());
+            sim.step = step;
+            bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
+            // Odd steps rewrite `x` at once, racing the step's reads of
+            // its CoW shares; even ones once the step has published.
+            if step % 2 == 1 {
+                sim.rewrite_x(&node, comm.rank(), step + 1);
+            }
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while sink.lock().len() < 2 * (step as usize + 1) {
+                assert!(Instant::now() < deadline, "step {step} never published");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if step % 2 == 0 {
+                sim.rewrite_x(&node, comm.rank(), step + 1);
+            }
+            let (after, now) = (node.stats(), thief.pool_stats());
+            let copies = after.copies_d2d - before.copies_d2d;
+            let refreshes = after.replica_refreshes - before.replica_refreshes;
+            let grants = after.replica_hits - before.replica_hits + refreshes;
+            let requests = now.hits + now.misses - pool.hits - pool.misses;
+            match moved_at {
+                // The first step a kernel is stolen moves its columns.
+                None if copies > 0 => {
+                    assert_eq!((copies, grants), (COLUMNS, 0), "step {step}: the first steal");
+                    moved_at = Some(step);
+                }
+                None => {}
+                Some(_) => {
+                    assert_eq!(copies, refreshes, "step {step}: a column moved again");
+                    assert!(grants == 0 || grants == COLUMNS, "step {step}: {grants} grants");
+                    // A column never asks the pool; a kernel whose device
+                    // changed since its last step brings its packed block.
+                    assert!(requests <= KERNELS, "step {step}: {requests} pool requests");
+                    granted += grants;
+                }
+            }
+        }
+        assert!(moved_at.is_some(), "no kernel was stolen");
+        assert!(granted > 0, "no later step stole a kernel (first steal at {moved_at:?})");
+        let profiler = bridge.finalize(&comm).unwrap();
+        assert_eq!(node.pool_stats_total().live_bytes, baseline, "pool blocks live after finalize");
+        profiler.scheduler_total().steals
+    });
+    assert!(steals[0] > 0);
+    assert!(bits_of(&sink) == bits_of(&oracle), "a stolen kernel read a column it should not");
 }
 
 proptest! {

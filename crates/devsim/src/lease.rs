@@ -10,10 +10,10 @@
 //! * **shared readers** — read views of the live cells. While one is
 //!   held, a write lease is refused with [`Error::Aliased`];
 //! * **pinned readers** — read views of the live cells through a
-//!   copy-on-write pin that no writer has resolved yet, and copy-engine
-//!   reads through such a pin. A writer does not fail on them: it
-//!   resolves the pin first (the fault copy, which later reads route to)
-//!   and then waits for the ones already reading to let go;
+//!   copy-on-write pin whose version no writer has copied yet, and
+//!   copy-engine reads through such a pin. A writer does not fail on them:
+//!   it makes the fault copy first (which later reads route to) and then
+//!   waits for the ones already reading to let go;
 //! * **writers** — write views, copy destinations and replica fills. They
 //!   share the cells with each other (their stores are atomic), and a
 //!   read lease requested while one is held is refused with
@@ -94,11 +94,11 @@ impl ReadLease {
     }
 
     /// A pinned reader's lease, refused while a writer holds one. The
-    /// caller checks its pin's resolution *after* this returns: a writer
-    /// resolves pins before it takes its lease, so a reader either sees
-    /// the fault copy, or is registered before the writer looks and is
-    /// waited for, or meets a writer that did not resolve its pin — one
-    /// whose lease predates the pin — and is refused.
+    /// caller looks for its version's fault copy *after* this returns: a
+    /// writer makes it before it takes its lease, so a reader either sees
+    /// the copy, or is registered before the writer looks and is waited
+    /// for, or meets a writer that made no copy for it — one whose lease
+    /// predates the pin — and is refused.
     pub(crate) fn pinned(track: &Arc<Track>) -> Result<ReadLease> {
         let _hold = Hold::unless_written(track, PINNED)?;
         // Pairs with the fence in `WriteLease::acquire`: this count is
@@ -133,7 +133,7 @@ pub(crate) struct WriteLease {
 impl WriteLease {
     /// Wait until no pinned reader reads the live cells, then take a
     /// write lease — refused while a shared reader holds one. Call it
-    /// after resolving the allocation's pins.
+    /// after making the allocation's fault copy.
     pub(crate) fn acquire(track: &Arc<Track>) -> Result<WriteLease> {
         // Pairs with the fence in `ReadLease::pinned`.
         fence(Ordering::SeqCst);
@@ -177,13 +177,6 @@ const _: () = {
     assert!(size_of::<u64>() == 8 && align_of::<u64>() <= align_of::<AtomicU64>());
 };
 
-enum Cells {
-    /// The allocation's own cells, under a read lease.
-    Live { cells: Arc<[AtomicU64]>, _lease: ReadLease },
-    /// A copy-on-write fault copy: written once, before it was shared.
-    Frozen(Arc<[u64]>),
-}
-
 /// A read-only view: a lease on the cells that `Deref`s to `&[T]`.
 ///
 /// Obtained from [`crate::CellBuffer::host_f64_ro`] and
@@ -191,10 +184,11 @@ enum Cells {
 /// view of an allocation's live cells lives, a write view, copy or
 /// replica fill into the allocation fails with [`Error::Aliased`] — drop
 /// it before writing — except when the view reads through a copy-on-write
-/// pin, which the writer resolves and then waits for.
+/// pin, for which the writer makes the fault copy and then waits.
 pub struct ReadView<T: Word> {
-    cells: Cells,
+    cells: Arc<[AtomicU64]>,
     len: usize,
+    _lease: ReadLease,
     /// Keeps the allocation out of the pool while the view is alive.
     _guard: Option<Arc<dyn BufferGuard>>,
     _word: PhantomData<T>,
@@ -210,22 +204,7 @@ impl<T: Word> ReadView<T> {
         lease: ReadLease,
     ) -> Self {
         assert!(len <= cells.len(), "logical length exceeds backing allocation");
-        ReadView {
-            cells: Cells::Live { cells, _lease: lease },
-            len,
-            _guard: guard,
-            _word: PhantomData,
-        }
-    }
-
-    /// A view of a fault copy.
-    pub(crate) fn frozen(words: Arc<[u64]>, guard: Option<Arc<dyn BufferGuard>>) -> Self {
-        ReadView {
-            len: words.len(),
-            cells: Cells::Frozen(words),
-            _guard: guard,
-            _word: PhantomData,
-        }
+        ReadView { cells, len, _lease: lease, _guard: guard, _word: PhantomData }
     }
 
     /// Element `i`.
@@ -243,28 +222,23 @@ impl<T: Word> Deref for ReadView<T> {
 
     #[inline]
     fn deref(&self) -> &[T] {
-        let words: *const u64 = match &self.cells {
-            Cells::Live { cells, .. } => cells.as_ptr().cast(),
-            Cells::Frozen(words) => words.as_ptr(),
-        };
-        // SAFETY: `words` points at `self.len` initialised 8-byte cells
+        // SAFETY: the cells are `self.len` initialised 8-byte cells
         // (checked against the backing length at construction), kept
         // alive by the `Arc` this view owns for as long as the returned
         // borrow of `self`. `AtomicU64` has the size and bit validity of
         // `u64` and an alignment of 8, which covers `T` (asserted above
         // for both `Word` types), and every bit pattern is a valid `T`.
-        // Nothing stores to the cells while the slice exists:
-        // * `Frozen` cells are an `Arc<[u64]>` nothing can write;
-        // * `Live` cells are under a `ReadLease`. Every store to an
-        //   allocation's cells — a write view's, a copy destination's, a
-        //   replica fill's — is made while holding a `WriteLease` on it,
-        //   and the pool zeroes a block only once every holder of its
-        //   guard, this view included, has dropped. A `ReadLease` is only
-        //   granted while the word counts no writer, and from then on
-        //   `WriteLease::acquire` refuses a shared reader and waits for a
-        //   pinned one to drop before counting itself — it cannot
-        //   succeed while this lease is held.
-        unsafe { std::slice::from_raw_parts(words.cast::<T>(), self.len) }
+        // Nothing stores to the cells while the slice exists: they are
+        // under a `ReadLease`. Every store to an allocation's cells — a
+        // write view's, a copy destination's, a replica fill's — is made
+        // while holding a `WriteLease` on it (a fault copy is stored
+        // before it is shared, and never again), and the pool zeroes a
+        // block only once every holder of its guard, this view included,
+        // has dropped. A `ReadLease` is only granted while the word counts
+        // no writer, and from then on `WriteLease::acquire` refuses a
+        // shared reader and waits for a pinned one to drop before
+        // counting itself — it cannot succeed while this lease is held.
+        unsafe { std::slice::from_raw_parts(self.cells.as_ptr().cast::<T>(), self.len) }
     }
 }
 

@@ -22,8 +22,8 @@
 //! Moving data between spaces requires a [`crate::Stream`] copy, exactly
 //! like a real accelerator.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -114,34 +114,15 @@ impl PinStats {
     }
 }
 
-/// One copy-on-write read-pin registered on an allocation: readers of
-/// the pinned clone see the allocation's contents as of pin time. Clones
-/// of the pinned buffer hold this `Arc`; the allocation's registry holds
-/// only a `Weak`, so a pin dies (and costs writers nothing) once every
-/// holder has dropped.
-struct PinSlot {
-    /// The allocation's write generation when the pin was taken: the
-    /// generation whose contents reads through the pin observe.
-    pinned_at: u64,
-    /// Cleared by `release_pin` when the holder promises it will not read
-    /// through the pin again (e.g. an analysis that has ingested its own
-    /// copy of the data); a deactivated pin never triggers a fault copy.
-    active: AtomicBool,
-    /// The pin-time contents, materialized by the first post-pin write
-    /// (the CoW fault).
-    resolved: Mutex<Option<Arc<[u64]>>>,
-    stats: Arc<PinStats>,
-}
-
-/// [`Replica::filled`] of a block no fill has landed in yet.
+/// [`Version::generation`] of a replica block no fill has landed in yet.
 const UNFILLED: u64 = u64::MAX;
-/// [`Replica::filled`] of a block that holds no generation's contents but
-/// stands in for a replica that did: it replaced a stale one some view
-/// still reads, or a writer overlapped its last fill. Write generations
-/// count views taken and never reach either sentinel.
+/// [`Version::generation`] of a replica block that holds no generation's
+/// contents but stands in for one that did: it replaced a stale block
+/// some view still reads, or a writer overlapped its last fill. Write
+/// generations count views taken and never reach either sentinel.
 const STALE: u64 = u64::MAX - 1;
 
-/// What a replica fill did when it executed (see [`Replica::fill_from`]).
+/// What a replica fill did when it executed (see [`Version::fill_from`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fill {
     /// The block already held the source's current contents: no copy.
@@ -152,28 +133,92 @@ pub(crate) enum Fill {
     Refresh,
 }
 
-/// A copy of an allocation's contents in another memory space, kept by
-/// the allocation (on its [`Track`]) and tagged with the write generation
-/// it was filled at, so a repeat cross-space access request is granted
-/// from it instead of moving the data again.
-pub(crate) struct Replica {
-    block: CellBuffer,
-    /// Write generation of the source contents `block` holds, or
-    /// [`UNFILLED`] / [`STALE`]. Written by fill commands only.
-    filled: AtomicU64,
-    /// Unsignaled from the moment a fill is enqueued until it has
+/// One copy of an allocation's contents: what it held at write generation
+/// [`Version::generation`], in memory space `space`. Every copy an
+/// allocation has is one of these, in its [`Track`]'s table (DESIGN.md
+/// §18, *Versions*):
+///
+/// * a **pinned version** lives in the allocation's own space. Every CoW
+///   pin taken at one generation holds the same one. While the live cells
+///   still hold that generation it has no cells of its own; the first
+///   write after it makes them if a pin is still active — the fault, one
+///   private copy however many pins share it;
+/// * a **replica** lives in another space: a block filled in stream order
+///   by [`Stream::fill`] and re-tagged with the generation each fill
+///   copied. The table keeps one per space, the newest asked for.
+pub(crate) struct Version {
+    space: MemSpace,
+    /// A pinned version's generation is fixed. A replica's is written by
+    /// its fills only, and reads [`UNFILLED`] / [`STALE`] while its block
+    /// holds no generation's contents.
+    generation: AtomicU64,
+    /// A replica's block from the start; a pinned version's fault copy
+    /// once a write has made it — raw and unpooled, because faults fire on
+    /// stream workers where a pool round trip could self-deadlock.
+    cells: OnceLock<CellBuffer>,
+    /// Unsignaled from the moment a replica fill is enqueued until it has
     /// executed; at most one is in flight, because enqueuing one needs
-    /// the block unheld and the queued command holds it.
-    fill: Event,
+    /// the block unheld and the queued command holds it. A pinned version
+    /// is always ready.
+    ready: Event,
+    /// Pinned versions: the active pins holding it, and the counters its
+    /// fault reports into (those of the pin that opened it).
+    pins: AtomicUsize,
+    stats: Option<Arc<PinStats>>,
 }
 
-impl Replica {
-    fn new(block: CellBuffer, filled: u64) -> Arc<Replica> {
-        Arc::new(Replica { block, filled: AtomicU64::new(filled), fill: Event::new() })
+impl Version {
+    fn replica(block: CellBuffer, generation: u64) -> Arc<Version> {
+        Arc::new(Version {
+            space: block.space,
+            generation: AtomicU64::new(generation),
+            cells: OnceLock::from(block),
+            ready: Event::new(),
+            pins: AtomicUsize::new(0),
+            stats: None,
+        })
     }
 
+    fn pinned(space: MemSpace, generation: u64, stats: &Arc<PinStats>) -> Arc<Version> {
+        let ready = Event::new();
+        ready.signal();
+        Arc::new(Version {
+            space,
+            generation: AtomicU64::new(generation),
+            cells: OnceLock::new(),
+            ready,
+            pins: AtomicUsize::new(0),
+            stats: Some(stats.clone()),
+        })
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// True when the version holds a later generation than `want` — one
+    /// a request for `want` must not turn back.
+    fn newer_than(&self, want: u64) -> bool {
+        let have = self.generation();
+        have < STALE && have > want
+    }
+
+    /// A replica's block.
     pub(crate) fn block(&self) -> &CellBuffer {
-        &self.block
+        self.cells.get().expect("a replica holds its block")
+    }
+
+    /// The fault: copy the pre-write contents `live` into the version's
+    /// own cells, before the writer that calls it stores anything.
+    fn fault(&self, live: &[AtomicU64]) {
+        if let Some(stats) = &self.stats {
+            stats.faults.fetch_add(1, Ordering::Relaxed);
+            stats.bytes.fetch_add(live.len() as u64 * 8, Ordering::Relaxed);
+        }
+        let cells: Arc<[AtomicU64]> =
+            live.iter().map(|c| AtomicU64::new(c.load(Ordering::Relaxed))).collect();
+        let copy = CellBuffer::from_parts(cells, live.len(), self.space, None);
+        assert!(self.cells.set(copy).is_ok(), "one fault per pinned version");
     }
 
     /// The fill itself, run by the stream command in stream order: copy
@@ -182,21 +227,43 @@ impl Replica {
     /// of what was actually copied.
     pub(crate) fn fill_from(&self, src: &CellBuffer) -> Result<Fill> {
         let want = src.read_generation();
-        let had = self.filled.load(Ordering::Acquire);
+        let had = self.generation();
         if had == want {
             return Ok(Fill::Hit);
         }
-        self.block.copy_cells_from(src)?;
+        self.block().copy_cells_from(src)?;
         // A pinned source reads pin-time contents whatever its writers
         // do; a live one that was written meanwhile left a torn copy.
         let tag = if src.read_generation() == want { want } else { STALE };
-        self.filled.store(tag, Ordering::Release);
+        self.generation.store(tag, Ordering::Release);
         Ok(if had == UNFILLED { Fill::Move } else { Fill::Refresh })
     }
 
     /// The enqueued fill has executed (or could not be enqueued).
     pub(crate) fn fill_done(&self) {
-        self.fill.signal();
+        self.ready.signal();
+    }
+}
+
+/// One holder's CoW pin on a pinned [`Version`], shared by the clones of
+/// the buffer [`CellBuffer::cow_pinned`] returned. Counted in the
+/// version's active pins until [`CellBuffer::release_pin`] or its drop.
+struct Pin {
+    version: Arc<Version>,
+    active: AtomicBool,
+}
+
+impl Pin {
+    fn release(&self) {
+        if self.active.swap(false, Ordering::AcqRel) {
+            self.version.pins.fetch_sub(1, Ordering::Release);
+        }
+    }
+}
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        self.release();
     }
 }
 
@@ -211,9 +278,11 @@ impl ReplicaOwner {
     /// right now is left alone.
     pub(crate) fn evict(&self, space: Option<MemSpace>) -> bool {
         let Some(track) = self.0.upgrade() else { return false };
-        let Some(mut table) = track.replicas.try_lock() else { return true };
-        table.retain(|r| !(r.block.unheld() && space.is_none_or(|s| s == r.block.space())));
-        !table.is_empty()
+        let Some(mut table) = track.versions.try_lock() else { return true };
+        table.retain(|v| {
+            !v.cells.get().is_some_and(|b| b.unheld() && space.is_none_or(|s| s == b.space))
+        });
+        holds_replicas(&table)
     }
 
     pub(crate) fn is_alive(&self) -> bool {
@@ -221,23 +290,28 @@ impl ReplicaOwner {
     }
 }
 
+/// True when a version table holds a replica: pinned versions leave it at
+/// their fault, so every version with cells in it is one.
+fn holds_replicas(table: &[Arc<Version>]) -> bool {
+    table.iter().any(|v| v.cells.get().is_some())
+}
+
 /// Per-allocation tracking state shared by every clone of a buffer (it
 /// travels with [`CellBuffer::clone`], surviving re-adoption into new
 /// wrapper objects): a monotonically increasing write generation, the
-/// leases of live views, the registered read-pins, and the allocation's
-/// replicas in other memory spaces (at most one per space).
+/// leases of live views, and the version table.
 pub(crate) struct Track {
     id: u64,
     generation: AtomicU64,
     leases: Leases,
-    pins: Mutex<Vec<Weak<PinSlot>>>,
-    /// Taken by cross-space access requests, `sync_replicas` and
-    /// eviction only — never by an in-place grant or a fill command.
-    replicas: Mutex<Vec<Arc<Replica>>>,
-    /// Serializes [`CellBuffer::begin_write`] per allocation: pin
-    /// resolution (fault copy, reader drain) must look atomic to other
-    /// writers, or a second writer could observe the drained registry
-    /// and mutate cells the first is still copying into the fault holder.
+    /// Every copy of the allocation's contents: the pinned version of the
+    /// current generation, if a pin was taken since the last write, and
+    /// at most one replica per other space. Never held while waiting.
+    versions: Mutex<Vec<Arc<Version>>>,
+    /// Serializes [`CellBuffer::begin_write`] per allocation: the fault
+    /// and the reader drain must look atomic to other writers, or a second
+    /// writer could find the pinned version gone from the table and mutate
+    /// cells the first is still copying into the fault copy.
     write_serial: Mutex<()>,
 }
 
@@ -247,8 +321,7 @@ impl Track {
             id: NEXT_ALLOC_ID.fetch_add(1, Ordering::Relaxed),
             generation: AtomicU64::new(0),
             leases: Leases::default(),
-            pins: Mutex::new(Vec::new()),
-            replicas: Mutex::new(Vec::new()),
+            versions: Mutex::new(Vec::new()),
             write_serial: Mutex::new(()),
         })
     }
@@ -276,12 +349,12 @@ pub struct CellBuffer {
     len: usize,
     space: MemSpace,
     guard: Option<Arc<dyn BufferGuard>>,
-    /// Write-generation / read-pin state, shared by all clones.
+    /// Write generation, leases and versions, shared by all clones.
     track: Arc<Track>,
     /// `Some` on clones produced by [`CellBuffer::cow_pinned`]: reads
-    /// through this clone route to the pin's resolved copy once the live
-    /// cells have been written.
-    pin: Option<Arc<PinSlot>>,
+    /// through this clone read the pinned version — its fault copy once
+    /// the live cells have been written.
+    pin: Option<Arc<Pin>>,
 }
 
 impl CellBuffer {
@@ -355,19 +428,23 @@ impl CellBuffer {
     /// The pin dies with the last clone holding it, or earlier via
     /// [`CellBuffer::release_pin`].
     pub fn cow_pinned(&self, stats: &Arc<PinStats>) -> CellBuffer {
-        // Under the registry lock, where `begin_write` advances the
-        // generation: a writer either sees this pin and preserves the
-        // contents of the generation recorded here, or came first.
-        let mut pins = self.track.pins.lock();
-        let slot = Arc::new(PinSlot {
-            pinned_at: self.generation(),
-            active: AtomicBool::new(true),
-            resolved: Mutex::new(None),
-            stats: stats.clone(),
-        });
-        pins.push(Arc::downgrade(&slot));
-        drop(pins);
-        CellBuffer { pin: Some(slot), ..self.clone() }
+        // Under the table lock, where `begin_write` advances the
+        // generation: a writer either finds this pin's version and
+        // preserves its generation's contents, or came first.
+        let mut table = self.track.versions.lock();
+        let version = match table.iter().find(|v| v.space == self.space) {
+            Some(version) => version.clone(),
+            None => {
+                let version = Version::pinned(self.space, self.generation(), stats);
+                table.push(version.clone());
+                version
+            }
+        };
+        // Relaxed: the table lock orders it before a writer's check.
+        version.pins.fetch_add(1, Ordering::Relaxed);
+        drop(table);
+        let pin = Pin { version, active: AtomicBool::new(true) };
+        CellBuffer { pin: Some(Arc::new(pin)), ..self.clone() }
     }
 
     /// Deactivate this clone's read-pin: the holder promises not to read
@@ -375,48 +452,35 @@ impl CellBuffer {
     /// unpinned buffers.
     pub fn release_pin(&self) {
         if let Some(pin) = &self.pin {
-            pin.active.store(false, Ordering::Release);
+            pin.release();
         }
-    }
-
-    /// True when this clone carries a live (unresolved, active) read-pin —
-    /// i.e. its reads still alias the live cells. Diagnostic.
-    pub fn is_cow_pinned(&self) -> bool {
-        self.pin
-            .as_ref()
-            .is_some_and(|pin| pin.active.load(Ordering::Acquire) && pin.resolved.lock().is_none())
     }
 
     /// A read view of what this clone reads: the live cells under a
-    /// shared read lease; on a pinned clone, the fault copy once a writer
-    /// has resolved the pin, and the live cells under a pinned lease —
+    /// shared read lease; on a pinned clone, its version's fault copy once
+    /// a writer has made it, and the live cells under a pinned lease —
     /// which writers wait for instead of failing — until then.
     fn read_view<T: Word>(&self) -> Result<ReadView<T>> {
-        let guard = self.guard.clone();
         let Some(pin) = &self.pin else {
             let lease = ReadLease::shared(&self.track)?;
-            return Ok(ReadView::live(self.cells.clone(), self.len, guard, lease));
+            return Ok(ReadView::live(self.cells.clone(), self.len, self.guard.clone(), lease));
         };
-        // Register *before* checking resolution (see `ReadLease::pinned`).
-        // A released pin is never resolved; its reads are shared ones.
+        // Register *before* looking for the copy (see `ReadLease::pinned`).
+        // A released pin that no write faulted reads the live cells again,
+        // as a shared reader.
         let pinned = pin.active.load(Ordering::Acquire).then(|| ReadLease::pinned(&self.track));
-        if let Some(words) = pin.resolved.lock().clone() {
-            return Ok(ReadView::frozen(words, guard));
+        if let Some(copy) = pin.version.cells.get() {
+            return copy.read_view();
         }
         let lease = pinned.unwrap_or_else(|| ReadLease::shared(&self.track))?;
-        Ok(ReadView::live(self.cells.clone(), self.len, guard, lease))
+        Ok(ReadView::live(self.cells.clone(), self.len, self.guard.clone(), lease))
     }
 
-    /// The write generation whose contents [`Self::read_view`] yields:
-    /// pin time on a pinned clone, the current one otherwise (a released
-    /// pin that was never resolved reads the live cells again).
+    /// The write generation of the version a request through this clone
+    /// asks for: its pin's, or the live one. (A released pin still names
+    /// its version: its holder promised not to read through it again.)
     fn read_generation(&self) -> u64 {
-        match &self.pin {
-            Some(pin) if pin.active.load(Ordering::Acquire) || pin.resolved.lock().is_some() => {
-                pin.pinned_at
-            }
-            _ => self.generation(),
-        }
+        self.pin.as_ref().map_or_else(|| self.generation(), |pin| pin.version.generation())
     }
 
     /// True when this is the only handle on the allocation: no other
@@ -428,22 +492,25 @@ impl CellBuffer {
         }
     }
 
-    /// The cells of this allocation's replica in `space`, holding — once
-    /// the work this enqueues on `stream` has run — the contents a read
-    /// of this clone observes at the request's place in `stream`'s order.
+    /// The cells of this allocation's version in `space` (another space
+    /// than its own) that a read of this clone observes — once the work
+    /// this enqueues on `stream` has run, at the request's place in
+    /// `stream`'s order. The table's replica in `space` serves it:
     ///
-    /// * A replica nothing else holds is reused: one [`Stream::fill`]
+    /// * a replica nothing else holds is reused: one [`Stream::fill`]
     ///   command compares generations *when it executes* and re-copies
     ///   into the same block only if they differ, so writes queued on
-    ///   `stream` ahead of the request are neither missed nor guessed at.
-    /// * A replica a view (or a fill in flight) still holds cannot be
+    ///   `stream` ahead of the request are neither missed nor guessed at;
+    /// * a replica a view (or a fill in flight) still holds cannot be
     ///   re-copied under its readers, so the choice between sharing it
     ///   and replacing it is needed now: the caller waits for its place
-    ///   on `stream` and for the fill, then compares on this thread.
-    /// * No replica: `alloc` a block, fill it, and keep it.
+    ///   on `stream` and for the fill — without the table, which a writer
+    ///   queued ahead of it needs — then compares on this thread;
+    /// * no replica: `alloc` a block, fill it, and keep it.
     ///
-    /// A pinned clone whose pin was resolved reads the fault copy, not
-    /// the live cells the table describes; it gets a private block.
+    /// The table keeps the newest generation asked for: a pinned clone
+    /// asking for an older one than its replica holds is filled a block
+    /// the table does not keep, and waits for it.
     pub(crate) fn replica(
         &self,
         space: MemSpace,
@@ -452,43 +519,62 @@ impl CellBuffer {
         register: impl FnOnce(ReplicaOwner),
         alloc: impl FnOnce() -> Result<CellBuffer>,
     ) -> Result<CellBuffer> {
-        if self.pin.as_ref().is_some_and(|pin| pin.resolved.lock().is_some()) {
-            let private = Replica::new(alloc()?, UNFILLED);
-            stream.fill(self, &private)?;
-            return Ok(private.block.clone());
+        // Granted in place: the own space's version is the pinned one.
+        if space == self.space {
+            return Ok(self.clone());
         }
-        let mut table = self.track.replicas.lock();
-        let slot = table.iter().position(|r| r.block.space == space);
-        if let Some(kept) = slot.map(|i| &table[i]) {
-            if kept.block.unheld() {
-                kept.fill.reset();
-                if let Err(e) = stream.fill(self, kept) {
-                    kept.fill.signal();
-                    return Err(e);
+        let mut table = self.track.versions.lock();
+        let mut waited: Option<Arc<Version>> = None;
+        loop {
+            let want = self.read_generation();
+            let slot = table.iter().position(|v| v.space == space);
+            let kept = slot.filter(|&i| !table[i].newer_than(want));
+            if let Some(i) = kept {
+                let kept = table[i].clone();
+                if kept.block().unheld() {
+                    kept.ready.reset();
+                    if let Err(e) = stream.fill(self, &kept) {
+                        kept.fill_done();
+                        return Err(e);
+                    }
+                    return Ok(kept.block().clone());
                 }
-                return Ok(kept.block.clone());
-            }
-            stream.reach()?;
-            kept.fill.wait();
-            if kept.filled.load(Ordering::Acquire) == self.read_generation() {
-                NodeStats::bump(&stats.replica_hits);
-                return Ok(kept.block.clone());
-            }
-        }
-        // A block of its own: the first in `space`, or in the place of a
-        // stale one that is still being read.
-        let fresh = Replica::new(alloc()?, if slot.is_some() { STALE } else { UNFILLED });
-        stream.fill(self, &fresh)?;
-        match slot {
-            Some(i) => table[i] = fresh.clone(),
-            None => {
-                if table.is_empty() {
-                    register(ReplicaOwner(Arc::downgrade(&self.track)));
+                if !waited.as_ref().is_some_and(|w| Arc::ptr_eq(w, &kept)) {
+                    drop(table);
+                    stream.reach()?;
+                    kept.ready.wait();
+                    if kept.generation() == self.read_generation() {
+                        NodeStats::bump(&stats.replica_hits);
+                        return Ok(kept.block().clone());
+                    }
+                    // Decide again: the table may have moved on meanwhile.
+                    waited = Some(kept);
+                    table = self.track.versions.lock();
+                    continue;
                 }
-                table.push(fresh.clone());
             }
+            // A block of its own: the first in `space`, in the place of a
+            // stale one that is still being read, or — not kept — an older
+            // version than the table's.
+            let fresh = Version::replica(alloc()?, if kept.is_some() { STALE } else { UNFILLED });
+            stream.fill(self, &fresh)?;
+            match (kept, slot) {
+                (Some(i), _) => table[i] = fresh.clone(),
+                (None, None) => {
+                    if !holds_replicas(&table) {
+                        register(ReplicaOwner(Arc::downgrade(&self.track)));
+                    }
+                    table.push(fresh.clone());
+                }
+                // No `sync_replicas` finds a block the table does not
+                // keep: the request returns once it is filled.
+                (None, Some(_)) => {
+                    drop(table);
+                    fresh.ready.wait();
+                }
+            }
+            return Ok(fresh.block().clone());
         }
-        Ok(fresh.block.clone())
     }
 
     /// Wait until no fill of this allocation's replicas is in flight:
@@ -498,19 +584,20 @@ impl CellBuffer {
         // Collected first: a wait under the table's lock would stall the
         // requests that are not waiting for anything. Allocates only
         // when a fill is in flight.
-        let in_flight: Vec<Arc<Replica>> = {
-            let table = self.track.replicas.lock();
-            table.iter().filter(|r| !r.fill.is_signaled()).cloned().collect()
+        let in_flight: Vec<Arc<Version>> = {
+            let table = self.track.versions.lock();
+            table.iter().filter(|v| !v.ready.is_signaled()).cloned().collect()
         };
-        for replica in in_flight {
-            replica.fill.wait();
+        for version in in_flight {
+            version.ready.wait();
         }
     }
 
-    /// Write-intent entry point: bump the generation, resolve every live
-    /// pin with a lazy pre-write copy (the CoW fault), then take a write
-    /// lease — which waits for pinned readers that were already reading
-    /// the live cells, so nobody mid-read observes the caller's upcoming
+    /// Write-intent entry point: bump the generation, take the pinned
+    /// version of the generation it ends out of the table and, if a pin
+    /// on it is still active, make its fault copy; then take a write lease
+    /// — which waits for pinned readers that were already reading the
+    /// live cells, so nobody mid-read observes the caller's upcoming
     /// writes.
     ///
     /// Fails with [`Error::Aliased`] while a shared read view of the
@@ -518,40 +605,25 @@ impl CellBuffer {
     /// would deadlock. A pinned reader is waited for instead, so a caller
     /// must still not hold one of its own while writing.
     pub(crate) fn begin_write(&self) -> Result<WriteLease> {
-        // One writer resolves pins at a time, and the registry drain is
-        // only decisive while this lock is held: a concurrent writer
-        // must not see the emptied registry and mutate while the first
-        // is still materializing the fault copy (it would tear the
-        // holder the pinned readers are about to be routed to).
+        // One writer faults at a time, and taking the pinned version is
+        // only decisive while this lock is held: a concurrent writer must
+        // not find it gone and mutate while the first is still copying
+        // the cells the pinned readers are about to be routed to.
         let _serial = self.track.write_serial.lock();
-        let pins: Vec<Weak<PinSlot>> = {
-            let mut registry = self.track.pins.lock();
+        let pinned = {
+            let mut table = self.track.versions.lock();
             self.track.generation.fetch_add(1, Ordering::Release);
-            std::mem::take(&mut *registry)
+            let at = table.iter().position(|v| v.space == self.space);
+            at.map(|i| table.swap_remove(i))
         };
-        let mut holder: Option<Arc<[u64]>> = None;
-        for weak in pins {
-            let Some(pin) = weak.upgrade() else { continue };
-            if !pin.active.load(Ordering::Acquire) {
-                continue;
-            }
-            let words = holder.get_or_insert_with(|| {
-                // The fault: materialize the pre-write contents once;
-                // every outstanding pin shares the copy (they all pinned
-                // the same post-last-write state). Allocated raw — never
-                // pooled — because faults fire on stream workers where a
-                // pool round-trip could self-deadlock.
-                pin.stats.faults.fetch_add(1, Ordering::Relaxed);
-                pin.stats.bytes.fetch_add(self.len as u64 * 8, Ordering::Relaxed);
-                self.cells[..self.len].iter().map(|c| c.load(Ordering::Relaxed)).collect()
-            });
-            *pin.resolved.lock() = Some(words.clone());
+        if let Some(version) = pinned.filter(|v| v.pins.load(Ordering::Acquire) > 0) {
+            version.fault(&self.cells[..self.len]);
         }
         WriteLease::acquire(&self.track)
     }
 
     /// Host-side `f64` view with write intent (bumps the generation and
-    /// resolves read-pins). Fails unless the buffer is host-resident.
+    /// faults a pinned version). Fails unless the buffer is host-resident.
     pub fn host_f64(&self) -> Result<HostF64View> {
         self.require_host()?;
         Ok(HostF64View(self.write_view()?))
@@ -642,8 +714,8 @@ impl CellBuffer {
     /// Raw cell copy used by the transfer engine. Not public: user code
     /// must go through stream copies.
     ///
-    /// Write-routed on the destination (generation bump, pin resolution,
-    /// a write lease while it stores) and read-routed on the source (a
+    /// Write-routed on the destination (generation bump, the fault, a
+    /// write lease while it stores) and read-routed on the source (a
     /// pinned source clone copies its pinned contents), so stream copies
     /// participate in CoW tracking. The source is read with atomic loads
     /// and takes no read lease: a copy may read an allocation a write view
@@ -679,28 +751,23 @@ impl CellBuffer {
         count: impl FnOnce(Option<u64>) -> Result<usize>,
     ) -> Result<usize> {
         // Destination first: if src aliases dst (same allocation), the
-        // pin resolves here and the read below routes to the holder.
+        // fault happens here and the read below routes to its copy.
         let _write = self.begin_write()?;
-        // Registered before the resolution check, like a pinned reader.
-        let source = src.pin.as_ref().map(|pin| (SourceHold::register(&src.track), pin));
-        match source.as_ref().and_then(|(_, pin)| pin.resolved.lock().clone()) {
-            Some(words) => {
+        // Registered before looking for the copy, like a pinned reader.
+        let source = src.pin.as_ref().map(|_| SourceHold::register(&src.track));
+        let from = match src.pin.as_ref().and_then(|pin| pin.version.cells.get()) {
+            Some(copy) => {
                 drop(source);
-                let n = count(words.first().copied())?;
-                for (d, &w) in self.cells[..n].iter().zip(&words[..n]) {
-                    d.store(w, Ordering::Relaxed);
-                }
-                Ok(n)
+                copy
             }
-            None => {
-                let live = &src.cells[..src.len];
-                let n = count(live.first().map(|c| c.load(Ordering::Relaxed)))?;
-                for (d, s) in self.cells[..n].iter().zip(&live[..n]) {
-                    d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-                Ok(n)
-            }
+            None => src,
+        };
+        let cells = &from.cells[..from.len];
+        let n = count(cells.first().map(|c| c.load(Ordering::Relaxed)))?;
+        for (d, s) in self.cells[..n].iter().zip(&cells[..n]) {
+            d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+        Ok(n)
     }
 }
 
@@ -1213,7 +1280,10 @@ mod tests {
         b.host_f64().unwrap().copy_from_slice(&[1.0, 2.0, 3.0]);
         let stats = PinStats::new_shared();
         let pinned = b.cow_pinned(&stats);
-        assert!(pinned.is_cow_pinned());
+        assert!(
+            std::ptr::eq(pinned.host_f64_ro().unwrap().as_ptr(), b.host_f64_ro().unwrap().as_ptr()),
+            "an unwritten pin reads the live cells"
+        );
         assert!(b.same_allocation(&pinned), "pin is zero-copy until a write lands");
 
         // Solver writes through the live buffer → fault copies first.
@@ -1253,7 +1323,13 @@ mod tests {
         let stats = PinStats::new_shared();
         let released = b.cow_pinned(&stats);
         released.release_pin();
-        assert!(!released.is_cow_pinned());
+        let read = released.host_f64_ro().unwrap();
+        assert_eq!(
+            b.host_f64().unwrap_err(),
+            Error::Aliased { alloc_id: b.alloc_id() },
+            "a released pin reads the live cells as a shared reader"
+        );
+        drop(read);
         let dropped = b.cow_pinned(&stats);
         drop(dropped);
         b.host_f64().unwrap().fill(7.0);
@@ -1361,10 +1437,10 @@ mod tests {
             assert_eq!(b.clone().host_u64().unwrap_err(), aliased(&b), "clones share the lease");
             stream.copy(&src, &b).unwrap();
             assert_eq!(stream.synchronize().unwrap_err(), aliased(&b));
-            let replica = Replica::new(b.clone(), UNFILLED);
+            let replica = Version::replica(b.clone(), UNFILLED);
             stream.fill(&src, &replica).unwrap();
             assert_eq!(stream.synchronize().unwrap_err(), aliased(&b));
-            assert_eq!(replica.filled.load(Ordering::Acquire), UNFILLED);
+            assert_eq!(replica.generation.load(Ordering::Acquire), UNFILLED);
 
             assert_eq!(*view, [1.0; 4], "nothing was stored under the lease");
             assert!(b.generation() > generation, "a refused writer still counts");

@@ -20,7 +20,7 @@ use crate::device::DeviceCore;
 use crate::error::{Error, Result};
 use crate::event::Event;
 use crate::fault::{self, FaultInjector};
-use crate::memory::{CellBuffer, Fill, KernelScope, MemSpace, Replica};
+use crate::memory::{CellBuffer, Fill, KernelScope, MemSpace, Version};
 use crate::stats::NodeStats;
 use crate::timemodel::{self, KernelCost, LinkParams};
 
@@ -308,13 +308,13 @@ impl Stream {
         }))
     }
 
-    /// Enqueue the fill of `replica` from `src`, the allocation it
-    /// replicates. When the command executes — after everything queued on
-    /// this stream before it — it copies only if the replica does not
-    /// already hold the contents `src` reads then
-    /// ([`Replica::fill_from`]), counts a hit or a refresh (the first move
-    /// counts as neither), and signals the replica's fill event.
-    pub(crate) fn fill(&self, src: &CellBuffer, replica: &Arc<Replica>) -> Result<()> {
+    /// Enqueue the fill of `replica`, a version of `src` in another
+    /// space. When the command executes — after everything queued on this
+    /// stream before it — it copies only if the replica does not already
+    /// hold the contents `src` reads then ([`Version::fill_from`]), counts
+    /// a hit or a refresh (the first move counts as neither), and signals
+    /// the version ready.
+    pub(crate) fn fill(&self, src: &CellBuffer, replica: &Arc<Version>) -> Result<()> {
         // The queued command holds the block, so nothing refills or
         // evicts it before this fill has run.
         let (src, dst) = self.transfer_ends(src, replica.block())?;

@@ -12,12 +12,6 @@ use crate::element::Element;
 use crate::error::{Error, Result};
 use crate::stream::{HamrStream, StreamMode};
 
-struct State {
-    cells: CellBuffer,
-    /// Current residency: `None` = host, `Some(d)` = device `d`.
-    device: Option<usize>,
-}
-
 /// A typed array managed by the heterogeneous memory resource.
 ///
 /// This is the Rust counterpart of the storage inside
@@ -27,7 +21,8 @@ struct State {
 /// synchronous or asynchronous ([`StreamMode`]).
 pub struct HamrBuffer<T: Element> {
     node: Arc<SimNode>,
-    state: RwLock<State>,
+    /// The managed cells; where they live is the buffer's residency.
+    cells: RwLock<CellBuffer>,
     len: usize,
     allocator: Allocator,
     stream: HamrStream,
@@ -53,27 +48,27 @@ impl<T: Element> HamrBuffer<T> {
         if allocator.is_stream_ordered() && stream.is_default() {
             return Err(Error::AsyncNeedsStream { allocator: allocator.name() });
         }
-        let (cells, resident) = match (allocator.is_device(), device) {
+        let cells = match (allocator.is_device(), device) {
             (true, Some(d)) if allocator.is_unified() => {
                 // Universally addressable memory: homed on the device but
                 // directly accessible everywhere.
-                (node.device(d)?.alloc_unified(len)?, Some(d))
+                node.device(d)?.alloc_unified(len)?
             }
             (true, Some(d)) if allocator.is_stream_ordered() => {
                 // cudaMallocAsync-class allocators allocate *on the
                 // stream*: the pool may immediately recycle a block whose
                 // last use was on that same stream.
                 let s = stream.resolve(&node, d)?;
-                (node.device(d)?.alloc_cells_on_stream(len, &s)?, Some(d))
+                node.device(d)?.alloc_cells_on_stream(len, &s)?
             }
-            (true, Some(d)) => (node.device(d)?.alloc_cells(len)?, Some(d)),
+            (true, Some(d)) => node.device(d)?.alloc_cells(len)?,
             (true, None) => {
                 return Err(Error::PlacementMismatch {
                     allocator: allocator.name(),
                     wanted_device: false,
                 })
             }
-            (false, None) => (node.try_host_alloc_f64(len)?, None),
+            (false, None) => node.try_host_alloc_f64(len)?,
             (false, Some(_)) => {
                 return Err(Error::PlacementMismatch {
                     allocator: allocator.name(),
@@ -83,7 +78,7 @@ impl<T: Element> HamrBuffer<T> {
         };
         Ok(HamrBuffer {
             node,
-            state: RwLock::new(State { cells, device: resident }),
+            cells: RwLock::new(cells),
             len,
             allocator,
             stream,
@@ -120,10 +115,10 @@ impl<T: Element> HamrBuffer<T> {
     ) -> Result<Self> {
         let buf = Self::new(node.clone(), data.len(), allocator, device, stream, mode)?;
         {
-            let state = buf.state.read();
-            match state.device {
+            let cells = buf.cells.read();
+            match cells.space().device() {
                 None => {
-                    let v = state.cells.host_u64()?;
+                    let v = cells.host_u64()?;
                     for (i, x) in data.iter().enumerate() {
                         v.set(i, x.to_cell());
                     }
@@ -136,7 +131,7 @@ impl<T: Element> HamrBuffer<T> {
                         v.set(i, x.to_cell());
                     }
                     let stream = buf.stream.resolve(&node, d)?;
-                    stream.copy(&staging, &state.cells)?;
+                    stream.copy(&staging, &cells)?;
                     if buf.mode == StreamMode::Sync {
                         stream.synchronize()?;
                     }
@@ -171,7 +166,7 @@ impl<T: Element> HamrBuffer<T> {
         let len = cells.len();
         Ok(HamrBuffer {
             node,
-            state: RwLock::new(State { cells, device }),
+            cells: RwLock::new(cells),
             len,
             allocator,
             stream,
@@ -202,7 +197,7 @@ impl<T: Element> HamrBuffer<T> {
 
     /// Current residency: `None` = host, `Some(d)` = device `d`.
     pub fn device(&self) -> Option<usize> {
-        self.state.read().device
+        self.cells.read().space().device()
     }
 
     /// The stream ordering this buffer's operations.
@@ -223,7 +218,7 @@ impl<T: Element> HamrBuffer<T> {
     /// Direct access to the managed cells — the `GetData()` fast path used
     /// when the caller knows location and PM (Listing 3, line 24).
     pub fn data(&self) -> CellBuffer {
-        self.state.read().cells.clone()
+        self.cells.read().clone()
     }
 
     /// The write generation of the managed allocation: bumped by every
@@ -232,14 +227,14 @@ impl<T: Element> HamrBuffer<T> {
     /// adoption into new wrappers — re-adopting the same simulation
     /// memory each step observes one continuous generation sequence.
     pub fn write_generation(&self) -> u64 {
-        self.state.read().cells.generation()
+        self.cells.read().generation()
     }
 
     /// Process-unique identity of the managed allocation. Together with
     /// [`write_generation`](Self::write_generation) this lets a consumer
     /// decide "same data I already copied" vs "new or modified data".
     pub fn allocation_id(&self) -> u64 {
-        self.state.read().cells.alloc_id()
+        self.cells.read().alloc_id()
     }
 
     /// A zero-copy copy-on-write share of this buffer, pinned to its
@@ -252,13 +247,9 @@ impl<T: Element> HamrBuffer<T> {
     /// dedicated snapshot copy stream — so consumers fetching through it
     /// never serialize on the owner's compute stream.
     pub fn cow_share(&self, stats: &Arc<PinStats>, stream: HamrStream) -> HamrBuffer<T> {
-        let state = self.state.read();
         HamrBuffer {
             node: self.node.clone(),
-            state: RwLock::new(State {
-                cells: state.cells.cow_pinned(stats),
-                device: state.device,
-            }),
+            cells: RwLock::new(self.cells.read().cow_pinned(stats)),
             len: self.len,
             allocator: self.allocator,
             stream,
@@ -271,7 +262,7 @@ impl<T: Element> HamrBuffer<T> {
     /// promises not to read through it again, so the owner's later writes
     /// skip the lazy fault copy.
     pub fn release_cow(&self) {
-        self.state.read().cells.release_pin();
+        self.cells.read().release_pin();
     }
 
     /// Wait until all in-flight operations on this buffer's stream have
@@ -291,17 +282,17 @@ impl<T: Element> HamrBuffer<T> {
                 }
             }
         }
-        self.state.read().cells.sync_replicas();
+        self.cells.read().sync_replicas();
         Ok(())
     }
 
     /// Fill every element with `value` (host write or device kernel,
     /// ordered on the buffer's stream).
     pub fn fill(&self, value: T) -> Result<()> {
-        let state = self.state.read();
-        match state.device {
+        let cells = self.cells.read();
+        match cells.space().device() {
             None => {
-                let v = state.cells.host_u64()?;
+                let v = cells.host_u64()?;
                 let cell = value.to_cell();
                 for i in 0..v.len() {
                     v.set(i, cell);
@@ -310,7 +301,7 @@ impl<T: Element> HamrBuffer<T> {
             }
             Some(d) => {
                 let stream = self.stream.resolve(&self.node, d)?;
-                let cells = state.cells.clone();
+                let cells = cells.clone();
                 let cell = value.to_cell();
                 stream.launch(
                     "hamr_fill",
@@ -337,16 +328,16 @@ impl<T: Element> HamrBuffer<T> {
     /// the allocation's host replica (see [`Self::replica`]), ordered on
     /// the buffer's stream; synchronize first in async mode.
     pub fn host_accessible(&self) -> Result<AccessView<T>> {
-        let state = self.state.read();
-        let cells = match state.cells.space() {
+        let cells = self.cells.read();
+        let replica = match cells.space() {
             // Host memory and universally addressable memory are granted
             // in place; only plain device memory moves.
             MemSpace::Host | MemSpace::Unified(_) => {
-                return Ok(AccessView::new(state.cells.clone(), true, false))
+                return Ok(AccessView::new(cells.clone(), true, false))
             }
-            MemSpace::Device(d) => self.replica(&state.cells, None, d)?,
+            MemSpace::Device(d) => self.replica(&cells, None, d)?,
         };
-        Ok(AccessView::new(cells, false, false))
+        Ok(AccessView::new(replica, false, false))
     }
 
     /// A view of the data accessible from `pm` code on `device`
@@ -357,16 +348,17 @@ impl<T: Element> HamrBuffer<T> {
     /// flagged [`AccessView::pm_converted`]. Otherwise the view is of the
     /// allocation's replica on `device` (h2d or d2d).
     pub fn device_accessible(&self, device: usize, pm: Pm) -> Result<AccessView<T>> {
-        let state = self.state.read();
+        let cells = self.cells.read();
         let pm_converted = pm != self.allocator.pm();
         // Universally addressable memory is in place on every device.
-        if state.cells.space().device_accessible(device) {
-            return Ok(AccessView::new(state.cells.clone(), true, pm_converted));
+        if cells.space().device_accessible(device) {
+            return Ok(AccessView::new(cells.clone(), true, pm_converted));
         }
         // An inter-device move is ordered on the source device's stream,
         // a host-to-device one on the target's.
-        let cells = self.replica(&state.cells, Some(device), state.device.unwrap_or(device))?;
-        Ok(AccessView::new(cells, false, pm_converted))
+        let on = cells.space().device().unwrap_or(device);
+        let replica = self.replica(&cells, Some(device), on)?;
+        Ok(AccessView::new(replica, false, pm_converted))
     }
 
     /// The one cross-space path behind both access calls: the cells of
@@ -421,13 +413,14 @@ impl<T: Element> HamrBuffer<T> {
     /// (`None` = host). Subsequent direct accesses see the new location;
     /// previously handed-out views keep the old allocation alive.
     pub fn move_to(&self, target: Option<usize>) -> Result<()> {
-        let mut state = self.state.write();
-        if state.device == target {
+        let mut cells = self.cells.write();
+        let resident = cells.space().device();
+        if resident == target {
             return Ok(());
         }
         // Order the move on a stream touching whichever device is involved;
         // both sides on the host means there is nothing to move.
-        let Some(stream_dev) = state.device.or(target) else {
+        let Some(stream_dev) = resident.or(target) else {
             return Ok(());
         };
         let stream = self.stream.resolve(&self.node, stream_dev)?;
@@ -435,10 +428,9 @@ impl<T: Element> HamrBuffer<T> {
             None => self.node.try_host_alloc_f64(self.len)?,
             Some(d) => self.node.device(d)?.alloc_cells_on_stream(self.len, &stream)?,
         };
-        stream.copy(&state.cells, &new_cells)?;
+        stream.copy(&cells, &new_cells)?;
         stream.synchronize()?; // moves are always completed (they swap the canonical storage)
-        state.cells = new_cells;
-        state.device = target;
+        *cells = new_cells;
         Ok(())
     }
 

@@ -172,43 +172,91 @@ enum Op {
         from: Place,
         hold: bool,
         readopt: bool,
+        /// Through the newest CoW pin, if one is held.
+        pinned: bool,
     },
     DropViews,
+    /// Take a CoW share of the array, pinned to its current contents
+    /// (after any queued write, as a snapshot capture drains first).
+    Pin,
+    /// Release the oldest share's pin and drop it, with its views.
+    Unpin,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0usize..8, 0usize..3, proptest::num::f64::ANY).prop_map(|(kind, place, bits)| {
+    (0usize..10, 0usize..3, proptest::num::f64::ANY).prop_map(|(kind, place, bits)| {
         let from = if place == 0 { Place::Host } else { Place::Device(place - 1) };
         let bits = bits.to_bits();
         match kind {
             0 => Op::Write,
             1 => Op::QueuedWrite,
             2 => Op::DropViews,
-            _ => Op::Access { from, hold: bits & 1 == 1, readopt: bits & 2 == 2 },
+            3 => Op::Pin,
+            4 => Op::Unpin,
+            _ => Op::Access {
+                from,
+                hold: bits & 1 == 1,
+                readopt: bits & 2 == 2,
+                pinned: bits & 4 == 4,
+            },
         }
     })
 }
 
-/// The model of one allocation's replica table: per other space, the
-/// write generation its replica was filled at.
+/// What the model says a request was granted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Grant {
+    /// The table's block, already holding the generation asked for.
+    Hit,
+    /// The table's block for the space, moved or refreshed.
+    Kept,
+    /// A block of its own: the table holds a newer generation.
+    Unkept,
+}
+
+/// The model of one allocation's version table: per other space, the
+/// write generation its replica was filled at, and the generations CoW
+/// pins are held at.
 #[derive(Default)]
 struct Model {
     generation: u64,
     replicas: std::collections::HashMap<usize, u64>,
+    pins: Vec<u64>,
     moves: u64,
     refreshes: u64,
     hits: u64,
+    faults: u64,
     /// Copies the test itself makes (set-up upload, device read-backs).
     other_copies: u64,
 }
 
 impl Model {
-    fn request(&mut self, space: usize) {
-        match self.replicas.insert(space, self.generation) {
-            Some(at) if at == self.generation => self.hits += 1,
-            Some(_) => self.refreshes += 1,
-            None => self.moves += 1,
+    fn request(&mut self, space: usize, want: u64) -> Grant {
+        match self.replicas.get(&space).copied() {
+            Some(at) if at == want => {
+                self.hits += 1;
+                Grant::Hit
+            }
+            Some(at) if at > want => {
+                self.moves += 1;
+                Grant::Unkept
+            }
+            at => {
+                if at.is_some() {
+                    self.refreshes += 1;
+                } else {
+                    self.moves += 1;
+                }
+                self.replicas.insert(space, want);
+                Grant::Kept
+            }
         }
+    }
+
+    /// A write: the pins of the generation it ends share one fault.
+    fn write(&mut self) {
+        self.faults += self.pins.contains(&self.generation) as u64;
+        self.generation += 1;
     }
 }
 
@@ -216,11 +264,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Any interleaving of producer writes (executed or still queued on
-    /// the buffer's stream), access requests from every place, views
-    /// held or dropped, and per-request re-adoption: every view reads
-    /// bit for bit the contents at its request's place in stream order —
-    /// also long after, while newer generations are requested — and the
-    /// node copied exactly once per modeled move and refresh.
+    /// the buffer's stream), access requests from every place — live or
+    /// through a CoW pin — views held or dropped, pins taken and released,
+    /// and per-request re-adoption: every view reads bit for bit the
+    /// contents at its request's place in stream order — also long after,
+    /// while newer generations are requested — the node copied exactly
+    /// once per modeled move and refresh, every pinned generation a write
+    /// ended faulted once, and a request for a (space, generation) the
+    /// table holds was granted the one block that holds it.
     #[test]
     fn replicas_follow_the_model_under_any_interleaving(
         len in 1usize..40,
@@ -276,9 +327,21 @@ proptest! {
             out.host_f64_ro().unwrap().to_vec()
         };
 
+        let pin_stats = devsim::PinStats::new_shared();
+        let share_stream = || if on_device {
+            HamrStream::new(stream.clone())
+        } else {
+            HamrStream::default_stream()
+        };
         let mut value = 0.0;
         let mut gate: Option<devsim::Event> = None;
-        let mut held: Vec<(hamr::AccessView<f64>, f64)> = Vec::new();
+        // Views held, with the value they must read and the pin (its
+        // model generation) a view through one was taken from.
+        let mut held: Vec<(hamr::AccessView<f64>, f64, Option<u64>)> = Vec::new();
+        // Live CoW shares, oldest first: the share, its value, its generation.
+        let mut pins: Vec<(HamrBuffer<f64>, f64, u64)> = Vec::new();
+        // The allocation id of the table's block per space.
+        let mut entries = std::collections::HashMap::new();
         for op in ops {
             match op {
                 Op::Write | Op::QueuedWrite => {
@@ -288,15 +351,21 @@ proptest! {
                         gate = Some(g);
                     }
                     value += 1.0;
-                    model.generation += 1;
+                    model.write();
                     write(value);
                     if gate.is_none() {
                         stream.synchronize().unwrap();
                     }
                 }
-                Op::Access { from, hold, readopt } => {
+                Op::Access { from, hold, readopt, pinned } => {
                     let fresh;
-                    let buf = if readopt { fresh = adopt(); &fresh } else { &persistent };
+                    let pin = pins.last().filter(|_| pinned);
+                    let buf = match pin {
+                        Some((share, _, _)) => share,
+                        None if readopt => { fresh = adopt(); &fresh }
+                        None => &persistent,
+                    };
+                    let (expected, want) = pin.map_or((value, model.generation), |p| (p.1, p.2));
                     let request = || match from {
                         Place::Host => buf.host_accessible().unwrap(),
                         Place::Device(d) => buf.cuda_accessible(d).unwrap(),
@@ -321,20 +390,44 @@ proptest! {
                     buf.synchronize().unwrap();
                     prop_assert_eq!(view.is_direct(), from == home);
                     if from != home {
-                        model.request(match from { Place::Host => 0, Place::Device(d) => d + 1 });
+                        let space = match from { Place::Host => 0, Place::Device(d) => d + 1 };
+                        let block = view.cells().alloc_id();
+                        match model.request(space, want) {
+                            Grant::Hit => prop_assert_eq!(entries.get(&space), Some(&block)),
+                            Grant::Kept => drop(entries.insert(space, block)),
+                            Grant::Unkept => prop_assert_ne!(entries.get(&space), Some(&block)),
+                        }
                     }
-                    prop_assert_eq!(read(&view, &mut model), vec![value; len]);
+                    prop_assert_eq!(read(&view, &mut model), vec![expected; len]);
                     if hold {
-                        held.push((view, value));
+                        held.push((view, expected, pin.map(|p| p.2)));
                     }
                 }
                 Op::DropViews => {
-                    for (view, expected) in held.drain(..) {
-                        // An in-place grant reads the live cells.
-                        let expected = if view.is_direct() { value } else { expected };
+                    for (view, expected, pin) in held.drain(..) {
+                        // An in-place grant reads the live cells, or its pin's.
+                        let expected = if view.is_direct() && pin.is_none() { value } else { expected };
                         if gate.is_none() {
                             prop_assert_eq!(read(&view, &mut model), vec![expected; len]);
                         }
+                    }
+                }
+                Op::Pin | Op::Unpin => {
+                    if let Some(g) = gate.take() {
+                        g.signal();
+                        stream.synchronize().unwrap();
+                    }
+                    if matches!(op, Op::Pin) {
+                        let share = persistent.cow_share(&pin_stats, share_stream());
+                        pins.push((share, value, model.generation));
+                        model.pins.push(model.generation);
+                    } else if !pins.is_empty() {
+                        let (share, _, generation) = pins.remove(0);
+                        model.pins.remove(0);
+                        for (view, expected, _) in held.extract_if(.., |h| h.2 == Some(generation)) {
+                            prop_assert_eq!(read(&view, &mut model), vec![expected; len]);
+                        }
+                        share.release_cow();
                     }
                 }
             }
@@ -343,13 +436,14 @@ proptest! {
             g.signal();
         }
         stream.synchronize().unwrap();
-        for (view, expected) in &held {
-            let expected = if view.is_direct() { value } else { *expected };
+        for (view, expected, pin) in &held {
+            let expected = if view.is_direct() && pin.is_none() { value } else { *expected };
             prop_assert_eq!(read(view, &mut model), vec![expected; len]);
         }
         let stats = n.stats();
         prop_assert_eq!(stats.total_copies(), model.moves + model.refreshes + model.other_copies);
         prop_assert_eq!(stats.replica_refreshes, model.refreshes);
         prop_assert_eq!(stats.replica_hits, model.hits);
+        prop_assert_eq!(pin_stats.faults(), model.faults);
     }
 }

@@ -1,10 +1,11 @@
 //! `svtkHAMRDataArray` — the heterogeneous data array.
 
 use std::any::Any;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use devsim::{CellBuffer, SimNode};
-use hamr::{AccessView, Allocator, Element, HamrBuffer, HamrStream, Pm, StreamMode};
+use hamr::{Allocator, Element, HamrBuffer, HamrStream, StreamMode};
 
 use crate::data_array::{ArrayRef, DataArray};
 
@@ -17,6 +18,11 @@ use crate::data_array::{ArrayRef, DataArray};
 /// [`from_slice`](Self::from_slice)) or adopt externally allocated memory
 /// zero-copy with coordinated life-cycle management
 /// ([`adopt`](Self::adopt), Listing 1).
+///
+/// The HDA accessors are its [`HamrBuffer`]'s, reached through `Deref`:
+/// `arr.cuda_accessible(d)` is the paper's `GetCUDAAccessible`, and
+/// `host_accessible`, `device_accessible`, the other PM views, `data`,
+/// `synchronize`, `to_vec` and `write_generation` read the same way.
 pub struct HamrDataArray<T: Element> {
     name: String,
     components: usize,
@@ -114,81 +120,9 @@ impl<T: Element> HamrDataArray<T> {
         Ok(Arc::new(HamrDataArray { name: name.into(), components, buffer: Arc::new(buffer) }))
     }
 
-    /// Wrap an existing HAMR buffer.
-    pub fn from_buffer(
-        name: impl Into<String>,
-        components: usize,
-        buffer: Arc<HamrBuffer<T>>,
-    ) -> Arc<Self> {
-        Arc::new(HamrDataArray { name: name.into(), components, buffer })
-    }
-
     /// The underlying HAMR buffer.
     pub fn buffer(&self) -> &Arc<HamrBuffer<T>> {
         &self.buffer
-    }
-
-    /// The allocator owning the memory.
-    pub fn allocator(&self) -> Allocator {
-        self.buffer.allocator()
-    }
-
-    /// The managing programming model.
-    pub fn pm(&self) -> Pm {
-        self.buffer.pm()
-    }
-
-    /// Direct access to the managed cells (`GetData()`), for callers that
-    /// already know location and PM.
-    pub fn data(&self) -> CellBuffer {
-        self.buffer.data()
-    }
-
-    /// `GetHostAccessible()`: a host view — of the array's host replica
-    /// if the data is device-resident.
-    pub fn host_accessible(&self) -> hamr::Result<AccessView<T>> {
-        self.buffer.host_accessible()
-    }
-
-    /// `GetDeviceAccessible()`: a view on `device` in `pm` — of the
-    /// array's replica there unless the data is already resident.
-    pub fn device_accessible(&self, device: usize, pm: Pm) -> hamr::Result<AccessView<T>> {
-        self.buffer.device_accessible(device, pm)
-    }
-
-    /// `GetCUDAAccessible()` (Listing 3).
-    pub fn cuda_accessible(&self, device: usize) -> hamr::Result<AccessView<T>> {
-        self.buffer.cuda_accessible(device)
-    }
-
-    /// `GetHIPAccessible()`.
-    pub fn hip_accessible(&self, device: usize) -> hamr::Result<AccessView<T>> {
-        self.buffer.hip_accessible(device)
-    }
-
-    /// `GetOpenMPAccessible()`.
-    pub fn openmp_accessible(&self, device: usize) -> hamr::Result<AccessView<T>> {
-        self.buffer.openmp_accessible(device)
-    }
-
-    /// `GetSYCLAccessible()` (the paper's planned SYCL support).
-    pub fn sycl_accessible(&self, device: usize) -> hamr::Result<AccessView<T>> {
-        self.buffer.sycl_accessible(device)
-    }
-
-    /// `GetKokkosAccessible()` (third-party PM support).
-    pub fn kokkos_accessible(&self, device: usize) -> hamr::Result<AccessView<T>> {
-        self.buffer.kokkos_accessible(device)
-    }
-
-    /// Wait for in-flight operations on this array (`Synchronize()`).
-    pub fn synchronize(&self) -> hamr::Result<()> {
-        self.buffer.synchronize()
-    }
-
-    /// Copy the contents to a host `Vec`, synchronizing as needed.
-    pub fn to_vec(&self) -> hamr::Result<Vec<T>> {
-        self.buffer.to_vec()
     }
 
     /// Deep-copy this array into a new allocation with the same placement
@@ -198,7 +132,7 @@ impl<T: Element> HamrDataArray<T> {
     /// The copy is **stream-ordered** on the array's stream: for
     /// device-resident arrays this call enqueues the transfer and returns;
     /// operations submitted later on the same stream see the copied data,
-    /// and out-of-stream consumers must [`synchronize`](Self::synchronize)
+    /// and out-of-stream consumers must [`synchronize`](HamrBuffer::synchronize)
     /// first. Batching many copies behind a single synchronization point
     /// is what keeps the asynchronous execution method's apparent cost
     /// small.
@@ -251,15 +185,17 @@ impl<T: Element> HamrDataArray<T> {
         })
     }
 
-    /// The backing allocation's write generation (see
-    /// [`HamrBuffer::write_generation`]).
-    pub fn write_generation(&self) -> u64 {
-        self.buffer.write_generation()
-    }
-
     /// Type-erase into an [`ArrayRef`].
     pub fn as_array_ref(self: &Arc<Self>) -> ArrayRef {
         self.clone()
+    }
+}
+
+impl<T: Element> Deref for HamrDataArray<T> {
+    type Target = HamrBuffer<T>;
+
+    fn deref(&self) -> &HamrBuffer<T> {
+        &self.buffer
     }
 }
 
@@ -326,6 +262,7 @@ pub fn downcast<T: Element>(array: &ArrayRef) -> Option<&HamrDataArray<T>> {
 mod tests {
     use super::*;
     use devsim::NodeConfig;
+    use hamr::Pm;
 
     fn node() -> Arc<SimNode> {
         SimNode::new(NodeConfig::fast_test(2))
