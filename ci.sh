@@ -14,6 +14,11 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings"
 # the SAFETY argument its read-view casts rest on. The build enforces it.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --no-deps --workspace (warnings denied)"
+# Broken intra-doc links, and public docs linking to private items, fail
+# here rather than rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -37,7 +37,7 @@ use sensei::{
 };
 use svtk::{Allocator, DataObject, FieldAssociation, HamrStream, StreamMode, TableData};
 
-use binning::{BinnedResult, BinningSpec, BinningSuite, ResultSink, VarOp};
+use binning::{BinnedResult, BinningAnalysis, BinningSpec, BinningSuite, ResultSink, VarOp};
 
 use crate::case::bench_node_config;
 use crate::chaos::results_bit_identical;
@@ -134,7 +134,7 @@ type CostFn = Arc<dyn Fn(u64, &BackendControls) -> Duration + Send + Sync>;
 /// it as apparent cost, exactly like a real placement-dependent kernel,
 /// while the binned results stay a pure function of the step.
 struct ModeledSuite {
-    inner: BinningSuite,
+    inner: BinningAnalysis,
     cost: CostFn,
 }
 

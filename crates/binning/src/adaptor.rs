@@ -9,11 +9,12 @@ use hamr::Pm;
 use minimpi::Comm;
 use parking_lot::Mutex;
 use sensei::{
-    AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DataAdaptor,
-    DataRequirements, Error, ExecContext, Result,
+    AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DagScheduler,
+    DataAdaptor, DataRequirements, Error, ExecContext, Result,
 };
 use svtk::FieldAssociation;
 use svtk::{DataObject, HamrDataArray, TableData};
+use xmlcfg::Element;
 
 use crate::arena::StepArena;
 use crate::bounds;
@@ -23,6 +24,8 @@ use crate::grid::GridParams;
 use crate::host_impl;
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
+
+mod dag;
 
 /// One finalized binning result (global across ranks).
 #[derive(Debug, Clone)]
@@ -111,57 +114,8 @@ impl BinnedResult {
 /// `Arc`).
 pub type ResultSink = Arc<Mutex<Vec<BinnedResult>>>;
 
-/// Where a back-end's finished results go, and the one tail of every
-/// step: rank 0 moves them into the sink and keeps the last step's only
-/// when an `output` directory wants them written at finalize. No other
-/// rank has a consumer, so none builds or retains results.
-#[derive(Default)]
-pub(crate) struct Delivery {
-    pub sink: Option<ResultSink>,
-    pub output_dir: Option<PathBuf>,
-    last: Vec<BinnedResult>,
-    executes: u64,
-}
-
-impl Delivery {
-    /// True when this rank consumes the step's results.
-    pub fn wanted(&self, comm: &Comm) -> bool {
-        comm.rank() == 0 && (self.sink.is_some() || self.output_dir.is_some())
-    }
-
-    /// Finish one step, handing over what it built where
-    /// [`Delivery::wanted`].
-    pub fn deliver(&mut self, comm: &Comm, results: Vec<BinnedResult>) {
-        self.executes += 1;
-        if comm.rank() != 0 {
-            return;
-        }
-        match &self.sink {
-            Some(sink) => {
-                if self.output_dir.is_some() {
-                    self.last.clone_from(&results);
-                }
-                sink.lock().extend(results);
-            }
-            None if self.output_dir.is_some() => self.last = results,
-            None => {}
-        }
-    }
-
-    /// Number of finished steps.
-    pub fn executes(&self) -> u64 {
-        self.executes
-    }
-
-    /// At finalize on rank 0, the output directory and the last step's
-    /// results to write there.
-    pub fn output(&self, comm: &Comm) -> Option<(&PathBuf, &[BinnedResult])> {
-        self.output_dir.as_ref().filter(|_| comm.rank() == 0).map(|dir| (dir, &self.last[..]))
-    }
-}
-
 /// A communicator's collective totals when a binning step starts.
-pub(crate) struct CommMark {
+struct CommMark {
     allreduces: u64,
     tiers: minimpi::TierSnapshot,
 }
@@ -180,7 +134,8 @@ impl CommMark {
     }
 }
 
-/// The data-binning analysis back-end (§4.2).
+/// The data-binning analysis back-end (§4.2) over a list of specs that
+/// consume one mesh.
 ///
 /// "We provide a CPU implementation that runs on the host as well as a
 /// CUDA implementation that runs on an assigned device. Both
@@ -188,28 +143,72 @@ impl CommMark {
 /// execution method come from the embedded [`BackendControls`]; data
 /// access and movement go through the HDA access API, so data already
 /// resident where the analysis runs is used zero-copy.
+///
+/// [`BinningAnalysis::new`] builds the XML type `data_binning`, one spec;
+/// [`BinningSuite::new`] builds `binning_suite`, N of them — §4.3's
+/// instances of the one back-end, computed by one fused step that shares
+/// each step's fetch, bounds pass and grid allreduce across every spec,
+/// run inline or planned as a task graph under `dag`.
 pub struct BinningAnalysis {
     controls: BackendControls,
-    spec: BinningSpec,
-    /// `true` (default): the fused step ([`FusedStep`]) over this one
-    /// spec. `false`: the per-op reference path (one
-    /// pass/kernel/download/allreduce per operation), kept for A/B
-    /// comparison and as the correctness reference.
+    /// Non-empty, every spec on one mesh.
+    specs: Vec<BinningSpec>,
+    /// Built by [`BinningSuite::new`]: named `binning_suite`, and spec
+    /// `i`'s result is written under `dir/spec<i>`.
+    suite: bool,
+    /// `true` (default): the fused step over every spec. `false`: the
+    /// per-op reference path (one pass/kernel/download/allreduce per
+    /// operation per spec), kept for A/B comparison and as the
+    /// correctness reference.
     fused: bool,
-    delivery: Delivery,
+    sink: Option<ResultSink>,
+    output_dir: Option<PathBuf>,
+    /// Rank 0 with an `output` directory: the last step's results, written
+    /// at finalize.
+    last: Vec<BinnedResult>,
+    executes: u64,
     counters: Arc<AnalysisCounters>,
     /// The fused step's resident memory (unused by the per-op path).
     arena: StepArena,
 }
 
+/// The XML type `binning_suite`: a [`BinningAnalysis`] over many specs.
+/// Only a constructor; there is no value of this type.
+pub enum BinningSuite {}
+
+impl BinningSuite {
+    /// A back-end over `specs`, which must all consume the same mesh.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(specs: Vec<BinningSpec>) -> Result<BinningAnalysis> {
+        let Some(first) = specs.first() else {
+            return Err(Error::Config("binning suite needs at least one spec".into()));
+        };
+        if let Some(other) = specs.iter().find(|s| s.mesh != first.mesh) {
+            return Err(Error::Config(format!(
+                "binning suite specs must share one mesh: '{}' vs '{}'",
+                first.mesh, other.mesh
+            )));
+        }
+        Ok(BinningAnalysis::over(specs, true))
+    }
+}
+
 impl BinningAnalysis {
     /// A back-end computing `spec`.
     pub fn new(spec: BinningSpec) -> Self {
+        BinningAnalysis::over(vec![spec], false)
+    }
+
+    fn over(specs: Vec<BinningSpec>, suite: bool) -> Self {
         BinningAnalysis {
             controls: BackendControls::default(),
-            spec,
+            specs,
+            suite,
             fused: true,
-            delivery: Delivery::default(),
+            sink: None,
+            output_dir: None,
+            last: Vec::new(),
+            executes: 0,
             counters: AnalysisCounters::new(),
             arena: StepArena::default(),
         }
@@ -222,15 +221,17 @@ impl BinningAnalysis {
         self
     }
 
-    /// Send every step's result to `sink`.
+    /// Send every step's results (one per spec, in spec order) to `sink`.
     pub fn with_sink(mut self, sink: ResultSink) -> Self {
-        self.delivery.sink = Some(sink);
+        self.sink = Some(sink);
         self
     }
 
-    /// Write the final result to `dir` (PGM + CSV) at finalize, rank 0 only.
+    /// Write the final results (PGM + CSV) at finalize, rank 0 only: into
+    /// `dir` for `data_binning`, spec `i`'s into `dir/spec<i>` for
+    /// `binning_suite`.
     pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.delivery.output_dir = Some(dir.into());
+        self.output_dir = Some(dir.into());
         self
     }
 
@@ -242,19 +243,47 @@ impl BinningAnalysis {
 
     /// Number of completed executes (diagnostic).
     pub fn executes(&self) -> u64 {
-        self.delivery.executes()
+        self.executes
     }
 
-    /// The per-op reference step: every stage runs once per operation
-    /// (or per axis), nothing is packed.
+    /// The fused step over this back-end's specs.
+    fn step(&self) -> FusedStep<'_> {
+        FusedStep { specs: &self.specs, counters: &self.counters }
+    }
+
+    /// True when this rank consumes the step's results: only rank 0 has a
+    /// consumer, so no other rank builds or retains results.
+    fn publishes(&self, comm: &Comm) -> bool {
+        comm.rank() == 0 && (self.sink.is_some() || self.output_dir.is_some())
+    }
+
+    /// The one tail of every step: rank 0 keeps its results when an
+    /// `output` directory wants the last step's written at finalize, and
+    /// moves them into the sink.
+    fn deliver(&mut self, comm: &Comm, results: Vec<BinnedResult>) {
+        self.executes += 1;
+        if comm.rank() != 0 {
+            return;
+        }
+        if self.output_dir.is_some() {
+            self.last.clone_from(&results);
+        }
+        if let Some(sink) = &self.sink {
+            sink.lock().extend(results);
+        }
+    }
+
+    /// The per-op reference step: one fetch of every spec's variables,
+    /// then each spec's stages once per operation (or per axis), nothing
+    /// packed — spec for spec what a one-spec per-op back-end computes.
     fn per_op_step(
         &self,
         data: &dyn DataAdaptor,
         ctx: &ExecContext<'_>,
         device: Option<usize>,
-    ) -> Result<BinnedResult> {
-        let tables = local_tables(&data.mesh(&self.spec.mesh)?)?;
-        let vars = self.spec.required_variables();
+    ) -> Result<Vec<BinnedResult>> {
+        let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
+        let vars = self.step().union_variables();
         // The reference path reads plain vectors: every host column is
         // copied out of its view, and nothing aliases the adaptor's
         // allocations once it has been.
@@ -266,48 +295,48 @@ impl BinningAnalysis {
         if device.is_none() {
             data.release_shared();
         }
-        let (bx, by) = self.per_op_bounds(&fetched, device, ctx)?;
-        let grid = self.spec.grid(bx, by);
+        let mut results = Vec::with_capacity(self.specs.len());
+        for spec in &self.specs {
+            let (bx, by) = self.per_op_bounds(spec, &fetched, device, ctx)?;
+            let grid = spec.grid(bx, by);
 
-        // Counts first (averages finalize with them), then one allreduce
-        // per requested operation.
-        let mut local = self.per_op_bin(&fetched, grid, device, ctx)?.into_iter();
-        let (_, count_local) = local.next().expect("counts are always computed");
-        let counts = reduce::allreduce_grid(ctx.comm, BinOp::Count, count_local);
-        let mut arrays = Vec::with_capacity(self.spec.ops.len());
-        for (vo, local_grid) in local {
-            let values = if vo.op == BinOp::Count {
-                counts.clone()
-            } else {
-                let mut global = reduce::allreduce_grid(ctx.comm, vo.op, local_grid);
-                host_impl::finalize(vo.op, &mut global, &counts);
-                global
-            };
-            arrays.push((vo.output_name(), values));
+            // Counts first (averages finalize with them), then one
+            // allreduce per requested operation.
+            let mut local = self.per_op_bin(spec, &fetched, grid, device, ctx)?.into_iter();
+            let (_, count_local) = local.next().expect("counts are always computed");
+            let counts = reduce::allreduce_grid(ctx.comm, BinOp::Count, count_local);
+            let mut arrays = Vec::with_capacity(spec.ops.len());
+            for (vo, local_grid) in local {
+                let values = if vo.op == BinOp::Count {
+                    counts.clone()
+                } else {
+                    let mut global = reduce::allreduce_grid(ctx.comm, vo.op, local_grid);
+                    host_impl::finalize(vo.op, &mut global, &counts);
+                    global
+                };
+                arrays.push((vo.output_name(), values));
+            }
+            let (step, time, axes) = (data.time_step(), data.time(), spec.axes.clone());
+            results.push(BinnedResult { step, time, axes, grid, arrays });
         }
-        Ok(BinnedResult {
-            step: data.time_step(),
-            time: data.time(),
-            axes: self.spec.axes.clone(),
-            grid,
-            arrays,
-        })
+        Ok(results)
     }
 
     /// Per-op reference bounds: manual, or one min/max pass per axis
     /// where the data is and one allreduce per axis.
     fn per_op_bounds(
         &self,
+        spec: &BinningSpec,
         fetched: &[Fetched<Vec<f64>>],
         device: Option<usize>,
         ctx: &ExecContext<'_>,
     ) -> Result<([f64; 2], [f64; 2])> {
-        if let Some(b) = self.spec.bounds {
+        if let Some(b) = spec.bounds {
             return Ok(b);
         }
         let mut ranges = [[f64::INFINITY, f64::NEG_INFINITY]; 2];
         for f in fetched {
-            for (range, name) in ranges.iter_mut().zip([&self.spec.axes.0, &self.spec.axes.1]) {
+            for (range, name) in ranges.iter_mut().zip([&spec.axes.0, &spec.axes.1]) {
                 let (lo, hi) = match f {
                     Fetched::Host(cols) => {
                         let vals = cols[name.as_str()].as_slice();
@@ -350,19 +379,20 @@ impl BinningAnalysis {
     /// synchronization.
     fn per_op_bin(
         &self,
+        spec: &BinningSpec,
         fetched: &[Fetched<Vec<f64>>],
         grid: GridParams,
         device: Option<usize>,
         ctx: &ExecContext<'_>,
     ) -> Result<Vec<(VarOp, Vec<f64>)>> {
-        let mut results: Vec<(VarOp, Vec<f64>)> = spec_ops(&self.spec)
+        let mut results: Vec<(VarOp, Vec<f64>)> = spec_ops(spec)
             .into_iter()
             .map(|vo| {
                 let bins = vec![host_impl::identity(vo.op); grid.num_bins()];
                 (vo, bins)
             })
             .collect();
-        let (x, y) = (self.spec.axes.0.as_str(), self.spec.axes.1.as_str());
+        let (x, y) = (spec.axes.0.as_str(), spec.axes.1.as_str());
 
         // (op index, host buffer) downloads staged across all device
         // blocks; synchronized once before merging.
@@ -476,7 +506,7 @@ pub(crate) fn local_tables(obj: &DataObject) -> Result<Vec<TableData>> {
     }
 }
 
-pub(crate) fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDataArray<f64>> {
+fn column<'t>(table: &'t TableData, name: &str) -> Result<&'t HamrDataArray<f64>> {
     let col = table
         .column(name)
         .ok_or_else(|| Error::NoSuchArray { mesh: "table".into(), array: name.to_string() })?;
@@ -552,7 +582,11 @@ pub(crate) fn fetch_tables(
 
 impl AnalysisAdaptor for BinningAnalysis {
     fn name(&self) -> &str {
-        "data_binning"
+        if self.suite {
+            "binning_suite"
+        } else {
+            "data_binning"
+        }
     }
 
     fn controls(&self) -> &BackendControls {
@@ -567,9 +601,9 @@ impl AnalysisAdaptor for BinningAnalysis {
         // Binning reads exactly the axis and operand columns of its mesh,
         // so an asynchronous snapshot need not copy anything else.
         DataRequirements::none().with_arrays(
-            &self.spec.mesh,
+            &self.specs[0].mesh,
             FieldAssociation::Point,
-            self.spec.required_variables(),
+            self.step().union_variables(),
         )
     }
 
@@ -577,21 +611,37 @@ impl AnalysisAdaptor for BinningAnalysis {
         let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         let results = if self.fused {
-            let step =
-                FusedStep { specs: std::slice::from_ref(&self.spec), counters: &self.counters };
-            step.run(data, ctx, device, &self.arena, self.delivery.wanted(ctx.comm))?
+            self.step().run(data, ctx, device, &self.arena, self.publishes(ctx.comm))?
         } else {
-            vec![self.per_op_step(data, ctx, device)?]
+            self.per_op_step(data, ctx, device)?
         };
         comm_mark.charge(ctx.comm, &self.counters);
-        self.delivery.deliver(ctx.comm, results);
+        self.deliver(ctx.comm, results);
         Ok(true)
+    }
+
+    /// The fused step plans task graphs; the per-op reference does not.
+    fn supports_dag(&self) -> bool {
+        self.fused
+    }
+
+    fn execute_dag(
+        &mut self,
+        data: &dyn DataAdaptor,
+        ctx: &ExecContext<'_>,
+        sched: &mut DagScheduler,
+    ) -> Result<bool> {
+        self.run_graph(data, ctx, sched)
     }
 
     fn finalize(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
         self.arena.release();
-        if let Some((dir, [result])) = self.delivery.output(ctx.comm) {
-            crate::io::write_result(dir, result)
+        let Some(dir) = self.output_dir.as_ref().filter(|_| ctx.comm.rank() == 0) else {
+            return Ok(());
+        };
+        for (i, result) in self.last.iter().enumerate() {
+            let dir = if self.suite { dir.join(format!("spec{i}")) } else { dir.clone() };
+            crate::io::write_result(&dir, result)
                 .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
         }
         Ok(())
@@ -603,25 +653,34 @@ impl AnalysisAdaptor for BinningAnalysis {
 }
 
 /// Register the `data_binning` back-end type with a registry, so XML
-/// configurations can instantiate it.
+/// configurations can instantiate it: one spec, the element's own content.
 pub fn register(registry: &mut AnalysisRegistry) {
-    registry.register("data_binning", |el, _ctx| {
-        let spec = BinningSpec::from_element(el)?;
-        let mut analysis = BinningAnalysis::new(spec);
-        if let Some(dir) = el.attr("output") {
-            analysis = analysis.with_output_dir(dir);
-        }
-        if let Some(fused) = el.attr("fused") {
-            analysis = analysis.with_fused(match fused {
-                "on" | "true" | "1" => true,
-                "off" | "false" | "0" => false,
-                other => {
-                    return Err(Error::Config(format!(
-                        "data_binning fused attribute must be on/off, got '{other}'"
-                    )))
-                }
-            });
-        }
-        Ok(Box::new(analysis))
-    });
+    registry.register("data_binning", |el, _ctx| from_element(el, false));
+}
+
+/// Register the `binning_suite` back-end type: one `<analysis>` element
+/// holding one `<instance>` child per spec, each with the same content as
+/// a `data_binning` element.
+pub fn register_suite(registry: &mut AnalysisRegistry) {
+    registry.register("binning_suite", |el, _ctx| from_element(el, true));
+}
+
+/// The one factory behind both XML types.
+fn from_element(el: &Element, suite: bool) -> Result<Box<dyn AnalysisAdaptor>> {
+    let mut analysis = if suite {
+        let specs =
+            el.find_all("instance").map(BinningSpec::from_element).collect::<Result<_>>()?;
+        BinningSuite::new(specs)?
+    } else {
+        BinningAnalysis::new(BinningSpec::from_element(el)?)
+    };
+    if el.attr("fused").is_some() {
+        return Err(Error::Config(format!(
+            "fused on analysis '{}' was removed: XML-configured binning always runs the fused \
+             step (delete the attribute)",
+            analysis.name()
+        )));
+    }
+    analysis.output_dir = el.attr("output").map(PathBuf::from);
+    Ok(Box::new(analysis))
 }

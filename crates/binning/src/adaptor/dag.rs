@@ -1,36 +1,31 @@
-//! A suite of binning specs sharing one fetch per step.
+//! The fused step as a task graph, for the `dag` execution method.
 //!
-//! The paper's asynchronous workload runs many binning instances over the
-//! same particle table (nine coordinate systems, ten operations each).
-//! Run as independent [`crate::BinningAnalysis`] back-ends, every
-//! instance fetches its columns, computes its bounds, and reduces its
-//! grids on its own — nine fetches, nine bounds collectives, and nine
-//! grid allreduces per step.
-//!
-//! [`BinningSuite`] executes the same specs as one back-end: one fused
-//! step ([`crate::fused`]) over all of them — one shared fetch, one fused
-//! bounds pass and collective, one packed grid allreduce — run inline, or
-//! planned as a task graph under the `dag` execution method.
+//! One coordinator `Fetch` node (data movement, fused bounds, the bounds
+//! collective), one `Kernel` node per `(table, spec)` — stealable across
+//! device workers — and, on a device, one `Download` node per kernel on
+//! the copy stream of the device that ran it, ordered by events; then one
+//! coordinator `Reduce` node merging every partial in the inline step's
+//! exact order before the single packed allreduce, and one `Publish` node.
+//! Results are bit-identical to [`BinningAnalysis::execute`]: the merge
+//! order is fixed table-major and the same kernels run whatever worker
+//! executes them.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use devsim::{CellBuffer, Event, ReadView};
 use parking_lot::Mutex;
 use sensei::{
-    AnalysisAdaptor, AnalysisCounters, AnalysisRegistry, BackendControls, DagOutcome, DagScheduler,
-    DataAdaptor, DataRequirements, Error, ExecContext, Result, TaskGraph, TaskKind, TaskSite,
+    AnalysisAdaptor, DagOutcome, DagScheduler, DataAdaptor, Error, ExecContext, Result, TaskGraph,
+    TaskKind, TaskSite,
 };
-use svtk::FieldAssociation;
 
-use crate::adaptor::{local_tables, BinnedResult, CommMark, Delivery, Fetched, ResultSink};
-use crate::arena::{Slot, StepArena};
+use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched};
+use crate::arena::Slot;
 use crate::device_impl;
-use crate::fused::{host_pass, plan_pass, spec_ops, FusedStep, StepLayout};
+use crate::fused::{host_pass, plan_pass, spec_ops, StepLayout};
 use crate::grid::GridParams;
 use crate::host_impl::{self, KernelScratch};
-use crate::spec::BinningSpec;
 
 /// Where one (table, spec) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
@@ -108,118 +103,9 @@ fn download_cost(rows: usize, ops: usize, bins: usize) -> f64 {
     (device_impl::spec_cells_bound(rows, ops, bins) * 8) as f64
 }
 
-/// Many binning specs over one mesh, executed as a single fused back-end.
-pub struct BinningSuite {
-    controls: BackendControls,
-    specs: Vec<BinningSpec>,
-    delivery: Delivery,
-    counters: Arc<AnalysisCounters>,
-    /// The step's resident memory and device stream pool.
-    arena: StepArena,
-}
-
-impl BinningSuite {
-    /// A suite over `specs`, which must all consume the same mesh.
-    pub fn new(specs: Vec<BinningSpec>) -> Result<Self> {
-        let mesh = match specs.first() {
-            None => return Err(Error::Config("binning suite needs at least one spec".into())),
-            Some(s) => &s.mesh,
-        };
-        if let Some(other) = specs.iter().find(|s| s.mesh != *mesh) {
-            return Err(Error::Config(format!(
-                "binning suite specs must share one mesh: '{}' vs '{}'",
-                mesh, other.mesh
-            )));
-        }
-        Ok(BinningSuite {
-            controls: BackendControls::default(),
-            specs,
-            delivery: Delivery::default(),
-            counters: AnalysisCounters::new(),
-            arena: StepArena::default(),
-        })
-    }
-
-    /// Send every step's results (one per spec, in spec order) to `sink`.
-    pub fn with_sink(mut self, sink: ResultSink) -> Self {
-        self.delivery.sink = Some(sink);
-        self
-    }
-
-    /// Write each spec's final result to `dir/spec<i>` at finalize,
-    /// rank 0 only.
-    pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.delivery.output_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the execution-model controls at construction time.
-    pub fn with_controls(mut self, controls: BackendControls) -> Self {
-        self.controls = controls;
-        self
-    }
-
-    /// Number of completed executes (diagnostic).
-    pub fn executes(&self) -> u64 {
-        self.delivery.executes()
-    }
-
-    /// The specs the suite computes.
-    pub fn specs(&self) -> &[BinningSpec] {
-        &self.specs
-    }
-
-    /// The fused step over this suite's specs.
-    fn step(&self) -> FusedStep<'_> {
-        FusedStep { specs: &self.specs, counters: &self.counters }
-    }
-}
-
-impl AnalysisAdaptor for BinningSuite {
-    fn name(&self) -> &str {
-        "binning_suite"
-    }
-
-    fn controls(&self) -> &BackendControls {
-        &self.controls
-    }
-
-    fn controls_mut(&mut self) -> &mut BackendControls {
-        &mut self.controls
-    }
-
-    fn required_arrays(&self) -> DataRequirements {
-        DataRequirements::none().with_arrays(
-            &self.specs[0].mesh,
-            FieldAssociation::Point,
-            self.step().union_variables(),
-        )
-    }
-
-    fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
-        let comm_mark = CommMark::new(ctx.comm);
-        let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-        let publish = self.delivery.wanted(ctx.comm);
-        let results = self.step().run(data, ctx, device, &self.arena, publish)?;
-        comm_mark.charge(ctx.comm, &self.counters);
-        self.delivery.deliver(ctx.comm, results);
-        Ok(true)
-    }
-
-    fn supports_dag(&self) -> bool {
-        true
-    }
-
-    /// The step as a task graph: one coordinator `Fetch` node (data
-    /// movement, fused bounds, the bounds collective), one `Kernel` and
-    /// one `Download` node per `(table, spec)` — stealable across device
-    /// workers, with downloads on per-device copy streams ordered by
-    /// events — one coordinator `Reduce` node merging every partial in
-    /// the inline engine's exact order before the single packed
-    /// allreduce, and one `Publish` node. Results are bit-identical to
-    /// [`BinningSuite::execute`]: the merge order is fixed table-major
-    /// and the same kernels run whatever worker executes them.
-    fn execute_dag(
+impl BinningAnalysis {
+    /// The step as a task graph handed to `sched` (see the module docs).
+    pub(super) fn run_graph(
         &mut self,
         data: &dyn DataAdaptor,
         ctx: &ExecContext<'_>,
@@ -229,7 +115,6 @@ impl AnalysisAdaptor for BinningSuite {
         let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         self.arena.place(device);
-        let policy = self.controls.recovery;
         let nspecs = self.specs.len();
         let ntables = tables.len();
         let row_counts: Vec<usize> = tables.iter().map(|t| t.num_rows()).collect();
@@ -245,10 +130,10 @@ impl AnalysisAdaptor for BinningSuite {
         let this = &*self;
         let step = this.step();
         let arena = &this.arena;
-        let publish = this.delivery.wanted(ctx.comm);
+        let publish = this.publishes(ctx.comm);
         let node = ctx.node.clone();
 
-        let mut g = TaskGraph::new(this.name(), this.counters.clone(), policy);
+        let mut g = TaskGraph::new(this.name(), this.counters.clone(), this.controls.recovery);
 
         // Fetch: the union of every spec's variables, once per table, plus
         // the fused bounds pass and its packed collective — coordinator
@@ -277,27 +162,28 @@ impl AnalysisAdaptor for BinningSuite {
             })
         };
 
-        // One kernel + download pair per (table, spec). Kernel tasks are
-        // homed on the resolved device but stealable by any idle device
-        // worker; the download node enqueues the packed D2H copy on the
-        // copy stream of whichever device actually ran the kernel.
-        let mut download_events = Vec::with_capacity(ntables * nspecs);
-        let mut downloads = Vec::with_capacity(ntables * nspecs);
+        // One kernel per (table, spec), and on a device its download. Kernel
+        // tasks are homed on the resolved device but stealable by any idle
+        // device worker; the download node enqueues the packed D2H copy on
+        // the copy stream of whichever device actually ran the kernel. A
+        // host kernel's partial is in place when it returns: the reduce
+        // node depends on the kernel itself.
+        let mut download_events = Vec::new();
+        let mut partials = Vec::with_capacity(ntables * nspecs);
         for (ti, &rows) in row_counts.iter().enumerate() {
             for (si, spec) in this.specs.iter().enumerate() {
                 let idx = ti * nspecs + si;
                 let all_ops = spec_ops(spec);
                 let nbins = spec.resolution.0 * spec.resolution.1;
                 let kc = device_impl::fused_bin_cost(rows, all_ops.len());
-                let dl_event = Event::new();
+                let label = format!("t{ti}s{si}");
 
                 let kernel = {
                     let state = state.clone();
                     let node = node.clone();
-                    let counters = this.counters.clone();
                     let axes = spec.axes.clone();
                     let ops = all_ops.clone();
-                    let label = format!("t{ti}s{si}");
+                    let label = label.clone();
                     match device {
                         Some(primary) => {
                             let site = TaskSite::AnyDevice;
@@ -325,7 +211,7 @@ impl AnalysisAdaptor for BinningSuite {
                                     &slot.packed,
                                     arena.scratches(),
                                 )?;
-                                counters.add_kernel_launches(1);
+                                step.counters.add_kernel_launches(1);
                                 let ready = Event::new();
                                 stream.record(&ready).map_err(Error::Device)?;
                                 let Slot { packed, host } = slot;
@@ -340,7 +226,7 @@ impl AnalysisAdaptor for BinningSuite {
                             g.add_worker_task(TaskKind::Kernel, label, TaskSite::Host, move |_| {
                                 let grid = state.grids.lock()[si];
                                 let cols = state.host_tables.lock()[ti].clone();
-                                counters.add_table_passes(1);
+                                step.counters.add_table_passes(1);
                                 let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
                                 let mut scratch = arena.scratches().take();
                                 host_pass(&node, &cols, &names, &pass, |cols| {
@@ -355,77 +241,57 @@ impl AnalysisAdaptor for BinningSuite {
                 g.set_cost(kernel, kc.flops + kc.bytes);
                 g.add_dep(kernel, fetch);
 
-                let download = match device {
-                    Some(primary) => {
-                        let state = state.clone();
-                        let counters = this.counters.clone();
-                        let ev = dl_event.clone();
-                        let d = g.add_worker_task(
-                            TaskKind::Download,
-                            format!("t{ti}s{si}"),
-                            TaskSite::AnyDevice,
-                            move |tctx| {
-                                let part = match state.staged[idx].lock().as_ref() {
-                                    Some(StagedPart::Device { device, packed, host, ready }) => {
-                                        Some((*device, packed.clone(), host.clone(), ready.clone()))
-                                    }
-                                    // A retried submission already landed.
-                                    Some(StagedPart::Downloaded(_)) => None,
-                                    _ => {
-                                        return Err(Error::Analysis(format!(
-                                            "dag download: kernel partial {idx} missing"
-                                        )))
-                                    }
-                                };
-                                if let Some((dev, packed, host, ready)) = part {
-                                    let cp = tctx
-                                        .copy_stream(dev)
-                                        .ok_or_else(|| {
-                                            Error::Analysis(format!(
-                                                "no copy stream on device {dev}"
-                                            ))
-                                        })?
-                                        .clone();
-                                    cp.wait_event(&ready).map_err(Error::Device)?;
-                                    cp.copy_counted(&packed, &host).map_err(Error::Device)?;
-                                    cp.record(&ev).map_err(Error::Device)?;
-                                    counters.add_downloads(1);
-                                    *state.staged[idx].lock() = Some(StagedPart::Downloaded(host));
-                                }
-                                Ok(())
-                            },
-                        );
-                        g.set_home(d, primary);
-                        g.set_cost(d, download_cost(rows, all_ops.len(), nbins));
-                        d
-                    }
-                    None => {
-                        // Host partials are already in place; the node
-                        // exists to keep the graph shape uniform and to
-                        // release the reduce gate.
-                        let ev = dl_event.clone();
-                        g.add_worker_task(
-                            TaskKind::Download,
-                            format!("t{ti}s{si}"),
-                            TaskSite::Host,
-                            move |_| {
-                                ev.signal();
-                                Ok(())
-                            },
-                        )
-                    }
+                let Some(primary) = device else {
+                    partials.push(kernel);
+                    continue;
                 };
+                let landed = Event::new();
+                let download = {
+                    let state = state.clone();
+                    let ev = landed.clone();
+                    g.add_worker_task(TaskKind::Download, label, TaskSite::AnyDevice, move |tctx| {
+                        let part = match state.staged[idx].lock().as_ref() {
+                            Some(StagedPart::Device { device, packed, host, ready }) => {
+                                Some((*device, packed.clone(), host.clone(), ready.clone()))
+                            }
+                            // A retried submission already landed.
+                            Some(StagedPart::Downloaded(_)) => None,
+                            _ => {
+                                return Err(Error::Analysis(format!(
+                                    "dag download: kernel partial {idx} missing"
+                                )))
+                            }
+                        };
+                        if let Some((dev, packed, host, ready)) = part {
+                            let cp = tctx
+                                .copy_stream(dev)
+                                .ok_or_else(|| {
+                                    Error::Analysis(format!("no copy stream on device {dev}"))
+                                })?
+                                .clone();
+                            cp.wait_event(&ready).map_err(Error::Device)?;
+                            cp.copy_counted(&packed, &host).map_err(Error::Device)?;
+                            cp.record(&ev).map_err(Error::Device)?;
+                            step.counters.add_downloads(1);
+                            *state.staged[idx].lock() = Some(StagedPart::Downloaded(host));
+                        }
+                        Ok(())
+                    })
+                };
+                g.set_home(download, primary);
+                g.set_cost(download, download_cost(rows, all_ops.len(), nbins));
                 g.add_dep(download, kernel);
-                download_events.push(dl_event);
-                downloads.push(download);
+                download_events.push(landed);
+                partials.push(download);
             }
         }
 
         // Reduce: merge every staged partial into the flat accumulator in
         // ascending (table, spec) order — exactly the inline engine's
         // merge order, so the grids stay bit-identical — then the step's
-        // single packed allreduce. Gated on the download events so the
-        // host buffers are complete without any blocking synchronize.
+        // single packed allreduce. On a device, gated on the download
+        // events so the host buffers are complete without any blocking
+        // synchronize.
         let reduce = {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Reduce, "packed-allreduce", move |_| {
@@ -457,8 +323,8 @@ impl AnalysisAdaptor for BinningSuite {
                 Ok(())
             })
         };
-        for d in downloads {
-            g.add_dep(reduce, d);
+        for p in partials {
+            g.add_dep(reduce, p);
         }
         for ev in download_events {
             g.gate_on_event(reduce, ev);
@@ -495,39 +361,9 @@ impl AnalysisAdaptor for BinningSuite {
             return Ok(true);
         }
         let results = std::mem::take(&mut *state.results.lock());
-        self.delivery.deliver(ctx.comm, results);
+        self.deliver(ctx.comm, results);
         Ok(true)
     }
-
-    fn finalize(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
-        self.arena.release();
-        if let Some((dir, results)) = self.delivery.output(ctx.comm) {
-            for (i, result) in results.iter().enumerate() {
-                crate::io::write_result(&dir.join(format!("spec{i}")), result)
-                    .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
-            }
-        }
-        Ok(())
-    }
-
-    fn counters(&self) -> Option<Arc<AnalysisCounters>> {
-        Some(self.counters.clone())
-    }
-}
-
-/// Register the `binning_suite` back-end type: one `<analysis>` element
-/// holding one `<instance>` child per spec, each with the same content as
-/// a `data_binning` element.
-pub fn register_suite(registry: &mut AnalysisRegistry) {
-    registry.register("binning_suite", |el, _ctx| {
-        let specs: Vec<BinningSpec> =
-            el.find_all("instance").map(BinningSpec::from_element).collect::<Result<_>>()?;
-        let mut suite = BinningSuite::new(specs)?;
-        if let Some(dir) = el.attr("output") {
-            suite = suite.with_output_dir(dir);
-        }
-        Ok(Box::new(suite))
-    });
 }
 
 #[cfg(test)]

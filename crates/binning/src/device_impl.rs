@@ -229,7 +229,7 @@ pub fn spec_parts(
 /// *touched* when its count is not zero; every other bin holds its
 /// reductions' identities. A spec goes in as its touched bins' indices
 /// followed by each op's values at them, in `ops` order, unless
-/// [`is_dense`] says that is no smaller; then, and for a spec without a
+/// `is_dense` says that is no smaller; then, and for a spec without a
 /// count, as every op's grid back to back.
 ///
 /// The launch runs the blocked core ([`host_impl::bin_all_host_each`],

@@ -1,7 +1,8 @@
 //! The fused binning step, written once.
 //!
-//! [`crate::BinningSuite`] runs it over its N specs and
-//! [`crate::BinningAnalysis`] (fused) over its one:
+//! A fused [`crate::BinningAnalysis`] runs it over its specs — one for
+//! `data_binning`, N for `binning_suite` — inline, and its task graph
+//! under `dag` calls the same stages through the [`FusedStep`] view:
 //!
 //! * the union of every spec's required variables is fetched/moved
 //!   **once per table per step** and shared across all specs;
@@ -242,7 +243,8 @@ impl StepLayout {
 }
 
 /// The fused step over `specs` (which share one mesh), counting its work
-/// into `counters`.
+/// into `counters`: a back-end's view of what the step reads, `Copy` so
+/// every node of its task graph can hold one.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedStep<'a> {
     pub specs: &'a [BinningSpec],

@@ -293,7 +293,7 @@ impl ScratchPool {
 /// Fused blocked binning of every spec in `specs` over one table's `cols`,
 /// in `scratch`: per spec, the grids of its ops.
 ///
-/// The rows are walked once, a block ([`block_rows`]) at a time. Per
+/// The rows are walked once, a block (`block_rows`) at a time. Per
 /// block, (1) each **unique** axis `(column, lo, hi, cells)` is
 /// range-checked and indexed once, whatever number of specs share it; (2)
 /// the value columns are gathered once into a row-major stage whose slots

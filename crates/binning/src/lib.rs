@@ -15,8 +15,11 @@
 //!   accessing the same bin" (§4.4).
 //!
 //! Cross-rank reduction merges per-rank grids with MPI-style collectives
-//! ([`reduce`]). [`BinningAnalysis`] packages everything as a SENSEI
-//! analysis back-end registered under the XML type `data_binning`.
+//! ([`reduce`]). [`BinningAnalysis`] packages everything as the one SENSEI
+//! analysis back-end type: a list of specs over one mesh, run through one
+//! fused step. The XML type `data_binning` ([`register`]) is a list of one;
+//! `binning_suite` ([`register_suite`], [`BinningSuite::new`]) is N
+//! instances of the same back-end run as one.
 
 #![deny(unsafe_code)]
 
@@ -31,9 +34,9 @@ mod arena;
 mod fused;
 mod grid;
 mod spec;
-mod suite;
 
-pub use adaptor::{register, BinnedResult, BinningAnalysis, ResultSink};
+pub use adaptor::{
+    register, register_suite, BinnedResult, BinningAnalysis, BinningSuite, ResultSink,
+};
 pub use grid::GridParams;
 pub use spec::{BinOp, BinningSpec, VarOp};
-pub use suite::{register_suite, BinningSuite};

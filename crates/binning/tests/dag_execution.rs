@@ -1,7 +1,8 @@
-//! DAG-engine equivalence: running the [`binning::BinningSuite`] through
-//! the dataflow task-graph engine (`ExecutionMethod::Dag`) must produce
-//! results bit-identical to the inline lockstep engine — across spec
-//! sets, device placements, snapshot modes, and under injected
+//! DAG-engine equivalence: running a fused [`binning::BinningAnalysis`] —
+//! one spec (`data_binning`) or a suite of them (`binning_suite`) —
+//! through the dataflow task-graph engine (`ExecutionMethod::Dag`) must
+//! produce results bit-identical to the inline lockstep engine — across
+//! spec sets, device placements, snapshot modes, and under injected
 //! `stream.launch` faults recovered per task node by the retry policy.
 
 use std::sync::Arc;
@@ -131,33 +132,35 @@ struct Run {
     steps: u64,
 }
 
-/// Drive a bridge-hosted suite and return the published results plus the
-/// run's scheduler totals and work/fault counters.
-fn run_binning(
+type Build<'a> = &'a (dyn Fn(ResultSink, BackendControls) -> Vec<BinningAnalysis> + Sync);
+
+/// Drive the bridge-hosted back-ends `build` makes around a sink and the
+/// run's controls, and return the published results plus the run's
+/// scheduler totals and the first back-end's work/fault counters.
+fn run_backends(
     cfg: Run,
-    specs: Vec<BinningSpec>,
+    build: Build<'_>,
     fault: Option<FaultConfig>,
 ) -> (Vec<BinnedResult>, sensei::SchedulerSnapshot, sensei::CounterSnapshot) {
     let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
-    let sink2 = sink.clone();
-    let out = World::new(cfg.ranks).run(move |comm| {
+    let out = World::new(cfg.ranks).run(|comm| {
         let node = SimNode::new(NodeConfig::fast_test(2));
         if let Some(f) = &fault {
             node.fault().configure(f.clone());
         }
-        let suite = BinningSuite::new(specs.clone())
-            .unwrap()
-            .with_sink(sink2.clone())
-            .with_controls(BackendControls {
-                execution: cfg.execution,
-                device: cfg.device,
-                recovery: cfg.recovery,
-                ..Default::default()
-            });
-        let counters = suite.counters().unwrap();
+        let controls = BackendControls {
+            execution: cfg.execution,
+            device: cfg.device,
+            recovery: cfg.recovery,
+            ..Default::default()
+        };
+        let backends = build(sink.clone(), controls);
+        let counters = backends[0].counters().unwrap();
         let mut bridge = Bridge::new(node.clone());
         bridge.set_snapshot_mode(cfg.snapshot);
-        bridge.add_analysis(Box::new(suite), &comm).unwrap();
+        for backend in backends {
+            bridge.add_analysis(Box::new(backend), &comm).unwrap();
+        }
         let device = match cfg.device {
             DeviceSpec::Host => None,
             DeviceSpec::Explicit(d) => Some(d),
@@ -175,6 +178,36 @@ fn run_binning(
     let results = sink.lock().clone();
     let (sched, counters) = out.into_iter().next().unwrap();
     (results, sched, counters)
+}
+
+/// [`run_backends`] over one fused suite of `specs`.
+fn run_binning(
+    cfg: Run,
+    specs: Vec<BinningSpec>,
+    fault: Option<FaultConfig>,
+) -> (Vec<BinnedResult>, sensei::SchedulerSnapshot, sensei::CounterSnapshot) {
+    let build = |sink, controls| {
+        vec![BinningSuite::new(specs.clone()).unwrap().with_sink(sink).with_controls(controls)]
+    };
+    run_backends(cfg, &build, fault)
+}
+
+/// One `data_binning` back-end per spec, all fused or all per-op.
+fn one_per_spec(
+    specs: &[BinningSpec],
+    fused: bool,
+) -> impl Fn(ResultSink, BackendControls) -> Vec<BinningAnalysis> + Sync + '_ {
+    move |sink, controls| {
+        specs
+            .iter()
+            .map(|spec| {
+                BinningAnalysis::new(spec.clone())
+                    .with_fused(fused)
+                    .with_sink(sink.clone())
+                    .with_controls(controls)
+            })
+            .collect()
+    }
 }
 
 fn inline_run(ranks: usize, device: DeviceSpec, steps: u64) -> Run {
@@ -338,10 +371,11 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
 }
 
 /// Every published array as `(step, axes/name, bits)`, sorted: one spec's
-/// fused result and its per-operation back-end's compare equal.
-fn bits_of(sink: &ResultSink) -> Vec<(u64, String, Vec<u64>)> {
+/// fused result and its per-operation back-end's compare equal, whatever
+/// order concurrent back-ends published them in.
+fn bits_of(results: &[BinnedResult]) -> Vec<(u64, String, Vec<u64>)> {
     let mut out = Vec::new();
-    for r in sink.lock().iter() {
+    for r in results {
         for (name, values) in &r.arrays {
             let key = format!("{}/{}/{name}", r.axes.0, r.axes.1);
             out.push((r.step, key, values.iter().map(|v| v.to_bits()).collect()));
@@ -457,7 +491,48 @@ fn stolen_kernels_are_granted_their_columns_kept_versions() {
         profiler.scheduler_total().steals
     });
     assert!(steals[0] > 0);
-    assert!(bits_of(&sink) == bits_of(&oracle), "a stolen kernel read a column it should not");
+    assert!(
+        bits_of(&sink.lock()) == bits_of(&oracle.lock()),
+        "a stolen kernel read a column it should not"
+    );
+}
+
+#[test]
+fn a_fused_data_binning_back_end_plans_task_graphs_under_dag() {
+    // `data_binning` is a suite of one: under `dag` each fused one-spec
+    // back-end plans the same task graph, on a device and on the host, and
+    // publishes what the per-op lockstep oracle does, bit for bit.
+    let specs = spec_set(2, 4, true);
+    for device in [DeviceSpec::Explicit(0), DeviceSpec::Host] {
+        let dag = dag_run(2, device, SnapshotMode::Deep, 3);
+        let (fused, sched, _) = run_backends(dag, &one_per_spec(&specs, true), None);
+        let (oracle, _, _) =
+            run_backends(inline_run(2, device, 3), &one_per_spec(&specs, false), None);
+        assert!(sched.tasks > 0, "{device:?}: data_binning fell back to monolithic dispatch");
+        assert!(bits_of(&fused) == bits_of(&oracle), "{device:?}: dag differs from the oracle");
+    }
+}
+
+#[test]
+fn a_per_op_suite_equals_one_per_op_back_end_per_spec() {
+    // The merged type's oracle path for a suite: every spec's per-op
+    // stages over one shared fetch. It plans no task graph, so under
+    // `dag` it runs monolithically, and it publishes what one per-op
+    // back-end per spec does.
+    let specs = spec_set(3, 4, true);
+    let suite = |sink, controls| {
+        let suite = BinningSuite::new(specs.clone()).unwrap().with_fused(false);
+        vec![suite.with_sink(sink).with_controls(controls)]
+    };
+    for device in [DeviceSpec::Explicit(0), DeviceSpec::Host] {
+        for snapshot in [SnapshotMode::Deep, SnapshotMode::Cow] {
+            let (per_op, sched, _) = run_backends(dag_run(2, device, snapshot, 3), &suite, None);
+            let (oracle, _, _) =
+                run_backends(inline_run(2, device, 3), &one_per_spec(&specs, false), None);
+            assert_eq!(sched.tasks, 0, "{device:?}: the per-op path planned a graph");
+            assert!(bits_of(&per_op) == bits_of(&oracle), "{device:?} {}", snapshot.name());
+        }
+    }
 }
 
 proptest! {

@@ -1,5 +1,6 @@
-//! Fused-suite equivalence: a [`binning::BinningSuite`] (shared per-step
-//! fetch, batched kernels, one packed allreduce) must produce grids
+//! Fused-suite equivalence: a fused back-end over many specs
+//! ([`binning::BinningSuite::new`]: shared per-step fetch, batched
+//! kernels, one packed allreduce) must produce grids
 //! bit-identical to independent per-op [`binning::BinningAnalysis`]
 //! instances, while doing provably less work per step.
 
@@ -322,6 +323,38 @@ fn xml_configured_suite_runs_through_registry() {
 }
 
 #[test]
+fn the_fused_attribute_is_rejected_on_both_xml_types() {
+    // XML-configured binning always runs the fused step; the per-op
+    // reference is reachable from code only (`with_fused(false)`).
+    use sensei::{AnalysisRegistry, ConfigurableAnalysis, CreateContext, Error};
+    let mut registry = AnalysisRegistry::new();
+    binning::register(&mut registry);
+    binning::register_suite(&mut registry);
+    let ctx = CreateContext { node: SimNode::new(NodeConfig::fast_test(1)), rank: 0, size: 1 };
+    let spec = "<axes>x,y</axes><operations>count(),sum(m)</operations>";
+    for (ty, body) in [
+        ("data_binning", spec.to_string()),
+        ("binning_suite", format!("<instance>{spec}</instance>")),
+    ] {
+        let xml = |attr: &str| {
+            format!(r#"<sensei><analysis type="{ty}"{attr}>{body}</analysis></sensei>"#)
+        };
+        let instantiate =
+            |xml: String| ConfigurableAnalysis::from_xml(&xml)?.instantiate(&registry, &ctx);
+        assert_eq!(instantiate(xml("")).unwrap().len(), 1, "{ty}");
+        for fused in ["on", "off", "maybe"] {
+            match instantiate(xml(&format!(r#" fused="{fused}""#))).err() {
+                Some(Error::Config(msg)) => {
+                    assert!(msg.contains("fused") && msg.contains("removed"), "{ty}: {msg}");
+                    assert!(msg.contains(ty), "{ty}: {msg}");
+                }
+                other => panic!("{ty} fused={fused}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn suite_fetches_union_once_per_step() {
     let steps = 2;
     let (_, counters) = run_suite(1, DeviceSpec::Host, steps, false);
@@ -346,8 +379,8 @@ fn run_data_binning(
 
 #[test]
 fn data_binning_wrapper_contract() {
-    // What the benchmark relies on of the one-spec wrapper around the
-    // fused step. `run_backend` takes the counters handle before the
+    // What the benchmark relies on of a one-spec back-end on the fused
+    // step. `run_backend` takes the counters handle before the
     // placement goes in through `controls_mut()`.
     let spec = specs_with(true).swap_remove(0);
     assert_eq!(BinningAnalysis::new(spec.clone()).name(), "data_binning");

@@ -325,7 +325,7 @@ impl<T: Element> HamrBuffer<T> {
     /// A view of the data accessible from host code (`GetHostAccessible`).
     ///
     /// Zero-copy when the data is host-resident; otherwise the view is of
-    /// the allocation's host replica (see [`Self::replica`]), ordered on
+    /// the allocation's host replica (see `replica`), ordered on
     /// the buffer's stream; synchronize first in async mode.
     pub fn host_accessible(&self) -> Result<AccessView<T>> {
         let cells = self.cells.read();
