@@ -100,6 +100,26 @@ for want in 'binning.kernel_launches_per_step": {"value": 0.3333' \
         exit 1
     fi
 done
+# The same structure where the two executors of the step's one task graph
+# meet: fused90_real runs its nine-spec suite over one table per rank in
+# lockstep (the in-order executor) and under dag (work stealing), both on
+# a device with auto bounds. Lockstep launches the bounds kernel and one
+# fused kernel over every spec, each with its download: 2 of each a step.
+# The work-stealing graph keeps one stealable kernel, and download, per
+# spec: 1 + 9 = 10. The mean of the two segments is 6. Only dag counts
+# scheduler tasks: fetch, 9 kernels, 9 downloads, reduce and publish are
+# 21 a step, a mean of 10.5. A whole-table kernel under dag reads 2
+# launches and 2.5 tasks; an in-order executor that counted its five
+# tasks, 13 tasks; a kernel per spec in lockstep, 10 launches.
+traced=benchmarks/out/fused90_real.traced.json
+for want in 'binning.kernel_launches_per_step": {"value": 6,' \
+            'binning.downloads_per_step": {"value": 6,' \
+            'sensei.sched_tasks_per_step": {"value": 10.5,'; do
+    if ! grep -q "\"$want" "$traced"; then
+        echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
+        exit 1
+    fi
+done
 (cd benchmarks && cargo test --release --offline)
 
 echo "== documented results present"

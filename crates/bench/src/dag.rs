@@ -4,16 +4,16 @@
 //! [`binning::BinningSuite`] over specs with deliberately unequal kernel
 //! costs — heavy multi-op instances interleaved with count-only ones):
 //!
-//! 1. **inline** — the lockstep [`sensei::InlineEngine`]; captures the
+//! 1. **inline** — a lockstep [`sensei::Engine`], which runs the suite's
+//!    task graph in order on the simulation's thread; captures the
 //!    reference [`BinnedResult`]s and the full apparent in situ cost.
-//! 2. **async_fused** — [`sensei::WorkerEngine`] under `asynchronous`:
-//!    the suite's inline `execute` on a persistent worker, all kernels
-//!    routed to one device's streams.
-//! 3. **dag/{deep,cow}** (two arms) — the same engine under
-//!    `dag`: the suite emits a task graph per step and
-//!    the work-stealing [`sensei::DagScheduler`] spreads the kernel
-//!    tasks across *every* device on the node, overlapping downloads
-//!    by construction.
+//! 2. **async_fused** — the engine under `asynchronous`: the same graph
+//!    in order on a persistent worker, one kernel over every spec on one
+//!    device's default stream.
+//! 3. **dag/{deep,cow}** (two arms) — the engine under `dag`: the suite's
+//!    graph has one kernel per spec, and the work-stealing
+//!    [`sensei::DagScheduler`] spreads those kernel tasks across *every*
+//!    device on the node, overlapping downloads by construction.
 //!
 //! The snapshot queue is kept shallow (`queue_depth`), so once it fills
 //! the producer runs at the in situ worker's pace and the *apparent*

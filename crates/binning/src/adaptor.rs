@@ -147,8 +147,10 @@ impl CommMark {
 /// [`BinningAnalysis::new`] builds the XML type `data_binning`, one spec;
 /// [`BinningSuite::new`] builds `binning_suite`, N of them — §4.3's
 /// instances of the one back-end, computed by one fused step that shares
-/// each step's fetch, bounds pass and grid allreduce across every spec,
-/// run inline or planned as a task graph under `dag`.
+/// each step's fetch, bounds pass and grid allreduce across every spec.
+/// The step is one task graph, whatever the execution method: the engine
+/// runs it in order under lockstep and asynchronous, work-stealing under
+/// `dag`.
 pub struct BinningAnalysis {
     controls: BackendControls,
     /// Non-empty, every spec on one mesh.
@@ -156,8 +158,8 @@ pub struct BinningAnalysis {
     /// Built by [`BinningSuite::new`]: named `binning_suite`, and spec
     /// `i`'s result is written under `dir/spec<i>`.
     suite: bool,
-    /// `true` (default): the fused step over every spec. `false`: the
-    /// per-op reference path (one pass/kernel/download/allreduce per
+    /// `true` (default): the fused step's task graph over every spec.
+    /// `false`: the per-op reference path (one pass/kernel/download/allreduce per
     /// operation per spec), kept for A/B comparison and as the
     /// correctness reference.
     fused: bool,
@@ -607,14 +609,17 @@ impl AnalysisAdaptor for BinningAnalysis {
         )
     }
 
+    /// The engine calls [`execute_dag`](AnalysisAdaptor::execute_dag) for
+    /// a fused back-end; a caller that calls `execute` instead gets the
+    /// same task graph, run in order on its thread.
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
+        if self.fused {
+            let mut sched = DagScheduler::in_order(ctx.node.clone(), ctx.comm.rank());
+            return self.run_graph(data, ctx, &mut sched);
+        }
         let comm_mark = CommMark::new(ctx.comm);
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
-        let results = if self.fused {
-            self.step().run(data, ctx, device, &self.arena, self.publishes(ctx.comm))?
-        } else {
-            self.per_op_step(data, ctx, device)?
-        };
+        let results = self.per_op_step(data, ctx, device)?;
         comm_mark.charge(ctx.comm, &self.counters);
         self.deliver(ctx.comm, results);
         Ok(true)

@@ -1,16 +1,20 @@
-//! The fused step as a task graph, for the `dag` execution method.
+//! The fused step as a task graph — the only form of the step, run by
+//! every execution method.
 //!
 //! One coordinator `Fetch` node (data movement, fused bounds, the bounds
-//! collective), one `Kernel` node per `(table, spec)` — stealable across
-//! device workers — and, on a device, one `Download` node per kernel on
-//! the copy stream of the device that ran it, ordered by events; then one
-//! coordinator `Reduce` node merging every partial in the inline step's
-//! exact order before the single packed allreduce, and one `Publish` node.
-//! Results are bit-identical to [`BinningAnalysis::execute`]: the merge
-//! order is fixed table-major and the same kernels run whatever worker
-//! executes them.
+//! collective), one `Kernel` node per (table, spec range) and, on a device,
+//! one `Download` node per kernel on the copy stream of the device that ran
+//! it, ordered by events; then one coordinator `Reduce` node merging every
+//! partial table-major before the single packed allreduce, and one
+//! `Publish` node. A scheduler that runs the graph in order gets one
+//! kernel per table over every spec — one launch, one download and one
+//! host pass per table — and a work-stealing one one kernel per spec,
+//! stealable across device workers. Results are bit-identical either way:
+//! the merge order is fixed table-major, and a grid is the same whichever
+//! pass or worker computes it.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use devsim::{CellBuffer, Event, ReadView};
@@ -23,20 +27,21 @@ use sensei::{
 use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched};
 use crate::arena::Slot;
 use crate::device_impl;
-use crate::fused::{host_pass, plan_pass, spec_ops, StepLayout};
-use crate::grid::GridParams;
-use crate::host_impl::{self, KernelScratch};
+use crate::fused::{host_pass, plan_pass, StepLayout};
+use crate::host_impl::{self, KernelScratch, PassSpec};
+use crate::spec::BinningSpec;
 
-/// Where one (table, spec) kernel's partial grids live between the
+/// Where one (table, spec range) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
 enum StagedPart {
     /// Host placement: the arena scratch holding the grids of one fused
     /// host table pass, given back once the step is over.
     Host(KernelScratch),
     /// Device kernel enqueued on `device`: its arena slot's packed device
-    /// block and host block, plus the event its compute stream records
-    /// after the launch (the download node's cross-stream ordering point).
-    Device { device: usize, packed: CellBuffer, host: CellBuffer, ready: Event },
+    /// block and host block, plus — when the device's copy stream is not
+    /// the kernel's — the event its stream records after the launch (the
+    /// download node's cross-stream ordering point).
+    Device { device: usize, packed: CellBuffer, host: CellBuffer, ready: Option<Event> },
     /// Download enqueued: the packed host buffer, valid once the download
     /// node's event fires.
     Downloaded(CellBuffer),
@@ -46,8 +51,9 @@ enum StagedPart {
 /// only capture `Send` state, so everything the fetch node produces and
 /// the kernel/download/reduce nodes consume crosses through here.
 struct DagState {
-    /// Resolved grid of every spec (fetch node output).
-    grids: Mutex<Vec<GridParams>>,
+    /// Every spec's resolved grid and the flat buffer's layout (fetch
+    /// node output).
+    layout: Mutex<Option<Arc<StepLayout>>>,
     /// Host placement: per table, the union columns' read views, shared
     /// by the table's kernel tasks and dropped before the reduce node
     /// tells the snapshot its shares are no longer read.
@@ -58,7 +64,7 @@ struct DagState {
     /// stolen onto another device asks for the columns' versions there.
     #[allow(clippy::type_complexity)]
     dev_cols: Mutex<HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>>,
-    /// One slot per `(table, spec)`, indexed `table * nspecs + spec`.
+    /// One slot per (table, spec range), indexed `table * nranges + range`.
     staged: Vec<Mutex<Option<StagedPart>>>,
     /// Globally reduced flat buffer (reduce node output).
     merged: Mutex<Option<Vec<f64>>>,
@@ -67,6 +73,12 @@ struct DagState {
 }
 
 impl DagState {
+    /// The step's resolved grids and flat-buffer layout: set by the fetch
+    /// node, which every other node depends on.
+    fn layout(&self) -> Arc<StepLayout> {
+        self.layout.lock().clone().expect("the fetch node resolved the step's grids")
+    }
+
     /// The union columns of table `ti` on device `dw`: on a thief, the
     /// fetched columns' versions there, asked for on `stream` (its compute
     /// stream) so the kernel launched right after is stream-ordered behind
@@ -96,11 +108,20 @@ impl DagState {
     }
 }
 
-/// The scheduler's cost hint for downloading one `(table, spec)` block
+/// The scheduler's cost hint for downloading one spec's part of a block
 /// of `ops` grids over `bins` bins, filled from `rows` rows: the bytes of
-/// the largest block such a kernel can fill.
+/// the largest part such a kernel can fill.
 fn download_cost(rows: usize, ops: usize, bins: usize) -> f64 {
     (device_impl::spec_cells_bound(rows, ops, bins) * 8) as f64
+}
+
+/// The pass of the specs in `range` over their resolved grids.
+fn plan<'a>(
+    specs: &'a [BinningSpec],
+    layout: &'a StepLayout,
+    range: &Range<usize>,
+) -> (Vec<&'a str>, Vec<PassSpec>) {
+    plan_pass(range.clone().map(|si| (&specs[si].axes, &layout.ops[si][..], layout.grids[si])))
 }
 
 impl BinningAnalysis {
@@ -118,12 +139,19 @@ impl BinningAnalysis {
         let nspecs = self.specs.len();
         let ntables = tables.len();
         let row_counts: Vec<usize> = tables.iter().map(|t| t.num_rows()).collect();
+        // In order, nothing can overlap a kernel: one pass per table over
+        // every spec. Work-stealing: one stealable kernel per spec.
+        let ranges: Vec<Range<usize>> = match sched.runs_in_order() {
+            true => std::iter::once(0..nspecs).collect(),
+            false => (0..nspecs).map(|si| si..si + 1).collect(),
+        };
+        let nranges = ranges.len();
 
         let state = Arc::new(DagState {
-            grids: Mutex::new(Vec::new()),
+            layout: Mutex::new(None),
             host_tables: Mutex::new(Vec::new()),
             dev_cols: Mutex::new(HashMap::new()),
-            staged: (0..ntables * nspecs).map(|_| Mutex::new(None)).collect(),
+            staged: (0..ntables * nranges).map(|_| Mutex::new(None)).collect(),
             merged: Mutex::new(None),
             results: Mutex::new(Vec::new()),
         });
@@ -146,7 +174,8 @@ impl BinningAnalysis {
                 state.host_tables.lock().clear();
                 state.dev_cols.lock().clear();
                 let fetched = step.fetch(data, &tables, device)?;
-                *state.grids.lock() = step.resolve_grids(&fetched, device, ctx)?;
+                let grids = step.resolve_grids(&fetched, device, ctx)?;
+                *state.layout.lock() = Some(Arc::new(StepLayout::new(step.specs, grids)));
                 for (ti, f) in fetched.into_iter().enumerate() {
                     match f {
                         Fetched::Host(cols) => state.host_tables.lock().push(Arc::new(cols)),
@@ -162,27 +191,24 @@ impl BinningAnalysis {
             })
         };
 
-        // One kernel per (table, spec), and on a device its download. Kernel
-        // tasks are homed on the resolved device but stealable by any idle
-        // device worker; the download node enqueues the packed D2H copy on
-        // the copy stream of whichever device actually ran the kernel. A
-        // host kernel's partial is in place when it returns: the reduce
-        // node depends on the kernel itself.
+        // One kernel per (table, spec range), and on a device its download.
+        // Kernel tasks are homed on the resolved device but stealable by
+        // any idle device worker; the download node enqueues the packed D2H
+        // copy on the copy stream of whichever device actually ran the
+        // kernel. A host kernel's partial is in place when it returns: the
+        // reduce node depends on the kernel itself.
         let mut download_events = Vec::new();
-        let mut partials = Vec::with_capacity(ntables * nspecs);
+        let mut partials = Vec::with_capacity(ntables * nranges);
         for (ti, &rows) in row_counts.iter().enumerate() {
-            for (si, spec) in this.specs.iter().enumerate() {
-                let idx = ti * nspecs + si;
-                let all_ops = spec_ops(spec);
-                let nbins = spec.resolution.0 * spec.resolution.1;
-                let kc = device_impl::fused_bin_cost(rows, all_ops.len());
-                let label = format!("t{ti}s{si}");
+            for (ri, range) in ranges.iter().enumerate() {
+                let idx = ti * nranges + ri;
+                let sum = |f: &dyn Fn(usize) -> f64| range.clone().map(f).sum::<f64>();
+                let label = format!("t{ti}s{}", range.start);
 
                 let kernel = {
                     let state = state.clone();
                     let node = node.clone();
-                    let axes = spec.axes.clone();
-                    let ops = all_ops.clone();
+                    let range = range.clone();
                     let label = label.clone();
                     match device {
                         Some(primary) => {
@@ -197,9 +223,9 @@ impl BinningAnalysis {
                                         Error::Analysis(format!("no compute stream on device {dw}"))
                                     })?
                                     .clone();
-                                let grid = state.grids.lock()[si];
                                 let resident = state.columns_on(&node, ti, dw, primary, &stream)?;
-                                let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
+                                let layout = state.layout();
+                                let (names, pass) = plan(step.specs, &layout, &range);
                                 let cols: Vec<&CellBuffer> =
                                     names.iter().map(|name| &resident[*name]).collect();
                                 let len = device_impl::block_len(&pass);
@@ -212,8 +238,16 @@ impl BinningAnalysis {
                                     arena.scratches(),
                                 )?;
                                 step.counters.add_kernel_launches(1);
-                                let ready = Event::new();
-                                stream.record(&ready).map_err(Error::Device)?;
+                                // A download on the kernel's own stream (in
+                                // order) is ordered behind it already.
+                                let ready = match tctx.copy_stream(dw) {
+                                    Some(cp) if !Arc::ptr_eq(cp, &stream) => {
+                                        let ready = Event::new();
+                                        stream.record(&ready).map_err(Error::Device)?;
+                                        Some(ready)
+                                    }
+                                    _ => None,
+                                };
                                 let Slot { packed, host } = slot;
                                 *state.staged[idx].lock() =
                                     Some(StagedPart::Device { device: dw, packed, host, ready });
@@ -224,10 +258,10 @@ impl BinningAnalysis {
                         }
                         None => {
                             g.add_worker_task(TaskKind::Kernel, label, TaskSite::Host, move |_| {
-                                let grid = state.grids.lock()[si];
                                 let cols = state.host_tables.lock()[ti].clone();
                                 step.counters.add_table_passes(1);
-                                let (names, pass) = plan_pass([(&axes, &ops[..], grid)]);
+                                let layout = state.layout();
+                                let (names, pass) = plan(step.specs, &layout, &range);
                                 let mut scratch = arena.scratches().take();
                                 host_pass(&node, &cols, &names, &pass, |cols| {
                                     host_impl::bin_all_host(cols, &pass, &mut scratch);
@@ -238,7 +272,10 @@ impl BinningAnalysis {
                         }
                     }
                 };
-                g.set_cost(kernel, kc.flops + kc.bytes);
+                // Per spec its ops and the implicit count grid.
+                let ops = |si: usize| this.specs[si].ops.len() + 1;
+                let kc = |si: usize| device_impl::fused_bin_cost(rows, ops(si));
+                g.set_cost(kernel, sum(&|si| kc(si).flops + kc(si).bytes));
                 g.add_dep(kernel, fetch);
 
                 let Some(primary) = device else {
@@ -269,7 +306,9 @@ impl BinningAnalysis {
                                     Error::Analysis(format!("no copy stream on device {dev}"))
                                 })?
                                 .clone();
-                            cp.wait_event(&ready).map_err(Error::Device)?;
+                            if let Some(ready) = &ready {
+                                cp.wait_event(ready).map_err(Error::Device)?;
+                            }
                             cp.copy_counted(&packed, &host).map_err(Error::Device)?;
                             cp.record(&ev).map_err(Error::Device)?;
                             step.counters.add_downloads(1);
@@ -279,7 +318,8 @@ impl BinningAnalysis {
                     })
                 };
                 g.set_home(download, primary);
-                g.set_cost(download, download_cost(rows, all_ops.len(), nbins));
+                let bins = |si: usize| this.specs[si].resolution.0 * this.specs[si].resolution.1;
+                g.set_cost(download, sum(&|si| download_cost(rows, ops(si), bins(si))));
                 g.add_dep(download, kernel);
                 download_events.push(landed);
                 partials.push(download);
@@ -287,24 +327,25 @@ impl BinningAnalysis {
         }
 
         // Reduce: merge every staged partial into the flat accumulator in
-        // ascending (table, spec) order — exactly the inline engine's
-        // merge order, so the grids stay bit-identical — then the step's
-        // single packed allreduce. On a device, gated on the download
-        // events so the host buffers are complete without any blocking
-        // synchronize.
+        // ascending (table, spec) order — the same whatever the spec
+        // ranges, so the grids stay bit-identical — then the step's single
+        // packed allreduce. On a device, gated on the download events so
+        // the host buffers are complete.
         let reduce = {
             let state = state.clone();
             g.add_coordinator_task(TaskKind::Reduce, "packed-allreduce", move |_| {
-                let layout = StepLayout::new(step.specs, &state.grids.lock());
+                let layout = state.layout();
                 let mut flat = layout.flat(arena, ntables > 0 && device.is_none());
                 for (idx, slot) in state.staged.iter().enumerate() {
-                    let (first, si) = (idx < nspecs, idx % nspecs);
+                    let (first, range) = (idx < nranges, ranges[idx % nranges].clone());
                     match slot.lock().as_ref() {
                         Some(StagedPart::Host(scratch)) => {
-                            layout.land_host(&mut flat, si, first, &scratch.grids()[0])
+                            for (si, part) in range.zip(scratch.grids()) {
+                                layout.land_host(&mut flat, si, first, part);
+                            }
                         }
                         Some(StagedPart::Downloaded(host)) => {
-                            layout.land_downloaded(&mut flat, si..si + 1, first, host)?
+                            layout.land_downloaded(&mut flat, range, first, host)?
                         }
                         _ => {
                             return Err(Error::Analysis(format!(
@@ -340,9 +381,7 @@ impl BinningAnalysis {
                         Error::Analysis("dag publish: reduced grids missing".into())
                     })?;
                 if publish {
-                    let grids = state.grids.lock().clone();
-                    let layout = StepLayout::new(step.specs, &grids);
-                    *state.results.lock() = layout.publish(step.specs, &grids, &merged, data);
+                    *state.results.lock() = state.layout().publish(step.specs, &merged, data);
                 }
                 arena.keep_flat(merged);
                 Ok(())

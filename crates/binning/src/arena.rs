@@ -14,13 +14,8 @@ use sensei::Result;
 
 use crate::host_impl::ScratchPool;
 
-/// Streams a step spreads device work across; more tables than this share
-/// streams, routed least-loaded by accumulated kernel cost.
-const MAX_STREAMS: usize = 4;
-
-/// One kernel's packed grids on the device that ran it — a table's under
-/// the fused step, a `(table, spec)` pair's under the task graph — and the
-/// host block they are downloaded into.
+/// One kernel node's packed grids on the device that ran it, and the host
+/// block they are downloaded into.
 #[derive(Clone)]
 pub(crate) struct Slot {
     pub packed: CellBuffer,
@@ -28,13 +23,12 @@ pub(crate) struct Slot {
 }
 
 /// What the arena holds on the placement device. Rebuilt when the
-/// resolved device changes, so a stream or block of the old device never
-/// meets a buffer of the new one.
+/// resolved device changes, so a block of the old device never meets a
+/// buffer of the new one.
 struct DeviceSide {
     device: usize,
-    streams: Vec<Arc<Stream>>,
-    /// Indexed by kernel: `table`, or `table * nspecs + spec` under the
-    /// task graph.
+    /// Indexed by kernel node, in the task graph's (table, spec range)
+    /// order.
     slots: Vec<Option<Slot>>,
 }
 
@@ -54,8 +48,7 @@ impl StepArena {
     pub fn place(&self, device: Option<usize>) {
         let mut side = self.device.lock();
         if side.as_ref().map(|s| s.device) != device {
-            *side =
-                device.map(|device| DeviceSide { device, streams: Vec::new(), slots: Vec::new() });
+            *side = device.map(|device| DeviceSide { device, slots: Vec::new() });
         }
     }
 
@@ -80,22 +73,6 @@ impl StepArena {
     /// The state on the device the step was [placed](Self::place) on.
     fn side<R>(&self, f: impl FnOnce(&mut DeviceSide) -> R) -> R {
         f(self.device.lock().as_mut().expect("device work in a step placed on the host"))
-    }
-
-    /// The streams `ntables` tables' kernels are routed over on the
-    /// placement device. A lone table has nothing to overlap with: it runs
-    /// on the device's default stream, ordered with the bounds pass.
-    pub fn streams(&self, node: &SimNode, ntables: usize) -> Result<Vec<Arc<Stream>>> {
-        self.side(|side| {
-            if side.streams.is_empty() {
-                let dev = node.device(side.device)?;
-                side.streams = match ntables {
-                    1 => vec![dev.default_stream()],
-                    n => (0..MAX_STREAMS.min(n)).map(|_| dev.create_stream()).collect(),
-                };
-            }
-            Ok(side.streams.clone())
-        })
     }
 
     /// Slot `idx`, for a kernel of `len` packed cells that runs on device

@@ -1,8 +1,9 @@
-//! The fused binning step, written once.
+//! The fused binning step's stages, written once.
 //!
-//! A fused [`crate::BinningAnalysis`] runs it over its specs — one for
-//! `data_binning`, N for `binning_suite` — inline, and its task graph
-//! under `dag` calls the same stages through the [`FusedStep`] view:
+//! A fused [`crate::BinningAnalysis`] plans each step as one task graph
+//! (`crate::adaptor::dag`) over its specs — one for `data_binning`, N for
+//! `binning_suite` — whose nodes call these stages through the
+//! [`FusedStep`] view:
 //!
 //! * the union of every spec's required variables is fetched/moved
 //!   **once per table per step** and shared across all specs;
@@ -12,38 +13,33 @@
 //! * nothing fetched is copied: a host-placed step reads every column
 //!   through a read view of the memory the access API granted, a
 //!   device-placed one through kernel views;
-//! * on either placement each table is walked **once** for every spec
+//! * a kernel node walks its table **once** for every spec it covers
 //!   (shared axis indices, one value gather per row block, the blocks
 //!   sized by the pass's shape): on the host in one charged pass, on a
 //!   device in one kernel that commits every spec's grids into one packed
 //!   block — each spec's touched bins only, or dense where that is smaller
 //!   ([`device_impl::bin_all_device`]) — followed by one download of as
-//!   much of the block as the kernel filled ([`Stream::copy_counted`]).
-//!   Tables are routed to the least-loaded of a small pool of
-//!   streams (by accumulated modeled kernel cost), so the blocks of a
-//!   multiblock overlap instead of serializing on one stream and uneven
-//!   blocks don't pile up the way position-based round-robin lets them;
+//!   much of the block as the kernel filled ([`devsim::Stream::copy_counted`]);
 //! * every spec's grids (counts + ops) accumulate in a single segmented
 //!   buffer that is reduced with **one** allreduce per step;
-//! * every grid-sized buffer on the way lives in the caller's
-//!   [`StepArena`] and each hop writes where the next one reads: a
-//!   table's first partial is *written* to its segment of the flat buffer
-//!   — every bin of a host pass's, the touched bins of a downloaded
-//!   block's over the identities the flat is seeded with (a kernel's
-//!   partial starts from the reduction identities, so merging it into an
-//!   identity grid would change no bit of it) — later tables merge, and
-//!   the reduced buffer comes back as the next step's flat.
+//! * every grid-sized buffer on the way lives in the back-end's
+//!   [`crate::arena::StepArena`] and each hop writes where the next one
+//!   reads: a table's first partial is *written* to its segment of the
+//!   flat buffer — every bin of a host pass's, the touched bins of a
+//!   downloaded block's over the identities the flat is seeded with (a
+//!   kernel's partial starts from the reduction identities, so merging it
+//!   into an identity grid would change no bit of it) — later tables
+//!   merge, and the reduced buffer comes back as the next step's flat.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
 
-use devsim::{CellBuffer, ReadView, Stream};
+use devsim::{CellBuffer, ReadView};
 use minimpi::{Comm, Segment};
 use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
 
-use crate::adaptor::{fetch_tables, local_tables, BinnedResult, Fetched};
+use crate::adaptor::{fetch_tables, BinnedResult, Fetched};
 use crate::arena::StepArena;
 use crate::bounds;
 use crate::device_impl;
@@ -51,21 +47,6 @@ use crate::grid::GridParams;
 use crate::host_impl::{self, FusedGrids, PassSpec};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
-
-/// Index of the stream with the smallest accumulated relative kernel
-/// cost. Ties break to the lowest index, so a uniform-cost spec set
-/// degenerates to the old round-robin rotation — the policies only
-/// diverge when costs are skewed, which is exactly when round-robin
-/// piles heavy kernels onto one stream.
-fn least_loaded_stream(loads: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, load) in loads.iter().enumerate().skip(1) {
-        if *load < loads[best] {
-            best = i;
-        }
-    }
-    best
-}
 
 /// The ops of `spec`, counts first (the layout of its grids everywhere
 /// downstream).
@@ -114,11 +95,14 @@ pub(crate) fn host_pass<R>(
     node.host().run("bin_fused_host", cost, || kernel(&cols))
 }
 
-/// Layout of a step's flat accumulation buffer: every spec's grids
-/// (counts first) laid back to back. The flat buffer doubles as the
-/// packed-collective payload, so local accumulation, the allreduce, and
-/// the unpack all work on one allocation with no repacking.
+/// A step's resolved grids and the layout of its flat accumulation
+/// buffer: every spec's grids (counts first) laid back to back. The flat
+/// buffer doubles as the packed-collective payload, so local
+/// accumulation, the allreduce, and the unpack all work on one allocation
+/// with no repacking.
 pub(crate) struct StepLayout {
+    /// Per spec, its resolved grid.
+    pub grids: Vec<GridParams>,
     /// Per spec, its ops with the implicit count grid first.
     pub ops: Vec<Vec<VarOp>>,
     /// Per spec, the start of its grids in the flat buffer and the bins
@@ -131,13 +115,13 @@ pub(crate) struct StepLayout {
 }
 
 impl StepLayout {
-    /// The step's flat-buffer layout over the resolved grids.
-    pub fn new(specs: &[BinningSpec], grids: &[GridParams]) -> Self {
+    /// The step's flat-buffer layout over the resolved `grids`.
+    pub fn new(specs: &[BinningSpec], grids: Vec<GridParams>) -> Self {
         let mut ops = Vec::with_capacity(specs.len());
         let mut spans = Vec::with_capacity(specs.len());
         let mut segments = Vec::new();
         let mut total = 0;
-        for (spec, grid) in specs.iter().zip(grids) {
+        for (spec, grid) in specs.iter().zip(&grids) {
             spans.push((total, grid.num_bins()));
             let spec_ops = spec_ops(spec);
             for vo in &spec_ops {
@@ -146,7 +130,7 @@ impl StepLayout {
             }
             ops.push(spec_ops);
         }
-        StepLayout { ops, spans, segments, len: total }
+        StepLayout { grids, ops, spans, segments, len: total }
     }
 
     /// Where grid `k` of spec `si` lives in the flat buffer.
@@ -217,12 +201,11 @@ impl StepLayout {
     pub fn publish(
         &self,
         specs: &[BinningSpec],
-        grids: &[GridParams],
         merged: &[f64],
         data: &dyn DataAdaptor,
     ) -> Vec<BinnedResult> {
         let mut results = Vec::with_capacity(specs.len());
-        for (si, (spec, grid)) in specs.iter().zip(grids).enumerate() {
+        for (si, (spec, grid)) in specs.iter().zip(&self.grids).enumerate() {
             let counts = &merged[self.segment(si, 0)];
             let mut arrays = Vec::with_capacity(spec.ops.len());
             for (k, vo) in self.ops[si].iter().enumerate().skip(1) {
@@ -255,13 +238,9 @@ impl<'a> FusedStep<'a> {
     /// Union of every spec's required variables, deduped in first-seen
     /// order (the shared per-step fetch list).
     pub fn union_variables(&self) -> Vec<&'a str> {
-        let mut vars: Vec<&str> = Vec::new();
-        for spec in self.specs {
-            for v in spec.required_variables() {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
+        let mut vars = Vec::new();
+        for v in self.specs.iter().flat_map(BinningSpec::required_variables) {
+            host_impl::intern(&mut vars, v);
         }
         vars
     }
@@ -291,11 +270,8 @@ impl<'a> FusedStep<'a> {
         // fly (specs share axes across coordinate systems).
         let mut auto_cols: Vec<&str> = Vec::new();
         for spec in self.specs.iter().filter(|s| s.bounds.is_none()) {
-            for ax in [spec.axes.0.as_str(), spec.axes.1.as_str()] {
-                if !auto_cols.contains(&ax) {
-                    auto_cols.push(ax);
-                }
-            }
+            host_impl::intern(&mut auto_cols, &spec.axes.0);
+            host_impl::intern(&mut auto_cols, &spec.axes.1);
         }
 
         let mut merged: HashMap<&str, (f64, f64)> = HashMap::new();
@@ -348,157 +324,5 @@ impl<'a> FusedStep<'a> {
                 spec.grid(bx, by)
             })
             .collect())
-    }
-
-    /// Local fused binning of every spec over every fetched table,
-    /// accumulated into the arena's flat buffer laid out by `layout` — the
-    /// exact payload of the step's packed allreduce. Each table is one
-    /// pass: on a device, one kernel on the stream of the arena's pool
-    /// with the least accumulated modeled cost, which fills the table's
-    /// resident device block, of which as much as it filled is downloaded
-    /// into its resident host block; all streams are synchronized once at
-    /// the end, then the partials land straight from the host views.
-    fn bin_local(
-        &self,
-        fetched: &[Fetched],
-        grids: &[GridParams],
-        layout: &StepLayout,
-        device: Option<usize>,
-        ctx: &ExecContext<'_>,
-        arena: &StepArena,
-    ) -> Result<Vec<f64>> {
-        let mut flat = layout.flat(arena, matches!(fetched.first(), Some(Fetched::Host(_))));
-        // Per table, the packed host block its download is landing in.
-        let mut staged: Vec<CellBuffer> = Vec::new();
-        let pool: Vec<Arc<Stream>> = match device.filter(|_| !fetched.is_empty()) {
-            None => Vec::new(),
-            Some(_) => arena.streams(ctx.node, fetched.len())?,
-        };
-        // Accumulated relative cost routed to each stream this step (the
-        // streams drain fully at the step's closing synchronize, so loads
-        // reset per call).
-        let mut stream_loads = vec![0.0; pool.len()];
-        let systems = self.specs.iter().zip(grids).zip(&layout.ops);
-        let (names, pass) =
-            plan_pass(systems.map(|((spec, grid), ops)| (&spec.axes, &ops[..], *grid)));
-        let all = 0..self.specs.len();
-
-        // Partials land table-major per grid, on either placement: the
-        // first table seeds every segment, later ones merge in order.
-        for (ti, f) in fetched.iter().enumerate() {
-            match f {
-                Fetched::Host(table) => {
-                    self.counters.add_table_passes(1);
-                    let mut scratch = arena.scratches().take();
-                    host_pass(ctx.node, table, &names, &pass, |cols| {
-                        host_impl::bin_all_host_each(cols, &pass, &mut scratch, |si, part| {
-                            layout.land_host(&mut flat, si, ti == 0, part)
-                        })
-                    });
-                    arena.scratches().give(scratch);
-                }
-                Fetched::Device(views) => {
-                    let d = device.expect("device fetch implies device placement");
-                    let cols: Vec<&CellBuffer> = names.iter().map(|n| views[*n].cells()).collect();
-                    let kc = device_impl::pass_cost(cols.first().map_or(0, |c| c.len()), &pass);
-                    let sidx = least_loaded_stream(&stream_loads);
-                    stream_loads[sidx] += kc.flops + kc.bytes;
-                    let stream = &pool[sidx];
-                    let len = device_impl::block_len(&pass);
-                    let slot = arena.slot(ctx.node, ti, d, len, stream)?;
-                    let scratches = arena.scratches();
-                    device_impl::bin_all_device(stream, &cols, &pass, &slot.packed, scratches)?;
-                    stream.copy_counted(&slot.packed, &slot.host).map_err(Error::Device)?;
-                    self.counters.add_kernel_launches(1);
-                    self.counters.add_downloads(1);
-                    staged.push(slot.host);
-                }
-            }
-        }
-
-        if !staged.is_empty() {
-            for stream in &pool {
-                stream.synchronize().map_err(Error::Device)?;
-            }
-            for (ti, host) in staged.iter().enumerate() {
-                layout.land_downloaded(&mut flat, all.clone(), ti == 0, host)?;
-            }
-        }
-        Ok(flat)
-    }
-
-    /// The whole step on `device`, in `arena`'s memory: fetch, resolve
-    /// grids, bin locally, one packed allreduce — and, where `publish`
-    /// says the rank has a consumer for them, one result per spec, in spec
-    /// order (no results otherwise).
-    pub fn run(
-        &self,
-        data: &dyn DataAdaptor,
-        ctx: &ExecContext<'_>,
-        device: Option<usize>,
-        arena: &StepArena,
-        publish: bool,
-    ) -> Result<Vec<BinnedResult>> {
-        arena.place(device);
-        let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
-        let fetched = self.fetch(data, &tables, device)?;
-        let grids = self.resolve_grids(&fetched, device, ctx)?;
-        let layout = StepLayout::new(self.specs, &grids);
-        let flat = self.bin_local(&fetched, &grids, &layout, device, ctx, arena)?;
-        // The last view of the fetched columns is gone: a snapshot whose
-        // CoW shares they read in place may let go of them.
-        drop(fetched);
-        data.release_shared();
-        let merged = layout.allreduce(ctx.comm, flat)?;
-        let results =
-            if publish { layout.publish(self.specs, &grids, &merged, data) } else { Vec::new() };
-        arena.keep_flat(merged);
-        Ok(results)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Simulate routing a sequence of kernel costs over `n` streams and
-    /// return each kernel's stream index.
-    fn route(costs: &[f64], n: usize) -> Vec<usize> {
-        let mut loads = vec![0.0; n];
-        costs
-            .iter()
-            .map(|c| {
-                let i = least_loaded_stream(&loads);
-                loads[i] += c;
-                i
-            })
-            .collect()
-    }
-
-    #[test]
-    fn skewed_costs_split_heavy_kernels_across_streams() {
-        // Heavy/light alternation over two streams: round-robin by
-        // position would put both heavy kernels on stream 0; least-loaded
-        // routing pairs each heavy kernel with a light one.
-        let (heavy, light) = (1000.0, 1.0);
-        let picks = route(&[heavy, light, heavy, light], 2);
-        assert_eq!(picks, vec![0, 1, 1, 0]);
-        let mut per_stream = [0.0f64; 2];
-        for (pick, cost) in picks.iter().zip([heavy, light, heavy, light]) {
-            per_stream[*pick] += cost;
-        }
-        assert_eq!(per_stream[0], per_stream[1], "loads must balance");
-    }
-
-    #[test]
-    fn uniform_costs_degenerate_to_round_robin() {
-        let picks = route(&[5.0; 8], 4);
-        assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn ties_break_to_the_lowest_index() {
-        assert_eq!(least_loaded_stream(&[2.0, 1.0, 1.0]), 1);
-        assert_eq!(least_loaded_stream(&[0.0]), 0);
     }
 }

@@ -1,10 +1,12 @@
-//! DAG-engine equivalence: running a fused [`binning::BinningAnalysis`] —
-//! one spec (`data_binning`) or a suite of them (`binning_suite`) —
-//! through the dataflow task-graph engine (`ExecutionMethod::Dag`) must
-//! produce results bit-identical to the inline lockstep engine — across
-//! spec sets, device placements, snapshot modes, and under injected
+//! Task-graph equivalence: a fused [`binning::BinningAnalysis`] — one spec
+//! (`data_binning`) or a suite of them (`binning_suite`) — runs its step
+//! as one task graph under every execution method: in order under
+//! `lockstep` and `asynchronous`, work-stealing under `dag`. The results
+//! must be bit-identical across the methods — across spec sets, device
+//! placements, snapshot modes, tables per rank, and under injected
 //! `stream.launch` faults recovered per task node by the retry policy.
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,39 +27,50 @@ use binning::{BinOp, BinnedResult, BinningAnalysis, BinningSpec, BinningSuite, R
 /// Particle table with four columns; each rank owns a deterministic
 /// pseudo-random slice (same fixture as the fused-suite tests).
 struct Particles {
-    table: TableData,
+    /// One table, published bare, or several, as the local blocks of a
+    /// multiblock.
+    tables: Vec<TableData>,
     step: u64,
 }
 
 impl Particles {
     fn new(node: Arc<SimNode>, device: Option<usize>, rank: usize) -> Self {
-        let n = 200;
-        let col = |seed: usize| -> Vec<f64> {
-            (0..n).map(|i| (((i * seed + rank * 7919) % 1000) as f64) / 500.0 - 1.0).collect()
-        };
-        let alloc = if device.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
-        let mut table = TableData::new();
-        for (name, seed) in [("x", 37), ("y", 53), ("z", 71), ("m", 97)] {
-            let arr = HamrDataArray::<f64>::from_slice(
-                name,
-                node.clone(),
-                &col(seed),
-                1,
-                alloc,
-                device,
-                HamrStream::default_stream(),
-                StreamMode::Sync,
-            )
-            .unwrap();
-            table.set_column(arr.as_array_ref());
-        }
-        Particles { table, step: 0 }
+        Self::with_tables(node, device, rank, 1)
     }
 
-    /// Overwrite `x` in place, where it lives, with its values for `step`;
-    /// complete on return.
+    /// `tables` tables of 200 rows each; table `t` of rank `r` draws the
+    /// slice a one-table run gives rank `r * tables + t`.
+    fn with_tables(node: Arc<SimNode>, device: Option<usize>, rank: usize, tables: usize) -> Self {
+        let n = 200;
+        let alloc = if device.is_some() { Allocator::OpenMp } else { Allocator::Malloc };
+        let table = |salt: usize| {
+            let mut table = TableData::new();
+            for (name, seed) in [("x", 37), ("y", 53), ("z", 71), ("m", 97)] {
+                let col: Vec<f64> = (0..n)
+                    .map(|i| (((i * seed + salt * 7919) % 1000) as f64) / 500.0 - 1.0)
+                    .collect();
+                let arr = HamrDataArray::<f64>::from_slice(
+                    name,
+                    node.clone(),
+                    &col,
+                    1,
+                    alloc,
+                    device,
+                    HamrStream::default_stream(),
+                    StreamMode::Sync,
+                )
+                .unwrap();
+                table.set_column(arr.as_array_ref());
+            }
+            table
+        };
+        Particles { tables: (0..tables).map(|t| table(rank * tables + t)).collect(), step: 0 }
+    }
+
+    /// Overwrite the first table's `x` in place, where it lives, with its
+    /// values for `step`; complete on return.
     fn rewrite_x(&self, node: &SimNode, rank: usize, step: u64) {
-        let x = svtk::downcast::<f64>(self.table.column("x").unwrap()).unwrap().data();
+        let x = svtk::downcast::<f64>(self.tables[0].column("x").unwrap()).unwrap().data();
         let seed = 37 + 2 * step as usize;
         let values: Vec<f64> = (0..x.len())
             .map(|i| (((i * seed + rank * 7919) % 1000) as f64) / 500.0 - 1.0)
@@ -86,7 +99,14 @@ impl sensei::DataAdaptor for Particles {
         Ok(MeshMetadata { name: "bodies".into(), arrays: vec![] })
     }
     fn mesh(&self, _name: &str) -> Result<DataObject> {
-        Ok(DataObject::Table(self.table.clone()))
+        if let [table] = &self.tables[..] {
+            return Ok(DataObject::Table(table.clone()));
+        }
+        let mut mb = svtk::MultiBlock::new(self.tables.len());
+        for (i, table) in self.tables.iter().enumerate() {
+            mb.set_block(i, DataObject::Table(table.clone()));
+        }
+        Ok(DataObject::Multi(mb))
     }
     fn time(&self) -> f64 {
         self.step as f64 * 0.1
@@ -130,6 +150,8 @@ struct Run {
     snapshot: SnapshotMode,
     recovery: RecoveryPolicy,
     steps: u64,
+    /// Tables per rank.
+    tables: usize,
 }
 
 type Build<'a> = &'a (dyn Fn(ResultSink, BackendControls) -> Vec<BinningAnalysis> + Sync);
@@ -166,7 +188,7 @@ fn run_backends(
             DeviceSpec::Explicit(d) => Some(d),
             DeviceSpec::Auto => Some(comm.rank() % 2),
         };
-        let mut sim = Particles::new(node.clone(), device, comm.rank());
+        let mut sim = Particles::with_tables(node.clone(), device, comm.rank(), cfg.tables);
         for step in 0..cfg.steps {
             sim.step = step;
             bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
@@ -218,6 +240,7 @@ fn inline_run(ranks: usize, device: DeviceSpec, steps: u64) -> Run {
         snapshot: SnapshotMode::Deep,
         recovery: RecoveryPolicy::Abort,
         steps,
+        tables: 1,
     }
 }
 
@@ -366,6 +389,103 @@ fn finalize_returns_the_arena_to_the_pool_under_every_engine() {
                     execution.name()
                 );
             });
+        }
+    }
+}
+
+/// The three execution methods.
+const EXECUTIONS: [ExecutionMethod; 3] =
+    [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag];
+
+/// Run `f` on a thread of its own and wait at most `limit` for its value:
+/// a world whose ranks wait for each other forever fails the test in
+/// seconds instead of stalling the suite.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(limit) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{what}: no result within {limit:?}: a rank hangs")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("{what}: the run panicked"),
+    }
+}
+
+#[test]
+fn a_retried_launch_never_re_enters_a_collective_another_rank_left() {
+    // Rank 0's binning kernel fails to launch once. With auto bounds the
+    // step's bounds collective lies before it, and rank 1 has left that
+    // collective for the grid allreduce: retrying the whole step would
+    // send rank 0 back into it, where no one joins it. Recovery per task
+    // node re-runs the launch alone, under every execution method. With
+    // manual bounds there is no collective before the kernel: the control.
+    for auto_bounds in [true, false] {
+        let specs = spec_set(2, 4, auto_bounds);
+        let clean = run_binning(inline_run(2, DeviceSpec::Explicit(0), 3), specs.clone(), None).0;
+        for execution in EXECUTIONS {
+            // The first armed launch on rank 0 is the bounds kernel (auto)
+            // or step 0's binning kernel (manual); the second fails.
+            let fault = FaultConfig::seeded(5).with_rule(
+                FaultRule::error(site::STREAM_LAUNCH)
+                    .with_after(1)
+                    .with_max_injections(1)
+                    .for_rank(0),
+            );
+            let cfg = Run {
+                execution,
+                recovery: RecoveryPolicy::Retry { max_retries: 4, backoff_ms: 0 },
+                ..inline_run(2, DeviceSpec::Explicit(0), 3)
+            };
+            let what = format!("{} (auto bounds: {auto_bounds})", execution.name());
+            let specs = specs.clone();
+            let (got, _, counters) = within(Duration::from_secs(20), &what, move || {
+                run_binning(cfg, specs, Some(fault))
+            });
+            assert_results_bit_identical(&got, &clean, &what);
+            let f = counters.faults;
+            assert_eq!((f.injected, f.retried, f.recovered, f.aborted), (1, 1, 1, 0), "{what}");
+        }
+    }
+}
+
+#[test]
+fn multi_table_steps_land_table_major_under_every_execution_method() {
+    // Three local tables per rank: the graph's partials land table-major
+    // whether one kernel covers a table's specs (in order) or each spec
+    // has its own (work stealing), and equal the per-op oracle's grids.
+    const STEPS: u64 = 3;
+    const TABLES: u64 = 3;
+    let specs = spec_set(3, 4, true);
+    for device in [DeviceSpec::Explicit(0), DeviceSpec::Host] {
+        let lockstep = Run { tables: TABLES as usize, ..inline_run(2, device, STEPS) };
+        let oracle = run_backends(lockstep, &one_per_spec(&specs, false), None).0;
+        let reference = run_binning(lockstep, specs.clone(), None).0;
+        assert!(bits_of(&reference) == bits_of(&oracle), "{device:?}: differs from the oracle");
+        for execution in EXECUTIONS {
+            let cfg = Run { execution, ..lockstep };
+            let (got, sched, counters) = run_binning(cfg, specs.clone(), None);
+            let what = format!("{device:?} {}", execution.name());
+            assert_results_bit_identical(&got, &reference, &what);
+            if execution == ExecutionMethod::Dag {
+                assert!(sched.tasks > 0, "{what}: the work-stealing executor ran");
+                continue;
+            }
+            assert_eq!(sched.tasks, 0, "{what}: the in-order executor counts no tasks");
+            // Per table and step, auto bounds add one min/max stage (a
+            // kernel and its download, or a host pass) to the step's one
+            // fused kernel and download, or one fused host pass.
+            let per_table = match device {
+                DeviceSpec::Host => (2, 0, 0),
+                _ => (0, 2, 2),
+            };
+            let c = (counters.table_passes, counters.kernel_launches, counters.downloads);
+            let n = STEPS * TABLES;
+            assert_eq!(c, (per_table.0 * n, per_table.1 * n, per_table.2 * n), "{what}");
         }
     }
 }
@@ -539,7 +659,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random spec sets, placements, snapshot modes, rank counts: the
-    /// task-graph execution is always bit-identical to the inline engine.
+    /// work-stealing execution is always bit-identical to lockstep.
     #[test]
     fn dag_is_bit_identical_to_inline_across_random_configs(
         placement in sample::select(vec![

@@ -124,9 +124,10 @@ pub trait AnalysisAdaptor: Send {
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool>;
 
     /// True when this back-end can plan its step as a task graph for
-    /// [`execute_dag`](Self::execute_dag). Under the `dag` execution
-    /// method the worker engine falls back to plain
-    /// [`execute`](Self::execute) dispatch otherwise.
+    /// [`execute_dag`](Self::execute_dag). The engine then runs every step
+    /// through `execute_dag` — the graph in order under `lockstep` and
+    /// `asynchronous`, work-stealing under `dag` — and otherwise through
+    /// [`execute`](Self::execute).
     fn supports_dag(&self) -> bool {
         false
     }

@@ -1,11 +1,12 @@
 //! The simulation-facing bridge: initialize, execute per iteration,
 //! finalize.
 //!
-//! Each attached back-end is wrapped in an [`ExecutionEngine`] chosen by
-//! its [`ExecutionMethod`]: lockstep runs inline, asynchronous and dag
-//! run on a snapshot-fed worker. Snapshot capture is requirements-driven:
-//! per iteration the bridge unions the [`crate::DataRequirements`] of the
-//! due snapshot-consuming engines and deep-copies exactly that.
+//! Each attached back-end is wrapped in an [`Engine`] that runs it where
+//! its [`crate::ExecutionMethod`] says: lockstep on the simulation's
+//! thread, asynchronous and dag on a snapshot-fed worker. Snapshot capture
+//! is requirements-driven: per iteration the bridge unions the
+//! [`crate::DataRequirements`] of the due snapshot-consuming engines and
+//! deep-copies exactly that.
 //!
 //! Back-ends attached with [`Bridge::add_reconfigurable_analysis`] can be
 //! rebuilt mid-run under new [`BackendControls`] — the hook the
@@ -25,9 +26,8 @@ use crate::adaptive::{
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
 use crate::counters::{CounterSnapshot, FaultSnapshot};
-use crate::engine::{ExecutionEngine, InlineEngine, WorkerEngine};
+use crate::engine::Engine;
 use crate::error::{Error, Result};
-use crate::execution::ExecutionMethod;
 use crate::profiler::Profiler;
 use crate::requirements::DataRequirements;
 use crate::serve::{ServeHub, Steer, SteeringCommand};
@@ -66,7 +66,7 @@ pub struct Bridge {
 /// the breakdown keeps them apart).
 struct Attached {
     label: String,
-    engine: Box<dyn ExecutionEngine>,
+    engine: Engine,
     /// Present for reconfigurable back-ends: rebuilds the adaptor when
     /// the engine is retired and recreated under new controls.
     factory: Option<AdaptorFactory>,
@@ -135,11 +135,11 @@ impl Bridge {
         self.serve.as_ref()
     }
 
-    /// Attach a back-end. Its [`ExecutionMethod`] selects the engine:
-    /// lockstep back-ends run inline; asynchronous and dag back-ends get a
-    /// persistent worker thread with a bounded snapshot queue and a
-    /// dedicated duplicate of `comm` (collective: every rank must attach
-    /// the same back-ends in the same order).
+    /// Attach a back-end. Its [`crate::ExecutionMethod`] selects where it
+    /// runs: lockstep back-ends on the simulation's thread; asynchronous
+    /// and dag back-ends on a persistent worker thread with a bounded
+    /// snapshot queue and a dedicated duplicate of `comm` (collective:
+    /// every rank must attach the same back-ends in the same order).
     pub fn add_analysis(&mut self, adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm) -> Result<()> {
         self.attach(adaptor, None, comm)
     }
@@ -167,7 +167,7 @@ impl Bridge {
             return Err(Error::Finalized);
         }
         let name = adaptor.name().to_string();
-        let engine = self.engine_for(adaptor, comm);
+        let engine = Engine::new(adaptor, comm, &self.node);
         let copies = self.engines.iter().filter(|a| a.engine.backend_name() == name).count();
         let label = if copies == 0 { name } else { format!("{}#{}", name, copies + 1) };
         self.engines.push(Attached {
@@ -178,20 +178,6 @@ impl Bridge {
             paused_from: None,
         });
         Ok(())
-    }
-
-    /// Wrap `adaptor` in the engine its execution method calls for.
-    fn engine_for(
-        &self,
-        adaptor: Box<dyn AnalysisAdaptor>,
-        comm: &Comm,
-    ) -> Box<dyn ExecutionEngine> {
-        match adaptor.controls().execution {
-            ExecutionMethod::Lockstep => Box::new(InlineEngine::new(adaptor)),
-            ExecutionMethod::Asynchronous | ExecutionMethod::Dag => {
-                Box::new(WorkerEngine::spawn(adaptor, comm.dup(), self.node.clone()))
-            }
-        }
     }
 
     /// Number of attached back-ends.
@@ -232,7 +218,7 @@ impl Bridge {
         self.engines[idx].engine.finalize(comm, &self.node)?;
         self.retire_counters(idx);
         let adaptor = (self.engines[idx].factory.as_ref().expect("checked above"))(&controls)?;
-        self.engines[idx].engine = self.engine_for(adaptor, comm);
+        self.engines[idx].engine = Engine::new(adaptor, comm, &self.node);
         self.engines[idx].faults_seen = FaultSnapshot::default();
         Ok(())
     }
@@ -241,9 +227,7 @@ impl Bridge {
     /// engine retirement; finalize does the same for live engines).
     fn retire_counters(&mut self, idx: usize) {
         let a = &self.engines[idx];
-        if let Some(c) = a.engine.counters() {
-            self.profiler.record_counters(a.label.as_str(), c.snapshot());
-        }
+        self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
         if let Some(s) = a.engine.scheduler_counters() {
             self.profiler.record_scheduler_counters(a.label.as_str(), s.snapshot());
         }
@@ -333,7 +317,7 @@ impl Bridge {
             // the counters on their worker, so the taint may land a step
             // late there — but there the backoff never polluted the
             // dispatch timing in the first place.
-            let faults = a.engine.counters().map(|c| c.snapshot().faults).unwrap_or_default();
+            let faults = a.engine.counters().snapshot().faults;
             let tainted = faults.retried > a.faults_seen.retried
                 || faults.recovered > a.faults_seen.recovered;
             a.faults_seen = faults;
@@ -536,9 +520,7 @@ impl Bridge {
         // at step N still completed steps 0..N and those counts (plus the
         // fault counters describing the failure itself) must survive.
         for a in &self.engines {
-            if let Some(counters) = a.engine.counters() {
-                self.profiler.record_counters(a.label.as_str(), counters.snapshot());
-            }
+            self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
             // Every back-end gets a scheduler row — explicit zeros for
             // engines without a task-graph scheduler — so
             // `scheduler_samples()` has one entry per back-end whatever

@@ -4,10 +4,12 @@
 //! worker thread, a back-end that supports dataflow execution *plans* its
 //! step as a DAG of typed tasks — `Fetch → Kernel → Download → Reduce →
 //! Publish` — with explicit dependency edges and optional [`Event`] gates.
-//! The [`crate::DagScheduler`] then executes the graph with work-stealing
-//! workers over every device slot and stream: downloads overlap kernels by
-//! construction, idle devices steal ready kernel tasks, and the packed
-//! allreduce is a single sync node placed last.
+//! A [`crate::DagScheduler`] then executes the graph: in push order on the
+//! calling thread (lockstep and asynchronous), or with work-stealing
+//! workers over every device slot and stream (dag), where downloads
+//! overlap kernels by construction and idle devices steal ready kernel
+//! tasks. Either way the packed allreduce is a single sync node placed
+//! last, and recovery applies per node.
 //!
 //! Two body flavours keep the borrow story honest:
 //!
@@ -78,7 +80,8 @@ pub enum TaskSite {
 
 /// Per-device stream pair the scheduler provisions: kernels go to
 /// `compute`, downloads to `copy`, so a device's D2H traffic overlaps its
-/// own kernel queue exactly as CUDA's dual-stream pattern does.
+/// own kernel queue exactly as CUDA's dual-stream pattern does. The
+/// in-order executor uses the device's default stream as both.
 #[derive(Clone)]
 pub struct DeviceStreams {
     /// Kernel launch queue (one per device worker, worker-exclusive).

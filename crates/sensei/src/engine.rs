@@ -1,16 +1,21 @@
-//! The execution-engine layer.
+//! The execution engine.
 //!
-//! An [`ExecutionEngine`] owns one analysis back-end and decides *how* it
-//! runs relative to the simulation. There are two: [`InlineEngine`] runs
-//! lockstep back-ends on the simulation's thread with zero-copy access to
-//! the live data, and [`WorkerEngine`] feeds snapshots to a persistent
-//! worker thread for the `asynchronous` and `dag` modes — the mode is the
-//! worker's policy (monolithic dispatch or task graphs), not a third
-//! engine. The bridge picks between them by matching the back-end's
-//! [`crate::ExecutionMethod`].
+//! An [`Engine`] owns one analysis back-end and runs its steps relative
+//! to the simulation: on the simulation's thread with zero-copy access to
+//! the live data under `lockstep`, on a persistent worker thread fed
+//! snapshots through a bounded queue under `asynchronous` and `dag`.
+//!
+//! Whatever the thread, a step is one function. A back-end that plans task
+//! graphs ([`AnalysisAdaptor::supports_dag`]) runs `execute_dag` with
+//! recovery per task node — in push order on the engine's thread under
+//! `lockstep` and `asynchronous`, under the work-stealing
+//! [`DagScheduler`] over every device of the node under `dag` — so no
+//! retry re-enters a collective another rank has already left. Any other
+//! back-end runs `execute` under whole-step recovery.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use devsim::SimNode;
 use minimpi::Comm;
@@ -53,278 +58,98 @@ fn guarded(name: &str, rank: usize, step: impl FnOnce() -> Result<bool>) -> Resu
     }
 }
 
-/// How a back-end's work is scheduled relative to the simulation.
-///
-/// The bridge calls [`dispatch`](Self::dispatch) for every iteration the
-/// back-end is due and [`finalize`](Self::finalize) once at shutdown.
-/// Engines that run the analysis on another thread report the *apparent*
-/// cost (what the simulation waits for) through the bridge's timing of
-/// `dispatch`; the analysis itself overlaps the solver.
-pub trait ExecutionEngine: Send {
-    /// The owned back-end's instance name (for profiling and errors).
-    fn backend_name(&self) -> &str;
-
-    /// The owned back-end's execution-model controls.
-    fn controls(&self) -> &BackendControls;
-
-    /// What the back-end needs deep-copied when it runs off a snapshot.
-    fn requirements(&self) -> DataRequirements;
-
-    /// True when `dispatch` consumes a deep-copied snapshot instead of
-    /// accessing the simulation's live data.
-    fn needs_snapshot(&self) -> bool;
-
-    /// The owned back-end's work counters, if it keeps any. Engines that
-    /// move the back-end onto a worker thread must capture the handle
-    /// before the move so the bridge can still read the totals.
-    fn counters(&self) -> Option<Arc<AnalysisCounters>> {
-        None
-    }
-
-    /// Work-stealing scheduler counters, for engines that execute steps
-    /// as task graphs ([`WorkerEngine`] under `dag`); the bridge records
-    /// them into the profiler at finalize.
-    fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
-        None
-    }
-
-    /// Run (or hand off) one iteration. `snapshot` is `Some` iff
-    /// [`needs_snapshot`](Self::needs_snapshot); it may contain the union
-    /// of several back-ends' requirements. Returns `Ok(false)` when the
-    /// back-end requests the simulation stop.
-    fn dispatch(
-        &mut self,
-        data: &dyn DataAdaptor,
-        snapshot: Option<&Arc<SnapshotAdaptor>>,
-        comm: &Comm,
-        node: &Arc<SimNode>,
-    ) -> Result<bool>;
-
-    /// Complete all outstanding work and finalize the back-end.
-    fn finalize(&mut self, comm: &Comm, node: &Arc<SimNode>) -> Result<()>;
-}
-
-/// Lockstep execution: the back-end runs inline on the simulation's
-/// thread, with zero-copy access to the live data (§3's lockstep method).
-///
-/// Each dispatch runs under the back-end's
-/// [`RecoveryPolicy`](crate::RecoveryPolicy) with fault injection armed
-/// for this rank, so injected device faults and analysis panics are
-/// retried, skipped, or surfaced per policy — and counted in the
-/// back-end's [`FaultCounters`](crate::FaultCounters).
-pub struct InlineEngine {
+/// A back-end with what runs its steps, on whichever thread the engine
+/// gives it.
+struct Stepper {
     name: String,
     adaptor: Box<dyn AnalysisAdaptor>,
+    /// Present when the back-end plans task graphs.
+    sched: Option<DagScheduler>,
     /// The adaptor's counters, or engine-owned ones for back-ends without
     /// any — recovery outcomes need somewhere to be recorded either way.
     counters: Arc<AnalysisCounters>,
 }
 
-impl InlineEngine {
-    /// Wrap `adaptor` for inline execution.
-    pub fn new(adaptor: Box<dyn AnalysisAdaptor>) -> Self {
-        let name = adaptor.name().to_string();
-        let counters = adaptor.counters().unwrap_or_default();
-        InlineEngine { name, adaptor, counters }
+impl Stepper {
+    /// The one step function (see the module docs).
+    fn step(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
+        let Stepper { name, adaptor, sched, counters } = self;
+        let rank = ctx.comm.rank();
+        match sched {
+            // Recovery applies per task node inside the scheduler; wrapping
+            // the whole step again would double-count faults and re-run
+            // collectives. Panics (plan-time, or escaping a scoped worker)
+            // are still contained here.
+            Some(sched) => guarded(name, rank, || adaptor.execute_dag(data, ctx, sched)),
+            None => run_with_recovery(adaptor.controls().recovery, counters, name, || {
+                guarded(name, rank, || adaptor.execute(data, ctx))
+            }),
+        }
     }
 }
 
-impl ExecutionEngine for InlineEngine {
-    fn backend_name(&self) -> &str {
-        &self.name
-    }
-
-    fn controls(&self) -> &BackendControls {
-        self.adaptor.controls()
-    }
-
-    fn requirements(&self) -> DataRequirements {
-        self.adaptor.required_arrays()
-    }
-
-    fn needs_snapshot(&self) -> bool {
-        false
-    }
-
-    fn counters(&self) -> Option<Arc<AnalysisCounters>> {
-        Some(self.counters.clone())
-    }
-
-    fn dispatch(
-        &mut self,
-        data: &dyn DataAdaptor,
-        _snapshot: Option<&Arc<SnapshotAdaptor>>,
-        comm: &Comm,
-        node: &Arc<SimNode>,
-    ) -> Result<bool> {
-        let ctx = ExecContext::new(comm, node);
-        let InlineEngine { name, adaptor, counters } = self;
-        let rank = comm.rank();
-        run_with_recovery(adaptor.controls().recovery, counters, name, || {
-            guarded(name, rank, || adaptor.execute(data, &ctx))
-        })
-    }
-
-    fn finalize(&mut self, comm: &Comm, node: &Arc<SimNode>) -> Result<()> {
-        let ctx = ExecContext::new(comm, node);
-        self.adaptor.finalize(&ctx)
-    }
-}
-
-/// Snapshot-fed execution: a persistent worker thread owns the back-end
-/// and a dedicated duplicate communicator; `dispatch` hands the step's
-/// snapshot through a bounded queue and returns immediately (§4.3).
-///
-/// The back-end's [`ExecutionMethod`] is the worker's policy, not a
-/// different engine. Under `asynchronous` every snapshot runs as one
-/// monolithic `execute` with per-snapshot recovery. Under `dag`, back-ends
-/// that plan task graphs ([`AnalysisAdaptor::supports_dag`]) run each
-/// step under a work-stealing [`DagScheduler`] spanning every device slot
-/// and stream of the node (DESIGN.md §13), with recovery per task node;
-/// back-ends that do not are dispatched exactly as under `asynchronous`.
-///
-/// The queue depth and overflow policy come from the back-end's
-/// [`BackendControls`]; a worker that fails or panics surfaces as
-/// [`Error::Analysis`] from the next `dispatch` or from `finalize`.
-pub struct WorkerEngine {
-    name: String,
-    controls: BackendControls,
-    requirements: DataRequirements,
-    counters: Arc<AnalysisCounters>,
-    /// Present under `dag`, so the profiler gets a scheduler row even
-    /// when the back-end fell back to monolithic dispatch.
-    scheduler_counters: Option<Arc<SchedulerCounters>>,
+/// The worker thread of an `asynchronous` or `dag` engine.
+struct Worker {
     tx: Option<BoundedSender<Arc<SnapshotAdaptor>>>,
-    handle: Option<std::thread::JoinHandle<Result<()>>>,
+    handle: Option<JoinHandle<Result<()>>>,
     /// A failure already observed (spawn failure, or a dead worker found
     /// by an earlier dispatch): every later dispatch returns it, and
     /// `finalize` surfaces it instead of silently reporting success.
     failed: Option<Error>,
 }
 
-impl WorkerEngine {
-    /// Move `adaptor` onto a new worker thread. `comm` must be a
-    /// dedicated duplicate (the worker owns it; analysis traffic must not
-    /// interfere with the simulation's communicator).
-    ///
-    /// A failure to spawn the OS thread does not panic: the engine comes
-    /// back constructed-but-failed, the first `dispatch` and `finalize`
-    /// return the spawn error as [`Error::Analysis`].
-    pub fn spawn(mut adaptor: Box<dyn AnalysisAdaptor>, comm: Comm, node: Arc<SimNode>) -> Self {
-        let name = adaptor.name().to_string();
-        let controls = *adaptor.controls();
-        let requirements = adaptor.required_arrays();
-        // Captured before the adaptor moves to the worker: the counters
-        // are shared atomics, so the bridge reads live totals. Back-ends
-        // without counters get engine-owned ones so recovery outcomes are
-        // still recorded.
-        let counters = adaptor.counters().unwrap_or_default();
-        let dag = controls.execution == ExecutionMethod::Dag;
-        let scheduler_counters = dag.then(SchedulerCounters::new);
-        // Dataflow: only under `dag`, and only a back-end that plans task
-        // graphs gets a scheduler to hand them to.
-        let dataflow_counters = scheduler_counters.clone().filter(|_| adaptor.supports_dag());
-        let (tx, rx) = bounded::<Arc<SnapshotAdaptor>>(controls.queue_depth, controls.overflow);
-        let worker_name = name.clone();
-        let worker_counters = counters.clone();
-        let policy = controls.recovery;
+impl Worker {
+    /// Move `stepper` onto a new thread that owns `comm` and runs one step
+    /// per snapshot received. A failure to spawn the OS thread does not
+    /// panic: the worker comes back failed.
+    fn spawn(mut stepper: Stepper, comm: Comm, node: Arc<SimNode>, c: &BackendControls) -> Self {
+        let (tx, rx) = bounded::<Arc<SnapshotAdaptor>>(c.queue_depth, c.overflow);
+        let name = stepper.name.clone();
         let spawned = std::thread::Builder::new().name(format!("sensei-insitu-{name}")).spawn(
             move || -> Result<()> {
-                let rank = comm.rank();
-                let mut sched = dataflow_counters.map(|c| DagScheduler::new(node.clone(), rank, c));
                 let ctx = ExecContext::new(&comm, &node);
                 while let Some(snapshot) = rx.recv() {
-                    let outcome = match &mut sched {
-                        // Recovery applies per task node inside the
-                        // scheduler; wrapping the whole step again would
-                        // double-count faults and re-run collectives.
-                        // Panics (plan-time or escaping a scoped worker)
-                        // are still contained here.
-                        Some(sched) => guarded(&worker_name, rank, || {
-                            adaptor.execute_dag(snapshot.as_ref(), &ctx, sched)
-                        }),
-                        // Per-snapshot recovery: a fault in one iteration
-                        // is retried or skipped per policy without killing
-                        // the worker; only an abort (or exhausted retries)
-                        // ends it.
-                        None => run_with_recovery(policy, &worker_counters, &worker_name, || {
-                            guarded(&worker_name, rank, || adaptor.execute(snapshot.as_ref(), &ctx))
-                        }),
-                    };
+                    // A fault in one iteration is retried or skipped per
+                    // policy without killing the worker; only an abort (or
+                    // exhausted retries) ends it.
+                    let outcome = stepper.step(snapshot.as_ref(), &ctx);
                     // This worker is done with the snapshot either way;
                     // the last consumer's finish drops the CoW pins so
                     // later producer writes skip the fault copy.
                     snapshot.consumer_finished();
                     outcome?;
                 }
-                adaptor.finalize(&ctx)
+                stepper.adaptor.finalize(&ctx)
             },
         );
-        let (tx, handle, failed) = match spawned {
-            Ok(handle) => (Some(tx), Some(handle), None),
-            Err(io) => {
-                let failed = Error::Analysis(format!(
+        match spawned {
+            Ok(handle) => Worker { tx: Some(tx), handle: Some(handle), failed: None },
+            Err(io) => Worker {
+                tx: None,
+                handle: None,
+                failed: Some(Error::Analysis(format!(
                     "failed to spawn in situ worker thread for '{name}': {io}"
-                ));
-                (None, None, Some(failed))
-            }
-        };
-        WorkerEngine {
-            name,
-            controls,
-            requirements,
-            counters,
-            scheduler_counters,
-            tx,
-            handle,
-            failed,
+                ))),
+            },
         }
     }
 
-    /// Join the worker and translate its exit into a `Result` (used both
+    /// Join the thread and translate its exit into a `Result` (used both
     /// when a send finds the worker gone and at finalize).
-    fn join_worker(&mut self) -> Result<()> {
-        match self.handle.take() {
-            Some(h) => match h.join() {
-                Ok(result) => result,
-                Err(_) => Err(Error::Analysis(format!("in situ worker '{}' panicked", self.name))),
-            },
+    fn join(&mut self, name: &str) -> Result<()> {
+        match self.handle.take().map(JoinHandle::join) {
+            Some(Ok(result)) => result,
+            Some(Err(_)) => Err(Error::Analysis(format!("in situ worker '{name}' panicked"))),
             None => Ok(()),
         }
     }
-}
 
-impl ExecutionEngine for WorkerEngine {
-    fn backend_name(&self) -> &str {
-        &self.name
-    }
-
-    fn controls(&self) -> &BackendControls {
-        &self.controls
-    }
-
-    fn requirements(&self) -> DataRequirements {
-        self.requirements.clone()
-    }
-
-    fn needs_snapshot(&self) -> bool {
-        true
-    }
-
-    fn counters(&self) -> Option<Arc<AnalysisCounters>> {
-        Some(self.counters.clone())
-    }
-
-    fn scheduler_counters(&self) -> Option<Arc<SchedulerCounters>> {
-        self.scheduler_counters.clone()
-    }
-
-    fn dispatch(
+    /// Hand `snapshot` to the thread.
+    fn send(
         &mut self,
-        _data: &dyn DataAdaptor,
+        name: &str,
+        depth: usize,
         snapshot: Option<&Arc<SnapshotAdaptor>>,
-        _comm: &Comm,
-        _node: &Arc<SimNode>,
     ) -> Result<bool> {
         if let Some(err) = &self.failed {
             return Err(err.clone());
@@ -333,56 +158,163 @@ impl ExecutionEngine for WorkerEngine {
         // it as an analysis error instead of panicking the solver thread.
         let Some(snapshot) = snapshot else {
             return Err(Error::Analysis(format!(
-                "in situ engine '{}' expected a snapshot but the bridge supplied none",
-                self.name
+                "in situ engine '{name}' expected a snapshot but the bridge supplied none"
             )));
         };
         let tx = self.tx.as_ref().ok_or(Error::Finalized)?;
-        match tx.send(snapshot.clone()) {
-            Ok(_) => Ok(true),
-            Err(SendError::Full) => Err(Error::Analysis(format!(
-                "in situ queue for '{}' is full ({} snapshots in flight, overflow policy \
-                 'error')",
-                self.name, self.controls.queue_depth
-            ))),
+        let err = match tx.send(snapshot.clone()) {
+            Ok(_) => return Ok(true),
+            Err(SendError::Full) => {
+                return Err(Error::Analysis(format!(
+                    "in situ queue for '{name}' is full ({depth} snapshots in flight, overflow \
+                     policy 'error')"
+                )))
+            }
+            // A dispatch into a closed queue drops the iteration: stashed
+            // below, so finalize surfaces it even when the caller swallows
+            // this error.
             Err(SendError::Closed) => {
-                // Stash the error like the disconnect arm below: a
-                // dispatch into a closed queue drops the iteration, and
-                // finalize must surface that instead of silently
-                // reporting success when the caller swallows this error.
-                let err = Error::Analysis(format!("in situ queue for '{}' is closed", self.name));
-                self.failed = Some(err.clone());
-                Err(err)
+                Error::Analysis(format!("in situ queue for '{name}' is closed"))
             }
+            // The worker exited early — an analysis error or a panic.
+            // Joining it (non-blocking: the thread is gone) recovers the
+            // reason.
             Err(SendError::Disconnected) => {
-                // The worker exited early — an analysis error or a panic.
-                // Joining it (non-blocking: the thread is gone) recovers
-                // the reason; stash it so finalize reports the failure
-                // even if the caller swallows this dispatch error.
                 self.tx = None;
-                let err = match self.join_worker() {
-                    Ok(()) => {
-                        Error::Analysis(format!("in situ worker '{}' terminated early", self.name))
-                    }
-                    Err(e) => e,
-                };
-                self.failed = Some(err.clone());
-                Err(err)
+                self.join(name).err().unwrap_or_else(|| {
+                    Error::Analysis(format!("in situ worker '{name}' terminated early"))
+                })
             }
+        };
+        self.failed = Some(err.clone());
+        Err(err)
+    }
+
+    /// Close the queue, let the thread drain it and finalize the back-end.
+    fn finalize(&mut self, name: &str) -> Result<()> {
+        if let Some(tx) = self.tx.take() {
+            tx.close();
+        }
+        let joined = self.join(name);
+        // A stashed failure (spawn error, dead worker seen at dispatch)
+        // takes precedence: it is the root cause.
+        self.failed.take().map_or(joined, Err)
+    }
+}
+
+/// Where an engine's steps run.
+enum Thread {
+    /// Lockstep: on the simulation's thread, on its live data.
+    Caller(Box<Stepper>),
+    /// Asynchronous and dag: on a worker, on snapshots.
+    Worker(Worker),
+}
+
+/// One back-end attached to a bridge, run on the thread its
+/// [`ExecutionMethod`] calls for (see the module docs).
+///
+/// Every step runs under the back-end's
+/// [`RecoveryPolicy`](crate::RecoveryPolicy) with fault injection armed
+/// for this rank, so injected device faults and analysis panics are
+/// retried, skipped, or surfaced per policy — and counted in the
+/// back-end's [`FaultCounters`](crate::FaultCounters). A worker's queue
+/// depth and overflow policy come from the back-end's
+/// [`BackendControls`]; a worker that fails or panics surfaces as
+/// [`Error::Analysis`] from the next `dispatch` or from `finalize`.
+pub struct Engine {
+    name: String,
+    controls: BackendControls,
+    requirements: DataRequirements,
+    counters: Arc<AnalysisCounters>,
+    /// Present under `dag`, so the profiler gets a scheduler row even for
+    /// a back-end that plans no task graphs.
+    scheduler_counters: Option<Arc<SchedulerCounters>>,
+    thread: Thread,
+}
+
+impl Engine {
+    /// Attach `adaptor` for `rank` of `comm` on `node`. Off lockstep the
+    /// back-end moves onto a worker thread with a dedicated duplicate of
+    /// `comm` (collective: analysis traffic must not interfere with the
+    /// simulation's communicator).
+    pub fn new(adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm, node: &Arc<SimNode>) -> Self {
+        let name = adaptor.name().to_string();
+        let controls = *adaptor.controls();
+        let requirements = adaptor.required_arrays();
+        // Captured before the adaptor may move to a worker: the counters
+        // are shared atomics, so the bridge reads live totals.
+        let counters = adaptor.counters().unwrap_or_default();
+        let scheduler_counters =
+            (controls.execution == ExecutionMethod::Dag).then(SchedulerCounters::new);
+        let rank = comm.rank();
+        let sched = adaptor.supports_dag().then(|| match &scheduler_counters {
+            Some(c) => DagScheduler::new(node.clone(), rank, c.clone()),
+            None => DagScheduler::in_order(node.clone(), rank),
+        });
+        let stepper = Stepper { name: name.clone(), adaptor, sched, counters: counters.clone() };
+        let thread = match controls.execution {
+            ExecutionMethod::Lockstep => Thread::Caller(Box::new(stepper)),
+            ExecutionMethod::Asynchronous | ExecutionMethod::Dag => {
+                Thread::Worker(Worker::spawn(stepper, comm.dup(), node.clone(), &controls))
+            }
+        };
+        Engine { name, controls, requirements, counters, scheduler_counters, thread }
+    }
+
+    /// The owned back-end's instance name (for profiling and errors).
+    pub fn backend_name(&self) -> &str {
+        &self.name
+    }
+
+    /// The owned back-end's execution-model controls.
+    pub fn controls(&self) -> &BackendControls {
+        &self.controls
+    }
+
+    /// What the back-end needs captured when it runs off a snapshot.
+    pub fn requirements(&self) -> DataRequirements {
+        self.requirements.clone()
+    }
+
+    /// True when `dispatch` consumes a snapshot instead of accessing the
+    /// simulation's live data.
+    pub fn needs_snapshot(&self) -> bool {
+        matches!(self.thread, Thread::Worker(_))
+    }
+
+    /// The back-end's work and fault counters.
+    pub fn counters(&self) -> &Arc<AnalysisCounters> {
+        &self.counters
+    }
+
+    /// The work-stealing scheduler's counters, under `dag`; the bridge
+    /// records them into the profiler at finalize.
+    pub fn scheduler_counters(&self) -> Option<&Arc<SchedulerCounters>> {
+        self.scheduler_counters.as_ref()
+    }
+
+    /// Run (or hand off) one iteration. `snapshot` is `Some` iff
+    /// [`needs_snapshot`](Self::needs_snapshot); it may contain the union
+    /// of several back-ends' requirements. Returns `Ok(false)` when the
+    /// back-end requests the simulation stop.
+    pub fn dispatch(
+        &mut self,
+        data: &dyn DataAdaptor,
+        snapshot: Option<&Arc<SnapshotAdaptor>>,
+        comm: &Comm,
+        node: &Arc<SimNode>,
+    ) -> Result<bool> {
+        match &mut self.thread {
+            Thread::Caller(stepper) => stepper.step(data, &ExecContext::new(comm, node)),
+            Thread::Worker(worker) => worker.send(&self.name, self.controls.queue_depth, snapshot),
         }
     }
 
-    fn finalize(&mut self, _comm: &Comm, _node: &Arc<SimNode>) -> Result<()> {
-        if let Some(tx) = self.tx.take() {
-            // Closing the queue ends the worker loop after it drains.
-            tx.close();
-        }
-        let join_result = self.join_worker();
-        // A stashed failure (spawn error, dead worker seen at dispatch)
-        // takes precedence: it is the root cause.
-        match self.failed.take() {
-            Some(err) => Err(err),
-            None => join_result,
+    /// Complete all outstanding work and finalize the back-end.
+    pub fn finalize(&mut self, comm: &Comm, node: &Arc<SimNode>) -> Result<()> {
+        match &mut self.thread {
+            Thread::Caller(stepper) => stepper.adaptor.finalize(&ExecContext::new(comm, node)),
+            Thread::Worker(worker) => worker.finalize(&self.name),
         }
     }
 }
@@ -394,9 +326,13 @@ mod tests {
     use minimpi::World;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// The two policies of the one worker engine.
+    /// The execution methods that run on a worker thread.
     const WORKER_MODES: [ExecutionMethod; 2] =
         [ExecutionMethod::Asynchronous, ExecutionMethod::Dag];
+
+    /// Every execution method.
+    const MODES: [ExecutionMethod; 3] =
+        [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag];
 
     /// How often each entry point of a [`Counting`] back-end ran.
     #[derive(Clone, Default)]
@@ -472,25 +408,24 @@ mod tests {
         }
     }
 
-    /// Spawn a worker engine around `build`'s back-end on a one-rank
-    /// world, hand it to `body`, and return the (execute, execute_dag)
-    /// call counts once the world has joined.
+    /// Attach an engine around `build`'s back-end on a one-rank world,
+    /// hand it to `body`, and return the (execute, execute_dag) call counts
+    /// once the world has joined.
     fn with_engine(
         build: impl Fn(Calls) -> Counting + Send + Sync,
-        body: impl Fn(&mut WorkerEngine, &Comm, &Arc<SimNode>) + Send + Sync,
+        body: impl Fn(&mut Engine, &Comm, &Arc<SimNode>) + Send + Sync,
     ) -> (u64, u64) {
         let calls = Calls::default();
         World::new(1).run(|comm| {
             let node = SimNode::new(NodeConfig::fast_test(1));
-            let adaptor = Box::new(build(calls.clone()));
-            let mut engine = WorkerEngine::spawn(adaptor, comm.dup(), node.clone());
+            let mut engine = Engine::new(Box::new(build(calls.clone())), &comm, &node);
             body(&mut engine, &comm, &node);
         });
         calls.totals()
     }
 
     /// Dispatch one (empty) snapshot.
-    fn dispatch(engine: &mut WorkerEngine, comm: &Comm, node: &Arc<SimNode>) -> Result<bool> {
+    fn dispatch(engine: &mut Engine, comm: &Comm, node: &Arc<SimNode>) -> Result<bool> {
         let snap = Arc::new(SnapshotAdaptor::capture(&EmptyData).unwrap());
         engine.dispatch(&EmptyData, Some(&snap), comm, node)
     }
@@ -505,7 +440,8 @@ mod tests {
                     // Close the queue through a second sender handle, as
                     // a finalizer racing a dispatch on another thread
                     // would.
-                    engine.tx.as_ref().unwrap().clone().close();
+                    let Thread::Worker(worker) = &engine.thread else { unreachable!() };
+                    worker.tx.as_ref().unwrap().clone().close();
                     let err = dispatch(engine, comm, node).unwrap_err();
                     assert!(matches!(err, Error::Analysis(_)), "({execution:?}) got {err:?}");
 
@@ -544,11 +480,12 @@ mod tests {
     }
 
     #[test]
-    fn task_graphs_are_planned_only_under_dag_and_only_when_supported() {
-        // The mode is the worker's policy: `asynchronous` keeps
-        // monolithic dispatch even for a back-end that could plan graphs,
-        // and `dag` falls back to it for a back-end that cannot.
-        for execution in WORKER_MODES {
+    fn graph_capable_back_ends_run_execute_dag_under_every_mode() {
+        // A back-end that plans task graphs runs them under every mode —
+        // in order under lockstep and asynchronous, work-stealing under
+        // dag — and one that cannot runs `execute` under every mode. Only
+        // dag reports scheduler counters.
+        for execution in MODES {
             for plans_graphs in [false, true] {
                 let controls = BackendControls { execution, ..Default::default() };
                 let dag = execution == ExecutionMethod::Dag;
@@ -557,7 +494,7 @@ mod tests {
                     |engine, comm, node| {
                         // The profiler's scheduler row follows the mode,
                         // not the back-end's capabilities.
-                        let sc = engine.scheduler_counters();
+                        let sc = engine.scheduler_counters().cloned();
                         assert_eq!(sc.is_some(), dag, "({execution:?})");
                         for _ in 0..3 {
                             assert!(dispatch(engine, comm, node).unwrap());
@@ -568,7 +505,7 @@ mod tests {
                         }
                     },
                 );
-                let expect = if dag && plans_graphs { (0, 3) } else { (3, 0) };
+                let expect = if plans_graphs { (0, 3) } else { (3, 0) };
                 assert_eq!(
                     totals, expect,
                     "({execution:?}, plans_graphs={plans_graphs}) (execute, execute_dag) calls"
@@ -579,14 +516,14 @@ mod tests {
 
     #[test]
     fn engines_expose_backend_controls_and_requirements() {
-        for execution in WORKER_MODES {
+        for execution in MODES {
             let controls = BackendControls { execution, frequency: 2, ..Default::default() };
             with_engine(
                 |calls| Counting { controls, calls, ..Default::default() },
                 |engine, comm, node| {
                     assert_eq!(engine.backend_name(), "counting");
                     assert_eq!(engine.controls().frequency, 2);
-                    assert!(engine.needs_snapshot());
+                    assert_eq!(engine.needs_snapshot(), execution != ExecutionMethod::Lockstep);
                     assert_eq!(engine.requirements(), DataRequirements::none().with_mesh("bodies"));
                     engine.finalize(comm, node).unwrap();
                 },

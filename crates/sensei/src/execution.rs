@@ -14,11 +14,11 @@ pub enum ExecutionMethod {
     /// separate thread, and the call returns immediately; simulation and
     /// analysis proceed concurrently.
     Asynchronous,
-    /// Asynchronous, but each step executes as a dataflow task graph
-    /// (`Fetch → Kernel → Download → Reduce → Publish`) under a
-    /// work-stealing scheduler spanning every device slot and stream.
-    /// Back-ends that do not plan task graphs fall back to the plain
-    /// asynchronous dispatch on the same engine.
+    /// Asynchronous, but a back-end's task graph
+    /// (`Fetch → Kernel → Download → Reduce → Publish`) runs under a
+    /// work-stealing scheduler spanning every device slot and stream
+    /// instead of in order. Back-ends that do not plan task graphs run as
+    /// under plain asynchronous execution.
     Dag,
 }
 

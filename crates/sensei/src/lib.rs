@@ -25,13 +25,15 @@
 //! * [`BackendControls`] — the new control parameters, defined once and
 //!   available to every analysis back-end (the paper puts them in the
 //!   back-end base class);
-//! * [`ExecutionEngine`] — the layer that decides *how* a mode executes.
-//!   There are two engines: [`InlineEngine`] runs lockstep back-ends in
-//!   the simulation's thread; [`WorkerEngine`] gives each asynchronous or
-//!   dag back-end a persistent worker fed through a bounded snapshot
-//!   queue with a configurable [`OverflowPolicy`] (block / drop-oldest /
-//!   error), the mode being the worker's policy: monolithic dispatch, or
-//!   one task graph per step for back-ends that plan them;
+//! * [`Engine`] — runs one back-end where its mode says: lockstep on the
+//!   simulation's thread, asynchronous and dag on a persistent worker fed
+//!   through a bounded snapshot queue with a configurable
+//!   [`OverflowPolicy`] (block / drop-oldest / error). Every mode runs a
+//!   step the same way: a back-end that plans task graphs has each step's
+//!   graph run by a [`DagScheduler`] — in order on the engine's thread
+//!   under lockstep and asynchronous, work-stealing across the node's
+//!   devices under dag — with recovery per task node; any other back-end
+//!   runs `execute` under whole-step recovery;
 //! * [`DataRequirements`] — what each back-end declares it reads
 //!   ([`AnalysisAdaptor::required_arrays`]); asynchronous snapshots deep
 //!   copy only the union of the due back-ends' requirements;
@@ -90,7 +92,7 @@ pub use counters::{
 };
 pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind, TaskSite};
 pub use device_select::{select_device, DeviceSelector};
-pub use engine::{ExecutionEngine, InlineEngine, WorkerEngine};
+pub use engine::Engine;
 pub use error::{Error, Result};
 pub use execution::ExecutionMethod;
 pub use placement::Placement;

@@ -130,15 +130,17 @@ impl<T> BoundedSender<T> {
     pub fn send(&self, item: T) -> Result<SendOk, SendError> {
         let mut st = self.shared.state.lock();
         loop {
-            if st.receiver_dead {
-                return Err(SendError::Disconnected);
-            }
             // A closed queue rejects new items — critically, a producer
             // parked in the Block arm below must re-check this on wake-up,
             // or a close() racing a blocked send leaves the producer
-            // waiting on a condvar nobody will ever signal again.
+            // waiting on a condvar nobody will ever signal again. Checked
+            // first: a receiver that drained a closed queue and exited is
+            // not the reason the item was refused.
             if st.closed {
                 return Err(SendError::Closed);
+            }
+            if st.receiver_dead {
+                return Err(SendError::Disconnected);
             }
             if st.buf.len() < self.shared.capacity {
                 st.buf.push_back(item);

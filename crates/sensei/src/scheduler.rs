@@ -1,7 +1,11 @@
-//! Work-stealing executor for [`TaskGraph`]s (DESIGN.md §13).
+//! The two executors of [`TaskGraph`]s (DESIGN.md §13).
 //!
-//! [`DagScheduler::run`] executes one step's task graph over every device
-//! slot and stream of the node:
+//! [`DagScheduler::run`] executes one step's task graph. A scheduler made
+//! with [`DagScheduler::in_order`] runs every task on the calling thread in
+//! push order (which is topological), with the placement device's default
+//! stream as compute and copy stream — the `lockstep` and `asynchronous`
+//! execution methods. One made with [`DagScheduler::new`] spreads the graph
+//! over every device slot and stream of the node — the `dag` method:
 //!
 //! * one worker thread per participating device (all devices whenever the
 //!   graph contains an [`TaskSite::AnyDevice`] task — that is what makes
@@ -12,15 +16,18 @@
 //!   tasks (`AnyDevice`, `Host`) from the *back* of other deques;
 //! * coordinator tasks (collectives, `!Sync` planner state) run FIFO on
 //!   the calling thread, which also polls [`devsim::Event`] gates and
-//!   [`devsim::Stream::query`] for asynchronous stream errors;
-//! * recovery policies apply **per task node**: `Retry` re-runs just the
-//!   failed node, `SkipStep` cancels the remainder of the graph and
-//!   reports [`DagOutcome::Skipped`], `Abort` fails the run.
+//!   [`devsim::Stream::query`] for asynchronous stream errors.
 //!
-//! [`SchedulerCounters`] record tasks executed, steals, worker idle time
-//! and the critical path (longest dependency chain of measured task
-//! durations) so harnesses can assert the scheduler actually overlapped
-//! work instead of trusting it.
+//! Under both executors recovery policies apply **per task node**:
+//! `Retry` re-runs just the failed node, `SkipStep` cancels the remainder
+//! of the graph and reports [`DagOutcome::Skipped`], `Abort` fails the
+//! run. A retry therefore never re-enters a collective node that already
+//! completed, which another rank may have left.
+//!
+//! [`SchedulerCounters`] record the work-stealing executor's tasks, steals,
+//! worker idle time and critical path (longest dependency chain of
+//! measured task durations) so harnesses can assert it actually overlapped
+//! work instead of trusting it. The in-order executor records nothing.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -115,6 +122,26 @@ pub enum DagOutcome {
     /// A `SkipStep` task node failed: the rest of the graph was cancelled
     /// and the step's outputs were dropped.
     Skipped,
+}
+
+/// Run one task node's `body` under `policy`, recording the outcome on
+/// `counters` (both executors). `Ok(false)`: the node failed under
+/// `SkipStep`, and the rest of the step is to be dropped.
+fn run_node(
+    policy: RecoveryPolicy,
+    counters: &AnalysisCounters,
+    label: &str,
+    ctx: &TaskCtx,
+    body: &mut dyn FnMut(&TaskCtx) -> Result<()>,
+) -> Result<bool> {
+    match policy {
+        RecoveryPolicy::SkipStep => Ok(body(ctx).is_ok() || {
+            counters.faults().add_injected(1);
+            counters.faults().add_skipped(1);
+            false
+        }),
+        policy => run_with_recovery(policy, counters, label, || body(ctx).map(|()| true)),
+    }
 }
 
 /// Send + Sync metadata of one task, split off the (possibly `!Send`)
@@ -303,30 +330,19 @@ impl<'a, 's> Exec<'a, 's> {
     fn execute(&self, t: TaskId, ctx: &TaskCtx, body: &mut dyn FnMut(&TaskCtx) -> Result<()>) {
         let m = &self.metas[t];
         let t0 = Instant::now();
-        let outcome = match m.policy {
-            RecoveryPolicy::SkipStep => match body(ctx) {
-                Ok(()) => Ok(()),
-                Err(_) => {
-                    // The node failed but the policy degrades gracefully:
-                    // drop the rest of the step, keep the solver running.
-                    self.acounters.faults().add_injected(1);
-                    self.acounters.faults().add_skipped(1);
-                    self.state.skipped.store(true, Ordering::Release);
-                    self.state.cancelled.store(true, Ordering::Release);
-                    self.state.wake.notify_all();
-                    Ok(())
-                }
-            },
-            policy => {
-                let label = format!("{}/{}:{}", self.backend, m.kind.name(), m.label);
-                run_with_recovery(policy, self.acounters, &label, || body(ctx).map(|()| true))
-                    .map(|_| ())
-            }
-        };
+        let label = format!("{}/{}:{}", self.backend, m.kind.name(), m.label);
+        let outcome = run_node(m.policy, self.acounters, &label, ctx, body);
         self.state.dur_ns[t].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.scounters.add_tasks(1);
         match outcome {
-            Ok(()) => self.complete(t),
+            Ok(true) => self.complete(t),
+            // The node failed but the policy degrades gracefully: drop
+            // the rest of the step, keep the solver running.
+            Ok(false) => {
+                self.state.skipped.store(true, Ordering::Release);
+                self.state.cancelled.store(true, Ordering::Release);
+                self.state.wake.notify_all();
+            }
             Err(e) => self.state.fail(e),
         }
     }
@@ -409,27 +425,44 @@ impl<'a, 's> Exec<'a, 's> {
     }
 }
 
-/// Work-stealing executor bound to one node and one rank.
+/// A task-graph executor bound to one node and one rank: in order on the
+/// calling thread, or work-stealing (see the module docs).
 ///
 /// The scheduler owns a lazily provisioned per-device stream pair
-/// (compute + copy) reused across steps, and cumulative
-/// [`SchedulerCounters`] shared with whoever created it (typically a
-/// `WorkerEngine` under `dag`, which surfaces them through the profiler).
+/// (compute + copy) reused across steps — the device's default stream as
+/// both when it runs in order — and the work-stealing executor's
+/// cumulative [`SchedulerCounters`], shared with whoever created it
+/// (typically the `dag` engine, which surfaces them through the profiler).
 pub struct DagScheduler {
     node: Arc<SimNode>,
     rank: usize,
     counters: Arc<SchedulerCounters>,
+    in_order: bool,
     device_streams: Vec<Option<DeviceStreams>>,
 }
 
 impl DagScheduler {
-    /// A scheduler for `rank` on `node`, reporting into `counters`.
+    /// A work-stealing scheduler for `rank` on `node`, reporting into
+    /// `counters`.
     pub fn new(node: Arc<SimNode>, rank: usize, counters: Arc<SchedulerCounters>) -> Self {
         let n = node.num_devices();
-        DagScheduler { node, rank, counters, device_streams: vec![None; n] }
+        DagScheduler { node, rank, counters, in_order: false, device_streams: vec![None; n] }
     }
 
-    /// The counters this scheduler reports into.
+    /// A scheduler for `rank` on `node` that runs each graph in push order
+    /// on the calling thread and records no scheduler counters.
+    pub fn in_order(node: Arc<SimNode>, rank: usize) -> Self {
+        DagScheduler { in_order: true, ..Self::new(node, rank, SchedulerCounters::new()) }
+    }
+
+    /// True when graphs run in push order on the calling thread, so a
+    /// planner gains nothing by splitting work into stealable nodes.
+    pub fn runs_in_order(&self) -> bool {
+        self.in_order
+    }
+
+    /// The counters this scheduler reports into (never written when it
+    /// runs in order).
     pub fn counters(&self) -> &Arc<SchedulerCounters> {
         &self.counters
     }
@@ -450,10 +483,29 @@ impl DagScheduler {
         }
         if self.device_streams[device].is_none() {
             let dev = self.node.device(device).map_err(Error::Device)?;
-            self.device_streams[device] =
-                Some(DeviceStreams { compute: dev.create_stream(), copy: dev.create_stream() });
+            self.device_streams[device] = Some(if self.in_order {
+                let stream = dev.default_stream();
+                DeviceStreams { compute: stream.clone(), copy: stream }
+            } else {
+                DeviceStreams { compute: dev.create_stream(), copy: dev.create_stream() }
+            });
         }
         Ok(())
+    }
+
+    /// Block until every provisioned stream has drained; the first sticky
+    /// error any of them held.
+    fn synchronize(&self) -> Result<()> {
+        let mut first = Ok(());
+        for ds in self.device_streams.iter().flatten() {
+            let copy = (!Arc::ptr_eq(&ds.compute, &ds.copy)).then_some(&ds.copy);
+            for stream in std::iter::once(&ds.compute).chain(copy) {
+                if let Err(e) = stream.synchronize() {
+                    first = first.and(Err(Error::Device(e)));
+                }
+            }
+        }
+        first
     }
 
     /// Execute `graph` to completion, skip, or failure.
@@ -461,6 +513,9 @@ impl DagScheduler {
         let n = graph.len();
         if n == 0 {
             return Ok(DagOutcome::Completed);
+        }
+        if self.in_order {
+            return self.run_in_order(graph);
         }
         let acounters = graph.counters().clone();
         let backend = graph.backend().to_string();
@@ -607,38 +662,74 @@ impl DagScheduler {
             state.wake.notify_all();
         });
 
-        // Quiesce + harvest: a blocking synchronize on every provisioned
-        // stream both drains in-flight work and takes sticky errors.
-        let mut sync_err: Option<Error> = None;
-        for ds in self.device_streams.iter().flatten() {
-            for stream in [&ds.compute, &ds.copy] {
-                if let Err(e) = stream.synchronize() {
-                    sync_err.get_or_insert(Error::Device(e));
-                }
+        let outcome = match (state.failed.into_inner(), state.skipped.load(Ordering::Acquire)) {
+            (Some(err), _) => Err(err),
+            (None, true) => Ok(DagOutcome::Skipped),
+            (None, false) => Ok(DagOutcome::Completed),
+        };
+        let outcome = self.quiesce(outcome)?;
+        if outcome == DagOutcome::Completed {
+            // Critical path: longest chain of measured task durations along
+            // dependency edges (ids are topological, so one forward pass).
+            let mut cp = vec![0u64; n];
+            for t in 0..n {
+                let longest_dep = metas[t].deps.iter().map(|&d| cp[d]).max().unwrap_or(0);
+                cp[t] = longest_dep + state.dur_ns[t].load(Ordering::Relaxed);
             }
+            self.counters.add_critical_path_ns(cp.into_iter().max().unwrap_or(0));
         }
+        Ok(outcome)
+    }
 
-        if let Some(err) = state.failed.into_inner() {
-            return Err(err);
+    /// The in-order executor: every task on this thread in push order,
+    /// each on its placement device's default stream (an `AnyDevice`
+    /// task's home, device 0 without one). The streams are
+    /// synchronized before an event-gated task — which is what it waits
+    /// for, and a failure there surfaces as the stream's sticky error
+    /// instead of an event that never fires — and at the end.
+    fn run_in_order(&mut self, graph: TaskGraph<'_>) -> Result<DagOutcome> {
+        let counters = graph.counters().clone();
+        let backend = graph.backend().to_string();
+        let mut outcome = Ok(DagOutcome::Completed);
+        for mut task in graph.tasks {
+            let device = match task.site {
+                TaskSite::Device(d) => Some(d),
+                TaskSite::AnyDevice => Some(task.home.unwrap_or(0)),
+                TaskSite::Host | TaskSite::Coordinator => None,
+            };
+            let ready = device.map_or(Ok(()), |d| self.ensure_streams(d));
+            let ready = ready.and_then(|()| match task.wait_events.is_empty() {
+                true => Ok(()),
+                false => self.synchronize(),
+            });
+            let body: &mut dyn FnMut(&TaskCtx) -> Result<()> = match &mut task.body {
+                Some(TaskBody::Worker(body)) => &mut **body,
+                Some(TaskBody::Coordinator(body)) => &mut **body,
+                None => continue,
+            };
+            let label = format!("{backend}/{}:{}", task.kind.name(), task.label);
+            let ctx = TaskCtx { device, streams: &self.device_streams };
+            outcome =
+                match ready.and_then(|()| run_node(task.policy, &counters, &label, &ctx, body)) {
+                    Ok(true) => continue,
+                    Ok(false) => Ok(DagOutcome::Skipped),
+                    Err(e) => Err(e),
+                };
+            break;
         }
-        if state.skipped.load(Ordering::Acquire) {
-            // The step was dropped; stream errors from its cancelled tail
-            // were harvested above and die with it.
-            return Ok(DagOutcome::Skipped);
-        }
-        if let Some(err) = sync_err {
-            return Err(err);
-        }
+        self.quiesce(outcome)
+    }
 
-        // Critical path: longest chain of measured task durations along
-        // dependency edges (ids are topological, so one forward pass).
-        let mut cp = vec![0u64; n];
-        for t in 0..n {
-            let longest_dep = metas[t].deps.iter().map(|&d| cp[d]).max().unwrap_or(0);
-            cp[t] = longest_dep + state.dur_ns[t].load(Ordering::Relaxed);
+    /// Drain every provisioned stream after a run ended with `outcome`. A
+    /// failed run keeps its own error and a skipped step drops whatever
+    /// its cancelled tail left on the streams; a completed run fails with
+    /// the first sticky stream error.
+    fn quiesce(&self, outcome: Result<DagOutcome>) -> Result<DagOutcome> {
+        let synced = self.synchronize();
+        match outcome {
+            Ok(DagOutcome::Completed) => synced.map(|()| DagOutcome::Completed),
+            other => other,
         }
-        self.counters.add_critical_path_ns(cp.into_iter().max().unwrap_or(0));
-        Ok(DagOutcome::Completed)
     }
 }
 
