@@ -49,6 +49,22 @@ for _ in $(seq 20); do
 done
 echo "release test build $((built - start)) s, 20 passes $((SECONDS - built)) s"
 
+echo "== recovery suites, 5 release passes"
+# Both executors of a step's task graph apply a back-end's recovery policy
+# through one function, so a race or hang on a recovery path shows up in
+# these two suites: the engine's failure paths, and the multi-rank task
+# graph under injected faults (watchdogged, so a hang fails in seconds).
+start=$SECONDS
+suites=$(cargo test --release --no-run -q --message-format=json \
+    -p sensei -p binning --test engine_failures --test dag_execution | executables)
+built=$SECONDS
+for _ in $(seq 5); do
+    for suite in $suites; do
+        soak "$suite" -q
+    done
+done
+echo "release test build $((built - start)) s, 5 passes $((SECONDS - built)) s"
+
 echo "== harness smokes"
 # One A/B per mode at smoke sizes. Each mode's claims are defined once,
 # in its `impl Report` under crates/bench/src; the harness writes

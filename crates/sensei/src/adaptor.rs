@@ -126,18 +126,19 @@ pub trait AnalysisAdaptor: Send {
     /// True when this back-end can plan its step as a task graph for
     /// [`execute_dag`](Self::execute_dag). The engine then runs every step
     /// through `execute_dag` — the graph in order under `lockstep` and
-    /// `asynchronous`, work-stealing under `dag` — and otherwise through
-    /// [`execute`](Self::execute).
+    /// `asynchronous`, work-stealing under `dag`. Otherwise each step is a
+    /// one-node graph calling [`execute`](Self::execute), run by the same
+    /// scheduler.
     fn supports_dag(&self) -> bool {
         false
     }
 
     /// Dataflow variant of [`execute`](Self::execute): plan the step as a
     /// [`crate::TaskGraph`] and hand it to `sched` (typically via
-    /// [`crate::DagScheduler::run`]). Recovery applies per task node
-    /// inside the scheduler, so the engine does not re-wrap this call in
-    /// [`crate::run_with_recovery`]. The default ignores the scheduler
-    /// and delegates to the monolithic path.
+    /// [`crate::DagScheduler::run`]). The back-end's recovery policy
+    /// applies per task node inside the scheduler, so the engine does not
+    /// wrap this call in any recovery of its own. The default ignores the
+    /// scheduler and delegates to the monolithic path.
     fn execute_dag(
         &mut self,
         data: &dyn DataAdaptor,

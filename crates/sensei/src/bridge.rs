@@ -228,9 +228,8 @@ impl Bridge {
     fn retire_counters(&mut self, idx: usize) {
         let a = &self.engines[idx];
         self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
-        if let Some(s) = a.engine.scheduler_counters() {
-            self.profiler.record_scheduler_counters(a.label.as_str(), s.snapshot());
-        }
+        self.profiler
+            .record_scheduler_counters(a.label.as_str(), a.engine.scheduler_counters().snapshot());
     }
 
     /// Process the simulation's current state through every back-end.
@@ -522,10 +521,10 @@ impl Bridge {
         for a in &self.engines {
             self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
             // Every back-end gets a scheduler row — explicit zeros for
-            // engines without a task-graph scheduler — so
+            // engines that run their steps in order — so
             // `scheduler_samples()` has one entry per back-end whatever
             // mix of modes a run used.
-            let sched = a.engine.scheduler_counters().map(|s| s.snapshot()).unwrap_or_default();
+            let sched = a.engine.scheduler_counters().snapshot();
             self.profiler.record_scheduler_counters(a.label.as_str(), sched);
         }
         // Snapshot-layer totals (shares vs copies, CoW faults) are exact

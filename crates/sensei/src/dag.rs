@@ -9,7 +9,7 @@
 //! workers over every device slot and stream (dag), where downloads
 //! overlap kernels by construction and idle devices steal ready kernel
 //! tasks. Either way the packed allreduce is a single sync node placed
-//! last, and recovery applies per node.
+//! last, and the graph's one recovery policy applies per node.
 //!
 //! Two body flavours keep the borrow story honest:
 //!
@@ -71,8 +71,6 @@ pub enum TaskSite {
     Coordinator,
     /// On a host worker (host execution slots).
     Host,
-    /// Pinned to the worker owning one device (not stealable).
-    Device(usize),
     /// Any device worker; ready tasks start on their home device's deque
     /// and idle workers of *other* devices may steal them.
     AnyDevice,
@@ -141,12 +139,11 @@ pub(crate) struct Task<'s> {
     /// Relative modeled cost used for least-loaded routing (arbitrary
     /// units, only compared against other tasks of the same graph).
     pub(crate) cost: f64,
-    pub(crate) policy: RecoveryPolicy,
     pub(crate) deps: Vec<TaskId>,
     /// Event gates: the task is held back until every event is signaled
     /// (polled by the scheduler via [`Event::is_signaled`]).
     pub(crate) wait_events: Vec<Event>,
-    pub(crate) body: Option<TaskBody<'s>>,
+    pub(crate) body: TaskBody<'s>,
 }
 
 /// One bridge step as a DAG of typed tasks.
@@ -157,32 +154,23 @@ pub(crate) struct Task<'s> {
 /// push order must be topological: [`TaskGraph::add_dep`] only accepts
 /// edges pointing at already-added tasks.
 pub struct TaskGraph<'s> {
-    backend: String,
-    counters: Arc<AnalysisCounters>,
-    default_policy: RecoveryPolicy,
+    /// The back-end name (used in recovery error messages).
+    pub(crate) backend: String,
+    pub(crate) counters: Arc<AnalysisCounters>,
+    pub(crate) policy: RecoveryPolicy,
     pub(crate) tasks: Vec<Task<'s>>,
 }
 
 impl<'s> TaskGraph<'s> {
-    /// Start an empty graph for back-end `backend`. Per-task recovery
-    /// outcomes are recorded on `counters` (the back-end's own fault
-    /// counters); `default_policy` seeds every added task and can be
-    /// overridden per node with [`TaskGraph::set_policy`].
+    /// Start an empty graph for back-end `backend`. `policy` applies to
+    /// every task node, and each node's recovery outcomes are recorded on
+    /// `counters` (the back-end's own fault counters).
     pub fn new(
         backend: impl Into<String>,
         counters: Arc<AnalysisCounters>,
-        default_policy: RecoveryPolicy,
+        policy: RecoveryPolicy,
     ) -> Self {
-        TaskGraph { backend: backend.into(), counters, default_policy, tasks: Vec::new() }
-    }
-
-    /// The back-end name (used in recovery error messages).
-    pub fn backend(&self) -> &str {
-        &self.backend
-    }
-
-    pub(crate) fn counters(&self) -> &Arc<AnalysisCounters> {
-        &self.counters
+        TaskGraph { backend: backend.into(), counters, policy, tasks: Vec::new() }
     }
 
     /// Number of tasks added so far.
@@ -209,16 +197,15 @@ impl<'s> TaskGraph<'s> {
             site,
             home: None,
             cost: 0.0,
-            policy: self.default_policy,
             deps: Vec::new(),
             wait_events: Vec::new(),
-            body: Some(body),
+            body,
         });
         id
     }
 
     /// Add a task that may run on any eligible worker thread. The body
-    /// must be `Send` and — when its node's policy is `Retry` — safe to
+    /// must be `Send` and — when the graph's policy is `Retry` — safe to
     /// re-run from scratch (publish side effects only after the last
     /// fallible operation).
     pub fn add_worker_task<F>(
@@ -279,11 +266,6 @@ impl<'s> TaskGraph<'s> {
     pub fn set_home(&mut self, task: TaskId, device: usize) {
         self.tasks[task].home = Some(device);
     }
-
-    /// Override the recovery policy of one task node.
-    pub fn set_policy(&mut self, task: TaskId, policy: RecoveryPolicy) {
-        self.tasks[task].policy = policy;
-    }
 }
 
 #[cfg(test)]
@@ -317,14 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn policy_cost_and_home_are_per_node() {
+    fn cost_and_home_are_per_node() {
         let mut g = TaskGraph::new("t", AnalysisCounters::new(), RecoveryPolicy::SkipStep);
         let k = g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, |_| Ok(()));
-        assert_eq!(g.tasks[k].policy, RecoveryPolicy::SkipStep);
-        g.set_policy(k, RecoveryPolicy::Abort);
         g.set_cost(k, 7.5);
         g.set_home(k, 1);
-        assert_eq!(g.tasks[k].policy, RecoveryPolicy::Abort);
+        assert_eq!(g.policy, RecoveryPolicy::SkipStep, "one policy per graph");
         assert_eq!(g.tasks[k].cost, 7.5);
         assert_eq!(g.tasks[k].home, Some(1));
     }

@@ -5,13 +5,14 @@
 //! the live data under `lockstep`, on a persistent worker thread fed
 //! snapshots through a bounded queue under `asynchronous` and `dag`.
 //!
-//! Whatever the thread, a step is one function. A back-end that plans task
-//! graphs ([`AnalysisAdaptor::supports_dag`]) runs `execute_dag` with
-//! recovery per task node — in push order on the engine's thread under
-//! `lockstep` and `asynchronous`, under the work-stealing
-//! [`DagScheduler`] over every device of the node under `dag` — so no
-//! retry re-enters a collective another rank has already left. Any other
-//! back-end runs `execute` under whole-step recovery.
+//! Whatever the thread, a step is one task graph run by the engine's
+//! [`DagScheduler`] — in push order on the engine's thread under
+//! `lockstep` and `asynchronous`, work-stealing over every device of the
+//! node under `dag` — with the back-end's recovery policy applied per
+//! task node. A back-end that plans task graphs
+//! ([`AnalysisAdaptor::supports_dag`]) builds its own in `execute_dag`,
+//! so no retry re-enters a collective another rank has already left; any
+//! other back-end's step is one coordinator node calling `execute`.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -23,10 +24,10 @@ use minimpi::Comm;
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor, ExecContext};
 use crate::controls::BackendControls;
 use crate::counters::AnalysisCounters;
+use crate::dag::{TaskGraph, TaskKind};
 use crate::error::{Error, Result};
 use crate::execution::ExecutionMethod;
 use crate::queue::{bounded, BoundedSender, SendError};
-use crate::recovery::run_with_recovery;
 use crate::requirements::DataRequirements;
 use crate::scheduler::{DagScheduler, SchedulerCounters};
 use crate::snapshot::SnapshotAdaptor;
@@ -63,28 +64,30 @@ fn guarded(name: &str, rank: usize, step: impl FnOnce() -> Result<bool>) -> Resu
 struct Stepper {
     name: String,
     adaptor: Box<dyn AnalysisAdaptor>,
-    /// Present when the back-end plans task graphs.
-    sched: Option<DagScheduler>,
+    sched: DagScheduler,
     /// The adaptor's counters, or engine-owned ones for back-ends without
     /// any — recovery outcomes need somewhere to be recorded either way.
     counters: Arc<AnalysisCounters>,
 }
 
 impl Stepper {
-    /// The one step function (see the module docs).
+    /// The one step function (see the module docs). Panics — plan-time,
+    /// escaping a scoped worker, or in `execute` — are contained here.
     fn step(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
         let Stepper { name, adaptor, sched, counters } = self;
         let rank = ctx.comm.rank();
-        match sched {
-            // Recovery applies per task node inside the scheduler; wrapping
-            // the whole step again would double-count faults and re-run
-            // collectives. Panics (plan-time, or escaping a scoped worker)
-            // are still contained here.
-            Some(sched) => guarded(name, rank, || adaptor.execute_dag(data, ctx, sched)),
-            None => run_with_recovery(adaptor.controls().recovery, counters, name, || {
-                guarded(name, rank, || adaptor.execute(data, ctx))
-            }),
+        if adaptor.supports_dag() {
+            return guarded(name, rank, || adaptor.execute_dag(data, ctx, sched));
         }
+        let mut proceed = true;
+        let mut graph =
+            TaskGraph::new(name.as_str(), counters.clone(), adaptor.controls().recovery);
+        graph.add_coordinator_task(TaskKind::Kernel, "execute", |_| {
+            proceed = guarded(name, rank, || adaptor.execute(data, ctx))?;
+            Ok(())
+        });
+        sched.run(graph)?;
+        Ok(proceed)
     }
 }
 
@@ -226,9 +229,7 @@ pub struct Engine {
     controls: BackendControls,
     requirements: DataRequirements,
     counters: Arc<AnalysisCounters>,
-    /// Present under `dag`, so the profiler gets a scheduler row even for
-    /// a back-end that plans no task graphs.
-    scheduler_counters: Option<Arc<SchedulerCounters>>,
+    scheduler_counters: Arc<SchedulerCounters>,
     thread: Thread,
 }
 
@@ -244,13 +245,13 @@ impl Engine {
         // Captured before the adaptor may move to a worker: the counters
         // are shared atomics, so the bridge reads live totals.
         let counters = adaptor.counters().unwrap_or_default();
-        let scheduler_counters =
-            (controls.execution == ExecutionMethod::Dag).then(SchedulerCounters::new);
-        let rank = comm.rank();
-        let sched = adaptor.supports_dag().then(|| match &scheduler_counters {
-            Some(c) => DagScheduler::new(node.clone(), rank, c.clone()),
-            None => DagScheduler::in_order(node.clone(), rank),
-        });
+        let sched = match controls.execution {
+            ExecutionMethod::Dag => {
+                DagScheduler::new(node.clone(), comm.rank(), SchedulerCounters::new())
+            }
+            _ => DagScheduler::in_order(node.clone(), comm.rank()),
+        };
+        let scheduler_counters = sched.counters().clone();
         let stepper = Stepper { name: name.clone(), adaptor, sched, counters: counters.clone() };
         let thread = match controls.execution {
             ExecutionMethod::Lockstep => Thread::Caller(Box::new(stepper)),
@@ -287,10 +288,10 @@ impl Engine {
         &self.counters
     }
 
-    /// The work-stealing scheduler's counters, under `dag`; the bridge
-    /// records them into the profiler at finalize.
-    pub fn scheduler_counters(&self) -> Option<&Arc<SchedulerCounters>> {
-        self.scheduler_counters.as_ref()
+    /// The step scheduler's counters (zero unless it steals work, under
+    /// `dag`); the bridge records them into the profiler at finalize.
+    pub fn scheduler_counters(&self) -> &Arc<SchedulerCounters> {
+        &self.scheduler_counters
     }
 
     /// Run (or hand off) one iteration. `snapshot` is `Some` iff
@@ -348,11 +349,13 @@ mod tests {
     }
 
     /// Counts monolithic and task-graph executes separately; optionally
-    /// claims task-graph support.
+    /// claims task-graph support, or has `execute` fail or request a stop.
     #[derive(Default)]
     struct Counting {
         controls: BackendControls,
         plans_graphs: bool,
+        fails: bool,
+        stops: bool,
         calls: Calls,
     }
 
@@ -371,7 +374,10 @@ mod tests {
         }
         fn execute(&mut self, _d: &dyn DataAdaptor, _c: &ExecContext<'_>) -> Result<bool> {
             self.calls.execute.fetch_add(1, Ordering::SeqCst);
-            Ok(true)
+            match self.fails {
+                true => Err(Error::Analysis("boom".into())),
+                false => Ok(!self.stops),
+            }
         }
         fn supports_dag(&self) -> bool {
             self.plans_graphs
@@ -480,37 +486,55 @@ mod tests {
     }
 
     #[test]
-    fn graph_capable_back_ends_run_execute_dag_under_every_mode() {
-        // A back-end that plans task graphs runs them under every mode —
-        // in order under lockstep and asynchronous, work-stealing under
-        // dag — and one that cannot runs `execute` under every mode. Only
-        // dag reports scheduler counters.
+    fn every_step_runs_through_the_scheduler_under_every_mode() {
+        // A back-end that plans task graphs runs `execute_dag` under every
+        // mode, and one that cannot runs `execute` as a one-node graph of
+        // the same scheduler: in order under lockstep and asynchronous,
+        // which counts nothing, and work-stealing under dag, which counts
+        // that node once per dispatch. (`Counting`'s `execute_dag` hands
+        // the scheduler no graph.)
         for execution in MODES {
             for plans_graphs in [false, true] {
                 let controls = BackendControls { execution, ..Default::default() };
-                let dag = execution == ExecutionMethod::Dag;
+                let what = format!("({execution:?}, plans_graphs={plans_graphs})");
+                let one_node = execution == ExecutionMethod::Dag && !plans_graphs;
                 let totals = with_engine(
-                    |calls| Counting { controls, plans_graphs, calls },
+                    |calls| Counting { controls, plans_graphs, calls, ..Default::default() },
                     |engine, comm, node| {
-                        // The profiler's scheduler row follows the mode,
-                        // not the back-end's capabilities.
-                        let sc = engine.scheduler_counters().cloned();
-                        assert_eq!(sc.is_some(), dag, "({execution:?})");
+                        let sc = engine.scheduler_counters().clone();
                         for _ in 0..3 {
                             assert!(dispatch(engine, comm, node).unwrap());
                         }
                         engine.finalize(comm, node).unwrap();
-                        if let Some(sc) = sc {
-                            assert_eq!(sc.snapshot().tasks, 0, "no graph reached the scheduler");
-                        }
+                        assert_eq!(sc.snapshot().tasks, if one_node { 3 } else { 0 }, "{what}");
                     },
                 );
                 let expect = if plans_graphs { (0, 3) } else { (3, 0) };
-                assert_eq!(
-                    totals, expect,
-                    "({execution:?}, plans_graphs={plans_graphs}) (execute, execute_dag) calls"
-                );
+                assert_eq!(totals, expect, "{what} (execute, execute_dag) calls");
             }
+        }
+    }
+
+    #[test]
+    fn a_one_node_step_keeps_stop_requests_and_names_the_back_end() {
+        // `Ok(false)` from `execute` still stops the simulation, and an
+        // exhausted retry budget still names the back-end.
+        let recovery = crate::RecoveryPolicy::Retry { max_retries: 2, backoff_ms: 0 };
+        let controls = BackendControls { recovery, ..Default::default() };
+        for (fails, stops) in [(false, true), (true, false)] {
+            let totals = with_engine(
+                |calls| Counting { controls, fails, stops, calls, ..Default::default() },
+                |engine, comm, node| match dispatch(engine, comm, node) {
+                    Ok(proceed) => assert!(!proceed, "a stop request reaches the solver"),
+                    Err(e) => {
+                        let msg = e.to_string();
+                        assert!(msg.contains("'counting/") && msg.contains("2 retries"), "{msg}");
+                        let f = engine.counters().snapshot().faults;
+                        assert_eq!((f.injected, f.retried, f.aborted), (1, 2, 1));
+                    }
+                },
+            );
+            assert_eq!(totals, (if fails { 3 } else { 1 }, 0));
         }
     }
 

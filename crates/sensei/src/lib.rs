@@ -29,11 +29,12 @@
 //!   simulation's thread, asynchronous and dag on a persistent worker fed
 //!   through a bounded snapshot queue with a configurable
 //!   [`OverflowPolicy`] (block / drop-oldest / error). Every mode runs a
-//!   step the same way: a back-end that plans task graphs has each step's
-//!   graph run by a [`DagScheduler`] — in order on the engine's thread
-//!   under lockstep and asynchronous, work-stealing across the node's
-//!   devices under dag — with recovery per task node; any other back-end
-//!   runs `execute` under whole-step recovery;
+//!   step the same way: as a task graph run by a [`DagScheduler`] — in
+//!   order on the engine's thread under lockstep and asynchronous,
+//!   work-stealing across the node's devices under dag — with the
+//!   back-end's [`RecoveryPolicy`] applied per task node. A back-end that
+//!   plans task graphs builds its own; any other runs `execute` as a
+//!   one-node graph;
 //! * [`DataRequirements`] — what each back-end declares it reads
 //!   ([`AnalysisAdaptor::required_arrays`]); asynchronous snapshots deep
 //!   copy only the union of the due back-ends' requirements;
@@ -101,7 +102,7 @@ pub use profiler::{
     ProfileSummary, Profiler, SchedulerSample, SnapshotSample,
 };
 pub use queue::OverflowPolicy;
-pub use recovery::{run_with_recovery, RecoveryPolicy};
+pub use recovery::RecoveryPolicy;
 pub use registry::{AnalysisFactory, AnalysisRegistry, CreateContext};
 pub use requirements::{ArraySelection, DataRequirements, MeshRequirements, ANY_MESH};
 pub use scheduler::{DagOutcome, DagScheduler, SchedulerCounters, SchedulerSnapshot};

@@ -1,6 +1,8 @@
 //! The two executors of [`TaskGraph`]s (DESIGN.md §13).
 //!
-//! [`DagScheduler::run`] executes one step's task graph. A scheduler made
+//! [`DagScheduler::run`] executes one step's task graph — every step of
+//! every back-end: the engine runs a back-end that plans no graph as a
+//! one-node coordinator graph whose body calls `execute`. A scheduler made
 //! with [`DagScheduler::in_order`] runs every task on the calling thread in
 //! push order (which is topological), with the placement device's default
 //! stream as compute and copy stream — the `lockstep` and `asynchronous`
@@ -11,18 +13,19 @@
 //!   graph contains an [`TaskSite::AnyDevice`] task — that is what makes
 //!   stealing across devices possible), plus host workers when host tasks
 //!   are present;
-//! * each worker owns a deque; ready tasks are routed to their home /
-//!   pinned / least-loaded worker, and an idle worker steals stealable
-//!   tasks (`AnyDevice`, `Host`) from the *back* of other deques;
+//! * each worker owns a deque; ready tasks are routed to their home or
+//!   least-loaded worker, and an idle worker steals ready tasks of its
+//!   class (`AnyDevice`, `Host`) from the *back* of other deques;
 //! * coordinator tasks (collectives, `!Sync` planner state) run FIFO on
 //!   the calling thread, which also polls [`devsim::Event`] gates and
 //!   [`devsim::Stream::query`] for asynchronous stream errors.
 //!
-//! Under both executors recovery policies apply **per task node**:
-//! `Retry` re-runs just the failed node, `SkipStep` cancels the remainder
-//! of the graph and reports [`DagOutcome::Skipped`], `Abort` fails the
-//! run. A retry therefore never re-enters a collective node that already
-//! completed, which another rank may have left.
+//! Under both executors the graph's recovery policy applies **per task
+//! node**, through the one function that applies a policy
+//! (`recovery::recover`): `Retry` re-runs just the failed node, `SkipStep`
+//! cancels the remainder of the graph and reports [`DagOutcome::Skipped`],
+//! `Abort` fails the run. A retry therefore never re-enters a collective
+//! node that already completed, which another rank may have left.
 //!
 //! [`SchedulerCounters`] record the work-stealing executor's tasks, steals,
 //! worker idle time and critical path (longest dependency chain of
@@ -34,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use devsim::{Event, SimNode};
+use devsim::{Event, SimNode, Stream};
 use parking_lot::{Condvar, Mutex};
 
 use crate::counters::AnalysisCounters;
@@ -42,7 +45,7 @@ use crate::dag::{
     CoordRun, DeviceStreams, TaskBody, TaskCtx, TaskGraph, TaskId, TaskKind, TaskSite, WorkerRun,
 };
 use crate::error::{Error, Result};
-use crate::recovery::{run_with_recovery, RecoveryPolicy};
+use crate::recovery::{recover, RecoveryPolicy};
 
 /// How long an idle worker parks before re-checking the deques; also the
 /// coordinator's event/stream polling period.
@@ -114,7 +117,8 @@ impl SchedulerSnapshot {
     }
 }
 
-/// How a graph run ended (errors are reported through `Result` instead).
+/// How a graph run — or one of its nodes under the graph's recovery
+/// policy — ended (errors are reported through `Result` instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DagOutcome {
     /// Every task executed.
@@ -122,26 +126,6 @@ pub enum DagOutcome {
     /// A `SkipStep` task node failed: the rest of the graph was cancelled
     /// and the step's outputs were dropped.
     Skipped,
-}
-
-/// Run one task node's `body` under `policy`, recording the outcome on
-/// `counters` (both executors). `Ok(false)`: the node failed under
-/// `SkipStep`, and the rest of the step is to be dropped.
-fn run_node(
-    policy: RecoveryPolicy,
-    counters: &AnalysisCounters,
-    label: &str,
-    ctx: &TaskCtx,
-    body: &mut dyn FnMut(&TaskCtx) -> Result<()>,
-) -> Result<bool> {
-    match policy {
-        RecoveryPolicy::SkipStep => Ok(body(ctx).is_ok() || {
-            counters.faults().add_injected(1);
-            counters.faults().add_skipped(1);
-            false
-        }),
-        policy => run_with_recovery(policy, counters, label, || body(ctx).map(|()| true)),
-    }
 }
 
 /// Send + Sync metadata of one task, split off the (possibly `!Send`)
@@ -152,7 +136,6 @@ struct Meta {
     site: TaskSite,
     home: Option<usize>,
     cost: f64,
-    policy: RecoveryPolicy,
     deps: Vec<TaskId>,
     wait_events: Vec<Event>,
 }
@@ -198,6 +181,7 @@ struct Exec<'a, 's> {
     /// Device id -> worker index.
     device_worker: &'a [Option<usize>],
     streams: &'a [Option<DeviceStreams>],
+    policy: RecoveryPolicy,
     acounters: &'a Arc<AnalysisCounters>,
     scounters: &'a Arc<SchedulerCounters>,
     backend: &'a str,
@@ -205,7 +189,7 @@ struct Exec<'a, 's> {
 }
 
 impl<'a, 's> Exec<'a, 's> {
-    /// Can tasks at `site` be *stolen* by `thief`? (Pinned sites cannot.)
+    /// Can tasks at `site` be *stolen* by `thief`? (Only its own class.)
     fn stealable_by(&self, thief: usize, site: TaskSite) -> bool {
         matches!(
             (self.workers[thief], site),
@@ -233,16 +217,6 @@ impl<'a, 's> Exec<'a, 's> {
         let m = &self.metas[t];
         match m.site {
             TaskSite::Coordinator => self.state.coord_queue.lock().push_back(t),
-            TaskSite::Device(d) => match self.device_worker.get(d).copied().flatten() {
-                Some(w) => self.push_worker(w, t),
-                None => {
-                    self.state.fail(Error::Analysis(format!(
-                        "task '{}' pinned to unavailable device {d}",
-                        m.label
-                    )));
-                    return;
-                }
-            },
             TaskSite::AnyDevice => {
                 let w = m
                     .home
@@ -326,19 +300,19 @@ impl<'a, 's> Exec<'a, 's> {
         }
     }
 
-    /// Execute one task body under the node's recovery policy.
+    /// Execute one task body under the graph's recovery policy.
     fn execute(&self, t: TaskId, ctx: &TaskCtx, body: &mut dyn FnMut(&TaskCtx) -> Result<()>) {
         let m = &self.metas[t];
         let t0 = Instant::now();
-        let label = format!("{}/{}:{}", self.backend, m.kind.name(), m.label);
-        let outcome = run_node(m.policy, self.acounters, &label, ctx, body);
+        let label = || format!("{}/{}:{}", self.backend, m.kind.name(), m.label);
+        let outcome = recover(self.policy, self.acounters, label, || body(ctx));
         self.state.dur_ns[t].store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.scounters.add_tasks(1);
         match outcome {
-            Ok(true) => self.complete(t),
+            Ok(DagOutcome::Completed) => self.complete(t),
             // The node failed but the policy degrades gracefully: drop
             // the rest of the step, keep the solver running.
-            Ok(false) => {
+            Ok(DagOutcome::Skipped) => {
                 self.state.skipped.store(true, Ordering::Release);
                 self.state.cancelled.store(true, Ordering::Release);
                 self.state.wake.notify_all();
@@ -467,16 +441,6 @@ impl DagScheduler {
         &self.counters
     }
 
-    /// The node this scheduler executes on.
-    pub fn node(&self) -> &Arc<SimNode> {
-        &self.node
-    }
-
-    /// The MPI rank this scheduler serves (fault-injection arming).
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     fn ensure_streams(&mut self, device: usize) -> Result<()> {
         if self.device_streams.get(device).is_none() {
             return Err(Error::Analysis(format!("no such device {device} on this node")));
@@ -493,16 +457,14 @@ impl DagScheduler {
         Ok(())
     }
 
-    /// Block until every provisioned stream has drained; the first sticky
-    /// error any of them held.
-    fn synchronize(&self) -> Result<()> {
+    /// Drain every provisioned stream with `drain`; the first sticky error
+    /// any of them held.
+    fn drain(&self, drain: fn(&Stream) -> devsim::Result<()>) -> Result<()> {
         let mut first = Ok(());
         for ds in self.device_streams.iter().flatten() {
             let copy = (!Arc::ptr_eq(&ds.compute, &ds.copy)).then_some(&ds.copy);
             for stream in std::iter::once(&ds.compute).chain(copy) {
-                if let Err(e) = stream.synchronize() {
-                    first = first.and(Err(Error::Device(e)));
-                }
+                first = first.and(drain(stream).map_err(Error::Device));
             }
         }
         first
@@ -517,18 +479,16 @@ impl DagScheduler {
         if self.in_order {
             return self.run_in_order(graph);
         }
-        let acounters = graph.counters().clone();
-        let backend = graph.backend().to_string();
+        let TaskGraph { backend, counters: acounters, policy, tasks } = graph;
 
         // Split Send+Sync metadata off the bodies.
         let mut metas: Vec<Meta> = Vec::with_capacity(n);
         let mut coord_bodies: Vec<Option<CoordRun<'_>>> = Vec::with_capacity(n);
         let mut worker_bodies: Vec<Mutex<Option<WorkerRun<'_>>>> = Vec::with_capacity(n);
-        for task in graph.tasks {
+        for task in tasks {
             let (coord, worker) = match task.body {
-                Some(TaskBody::Coordinator(b)) => (Some(b), None),
-                Some(TaskBody::Worker(b)) => (None, Some(b)),
-                None => (None, None),
+                TaskBody::Coordinator(b) => (Some(b), None),
+                TaskBody::Worker(b) => (None, Some(b)),
             };
             coord_bodies.push(coord);
             worker_bodies.push(Mutex::new(worker));
@@ -538,7 +498,6 @@ impl DagScheduler {
                 site: task.site,
                 home: task.home,
                 cost: task.cost,
-                policy: task.policy,
                 deps: task.deps,
                 wait_events: task.wait_events,
             });
@@ -551,9 +510,6 @@ impl DagScheduler {
         let mut host_tasks = 0usize;
         for m in &metas {
             match m.site {
-                TaskSite::Device(d) => {
-                    devices.insert(d);
-                }
                 TaskSite::AnyDevice => {
                     any_device = true;
                     if let Some(h) = m.home {
@@ -612,6 +568,7 @@ impl DagScheduler {
             workers: &workers,
             device_worker: &device_worker,
             streams: &self.device_streams,
+            policy,
             acounters: &acounters,
             scounters: &self.counters,
             backend: &backend,
@@ -667,7 +624,7 @@ impl DagScheduler {
             (None, true) => Ok(DagOutcome::Skipped),
             (None, false) => Ok(DagOutcome::Completed),
         };
-        let outcome = self.quiesce(outcome)?;
+        let outcome = self.quiesce(outcome, true)?;
         if outcome == DagOutcome::Completed {
             // Critical path: longest chain of measured task durations along
             // dependency edges (ids are topological, so one forward pass).
@@ -686,48 +643,54 @@ impl DagScheduler {
     /// task's home, device 0 without one). The streams are
     /// synchronized before an event-gated task — which is what it waits
     /// for, and a failure there surfaces as the stream's sticky error
-    /// instead of an event that never fires — and at the end.
+    /// instead of an event that never fires — and drained at the end.
     fn run_in_order(&mut self, graph: TaskGraph<'_>) -> Result<DagOutcome> {
-        let counters = graph.counters().clone();
-        let backend = graph.backend().to_string();
+        let TaskGraph { backend, counters, policy, tasks } = graph;
         let mut outcome = Ok(DagOutcome::Completed);
-        for mut task in graph.tasks {
-            let device = match task.site {
-                TaskSite::Device(d) => Some(d),
-                TaskSite::AnyDevice => Some(task.home.unwrap_or(0)),
-                TaskSite::Host | TaskSite::Coordinator => None,
-            };
+        // A device task ran since the streams were last synchronized.
+        let mut in_flight = false;
+        for mut task in tasks {
+            let device = (task.site == TaskSite::AnyDevice).then(|| task.home.unwrap_or(0));
+            let gated = !task.wait_events.is_empty();
             let ready = device.map_or(Ok(()), |d| self.ensure_streams(d));
-            let ready = ready.and_then(|()| match task.wait_events.is_empty() {
-                true => Ok(()),
-                false => self.synchronize(),
+            let ready = ready.and_then(|()| match gated {
+                true => self.drain(Stream::synchronize),
+                false => Ok(()),
             });
+            in_flight = device.is_some() || (in_flight && !gated);
             let body: &mut dyn FnMut(&TaskCtx) -> Result<()> = match &mut task.body {
-                Some(TaskBody::Worker(body)) => &mut **body,
-                Some(TaskBody::Coordinator(body)) => &mut **body,
-                None => continue,
+                TaskBody::Worker(body) => &mut **body,
+                TaskBody::Coordinator(body) => &mut **body,
             };
-            let label = format!("{backend}/{}:{}", task.kind.name(), task.label);
+            let label = || format!("{backend}/{}:{}", task.kind.name(), task.label);
             let ctx = TaskCtx { device, streams: &self.device_streams };
-            outcome =
-                match ready.and_then(|()| run_node(task.policy, &counters, &label, &ctx, body)) {
-                    Ok(true) => continue,
-                    Ok(false) => Ok(DagOutcome::Skipped),
-                    Err(e) => Err(e),
-                };
+            outcome = match ready.and_then(|()| recover(policy, &counters, label, || body(&ctx))) {
+                Ok(DagOutcome::Completed) => continue,
+                other => other,
+            };
             break;
         }
-        self.quiesce(outcome)
+        self.quiesce(outcome, in_flight)
     }
 
     /// Drain every provisioned stream after a run ended with `outcome`. A
-    /// failed run keeps its own error and a skipped step drops whatever
-    /// its cancelled tail left on the streams; a completed run fails with
-    /// the first sticky stream error.
-    fn quiesce(&self, outcome: Result<DagOutcome>) -> Result<DagOutcome> {
-        let synced = self.synchronize();
+    /// stream is synchronized only if it is busy and the run may still
+    /// have work on it (`in_flight`: the default stream an in-order run
+    /// shares with the solver is often busy with the solver's work alone);
+    /// otherwise it is queried, which takes its sticky error all the same
+    /// without blocking. A failed run keeps its own error and a skipped
+    /// step drops whatever its cancelled tail left on the streams; a
+    /// completed run fails with the first sticky stream error.
+    fn quiesce(&self, outcome: Result<DagOutcome>, in_flight: bool) -> Result<DagOutcome> {
+        let drained = match in_flight {
+            true => self.drain(|stream| match stream.is_idle() {
+                true => stream.query().map(drop),
+                false => stream.synchronize(),
+            }),
+            false => self.drain(|stream| stream.query().map(drop)),
+        };
         match outcome {
-            Ok(DagOutcome::Completed) => synced.map(|()| DagOutcome::Completed),
+            Ok(DagOutcome::Completed) => drained.map(|()| DagOutcome::Completed),
             other => other,
         }
     }
@@ -737,7 +700,7 @@ impl DagScheduler {
 mod tests {
     use super::*;
     use crate::dag::TaskGraph;
-    use devsim::NodeConfig;
+    use devsim::{KernelCost, NodeConfig};
     use std::sync::atomic::AtomicU32;
 
     fn sched_on(devices: usize) -> DagScheduler {
@@ -818,32 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_device_tasks_are_never_stolen() {
-        let mut s = sched_on(3);
-        let mut g = graph();
-        let ok = Arc::new(AtomicBool::new(true));
-        for i in 0..9 {
-            let pin = i % 3;
-            let ok = ok.clone();
-            g.add_worker_task(
-                TaskKind::Kernel,
-                format!("p{i}"),
-                TaskSite::Device(pin),
-                move |ctx| {
-                    if ctx.device() != Some(pin) {
-                        ok.store(false, Ordering::Relaxed);
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                    Ok(())
-                },
-            );
-        }
-        assert_eq!(s.run(g).unwrap(), DagOutcome::Completed);
-        assert!(ok.load(Ordering::Relaxed), "a pinned task ran on the wrong device");
-        assert_eq!(s.counters().snapshot().steals, 0);
-    }
-
-    #[test]
     fn event_gates_hold_tasks_until_signaled() {
         let mut s = sched_on(1);
         let mut g = graph();
@@ -870,6 +807,69 @@ mod tests {
         g.gate_on_event(gated, gate.clone());
         assert_eq!(s.run(g).unwrap(), DagOutcome::Completed);
         assert!(fired.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn an_in_order_device_graph_synchronizes_once_per_run() {
+        // The event-gated node synchronizes the default stream it waits
+        // behind; the closing drain only queries it, although a solver
+        // sharing the stream keeps it busy until the run has returned.
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let mut s = DagScheduler::in_order(node.clone(), 0);
+        let solver = node.device(0).unwrap().default_stream();
+        for run in 0..3 {
+            let mut g = graph();
+            let landed = Event::new();
+            let ev = landed.clone();
+            let k = g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, move |ctx| {
+                let stream = ctx.stream().expect("a device stream");
+                stream.launch("k", KernelCost::ZERO, |_| Ok(())).map_err(Error::Device)?;
+                stream.record(&ev).map_err(Error::Device)
+            });
+            let (release, held) = std::sync::mpsc::channel::<()>();
+            let (stream, mut held) = (solver.clone(), Some(held));
+            let r = g.add_coordinator_task(TaskKind::Reduce, "r", move |_| {
+                let held = held.take().expect("the reduce runs once");
+                // Bounded, so a drain that waits for it fails, not hangs.
+                let busy = move |_: &_| {
+                    let _released = held.recv_timeout(Duration::from_secs(2));
+                    Ok(())
+                };
+                stream.launch("solver", KernelCost::ZERO, busy).map_err(Error::Device)
+            });
+            g.add_dep(r, k);
+            g.gate_on_event(r, landed);
+            let before = node.stats().stream_syncs;
+            assert_eq!(s.run(g).unwrap(), DagOutcome::Completed);
+            assert!(!solver.is_idle(), "run {run}: the solver's kernel is still running");
+            assert_eq!(node.stats().stream_syncs - before, 1, "run {run}");
+            drop(release);
+        }
+    }
+
+    #[test]
+    fn a_sticky_error_on_an_idle_stream_fails_a_completed_run() {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let mut s = DagScheduler::in_order(node.clone(), 0);
+        let mut g = graph();
+        g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, |ctx| {
+            let stream = ctx.stream().expect("a device stream");
+            let fail = |_: &_| Err(devsim::Error::FaultInjected { site: "kernel".into() });
+            stream.launch("k", KernelCost::ZERO, fail).map_err(Error::Device)?;
+            // Leave the stream idle, its error sticky, for the closing drain.
+            while !stream.is_idle() {
+                std::thread::yield_now();
+            }
+            Ok(())
+        });
+        let before = node.stats().stream_syncs;
+        let err = s.run(g).unwrap_err();
+        assert!(matches!(err, Error::Device(devsim::Error::FaultInjected { .. })), "{err:?}");
+        assert_eq!(node.stats().stream_syncs, before, "an idle stream is queried, not synced");
+        // The query took the error: the next run completes.
+        let mut g = graph();
+        g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, |_| Ok(()));
+        assert_eq!(s.run(g).unwrap(), DagOutcome::Completed);
     }
 
     #[test]
