@@ -148,4 +148,21 @@ for f in $(grep -ohE 'BENCH_[a-z0-9_]+\.jsonl' EXPERIMENTS.md README.md | sort -
     fi
 done
 
+echo "== documented targets present"
+# Every example, binary and shipped XML config the docs tell a reader to
+# run must exist: a doc naming a deleted target is a doc bug.
+missing() { echo "FAIL: $1 is named by the docs but $2 is missing"; exit 1; }
+run_docs="README.md .claude/skills/verify/SKILL.md configs/run/run_all.sh"
+# shellcheck disable=SC2086
+for name in $(grep -ohE -- '--example [A-Za-z0-9_]+' $run_docs | cut -d' ' -f2 | sort -u); do
+    [ -f "examples/$name.rs" ] || missing "--example $name" "examples/$name.rs"
+done
+# shellcheck disable=SC2086
+for name in $(grep -ohE -- '--bin [A-Za-z0-9_]+' $run_docs | cut -d' ' -f2 | sort -u); do
+    compgen -G "crates/*/src/bin/$name.rs" > /dev/null || missing "--bin $name" "crates/*/src/bin/$name.rs"
+done
+for name in $(grep -ohE '[A-Za-z0-9_]+\.xml' README.md configs/README.md | sort -u); do
+    [ -f "configs/sensei_xml/$name" ] || missing "$name" "configs/sensei_xml/$name"
+done
+
 echo "ci.sh: all checks passed"

@@ -151,7 +151,6 @@ fn run_config(xml_path: &PathBuf, base: &CaseConfig) {
         let mut registry = AnalysisRegistry::new();
         binning::register(&mut registry);
         binning::register_suite(&mut registry);
-        analyses::register_all(&mut registry);
         let registry = std::sync::Arc::new(registry);
         let config = ConfigurableAnalysis::from_xml(&xml).expect("parse XML");
         let ctx = CreateContext { node: node.clone(), rank: comm.rank(), size: comm.size() };

@@ -40,8 +40,6 @@
 //!   copy only the union of the due back-ends' requirements;
 //! * [`ConfigurableAnalysis`] — back-end instantiation from SENSEI's
 //!   run-time XML configuration (including `queue_depth` / `overflow`);
-//! * [`intransit`] — M-to-N in-transit processing on dedicated
-//!   analysis ranks (the off-node counterpart of the placement study);
 //! * [`Bridge`] — the simulation-facing instrumentation
 //!   (initialize / execute-per-iteration / finalize) with a built-in
 //!   [`Profiler`] recording per-iteration solver and in situ times plus a
@@ -61,7 +59,6 @@ mod device_select;
 mod engine;
 mod error;
 mod execution;
-pub mod intransit;
 mod payload;
 mod placement;
 mod profiler;
@@ -104,6 +101,6 @@ pub use profiler::{
 pub use queue::OverflowPolicy;
 pub use recovery::RecoveryPolicy;
 pub use registry::{AnalysisFactory, AnalysisRegistry, CreateContext};
-pub use requirements::{ArraySelection, DataRequirements, MeshRequirements, ANY_MESH};
+pub use requirements::{ArraySelection, DataRequirements, MeshRequirements};
 pub use scheduler::{DagOutcome, DagScheduler, SchedulerCounters, SchedulerSnapshot};
 pub use snapshot::{SnapshotAdaptor, SnapshotMode, SnapshotPipeline};

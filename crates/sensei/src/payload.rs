@@ -1,18 +1,9 @@
-//! Shared step-result serialization: the host representation of one
-//! step's tabular data, used by every path that ships results out of
-//! the bridge.
-//!
-//! Both the in-transit forwarder ([`crate::intransit`]) and the live
-//! serving layer ([`crate::serve`]) need the same thing: the published
-//! mesh flattened to named double columns plus the step/time stamp.
-//! Keeping one [`StepPayload`] type (and one column walker) means the
-//! two paths cannot drift — a column type the sender accepts is a
-//! column type the receiver can rebuild, and vice versa.
+//! Step-result serialization: the host representation of one step's
+//! tabular data, as the live serving layer ([`crate::serve`]) ships it
+//! out of the bridge — the published mesh flattened to named double
+//! columns plus the step/time stamp.
 
-use std::sync::Arc;
-
-use devsim::SimNode;
-use svtk::{DataObject, TableData};
+use svtk::DataObject;
 
 use crate::adaptor::DataAdaptor;
 use crate::error::{Error, Result};
@@ -48,26 +39,6 @@ impl StepPayload {
             .iter()
             .map(|(name, values)| name.len() + values.len() * std::mem::size_of::<f64>())
             .sum()
-    }
-
-    /// Rebuild a host-resident table from the columns (the receive side
-    /// of the round trip; column order is preserved).
-    pub fn to_table(&self, node: &Arc<SimNode>) -> Result<TableData> {
-        let mut table = TableData::new();
-        for (name, values) in &self.columns {
-            let arr = svtk::HamrDataArray::<f64>::from_slice(
-                name.clone(),
-                node.clone(),
-                values,
-                1,
-                svtk::Allocator::Malloc,
-                None,
-                svtk::HamrStream::default_stream(),
-                svtk::StreamMode::Sync,
-            )?;
-            table.set_column(arr.as_array_ref());
-        }
-        Ok(table)
     }
 }
 
@@ -105,8 +76,11 @@ pub fn collect_columns(obj: &DataObject, out: &mut Vec<(String, Vec<f64>)>) -> R
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use devsim::NodeConfig;
+    use devsim::{NodeConfig, SimNode};
+    use svtk::TableData;
 
     fn node() -> Arc<SimNode> {
         SimNode::new(NodeConfig::default())
@@ -132,18 +106,17 @@ mod tests {
     }
 
     #[test]
-    fn payload_round_trips_through_table() {
+    fn payload_carries_the_stamp_and_every_column() {
         let node = node();
         let src = table(&node, &[("x", &[1.0, 2.0, 3.0]), ("m", &[0.5, 0.25, 0.125])]);
         let p = StepPayload::from_object(&DataObject::Table(src), 7, 0.5).expect("serialize");
         assert_eq!(p.step, 7);
         assert_eq!(p.time, 0.5);
         assert_eq!(p.bytes(), (1 + 3 * 8) * 2, "name bytes + 3 doubles, per column");
-
-        let rebuilt = p.to_table(&node).expect("rebuild");
-        let back =
-            StepPayload::from_object(&DataObject::Table(rebuilt), 7, 0.5).expect("reserialize");
-        assert_eq!(p, back);
+        assert_eq!(
+            p.columns,
+            [("x".to_string(), vec![1.0, 2.0, 3.0]), ("m".to_string(), vec![0.5, 0.25, 0.125])]
+        );
     }
 
     #[test]

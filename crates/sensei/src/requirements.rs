@@ -13,10 +13,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use svtk::FieldAssociation;
 
-/// Mesh-name key matching every published mesh (back-ends like the
-/// histogram operate on "the first mesh" and cannot name it statically).
-pub const ANY_MESH: &str = "*";
-
 /// Which arrays of one association a back-end needs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ArraySelection {
@@ -110,8 +106,7 @@ impl MeshRequirements {
 }
 
 /// What a back-end needs from the simulation's published state:
-/// everything (the safe default), or a subset keyed by mesh name
-/// (the key [`ANY_MESH`] applies to every mesh).
+/// everything (the safe default), or a subset keyed by mesh name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum DataRequirements {
     /// Every array of every mesh — the behaviour of a plain deep copy.
@@ -134,9 +129,8 @@ impl DataRequirements {
         DataRequirements::Subset(BTreeMap::new())
     }
 
-    /// Also require the named `arrays` with association `assoc` on `mesh`
-    /// (or on every mesh, if `mesh` is [`ANY_MESH`]). No-op on
-    /// [`All`](Self::All), which already covers them.
+    /// Also require the named `arrays` with association `assoc` on `mesh`.
+    /// No-op on [`All`](Self::All), which already covers them.
     pub fn with_arrays<S: Into<String>>(
         mut self,
         mesh: &str,
@@ -152,21 +146,6 @@ impl DataRequirements {
         self
     }
 
-    /// Also require the named `arrays` whatever their association — for
-    /// back-ends that look an array up by name across point and cell data.
-    pub fn with_named<S: Into<String> + Clone>(
-        self,
-        mesh: &str,
-        arrays: impl IntoIterator<Item = S>,
-    ) -> Self {
-        let names: Vec<String> = arrays.into_iter().map(Into::into).collect();
-        self.with_arrays(mesh, FieldAssociation::Point, names.iter().cloned()).with_arrays(
-            mesh,
-            FieldAssociation::Cell,
-            names,
-        )
-    }
-
     /// Also require every array of `mesh`.
     pub fn with_mesh(mut self, mesh: &str) -> Self {
         if let DataRequirements::Subset(meshes) = &mut self {
@@ -175,24 +154,12 @@ impl DataRequirements {
         self
     }
 
-    /// The effective requirements for the mesh named `name`, folding in
-    /// an [`ANY_MESH`] entry; `None` when the mesh is not needed.
+    /// The requirements for the mesh named `name`; `None` when the mesh
+    /// is not needed.
     pub fn mesh_requirements(&self, name: &str) -> Option<MeshRequirements> {
         match self {
             DataRequirements::All => Some(MeshRequirements::all()),
-            DataRequirements::Subset(meshes) => {
-                let named = meshes.get(name);
-                let any = meshes.get(ANY_MESH);
-                match (named, any) {
-                    (None, None) => None,
-                    (Some(m), None) | (None, Some(m)) => Some(m.clone()),
-                    (Some(m), Some(a)) => {
-                        let mut merged = m.clone();
-                        merged.union_with(a);
-                        Some(merged)
-                    }
-                }
-            }
+            DataRequirements::Subset(meshes) => meshes.get(name).cloned(),
         }
     }
 
@@ -243,22 +210,6 @@ mod tests {
         assert!(!m.wants(FieldAssociation::Point, "mass"));
         assert!(!m.wants(FieldAssociation::Cell, "x"), "cell data not requested");
         assert!(req.mesh_requirements("grid").is_none(), "unlisted mesh skipped");
-    }
-
-    #[test]
-    fn any_mesh_applies_everywhere_and_merges_with_named() {
-        let req = DataRequirements::none().with_named(ANY_MESH, ["mass"]).with_arrays(
-            "bodies",
-            FieldAssociation::Point,
-            ["x"],
-        );
-        let grid = req.mesh_requirements("grid").unwrap();
-        assert!(grid.wants(FieldAssociation::Point, "mass"));
-        assert!(grid.wants(FieldAssociation::Cell, "mass"));
-        assert!(!grid.wants(FieldAssociation::Point, "x"));
-        let bodies = req.mesh_requirements("bodies").unwrap();
-        assert!(bodies.wants(FieldAssociation::Point, "x"));
-        assert!(bodies.wants(FieldAssociation::Point, "mass"));
     }
 
     #[test]

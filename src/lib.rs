@@ -19,8 +19,6 @@
 //!   extensions (lockstep/asynchronous, placement, Eq. 1);
 //! * [`newtonpp`] — the Newton++ n-body simulation;
 //! * [`binning`] — the in situ data-binning analysis;
-//! * [`analyses`] — further back-ends (histogram, descriptive stats,
-//!   autocorrelation, particle writer);
 //! * `bench` — the experiment harness for Table 1 and Figures 1–3.
 //!
 //! ## Quickstart
@@ -48,13 +46,11 @@
 //! ```
 
 pub use ::bench;
-pub use analyses;
 pub use binning;
 pub use devsim;
 pub use hamr;
 pub use minimpi;
 pub use newtonpp;
-pub use oscillators;
 pub use sensei;
 pub use svtk;
 pub use xmlcfg;

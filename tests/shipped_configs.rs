@@ -5,14 +5,19 @@
 use std::path::Path;
 
 use devsim::{NodeConfig, SimNode};
-use sensei::{AnalysisRegistry, ConfigurableAnalysis, CreateContext};
+use sensei::{AnalysisRegistry, ConfigurableAnalysis, CreateContext, Error};
 
-#[test]
-fn shipped_configs_parse_instantiate_and_round_trip() {
+/// The registry the harness's `run-config` instantiates against.
+fn stock_registry() -> AnalysisRegistry {
     let mut registry = AnalysisRegistry::new();
     binning::register(&mut registry);
     binning::register_suite(&mut registry);
-    analyses::register_all(&mut registry);
+    registry
+}
+
+#[test]
+fn shipped_configs_parse_instantiate_and_round_trip() {
+    let registry = stock_registry();
 
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/sensei_xml");
     let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -45,5 +50,25 @@ fn shipped_configs_parse_instantiate_and_round_trip() {
             backends.len(),
             "{name}: instantiated back-ends after the round trip"
         );
+    }
+}
+
+/// The histogram, statistics, autocorrelation and particle-writer
+/// back-ends were removed: a document naming one still parses, and
+/// instantiating it is a typed error naming the type.
+#[test]
+fn removed_back_end_types_are_unknown_analysis_types() {
+    let registry = stock_registry();
+    assert_eq!(registry.type_names(), ["binning_suite", "data_binning"]);
+    for removed in ["histogram", "descriptive_stats", "autocorrelation", "particle_writer"] {
+        let xml = format!(r#"<sensei><analysis type="{removed}" enabled="1"/></sensei>"#);
+        let config = ConfigurableAnalysis::from_xml(&xml)
+            .unwrap_or_else(|e| panic!("{removed}: parse: {e}"));
+        let ctx = CreateContext { node: SimNode::new(NodeConfig::fast_test(1)), rank: 0, size: 1 };
+        match config.instantiate(&registry, &ctx) {
+            Err(Error::UnknownAnalysisType { type_name }) => assert_eq!(type_name, removed),
+            Err(e) => panic!("{removed}: expected UnknownAnalysisType, got {e}"),
+            Ok(_) => panic!("{removed}: instantiated a removed back-end type"),
+        }
     }
 }
