@@ -99,18 +99,20 @@ bash benchmarks/run.sh all --smoke
 # of its twelve 4 096-row columns, so the device_to_host segment moves
 # 3 columns x 2 ranks x 32 768 B = 196 608 B a step. The device segment
 # downloads each rank's block only as far as its kernel filled it: a
-# header of 1 + 9 cells, then per spec its touched bins' indices and 11
-# values each — all nine sparse here, 111 115 touched bins over the 3
-# timed steps x 2 ranks x 9 specs (50 % of 4 096). That is
-# (3 x 2 x 10 + 111 115 x 12) x 8 B / 3 = 3 555 840 B a step, and the
-# mean of the three segments (3 555 840 + 196 608) / 3 = 1 250 816 B.
-# Dense grids read 2 228 224; moving the nine unchanged columns again,
-# every step, adds 196 608 more.
+# header of 1 + 9 cells, then per spec its touched bins' indices and 10
+# values each (the count grid and nine ops: the spec's own count() reads
+# the count grid, it is no grid of its own) — all nine sparse here,
+# 111 115 touched bins over the 3 timed steps x 2 ranks x 9 specs (50 %
+# of 4 096). That is (3 x 2 x 10 + 111 115 x 11) x 8 B / 3 =
+# 3 259 533.33 B a step, and the mean of the three segments
+# ((3·2·10 + 111 115·11)·8/3 + 196 608)/3 = 1 152 047.11 B. A duplicate
+# count grid reads 1 250 816; dense grids 2 228 224; moving the nine
+# unchanged columns again, every step, adds 196 608 more.
 traced=benchmarks/out/rows_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 0.3333' \
             'binning.downloads_per_step": {"value": 0.3333' \
             'binning.table_passes_per_step": {"value": 0.6666' \
-            'devsim.d2h_bytes_per_step": {"value": 1250816,'; do
+            'devsim.d2h_bytes_per_step": {"value": 1152047.11'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1
@@ -131,6 +133,21 @@ traced=benchmarks/out/fused90_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 6,' \
             'binning.downloads_per_step": {"value": 6,' \
             'sensei.sched_tasks_per_step": {"value": 10.5,'; do
+    if ! grep -q "\"$want" "$traced"; then
+        echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
+        exit 1
+    fi
+done
+# The paper's nine one-spec data_binning back-ends share one engine and
+# run one fused step between them, like the hand-written suite: per rank
+# and step one svtk fetch, the bounds and the grid allreduce (2), and
+# minimpi's 6 collectives — those 2, each a reduce and a broadcast
+# (4), plus the solver's own 2. Nine engines read 9 fetches, 18
+# allreduces and 38 collectives.
+traced=benchmarks/out/paper90_lockstep_modeled.traced.json
+for want in 'minimpi.collectives_per_step": {"value": 6,' \
+            'binning.allreduces_per_step": {"value": 2,' \
+            'svtk.fetch_calls_per_step": {"value": 1,'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use devsim::ReadView;
@@ -114,6 +115,43 @@ impl BinnedResult {
 /// `Arc`).
 pub type ResultSink = Arc<Mutex<Vec<BinnedResult>>>;
 
+/// Where one back-end's step results go. Cloned into the step's
+/// [`sensei::GroupSlot`] when another member of its group runs the merged
+/// step, which then delivers through it.
+#[derive(Clone, Default)]
+struct Outlet {
+    sink: Option<ResultSink>,
+    /// With an `output` directory: the last step's results (rank 0 only),
+    /// written at finalize.
+    last: Option<Arc<Mutex<Vec<BinnedResult>>>>,
+    /// Completed steps.
+    executes: Arc<AtomicU64>,
+}
+
+impl Outlet {
+    /// True when this rank consumes the results: only rank 0 has a
+    /// consumer, so no other rank builds or retains results.
+    fn publishes(&self, comm: &Comm) -> bool {
+        comm.rank() == 0 && (self.sink.is_some() || self.last.is_some())
+    }
+
+    /// The one tail of every step: rank 0 keeps its results when an
+    /// `output` directory wants the last step's written at finalize, and
+    /// moves them into the sink.
+    fn deliver(&self, comm: &Comm, results: Vec<BinnedResult>) {
+        self.executes.fetch_add(1, Ordering::Relaxed);
+        if comm.rank() != 0 {
+            return;
+        }
+        if let Some(last) = &self.last {
+            last.lock().clone_from(&results);
+        }
+        if let Some(sink) = &self.sink {
+            sink.lock().extend(results);
+        }
+    }
+}
+
 /// A communicator's collective totals when a binning step starts.
 struct CommMark {
     allreduces: u64,
@@ -151,6 +189,13 @@ impl CommMark {
 /// The step is one task graph, whatever the execution method: the engine
 /// runs it in order under lockstep and asynchronous, work-stealing under
 /// `dag`.
+///
+/// Fused back-ends the bridge groups on one engine (the paper's nine
+/// `data_binning` instances) run one fused step between them: each member
+/// but the last hands its specs and where its results go forward through
+/// the step's [`sensei::GroupSlot`], and the last runs the graph over
+/// every member's specs, in attach order, and delivers each member its
+/// own results.
 pub struct BinningAnalysis {
     controls: BackendControls,
     /// Non-empty, every spec on one mesh.
@@ -163,12 +208,8 @@ pub struct BinningAnalysis {
     /// operation per spec), kept for A/B comparison and as the
     /// correctness reference.
     fused: bool,
-    sink: Option<ResultSink>,
     output_dir: Option<PathBuf>,
-    /// Rank 0 with an `output` directory: the last step's results, written
-    /// at finalize.
-    last: Vec<BinnedResult>,
-    executes: u64,
+    outlet: Outlet,
     counters: Arc<AnalysisCounters>,
     /// The fused step's resident memory (unused by the per-op path).
     arena: StepArena,
@@ -207,10 +248,8 @@ impl BinningAnalysis {
             specs,
             suite,
             fused: true,
-            sink: None,
             output_dir: None,
-            last: Vec::new(),
-            executes: 0,
+            outlet: Outlet::default(),
             counters: AnalysisCounters::new(),
             arena: StepArena::default(),
         }
@@ -225,7 +264,7 @@ impl BinningAnalysis {
 
     /// Send every step's results (one per spec, in spec order) to `sink`.
     pub fn with_sink(mut self, sink: ResultSink) -> Self {
-        self.sink = Some(sink);
+        self.outlet.sink = Some(sink);
         self
     }
 
@@ -234,6 +273,7 @@ impl BinningAnalysis {
     /// `binning_suite`.
     pub fn with_output_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.output_dir = Some(dir.into());
+        self.outlet.last = Some(Arc::default());
         self
     }
 
@@ -245,34 +285,12 @@ impl BinningAnalysis {
 
     /// Number of completed executes (diagnostic).
     pub fn executes(&self) -> u64 {
-        self.executes
+        self.outlet.executes.load(Ordering::Relaxed)
     }
 
     /// The fused step over this back-end's specs.
     fn step(&self) -> FusedStep<'_> {
         FusedStep { specs: &self.specs, counters: &self.counters }
-    }
-
-    /// True when this rank consumes the step's results: only rank 0 has a
-    /// consumer, so no other rank builds or retains results.
-    fn publishes(&self, comm: &Comm) -> bool {
-        comm.rank() == 0 && (self.sink.is_some() || self.output_dir.is_some())
-    }
-
-    /// The one tail of every step: rank 0 keeps its results when an
-    /// `output` directory wants the last step's written at finalize, and
-    /// moves them into the sink.
-    fn deliver(&mut self, comm: &Comm, results: Vec<BinnedResult>) {
-        self.executes += 1;
-        if comm.rank() != 0 {
-            return;
-        }
-        if self.output_dir.is_some() {
-            self.last.clone_from(&results);
-        }
-        if let Some(sink) = &self.sink {
-            sink.lock().extend(results);
-        }
     }
 
     /// The per-op reference step: one fetch of every spec's variables,
@@ -621,7 +639,7 @@ impl AnalysisAdaptor for BinningAnalysis {
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         let results = self.per_op_step(data, ctx, device)?;
         comm_mark.charge(ctx.comm, &self.counters);
-        self.deliver(ctx.comm, results);
+        self.outlet.deliver(ctx.comm, results);
         Ok(true)
     }
 
@@ -644,7 +662,9 @@ impl AnalysisAdaptor for BinningAnalysis {
         let Some(dir) = self.output_dir.as_ref().filter(|_| ctx.comm.rank() == 0) else {
             return Ok(());
         };
-        for (i, result) in self.last.iter().enumerate() {
+        let last = self.outlet.last.as_ref().map(|last| std::mem::take(&mut *last.lock()));
+        let last = last.unwrap_or_default();
+        for (i, result) in last.iter().enumerate() {
             let dir = if self.suite { dir.join(format!("spec{i}")) } else { dir.clone() };
             crate::io::write_result(&dir, result)
                 .map_err(|e| Error::Analysis(format!("writing results: {e}")))?;
@@ -686,6 +706,8 @@ fn from_element(el: &Element, suite: bool) -> Result<Box<dyn AnalysisAdaptor>> {
             analysis.name()
         )));
     }
-    analysis.output_dir = el.attr("output").map(PathBuf::from);
+    if let Some(dir) = el.attr("output") {
+        analysis = analysis.with_output_dir(dir);
+    }
     Ok(Box::new(analysis))
 }

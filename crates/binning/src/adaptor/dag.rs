@@ -12,6 +12,12 @@
 //! stealable across device workers. Results are bit-identical either way:
 //! the merge order is fixed table-major, and a grid is the same whichever
 //! pass or worker computes it.
+//!
+//! In a group of fused back-ends sharing one engine, every member but the
+//! last hands its specs and outlet forward as a [`Share`], and the last
+//! runs this graph once over all of them — the members' specs in attach
+//! order — then delivers each member its own results. The group's step is
+//! all or nothing: a skipped or failed graph delivers to no member.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -20,14 +26,14 @@ use std::sync::Arc;
 use devsim::{CellBuffer, Event, ReadView};
 use parking_lot::Mutex;
 use sensei::{
-    AnalysisAdaptor, DagOutcome, DagScheduler, DataAdaptor, Error, ExecContext, Result, TaskGraph,
-    TaskKind, TaskSite,
+    AnalysisAdaptor, DagOutcome, DagScheduler, DataAdaptor, Error, ExecContext, GroupSlot, Result,
+    TaskGraph, TaskKind, TaskSite,
 };
 
-use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched};
+use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched, Outlet};
 use crate::arena::Slot;
 use crate::device_impl;
-use crate::fused::{host_pass, plan_pass, StepLayout};
+use crate::fused::{host_pass, num_grids, plan_pass, FusedStep, StepLayout};
 use crate::host_impl::{self, KernelScratch, PassSpec};
 use crate::spec::BinningSpec;
 
@@ -124,19 +130,52 @@ fn plan<'a>(
     plan_pass(range.clone().map(|si| (&specs[si].axes, &layout.ops[si][..], layout.grids[si])))
 }
 
+/// What a member of a group hands the member that runs the merged step:
+/// its specs, and where their results go.
+struct Share {
+    specs: Vec<BinningSpec>,
+    outlet: Outlet,
+}
+
 impl BinningAnalysis {
-    /// The step as a task graph handed to `sched` (see the module docs).
+    /// The step as a task graph handed to `sched` (see the module docs);
+    /// in a group, only the last member plans it.
     pub(super) fn run_graph(
-        &mut self,
+        &self,
         data: &dyn DataAdaptor,
         ctx: &ExecContext<'_>,
         sched: &mut DagScheduler,
     ) -> Result<bool> {
+        if let Some(slot) = ctx.group_slot().filter(|_| !ctx.is_last_member()) {
+            slot.put(Box::new(Share { specs: self.specs.clone(), outlet: self.outlet.clone() }));
+            return Ok(true);
+        }
+        // Every member's specs in attach order, this one's last, and per
+        // member where its run of them goes.
+        let shares = ctx.group_slot().map(GroupSlot::take).unwrap_or_default();
+        let mut outlets = Vec::with_capacity(shares.len() + 1);
+        let mut merged = Vec::new();
+        for share in shares {
+            let share = share.downcast::<Share>().map_err(|_| {
+                Error::Analysis("binning group: a member handed forward no binning share".into())
+            })?;
+            outlets.push((share.outlet, share.specs.len()));
+            merged.extend(share.specs);
+        }
+        outlets.push((self.outlet.clone(), self.specs.len()));
+        let specs: &[BinningSpec] = match merged.is_empty() {
+            true => &self.specs,
+            false => {
+                merged.extend(self.specs.iter().cloned());
+                &merged
+            }
+        };
+
         let comm_mark = CommMark::new(ctx.comm);
-        let tables = local_tables(&data.mesh(&self.specs[0].mesh)?)?;
+        let tables = local_tables(&data.mesh(&specs[0].mesh)?)?;
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         self.arena.place(device);
-        let nspecs = self.specs.len();
+        let nspecs = specs.len();
         let ntables = tables.len();
         let row_counts: Vec<usize> = tables.iter().map(|t| t.num_rows()).collect();
         // In order, nothing can overlap a kernel: one pass per table over
@@ -155,13 +194,12 @@ impl BinningAnalysis {
             merged: Mutex::new(None),
             results: Mutex::new(Vec::new()),
         });
-        let this = &*self;
-        let step = this.step();
-        let arena = &this.arena;
-        let publish = this.publishes(ctx.comm);
+        let step = FusedStep { specs, counters: &self.counters };
+        let arena = &self.arena;
+        let publish = outlets.iter().any(|(outlet, _)| outlet.publishes(ctx.comm));
         let node = ctx.node.clone();
 
-        let mut g = TaskGraph::new(this.name(), this.counters.clone(), this.controls.recovery);
+        let mut g = TaskGraph::new(self.name(), self.counters.clone(), self.controls.recovery);
 
         // Fetch: the union of every spec's variables, once per table, plus
         // the fused bounds pass and its packed collective — coordinator
@@ -272,8 +310,8 @@ impl BinningAnalysis {
                         }
                     }
                 };
-                // Per spec its ops and the implicit count grid.
-                let ops = |si: usize| this.specs[si].ops.len() + 1;
+                // Per spec its grids, as the step's layout will lay them.
+                let ops = |si: usize| num_grids(&specs[si]);
                 let kc = |si: usize| device_impl::fused_bin_cost(rows, ops(si));
                 g.set_cost(kernel, sum(&|si| kc(si).flops + kc(si).bytes));
                 g.add_dep(kernel, fetch);
@@ -318,7 +356,7 @@ impl BinningAnalysis {
                     })
                 };
                 g.set_home(download, primary);
-                let bins = |si: usize| this.specs[si].resolution.0 * this.specs[si].resolution.1;
+                let bins = |si: usize| specs[si].resolution.0 * specs[si].resolution.1;
                 g.set_cost(download, sum(&|si| download_cost(rows, ops(si), bins(si))));
                 g.add_dep(download, kernel);
                 download_events.push(landed);
@@ -399,8 +437,10 @@ impl BinningAnalysis {
         if outcome == DagOutcome::Skipped {
             return Ok(true);
         }
-        let results = std::mem::take(&mut *state.results.lock());
-        self.deliver(ctx.comm, results);
+        let mut results = std::mem::take(&mut *state.results.lock()).into_iter();
+        for (outlet, n) in &outlets {
+            outlet.deliver(ctx.comm, results.by_ref().take(*n).collect());
+        }
         Ok(true)
     }
 }

@@ -48,12 +48,26 @@ use crate::host_impl::{self, FusedGrids, PassSpec};
 use crate::reduce;
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
-/// The ops of `spec`, counts first (the layout of its grids everywhere
-/// downstream).
+/// The ops of `spec`, counts first (the per-op path's grids, one per
+/// listed op).
 pub(crate) fn spec_ops(spec: &BinningSpec) -> Vec<VarOp> {
     let mut ops = vec![VarOp { var: String::new(), op: BinOp::Count }];
     ops.extend(spec.ops.iter().cloned());
     ops
+}
+
+/// The grids the fused step accumulates for `spec`: the implicit count
+/// grid first, then every listed op that is not a count. An explicit
+/// `count()` reads grid 0 wherever it is listed ([`StepLayout::publish`]).
+pub(crate) fn grid_ops(spec: &BinningSpec) -> Vec<VarOp> {
+    let count = VarOp { var: String::new(), op: BinOp::Count };
+    let others = spec.ops.iter().filter(|vo| vo.op != BinOp::Count).cloned();
+    std::iter::once(count).chain(others).collect()
+}
+
+/// How many grids [`grid_ops`] lays out for `spec`.
+pub(crate) fn num_grids(spec: &BinningSpec) -> usize {
+    1 + spec.ops.iter().filter(|vo| vo.op != BinOp::Count).count()
 }
 
 /// What a fused pass over some coordinate systems reads and computes:
@@ -96,14 +110,16 @@ pub(crate) fn host_pass<R>(
 }
 
 /// A step's resolved grids and the layout of its flat accumulation
-/// buffer: every spec's grids (counts first) laid back to back. The flat
+/// buffer: every spec's grids ([`grid_ops`]: one count grid, then the
+/// other ops) laid back to back. The flat
 /// buffer doubles as the packed-collective payload, so local
 /// accumulation, the allreduce, and the unpack all work on one allocation
 /// with no repacking.
 pub(crate) struct StepLayout {
     /// Per spec, its resolved grid.
     pub grids: Vec<GridParams>,
-    /// Per spec, its ops with the implicit count grid first.
+    /// Per spec, its [`grid_ops`]: the count grid first, then every op
+    /// that is not a count.
     pub ops: Vec<Vec<VarOp>>,
     /// Per spec, the start of its grids in the flat buffer and the bins
     /// of each of them.
@@ -123,12 +139,12 @@ impl StepLayout {
         let mut total = 0;
         for (spec, grid) in specs.iter().zip(&grids) {
             spans.push((total, grid.num_bins()));
-            let spec_ops = spec_ops(spec);
-            for vo in &spec_ops {
+            let grid_ops = grid_ops(spec);
+            for vo in &grid_ops {
                 segments.push(Segment::new(reduce::segment_op(vo.op), grid.num_bins()));
                 total += grid.num_bins();
             }
-            ops.push(spec_ops);
+            ops.push(grid_ops);
         }
         StepLayout { grids, ops, spans, segments, len: total }
     }
@@ -197,7 +213,8 @@ impl StepLayout {
     }
 
     /// Unpack the globally reduced buffer into one finalized result per
-    /// spec, in spec order.
+    /// spec, in spec order, with one array per listed op in listed order:
+    /// every `count()` a copy of the spec's count grid.
     pub fn publish(
         &self,
         specs: &[BinningSpec],
@@ -208,8 +225,15 @@ impl StepLayout {
         for (si, (spec, grid)) in specs.iter().zip(&self.grids).enumerate() {
             let counts = &merged[self.segment(si, 0)];
             let mut arrays = Vec::with_capacity(spec.ops.len());
-            for (k, vo) in self.ops[si].iter().enumerate().skip(1) {
-                let mut values = merged[self.segment(si, k)].to_vec();
+            let mut k = 0;
+            for vo in &spec.ops {
+                let mut values = match vo.op {
+                    BinOp::Count => counts.to_vec(),
+                    _ => {
+                        k += 1;
+                        merged[self.segment(si, k)].to_vec()
+                    }
+                };
                 host_impl::finalize(vo.op, &mut values, counts);
                 arrays.push((vo.output_name(), values));
             }
@@ -324,5 +348,36 @@ impl<'a> FusedStep<'a> {
                 spec.grid(bx, by)
             })
             .collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_explicit_count_reads_the_one_count_grid_of_its_spec() {
+        let op = |var: &str, op| VarOp { var: var.into(), op };
+        let lists = [
+            vec![op("", BinOp::Count), op("m", BinOp::Sum)],
+            vec![op("m", BinOp::Sum), op("", BinOp::Count), op("m", BinOp::Min)],
+            vec![op("", BinOp::Count), op("m", BinOp::Max), op("", BinOp::Count)],
+            vec![op("m", BinOp::Average)],
+        ];
+        let specs: Vec<BinningSpec> =
+            lists.into_iter().map(|ops| BinningSpec::new("bodies", ("x", "y"), 3, ops)).collect();
+        let grids = specs.iter().map(|s| s.grid([0.0, 1.0], [0.0, 1.0])).collect();
+        let layout = StepLayout::new(&specs, grids);
+        for (si, spec) in specs.iter().enumerate() {
+            let ops = &layout.ops[si];
+            assert_eq!(ops.iter().filter(|vo| vo.op == BinOp::Count).count(), 1, "spec {si}");
+            assert_eq!(ops[0].op, BinOp::Count, "spec {si}: the count grid comes first");
+            assert_eq!(ops.len(), num_grids(spec), "spec {si}");
+            let listed: Vec<_> = spec.ops.iter().filter(|vo| vo.op != BinOp::Count).collect();
+            assert!(ops[1..].iter().eq(listed), "spec {si}: every other op, in listed order");
+        }
+        let grids: usize = specs.iter().map(num_grids).sum();
+        assert_eq!(grids, 2 + 3 + 2 + 2);
+        assert_eq!((layout.segments.len(), layout.len), (grids, grids * 9));
     }
 }

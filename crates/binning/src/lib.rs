@@ -19,7 +19,9 @@
 //! analysis back-end type: a list of specs over one mesh, run through one
 //! fused step. The XML type `data_binning` ([`register`]) is a list of one;
 //! `binning_suite` ([`register_suite`], [`BinningSuite::new`]) is N
-//! instances of the same back-end run as one.
+//! instances of the same back-end run as one. Fused `data_binning`
+//! back-ends the bridge groups on one engine — the paper's nine — run one
+//! fused step between them too, each receiving its own results.
 
 #![deny(unsafe_code)]
 

@@ -270,10 +270,14 @@ fn nine_back_ends_on_a_dedicated_device_move_each_distinct_column_once_per_step(
         let mut sim = Bodies::new(&node, Some(0), comm.rank(), ROWS);
         let mut bridge = Bridge::new(node.clone());
         let mut fetches = Vec::new();
-        for spec in specs() {
+        // Distinct queue depths, which lockstep ignores, keep the nine
+        // from sharing one engine and one merged step: each fetches its
+        // own columns, and only the residency layer can spare the moves.
+        for (i, spec) in specs().into_iter().enumerate() {
             let analysis =
                 BinningAnalysis::new(spec).with_sink(sink.clone()).with_controls(BackendControls {
                     device: DeviceSpec::Explicit(1),
+                    queue_depth: 1 + i,
                     ..Default::default()
                 });
             fetches.push(analysis.counters().unwrap());

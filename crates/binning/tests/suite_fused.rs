@@ -363,6 +363,39 @@ fn suite_fetches_union_once_per_step() {
     assert_eq!(counters.fetches, 4 * steps);
 }
 
+#[test]
+fn count_reads_the_count_grid_wherever_it_is_listed() {
+    // The fused step keeps one count grid per spec and publishes every
+    // listed `count()` from it: first, in the middle, twice, or not at
+    // all, the arrays come out in listed order, bit-identical to the
+    // per-op reference, which bins a grid per listed op.
+    let op = |var: &str, op| VarOp { var: var.into(), op };
+    let lists = [
+        vec![op("", BinOp::Count), op("m", BinOp::Sum), op("x", BinOp::Min)],
+        vec![op("m", BinOp::Sum), op("", BinOp::Count), op("m", BinOp::Average)],
+        vec![op("", BinOp::Count), op("z", BinOp::Max), op("", BinOp::Count)],
+        vec![op("m", BinOp::Average), op("y", BinOp::Max)],
+    ];
+    let specs: Vec<BinningSpec> = lists
+        .iter()
+        .zip([("x", "y"), ("x", "z"), ("y", "z"), ("y", "m")])
+        .map(|(ops, axes)| BinningSpec::new("bodies", axes, 4, ops.clone()))
+        .collect();
+    for device in [DeviceSpec::Host, DeviceSpec::Explicit(0)] {
+        let (fused, _) = run_suite_of(specs.clone(), 2, device, 2);
+        let (per_op, _) = run_backend(2, device, 2, |sink| {
+            Box::new(BinningSuite::new(specs.clone()).unwrap().with_fused(false).with_sink(sink))
+        });
+        assert_eq!(fused.len(), 2 * specs.len());
+        for (r, spec) in fused.iter().zip(specs.iter().cycle()) {
+            let names: Vec<_> = r.arrays.iter().map(|(n, _)| n.clone()).collect();
+            let listed: Vec<_> = spec.ops.iter().map(VarOp::output_name).collect();
+            assert_eq!(names, listed, "{device:?}");
+        }
+        assert!(bits_of(&fused) == bits_of(&per_op), "{device:?}: fused differs from per-op");
+    }
+}
+
 /// One `data_binning` back-end over the first fixture spec (auto bounds),
 /// on the fused or the per-op reference path.
 fn run_data_binning(

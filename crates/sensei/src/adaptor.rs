@@ -5,10 +5,12 @@
 //! two, applying the execution-model extensions (placement, lockstep vs
 //! asynchronous execution).
 
+use std::any::Any;
 use std::sync::Arc;
 
 use devsim::SimNode;
 use minimpi::Comm;
+use parking_lot::Mutex;
 use svtk::{DataObject, FieldAssociation};
 
 use crate::controls::BackendControls;
@@ -77,12 +79,58 @@ pub struct ExecContext<'a> {
     pub comm: &'a Comm,
     /// The heterogeneous node the rank runs on.
     pub node: &'a Arc<SimNode>,
+    /// In a group of two or more back-ends: the step's slot, and whether
+    /// this member runs last.
+    group: Option<(&'a GroupSlot, bool)>,
 }
 
 impl<'a> ExecContext<'a> {
-    /// Construct a context.
+    /// Construct a context for a back-end that runs alone.
     pub fn new(comm: &'a Comm, node: &'a Arc<SimNode>) -> Self {
-        ExecContext { comm, node }
+        ExecContext { comm, node, group: None }
+    }
+
+    /// The same context for a member of a back-end group sharing `slot`
+    /// this step; `last` for the member that runs after every other.
+    pub(crate) fn in_group(self, slot: &'a GroupSlot, last: bool) -> Self {
+        ExecContext { group: Some((slot, last)), ..self }
+    }
+
+    /// The step's slot when this back-end runs in a group of two or more
+    /// (see [`GroupSlot`]); `None` when it runs alone.
+    pub fn group_slot(&self) -> Option<&'a GroupSlot> {
+        self.group.map(|(slot, _)| slot)
+    }
+
+    /// True when no member of this back-end's group runs after it this
+    /// step — always, for a back-end that runs alone.
+    pub fn is_last_member(&self) -> bool {
+        self.group.is_none_or(|(_, last)| last)
+    }
+}
+
+/// What the members of one engine's back-end group hand forward within a
+/// step.
+///
+/// The bridge runs back-ends it can prove compatible as one group on one
+/// engine ([`crate::Bridge::add_analysis`]): every step, in attach order,
+/// each member sees the same fresh slot through its [`ExecContext`]. A
+/// member that can fold its step into a later member's puts a share here
+/// and returns; the last member takes every share and runs the merged
+/// step for all of them. A back-end that shares nothing ignores the slot.
+#[derive(Default)]
+pub struct GroupSlot(Mutex<Vec<Box<dyn Any + Send>>>);
+
+impl GroupSlot {
+    /// Hand `share` to a later member of the group.
+    pub fn put(&self, share: Box<dyn Any + Send>) {
+        self.0.lock().push(share);
+    }
+
+    /// Every share put so far this step, in put order, leaving the slot
+    /// empty.
+    pub fn take(&self) -> Vec<Box<dyn Any + Send>> {
+        std::mem::take(&mut *self.0.lock())
     }
 }
 

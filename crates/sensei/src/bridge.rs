@@ -1,10 +1,12 @@
 //! The simulation-facing bridge: initialize, execute per iteration,
 //! finalize.
 //!
-//! Each attached back-end is wrapped in an [`Engine`] that runs it where
-//! its [`crate::ExecutionMethod`] says: lockstep on the simulation's
-//! thread, asynchronous and dag on a snapshot-fed worker. Snapshot capture
-//! is requirements-driven: per iteration the bridge unions the
+//! Each attached back-end runs on an [`Engine`] that runs it where its
+//! [`crate::ExecutionMethod`] says: lockstep on the simulation's thread,
+//! asynchronous and dag on a snapshot-fed worker. Back-ends the bridge can
+//! prove compatible share one engine as a group ([`Bridge::add_analysis`]),
+//! so a group's members can run one merged step. Snapshot capture is
+//! requirements-driven: per iteration the bridge unions the
 //! [`crate::DataRequirements`] of the due snapshot-consuming engines and
 //! deep-copies exactly that.
 //!
@@ -25,7 +27,7 @@ use crate::adaptive::{
 };
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
-use crate::counters::{CounterSnapshot, FaultSnapshot};
+use crate::counters::{AnalysisCounters, CounterSnapshot, FaultSnapshot};
 use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::profiler::Profiler;
@@ -53,7 +55,9 @@ pub type AdaptorFactory = Box<dyn Fn(&BackendControls) -> Result<Box<dyn Analysi
 /// per-backend apparent-time breakdown).
 pub struct Bridge {
     node: Arc<SimNode>,
-    engines: Vec<Attached>,
+    engines: Vec<Engine>,
+    /// Every attached back-end, in attach order.
+    backends: Vec<Attached>,
     profiler: Profiler,
     pipeline: SnapshotPipeline,
     adaptive: Option<AdaptiveController>,
@@ -61,12 +65,15 @@ pub struct Bridge {
     finalized: bool,
 }
 
-/// One attached back-end: its engine plus the label the profiler uses
-/// (the back-end name, suffixed `#2`, `#3`, ... for repeated instances so
-/// the breakdown keeps them apart).
+/// One attached back-end: the engine that runs it plus the label the
+/// profiler uses (the back-end name, suffixed `#2`, `#3`, ... for repeated
+/// instances so the breakdown keeps them apart).
 struct Attached {
     label: String,
-    engine: Engine,
+    /// Index into the bridge's engines.
+    engine: usize,
+    /// Its own work and fault counters.
+    counters: Arc<AnalysisCounters>,
     /// Present for reconfigurable back-ends: rebuilds the adaptor when
     /// the engine is retired and recreated under new controls.
     factory: Option<AdaptorFactory>,
@@ -84,6 +91,7 @@ impl Bridge {
         Bridge {
             node,
             engines: Vec::new(),
+            backends: Vec::new(),
             profiler: Profiler::new(),
             pipeline: SnapshotPipeline::new(SnapshotMode::Deep),
             adaptive: None,
@@ -140,6 +148,16 @@ impl Bridge {
     /// and dag back-ends on a persistent worker thread with a bounded
     /// snapshot queue and a dedicated duplicate of `comm` (collective:
     /// every rank must attach the same back-ends in the same order).
+    ///
+    /// A back-end joins the first existing engine that accepts it
+    /// ([`Engine::join`]: both plan task graphs under equal controls, share
+    /// a name and read one and the same mesh, and the engine's worker has
+    /// not started) instead of getting its own. The group's members run in
+    /// attach order on that engine's thread and queue, and it is one
+    /// consumer of each snapshot. Each member still counts as a back-end:
+    /// [`Bridge::num_backends`], [`Bridge::backend_controls`] and the
+    /// profiler's per-label rows go by attach order. An engine that runs a
+    /// reconfigurable back-end takes no other.
     pub fn add_analysis(&mut self, adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm) -> Result<()> {
         self.attach(adaptor, None, comm)
     }
@@ -167,12 +185,23 @@ impl Bridge {
             return Err(Error::Finalized);
         }
         let name = adaptor.name().to_string();
-        let engine = Engine::new(adaptor, comm, &self.node);
-        let copies = self.engines.iter().filter(|a| a.engine.backend_name() == name).count();
+        let joined = match factory {
+            Some(_) => Err(adaptor),
+            None => self.join_existing(adaptor),
+        };
+        let (engine, counters) = joined.unwrap_or_else(|adaptor| {
+            let engine = Engine::new(adaptor, comm, &self.node);
+            let counters = engine.counters()[0].clone();
+            self.engines.push(engine);
+            (self.engines.len() - 1, counters)
+        });
+        let copies = self.backends.iter().filter(|a| self.engines[a.engine].backend_name() == name);
+        let copies = copies.count();
         let label = if copies == 0 { name } else { format!("{}#{}", name, copies + 1) };
-        self.engines.push(Attached {
+        self.backends.push(Attached {
             label,
             engine,
+            counters,
             factory,
             faults_seen: FaultSnapshot::default(),
             paused_from: None,
@@ -180,14 +209,39 @@ impl Bridge {
         Ok(())
     }
 
+    /// Add `adaptor` to the first engine that accepts it and runs no
+    /// reconfigurable back-end, returning the engine's index and the new
+    /// member's counters; or hand `adaptor` back.
+    fn join_existing(
+        &mut self,
+        mut adaptor: Box<dyn AnalysisAdaptor>,
+    ) -> std::result::Result<(usize, Arc<AnalysisCounters>), Box<dyn AnalysisAdaptor>> {
+        for (e, engine) in self.engines.iter_mut().enumerate() {
+            if self.backends.iter().any(|a| a.engine == e && a.factory.is_some()) {
+                continue;
+            }
+            match engine.join(adaptor) {
+                Ok(counters) => return Ok((e, counters)),
+                Err(refused) => adaptor = refused,
+            }
+        }
+        Err(adaptor)
+    }
+
     /// Number of attached back-ends.
     pub fn num_backends(&self) -> usize {
+        self.backends.len()
+    }
+
+    /// Number of engines the attached back-ends run on: fewer than
+    /// [`num_backends`](Self::num_backends) when some share one as a group.
+    pub fn num_engines(&self) -> usize {
         self.engines.len()
     }
 
     /// The controls back-end `idx` (attach order) currently runs under.
     pub fn backend_controls(&self, idx: usize) -> Option<BackendControls> {
-        self.engines.get(idx).map(|a| *a.engine.controls())
+        self.backends.get(idx).map(|a| *self.engines[a.engine].controls())
     }
 
     /// Retire back-end `idx`'s engine (draining its queue) and rebuild it
@@ -205,31 +259,41 @@ impl Bridge {
         if self.finalized {
             return Err(Error::Finalized);
         }
-        let n = self.engines.len();
+        let n = self.backends.len();
         if idx >= n {
             return Err(Error::Config(format!("no back-end #{idx} to reconfigure (have {n})")));
         }
-        if self.engines[idx].factory.is_none() {
+        if self.backends[idx].factory.is_none() {
             return Err(Error::Config(format!(
                 "back-end '{}' was not attached reconfigurable",
-                self.engines[idx].label
+                self.backends[idx].label
             )));
         }
-        self.engines[idx].engine.finalize(comm, &self.node)?;
-        self.retire_counters(idx);
-        let adaptor = (self.engines[idx].factory.as_ref().expect("checked above"))(&controls)?;
-        self.engines[idx].engine = Engine::new(adaptor, comm, &self.node);
-        self.engines[idx].faults_seen = FaultSnapshot::default();
+        // A reconfigurable back-end's engine runs it alone.
+        let e = self.backends[idx].engine;
+        self.engines[e].finalize(comm, &self.node)?;
+        self.record_counters(idx);
+        let adaptor = (self.backends[idx].factory.as_ref().expect("checked above"))(&controls)?;
+        let engine = Engine::new(adaptor, comm, &self.node);
+        self.backends[idx].counters = engine.counters()[0].clone();
+        self.backends[idx].faults_seen = FaultSnapshot::default();
+        self.engines[e] = engine;
         Ok(())
     }
 
-    /// Merge back-end `idx`'s counter totals into the profiler (used at
-    /// engine retirement; finalize does the same for live engines).
-    fn retire_counters(&mut self, idx: usize) {
-        let a = &self.engines[idx];
-        self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
-        self.profiler
-            .record_scheduler_counters(a.label.as_str(), a.engine.scheduler_counters().snapshot());
+    /// Merge back-end `idx`'s counter totals into the profiler (at engine
+    /// retirement and at finalize). Its engine's scheduler counters go on
+    /// the row of the engine's last member, the one that runs a group's
+    /// merged step; every other member gets an explicit zero row.
+    fn record_counters(&mut self, idx: usize) {
+        let a = &self.backends[idx];
+        self.profiler.record_counters(a.label.as_str(), a.counters.snapshot());
+        let last = self.backends.iter().rposition(|b| b.engine == a.engine) == Some(idx);
+        let sched = match last {
+            true => self.engines[a.engine].scheduler_counters().snapshot(),
+            false => Default::default(),
+        };
+        self.profiler.record_scheduler_counters(a.label.as_str(), sched);
     }
 
     /// Process the simulation's current state through every back-end.
@@ -262,10 +326,10 @@ impl Bridge {
         // the union of their declared requirements and nothing else.
         let mut requirements: Option<DataRequirements> = None;
         let mut consumers = 0;
-        for a in &self.engines {
-            if a.engine.needs_snapshot() && a.engine.controls().due_at(step) {
+        for engine in &self.engines {
+            if engine.needs_snapshot() && engine.controls().due_at(step) {
                 consumers += 1;
-                let req = a.engine.requirements();
+                let req = engine.requirements();
                 match &mut requirements {
                     Some(union) => union.union_with(&req),
                     None => requirements = Some(req),
@@ -299,15 +363,19 @@ impl Bridge {
         };
 
         let mut proceed = true;
-        let mut backend_obs = Vec::with_capacity(self.engines.len());
-        for a in &mut self.engines {
-            let due = a.engine.controls().due_at(step);
-            let mut apparent = Duration::ZERO;
-            if due {
+        let mut dispatched = vec![Duration::ZERO; self.engines.len()];
+        for (engine, apparent) in self.engines.iter_mut().zip(&mut dispatched) {
+            if engine.controls().due_at(step) {
                 let te0 = Instant::now();
-                proceed &= a.engine.dispatch(data, snapshot.as_ref(), comm, &self.node)?;
-                apparent = te0.elapsed();
+                proceed &= engine.dispatch(data, snapshot.as_ref(), comm, &self.node)?;
+                // A group's members share its dispatch time evenly.
+                *apparent = te0.elapsed() / engine.counters().len() as u32;
             }
+        }
+        let mut backend_obs = Vec::with_capacity(self.backends.len());
+        for a in &mut self.backends {
+            let due = self.engines[a.engine].controls().due_at(step);
+            let apparent = dispatched[a.engine];
             // Retry recovery sleeps its backoff (capped 250 ms) inside
             // dispatch, so a step whose retried/recovered counters moved
             // carries that wall clock in its apparent sample: taint it so
@@ -316,7 +384,7 @@ impl Bridge {
             // the counters on their worker, so the taint may land a step
             // late there — but there the backoff never polluted the
             // dispatch timing in the first place.
-            let faults = a.engine.counters().snapshot().faults;
+            let faults = a.counters.snapshot().faults;
             let tainted = faults.retried > a.faults_seen.retried
                 || faults.recovered > a.faults_seen.recovered;
             a.faults_seen = faults;
@@ -348,9 +416,9 @@ impl Bridge {
         comm: &Comm,
     ) -> Result<()> {
         let controls: Vec<BackendControls> =
-            self.engines.iter().map(|a| *a.engine.controls()).collect();
-        let reconfigurable: Vec<bool> = self.engines.iter().map(|a| a.factory.is_some()).collect();
-        let snapshot_consumers = self.engines.iter().any(|a| a.engine.needs_snapshot());
+            self.backends.iter().map(|a| *self.engines[a.engine].controls()).collect();
+        let reconfigurable: Vec<bool> = self.backends.iter().map(|a| a.factory.is_some()).collect();
+        let snapshot_consumers = self.engines.iter().any(Engine::needs_snapshot);
 
         let controller = self.adaptive.as_mut().expect("caller checked");
         let obs = StepObservation {
@@ -387,7 +455,8 @@ impl Bridge {
     fn apply_decision(&mut self, d: &AdaptiveDecision, comm: &Comm) -> Result<()> {
         match &d.action {
             AdaptiveAction::Reconfigure { backend, controls } => {
-                let label = self.engines.get(*backend).map(|a| a.label.clone()).unwrap_or_default();
+                let label =
+                    self.backends.get(*backend).map(|a| a.label.clone()).unwrap_or_default();
                 self.profiler.record_adaptive(
                     d.step,
                     label,
@@ -446,15 +515,15 @@ impl Bridge {
     /// (or the shared [`crate::serve::ServeKnobs`]) and rebuild it through
     /// the ordinary mid-run reconfiguration path.
     fn apply_steer(&mut self, step: u64, hub: &ServeHub, s: Steer, comm: &Comm) -> Result<()> {
-        let n = self.engines.len();
-        let Some(a) = self.engines.get_mut(s.backend) else {
+        let n = self.backends.len();
+        let Some(a) = self.backends.get_mut(s.backend) else {
             return Err(Error::Config(format!(
                 "steering targets back-end #{} (have {n})",
                 s.backend
             )));
         };
         let label = a.label.clone();
-        let mut controls = *a.engine.controls();
+        let mut controls = *self.engines[a.engine].controls();
         let detail = match s.command {
             SteeringCommand::SetResolution(r) => {
                 hub.knobs().set_resolution(r);
@@ -505,8 +574,8 @@ impl Bridge {
     pub fn finalize_partial(mut self, comm: &Comm) -> (Profiler, Option<Error>) {
         self.finalized = true;
         let mut first_err = None;
-        for a in &mut self.engines {
-            if let Err(e) = a.engine.finalize(comm, &self.node) {
+        for engine in &mut self.engines {
+            if let Err(e) = engine.finalize(comm, &self.node) {
                 first_err.get_or_insert(e);
             }
         }
@@ -518,14 +587,11 @@ impl Bridge {
         // they are read even when an engine failed: a worker that aborted
         // at step N still completed steps 0..N and those counts (plus the
         // fault counters describing the failure itself) must survive.
-        for a in &self.engines {
-            self.profiler.record_counters(a.label.as_str(), a.engine.counters().snapshot());
-            // Every back-end gets a scheduler row — explicit zeros for
-            // engines that run their steps in order — so
-            // `scheduler_samples()` has one entry per back-end whatever
-            // mix of modes a run used.
-            let sched = a.engine.scheduler_counters().snapshot();
-            self.profiler.record_scheduler_counters(a.label.as_str(), sched);
+        // Every back-end gets a scheduler row — explicit zeros for
+        // engines that run their steps in order — so `scheduler_samples()`
+        // has one entry per back-end whatever mix of modes a run used.
+        for idx in 0..self.backends.len() {
+            self.record_counters(idx);
         }
         // Snapshot-layer totals (shares vs copies, CoW faults) are exact
         // now too: every worker that could fault a pinned array has

@@ -1,9 +1,10 @@
 //! The execution engine.
 //!
-//! An [`Engine`] owns one analysis back-end and runs its steps relative
-//! to the simulation: on the simulation's thread with zero-copy access to
-//! the live data under `lockstep`, on a persistent worker thread fed
-//! snapshots through a bounded queue under `asynchronous` and `dag`.
+//! An [`Engine`] owns a group of one or more analysis back-ends and runs
+//! their steps relative to the simulation: on the simulation's thread
+//! with zero-copy access to the live data under `lockstep`, on a
+//! persistent worker thread fed snapshots through a bounded queue under
+//! `asynchronous` and `dag`.
 //!
 //! Whatever the thread, a step is one task graph run by the engine's
 //! [`DagScheduler`] — in push order on the engine's thread under
@@ -13,6 +14,12 @@
 //! ([`AnalysisAdaptor::supports_dag`]) builds its own in `execute_dag`,
 //! so no retry re-enters a collective another rank has already left; any
 //! other back-end's step is one coordinator node calling `execute`.
+//!
+//! A group's members are back-ends that plan task graphs and that the
+//! bridge proved compatible ([`Engine::join`]). They run in attach order,
+//! on one scheduler, one thread and one queue, and each sees the step's
+//! [`GroupSlot`] through its [`ExecContext`]: a member can hand its work
+//! forward there, so the last member runs one merged step for the group.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -21,7 +28,7 @@ use std::thread::JoinHandle;
 use devsim::SimNode;
 use minimpi::Comm;
 
-use crate::adaptor::{AnalysisAdaptor, DataAdaptor, ExecContext};
+use crate::adaptor::{AnalysisAdaptor, DataAdaptor, ExecContext, GroupSlot};
 use crate::controls::BackendControls;
 use crate::counters::AnalysisCounters;
 use crate::dag::{TaskGraph, TaskKind};
@@ -59,22 +66,34 @@ fn guarded(name: &str, rank: usize, step: impl FnOnce() -> Result<bool>) -> Resu
     }
 }
 
-/// A back-end with what runs its steps, on whichever thread the engine
-/// gives it.
-struct Stepper {
+/// One back-end of an engine's group, with the counters its recovery
+/// outcomes are recorded on.
+struct Member {
     name: String,
     adaptor: Box<dyn AnalysisAdaptor>,
-    sched: DagScheduler,
     /// The adaptor's counters, or engine-owned ones for back-ends without
     /// any — recovery outcomes need somewhere to be recorded either way.
     counters: Arc<AnalysisCounters>,
 }
 
-impl Stepper {
+impl Member {
+    /// A member around `adaptor`. Its counters are captured before the
+    /// adaptor may move to a worker: they are shared atomics, so the
+    /// bridge reads live totals.
+    fn new(adaptor: Box<dyn AnalysisAdaptor>) -> Self {
+        let counters = adaptor.counters().unwrap_or_default();
+        Member { name: adaptor.name().to_string(), adaptor, counters }
+    }
+
     /// The one step function (see the module docs). Panics — plan-time,
     /// escaping a scoped worker, or in `execute` — are contained here.
-    fn step(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
-        let Stepper { name, adaptor, sched, counters } = self;
+    fn step(
+        &mut self,
+        data: &dyn DataAdaptor,
+        ctx: &ExecContext<'_>,
+        sched: &mut DagScheduler,
+    ) -> Result<bool> {
+        let Member { name, adaptor, counters } = self;
         let rank = ctx.comm.rank();
         if adaptor.supports_dag() {
             return guarded(name, rank, || adaptor.execute_dag(data, ctx, sched));
@@ -91,8 +110,50 @@ impl Stepper {
     }
 }
 
-/// The worker thread of an `asynchronous` or `dag` engine.
+/// An engine's group with what runs its steps, on whichever thread the
+/// engine gives it.
+struct Stepper {
+    /// In attach order; never empty.
+    members: Vec<Member>,
+    sched: DagScheduler,
+}
+
+impl Stepper {
+    /// One step of every member, in attach order. A group of two or more
+    /// shares one fresh [`GroupSlot`] per step.
+    fn step(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
+        let Stepper { members, sched } = self;
+        if let [member] = members.as_mut_slice() {
+            return member.step(data, ctx, sched);
+        }
+        let slot = GroupSlot::default();
+        let last = members.len() - 1;
+        let mut proceed = true;
+        for (i, member) in members.iter_mut().enumerate() {
+            let ctx = ExecContext::new(ctx.comm, ctx.node).in_group(&slot, i == last);
+            proceed &= member.step(data, &ctx, sched)?;
+        }
+        Ok(proceed)
+    }
+
+    /// Finalize every member, in attach order; the first failure wins.
+    fn finalize(&mut self, ctx: &ExecContext<'_>) -> Result<()> {
+        let mut outcome = Ok(());
+        for member in &mut self.members {
+            let finalized = member.adaptor.finalize(ctx);
+            outcome = outcome.and(finalized);
+        }
+        outcome
+    }
+}
+
+/// The worker thread of an `asynchronous` or `dag` engine, spawned at
+/// its first dispatch (or finalize) so that members can still join the
+/// group until then.
 struct Worker {
+    /// Before the thread starts: the group and the communicator duplicate
+    /// the thread will own.
+    unstarted: Option<Box<(Stepper, Comm)>>,
     tx: Option<BoundedSender<Arc<SnapshotAdaptor>>>,
     handle: Option<JoinHandle<Result<()>>>,
     /// A failure already observed (spawn failure, or a dead worker found
@@ -102,12 +163,20 @@ struct Worker {
 }
 
 impl Worker {
-    /// Move `stepper` onto a new thread that owns `comm` and runs one step
+    /// A worker that will run `stepper` on a thread owning `comm`.
+    fn new(stepper: Stepper, comm: Comm) -> Self {
+        Worker { unstarted: Some(Box::new((stepper, comm))), tx: None, handle: None, failed: None }
+    }
+
+    /// On first use, move the group onto a new thread that runs one step
     /// per snapshot received. A failure to spawn the OS thread does not
-    /// panic: the worker comes back failed.
-    fn spawn(mut stepper: Stepper, comm: Comm, node: Arc<SimNode>, c: &BackendControls) -> Self {
+    /// panic: the worker is left failed.
+    fn start(&mut self, node: &Arc<SimNode>, c: &BackendControls) {
+        let Some(unstarted) = self.unstarted.take() else { return };
+        let (mut stepper, comm) = *unstarted;
         let (tx, rx) = bounded::<Arc<SnapshotAdaptor>>(c.queue_depth, c.overflow);
-        let name = stepper.name.clone();
+        let name = stepper.members[0].name.clone();
+        let node = node.clone();
         let spawned = std::thread::Builder::new().name(format!("sensei-insitu-{name}")).spawn(
             move || -> Result<()> {
                 let ctx = ExecContext::new(&comm, &node);
@@ -122,18 +191,16 @@ impl Worker {
                     snapshot.consumer_finished();
                     outcome?;
                 }
-                stepper.adaptor.finalize(&ctx)
+                stepper.finalize(&ctx)
             },
         );
         match spawned {
-            Ok(handle) => Worker { tx: Some(tx), handle: Some(handle), failed: None },
-            Err(io) => Worker {
-                tx: None,
-                handle: None,
-                failed: Some(Error::Analysis(format!(
+            Ok(handle) => (self.tx, self.handle) = (Some(tx), Some(handle)),
+            Err(io) => {
+                self.failed = Some(Error::Analysis(format!(
                     "failed to spawn in situ worker thread for '{name}': {io}"
-                ))),
-            },
+                )))
+            }
         }
     }
 
@@ -147,13 +214,16 @@ impl Worker {
         }
     }
 
-    /// Hand `snapshot` to the thread.
+    /// Hand `snapshot` to the thread, starting it first if need be.
     fn send(
         &mut self,
         name: &str,
-        depth: usize,
+        c: &BackendControls,
+        node: &Arc<SimNode>,
         snapshot: Option<&Arc<SnapshotAdaptor>>,
     ) -> Result<bool> {
+        self.start(node, c);
+        let depth = c.queue_depth;
         if let Some(err) = &self.failed {
             return Err(err.clone());
         }
@@ -193,8 +263,10 @@ impl Worker {
         Err(err)
     }
 
-    /// Close the queue, let the thread drain it and finalize the back-end.
-    fn finalize(&mut self, name: &str) -> Result<()> {
+    /// Close the queue, let the thread drain it and finalize the group
+    /// (a worker never dispatched to starts just for that).
+    fn finalize(&mut self, name: &str, c: &BackendControls, node: &Arc<SimNode>) -> Result<()> {
+        self.start(node, c);
         if let Some(tx) = self.tx.take() {
             tx.close();
         }
@@ -213,38 +285,42 @@ enum Thread {
     Worker(Worker),
 }
 
-/// One back-end attached to a bridge, run on the thread its
-/// [`ExecutionMethod`] calls for (see the module docs).
+/// A group of back-ends attached to a bridge — usually one, see
+/// [`Engine::join`] — run on the thread their [`ExecutionMethod`] calls
+/// for (see the module docs).
 ///
-/// Every step runs under the back-end's
+/// Every step runs under the group's
 /// [`RecoveryPolicy`](crate::RecoveryPolicy) with fault injection armed
 /// for this rank, so injected device faults and analysis panics are
 /// retried, skipped, or surfaced per policy — and counted in the
-/// back-end's [`FaultCounters`](crate::FaultCounters). A worker's queue
-/// depth and overflow policy come from the back-end's
+/// [`FaultCounters`](crate::FaultCounters) of the graph that met them. A
+/// worker's queue depth and overflow policy come from the group's
 /// [`BackendControls`]; a worker that fails or panics surfaces as
 /// [`Error::Analysis`] from the next `dispatch` or from `finalize`.
 pub struct Engine {
     name: String,
     controls: BackendControls,
+    /// The union of every member's requirements.
     requirements: DataRequirements,
-    counters: Arc<AnalysisCounters>,
+    /// Every member plans task graphs.
+    plans_graphs: bool,
+    /// Per member, in attach order.
+    counters: Vec<Arc<AnalysisCounters>>,
     scheduler_counters: Arc<SchedulerCounters>,
     thread: Thread,
 }
 
 impl Engine {
-    /// Attach `adaptor` for `rank` of `comm` on `node`. Off lockstep the
-    /// back-end moves onto a worker thread with a dedicated duplicate of
-    /// `comm` (collective: analysis traffic must not interfere with the
-    /// simulation's communicator).
+    /// Attach `adaptor` for `rank` of `comm` on `node`, as a group of one.
+    /// Off lockstep the group will run on a worker thread with a dedicated
+    /// duplicate of `comm` (collective: analysis traffic must not
+    /// interfere with the simulation's communicator).
     pub fn new(adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm, node: &Arc<SimNode>) -> Self {
-        let name = adaptor.name().to_string();
         let controls = *adaptor.controls();
         let requirements = adaptor.required_arrays();
-        // Captured before the adaptor may move to a worker: the counters
-        // are shared atomics, so the bridge reads live totals.
-        let counters = adaptor.counters().unwrap_or_default();
+        let plans_graphs = adaptor.supports_dag();
+        let member = Member::new(adaptor);
+        let (name, counters) = (member.name.clone(), vec![member.counters.clone()]);
         let sched = match controls.execution {
             ExecutionMethod::Dag => {
                 DagScheduler::new(node.clone(), comm.rank(), SchedulerCounters::new())
@@ -252,27 +328,60 @@ impl Engine {
             _ => DagScheduler::in_order(node.clone(), comm.rank()),
         };
         let scheduler_counters = sched.counters().clone();
-        let stepper = Stepper { name: name.clone(), adaptor, sched, counters: counters.clone() };
+        let stepper = Stepper { members: vec![member], sched };
         let thread = match controls.execution {
             ExecutionMethod::Lockstep => Thread::Caller(Box::new(stepper)),
             ExecutionMethod::Asynchronous | ExecutionMethod::Dag => {
-                Thread::Worker(Worker::spawn(stepper, comm.dup(), node.clone(), &controls))
+                Thread::Worker(Worker::new(stepper, comm.dup()))
             }
         };
-        Engine { name, controls, requirements, counters, scheduler_counters, thread }
+        Engine { name, controls, requirements, plans_graphs, counters, scheduler_counters, thread }
     }
 
-    /// The owned back-end's instance name (for profiling and errors).
+    /// Add `adaptor` to this engine's group and return its counters, or
+    /// hand it back when the two cannot share an engine. They can when
+    /// both plan task graphs, return the same name and equal
+    /// [`BackendControls`], and each requires one and the same mesh — and
+    /// this engine's worker, if it has one, has not started yet.
+    pub fn join(
+        &mut self,
+        adaptor: Box<dyn AnalysisAdaptor>,
+    ) -> std::result::Result<Arc<AnalysisCounters>, Box<dyn AnalysisAdaptor>> {
+        let requirements = adaptor.required_arrays();
+        let mesh = requirements.single_mesh();
+        let compatible = self.plans_graphs
+            && adaptor.supports_dag()
+            && adaptor.name() == self.name
+            && *adaptor.controls() == self.controls
+            && mesh.is_some()
+            && mesh == self.requirements.single_mesh();
+        let stepper = match &mut self.thread {
+            Thread::Caller(stepper) if compatible => stepper,
+            Thread::Worker(Worker { unstarted: Some(unstarted), .. }) if compatible => {
+                &mut unstarted.0
+            }
+            _ => return Err(adaptor),
+        };
+        let member = Member::new(adaptor);
+        let counters = member.counters.clone();
+        stepper.members.push(member);
+        self.requirements.union_with(&requirements);
+        self.counters.push(counters.clone());
+        Ok(counters)
+    }
+
+    /// The back-ends' name (for profiling and errors): every member of a
+    /// group shares it.
     pub fn backend_name(&self) -> &str {
         &self.name
     }
 
-    /// The owned back-end's execution-model controls.
+    /// The group's execution-model controls: every member's are equal.
     pub fn controls(&self) -> &BackendControls {
         &self.controls
     }
 
-    /// What the back-end needs captured when it runs off a snapshot.
+    /// What the group needs captured when it runs off a snapshot.
     pub fn requirements(&self) -> DataRequirements {
         self.requirements.clone()
     }
@@ -283,8 +392,8 @@ impl Engine {
         matches!(self.thread, Thread::Worker(_))
     }
 
-    /// The back-end's work and fault counters.
-    pub fn counters(&self) -> &Arc<AnalysisCounters> {
+    /// Each member's work and fault counters, in attach order.
+    pub fn counters(&self) -> &[Arc<AnalysisCounters>] {
         &self.counters
     }
 
@@ -294,10 +403,10 @@ impl Engine {
         &self.scheduler_counters
     }
 
-    /// Run (or hand off) one iteration. `snapshot` is `Some` iff
-    /// [`needs_snapshot`](Self::needs_snapshot); it may contain the union
-    /// of several back-ends' requirements. Returns `Ok(false)` when the
-    /// back-end requests the simulation stop.
+    /// Run (or hand off) one iteration of every member. `snapshot` is
+    /// `Some` iff [`needs_snapshot`](Self::needs_snapshot); it may contain
+    /// the union of several engines' requirements. Returns `Ok(false)`
+    /// when a member requests the simulation stop.
     pub fn dispatch(
         &mut self,
         data: &dyn DataAdaptor,
@@ -307,15 +416,15 @@ impl Engine {
     ) -> Result<bool> {
         match &mut self.thread {
             Thread::Caller(stepper) => stepper.step(data, &ExecContext::new(comm, node)),
-            Thread::Worker(worker) => worker.send(&self.name, self.controls.queue_depth, snapshot),
+            Thread::Worker(worker) => worker.send(&self.name, &self.controls, node, snapshot),
         }
     }
 
-    /// Complete all outstanding work and finalize the back-end.
+    /// Complete all outstanding work and finalize every member.
     pub fn finalize(&mut self, comm: &Comm, node: &Arc<SimNode>) -> Result<()> {
         match &mut self.thread {
-            Thread::Caller(stepper) => stepper.adaptor.finalize(&ExecContext::new(comm, node)),
-            Thread::Worker(worker) => worker.finalize(&self.name),
+            Thread::Caller(stepper) => stepper.finalize(&ExecContext::new(comm, node)),
+            Thread::Worker(worker) => worker.finalize(&self.name, &self.controls, node),
         }
     }
 }
@@ -446,7 +555,8 @@ mod tests {
                     // Close the queue through a second sender handle, as
                     // a finalizer racing a dispatch on another thread
                     // would.
-                    let Thread::Worker(worker) = &engine.thread else { unreachable!() };
+                    let Thread::Worker(worker) = &mut engine.thread else { unreachable!() };
+                    worker.start(node, &controls);
                     worker.tx.as_ref().unwrap().clone().close();
                     let err = dispatch(engine, comm, node).unwrap_err();
                     assert!(matches!(err, Error::Analysis(_)), "({execution:?}) got {err:?}");
@@ -529,7 +639,7 @@ mod tests {
                     Err(e) => {
                         let msg = e.to_string();
                         assert!(msg.contains("'counting/") && msg.contains("2 retries"), "{msg}");
-                        let f = engine.counters().snapshot().faults;
+                        let f = engine.counters()[0].snapshot().faults;
                         assert_eq!((f.injected, f.retried, f.aborted), (1, 2, 1));
                     }
                 },

@@ -25,16 +25,18 @@
 //! * [`BackendControls`] — the new control parameters, defined once and
 //!   available to every analysis back-end (the paper puts them in the
 //!   back-end base class);
-//! * [`Engine`] — runs one back-end where its mode says: lockstep on the
-//!   simulation's thread, asynchronous and dag on a persistent worker fed
-//!   through a bounded snapshot queue with a configurable
-//!   [`OverflowPolicy`] (block / drop-oldest / error). Every mode runs a
-//!   step the same way: as a task graph run by a [`DagScheduler`] — in
-//!   order on the engine's thread under lockstep and asynchronous,
-//!   work-stealing across the node's devices under dag — with the
-//!   back-end's [`RecoveryPolicy`] applied per task node. A back-end that
-//!   plans task graphs builds its own; any other runs `execute` as a
-//!   one-node graph;
+//! * [`Engine`] — runs one back-end, or a group of compatible ones, where
+//!   its mode says: lockstep on the simulation's thread, asynchronous and
+//!   dag on a persistent worker fed through a bounded snapshot queue with
+//!   a configurable [`OverflowPolicy`] (block / drop-oldest / error).
+//!   Every mode runs a step the same way: as a task graph run by a
+//!   [`DagScheduler`] — in order on the engine's thread under lockstep and
+//!   asynchronous, work-stealing across the node's devices under dag —
+//!   with the back-end's [`RecoveryPolicy`] applied per task node. A
+//!   back-end that plans task graphs builds its own; any other runs
+//!   `execute` as a one-node graph. The members of a group run in attach
+//!   order and see the step's [`GroupSlot`] through their
+//!   [`ExecContext`], so the last can run one merged step for all;
 //! * [`DataRequirements`] — what each back-end declares it reads
 //!   ([`AnalysisAdaptor::required_arrays`]); asynchronous snapshots deep
 //!   copy only the union of the due back-ends' requirements;
@@ -80,7 +82,9 @@ pub use adaptive::{
     AdaptiveAction, AdaptiveConfig, AdaptiveController, AdaptiveDecision, AdaptiveEnv,
     BackendObservation, StepObservation,
 };
-pub use adaptor::{AnalysisAdaptor, ArrayMetadata, DataAdaptor, ExecContext, MeshMetadata};
+pub use adaptor::{
+    AnalysisAdaptor, ArrayMetadata, DataAdaptor, ExecContext, GroupSlot, MeshMetadata,
+};
 pub use bridge::{AdaptorFactory, Bridge};
 pub use configurable::{BackendConfig, ConfigurableAnalysis, TopologyConfig};
 pub use controls::{BackendControls, DeviceSpec};

@@ -182,6 +182,16 @@ impl DataRequirements {
         }
     }
 
+    /// The mesh's name when exactly one mesh is required.
+    pub fn single_mesh(&self) -> Option<&str> {
+        match self {
+            DataRequirements::Subset(meshes) if meshes.len() == 1 => {
+                meshes.keys().next().map(String::as_str)
+            }
+            _ => None,
+        }
+    }
+
     /// True when nothing at all is required (no snapshot needed).
     pub fn is_empty(&self) -> bool {
         matches!(self, DataRequirements::Subset(m) if m.is_empty())

@@ -390,3 +390,177 @@ fn frequency_gates_backend_execution() {
     assert_eq!(executes.load(Ordering::SeqCst), 4, "steps 3, 6, 9, 12");
     assert_eq!(async_execs.load(Ordering::SeqCst), 6, "steps 2, 4, ..., 12");
 }
+
+/// What one [`Planner`] saw of its group in one call: its id, whether it
+/// ran in a group, whether it ran last, and the ids the earlier members
+/// handed it (taken only by the last).
+type Seen = (usize, bool, bool, Vec<usize>);
+
+/// Test back-end that plans task graphs (or not), with the name, mesh and
+/// controls a grouping test varies. Every member but the last of a group
+/// puts its id into the step's slot; the last takes them.
+struct Planner {
+    id: usize,
+    name: &'static str,
+    mesh: &'static str,
+    plans: bool,
+    controls: BackendControls,
+    seen: Arc<Mutex<Vec<Seen>>>,
+}
+
+impl Planner {
+    fn boxed(id: usize, execution: ExecutionMethod, seen: &Arc<Mutex<Vec<Seen>>>) -> Box<Self> {
+        Box::new(Planner {
+            id,
+            name: "planner",
+            mesh: "bodies",
+            plans: true,
+            controls: BackendControls { execution, ..Default::default() },
+            seen: seen.clone(),
+        })
+    }
+
+    fn record(&self, ctx: &ExecContext<'_>) {
+        let slot = ctx.group_slot();
+        let mut handed = Vec::new();
+        match slot {
+            Some(slot) if !ctx.is_last_member() => slot.put(Box::new(self.id)),
+            Some(slot) => {
+                handed = slot.take().into_iter().map(|s| *s.downcast().unwrap()).collect()
+            }
+            None => {}
+        }
+        self.seen.lock().push((self.id, slot.is_some(), ctx.is_last_member(), handed));
+    }
+}
+
+impl AnalysisAdaptor for Planner {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn controls(&self) -> &BackendControls {
+        &self.controls
+    }
+    fn controls_mut(&mut self) -> &mut BackendControls {
+        &mut self.controls
+    }
+    fn required_arrays(&self) -> sensei::DataRequirements {
+        sensei::DataRequirements::none().with_mesh(self.mesh)
+    }
+    fn execute(&mut self, _data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
+        self.record(ctx);
+        Ok(true)
+    }
+    fn supports_dag(&self) -> bool {
+        self.plans
+    }
+    fn execute_dag(
+        &mut self,
+        _data: &dyn DataAdaptor,
+        ctx: &ExecContext<'_>,
+        _sched: &mut sensei::DagScheduler,
+    ) -> Result<bool> {
+        self.record(ctx);
+        Ok(true)
+    }
+}
+
+#[test]
+fn compatible_back_ends_share_one_engine_and_run_in_attach_order() {
+    for execution in
+        [ExecutionMethod::Lockstep, ExecutionMethod::Asynchronous, ExecutionMethod::Dag]
+    {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        World::new(1).run(move |comm| {
+            let node = SimNode::new(NodeConfig::fast_test(1));
+            let mut bridge = Bridge::new(node.clone());
+            for id in 0..3 {
+                bridge.add_analysis(Planner::boxed(id, execution, &log), &comm).unwrap();
+            }
+            assert_eq!((bridge.num_backends(), bridge.num_engines()), (3, 1));
+            assert_eq!(bridge.backend_controls(2).unwrap().execution, execution);
+            let mut sim = Sim::new(node, vec![1.0]);
+            for step in 0..2 {
+                sim.step = step;
+                bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
+            }
+            let profiler = bridge.finalize(&comm).unwrap();
+            // One row per member under its own label, and one sample of
+            // apparent time per member and step.
+            let labels: Vec<_> =
+                profiler.counter_samples().iter().map(|s| s.backend.as_str()).collect();
+            assert_eq!(labels, ["planner", "planner#2", "planner#3"]);
+            assert_eq!(profiler.scheduler_samples().len(), 3);
+            assert_eq!(profiler.backend_samples().len(), 6);
+        });
+        let step =
+            [(0, true, false, vec![]), (1, true, false, vec![]), (2, true, true, vec![0, 1])];
+        let expect: Vec<Seen> = step.iter().chain(&step).cloned().collect();
+        assert_eq!(*seen.lock(), expect, "{execution:?}");
+    }
+}
+
+#[test]
+fn only_compatible_back_ends_share_an_engine() {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    World::new(1).run(move |comm| {
+        let node = SimNode::new(NodeConfig::fast_test(2));
+        let mut bridge = Bridge::new(node.clone());
+        let lockstep = |id| Planner::boxed(id, ExecutionMethod::Lockstep, &seen);
+        let mut attach = |b: Box<Planner>, engines: usize| {
+            bridge.add_analysis(b, &comm).unwrap();
+            assert_eq!(bridge.num_engines(), engines, "after back-end {}", bridge.num_backends());
+        };
+        attach(lockstep(0), 1);
+        attach(Box::new(Planner { name: "other", ..*lockstep(1) }), 2);
+        attach(Box::new(Planner { mesh: "other", ..*lockstep(2) }), 3);
+        attach(Box::new(Planner { plans: false, ..*lockstep(3) }), 4);
+        let mut b = lockstep(4);
+        b.controls.frequency = 2;
+        attach(b, 5);
+        let mut b = lockstep(5);
+        b.controls.device = sensei::DeviceSpec::Host;
+        attach(b, 6);
+        // A second non-graph back-end does not join the first either.
+        attach(Box::new(Planner { plans: false, ..*lockstep(6) }), 7);
+        // Same as back-end 0: joins its engine.
+        attach(lockstep(7), 7);
+
+        // A reconfigurable back-end runs alone, and its engine takes no
+        // compatible back-end attached after it.
+        let (seen2, controls) = (seen.clone(), *lockstep(8).controls());
+        let factory: sensei::AdaptorFactory = Box::new(move |c: &BackendControls| {
+            let mut b = Planner::boxed(8, c.execution, &seen2);
+            b.controls = *c;
+            Ok(b as Box<dyn AnalysisAdaptor>)
+        });
+        bridge.add_reconfigurable_analysis(controls, factory, &comm).unwrap();
+        assert_eq!(bridge.num_engines(), 8);
+        let mut one = Bridge::new(node.clone());
+        let (seen3, seen4) = (seen.clone(), seen.clone());
+        one.add_reconfigurable_analysis(
+            controls,
+            Box::new(move |c: &BackendControls| {
+                Ok(Planner::boxed(9, c.execution, &seen3) as Box<dyn AnalysisAdaptor>)
+            }),
+            &comm,
+        )
+        .unwrap();
+        one.add_analysis(Planner::boxed(10, ExecutionMethod::Lockstep, &seen4), &comm).unwrap();
+        assert_eq!(one.num_engines(), 2);
+
+        // A worker that has started takes no new member.
+        let asynchronous = |id| Planner::boxed(id, ExecutionMethod::Asynchronous, &seen);
+        let mut late = Bridge::new(node.clone());
+        late.add_analysis(asynchronous(11), &comm).unwrap();
+        late.add_analysis(asynchronous(12), &comm).unwrap();
+        assert_eq!(late.num_engines(), 1);
+        late.execute(&Sim::new(node.clone(), vec![1.0]), &comm, Duration::ZERO).unwrap();
+        late.add_analysis(asynchronous(13), &comm).unwrap();
+        assert_eq!(late.num_engines(), 2);
+        for b in [bridge, one, late] {
+            b.finalize(&comm).unwrap();
+        }
+    });
+}
