@@ -75,7 +75,6 @@ for smoke in "binning --bodies 512 --steps 4 --resolution 32" \
              "snapshot --bodies 512 --steps 6" \
              "dag --steps 6" \
              "scale --rank-counts 4,16" \
-             "adaptive" \
              "serve --sessions 16,64"; do
     # shellcheck disable=SC2086
     cargo run --release -p bench --bin harness -- $smoke --out "target/ci/${smoke%% *}"
@@ -178,8 +177,22 @@ done
 for name in $(grep -ohE -- '--bin [A-Za-z0-9_]+' $run_docs | cut -d' ' -f2 | sort -u); do
     compgen -G "crates/*/src/bin/$name.rs" > /dev/null || missing "--bin $name" "crates/*/src/bin/$name.rs"
 done
-for name in $(grep -ohE '[A-Za-z0-9_]+\.xml' README.md configs/README.md | sort -u); do
+# shellcheck disable=SC2086
+for name in $(grep -ohE '[A-Za-z0-9_]+\.xml' $run_docs configs/README.md | sort -u); do
     [ -f "configs/sensei_xml/$name" ] || missing "$name" "configs/sensei_xml/$name"
+done
+# Every harness mode the docs run — `harness -- <mode>`, read across
+# backslash-continued lines, and run_all.sh's mode loop — must be one
+# harness.rs's argument `match` accepts.
+harness=crates/bench/src/bin/harness.rs
+known=$(sed -n '/match args\[i\].as_str() {/,/"--/p' "$harness" | grep -oE '"[a-z0-9-]+"' |
+    tr -d '"' | grep -v '^-')
+# shellcheck disable=SC2086
+modes=$(sed -e ':a' -e '/\\$/{N; s/[[:space:]]*\\\n[[:space:]]*/ /; ba' -e '}' $run_docs configs/README.md |
+    grep -ohE 'harness -- [a-z][a-z0-9-]*' | cut -d' ' -f3)
+modes="$modes $(sed -n 's/^for mode in \(.*\); do$/\1/p' configs/run/run_all.sh)"
+for mode in $modes; do
+    grep -qx "$mode" <<< "$known" || missing "harness -- $mode" "that mode in $harness"
 done
 
 echo "ci.sh: all checks passed"

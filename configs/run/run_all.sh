@@ -25,7 +25,7 @@ cargo run --release -p bench --bin harness -- run-config configs/sensei_xml/binn
 
 echo
 echo "== The A/B modes: rows and claims to $OUT/BENCH_<mode>.jsonl =="
-for mode in binning chaos snapshot dag scale adaptive serve; do
+for mode in binning chaos snapshot dag scale serve; do
     cargo run --release -p bench --bin harness -- "$mode" --out "$OUT"
 done
 

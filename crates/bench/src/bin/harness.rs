@@ -12,7 +12,6 @@
 //! harness snapshot [--bodies N] [--steps N] [--resolution N]
 //!         [--instances N] [--scale F] [--out DIR]
 //! harness scale [--rank-counts N,N,...] [--steps N] [--out DIR]
-//! harness adaptive [--devices N] [--out DIR]
 //! harness serve [--sessions N,N,...] [--out DIR]
 //! harness run-config <sensei.xml> [--bodies N] [--steps N] [--devices N]
 //!         [--scale F]
@@ -67,7 +66,7 @@ fn parse_args() -> (String, CaseConfig, PathBuf, Option<PathBuf>, u64, Vec<usize
         };
         match args[i].as_str() {
             "table1" | "figure2" | "figure3" | "binning" | "chaos" | "snapshot" | "dag"
-            | "scale" | "adaptive" | "serve" | "all" => mode = args[i].clone(),
+            | "scale" | "serve" | "all" => mode = args[i].clone(),
             "run-config" => {
                 mode = "run-config".into();
                 xml = Some(PathBuf::from(next(&mut i)));
@@ -151,25 +150,11 @@ fn run_config(xml_path: &PathBuf, base: &CaseConfig) {
         let mut registry = AnalysisRegistry::new();
         binning::register(&mut registry);
         binning::register_suite(&mut registry);
-        let registry = std::sync::Arc::new(registry);
         let config = ConfigurableAnalysis::from_xml(&xml).expect("parse XML");
         let ctx = CreateContext { node: node.clone(), rank: comm.rank(), size: comm.size() };
-        // An <adaptive> element hands the run-time knobs to the online
-        // controller; its probes rebuild back-ends mid-run, so attach
-        // them with factories instead of fixed adaptors.
-        let adaptive = config.adaptive_config();
-        let backends = if adaptive.is_some() {
-            Vec::new()
-        } else {
-            config.instantiate(&registry, &ctx).expect("instantiate")
-        };
-        let reconfigurable = if adaptive.is_some() {
-            config.instantiate_reconfigurable(&registry, &ctx).expect("instantiate")
-        } else {
-            Vec::new()
-        };
+        let backends = config.instantiate(&registry, &ctx).expect("instantiate");
         if comm.rank() == 0 {
-            println!("instantiated {} back-ends", backends.len() + reconfigurable.len());
+            println!("instantiated {} back-ends", backends.len());
             for b in &backends {
                 println!(
                     "  {}: {} on {:?}",
@@ -177,9 +162,6 @@ fn run_config(xml_path: &PathBuf, base: &CaseConfig) {
                     b.controls().execution.name(),
                     b.controls().device
                 );
-            }
-            for (c, _) in &reconfigurable {
-                println!("  (reconfigurable): {} on {:?}", c.execution.name(), c.device);
             }
         }
 
@@ -209,20 +191,6 @@ fn run_config(xml_path: &PathBuf, base: &CaseConfig) {
         }
         for b in backends {
             bridge.add_analysis(b, &comm).expect("attach");
-        }
-        for (controls, factory) in reconfigurable {
-            bridge.add_reconfigurable_analysis(controls, factory, &comm).expect("attach");
-        }
-        if let Some(a) = adaptive {
-            if comm.rank() == 0 {
-                println!(
-                    "adaptive: window {} hysteresis {:.0}% probe budget {}",
-                    a.window,
-                    a.hysteresis * 100.0,
-                    a.probe_budget
-                );
-            }
-            bridge.enable_adaptive(a);
         }
         for _ in 0..steps {
             let solver = sim.step(&comm).expect("step");
@@ -417,10 +385,6 @@ fn run_mode(
         "scale" => Box::new(bench::run_scale_bench(&bench::ScaleBenchConfig {
             rank_counts: rank_counts.to_vec(),
             steps: base.steps.max(2),
-            ..Default::default()
-        })),
-        "adaptive" => Box::new(bench::run_adaptive_bench(&bench::AdaptiveBenchConfig {
-            num_devices: base.num_devices.max(1),
             ..Default::default()
         })),
         "serve" => Box::new(bench::run_serve_bench(&bench::ServeBenchConfig {

@@ -10,7 +10,6 @@
 
 #![deny(unsafe_code)]
 
-mod adaptive;
 mod case;
 mod chaos;
 mod chart;
@@ -21,10 +20,6 @@ mod serve;
 mod snapshot;
 mod workload;
 
-pub use adaptive::{
-    controls_label, run_adaptive_arm, run_adaptive_bench, AdaptiveArm, AdaptiveBenchConfig,
-    AdaptiveBenchReport, AdaptiveSweep, Workload, ADAPTIVE_TOLERANCE, STATIC_ARMS,
-};
 pub use case::{
     bench_node_config, run_binning_bench, run_case, AggregatedCase, BinningReport, CaseConfig,
     CaseOutcome, PoolReport,
@@ -46,12 +41,14 @@ pub use workload::{
     paper_binning_specs, paper_binning_specs_bounded, COORDINATE_SYSTEMS, VARIABLE_OPS,
 };
 
-/// Taken by every in-lib test that runs ranks. The adaptive and snapshot
-/// tests assert on slept (modeled) costs, and any other test computing
-/// beside them on the runner's two cores stretches those sleeps past the
-/// margins they assert (phantom drift, a probe that loses to noise).
-/// Almost all of this binary's time is sleep, so one at a time costs
-/// ~0.2 s.
+/// Taken by every in-lib test that runs ranks, so one multi-rank run has
+/// the runner's two cores at a time. No test here asserts the size of a
+/// slept cost; two still sleep where a neighbour computing beside them
+/// would shift what they count: the snapshot test runs the time model
+/// (whether a CoW pin is still held when the solver writes decides the
+/// fault count) and the chaos retry arm stalls on injected collective
+/// delays. The whole binary runs in about a second, so one at a time costs
+/// little.
 #[cfg(test)]
 pub(crate) fn serial() -> parking_lot::MutexGuard<'static, ()> {
     static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());

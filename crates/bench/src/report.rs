@@ -372,10 +372,10 @@ mod tests {
         assert_eq!(cells[4][..2], ["WARN", "cow_reduction_ge_70pct"]);
     }
 
-    /// The 19 greps `ci.sh` ran over the old per-mode JSON files, as
-    /// (mode, facts): each must be a claim or a row metric of that mode's
-    /// report, or deleting the greps lost a check.
-    const FACTS_CI_GREPPED: [(&str, &str); 6] = [
+    /// The greps `ci.sh` ran over the old per-mode JSON files, as (mode,
+    /// facts), for the modes that remain: each must be a claim or a row
+    /// metric of that mode's report, or deleting the greps lost a check.
+    const FACTS_CI_GREPPED: [(&str, &str); 5] = [
         (
             "chaos",
             "retry.faults_recovered_eq_ranks retry.zero_aborted retry.bit_identical_to_baseline \
@@ -396,11 +396,6 @@ mod tests {
             "scale",
             "bit_identical_every_point hier_fewer_inter_messages fused_one_allreduce_per_step \
              tier_counters_populated",
-        ),
-        (
-            "adaptive",
-            "converged_within_tolerance drift_adaptive_beats_all_statics all_bit_identical \
-             zero_aborts aborted",
         ),
         (
             "serve",
@@ -436,13 +431,6 @@ mod tests {
                 rank_counts: vec![2, 4],
                 ranks_per_node: 2,
                 resolution,
-                ..Default::default()
-            })),
-            Box::new(crate::run_adaptive_bench(&crate::AdaptiveBenchConfig {
-                steady_steps: 3,
-                drift_steps: 3,
-                drift_at: 1,
-                time_scale,
                 ..Default::default()
             })),
             Box::new(crate::run_serve_bench(&crate::ServeBenchConfig {

@@ -130,7 +130,7 @@ pub struct SteeringOutcome {
     pub replayed: Vec<BinnedResult>,
     /// Steering commands the bridge applied (both ranks).
     pub steers_applied: u64,
-    /// Rank 0's `step action detail` steering log.
+    /// Rank 0's `step detail` steering log.
     pub steer_log: Vec<String>,
 }
 
@@ -610,10 +610,9 @@ fn run_steering_run(
         if rank == 0 {
             *run_applied.lock() += steers;
             *run_log.lock() = profiler
-                .adaptive_samples()
+                .steer_samples()
                 .iter()
-                .filter(|s| s.action == "steer")
-                .map(|s| format!("{} {} {}", s.step, s.action, s.detail))
+                .map(|s| format!("{} {}", s.step, s.detail))
                 .collect();
         }
     });

@@ -1,9 +1,9 @@
-//! Property: an adaptively reconfigured run is bit-identical to its
-//! static reference, whatever schedule of mid-run reconfigurations the
-//! controller (or anything driving `Bridge::reconfigure_backend`) could
-//! apply — random reconfiguration points × placements × execution
-//! methods × snapshot modes. Placement, execution, and snapshot policy
-//! decide *when and where* work runs, never *what* it computes.
+//! Property: a run reconfigured mid-run through
+//! `Bridge::reconfigure_backend` and `Bridge::set_snapshot_mode` (the path
+//! steering sessions use) is bit-identical to its static reference,
+//! whatever the schedule — random reconfiguration points × placements ×
+//! execution methods × snapshot modes. Placement, execution, and snapshot
+//! policy decide *when and where* work runs, never *what* it computes.
 
 use std::sync::Arc;
 
@@ -243,9 +243,9 @@ proptest! {
             &[],
         );
         prop_assert_eq!(reference.len(), steps as usize * 2);
-        let adapted = run_scheduled(steps, rows, start, &schedule);
+        let reconfigured = run_scheduled(steps, rows, start, &schedule);
         prop_assert!(
-            results_bit_identical(&reference, &adapted),
+            results_bit_identical(&reference, &reconfigured),
             "schedule {:?} from {:?} must not perturb results",
             schedule,
             start

@@ -606,8 +606,8 @@ fn bits_of(results: &[BinnedResult]) -> Vec<(u64, String, Vec<u64>)> {
 
 #[test]
 fn placement_change_mid_run_rebuilds_the_device_side() {
-    // The adaptive controller and steering move a live back-end through
-    // `controls_mut()`. The suite's streams and resident blocks belong to
+    // A caller can move a live back-end through `controls_mut()`
+    // between steps. The suite's streams and resident blocks belong to
     // the device they were made on, so every move must rebuild them:
     // device 0 -> device 1 -> host -> device 0, each step bit-identical to
     // a fresh suite that only ever ran at that placement.

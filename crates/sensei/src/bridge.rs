@@ -11,9 +11,9 @@
 //! deep-copies exactly that.
 //!
 //! Back-ends attached with [`Bridge::add_reconfigurable_analysis`] can be
-//! rebuilt mid-run under new [`BackendControls`] — the hook the
-//! [`AdaptiveController`] applies its decisions through (and callers can
-//! drive directly for externally-steered placement changes).
+//! rebuilt mid-run under new [`BackendControls`] — the hook steering
+//! sessions ([`crate::serve`]) apply their commands through, and callers
+//! can drive directly.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,13 +21,9 @@ use std::time::{Duration, Instant};
 use devsim::SimNode;
 use minimpi::Comm;
 
-use crate::adaptive::{
-    AdaptiveAction, AdaptiveConfig, AdaptiveController, AdaptiveDecision, AdaptiveEnv,
-    BackendObservation, StepObservation,
-};
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
-use crate::counters::{AnalysisCounters, CounterSnapshot, FaultSnapshot};
+use crate::counters::{AnalysisCounters, CounterSnapshot};
 use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::profiler::Profiler;
@@ -60,7 +56,6 @@ pub struct Bridge {
     backends: Vec<Attached>,
     profiler: Profiler,
     pipeline: SnapshotPipeline,
-    adaptive: Option<AdaptiveController>,
     serve: Option<Arc<ServeHub>>,
     finalized: bool,
 }
@@ -77,10 +72,6 @@ struct Attached {
     /// Present for reconfigurable back-ends: rebuilds the adaptor when
     /// the engine is retired and recreated under new controls.
     factory: Option<AdaptorFactory>,
-    /// Fault totals already observed, so each step's retried/recovered
-    /// delta can taint that step's apparent-cost sample (retry backoff
-    /// sleeps inside dispatch and would otherwise look like real cost).
-    faults_seen: FaultSnapshot,
     /// The frequency a steering Pause saved, restored by Resume.
     paused_from: Option<u64>,
 }
@@ -94,7 +85,6 @@ impl Bridge {
             backends: Vec::new(),
             profiler: Profiler::new(),
             pipeline: SnapshotPipeline::new(SnapshotMode::Deep),
-            adaptive: None,
             serve: None,
             finalized: false,
         }
@@ -110,22 +100,6 @@ impl Bridge {
     /// The active snapshot capture mode.
     pub fn snapshot_mode(&self) -> SnapshotMode {
         self.pipeline.mode()
-    }
-
-    /// Close the profiler loop: from the next step on, an
-    /// [`AdaptiveController`] with `config`'s knobs observes each step and
-    /// re-places / re-tunes reconfigurable back-ends through
-    /// [`Bridge::reconfigure_backend`]. On multi-rank communicators rank 0
-    /// decides and broadcasts, so every rank reconfigures identically
-    /// (engine rebuilds are collective).
-    pub fn enable_adaptive(&mut self, config: AdaptiveConfig) {
-        self.adaptive = Some(AdaptiveController::new(config));
-    }
-
-    /// The adaptive controller, when [`Bridge::enable_adaptive`] was
-    /// called (harnesses read convergence state off it).
-    pub fn adaptive_controller(&self) -> Option<&AdaptiveController> {
-        self.adaptive.as_ref()
     }
 
     /// Attach a live-serving hub ([`crate::serve`]): from the next step
@@ -198,14 +172,7 @@ impl Bridge {
         let copies = self.backends.iter().filter(|a| self.engines[a.engine].backend_name() == name);
         let copies = copies.count();
         let label = if copies == 0 { name } else { format!("{}#{}", name, copies + 1) };
-        self.backends.push(Attached {
-            label,
-            engine,
-            counters,
-            factory,
-            faults_seen: FaultSnapshot::default(),
-            paused_from: None,
-        });
+        self.backends.push(Attached { label, engine, counters, factory, paused_from: None });
         Ok(())
     }
 
@@ -276,7 +243,6 @@ impl Bridge {
         let adaptor = (self.backends[idx].factory.as_ref().expect("checked above"))(&controls)?;
         let engine = Engine::new(adaptor, comm, &self.node);
         self.backends[idx].counters = engine.counters()[0].clone();
-        self.backends[idx].faults_seen = FaultSnapshot::default();
         self.engines[e] = engine;
         Ok(())
     }
@@ -372,116 +338,13 @@ impl Bridge {
                 *apparent = te0.elapsed() / engine.counters().len() as u32;
             }
         }
-        let mut backend_obs = Vec::with_capacity(self.backends.len());
-        for a in &mut self.backends {
-            let due = self.engines[a.engine].controls().due_at(step);
-            let apparent = dispatched[a.engine];
-            // Retry recovery sleeps its backoff (capped 250 ms) inside
-            // dispatch, so a step whose retried/recovered counters moved
-            // carries that wall clock in its apparent sample: taint it so
-            // the adaptive window skips it instead of re-placing the
-            // back-end off one injected fault. Asynchronous engines bump
-            // the counters on their worker, so the taint may land a step
-            // late there — but there the backoff never polluted the
-            // dispatch timing in the first place.
-            let faults = a.counters.snapshot().faults;
-            let tainted = faults.retried > a.faults_seen.retried
-                || faults.recovered > a.faults_seen.recovered;
-            a.faults_seen = faults;
-            if due {
-                self.profiler.record_backend_tainted(step, a.label.as_str(), apparent, tainted);
+        for a in &self.backends {
+            if self.engines[a.engine].controls().due_at(step) {
+                self.profiler.record_backend(step, a.label.as_str(), dispatched[a.engine]);
             }
-            backend_obs.push(BackendObservation {
-                apparent_s: apparent.as_secs_f64(),
-                // A not-due back-end contributed no sample this step;
-                // taint the placeholder so no window ingests the zero.
-                tainted: tainted || !due,
-            });
         }
-        let apparent = t0.elapsed();
-        self.profiler.record(step, solver_time, apparent);
-        if self.adaptive.is_some() {
-            self.adaptive_step(step, apparent, &backend_obs, comm)?;
-        }
+        self.profiler.record(step, solver_time, t0.elapsed());
         Ok(proceed)
-    }
-
-    /// One controller round: assemble the step's observations, let rank 0
-    /// decide, broadcast, and apply the decisions at this step boundary.
-    fn adaptive_step(
-        &mut self,
-        step: u64,
-        apparent: Duration,
-        backend_obs: &[BackendObservation],
-        comm: &Comm,
-    ) -> Result<()> {
-        let controls: Vec<BackendControls> =
-            self.backends.iter().map(|a| *self.engines[a.engine].controls()).collect();
-        let reconfigurable: Vec<bool> = self.backends.iter().map(|a| a.factory.is_some()).collect();
-        let snapshot_consumers = self.engines.iter().any(Engine::needs_snapshot);
-
-        let controller = self.adaptive.as_mut().expect("caller checked");
-        let obs = StepObservation {
-            step,
-            insitu_s: apparent.as_secs_f64(),
-            written_fraction: self.pipeline.written_fraction(),
-        };
-        let env = AdaptiveEnv {
-            num_devices: self.node.num_devices(),
-            controls: &controls,
-            reconfigurable: &reconfigurable,
-            snapshot_mode: self.pipeline.mode(),
-            snapshot_consumers,
-        };
-        let decisions: Vec<AdaptiveDecision> = if comm.size() > 1 {
-            // Timings are rank-local and would diverge; engine rebuilds
-            // are collective (Comm::dup). Rank 0 decides for everyone.
-            let local = if comm.rank() == 0 {
-                controller.observe_and_decide(&env, &obs, backend_obs)
-            } else {
-                Vec::new()
-            };
-            comm.bcast(0, local).map_err(|e| Error::Analysis(format!("adaptive bcast: {e}")))?
-        } else {
-            controller.observe_and_decide(&env, &obs, backend_obs)
-        };
-        for d in &decisions {
-            self.apply_decision(d, comm)?;
-        }
-        Ok(())
-    }
-
-    /// Log and apply one controller decision.
-    fn apply_decision(&mut self, d: &AdaptiveDecision, comm: &Comm) -> Result<()> {
-        match &d.action {
-            AdaptiveAction::Reconfigure { backend, controls } => {
-                let label =
-                    self.backends.get(*backend).map(|a| a.label.clone()).unwrap_or_default();
-                self.profiler.record_adaptive(
-                    d.step,
-                    label,
-                    d.cause,
-                    format!(
-                        "mode={} device={} snapshot={} queue={}",
-                        controls.execution.name(),
-                        controls.device.code(),
-                        self.pipeline.mode().name(),
-                        controls.queue_depth,
-                    ),
-                );
-                self.reconfigure_backend(*backend, *controls, comm)
-            }
-            AdaptiveAction::SetSnapshotMode { mode } => {
-                self.profiler.record_adaptive(
-                    d.step,
-                    "bridge",
-                    d.cause,
-                    format!("snapshot={}", mode.name()),
-                );
-                self.pipeline.set_mode(*mode);
-                Ok(())
-            }
-        }
     }
 
     /// The frequency a paused back-end runs at: due only at step 0, i.e.
@@ -546,7 +409,7 @@ impl Bridge {
                 "resume".to_string()
             }
         };
-        self.profiler.record_adaptive(step, label, "steer", detail);
+        self.profiler.record_steer(step, label, detail);
         self.reconfigure_backend(s.backend, controls, comm)
     }
 

@@ -38,14 +38,12 @@
 //! skips the first `after` occurrences, stops after `max` injections, and
 //! can be pinned to one `rank`.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use devsim::{FaultConfig, FaultKind, FaultRule, NetworkParams, PoolConfig};
 use minimpi::{CollectiveMode, Topology};
 use xmlcfg::Element;
 
-use crate::adaptive::AdaptiveConfig;
 use crate::adaptor::AnalysisAdaptor;
 use crate::controls::{BackendControls, DeviceSpec};
 use crate::device_select::DeviceSelector;
@@ -154,7 +152,6 @@ pub struct ConfigurableAnalysis {
     faults: Option<FaultConfig>,
     snapshot: Option<SnapshotMode>,
     topology: Option<TopologyConfig>,
-    adaptive: Option<AdaptiveConfig>,
     serve: Option<ServeConfig>,
 }
 
@@ -265,63 +262,15 @@ impl ConfigurableAnalysis {
                 Some(TopologyConfig { ranks_per_node, mode, net })
             }
         };
-        let adaptive = match root.find_child("adaptive") {
-            None => None,
-            Some(el) => {
-                // Older configs may carry it; an ignored attribute would
-                // let them claim a tuning stage that no longer exists.
-                if el.attr("tune_layout").is_some() {
-                    return Err(Error::Config(
-                        "adaptive tune_layout was removed: layout selection is gone, \
-                         columns are dense (delete the attribute)"
-                            .into(),
-                    ));
-                }
-                if el.parse_attr_or::<u8>("enabled", 1).map_err(Error::Xml)? == 0 {
-                    None
-                } else {
-                    let d = AdaptiveConfig::default();
-                    let window =
-                        el.parse_attr_or::<usize>("window", d.window).map_err(Error::Xml)?;
-                    if window == 0 {
-                        return Err(Error::Config("adaptive window must be at least 1".into()));
-                    }
-                    let hysteresis =
-                        el.parse_attr_or::<f64>("hysteresis", d.hysteresis).map_err(Error::Xml)?;
-                    if !(0.0..1.0).contains(&hysteresis) {
-                        return Err(Error::Config(format!(
-                            "adaptive hysteresis {hysteresis} outside [0, 1)"
-                        )));
-                    }
-                    let drift_margin = el
-                        .parse_attr_or::<f64>("drift_margin", d.drift_margin)
-                        .map_err(Error::Xml)?;
-                    if drift_margin <= 0.0 {
-                        return Err(Error::Config("adaptive drift_margin must be positive".into()));
-                    }
-                    let flag = |attr: &str, default: bool| -> Result<bool> {
-                        Ok(el.parse_attr_or::<u8>(attr, default as u8).map_err(Error::Xml)? != 0)
-                    };
-                    Some(AdaptiveConfig {
-                        window,
-                        warmup: el
-                            .parse_attr_or::<usize>("warmup", d.warmup)
-                            .map_err(Error::Xml)?,
-                        hysteresis,
-                        probe_budget: el
-                            .parse_attr_or::<u32>("probe_budget", d.probe_budget)
-                            .map_err(Error::Xml)?,
-                        cooldown: el
-                            .parse_attr_or::<u64>("cooldown", d.cooldown)
-                            .map_err(Error::Xml)?,
-                        drift_margin,
-                        tune_placement: flag("tune_placement", d.tune_placement)?,
-                        tune_execution: flag("tune_execution", d.tune_execution)?,
-                        tune_snapshot: flag("tune_snapshot", d.tune_snapshot)?,
-                    })
-                }
-            }
-        };
+        // Older configs may carry it, in any form; an ignored element
+        // would let them claim an autotuner that no longer exists.
+        if root.find_child("adaptive").is_some() {
+            return Err(Error::Config(
+                "<adaptive> was removed: adaptive autotuning is gone, placement is set \
+                 with device= (Eq. 1) (delete the element)"
+                    .into(),
+            ));
+        }
         let serve = match root.find_child("serve") {
             None => None,
             Some(el) => {
@@ -428,7 +377,7 @@ impl ConfigurableAnalysis {
                 element: el.clone(),
             });
         }
-        Ok(ConfigurableAnalysis { configs, pool, faults, snapshot, topology, adaptive, serve })
+        Ok(ConfigurableAnalysis { configs, pool, faults, snapshot, topology, serve })
     }
 
     /// All entries (including disabled ones).
@@ -462,14 +411,6 @@ impl ConfigurableAnalysis {
         self.topology
     }
 
-    /// The `<adaptive>` controller knobs, if the document carries the
-    /// element (and it is not `enabled="0"`). The caller applies them
-    /// with [`crate::Bridge::enable_adaptive`]; absent means static
-    /// configuration throughout the run.
-    pub fn adaptive_config(&self) -> Option<AdaptiveConfig> {
-        self.adaptive
-    }
-
     /// The `<serve>` session settings, if the document carries the
     /// element (and it is not `enabled="0"`). The harness uses them to
     /// size the live-serving traffic generator; absent means no serving
@@ -495,21 +436,6 @@ impl ConfigurableAnalysis {
         if let Some(mode) = self.snapshot {
             let mut el = Element::new("snapshot");
             el.attributes.push(("mode".to_string(), mode.name().to_string()));
-            root.children.push(xmlcfg::Node::Element(el));
-        }
-        if let Some(a) = self.adaptive {
-            let mut el = Element::new("adaptive");
-            let mut push = |k: &str, v: String| el.attributes.push((k.to_string(), v));
-            push("enabled", "1".to_string());
-            push("window", a.window.to_string());
-            push("warmup", a.warmup.to_string());
-            push("hysteresis", a.hysteresis.to_string());
-            push("probe_budget", a.probe_budget.to_string());
-            push("cooldown", a.cooldown.to_string());
-            push("drift_margin", a.drift_margin.to_string());
-            push("tune_placement", (a.tune_placement as u8).to_string());
-            push("tune_execution", (a.tune_execution as u8).to_string());
-            push("tune_snapshot", (a.tune_snapshot as u8).to_string());
             root.children.push(xmlcfg::Node::Element(el));
         }
         if let Some(s) = self.serve {
@@ -586,40 +512,6 @@ impl ConfigurableAnalysis {
             let mut backend = registry.create(&cfg.type_name, &cfg.element, ctx)?;
             *backend.controls_mut() = cfg.controls;
             backends.push(backend);
-        }
-        Ok(backends)
-    }
-
-    /// Like [`ConfigurableAnalysis::instantiate`], but returns each
-    /// enabled back-end as (initial controls, rebuild factory) for
-    /// [`crate::Bridge::add_reconfigurable_analysis`] — the attachment
-    /// the adaptive controller (and any other mid-run reconfiguration)
-    /// needs. The factory re-creates the back-end from its XML element
-    /// under whatever controls the caller passes; the registry is shared
-    /// because each factory may fire arbitrarily many times over the run.
-    pub fn instantiate_reconfigurable(
-        &self,
-        registry: &Arc<AnalysisRegistry>,
-        ctx: &CreateContext,
-    ) -> Result<Vec<(BackendControls, crate::AdaptorFactory)>> {
-        if let Some(p) = self.pool {
-            ctx.node.pool().configure(p);
-        }
-        if let Some(f) = &self.faults {
-            ctx.node.fault().configure(f.clone());
-        }
-        let mut backends = Vec::new();
-        for cfg in self.configs.iter().filter(|c| c.enabled) {
-            let registry = registry.clone();
-            let type_name = cfg.type_name.clone();
-            let element = cfg.element.clone();
-            let ctx = ctx.clone();
-            let factory: crate::AdaptorFactory = Box::new(move |controls: &BackendControls| {
-                let mut backend = registry.create(&type_name, &element, &ctx)?;
-                *backend.controls_mut() = *controls;
-                Ok(backend)
-            });
-            backends.push((cfg.controls, factory));
         }
         Ok(backends)
     }
@@ -850,51 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_element_parses_and_round_trips() {
-        let cfg = ConfigurableAnalysis::from_xml(
-            r#"<sensei>
-                 <adaptive window="6" warmup="2" hysteresis="0.15" probe_budget="12"
-                           cooldown="3" drift_margin="0.4"
-                           tune_execution="0" tune_snapshot="0"/>
-               </sensei>"#,
-        )
-        .unwrap();
-        let a = cfg.adaptive_config().expect("adaptive element present");
-        assert_eq!(a.window, 6);
-        assert_eq!(a.warmup, 2);
-        assert_eq!(a.hysteresis, 0.15);
-        assert_eq!(a.probe_budget, 12);
-        assert_eq!(a.cooldown, 3);
-        assert_eq!(a.drift_margin, 0.4);
-        assert!(a.tune_placement, "unset flags default on");
-        assert!(!a.tune_execution && !a.tune_snapshot);
-
-        let again = ConfigurableAnalysis::from_xml(&cfg.to_xml()).unwrap();
-        assert_eq!(again.adaptive_config(), Some(a));
-
-        // A bare element means the defaults; an absent or disabled one
-        // means static configuration.
-        let bare = ConfigurableAnalysis::from_xml("<sensei><adaptive/></sensei>").unwrap();
-        assert_eq!(bare.adaptive_config(), Some(AdaptiveConfig::default()));
-        assert_eq!(ConfigurableAnalysis::from_xml("<sensei/>").unwrap().adaptive_config(), None);
-        let off =
-            ConfigurableAnalysis::from_xml(r#"<sensei><adaptive enabled="0"/></sensei>"#).unwrap();
-        assert_eq!(off.adaptive_config(), None);
-    }
-
-    #[test]
-    fn bad_adaptive_values_are_rejected() {
-        for xml in [
-            r#"<sensei><adaptive window="0"/></sensei>"#,
-            r#"<sensei><adaptive hysteresis="1.5"/></sensei>"#,
-            r#"<sensei><adaptive hysteresis="-0.1"/></sensei>"#,
-            r#"<sensei><adaptive drift_margin="0"/></sensei>"#,
-        ] {
-            assert!(matches!(ConfigurableAnalysis::from_xml(xml), Err(Error::Config(_))), "{xml}");
-        }
-    }
-
-    #[test]
     fn serve_element_parses_and_round_trips() {
         let cfg = ConfigurableAnalysis::from_xml(
             r#"<sensei>
@@ -946,36 +793,44 @@ mod tests {
 
     #[test]
     fn removed_layout_options_are_rejected_and_never_emitted() {
-        for (xml, names) in [
+        let dense = "columns are dense";
+        for (xml, names, why) in [
             (
                 r#"<sensei><analysis type="binning"><layout>aosoa4</layout></analysis></sensei>"#,
                 "<layout>",
+                dense,
             ),
             (
                 r#"<sensei><analysis type="binning"><layout>scalar</layout></analysis></sensei>"#,
                 "<layout>",
+                dense,
             ),
-            (r#"<sensei><adaptive tune_layout="0"/></sensei>"#, "tune_layout"),
-            (r#"<sensei><adaptive enabled="0" tune_layout="1"/></sensei>"#, "tune_layout"),
+            // The autotuner's layout stage went first; its element went
+            // with the autotuner.
+            (r#"<sensei><adaptive tune_layout="0"/></sensei>"#, "<adaptive>", "device="),
+            (
+                r#"<sensei><adaptive enabled="0" tune_layout="1"/></sensei>"#,
+                "<adaptive>",
+                "device=",
+            ),
         ] {
             match ConfigurableAnalysis::from_xml(xml) {
                 Err(Error::Config(msg)) => {
                     assert!(msg.contains(names), "{msg}");
-                    assert!(msg.contains("removed") && msg.contains("columns are dense"), "{msg}");
+                    assert!(msg.contains("removed") && msg.contains(why), "{msg}");
                 }
                 other => panic!("{xml} must be a Config error, got {:?}", other.map(|_| ())),
             }
         }
 
         let cfg = ConfigurableAnalysis::from_xml(
-            r#"<sensei><analysis type="binning" mode="dag"/><adaptive window="3"/></sensei>"#,
+            r#"<sensei><analysis type="binning" mode="dag"/></sensei>"#,
         )
         .unwrap();
         let text = cfg.to_xml();
-        assert!(!text.contains("layout"), "{text}");
+        assert!(!text.contains("layout") && !text.contains("adaptive"), "{text}");
         let again = ConfigurableAnalysis::from_xml(&text).unwrap();
         assert_eq!(again.configs()[0].controls, cfg.configs()[0].controls);
-        assert_eq!(again.adaptive_config(), cfg.adaptive_config());
     }
 
     #[test]
@@ -1068,36 +923,5 @@ mod tests {
         assert_eq!(backends[0].controls().execution, ExecutionMethod::Asynchronous);
         assert_eq!(backends[0].controls().selector.offset, 3);
         assert_eq!(backends[1].controls().device, DeviceSpec::Host);
-    }
-
-    #[test]
-    fn instantiate_reconfigurable_factories_honor_new_controls() {
-        let cfg = ConfigurableAnalysis::from_xml(XML).unwrap();
-        let mut reg = AnalysisRegistry::new();
-        for t in ["binning", "writer", "probe"] {
-            reg.register(t, move |el, _| {
-                Ok(Box::new(Probe {
-                    controls: BackendControls::default(),
-                    label: el.attr_or("type", "?").to_string(),
-                }) as Box<dyn AnalysisAdaptor>)
-            });
-        }
-        let reg = std::sync::Arc::new(reg);
-        let ctx = CreateContext { node: SimNode::new(NodeConfig::fast_test(4)), rank: 0, size: 1 };
-        let backends = cfg.instantiate_reconfigurable(&reg, &ctx).unwrap();
-        assert_eq!(backends.len(), 3, "the disabled entry is skipped");
-        // The parsed controls come back as the initial controls...
-        assert_eq!(backends[0].0.execution, ExecutionMethod::Asynchronous);
-        assert_eq!(backends[0].0.selector.offset, 3);
-        assert_eq!(backends[1].0.device, DeviceSpec::Host);
-        // ...and the factory rebuilds the same back-end under whatever
-        // controls a reconfiguration (or adaptive probe) asks for.
-        let (initial, factory) = &backends[0];
-        let rebuilt = factory(initial).unwrap();
-        assert_eq!(rebuilt.name(), "binning");
-        assert_eq!(rebuilt.controls(), initial);
-        let moved = BackendControls { device: DeviceSpec::Explicit(2), ..*initial };
-        let rebuilt = factory(&moved).unwrap();
-        assert_eq!(rebuilt.controls().device, DeviceSpec::Explicit(2));
     }
 }

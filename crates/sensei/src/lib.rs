@@ -50,7 +50,6 @@
 
 #![deny(unsafe_code)]
 
-mod adaptive;
 mod adaptor;
 mod bridge;
 mod configurable;
@@ -78,10 +77,6 @@ pub use serve::{
     SessionHandle, Steer, SteeringCommand, StepPin, Topic,
 };
 
-pub use adaptive::{
-    AdaptiveAction, AdaptiveConfig, AdaptiveController, AdaptiveDecision, AdaptiveEnv,
-    BackendObservation, StepObservation,
-};
 pub use adaptor::{
     AnalysisAdaptor, ArrayMetadata, DataAdaptor, ExecContext, GroupSlot, MeshMetadata,
 };
@@ -99,8 +94,8 @@ pub use error::{Error, Result};
 pub use execution::ExecutionMethod;
 pub use placement::Placement;
 pub use profiler::{
-    AdaptiveSample, BackendBreakdown, BackendSample, CounterSample, IterationRecord, PoolSample,
-    ProfileSummary, Profiler, SchedulerSample, SnapshotSample,
+    BackendBreakdown, BackendSample, CounterSample, IterationRecord, PoolSample, ProfileSummary,
+    Profiler, SchedulerSample, SnapshotSample, SteerSample,
 };
 pub use queue::OverflowPolicy;
 pub use recovery::RecoveryPolicy;

@@ -47,27 +47,17 @@ pub struct BackendSample {
     pub backend: String,
     /// Apparent cost of dispatching this back-end.
     pub apparent: Duration,
-    /// True when this step's dispatch retried or recovered from an
-    /// injected fault: the retry backoff's wall clock (capped at 250 ms)
-    /// is charged into `apparent`, so the sample measures the recovery
-    /// machinery, not the configuration. Consumers comparing
-    /// configurations (the adaptive controller's sliding window) must
-    /// skip tainted samples.
-    pub tainted: bool,
 }
 
-/// One adaptive-controller action: a probe, commit, or revert of a
-/// back-end's controls (or of the bridge's snapshot mode), recorded so
-/// a run's reconfiguration history is data alongside its timings.
+/// One applied steering command, recorded so a run's reconfiguration
+/// history is data alongside its timings.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdaptiveSample {
-    /// Simulation time step the decision was applied at.
+pub struct SteerSample {
+    /// Simulation time step the command was applied at.
     pub step: u64,
-    /// Back-end instance name, or `bridge` for snapshot-mode decisions.
+    /// Back-end instance name.
     pub backend: String,
-    /// What kind of decision (`probe`, `commit`, `revert`).
-    pub action: String,
-    /// Human-readable description of the configuration applied.
+    /// Human-readable description of the change applied.
     pub detail: String,
 }
 
@@ -135,7 +125,7 @@ pub struct Profiler {
     counter_samples: Vec<CounterSample>,
     snapshot_samples: Vec<SnapshotSample>,
     scheduler_samples: Vec<SchedulerSample>,
-    adaptive_samples: Vec<AdaptiveSample>,
+    steer_samples: Vec<SteerSample>,
     serve_samples: Vec<ServeStepStats>,
     started: Instant,
     total: Option<Duration>,
@@ -157,7 +147,7 @@ impl Profiler {
             counter_samples: Vec::new(),
             snapshot_samples: Vec::new(),
             scheduler_samples: Vec::new(),
-            adaptive_samples: Vec::new(),
+            steer_samples: Vec::new(),
             serve_samples: Vec::new(),
             started: Instant::now(),
             total: None,
@@ -171,46 +161,26 @@ impl Profiler {
 
     /// Record one back-end's apparent cost at `step`.
     pub fn record_backend(&mut self, step: u64, backend: impl Into<String>, apparent: Duration) {
-        self.record_backend_tainted(step, backend, apparent, false);
+        self.backend_samples.push(BackendSample { step, backend: backend.into(), apparent });
     }
 
-    /// Like [`Profiler::record_backend`], marking the sample tainted when
-    /// the step's dispatch retried or recovered from a fault (the retry
-    /// backoff's wall clock is inside `apparent`).
-    pub fn record_backend_tainted(
+    /// Record one applied steering command.
+    pub fn record_steer(
         &mut self,
         step: u64,
         backend: impl Into<String>,
-        apparent: Duration,
-        tainted: bool,
-    ) {
-        self.backend_samples.push(BackendSample {
-            step,
-            backend: backend.into(),
-            apparent,
-            tainted,
-        });
-    }
-
-    /// Record one adaptive-controller decision.
-    pub fn record_adaptive(
-        &mut self,
-        step: u64,
-        backend: impl Into<String>,
-        action: impl Into<String>,
         detail: impl Into<String>,
     ) {
-        self.adaptive_samples.push(AdaptiveSample {
+        self.steer_samples.push(SteerSample {
             step,
             backend: backend.into(),
-            action: action.into(),
             detail: detail.into(),
         });
     }
 
-    /// Every recorded adaptive decision, in application order.
-    pub fn adaptive_samples(&self) -> &[AdaptiveSample] {
-        &self.adaptive_samples
+    /// Every applied steering command, in application order.
+    pub fn steer_samples(&self) -> &[SteerSample] {
+        &self.steer_samples
     }
 
     /// Every recorded per-backend sample, in dispatch order.
@@ -411,32 +381,22 @@ mod tests {
         assert_eq!(bd[1].backend, "histogram");
         assert_eq!(bd[1].dispatches, 1);
         assert_eq!(p.backend_samples().len(), 3);
-        assert!(p.backend_samples().iter().all(|s| !s.tainted));
     }
 
     #[test]
-    fn tainted_backend_samples_carry_the_flag() {
+    fn steer_samples_record_and_dump() {
         let mut p = Profiler::new();
-        p.record_backend(0, "binning", Duration::from_millis(4));
-        p.record_backend_tainted(1, "binning", Duration::from_millis(254), true);
-        assert!(!p.backend_samples()[0].tainted);
-        assert!(p.backend_samples()[1].tainted);
-        // Taint excludes a sample from comparisons, not from the
-        // aggregate: the breakdown still counts every dispatch.
-        assert_eq!(p.backend_breakdown()[0].dispatches, 2);
-    }
-
-    #[test]
-    fn adaptive_samples_record_and_dump() {
-        let mut p = Profiler::new();
-        p.record_adaptive(4, "binning_suite", "probe", "device=0 mode=lockstep");
-        p.record_adaptive(8, "binning_suite", "commit", "device=-1 mode=dag");
-        p.record_adaptive(8, "bridge", "commit", "snapshot=cow");
-        let s = p.adaptive_samples();
+        p.record_steer(4, "binning_suite", "frequency=2");
+        p.record_steer(8, "binning_suite", "pause");
+        p.record_steer(8, "binning_suite#2", "resolution=64");
+        let s = p.steer_samples();
         assert_eq!(s.len(), 3);
-        assert_eq!((s[0].step, s[0].action.as_str()), (4, "probe"));
-        assert_eq!(s[0].detail, "device=0 mode=lockstep");
-        assert_eq!((s[2].backend.as_str(), s[2].detail.as_str()), ("bridge", "snapshot=cow"));
+        assert_eq!((s[0].step, s[0].detail.as_str()), (4, "frequency=2"));
+        assert_eq!((s[1].step, s[1].detail.as_str()), (8, "pause"));
+        assert_eq!(
+            (s[2].backend.as_str(), s[2].detail.as_str()),
+            ("binning_suite#2", "resolution=64")
+        );
     }
 
     #[test]

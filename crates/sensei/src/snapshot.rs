@@ -61,22 +61,11 @@ impl SnapshotMode {
     }
 }
 
-/// The bridge-owned snapshot strategy: mode, counters, the generation
-/// table the write-rate observation diffs against, and the dedicated
-/// per-device copy streams CoW-share fetches ride.
+/// The bridge-owned snapshot strategy: mode, counters, and the
+/// dedicated per-device copy streams CoW-share fetches ride.
 pub struct SnapshotPipeline {
     mode: SnapshotMode,
     counters: Arc<SnapshotCounters>,
-    /// Last captured `(allocation_id, write_generation)` per array key
-    /// (`mesh/block-path/association/name`), sampled under both modes
-    /// purely as a write-rate observation, so the adaptive controller
-    /// can read the workload's write rate regardless of the active mode.
-    last: HashMap<String, (u64, u64)>,
-    /// Arrays written / arrays seen at the capture in progress.
-    cap_written: u64,
-    cap_seen: u64,
-    /// Arrays written / arrays seen at the last completed capture.
-    last_written: (u64, u64),
     /// One dedicated copy stream per device, created lazily. Keeping
     /// the consumers' share fetches off the producer's streams is what
     /// lets them overlap the next solver step.
@@ -86,15 +75,7 @@ pub struct SnapshotPipeline {
 impl SnapshotPipeline {
     /// A pipeline capturing with `mode`.
     pub fn new(mode: SnapshotMode) -> Self {
-        SnapshotPipeline {
-            mode,
-            counters: SnapshotCounters::new(),
-            last: HashMap::new(),
-            cap_written: 0,
-            cap_seen: 0,
-            last_written: (0, 0),
-            copy_streams: HashMap::new(),
-        }
+        SnapshotPipeline { mode, counters: SnapshotCounters::new(), copy_streams: HashMap::new() }
     }
 
     /// The active capture mode.
@@ -102,53 +83,14 @@ impl SnapshotPipeline {
         self.mode
     }
 
-    /// Switch capture modes. The generation table is cleared, so the
-    /// first capture under the new mode observes every array as written.
+    /// Switch capture modes from the next capture on.
     pub fn set_mode(&mut self, mode: SnapshotMode) {
-        if mode != self.mode {
-            self.last.clear();
-        }
         self.mode = mode;
     }
 
     /// The pipeline's snapshot counters (shared with every capture).
     pub fn counters(&self) -> &Arc<SnapshotCounters> {
         &self.counters
-    }
-
-    /// The share of arrays whose write generation advanced at the last
-    /// capture, observed from the per-array generations the pipeline
-    /// samples under both modes. `1.0` when nothing has been captured
-    /// yet or no generations were visible (conservative: assume every
-    /// array is rewritten every step). The first capture after a
-    /// [`SnapshotPipeline::set_mode`] also reads `1.0` — the generation
-    /// table is cleared on a mode switch.
-    pub fn written_fraction(&self) -> f64 {
-        let (w, n) = self.last_written;
-        if n == 0 {
-            1.0
-        } else {
-            w as f64 / n as f64
-        }
-    }
-
-    /// Diff `identity` against the generation table, updating it, and
-    /// count the array into the capture's write-rate observation.
-    /// Untracked arrays (no generation) are conservatively "written".
-    ///
-    /// The sample is a pure observation: no drain first, so an enqueued
-    /// producer kernel may read one step stale — acceptable for a
-    /// write-rate signal, free for the capture.
-    fn note_generation(&mut self, key: String, identity: Option<(u64, u64)>) {
-        let changed = match identity {
-            Some(id) => self.last.get(&key) != Some(&id),
-            None => true,
-        };
-        if let Some(id) = identity {
-            self.last.insert(key, id);
-        }
-        self.cap_seen += 1;
-        self.cap_written += changed as u64;
     }
 
     fn copy_stream(&mut self, node: &Arc<SimNode>, device: usize) -> Result<Arc<Stream>> {
@@ -169,24 +111,18 @@ impl SnapshotPipeline {
         requirements: &DataRequirements,
         node: &Arc<SimNode>,
     ) -> Result<SnapshotAdaptor> {
-        self.cap_written = 0;
-        self.cap_seen = 0;
-        let snapshot = match self.mode {
-            SnapshotMode::Deep => SnapshotAdaptor::deep(src, requirements, &mut |key, arr| {
-                self.note_generation(key, arr.generation_erased());
+        match self.mode {
+            SnapshotMode::Deep => SnapshotAdaptor::deep(src, requirements, &mut |arr| {
                 self.counters.add_copied(1, (arr.len() * 8) as u64);
-            })?,
+            }),
             SnapshotMode::Cow => {
                 let mut shared = Vec::new();
-                let meshes = capture_meshes(src, requirements, &mut |key, arr| {
-                    self.note_generation(key, arr.generation_erased());
+                let meshes = capture_meshes(src, requirements, &mut |arr| {
                     self.share_or_copy(arr, node, &mut shared)
                 })?;
-                SnapshotAdaptor::over(src, meshes, shared)
+                Ok(SnapshotAdaptor::over(src, meshes, shared))
             }
-        };
-        self.last_written = (self.cap_written, self.cap_seen);
-        Ok(snapshot)
+        }
     }
 
     fn share_or_copy(
@@ -254,18 +190,18 @@ impl SnapshotAdaptor {
     /// memory footprint and copy time scale with what the due back-ends
     /// declared, not with everything the simulation publishes.
     pub fn capture_with(src: &dyn DataAdaptor, requirements: &DataRequirements) -> Result<Self> {
-        Self::deep(src, requirements, &mut |_, _| {})
+        Self::deep(src, requirements, &mut |_| {})
     }
 
-    /// The deep strategy; `observe` sees each selected array (with its
-    /// generation-table key) before it is copied.
+    /// The deep strategy; `observe` sees each selected array before it is
+    /// copied.
     fn deep(
         src: &dyn DataAdaptor,
         requirements: &DataRequirements,
-        observe: &mut dyn FnMut(String, &ArrayRef),
+        observe: &mut dyn FnMut(&ArrayRef),
     ) -> Result<Self> {
-        let meshes = capture_meshes(src, requirements, &mut |key, arr| {
-            observe(key, arr);
+        let meshes = capture_meshes(src, requirements, &mut |arr| {
+            observe(arr);
             Ok(arr.deep_copy_erased()?)
         })?;
         for (_, obj) in &meshes {
@@ -361,20 +297,12 @@ impl SnapshotAdaptor {
     }
 }
 
-fn assoc_key(assoc: FieldAssociation) -> &'static str {
-    match assoc {
-        FieldAssociation::Point => "point",
-        FieldAssociation::Cell => "cell",
-        FieldAssociation::Field => "field",
-    }
-}
-
 /// Walk the meshes of `src` that `requirements` selects, capturing each
 /// selected array with `capture` (see [`partial_copy`]).
 fn capture_meshes(
     src: &dyn DataAdaptor,
     requirements: &DataRequirements,
-    capture: &mut dyn FnMut(String, &ArrayRef) -> Result<ArrayRef>,
+    capture: &mut dyn FnMut(&ArrayRef) -> Result<ArrayRef>,
 ) -> Result<Vec<(String, DataObject)>> {
     let mut meshes = Vec::with_capacity(src.num_meshes());
     for i in 0..src.num_meshes() {
@@ -383,29 +311,26 @@ fn capture_meshes(
             continue;
         };
         let obj = src.mesh(&md.name)?;
-        let copied = partial_copy(&obj, &mesh_req, &md.name, capture)?;
+        let copied = partial_copy(&obj, &mesh_req, capture)?;
         meshes.push((md.name, copied));
     }
     Ok(meshes)
 }
 
 /// Capture the arrays of `obj` that `req` selects, preserving the
-/// dataset structure. Each selected array is passed to `capture` along
-/// with a stable key (`mesh/block-path/association/name`) the
-/// pipeline's generation table is indexed by. Table columns count as
-/// point data.
+/// dataset structure. Each selected array is passed to `capture`. Table
+/// columns count as point data.
 fn partial_copy(
     obj: &DataObject,
     req: &MeshRequirements,
-    path: &str,
-    capture: &mut dyn FnMut(String, &ArrayRef) -> Result<ArrayRef>,
+    capture: &mut dyn FnMut(&ArrayRef) -> Result<ArrayRef>,
 ) -> Result<DataObject> {
     match obj {
         DataObject::Table(t) => {
             let mut copy = TableData::new();
             for col in t.columns() {
                 if req.wants(FieldAssociation::Point, col.name()) {
-                    copy.set_column(capture(format!("{path}/point/{}", col.name()), col)?);
+                    copy.set_column(capture(col)?);
                 }
             }
             Ok(DataObject::Table(copy))
@@ -415,8 +340,7 @@ fn partial_copy(
             for assoc in [FieldAssociation::Point, FieldAssociation::Cell] {
                 for arr in img.data(assoc).arrays() {
                     if req.wants(assoc, arr.name()) {
-                        let key = format!("{path}/{}/{}", assoc_key(assoc), arr.name());
-                        copy.data_mut(assoc).set_array(capture(key, arr)?);
+                        copy.data_mut(assoc).set_array(capture(arr)?);
                     }
                 }
             }
@@ -425,7 +349,7 @@ fn partial_copy(
         DataObject::Multi(mb) => {
             let mut copy = MultiBlock::new(mb.num_blocks());
             for (i, block) in mb.local_blocks() {
-                copy.set_block(i, partial_copy(block, req, &format!("{path}/{i}"), capture)?);
+                copy.set_block(i, partial_copy(block, req, capture)?);
             }
             Ok(DataObject::Multi(copy))
         }
@@ -769,25 +693,5 @@ mod tests {
         let c = pipeline.counters().snapshot();
         assert_eq!((c.arrays_shared, c.arrays_copied), (0, 3));
         assert_eq!(c.bytes_copied, 72);
-    }
-
-    #[test]
-    fn set_mode_clears_the_generation_table() {
-        let node = SimNode::new(NodeConfig::fast_test(1));
-        let sim = ToySim::on(node.clone(), None);
-        let mut pipeline = SnapshotPipeline::new(SnapshotMode::Cow);
-        assert_eq!(pipeline.written_fraction(), 1.0, "nothing captured yet");
-        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        assert_eq!(pipeline.written_fraction(), 1.0, "first sight of the allocation");
-        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        assert_eq!(pipeline.written_fraction(), 0.0, "generation unchanged");
-        pipeline.set_mode(SnapshotMode::Cow);
-        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        assert_eq!(pipeline.written_fraction(), 0.0, "same mode: table kept");
-        // After a real switch the next capture reads every array as
-        // written again.
-        pipeline.set_mode(SnapshotMode::Deep);
-        pipeline.capture(&sim, &DataRequirements::All, &node).unwrap();
-        assert_eq!(pipeline.written_fraction(), 1.0);
     }
 }

@@ -1,17 +1,16 @@
-//! The closed profiler loop at the bridge level: taint-marked samples
-//! (retry backoff must not look like real cost), mid-run reconfiguration
-//! that changes *when* work runs but never *what* it computes, and the
-//! measurement-driven controller converging on a real bridge.
+//! Mid-run reconfiguration at the bridge level — the path steering
+//! sessions apply their commands through: rebuilding a back-end under new
+//! controls, or flipping the snapshot mode, changes *when* work runs but
+//! never *what* it computes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use devsim::{NodeConfig, SimNode};
 use minimpi::World;
 use sensei::{
-    AdaptiveConfig, AnalysisAdaptor, AnalysisCounters, BackendControls, Bridge, DataAdaptor,
-    DeviceSpec, ExecContext, ExecutionMethod, MeshMetadata, RecoveryPolicy, Result, SnapshotMode,
+    AnalysisAdaptor, AnalysisCounters, BackendControls, Bridge, DataAdaptor, DeviceSpec,
+    ExecContext, ExecutionMethod, MeshMetadata, Result, SnapshotMode,
 };
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
@@ -66,17 +65,11 @@ impl DataAdaptor for Sim {
 
 /// A deterministic reduction back-end streaming per-step sums into a
 /// shared sink (position-independent: a rebuild mid-run changes nothing
-/// about what any step computes). Optionally sleeps per dispatch as a
-/// placement-dependent synthetic cost, and optionally fails chosen
-/// attempts to exercise retry recovery.
+/// about what any step computes).
 struct Summer {
     controls: BackendControls,
     counters: Arc<AnalysisCounters>,
     sink: Arc<Mutex<Vec<(u64, f64)>>>,
-    attempts: Arc<AtomicU64>,
-    fail_on: Vec<u64>,
-    host_cost: Duration,
-    device_cost: Duration,
 }
 
 impl AnalysisAdaptor for Summer {
@@ -93,17 +86,6 @@ impl AnalysisAdaptor for Summer {
         Some(self.counters.clone())
     }
     fn execute(&mut self, data: &dyn DataAdaptor, _ctx: &ExecContext<'_>) -> Result<bool> {
-        let attempt = self.attempts.fetch_add(1, Ordering::SeqCst);
-        if self.fail_on.contains(&attempt) {
-            return Err(sensei::Error::Analysis(format!("injected fault on attempt {attempt}")));
-        }
-        let cost = match self.controls.device {
-            DeviceSpec::Host => self.host_cost,
-            _ => self.device_cost,
-        };
-        if !cost.is_zero() {
-            std::thread::sleep(cost);
-        }
         let mesh = data.mesh("bodies")?;
         let col = mesh.as_table().unwrap().column("v").unwrap().clone();
         let sum: f64 = svtk::downcast::<f64>(&col)
@@ -120,49 +102,24 @@ impl AnalysisAdaptor for Summer {
 
 struct SummerSpec {
     sink: Arc<Mutex<Vec<(u64, f64)>>>,
-    attempts: Arc<AtomicU64>,
-    fail_on: Vec<u64>,
-    host_cost: Duration,
-    device_cost: Duration,
 }
 
 impl SummerSpec {
     fn quiet() -> Self {
-        SummerSpec {
-            sink: Arc::new(Mutex::new(Vec::new())),
-            attempts: Arc::new(AtomicU64::new(0)),
-            fail_on: Vec::new(),
-            host_cost: Duration::ZERO,
-            device_cost: Duration::ZERO,
-        }
+        SummerSpec { sink: Arc::new(Mutex::new(Vec::new())) }
     }
 
     fn build(&self, controls: BackendControls) -> Box<dyn AnalysisAdaptor> {
-        Box::new(Summer {
-            controls,
-            counters: AnalysisCounters::new(),
-            sink: self.sink.clone(),
-            attempts: self.attempts.clone(),
-            fail_on: self.fail_on.clone(),
-            host_cost: self.host_cost,
-            device_cost: self.device_cost,
-        })
+        Box::new(Summer { controls, counters: AnalysisCounters::new(), sink: self.sink.clone() })
     }
 
     fn factory(&self) -> sensei::AdaptorFactory {
         let sink = self.sink.clone();
-        let attempts = self.attempts.clone();
-        let fail_on = self.fail_on.clone();
-        let (host_cost, device_cost) = (self.host_cost, self.device_cost);
         Box::new(move |controls: &BackendControls| {
             Ok(Box::new(Summer {
                 controls: *controls,
                 counters: AnalysisCounters::new(),
                 sink: sink.clone(),
-                attempts: attempts.clone(),
-                fail_on: fail_on.clone(),
-                host_cost,
-                device_cost,
             }) as Box<dyn AnalysisAdaptor>)
         })
     }
@@ -179,51 +136,6 @@ fn drive(bridge: &mut Bridge, sim: &mut Sim, comm: &minimpi::Comm, steps: u64) {
         sim.step = step;
         bridge.execute(sim as &dyn DataAdaptor, comm, Duration::from_millis(1)).unwrap();
     }
-}
-
-/// Satellite regression: one injected fault under `Retry` sleeps a real
-/// backoff inside dispatch; the sample must be flagged tainted and the
-/// controller's window must skip it instead of reading the backoff as a
-/// workload shift.
-#[test]
-fn retry_backoff_taints_the_sample_and_the_window_skips_it() {
-    World::new(1).run(|comm| {
-        let node = SimNode::new(NodeConfig::fast_test(2));
-        let mut spec = SummerSpec::quiet();
-        spec.fail_on = vec![4];
-        let controls = BackendControls {
-            execution: ExecutionMethod::Lockstep,
-            device: DeviceSpec::Host,
-            recovery: RecoveryPolicy::Retry { max_retries: 2, backoff_ms: 20 },
-            ..Default::default()
-        };
-        let mut bridge = Bridge::new(node.clone());
-        bridge.add_reconfigurable_analysis(controls, spec.factory(), &comm).unwrap();
-        // All tuning off: the controller settles immediately and only
-        // watches for drift — exactly the state a backoff spike would
-        // corrupt into a spurious re-probe if it were not tainted.
-        bridge.enable_adaptive(AdaptiveConfig {
-            window: 2,
-            warmup: 0,
-            tune_placement: false,
-            tune_execution: false,
-            tune_snapshot: false,
-            ..Default::default()
-        });
-        let mut sim = Sim { node: node.clone(), rows: 64, step: 0 };
-        drive(&mut bridge, &mut sim, &comm, 10);
-
-        let ctrl = bridge.adaptive_controller().expect("adaptive enabled");
-        assert!(ctrl.settled());
-        assert_eq!(ctrl.tainted_skipped(), 1, "exactly the faulted step was skipped");
-        assert_eq!(ctrl.probes_used(), 0, "no spurious exploration");
-
-        let profiler = bridge.finalize(&comm).unwrap();
-        let tainted: Vec<u64> =
-            profiler.backend_samples().iter().filter(|s| s.tainted).map(|s| s.step).collect();
-        assert_eq!(tainted, vec![4], "only the retried step is flagged");
-        assert!(profiler.adaptive_samples().is_empty(), "no decision made off the spike");
-    });
 }
 
 /// Mid-run reconfiguration across execution modes and placements
@@ -291,43 +203,6 @@ fn reconfiguration_is_bit_identical_to_static() {
     });
 }
 
-/// The full loop on a real bridge: a placement-dependent cost (host 5 ms,
-/// device ~0) and a controller that must find the device and settle.
-#[test]
-fn controller_converges_on_a_live_bridge() {
-    World::new(1).run(|comm| {
-        let node = SimNode::new(NodeConfig::fast_test(2));
-        let mut spec = SummerSpec::quiet();
-        spec.host_cost = Duration::from_millis(5);
-        let start = BackendControls {
-            execution: ExecutionMethod::Lockstep,
-            device: DeviceSpec::Host,
-            ..Default::default()
-        };
-        let mut bridge = Bridge::new(node.clone());
-        bridge.add_reconfigurable_analysis(start, spec.factory(), &comm).unwrap();
-        bridge.enable_adaptive(AdaptiveConfig {
-            window: 2,
-            warmup: 1,
-            cooldown: 1,
-            tune_execution: false,
-            tune_snapshot: false,
-            ..Default::default()
-        });
-        let mut sim = Sim { node, rows: 64, step: 0 };
-        drive(&mut bridge, &mut sim, &comm, 30);
-        let ctrl = bridge.adaptive_controller().unwrap();
-        assert!(ctrl.settled(), "exploration ended");
-        let placed = bridge.backend_controls(0).unwrap().device;
-        assert_ne!(placed, DeviceSpec::Host, "the 50x cheaper device won, got {placed:?}");
-        let profiler = bridge.finalize(&comm).unwrap();
-        assert!(
-            profiler.adaptive_samples().iter().any(|s| s.action == "probe"),
-            "decision log records the exploration"
-        );
-    });
-}
-
 /// Reconfiguration is gated on how the back-end was attached.
 #[test]
 fn reconfigure_requires_a_factory_and_a_valid_index() {
@@ -364,8 +239,7 @@ fn scheduler_samples_carry_explicit_zero_rows_for_non_dag_backends() {
     });
 }
 
-/// Snapshot-mode switches mid-run (the controller's snapshot dimension)
-/// keep results bit-identical too.
+/// Snapshot-mode switches mid-run keep results bit-identical too.
 #[test]
 fn snapshot_mode_flips_preserve_results() {
     World::new(1).run(|comm| {

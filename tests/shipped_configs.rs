@@ -72,3 +72,31 @@ fn removed_back_end_types_are_unknown_analysis_types() {
         }
     }
 }
+
+/// The online autotuner was removed: an `<adaptive>` element, in any form
+/// (disabled or naming the long-gone layout stage included), makes a
+/// shipped config a typed config error pointing at `device=` (Eq. 1).
+#[test]
+fn removed_adaptive_element_is_a_config_error() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/sensei_xml/binning_90ops_fused.xml");
+    let xml = std::fs::read_to_string(&path).expect("readable config");
+    assert!(ConfigurableAnalysis::from_xml(&xml).is_ok(), "the base config parses");
+    for adaptive in [
+        "<adaptive/>",
+        r#"<adaptive window="4" hysteresis="0.10" probe_budget="24"/>"#,
+        r#"<adaptive enabled="0"/>"#,
+        r#"<adaptive tune_layout="1"/>"#,
+    ] {
+        let with = xml.replacen("<sensei>", &format!("<sensei>{adaptive}"), 1);
+        assert_ne!(with, xml, "the element went in");
+        match ConfigurableAnalysis::from_xml(&with) {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("<adaptive> was removed"), "{adaptive}: {msg}");
+                assert!(msg.contains("device=") && msg.contains("Eq. 1"), "{adaptive}: {msg}");
+            }
+            Err(e) => panic!("{adaptive}: expected a Config error, got {e}"),
+            Ok(_) => panic!("{adaptive}: parsed a removed element"),
+        }
+    }
+}
