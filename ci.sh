@@ -50,10 +50,11 @@ done
 echo "release test build $((built - start)) s, 20 passes $((SECONDS - built)) s"
 
 echo "== recovery suites, 5 release passes"
-# Both executors of a step's task graph apply a back-end's recovery policy
-# through one function, so a race or hang on a recovery path shows up in
-# these two suites: the engine's failure paths, and the multi-rank task
-# graph under injected faults (watchdogged, so a hang fails in seconds).
+# The step's task graph applies a back-end's recovery policy per node,
+# through one function, under every method, so a race or hang on a
+# recovery path shows up in these two suites: the engine's failure
+# paths, and the multi-rank task graph under injected faults
+# (watchdogged, so a hang fails in seconds).
 start=$SECONDS
 suites=$(cargo test --release --no-run -q --message-format=json \
     -p sensei -p binning --test engine_failures --test dag_execution | executables)
@@ -117,21 +118,39 @@ for want in 'binning.kernel_launches_per_step": {"value": 0.3333' \
         exit 1
     fi
 done
-# The same structure where the two executors of the step's one task graph
-# meet: fused90_real runs its nine-spec suite over one table per rank in
-# lockstep (the in-order executor) and under dag (work stealing), both on
-# a device with auto bounds. Lockstep launches the bounds kernel and one
-# fused kernel over every spec, each with its download: 2 of each a step.
-# The work-stealing graph keeps one stealable kernel, and download, per
-# spec: 1 + 9 = 10. The mean of the two segments is 6. Only dag counts
+# The same structure where the step's one task graph runs two ways:
+# fused90_real runs its nine-spec suite over one table per rank in
+# lockstep (one kernel per table, default streams) and under dag (one
+# kernel per spec, spread over the devices when the graph is planned),
+# both on a device with auto bounds. Lockstep launches the bounds kernel
+# and one fused kernel over every spec, each with its download: 2 of
+# each a step. The dag graph keeps one kernel, and download, per spec:
+# 1 + 9 = 10. The mean of the two segments is 6. Only dag counts
 # scheduler tasks: fetch, 9 kernels, 9 downloads, reduce and publish are
 # 21 a step, a mean of 10.5. A whole-table kernel under dag reads 2
-# launches and 2.5 tasks; an in-order executor that counted its five
+# launches and 2.5 tasks; an in-order scheduler that counted its five
 # tasks, 13 tasks; a kernel per spec in lockstep, 10 launches.
+# Beside them, the spread's signature. Each rank's placement is its own
+# device (of 2), and the planner deals its nine equal specs greedily: 5
+# stay, 4 go to the other device, whose kernels read the table's union
+# columns there. Of the twelve, the solver rewrites eleven every step
+# (not mass, whose kept version is granted), so the dag segment moves
+# 11 columns x 512 rows x 8 B = 45 056 B per rank and step; over 2 ranks
+# and the mean of the two segments (lockstep moves none), 45 056 B a
+# step. 0 means no kernel left the placement device; 49 152 that the
+# unchanged column moves again. The downloads are the lockstep ones plus
+# headers: a per-spec block carries a 2-cell header where the per-table
+# block carries 1 + 9, so the dag segment downloads 8 cells more per rank
+# and step, 385 008 B a step in all; a kernel per table under dag reads
+# 64 B less, dense blocks far more. Nothing moves a task once planned:
+# no steals.
 traced=benchmarks/out/fused90_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 6,' \
             'binning.downloads_per_step": {"value": 6,' \
-            'sensei.sched_tasks_per_step": {"value": 10.5,'; do
+            'sensei.sched_tasks_per_step": {"value": 10.5,' \
+            'devsim.d2d_bytes_per_step": {"value": 45056,' \
+            'devsim.d2h_bytes_per_step": {"value": 385008,' \
+            'sensei.sched_steals_per_step": {"value": 0,'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

@@ -389,8 +389,8 @@ mod tests {
         ),
         (
             "dag",
-            "dag_deep_steals dag_arms_abort_nothing all_arms_bit_identical_to_inline \
-             steals faults_aborted",
+            "kernels_run_on_the_planned_devices dag_arms_abort_nothing \
+             all_arms_bit_identical_to_inline copies_d2d faults_aborted",
         ),
         (
             "scale",

@@ -186,9 +186,9 @@ impl CommMark {
 /// [`BinningSuite::new`] builds `binning_suite`, N of them — §4.3's
 /// instances of the one back-end, computed by one fused step that shares
 /// each step's fetch, bounds pass and grid allreduce across every spec.
-/// The step is one task graph, whatever the execution method: the engine
-/// runs it in order under lockstep and asynchronous, work-stealing under
-/// `dag`.
+/// The step is one task graph, whatever the execution method: one kernel
+/// per table under lockstep and asynchronous, one per spec spread over
+/// the node's devices under `dag`.
 ///
 /// Fused back-ends the bridge groups on one engine (the paper's nine
 /// `data_binning` instances) run one fused step between them: each member
@@ -286,6 +286,13 @@ impl BinningAnalysis {
     /// Number of completed executes (diagnostic).
     pub fn executes(&self) -> u64 {
         self.outlet.executes.load(Ordering::Relaxed)
+    }
+
+    /// The device each device kernel of the fused step ran on when it
+    /// last ran, in the task graph's (table, spec range) order — under
+    /// `dag`, one kernel per (table, spec). Empty on the host (diagnostic).
+    pub fn kernel_devices(&self) -> Vec<usize> {
+        self.arena.kernel_devices()
     }
 
     /// The fused step over this back-end's specs.
@@ -632,7 +639,7 @@ impl AnalysisAdaptor for BinningAnalysis {
     /// same task graph, run in order on its thread.
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
         if self.fused {
-            let mut sched = DagScheduler::in_order(ctx.node.clone(), ctx.comm.rank());
+            let mut sched = DagScheduler::in_order(ctx.node.clone());
             return self.run_graph(data, ctx, &mut sched);
         }
         let comm_mark = CommMark::new(ctx.comm);

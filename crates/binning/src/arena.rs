@@ -76,7 +76,7 @@ impl StepArena {
     }
 
     /// Slot `idx`, for a kernel of `len` packed cells that runs on device
-    /// `on` (a stolen kernel runs off the placement device) and allocates
+    /// `on` (a spread kernel may run off the placement device) and allocates
     /// stream-ordered on `stream`.
     pub fn slot(
         &self,
@@ -102,6 +102,18 @@ impl StepArena {
             let packed = node.device(on)?.alloc_cells_on_stream(len, stream)?;
             Ok(side.slots[idx].insert(Slot { packed, host }).clone())
         })
+    }
+
+    /// The device each slot's packed block lives on, in slot order.
+    pub fn kernel_devices(&self) -> Vec<usize> {
+        let side = self.device.lock();
+        let slots = side.iter().flat_map(|side| side.slots.iter().flatten());
+        slots
+            .filter_map(|slot| match slot.packed.space() {
+                MemSpace::Device(d) => Some(d),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Return every block to the node's pools and free the host memory.

@@ -129,13 +129,6 @@ fn is_dense(touched: usize, ops: usize, bins: usize) -> bool {
     touched * (ops + 1) >= ops * bins
 }
 
-/// The most cells a spec of `ops` grids over `bins` bins takes in a block
-/// filled from `rows` rows: no more bins than rows can be touched, and a
-/// spec is never larger than dense.
-pub(crate) fn spec_cells_bound(rows: usize, ops: usize, bins: usize) -> usize {
-    (rows * (ops + 1)).min(ops * bins)
-}
-
 /// Cells of the block [`bin_all_device`] fills for `specs` — its worst
 /// case, every spec dense: the header (the length in use, then one word
 /// per spec) and every grid.
@@ -589,8 +582,6 @@ mod tests {
         assert!(is_dense(3755, 11, 4096));
         assert!(is_dense(1, 1, 1) && is_dense(0, 0, 4));
         assert!(!is_dense(0, 1, 1));
-        assert_eq!(spec_cells_bound(10, 11, 4096), 120);
-        assert_eq!(spec_cells_bound(4000, 11, 4096), 11 * 4096);
     }
 
     #[test]

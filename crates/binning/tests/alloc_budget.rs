@@ -14,8 +14,8 @@ use std::sync::Arc;
 use devsim::{NodeConfig, SimNode};
 use minimpi::World;
 use sensei::{
-    AnalysisAdaptor, DagScheduler, DataAdaptor, DeviceSpec, ExecContext, MeshMetadata, Result,
-    SchedulerCounters,
+    AnalysisAdaptor, DagScheduler, DataAdaptor, DeviceSpec, ExecContext, ExecutionMethod,
+    MeshMetadata, Result, SchedulerCounters,
 };
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
@@ -172,7 +172,7 @@ fn measure(
     tables: usize,
 ) -> (usize, usize, u64) {
     let out = World::new(2).run(move |comm| {
-        // One device: a task graph's kernels cannot be stolen to another
+        // One device: a `dag` graph's kernels cannot be spread to another
         // device, so what the arena holds after warm-up is what it needs.
         let node = SimNode::new(NodeConfig::fast_test(1));
         let ctx = ExecContext::new(&comm, &node);
@@ -180,7 +180,10 @@ fn measure(
         let sink: ResultSink = Arc::default();
         let mut suite = BinningSuite::new(specs()).unwrap().with_sink(sink.clone());
         suite.controls_mut().device = device.map_or(DeviceSpec::Host, DeviceSpec::Explicit);
-        let mut sched = DagScheduler::new(node.clone(), comm.rank(), SchedulerCounters::new());
+        if dag {
+            suite.controls_mut().execution = ExecutionMethod::Dag;
+        }
+        let mut sched = DagScheduler::new(node.clone(), SchedulerCounters::new());
         let mut step = |sim: &mut Tables, n: u64| {
             for _ in 0..n {
                 sim.step += 1;

@@ -1,7 +1,8 @@
 //! Task-graph equivalence: a fused [`binning::BinningAnalysis`] — one spec
 //! (`data_binning`) or a suite of them (`binning_suite`) — runs its step
-//! as one task graph under every execution method: in order under
-//! `lockstep` and `asynchronous`, work-stealing under `dag`. The results
+//! as one task graph under every execution method: one kernel per table
+//! under `lockstep` and `asynchronous`, one per spec spread over the
+//! node's devices when the graph is planned under `dag`. The results
 //! must be bit-identical across the methods — across spec sets, device
 //! placements, snapshot modes, tables per rank, and under injected
 //! `stream.launch` faults recovered per task node by the retry policy.
@@ -17,8 +18,8 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use proptest::sample;
 use sensei::{
-    AnalysisAdaptor, BackendControls, Bridge, DeviceSpec, ExecutionMethod, MeshMetadata,
-    RecoveryPolicy, Result, SnapshotMode,
+    AnalysisAdaptor, BackendControls, Bridge, DagScheduler, DeviceSpec, ExecContext,
+    ExecutionMethod, MeshMetadata, RecoveryPolicy, Result, SchedulerCounters, SnapshotMode,
 };
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
@@ -285,7 +286,6 @@ fn dag_matches_inline_on_device() {
     );
     let (inline, _, _) = run_binning(inline_run(2, DeviceSpec::Explicit(0), 3), specs, None);
     assert!(sched.tasks > 0, "dataflow path must actually run");
-    assert!(sched.critical_path_ns > 0, "critical path is measured");
     assert_eq!(counters.kernel_launches, 3 * 3, "one fused kernel per spec per step");
     assert_results_bit_identical(&dag, &inline, "device placement");
 }
@@ -457,7 +457,7 @@ fn a_retried_launch_never_re_enters_a_collective_another_rank_left() {
 fn multi_table_steps_land_table_major_under_every_execution_method() {
     // Three local tables per rank: the graph's partials land table-major
     // whether one kernel covers a table's specs (in order) or each spec
-    // has its own (work stealing), and equal the per-op oracle's grids.
+    // has its own (dag), and equal the per-op oracle's grids.
     const STEPS: u64 = 3;
     const TABLES: u64 = 3;
     let specs = spec_set(3, 4, true);
@@ -472,7 +472,7 @@ fn multi_table_steps_land_table_major_under_every_execution_method() {
             let what = format!("{device:?} {}", execution.name());
             assert_results_bit_identical(&got, &reference, &what);
             if execution == ExecutionMethod::Dag {
-                assert!(sched.tasks > 0, "{what}: the work-stealing executor ran");
+                assert!(sched.tasks > 0, "{what}: the dag scheduler counted its tasks");
                 continue;
             }
             assert_eq!(sched.tasks, 0, "{what}: the in-order executor counts no tasks");
@@ -506,12 +506,13 @@ fn bits_of(results: &[BinnedResult]) -> Vec<(u64, String, Vec<u64>)> {
 }
 
 #[test]
-fn stolen_kernels_are_granted_their_columns_kept_versions() {
+fn spread_kernels_are_granted_their_columns_kept_versions() {
     const STEPS: u64 = 6;
     /// The union of the two specs' variables: x, y, z, m.
     const COLUMNS: u64 = 4;
     /// One per spec, each with a packed block the arena keeps on the
-    /// device that last ran it.
+    /// device it is placed on: spec 0 on the placement device 0, spec 1
+    /// — as costly, and device 1 idle — on device 1.
     const KERNELS: u64 = 2;
     let specs = spec_set(KERNELS as usize, 4, false);
 
@@ -538,10 +539,9 @@ fn stolen_kernels_are_granted_their_columns_kept_versions() {
     });
 
     // Two devices with modeled time: each kernel holds its device for
-    // 40 ms, so while the home device runs one of a step's two kernels,
-    // the other device's worker steals the other.
+    // 40 ms, so the odd steps' rewrites of `x` race the kernels' reads.
     let sink: ResultSink = Arc::default();
-    let steals = World::new(1).run(|comm| {
+    World::new(1).run(|comm| {
         let node = SimNode::new(NodeConfig {
             num_devices: 2,
             device: DeviceParams {
@@ -563,10 +563,10 @@ fn stolen_kernels_are_granted_their_columns_kept_versions() {
         let mut bridge = Bridge::new(node.clone());
         bridge.set_snapshot_mode(SnapshotMode::Cow);
         bridge.add_analysis(Box::new(suite), &comm).unwrap();
-        let thief = node.device(1).unwrap();
+        let other = node.device(1).unwrap();
         let (mut moved_at, mut granted) = (None, 0);
         for step in 0..STEPS {
-            let (before, pool) = (node.stats(), thief.pool_stats());
+            let (before, pool) = (node.stats(), other.pool_stats());
             sim.step = step;
             bridge.execute(&sim, &comm, Duration::ZERO).unwrap();
             // Odd steps rewrite `x` at once, racing the step's reads of
@@ -582,15 +582,16 @@ fn stolen_kernels_are_granted_their_columns_kept_versions() {
             if step % 2 == 0 {
                 sim.rewrite_x(&node, comm.rank(), step + 1);
             }
-            let (after, now) = (node.stats(), thief.pool_stats());
+            let (after, now) = (node.stats(), other.pool_stats());
             let copies = after.copies_d2d - before.copies_d2d;
             let refreshes = after.replica_refreshes - before.replica_refreshes;
             let grants = after.replica_hits - before.replica_hits + refreshes;
             let requests = now.hits + now.misses - pool.hits - pool.misses;
             match moved_at {
-                // The first step a kernel is stolen moves its columns.
+                // The first step a kernel runs on device 1 moves its
+                // columns there.
                 None if copies > 0 => {
-                    assert_eq!((copies, grants), (COLUMNS, 0), "step {step}: the first steal");
+                    assert_eq!((copies, grants), (COLUMNS, 0), "step {step}: the first move");
                     moved_at = Some(step);
                 }
                 None => {}
@@ -603,18 +604,62 @@ fn stolen_kernels_are_granted_their_columns_kept_versions() {
                     granted += grants;
                 }
             }
+            // Where each kernel ran: one on device 1 from the first step
+            // on, asking for the columns there on every step, and the
+            // same one — only the first step asks device 1's pool: for
+            // the column replicas and the kernel's packed block.
+            assert_eq!(grants, COLUMNS * u64::from(step > 0), "step {step}: device 1 grants");
+            let first = if step == 0 { COLUMNS + 1 } else { 0 };
+            assert_eq!(requests, first, "step {step}: device 1 pool requests");
         }
-        assert!(moved_at.is_some(), "no kernel was stolen");
-        assert!(granted > 0, "no later step stole a kernel (first steal at {moved_at:?})");
-        let profiler = bridge.finalize(&comm).unwrap();
+        assert_eq!(moved_at, Some(0), "the first step runs a kernel on device 1");
+        assert!(granted > 0, "no later step ran a kernel on device 1 again");
+        bridge.finalize(&comm).unwrap();
         assert_eq!(node.pool_stats_total().live_bytes, baseline, "pool blocks live after finalize");
-        profiler.scheduler_total().steals
     });
-    assert!(steals[0] > 0);
     assert!(
         bits_of(&sink.lock()) == bits_of(&oracle.lock()),
-        "a stolen kernel read a column it should not"
+        "a kernel on device 1 read a column it should not"
     );
+}
+
+#[test]
+fn dag_places_each_spec_by_cost_the_same_on_every_step() {
+    // Two five-grid specs around two count-only ones, on two devices with
+    // the data and the placement on device 0. Per row a five-grid kernel
+    // models 188 units of work and a one-grid one 60, so the planner's
+    // greedy deal reads: spec 0 on device 0 (a tie goes to the placement
+    // device), spec 1 on the idle device 1, spec 2 on device 1 (60 < 188),
+    // spec 3 on device 0 (188 < 248). Round robin would read [0, 1, 0, 1].
+    const STEPS: u64 = 3;
+    let mut specs = spec_set(4, 4, false);
+    for light in [1, 3] {
+        specs[light].ops.truncate(1);
+    }
+    let lockstep = run_binning(inline_run(1, DeviceSpec::Explicit(0), STEPS), specs.clone(), None);
+    let sink: ResultSink = Arc::default();
+    World::new(1).run(|comm| {
+        let node = SimNode::new(NodeConfig::fast_test(2));
+        let ctx = ExecContext::new(&comm, &node);
+        let controls = BackendControls {
+            execution: ExecutionMethod::Dag,
+            device: DeviceSpec::Explicit(0),
+            ..Default::default()
+        };
+        let mut suite = BinningSuite::new(specs.clone())
+            .unwrap()
+            .with_sink(sink.clone())
+            .with_controls(controls);
+        let mut sched = DagScheduler::new(node.clone(), SchedulerCounters::new());
+        let mut sim = Particles::new(node.clone(), Some(0), comm.rank());
+        for step in 0..STEPS {
+            sim.step = step;
+            suite.execute_dag(&sim, &ctx, &mut sched).unwrap();
+            assert_eq!(suite.kernel_devices(), [0, 1, 1, 0], "step {step}");
+        }
+        suite.finalize(&ctx).unwrap();
+    });
+    assert_results_bit_identical(&sink.lock(), &lockstep.0, "spread over two devices");
 }
 
 #[test]
@@ -659,7 +704,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random spec sets, placements, snapshot modes, rank counts: the
-    /// work-stealing execution is always bit-identical to lockstep.
+    /// spread dag execution is always bit-identical to lockstep.
     #[test]
     fn dag_is_bit_identical_to_inline_across_random_configs(
         placement in sample::select(vec![

@@ -173,8 +173,9 @@ pub trait AnalysisAdaptor: Send {
 
     /// True when this back-end can plan its step as a task graph for
     /// [`execute_dag`](Self::execute_dag). The engine then runs every step
-    /// through `execute_dag` — the graph in order under `lockstep` and
-    /// `asynchronous`, work-stealing under `dag`. Otherwise each step is a
+    /// through `execute_dag` — on default streams under `lockstep` and
+    /// `asynchronous`, on the scheduler's own streams under `dag`.
+    /// Otherwise each step is a
     /// one-node graph calling [`execute`](Self::execute), run by the same
     /// scheduler.
     fn supports_dag(&self) -> bool {

@@ -1,29 +1,19 @@
 //! Task-graph representation of one bridge step (DESIGN.md §13).
 //!
-//! Instead of dispatching an analysis as one opaque call bound to a single
-//! worker thread, a back-end that supports dataflow execution *plans* its
-//! step as a DAG of typed tasks — `Fetch → Kernel → Download → Reduce →
-//! Publish` — with explicit dependency edges and optional [`Event`] gates.
-//! A [`crate::DagScheduler`] then executes the graph: in push order on the
-//! calling thread (lockstep and asynchronous), or with work-stealing
-//! workers over every device slot and stream (dag), where downloads
-//! overlap kernels by construction and idle devices steal ready kernel
-//! tasks. Either way the packed allreduce is a single sync node placed
-//! last, and the graph's one recovery policy applies per node.
+//! Instead of dispatching an analysis as one opaque call, a back-end that
+//! supports dataflow execution *plans* its step as a list of typed tasks —
+//! `Fetch → Kernel → Download → Reduce → Publish` — with optional
+//! [`Event`] gates. A [`crate::DagScheduler`] then runs the tasks in push
+//! order on the calling thread, each on the streams of the device it
+//! names: placement is decided when the graph is planned, and the
+//! concurrency is the streams' (kernels placed on different devices run
+//! side by side, and a device's downloads overlap its kernels when the
+//! scheduler gives it a copy stream of its own). The packed allreduce is
+//! a single node placed last, and the graph's one recovery policy applies
+//! per node.
 //!
-//! Two body flavours keep the borrow story honest:
-//!
-//! * **worker tasks** (`FnMut(&TaskCtx) -> Result<()> + Send`) may run on
-//!   any eligible scheduler worker thread and must only capture `Send`
-//!   state (`Arc`s, indices, shared slots);
-//! * **coordinator tasks** (no `Send` bound) run on the thread that built
-//!   the graph — MPI collectives, host-side merges and anything touching
-//!   the planner's `!Sync` state (e.g. cached `Arc<Stream>` pools) live
-//!   here.
-//!
-//! Tasks must be pushed in a topological order (an edge may only point at
-//! an already-added task); this keeps readiness tracking allocation-free
-//! and makes cycles unrepresentable.
+//! Push order must be a topological order of the step's dataflow: a task
+//! may only read what earlier tasks produced.
 
 use std::sync::Arc;
 
@@ -64,25 +54,14 @@ impl TaskKind {
     }
 }
 
-/// Where a task is allowed to execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskSite {
-    /// On the planning thread (implied for coordinator-body tasks).
-    Coordinator,
-    /// On a host worker (host execution slots).
-    Host,
-    /// Any device worker; ready tasks start on their home device's deque
-    /// and idle workers of *other* devices may steal them.
-    AnyDevice,
-}
-
-/// Per-device stream pair the scheduler provisions: kernels go to
-/// `compute`, downloads to `copy`, so a device's D2H traffic overlaps its
-/// own kernel queue exactly as CUDA's dual-stream pattern does. The
-/// in-order executor uses the device's default stream as both.
+/// Per-device stream pair: kernels go to `compute`, downloads to `copy`.
+/// Under `dag` the two are the scheduler's own streams, so a device's D2H
+/// traffic overlaps its own kernel queue exactly as CUDA's dual-stream
+/// pattern does; the in-order scheduler uses the device's default stream
+/// as both.
 #[derive(Clone)]
 pub struct DeviceStreams {
-    /// Kernel launch queue (one per device worker, worker-exclusive).
+    /// Kernel launch queue.
     pub compute: Arc<Stream>,
     /// Transfer queue (downloads never serialize behind kernels).
     pub copy: Arc<Stream>,
@@ -95,13 +74,12 @@ pub struct TaskCtx<'a> {
 }
 
 impl TaskCtx<'_> {
-    /// The device owned by the executing worker (`None` on host and
-    /// coordinator workers).
+    /// The device the task names (`None` for a host task).
     pub fn device(&self) -> Option<usize> {
         self.device
     }
 
-    /// The executing worker's own compute stream, if it owns a device.
+    /// The compute stream of the task's device, if it names one.
     pub fn stream(&self) -> Option<&Arc<Stream>> {
         self.device.and_then(|d| self.compute_stream(d))
     }
@@ -119,40 +97,25 @@ impl TaskCtx<'_> {
     }
 }
 
-/// A task body that may run on any eligible worker thread.
-pub(crate) type WorkerRun<'s> = Box<dyn FnMut(&TaskCtx) -> Result<()> + Send + 's>;
-
-/// A task body pinned to the planning thread (no `Send` bound).
-pub(crate) type CoordRun<'s> = Box<dyn FnMut(&TaskCtx) -> Result<()> + 's>;
-
-pub(crate) enum TaskBody<'s> {
-    Worker(WorkerRun<'s>),
-    Coordinator(CoordRun<'s>),
-}
+/// A task body: runs once per attempt on the thread that runs the graph.
+pub(crate) type TaskBody<'s> = Box<dyn FnMut(&TaskCtx) -> Result<()> + 's>;
 
 pub(crate) struct Task<'s> {
     pub(crate) kind: TaskKind,
     pub(crate) label: String,
-    pub(crate) site: TaskSite,
-    /// Preferred device for `AnyDevice` tasks (locality hint; stealable).
-    pub(crate) home: Option<usize>,
-    /// Relative modeled cost used for least-loaded routing (arbitrary
-    /// units, only compared against other tasks of the same graph).
-    pub(crate) cost: f64,
-    pub(crate) deps: Vec<TaskId>,
-    /// Event gates: the task is held back until every event is signaled
-    /// (polled by the scheduler via [`Event::is_signaled`]).
+    /// The device whose streams the task uses; `None` runs it on the host.
+    pub(crate) device: Option<usize>,
+    /// Event gates: the task is held back until every event is signaled.
     pub(crate) wait_events: Vec<Event>,
     pub(crate) body: TaskBody<'s>,
 }
 
-/// One bridge step as a DAG of typed tasks.
+/// One bridge step as a list of typed tasks.
 ///
 /// Built by an analysis adaptor inside
 /// [`crate::AnalysisAdaptor::execute_dag`], then consumed by
-/// [`crate::DagScheduler::run`]. Task ids are assigned in push order and
-/// push order must be topological: [`TaskGraph::add_dep`] only accepts
-/// edges pointing at already-added tasks.
+/// [`crate::DagScheduler::run`]. Task ids are assigned in push order, the
+/// order the tasks run in.
 pub struct TaskGraph<'s> {
     /// The back-end name (used in recovery error messages).
     pub(crate) backend: String,
@@ -183,88 +146,30 @@ impl<'s> TaskGraph<'s> {
         self.tasks.is_empty()
     }
 
-    fn push(
-        &mut self,
-        kind: TaskKind,
-        label: String,
-        site: TaskSite,
-        body: TaskBody<'s>,
-    ) -> TaskId {
-        let id = self.tasks.len();
-        self.tasks.push(Task {
-            kind,
-            label,
-            site,
-            home: None,
-            cost: 0.0,
-            deps: Vec::new(),
-            wait_events: Vec::new(),
-            body,
-        });
-        id
-    }
-
-    /// Add a task that may run on any eligible worker thread. The body
-    /// must be `Send` and — when the graph's policy is `Retry` — safe to
-    /// re-run from scratch (publish side effects only after the last
-    /// fallible operation).
-    pub fn add_worker_task<F>(
+    /// Add a task on `device`'s streams, or on the host (`None`), to run
+    /// after every task added before it. When the graph's policy is
+    /// `Retry` the body must be safe to re-run from scratch (publish side
+    /// effects only after the last fallible operation).
+    pub fn add_task<F>(
         &mut self,
         kind: TaskKind,
         label: impl Into<String>,
-        site: TaskSite,
-        body: F,
-    ) -> TaskId
-    where
-        F: FnMut(&TaskCtx) -> Result<()> + Send + 's,
-    {
-        assert!(site != TaskSite::Coordinator, "coordinator tasks use add_coordinator_task");
-        self.push(kind, label.into(), site, TaskBody::Worker(Box::new(body)))
-    }
-
-    /// Add a task pinned to the planning thread (site is implicitly
-    /// [`TaskSite::Coordinator`]). No `Send` bound: collectives and
-    /// `!Sync` planner state are allowed here.
-    pub fn add_coordinator_task<F>(
-        &mut self,
-        kind: TaskKind,
-        label: impl Into<String>,
+        device: Option<usize>,
         body: F,
     ) -> TaskId
     where
         F: FnMut(&TaskCtx) -> Result<()> + 's,
     {
-        self.push(kind, label.into(), TaskSite::Coordinator, TaskBody::Coordinator(Box::new(body)))
+        let id = self.tasks.len();
+        let (label, wait_events, body) = (label.into(), Vec::new(), Box::new(body));
+        self.tasks.push(Task { kind, label, device, wait_events, body });
+        id
     }
 
-    /// Make `task` wait for `dep`. Edges must point backwards in push
-    /// order (the graph is built topologically), which also makes cycles
-    /// unrepresentable.
-    pub fn add_dep(&mut self, task: TaskId, dep: TaskId) {
-        assert!(
-            dep < task && task < self.tasks.len(),
-            "dependency edges must point at earlier tasks (dep {dep} -> task {task})"
-        );
-        if !self.tasks[task].deps.contains(&dep) {
-            self.tasks[task].deps.push(dep);
-        }
-    }
-
-    /// Hold `task` back until `event` is signaled, in addition to its
-    /// dependency edges. The scheduler polls the event; it never blocks a
-    /// worker on it.
+    /// Hold `task` back until `event` is signaled: the scheduler waits for
+    /// the streams the event is recorded on before it runs the task.
     pub fn gate_on_event(&mut self, task: TaskId, event: Event) {
         self.tasks[task].wait_events.push(event);
-    }
-
-    /// Record the relative modeled cost of `task` (least-loaded routing).
-    pub fn set_cost(&mut self, task: TaskId, cost: f64) {
-        self.tasks[task].cost = cost.max(0.0);
-    }
-
-    /// Prefer `device` for an `AnyDevice` task (locality; still stealable).
-    pub fn set_home(&mut self, task: TaskId, device: usize) {
-        self.tasks[task].home = Some(device);
     }
 }
 
@@ -272,41 +177,28 @@ impl<'s> TaskGraph<'s> {
 mod tests {
     use super::*;
 
-    fn graph() -> TaskGraph<'static> {
-        TaskGraph::new("t", AnalysisCounters::new(), RecoveryPolicy::Abort)
-    }
-
     #[test]
     fn push_order_assigns_sequential_topological_ids() {
-        let mut g = graph();
-        let a = g.add_coordinator_task(TaskKind::Fetch, "f", |_| Ok(()));
-        let b = g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, |_| Ok(()));
-        let c = g.add_coordinator_task(TaskKind::Reduce, "r", |_| Ok(()));
+        let mut g = TaskGraph::new("t", AnalysisCounters::new(), RecoveryPolicy::Abort);
+        let a = g.add_task(TaskKind::Fetch, "f", None, |_| Ok(()));
+        let b = g.add_task(TaskKind::Kernel, "k", Some(1), |_| Ok(()));
+        let c = g.add_task(TaskKind::Reduce, "r", None, |_| Ok(()));
         assert_eq!((a, b, c), (0, 1, 2));
-        g.add_dep(b, a);
-        g.add_dep(c, b);
-        g.add_dep(c, b); // duplicate edges collapse
-        assert_eq!(g.tasks[c].deps, vec![b]);
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "earlier tasks")]
-    fn forward_edges_are_rejected() {
-        let mut g = graph();
-        let a = g.add_coordinator_task(TaskKind::Fetch, "f", |_| Ok(()));
-        g.add_dep(a, a);
+        let devices: Vec<_> = g.tasks.iter().map(|t| t.device).collect();
+        assert_eq!(devices, [None, Some(1), None], "a task names its device, or none");
     }
 
     #[test]
     fn cost_and_home_are_per_node() {
+        // The cost hint is spent when the graph is planned (it picks each
+        // kernel's device); what a node keeps is its home, the device it
+        // names, under the graph's one policy.
         let mut g = TaskGraph::new("t", AnalysisCounters::new(), RecoveryPolicy::SkipStep);
-        let k = g.add_worker_task(TaskKind::Kernel, "k", TaskSite::AnyDevice, |_| Ok(()));
-        g.set_cost(k, 7.5);
-        g.set_home(k, 1);
+        let k0 = g.add_task(TaskKind::Kernel, "k0", Some(1), |_| Ok(()));
+        let k1 = g.add_task(TaskKind::Kernel, "k1", Some(0), |_| Ok(()));
         assert_eq!(g.policy, RecoveryPolicy::SkipStep, "one policy per graph");
-        assert_eq!(g.tasks[k].cost, 7.5);
-        assert_eq!(g.tasks[k].home, Some(1));
+        assert_eq!((g.tasks[k0].device, g.tasks[k1].device), (Some(1), Some(0)));
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! `asynchronous` and `dag`.
 //!
 //! Whatever the thread, a step is one task graph run by the engine's
-//! [`DagScheduler`] — in push order on the engine's thread under
-//! `lockstep` and `asynchronous`, work-stealing over every device of the
-//! node under `dag` — with the back-end's recovery policy applied per
-//! task node. A back-end that plans task graphs
+//! [`DagScheduler`] — in push order on the engine's thread, on default
+//! streams under `lockstep` and `asynchronous`, on the scheduler's own
+//! stream pair per device under `dag` — with the back-end's recovery
+//! policy applied per task node. A back-end that plans task graphs
 //! ([`AnalysisAdaptor::supports_dag`]) builds its own in `execute_dag`,
 //! so no retry re-enters a collective another rank has already left; any
-//! other back-end's step is one coordinator node calling `execute`.
+//! other back-end's step is one host node calling `execute`.
 //!
 //! A group's members are back-ends that plan task graphs and that the
 //! bridge proved compatible ([`Engine::join`]). They run in attach order,
@@ -101,7 +101,7 @@ impl Member {
         let mut proceed = true;
         let mut graph =
             TaskGraph::new(name.as_str(), counters.clone(), adaptor.controls().recovery);
-        graph.add_coordinator_task(TaskKind::Kernel, "execute", |_| {
+        graph.add_task(TaskKind::Kernel, "execute", None, |_| {
             proceed = guarded(name, rank, || adaptor.execute(data, ctx))?;
             Ok(())
         });
@@ -321,13 +321,11 @@ impl Engine {
         let plans_graphs = adaptor.supports_dag();
         let member = Member::new(adaptor);
         let (name, counters) = (member.name.clone(), vec![member.counters.clone()]);
+        let scheduler_counters = SchedulerCounters::new();
         let sched = match controls.execution {
-            ExecutionMethod::Dag => {
-                DagScheduler::new(node.clone(), comm.rank(), SchedulerCounters::new())
-            }
-            _ => DagScheduler::in_order(node.clone(), comm.rank()),
+            ExecutionMethod::Dag => DagScheduler::new(node.clone(), scheduler_counters.clone()),
+            _ => DagScheduler::in_order(node.clone()),
         };
-        let scheduler_counters = sched.counters().clone();
         let stepper = Stepper { members: vec![member], sched };
         let thread = match controls.execution {
             ExecutionMethod::Lockstep => Thread::Caller(Box::new(stepper)),
@@ -397,7 +395,7 @@ impl Engine {
         &self.counters
     }
 
-    /// The step scheduler's counters (zero unless it steals work, under
+    /// The step scheduler's counters (zero unless the engine runs under
     /// `dag`); the bridge records them into the profiler at finalize.
     pub fn scheduler_counters(&self) -> &Arc<SchedulerCounters> {
         &self.scheduler_counters
@@ -599,8 +597,8 @@ mod tests {
     fn every_step_runs_through_the_scheduler_under_every_mode() {
         // A back-end that plans task graphs runs `execute_dag` under every
         // mode, and one that cannot runs `execute` as a one-node graph of
-        // the same scheduler: in order under lockstep and asynchronous,
-        // which counts nothing, and work-stealing under dag, which counts
+        // the same scheduler: in order on default streams under lockstep
+        // and asynchronous, which counts nothing, and under dag, which counts
         // that node once per dispatch. (`Counting`'s `execute_dag` hands
         // the scheduler no graph.)
         for execution in MODES {

@@ -15,10 +15,11 @@ pub enum ExecutionMethod {
     /// analysis proceed concurrently.
     Asynchronous,
     /// Asynchronous, but a back-end's task graph
-    /// (`Fetch → Kernel → Download → Reduce → Publish`) runs under a
-    /// work-stealing scheduler spanning every device slot and stream
-    /// instead of in order. Back-ends that do not plan task graphs run as
-    /// under plain asynchronous execution.
+    /// (`Fetch → Kernel → Download → Reduce → Publish`) is planned with
+    /// its kernels spread over the node's devices, and runs on a compute
+    /// and a copy stream per device instead of each device's default
+    /// stream. Back-ends that do not plan task graphs run as under plain
+    /// asynchronous execution.
     Dag,
 }
 

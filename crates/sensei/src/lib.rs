@@ -16,8 +16,8 @@
 //! * [`ExecutionMethod`] — *lockstep* (simulation and in situ take turns),
 //!   *asynchronous* (in situ deep-copies its inputs and runs in a
 //!   separate thread, concurrently with the simulation), or *dag*
-//!   (asynchronous, each step a task graph under a work-stealing
-//!   scheduler);
+//!   (asynchronous, each step a task graph whose kernels are spread
+//!   over the node's devices when it is planned);
 //! * [`Placement`] — run-time control over whether in situ work runs on
 //!   the host, on the data's device, or on dedicated device(s);
 //! * [`DeviceSelector`] — automatic device selection, Eq. (1):
@@ -30,10 +30,11 @@
 //!   dag on a persistent worker fed through a bounded snapshot queue with
 //!   a configurable [`OverflowPolicy`] (block / drop-oldest / error).
 //!   Every mode runs a step the same way: as a task graph run by a
-//!   [`DagScheduler`] — in order on the engine's thread under lockstep and
-//!   asynchronous, work-stealing across the node's devices under dag —
-//!   with the back-end's [`RecoveryPolicy`] applied per task node. A
-//!   back-end that plans task graphs builds its own; any other runs
+//!   [`DagScheduler`] — in push order on the engine's thread, on default
+//!   streams under lockstep and asynchronous, on its own per-device
+//!   streams under dag — with the back-end's [`RecoveryPolicy`] applied
+//!   per task node. A back-end that plans task graphs builds its own; any
+//!   other runs
 //!   `execute` as a one-node graph. The members of a group run in attach
 //!   order and see the step's [`GroupSlot`] through their
 //!   [`ExecContext`], so the last can run one merged step for all;
@@ -87,7 +88,7 @@ pub use counters::{
     AnalysisCounters, CommCounters, CounterSnapshot, FaultCounters, FaultSnapshot, ServeCounters,
     ServeSnapshot, SnapshotCounterSnapshot, SnapshotCounters,
 };
-pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind, TaskSite};
+pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind};
 pub use device_select::{select_device, DeviceSelector};
 pub use engine::Engine;
 pub use error::{Error, Result};

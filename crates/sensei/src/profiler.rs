@@ -96,9 +96,8 @@ pub struct SnapshotSample {
     pub counters: SnapshotCounterSnapshot,
 }
 
-/// One back-end's work-stealing scheduler totals at the end of a run
-/// (dag execution only): tasks executed, cross-worker steals, worker idle
-/// time, and the accumulated critical path.
+/// One back-end's task-graph scheduler totals at the end of a run (dag
+/// execution only): tasks executed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerSample {
     /// Back-end instance name.
@@ -501,19 +500,12 @@ mod tests {
     #[test]
     fn scheduler_samples_aggregate_and_dump() {
         let mut p = Profiler::new();
-        p.record_scheduler_counters(
-            "binning_suite",
-            SchedulerSnapshot { tasks: 40, steals: 7, idle_ns: 1200, critical_path_ns: 900 },
-        );
-        p.record_scheduler_counters(
-            "histogram",
-            SchedulerSnapshot { tasks: 10, steals: 0, idle_ns: 300, critical_path_ns: 100 },
-        );
+        p.record_scheduler_counters("binning_suite", SchedulerSnapshot { tasks: 40, steals: 0 });
+        p.record_scheduler_counters("histogram", SchedulerSnapshot { tasks: 10, steals: 0 });
         let total = p.scheduler_total();
-        assert_eq!((total.tasks, total.steals), (50, 7));
-        assert_eq!((total.idle_ns, total.critical_path_ns), (1500, 1000));
+        assert_eq!(total, SchedulerSnapshot { tasks: 50, steals: 0 });
         assert_eq!(p.scheduler_samples()[0].backend, "binning_suite");
-        assert_eq!(p.scheduler_samples()[1].counters.steals, 0);
+        assert_eq!(p.scheduler_samples()[1].counters.tasks, 10);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl RecoveryPolicy {
 }
 
 /// Run `attempt` under `policy`, recording every outcome on `counters`:
-/// the one place a policy is applied, by both executors of
+/// the one place a policy is applied, by
 /// [`DagScheduler`](crate::DagScheduler) to every task node — a back-end
 /// that plans no task graph runs its `execute` as a one-node graph.
 ///
