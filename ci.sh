@@ -214,4 +214,29 @@ for mode in $modes; do
     grep -qx "$mode" <<< "$known" || missing "harness -- $mode" "that mode in $harness"
 done
 
+echo "== docs stay small"
+# A reader can finish the two long docs: history lives in git and
+# CHANGES.md, not in tables re-pasted into them.
+for doc in EXPERIMENTS.md DESIGN.md; do
+    lines=$(wc -l < "$doc")
+    if [ "$lines" -gt 800 ]; then
+        echo "FAIL: $doc has $lines lines (at most 800)"
+        exit 1
+    fi
+done
+
+echo "== DESIGN.md citations resolve"
+# Every `DESIGN.md §N` (or `DESIGN §N`, or a list `§N, §M` after it)
+# anywhere in the repo, read across line breaks and comment markers,
+# must name a `## N.` heading of DESIGN.md.
+cited=$(grep -rlZ --exclude-dir=.git --exclude-dir=target --exclude-dir=out -e DESIGN . |
+    xargs -0 sed -E 's@^[[:space:]]*(//[/!]?|#+|\*)?[[:space:]]*@@' | tr '\n' ' ' |
+    { grep -oE 'DESIGN(\.md)?`? +§[0-9]+(, §[0-9]+)*' || true; } | grep -oE '[0-9]+' | sort -un)
+for n in $cited; do
+    if ! grep -q "^## $n\. " DESIGN.md; then
+        echo "FAIL: DESIGN.md §$n is cited but DESIGN.md has no '## $n.' heading"
+        exit 1
+    fi
+done
+
 echo "ci.sh: all checks passed"

@@ -23,7 +23,7 @@ use minimpi::Comm;
 
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor};
 use crate::controls::BackendControls;
-use crate::counters::{AnalysisCounters, CounterSnapshot};
+use crate::counters::AnalysisCounters;
 use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::profiler::Profiler;
@@ -464,18 +464,14 @@ impl Bridge {
             self.pipeline.counters().snapshot(),
         );
         // Serving totals: close every session queue (clients drain what
-        // is buffered, then see end-of-stream), fold the per-step
-        // delivery stats into `serve_samples()`, and record the hub's lifetime
-        // counters as a bridge-wide "serve" row.
+        // is buffered, then see end-of-stream) and fold the per-step
+        // delivery stats into `serve_samples()`. The hub's lifetime
+        // counters stay on the hub (`ServeHub::counter_snapshot`).
         if let Some(hub) = &self.serve {
             hub.shutdown();
             for s in hub.drain_step_stats() {
                 self.profiler.record_serve(s);
             }
-            self.profiler.record_counters(
-                "serve",
-                CounterSnapshot { serve: hub.counter_snapshot(), ..Default::default() },
-            );
         }
         // Freeze the run's caching-pool counters into the profiler so the
         // harness can report hit rates alongside the timings.

@@ -52,7 +52,6 @@ use crate::execution::ExecutionMethod;
 use crate::queue::OverflowPolicy;
 use crate::recovery::RecoveryPolicy;
 use crate::registry::{AnalysisRegistry, CreateContext};
-use crate::serve::ServeConfig;
 use crate::snapshot::SnapshotMode;
 
 /// One `<analysis>` entry of a configuration.
@@ -152,7 +151,6 @@ pub struct ConfigurableAnalysis {
     faults: Option<FaultConfig>,
     snapshot: Option<SnapshotMode>,
     topology: Option<TopologyConfig>,
-    serve: Option<ServeConfig>,
 }
 
 impl ConfigurableAnalysis {
@@ -271,39 +269,15 @@ impl ConfigurableAnalysis {
                     .into(),
             ));
         }
-        let serve = match root.find_child("serve") {
-            None => None,
-            Some(el) => {
-                if el.parse_attr_or::<u8>("enabled", 1).map_err(Error::Xml)? == 0 {
-                    None
-                } else {
-                    let d = ServeConfig::default();
-                    let sessions =
-                        el.parse_attr_or::<usize>("sessions", d.sessions).map_err(Error::Xml)?;
-                    if sessions == 0 {
-                        return Err(Error::Config("serve sessions must be at least 1".into()));
-                    }
-                    let queue_depth = el
-                        .parse_attr_or::<usize>("queue_depth", d.queue_depth)
-                        .map_err(Error::Xml)?;
-                    if queue_depth == 0 {
-                        return Err(Error::Config("serve queue_depth must be at least 1".into()));
-                    }
-                    let overflow = match el.attr("overflow") {
-                        None => d.overflow,
-                        Some(s) => OverflowPolicy::parse(s).ok_or_else(|| {
-                            Error::Config(format!(
-                                "bad serve overflow '{s}' (expected block, drop_oldest, or error)"
-                            ))
-                        })?,
-                    };
-                    let steering =
-                        el.parse_attr_or::<u8>("steering", d.steering as u8).map_err(Error::Xml)?
-                            != 0;
-                    Some(ServeConfig { sessions, queue_depth, overflow, steering })
-                }
-            }
-        };
+        // Nothing applied it: a parsed element would let a config claim
+        // a serving layer that only code attaches.
+        if root.find_child("serve").is_some() {
+            return Err(Error::Config(
+                "<serve> was removed: nothing applied it, a serving layer is a ServeHub \
+                 attached with Bridge::attach_serve, as harness serve does (delete the element)"
+                    .into(),
+            ));
+        }
         let mut configs = Vec::new();
         for el in root.find_all("analysis") {
             let type_name = el.req_attr("type").map_err(Error::Xml)?.to_string();
@@ -377,7 +351,7 @@ impl ConfigurableAnalysis {
                 element: el.clone(),
             });
         }
-        Ok(ConfigurableAnalysis { configs, pool, faults, snapshot, topology, serve })
+        Ok(ConfigurableAnalysis { configs, pool, faults, snapshot, topology })
     }
 
     /// All entries (including disabled ones).
@@ -411,14 +385,6 @@ impl ConfigurableAnalysis {
         self.topology
     }
 
-    /// The `<serve>` session settings, if the document carries the
-    /// element (and it is not `enabled="0"`). The harness uses them to
-    /// size the live-serving traffic generator; absent means no serving
-    /// layer is attached.
-    pub fn serve_config(&self) -> Option<ServeConfig> {
-        self.serve
-    }
-
     /// Serialize back to XML text. Parsing the result yields the same
     /// entries and controls (attributes are normalized: defaults are
     /// written out explicitly).
@@ -436,15 +402,6 @@ impl ConfigurableAnalysis {
         if let Some(mode) = self.snapshot {
             let mut el = Element::new("snapshot");
             el.attributes.push(("mode".to_string(), mode.name().to_string()));
-            root.children.push(xmlcfg::Node::Element(el));
-        }
-        if let Some(s) = self.serve {
-            let mut el = Element::new("serve");
-            el.attributes.push(("enabled".to_string(), "1".to_string()));
-            el.attributes.push(("sessions".to_string(), s.sessions.to_string()));
-            el.attributes.push(("queue_depth".to_string(), s.queue_depth.to_string()));
-            el.attributes.push(("overflow".to_string(), s.overflow.name().to_string()));
-            el.attributes.push(("steering".to_string(), (s.steering as u8).to_string()));
             root.children.push(xmlcfg::Node::Element(el));
         }
         if let Some(t) = self.topology {
@@ -742,41 +699,28 @@ mod tests {
     }
 
     #[test]
-    fn serve_element_parses_and_round_trips() {
-        let cfg = ConfigurableAnalysis::from_xml(
-            r#"<sensei>
-                 <serve sessions="512" queue_depth="8" overflow="drop_oldest" steering="0"/>
-               </sensei>"#,
-        )
-        .unwrap();
-        let s = cfg.serve_config().expect("serve element present");
-        assert_eq!(s.sessions, 512);
-        assert_eq!(s.queue_depth, 8);
-        assert_eq!(s.overflow, OverflowPolicy::DropOldest);
-        assert!(!s.steering);
-
-        let again = ConfigurableAnalysis::from_xml(&cfg.to_xml()).unwrap();
-        assert_eq!(again.serve_config(), Some(s));
-
-        // A bare element means the defaults (64 sessions, depth 4,
-        // block, steering on); an absent or disabled one means no
-        // serving layer.
-        let bare = ConfigurableAnalysis::from_xml("<sensei><serve/></sensei>").unwrap();
-        assert_eq!(bare.serve_config(), Some(ServeConfig::default()));
-        assert_eq!(ConfigurableAnalysis::from_xml("<sensei/>").unwrap().serve_config(), None);
-        let off =
-            ConfigurableAnalysis::from_xml(r#"<sensei><serve enabled="0"/></sensei>"#).unwrap();
-        assert_eq!(off.serve_config(), None);
+    fn removed_serve_element_is_rejected_and_never_emitted() {
+        match ConfigurableAnalysis::from_xml("<sensei><serve/></sensei>") {
+            Err(Error::Config(msg)) => assert!(msg.contains("Bridge::attach_serve"), "{msg}"),
+            other => panic!("<serve/> must be a Config error, got {:?}", other.map(|_| ())),
+        }
+        let text = ConfigurableAnalysis::from_xml(XML).unwrap().to_xml();
+        assert!(!text.contains("<serve"), "{text}");
     }
 
     #[test]
     fn bad_serve_values_are_rejected() {
+        // The element is rejected before any attribute is read, so a bad
+        // value reports the removal, not a range.
         for xml in [
             r#"<sensei><serve sessions="0"/></sensei>"#,
             r#"<sensei><serve queue_depth="0"/></sensei>"#,
             r#"<sensei><serve overflow="spill"/></sensei>"#,
         ] {
-            assert!(matches!(ConfigurableAnalysis::from_xml(xml), Err(Error::Config(_))), "{xml}");
+            match ConfigurableAnalysis::from_xml(xml) {
+                Err(Error::Config(msg)) => assert!(msg.contains("<serve> was removed"), "{msg}"),
+                other => panic!("{xml} must be a Config error, got {:?}", other.map(|_| ())),
+            }
         }
     }
 

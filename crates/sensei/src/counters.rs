@@ -144,103 +144,6 @@ impl FaultSnapshot {
     }
 }
 
-/// Counters for the live serving layer ([`crate::serve`]): session
-/// churn, frames fanned out vs dropped, steering commands applied, and
-/// the bytes each step's publication actually serialized — counted once
-/// per step, *not* per session, which is the zero-copy fan-out claim
-/// made checkable. Shared atomics: delivery threads increment, the
-/// bridge and harness read.
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    subscribed: AtomicU64,
-    unsubscribed: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    steers: AtomicU64,
-    payload_bytes: AtomicU64,
-}
-
-impl ServeCounters {
-    /// Fresh zeroed counters behind an `Arc` (the hub keeps one handle,
-    /// the bridge/profiler another).
-    pub fn new() -> Arc<Self> {
-        Arc::new(ServeCounters::default())
-    }
-
-    /// Count `n` sessions subscribed.
-    pub fn add_subscribed(&self, n: u64) {
-        self.subscribed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` sessions unsubscribed (explicitly or by a dead client).
-    pub fn add_unsubscribed(&self, n: u64) {
-        self.unsubscribed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` frames delivered into session queues.
-    pub fn add_delivered(&self, n: u64) {
-        self.delivered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` frames dropped (drop-oldest evictions or error-policy
-    /// rejections).
-    pub fn add_dropped(&self, n: u64) {
-        self.dropped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` steering commands applied at a step boundary.
-    pub fn add_steers(&self, n: u64) {
-        self.steers.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` bytes serialized at publication (once per step/topic,
-    /// independent of how many sessions receive views of them).
-    pub fn add_payload_bytes(&self, n: u64) {
-        self.payload_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A plain-value copy of the current totals.
-    pub fn snapshot(&self) -> ServeSnapshot {
-        ServeSnapshot {
-            subscribed: self.subscribed.load(Ordering::Relaxed),
-            unsubscribed: self.unsubscribed.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            steers: self.steers.load(Ordering::Relaxed),
-            payload_bytes: self.payload_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of [`ServeCounters`] at one point in time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeSnapshot {
-    /// Sessions subscribed over the run.
-    pub subscribed: u64,
-    /// Sessions unsubscribed (explicitly or by disconnect).
-    pub unsubscribed: u64,
-    /// Frames delivered into session queues.
-    pub delivered: u64,
-    /// Frames dropped (evictions + rejections).
-    pub dropped: u64,
-    /// Steering commands applied at step boundaries.
-    pub steers: u64,
-    /// Bytes serialized at publication (once per step/topic).
-    pub payload_bytes: u64,
-}
-
-impl ServeSnapshot {
-    /// Add `other`'s totals into `self`.
-    pub fn accumulate(&mut self, other: &ServeSnapshot) {
-        self.subscribed += other.subscribed;
-        self.unsubscribed += other.unsubscribed;
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.steers += other.steers;
-        self.payload_bytes += other.payload_bytes;
-    }
-}
-
 impl AnalysisCounters {
     /// Fresh zeroed counters behind an `Arc` (the back-end keeps one
     /// handle, the engine another).
@@ -298,7 +201,6 @@ impl AnalysisCounters {
             fetches: self.fetches.load(Ordering::Relaxed),
             faults: self.faults.snapshot(),
             comm: self.comm.snapshot(),
-            serve: ServeSnapshot::default(),
         }
     }
 }
@@ -320,9 +222,6 @@ pub struct CounterSnapshot {
     pub faults: FaultSnapshot,
     /// Per-tier communication traffic (intra- vs inter-node).
     pub comm: TierSnapshot,
-    /// Live-serving fan-out totals (nonzero only on the bridge-wide
-    /// "serve" record; ordinary back-ends don't serve).
-    pub serve: ServeSnapshot,
 }
 
 impl CounterSnapshot {
@@ -336,7 +235,6 @@ impl CounterSnapshot {
         self.fetches += other.fetches;
         self.faults.accumulate(&other.faults);
         self.comm.accumulate(&other.comm);
-        self.serve.accumulate(&other.serve);
     }
 }
 
@@ -451,7 +349,6 @@ mod tests {
                 fetches: 11,
                 faults: FaultSnapshot::default(),
                 comm: TierSnapshot::default(),
-                serve: ServeSnapshot::default(),
             }
         );
         let mut total = CounterSnapshot::default();
@@ -478,34 +375,6 @@ mod tests {
         assert_eq!((s.inter_messages, s.inter_bytes), (1, 32));
         assert_eq!(s.messages(), 5);
         assert_eq!(s.bytes(), 136);
-    }
-
-    #[test]
-    fn serve_counters_accumulate_and_snapshot() {
-        let c = ServeCounters::new();
-        c.add_subscribed(64);
-        c.add_unsubscribed(3);
-        c.add_delivered(640);
-        c.add_dropped(2);
-        c.add_steers(1);
-        c.add_payload_bytes(4096);
-        let s = c.snapshot();
-        assert_eq!(
-            s,
-            ServeSnapshot {
-                subscribed: 64,
-                unsubscribed: 3,
-                delivered: 640,
-                dropped: 2,
-                steers: 1,
-                payload_bytes: 4096,
-            }
-        );
-        let mut total = CounterSnapshot::default();
-        total.accumulate(&CounterSnapshot { serve: s, ..Default::default() });
-        total.accumulate(&CounterSnapshot { serve: s, ..Default::default() });
-        assert_eq!(total.serve.delivered, 1280);
-        assert_eq!(total.serve.payload_bytes, 8192);
     }
 
     #[test]

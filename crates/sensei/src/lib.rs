@@ -74,8 +74,8 @@ mod snapshot;
 
 pub use payload::{collect_columns, StepPayload};
 pub use serve::{
-    Frame, PublishStats, ServeConfig, ServeHub, ServeKnobs, ServeStepStats, SessionConfig,
-    SessionHandle, Steer, SteeringCommand, StepPin, Topic,
+    Frame, PublishStats, ServeCounters, ServeHub, ServeKnobs, ServeSnapshot, ServeStepStats,
+    SessionConfig, SessionHandle, Steer, SteeringCommand, StepPin, Topic,
 };
 
 pub use adaptor::{
@@ -85,8 +85,8 @@ pub use bridge::{AdaptorFactory, Bridge};
 pub use configurable::{BackendConfig, ConfigurableAnalysis, TopologyConfig};
 pub use controls::{BackendControls, DeviceSpec};
 pub use counters::{
-    AnalysisCounters, CommCounters, CounterSnapshot, FaultCounters, FaultSnapshot, ServeCounters,
-    ServeSnapshot, SnapshotCounterSnapshot, SnapshotCounters,
+    AnalysisCounters, CommCounters, CounterSnapshot, FaultCounters, FaultSnapshot,
+    SnapshotCounterSnapshot, SnapshotCounters,
 };
 pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind};
 pub use device_select::{select_device, DeviceSelector};

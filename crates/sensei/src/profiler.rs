@@ -4,9 +4,9 @@ use std::time::{Duration, Instant};
 
 use devsim::PoolStats;
 
-use crate::counters::{CounterSnapshot, SnapshotCounterSnapshot};
 #[cfg(test)]
-use crate::counters::{FaultSnapshot, ServeSnapshot};
+use crate::counters::FaultSnapshot;
+use crate::counters::{CounterSnapshot, SnapshotCounterSnapshot};
 use crate::scheduler::SchedulerSnapshot;
 use crate::serve::ServeStepStats;
 
@@ -429,7 +429,6 @@ mod tests {
                 fetches: 12,
                 faults: FaultSnapshot::default(),
                 comm: minimpi::TierSnapshot::default(),
-                serve: ServeSnapshot::default(),
             },
         );
         p.record_counters(
@@ -455,12 +454,6 @@ mod tests {
                     inter_bytes: 480,
                     inter_modeled_ns: 210,
                 },
-                serve: ServeSnapshot {
-                    delivered: 7,
-                    dropped: 1,
-                    payload_bytes: 640,
-                    ..Default::default()
-                },
             },
         );
         let total = p.counters_total();
@@ -469,13 +462,11 @@ mod tests {
         assert_eq!(total.faults.injected, 2);
         assert_eq!(total.faults.recovered, 2);
         assert_eq!(p.counter_samples().len(), 2);
-        // A run without faults, tiered communication, or serving samples
-        // explicit zeros.
+        // A run without faults or tiered communication samples explicit
+        // zeros.
         let quiet = &p.counter_samples()[0].counters;
         assert_eq!(quiet.faults, FaultSnapshot::default());
         assert_eq!(quiet.comm, minimpi::TierSnapshot::default());
-        assert_eq!(quiet.serve, ServeSnapshot::default());
-        assert_eq!(p.counter_samples()[1].counters.serve.payload_bytes, 640);
         assert_eq!(p.counters_total().comm.inter_bytes, 480);
     }
 

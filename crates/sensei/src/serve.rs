@@ -43,7 +43,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::counters::{ServeCounters, ServeSnapshot};
 use crate::payload::StepPayload;
 use crate::queue::{bounded, BoundedReceiver, BoundedSender, OverflowPolicy, SendError};
 use crate::snapshot::SnapshotAdaptor;
@@ -177,32 +176,6 @@ impl Default for SessionConfig {
     }
 }
 
-/// `<serve>` run-time configuration (see [`crate::ConfigurableAnalysis`]):
-/// how many sessions the traffic generator opens and how their queues
-/// behave, plus whether steering commands are accepted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeConfig {
-    /// Sessions the harness traffic generator opens.
-    pub sessions: usize,
-    /// Per-session queue depth.
-    pub queue_depth: usize,
-    /// Per-session overflow policy.
-    pub overflow: OverflowPolicy,
-    /// Accept steering commands back from sessions.
-    pub steering: bool,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            sessions: 64,
-            queue_depth: 4,
-            overflow: OverflowPolicy::Block,
-            steering: true,
-        }
-    }
-}
-
 /// What one `publish` did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishStats {
@@ -231,6 +204,91 @@ pub struct ServeStepStats {
     pub p99_ns: u64,
     /// Bytes serialized at publication (once, not per session).
     pub bytes_copied: u64,
+}
+
+/// Counters for the live serving layer: session churn, frames fanned
+/// out vs dropped, steering commands applied, and the bytes each step's
+/// publication actually serialized — counted once per step, *not* per
+/// session, which is the zero-copy fan-out claim made checkable. Shared
+/// atomics: delivery threads increment, readers take
+/// [`ServeHub::counter_snapshot`].
+#[derive(Debug, Default)]
+pub struct ServeCounters {
+    subscribed: AtomicU64,
+    unsubscribed: AtomicU64,
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    steers: AtomicU64,
+    payload_bytes: AtomicU64,
+}
+
+impl ServeCounters {
+    /// Fresh zeroed counters behind an `Arc` (the hub keeps one handle,
+    /// [`ServeHub::counters`] hands out others).
+    pub fn new() -> Arc<Self> {
+        Arc::new(ServeCounters::default())
+    }
+
+    /// Count `n` sessions subscribed.
+    pub fn add_subscribed(&self, n: u64) {
+        self.subscribed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` sessions unsubscribed (explicitly or by a dead client).
+    pub fn add_unsubscribed(&self, n: u64) {
+        self.unsubscribed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` frames delivered into session queues.
+    pub fn add_delivered(&self, n: u64) {
+        self.delivered.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` frames dropped (drop-oldest evictions or error-policy
+    /// rejections).
+    pub fn add_dropped(&self, n: u64) {
+        self.dropped.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` steering commands applied at a step boundary.
+    pub fn add_steers(&self, n: u64) {
+        self.steers.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `n` bytes serialized at publication (once per step/topic,
+    /// independent of how many sessions receive views of them).
+    pub fn add_payload_bytes(&self, n: u64) {
+        self.payload_bytes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// A plain-value copy of the current totals.
+    pub fn snapshot(&self) -> ServeSnapshot {
+        ServeSnapshot {
+            subscribed: self.subscribed.load(Ordering::Relaxed),
+            unsubscribed: self.unsubscribed.load(Ordering::Relaxed),
+            delivered: self.delivered.load(Ordering::Relaxed),
+            dropped: self.dropped.load(Ordering::Relaxed),
+            steers: self.steers.load(Ordering::Relaxed),
+            payload_bytes: self.payload_bytes.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A plain-value copy of [`ServeCounters`] at one point in time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeSnapshot {
+    /// Sessions subscribed over the run.
+    pub subscribed: u64,
+    /// Sessions unsubscribed (explicitly or by disconnect).
+    pub unsubscribed: u64,
+    /// Frames delivered into session queues.
+    pub delivered: u64,
+    /// Frames dropped (evictions + rejections).
+    pub dropped: u64,
+    /// Steering commands applied at step boundaries.
+    pub steers: u64,
+    /// Bytes serialized at publication (once per step/topic).
+    pub payload_bytes: u64,
 }
 
 struct Session {
@@ -575,6 +633,30 @@ mod tests {
             time: step as f64 * 0.1,
             columns: cols.iter().map(|(n, v)| (n.to_string(), v.to_vec())).collect(),
         }
+    }
+
+    #[test]
+    fn serve_counters_accumulate_and_snapshot() {
+        let c = ServeCounters::new();
+        c.add_subscribed(64);
+        c.add_unsubscribed(3);
+        c.add_delivered(600);
+        c.add_delivered(40);
+        c.add_dropped(2);
+        c.add_steers(1);
+        c.add_payload_bytes(4096);
+        let s = c.snapshot();
+        assert_eq!(
+            s,
+            ServeSnapshot {
+                subscribed: 64,
+                unsubscribed: 3,
+                delivered: 640,
+                dropped: 2,
+                steers: 1,
+                payload_bytes: 4096,
+            }
+        );
     }
 
     #[test]

@@ -100,3 +100,33 @@ fn removed_adaptive_element_is_a_config_error() {
         }
     }
 }
+
+/// `<serve>` was removed, since nothing applied it: the element, in any
+/// form (disabled included), makes a shipped config a typed config error
+/// pointing at `Bridge::attach_serve` and `harness serve`.
+#[test]
+fn removed_serve_element_is_a_config_error() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/sensei_xml/binning_90ops_fused.xml");
+    let xml = std::fs::read_to_string(&path).expect("readable config");
+    assert!(ConfigurableAnalysis::from_xml(&xml).is_ok(), "the base config parses");
+    for serve in [
+        "<serve/>",
+        r#"<serve enabled="0"/>"#,
+        r#"<serve enabled="1" sessions="512" queue_depth="4" overflow="drop_oldest" steering="1"/>"#,
+    ] {
+        let with = xml.replacen("<sensei>", &format!("<sensei>{serve}"), 1);
+        assert_ne!(with, xml, "the element went in");
+        match ConfigurableAnalysis::from_xml(&with) {
+            Err(Error::Config(msg)) => {
+                assert!(msg.contains("<serve> was removed"), "{serve}: {msg}");
+                assert!(
+                    msg.contains("Bridge::attach_serve") && msg.contains("harness serve"),
+                    "{serve}: {msg}"
+                );
+            }
+            Err(e) => panic!("{serve}: expected a Config error, got {e}"),
+            Ok(_) => panic!("{serve}: parsed a removed element"),
+        }
+    }
+}
