@@ -71,12 +71,16 @@ echo "== harness smokes"
 # in its `impl Report` under crates/bench/src; the harness writes
 # BENCH_<mode>.jsonl and then exits non-zero iff a gating claim failed
 # (or the report could not be written), so the exit status is the gate.
+# The run-config smoke runs the one shipped config that builds a
+# multi-node world (4 ranks on 2 nodes, tiered collectives, network
+# charged at time scale 1); it writes no report, and fails on a panic.
 for smoke in "binning --bodies 512 --steps 4 --resolution 32" \
              "chaos --seed 7" \
              "snapshot --bodies 512 --steps 6" \
              "dag --steps 6" \
              "scale --rank-counts 4,16" \
-             "serve --sessions 16,64"; do
+             "serve --sessions 16,64" \
+             "run-config configs/sensei_xml/binning_hierarchical.xml --bodies 512 --steps 2"; do
     # shellcheck disable=SC2086
     cargo run --release -p bench --bin harness -- $smoke --out "target/ci/${smoke%% *}"
 done

@@ -130,19 +130,19 @@ fn run_config(xml_path: &PathBuf, base: &CaseConfig) {
     println!("running {} on {ranks} ranks, {bodies} bodies, {steps} steps", xml_path.display());
 
     // An optional <topology> element groups the ranks into simulated
-    // nodes, selects the collective routing, and sets the two-tier
-    // network cost model the world charges messages against.
+    // nodes and sets the two-tier network cost model the world charges
+    // messages against; a world spanning nodes routes collectives tiered.
     let mut world = World::new(ranks);
     if let Some(t) = ConfigurableAnalysis::from_xml(&xml).expect("parse XML").topology_config() {
         let topo = t.topology(ranks);
+        let route = if topo.is_single_node() { "direct" } else { "tiered" };
         println!(
-            "topology: {} ranks on {} nodes ({} per node), {:?} collectives",
+            "topology: {} ranks on {} nodes ({} per node), {route} collectives",
             ranks,
             topo.num_nodes(),
-            t.ranks_per_node,
-            t.mode
+            t.ranks_per_node
         );
-        world = world.with_topology(topo).with_collective_mode(t.mode).with_net(t.net, 1.0);
+        world = world.with_topology(topo).with_net(t.net, 1.0);
     }
 
     let summaries = world.run(move |comm| {

@@ -343,10 +343,10 @@ pub fn run_binning_bench(base: &CaseConfig) -> BinningReport {
 /// iterations with in situ processing at every iteration, finalize.
 pub fn run_case(cfg: &CaseConfig) -> AggregatedCase {
     let ranks = cfg.placement.ranks_per_node(cfg.num_devices);
-    let node = SimNode::new(bench_node_config(cfg.num_devices, cfg.time_scale));
-    if !cfg.pool {
-        node.pool().configure(devsim::PoolConfig::disabled());
-    }
+    let node = SimNode::new(NodeConfig {
+        pool: devsim::PoolConfig { enabled: cfg.pool },
+        ..bench_node_config(cfg.num_devices, cfg.time_scale)
+    });
     let stats_node = node.clone();
     let cfg_copy = *cfg;
 

@@ -30,7 +30,7 @@ pub use dag::{
     run_dag_arm, run_dag_bench, skewed_binning_specs, DagArm, DagBenchConfig, DagBenchReport,
 };
 pub use scale::{
-    run_scale_bench, ScaleArm, ScaleBenchConfig, ScaleCheck, ScalePoint, ScaleReport, ScaleSweep,
+    run_scale_bench, ScaleBenchConfig, ScaleCheck, ScalePoint, ScaleReport, ScaleSweep,
 };
 pub use serve::{
     run_serve_arm, run_serve_bench, run_steering_pair, ServeArm, ServeBenchConfig,

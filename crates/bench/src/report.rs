@@ -27,7 +27,7 @@ pub enum Label {
     Count,
 }
 
-/// One measured number of one arm of the A/B (`retry`, `weak.r16.hier`).
+/// One measured number of one arm of the A/B (`retry`, `weak.r16`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// The arm, unique within the report.
@@ -394,7 +394,7 @@ mod tests {
         ),
         (
             "scale",
-            "bit_identical_every_point hier_fewer_inter_messages fused_one_allreduce_per_step \
+            "inter_messages_two_per_extra_node fused_one_allreduce_per_step \
              tier_counters_populated",
         ),
         (

@@ -1,26 +1,19 @@
-//! Hierarchical vs flat collective scaling sweep (the paper's 128-node /
-//! 512-GPU Perlmutter configuration, §4.1, shrunk to modeled time).
+//! Tiered collective scaling sweep (the paper's 128-node / 512-GPU
+//! Perlmutter configuration, §4.1, shrunk to modeled time).
 //!
 //! Two sweeps over a list of rank counts, both running the same
-//! deterministic packed-allreduce workload under the two
-//! [`CollectiveMode`]s on one shared node grouping:
+//! deterministic packed-allreduce workload on ranks grouped into nodes:
 //!
 //! * **weak scaling** — per-rank work held constant as ranks grow;
 //! * **strong scaling** — total work held constant, divided over ranks.
 //!
-//! Per sweep point the harness runs a *flat* arm (all-to-root
-//! collectives, the historical algorithms) and a *hierarchical* arm
-//! (node-local reduce, binomial tree among node leaders, node-local
-//! broadcast) and compares them on:
-//!
-//! * **bit identity** — both arms must produce the same `f64` bits on
-//!   every rank at every count (both realise the topology's canonical
-//!   merge order, see `minimpi::collectives`);
-//! * **inter-node traffic** — the hierarchical arm must put fewer
-//!   messages on the slow interconnect tier;
-//! * **modeled total time** — modeled per-rank compute plus the summed
-//!   per-rank network occupancy under [`NetworkParams`]; the tiered
-//!   path must win at scale.
+//! A world that spans nodes routes its collectives tiered (node-local
+//! reduce, binomial tree among node leaders, node-local broadcast), so
+//! each point reports the traffic per tier, the modeled network time
+//! under [`NetworkParams`] and the modeled compute it is weighed against.
+//! Messages are charged, not slept, so the counts are exact: an
+//! allreduce over `m` nodes puts `2·(m − 1)` messages on the
+//! interconnect, `m − 1` up the leaders' tree and as many back down.
 //!
 //! A separate **check arm** runs the real fused [`BinningSuite`] on a
 //! small multi-node world and verifies the PR-long invariant: one packed
@@ -32,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use devsim::timemodel::host_duration;
 use devsim::{HostParams, KernelCost, NetworkParams, SimNode};
-use minimpi::{CollectiveMode, Segment, SegmentOp, TierSnapshot, World};
+use minimpi::{Segment, SegmentOp, TierSnapshot, World};
 use parking_lot::Mutex;
 
 use binning::{BinningSuite, ResultSink};
@@ -42,7 +35,7 @@ use crate::case::bench_node_config;
 use crate::dag::{skewed_binning_specs, DagBenchConfig, SkewTable};
 use crate::report::{Claim, Label, Report, Row};
 
-/// Scale of the hierarchical-vs-flat sweep.
+/// Scale of the tiered-collective sweep.
 #[derive(Debug, Clone)]
 pub struct ScaleBenchConfig {
     /// Rank counts to sweep, ascending (the paper's 4 → 64 → 512).
@@ -52,13 +45,13 @@ pub struct ScaleBenchConfig {
     /// Grid resolution per axis; the packed payload is
     /// `4 * resolution^2` doubles (count, sum, min, max planes).
     pub resolution: usize,
-    /// Steps per arm — one packed allreduce each.
+    /// Steps per point — one packed allreduce each.
     pub steps: u64,
     /// Modeled per-rank rows for the weak-scaling sweep (constant).
     pub rows_per_rank: usize,
     /// Modeled total rows for the strong-scaling sweep (divided).
     pub total_rows: usize,
-    /// The two-tier network cost model both arms are charged against.
+    /// The two-tier network cost model messages are charged against.
     pub net: NetworkParams,
 }
 
@@ -96,27 +89,7 @@ impl ScaleBenchConfig {
     }
 }
 
-/// One collective mode's outcome at one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleArm {
-    /// Tier counters summed over every rank (aggregate network
-    /// occupancy, not critical path).
-    pub comm: TierSnapshot,
-    /// Modeled per-rank compute for the whole run (identical across
-    /// arms; what the comm term is weighed against).
-    pub compute: Duration,
-    /// Wall time of the simulated run itself.
-    pub wall: Duration,
-}
-
-impl ScaleArm {
-    /// Modeled total: per-rank compute plus summed network occupancy.
-    pub fn modeled_total(&self) -> Duration {
-        self.compute + self.comm.modeled()
-    }
-}
-
-/// Flat vs hierarchical at one rank count.
+/// The tiered allreduce at one rank count.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Ranks in the world.
@@ -125,23 +98,29 @@ pub struct ScalePoint {
     pub nodes: usize,
     /// Modeled rows per rank at this point (sweep-dependent).
     pub rows_per_rank: usize,
-    /// The all-to-root baseline.
-    pub flat: ScaleArm,
-    /// The tiered path.
-    pub hier: ScaleArm,
-    /// Every rank of both arms produced the same result bits.
-    pub bit_identical: bool,
+    /// Allreduces each rank issued (one per step).
+    pub allreduces: u64,
+    /// Tier counters summed over every rank (aggregate network
+    /// occupancy, not critical path).
+    pub comm: TierSnapshot,
+    /// Modeled per-rank compute for the whole run (what the comm term is
+    /// weighed against).
+    pub compute: Duration,
+    /// Wall time of the simulated run itself.
+    pub wall: Duration,
 }
 
 impl ScalePoint {
-    /// The tiered path put fewer messages on the interconnect.
-    pub fn hier_fewer_inter_messages(&self) -> bool {
-        self.hier.comm.inter_messages < self.flat.comm.inter_messages
+    /// Modeled total: per-rank compute plus summed network occupancy.
+    pub fn modeled_total(&self) -> Duration {
+        self.compute + self.comm.modeled()
     }
 
-    /// Modeled-total speedup of hierarchical over flat.
-    pub fn speedup(&self) -> f64 {
-        self.flat.modeled_total().as_secs_f64() / self.hier.modeled_total().as_secs_f64().max(1e-12)
+    /// Inter-node messages this point's allreduces send on the tiered
+    /// path: each walks the leaders' binomial tree, `nodes − 1` messages
+    /// up and as many back down.
+    pub fn expected_inter_messages(&self) -> u64 {
+        2 * (self.nodes as u64 - 1) * self.allreduces
     }
 }
 
@@ -222,24 +201,20 @@ impl Report for ScaleReport {
     fn rows(&self) -> Vec<Row> {
         let mut rows = Vec::new();
         for (kind, p) in self.points() {
-            for (mode, a) in [("flat", &p.flat), ("hier", &p.hier)] {
-                let arm = format!("{kind}.r{}.{mode}", p.ranks);
-                let counters = [
-                    ("nodes", p.nodes as u64),
-                    ("rows_per_rank", p.rows_per_rank as u64),
-                    ("intra_messages", a.comm.intra_messages),
-                    ("intra_bytes", a.comm.intra_bytes),
-                    ("inter_messages", a.comm.inter_messages),
-                    ("inter_bytes", a.comm.inter_bytes),
-                ];
-                rows.extend(Row::counts(&arm, &counters));
-                rows.push(Row::ms(&arm, "comm_ms", Label::Modeled, a.comm.modeled()));
-                rows.push(Row::ms(&arm, "compute_ms", Label::Modeled, a.compute));
-                rows.push(Row::ms(&arm, "modeled_total_ms", Label::Modeled, a.modeled_total()));
-                rows.push(Row::ms(&arm, "wall_ms", Label::Wall, a.wall));
-            }
-            let arm = format!("{kind}.r{}.hier", p.ranks);
-            rows.push(Row::new(&arm, "speedup_modeled", "ratio", Label::Modeled, p.speedup()));
+            let arm = format!("{kind}.r{}", p.ranks);
+            let counters = [
+                ("nodes", p.nodes as u64),
+                ("rows_per_rank", p.rows_per_rank as u64),
+                ("intra_messages", p.comm.intra_messages),
+                ("intra_bytes", p.comm.intra_bytes),
+                ("inter_messages", p.comm.inter_messages),
+                ("inter_bytes", p.comm.inter_bytes),
+            ];
+            rows.extend(Row::counts(&arm, &counters));
+            rows.push(Row::ms(&arm, "comm_ms", Label::Modeled, p.comm.modeled()));
+            rows.push(Row::ms(&arm, "compute_ms", Label::Modeled, p.compute));
+            rows.push(Row::ms(&arm, "modeled_total_ms", Label::Modeled, p.modeled_total()));
+            rows.push(Row::ms(&arm, "wall_ms", Label::Wall, p.wall));
         }
         let c = &self.check;
         let mut comm = TierSnapshot::default();
@@ -257,33 +232,19 @@ impl Report for ScaleReport {
     }
 
     fn claims(&self) -> Vec<Claim> {
-        let points_where = |bad: &dyn Fn(&ScalePoint) -> bool| -> Vec<String> {
-            let points = self.points().into_iter().filter(|(_, p)| bad(p));
-            points.map(|(kind, p)| format!("{kind}@{}", p.ranks)).collect()
-        };
-        // The headline: the tiered path wins on modeled total time at the
-        // largest count of a sweep (a single-node point has nothing to win).
-        let wins_at_largest = |sweep: &ScaleSweep| {
-            let last = sweep.points.last().expect("at least one rank count");
-            let (hier, flat) = (last.hier.modeled_total(), last.flat.modeled_total());
-            Claim::gate(
-                format!("{}.hier_wins_modeled_total_at_largest", sweep.kind),
-                last.nodes <= 1 || hier < flat,
-                format!("{} ranks: {hier:.3?} vs flat {flat:.3?}", last.ranks),
-            )
-        };
+        // Charged, not slept: the interconnect carries exactly the
+        // leaders' tree, 2·(nodes − 1) messages per allreduce (none on one
+        // node).
+        let off_count = self
+            .points()
+            .into_iter()
+            .filter(|(_, p)| p.comm.inter_messages != p.expected_inter_messages());
         let c = &self.check;
         vec![
-            // Correctness before speed: the tiered path must never perturb
-            // a bit, and on every multi-node point it must put fewer
-            // messages on the interconnect.
-            Claim::none("bit_identical_every_point", points_where(&|p| !p.bit_identical)),
             Claim::none(
-                "hier_fewer_inter_messages",
-                points_where(&|p| p.nodes > 1 && !p.hier_fewer_inter_messages()),
+                "inter_messages_two_per_extra_node",
+                off_count.map(|(kind, p)| format!("{kind}@{}", p.ranks)).collect(),
             ),
-            wins_at_largest(&self.weak),
-            wins_at_largest(&self.strong),
             // The fused suite's invariant survives the tiered path.
             Claim::gate("fused_one_allreduce_per_step", c.one_allreduce_per_step(), ""),
             Claim::gate("tier_counters_populated", c.tier_counters_populated(), ""),
@@ -299,9 +260,8 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A deterministic, rank/step/index-dependent value with deliberately
-/// mixed magnitudes, so any re-parenthesisation of the `Sum` segments
-/// would change the result bits.
+/// A deterministic, rank/step/index-dependent value with mixed
+/// magnitudes, like the binning grids' sums.
 fn synth_value(seed: u64, rank: usize, step: u64, i: usize) -> f64 {
     let z = splitmix64(splitmix64(splitmix64(seed ^ rank as u64) ^ step) ^ i as u64);
     let mant = ((z & 0xFFFF) as f64) / 32768.0 - 1.0;
@@ -315,60 +275,43 @@ fn synth_value(seed: u64, rank: usize, step: u64, i: usize) -> f64 {
 }
 
 /// Modeled per-rank compute for `rows` rows over the whole run: the
-/// binning pass is ~30 flops/row/step on the host model. Identical for
-/// both arms — the sweeps compare communication, not kernels.
+/// binning pass is ~30 flops/row/step on the host model.
 fn modeled_compute(rows: usize, steps: u64) -> Duration {
     let per_step =
         host_duration(KernelCost::flops(rows as f64 * 30.0), &HostParams::default(), 1.0);
     per_step * steps as u32
 }
 
-/// Run one collective mode at one rank count and collect result bits
-/// (per rank) plus the arm's aggregate tier counters.
-fn run_mode(
-    cfg: &ScaleBenchConfig,
-    ranks: usize,
-    rows_per_rank: usize,
-    seed: u64,
-    mode: CollectiveMode,
-) -> (Vec<Vec<u64>>, ScaleArm) {
+/// Run the packed allreduce at one rank count and collect the point's
+/// aggregate tier counters.
+fn run_point(cfg: &ScaleBenchConfig, ranks: usize, rows_per_rank: usize, seed: u64) -> ScalePoint {
     let segments = cfg.segments();
     let len = cfg.payload_len();
     let steps = cfg.steps;
     let t0 = Instant::now();
-    let out = World::new(ranks)
-        .with_ranks_per_node(cfg.ranks_per_node)
-        .with_net(cfg.net, 1.0)
-        .with_collective_mode(mode)
-        .run(move |c| {
-            let mut last = Vec::new();
+    let out = World::new(ranks).with_ranks_per_node(cfg.ranks_per_node).with_net(cfg.net, 1.0).run(
+        move |c| {
             for step in 0..steps {
                 let data: Vec<f64> =
                     (0..len).map(|i| synth_value(seed, c.rank(), step, i)).collect();
-                last = c.allreduce_packed(data, &segments).expect("packed allreduce");
+                c.allreduce_packed(data, &segments).expect("packed allreduce");
             }
             assert_eq!(c.allreduce_count(), steps, "one packed round per step");
-            (last.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(), c.tier_stats())
-        });
+            c.tier_stats()
+        },
+    );
     let wall = t0.elapsed();
     let mut comm = TierSnapshot::default();
-    let mut bits = Vec::with_capacity(ranks);
-    for (b, t) in out {
-        bits.push(b);
-        comm.accumulate(&t);
+    out.iter().for_each(|t| comm.accumulate(t));
+    ScalePoint {
+        ranks,
+        nodes: ranks.div_ceil(cfg.ranks_per_node),
+        rows_per_rank,
+        allreduces: steps,
+        comm,
+        compute: modeled_compute(rows_per_rank, steps),
+        wall,
     }
-    (bits, ScaleArm { comm, compute: modeled_compute(rows_per_rank, steps), wall })
-}
-
-/// One flat-vs-hierarchical comparison at one rank count.
-fn run_point(cfg: &ScaleBenchConfig, ranks: usize, rows_per_rank: usize, seed: u64) -> ScalePoint {
-    let (flat_bits, flat) = run_mode(cfg, ranks, rows_per_rank, seed, CollectiveMode::Flat);
-    let (hier_bits, hier) = run_mode(cfg, ranks, rows_per_rank, seed, CollectiveMode::Hierarchical);
-    let bit_identical = flat_bits == hier_bits
-        && flat_bits.iter().all(|b| b == &flat_bits[0])
-        && hier_bits.iter().all(|b| b == &hier_bits[0]);
-    let nodes = ranks.div_ceil(cfg.ranks_per_node);
-    ScalePoint { ranks, nodes, rows_per_rank, flat, hier, bit_identical }
 }
 
 /// The fused-suite check arm: lockstep [`BinningSuite`] on a 4-rank,
@@ -453,15 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn sweeps_are_bit_identical_and_cut_inter_traffic() {
+    fn sweeps_put_two_messages_per_extra_node_on_the_interconnect() {
         let report = report();
         crate::report::assert_gates(report);
-        for (kind, p) in report.points().into_iter().filter(|(_, p)| p.nodes > 1) {
-            assert!(
-                p.hier.comm.modeled() < p.flat.comm.modeled(),
-                "{kind} @ {} ranks: tiered comm must cost less",
-                p.ranks
-            );
+        // 2 and 6 ranks at 2 per node, 2 steps: 1 node sends nothing
+        // across, 3 nodes send 2·2 per step.
+        for sweep in [&report.weak, &report.strong] {
+            let inter: Vec<u64> = sweep.points.iter().map(|p| p.comm.inter_messages).collect();
+            assert_eq!(inter, vec![0, 8], "{}", sweep.kind);
         }
     }
 

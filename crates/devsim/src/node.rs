@@ -171,7 +171,7 @@ impl SimNode {
         &self.fault
     }
 
-    /// The node-wide caching memory pool (stats, trim, reconfigure).
+    /// The node-wide caching memory pool (stats, trim).
     pub fn pool(&self) -> &MemoryPool {
         &self.pool
     }

@@ -6,8 +6,8 @@
 //! (`cudaMallocAsync` pools, PyTorch's CUDACachingAllocator):
 //!
 //! * requests round up to a **size class** (a multiple of
-//!   [`PoolConfig::granularity`] cells) and are served from a per-class
-//!   free list when possible, skipping the raw allocator entirely;
+//!   [`GRANULARITY`] cells) and are served from a per-class free list when
+//!   possible, skipping the raw allocator entirely;
 //! * a freed block re-enters the free list **stream-ordered**: if its last
 //!   use was on stream *S*, it becomes reusable by other streams only once
 //!   *S* has drained past that use (tracked by the stream's
@@ -16,11 +16,12 @@
 //!   immediate, because stream order already serializes the old use before
 //!   the new one — exactly `cudaMallocAsync` semantics;
 //! * device capacity accounting is preserved: `used_bytes` counts live
-//!   allocations only, cached blocks are tracked separately, and a request
-//!   that does not fit trims ready cached blocks — and, once, evicts the
-//!   replicas no view holds (see [`crate::SimNode::drop_replicas`]) — before
-//!   failing with the same `OutOfMemory` error the failure-injection
-//!   tests rely on (now carrying pool diagnostics);
+//!   allocations only, cached blocks are tracked separately (the cache
+//!   itself has no ceiling), and a request that does not fit trims ready
+//!   cached blocks — and, once, evicts the replicas no view holds (see
+//!   [`crate::SimNode::drop_replicas`]) — before failing with the same
+//!   `OutOfMemory` error the failure-injection tests rely on (now
+//!   carrying pool diagnostics);
 //! * blocks served from the cache are zeroed, so pooled and raw
 //!   allocations are bit-identical to consumers.
 //!
@@ -40,40 +41,32 @@ use crate::fault::{self, FaultInjector};
 use crate::memory::{BufferGuard, CellBuffer, MemSpace, ReplicaOwner};
 use crate::stream::StreamTimeline;
 
-/// Tunables of the caching pool (a [`crate::NodeConfig`] field, also
-/// settable at runtime through [`MemoryPool::configure`] and from XML via
-/// the `<memory_pool>` element in `sensei`'s configurable analysis).
+/// Size-class granularity in 64-bit cells: requests round up to the next
+/// multiple, so buffers within one class share blocks.
+const GRANULARITY: usize = 64;
+
+/// The caching pool's one switch, a [`crate::NodeConfig`] field fixed when
+/// the node is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Master switch. Disabled, every request is a raw allocation and
     /// released blocks are freed immediately (the pre-pool behaviour).
     pub enabled: bool,
-    /// Size-class granularity in 64-bit cells; requests round up to the
-    /// next multiple, so buffers within one class share blocks.
-    pub granularity: usize,
-    /// Per-space ceiling on cached (free-listed) bytes. Blocks released
-    /// beyond it are freed instead of cached.
-    pub trim_threshold: usize,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig { enabled: true, granularity: 64, trim_threshold: usize::MAX }
+        PoolConfig { enabled: true }
     }
 }
 
 impl PoolConfig {
-    /// The pre-pool behaviour: every allocation raw, nothing cached.
-    pub fn disabled() -> Self {
-        PoolConfig { enabled: false, ..PoolConfig::default() }
-    }
-
     /// The size class (in cells) a request of `len` cells is served from.
     pub fn class_cells(&self, len: usize) -> usize {
-        if !self.enabled || self.granularity <= 1 {
-            len
+        if self.enabled {
+            len.div_ceil(GRANULARITY) * GRANULARITY
         } else {
-            len.div_ceil(self.granularity) * self.granularity
+            len
         }
     }
 }
@@ -102,7 +95,7 @@ pub struct PoolStats {
     pub reclaims: u64,
     /// Total wall time blocks spent pending before reclaim.
     pub reclaim_latency: Duration,
-    /// Blocks freed instead of cached (trim threshold or capacity pressure).
+    /// Cached blocks freed (capacity pressure or an explicit trim).
     pub trims: u64,
     /// Bytes freed by trimming.
     pub trimmed_bytes: u64,
@@ -116,15 +109,6 @@ impl PoolStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Mean pending time of reclaimed blocks.
-    pub fn mean_reclaim_latency(&self) -> Duration {
-        if self.reclaims == 0 {
-            Duration::ZERO
-        } else {
-            self.reclaim_latency / self.reclaims as u32
         }
     }
 
@@ -191,7 +175,7 @@ struct SpaceState {
 
 /// The node-wide pool: one free-list set per memory space.
 pub struct MemoryPool {
-    config: Mutex<PoolConfig>,
+    config: PoolConfig,
     spaces: Mutex<HashMap<MemSpace, SpaceState>>,
     /// The allocations that hold replicas in other spaces (weakly): what
     /// capacity pressure and the end of a run evict from.
@@ -211,7 +195,7 @@ fn normalize(space: MemSpace) -> MemSpace {
 impl MemoryPool {
     pub(crate) fn new(config: PoolConfig, fault: Arc<FaultInjector>) -> Arc<MemoryPool> {
         Arc::new(MemoryPool {
-            config: Mutex::new(config),
+            config,
             spaces: Mutex::new(HashMap::new()),
             replicated: Mutex::new(Vec::new()),
             fault,
@@ -235,8 +219,7 @@ impl MemoryPool {
         stream: Option<(u64, Arc<StreamTimeline>)>,
     ) -> Result<(CellBuffer, bool)> {
         let key = normalize(space);
-        let cfg = *self.config.lock();
-        let class = cfg.class_cells(len);
+        let class = self.config.class_cells(len);
         let bytes = class * 8;
 
         // Transient allocation failure: fails before any ledger movement,
@@ -263,7 +246,7 @@ impl MemoryPool {
         }
 
         let mut served: Option<Block> = None;
-        if cfg.enabled {
+        if self.config.enabled {
             let list = classes.entry(class).or_default();
             harvest(list, stats);
             if let Some(block) = list.ready.pop() {
@@ -366,11 +349,10 @@ impl MemoryPool {
         cells: Arc<[AtomicU64]>,
         last_use: Option<(u64, Arc<StreamTimeline>)>,
     ) {
-        let cfg = *self.config.lock();
         let mut spaces = self.spaces.lock();
         let state = spaces.entry(key).or_default();
         state.stats.live_bytes = state.stats.live_bytes.saturating_sub(bytes);
-        if cfg.enabled && state.stats.cached_bytes + bytes <= cfg.trim_threshold {
+        if self.config.enabled {
             state.stats.cached_bytes += bytes;
             let block = Block { cells, bytes };
             let list = state.classes.entry(class).or_default();
@@ -391,9 +373,6 @@ impl MemoryPool {
                 }
                 None => list.ready.push(block),
             }
-        } else if cfg.enabled {
-            state.stats.trims += 1;
-            state.stats.trimmed_bytes += bytes as u64;
         }
         // Release the capacity charge *after* the cached ledger is updated:
         // a concurrent observer may transiently overcount, never under.
@@ -438,26 +417,6 @@ impl MemoryPool {
             total.accumulate(&state.stats);
         }
         total
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> PoolConfig {
-        *self.config.lock()
-    }
-
-    /// Replace the configuration at runtime. Disabling flushes every free
-    /// list; a lowered trim threshold is enforced immediately.
-    pub fn configure(&self, config: PoolConfig) {
-        *self.config.lock() = config;
-        let mut spaces = self.spaces.lock();
-        for state in spaces.values_mut() {
-            let SpaceState { classes, stats, .. } = state;
-            if !config.enabled {
-                flush(classes, stats);
-            } else {
-                while stats.cached_bytes > config.trim_threshold && trim_one(classes, stats) {}
-            }
-        }
     }
 
     /// Free every reclaimable cached block of `space` (explicit trim; the
@@ -516,19 +475,6 @@ fn trim_one(classes: &mut HashMap<usize, ClassList>, stats: &mut PoolStats) -> b
     }
 }
 
-/// Drop every cached block, pending or ready (pool disabled at runtime).
-/// Pending blocks are unreferenced — pendingness only gates *reuse* — so
-/// freeing them outright is safe.
-fn flush(classes: &mut HashMap<usize, ClassList>, stats: &mut PoolStats) {
-    for list in classes.values_mut() {
-        for block in list.ready.drain(..).chain(list.pending.drain(..).map(|p| p.block)) {
-            stats.cached_bytes -= block.bytes;
-            stats.trims += 1;
-            stats.trimmed_bytes += block.bytes as u64;
-        }
-    }
-}
-
 /// Guard attached to every pooled buffer: remembers the last stream that
 /// touched the allocation and, on final drop, hands the block back to the
 /// pool (which re-lists it stream-ordered) and releases the capacity
@@ -573,7 +519,7 @@ mod tests {
         assert_eq!(cfg.class_cells(1), 64);
         assert_eq!(cfg.class_cells(64), 64);
         assert_eq!(cfg.class_cells(65), 128);
-        let raw = PoolConfig::disabled();
+        let raw = PoolConfig { enabled: false };
         assert_eq!(raw.class_cells(65), 65);
     }
 
@@ -723,37 +669,22 @@ mod tests {
     }
 
     #[test]
-    fn disabling_at_runtime_flushes_and_goes_raw() {
-        let node = pooled_node(1);
+    fn disabled_pool_goes_raw() {
+        let node = SimNode::new(NodeConfig {
+            pool: PoolConfig { enabled: false },
+            ..NodeConfig::fast_test(1)
+        });
         let dev = node.device(0).unwrap();
-        let a = dev.alloc_f64(64).unwrap();
+        let a = dev.alloc_f64(10).unwrap();
+        assert_eq!(dev.used_bytes(), 10 * 8, "no size class: the request as asked");
         drop(a);
-        assert_eq!(dev.pool_stats().cached_bytes, 512);
-        node.pool().configure(PoolConfig::disabled());
-        assert_eq!(dev.pool_stats().cached_bytes, 0, "disable flushes the free lists");
-        let b = dev.alloc_f64(64).unwrap();
+        let b = dev.alloc_f64(10).unwrap();
         drop(b);
         let s = dev.pool_stats();
         assert_eq!(s.hits, 0);
         assert_eq!(s.cached_bytes, 0, "released blocks are freed, not cached");
+        assert_eq!(s.trims, 0, "nothing cached, so nothing trimmed");
         assert_eq!(s.raw_allocs, 2);
-    }
-
-    #[test]
-    fn trim_threshold_caps_cached_bytes() {
-        let node = SimNode::new(NodeConfig {
-            pool: PoolConfig { trim_threshold: 512, ..PoolConfig::default() },
-            time_scale: 0.0,
-            ..NodeConfig::default()
-        });
-        let dev = node.device(0).unwrap();
-        let a = dev.alloc_f64(64).unwrap();
-        let b = dev.alloc_f64(64).unwrap();
-        drop(a);
-        drop(b); // second release exceeds the 512 B ceiling -> freed
-        let s = dev.pool_stats();
-        assert_eq!(s.cached_bytes, 512);
-        assert_eq!(s.trims, 1);
     }
 
     #[test]

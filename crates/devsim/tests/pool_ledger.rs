@@ -32,10 +32,14 @@ impl Rng {
 
 const CAPACITY: usize = 8 * 1024; // bytes; small enough to hit OOM paths
 
+/// Room for one or two of the largest requests (192 cells → 1 536 B):
+/// nearly every allocation must trim cached blocks first.
+const TIGHT_CAPACITY: usize = 2 * 1024;
+
 /// `live_expected` is `Some` only at stream-quiescent points: a kernel
 /// closure in flight holds buffer clones, keeping blocks live past the
 /// test's own drop.
-fn check_ledger(node: &SimNode, live_expected: Option<usize>) {
+fn check_ledger(node: &SimNode, capacity: usize, live_expected: Option<usize>) {
     // One snapshot under one lock: the stream thread may release blocks
     // at any moment, so fields read across two calls need not agree.
     let ledger = node.device(0).unwrap().ledger();
@@ -58,22 +62,22 @@ fn check_ledger(node: &SimNode, live_expected: Option<usize>) {
     // Live + cached never exceeds capacity (cached blocks are charged
     // against the space until trimmed).
     assert!(
-        s.live_bytes + s.cached_bytes <= CAPACITY,
+        s.live_bytes + s.cached_bytes <= capacity,
         "live {} + cached {} exceeds capacity {}",
         s.live_bytes,
         s.cached_bytes,
-        CAPACITY
+        capacity
     );
     assert!(s.high_water_bytes >= s.live_bytes + s.cached_bytes);
-    assert_eq!(ledger.free_bytes, CAPACITY - s.live_bytes - s.cached_bytes);
+    assert_eq!(ledger.free_bytes, capacity - s.live_bytes - s.cached_bytes);
 }
 
-fn run_schedule(seed: u64, trim_threshold: usize) {
+/// Returns the bytes trimmed over the run, before the final explicit trim.
+fn run_schedule(seed: u64, capacity: usize) -> u64 {
     let node = SimNode::new(NodeConfig {
         num_devices: 1,
-        device: DeviceParams { memory_bytes: CAPACITY, ..DeviceParams::default() },
+        device: DeviceParams { memory_bytes: capacity, ..DeviceParams::default() },
         time_scale: 0.0,
-        pool: PoolConfig { trim_threshold, ..PoolConfig::default() },
         ..NodeConfig::default()
     });
     let dev = node.device(0).unwrap();
@@ -103,7 +107,7 @@ fn run_schedule(seed: u64, trim_threshold: usize) {
                         // The OOM-path reclaim ran: nothing reclaimable
                         // may remain if the request still failed.
                         assert!(
-                            live_bytes + cached_bytes + requested > CAPACITY || cached_bytes > 0,
+                            live_bytes + cached_bytes + requested > capacity || cached_bytes > 0,
                             "OOM with {requested} B requested, {live_bytes} live, \
                              {cached_bytes} cached at step {step}"
                         );
@@ -142,32 +146,35 @@ fn run_schedule(seed: u64, trim_threshold: usize) {
         if quiescent {
             stream.synchronize().unwrap();
         }
-        check_ledger(&node, quiescent.then_some(live));
+        check_ledger(&node, capacity, quiescent.then_some(live));
     }
 
     drop(held);
     stream.synchronize().unwrap();
-    check_ledger(&node, Some(0));
+    check_ledger(&node, capacity, Some(0));
+    let trimmed = dev.pool_stats().trimmed_bytes;
     node.pool().trim(MemSpace::Device(0));
     let s = dev.pool_stats();
     assert_eq!(s.cached_bytes, 0, "explicit trim after drain empties the cache");
     assert_eq!(s.live_bytes + s.cached_bytes, 0);
     assert_eq!(s.trimmed_bytes, s.raw_alloc_bytes, "all raw bytes end up trimmed");
+    trimmed
 }
 
 #[test]
 fn ledger_invariants_hold_under_randomized_schedules() {
     for seed in [1u64, 0xDEAD_BEEF, 42, 7_777_777, 0x5EED] {
-        run_schedule(seed, usize::MAX);
+        run_schedule(seed, CAPACITY);
     }
 }
 
 #[test]
-fn ledger_invariants_hold_with_tight_trim_threshold() {
-    // A low threshold forces the release-path trim branch constantly;
-    // trim-before-OOM and release-trim must not double-count.
+fn ledger_invariants_hold_under_tight_device_capacity() {
+    // A device with room for one or two blocks: requests keep trimming
+    // cached blocks before they fit (trim-before-OOM), interleaved with
+    // explicit trims; neither may double-count.
     for seed in [3u64, 99, 0xABCDEF] {
-        run_schedule(seed, 1024);
+        assert!(run_schedule(seed, TIGHT_CAPACITY) > 0, "seed {seed}: the trim path never ran");
     }
 }
 

@@ -74,9 +74,10 @@ proptest! {
     /// whole classes), and everything is released on drop.
     #[test]
     fn capacity_accounting_is_exact(sizes in proptest::collection::vec(1usize..200, 1..12)) {
-        let node = SimNode::new(NodeConfig::fast_test(1));
+        let cfg = NodeConfig::fast_test(1);
+        let class_bytes = |len: usize| cfg.pool.class_cells(len) * 8;
+        let node = SimNode::new(cfg);
         let dev = node.device(0).unwrap();
-        let class_bytes = |len: usize| node.pool().config().class_cells(len) * 8;
         let mut live = Vec::new();
         let mut expect = 0usize;
         for (i, &len) in sizes.iter().enumerate() {

@@ -1,9 +1,10 @@
 //! A reusable sense-reversing barrier.
 //!
 //! `std::sync::Barrier` would suffice for a single communicator, but
-//! sub-communicators created by [`crate::Comm::split`] need barriers created
-//! dynamically and shared by an agreed subset of ranks, so we keep our own
-//! small implementation with an explicit generation counter.
+//! communicators created by [`crate::Comm::dup`] and the tiered path's
+//! node sub-communicators need barriers created dynamically and shared by
+//! an agreed subset of ranks, so we keep our own small implementation
+//! with an explicit generation counter.
 
 use parking_lot::{Condvar, Mutex};
 

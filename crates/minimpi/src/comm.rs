@@ -4,7 +4,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use devsim::NetworkParams;
 use parking_lot::Mutex;
@@ -12,8 +11,7 @@ use parking_lot::Mutex;
 use crate::barrier::Barrier;
 use crate::error::{Error, Result};
 use crate::mailbox::{Key, Mailbox};
-use crate::topology::{CollectiveMode, TierCounters, TierSnapshot, Topology};
-use crate::ANY_SOURCE;
+use crate::topology::{TierCounters, TierSnapshot, Topology};
 
 /// State shared by every rank of a [`crate::World`].
 pub(crate) struct WorldShared {
@@ -47,9 +45,9 @@ impl WorldShared {
         self.barriers.lock().entry(id).or_insert_with(|| Arc::new(Barrier::new(n))).clone()
     }
 
-    /// Reserve `count` consecutive fresh communicator ids, returning the first.
-    pub fn reserve_comm_ids(&self, count: u64) -> u64 {
-        self.next_comm_id.fetch_add(count, Ordering::Relaxed)
+    /// Reserve a fresh communicator id.
+    pub fn fresh_comm_id(&self) -> u64 {
+        self.next_comm_id.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -77,8 +75,6 @@ pub struct Comm {
     coll_hook: RefCell<Option<CollectiveHook>>,
     /// The node grouping of this communicator's ranks.
     topology: Arc<Topology>,
-    /// Whether collectives take the tiered or the flat path.
-    mode: CollectiveMode,
     /// Per-tier traffic charged through this handle. Shared with the
     /// internal node/leader sub-communicators (see [`Hier`]) so a handle's
     /// stats cover its whole tiered exchange.
@@ -93,7 +89,8 @@ pub struct Comm {
 /// The internal sub-communicators one rank uses on the tiered path.
 pub(crate) struct Hier {
     /// This rank's node-local sub-communicator (single-node topology, so
-    /// its own collectives stay flat). Node rank 0 is the node leader.
+    /// its own collectives take the direct path). Node rank 0 is the node
+    /// leader.
     pub node: Comm,
     /// The inter-node leader sub-communicator; `Some` only on leaders.
     /// Its topology places each leader on its own node, so every message
@@ -118,7 +115,7 @@ const HIER_ID_STRIDE: u64 = 4096;
 /// Observer invoked at the top of every collective on a communicator
 /// (barrier excepted), with the collective's sequence number. Installed
 /// with [`Comm::set_collective_hook`] and inherited by communicators
-/// derived through `dup`/`split`; used for fault injection (slow-rank
+/// derived through `dup`; used for fault injection (slow-rank
 /// delays) and tracing without coupling this crate to the simulator.
 pub type CollectiveHook = Arc<dyn Fn(u64) + Send + Sync>;
 
@@ -129,9 +126,8 @@ impl Comm {
         rank: usize,
         size: usize,
         topology: Arc<Topology>,
-        mode: CollectiveMode,
     ) -> Self {
-        Comm::with_parts(shared, comm_id, rank, size, topology, mode, Arc::default())
+        Comm::with_parts(shared, comm_id, rank, size, topology, Arc::default())
     }
 
     fn with_parts(
@@ -140,7 +136,6 @@ impl Comm {
         rank: usize,
         size: usize,
         topology: Arc<Topology>,
-        mode: CollectiveMode,
         tiers: Arc<TierCounters>,
     ) -> Self {
         debug_assert_eq!(topology.size(), size, "topology must cover every rank");
@@ -155,7 +150,6 @@ impl Comm {
             allreduce_rounds: Cell::new(0),
             coll_hook: RefCell::new(None),
             topology,
-            mode,
             tiers,
             hier: RefCell::new(None),
             gather_spares: RefCell::default(),
@@ -163,9 +157,9 @@ impl Comm {
     }
 
     /// Install a [`CollectiveHook`] invoked at the top of every collective
-    /// on this handle; communicators later derived via `dup`/`split`
-    /// inherit it, as do the internal node-local/leader sub-communicators
-    /// the hierarchical path creates (so fault sites fire on every tier).
+    /// on this handle; communicators later derived via `dup` inherit it,
+    /// as do the internal node-local/leader sub-communicators the
+    /// hierarchical path creates (so fault sites fire on every tier).
     /// Must not be called from inside a hook.
     pub fn set_collective_hook(&self, hook: CollectiveHook) {
         if let Some(h) = self.hier.borrow().as_deref() {
@@ -212,7 +206,7 @@ impl Comm {
 
     /// Per-tier traffic charged through this handle so far, including the
     /// internal tier sub-communicators of hierarchical collectives.
-    /// Handles derived via `dup`/`split` account separately.
+    /// Handles derived via `dup` account separately.
     pub fn tier_stats(&self) -> TierSnapshot {
         self.tiers.snapshot()
     }
@@ -261,49 +255,9 @@ impl Comm {
     }
 
     /// Block until a message with `tag` from `src` arrives and return it.
-    /// Pass [`crate::ANY_SOURCE`] as `src` to match any sender (use
-    /// [`Comm::recv_any`] if you also need the source rank).
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Result<T> {
-        if src == ANY_SOURCE {
-            return self.recv_any(tag).map(|(_, v)| v);
-        }
         self.check_rank(src)?;
         self.shared.mailbox.take(self.key(src, self.rank, tag))
-    }
-
-    /// Blocking receive from any source; returns `(source_rank, value)`.
-    pub fn recv_any<T: Send + 'static>(&self, tag: u64) -> Result<(usize, T)> {
-        self.shared.mailbox.take_any(self.comm_id, self.rank, tag)
-    }
-
-    /// Receive with a timeout; [`Error::Timeout`] if nothing matched in time.
-    pub fn recv_timeout<T: Send + 'static>(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<T> {
-        self.check_rank(src)?;
-        self.shared.mailbox.take_timeout(self.key(src, self.rank, tag), timeout)
-    }
-
-    /// Non-blocking receive: `None` if no matching message is queued.
-    pub fn try_recv<T: Send + 'static>(&self, src: usize, tag: u64) -> Result<Option<T>> {
-        self.check_rank(src)?;
-        self.shared.mailbox.try_take(self.key(src, self.rank, tag)).transpose()
-    }
-
-    /// Combined send to `dst` and receive from `src` on the same tag, safe
-    /// against the cyclic-exchange deadlock because sends are buffered.
-    pub fn sendrecv<T: Send + 'static>(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        value: T,
-    ) -> Result<T> {
-        self.send(dst, tag, value)?;
-        self.recv(src, tag)
     }
 
     /// Wait until every rank of the communicator has reached the barrier.
@@ -356,23 +310,21 @@ impl Comm {
         self.shared.mailbox.take(self.key(src, self.rank, tag))
     }
 
-    /// Internal: construct a sibling communicator handle (used by split/dup).
-    /// The child inherits this handle's collective hook and mode.
-    pub(crate) fn make(&self, comm_id: u64, rank: usize, size: usize, topology: Topology) -> Comm {
+    /// Internal: a handle over the same group, topology and hook with a
+    /// fresh id (what `dup` hands back).
+    pub(crate) fn sibling(&self, comm_id: u64) -> Comm {
         let child =
-            Comm::new(self.shared.clone(), comm_id, rank, size, Arc::new(topology), self.mode);
+            Comm::new(self.shared.clone(), comm_id, self.rank, self.size, self.topology.clone());
         *child.coll_hook.borrow_mut() = self.coll_hook.borrow().clone();
         child
     }
 
-    /// Whether collectives on this handle take the tiered path: the mode
-    /// allows it, the topology actually spans nodes (single-node worlds —
-    /// the default — skip the inter-node tier entirely), and the id leaves
-    /// room in the derived-id space (internal sub-comms never recurse).
+    /// Whether collectives on this handle take the tiered path: the
+    /// topology spans nodes (single-node worlds — the default — take the
+    /// direct path), and the id leaves room in the derived-id space
+    /// (internal sub-comms never recurse).
     pub(crate) fn hierarchical(&self) -> bool {
-        self.mode == CollectiveMode::Hierarchical
-            && !self.topology.is_single_node()
-            && self.comm_id < HIER_ID_BASE / HIER_ID_STRIDE
+        !self.topology.is_single_node() && self.comm_id < HIER_ID_BASE / HIER_ID_STRIDE
     }
 
     /// Run `f` with this rank's tier sub-communicators, building and
@@ -407,7 +359,6 @@ impl Comm {
             topo.node_rank(self.rank),
             members.len(),
             Arc::new(Topology::single_node(members.len())),
-            self.mode,
             self.tiers.clone(),
         );
         *node.coll_hook.borrow_mut() = hook.clone();
@@ -421,7 +372,6 @@ impl Comm {
                 node_index,
                 num_nodes,
                 Arc::new(Topology::from_nodes((0..num_nodes).collect())),
-                self.mode,
                 self.tiers.clone(),
             );
             *l.coll_hook.borrow_mut() = hook.clone();
@@ -433,8 +383,7 @@ impl Comm {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Error, World, ANY_SOURCE};
-    use std::time::Duration;
+    use crate::{Error, World};
 
     #[test]
     fn rank_and_size_are_consistent() {
@@ -467,70 +416,16 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_source_reports_sender() {
-        let got = World::new(3).run(|c| {
-            if c.rank() == 0 {
-                let mut seen = vec![];
-                for _ in 0..2 {
-                    let (src, v): (usize, u64) = c.recv_any(3).unwrap();
-                    seen.push((src, v));
-                }
-                seen.sort_unstable();
-                seen
-            } else {
-                c.send(0, 3, c.rank() as u64 * 10).unwrap();
-                vec![]
-            }
-        });
-        assert_eq!(got[0], vec![(1, 10), (2, 20)]);
-    }
-
-    #[test]
-    fn recv_with_wildcard_constant() {
-        let got = World::new(2).run(|c| {
-            if c.rank() == 0 {
-                c.recv::<i32>(ANY_SOURCE, 0).unwrap()
-            } else {
-                c.send(0, 0, 17i32).unwrap();
-                0
-            }
-        });
-        assert_eq!(got[0], 17);
-    }
-
-    #[test]
     fn sendrecv_cyclic_shift_does_not_deadlock() {
+        // Every rank sends before it receives: safe because sends are
+        // buffered.
         let got = World::new(5).run(|c| {
             let dst = (c.rank() + 1) % c.size();
             let src = (c.rank() + c.size() - 1) % c.size();
-            c.sendrecv(dst, src, 0, c.rank()).unwrap()
+            c.send(dst, 0, c.rank()).unwrap();
+            c.recv::<usize>(src, 0).unwrap()
         });
         assert_eq!(got, vec![4, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn recv_timeout_expires() {
-        World::new(2).run(|c| {
-            if c.rank() == 0 {
-                let err = c.recv_timeout::<i32>(1, 0, Duration::from_millis(10)).unwrap_err();
-                assert_eq!(err, Error::Timeout);
-            }
-            c.barrier();
-        });
-    }
-
-    #[test]
-    fn try_recv_sees_buffered_message_after_barrier() {
-        World::new(2).run(|c| {
-            if c.rank() == 1 {
-                c.send(0, 2, 5u8).unwrap();
-            }
-            c.barrier();
-            if c.rank() == 0 {
-                assert_eq!(c.try_recv::<u8>(1, 2).unwrap(), Some(5));
-                assert_eq!(c.try_recv::<u8>(1, 2).unwrap(), None);
-            }
-        });
     }
 
     #[test]

@@ -13,8 +13,6 @@ pub enum Error {
     /// `recv` matched a message whose payload type differs from the
     /// requested type.
     TypeMismatch { expected: &'static str },
-    /// A timed receive expired before a matching message arrived.
-    Timeout,
     /// The communicator has been shut down (its world has finished).
     Shutdown,
     /// A vector argument's length did not match the communicator size.
@@ -30,7 +28,6 @@ impl fmt::Display for Error {
             Error::TypeMismatch { expected } => {
                 write!(f, "received message payload is not of type {expected}")
             }
-            Error::Timeout => write!(f, "receive timed out"),
             Error::Shutdown => write!(f, "communicator has been shut down"),
             Error::LengthMismatch { expected, got } => {
                 write!(f, "argument length {got} does not match communicator size {expected}")

@@ -7,13 +7,11 @@
 //! shared memory. The API mirrors the MPI subset that SENSEI, Newton++, and
 //! the data-binning analysis actually exercise:
 //!
-//! * point-to-point: [`Comm::send`], [`Comm::recv`], [`Comm::sendrecv`]
+//! * point-to-point: [`Comm::send`], [`Comm::recv`]
 //! * collectives: [`Comm::barrier`], [`Comm::bcast`], [`Comm::reduce`],
-//!   [`Comm::allreduce`], [`Comm::allreduce_packed`], [`Comm::gather`],
-//!   [`Comm::allgather`], [`Comm::alltoall`], [`Comm::alltoallv`],
-//!   [`Comm::scan`]
-//! * communicator management: [`Comm::split`], [`Comm::dup`],
-//!   [`Comm::split_node`], [`Comm::split_leaders`]
+//!   [`Comm::allreduce`], [`Comm::allreduce_packed`], [`Comm::allgather`],
+//!   [`Comm::allgather_into`], [`Comm::alltoall`]
+//! * communicator management: [`Comm::dup`]
 //!
 //! # Topology
 //!
@@ -23,10 +21,10 @@
 //! a [`devsim::NetworkParams`] cost model, and `allreduce` /
 //! `allreduce_packed` / `bcast` / `barrier` take a tiered path: node-local
 //! reduce, a binomial tree among node leaders across the interconnect,
-//! node-local broadcast. Results are bit-identical to the flat algorithms
-//! ([`CollectiveMode::Flat`]) because both realise the topology's
-//! canonical merge order. The default world is a single node, which keeps
-//! the historical flat behaviour.
+//! node-local broadcast. The tiered fold realises the topology's canonical
+//! merge order, the same one [`Comm::reduce`] applies at its root, so an
+//! allreduce equals `reduce` then `bcast` bit for bit. The default world
+//! is a single node, whose collectives take the direct all-to-root path.
 //!
 //! # Semantics
 //!
@@ -62,8 +60,5 @@ mod world;
 pub use collectives::{Segment, SegmentOp};
 pub use comm::{CollectiveHook, Comm};
 pub use error::{Error, Result};
-pub use topology::{CollectiveMode, TierSnapshot, Topology};
+pub use topology::{TierSnapshot, Topology};
 pub use world::World;
-
-/// Wildcard source for [`Comm::recv_any`]: match a message from any rank.
-pub const ANY_SOURCE: usize = usize::MAX;

@@ -2,7 +2,6 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -21,11 +20,6 @@ pub(crate) struct Key {
     pub tag: u64,
 }
 
-#[derive(Default)]
-struct Queues {
-    map: HashMap<Key, VecDeque<Payload>>,
-}
-
 /// A process-wide mailbox shared by every rank of a [`crate::World`].
 ///
 /// Each `(comm, src, dst, tag)` tuple owns an independent FIFO queue, so
@@ -33,20 +27,20 @@ struct Queues {
 /// order, while messages on different tags can be received out of order —
 /// the same matching semantics MPI provides.
 pub(crate) struct Mailbox {
-    queues: Mutex<Queues>,
+    queues: Mutex<HashMap<Key, VecDeque<Payload>>>,
     arrived: Condvar,
 }
 
 impl Mailbox {
     pub fn new() -> Self {
-        Mailbox { queues: Mutex::new(Queues::default()), arrived: Condvar::new() }
+        Mailbox { queues: Mutex::new(HashMap::new()), arrived: Condvar::new() }
     }
 
     /// Enqueue a message. Never blocks: this models MPI's buffered send,
     /// which is what the coupled codes in the paper rely on.
     pub fn post(&self, key: Key, payload: Payload) {
         let mut q = self.queues.lock();
-        q.map.entry(key).or_default().push_back(payload);
+        q.entry(key).or_default().push_back(payload);
         drop(q);
         self.arrived.notify_all();
     }
@@ -55,47 +49,8 @@ impl Mailbox {
     pub fn take<T: Send + 'static>(&self, key: Key) -> Result<T> {
         let mut q = self.queues.lock();
         loop {
-            if let Some(payload) = Self::pop(&mut q.map, key) {
+            if let Some(payload) = Self::pop(&mut q, key) {
                 return Self::downcast(payload);
-            }
-            self.arrived.wait(&mut q);
-        }
-    }
-
-    /// Like [`take`](Self::take) but gives up after `timeout`.
-    pub fn take_timeout<T: Send + 'static>(&self, key: Key, timeout: Duration) -> Result<T> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.queues.lock();
-        loop {
-            if let Some(payload) = Self::pop(&mut q.map, key) {
-                return Self::downcast(payload);
-            }
-            if self.arrived.wait_until(&mut q, deadline).timed_out() {
-                return Err(Error::Timeout);
-            }
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_take<T: Send + 'static>(&self, key: Key) -> Option<Result<T>> {
-        let mut q = self.queues.lock();
-        Self::pop(&mut q.map, key).map(Self::downcast)
-    }
-
-    /// Block until a message for `dst` with `tag` arrives from *any* source
-    /// on communicator `comm`; returns the source rank alongside the payload.
-    pub fn take_any<T: Send + 'static>(
-        &self,
-        comm: u64,
-        dst: usize,
-        tag: u64,
-    ) -> Result<(usize, T)> {
-        let mut q = self.queues.lock();
-        loop {
-            let hit = q.queues_matching(comm, dst, tag).next();
-            if let Some(key) = hit {
-                let payload = Self::pop(&mut q.map, key).expect("queue vanished under lock");
-                return Self::downcast(payload).map(|v| (key.src, v));
             }
             self.arrived.wait(&mut q);
         }
@@ -115,21 +70,6 @@ impl Mailbox {
             .downcast::<T>()
             .map(|b| *b)
             .map_err(|_| Error::TypeMismatch { expected: std::any::type_name::<T>() })
-    }
-}
-
-impl Queues {
-    /// Keys with pending messages destined for `(comm, dst, tag)`, lowest
-    /// source rank first (a deterministic tie-break for `ANY_SOURCE`).
-    fn queues_matching(&self, comm: u64, dst: usize, tag: u64) -> impl Iterator<Item = Key> + '_ {
-        let mut keys: Vec<Key> = self
-            .map
-            .keys()
-            .filter(|k| k.comm == comm && k.dst == dst && k.tag == tag)
-            .copied()
-            .collect();
-        keys.sort_by_key(|k| k.src);
-        keys.into_iter()
     }
 }
 
@@ -177,33 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn timeout_expires_when_no_message() {
-        let mb = Mailbox::new();
-        let err = mb.take_timeout::<i32>(key(0, 1, 0), Duration::from_millis(10)).unwrap_err();
-        assert_eq!(err, Error::Timeout);
-    }
-
-    #[test]
-    fn try_take_is_nonblocking() {
-        let mb = Mailbox::new();
-        assert!(mb.try_take::<i32>(key(0, 1, 0)).is_none());
-        mb.post(key(0, 1, 0), Box::new(5i32));
-        assert_eq!(mb.try_take::<i32>(key(0, 1, 0)).unwrap().unwrap(), 5);
-    }
-
-    #[test]
-    fn take_any_prefers_lowest_source() {
-        let mb = Mailbox::new();
-        mb.post(key(3, 0, 9), Box::new(30i32));
-        mb.post(key(1, 0, 9), Box::new(10i32));
-        let (src, v) = mb.take_any::<i32>(0, 0, 9).unwrap();
-        assert_eq!((src, v), (1, 10));
-        let (src, v) = mb.take_any::<i32>(0, 0, 9).unwrap();
-        assert_eq!((src, v), (3, 30));
-    }
-
-    #[test]
     fn take_blocks_until_post_from_other_thread() {
+        use std::time::Duration;
         let mb = std::sync::Arc::new(Mailbox::new());
         let mb2 = mb.clone();
         let h = std::thread::spawn(move || mb2.take::<u64>(key(0, 1, 4)).unwrap());

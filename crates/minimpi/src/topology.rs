@@ -8,25 +8,11 @@
 //! hierarchical collectives use the grouping to route node-local traffic
 //! over the cheap tier (see `collectives.rs`).
 //!
-//! The default topology is a single node containing every rank, which
-//! degenerates to the historical flat behaviour: all traffic is
-//! intra-node and the hierarchical collective paths are skipped entirely.
+//! The default topology is a single node containing every rank: all
+//! traffic is intra-node and collectives take the direct all-to-root path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// How collectives route their traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectiveMode {
-    /// The historical flat algorithms (all-to-root + broadcast), kept as
-    /// the A/B baseline. Results are bit-identical to `Hierarchical`
-    /// because both realise the topology's canonical merge order.
-    Flat,
-    /// Tiered algorithms: node-local reduce, a binomial tree among node
-    /// leaders over the inter-node tier, node-local broadcast.
-    #[default]
-    Hierarchical,
-}
 
 /// Ranks grouped into simulated nodes.
 ///
@@ -41,7 +27,7 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Every rank on one node: the flat default.
+    /// Every rank on one node: the default.
     pub fn single_node(size: usize) -> Self {
         Topology::from_nodes(vec![0; size])
     }
@@ -130,13 +116,6 @@ impl Topology {
     /// inter-node tier entirely.
     pub fn is_single_node(&self) -> bool {
         self.nodes.len() == 1
-    }
-
-    /// The topology induced on a sub-group: `parent_ranks[i]` is the
-    /// parent rank that becomes rank `i` of the child. Used by
-    /// `split`/`dup` so derived communicators preserve node membership.
-    pub fn subset(&self, parent_ranks: &[usize]) -> Topology {
-        Topology::from_nodes(parent_ranks.iter().map(|&r| self.node_of(r)).collect())
     }
 }
 
@@ -279,19 +258,6 @@ mod tests {
         assert_eq!(t.node_of(2), 0);
         assert_eq!(t.node_of(3), 2);
         assert_eq!(t.members(0), &[0, 2]);
-    }
-
-    #[test]
-    fn subset_preserves_node_membership() {
-        let t = Topology::grouped(8, 4);
-        // Child ranks 0..3 map to parent ranks 1, 3, 4, 6.
-        let s = t.subset(&[1, 3, 4, 6]);
-        assert_eq!(s.size(), 4);
-        assert_eq!(s.num_nodes(), 2);
-        assert!(s.same_node(0, 1)); // parents 1, 3 share node 0
-        assert!(s.same_node(2, 3)); // parents 4, 6 share node 1
-        assert!(!s.same_node(1, 2));
-        assert_eq!(s.leader(1), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use devsim::NetworkParams;
 
 use crate::comm::{Comm, WorldShared};
-use crate::topology::{CollectiveMode, Topology};
+use crate::topology::Topology;
 
 /// A fixed-size group of ranks, each run on its own OS thread.
 ///
@@ -13,17 +13,16 @@ use crate::topology::{CollectiveMode, Topology};
 /// passes each a rank-`i` [`Comm`] over the world communicator, and returns
 /// the per-rank results in rank order.
 ///
-/// By default all ranks share one simulated node (the historical flat
-/// behaviour). [`World::with_ranks_per_node`] / [`World::with_topology`]
-/// group ranks into nodes, after which collectives take the tiered
-/// hierarchical path and every message is charged against the intra- or
+/// By default all ranks share one simulated node, and collectives take the
+/// direct all-to-root path. [`World::with_ranks_per_node`] /
+/// [`World::with_topology`] group ranks into nodes, after which collectives
+/// take the tiered path and every message is charged against the intra- or
 /// inter-node tier of [`NetworkParams`].
 pub struct World {
     n: usize,
     topology: Topology,
     net: NetworkParams,
     time_scale: f64,
-    mode: CollectiveMode,
 }
 
 impl World {
@@ -38,7 +37,6 @@ impl World {
             topology: Topology::single_node(n),
             net: NetworkParams::default(),
             time_scale: 0.0,
-            mode: CollectiveMode::default(),
         }
     }
 
@@ -68,14 +66,6 @@ impl World {
         self
     }
 
-    /// Choose how collectives route traffic; the default is
-    /// [`CollectiveMode::Hierarchical`]. [`CollectiveMode::Flat`] keeps the
-    /// all-to-root algorithms as a bit-identical A/B baseline.
-    pub fn with_collective_mode(mut self, mode: CollectiveMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Number of ranks this world will spawn.
     pub fn size(&self) -> usize {
         self.n
@@ -101,8 +91,7 @@ impl World {
                     let shared = shared.clone();
                     let topology = topology.clone();
                     let n = self.n;
-                    let mode = self.mode;
-                    scope.spawn(move || f(Comm::new(shared, 0, rank, n, topology, mode)))
+                    scope.spawn(move || f(Comm::new(shared, 0, rank, n, topology)))
                 })
                 .collect();
             let mut results = Vec::with_capacity(self.n);
@@ -149,15 +138,17 @@ mod tests {
         // Two sequential worlds must not share mailboxes or barriers.
         let a = World::new(2).run(|c| {
             if c.rank() == 0 {
-                c.send(1, 0, 1u8).unwrap();
+                c.send(1, 0, 1u8).unwrap(); // never received
             }
             c.barrier();
             c.rank()
         });
         let b = World::new(2).run(|c| {
-            // A fresh world: no stale message from world `a` may appear.
-            if c.rank() == 1 {
-                assert_eq!(c.try_recv::<u8>(0, 0).unwrap(), None);
+            // A fresh world: the stale message from world `a` never matches.
+            if c.rank() == 0 {
+                c.send(1, 0, 2u8).unwrap();
+            } else {
+                assert_eq!(c.recv::<u8>(0, 0).unwrap(), 2);
             }
             c.barrier();
             c.rank()

@@ -61,42 +61,5 @@ proptest! {
         }
     }
 
-    #[test]
-    fn scan_is_the_inclusive_prefix(
-        values in proptest::collection::vec(-100i64..100, 1..6),
-    ) {
-        let n = values.len();
-        let v2 = values.clone();
-        let got = World::new(n).run(move |c| c.scan(v2[c.rank()], |a, b| a + b).unwrap());
-        let mut acc = 0;
-        for (r, g) in got.into_iter().enumerate() {
-            acc += values[r];
-            prop_assert_eq!(g, acc);
-        }
-    }
 
-    #[test]
-    fn split_partitions_exactly(
-        colors in proptest::collection::vec(0u64..3, 1..6),
-    ) {
-        let n = colors.len();
-        let c2 = colors.clone();
-        let got = World::new(n).run(move |c| {
-            let sub = c.split(c2[c.rank()], c.rank() as u64);
-            (sub.rank(), sub.size())
-        });
-        // Group sizes must match the color multiset; ranks within each
-        // group must be 0..size.
-        for color in 0..3u64 {
-            let members: Vec<usize> =
-                (0..n).filter(|&r| colors[r] == color).collect();
-            let mut subranks: Vec<usize> =
-                members.iter().map(|&r| got[r].0).collect();
-            subranks.sort_unstable();
-            prop_assert_eq!(subranks, (0..members.len()).collect::<Vec<_>>());
-            for &r in &members {
-                prop_assert_eq!(got[r].1, members.len());
-            }
-        }
-    }
 }

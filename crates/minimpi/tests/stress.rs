@@ -91,23 +91,3 @@ fn many_ranks_allreduce_scales() {
         assert!(v.iter().all(|&x| x == expect));
     }
 }
-
-#[test]
-fn nested_splits_compose() {
-    // Split twice: world -> parity groups -> halves of each group.
-    let got = World::new(8).run(|comm| {
-        let parity = comm.split((comm.rank() % 2) as u64, comm.rank() as u64);
-        let quarter = parity.split((parity.rank() / 2) as u64, parity.rank() as u64);
-        let sum = quarter.allreduce(comm.rank(), |a, b| a + b);
-        (quarter.size(), sum)
-    });
-    // Groups: {0,2},{4,6},{1,3},{5,7} -> sums 2, 10, 4, 12.
-    assert_eq!(got[0], (2, 2));
-    assert_eq!(got[2], (2, 2));
-    assert_eq!(got[4], (2, 10));
-    assert_eq!(got[6], (2, 10));
-    assert_eq!(got[1], (2, 4));
-    assert_eq!(got[3], (2, 4));
-    assert_eq!(got[5], (2, 12));
-    assert_eq!(got[7], (2, 12));
-}

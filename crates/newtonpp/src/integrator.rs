@@ -49,12 +49,6 @@ impl Leapfrog {
         }
         self.acc = Some(acc);
     }
-
-    /// Invalidate the cached accelerations (after external mutation of
-    /// the body set, e.g. repartitioning).
-    pub fn invalidate(&mut self) {
-        self.acc = None;
-    }
 }
 
 #[cfg(test)]

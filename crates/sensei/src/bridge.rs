@@ -112,11 +112,6 @@ impl Bridge {
         self.serve = Some(hub);
     }
 
-    /// The attached serving hub, if any.
-    pub fn serve_hub(&self) -> Option<&Arc<ServeHub>> {
-        self.serve.as_ref()
-    }
-
     /// Attach a back-end. Its [`crate::ExecutionMethod`] selects where it
     /// runs: lockstep back-ends on the simulation's thread; asynchronous
     /// and dag back-ends on a persistent worker thread with a bounded

@@ -11,7 +11,6 @@
 //!
 //! ```xml
 //! <sensei>
-//!   <memory_pool enabled="1" granularity="64" trim_threshold="1048576"/>
 //!   <faults seed="7">
 //!     <fault site="stream.launch" probability="0.05" max="3"/>
 //!     <fault site="mpi.collective" delay_ms="5" rank="0"/>
@@ -25,11 +24,6 @@
 //! </sensei>
 //! ```
 //!
-//! The optional `<memory_pool>` element tunes the node-wide stream-aware
-//! caching allocator: `enabled` is the master switch, `granularity` the
-//! size-class width in 64-bit cells, and `trim_threshold` a per-space
-//! ceiling (bytes) on cached free-list memory (absent = unbounded).
-//!
 //! The optional `<faults>` element installs a deterministic fault
 //! schedule on the node's [`devsim::FaultInjector`] at instantiate time:
 //! `seed` fixes the sampling sequence; each `<fault>` child names an
@@ -40,8 +34,8 @@
 
 use std::time::Duration;
 
-use devsim::{FaultConfig, FaultKind, FaultRule, NetworkParams, PoolConfig};
-use minimpi::{CollectiveMode, Topology};
+use devsim::{FaultConfig, FaultKind, FaultRule, NetworkParams};
+use minimpi::Topology;
 use xmlcfg::Element;
 
 use crate::adaptor::AnalysisAdaptor;
@@ -109,31 +103,24 @@ impl BackendConfig {
 /// the two-tier network cost model their messages are charged against.
 ///
 /// ```xml
-/// <topology ranks_per_node="4" mode="hierarchical"
+/// <topology ranks_per_node="4"
 ///           intra_gbps="200" inter_gbps="25"
 ///           intra_latency_ns="1000" inter_latency_ns="5000"/>
 /// ```
 ///
-/// `mode="flat"` keeps the node grouping and cost model but routes
-/// collectives over the all-to-root algorithms — the A/B baseline the
-/// scale harness compares against.
+/// A world whose ranks span more than one node routes its collectives
+/// over the tiered path (DESIGN.md §14); there is no routing choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyConfig {
     /// Ranks per simulated node (consecutive fill, last node partial).
     pub ranks_per_node: usize,
-    /// How collectives route their traffic.
-    pub mode: CollectiveMode,
     /// The intra-/inter-node cost model.
     pub net: NetworkParams,
 }
 
 impl Default for TopologyConfig {
     fn default() -> Self {
-        TopologyConfig {
-            ranks_per_node: 4,
-            mode: CollectiveMode::default(),
-            net: NetworkParams::default(),
-        }
+        TopologyConfig { ranks_per_node: 4, net: NetworkParams::default() }
     }
 }
 
@@ -147,7 +134,6 @@ impl TopologyConfig {
 /// A parsed SENSEI run-time configuration.
 pub struct ConfigurableAnalysis {
     configs: Vec<BackendConfig>,
-    pool: Option<PoolConfig>,
     faults: Option<FaultConfig>,
     snapshot: Option<SnapshotMode>,
     topology: Option<TopologyConfig>,
@@ -165,23 +151,16 @@ impl ConfigurableAnalysis {
         if root.name != "sensei" {
             return Err(Error::Config(format!("expected <sensei> root, found <{}>", root.name)));
         }
-        let pool = match root.find_child("memory_pool") {
-            None => None,
-            Some(el) => {
-                let defaults = PoolConfig::default();
-                let enabled = el.parse_attr_or::<u8>("enabled", 1).map_err(Error::Xml)? != 0;
-                let granularity = el
-                    .parse_attr_or::<usize>("granularity", defaults.granularity)
-                    .map_err(Error::Xml)?;
-                if granularity == 0 {
-                    return Err(Error::Config("memory_pool granularity must be at least 1".into()));
-                }
-                let trim_threshold = el
-                    .parse_attr_or::<usize>("trim_threshold", defaults.trim_threshold)
-                    .map_err(Error::Xml)?;
-                Some(PoolConfig { enabled, granularity, trim_threshold })
-            }
-        };
+        // Older configs may carry it, in any form; an ignored element
+        // would let them claim pool tuning that no longer exists.
+        if root.find_child("memory_pool").is_some() {
+            return Err(Error::Config(
+                "<memory_pool> was removed: the pool's size classes and cache ceiling are \
+                 fixed, and its one switch is NodeConfig.pool, set before SimNode::new \
+                 (delete the element)"
+                    .into(),
+            ));
+        }
         let faults = match root.find_child("faults") {
             None => None,
             Some(el) => {
@@ -229,19 +208,20 @@ impl ConfigurableAnalysis {
                 if ranks_per_node == 0 {
                     return Err(Error::Config("topology ranks_per_node must be at least 1".into()));
                 }
-                let mode = match el.attr_or("mode", "hierarchical") {
-                    "hierarchical" => CollectiveMode::Hierarchical,
-                    "flat" => CollectiveMode::Flat,
-                    s => {
-                        return Err(Error::Config(format!(
-                            "bad topology mode '{s}' (expected hierarchical or flat)"
-                        )))
-                    }
-                };
+                if let Some(mode) = el.attr("mode") {
+                    return Err(Error::Config(format!(
+                        "mode=\"{mode}\" on <topology> was removed: collectives on a \
+                         topology that spans nodes always take the tiered path \
+                         (delete the attribute)"
+                    )));
+                }
                 let gbps = |attr: &str, default: f64| -> Result<f64> {
                     let v = el.parse_attr_or::<f64>(attr, default / 1e9).map_err(Error::Xml)? * 1e9;
-                    if v <= 0.0 {
-                        return Err(Error::Config(format!("topology {attr} must be positive")));
+                    // NaN compares false both ways: test for what is valid.
+                    if !(v.is_finite() && v > 0.0) {
+                        return Err(Error::Config(format!(
+                            "topology {attr} must be finite and positive"
+                        )));
                     }
                     Ok(v)
                 };
@@ -257,7 +237,7 @@ impl ConfigurableAnalysis {
                     intra_latency: latency("intra_latency_ns", d.net.intra_latency)?,
                     inter_latency: latency("inter_latency_ns", d.net.inter_latency)?,
                 };
-                Some(TopologyConfig { ranks_per_node, mode, net })
+                Some(TopologyConfig { ranks_per_node, net })
             }
         };
         // Older configs may carry it, in any form; an ignored element
@@ -351,17 +331,12 @@ impl ConfigurableAnalysis {
                 element: el.clone(),
             });
         }
-        Ok(ConfigurableAnalysis { configs, pool, faults, snapshot, topology })
+        Ok(ConfigurableAnalysis { configs, faults, snapshot, topology })
     }
 
     /// All entries (including disabled ones).
     pub fn configs(&self) -> &[BackendConfig] {
         &self.configs
-    }
-
-    /// The `<memory_pool>` settings, if the document carries the element.
-    pub fn pool_config(&self) -> Option<PoolConfig> {
-        self.pool
     }
 
     /// The `<faults>` schedule, if the document carries the element.
@@ -379,8 +354,8 @@ impl ConfigurableAnalysis {
 
     /// The `<topology>` settings, if the document carries the element.
     /// The harness applies them when it builds the [`minimpi::World`]
-    /// (node grouping, collective mode, and network cost model); absent
-    /// means the single-node default.
+    /// (node grouping and network cost model); absent means the
+    /// single-node default.
     pub fn topology_config(&self) -> Option<TopologyConfig> {
         self.topology
     }
@@ -390,15 +365,6 @@ impl ConfigurableAnalysis {
     /// written out explicitly).
     pub fn to_xml(&self) -> String {
         let mut root = Element::new("sensei");
-        if let Some(p) = self.pool {
-            let mut el = Element::new("memory_pool");
-            el.attributes.push(("enabled".to_string(), (p.enabled as u8).to_string()));
-            el.attributes.push(("granularity".to_string(), p.granularity.to_string()));
-            if p.trim_threshold != usize::MAX {
-                el.attributes.push(("trim_threshold".to_string(), p.trim_threshold.to_string()));
-            }
-            root.children.push(xmlcfg::Node::Element(el));
-        }
         if let Some(mode) = self.snapshot {
             let mut el = Element::new("snapshot");
             el.attributes.push(("mode".to_string(), mode.name().to_string()));
@@ -406,12 +372,7 @@ impl ConfigurableAnalysis {
         }
         if let Some(t) = self.topology {
             let mut el = Element::new("topology");
-            let mode = match t.mode {
-                CollectiveMode::Hierarchical => "hierarchical",
-                CollectiveMode::Flat => "flat",
-            };
             el.attributes.push(("ranks_per_node".to_string(), t.ranks_per_node.to_string()));
-            el.attributes.push(("mode".to_string(), mode.to_string()));
             el.attributes
                 .push(("intra_gbps".to_string(), (t.net.intra_bytes_per_sec / 1e9).to_string()));
             el.attributes
@@ -458,9 +419,6 @@ impl ConfigurableAnalysis {
         registry: &AnalysisRegistry,
         ctx: &CreateContext,
     ) -> Result<Vec<Box<dyn AnalysisAdaptor>>> {
-        if let Some(p) = self.pool {
-            ctx.node.pool().configure(p);
-        }
         if let Some(f) = &self.faults {
             ctx.node.fault().configure(f.clone());
         }
@@ -482,7 +440,6 @@ mod tests {
 
     const XML: &str = r#"
         <sensei>
-          <memory_pool enabled="1" granularity="128" trim_threshold="65536"/>
           <faults seed="7">
             <fault site="stream.launch" probability="0.25" after="2" max="3"/>
             <fault site="mpi.collective" delay_ms="5" rank="1"/>
@@ -589,51 +546,23 @@ mod tests {
     }
 
     #[test]
-    fn memory_pool_element_parses_and_round_trips() {
-        let cfg = ConfigurableAnalysis::from_xml(XML).unwrap();
-        let pool = cfg.pool_config().unwrap();
-        assert!(pool.enabled);
-        assert_eq!(pool.granularity, 128);
-        assert_eq!(pool.trim_threshold, 65536);
-
-        let text = cfg.to_xml();
-        assert!(
-            text.contains(r#"<memory_pool enabled="1" granularity="128" trim_threshold="65536"/>"#)
-        );
-        let again = ConfigurableAnalysis::from_xml(&text).unwrap();
-        assert_eq!(again.pool_config(), Some(pool));
-
-        // Absent element -> no pool override; unbounded threshold stays
-        // implicit on the way back out.
-        let none = ConfigurableAnalysis::from_xml("<sensei/>").unwrap();
-        assert_eq!(none.pool_config(), None);
-        let sparse =
-            ConfigurableAnalysis::from_xml(r#"<sensei><memory_pool enabled="0"/></sensei>"#)
-                .unwrap();
-        let p = sparse.pool_config().unwrap();
-        assert!(!p.enabled);
-        assert_eq!(p.granularity, PoolConfig::default().granularity);
-        assert_eq!(p.trim_threshold, usize::MAX);
-        assert!(!sparse.to_xml().contains("trim_threshold"));
-
-        assert!(matches!(
-            ConfigurableAnalysis::from_xml(r#"<sensei><memory_pool granularity="0"/></sensei>"#),
-            Err(Error::Config(_))
-        ));
-    }
-
-    #[test]
-    fn instantiate_applies_memory_pool_to_the_node() {
-        let cfg = ConfigurableAnalysis::from_xml(
-            r#"<sensei><memory_pool enabled="0" granularity="16"/></sensei>"#,
-        )
-        .unwrap();
-        let reg = AnalysisRegistry::new();
-        let ctx = CreateContext { node: SimNode::new(NodeConfig::fast_test(1)), rank: 0, size: 1 };
-        cfg.instantiate(&reg, &ctx).unwrap();
-        let applied = ctx.node.pool().config();
-        assert!(!applied.enabled);
-        assert_eq!(applied.granularity, 16);
+    fn removed_memory_pool_element_is_rejected_and_never_emitted() {
+        // Every form reports the removal, an out-of-range value too.
+        for xml in [
+            "<sensei><memory_pool/></sensei>",
+            r#"<sensei><memory_pool enabled="0"/></sensei>"#,
+            r#"<sensei><memory_pool enabled="1" granularity="128" trim_threshold="65536"/></sensei>"#,
+            r#"<sensei><memory_pool granularity="0"/></sensei>"#,
+        ] {
+            match ConfigurableAnalysis::from_xml(xml) {
+                Err(Error::Config(msg)) => {
+                    assert!(msg.contains("<memory_pool> was removed"), "{msg}")
+                }
+                other => panic!("{xml} must be a Config error, got {:?}", other.map(|_| ())),
+            }
+        }
+        let text = ConfigurableAnalysis::from_xml(XML).unwrap().to_xml();
+        assert!(!text.contains("<memory_pool"), "{text}");
     }
 
     #[test]
@@ -670,7 +599,7 @@ mod tests {
     fn topology_element_parses_and_round_trips() {
         let cfg = ConfigurableAnalysis::from_xml(
             r#"<sensei>
-                 <topology ranks_per_node="8" mode="flat"
+                 <topology ranks_per_node="8"
                            intra_gbps="100" inter_gbps="12.5"
                            intra_latency_ns="500" inter_latency_ns="7000"/>
                </sensei>"#,
@@ -678,7 +607,6 @@ mod tests {
         .unwrap();
         let t = cfg.topology_config().expect("topology element present");
         assert_eq!(t.ranks_per_node, 8);
-        assert_eq!(t.mode, CollectiveMode::Flat);
         assert_eq!(t.net.intra_bytes_per_sec, 100e9);
         assert_eq!(t.net.inter_bytes_per_sec, 12.5e9);
         assert_eq!(t.net.intra_latency, Duration::from_nanos(500));
@@ -687,14 +615,15 @@ mod tests {
         assert_eq!(topo.num_nodes(), 2);
         assert!(topo.same_node(0, 7) && !topo.same_node(7, 8));
 
-        let again = ConfigurableAnalysis::from_xml(&cfg.to_xml()).unwrap();
+        let text = cfg.to_xml();
+        assert!(!text.contains("mode="), "{text}");
+        let again = ConfigurableAnalysis::from_xml(&text).unwrap();
         assert_eq!(again.topology_config(), Some(t));
 
-        // A bare element means the defaults (hierarchical, 4 per node,
-        // Perlmutter-shaped network); an absent one means single-node.
+        // A bare element means the defaults (4 per node, Perlmutter-shaped
+        // network); an absent one means single-node.
         let bare = ConfigurableAnalysis::from_xml("<sensei><topology/></sensei>").unwrap();
         assert_eq!(bare.topology_config(), Some(TopologyConfig::default()));
-        assert_eq!(bare.topology_config().unwrap().mode, CollectiveMode::Hierarchical);
         assert_eq!(ConfigurableAnalysis::from_xml("<sensei/>").unwrap().topology_config(), None);
     }
 
@@ -729,7 +658,15 @@ mod tests {
         for xml in [
             r#"<sensei><topology ranks_per_node="0"/></sensei>"#,
             r#"<sensei><topology mode="diagonal"/></sensei>"#,
+            r#"<sensei><topology mode="flat"/></sensei>"#,
+            r#"<sensei><topology mode="hierarchical"/></sensei>"#,
             r#"<sensei><topology inter_gbps="-3"/></sensei>"#,
+            r#"<sensei><topology intra_gbps="0"/></sensei>"#,
+            // NaN is neither <= 0 nor > 0; it would panic the time model
+            // at the first charged message.
+            r#"<sensei><topology intra_gbps="nan"/></sensei>"#,
+            r#"<sensei><topology inter_gbps="NaN"/></sensei>"#,
+            r#"<sensei><topology inter_gbps="inf"/></sensei>"#,
         ] {
             assert!(matches!(ConfigurableAnalysis::from_xml(xml), Err(Error::Config(_))), "{xml}");
         }

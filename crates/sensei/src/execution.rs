@@ -33,12 +33,12 @@ impl ExecutionMethod {
         }
     }
 
-    /// Parse the XML spelling (a few aliases accepted).
+    /// Parse the XML spelling.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "lockstep" | "sync" | "synchronous" => Some(ExecutionMethod::Lockstep),
-            "asynchronous" | "async" | "threaded" => Some(ExecutionMethod::Asynchronous),
-            "dag" | "dataflow" => Some(ExecutionMethod::Dag),
+            "lockstep" => Some(ExecutionMethod::Lockstep),
+            "asynchronous" => Some(ExecutionMethod::Asynchronous),
+            "dag" => Some(ExecutionMethod::Dag),
             _ => None,
         }
     }
@@ -56,10 +56,17 @@ mod tests {
     }
 
     #[test]
-    fn aliases_parse() {
-        assert_eq!(ExecutionMethod::parse("ASYNC"), Some(ExecutionMethod::Asynchronous));
-        assert_eq!(ExecutionMethod::parse("sync"), Some(ExecutionMethod::Lockstep));
-        assert_eq!(ExecutionMethod::parse("dataflow"), Some(ExecutionMethod::Dag));
-        assert_eq!(ExecutionMethod::parse("bogus"), None);
+    fn aliases_are_rejected() {
+        assert_eq!(ExecutionMethod::parse(" Lockstep "), Some(ExecutionMethod::Lockstep));
+        for alias in ["sync", "synchronous", "async", "ASYNC", "threaded", "dataflow", "bogus"] {
+            assert_eq!(ExecutionMethod::parse(alias), None, "{alias}");
+            let xml = format!(r#"<sensei><analysis type="x" mode="{alias}"/></sensei>"#);
+            match crate::ConfigurableAnalysis::from_xml(&xml) {
+                Err(crate::Error::Config(msg)) => assert!(msg.contains(alias), "{msg}"),
+                other => {
+                    panic!("mode '{alias}' must be a Config error, got {:?}", other.map(|_| ()))
+                }
+            }
+        }
     }
 }

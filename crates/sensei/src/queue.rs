@@ -37,12 +37,12 @@ impl OverflowPolicy {
         }
     }
 
-    /// Parse the XML spelling (a few aliases accepted).
+    /// Parse the XML spelling.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "block" | "backpressure" => Some(OverflowPolicy::Block),
-            "drop_oldest" | "drop-oldest" | "drop" => Some(OverflowPolicy::DropOldest),
-            "error" | "fail" => Some(OverflowPolicy::Error),
+            "block" => Some(OverflowPolicy::Block),
+            "drop_oldest" => Some(OverflowPolicy::DropOldest),
+            "error" => Some(OverflowPolicy::Error),
             _ => None,
         }
     }
@@ -241,13 +241,18 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn policy_names_roundtrip_and_aliases_parse() {
+    fn policy_names_roundtrip_and_aliases_are_rejected() {
         for p in [OverflowPolicy::Block, OverflowPolicy::DropOldest, OverflowPolicy::Error] {
             assert_eq!(OverflowPolicy::parse(p.name()), Some(p));
         }
-        assert_eq!(OverflowPolicy::parse("DROP"), Some(OverflowPolicy::DropOldest));
-        assert_eq!(OverflowPolicy::parse("fail"), Some(OverflowPolicy::Error));
-        assert_eq!(OverflowPolicy::parse("yolo"), None);
+        for alias in ["backpressure", "drop-oldest", "drop", "DROP", "fail", "yolo"] {
+            assert_eq!(OverflowPolicy::parse(alias), None, "{alias}");
+            let xml = format!(r#"<sensei><analysis type="x" overflow="{alias}"/></sensei>"#);
+            match crate::ConfigurableAnalysis::from_xml(&xml) {
+                Err(crate::Error::Config(msg)) => assert!(msg.contains(alias), "{msg}"),
+                other => panic!("'{alias}' must be a Config error, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

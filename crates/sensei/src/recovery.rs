@@ -59,13 +59,13 @@ impl RecoveryPolicy {
         }
     }
 
-    /// Parse the XML spelling (a few aliases accepted). `retry` gets a
+    /// Parse the XML spelling. `retry` gets a
     /// default budget of 3 attempts / 10 ms; configuration attributes can
     /// override the fields afterwards.
     pub fn parse(s: &str) -> Option<Self> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "abort" | "fail" => Some(RecoveryPolicy::Abort),
-            "skip_step" | "skip-step" | "skip" => Some(RecoveryPolicy::SkipStep),
+            "abort" => Some(RecoveryPolicy::Abort),
+            "skip_step" => Some(RecoveryPolicy::SkipStep),
             "retry" => Some(RecoveryPolicy::Retry { max_retries: 3, backoff_ms: 10 }),
             _ => None,
         }
@@ -148,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn names_roundtrip_and_aliases_parse() {
+    fn names_roundtrip_and_aliases_are_rejected() {
         for p in [
             RecoveryPolicy::Abort,
             RecoveryPolicy::SkipStep,
@@ -156,8 +156,14 @@ mod tests {
         ] {
             assert_eq!(RecoveryPolicy::parse(p.name()).map(|q| q.name()), Some(p.name()));
         }
-        assert_eq!(RecoveryPolicy::parse("skip"), Some(RecoveryPolicy::SkipStep));
-        assert_eq!(RecoveryPolicy::parse("nope"), None);
+        for alias in ["fail", "skip-step", "skip", "SKIP", "nope"] {
+            assert_eq!(RecoveryPolicy::parse(alias), None, "{alias}");
+            let xml = format!(r#"<sensei><analysis type="x" on_error="{alias}"/></sensei>"#);
+            match crate::ConfigurableAnalysis::from_xml(&xml) {
+                Err(crate::Error::Config(msg)) => assert!(msg.contains(alias), "{msg}"),
+                other => panic!("'{alias}' must be a Config error, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

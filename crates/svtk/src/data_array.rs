@@ -43,14 +43,6 @@ pub trait DataArray: Send + Sync {
     /// Wait for in-flight operations on this array's stream.
     fn synchronize_erased(&self) -> hamr::Result<()>;
 
-    /// Generation identity of the backing allocation as
-    /// `(allocation_id, write_generation)`, or `None` for array types
-    /// without generation tracking — consumers must treat those as
-    /// modified every time (always copy).
-    fn generation_erased(&self) -> Option<(u64, u64)> {
-        None
-    }
-
     /// A zero-copy copy-on-write share pinned to the array's current
     /// contents, ordered on `stream` (a snapshot layer's dedicated copy
     /// stream). `None` when the array type cannot share — the caller

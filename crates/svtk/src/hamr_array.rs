@@ -232,10 +232,6 @@ impl<T: Element> DataArray for HamrDataArray<T> {
         self.synchronize()
     }
 
-    fn generation_erased(&self) -> Option<(u64, u64)> {
-        Some((self.buffer.allocation_id(), self.buffer.write_generation()))
-    }
-
     fn cow_share_erased(
         &self,
         stats: &Arc<devsim::PinStats>,

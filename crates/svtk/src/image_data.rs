@@ -142,13 +142,6 @@ impl ImageData {
             FieldAssociation::Cell | FieldAssociation::Field => &mut self.cell_data,
         }
     }
-
-    /// Generation identity `(allocation_id, write_generation)` of an
-    /// attached array's backing allocation — `None` for a missing array
-    /// or one without generation tracking (treat as modified).
-    pub fn array_generation(&self, assoc: FieldAssociation, name: &str) -> Option<(u64, u64)> {
-        self.data(assoc).array(name).and_then(|a| a.generation_erased())
-    }
 }
 
 #[cfg(test)]

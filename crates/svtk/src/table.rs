@@ -75,13 +75,6 @@ impl TableData {
     pub fn num_columns(&self) -> usize {
         self.columns.len()
     }
-
-    /// Generation identity `(allocation_id, write_generation)` of a
-    /// column's backing allocation — `None` for a missing column or one
-    /// without generation tracking (treat as modified).
-    pub fn column_generation(&self, name: &str) -> Option<(u64, u64)> {
-        self.column(name).and_then(|a| a.generation_erased())
-    }
 }
 
 #[cfg(test)]

@@ -100,10 +100,8 @@ fn async_binning_reaches_zero_raw_alloc_steady_state() {
 /// Deep-copy the simulation's published state and pull every f64 column
 /// back to the host, as raw bit patterns.
 fn capture_columns(pool: bool) -> Vec<(String, Vec<u64>)> {
-    let node = SimNode::new(NodeConfig::fast_test(1));
-    if !pool {
-        node.pool().configure(PoolConfig::disabled());
-    }
+    let node =
+        SimNode::new(NodeConfig { pool: PoolConfig { enabled: pool }, ..NodeConfig::fast_test(1) });
     World::new(1)
         .run(move |comm| {
             let mut sim = new_sim(node.clone(), &comm);

@@ -130,3 +130,33 @@ fn removed_serve_element_is_a_config_error() {
         }
     }
 }
+
+/// The pool's size classes and cache ceiling are fixed and its switch is
+/// set in code, and collectives on a multi-node topology always route
+/// tiered: a `<memory_pool>` element in any form, or a `mode` attribute
+/// on `<topology>` with either old value, makes a shipped config a typed
+/// config error naming the removal.
+#[test]
+fn removed_memory_pool_and_topology_mode_are_config_errors() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/sensei_xml/binning_hierarchical.xml");
+    let xml = std::fs::read_to_string(&path).expect("readable config");
+    assert!(ConfigurableAnalysis::from_xml(&xml).is_ok(), "the base config parses");
+    let mut cases = Vec::new();
+    for pool in ["<memory_pool/>", r#"<memory_pool enabled="0" granularity="128"/>"#] {
+        let with = xml.replacen("<sensei>", &format!("<sensei>{pool}"), 1);
+        cases.push((pool.to_string(), with, "<memory_pool> was removed"));
+    }
+    for mode in ["flat", "hierarchical"] {
+        let with = xml.replacen("<topology ", &format!(r#"<topology mode="{mode}" "#), 1);
+        cases.push((format!("mode=\"{mode}\""), with, "on <topology> was removed"));
+    }
+    for (what, with, names) in cases {
+        assert_ne!(with, xml, "{what} went in");
+        match ConfigurableAnalysis::from_xml(&with) {
+            Err(Error::Config(msg)) => assert!(msg.contains(names), "{what}: {msg}"),
+            Err(e) => panic!("{what}: expected a Config error, got {e}"),
+            Ok(_) => panic!("{what}: parsed a removed option"),
+        }
+    }
+}
