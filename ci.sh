@@ -166,10 +166,24 @@ done
 # minimpi's 6 collectives — those 2, each a reduce and a broadcast
 # (4), plus the solver's own 2. Nine engines read 9 fetches, 18
 # allreduces and 38 collectives.
+# Beside them, what those collectives carry, per step over both ranks.
+# The bounds round: 6 auto-bounded axis columns x (lo, hi) x 8 B, up and
+# down, 192 B. The solver's exchange: rank 1's 1 030 bodies x 4 values
+# up, the 2 lengths and all 2 048 bodies x 4 down, (4 120 + 2 + 8 192) x
+# 8 = 98 512 B. The grid round: rank 1's block up and the merged block
+# down, each a header of 1 + 9 cells, then 11 cells per touched bin (its
+# index, the count grid and nine ops: at about 1 024 rows a rank the
+# nine specs never go dense). Over the 3 timed steps x 9 specs rank 1 touches
+# 9 072 bins and the union of both ranks 16 801, so the round moves
+# ((3·10 + 9 072·11) + (3·10 + 16 801·11)) x 8 / 3 = 759 101.33 B a step.
+# Per rank: (192 + 98 512 + 759 101.33) / 2 = 428 902.67 B. Dense
+# payloads (368 640 cells, 2 949 120 B a message) read 2 998 472; the
+# exchange metered at the 24 B of its Vec, 379 670.67.
 traced=benchmarks/out/paper90_lockstep_modeled.traced.json
 for want in 'minimpi.collectives_per_step": {"value": 6,' \
             'binning.allreduces_per_step": {"value": 2,' \
-            'svtk.fetch_calls_per_step": {"value": 1,'; do
+            'svtk.fetch_calls_per_step": {"value": 1,' \
+            'minimpi.bytes_per_step": {"value": 428902.66'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

@@ -5,8 +5,8 @@
 //! one `Kernel` node per (table, spec range) and, on a device, one
 //! `Download` node per kernel on the copy stream of the device that runs
 //! it, ordered by events; then one `Reduce` node merging every partial
-//! table-major before the single packed allreduce, and one `Publish`
-//! node. Under `dag` on a device the graph has one kernel per spec, each
+//! block table-major into the step's block before the single grid
+//! allreduce, and one `Publish` node reading the merged block. Under `dag` on a device the graph has one kernel per spec, each
 //! placed when the graph is planned on the device least loaded so far by
 //! its modeled cost (the placement device on ties), so kernels on
 //! different devices run side by side on the scheduler's streams.
@@ -35,17 +35,18 @@ use sensei::{
 
 use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched, Outlet};
 use crate::arena::Slot;
+use crate::block::{self, block_len};
 use crate::device_impl;
 use crate::fused::{host_pass, num_grids, plan_pass, FusedStep, StepLayout};
-use crate::host_impl::{self, KernelScratch, PassSpec};
+use crate::host_impl::{self, PassSpec};
 use crate::spec::BinningSpec;
 
 /// Where one (table, spec range) kernel's partial grids live between the
 /// kernel, download and reduce nodes of the step's task graph.
 enum StagedPart {
-    /// Host placement: the arena scratch holding the grids of one fused
-    /// host table pass, given back once the step is over.
-    Host(KernelScratch),
+    /// Host placement: the block of one fused host table pass, an arena
+    /// block given back once the step is over.
+    Host(Vec<f64>),
     /// Device kernel enqueued: its arena slot's packed device block and
     /// host block, plus — when the device's copy stream is not the
     /// kernel's — the event its stream records after the launch (the
@@ -60,8 +61,8 @@ enum StagedPart {
 /// produces and the kernel/download/reduce nodes consume.
 #[derive(Default)]
 struct DagState {
-    /// Every spec's resolved grid and the flat buffer's layout (fetch
-    /// node output).
+    /// Every spec's resolved grid and the step's block shape (fetch node
+    /// output).
     layout: RefCell<Option<StepLayout>>,
     /// Host placement: per table, the union columns' read views, shared
     /// by the table's kernel tasks and dropped before the reduce node
@@ -74,15 +75,15 @@ struct DagState {
     dev_cols: RefCell<HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>>,
     /// One slot per (table, spec range), indexed `table * nranges + range`.
     staged: Vec<RefCell<Option<StagedPart>>>,
-    /// Globally reduced flat buffer (reduce node output).
+    /// The globally merged block (reduce node output).
     merged: RefCell<Option<Vec<f64>>>,
     /// Finished step results (publish node output).
     results: RefCell<Vec<BinnedResult>>,
 }
 
 impl DagState {
-    /// The step's resolved grids and flat-buffer layout: set by the fetch
-    /// node, which runs before every other node.
+    /// The step's resolved grids and block shape: set by the fetch node,
+    /// which runs before every other node.
     fn layout(&self) -> Ref<'_, StepLayout> {
         Ref::map(self.layout.borrow(), |layout| {
             layout.as_ref().expect("the fetch node resolved the step's grids")
@@ -244,10 +245,12 @@ impl BinningAnalysis {
                         let layout = state.layout();
                         let (names, pass) = plan(step.specs, &layout, range);
                         let mut scratch = arena.scratches().take();
+                        let mut out = arena.take_block(block_len(&layout.pass));
                         host_pass(node, &tables[ti], &names, &pass, |cols| {
-                            host_impl::bin_all_host(cols, &pass, &mut scratch);
+                            host_impl::bin_all_block(cols, &pass, &mut scratch, &mut out);
                         });
-                        *state.staged[idx].borrow_mut() = Some(StagedPart::Host(scratch));
+                        arena.scratches().give(scratch);
+                        *state.staged[idx].borrow_mut() = Some(StagedPart::Host(out));
                         Ok(())
                     });
                     continue;
@@ -270,7 +273,7 @@ impl BinningAnalysis {
                     let (names, pass) = plan(step.specs, &layout, range);
                     let cols: Vec<&CellBuffer> =
                         names.iter().map(|name| &resident[*name]).collect();
-                    let len = device_impl::block_len(&pass);
+                    let len = block_len(&pass);
                     let slot = arena.slot(node, idx, dw, len, stream)?;
                     device_impl::bin_all_device(
                         stream,
@@ -327,60 +330,102 @@ impl BinningAnalysis {
             }
         }
 
-        // Reduce: merge every staged partial into the flat accumulator in
+        // Reduce: merge every staged block into the step's block in
         // ascending (table, spec) order — the same whatever the spec
         // ranges, so the grids stay bit-identical — then the step's single
-        // packed allreduce. On a device, gated on the download events so
-        // the host buffers are complete.
-        let reduce = g.add_task(TaskKind::Reduce, "packed-allreduce", None, move |_| {
+        // grid allreduce. On a device, gated on the download events so the
+        // host blocks are complete.
+        let reduce = g.add_task(TaskKind::Reduce, "block-allreduce", None, move |_| {
             let layout = state.layout();
-            let mut flat = layout.flat(arena, ntables > 0 && device.is_none());
-            for (idx, slot) in state.staged.iter().enumerate() {
-                let (first, range) = (idx < nranges, ranges[idx % nranges].clone());
-                match slot.borrow().as_ref() {
-                    Some(StagedPart::Host(scratch)) => {
-                        for (si, part) in range.zip(scratch.grids()) {
-                            layout.land_host(&mut flat, si, first, part);
+            let specs = &layout.pass[..];
+            let cells = block_len(specs);
+            let mut scratch = arena.take_merge(cells);
+            let mut merged: Option<Vec<f64>> = None;
+            for ti in 0..ntables {
+                let slots = &state.staged[ti * nranges..][..nranges];
+                // A host pass over every spec hands its table's block over
+                // whole.
+                if merged.is_none() && nranges == 1 {
+                    let host = |part: &mut StagedPart| matches!(part, StagedPart::Host(_));
+                    if let Some(StagedPart::Host(out)) = slots[0].borrow_mut().take_if(host) {
+                        merged = Some(out);
+                        continue;
+                    }
+                }
+                let held: Vec<_> = slots.iter().map(|slot| slot.borrow()).collect();
+                let mut views = Vec::new();
+                for part in &held {
+                    if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
+                        views.push(host.host_f64_ro().map_err(Error::Device)?);
+                    }
+                }
+                let (mut views, mut parts) = (views.iter(), Vec::with_capacity(specs.len()));
+                for (part, range) in held.iter().zip(ranges) {
+                    let table: &[f64] = match part.as_ref() {
+                        Some(StagedPart::Host(out)) => out,
+                        Some(StagedPart::Downloaded(_)) => views.next().expect("viewed above"),
+                        _ => {
+                            return Err(Error::Analysis(format!(
+                                "dag reduce: table {ti} partial {} missing",
+                                range.start
+                            )))
                         }
+                    };
+                    let shapes = block::shapes(&specs[range.clone()]);
+                    parts.extend(block::spec_parts(table, shapes)?);
+                }
+                match merged.as_mut() {
+                    Some(acc) => block::merge_parts(specs, acc, &parts, &mut scratch)?,
+                    None => {
+                        let mut out = arena.take_block(cells);
+                        block::assemble(&mut out, specs, &parts, &mut scratch);
+                        merged = Some(out);
                     }
-                    Some(StagedPart::Downloaded(host)) => {
-                        layout.land_downloaded(&mut flat, range, first, host)?
-                    }
-                    _ => return Err(Error::Analysis(format!("dag reduce: partial {idx} missing"))),
                 }
             }
+            let merged = merged.unwrap_or_else(|| {
+                let mut out = arena.take_block(cells);
+                block::untouched(&mut out, specs.len());
+                out
+            });
             // Every kernel has run: drop the step's views of the fetched
             // columns, then the snapshot may let go of the CoW shares
             // they read in place.
             state.host_tables.borrow_mut().clear();
             state.dev_cols.borrow_mut().clear();
             data.release_shared();
-            *state.merged.borrow_mut() = Some(layout.allreduce(ctx.comm, flat)?);
+            let merged = layout.allreduce(ctx.comm, merged, &mut scratch);
+            arena.keep_merge(scratch);
+            *state.merged.borrow_mut() = Some(merged?);
             Ok(())
         });
         for ev in download_events {
             g.gate_on_event(reduce, ev);
         }
 
-        // Publish: unpack the reduced buffer into per-spec results where
-        // the rank consumes them; the buffer goes back to the arena.
+        // Publish: read the merged block into per-spec results where the
+        // rank consumes them; the block goes back to the arena.
         g.add_task(TaskKind::Publish, "results", None, move |_| {
             let merged = state
                 .merged
                 .borrow_mut()
                 .take()
-                .ok_or_else(|| Error::Analysis("dag publish: reduced grids missing".into()))?;
-            if publish {
-                *state.results.borrow_mut() = state.layout().publish(step.specs, &merged, data);
+                .ok_or_else(|| Error::Analysis("dag publish: merged block missing".into()))?;
+            let published = match publish {
+                true => state.layout().publish(step.specs, &merged, data).map(Some),
+                false => Ok(None),
+            };
+            arena.keep_block(merged);
+            if let Some(results) = published? {
+                *state.results.borrow_mut() = results;
             }
-            arena.keep_flat(merged);
             Ok(())
         });
 
         let outcome = sched.run(g)?;
         for slot in &state.staged {
-            if let Some(StagedPart::Host(scratch)) = slot.borrow_mut().take() {
-                self.arena.scratches().give(scratch);
+            if let Some(StagedPart::Host(out)) = slot.borrow_mut().take() {
+                self.arena.keep_block(out);
             }
         }
         comm_mark.charge(ctx.comm, &self.counters);

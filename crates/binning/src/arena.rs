@@ -1,10 +1,11 @@
 //! The fused step's resident memory.
 //!
 //! Every grid-sized buffer a step touches — the kernels' accumulators, the
-//! packed device blocks, the host blocks they download into, the flat
-//! accumulator that doubles as the allreduce payload — is owned here,
-//! allocated when a step first needs it and reused by every later step.
-//! In steady state a step allocates nothing grid-sized.
+//! packed device blocks, the host blocks they download into, the host
+//! kernels' blocks, the step's merged block that is the allreduce payload,
+//! and the merges' scratch — is owned here, allocated when a step first
+//! needs it and reused by every later step. In steady state a step
+//! allocates nothing grid-sized.
 
 use std::sync::Arc;
 
@@ -12,6 +13,7 @@ use devsim::{CellBuffer, MemSpace, SimNode, Stream};
 use parking_lot::Mutex;
 use sensei::Result;
 
+use crate::block;
 use crate::host_impl::ScratchPool;
 
 /// One kernel node's packed grids on the device that ran it, and the host
@@ -35,9 +37,10 @@ struct DeviceSide {
 /// One back-end's resident step memory (see the module docs).
 #[derive(Default)]
 pub(crate) struct StepArena {
-    /// Last step's reduced buffer, overwritten in place as this step's
-    /// flat accumulator.
-    flat: Mutex<Vec<f64>>,
+    /// Host blocks between steps ([`Self::take_block`]).
+    blocks: Mutex<Vec<Vec<f64>>>,
+    /// The block merges' scratch between steps.
+    merge: Mutex<block::Scratch>,
     scratches: Arc<ScratchPool>,
     device: Mutex<Option<DeviceSide>>,
 }
@@ -52,17 +55,32 @@ impl StepArena {
         }
     }
 
-    /// The flat accumulator, `len` long, holding whatever the last step
-    /// left in it: the caller overwrites every element.
-    pub fn take_flat(&self, len: usize) -> Vec<f64> {
-        let mut flat = std::mem::take(&mut *self.flat.lock());
-        flat.resize(len, 0.0);
-        flat
+    /// An empty host block with room for `cells`: a step asks with the
+    /// cells of its block at its largest, so no block it fills grows. The
+    /// allreduce hands blocks between ranks, so which one comes back is
+    /// not fixed, but each has that room once it has been used.
+    pub fn take_block(&self, cells: usize) -> Vec<f64> {
+        let mut block = self.blocks.lock().pop().unwrap_or_default();
+        block.clear();
+        block.reserve_exact(cells);
+        block
     }
 
-    /// Keep `flat` for the next step.
-    pub fn keep_flat(&self, flat: Vec<f64>) {
-        *self.flat.lock() = flat;
+    /// Keep `block` for a later [`Self::take_block`].
+    pub fn keep_block(&self, block: Vec<f64>) {
+        self.blocks.lock().push(block);
+    }
+
+    /// The block merges' scratch, with room for blocks of `cells` cells.
+    pub fn take_merge(&self, cells: usize) -> block::Scratch {
+        let mut scratch = std::mem::take(&mut *self.merge.lock());
+        scratch.reserve(cells);
+        scratch
+    }
+
+    /// Keep `scratch` for the next step's merges.
+    pub fn keep_merge(&self, scratch: block::Scratch) {
+        *self.merge.lock() = scratch;
     }
 
     /// The kernels' scratch pool.
@@ -119,7 +137,8 @@ impl StepArena {
     /// Return every block to the node's pools and free the host memory.
     pub fn release(&self) {
         *self.device.lock() = None;
-        *self.flat.lock() = Vec::new();
+        *self.blocks.lock() = Vec::new();
+        *self.merge.lock() = block::Scratch::default();
         self.scratches.clear();
     }
 }

@@ -12,9 +12,9 @@ use std::sync::Arc;
 use devsim::{CellBuffer, KernelCost, SimNode, Stream};
 use sensei::{Error, Result};
 
+use crate::block::{self, block_len, DeviceSink};
 use crate::grid::GridParams;
 use crate::host_impl::{self, identity, PassSpec, ScratchPool};
-use crate::reduce;
 use crate::spec::BinOp;
 
 /// Modeled cost of binning `n` rows: a few flops of index arithmetic per
@@ -118,97 +118,6 @@ pub fn pass_cost(n: usize, specs: &[PassSpec]) -> KernelCost {
     specs.iter().map(|s| fused_bin_cost(n, s.ops.len())).sum()
 }
 
-/// The header word of a spec whose grids a block holds dense (a touched
-/// count never reaches it).
-pub const DENSE: u64 = u64::MAX;
-
-/// Whether a spec of `ops` grids over `bins` bins, `touched` of them
-/// touched, goes into a block dense: when its sparse form — the touched
-/// bins' indices, then each op's values there — would be no smaller.
-fn is_dense(touched: usize, ops: usize, bins: usize) -> bool {
-    touched * (ops + 1) >= ops * bins
-}
-
-/// Cells of the block [`bin_all_device`] fills for `specs` — its worst
-/// case, every spec dense: the header (the length in use, then one word
-/// per spec) and every grid.
-pub fn block_len(specs: &[PassSpec]) -> usize {
-    1 + specs.len() + specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum::<usize>()
-}
-
-/// One spec's grids in a block filled by [`bin_all_device`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpecPart<'a> {
-    /// Every op's grid, `[op][bin]`.
-    Dense(&'a [f64]),
-    /// The bins a row fell into (their indices, as `u64` bits) and each
-    /// op's values at them, `[op][touched]`. Every other bin holds its
-    /// op's reduction identity.
-    Sparse { touched: &'a [f64], values: &'a [f64] },
-}
-
-impl SpecPart<'_> {
-    /// Land op `k`'s grid, of the reduction `op`, in `seg`: written over
-    /// it when `first`, merged into it otherwise. A sparse part touches
-    /// only its bins: `seg` must already hold the identities elsewhere
-    /// for a first landing to equal the dense grid.
-    pub fn land(&self, k: usize, op: BinOp, first: bool, seg: &mut [f64]) {
-        match *self {
-            SpecPart::Dense(grids) => {
-                let part = grids[k * seg.len()..][..seg.len()].iter().copied();
-                reduce::land(op, first, seg, part);
-            }
-            SpecPart::Sparse { touched, values } => {
-                let values = &values[k * touched.len()..][..touched.len()];
-                let at = touched.iter().map(|b| b.to_bits() as usize);
-                reduce::land_at(op, first, seg, at, values);
-            }
-        }
-    }
-}
-
-/// The parts of the specs `shapes` — each one's `(ops, bins)` — in a block
-/// [`bin_all_device`] filled, in spec order; why not, if the block is not
-/// one of theirs.
-pub fn spec_parts(
-    block: &[f64],
-    shapes: impl ExactSizeIterator<Item = (usize, usize)>,
-) -> Result<Vec<SpecPart<'_>>> {
-    let bad = |why: &str| Error::Analysis(format!("malformed binning block: {why}"));
-    let header = 1 + shapes.len();
-    let used = block.first().map_or(0, |w| w.to_bits());
-    let used = usize::try_from(used).ok().filter(|&n| n >= header && n <= block.len());
-    let used = used.ok_or_else(|| bad("length out of range"))?;
-    let (words, mut body) = block[..used].split_at(header);
-    let mut parts = Vec::with_capacity(shapes.len());
-    for (&word, (ops, bins)) in words[1..].iter().zip(shapes) {
-        let word = word.to_bits();
-        let cells = match word {
-            DENSE => ops * bins,
-            t if t as usize <= bins => t as usize * (ops + 1),
-            _ => return Err(bad("more touched bins than the grid has")),
-        };
-        if body.len() < cells {
-            return Err(bad("truncated"));
-        }
-        let (cells, rest) = body.split_at(cells);
-        body = rest;
-        parts.push(if word == DENSE {
-            SpecPart::Dense(cells)
-        } else {
-            let (touched, values) = cells.split_at(word as usize);
-            if touched.iter().any(|b| b.to_bits() >= bins as u64) {
-                return Err(bad("touched bin out of range"));
-            }
-            SpecPart::Sparse { touched, values }
-        });
-    }
-    if !body.is_empty() {
-        return Err(bad("cells beyond the last spec"));
-    }
-    Ok(parts)
-}
-
 /// Bin **every** operation of every coordinate system in `specs` in one
 /// batched kernel over the device-resident `cols` they index, into the
 /// caller's device block `packed`, [`block_len`] cells long. Download it
@@ -216,26 +125,20 @@ pub fn spec_parts(
 /// fetched block, versus two launches and one download *per op* with
 /// [`bin_device`].
 ///
-/// The block is written compacted, with no holes: first its header — the
-/// number of cells in use, then per spec its touched count or [`DENSE`] —
-/// then spec after spec its grids, read back with [`spec_parts`]. A bin is
-/// *touched* when its count is not zero; every other bin holds its
-/// reductions' identities. A spec goes in as its touched bins' indices
-/// followed by each op's values at them, in `ops` order, unless
-/// `is_dense` says that is no smaller; then, and for a spec without a
-/// count, as every op's grid back to back.
+/// The block is written compacted, with no holes ([`crate::block`]): its
+/// header, then spec after spec its grids, each spec in the smaller of its
+/// touched-bins and dense forms.
 ///
 /// The launch runs the blocked core ([`host_impl::bin_all_host_each`],
 /// reading the columns through their kernel views, in a scratch borrowed
 /// from `scratches`) into launch-private accumulators in ascending row
-/// order, and commits each as soon as it is complete in one walk of it:
-/// the count slot picks the touched bins, then a transposing store writes
-/// their `(op, bin)` cells. The kernel runs as one block that owns
-/// `packed` for the launch, and its partials started from the reduction
-/// identities, so what a zero-initialised grid would hold after an
-/// `atomic_add`/`atomic_min`/`atomic_max` of a partial *is* the partial,
-/// bit for bit — the grids stay bit-identical to [`bin_device`]'s,
-/// whatever `packed` held before.
+/// order, and commits each as soon as it is complete: a transposing store
+/// writes its touched bins' `(op, bin)` cells, or every one. The kernel
+/// runs as one block that owns `packed` for the launch, and its partials
+/// started from the reduction identities, so what a zero-initialised grid
+/// would hold after an `atomic_add`/`atomic_min`/`atomic_max` of a partial
+/// *is* the partial, bit for bit — the grids stay bit-identical to
+/// [`bin_device`]'s, whatever `packed` held before.
 pub fn bin_all_device(
     stream: &Arc<Stream>,
     cols: &[&CellBuffer],
@@ -247,7 +150,13 @@ pub fn bin_all_device(
     if packed.len() != block_len(specs) {
         return Err(Error::Analysis("packed block must hold a header and every grid".into()));
     }
-    let cells: usize = specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
+    // The accumulator cells a spec's commit can write: a spec that never
+    // goes dense initialises and commits at most one bin per row.
+    let cells = |s: &PassSpec| match block::always_sparse(n, s) {
+        true => n * (s.ops.len() + 1),
+        false => s.ops.len() * s.grid.num_bins(),
+    };
+    let cells: usize = specs.iter().map(cells).sum();
 
     let cols: Vec<CellBuffer> = cols.iter().map(|&c| c.clone()).collect();
     let specs = specs.to_vec();
@@ -259,38 +168,15 @@ pub fn bin_all_device(
             let views =
                 cols.iter().map(|c| c.f64_view_ro(scope)).collect::<devsim::Result<Vec<_>>>()?;
             let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
-            let bv = out.f64_view(scope)?;
+            let view = out.f64_view(scope)?;
             let mut scratch = scratches.take();
-            let mut touched: Vec<u32> = Vec::new();
             // Each spec's partial is committed while it is still in cache,
             // spec after spec through the block.
-            let mut offset = 1 + specs.len();
-            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, private| {
-                let spec = &specs[si];
-                let (ops, bins) = (spec.ops.len(), spec.grid.num_bins());
-                let (rows, order) = private.rows();
-                let count = order.iter().position(|&k| spec.ops[k].0 == BinOp::Count);
-                touched.clear();
-                if let Some(c) = count {
-                    let counts = rows.iter().skip(c).step_by(order.len());
-                    touched.extend((0..).zip(counts).filter(|&(_, &n)| n != 0.0).map(|(b, _)| b));
-                }
-                let t = touched.len();
-                let word = if count.is_none() || is_dense(t, ops, bins) {
-                    let starts: Vec<usize> = order.iter().map(|&k| offset + k * bins).collect();
-                    bv.store_columns(rows, &starts);
-                    offset += ops * bins;
-                    DENSE
-                } else {
-                    bv.store_words(offset, touched.iter().map(|&b| u64::from(b)));
-                    let starts: Vec<usize> = order.iter().map(|&k| offset + t + k * t).collect();
-                    bv.store_picked(rows, &touched, &starts);
-                    offset += t * (ops + 1);
-                    t as u64
-                };
-                bv.store_words(1 + si, [word].into_iter());
+            let mut sink = DeviceSink { view: &view, used: 1 + specs.len() };
+            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, grids| {
+                block::commit(&mut sink, si, &specs[si], grids)
             });
-            bv.store_words(0, [offset as u64].into_iter());
+            block::finish(&mut sink);
             scratches.give(scratch);
             Ok(())
         })
@@ -386,6 +272,7 @@ pub fn minmax_multi_device(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{is_dense, spec_parts, SpecPart, DENSE};
     use crate::host_impl::bin_host;
     use devsim::NodeConfig;
 

@@ -15,37 +15,32 @@
 //!   device-placed one through kernel views;
 //! * a kernel node walks its table **once** for every spec it covers
 //!   (shared axis indices, one value gather per row block, the blocks
-//!   sized by the pass's shape): on the host in one charged pass, on a
-//!   device in one kernel that commits every spec's grids into one packed
-//!   block — each spec's touched bins only, or dense where that is smaller
-//!   ([`device_impl::bin_all_device`]) — followed by one download of as
-//!   much of the block as the kernel filled ([`devsim::Stream::copy_counted`]);
-//! * every spec's grids (counts + ops) accumulate in a single segmented
-//!   buffer that is reduced with **one** allreduce per step;
+//!   sized by the pass's shape) and commits every spec's grids into one
+//!   compacted block ([`crate::block`]) — each spec's touched bins only,
+//!   or dense where that is smaller: on the host in one charged pass
+//!   ([`host_impl::bin_all_block`]), on a device in one kernel
+//!   ([`device_impl::bin_all_device`]) followed by one download of as much
+//!   of the block as the kernel filled ([`devsim::Stream::copy_counted`]);
+//! * the step's tables' blocks merge table-major into one block, which is
+//!   reduced with **one** allreduce per step, merging blocks as they meet,
+//!   and rank 0 publishes its results straight from the merged block;
 //! * every grid-sized buffer on the way lives in the back-end's
-//!   [`crate::arena::StepArena`] and each hop writes where the next one
-//!   reads: a table's first partial is *written* to its segment of the
-//!   flat buffer — every bin of a host pass's, the touched bins of a
-//!   downloaded block's over the identities the flat is seeded with (a
-//!   kernel's partial starts from the reduction identities, so merging it
-//!   into an identity grid would change no bit of it) — later tables
-//!   merge, and the reduced buffer comes back as the next step's flat.
+//!   [`crate::arena::StepArena`] and is used again by the next step.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Range;
 
 use devsim::{CellBuffer, ReadView};
-use minimpi::{Comm, Segment};
+use minimpi::Comm;
 use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
 use svtk::TableData;
 
 use crate::adaptor::{fetch_tables, BinnedResult, Fetched};
-use crate::arena::StepArena;
+use crate::block;
 use crate::bounds;
 use crate::device_impl;
 use crate::grid::GridParams;
-use crate::host_impl::{self, FusedGrids, PassSpec};
-use crate::reduce;
+use crate::host_impl::{self, PassSpec};
 use crate::spec::{BinOp, BinningSpec, VarOp};
 
 /// The ops of `spec`, counts first (the per-op path's grids, one per
@@ -109,133 +104,74 @@ pub(crate) fn host_pass<R>(
     node.host().run("bin_fused_host", cost, || kernel(&cols))
 }
 
-/// A step's resolved grids and the layout of its flat accumulation
-/// buffer: every spec's grids ([`grid_ops`]: one count grid, then the
-/// other ops) laid back to back. The flat
-/// buffer doubles as the packed-collective payload, so local
-/// accumulation, the allreduce, and the unpack all work on one allocation
-/// with no repacking.
+/// A step's resolved grids and the shape of its blocks: every spec's
+/// grids ([`grid_ops`]: one count grid, then the other ops), in spec
+/// order. One block of this shape carries a step's partial grids from the
+/// table kernels through the grid allreduce to publish ([`crate::block`]).
 pub(crate) struct StepLayout {
     /// Per spec, its resolved grid.
     pub grids: Vec<GridParams>,
     /// Per spec, its [`grid_ops`]: the count grid first, then every op
     /// that is not a count.
     pub ops: Vec<Vec<VarOp>>,
-    /// Per spec, the start of its grids in the flat buffer and the bins
-    /// of each of them.
-    spans: Vec<(usize, usize)>,
-    /// One segment per (spec, op), in buffer order.
-    segments: Vec<Segment>,
-    /// Length of the flat buffer.
-    len: usize,
+    /// Every spec's grids as one pass: the shape of the step's blocks.
+    pub pass: Vec<PassSpec>,
 }
 
 impl StepLayout {
-    /// The step's flat-buffer layout over the resolved `grids`.
+    /// The step's block shape over the resolved `grids`.
     pub fn new(specs: &[BinningSpec], grids: Vec<GridParams>) -> Self {
-        let mut ops = Vec::with_capacity(specs.len());
-        let mut spans = Vec::with_capacity(specs.len());
-        let mut segments = Vec::new();
-        let mut total = 0;
-        for (spec, grid) in specs.iter().zip(&grids) {
-            spans.push((total, grid.num_bins()));
-            let grid_ops = grid_ops(spec);
-            for vo in &grid_ops {
-                segments.push(Segment::new(reduce::segment_op(vo.op), grid.num_bins()));
-                total += grid.num_bins();
-            }
-            ops.push(grid_ops);
-        }
-        StepLayout { grids, ops, spans, segments, len: total }
+        let ops: Vec<Vec<VarOp>> = specs.iter().map(grid_ops).collect();
+        let systems = specs.iter().zip(&ops).zip(&grids);
+        let (_, pass) = plan_pass(systems.map(|((spec, ops), &grid)| (&spec.axes, &ops[..], grid)));
+        StepLayout { grids, ops, pass }
     }
 
-    /// Where grid `k` of spec `si` lives in the flat buffer.
-    fn segment(&self, si: usize, k: usize) -> Range<usize> {
-        let (off, nb) = self.spans[si];
-        off + k * nb..off + (k + 1) * nb
-    }
-
-    /// The flat accumulator of a step, out of `arena`, seeded with the
-    /// reduction identities — what a rank without tables contributes, and
-    /// what a downloaded block leaves in every bin its table did not touch
-    /// ([`Self::land_downloaded`]) — unless `dense_first`: the step's
-    /// first table is a host pass, which writes every element
-    /// ([`Self::land_host`]).
-    pub fn flat(&self, arena: &StepArena, dense_first: bool) -> Vec<f64> {
-        let mut flat = arena.take_flat(self.len);
-        if !dense_first {
-            for (si, ops) in self.ops.iter().enumerate() {
-                for (k, vo) in ops.iter().enumerate() {
-                    flat[self.segment(si, k)].fill(host_impl::identity(vo.op));
-                }
-            }
-        }
-        flat
-    }
-
-    /// Land spec `si`'s partial grids of one host pass in `flat`; `first`
-    /// on the step's first table.
-    pub fn land_host(&self, flat: &mut [f64], si: usize, first: bool, part: &FusedGrids) {
-        for (k, grid) in part.grids() {
-            reduce::land(self.ops[si][k].op, first, &mut flat[self.segment(si, k)], grid);
-        }
-    }
-
-    /// Land the partial grids of one device kernel over `specs`,
-    /// downloaded into `packed` ([`device_impl::bin_all_device`]'s
-    /// block), in `flat`, grid by grid straight from the host view;
-    /// `first` on the step's first table. A spec the block holds dense
-    /// lands like a host pass's; one it holds sparse writes or merges its
-    /// touched bins only, over the identities [`Self::flat`] seeded.
-    pub fn land_downloaded(
+    /// The step's single grid allreduce: one round carries the merged
+    /// block of every spec, folded in the canonical merge order by
+    /// [`block::merge_blocks`] in `scratch`.
+    pub fn allreduce(
         &self,
-        flat: &mut [f64],
-        specs: Range<usize>,
-        first: bool,
-        packed: &CellBuffer,
-    ) -> Result<()> {
-        let packed = packed.host_f64_ro().map_err(Error::Device)?;
-        let shapes = specs.clone().map(|si| (self.ops[si].len(), self.spans[si].1));
-        let parts = device_impl::spec_parts(&packed, shapes)?;
-        for (si, part) in specs.zip(parts) {
-            for (k, vo) in self.ops[si].iter().enumerate() {
-                part.land(k, vo.op, first, &mut flat[self.segment(si, k)]);
+        comm: &Comm,
+        merged: Vec<f64>,
+        scratch: &mut block::Scratch,
+    ) -> Result<Vec<f64>> {
+        // A malformed block is reported once the round is over, so no
+        // rank is left waiting on the collective.
+        let failed = RefCell::new(None);
+        let scratch = RefCell::new(scratch);
+        let merged = comm.allreduce_with(merged, |acc, part| {
+            let merged = block::merge_blocks(&self.pass, acc, part, &mut scratch.borrow_mut());
+            if let Err(e) = merged {
+                failed.borrow_mut().get_or_insert(e);
             }
+        });
+        match failed.into_inner() {
+            Some(e) => Err(Error::Analysis(format!("grid allreduce: {e}"))),
+            None => Ok(merged),
         }
-        Ok(())
     }
 
-    /// The step's single packed allreduce: the flat accumulator IS the
-    /// collective's payload, one round covers every spec's grids.
-    pub fn allreduce(&self, comm: &Comm, flat: Vec<f64>) -> Result<Vec<f64>> {
-        comm.allreduce_packed(flat, &self.segments)
-            .map_err(|e| Error::Analysis(format!("packed grid allreduce: {e}")))
-    }
-
-    /// Unpack the globally reduced buffer into one finalized result per
-    /// spec, in spec order, with one array per listed op in listed order:
-    /// every `count()` a copy of the spec's count grid.
+    /// Publish the globally merged block `merged` as one finalized result
+    /// per spec, in spec order, with one array per listed op in listed
+    /// order: every `count()` reads the spec's count grid.
     pub fn publish(
         &self,
         specs: &[BinningSpec],
         merged: &[f64],
         data: &dyn DataAdaptor,
-    ) -> Vec<BinnedResult> {
+    ) -> Result<Vec<BinnedResult>> {
+        let parts = block::spec_parts(merged, block::shapes(&self.pass))?;
         let mut results = Vec::with_capacity(specs.len());
-        for (si, (spec, grid)) in specs.iter().zip(&self.grids).enumerate() {
-            let counts = &merged[self.segment(si, 0)];
+        for ((spec, grid), part) in specs.iter().zip(&self.grids).zip(parts) {
             let mut arrays = Vec::with_capacity(spec.ops.len());
             let mut k = 0;
             for vo in &spec.ops {
-                let mut values = match vo.op {
-                    BinOp::Count => counts.to_vec(),
-                    _ => {
-                        k += 1;
-                        merged[self.segment(si, k)].to_vec()
-                    }
-                };
-                host_impl::finalize(vo.op, &mut values, counts);
-                arrays.push((vo.output_name(), values));
+                if vo.op != BinOp::Count {
+                    k += 1;
+                }
+                let g = if vo.op == BinOp::Count { 0 } else { k };
+                arrays.push((vo.output_name(), part.finalized(g, vo.op, grid.num_bins())));
             }
             results.push(BinnedResult {
                 step: data.time_step(),
@@ -245,7 +181,7 @@ impl StepLayout {
                 arrays,
             });
         }
-        results
+        Ok(results)
     }
 }
 
@@ -378,6 +314,7 @@ mod tests {
         }
         let grids: usize = specs.iter().map(num_grids).sum();
         assert_eq!(grids, 2 + 3 + 2 + 2);
-        assert_eq!((layout.segments.len(), layout.len), (grids, grids * 9));
+        let pass_grids: usize = layout.pass.iter().map(|p| p.ops.len()).sum();
+        assert_eq!((pass_grids, block::block_len(&layout.pass)), (grids, 1 + 4 + grids * 9));
     }
 }

@@ -8,6 +8,7 @@
 
 use parking_lot::Mutex;
 
+use crate::block;
 use crate::grid::GridParams;
 use crate::spec::BinOp;
 
@@ -196,8 +197,7 @@ fn fold_tile(
 
 /// One spec's grids out of [`bin_all_host`], still in the kernel's
 /// op-interleaved layout (`[bin][slot]`): read them through
-/// [`FusedGrids::grids`], [`FusedGrids::rows`], or [`FusedGrids::packed`]
-/// for `[op][bin]`.
+/// [`FusedGrids::rows`], or [`FusedGrids::packed`] for `[op][bin]`.
 #[derive(Default)]
 pub struct FusedGrids {
     /// `order[slot]` is the op (an index into `spec.ops`) a slot accumulates.
@@ -209,37 +209,71 @@ pub struct FusedGrids {
     stage: usize,
     /// End of the add slots, end of the min slots, slot count.
     ends: [usize; 3],
+    /// The slot of the spec's first count, if it has one.
+    count: Option<usize>,
+    /// Whether only the bins in `touched` were initialised.
+    sparse: bool,
+    /// The bins the pass's rows fell into, ascending, when it has a count.
+    touched: Vec<u32>,
+    /// One bit per bin: touched by a row of this pass.
+    marks: Vec<u64>,
 }
 
-/// One op's grid inside a [`FusedGrids`], bin by bin.
-pub type Grid<'a> =
-    std::iter::Copied<std::iter::StepBy<std::iter::Skip<std::slice::Iter<'a, f64>>>>;
-
 impl FusedGrids {
-    /// Every op's grid as `(index into spec.ops, cells)` — each op once,
-    /// in the accumulator's slot order, not in `spec.ops` order.
-    pub fn grids(&self) -> impl Iterator<Item = (usize, Grid<'_>)> {
-        let width = self.order.len();
-        self.order
-            .iter()
-            .enumerate()
-            .map(move |(s, &op)| (op, self.acc.iter().skip(s).step_by(width).copied()))
-    }
-
     /// The accumulator as it lies in memory — one row per bin, one value
     /// per slot — and the op (an index into `spec.ops`) of each slot.
+    /// When [`Self::initialised_touched_only`], only the rows of the
+    /// [touched](Self::touched) bins hold grids; the others hold whatever
+    /// an earlier pass left.
     pub fn rows(&self) -> (&[f64], &[usize]) {
         (&self.acc, &self.order)
     }
 
+    /// The bins a row fell into, ascending; `None` for a spec without a
+    /// count.
+    pub fn touched(&self) -> Option<&[u32]> {
+        self.count.is_some().then_some(&self.touched[..])
+    }
+
+    /// Whether the pass initialised only the [touched](Self::touched)
+    /// bins: a handed-over spec that can never go dense
+    /// ([`crate::block`]), whose untouched bins nothing reads.
+    pub fn initialised_touched_only(&self) -> bool {
+        self.sparse
+    }
+
     /// The grids packed back to back in `spec.ops` order (`[op][bin]`).
+    /// Only for grids whose every bin was initialised: those of
+    /// [`bin_all_host`].
     pub fn packed(&self) -> Vec<f64> {
-        let bins = self.acc.len() / self.order.len().max(1);
+        debug_assert!(!self.sparse, "untouched bins were never initialised");
+        let width = self.order.len();
+        let bins = self.acc.len() / width.max(1);
         let mut packed = vec![0.0; self.acc.len()];
-        for (op, grid) in self.grids() {
-            packed[op * bins..][..bins].iter_mut().zip(grid).for_each(|(p, a)| *p = a);
+        for (s, &op) in self.order.iter().enumerate() {
+            let cells = self.acc.iter().skip(s).step_by(width);
+            packed[op * bins..][..bins].iter_mut().zip(cells).for_each(|(p, a)| *p = *a);
         }
         packed
+    }
+
+    /// List the touched bins, ascending: out of the marks when only they
+    /// were initialised (clearing them), else where the count is not zero.
+    fn find_touched(&mut self) {
+        self.touched.clear();
+        if self.sparse {
+            for (w, marks) in self.marks.iter_mut().enumerate() {
+                let mut bits = std::mem::take(marks);
+                while bits != 0 {
+                    self.touched.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        } else if let Some(c) = self.count {
+            let counts = self.acc.iter().skip(c).step_by(self.order.len());
+            let touched = (0..).zip(counts).filter(|&(_, &n)| n != 0.0).map(|(b, _)| b);
+            self.touched.extend(touched);
+        }
     }
 }
 
@@ -257,13 +291,6 @@ pub struct KernelScratch {
     /// The one accumulator every spec of a one-block pass folds into when
     /// its grids are handed over rather than kept.
     shared: Vec<f64>,
-}
-
-impl KernelScratch {
-    /// The grids of the last pass run in this scratch, one per spec.
-    pub fn grids(&self) -> &[FusedGrids] {
-        &self.plans
-    }
 }
 
 /// [`KernelScratch`]es between launches. A launch takes one — a fresh one
@@ -327,10 +354,17 @@ pub fn bin_all_host<'s>(
 ///
 /// An accumulator is initialised right before its first fold and handed
 /// over right after its last, so a consumer that reads it there — the
-/// device commit, the landing in the step's flat buffer — finds it in
-/// cache. On a table of one block that is the whole life of an
-/// accumulator, and every spec then folds into the same one: the pass
-/// touches one accumulator's worth of memory, hot, instead of all of them.
+/// commit to a block ([`crate::block`]) — finds it in cache. On a table of
+/// one block that is the whole life of an accumulator, and every spec then
+/// folds into the same one: the pass touches one accumulator's worth of
+/// memory, hot, instead of all of them.
+///
+/// A spec that can never go dense in a block — `rows·(ops+1) < ops·bins` — has only those initialised: a
+/// per-spec bitmap, set from each block's axis indices before its fold,
+/// marks a bin on its first row, which writes the bin's identities, and
+/// yields the [touched](FusedGrids::touched) bins. Every other spec's bins
+/// all start at their identities, and a walk of its count slot finds the
+/// touched ones.
 pub fn bin_all_host_each(
     cols: &[&[f64]],
     specs: &[PassSpec],
@@ -338,6 +372,45 @@ pub fn bin_all_host_each(
     done: impl FnMut(usize, &FusedGrids),
 ) {
     pass(cols, specs, scratch, false, done);
+}
+
+/// One fused host pass of `specs` over `cols` into the host block `out`
+/// ([`crate::block`]), which is cleared first: each spec is committed in
+/// its smaller form as soon as its grids are complete, as
+/// [`crate::device_impl::bin_all_device`] commits into a device block.
+pub fn bin_all_block(
+    cols: &[&[f64]],
+    specs: &[PassSpec],
+    scratch: &mut KernelScratch,
+    out: &mut Vec<f64>,
+) {
+    block::begin(out, specs.len());
+    pass(cols, specs, scratch, false, |si, grids| block::commit(out, si, &specs[si], grids));
+    block::finish(out);
+}
+
+/// Set the marks of the bins the rows `ix`/`iy` fall into, writing each
+/// newly marked bin's identities to its row of `acc` first.
+fn touch(
+    acc: &mut [f64],
+    identities: &[f64],
+    marks: &mut [u64],
+    ix: &[u32],
+    iy: &[u32],
+    nx: usize,
+) {
+    let width = identities.len();
+    for (&i, &j) in ix.iter().zip(iy) {
+        if i.max(j) == u32::MAX {
+            continue;
+        }
+        let b = j as usize * nx + i as usize;
+        let (word, bit) = (&mut marks[b / 64], 1u64 << (b % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            acc[b * width..][..width].copy_from_slice(identities);
+        }
+    }
 }
 
 /// The pass behind [`bin_all_host`] (`keep`: every spec's grids stay in
@@ -372,11 +445,17 @@ fn pass(
             BinOp::Min => 1,
             BinOp::Max => 2,
         };
-        let FusedGrids { order, identities, acc, .. } = plan;
+        let FusedGrids { order, identities, acc, marks, .. } = plan;
         order.clear();
         order.extend(0..spec.ops.len());
         order.sort_by_key(kind);
         plan.ends = [1, 2, 3].map(|k| order.partition_point(|o| kind(o) < k));
+        plan.count = order.iter().position(|&k| spec.ops[k].0 == BinOp::Count);
+        plan.sparse = !keep && block::always_sparse(rows, spec);
+        if plan.sparse {
+            marks.clear();
+            marks.resize(g.num_bins().div_ceil(64), 0);
+        }
         let slots = order.iter().map(|&k| spec.ops[k].1.filter(|_| spec.ops[k].0 != BinOp::Count));
         plan.stage = intern(stages, slots.collect());
         plan.axes = [
@@ -423,15 +502,18 @@ fn pass(
                 std::mem::swap(&mut plan.acc, shared);
                 plan.acc.resize(plan.identities.len() * spec.grid.num_bins(), 0.0);
             }
-            if b == 0 && !plan.identities.is_empty() {
+            let [ix, iy] = plan.axes.map(|a| &index[a * tile..][..m]);
+            if plan.sparse {
+                touch(&mut plan.acc, &plan.identities, &mut plan.marks, ix, iy, spec.grid.nx);
+            } else if b == 0 && !plan.identities.is_empty() {
                 let width = plan.identities.len();
                 plan.acc
                     .chunks_exact_mut(width)
                     .for_each(|bin| bin.copy_from_slice(&plan.identities));
             }
-            let [ix, iy] = plan.axes.map(|a| &index[a * tile..][..m]);
             fold_tile(&mut plan.acc, &staged[plan.stage], ix, iy, spec.grid.nx, plan.ends);
             if b + 1 == blocks {
+                plan.find_touched();
                 done(si, plan);
             }
             if share {
@@ -446,29 +528,19 @@ fn pass(
 /// * average: running sum divided by count (NaN where count is zero);
 /// * count/sum: unchanged.
 pub fn finalize(op: BinOp, bins: &mut [f64], counts: &[f64]) {
-    match op {
-        BinOp::Count | BinOp::Sum => {}
-        BinOp::Min => {
-            for b in bins.iter_mut() {
-                if *b == f64::INFINITY {
-                    *b = f64::NAN;
-                }
-            }
-        }
-        BinOp::Max => {
-            for b in bins.iter_mut() {
-                if *b == f64::NEG_INFINITY {
-                    *b = f64::NAN;
-                }
-            }
-        }
+    let empty = match op {
+        BinOp::Count | BinOp::Sum => return,
+        BinOp::Min => f64::INFINITY,
+        BinOp::Max => f64::NEG_INFINITY,
         BinOp::Average => {
             assert_eq!(bins.len(), counts.len(), "average needs a matching count buffer");
             for (b, &c) in bins.iter_mut().zip(counts) {
                 *b = if c > 0.0 { *b / c } else { f64::NAN };
             }
+            return;
         }
-    }
+    };
+    bins.iter_mut().filter(|b| **b == empty).for_each(|b| *b = f64::NAN);
 }
 
 #[cfg(test)]
@@ -620,5 +692,99 @@ mod tests {
     #[should_panic(expected = "needs a value column")]
     fn fused_pass_rejects_missing_value_column() {
         fused(&XS[..], &YS[..], None, &[BinOp::Sum], &grid2x2());
+    }
+
+    /// The block of `specs` over `cols` as the block format defines it,
+    /// out of the kernel that initialises every bin first: per spec, its
+    /// touched bins are where its count is not zero, and it goes in the
+    /// smaller of its two forms.
+    fn reference_block(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<f64> {
+        let mut scratch = KernelScratch::default();
+        let grids = bin_all_host(cols, specs, &mut scratch);
+        let mut out = vec![0.0; 1 + specs.len()];
+        for (si, (spec, grids)) in specs.iter().zip(grids).enumerate() {
+            let (ops, bins) = (spec.ops.len(), spec.grid.num_bins());
+            let packed = grids.packed();
+            let count = spec.ops.iter().position(|&(op, _)| op == BinOp::Count);
+            let touched: Vec<usize> = count
+                .map(|c| (0..bins).filter(|&b| packed[c * bins + b] != 0.0).collect())
+                .unwrap_or_default();
+            if count.is_some() && touched.len() * (ops + 1) < ops * bins {
+                out[1 + si] = f64::from_bits(touched.len() as u64);
+                out.extend(touched.iter().map(|&b| f64::from_bits(b as u64)));
+                for k in 0..ops {
+                    out.extend(touched.iter().map(|&b| packed[k * bins + b]));
+                }
+            } else {
+                out[1 + si] = f64::from_bits(block::DENSE);
+                out.extend(packed);
+            }
+        }
+        out[0] = f64::from_bits(out.len() as u64);
+        out
+    }
+
+    /// Columns x, y, v of `rows` rows: some rows NaN or out of range, the
+    /// values `-0.0`, NaN and both infinities among others.
+    fn touched_columns(rows: usize, salt: usize) -> Vec<Vec<f64>> {
+        let coord = |i: usize, k: usize| match (i * k + salt) % 97 {
+            0 => f64::NAN,
+            1 => 1.5,
+            r => r as f64 / 97.0,
+        };
+        let value = |i: usize| match (i + salt) % 11 {
+            0 => -0.0,
+            1 => f64::NAN,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            r => r as f64 - 6.5,
+        };
+        vec![
+            (0..rows).map(|i| coord(i, 31)).collect(),
+            (0..rows).map(|i| coord(i, 57)).collect(),
+            (0..rows).map(value).collect(),
+        ]
+    }
+
+    #[test]
+    fn specs_that_never_go_dense_initialise_only_their_touched_bins() {
+        let fine = GridParams::new(64, 64, [0.0, 0.0], [1.0, 1.0]);
+        let coarse = GridParams::new(4, 4, [0.0, 0.0], [1.0, 1.0]);
+        let spec =
+            |grid, axes, ops: &[(BinOp, Option<usize>)]| PassSpec { axes, grid, ops: ops.to_vec() };
+        let (c, v) = ((BinOp::Count, None), |op| (op, Some(2)));
+        let specs = [
+            // rows·(ops+1) < ops·bins: never dense.
+            spec(fine, [0, 1], &[c, v(BinOp::Sum), v(BinOp::Min), v(BinOp::Max)]),
+            // The same, counts listed twice and not first.
+            spec(fine, [1, 0], &[v(BinOp::Sum), c, v(BinOp::Average), c]),
+            // Sixteen bins, which these rows nearly all touch: dense.
+            spec(coarse, [0, 1], &[c, v(BinOp::Max)]),
+            // No count: dense whatever it touched.
+            spec(fine, [0, 1], &[v(BinOp::Sum), v(BinOp::Min)]),
+        ];
+        let mut scratch = KernelScratch::default();
+        let mut out = Vec::new();
+        // One tile (every spec folds into one shared accumulator), and
+        // several tiles with a short last one.
+        for rows in [200, 3 * TILE + 17] {
+            assert_eq!(block_rows(&specs), TILE);
+            // An earlier pass over other rows leaves its partials in the
+            // accumulators the touched-only specs do not clear.
+            let earlier = touched_columns(rows, 5);
+            let earlier: Vec<&[f64]> = earlier.iter().map(|c| &c[..]).collect();
+            bin_all_block(&earlier, &specs, &mut scratch, &mut out);
+            let cols = touched_columns(rows, 0);
+            let cols: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
+            bin_all_block(&cols, &specs, &mut scratch, &mut out);
+            assert_eq!(bits(&out), bits(&reference_block(&cols, &specs)), "rows {rows}");
+            let mut touched_only = Vec::new();
+            bin_all_host_each(&cols, &specs, &mut scratch, |_, grids| {
+                touched_only.push(grids.initialised_touched_only())
+            });
+            assert_eq!(touched_only, [true, true, false, false], "rows {rows}");
+            let words: Vec<bool> = out[1..5].iter().map(|w| w.to_bits() == block::DENSE).collect();
+            assert_eq!(words, [false, false, true, true], "rows {rows}");
+        }
     }
 }

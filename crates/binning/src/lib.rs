@@ -25,6 +25,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod block;
 pub mod bounds;
 pub mod device_impl;
 pub mod host_impl;

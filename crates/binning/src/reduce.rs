@@ -6,20 +6,9 @@
 //! (sum, count) pairs and finalized after the reduction — reducing
 //! per-rank averages would weight ranks, not rows.
 
-use minimpi::{Comm, SegmentOp};
+use minimpi::Comm;
 
 use crate::spec::BinOp;
-
-/// The packed-collective merge semantics of one accumulation grid:
-/// counts, sums, and average running-sums add; minima take min; maxima
-/// take max — identical to [`merge_grids`], expressed per segment.
-pub fn segment_op(op: BinOp) -> SegmentOp {
-    match op {
-        BinOp::Count | BinOp::Sum | BinOp::Average => SegmentOp::Sum,
-        BinOp::Min => SegmentOp::Min,
-        BinOp::Max => SegmentOp::Max,
-    }
-}
 
 /// Evaluate `$body` with `$f` bound to `$op`'s element combine — the one
 /// statement of how a grid's elements merge. The op is matched once,
@@ -43,6 +32,7 @@ macro_rules! with_combine {
         }
     };
 }
+pub(crate) use with_combine;
 
 /// Element-wise in-place combination of `part` into `acc` under `op`.
 pub fn merge_into(op: BinOp, acc: &mut [f64], part: impl ExactSizeIterator<Item = f64>) {

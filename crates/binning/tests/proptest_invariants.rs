@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use binning::host_impl::PassSpec;
-use binning::{device_impl, host_impl, reduce, BinOp, GridParams};
+use binning::{block, device_impl, host_impl, reduce, BinOp, GridParams};
 use devsim::{CellBuffer, NodeConfig, SimNode, Stream};
 use proptest::prelude::*;
 
@@ -59,11 +59,12 @@ fn packed_grids(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<Vec<f64>> {
     host_impl::bin_all_host(cols, specs, &mut scratch).iter().map(|grids| grids.packed()).collect()
 }
 
-/// The grids of `specs` in a block [`device_impl::bin_all_device`] filled,
-/// dense: spec after spec, each spec's `[op][bin]`.
+/// The grids of `specs` in a block ([`device_impl::bin_all_device`] or
+/// [`host_impl::bin_all_block`] filled it), dense: spec after spec, each
+/// spec's `[op][bin]`.
 fn unpack(block: &[f64], specs: &[PassSpec]) -> Vec<f64> {
     let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
-    let parts = device_impl::spec_parts(block, shapes).unwrap();
+    let parts = block::spec_parts(block, shapes).unwrap();
     let mut grids = Vec::new();
     for (spec, part) in specs.iter().zip(parts) {
         for (k, &(op, _)) in spec.ops.iter().enumerate() {
@@ -85,7 +86,7 @@ fn fused_device(
     spec: &PassSpec,
     scratches: &Arc<host_impl::ScratchPool>,
 ) -> CellBuffer {
-    let len = device_impl::block_len(std::slice::from_ref(spec));
+    let len = block::block_len(std::slice::from_ref(spec));
     let packed = node.device(0).unwrap().alloc_cells_on_stream(len, stream).unwrap();
     for _ in 0..2 {
         device_impl::bin_all_device(stream, cols, std::slice::from_ref(spec), &packed, scratches)
@@ -312,8 +313,8 @@ fn assert_packed_matches(
 }
 
 /// The blocked core over plain slices (grids kept) and over host read
-/// views (grids handed over) — what a host-placed step borrows and how it
-/// consumes them — equals the per-op host kernel bit for bit
+/// views (committed to a host block) — what a host-placed step borrows and
+/// how it consumes them — equals the per-op host kernel bit for bit
 /// at row counts around the short tile, around the long block and over
 /// several long blocks, with NaN, infinite and out-of-range rows.
 #[test]
@@ -344,14 +345,13 @@ fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries(
                 })
                 .collect();
             let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
-            // Handed over spec by spec, as the fused step consumes them: on
-            // a table of one block out of one shared accumulator.
-            let mut packed = Vec::new();
-            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, grids| {
-                assert_eq!(si, packed.len(), "{what}: specs are handed over in order");
-                packed.push(grids.packed());
-            });
-            assert_packed_matches(&packed.concat(), &specs, oracle, &format!("{what} host views"));
+            // Handed over spec by spec into a host block, as the fused step
+            // consumes them: on a table of one block out of one shared
+            // accumulator, touched bins only where a spec can never go dense.
+            let mut block = Vec::new();
+            host_impl::bin_all_block(&views, &specs, &mut scratch, &mut block);
+            let packed = unpack(&block, &specs);
+            assert_packed_matches(&packed, &specs, oracle, &format!("{what} host views"));
         }
     }
 }
@@ -411,7 +411,7 @@ fn multi_spec_device_launch_matches_per_op_across_block_boundaries() {
     let scratches = Arc::default();
     for scale in [1, 22] {
         let specs = boundary_pass(scale);
-        let len = device_impl::block_len(&specs);
+        let len = block::block_len(&specs);
         let packed = node.device(0).unwrap().alloc_cells_on_stream(len, &stream).unwrap();
         for rows in BLOCK_ROW_COUNTS {
             let (cols, _) = random_pass(rows as u64 + 1, rows);
@@ -581,7 +581,7 @@ fn land_blocks(blocks: &[Vec<f64>], specs: &[PassSpec], flat: &mut [f64]) {
     for (ti, block) in blocks.iter().enumerate() {
         let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
         let mut at = 0;
-        for (spec, part) in specs.iter().zip(device_impl::spec_parts(block, shapes).unwrap()) {
+        for (spec, part) in specs.iter().zip(block::spec_parts(block, shapes).unwrap()) {
             let bins = spec.grid.num_bins();
             for (k, &(op, _)) in spec.ops.iter().enumerate() {
                 part.land(k, op, ti == 0, &mut flat[at..at + bins]);
@@ -599,7 +599,7 @@ fn sparse_landing_equals_dense(seed: u64) -> Vec<[bool; 2]> {
     let (tables, specs) = landing_tables(seed);
     let node = SimNode::new(NodeConfig::fast_test(1));
     let stream = node.device(0).unwrap().create_stream();
-    let len = device_impl::block_len(&specs);
+    let len = block::block_len(&specs);
     let scratches = Arc::default();
     let mut sparse_blocks = Vec::new();
     let mut dense_blocks = Vec::new();
@@ -614,10 +614,10 @@ fn sparse_landing_equals_dense(seed: u64) -> Vec<[bool; 2]> {
         stream.synchronize().unwrap();
         let block = host.host_f64_ro().unwrap().to_vec();
         let words = &block[1..1 + specs.len()];
-        let dense = |w: &f64| w.to_bits() == device_impl::DENSE;
+        let dense = |w: &f64| w.to_bits() == block::DENSE;
         formats.push([words.iter().any(|w| !dense(w)), words.iter().any(dense)]);
         let mut all_dense = vec![f64::from_bits(len as u64)];
-        all_dense.extend(specs.iter().map(|_| f64::from_bits(device_impl::DENSE)));
+        all_dense.extend(specs.iter().map(|_| f64::from_bits(block::DENSE)));
         all_dense.extend(unpack(&block, &specs));
         sparse_blocks.push(block);
         dense_blocks.push(all_dense);
@@ -655,5 +655,167 @@ fn landing_cases_mix_sparse_and_dense_specs_in_one_block() {
     let formats: Vec<[bool; 2]> = (0..48).flat_map(sparse_landing_equals_dense).collect();
     for want in [[true, false], [false, true], [true, true]] {
         assert!(formats.contains(&want), "no block with formats {want:?}");
+    }
+}
+
+/// A step's specs over the columns of a [`random_pass`] table, as the
+/// fused step lays them out: per spec, its listed ops — counts repeating
+/// freely, averages among them — and its grids, the count first and then
+/// every listed op that is not a count.
+fn step_specs(seed: u64) -> (Vec<Vec<BinOp>>, Vec<PassSpec>) {
+    let mut rng = Mix(seed ^ 0x5eed);
+    let (_, specs) = random_pass(seed, 0);
+    specs
+        .into_iter()
+        .map(|spec| {
+            let listed: Vec<BinOp> = (0..rng.below(6)).map(|_| ALL[rng.below(ALL.len())]).collect();
+            let mut value = || 3 + rng.below(NUM_COLS - 3);
+            let mut ops = vec![(BinOp::Count, None)];
+            for &op in listed.iter().filter(|&&op| op != BinOp::Count) {
+                ops.push((op, Some(value())));
+            }
+            (listed, PassSpec { ops, ..spec })
+        })
+        .unzip()
+}
+
+/// One rank's step: its tables' blocks out of the host block kernel,
+/// merged table-major, and the same tables' dense grids out of the kernel
+/// that initialises every bin, landed in a flat buffer as the step once
+/// did — the first table written, later ones merged, the identities where
+/// a rank has no table.
+fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64>) {
+    let mut scratch = host_impl::KernelScratch::default();
+    let (mut merged, mut table) = (Vec::new(), Vec::new());
+    let mut spare = block::Scratch::default();
+    let mut flat: Vec<f64> = specs
+        .iter()
+        .flat_map(|s| {
+            s.ops.iter().flat_map(|&(op, _)| vec![host_impl::identity(op); s.grid.num_bins()])
+        })
+        .collect();
+    for (ti, cols) in tables.iter().enumerate() {
+        let cols: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
+        host_impl::bin_all_block(&cols, specs, &mut scratch, &mut table);
+        match ti {
+            0 => std::mem::swap(&mut merged, &mut table),
+            _ => block::merge_blocks(specs, &mut merged, &table, &mut spare).unwrap(),
+        }
+        let dense: Vec<f64> = host_impl::bin_all_host(&cols, specs, &mut scratch)
+            .iter()
+            .flat_map(|g| g.packed())
+            .collect();
+        let mut at = 0;
+        for spec in specs {
+            for &(op, _) in &spec.ops {
+                let (seg, part) = (&mut flat[at..][..spec.grid.num_bins()], &dense[at..]);
+                reduce::land(op, ti == 0, seg, part[..seg.len()].iter().copied());
+                at += spec.grid.num_bins();
+            }
+        }
+    }
+    if tables.is_empty() {
+        merged = vec![0.0; 1 + specs.len()];
+        merged[0] = f64::from_bits(merged.len() as u64);
+    }
+    (merged, flat)
+}
+
+/// The dense flat buffer's segments, one per grid.
+fn grid_segments(specs: &[PassSpec]) -> Vec<minimpi::Segment> {
+    use minimpi::{Segment, SegmentOp};
+    let op = |op| match op {
+        BinOp::Count | BinOp::Sum | BinOp::Average => SegmentOp::Sum,
+        BinOp::Min => SegmentOp::Min,
+        BinOp::Max => SegmentOp::Max,
+    };
+    let grids = specs.iter().flat_map(|s| s.ops.iter().map(|&(o, _)| (o, s.grid.num_bins())));
+    grids.map(|(o, bins)| Segment::new(op(o), bins)).collect()
+}
+
+/// One case of the block allreduce against the dense one, on 4 ranks of
+/// one node (the direct path) or of 2 nodes (the tiered path): every
+/// rank's merged block, read dense, equals the dense segment merge bit for
+/// bit, and rank 0's results published from the block equal those
+/// published from the dense buffer — counts copied for every `count()`,
+/// empty minima, maxima and averages NaN, averages divided by the count.
+/// Returns, per rank, whether the merged block held a spec sparse and one
+/// dense.
+fn block_allreduce_equals_dense(seed: u64, ranks_per_node: usize) -> Vec<[bool; 2]> {
+    let (listed, specs) = step_specs(seed);
+    let steps: Vec<(Vec<f64>, Vec<f64>)> = (0..4u64)
+        .map(|r| {
+            let (mut tables, _) = landing_tables(seed ^ (r + 1).wrapping_mul(0x9e37_79b9));
+            // `+0.0` beside the `-0.0` some tables hold: a minimum or
+            // maximum of either sign, so a combine's operand order shows.
+            for col in tables.iter_mut().flat_map(|cols| &mut cols[3..]) {
+                col.iter_mut().skip(r as usize).step_by(5).for_each(|v| *v = 0.0);
+            }
+            let tables = if Mix(seed ^ r).below(5) == 0 { Vec::new() } else { tables };
+            rank_step(&tables, &specs)
+        })
+        .collect();
+    let segments = grid_segments(&specs);
+    let world = minimpi::World::new(4).with_ranks_per_node(ranks_per_node);
+    let out = world.run(|c| {
+        let (merged, flat) = steps[c.rank()].clone();
+        let spare = std::cell::RefCell::new(block::Scratch::default());
+        let merged = c.allreduce_with(merged, |acc, part| {
+            block::merge_blocks(&specs, acc, part, &mut spare.borrow_mut()).unwrap()
+        });
+        (merged, c.allreduce_packed(flat, &segments).unwrap())
+    });
+    let mut formats = Vec::new();
+    for (rank, (merged, dense)) in out.iter().enumerate() {
+        let what = format!("seed {seed}, {ranks_per_node} ranks per node, rank {rank}");
+        assert_eq!(bits(&unpack(merged, &specs)), bits(dense), "{what}: {specs:?}");
+        let words = &merged[1..1 + specs.len()];
+        let dense_word = |w: &f64| w.to_bits() == block::DENSE;
+        formats.push([words.iter().any(|w| !dense_word(w)), words.iter().any(dense_word)]);
+    }
+    let (merged, dense) = &out[0];
+    let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
+    let parts = block::spec_parts(merged, shapes).unwrap();
+    let mut at = 0;
+    for (si, ((spec, listed), part)) in specs.iter().zip(&listed).zip(parts).enumerate() {
+        let bins = spec.grid.num_bins();
+        let counts = &dense[at..][..bins];
+        let mut k = 0;
+        for &op in listed {
+            k += usize::from(op != BinOp::Count);
+            let g = if op == BinOp::Count { 0 } else { k };
+            let mut want = dense[at + g * bins..][..bins].to_vec();
+            host_impl::finalize(op, &mut want, counts);
+            let got = part.finalized(g, op, bins);
+            assert_eq!(bits(&got), bits(&want), "seed {seed}: spec {si} {op:?} published");
+        }
+        at += spec.ops.len() * bins;
+    }
+    formats
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The step's grid allreduce over compacted blocks — random touched
+    /// sets, specs sparse and dense, one to four tables per rank or none,
+    /// values with `-0.0`, NaN and both infinities — equals the dense
+    /// `[op][bin]` segment merge bit for bit on a flat and on a tiered
+    /// topology, and so does what rank 0 publishes from it.
+    #[test]
+    fn block_allreduce_and_publish_equal_the_dense_segment_merge(seed in any::<u64>()) {
+        block_allreduce_equals_dense(seed, 4);
+        block_allreduce_equals_dense(seed, 2);
+    }
+}
+
+/// The block allreduce cases reach what the property is about: merged
+/// blocks holding every spec sparse, every spec dense, and both at once.
+#[test]
+fn block_allreduce_cases_mix_sparse_and_dense_specs() {
+    let formats: Vec<[bool; 2]> =
+        (0..32).flat_map(|seed| block_allreduce_equals_dense(seed, 2)).collect();
+    for want in [[true, false], [false, true], [true, true]] {
+        assert!(formats.contains(&want), "no merged block with formats {want:?}");
     }
 }

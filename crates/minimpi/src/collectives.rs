@@ -11,6 +11,12 @@ use crate::comm::{Comm, COLLECTIVE_TAG_BASE};
 use crate::error::{Error, Result};
 use crate::topology::Topology;
 
+/// What a message of `T` is charged by default: the shallow size of the
+/// value moved (payloads are moved, not serialised).
+fn shallow<T>(_: &T) -> usize {
+    std::mem::size_of::<T>()
+}
+
 /// Sub-tags within one collective's tag slice.
 const SLOT_DATA: u64 = 0;
 const SLOT_RESULT: u64 = 1;
@@ -124,18 +130,18 @@ impl Comm {
     /// broadcast is tiered — root to the other nodes' leaders over the
     /// interconnect, then node-local fan-out.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: T) -> Result<T> {
-        self.bcast_metered(root, value, &T::clone, std::mem::size_of::<T>())
+        self.bcast_metered(root, value, &T::clone, &shallow)
     }
 
-    /// [`Comm::bcast`] charging `bytes` per message. Every copy a sender
-    /// hands out is made by `dup` — `T::clone`, or a caller with buffers
-    /// to reuse.
+    /// [`Comm::bcast`] charging `bytes(message)` per message. Every copy a
+    /// sender hands out is made by `dup` — `T::clone`, or a caller with
+    /// buffers to reuse.
     pub(crate) fn bcast_metered<T: Send + 'static>(
         &self,
         root: usize,
         value: T,
         dup: &impl Fn(&T) -> T,
-        bytes: usize,
+        bytes: &impl Fn(&T) -> usize,
     ) -> Result<T> {
         let tag = self.next_coll_tag();
         if self.size() == 1 {
@@ -147,7 +153,7 @@ impl Comm {
         if self.rank() == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.coll_send_metered(dst, tag + SLOT_DATA, dup(&value), bytes);
+                    self.coll_send_metered(dst, tag + SLOT_DATA, dup(&value), bytes(&value));
                 }
             }
             Ok(value)
@@ -165,7 +171,7 @@ impl Comm {
         root: usize,
         value: T,
         dup: &impl Fn(&T) -> T,
-        bytes: usize,
+        bytes: &impl Fn(&T) -> usize,
         tag: u64,
     ) -> Result<T> {
         self.with_hier(|h| {
@@ -183,7 +189,7 @@ impl Comm {
                                 topo.leader(node),
                                 tag + SLOT_DATA,
                                 dup(&value),
-                                bytes,
+                                bytes(&value),
                             );
                         }
                     }
@@ -193,7 +199,7 @@ impl Comm {
                 };
                 for nr in 0..h.node.size() {
                     if nr != h.node.rank() {
-                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes);
+                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes(&v));
                     }
                 }
                 Ok(v)
@@ -214,7 +220,7 @@ impl Comm {
         T: Send + 'static,
         F: Fn(T, T) -> T,
     {
-        self.reduce_metered(root, value, &op, std::mem::size_of::<T>())
+        self.reduce_metered(root, value, &op, &shallow)
     }
 
     pub(crate) fn reduce_metered<T, F>(
@@ -222,7 +228,7 @@ impl Comm {
         root: usize,
         value: T,
         op: &F,
-        bytes: usize,
+        bytes: &impl Fn(&T) -> usize,
     ) -> Result<Option<T>>
     where
         T: Send + 'static,
@@ -239,6 +245,7 @@ impl Comm {
             }
             Ok(canonical_combine(parts, self.topology(), op))
         } else {
+            let bytes = bytes(&value);
             self.coll_send_metered(root, tag + SLOT_DATA, value, bytes);
             Ok(None)
         }
@@ -257,18 +264,20 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
     {
-        self.allreduce_metered(value, &op, &T::clone, std::mem::size_of::<T>())
+        self.allreduce_metered(value, &op, &T::clone, &shallow)
     }
 
-    /// [`Comm::allreduce`] charging `bytes` per message, the copies of the
-    /// result handed back down made by `dup` (see [`Comm::bcast_metered`]).
-    /// Every rank sends down exactly as many copies as it merged partials
-    /// on the way up, on the direct and the tiered path alike.
-    pub(crate) fn allreduce_metered<T, F, D>(&self, value: T, op: &F, dup: &D, bytes: usize) -> T
+    /// [`Comm::allreduce`] charging `bytes(message)` per message, the
+    /// copies of the result handed back down made by `dup` (see
+    /// [`Comm::bcast_metered`]). Every rank sends down exactly as many
+    /// copies as it merged partials on the way up, on the direct and the
+    /// tiered path alike.
+    fn allreduce_metered<T, F, D, B>(&self, value: T, op: &F, dup: &D, bytes: &B) -> T
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,
         D: Fn(&T) -> T,
+        B: Fn(&T) -> usize,
     {
         self.allreduce_rounds.set(self.allreduce_rounds.get() + 1);
         if self.size() == 1 {
@@ -284,7 +293,8 @@ impl Comm {
             return self.allreduce_hier(value, op, dup, bytes);
         }
         let reduced = self.reduce_metered(0, value, op, bytes).expect("rank 0 is always valid");
-        self.bcast_metered(0, reduced, &|v: &Option<T>| v.as_ref().map(dup), bytes)
+        let down = |v: &Option<T>| v.as_ref().map_or(0, bytes);
+        self.bcast_metered(0, reduced, &|v: &Option<T>| v.as_ref().map(dup), &down)
             .expect("rank 0 is always valid")
             .expect("root always holds the reduced value")
     }
@@ -293,11 +303,12 @@ impl Comm {
     /// (the hook observes the logical allreduce), then each tier's
     /// collective claims its own slot on its sub-communicator — so a hook
     /// such as the `mpi.collective` fault site fires on every tier.
-    fn allreduce_hier<T, F, D>(&self, value: T, op: &F, dup: &D, bytes: usize) -> T
+    fn allreduce_hier<T, F, D, B>(&self, value: T, op: &F, dup: &D, bytes: &B) -> T
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,
         D: Fn(&T) -> T,
+        B: Fn(&T) -> usize,
     {
         let _ = self.next_coll_tag();
         self.with_hier(|h| {
@@ -314,7 +325,7 @@ impl Comm {
             if h.node.rank() == 0 {
                 let v = result.expect("node leader ran the leader tier");
                 for nr in 1..h.node.size() {
-                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes);
+                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes(&v));
                 }
                 v
             } else {
@@ -323,14 +334,47 @@ impl Comm {
         })
     }
 
+    /// One allreduce round over a `Vec<f64>` whose merge the caller
+    /// gives: `merge(acc, part)` folds `part` into `acc`, and may change
+    /// its length (a compacted payload grows by the entries `part` adds).
+    /// The fold follows the canonical merge order of [`Comm::allreduce`],
+    /// on the direct and the tiered path alike, and counts as one round.
+    /// Each message is charged its own length × 8 bytes.
+    ///
+    /// A merged-in partial's buffer is dead weight its rank already holds:
+    /// the copies of the result sent back down are written into those, so
+    /// once they have grown to the result's size a round allocates nothing
+    /// payload-sized, and every non-merging rank gets the allocation it
+    /// sent back.
+    pub fn allreduce_with(
+        &self,
+        data: Vec<f64>,
+        merge: impl Fn(&mut Vec<f64>, &[f64]),
+    ) -> Vec<f64> {
+        let spares = RefCell::new(Vec::new());
+        let op = |mut a: Vec<f64>, b: Vec<f64>| {
+            merge(&mut a, &b);
+            spares.borrow_mut().push(b);
+            a
+        };
+        let dup = |result: &Vec<f64>| match spares.borrow_mut().pop() {
+            Some(mut spare) => {
+                spare.clear();
+                spare.extend_from_slice(result);
+                spare
+            }
+            None => result.clone(),
+        };
+        self.allreduce_metered(data, &op, &dup, &|v: &Vec<f64>| std::mem::size_of_val(&v[..]))
+    }
+
     /// One allreduce round over a packed `f64` buffer with per-segment
     /// merge semantics: `segments[i]` describes the op applied element-wise
     /// to the `i`-th run of consecutive elements. This is how N independent
-    /// grid reductions collapse into a single communication round — the
-    /// segment layout must be identical on every rank. On a multi-node
-    /// topology the round is tiered like [`Comm::allreduce`] but still
-    /// counts as one round, so the 1-packed-allreduce-per-step property of
-    /// fused analyses survives the hierarchy.
+    /// reductions collapse into a single communication round — the
+    /// segment layout must be identical on every rank. It is
+    /// [`Comm::allreduce_with`] with the segment merge, so on a multi-node
+    /// topology the round is tiered but still counts as one round.
     ///
     /// Errors (before communicating) if the segment lengths do not sum to
     /// `data.len()`.
@@ -339,31 +383,15 @@ impl Comm {
         if expected != data.len() {
             return Err(Error::LengthMismatch { expected, got: data.len() });
         }
-        let bytes = data.len() * std::mem::size_of::<f64>();
-        // A merged-in partial's buffer is dead weight its rank already
-        // holds: the copies of the result sent back down are written into
-        // those, so the round allocates nothing payload-sized and every
-        // non-merging rank gets the allocation it sent back.
-        let spares = RefCell::new(Vec::new());
-        let op = |mut a: Vec<f64>, b: Vec<f64>| {
+        Ok(self.allreduce_with(data, |a, b| {
             assert_eq!(a.len(), b.len(), "packed buffers must agree across ranks");
-            let (mut acc, mut part) = (&mut a[..], &b[..]);
+            let (mut acc, mut part) = (&mut a[..], b);
             for seg in segments {
                 let (head, tail) = acc.split_at_mut(seg.len);
                 seg.op.merge(head, &part[..seg.len]);
                 (acc, part) = (tail, &part[seg.len..]);
             }
-            spares.borrow_mut().push(b);
-            a
-        };
-        let dup = |result: &Vec<f64>| match spares.borrow_mut().pop() {
-            Some(mut spare) => {
-                spare.copy_from_slice(result);
-                spare
-            }
-            None => result.clone(),
-        };
-        Ok(self.allreduce_metered(data, &op, &dup, bytes))
+        }))
     }
 
     /// Gather every rank's `value` at `root`, in rank order.
@@ -407,9 +435,9 @@ impl Comm {
     /// allocation it travels in goes to the root and back, round after
     /// round, and once `out` and the messages have grown to a round's size
     /// a round allocates nothing payload-sized. It claims the same two
-    /// collective slots as [`Comm::allgather`] (so hooks see it alike) and
-    /// charges its messages the same way, at the shallow size of the `Vec`
-    /// they travel in.
+    /// collective slots as [`Comm::allgather`] (so hooks see it alike), and
+    /// charges each message the bytes of the `f64`s it carries — on the way
+    /// down, the ranks' lengths and every rank's values.
     pub fn allgather_into(&self, mine: &[f64], out: &mut Vec<f64>, lens: &mut Vec<usize>) {
         let tag = self.next_coll_tag();
         let root = self.rank() == 0;
@@ -431,7 +459,8 @@ impl Comm {
             let mut msg = held.pop().unwrap_or_default();
             msg.clear();
             msg.extend_from_slice(mine);
-            self.coll_send(0, tag + SLOT_DATA, msg);
+            let bytes = std::mem::size_of_val(&msg[..]);
+            self.coll_send_metered(0, tag + SLOT_DATA, msg, bytes);
         }
         // The result goes down headed by the ranks' lengths, each exact
         // as an `f64`.
@@ -441,7 +470,8 @@ impl Comm {
                 msg.clear();
                 msg.extend(lens.iter().map(|&n| n as f64));
                 msg.extend_from_slice(out);
-                self.coll_send(dst, tag + SLOT_RESULT, msg);
+                let bytes = std::mem::size_of_val(&msg[..]);
+                self.coll_send_metered(dst, tag + SLOT_RESULT, msg, bytes);
             }
         } else {
             let all: Vec<f64> = self.coll_recv(0, tag + SLOT_RESULT).expect("root broadcasts");
@@ -500,11 +530,12 @@ impl Comm {
 /// the mirrored tree back down. One collective slot on the leader comm
 /// covers both sweeps, so hooks (fault sites) observe one leader-tier
 /// collective per allreduce.
-fn leader_allreduce<T, F, D>(l: &Comm, mine: T, op: &F, dup: &D, bytes: usize) -> T
+fn leader_allreduce<T, F, D, B>(l: &Comm, mine: T, op: &F, dup: &D, bytes: &B) -> T
 where
     T: Send + 'static,
     F: Fn(T, T) -> T,
     D: Fn(&T) -> T,
+    B: Fn(&T) -> usize,
 {
     let tag = l.next_coll_tag();
     let m = l.size();
@@ -513,12 +544,9 @@ where
     let mut gap = 1;
     while gap < m {
         if i % (2 * gap) == gap {
-            l.coll_send_metered(
-                i - gap,
-                tag + SLOT_DATA,
-                acc.take().expect("unsent partial"),
-                bytes,
-            );
+            let partial = acc.take().expect("unsent partial");
+            let bytes = bytes(&partial);
+            l.coll_send_metered(i - gap, tag + SLOT_DATA, partial, bytes);
             break;
         }
         debug_assert_eq!(i % (2 * gap), 0, "non-senders are merge targets at every gap");
@@ -539,6 +567,7 @@ where
         if i.is_multiple_of(2 * gap) {
             if i + gap < m {
                 let v = dup(acc.as_ref().expect("holders forward the result"));
+                let bytes = bytes(&v);
                 l.coll_send_metered(i + gap, tag + SLOT_RESULT, v, bytes);
             }
         } else if i % (2 * gap) == gap {
@@ -699,6 +728,31 @@ mod tests {
             assert_eq!(out, &[2.0, 12.0, 13.0, 22.0, 23.0, 24.0]);
         }
         assert_eq!(got[0].0.capacity(), got[0].2, "the root's buffer was kept");
+    }
+
+    #[test]
+    fn f64_payloads_are_charged_eight_bytes_per_value() {
+        let got = World::new(3).run(|c| {
+            let (mut out, mut lens) = (Vec::new(), Vec::new());
+            let before = c.tier_stats().bytes();
+            c.allgather_into(&vec![1.0; c.rank() + 1], &mut out, &mut lens);
+            let gathered = c.tier_stats().bytes() - before;
+            // A merge that keeps the longer payload: the result has 3 values.
+            let merged = c.allreduce_with(vec![0.0; c.rank() + 1], |a, b| {
+                if b.len() > a.len() {
+                    a.clear();
+                    a.extend_from_slice(b);
+                }
+            });
+            (gathered, c.tier_stats().bytes() - before - gathered, merged.len())
+        });
+        let total = |f: fn(&(u64, u64, usize)) -> u64| got.iter().map(f).sum::<u64>();
+        // Up, ranks 1 and 2 send 2 and 3 values; down, each gets the 3
+        // lengths and all 6 values.
+        assert_eq!(total(|g| g.0), (2 + 3 + 2 * 9) * 8);
+        // Up, the same 2 and 3 values; down, each gets the 3-value result.
+        assert_eq!(total(|g| g.1), (2 + 3 + 2 * 3) * 8);
+        assert!(got.iter().all(|g| g.2 == 3));
     }
 
     #[test]
