@@ -66,6 +66,20 @@ for _ in $(seq 5); do
 done
 echo "release test build $((built - start)) s, 5 passes $((SECONDS - built)) s"
 
+echo "== binning fold, one release pass"
+# The fused kernel's fold is compiled once per lane shape, and only a
+# release build optimises those instantiations: the property tests and
+# the kernel's unit tests run here against the code the benchmark times,
+# not only in the debug build of `cargo test -q`.
+start=$SECONDS
+unit=$(cargo test --release --no-run -q --message-format=json -p binning --lib | executables)
+props=$(cargo test --release --no-run -q --message-format=json -p binning \
+    --test proptest_invariants | executables)
+built=$SECONDS
+soak "$unit" -q host_impl::tests
+soak "$props" -q
+echo "release test build $((built - start)) s, 1 pass $((SECONDS - built)) s"
+
 echo "== harness smokes"
 # One A/B per mode at smoke sizes. Each mode's claims are defined once,
 # in its `impl Report` under crates/bench/src; the harness writes

@@ -176,15 +176,20 @@ pub(crate) trait Sink {
     /// Store `word` as header cell `i`.
     fn set_word(&mut self, i: usize, word: u64);
     /// Append every op's grid, `[op][bin]`, out of the bin-major `rows`,
-    /// whose slot `s` accumulates op `order[s]`.
-    fn put_dense(&mut self, rows: &[f64], order: &[usize]);
+    /// whose slot `s` accumulates op `order[s]` or is a pad (`None`).
+    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]);
     /// Append the bins `touched`, then each op's values there.
-    fn put_sparse(&mut self, rows: &[f64], order: &[usize], touched: &[u32]);
+    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]);
+}
+
+/// The number of ops whose slots `order` lays out: every slot but the pads.
+fn ops_of(order: &[Option<usize>]) -> usize {
+    order.iter().flatten().count()
 }
 
 /// The slot of `rows` that accumulates op `k`.
-fn slot_of(order: &[usize], k: usize) -> usize {
-    order.iter().position(|&o| o == k).expect("every op has a slot")
+fn slot_of(order: &[Option<usize>], k: usize) -> usize {
+    order.iter().position(|&o| o == Some(k)).expect("every op has a slot")
 }
 
 /// A host block: a `Vec` holding the header, then appended to.
@@ -197,18 +202,18 @@ impl Sink for Vec<f64> {
         self[i] = f64::from_bits(word);
     }
 
-    fn put_dense(&mut self, rows: &[f64], order: &[usize]) {
+    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]) {
         let width = order.len();
-        for k in 0..width {
+        for k in 0..ops_of(order) {
             let s = slot_of(order, k);
             self.extend(rows.chunks_exact(width).map(|bin| bin[s]));
         }
     }
 
-    fn put_sparse(&mut self, rows: &[f64], order: &[usize], touched: &[u32]) {
+    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]) {
         let width = order.len();
         self.extend(touched.iter().map(|&b| f64::from_bits(u64::from(b))));
-        for k in 0..width {
+        for k in 0..ops_of(order) {
             let s = slot_of(order, k);
             self.extend(touched.iter().map(|&b| rows[b as usize * width + s]));
         }
@@ -230,19 +235,21 @@ impl Sink for DeviceSink<'_> {
         self.view.store_words(i, [word].into_iter());
     }
 
-    fn put_dense(&mut self, rows: &[f64], order: &[usize]) {
+    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]) {
         let bins = rows.len() / order.len().max(1);
-        let starts: Vec<usize> = order.iter().map(|&k| self.used + k * bins).collect();
+        let starts: Vec<Option<usize>> =
+            order.iter().map(|o| o.map(|k| self.used + k * bins)).collect();
         self.view.store_columns(rows, &starts);
-        self.used += rows.len();
+        self.used += ops_of(order) * bins;
     }
 
-    fn put_sparse(&mut self, rows: &[f64], order: &[usize], touched: &[u32]) {
+    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]) {
         let t = touched.len();
         self.view.store_words(self.used, touched.iter().map(|&b| u64::from(b)));
-        let starts: Vec<usize> = order.iter().map(|&k| self.used + t + k * t).collect();
+        let starts: Vec<Option<usize>> =
+            order.iter().map(|o| o.map(|k| self.used + t + k * t)).collect();
         self.view.store_picked(rows, touched, &starts);
-        self.used += t * (order.len() + 1);
+        self.used += t * (ops_of(order) + 1);
     }
 }
 

@@ -129,22 +129,32 @@ const L2_BYTES: usize = 2 << 20;
 /// it misses in any order — nor for a one-spec pass, whose accumulator
 /// nothing rotates out.
 ///
-/// Measured on 131 072 rows x 12 columns, specs of 11 slots, one thread,
-/// 2 MiB L2, whole pass, 256 against 16 384 rows per block:
+/// The accumulator bytes are what the pass allocates: every lane's
+/// slots, pads included ([`row_width`]).
 ///
-/// | pass                              | accumulators | 256      | 16 384   |
-/// |-----------------------------------|--------------|----------|----------|
-/// | nine specs, 64 x 64 bins          | 2.9 MB       | 23-24 ms | 16-22 ms |
-/// | the same nine, one pass each      | 9 x 327 KB   | 20-22 ms | 42-52 ms |
-/// | three / five of them              | 1.1 / 1.8 MB | 4.5-6.4 / 10-12 ms | 6.2-7.7 / 10-11 ms |
-/// | six / seven of them               | 2.2 / 2.5 MB | 12-13 / 16-18 ms | 12 / 13-15 ms |
-/// | nine specs, 96 x 96 bins          | 9 x 811 KB   | 25-42 ms | 22-27 ms |
-/// | two specs, 128 x 128 bins         | 2 x 1.4 MB   | 5.8-6.4 ms | 7.3-7.7 ms |
+/// Measured on 131 072 rows x 12 columns, specs of the paper's ten ops
+/// (one lane, no pads), one thread, 2 MiB L2, whole pass, 256 against
+/// 16 384 rows per block, median (range) of six alternating runs:
 ///
-/// 16 384 was the best of 256, 2 048, 8 192, 16 384 and 32 768 on the
-/// first row, 8 192 within noise of it.
+/// | pass                      | accumulators  | 256 rows, ms       | 16 384 rows, ms    |
+/// |---------------------------|---------------|--------------------|--------------------|
+/// | nine specs, 64 x 64 bins  | 2.9 MB        | 15.1 (12.5-19.8)   | 14.1 (11.4-17.0)   |
+/// | three of them             | 0.98 MB       | 6.9 (6.7-7.1)      | 8.5 (8.1-11.1)     |
+/// | five of them              | 1.6 MB        | 13.3 (12.8-14.1)   | 12.3 (9.6-14.3)    |
+/// | six of them               | 2.0 MB        | 14.7 (10.4-23.0)   | 14.6 (13.0-21.1)   |
+/// | seven of them             | 2.3 MB        | 18.8 (16.6-25.2)   | 17.8 (14.4-20.4)   |
+/// | nine specs, 96 x 96 bins  | 9 x 737 KB    | 24.6 (15.4-27.1)   | 16.3 (13.9-21.1)   |
+/// | two specs, 128 x 128 bins | 2 x 1.3 MB    | 6.3 (4.7-8.2)      | 6.3 (6.1-8.8)      |
+///
+/// The long block wins where the rule picks it and the short tile where
+/// the rest of the rule (one accumulator past half the L2) picks it; five
+/// specs, just under the L2, lean to the long block within the noise of a
+/// shared 2-vCPU box. With the earlier runtime-width fold, 16 384 was the
+/// best of 256, 2 048, 8 192, 16 384 and 32 768 on the first row, 8 192
+/// within noise of it, and one pass per spec ran 2 to 2.5 times slower
+/// in long blocks than in short tiles.
 fn block_rows(specs: &[PassSpec]) -> usize {
-    let acc_bytes = |s: &PassSpec| s.ops.len() * s.grid.num_bins() * 8;
+    let acc_bytes = |s: &PassSpec| row_width(&s.ops) * s.grid.num_bins() * 8;
     let total: usize = specs.iter().map(acc_bytes).sum();
     let largest = specs.iter().map(acc_bytes).max().unwrap_or(0);
     if total > L2_BYTES && largest <= L2_BYTES / 2 {
@@ -162,37 +172,143 @@ pub(crate) fn intern<T: PartialEq>(pool: &mut Vec<T>, key: T) -> usize {
     })
 }
 
-/// Fold one block into a spec's accumulator: row `r` of the row-major
-/// `stage` goes to bin `iy[r] * nx + ix[r]` of the bin-major `acc`. Both
-/// hold `width` slots per row — adds up to `adds`, mins up to `mins`,
-/// maxes after. Out of line so the slices keep their no-alias guarantee
-/// and the three loops vectorize without overlap checks.
+/// Which fold a reduction takes: `0` adds (counts add the `1.0` staged
+/// for them), `1` takes the minimum, `2` the maximum.
+fn kind(op: BinOp) -> usize {
+    match op {
+        BinOp::Count | BinOp::Sum | BinOp::Average => 0,
+        BinOp::Min => 1,
+        BinOp::Max => 2,
+    }
+}
+
+/// The most add slots of a lane.
+const LANE_ADDS: usize = 8;
+
+/// The lanes a spec of `ops` deals its grids into: their shape, add, min
+/// and max slots per lane, and how many there are. The fewest lanes that
+/// hold the spec's ops, then the smallest shape that holds them in that
+/// many: adds 0 or a power of two up to [`LANE_ADDS`], mins and maxes 0 or
+/// 1 — the only shapes [`fold_lanes`] instantiates.
+fn lane_plan(ops: &[(BinOp, Option<usize>)]) -> ([usize; 3], usize) {
+    let [adds, mins, maxes] = [0, 1, 2].map(|k| ops.iter().filter(|o| kind(o.0) == k).count());
+    let lanes = adds.div_ceil(LANE_ADDS).max(mins).max(maxes);
+    if lanes == 0 {
+        return ([0; 3], 0);
+    }
+    let per_lane = match adds.div_ceil(lanes) {
+        0 => 0,
+        n => n.next_power_of_two(),
+    };
+    ([per_lane, mins.min(1), maxes.min(1)], lanes)
+}
+
+/// Accumulator slots per bin of a spec of `ops`: its lanes, pads included.
+fn row_width(ops: &[(BinOp, Option<usize>)]) -> usize {
+    let (shape, lanes) = lane_plan(ops);
+    lanes * shape.iter().sum::<usize>()
+}
+
+/// Set `order` to the lane slots of a spec of `ops` in accumulator order:
+/// `lanes` lanes of `shape`, each its adds, then its min, then its max.
+/// The ops of a kind are dealt across the lanes in list order; a slot no
+/// op is dealt to is a pad (`None`).
+fn deal(
+    ops: &[(BinOp, Option<usize>)],
+    [adds, mins, maxes]: [usize; 3],
+    lanes: usize,
+    order: &mut Vec<Option<usize>>,
+) {
+    let width = adds + mins + maxes;
+    order.clear();
+    order.resize(lanes * width, None);
+    let mut dealt = [0; 3];
+    for (k, &(op, _)) in ops.iter().enumerate() {
+        let (group, n) = (kind(op), dealt[kind(op)]);
+        order[n % lanes * width + [0, adds, adds + mins][group] + n / lanes] = Some(k);
+        dealt[group] += 1;
+    }
+}
+
+/// The identity a pad at `slot` of a lane of `shape` holds, in the stage
+/// and in the accumulator: folding it changes nothing.
+fn pad_identity([adds, mins, _]: [usize; 3], slot: usize) -> f64 {
+    match slot {
+        s if s < adds => 0.0,
+        s if s < adds + mins => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// Fold one block into a spec's accumulator of `lanes` lanes of shape
+/// `(A, M, X)`, `W` slots each: row `r` of the row-major `stage` goes to
+/// bin `iy[r] * nx + ix[r]` of the bin-major `acc`, lane by lane — its `A`
+/// add slots, then `M` min slots, then `X` max slots. The lane's shape is
+/// a constant, so its slots are folded with no loop or bounds check left;
+/// so is the lane count of a one-lane spec. Out of line so the slices
+/// keep their no-alias guarantee.
 #[inline(never)]
-fn fold_tile(
+fn fold<const A: usize, const M: usize, const X: usize, const W: usize>(
     acc: &mut [f64],
     stage: &[f64],
     ix: &[u32],
     iy: &[u32],
     nx: usize,
-    [adds, mins, width]: [usize; 3],
+    lanes: usize,
 ) {
-    if width == 0 {
-        return;
-    }
-    assert!(adds <= mins && mins <= width, "slot groups are ordered");
-    for ((&i, &j), row) in ix.iter().zip(iy).zip(stage.chunks_exact(width)) {
-        if i.max(j) == u32::MAX {
-            continue;
+    const { assert!(W == A + M + X && W > 0, "a lane is its slots") };
+    #[inline(always)]
+    fn rows<const A: usize, const M: usize, const W: usize>(
+        acc: &mut [f64],
+        stage: &[f64],
+        ix: &[u32],
+        iy: &[u32],
+        nx: usize,
+        lanes: usize,
+    ) {
+        let width = lanes * W;
+        for ((&i, &j), row) in ix.iter().zip(iy).zip(stage.chunks_exact(width)) {
+            if i.max(j) == u32::MAX {
+                continue;
+            }
+            let acc = &mut acc[(j as usize * nx + i as usize) * width..][..width];
+            for (acc, row) in acc.chunks_exact_mut(W).zip(row.chunks_exact(W)) {
+                let acc: &mut [f64; W] = acc.try_into().expect("a whole lane");
+                let row: &[f64; W] = row.try_into().expect("a whole lane");
+                acc[..A].iter_mut().zip(&row[..A]).for_each(|(a, v)| *a += *v);
+                acc[A..A + M].iter_mut().zip(&row[A..A + M]).for_each(|(a, v)| *a = a.min(*v));
+                acc[A + M..].iter_mut().zip(&row[A + M..]).for_each(|(a, v)| *a = a.max(*v));
+            }
         }
-        let acc = &mut acc[(j as usize * nx + i as usize) * width..][..width];
-        let (acc_add, acc_rest) = acc.split_at_mut(adds);
-        let (acc_min, acc_max) = acc_rest.split_at_mut(mins - adds);
-        let (row_add, row_rest) = row.split_at(adds);
-        let (row_min, row_max) = row_rest.split_at(mins - adds);
-        acc_add.iter_mut().zip(row_add).for_each(|(a, v)| *a += *v);
-        acc_min.iter_mut().zip(row_min).for_each(|(a, v)| *a = a.min(*v));
-        acc_max.iter_mut().zip(row_max).for_each(|(a, v)| *a = a.max(*v));
     }
+    match lanes {
+        1 => rows::<A, M, W>(acc, stage, ix, iy, nx, 1),
+        _ => rows::<A, M, W>(acc, stage, ix, iy, nx, lanes),
+    }
+}
+
+/// [`fold`] instantiated for every shape [`lane_plan`] deals into.
+macro_rules! fold_shapes {
+    ($shape:expr, $args:tt; $(($a:literal, $m:literal, $x:literal)),* $(,)?) => {
+        match $shape {
+            [0, 0, 0] => {}
+            $([$a, $m, $x] => fold::<$a, $m, $x, { $a + $m + $x }> $args,)*
+            shape => unreachable!("no fold for lane shape {shape:?}"),
+        }
+    };
+}
+
+/// Fold one block into `plan`'s accumulator with the fold of its lanes'
+/// shape.
+fn fold_lanes(plan: &mut FusedGrids, stage: &[f64], ix: &[u32], iy: &[u32], nx: usize) {
+    let (acc, lanes) = (&mut plan.acc[..], plan.lanes);
+    fold_shapes!(plan.shape, (acc, stage, ix, iy, nx, lanes);
+        (0, 0, 1), (0, 1, 0), (0, 1, 1),
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+        (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1),
+        (4, 0, 0), (4, 0, 1), (4, 1, 0), (4, 1, 1),
+        (8, 0, 0), (8, 0, 1), (8, 1, 0), (8, 1, 1),
+    )
 }
 
 /// One spec's grids out of [`bin_all_host`], still in the kernel's
@@ -200,15 +316,18 @@ fn fold_tile(
 /// [`FusedGrids::rows`], or [`FusedGrids::packed`] for `[op][bin]`.
 #[derive(Default)]
 pub struct FusedGrids {
-    /// `order[slot]` is the op (an index into `spec.ops`) a slot accumulates.
-    order: Vec<usize>,
+    /// `order[slot]` is the op (an index into `spec.ops`) a slot
+    /// accumulates, or `None` for a pad.
+    order: Vec<Option<usize>>,
     /// One bin's worth of reduction identities, in slot order.
     identities: Vec<f64>,
     acc: Vec<f64>,
     axes: [usize; 2],
     stage: usize,
-    /// End of the add slots, end of the min slots, slot count.
-    ends: [usize; 3],
+    /// Add, min and max slots per lane ([`lane_plan`]).
+    shape: [usize; 3],
+    /// Lanes per bin.
+    lanes: usize,
     /// The slot of the spec's first count, if it has one.
     count: Option<usize>,
     /// Whether only the bins in `touched` were initialised.
@@ -221,11 +340,12 @@ pub struct FusedGrids {
 
 impl FusedGrids {
     /// The accumulator as it lies in memory — one row per bin, one value
-    /// per slot — and the op (an index into `spec.ops`) of each slot.
+    /// per slot — and the op (an index into `spec.ops`) of each slot, or
+    /// `None` for a pad, which holds its reduction's identity and no grid.
     /// When [`Self::initialised_touched_only`], only the rows of the
     /// [touched](Self::touched) bins hold grids; the others hold whatever
     /// an earlier pass left.
-    pub fn rows(&self) -> (&[f64], &[usize]) {
+    pub fn rows(&self) -> (&[f64], &[Option<usize>]) {
         (&self.acc, &self.order)
     }
 
@@ -249,8 +369,9 @@ impl FusedGrids {
         debug_assert!(!self.sparse, "untouched bins were never initialised");
         let width = self.order.len();
         let bins = self.acc.len() / width.max(1);
-        let mut packed = vec![0.0; self.acc.len()];
-        for (s, &op) in self.order.iter().enumerate() {
+        let mut packed = vec![0.0; self.order.iter().flatten().count() * bins];
+        for (s, op) in self.order.iter().enumerate() {
+            let Some(op) = *op else { continue };
             let cells = self.acc.iter().skip(s).step_by(width);
             packed[op * bins..][..bins].iter_mut().zip(cells).for_each(|(p, a)| *p = *a);
         }
@@ -284,13 +405,22 @@ impl FusedGrids {
 #[derive(Default)]
 pub struct KernelScratch {
     axes: Vec<(usize, f64, f64, usize)>,
-    stages: Vec<Vec<Option<usize>>>,
+    stages: Vec<Vec<Staged>>,
     plans: Vec<FusedGrids>,
     index: Vec<u32>,
     staged: Vec<Vec<f64>>,
     /// The one accumulator every spec of a one-block pass folds into when
     /// its grids are handed over rather than kept.
     shared: Vec<f64>,
+}
+
+/// What a slot of a stage holds for every row of a block.
+#[derive(Clone, Copy, PartialEq)]
+enum Staged {
+    /// The row's value in this column.
+    Column(usize),
+    /// The same value in every row: a count's `1.0`, a pad's identity.
+    Constant(f64),
 }
 
 /// [`KernelScratch`]es between launches. A launch takes one — a fresh one
@@ -324,11 +454,12 @@ impl ScratchPool {
 /// block, (1) each **unique** axis `(column, lo, hi, cells)` is
 /// range-checked and indexed once, whatever number of specs share it; (2)
 /// the value columns are gathered once into a row-major stage whose slots
-/// are a spec's ops grouped by kind — adds (count stages `1.0`), then
-/// mins, then maxes — shared by every spec with the same op list; (3)
-/// each spec folds its in-range rows into a private bin-major accumulator
-/// `[bin][slot]` with three branch-free slice loops. That layout is the
-/// kernel's own choice; [`FusedGrids`] hands the grids out op by op.
+/// are a spec's lanes (`lane_plan`) — each lane's adds (a count stages
+/// `1.0`), then its min, then its max, pads staged at their identity —
+/// shared by every spec with the same op list; (3) each spec folds its
+/// in-range rows into a private bin-major accumulator `[bin][lane][slot]`
+/// with the fold compiled for its lane shape (`fold`). That layout is
+/// the kernel's own choice; [`FusedGrids`] hands the grids out op by op.
 ///
 /// Every `(op, bin)` accumulator starts at its reduction identity and
 /// folds its rows in ascending row order with the per-op kernel's own
@@ -440,42 +571,49 @@ fn pass(
     for (plan, spec) in plans.iter_mut().zip(specs) {
         let g = &spec.grid;
         assert!(g.nx.max(g.ny) < u32::MAX as usize, "axis resolution exceeds the index scratch");
-        let kind = |k: &usize| match spec.ops[*k].0 {
-            BinOp::Count | BinOp::Sum | BinOp::Average => 0,
-            BinOp::Min => 1,
-            BinOp::Max => 2,
-        };
+        let (shape, lanes) = lane_plan(&spec.ops);
+        (plan.shape, plan.lanes) = (shape, lanes);
         let FusedGrids { order, identities, acc, marks, .. } = plan;
-        order.clear();
-        order.extend(0..spec.ops.len());
-        order.sort_by_key(kind);
-        plan.ends = [1, 2, 3].map(|k| order.partition_point(|o| kind(o) < k));
-        plan.count = order.iter().position(|&k| spec.ops[k].0 == BinOp::Count);
+        deal(&spec.ops, shape, lanes, order);
+        let lane = shape.iter().sum::<usize>().max(1);
+        plan.count = order.iter().position(|o| o.is_some_and(|k| spec.ops[k].0 == BinOp::Count));
         plan.sparse = !keep && block::always_sparse(rows, spec);
         if plan.sparse {
             marks.clear();
             marks.resize(g.num_bins().div_ceil(64), 0);
         }
-        let slots = order.iter().map(|&k| spec.ops[k].1.filter(|_| spec.ops[k].0 != BinOp::Count));
+        let slots = order.iter().enumerate().map(|(s, o)| match o.map(|k| spec.ops[k]) {
+            Some((BinOp::Count, _)) => Staged::Constant(1.0),
+            Some((_, c)) => Staged::Column(c.expect("pass_rows checked the value columns")),
+            None => Staged::Constant(pad_identity(shape, s % lane)),
+        });
         plan.stage = intern(stages, slots.collect());
         plan.axes = [
             intern(axes, (spec.axes[0], g.lo[0], g.hi[0], g.nx)),
             intern(axes, (spec.axes[1], g.lo[1], g.hi[1], g.ny)),
         ];
         identities.clear();
-        identities.extend(order.iter().map(|&k| identity(spec.ops[k].0)));
+        identities.extend(order.iter().enumerate().map(|(s, o)| match o {
+            Some(k) => identity(spec.ops[*k].0),
+            None => pad_identity(shape, s % lane),
+        }));
         if !share {
             acc.resize(identities.len() * g.num_bins(), 0.0);
         }
     }
 
-    // Out-of-range rows are marked `u32::MAX`; count slots keep their 1.0.
+    // Out-of-range rows are marked `u32::MAX`; constant slots (a count's
+    // 1.0, a pad's identity) are staged once for the whole pass.
     index.clear();
     index.resize(axes.len() * tile, u32::MAX);
     staged.resize_with(stages.len(), Vec::new);
     for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
         stage.clear();
-        stage.resize(slots.len() * tile, 1.0);
+        stage.resize(slots.len() * tile, 0.0);
+        for (s, slot) in slots.iter().enumerate() {
+            let Staged::Constant(v) = *slot else { continue };
+            stage.iter_mut().skip(s).step_by(slots.len()).for_each(|c| *c = v);
+        }
     }
     for b in 0..blocks {
         let start = b * block;
@@ -489,8 +627,9 @@ fn pass(
             }
         }
         for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
-            for (s, c) in slots.iter().enumerate() {
-                let Some(col) = c.map(|c| &cols[c][rows.clone()]) else { continue };
+            for (s, slot) in slots.iter().enumerate() {
+                let Staged::Column(c) = *slot else { continue };
+                let col = &cols[c][rows.clone()];
                 for (row, &v) in stage.chunks_exact_mut(slots.len()).zip(col) {
                     row[s] = v;
                 }
@@ -511,7 +650,7 @@ fn pass(
                     .chunks_exact_mut(width)
                     .for_each(|bin| bin.copy_from_slice(&plan.identities));
             }
-            fold_tile(&mut plan.acc, &staged[plan.stage], ix, iy, spec.grid.nx, plan.ends);
+            fold_lanes(plan, &staged[plan.stage], ix, iy, spec.grid.nx);
             if b + 1 == blocks {
                 plan.find_touched();
                 done(si, plan);
@@ -667,25 +806,106 @@ mod tests {
         assert_eq!(grids[2], vec![f64::NEG_INFINITY; 4]);
     }
 
+    /// The paper's op list as the fused step lays out its grids: the
+    /// count, five sums, a minimum, a maximum and two averages.
+    fn paper_ops() -> Vec<(BinOp, Option<usize>)> {
+        let mut ops = vec![(BinOp::Count, None)];
+        ops.extend([BinOp::Sum; 5].map(|op| (op, Some(2))));
+        ops.extend([(BinOp::Min, Some(2)), (BinOp::Max, Some(2))]);
+        ops.extend([BinOp::Average; 2].map(|op| (op, Some(2))));
+        ops
+    }
+
     #[test]
     fn block_length_follows_the_accumulators_of_the_pass() {
-        let spec = |n: usize, slots: usize| PassSpec {
+        let spec = |n: usize, ops: Vec<(BinOp, Option<usize>)>| PassSpec {
             axes: [0, 1],
             grid: GridParams::new(n, n, [0.0, 0.0], [1.0, 1.0]),
-            ops: vec![(BinOp::Count, None); slots],
+            ops,
         };
-        // Nine 64 x 64 systems of eleven slots: 2.9 MB rotating through
-        // a 2 MiB L2.
-        assert_eq!(block_rows(&vec![spec(64, 11); 9]), BLOCK);
-        assert_eq!(block_rows(&vec![spec(64, 11); 7]), BLOCK);
+        let paper = |n| spec(n, paper_ops());
+        // Nine 64 x 64 systems of the paper's ten slots: 2.9 MB rotating
+        // through a 2 MiB L2.
+        assert_eq!(block_rows(&vec![paper(64); 9]), BLOCK);
+        assert_eq!(block_rows(&vec![paper(64); 7]), BLOCK);
         // Together in L2, alone in the pass, or too large to stay cached
         // under any order: short tiles.
-        assert_eq!(block_rows(&vec![spec(64, 11); 5]), TILE);
-        assert_eq!(block_rows(&vec![spec(16, 11); 9]), TILE);
-        assert_eq!(block_rows(&[spec(64, 11)]), TILE);
-        assert_eq!(block_rows(&[spec(1024, 11)]), TILE);
-        assert_eq!(block_rows(&vec![spec(128, 11); 2]), TILE);
+        assert_eq!(block_rows(&vec![paper(64); 5]), TILE);
+        assert_eq!(block_rows(&vec![paper(16); 9]), TILE);
+        assert_eq!(block_rows(&[paper(64)]), TILE);
+        assert_eq!(block_rows(&[paper(1024)]), TILE);
+        assert_eq!(block_rows(&vec![paper(128); 2]), TILE);
         assert_eq!(block_rows(&[]), TILE);
+        // Pads count: eleven counts fill two lanes of eight, so five such
+        // systems allocate 2.6 MB, though their grids are 1.8 MB.
+        assert_eq!(block_rows(&vec![spec(64, vec![(BinOp::Count, None); 11]); 5]), BLOCK);
+    }
+
+    #[test]
+    fn the_paper_list_fills_one_lane_and_every_plan_deals_each_op_once() {
+        let ops = paper_ops();
+        assert_eq!(lane_plan(&ops), ([8, 1, 1], 1));
+        let mut order = Vec::new();
+        deal(&ops, [8, 1, 1], 1, &mut order);
+        assert!(order.iter().all(Option::is_some), "no pads");
+
+        let mut folded = Vec::new();
+        for [adds, mins, maxes] in (0..=20).flat_map(|a| (0..16).map(move |mx| [a, mx / 4, mx % 4]))
+        {
+            // The kinds interleaved — each kind's first op, then each
+            // one's second, … — and a count first among the adds.
+            let mut kinds: Vec<(usize, usize)> = [adds, mins, maxes]
+                .iter()
+                .enumerate()
+                .flat_map(|(k, &n)| (0..n).map(move |i| (i, k)))
+                .collect();
+            kinds.sort();
+            let ops: Vec<_> = kinds
+                .iter()
+                .map(|&(i, k)| match (k, i) {
+                    (0, 0) => (BinOp::Count, None),
+                    (0, i) => ([BinOp::Sum, BinOp::Average][i % 2], Some(2)),
+                    (1, _) => (BinOp::Min, Some(2)),
+                    _ => (BinOp::Max, Some(2)),
+                })
+                .collect();
+            let n = ops.len();
+            let (shape, lanes) = lane_plan(&ops);
+            assert_eq!(lanes, adds.div_ceil(LANE_ADDS).max(mins).max(maxes), "the fewest lanes");
+            assert!([0, 1, 2, 4, 8].contains(&shape[0]) && shape[1] <= 1 && shape[2] <= 1);
+            let width = shape.iter().sum::<usize>();
+            deal(&ops, shape, lanes, &mut order);
+            assert_eq!(order.len(), lanes * width);
+            let mut dealt = vec![0; n];
+            for (s, k) in order.iter().enumerate().filter_map(|(s, o)| o.map(|k| (s, k))) {
+                dealt[k] += 1;
+                // In a slot of its own kind: the pad there would hold its
+                // identity.
+                assert_eq!(pad_identity(shape, s % width), identity(ops[k].0), "{ops:?}");
+            }
+            assert!(dealt.iter().all(|&d| d == 1), "{ops:?} dealt {dealt:?}");
+            if !folded.contains(&(shape, lanes > 1)) {
+                folded.push((shape, lanes > 1));
+                // Each shape's fold, one lane and several, pads and all, is
+                // the per-op kernel's.
+                let grids = fused(
+                    &XS[..],
+                    &YS[..],
+                    Some(&VS[..]),
+                    &ops.iter().map(|o| o.0).collect::<Vec<_>>(),
+                    &grid2x2(),
+                );
+                for (&(op, _), grid) in ops.iter().zip(&grids) {
+                    assert_eq!(
+                        bits(grid),
+                        bits(&bin_host(&XS[..], &YS[..], Some(&VS[..]), op, &grid2x2()))
+                    );
+                }
+            }
+        }
+        // Every instantiated shape, and the empty one.
+        let shapes: Vec<_> = folded.iter().filter(|f| !f.1).collect();
+        assert_eq!(shapes.len(), 20);
     }
 
     #[test]

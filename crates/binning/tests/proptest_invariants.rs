@@ -218,7 +218,8 @@ const NUM_COLS: usize = 6;
 /// draw their axes from every column and their mesh from a small pool,
 /// so some share an axis with its bounds and resolution (one shared
 /// index), some share only the column, some nothing; op lists are fresh
-/// (any length from none, ops and value columns repeating freely), a
+/// (none to twenty ops, ops and value columns repeating freely, so a
+/// spec may need several lanes of any shape the kernel instantiates), a
 /// copy of the previous spec's (one shared stage) or its reverse (the
 /// same slots in another order).
 fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
@@ -247,7 +248,7 @@ fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
         let ops = match (specs.last(), rng.below(3)) {
             (Some(prev), 0) => prev.ops.clone(),
             (Some(prev), 1) => prev.ops.iter().rev().cloned().collect(),
-            _ => (0..rng.below(8))
+            _ => (0..rng.below(21))
                 .map(|_| {
                     let op = ALL[rng.below(ALL.len())];
                     (op, (op != BinOp::Count).then(|| 3 + rng.below(NUM_COLS - 3)))
@@ -260,12 +261,14 @@ fn random_pass(seed: u64, rows: usize) -> (Vec<Vec<f64>>, Vec<PassSpec>) {
     (cols, specs)
 }
 
-/// Three coordinate systems over the columns of a [`random_pass`] table
-/// that differ in resolution and in op list; the first and the last share
-/// an axis index and a stage. At `scale` 1 their accumulators are a few
-/// KB and the core walks short tiles; at `scale` 22 they are 0.7 to 0.9
-/// MB each and 2.3 MB together — more than an L2 holds, which is when the
-/// core walks long blocks.
+/// Four coordinate systems over the columns of a [`random_pass`] table
+/// that differ in resolution and in op list; the first and the third
+/// share an axis index and a stage, and the fourth lists the paper's ten
+/// ops (the count, five sums, a minimum, a maximum and two averages: one
+/// lane with no pads). At `scale` 1 their accumulators are a few KB and
+/// the core walks short tiles; at `scale` 22 they are 0.8 to 0.9 MB each
+/// (pads included) and 3.4 MB together — more than an L2 holds, which is
+/// when the core walks long blocks.
 fn boundary_pass(scale: usize) -> Vec<PassSpec> {
     let a = [
         (BinOp::Count, None),
@@ -282,12 +285,18 @@ fn boundary_pass(scale: usize) -> Vec<PassSpec> {
         (BinOp::Average, Some(5)),
         (BinOp::Sum, Some(5)),
     ];
+    let mut paper = vec![(BinOp::Count, None)];
+    paper.extend((0..5).map(|k| (BinOp::Sum, Some(3 + k % 3))));
+    paper.extend([(BinOp::Min, Some(4)), (BinOp::Max, Some(5))]);
+    paper.extend([(BinOp::Average, Some(5)), (BinOp::Average, Some(3))]);
     let square = GridParams::new(6 * scale, 6 * scale, [-1.0, -1.0], [1.0, 1.0]);
     let oblong = GridParams::new(8 * scale, 5 * scale, [-0.25, -1.0], [0.75, 1.0]);
+    let coarse = GridParams::new(5 * scale, 4 * scale, [-1.25, -1.0], [1.25, 1.0]);
     vec![
         PassSpec { axes: [0, 1], grid: square, ops: a.to_vec() },
         PassSpec { axes: [1, 2], grid: oblong, ops: b.to_vec() },
         PassSpec { axes: [0, 4], grid: square, ops: a.iter().rev().cloned().collect() },
+        PassSpec { axes: [3, 5], grid: coarse, ops: paper },
     ]
 }
 

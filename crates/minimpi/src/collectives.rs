@@ -488,8 +488,14 @@ impl Comm {
     /// Personalized all-to-all: `values[i]` is delivered to rank `i`; the
     /// result's slot `j` holds what rank `j` sent to this rank. Over `Vec`s
     /// it moves variable-size payloads, which Newton++'s body
-    /// repartitioning is built on.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>> {
+    /// repartitioning is built on. Each message is charged `bytes(value)`:
+    /// payloads are moved, not serialised, so only the caller knows what
+    /// one would put on the wire.
+    pub fn alltoall<T: Send + 'static>(
+        &self,
+        values: Vec<T>,
+        bytes: impl Fn(&T) -> usize,
+    ) -> Result<Vec<T>> {
         if values.len() != self.size() {
             return Err(Error::LengthMismatch { expected: self.size(), got: values.len() });
         }
@@ -499,7 +505,8 @@ impl Comm {
             if dst == self.rank() {
                 own = Some(v);
             } else {
-                self.coll_send(dst, tag + SLOT_DATA, v);
+                let bytes = bytes(&v);
+                self.coll_send_metered(dst, tag + SLOT_DATA, v, bytes);
             }
         }
         let mut out = Vec::with_capacity(self.size());
@@ -767,7 +774,7 @@ mod tests {
     fn alltoall_transposes() {
         let got = World::new(3).run(|c| {
             let outgoing: Vec<u32> = (0..3).map(|d| (c.rank() * 10 + d) as u32).collect();
-            c.alltoall(outgoing).unwrap()
+            c.alltoall(outgoing, std::mem::size_of_val).unwrap()
         });
         // rank r receives j*10 + r from each rank j
         for (r, incoming) in got.iter().enumerate() {
@@ -780,7 +787,7 @@ mod tests {
     fn alltoallv_moves_variable_payloads() {
         let got = World::new(3).run(|c| {
             let outgoing: Vec<Vec<usize>> = (0..3).map(|d| vec![c.rank(); d]).collect();
-            c.alltoall(outgoing).unwrap()
+            c.alltoall(outgoing, |v| std::mem::size_of_val(&v[..])).unwrap()
         });
         for (r, incoming) in got.iter().enumerate() {
             for (j, part) in incoming.iter().enumerate() {
@@ -792,7 +799,7 @@ mod tests {
     #[test]
     fn alltoall_length_mismatch_errors() {
         World::new(2).run(|c| {
-            assert!(c.alltoall(vec![1, 2, 3]).is_err());
+            assert!(c.alltoall(vec![1, 2, 3], std::mem::size_of_val).is_err());
             // Recover the collective sequence so both ranks stay aligned.
             c.barrier();
         });
@@ -997,7 +1004,7 @@ mod tests {
         let got = World::new(1).run(|c| {
             let a = c.allreduce(7, |a, b| a + b);
             let g = c.allgather(3u8);
-            let t = c.alltoall(vec![9i32]).unwrap();
+            let t = c.alltoall(vec![9i32], std::mem::size_of_val).unwrap();
             (a, g, t)
         });
         assert_eq!(got[0], (7, vec![3u8], vec![9i32]));

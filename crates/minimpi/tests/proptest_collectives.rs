@@ -52,7 +52,7 @@ proptest! {
             let outgoing: Vec<u64> = (0..n)
                 .map(|d| seed as u64 ^ (c.rank() as u64 * 1000 + d as u64))
                 .collect();
-            c.alltoall(outgoing).unwrap()
+            c.alltoall(outgoing, std::mem::size_of_val).unwrap()
         });
         for (r, incoming) in got.iter().enumerate() {
             for (j, &v) in incoming.iter().enumerate() {

@@ -94,6 +94,12 @@ impl BodySet {
         self.m.extend_from_slice(&other.m);
     }
 
+    /// Bytes of the bodies' seven columns: what sending the set moves.
+    pub fn payload_bytes(&self) -> usize {
+        let columns = [&self.x, &self.y, &self.z, &self.vx, &self.vy, &self.vz, &self.m];
+        columns.iter().map(|c| std::mem::size_of_val(&c[..])).sum()
+    }
+
     /// Total mass.
     pub fn total_mass(&self) -> f64 {
         self.m.iter().sum()

@@ -23,7 +23,7 @@ pub fn repartition(comm: &Comm, domain: &Domain, mut mine: BodySet) -> BodySet {
         }
     }
     let incoming = comm
-        .alltoall(outgoing)
+        .alltoall(outgoing, BodySet::payload_bytes)
         .expect("repartition alltoall: vector length equals communicator size");
     for (src, set) in incoming.into_iter().enumerate() {
         if src != comm.rank() {
@@ -89,6 +89,29 @@ mod tests {
             assert!(owned, "every body on its owner");
             assert!(consistent);
         }
+    }
+
+    #[test]
+    fn a_repartition_is_metered_at_the_moved_bodies_column_bytes() {
+        let got = World::new(2).run(|comm| {
+            let domain = Domain::new(0.0, 2.0, 2);
+            // Rank r keeps r + 1 bodies and sends 2 + 3r to the other rank.
+            let mut mine = BodySet::new();
+            let (lo, _) = domain.slab(comm.rank());
+            let (other, _) = domain.slab(1 - comm.rank());
+            for i in 0..comm.rank() + 1 {
+                body_at(&mut mine, lo + 0.5, i as f64);
+            }
+            for i in 0..2 + 3 * comm.rank() {
+                body_at(&mut mine, other + 0.5, i as f64);
+            }
+            let before = comm.tier_stats().bytes();
+            let after = repartition(&comm, &domain, mine);
+            (comm.tier_stats().bytes() - before, after.len())
+        });
+        // Seven f64 columns per moved body, not the set's shallow size
+        // (168 B a message, whatever it holds).
+        assert_eq!(got, [(2 * 7 * 8, 1 + 5), (5 * 7 * 8, 2 + 2)]);
     }
 
     #[test]
