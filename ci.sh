@@ -69,14 +69,15 @@ echo "release test build $((built - start)) s, 5 passes $((SECONDS - built)) s"
 echo "== binning fold, one release pass"
 # The fused kernel's fold is compiled once per lane shape, and only a
 # release build optimises those instantiations: the property tests and
-# the kernel's unit tests run here against the code the benchmark times,
-# not only in the debug build of `cargo test -q`.
+# the unit tests of both kernels that fold through it (host and device)
+# run here against the code the benchmark times, not only in the debug
+# build of `cargo test -q`.
 start=$SECONDS
 unit=$(cargo test --release --no-run -q --message-format=json -p binning --lib | executables)
 props=$(cargo test --release --no-run -q --message-format=json -p binning \
     --test proptest_invariants | executables)
 built=$SECONDS
-soak "$unit" -q host_impl::tests
+soak "$unit" -q host_impl::tests device_impl::tests
 soak "$props" -q
 echo "release test build $((built - start)) s, 1 pass $((SECONDS - built)) s"
 

@@ -387,8 +387,8 @@ impl BinningAnalysis {
                         )?
                     }
                 };
-                range[0] = range[0].min(lo);
-                range[1] = range[1].max(hi);
+                range[0] = devsim::min_select(range[0], lo);
+                range[1] = devsim::max_select(range[1], hi);
             }
         }
         let [x, y] = ranges.map(|[lo, hi]| {

@@ -1,6 +1,7 @@
 //! On-the-fly axis bounds: local min/max of the coordinate columns,
 //! combined across MPI ranks.
 
+use devsim::{max_select, min_select};
 use minimpi::{Comm, Segment, SegmentOp};
 use sensei::{Error, Result};
 
@@ -10,8 +11,8 @@ pub fn minmax(col: &[f64]) -> (f64, f64) {
     let mut hi = f64::NEG_INFINITY;
     for &v in col {
         if v.is_finite() {
-            lo = lo.min(v);
-            hi = hi.max(v);
+            lo = min_select(lo, v);
+            hi = max_select(hi, v);
         }
     }
     (lo, hi)
@@ -29,7 +30,7 @@ pub fn minmax_multi(cols: &[&[f64]]) -> Vec<(f64, f64)> {
 /// allreduce (§4.2: bounds "obtained on the fly by calculating the
 /// minimum and maximum of the respective coordinate variables").
 pub fn global_bounds(comm: &Comm, local: (f64, f64)) -> (f64, f64) {
-    comm.allreduce(local, |a, b| (a.0.min(b.0), a.1.max(b.1)))
+    comm.allreduce(local, |a, b| (min_select(a.0, b.0), max_select(a.1, b.1)))
 }
 
 /// Combine per-rank `(lo, hi)` pairs for **several** axes in a single

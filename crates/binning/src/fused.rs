@@ -260,8 +260,8 @@ impl<'a> FusedStep<'a> {
                     }
                 };
                 for (acc, (lo, hi)) in local.iter_mut().zip(pairs) {
-                    acc.0 = acc.0.min(lo);
-                    acc.1 = acc.1.max(hi);
+                    acc.0 = devsim::min_select(acc.0, lo);
+                    acc.1 = devsim::max_select(acc.1, hi);
                 }
             }
             let global = bounds::global_bounds_packed(ctx.comm, &local)?;

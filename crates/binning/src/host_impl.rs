@@ -6,6 +6,7 @@
 //! to one ([`devsim::ReadView`]), so the row loops are written — and
 //! compiled — once.
 
+use devsim::{max_select, min_select};
 use parking_lot::Mutex;
 
 use crate::block;
@@ -21,14 +22,15 @@ pub fn identity(op: BinOp) -> f64 {
     }
 }
 
-/// Fold one value into an accumulator.
+/// Fold one value into an accumulator: a minimum or maximum by the one
+/// tie rule of [`min_select`] / [`max_select`].
 #[inline]
 pub fn accumulate(op: BinOp, acc: f64, v: f64) -> f64 {
     match op {
         BinOp::Count => acc + 1.0,
         BinOp::Sum | BinOp::Average => acc + v,
-        BinOp::Min => acc.min(v),
-        BinOp::Max => acc.max(v),
+        BinOp::Min => min_select(acc, v),
+        BinOp::Max => max_select(acc, v),
     }
 }
 
@@ -103,8 +105,9 @@ pub(crate) fn pass_rows(len: impl Fn(usize) -> usize, specs: &[PassSpec]) -> Res
     Ok(rows)
 }
 
-/// Rows per block of a pass whose accumulators stay cache-resident — or
-/// cannot be: the block's axis indices and staged values never leave L1.
+/// Rows per block of a pass whose accumulators stay cache-resident, and
+/// per chunk of every block's stage gather: a tile's axis indices and
+/// staged values (20 KB for the paper's ten ops) stay in L1.
 const TILE: usize = 256;
 
 /// Rows per block of a pass whose accumulators rotate each other out of
@@ -119,45 +122,45 @@ const L2_BYTES: usize = 2 << 20;
 /// A block is indexed, gathered, and then folded into one spec's
 /// accumulator after another, so between two folds into the same
 /// accumulator every other spec's has been walked. While the accumulators
-/// together fit L2 that rotation costs nothing and the short [`TILE`]
-/// wins. Once they outgrow it, a short block makes nearly every fold a
-/// miss — the other accumulators evicted this one since its last 256
-/// rows — so the rows are walked [`BLOCK`] at a time: long enough that an
-/// accumulator is re-used from L2 while its block folds, at the price of
-/// an index and a stage that no longer fit L1. That price buys nothing
-/// for an accumulator too large to stay in L2 beside a block's stage —
-/// it misses in any order — nor for a one-spec pass, whose accumulator
-/// nothing rotates out.
+/// together fill at most half the L2 — the other half holds what streams
+/// past them — that rotation costs little and the short [`TILE`] wins.
+/// Beyond it, a short block makes folds miss — the other accumulators
+/// evicted this one since its last 256 rows — so the rows are walked
+/// [`BLOCK`] at a time: long enough that an accumulator is re-used from
+/// L2 while its block folds, at the price of an index that no longer fits
+/// L1 (the stage is gathered a tile at a time whatever the block length).
+/// A one-spec pass walks tiles: nothing rotates its accumulator out.
 ///
 /// The accumulator bytes are what the pass allocates: every lane's
 /// slots, pads included ([`row_width`]).
 ///
 /// Measured on 131 072 rows x 12 columns, specs of the paper's ten ops
 /// (one lane, no pads), one thread, 2 MiB L2, whole pass, 256 against
-/// 16 384 rows per block, median (range) of six alternating runs:
+/// 16 384 rows per block, median (range) of six alternating runs, and
+/// the runs the long block won:
 ///
-/// | pass                      | accumulators  | 256 rows, ms       | 16 384 rows, ms    |
-/// |---------------------------|---------------|--------------------|--------------------|
-/// | nine specs, 64 x 64 bins  | 2.9 MB        | 15.1 (12.5-19.8)   | 14.1 (11.4-17.0)   |
-/// | three of them             | 0.98 MB       | 6.9 (6.7-7.1)      | 8.5 (8.1-11.1)     |
-/// | five of them              | 1.6 MB        | 13.3 (12.8-14.1)   | 12.3 (9.6-14.3)    |
-/// | six of them               | 2.0 MB        | 14.7 (10.4-23.0)   | 14.6 (13.0-21.1)   |
-/// | seven of them             | 2.3 MB        | 18.8 (16.6-25.2)   | 17.8 (14.4-20.4)   |
-/// | nine specs, 96 x 96 bins  | 9 x 737 KB    | 24.6 (15.4-27.1)   | 16.3 (13.9-21.1)   |
-/// | two specs, 128 x 128 bins | 2 x 1.3 MB    | 6.3 (4.7-8.2)      | 6.3 (6.1-8.8)      |
+/// | pass                      | accumulators | 256 rows, ms     | 16 384 rows, ms  | won |
+/// |---------------------------|--------------|------------------|------------------|-----|
+/// | nine specs, 64 x 64 bins  | 2.9 MB       | 19.5 (19.4-19.9) | 14.7 (14.6-15.3) | 6/6 |
+/// | seven of them             | 2.3 MB       | 14.6 (11.3-16.9) | 12.4 (9.0-13.1)  | 5/6 |
+/// | six of them               | 2.0 MB       | 14.0 (13.7-14.6) | 11.7 (11.3-12.3) | 6/6 |
+/// | five of them              | 1.6 MB       | 12.3 (11.9-13.0) | 10.5 (10.3-11.4) | 6/6 |
+/// | four of them              | 1.3 MB       | 9.6 (9.1-10.9)   | 9.0 (8.7-9.3)    | 5/6 |
+/// | three of them             | 0.98 MB      | 6.0 (5.7-6.3)    | 6.4 (6.2-6.7)    | 0/6 |
+/// | one of them               | 0.33 MB      | 3.0 (3.0-3.1)    | 3.6 (3.5-3.7)    | 0/6 |
+/// | nine specs, 96 x 96 bins  | 9 x 737 KB   | 19.9 (17.2-28.1) | 16.9 (15.3-19.0) | 5/6 |
+/// | two specs, 128 x 128 bins | 2 x 1.3 MB   | 8.0 (6.7-9.3)    | 7.6 (6.6-8.8)    | 5/6 |
+/// | two specs, 256 x 256 bins | 2 x 5.2 MB   | 14.7 (14.0-17.2) | 13.1 (12.8-15.5) | 6/6 |
 ///
-/// The long block wins where the rule picks it and the short tile where
-/// the rest of the rule (one accumulator past half the L2) picks it; five
-/// specs, just under the L2, lean to the long block within the noise of a
-/// shared 2-vCPU box. With the earlier runtime-width fold, 16 384 was the
-/// best of 256, 2 048, 8 192, 16 384 and 32 768 on the first row, 8 192
-/// within noise of it, and one pass per spec ran 2 to 2.5 times slower
-/// in long blocks than in short tiles.
+/// The long block wins from four specs on, and for two accumulators each
+/// larger than half the L2; three specs and one keep to tiles. In six
+/// more runs a single 128 x 128 spec ran 2.7 ms in tiles against 3.6 ms
+/// (tiles won 5/6). With the earlier runtime-width fold, 16 384 was the
+/// best of 256, 2 048, 8 192, 16 384 and 32 768 on the first row.
 fn block_rows(specs: &[PassSpec]) -> usize {
     let acc_bytes = |s: &PassSpec| row_width(&s.ops) * s.grid.num_bins() * 8;
     let total: usize = specs.iter().map(acc_bytes).sum();
-    let largest = specs.iter().map(acc_bytes).max().unwrap_or(0);
-    if total > L2_BYTES && largest <= L2_BYTES / 2 {
+    if specs.len() > 1 && total > L2_BYTES / 2 {
         BLOCK
     } else {
         TILE
@@ -276,8 +279,14 @@ fn fold<const A: usize, const M: usize, const X: usize, const W: usize>(
                 let acc: &mut [f64; W] = acc.try_into().expect("a whole lane");
                 let row: &[f64; W] = row.try_into().expect("a whole lane");
                 acc[..A].iter_mut().zip(&row[..A]).for_each(|(a, v)| *a += *v);
-                acc[A..A + M].iter_mut().zip(&row[A..A + M]).for_each(|(a, v)| *a = a.min(*v));
-                acc[A + M..].iter_mut().zip(&row[A + M..]).for_each(|(a, v)| *a = a.max(*v));
+                acc[A..A + M]
+                    .iter_mut()
+                    .zip(&row[A..A + M])
+                    .for_each(|(a, v)| *a = min_select(*a, *v));
+                acc[A + M..]
+                    .iter_mut()
+                    .zip(&row[A + M..])
+                    .for_each(|(a, v)| *a = max_select(*a, *v));
             }
         }
     }
@@ -626,12 +635,19 @@ fn pass(
                 *out = if v.is_finite() && v >= lo && v <= hi { i } else { u32::MAX };
             }
         }
-        for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
-            for (s, slot) in slots.iter().enumerate() {
-                let Staged::Column(c) = *slot else { continue };
-                let col = &cols[c][rows.clone()];
-                for (row, &v) in stage.chunks_exact_mut(slots.len()).zip(col) {
-                    row[s] = v;
+        // Gathered TILE rows at a time, so each column's strided writes
+        // land in a stretch of the stage that L1 still holds.
+        for at in (0..m).step_by(TILE) {
+            let n = TILE.min(m - at);
+            for (slots, stage) in stages.iter().zip(staged.iter_mut()) {
+                let width = slots.len();
+                let chunk = &mut stage[at * width..][..n * width];
+                for (s, slot) in slots.iter().enumerate() {
+                    let Staged::Column(c) = *slot else { continue };
+                    let col = &cols[c][start + at..][..n];
+                    for (row, &v) in chunk.chunks_exact_mut(width).zip(col) {
+                        row[s] = v;
+                    }
                 }
             }
         }
@@ -806,6 +822,90 @@ mod tests {
         assert_eq!(grids[2], vec![f64::NEG_INFINITY; 4]);
     }
 
+    /// Every sequence of up to three values drawn from `±0.0`, NaN and
+    /// `±inf`: each order of each pair and triple, repeats included.
+    fn tie_orders() -> Vec<Vec<f64>> {
+        let values = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let n = values.len();
+        (0..=3u32)
+            .flat_map(|len| (0..n.pow(len)).map(move |k| (len, k)))
+            .map(|(len, k)| (0..len).map(|d| values[k / n.pow(d) % n]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn min_and_max_skip_nan_and_keep_the_first_of_a_tie_on_every_path() {
+        let node = devsim::SimNode::new(devsim::NodeConfig::fast_test(1));
+        let stream = node.device(0).unwrap().create_stream();
+        let upload = |data: &[f64]| {
+            let host = node.host_alloc_f64(data.len());
+            host.host_f64().unwrap().copy_from_slice(data);
+            let dev = node.device(0).unwrap().alloc_f64(data.len()).unwrap();
+            stream.copy(&host, &dev).unwrap();
+            dev
+        };
+        let one = GridParams::new(1, 1, [0.0, 0.0], [1.0, 1.0]);
+        // The rule spelled out: the first value equal to the extreme of
+        // those `keep` admits, the identity if there is none.
+        let first_extreme = |vs: &[f64], op, keep: fn(&f64) -> bool| {
+            let kept = vs.iter().copied().filter(keep);
+            let extreme = match op {
+                BinOp::Min => kept.min_by(f64::total_cmp),
+                _ => kept.max_by(f64::total_cmp),
+            };
+            extreme.map_or(identity(op), |e| *vs.iter().find(|&&v| v == e).unwrap())
+        };
+        for vs in tie_orders() {
+            let xs = vec![0.5; vs.len()];
+            let fused = fused(&xs, &xs, Some(&vs), &[BinOp::Count, BinOp::Min, BinOp::Max], &one);
+            let (dx, dv) = (upload(&xs), upload(&vs));
+            for (k, op) in [(1, BinOp::Min), (2, BinOp::Max)] {
+                let want = first_extreme(&vs, op, |v| !v.is_nan());
+                let folded = vs.iter().fold(identity(op), |a, &v| accumulate(op, a, v));
+                let per_op =
+                    crate::device_impl::bin_device(&node, 0, &stream, &dx, &dx, Some(&dv), op, one)
+                        .unwrap();
+                let host = node.host_alloc_f64(1);
+                stream.copy(&per_op, &host).unwrap();
+                stream.synchronize().unwrap();
+                let atomic = host.host_f64_ro().unwrap().get(0);
+                for (path, got) in
+                    [("accumulate", folded), ("fused", fused[k][0]), ("atomic", atomic)]
+                {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{op:?} of {vs:?} by {path}");
+                }
+            }
+            // The auto-bounds skip every non-finite value, on the host as
+            // in the device kernel.
+            let want = [BinOp::Min, BinOp::Max].map(|op| first_extreme(&vs, op, |v| v.is_finite()));
+            let host = crate::bounds::minmax(&vs);
+            let device = crate::device_impl::minmax_device(&node, 0, &stream, &dv).unwrap();
+            for (path, (lo, hi)) in [("host", host), ("device", device)] {
+                let got = [lo, hi].map(f64::to_bits);
+                assert_eq!(got, want.map(f64::to_bits), "bounds of {vs:?} by {path}");
+            }
+        }
+    }
+
+    /// Folded from its identity, the select is the bits `f64::min` and
+    /// `f64::max` compute on x86-64: stating the rule moved no grid value.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn from_an_identity_the_select_computes_what_f64_min_and_max_do() {
+        use std::hint::black_box;
+        type Fold = fn(f64, f64) -> f64;
+        for vs in tie_orders() {
+            let fold = |start: f64, f: Fold| vs.iter().fold(start, |a, &v| f(black_box(a), v));
+            for (start, select, std) in [
+                (f64::INFINITY, min_select as Fold, f64::min as Fold),
+                (f64::NEG_INFINITY, max_select, f64::max),
+            ] {
+                let (select, std) = (fold(start, select), fold(start, std));
+                assert_eq!(select.to_bits(), std.to_bits(), "from {start} over {vs:?}");
+            }
+        }
+    }
+
     /// The paper's op list as the fused step lays out its grids: the
     /// count, five sums, a minimum, a maximum and two averages.
     fn paper_ops() -> Vec<(BinOp, Option<usize>)> {
@@ -824,21 +924,23 @@ mod tests {
             ops,
         };
         let paper = |n| spec(n, paper_ops());
-        // Nine 64 x 64 systems of the paper's ten slots: 2.9 MB rotating
-        // through a 2 MiB L2.
-        assert_eq!(block_rows(&vec![paper(64); 9]), BLOCK);
-        assert_eq!(block_rows(&vec![paper(64); 7]), BLOCK);
-        // Together in L2, alone in the pass, or too large to stay cached
-        // under any order: short tiles.
-        assert_eq!(block_rows(&vec![paper(64); 5]), TILE);
+        // Two or more systems past half a 2 MiB L2 together — nine, five
+        // or four 64 x 64 systems of the paper's ten slots (2.9, 1.6 and
+        // 1.3 MB), two of 128 x 128 or 256 x 256 — rotate each other out.
+        for n in [9, 5, 4] {
+            assert_eq!(block_rows(&vec![paper(64); n]), BLOCK, "{n} specs");
+        }
+        assert_eq!(block_rows(&vec![paper(128); 2]), BLOCK);
+        assert_eq!(block_rows(&vec![paper(256); 2]), BLOCK);
+        // Within half the L2 together, or alone in the pass: short tiles.
+        assert_eq!(block_rows(&vec![paper(64); 3]), TILE);
         assert_eq!(block_rows(&vec![paper(16); 9]), TILE);
         assert_eq!(block_rows(&[paper(64)]), TILE);
         assert_eq!(block_rows(&[paper(1024)]), TILE);
-        assert_eq!(block_rows(&vec![paper(128); 2]), TILE);
         assert_eq!(block_rows(&[]), TILE);
-        // Pads count: eleven counts fill two lanes of eight, so five such
-        // systems allocate 2.6 MB, though their grids are 1.8 MB.
-        assert_eq!(block_rows(&vec![spec(64, vec![(BinOp::Count, None); 11]); 5]), BLOCK);
+        // Pads count: eleven counts fill two lanes of eight, so three such
+        // 56 x 56 systems allocate 1.2 MB, though their grids are 0.83 MB.
+        assert_eq!(block_rows(&vec![spec(56, vec![(BinOp::Count, None); 11]); 3]), BLOCK);
     }
 
     #[test]

@@ -13,8 +13,9 @@ pub fn to_pgm(nx: usize, ny: usize, values: &[f64], log_scale: bool) -> Vec<u8> 
     assert_eq!(values.len(), nx * ny, "grid shape mismatch");
     let xform = |v: f64| if log_scale { (1.0 + v.max(0.0)).ln() } else { v };
     let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).map(xform).collect();
-    let (lo, hi) =
-        finite.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| (l.min(v), h.max(v)));
+    let (lo, hi) = finite.iter().fold((f64::INFINITY, f64::NEG_INFINITY), |(l, h), &v| {
+        (devsim::min_select(l, v), devsim::max_select(h, v))
+    });
     let span = if hi > lo { hi - lo } else { 1.0 };
 
     let mut out = Vec::with_capacity(32 + nx * ny);

@@ -22,11 +22,11 @@ macro_rules! with_combine {
                 $body
             }
             BinOp::Min => {
-                let $f = f64::min;
+                let $f = devsim::min_select;
                 $body
             }
             BinOp::Max => {
-                let $f = f64::max;
+                let $f = devsim::max_select;
                 $body
             }
         }

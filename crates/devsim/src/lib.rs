@@ -74,7 +74,8 @@ pub use fault::{FaultConfig, FaultInjector, FaultInjectorStats, FaultKind, Fault
 pub use host::HostExec;
 pub use lease::{ReadView, Word};
 pub use memory::{
-    CellBuffer, F64View, HostF64View, HostU64View, KernelScope, MemSpace, PinStats, U64View,
+    max_select, min_select, CellBuffer, F64View, HostF64View, HostU64View, KernelScope, MemSpace,
+    PinStats, U64View,
 };
 pub use node::{NodeConfig, SimNode};
 pub use pool::{MemoryPool, PoolConfig, PoolStats};

@@ -832,6 +832,30 @@ macro_rules! view_bounds {
     };
 }
 
+/// The tie rule of every minimum the system folds: `v` where it is
+/// smaller, else `acc` — a NaN value is skipped and a tie (`-0.0` against
+/// `+0.0` too) keeps the accumulator. One select, where `f64::min`
+/// (`minnum`) leaves a signed-zero tie to the compiler and pays a NaN
+/// fixup for an accumulator that, starting at its identity, is never NaN.
+#[inline(always)]
+pub fn min_select(acc: f64, v: f64) -> f64 {
+    if v < acc {
+        v
+    } else {
+        acc
+    }
+}
+
+/// [`min_select`]'s rule for a maximum: `v` where it is larger, else `acc`.
+#[inline(always)]
+pub fn max_select(acc: f64, v: f64) -> f64 {
+    if v > acc {
+        v
+    } else {
+        acc
+    }
+}
+
 macro_rules! f64_ops {
     ($name:ident) => {
         impl $name {
@@ -869,16 +893,16 @@ macro_rules! f64_ops {
                 }
             }
 
-            /// Atomic minimum on element `i`.
+            /// Atomic minimum on element `i`, by [`min_select`].
             #[inline]
             pub fn atomic_min(&self, i: usize, v: f64) {
-                self.atomic_rmw(i, |cur| cur.min(v));
+                self.atomic_rmw(i, |cur| min_select(cur, v));
             }
 
-            /// Atomic maximum on element `i`.
+            /// Atomic maximum on element `i`, by [`max_select`].
             #[inline]
             pub fn atomic_max(&self, i: usize, v: f64) {
-                self.atomic_rmw(i, |cur| cur.max(v));
+                self.atomic_rmw(i, |cur| max_select(cur, v));
             }
 
             #[inline]
