@@ -272,4 +272,28 @@ for n in $cited; do
     fi
 done
 
+echo "== doc test citations resolve"
+# Every test DESIGN.md or EXPERIMENTS.md cites in backticks —
+# `<path/>name.rs::fn`, `name.rs::{a, b}` (or `name.rs::prefix_{a, b}`) and
+# `module::tests::fn`, read across line breaks — must be a `fn` in a file
+# name.rs (module.rs) under crates/, tests/ or src/: a doc naming a deleted
+# or renamed test is a doc bug.
+cites=$(for doc in DESIGN.md EXPERIMENTS.md; do
+    tr '\n' ' ' < "$doc" | { grep -oE '`[^`]+`' || true; } |
+        { grep -oE '[a-z0-9_]+(\.rs|::tests)::[a-z0-9_]*(\{[^}]*\})?' || true; }
+done | sed -E 's/(\.rs|::tests)::/ /; s/\{/ { /; s/[},]/ /g' |
+    awk '$2 != "{" && $3 != "{" { print $1, $2 }
+         $2 == "{" || $3 == "{" { p = ($2 == "{") ? "" : $2
+                                  for (i = ($2 == "{") ? 3 : 4; i <= NF; i++) print $1, p $i }' |
+    sort -u)
+while read -r file fn; do
+    [ -n "$file" ] || continue
+    files=$(find crates tests src -name "$file.rs")
+    # shellcheck disable=SC2086
+    if [ -z "$files" ] || ! grep -qE "fn $fn\b" $files; then
+        echo "FAIL: the docs cite $file.rs::$fn but no $file.rs under crates/, tests/ or src/ has fn $fn"
+        exit 1
+    fi
+done <<< "$cites"
+
 echo "ci.sh: all checks passed"

@@ -32,10 +32,7 @@ pub use dag::{
 pub use scale::{
     run_scale_bench, ScaleBenchConfig, ScaleCheck, ScalePoint, ScaleReport, ScaleSweep,
 };
-pub use serve::{
-    run_serve_arm, run_serve_bench, run_steering_pair, ServeArm, ServeBenchConfig,
-    ServeBenchReport, SteeringOutcome,
-};
+pub use serve::{run_serve_arm, run_serve_bench, ServeArm, ServeBenchConfig, ServeBenchReport};
 pub use snapshot::{run_snapshot_bench, SnapshotArm, SnapshotBenchConfig, SnapshotReport};
 pub use workload::{
     paper_binning_specs, paper_binning_specs_bounded, COORDINATE_SYSTEMS, VARIABLE_OPS,

@@ -399,8 +399,7 @@ mod tests {
         ),
         (
             "serve",
-            "flat_bytes_across_sessions zero_fast_drops results_identical_across_arms \
-             steering_bit_identical steers_applied",
+            "flat_bytes_across_sessions zero_fast_drops results_identical_across_arms",
         ),
     ];
 

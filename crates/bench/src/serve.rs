@@ -1,27 +1,16 @@
 //! Live result serving: the `sensei::serve` fan-out under the bounded
-//! fused binning workload, swept over session counts, plus the steering
-//! round trip.
+//! fused binning workload, swept over session counts.
 //!
-//! Two experiments:
-//!
-//! * **fan-out sweep** — one Newton++ rank runs the suite
-//!   asynchronously under CoW snapshots while N simulated clients
-//!   (mixed ~80% fast / ~15% slow / ~5% continuously churning)
-//!   subscribe by (variable × coordinate system). Each step the new
-//!   binned results are serialized **once** per coordinate system and
-//!   published through the hub; the sweep repeats at growing N and the
-//!   report hard-asserts that bytes serialized per step are *flat*
-//!   across session counts (the zero-copy claim), that every
-//!   block-policy fast client received every frame it subscribed to
-//!   (backpressure loses nothing), and that the binned results
-//!   themselves are bit-identical whatever the audience size.
-//! * **steering pair** — a two-rank run where a rank-0 session submits
-//!   steering commands (frequency, resolution, pause, resume) at fixed
-//!   steps; the bridge drains them at step boundaries, rank 0 decides
-//!   and broadcasts, and every rank rebuilds through the ordinary
-//!   reconfiguration path. A second run replays the identical schedule
-//!   by calling [`sensei::Bridge::reconfigure_backend`] directly; the
-//!   two sinks must match bit for bit.
+//! One Newton++ rank runs the suite asynchronously under CoW snapshots
+//! while N simulated clients (mixed ~80% fast / ~15% slow / ~5%
+//! continuously churning) subscribe by (variable × coordinate system).
+//! Each step the new binned results are serialized **once** per
+//! coordinate system and published through the hub; the sweep repeats
+//! at growing N and the report hard-asserts that bytes serialized per
+//! step are *flat* across session counts (the zero-copy claim), that
+//! every block-policy fast client received every frame it subscribed to
+//! (backpressure loses nothing), and that the binned results themselves
+//! are bit-identical whatever the audience size.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -32,9 +21,8 @@ use minimpi::World;
 use newtonpp::{forces::Gravity, ic::UniformIc, IcKind, Newton, NewtonAdaptor, NewtonConfig};
 use parking_lot::Mutex;
 use sensei::{
-    select_device, AnalysisAdaptor, BackendControls, Bridge, ExecutionMethod, OverflowPolicy,
-    Placement, ServeHub, ServeKnobs, ServeStepStats, SessionConfig, SessionHandle, SnapshotMode,
-    SteeringCommand, StepPayload, Topic,
+    select_device, BackendControls, Bridge, ExecutionMethod, OverflowPolicy, Placement, ServeHub,
+    ServeStepStats, SessionConfig, SessionHandle, SnapshotMode, StepPayload, Topic,
 };
 
 use binning::{BinnedResult, BinningSpec, BinningSuite, ResultSink};
@@ -120,36 +108,13 @@ pub struct ServeArm {
     pub wall: Duration,
 }
 
-/// Outcome of the steering pair.
-#[derive(Debug, Clone)]
-pub struct SteeringOutcome {
-    /// Sink of the session-steered run.
-    pub steered: Vec<BinnedResult>,
-    /// Sink of the run replaying the same schedule by direct
-    /// reconfiguration.
-    pub replayed: Vec<BinnedResult>,
-    /// Steering commands the bridge applied (both ranks).
-    pub steers_applied: u64,
-    /// Rank 0's `step detail` steering log.
-    pub steer_log: Vec<String>,
-}
-
-impl SteeringOutcome {
-    /// True when the steered and replayed sinks match bit for bit.
-    pub fn bit_identical(&self) -> bool {
-        results_bit_identical(&self.steered, &self.replayed)
-    }
-}
-
-/// The full serving report: the fan-out sweep plus the steering pair.
+/// The full serving report: one fan-out arm per session count.
 #[derive(Debug, Clone)]
 pub struct ServeBenchReport {
     /// The configuration that produced this report.
     pub config: ServeBenchConfig,
     /// One arm per session count, in `session_counts` order.
     pub arms: Vec<ServeArm>,
-    /// The steering round trip.
-    pub steering: SteeringOutcome,
 }
 
 impl ServeBenchReport {
@@ -171,11 +136,6 @@ impl ServeBenchReport {
     pub fn results_identical_across_arms(&self) -> bool {
         let reference = &self.arms[0].results;
         self.arms.iter().all(|a| results_bit_identical(reference, &a.results))
-    }
-
-    /// The steering claim: steered == replayed, bit for bit.
-    pub fn steering_bit_identical(&self) -> bool {
-        self.steering.bit_identical()
     }
 }
 
@@ -211,13 +171,6 @@ impl Report for ServeBenchReport {
             rows.push(bytes("bytes_per_step_max", a.bytes_per_step.iter().copied().max()));
             rows.push(Row::ms(&arm, "wall_ms", Label::Wall, a.wall));
         }
-        let s = &self.steering;
-        let counters = [
-            ("steers_applied", s.steers_applied),
-            ("steered_results", s.steered.len() as u64),
-            ("replayed_results", s.replayed.len() as u64),
-        ];
-        rows.extend(Row::counts("steering", &counters));
         rows
     }
 
@@ -231,8 +184,6 @@ impl Report for ServeBenchReport {
             Claim::gate("flat_bytes_across_sessions", self.flat_bytes(), first_step_bytes),
             Claim::gate("zero_fast_drops", self.zero_fast_drops(), per_arm(&|a| a.fast_missing)),
             Claim::gate("results_identical_across_arms", self.results_identical_across_arms(), ""),
-            Claim::gate("steering_bit_identical", self.steering_bit_identical(), ""),
-            Claim::lt("steers_applied", 0, self.steering.steers_applied),
         ]
     }
 }
@@ -478,162 +429,10 @@ pub fn run_serve_arm(cfg: &ServeBenchConfig, sessions: usize) -> ServeArm {
     }
 }
 
-/// The steering schedule, as `(step, command)` pairs submitted (or
-/// replayed) immediately before that step's `bridge.execute`.
-const STEER_AT_FREQUENCY: u64 = 2;
-const STEER_AT_RESOLUTION: u64 = 4;
-const STEER_AT_PAUSE: u64 = 6;
-const STEER_AT_RESUME: u64 = 8;
-
-/// Run the two-rank steering arm. With `steered` the schedule flows
-/// through a rank-0 session and the bridge's drain/broadcast path;
-/// otherwise the identical schedule is replayed by direct
-/// reconfiguration against a standalone knobs instance.
-fn run_steering_run(
-    cfg: &ServeBenchConfig,
-    steered: bool,
-) -> (Vec<BinnedResult>, u64, Vec<String>) {
-    let ranks = 2;
-    let node = SimNode::new(bench_node_config(ranks, 0.0));
-    let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
-    let applied = Arc::new(Mutex::new(0u64));
-    let log = Arc::new(Mutex::new(Vec::new()));
-
-    let cfg = cfg.clone();
-    let run_node = node.clone();
-    let run_sink = sink.clone();
-    let run_applied = applied.clone();
-    let run_log = log.clone();
-    World::new(ranks).run(move |comm| {
-        let node = run_node.clone();
-        let rank = comm.rank();
-
-        // Steered runs read the binning resolution off their rank's hub
-        // knobs (every rank's hub applies the broadcast schedule); the
-        // replay reads a standalone knobs instance the loop sets
-        // directly at the scheduled step.
-        let hub = steered.then(|| ServeHub::new(true));
-        let knobs: Arc<ServeKnobs> =
-            hub.as_ref().map(|h| h.knobs()).unwrap_or_else(|| Arc::new(ServeKnobs::default()));
-
-        let base_resolution = cfg.resolution;
-        let instances = cfg.instances;
-        let factory_knobs = knobs.clone();
-        let factory_sink = (rank == 0).then(|| run_sink.clone());
-        let factory: sensei::AdaptorFactory = Box::new(move |controls: &BackendControls| {
-            let resolution = match factory_knobs.resolution() {
-                0 => base_resolution,
-                r => r,
-            };
-            let (specs, _) = serve_specs(resolution, instances);
-            let mut suite = BinningSuite::new(specs)
-                .map_err(|e| sensei::Error::Analysis(format!("binning suite: {e}")))?
-                .with_controls(*controls);
-            if let Some(sink) = &factory_sink {
-                suite = suite.with_sink(sink.clone());
-            }
-            Ok(Box::new(suite) as Box<dyn AnalysisAdaptor>)
-        });
-
-        let mut controls = BackendControls::default();
-        let mut bridge = Bridge::new(node.clone());
-        if let Some(hub) = &hub {
-            bridge.attach_serve(hub.clone());
-        }
-        bridge.add_reconfigurable_analysis(controls, factory, &comm).expect("attach suite");
-
-        // The steering session lives on rank 0; it only submits (its
-        // one-slot lossy queue never backpressures the publisher-less
-        // run).
-        let session = hub.as_ref().and_then(|h| {
-            (rank == 0).then(|| {
-                h.subscribe(
-                    Topic::new("*", "x:y"),
-                    SessionConfig { queue_depth: 1, overflow: OverflowPolicy::DropOldest },
-                )
-            })
-        });
-
-        let sim_selector = Placement::Host.sim_selector(ranks);
-        let sim_device = select_device(rank, ranks, &sim_selector);
-        let mut sim =
-            Newton::new(node.clone(), &comm, sim_device, newton_config(cfg.bodies)).expect("sim");
-
-        let mut paused_from = controls.frequency;
-        for step in 0..cfg.steps {
-            if let Some(session) = &session {
-                // Steered: the session queues the command; the bridge
-                // drains, broadcasts, and applies it at this step's
-                // boundary inside `execute`.
-                match step {
-                    STEER_AT_FREQUENCY => {
-                        session.steer(0, SteeringCommand::SetFrequency(2));
-                    }
-                    STEER_AT_RESOLUTION => {
-                        session.steer(0, SteeringCommand::SetResolution(base_resolution * 2));
-                    }
-                    STEER_AT_PAUSE => session.steer(0, SteeringCommand::Pause),
-                    STEER_AT_RESUME => session.steer(0, SteeringCommand::Resume),
-                    _ => {}
-                }
-            } else if !steered {
-                // Replay: every rank applies the identical schedule
-                // through the ordinary reconfiguration path.
-                match step {
-                    STEER_AT_FREQUENCY => {
-                        controls.frequency = 2;
-                        bridge.reconfigure_backend(0, controls, &comm).expect("reconfigure");
-                    }
-                    STEER_AT_RESOLUTION => {
-                        knobs.set_resolution(base_resolution * 2);
-                        bridge.reconfigure_backend(0, controls, &comm).expect("reconfigure");
-                    }
-                    STEER_AT_PAUSE => {
-                        paused_from = controls.frequency;
-                        controls.frequency = u64::MAX;
-                        bridge.reconfigure_backend(0, controls, &comm).expect("reconfigure");
-                    }
-                    STEER_AT_RESUME => {
-                        controls.frequency = paused_from;
-                        bridge.reconfigure_backend(0, controls, &comm).expect("reconfigure");
-                    }
-                    _ => {}
-                }
-            }
-            let solver_time = sim.step(&comm).expect("solver step");
-            let adaptor = NewtonAdaptor::new(&sim);
-            bridge.execute(&adaptor, &comm, solver_time).expect("in situ execute");
-        }
-
-        let steers = hub.as_ref().map_or(0, |h| h.counter_snapshot().steers);
-        let profiler = bridge.finalize(&comm).expect("finalize");
-        if rank == 0 {
-            *run_applied.lock() += steers;
-            *run_log.lock() = profiler
-                .steer_samples()
-                .iter()
-                .map(|s| format!("{} {}", s.step, s.detail))
-                .collect();
-        }
-    });
-
-    let results = sink.lock().clone();
-    let steers = *applied.lock();
-    let steer_log = log.lock().clone();
-    (results, steers, steer_log)
-}
-
-/// Run the steering pair: session-steered vs direct-replay.
-pub fn run_steering_pair(cfg: &ServeBenchConfig) -> SteeringOutcome {
-    let (steered, steers_applied, steer_log) = run_steering_run(cfg, true);
-    let (replayed, _, _) = run_steering_run(cfg, false);
-    SteeringOutcome { steered, replayed, steers_applied, steer_log }
-}
-
-/// Run the full serving bench: the fan-out sweep plus the steering pair.
+/// Run the full serving bench: the fan-out sweep.
 pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBenchReport {
     let arms = cfg.session_counts.iter().map(|&n| run_serve_arm(cfg, n)).collect();
-    ServeBenchReport { config: cfg.clone(), arms, steering: run_steering_pair(cfg) }
+    ServeBenchReport { config: cfg.clone(), arms }
 }
 
 #[cfg(test)]
@@ -670,28 +469,6 @@ mod tests {
         crate::report::assert_claims(
             &report,
             &["flat_bytes_across_sessions", "zero_fast_drops", "results_identical_across_arms"],
-        );
-    }
-
-    #[test]
-    fn steering_replay_is_bit_identical() {
-        let _serial = crate::serial();
-        let cfg = ServeBenchConfig { steps: 10, session_counts: vec![4], ..tiny() };
-        let report = run_serve_bench(&cfg);
-        crate::report::assert_claims(&report, &["steering_bit_identical", "steers_applied"]);
-        let outcome = &report.steering;
-        assert_eq!(outcome.steers_applied, 4, "frequency, resolution, pause, resume");
-        assert_eq!(outcome.steer_log.len(), 4);
-        assert!(
-            outcome.steer_log.iter().any(|l| l.contains("pause"))
-                && outcome.steer_log.iter().any(|l| l.contains("resume")),
-            "log: {:?}",
-            outcome.steer_log
-        );
-        assert!(
-            !outcome.steered.is_empty() && outcome.steered.len() < 10 * cfg.instances,
-            "pause and frequency must thin the stream: {} results",
-            outcome.steered.len()
         );
     }
 }

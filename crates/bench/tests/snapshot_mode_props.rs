@@ -1,9 +1,9 @@
-//! Property: a run reconfigured mid-run through
-//! `Bridge::reconfigure_backend` and `Bridge::set_snapshot_mode` (the path
-//! steering sessions use) is bit-identical to its static reference,
-//! whatever the schedule — random reconfiguration points × placements ×
-//! execution methods × snapshot modes. Placement, execution, and snapshot
-//! policy decide *when and where* work runs, never *what* it computes.
+//! Property: a run whose snapshot mode flips mid-run through
+//! `Bridge::set_snapshot_mode` is bit-identical to its lockstep-host
+//! reference, whatever the schedule — random flip points × snapshot modes
+//! from a random static start (placement × execution method). Placement,
+//! execution, and snapshot policy decide *when and where* work runs, never
+//! *what* it computes.
 
 use std::sync::Arc;
 
@@ -129,12 +129,10 @@ fn specs(resolution: usize) -> Vec<BinningSpec> {
     ]
 }
 
-/// One scheduled mid-run change: reconfigure the back-end and/or flip
-/// the bridge-wide snapshot mode.
+/// One scheduled mid-run change: flip the bridge-wide snapshot mode.
 #[derive(Debug, Clone, Copy)]
-struct Change {
+struct Flip {
     at: u64,
-    controls: BackendControls,
     snapshot: SnapshotMode,
 }
 
@@ -145,7 +143,7 @@ fn run_scheduled(
     steps: u64,
     rows: usize,
     start: BackendControls,
-    schedule: &[Change],
+    schedule: &[Flip],
 ) -> Vec<BinnedResult> {
     let node = SimNode::new(NodeConfig::fast_test(NUM_DEVICES));
     let sink: ResultSink = Arc::new(Mutex::new(Vec::new()));
@@ -154,21 +152,16 @@ fn run_scheduled(
     let schedule = schedule.to_vec();
     World::new(1).run(move |comm| {
         let node = run_node.clone();
-        let sink = run_sink.clone();
-        let factory: sensei::AdaptorFactory = Box::new(move |controls: &BackendControls| {
-            let suite = BinningSuite::new(specs(6))
-                .map_err(|e| sensei::Error::Analysis(format!("suite: {e}")))?
-                .with_controls(*controls)
-                .with_sink(sink.clone());
-            Ok(Box::new(suite) as Box<dyn sensei::AnalysisAdaptor>)
-        });
+        let suite = BinningSuite::new(specs(6))
+            .expect("suite")
+            .with_controls(start)
+            .with_sink(run_sink.clone());
         let mut bridge = Bridge::new(node.clone());
-        bridge.add_reconfigurable_analysis(start, factory, &comm).expect("attach");
+        bridge.add_analysis(Box::new(suite), &comm).expect("attach");
         let mut producer = Producer::new(node.clone(), rows);
         for step in 0..steps {
-            for c in schedule.iter().filter(|c| c.at == step) {
-                bridge.reconfigure_backend(0, c.controls, &comm).expect("reconfigure");
-                bridge.set_snapshot_mode(c.snapshot);
+            for f in schedule.iter().filter(|f| f.at == step) {
+                bridge.set_snapshot_mode(f.snapshot);
             }
             bridge
                 .execute(&producer, &comm, std::time::Duration::from_micros(100))
@@ -211,24 +204,20 @@ fn controls() -> impl Strategy<Value = BackendControls> {
     })
 }
 
-fn change(steps: u64) -> impl Strategy<Value = Change> {
-    (0..steps, controls(), snapshot()).prop_map(|(at, controls, snapshot)| Change {
-        at,
-        controls,
-        snapshot,
-    })
+fn flip(steps: u64) -> impl Strategy<Value = Flip> {
+    (0..steps, snapshot()).prop_map(|(at, snapshot)| Flip { at, snapshot })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any schedule of mid-run reconfigurations — arbitrary points,
-    /// placements, execution methods, snapshot modes — yields
-    /// results bit-identical to the untouched static reference.
+    /// Any schedule of snapshot-mode flips — arbitrary points and modes,
+    /// from any static placement and execution method — yields results
+    /// bit-identical to the untouched lockstep-host reference.
     #[test]
-    fn scheduled_reconfiguration_is_bit_identical(
+    fn scheduled_snapshot_mode_flips_are_bit_identical(
         start in controls(),
-        schedule in proptest::collection::vec(change(10), 1..4),
+        schedule in proptest::collection::vec(flip(10), 1..4),
     ) {
         let steps = 10u64;
         let rows = 64usize;
@@ -243,9 +232,9 @@ proptest! {
             &[],
         );
         prop_assert_eq!(reference.len(), steps as usize * 2);
-        let reconfigured = run_scheduled(steps, rows, start, &schedule);
+        let flipped = run_scheduled(steps, rows, start, &schedule);
         prop_assert!(
-            results_bit_identical(&reference, &reconfigured),
+            results_bit_identical(&reference, &flipped),
             "schedule {:?} from {:?} must not perturb results",
             schedule,
             start

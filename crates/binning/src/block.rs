@@ -25,7 +25,7 @@
 use devsim::F64View;
 use sensei::{Error, Result};
 
-use crate::host_impl::{finalize, identity, FusedGrids, PassSpec};
+use crate::host_impl::{canonical, finalize, identity, FusedGrids, PassSpec};
 use crate::reduce::{self, with_combine};
 use crate::spec::BinOp;
 
@@ -111,12 +111,12 @@ impl SpecPart<'_> {
                 match op {
                     BinOp::Average => {
                         for (b, (&v, &c)) in at.zip(values.iter().zip(counts)) {
-                            grid[b] = if c > 0.0 { v / c } else { f64::NAN };
+                            grid[b] = if c > 0.0 { canonical(v / c) } else { f64::NAN };
                         }
                     }
-                    _ => at
-                        .zip(values)
-                        .for_each(|(b, &v)| grid[b] = if v == unset { f64::NAN } else { v }),
+                    _ => at.zip(values).for_each(|(b, &v)| {
+                        grid[b] = if v == unset { f64::NAN } else { canonical(v) }
+                    }),
                 }
                 grid
             }

@@ -117,7 +117,7 @@ const BLOCK: usize = 16_384;
 /// The per-core L2 the measurements in [`block_rows`] were taken on.
 const L2_BYTES: usize = 2 << 20;
 
-/// Rows per block of [`bin_all_host`]'s walk, from the pass's own shape.
+/// Rows per block of [`bin_all_host_each`]'s walk, from the pass's own shape.
 ///
 /// A block is indexed, gathered, and then folded into one spec's
 /// accumulator after another, so between two folds into the same
@@ -320,9 +320,9 @@ fn fold_lanes(plan: &mut FusedGrids, stage: &[f64], ix: &[u32], iy: &[u32], nx: 
     )
 }
 
-/// One spec's grids out of [`bin_all_host`], still in the kernel's
+/// One spec's grids out of [`bin_all_host_each`], still in the kernel's
 /// op-interleaved layout (`[bin][slot]`): read them through
-/// [`FusedGrids::rows`], or [`FusedGrids::packed`] for `[op][bin]`.
+/// [`FusedGrids::rows`].
 #[derive(Default)]
 pub struct FusedGrids {
     /// `order[slot]` is the op (an index into `spec.ops`) a slot
@@ -371,22 +371,6 @@ impl FusedGrids {
         self.sparse
     }
 
-    /// The grids packed back to back in `spec.ops` order (`[op][bin]`).
-    /// Only for grids whose every bin was initialised: those of
-    /// [`bin_all_host`].
-    pub fn packed(&self) -> Vec<f64> {
-        debug_assert!(!self.sparse, "untouched bins were never initialised");
-        let width = self.order.len();
-        let bins = self.acc.len() / width.max(1);
-        let mut packed = vec![0.0; self.order.iter().flatten().count() * bins];
-        for (s, op) in self.order.iter().enumerate() {
-            let Some(op) = *op else { continue };
-            let cells = self.acc.iter().skip(s).step_by(width);
-            packed[op * bins..][..bins].iter_mut().zip(cells).for_each(|(p, a)| *p = *a);
-        }
-        packed
-    }
-
     /// List the touched bins, ascending: out of the marks when only they
     /// were initialised (clearing them), else where the count is not zero.
     fn find_touched(&mut self) {
@@ -407,7 +391,7 @@ impl FusedGrids {
     }
 }
 
-/// Everything [`bin_all_host`] allocates: the per-spec plans with their
+/// Everything [`bin_all_host_each`] allocates: the per-spec plans with their
 /// accumulators, the block's axis indices and staged values. A caller that
 /// keeps one across launches pays for them once; each launch re-plans and
 /// re-initialises them in place.
@@ -456,8 +440,11 @@ impl ScratchPool {
     }
 }
 
-/// Fused blocked binning of every spec in `specs` over one table's `cols`,
-/// in `scratch`: per spec, the grids of its ops.
+/// One fused host pass of every spec in `specs` over one table's `cols`
+/// into the host block `out` ([`crate::block`]), which is cleared first:
+/// each spec is committed in its smaller form as soon as its grids are
+/// complete, as [`crate::device_impl::bin_all_device`] commits into a
+/// device block.
 ///
 /// The rows are walked once, a block (`block_rows`) at a time. Per
 /// block, (1) each **unique** axis `(column, lo, hi, cells)` is
@@ -479,45 +466,6 @@ impl ScratchPool {
 /// # Panics
 /// Panics when the columns a spec reads differ in length or a non-count
 /// reduction has no value column.
-pub fn bin_all_host<'s>(
-    cols: &[&[f64]],
-    specs: &[PassSpec],
-    scratch: &'s mut KernelScratch,
-) -> &'s [FusedGrids] {
-    pass(cols, specs, scratch, true, |_, _| {});
-    &scratch.plans
-}
-
-/// [`bin_all_host`] for a caller that consumes each spec's grids at once:
-/// `done` gets them (with the spec's index in `specs`, in ascending order)
-/// as soon as the spec's last row is folded, and they are not kept.
-///
-/// An accumulator is initialised right before its first fold and handed
-/// over right after its last, so a consumer that reads it there — the
-/// commit to a block ([`crate::block`]) — finds it in cache. On a table of
-/// one block that is the whole life of an accumulator, and every spec then
-/// folds into the same one: the pass touches one accumulator's worth of
-/// memory, hot, instead of all of them.
-///
-/// A spec that can never go dense in a block — `rows·(ops+1) < ops·bins` — has only those initialised: a
-/// per-spec bitmap, set from each block's axis indices before its fold,
-/// marks a bin on its first row, which writes the bin's identities, and
-/// yields the [touched](FusedGrids::touched) bins. Every other spec's bins
-/// all start at their identities, and a walk of its count slot finds the
-/// touched ones.
-pub fn bin_all_host_each(
-    cols: &[&[f64]],
-    specs: &[PassSpec],
-    scratch: &mut KernelScratch,
-    done: impl FnMut(usize, &FusedGrids),
-) {
-    pass(cols, specs, scratch, false, done);
-}
-
-/// One fused host pass of `specs` over `cols` into the host block `out`
-/// ([`crate::block`]), which is cleared first: each spec is committed in
-/// its smaller form as soon as its grids are complete, as
-/// [`crate::device_impl::bin_all_device`] commits into a device block.
 pub fn bin_all_block(
     cols: &[&[f64]],
     specs: &[PassSpec],
@@ -525,7 +473,7 @@ pub fn bin_all_block(
     out: &mut Vec<f64>,
 ) {
     block::begin(out, specs.len());
-    pass(cols, specs, scratch, false, |si, grids| block::commit(out, si, &specs[si], grids));
+    bin_all_host_each(cols, specs, scratch, |si, grids| block::commit(out, si, &specs[si], grids));
     block::finish(out);
 }
 
@@ -553,13 +501,29 @@ fn touch(
     }
 }
 
-/// The pass behind [`bin_all_host`] (`keep`: every spec's grids stay in
-/// `scratch`) and [`bin_all_host_each`].
-fn pass(
+/// The pass behind [`bin_all_block`], for a caller that consumes each
+/// spec's grids itself: `done` gets them (with the spec's index in `specs`,
+/// in ascending order) as soon as the spec's last row is folded, and they
+/// are not kept.
+///
+/// An accumulator is initialised right before its first fold and handed
+/// over right after its last, so a consumer that reads it there — the
+/// commit to a block ([`crate::block`]) — finds it in cache. On a table of
+/// one block that is the whole life of an accumulator, and every spec then
+/// folds into the same one: the pass touches one accumulator's worth of
+/// memory, hot, instead of all of them.
+///
+/// A spec that can never go dense in a block — `rows·(ops+1) < ops·bins` —
+/// has only those initialised: a per-spec bitmap, set from each block's
+/// axis indices before its fold, marks a bin on its first row, which
+/// writes the bin's identities, and yields the
+/// [touched](FusedGrids::touched) bins. Every other spec's bins all start
+/// at their identities, and a walk of its count slot finds the touched
+/// ones.
+pub fn bin_all_host_each(
     cols: &[&[f64]],
     specs: &[PassSpec],
     scratch: &mut KernelScratch,
-    keep: bool,
     mut done: impl FnMut(usize, &FusedGrids),
 ) {
     let rows = pass_rows(|c| cols[c].len(), specs).unwrap_or_else(|e| panic!("{e}"));
@@ -570,9 +534,9 @@ fn pass(
     let block = block_rows(specs);
     let tile = block.min(rows).max(1);
     let blocks = rows.div_ceil(block).max(1);
-    // Grids that are handed over and complete after the only block can
-    // all be accumulated in one buffer, spec after spec.
-    let share = !keep && blocks == 1;
+    // Grids that are complete after the only block can all be
+    // accumulated in one buffer, spec after spec.
+    let share = blocks == 1;
 
     axes.clear();
     stages.clear();
@@ -586,7 +550,7 @@ fn pass(
         deal(&spec.ops, shape, lanes, order);
         let lane = shape.iter().sum::<usize>().max(1);
         plan.count = order.iter().position(|o| o.is_some_and(|k| spec.ops[k].0 == BinOp::Count));
-        plan.sparse = !keep && block::always_sparse(rows, spec);
+        plan.sparse = block::always_sparse(rows, spec);
         if plan.sparse {
             marks.clear();
             marks.resize(g.num_bins().div_ceil(64), 0);
@@ -681,21 +645,35 @@ fn pass(
 /// Finalize an accumulation buffer into presentable values:
 /// * min/max: bins that never saw a value become NaN;
 /// * average: running sum divided by count (NaN where count is zero);
-/// * count/sum: unchanged.
+/// * count/sum: unchanged;
+/// * every NaN is the one `f64::NAN`, whatever sign its sum had.
 pub fn finalize(op: BinOp, bins: &mut [f64], counts: &[f64]) {
     let empty = match op {
-        BinOp::Count | BinOp::Sum => return,
         BinOp::Min => f64::INFINITY,
         BinOp::Max => f64::NEG_INFINITY,
-        BinOp::Average => {
-            assert_eq!(bins.len(), counts.len(), "average needs a matching count buffer");
-            for (b, &c) in bins.iter_mut().zip(counts) {
-                *b = if c > 0.0 { *b / c } else { f64::NAN };
-            }
-            return;
-        }
+        // No bin equals NaN.
+        BinOp::Count | BinOp::Sum | BinOp::Average => f64::NAN,
     };
-    bins.iter_mut().filter(|b| **b == empty).for_each(|b| *b = f64::NAN);
+    if op == BinOp::Average {
+        assert_eq!(bins.len(), counts.len(), "average needs a matching count buffer");
+        for (b, &c) in bins.iter_mut().zip(counts) {
+            *b = if c > 0.0 { *b / c } else { f64::NAN };
+        }
+    }
+    bins.iter_mut().for_each(|b| *b = if *b == empty { f64::NAN } else { canonical(*b) });
+}
+
+/// `v`, or `f64::NAN` if `v` is any NaN. A sum that meets both
+/// infinities and a NaN value is a NaN whose sign depends on which operand
+/// of an add the compiled loop puts first — the fused fold and the per-op
+/// kernel, a merge and a landing, need not agree — so a published cell
+/// carries no NaN but this one.
+pub(crate) fn canonical(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NAN
+    } else {
+        v
+    }
 }
 
 #[cfg(test)]
@@ -779,8 +757,25 @@ mod tests {
 
     const ALL: [BinOp; 5] = [BinOp::Count, BinOp::Sum, BinOp::Min, BinOp::Max, BinOp::Average];
 
+    /// The grids of `specs` in a host block, dense: per spec, its ops'
+    /// grids, each bin a row never touched at its reduction's identity.
+    fn unpack(block: &[f64], specs: &[PassSpec]) -> Vec<Vec<Vec<f64>>> {
+        let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
+        let parts = block::spec_parts(block, shapes).unwrap();
+        let grids = specs.iter().zip(parts).map(|(spec, part)| {
+            let ops = spec.ops.iter().enumerate();
+            ops.map(|(k, &(op, _))| {
+                let mut grid = vec![identity(op); spec.grid.num_bins()];
+                part.land(k, op, true, &mut grid);
+                grid
+            })
+            .collect()
+        });
+        grids.collect()
+    }
+
     /// One fused pass of `ops` (all reducing `vs`) over the `xs`/`ys`
-    /// axes, split into per-op grids.
+    /// axes, committed to a host block and read back as per-op grids.
     fn fused(
         xs: &[f64],
         ys: &[f64],
@@ -794,9 +789,10 @@ mod tests {
             grid: *g,
             ops: ops.iter().map(|&op| (op, value(op))).collect(),
         };
-        let mut scratch = KernelScratch::default();
-        let packed = bin_all_host(&[xs, ys, vs.unwrap_or(xs)], &[spec], &mut scratch)[0].packed();
-        packed.chunks(g.num_bins()).map(<[f64]>::to_vec).collect()
+        let (mut scratch, mut out) = (KernelScratch::default(), Vec::new());
+        let specs = [spec];
+        bin_all_block(&[xs, ys, vs.unwrap_or(xs)], &specs, &mut scratch, &mut out);
+        unpack(&out, &specs).remove(0)
     }
 
     fn bits(grid: &[f64]) -> Vec<u64> {
@@ -1017,16 +1013,19 @@ mod tests {
     }
 
     /// The block of `specs` over `cols` as the block format defines it,
-    /// out of the kernel that initialises every bin first: per spec, its
-    /// touched bins are where its count is not zero, and it goes in the
-    /// smaller of its two forms.
+    /// out of the grids of a pass in a fresh scratch, read back dense: per
+    /// spec, its touched bins are where its count is not zero, and it goes
+    /// in the smaller of its two forms. The grids are the fold's own: where
+    /// a bin's sum meets both infinities and a NaN value, the per-op
+    /// kernel may give that NaN the other sign (an add's NaN sign is
+    /// unspecified), and only published cells are made canonical.
     fn reference_block(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<f64> {
-        let mut scratch = KernelScratch::default();
-        let grids = bin_all_host(cols, specs, &mut scratch);
+        let (mut scratch, mut fresh) = (KernelScratch::default(), Vec::new());
+        bin_all_block(cols, specs, &mut scratch, &mut fresh);
         let mut out = vec![0.0; 1 + specs.len()];
-        for (si, (spec, grids)) in specs.iter().zip(grids).enumerate() {
+        for (si, (spec, grids)) in specs.iter().zip(unpack(&fresh, specs)).enumerate() {
             let (ops, bins) = (spec.ops.len(), spec.grid.num_bins());
-            let packed = grids.packed();
+            let packed = grids.concat();
             let count = spec.ops.iter().position(|&(op, _)| op == BinOp::Count);
             let touched: Vec<usize> = count
                 .map(|c| (0..bins).filter(|&b| packed[c * bins + b] != 0.0).collect())

@@ -48,15 +48,19 @@ fn fused_grids(cols: &[&[f64]], spec: &PassSpec) -> Vec<Vec<f64>> {
     packed.chunks(spec.grid.num_bins()).map(<[f64]>::to_vec).collect()
 }
 
-/// One fused pass of `specs` over `cols`: per spec, its grids packed
-/// `[op][bin]`. The pass runs in a scratch an earlier launch — the same
-/// specs in reverse order — has left its plans and partials in, as every
-/// launch after a back-end's first does.
+/// One fused pass of `specs` over `cols`, committed to a host block and
+/// read back dense: per spec, its grids packed `[op][bin]`. The pass runs
+/// in a scratch an earlier launch — the same specs in reverse order — has
+/// left its plans and partials in, as every launch after a back-end's
+/// first does.
 fn packed_grids(cols: &[&[f64]], specs: &[PassSpec]) -> Vec<Vec<f64>> {
-    let mut scratch = host_impl::KernelScratch::default();
+    let (mut scratch, mut block) = (host_impl::KernelScratch::default(), Vec::new());
     let earlier: Vec<PassSpec> = specs.iter().rev().cloned().collect();
-    host_impl::bin_all_host(cols, &earlier, &mut scratch);
-    host_impl::bin_all_host(cols, specs, &mut scratch).iter().map(|grids| grids.packed()).collect()
+    host_impl::bin_all_block(cols, &earlier, &mut scratch, &mut block);
+    host_impl::bin_all_block(cols, specs, &mut scratch, &mut block);
+    let mut grids = unpack(&block, specs).into_iter();
+    let sizes = specs.iter().map(|s| s.ops.len() * s.grid.num_bins());
+    sizes.map(|n| grids.by_ref().take(n).collect()).collect()
 }
 
 /// The grids of `specs` in a block ([`device_impl::bin_all_device`] or
@@ -326,11 +330,13 @@ fn assert_packed_matches(
     assert_eq!(cells.next(), None, "{what}: cells beyond the last grid");
 }
 
-/// The blocked core over plain slices (grids kept) and over host read
-/// views (committed to a host block) — what a host-placed step borrows and
-/// how it consumes them — equals the per-op host kernel bit for bit
-/// at row counts around the short tile, around the long block and over
-/// several long blocks, with NaN, infinite and out-of-range rows.
+/// The blocked core over plain slices and over host read views — what a
+/// host-placed step borrows — committed spec by spec into a host block as
+/// the fused step consumes them (on a table of one block out of one shared
+/// accumulator, touched bins only where a spec can never go dense) and
+/// read back dense, equals the per-op host kernel bit for bit at row
+/// counts around the short tile, around the long block and over several
+/// long blocks, with NaN, infinite and out-of-range rows.
 #[test]
 fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries() {
     let node = SimNode::new(NodeConfig::fast_test(1));
@@ -346,8 +352,9 @@ fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries(
             };
             let what = format!("scale {scale} rows {rows}");
 
-            let grids = host_impl::bin_all_host(&dense, &specs, &mut scratch);
-            let packed: Vec<f64> = grids.iter().flat_map(|g| g.packed()).collect();
+            let mut block = Vec::new();
+            host_impl::bin_all_block(&dense, &specs, &mut scratch, &mut block);
+            let packed = unpack(&block, &specs);
             assert_packed_matches(&packed, &specs, oracle, &format!("{what} slices"));
 
             let views: Vec<devsim::ReadView<f64>> = cols
@@ -359,10 +366,6 @@ fn blocked_core_matches_per_op_on_slices_and_host_views_across_block_boundaries(
                 })
                 .collect();
             let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
-            // Handed over spec by spec into a host block, as the fused step
-            // consumes them: on a table of one block out of one shared
-            // accumulator, touched bins only where a spec can never go dense.
-            let mut block = Vec::new();
             host_impl::bin_all_block(&views, &specs, &mut scratch, &mut block);
             let packed = unpack(&block, &specs);
             assert_packed_matches(&packed, &specs, oracle, &format!("{what} host views"));
@@ -694,10 +697,9 @@ fn step_specs(seed: u64) -> (Vec<Vec<BinOp>>, Vec<PassSpec>) {
 }
 
 /// One rank's step: its tables' blocks out of the host block kernel,
-/// merged table-major, and the same tables' dense grids out of the kernel
-/// that initialises every bin, landed in a flat buffer as the step once
-/// did — the first table written, later ones merged, the identities where
-/// a rank has no table.
+/// merged table-major, and the same tables' blocks read back dense and
+/// landed in a flat buffer as the step once did — the first table
+/// written, later ones merged, the identities where a rank has no table.
 fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64>) {
     let mut scratch = host_impl::KernelScratch::default();
     let (mut merged, mut table) = (Vec::new(), Vec::new());
@@ -711,14 +713,11 @@ fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64
     for (ti, cols) in tables.iter().enumerate() {
         let cols: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
         host_impl::bin_all_block(&cols, specs, &mut scratch, &mut table);
+        let dense = unpack(&table, specs);
         match ti {
             0 => std::mem::swap(&mut merged, &mut table),
             _ => block::merge_blocks(specs, &mut merged, &table, &mut spare).unwrap(),
         }
-        let dense: Vec<f64> = host_impl::bin_all_host(&cols, specs, &mut scratch)
-            .iter()
-            .flat_map(|g| g.packed())
-            .collect();
         let mut at = 0;
         for spec in specs {
             for &(op, _) in &spec.ops {

@@ -786,3 +786,77 @@ fn first_table_copied_later_tables_merged_matches_per_op_on_edge_cases() {
         }
     }
 }
+
+/// A sum whose bin meets both infinities and a NaN value is NaN whatever
+/// order its adds ran in, but the NaN's sign bit depends on that order,
+/// which the fused fold and the per-op kernel, a block merge and a dense
+/// allreduce, need not share. What a result publishes is the one
+/// `f64::NAN` there: fused and per-op (`with_fused(false)`) back-ends over
+/// one table whose `sum` and `avg` columns put NaN, `+inf` and `-inf` into
+/// one bin in every order, on host and device, on one and two ranks,
+/// publish the same bits.
+#[test]
+fn a_published_nan_is_the_canonical_nan_on_every_path() {
+    let spec = || {
+        let op = |var: &str, op| VarOp { var: var.into(), op };
+        let ops = [BinOp::Count, BinOp::Sum, BinOp::Average, BinOp::Min, BinOp::Max];
+        let ops = ops.map(|o| op(if o == BinOp::Count { "" } else { "m" }, o)).to_vec();
+        let mut s = BinningSpec::new("bodies", ("x", "y"), 2, ops);
+        s.bounds = Some(([-1.0, 1.0], [-1.0, 1.0]));
+        s
+    };
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    // Per bin of the 2 x 2 mesh, the values its rows carry, in row order.
+    let bins = [vec![inf, -inf, nan], vec![nan, inf, -inf], vec![inf, nan, -inf], vec![-inf, inf]];
+    for device_spec in [DeviceSpec::Host, DeviceSpec::Explicit(0)] {
+        for ranks in [1, 2] {
+            let run = |fused: bool| {
+                let sink: ResultSink = Arc::default();
+                World::new(ranks).run(|comm| {
+                    let node = SimNode::new(NodeConfig::fast_test(2));
+                    let mut bridge = Bridge::new(node.clone());
+                    let analysis = BinningAnalysis::new(spec())
+                        .with_fused(fused)
+                        .with_sink(sink.clone())
+                        .with_controls(BackendControls {
+                            device: device_spec,
+                            ..Default::default()
+                        });
+                    bridge.add_analysis(Box::new(analysis), &comm).unwrap();
+                    // Rank 1 walks each bin's values in reverse, so a merge
+                    // meets the other rank's NaN from either side.
+                    let (mut x, mut y, mut m) = (Vec::new(), Vec::new(), Vec::new());
+                    for (b, values) in bins.iter().enumerate() {
+                        let mut values = values.clone();
+                        if comm.rank() == 1 {
+                            values.reverse();
+                        }
+                        let (bx, by) = ([-0.5, 0.5][b % 2], [-0.5, 0.5][b / 2]);
+                        x.extend(values.iter().map(|_| bx));
+                        y.extend(values.iter().map(|_| by));
+                        m.extend(values);
+                    }
+                    let device = match device_spec {
+                        DeviceSpec::Explicit(d) => Some(d),
+                        _ => None,
+                    };
+                    let sim = Particles::of(node, device, &[("x", x), ("y", y), ("m", m)]);
+                    bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+                    bridge.finalize(&comm).unwrap();
+                });
+                let results = std::mem::take(&mut *sink.lock());
+                assert_eq!(results.len(), 1, "one step from rank 0");
+                bits_of(&results)
+            };
+            let (fused, per_op) = (run(true), run(false));
+            let what = format!("{device_spec:?} on {ranks} ranks");
+            for (_, name, bits) in &fused {
+                let nans = bits.iter().filter(|b| f64::from_bits(**b).is_nan());
+                let sum_or_avg = name.ends_with("sum_m") || name.ends_with("avg_m");
+                assert_eq!(nans.clone().count(), if sum_or_avg { 4 } else { 0 }, "{what}: {name}");
+                assert!(nans.into_iter().all(|&b| b == nan.to_bits()), "{what}: {name} {bits:x?}");
+            }
+            assert!(fused == per_op, "{what}: fused {fused:x?} per-op {per_op:x?}");
+        }
+    }
+}

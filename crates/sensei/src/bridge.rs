@@ -9,11 +9,6 @@
 //! requirements-driven: per iteration the bridge unions the
 //! [`crate::DataRequirements`] of the due snapshot-consuming engines and
 //! deep-copies exactly that.
-//!
-//! Back-ends attached with [`Bridge::add_reconfigurable_analysis`] can be
-//! rebuilt mid-run under new [`BackendControls`] — the hook steering
-//! sessions ([`crate::serve`]) apply their commands through, and callers
-//! can drive directly.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -28,18 +23,8 @@ use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::profiler::Profiler;
 use crate::requirements::DataRequirements;
-use crate::serve::{ServeHub, Steer, SteeringCommand};
+use crate::serve::ServeHub;
 use crate::snapshot::{SnapshotMode, SnapshotPipeline};
-
-/// Builds a fresh back-end instance under the given controls, so the
-/// bridge can retire an engine and rebuild it mid-run (engines consume
-/// their adaptor — a worker thread owns it — so reconfiguration needs a
-/// new one). The factory must honor `controls` (the built adaptor's
-/// [`crate::AnalysisAdaptor::controls`] should return them) and build
-/// back-ends whose per-step results are position-independent (e.g.
-/// streaming into a shared sink), so a rebuild changes *when* work runs,
-/// never *what* it computes.
-pub type AdaptorFactory = Box<dyn Fn(&BackendControls) -> Result<Box<dyn AnalysisAdaptor>> + Send>;
 
 /// The SENSEI bridge: the single instrumentation point a simulation calls.
 ///
@@ -69,11 +54,6 @@ struct Attached {
     engine: usize,
     /// Its own work and fault counters.
     counters: Arc<AnalysisCounters>,
-    /// Present for reconfigurable back-ends: rebuilds the adaptor when
-    /// the engine is retired and recreated under new controls.
-    factory: Option<AdaptorFactory>,
-    /// The frequency a steering Pause saved, restored by Resume.
-    paused_from: Option<u64>,
 }
 
 impl Bridge {
@@ -104,10 +84,7 @@ impl Bridge {
 
     /// Attach a live-serving hub ([`crate::serve`]): from the next step
     /// on, the session pool counts as one consumer of each captured
-    /// snapshot (the hub pins it until the last session's frame drops),
-    /// and — when the hub accepts steering — queued session commands are
-    /// drained at every step boundary, rank-0-decided, broadcast, and
-    /// applied through the mid-run reconfiguration path.
+    /// snapshot (the hub pins it until the last session's frame drops).
     pub fn attach_serve(&mut self, hub: Arc<ServeHub>) {
         self.serve = Some(hub);
     }
@@ -125,40 +102,14 @@ impl Bridge {
     /// attach order on that engine's thread and queue, and it is one
     /// consumer of each snapshot. Each member still counts as a back-end:
     /// [`Bridge::num_backends`], [`Bridge::backend_controls`] and the
-    /// profiler's per-label rows go by attach order. An engine that runs a
-    /// reconfigurable back-end takes no other.
+    /// profiler's per-label rows go by attach order. A back-end keeps the
+    /// controls it was attached with for the whole run.
     pub fn add_analysis(&mut self, adaptor: Box<dyn AnalysisAdaptor>, comm: &Comm) -> Result<()> {
-        self.attach(adaptor, None, comm)
-    }
-
-    /// Attach a back-end the bridge can rebuild mid-run: `factory`
-    /// constructs the initial instance under `initial` and every later
-    /// instance under whatever controls a reconfiguration applies.
-    pub fn add_reconfigurable_analysis(
-        &mut self,
-        initial: BackendControls,
-        factory: AdaptorFactory,
-        comm: &Comm,
-    ) -> Result<()> {
-        let adaptor = factory(&initial)?;
-        self.attach(adaptor, Some(factory), comm)
-    }
-
-    fn attach(
-        &mut self,
-        adaptor: Box<dyn AnalysisAdaptor>,
-        factory: Option<AdaptorFactory>,
-        comm: &Comm,
-    ) -> Result<()> {
         if self.finalized {
             return Err(Error::Finalized);
         }
         let name = adaptor.name().to_string();
-        let joined = match factory {
-            Some(_) => Err(adaptor),
-            None => self.join_existing(adaptor),
-        };
-        let (engine, counters) = joined.unwrap_or_else(|adaptor| {
+        let (engine, counters) = self.join_existing(adaptor).unwrap_or_else(|adaptor| {
             let engine = Engine::new(adaptor, comm, &self.node);
             let counters = engine.counters()[0].clone();
             self.engines.push(engine);
@@ -167,21 +118,18 @@ impl Bridge {
         let copies = self.backends.iter().filter(|a| self.engines[a.engine].backend_name() == name);
         let copies = copies.count();
         let label = if copies == 0 { name } else { format!("{}#{}", name, copies + 1) };
-        self.backends.push(Attached { label, engine, counters, factory, paused_from: None });
+        self.backends.push(Attached { label, engine, counters });
         Ok(())
     }
 
-    /// Add `adaptor` to the first engine that accepts it and runs no
-    /// reconfigurable back-end, returning the engine's index and the new
-    /// member's counters; or hand `adaptor` back.
+    /// Add `adaptor` to the first engine that accepts it, returning the
+    /// engine's index and the new member's counters; or hand `adaptor`
+    /// back.
     fn join_existing(
         &mut self,
         mut adaptor: Box<dyn AnalysisAdaptor>,
     ) -> std::result::Result<(usize, Arc<AnalysisCounters>), Box<dyn AnalysisAdaptor>> {
         for (e, engine) in self.engines.iter_mut().enumerate() {
-            if self.backends.iter().any(|a| a.engine == e && a.factory.is_some()) {
-                continue;
-            }
             match engine.join(adaptor) {
                 Ok(counters) => return Ok((e, counters)),
                 Err(refused) => adaptor = refused,
@@ -201,60 +149,9 @@ impl Bridge {
         self.engines.len()
     }
 
-    /// The controls back-end `idx` (attach order) currently runs under.
+    /// The controls back-end `idx` (attach order) runs under.
     pub fn backend_controls(&self, idx: usize) -> Option<BackendControls> {
         self.backends.get(idx).map(|a| *self.engines[a.engine].controls())
-    }
-
-    /// Retire back-end `idx`'s engine (draining its queue) and rebuild it
-    /// under `controls` — the mid-run reconfiguration path. The retired
-    /// engine's lifetime counters are merged into the profiler first, so
-    /// no work goes missing; counter rows accumulate per label. Fails for
-    /// back-ends attached without a factory. Collective on multi-rank
-    /// communicators: every rank must reconfigure identically.
-    pub fn reconfigure_backend(
-        &mut self,
-        idx: usize,
-        controls: BackendControls,
-        comm: &Comm,
-    ) -> Result<()> {
-        if self.finalized {
-            return Err(Error::Finalized);
-        }
-        let n = self.backends.len();
-        if idx >= n {
-            return Err(Error::Config(format!("no back-end #{idx} to reconfigure (have {n})")));
-        }
-        if self.backends[idx].factory.is_none() {
-            return Err(Error::Config(format!(
-                "back-end '{}' was not attached reconfigurable",
-                self.backends[idx].label
-            )));
-        }
-        // A reconfigurable back-end's engine runs it alone.
-        let e = self.backends[idx].engine;
-        self.engines[e].finalize(comm, &self.node)?;
-        self.record_counters(idx);
-        let adaptor = (self.backends[idx].factory.as_ref().expect("checked above"))(&controls)?;
-        let engine = Engine::new(adaptor, comm, &self.node);
-        self.backends[idx].counters = engine.counters()[0].clone();
-        self.engines[e] = engine;
-        Ok(())
-    }
-
-    /// Merge back-end `idx`'s counter totals into the profiler (at engine
-    /// retirement and at finalize). Its engine's scheduler counters go on
-    /// the row of the engine's last member, the one that runs a group's
-    /// merged step; every other member gets an explicit zero row.
-    fn record_counters(&mut self, idx: usize) {
-        let a = &self.backends[idx];
-        self.profiler.record_counters(a.label.as_str(), a.counters.snapshot());
-        let last = self.backends.iter().rposition(|b| b.engine == a.engine) == Some(idx);
-        let sched = match last {
-            true => self.engines[a.engine].scheduler_counters().snapshot(),
-            false => Default::default(),
-        };
-        self.profiler.record_scheduler_counters(a.label.as_str(), sched);
     }
 
     /// Process the simulation's current state through every back-end.
@@ -272,12 +169,6 @@ impl Bridge {
             return Err(Error::Finalized);
         }
         let step = data.time_step();
-
-        // Steering is applied strictly at step boundaries: whatever the
-        // sessions queued since the last step is drained now, before any
-        // engine sees this step's data, so a reconfiguration never splits
-        // a step. Rank 0 decides, everyone applies the broadcast copy.
-        self.apply_steering(step, comm)?;
 
         let t0 = Instant::now();
 
@@ -342,72 +233,6 @@ impl Bridge {
         Ok(proceed)
     }
 
-    /// The frequency a paused back-end runs at: due only at step 0, i.e.
-    /// never again mid-run (the pre-pause frequency is saved for Resume).
-    const PAUSED_FREQUENCY: u64 = u64::MAX;
-
-    /// Drain the sessions' queued steering commands and apply them at
-    /// this step boundary. On multi-rank communicators only rank 0's
-    /// queue is consulted and the command list is broadcast, so every
-    /// rank applies the identical schedule (engine rebuilds are
-    /// collective) and results stay bit-identical across ranks.
-    fn apply_steering(&mut self, step: u64, comm: &Comm) -> Result<()> {
-        let Some(hub) = self.serve.clone() else { return Ok(()) };
-        if !hub.steering_enabled() {
-            return Ok(());
-        }
-        let commands: Vec<Steer> = if comm.size() > 1 {
-            let local = if comm.rank() == 0 { hub.drain_steering() } else { Vec::new() };
-            comm.bcast(0, local).map_err(|e| Error::Analysis(format!("steering bcast: {e}")))?
-        } else {
-            hub.drain_steering()
-        };
-        for s in commands {
-            self.apply_steer(step, &hub, s, comm)?;
-            hub.note_steers_applied(1);
-        }
-        Ok(())
-    }
-
-    /// Apply one steering command: adjust the target back-end's controls
-    /// (or the shared [`crate::serve::ServeKnobs`]) and rebuild it through
-    /// the ordinary mid-run reconfiguration path.
-    fn apply_steer(&mut self, step: u64, hub: &ServeHub, s: Steer, comm: &Comm) -> Result<()> {
-        let n = self.backends.len();
-        let Some(a) = self.backends.get_mut(s.backend) else {
-            return Err(Error::Config(format!(
-                "steering targets back-end #{} (have {n})",
-                s.backend
-            )));
-        };
-        let label = a.label.clone();
-        let mut controls = *self.engines[a.engine].controls();
-        let detail = match s.command {
-            SteeringCommand::SetResolution(r) => {
-                hub.knobs().set_resolution(r);
-                format!("resolution={r}")
-            }
-            SteeringCommand::SetFrequency(f) => {
-                controls.frequency = f.max(1);
-                a.paused_from = None;
-                format!("frequency={}", controls.frequency)
-            }
-            SteeringCommand::Pause => {
-                if a.paused_from.is_none() {
-                    a.paused_from = Some(controls.frequency);
-                }
-                controls.frequency = Self::PAUSED_FREQUENCY;
-                "pause".to_string()
-            }
-            SteeringCommand::Resume => {
-                controls.frequency = a.paused_from.take().unwrap_or(1);
-                "resume".to_string()
-            }
-        };
-        self.profiler.record_steer(step, label, detail);
-        self.reconfigure_backend(s.backend, controls, comm)
-    }
-
     /// Finalize every back-end (draining asynchronous queues) and return
     /// the run's profiler.
     ///
@@ -448,8 +273,16 @@ impl Bridge {
         // Every back-end gets a scheduler row — explicit zeros for
         // engines that run their steps in order — so `scheduler_samples()`
         // has one entry per back-end whatever mix of modes a run used.
-        for idx in 0..self.backends.len() {
-            self.record_counters(idx);
+        // A group's scheduler counters go on the row of its last member,
+        // the one that runs the merged step.
+        for (idx, a) in self.backends.iter().enumerate() {
+            self.profiler.record_counters(a.label.as_str(), a.counters.snapshot());
+            let last = self.backends.iter().rposition(|b| b.engine == a.engine) == Some(idx);
+            let sched = match last {
+                true => self.engines[a.engine].scheduler_counters().snapshot(),
+                false => Default::default(),
+            };
+            self.profiler.record_scheduler_counters(a.label.as_str(), sched);
         }
         // Snapshot-layer totals (shares vs copies, CoW faults) are exact
         // now too: every worker that could fault a pinned array has

@@ -74,14 +74,14 @@ mod snapshot;
 
 pub use payload::{collect_columns, StepPayload};
 pub use serve::{
-    Frame, PublishStats, ServeCounters, ServeHub, ServeKnobs, ServeSnapshot, ServeStepStats,
-    SessionConfig, SessionHandle, Steer, SteeringCommand, StepPin, Topic,
+    Frame, PublishStats, ServeCounters, ServeHub, ServeSnapshot, ServeStepStats, SessionConfig,
+    SessionHandle, StepPin, Topic,
 };
 
 pub use adaptor::{
     AnalysisAdaptor, ArrayMetadata, DataAdaptor, ExecContext, GroupSlot, MeshMetadata,
 };
-pub use bridge::{AdaptorFactory, Bridge};
+pub use bridge::Bridge;
 pub use configurable::{BackendConfig, ConfigurableAnalysis, TopologyConfig};
 pub use controls::{BackendControls, DeviceSpec};
 pub use counters::{
@@ -96,7 +96,7 @@ pub use execution::ExecutionMethod;
 pub use placement::Placement;
 pub use profiler::{
     BackendBreakdown, BackendSample, CounterSample, IterationRecord, PoolSample, ProfileSummary,
-    Profiler, SchedulerSample, SnapshotSample, SteerSample,
+    Profiler, SchedulerSample, SnapshotSample,
 };
 pub use queue::OverflowPolicy;
 pub use recovery::RecoveryPolicy;

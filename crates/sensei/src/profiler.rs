@@ -49,18 +49,6 @@ pub struct BackendSample {
     pub apparent: Duration,
 }
 
-/// One applied steering command, recorded so a run's reconfiguration
-/// history is data alongside its timings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SteerSample {
-    /// Simulation time step the command was applied at.
-    pub step: u64,
-    /// Back-end instance name.
-    pub backend: String,
-    /// Human-readable description of the change applied.
-    pub detail: String,
-}
-
 /// One back-end's aggregate apparent cost over a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendBreakdown {
@@ -124,7 +112,6 @@ pub struct Profiler {
     counter_samples: Vec<CounterSample>,
     snapshot_samples: Vec<SnapshotSample>,
     scheduler_samples: Vec<SchedulerSample>,
-    steer_samples: Vec<SteerSample>,
     serve_samples: Vec<ServeStepStats>,
     started: Instant,
     total: Option<Duration>,
@@ -146,7 +133,6 @@ impl Profiler {
             counter_samples: Vec::new(),
             snapshot_samples: Vec::new(),
             scheduler_samples: Vec::new(),
-            steer_samples: Vec::new(),
             serve_samples: Vec::new(),
             started: Instant::now(),
             total: None,
@@ -161,25 +147,6 @@ impl Profiler {
     /// Record one back-end's apparent cost at `step`.
     pub fn record_backend(&mut self, step: u64, backend: impl Into<String>, apparent: Duration) {
         self.backend_samples.push(BackendSample { step, backend: backend.into(), apparent });
-    }
-
-    /// Record one applied steering command.
-    pub fn record_steer(
-        &mut self,
-        step: u64,
-        backend: impl Into<String>,
-        detail: impl Into<String>,
-    ) {
-        self.steer_samples.push(SteerSample {
-            step,
-            backend: backend.into(),
-            detail: detail.into(),
-        });
-    }
-
-    /// Every applied steering command, in application order.
-    pub fn steer_samples(&self) -> &[SteerSample] {
-        &self.steer_samples
     }
 
     /// Every recorded per-backend sample, in dispatch order.
@@ -380,22 +347,6 @@ mod tests {
         assert_eq!(bd[1].backend, "histogram");
         assert_eq!(bd[1].dispatches, 1);
         assert_eq!(p.backend_samples().len(), 3);
-    }
-
-    #[test]
-    fn steer_samples_record_and_dump() {
-        let mut p = Profiler::new();
-        p.record_steer(4, "binning_suite", "frequency=2");
-        p.record_steer(8, "binning_suite", "pause");
-        p.record_steer(8, "binning_suite#2", "resolution=64");
-        let s = p.steer_samples();
-        assert_eq!(s.len(), 3);
-        assert_eq!((s[0].step, s[0].detail.as_str()), (4, "frequency=2"));
-        assert_eq!((s[1].step, s[1].detail.as_str()), (8, "pause"));
-        assert_eq!(
-            (s[2].backend.as_str(), s[2].detail.as_str()),
-            ("binning_suite#2", "resolution=64")
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Live result serving: fan one step's published results out to
-//! thousands of subscribed steering sessions, zero-copy.
+//! thousands of subscribed sessions, zero-copy.
 //!
 //! The placement/execution machinery exists to get analysis results off
 //! the simulation fast; this layer makes the pipeline an *interactive
@@ -27,14 +27,6 @@
 //!   independently-locked maps, and publication snapshots each shard's
 //!   matching senders *before* sending, so subscribe/unsubscribe and a
 //!   blocking delivery never serialize on one lock.
-//!
-//! Steering flows the other way: sessions submit [`SteeringCommand`]s
-//! (resolution, analysis frequency, pause/resume), the bridge drains
-//! them at the next step boundary, rank 0 decides and broadcasts, and
-//! every rank applies the identical schedule through the existing
-//! mid-run [`crate::Bridge::reconfigure_backend`] rebuild path — so a
-//! steered run stays bit-identical to an unsteered run replaying the
-//! same schedule.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -117,49 +109,6 @@ impl Frame {
     }
 }
 
-/// A steering command a session sends back to the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SteeringCommand {
-    /// Change the binning resolution (takes effect through the
-    /// [`ServeKnobs`] the back-end factory reads at rebuild).
-    SetResolution(usize),
-    /// Change how often the analysis runs (every `n` steps).
-    SetFrequency(u64),
-    /// Stop dispatching the analysis until [`SteeringCommand::Resume`].
-    Pause,
-    /// Resume a paused analysis at its pre-pause frequency.
-    Resume,
-}
-
-/// A steering command addressed to one attached back-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Steer {
-    /// Back-end index (bridge attach order).
-    pub backend: usize,
-    /// What to change.
-    pub command: SteeringCommand,
-}
-
-/// Shared knobs steering can turn that live outside [`crate::BackendControls`]
-/// — the back-end factory reads them when the bridge rebuilds it, so a
-/// [`SteeringCommand::SetResolution`] is: set the knob, rebuild.
-#[derive(Debug, Default)]
-pub struct ServeKnobs {
-    resolution: AtomicUsize,
-}
-
-impl ServeKnobs {
-    /// Current resolution override (0 until steering sets one).
-    pub fn resolution(&self) -> usize {
-        self.resolution.load(Ordering::Acquire)
-    }
-
-    /// Set the resolution override.
-    pub fn set_resolution(&self, r: usize) {
-        self.resolution.store(r, Ordering::Release);
-    }
-}
-
 /// Per-session configuration: the delivery queue's depth and overflow
 /// behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +156,7 @@ pub struct ServeStepStats {
 }
 
 /// Counters for the live serving layer: session churn, frames fanned
-/// out vs dropped, steering commands applied, and the bytes each step's
+/// out vs dropped, and the bytes each step's
 /// publication actually serialized — counted once per step, *not* per
 /// session, which is the zero-copy fan-out claim made checkable. Shared
 /// atomics: delivery threads increment, readers take
@@ -218,7 +167,6 @@ pub struct ServeCounters {
     unsubscribed: AtomicU64,
     delivered: AtomicU64,
     dropped: AtomicU64,
-    steers: AtomicU64,
     payload_bytes: AtomicU64,
 }
 
@@ -250,11 +198,6 @@ impl ServeCounters {
         self.dropped.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` steering commands applied at a step boundary.
-    pub fn add_steers(&self, n: u64) {
-        self.steers.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Count `n` bytes serialized at publication (once per step/topic,
     /// independent of how many sessions receive views of them).
     pub fn add_payload_bytes(&self, n: u64) {
@@ -268,7 +211,6 @@ impl ServeCounters {
             unsubscribed: self.unsubscribed.load(Ordering::Relaxed),
             delivered: self.delivered.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
-            steers: self.steers.load(Ordering::Relaxed),
             payload_bytes: self.payload_bytes.load(Ordering::Relaxed),
         }
     }
@@ -285,8 +227,6 @@ pub struct ServeSnapshot {
     pub delivered: u64,
     /// Frames dropped (evictions + rejections).
     pub dropped: u64,
-    /// Steering commands applied at step boundaries.
-    pub steers: u64,
     /// Bytes serialized at publication (once per step/topic).
     pub payload_bytes: u64,
 }
@@ -310,20 +250,16 @@ struct StepAccum {
     latencies_ns: Vec<u64>,
 }
 
-/// The fan-out hub: sharded session registry, per-step publication, and
-/// the steering inbox. One per bridge (attach with
+/// The fan-out hub: sharded session registry and per-step publication. One per bridge (attach with
 /// [`crate::Bridge::attach_serve`]); clones are cheap (`Arc` inside).
 pub struct ServeHub {
     shards: Vec<Shard>,
     next_id: AtomicU64,
     session_count: AtomicUsize,
     counters: Arc<ServeCounters>,
-    knobs: Arc<ServeKnobs>,
     /// The current step's pin; replaced each offer, so the hub itself
     /// never holds more than one step pinned.
     current_pin: Mutex<Option<Arc<StepPin>>>,
-    steering_enabled: bool,
-    steering: Mutex<Vec<Steer>>,
     /// Per-step delivery/drop/latency accumulators, drained at finalize.
     step_stats: Mutex<BTreeMap<u64, StepAccum>>,
 }
@@ -335,24 +271,22 @@ pub struct ServeHub {
 const N_SHARDS: usize = 16;
 
 impl ServeHub {
-    /// A hub with the default shard count. `steering` gates whether
-    /// session steering commands are accepted.
-    pub fn new(steering: bool) -> Arc<Self> {
-        Self::with_shards(steering, N_SHARDS)
+    /// A hub with the default shard count. The `bool` is ignored: a
+    /// back-end's controls are fixed at attach, so sessions have nothing
+    /// to steer; it stays for the callers that pass it.
+    pub fn new(_steering: bool) -> Arc<Self> {
+        Self::with_shards(N_SHARDS)
     }
 
     /// A hub with an explicit shard count (tests use 1 to force
     /// contention, benches can oversize).
-    pub fn with_shards(steering: bool, shards: usize) -> Arc<Self> {
+    pub fn with_shards(shards: usize) -> Arc<Self> {
         Arc::new(ServeHub {
             shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             next_id: AtomicU64::new(0),
             session_count: AtomicUsize::new(0),
             counters: ServeCounters::new(),
-            knobs: Arc::new(ServeKnobs::default()),
             current_pin: Mutex::new(None),
-            steering_enabled: steering,
-            steering: Mutex::new(Vec::new()),
             step_stats: Mutex::new(BTreeMap::new()),
         })
     }
@@ -365,16 +299,6 @@ impl ServeHub {
     /// A plain-value copy of the counter totals.
     pub fn counter_snapshot(&self) -> ServeSnapshot {
         self.counters.snapshot()
-    }
-
-    /// The steering knobs shared with back-end factories.
-    pub fn knobs(&self) -> Arc<ServeKnobs> {
-        self.knobs.clone()
-    }
-
-    /// Whether steering commands are accepted.
-    pub fn steering_enabled(&self) -> bool {
-        self.steering_enabled
     }
 
     /// Live session count.
@@ -474,24 +398,6 @@ impl ServeHub {
         stats
     }
 
-    /// Submit a steering command (no-op unless steering is enabled).
-    pub fn submit_steer(&self, steer: Steer) {
-        if self.steering_enabled {
-            self.steering.lock().push(steer);
-        }
-    }
-
-    /// Take the queued steering commands (the bridge drains this on
-    /// rank 0 at each step boundary and broadcasts the result).
-    pub fn drain_steering(&self) -> Vec<Steer> {
-        std::mem::take(&mut *self.steering.lock())
-    }
-
-    /// Count `n` steering commands actually applied.
-    pub fn note_steers_applied(&self, n: u64) {
-        self.counters.add_steers(n);
-    }
-
     /// Record a batch of client-side delivery latency samples
     /// (`(step, nanoseconds)`); session handles flush these as they
     /// receive.
@@ -547,8 +453,7 @@ fn percentile(values: &[u64], q: f64) -> u64 {
     values[idx.min(values.len() - 1)]
 }
 
-/// A live client session: the receive side of one subscription plus the
-/// steering path back. Dropping the handle unsubscribes (flushing any
+/// A live client session: the receive side of one subscription. Dropping the handle unsubscribes (flushing any
 /// buffered latency samples first).
 pub struct SessionHandle {
     hub: Arc<ServeHub>,
@@ -596,11 +501,6 @@ impl SessionHandle {
         self.rx.is_closed()
     }
 
-    /// Submit a steering command through this session.
-    pub fn steer(&self, backend: usize, command: SteeringCommand) {
-        self.hub.submit_steer(Steer { backend, command });
-    }
-
     fn note(&mut self, frame: &Frame) {
         let ns = frame.published.elapsed().as_nanos() as u64;
         self.pending.push((frame.step(), ns));
@@ -643,7 +543,6 @@ mod tests {
         c.add_delivered(600);
         c.add_delivered(40);
         c.add_dropped(2);
-        c.add_steers(1);
         c.add_payload_bytes(4096);
         let s = c.snapshot();
         assert_eq!(
@@ -653,7 +552,6 @@ mod tests {
                 unsubscribed: 3,
                 delivered: 640,
                 dropped: 2,
-                steers: 1,
                 payload_bytes: 4096,
             }
         );
@@ -704,7 +602,7 @@ mod tests {
 
     #[test]
     fn overflow_policies_count_drops() {
-        let hub = ServeHub::with_shards(false, 1);
+        let hub = ServeHub::with_shards(1);
         let mut dropper = hub.subscribe(
             Topic::new("*", "x:y"),
             SessionConfig { queue_depth: 1, overflow: OverflowPolicy::DropOldest },
@@ -743,28 +641,6 @@ mod tests {
         assert_eq!(stats.delivered, 0);
         assert_eq!(hub.session_count(), 0, "publish reaped the dead session");
         assert_eq!(hub.counter_snapshot().unsubscribed, 2);
-    }
-
-    #[test]
-    fn steering_queue_drains_once_and_respects_enable_flag() {
-        let hub = ServeHub::new(true);
-        let h = hub.subscribe(Topic::new("*", "x:y"), SessionConfig::default());
-        h.steer(0, SteeringCommand::SetResolution(128));
-        h.steer(1, SteeringCommand::Pause);
-        let drained = hub.drain_steering();
-        assert_eq!(
-            drained,
-            vec![
-                Steer { backend: 0, command: SteeringCommand::SetResolution(128) },
-                Steer { backend: 1, command: SteeringCommand::Pause },
-            ]
-        );
-        assert!(hub.drain_steering().is_empty(), "drain takes, not copies");
-
-        let disabled = ServeHub::new(false);
-        let h2 = disabled.subscribe(Topic::new("*", "x:y"), SessionConfig::default());
-        h2.steer(0, SteeringCommand::SetResolution(32));
-        assert!(disabled.drain_steering().is_empty(), "steering disabled");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Integration tests of the bridge: lockstep vs asynchronous execution,
 //! snapshot isolation, cross-rank reduction from in situ threads, and
-//! failure propagation.
+//! failure propagation, back-end grouping, and snapshot-mode flips.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use minimpi::World;
 use parking_lot::Mutex;
 use sensei::{
     AnalysisAdaptor, BackendControls, Bridge, DataAdaptor, ExecContext, ExecutionMethod,
-    MeshMetadata, Result,
+    MeshMetadata, Result, SnapshotMode,
 };
 use svtk::{Allocator, DataObject, HamrDataArray, HamrStream, StreamMode, TableData};
 
@@ -527,29 +527,6 @@ fn only_compatible_back_ends_share_an_engine() {
         // Same as back-end 0: joins its engine.
         attach(lockstep(7), 7);
 
-        // A reconfigurable back-end runs alone, and its engine takes no
-        // compatible back-end attached after it.
-        let (seen2, controls) = (seen.clone(), *lockstep(8).controls());
-        let factory: sensei::AdaptorFactory = Box::new(move |c: &BackendControls| {
-            let mut b = Planner::boxed(8, c.execution, &seen2);
-            b.controls = *c;
-            Ok(b as Box<dyn AnalysisAdaptor>)
-        });
-        bridge.add_reconfigurable_analysis(controls, factory, &comm).unwrap();
-        assert_eq!(bridge.num_engines(), 8);
-        let mut one = Bridge::new(node.clone());
-        let (seen3, seen4) = (seen.clone(), seen.clone());
-        one.add_reconfigurable_analysis(
-            controls,
-            Box::new(move |c: &BackendControls| {
-                Ok(Planner::boxed(9, c.execution, &seen3) as Box<dyn AnalysisAdaptor>)
-            }),
-            &comm,
-        )
-        .unwrap();
-        one.add_analysis(Planner::boxed(10, ExecutionMethod::Lockstep, &seen4), &comm).unwrap();
-        assert_eq!(one.num_engines(), 2);
-
         // A worker that has started takes no new member.
         let asynchronous = |id| Planner::boxed(id, ExecutionMethod::Asynchronous, &seen);
         let mut late = Bridge::new(node.clone());
@@ -559,8 +536,76 @@ fn only_compatible_back_ends_share_an_engine() {
         late.execute(&Sim::new(node.clone(), vec![1.0]), &comm, Duration::ZERO).unwrap();
         late.add_analysis(asynchronous(13), &comm).unwrap();
         assert_eq!(late.num_engines(), 2);
-        for b in [bridge, one, late] {
+        for b in [bridge, late] {
             b.finalize(&comm).unwrap();
         }
+    });
+}
+
+/// Every back-end gets a scheduler row — explicit zeros for engines
+/// without a task-graph scheduler — so `scheduler_samples()` has one
+/// entry per back-end whatever mix of modes a run used.
+#[test]
+fn scheduler_samples_carry_explicit_zero_rows_for_non_dag_backends() {
+    World::new(1).run(|comm| {
+        let node = SimNode::new(NodeConfig::fast_test(1));
+        let mut bridge = Bridge::new(node.clone());
+        let executes = Arc::new(AtomicU64::new(0));
+        let analysis = SummingAnalysis::boxed(
+            ExecutionMethod::Lockstep,
+            Arc::default(),
+            executes.clone(),
+            executes,
+            Duration::ZERO,
+        );
+        bridge.add_analysis(analysis, &comm).unwrap();
+        let mut sim = Sim::new(node, vec![1.0; 16]);
+        for step in 0..2 {
+            sim.step = step;
+            bridge.execute(&sim, &comm, Duration::from_millis(1)).unwrap();
+        }
+        let profiler = bridge.finalize(&comm).unwrap();
+        assert_eq!(profiler.scheduler_samples().len(), 1, "one row per back-end");
+        let row = &profiler.scheduler_samples()[0];
+        assert_eq!(row.backend, "summing");
+        assert_eq!(row.counters, sensei::SchedulerSnapshot::default(), "explicit zeros");
+    });
+}
+
+/// Snapshot-mode switches mid-run keep an asynchronous back-end's results
+/// bit-identical to a run that never switches.
+#[test]
+fn snapshot_mode_flips_preserve_results() {
+    World::new(1).run(|comm| {
+        let run = |flips: &[(u64, SnapshotMode)]| {
+            let node = SimNode::new(NodeConfig::fast_test(1));
+            let mut bridge = Bridge::new(node.clone());
+            let (results, executes) = (Arc::new(Mutex::new(Vec::new())), Arc::default());
+            let analysis = SummingAnalysis::boxed(
+                ExecutionMethod::Asynchronous,
+                results.clone(),
+                Arc::clone(&executes),
+                executes,
+                Duration::ZERO,
+            );
+            bridge.add_analysis(analysis, &comm).unwrap();
+            let mut sim = Sim::new(node, Vec::new());
+            for step in 0..9u64 {
+                if let Some(&(_, mode)) = flips.iter().find(|(at, _)| *at == step) {
+                    bridge.set_snapshot_mode(mode);
+                }
+                sim.step = step;
+                sim.values =
+                    (0..128).map(|i| ((step * 131 + i) % 97) as f64 * 0.37 - 5.0).collect();
+                bridge.execute(&sim, &comm, Duration::from_millis(1)).unwrap();
+            }
+            bridge.finalize(&comm).unwrap();
+            let sums: Vec<u64> = results.lock().iter().map(|v| v.to_bits()).collect();
+            sums
+        };
+        let reference = run(&[]);
+        assert_eq!(reference.len(), 9);
+        let flipped = run(&[(3, SnapshotMode::Cow), (6, SnapshotMode::Deep)]);
+        assert_eq!(flipped, reference, "bit-identical across snapshot modes");
     });
 }
