@@ -127,11 +127,23 @@ bash benchmarks/run.sh all --smoke
 # ((3·2·10 + 111 115·11)·8/3 + 196 608)/3 = 1 152 047.11 B. A duplicate
 # count grid reads 1 250 816; dense grids 2 228 224; moving the nine
 # unchanged columns again, every step, adds 196 608 more.
+# Beside them, what the grid round moves, per step over both ranks (the
+# three segments move alike). Rank 0 owns specs 0-3 and rank 1 specs 4-8
+# (nine equal specs, the remainder to the higher rank). The
+# reduce-scatter sends rank 0's cut of specs 4-8 to rank 1 and rank 1's
+# cut of specs 0-3 to rank 0: headers of 1 + 5 and 1 + 4 cells and a
+# trailing word each (13 cells), then 11 cells per touched bin, 55 351
+# bins over the 3 timed steps. Then rank 1 sends its five finished specs
+# up, dense: 5 x 10 arrays x 4 096 bins x 8 B = 1 638 400 B. Per rank:
+# ((3·13 + 55 351·11)·8/3 + 1 638 400)/2 = 1 631 066.67 B. The grid
+# allreduce it replaced (rank 1's whole block up, the merged block down)
+# read 1 802 070.67.
 traced=benchmarks/out/rows_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 0.3333' \
             'binning.downloads_per_step": {"value": 0.3333' \
             'binning.table_passes_per_step": {"value": 0.6666' \
-            'devsim.d2h_bytes_per_step": {"value": 1152047.11'; do
+            'devsim.d2h_bytes_per_step": {"value": 1152047.11' \
+            'minimpi.bytes_per_step": {"value": 1631066.66'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1
@@ -177,28 +189,31 @@ for want in 'binning.kernel_launches_per_step": {"value": 6,' \
 done
 # The paper's nine one-spec data_binning back-ends share one engine and
 # run one fused step between them, like the hand-written suite: per rank
-# and step one svtk fetch, the bounds and the grid allreduce (2), and
-# minimpi's 6 collectives — those 2, each a reduce and a broadcast
-# (4), plus the solver's own 2. Nine engines read 9 fetches, 18
-# allreduces and 38 collectives.
+# and step one svtk fetch, the bounds allreduce and the grid
+# reduce-scatter (2 reduction rounds), and minimpi's 6 collectives — the
+# bounds allreduce's reduce and broadcast, the reduce-scatter and the
+# results gather (4), plus the solver's own 2. Nine engines read 9
+# fetches, 18 rounds and 38 collectives.
 # Beside them, what those collectives carry, per step over both ranks.
 # The bounds round: 6 auto-bounded axis columns x (lo, hi) x 8 B, up and
 # down, 192 B. The solver's exchange: rank 1's 1 030 bodies x 4 values
 # up, the 2 lengths and all 2 048 bodies x 4 down, (4 120 + 2 + 8 192) x
-# 8 = 98 512 B. The grid round: rank 1's block up and the merged block
-# down, each a header of 1 + 9 cells, then 11 cells per touched bin (its
-# index, the count grid and nine ops: at about 1 024 rows a rank the
-# nine specs never go dense). Over the 3 timed steps x 9 specs rank 1 touches
-# 9 072 bins and the union of both ranks 16 801, so the round moves
-# ((3·10 + 9 072·11) + (3·10 + 16 801·11)) x 8 / 3 = 759 101.33 B a step.
-# Per rank: (192 + 98 512 + 759 101.33) / 2 = 428 902.67 B. Dense
-# payloads (368 640 cells, 2 949 120 B a message) read 2 998 472; the
-# exchange metered at the 24 B of its Vec, 379 670.67.
+# 8 = 98 512 B. The grid round: rank 0 owns specs 0-3 and rank 1 specs
+# 4-8, and each rank sends the other its cut of the other's specs — a
+# header of 1 + 5 or 1 + 4 cells and a trailing word (13 cells), then 11
+# cells per touched bin (its index, the count grid and nine ops: at about
+# 1 024 rows a rank the nine specs never go dense). Over the 3 timed
+# steps those cuts touch 9 032 bins: (3·13 + 9 032·11) x 8 / 3 =
+# 265 042.67 B a step. The results: rank 1's five finished specs go up,
+# 5 x 10 arrays x 4 096 bins x 8 B = 1 638 400 B. Per rank: (192 +
+# 98 512 + 265 042.67 + 1 638 400) / 2 = 1 001 073.33 B. The grid
+# allreduce it replaced (rank 1's block up, the merged block down) read
+# 428 902.67.
 traced=benchmarks/out/paper90_lockstep_modeled.traced.json
 for want in 'minimpi.collectives_per_step": {"value": 6,' \
             'binning.allreduces_per_step": {"value": 2,' \
             'svtk.fetch_calls_per_step": {"value": 1,' \
-            'minimpi.bytes_per_step": {"value": 428902.66'; do
+            'minimpi.bytes_per_step": {"value": 1001073.33'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

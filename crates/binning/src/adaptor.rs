@@ -130,7 +130,9 @@ struct Outlet {
 
 impl Outlet {
     /// True when this rank consumes the results: only rank 0 has a
-    /// consumer, so no other rank builds or retains results.
+    /// consumer. Its answer rides to every owner of the step's specs, which
+    /// builds their results only when it is set and hands them to rank 0;
+    /// no other rank retains results.
     fn publishes(&self, comm: &Comm) -> bool {
         comm.rank() == 0 && (self.sink.is_some() || self.last.is_some())
     }
@@ -185,7 +187,7 @@ impl CommMark {
 /// [`BinningAnalysis::new`] builds the XML type `data_binning`, one spec;
 /// [`BinningSuite::new`] builds `binning_suite`, N of them — §4.3's
 /// instances of the one back-end, computed by one fused step that shares
-/// each step's fetch, bounds pass and grid allreduce across every spec.
+/// each step's fetch, bounds pass and grid round across every spec.
 /// The step is one task graph, whatever the execution method: one kernel
 /// per table under lockstep and asynchronous, one per spec spread over
 /// the node's devices under `dag`.
@@ -331,13 +333,13 @@ impl BinningAnalysis {
             // allreduce per requested operation.
             let mut local = self.per_op_bin(spec, &fetched, grid, device, ctx)?.into_iter();
             let (_, count_local) = local.next().expect("counts are always computed");
-            let counts = reduce::allreduce_grid(ctx.comm, BinOp::Count, count_local);
+            let counts = reduce::global_grid(ctx.comm, BinOp::Count, count_local);
             let mut arrays = Vec::with_capacity(spec.ops.len());
             for (vo, local_grid) in local {
                 let values = if vo.op == BinOp::Count {
                     counts.clone()
                 } else {
-                    let mut global = reduce::allreduce_grid(ctx.comm, vo.op, local_grid);
+                    let mut global = reduce::global_grid(ctx.comm, vo.op, local_grid);
                     host_impl::finalize(vo.op, &mut global, &counts);
                     global
                 };

@@ -5,8 +5,12 @@
 //! one `Kernel` node per (table, spec range) and, on a device, one
 //! `Download` node per kernel on the copy stream of the device that runs
 //! it, ordered by events; then one `Reduce` node merging every partial
-//! block table-major into the step's block before the single grid
-//! allreduce, and one `Publish` node reading the merged block. Under `dag` on a device the graph has one kernel per spec, each
+//! block table-major into the step's block, cutting it per owner of the
+//! specs and running the single grid reduce-scatter, and one `Publish`
+//! node in which each owner finalizes its specs and rank 0 gathers the
+//! results. Neither node returns an error before its collective is over:
+//! a malformed part or a failed publish travels to rank 0 in the gather.
+//! Under `dag` on a device the graph has one kernel per spec, each
 //! placed when the graph is planned on the device least loaded so far by
 //! its modeled cost (the placement device on ties), so kernels on
 //! different devices run side by side on the scheduler's streams.
@@ -34,7 +38,7 @@ use sensei::{
 };
 
 use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched, Outlet};
-use crate::arena::Slot;
+use crate::arena::{Slot, StepArena};
 use crate::block::{self, block_len};
 use crate::device_impl;
 use crate::fused::{host_pass, num_grids, plan_pass, FusedStep, StepLayout};
@@ -75,8 +79,10 @@ struct DagState {
     dev_cols: RefCell<HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>>,
     /// One slot per (table, spec range), indexed `table * nranges + range`.
     staged: Vec<RefCell<Option<StagedPart>>>,
-    /// The globally merged block (reduce node output).
-    merged: RefCell<Option<Vec<f64>>>,
+    /// The globally merged block of the specs this rank owns, with
+    /// whether rank 0 consumes results as its trailing word — or why the
+    /// round failed here (reduce node output).
+    owned: RefCell<Option<Result<Vec<f64>>>>,
     /// Finished step results (publish node output).
     results: RefCell<Vec<BinnedResult>>,
 }
@@ -117,6 +123,92 @@ impl DagState {
             .collect::<Result<HashMap<_, _>>>()?;
         Ok(cache.entry((ti, dw)).or_insert(Arc::new(cols)).clone())
     }
+
+    /// This rank's block of the step: every staged block merged in
+    /// ascending (table, spec) order, or the untouched block where the rank
+    /// has no tables. Blocks come from `arena` and merge through `scratch`.
+    fn local_block(
+        &self,
+        arena: &StepArena,
+        ranges: &[Range<usize>],
+        ntables: usize,
+        scratch: &mut block::Scratch,
+    ) -> Result<Vec<f64>> {
+        let layout = self.layout();
+        let specs = &layout.pass[..];
+        let nranges = ranges.len();
+        let mut merged: Option<Vec<f64>> = None;
+        for ti in 0..ntables {
+            let slots = &self.staged[ti * nranges..][..nranges];
+            // A host pass over every spec hands its table's block over
+            // whole.
+            if merged.is_none() && nranges == 1 {
+                let host = |part: &mut StagedPart| matches!(part, StagedPart::Host(_));
+                if let Some(StagedPart::Host(out)) = slots[0].borrow_mut().take_if(host) {
+                    merged = Some(out);
+                    continue;
+                }
+            }
+            let held: Vec<_> = slots.iter().map(|slot| slot.borrow()).collect();
+            let mut views = Vec::new();
+            for part in &held {
+                if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
+                    views.push(host.host_f64_ro().map_err(Error::Device)?);
+                }
+            }
+            let (mut views, mut parts) = (views.iter(), Vec::with_capacity(specs.len()));
+            for (part, range) in held.iter().zip(ranges) {
+                let table: &[f64] = match part.as_ref() {
+                    Some(StagedPart::Host(out)) => out,
+                    Some(StagedPart::Downloaded(_)) => views.next().expect("viewed above"),
+                    _ => {
+                        return Err(Error::Analysis(format!(
+                            "dag reduce: table {ti} partial {} missing",
+                            range.start
+                        )))
+                    }
+                };
+                let shapes = block::shapes(&specs[range.clone()]);
+                parts.extend(block::spec_parts(table, shapes)?);
+            }
+            match merged.as_mut() {
+                Some(acc) => block::merge_parts(specs, acc, &parts, scratch)?,
+                None => {
+                    let mut out = arena.take_block(room(specs));
+                    block::assemble(&mut out, specs, &parts, scratch);
+                    merged = Some(out);
+                }
+            }
+        }
+        Ok(merged.unwrap_or_else(|| {
+            let mut out = arena.take_block(room(specs));
+            block::untouched(&mut out, specs.len());
+            out
+        }))
+    }
+}
+
+/// Room for a block of `specs` and the trailing word a reduce-scatter part
+/// carries: every host block of the step is taken with it, so whichever
+/// role a pooled block plays next, it never grows.
+fn room(specs: &[PassSpec]) -> usize {
+    block_len(specs) + 1
+}
+
+/// Whether the rank that sent a reduce-scatter part, or any rank whose
+/// part a merged one folds, consumes results: its trailing word, 1 or 0.
+fn trailer_of(part: &[f64]) -> f64 {
+    part.last().copied().unwrap_or(0.0)
+}
+
+/// What an owner's gathered results put on the wire: their values' bytes.
+fn result_bytes(published: &Result<Vec<BinnedResult>>) -> usize {
+    let results = published.as_deref().unwrap_or_default();
+    results
+        .iter()
+        .flat_map(|r| &r.arrays)
+        .map(|(_, values)| std::mem::size_of_val(&values[..]))
+        .sum()
 }
 
 /// The device least loaded so far — `primary` on ties, else the lowest
@@ -201,7 +293,7 @@ impl BinningAnalysis {
         let state = &state;
         let step = FusedStep { specs, counters: &self.counters };
         let arena = &self.arena;
-        let publish = outlets.iter().any(|(outlet, _)| outlet.publishes(ctx.comm));
+        let consumes = outlets.iter().any(|(outlet, _)| outlet.publishes(ctx.comm));
         let node = ctx.node;
 
         let mut g = TaskGraph::new(self.name(), self.counters.clone(), self.controls.recovery);
@@ -245,7 +337,7 @@ impl BinningAnalysis {
                         let layout = state.layout();
                         let (names, pass) = plan(step.specs, &layout, range);
                         let mut scratch = arena.scratches().take();
-                        let mut out = arena.take_block(block_len(&layout.pass));
+                        let mut out = arena.take_block(room(&layout.pass));
                         host_pass(node, &tables[ti], &names, &pass, |cols| {
                             host_impl::bin_all_block(cols, &pass, &mut scratch, &mut out);
                         });
@@ -332,92 +424,105 @@ impl BinningAnalysis {
 
         // Reduce: merge every staged block into the step's block in
         // ascending (table, spec) order — the same whatever the spec
-        // ranges, so the grids stay bit-identical — then the step's single
-        // grid allreduce. On a device, gated on the download events so the
-        // host blocks are complete.
-        let reduce = g.add_task(TaskKind::Reduce, "block-allreduce", None, move |_| {
+        // ranges, so the grids stay bit-identical — cut it into one block
+        // per owner of the step's coordinate systems, and reduce-scatter
+        // the cuts: each rank ends with the merged block of the specs it
+        // owns. On a device, gated on the download events so the host
+        // blocks are complete.
+        let reduce = g.add_task(TaskKind::Reduce, "block-reduce-scatter", None, move |_| {
             let layout = state.layout();
             let specs = &layout.pass[..];
-            let cells = block_len(specs);
-            let mut scratch = arena.take_merge(cells);
-            let mut merged: Option<Vec<f64>> = None;
-            for ti in 0..ntables {
-                let slots = &state.staged[ti * nranges..][..nranges];
-                // A host pass over every spec hands its table's block over
-                // whole.
-                if merged.is_none() && nranges == 1 {
-                    let host = |part: &mut StagedPart| matches!(part, StagedPart::Host(_));
-                    if let Some(StagedPart::Host(out)) = slots[0].borrow_mut().take_if(host) {
-                        merged = Some(out);
-                        continue;
-                    }
-                }
-                let held: Vec<_> = slots.iter().map(|slot| slot.borrow()).collect();
-                let mut views = Vec::new();
-                for part in &held {
-                    if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
-                        views.push(host.host_f64_ro().map_err(Error::Device)?);
-                    }
-                }
-                let (mut views, mut parts) = (views.iter(), Vec::with_capacity(specs.len()));
-                for (part, range) in held.iter().zip(ranges) {
-                    let table: &[f64] = match part.as_ref() {
-                        Some(StagedPart::Host(out)) => out,
-                        Some(StagedPart::Downloaded(_)) => views.next().expect("viewed above"),
-                        _ => {
-                            return Err(Error::Analysis(format!(
-                                "dag reduce: table {ti} partial {} missing",
-                                range.start
-                            )))
-                        }
-                    };
-                    let shapes = block::shapes(&specs[range.clone()]);
-                    parts.extend(block::spec_parts(table, shapes)?);
-                }
-                match merged.as_mut() {
-                    Some(acc) => block::merge_parts(specs, acc, &parts, &mut scratch)?,
-                    None => {
-                        let mut out = arena.take_block(cells);
-                        block::assemble(&mut out, specs, &parts, &mut scratch);
-                        merged = Some(out);
-                    }
-                }
-            }
-            let merged = merged.unwrap_or_else(|| {
-                let mut out = arena.take_block(cells);
-                block::untouched(&mut out, specs.len());
-                out
-            });
+            let room = room(specs);
+            let mut scratch = arena.take_merge(room);
+            let local = state.local_block(arena, ranges, ntables, &mut scratch);
             // Every kernel has run: drop the step's views of the fetched
             // columns, then the snapshot may let go of the CoW shares
             // they read in place.
             state.host_tables.borrow_mut().clear();
             state.dev_cols.borrow_mut().clear();
             data.release_shared();
-            let merged = layout.allreduce(ctx.comm, merged, &mut scratch);
-            arena.keep_merge(scratch);
-            *state.merged.borrow_mut() = Some(merged?);
+            let owners = layout.owners(ctx.comm.size());
+            let mut parts: Vec<Vec<f64>> = owners.iter().map(|_| arena.take_block(room)).collect();
+            let cut = local.and_then(|local| {
+                let cut = block::split(&local, specs, &owners, &mut parts);
+                arena.keep_block(local);
+                cut
+            });
+            // A rank that has no block to cut still joins the round, with
+            // parts its owners reject; behind every good part rides whether
+            // this rank consumes results.
+            let trailer = f64::from(u8::from(consumes));
+            for part in &mut parts {
+                match cut {
+                    Ok(()) => part.push(trailer),
+                    Err(_) => part.clear(),
+                }
+            }
+            // A malformed part is reported once the round is over, so no
+            // rank is left waiting on the collective.
+            let failed = RefCell::new(cut.err());
+            let mine = owners[ctx.comm.rank()].clone();
+            let scratch = RefCell::new(scratch);
+            let owned = ctx.comm.reduce_scatter_with(parts, |acc, part| {
+                let consumes = trailer_of(acc).max(trailer_of(&part));
+                let mut scratch = scratch.borrow_mut();
+                match block::merge_blocks(&specs[mine.clone()], acc, &part, &mut scratch) {
+                    Ok(()) => acc.push(consumes),
+                    Err(e) => {
+                        failed.borrow_mut().get_or_insert(e);
+                    }
+                }
+                arena.keep_block(part);
+            });
+            arena.keep_merge(scratch.into_inner());
+            *state.owned.borrow_mut() = Some(match failed.into_inner() {
+                Some(e) => {
+                    arena.keep_block(owned);
+                    Err(Error::Analysis(format!("grid reduce-scatter: {e}")))
+                }
+                None => Ok(owned),
+            });
             Ok(())
         });
         for ev in download_events {
             g.gate_on_event(reduce, ev);
         }
 
-        // Publish: read the merged block into per-spec results where the
-        // rank consumes them; the block goes back to the arena.
+        // Publish: each owner finalizes its specs when rank 0 consumes
+        // results, and every owner's results — or its error — are gathered
+        // at rank 0 in rank order, which is spec order.
         g.add_task(TaskKind::Publish, "results", None, move |_| {
-            let merged = state
-                .merged
-                .borrow_mut()
-                .take()
-                .ok_or_else(|| Error::Analysis("dag publish: merged block missing".into()))?;
-            let published = match publish {
-                true => state.layout().publish(step.specs, &merged, data).map(Some),
-                false => Ok(None),
+            let mine = match state.owned.borrow_mut().take() {
+                Some(Ok(mut owned)) => {
+                    let layout = state.layout();
+                    let range = layout.owners(ctx.comm.size())[ctx.comm.rank()].clone();
+                    let published = match owned.pop() == Some(1.0) {
+                        true => layout.publish(step.specs, range, &owned, data),
+                        false => Ok(Vec::new()),
+                    };
+                    arena.keep_block(owned);
+                    published
+                }
+                Some(Err(e)) => Err(e),
+                None => Err(Error::Analysis("dag publish: reduced block missing".into())),
             };
-            arena.keep_block(merged);
-            if let Some(results) = published? {
-                *state.results.borrow_mut() = results;
+            let failed = mine.as_ref().err().cloned();
+            let gathered = ctx.comm.gather(0, mine, result_bytes);
+            let gathered = gathered.map_err(|e| Error::Analysis(format!("results gather: {e}")))?;
+            let Some(gathered) = gathered else {
+                return failed.map_or(Ok(()), Err);
+            };
+            let mut results = state.results.borrow_mut();
+            for (rank, published) in gathered.into_iter().enumerate() {
+                match published {
+                    Ok(published) => results.extend(published),
+                    Err(e) => {
+                        results.clear();
+                        return Err(Error::Analysis(format!(
+                            "binning results of rank {rank}: {e}"
+                        )));
+                    }
+                }
             }
             Ok(())
         });

@@ -2,10 +2,12 @@
 //!
 //! Every grid-sized buffer a step touches — the kernels' accumulators, the
 //! packed device blocks, the host blocks they download into, the host
-//! kernels' blocks, the step's merged block that is the allreduce payload,
-//! and the merges' scratch — is owned here, allocated when a step first
-//! needs it and reused by every later step. In steady state a step
-//! allocates nothing grid-sized.
+//! kernels' blocks, the step's merged block and its cuts that are the
+//! reduce-scatter's parts, and the merges' scratch — is owned here,
+//! allocated when a step first needs it and reused by every later step.
+//! A part another rank sent joins this rank's blocks once merged, so each
+//! rank keeps as many as it hands out. In steady state a step allocates
+//! nothing grid-sized.
 
 use std::sync::Arc;
 
@@ -57,8 +59,8 @@ impl StepArena {
 
     /// An empty host block with room for `cells`: a step asks with the
     /// cells of its block at its largest, so no block it fills grows. The
-    /// allreduce hands blocks between ranks, so which one comes back is
-    /// not fixed, but each has that room once it has been used.
+    /// reduce-scatter hands blocks between ranks, so which one comes back
+    /// is not fixed, but each has that room once it has been used.
     pub fn take_block(&self, cells: usize) -> Vec<f64> {
         let mut block = self.blocks.lock().pop().unwrap_or_default();
         block.clear();

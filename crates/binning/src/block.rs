@@ -12,15 +12,19 @@
 //!
 //! A kernel commits each spec into a block as soon as its grids are
 //! complete (`commit`): a device kernel into its packed device block, a
-//! host pass into a `Vec`. The step merges its tables' blocks, the ranks
-//! merge theirs in the step's grid allreduce ([`merge_blocks`]), and rank
-//! 0 publishes straight from the merged block ([`SpecPart::finalized`]).
+//! host pass into a `Vec`. The step merges its tables' blocks and cuts the
+//! result into one block per rank that owns some of the specs ([`split`]).
+//! The step's grid reduce-scatter merges every rank's cut of those specs
+//! at their owner ([`merge_blocks`]), and each owner finalizes its specs
+//! straight from its merged block ([`SpecPart::finalized`]).
 //!
 //! Merging only the bins a block holds is exact: a kernel's sums start at
 //! `+0.0` and so are never `-0.0` (which `+0.0` would turn into `+0.0`),
 //! and its minima and maxima are never NaN, so folding a reduction's
 //! identity into a partial changes no bit of it. A merged block holds, bin
 //! for bin, what merging the dense grids would.
+
+use std::ops::Range;
 
 use devsim::F64View;
 use sensei::{Error, Result};
@@ -70,6 +74,22 @@ pub enum SpecPart<'a> {
 const UNTOUCHED: SpecPart<'static> = SpecPart::Sparse { touched: &[], values: &[] };
 
 impl SpecPart<'_> {
+    /// The part's header word: [`DENSE`], or its touched count.
+    fn word(&self) -> u64 {
+        match *self {
+            SpecPart::Dense(_) => DENSE,
+            SpecPart::Sparse { touched, .. } => touched.len() as u64,
+        }
+    }
+
+    /// Cells the part takes in a block's body.
+    fn cells(&self) -> usize {
+        match *self {
+            SpecPart::Dense(grids) => grids.len(),
+            SpecPart::Sparse { touched, values } => touched.len() + values.len(),
+        }
+    }
+
     /// Land op `k`'s grid, of the reduction `op`, in `seg`: written over
     /// it when `first`, merged into it otherwise. A sparse part touches
     /// only its bins: `seg` must already hold the identities elsewhere
@@ -475,6 +495,35 @@ pub(crate) fn merge_parts(
     let Scratch { block, runs } = scratch;
     write(block, runs, specs, own.into_iter().zip(parts.iter().copied()));
     std::mem::swap(acc, block);
+    Ok(())
+}
+
+/// Cut the block of `specs` into one block per range of `cuts`, written to
+/// the same index of `outs`. The cuts run through the specs in order, and
+/// a block holds its specs' payloads back to back, so each cut is a new
+/// header and one contiguous copy of its specs' payloads, re-encoding
+/// nothing. An empty cut is the block of no spec.
+pub fn split(
+    block: &[f64],
+    specs: &[PassSpec],
+    cuts: &[Range<usize>],
+    outs: &mut [Vec<f64>],
+) -> Result<()> {
+    assert_eq!(cuts.len(), outs.len(), "one block per cut");
+    let parts = spec_parts(block, shapes(specs))?;
+    let (mut next, mut at) = (0, 1 + specs.len());
+    for (cut, out) in cuts.iter().zip(outs) {
+        assert!(cut.start == next && cut.end <= specs.len(), "cuts run through the specs in order");
+        let parts = &parts[cut.clone()];
+        begin(out, parts.len());
+        for (i, part) in parts.iter().enumerate() {
+            out.set_word(1 + i, part.word());
+        }
+        let cells: usize = parts.iter().map(SpecPart::cells).sum();
+        out.extend_from_slice(&block[at..at + cells]);
+        finish(out);
+        (next, at) = (cut.end, at + cells);
+    }
     Ok(())
 }
 

@@ -21,18 +21,20 @@
 //!   ([`host_impl::bin_all_block`]), on a device in one kernel
 //!   ([`device_impl::bin_all_device`]) followed by one download of as much
 //!   of the block as the kernel filled ([`devsim::Stream::copy_counted`]);
-//! * the step's tables' blocks merge table-major into one block, which is
-//!   reduced with **one** allreduce per step, merging blocks as they meet,
-//!   and rank 0 publishes its results straight from the merged block;
+//! * the step's tables' blocks merge table-major into one block, cut into
+//!   one block per rank that owns some of the specs
+//!   ([`StepLayout::owners`]); **one** reduce-scatter per step merges
+//!   every rank's cut at its owner, each owner finalizes its specs
+//!   straight from its merged block, and only the finished results travel
+//!   to rank 0, which delivers them;
 //! * every grid-sized buffer on the way lives in the back-end's
 //!   [`crate::arena::StepArena`] and is used again by the next step.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use devsim::{CellBuffer, ReadView};
-use minimpi::Comm;
-use sensei::{AnalysisCounters, DataAdaptor, Error, ExecContext, Result};
+use sensei::{AnalysisCounters, DataAdaptor, ExecContext, Result};
 use svtk::TableData;
 
 use crate::adaptor::{fetch_tables, BinnedResult, Fetched};
@@ -106,8 +108,10 @@ pub(crate) fn host_pass<R>(
 
 /// A step's resolved grids and the shape of its blocks: every spec's
 /// grids ([`grid_ops`]: one count grid, then the other ops), in spec
-/// order. One block of this shape carries a step's partial grids from the
-/// table kernels through the grid allreduce to publish ([`crate::block`]).
+/// order. Blocks of this shape carry a step's partial grids from the table
+/// kernels to the grid reduce-scatter, which leaves each rank the merged
+/// block of the specs it owns ([`StepLayout::owners`]) to publish
+/// ([`crate::block`]).
 pub(crate) struct StepLayout {
     /// Per spec, its resolved grid.
     pub grids: Vec<GridParams>,
@@ -127,43 +131,29 @@ impl StepLayout {
         StepLayout { grids, ops, pass }
     }
 
-    /// The step's single grid allreduce: one round carries the merged
-    /// block of every spec, folded in the canonical merge order by
-    /// [`block::merge_blocks`] in `scratch`.
-    pub fn allreduce(
-        &self,
-        comm: &Comm,
-        merged: Vec<f64>,
-        scratch: &mut block::Scratch,
-    ) -> Result<Vec<f64>> {
-        // A malformed block is reported once the round is over, so no
-        // rank is left waiting on the collective.
-        let failed = RefCell::new(None);
-        let scratch = RefCell::new(scratch);
-        let merged = comm.allreduce_with(merged, |acc, part| {
-            let merged = block::merge_blocks(&self.pass, acc, part, &mut scratch.borrow_mut());
-            if let Err(e) = merged {
-                failed.borrow_mut().get_or_insert(e);
-            }
-        });
-        match failed.into_inner() {
-            Some(e) => Err(Error::Analysis(format!("grid allreduce: {e}"))),
-            None => Ok(merged),
-        }
+    /// Which coordinate systems each of `ranks` ranks merges and
+    /// finalizes: contiguous ranges over ranks `0..min(ranks, specs)`,
+    /// balanced by dense cells (ops × bins); every other rank owns none
+    /// ([`deal`]).
+    pub fn owners(&self, ranks: usize) -> Vec<Range<usize>> {
+        let cells: Vec<usize> = self.pass.iter().map(|s| s.ops.len() * s.grid.num_bins()).collect();
+        deal(&cells, ranks)
     }
 
-    /// Publish the globally merged block `merged` as one finalized result
-    /// per spec, in spec order, with one array per listed op in listed
-    /// order: every `count()` reads the spec's count grid.
+    /// Publish `owned`, the globally merged block of the specs in `range`,
+    /// as one finalized result per spec, in spec order, with one array per
+    /// listed op in listed order: every `count()` reads the spec's count
+    /// grid.
     pub fn publish(
         &self,
         specs: &[BinningSpec],
-        merged: &[f64],
+        range: Range<usize>,
+        owned: &[f64],
         data: &dyn DataAdaptor,
     ) -> Result<Vec<BinnedResult>> {
-        let parts = block::spec_parts(merged, block::shapes(&self.pass))?;
-        let mut results = Vec::with_capacity(specs.len());
-        for ((spec, grid), part) in specs.iter().zip(&self.grids).zip(parts) {
+        let parts = block::spec_parts(owned, block::shapes(&self.pass[range.clone()]))?;
+        let mut results = Vec::with_capacity(range.len());
+        for ((spec, grid), part) in specs[range.clone()].iter().zip(&self.grids[range]).zip(parts) {
             let mut arrays = Vec::with_capacity(spec.ops.len());
             let mut k = 0;
             for vo in &spec.ops {
@@ -183,6 +173,39 @@ impl StepLayout {
         }
         Ok(results)
     }
+}
+
+/// Deal specs of `cells` dense cells each over `ranks` ranks as contiguous
+/// ranges: ranks `0..min(ranks, specs)` own at least one spec each, and
+/// the boundary after rank `k` is the last that gives ranks `0..=k` no more
+/// than their even share of the cells, so a remainder goes to the higher
+/// ranks — rank 0 also gathers and delivers the results. Every other rank
+/// owns the empty range at the end.
+pub(crate) fn deal(cells: &[usize], ranks: usize) -> Vec<Range<usize>> {
+    let (n, owners) = (cells.len(), ranks.min(cells.len()));
+    let total: usize = cells.iter().sum();
+    let prefix: Vec<usize> = std::iter::once(0)
+        .chain(cells.iter().scan(0, |sum, &c| {
+            *sum += c;
+            Some(*sum)
+        }))
+        .collect();
+    let mut start = 0;
+    (0..ranks)
+        .map(|k| {
+            let end = match k + 1 < owners {
+                // Leave every later owner a spec of its own.
+                true => (start + 1..=n - (owners - k - 1))
+                    .rev()
+                    .find(|&b| prefix[b] * owners <= (k + 1) * total)
+                    .unwrap_or(start + 1),
+                false => n,
+            };
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 /// The fused step over `specs` (which share one mesh), counting its work
@@ -290,6 +313,19 @@ impl<'a> FusedStep<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_are_dealt_in_contiguous_runs_balanced_by_cells_the_remainder_high() {
+        // Nine equal specs on two ranks: four, then five.
+        assert_eq!(deal(&[10; 9], 2), [0..4, 4..9]);
+        // Two specs on four ranks: one each, and two ranks own nothing.
+        assert_eq!(deal(&[10, 10], 4), [0..1, 1..2, 2..2, 2..2]);
+        // Cells, not specs, are balanced; every owner keeps at least one.
+        assert_eq!(deal(&[40, 10, 10, 10, 10], 2), [0..1, 1..5]);
+        assert_eq!(deal(&[100, 1, 1], 3), [0..1, 1..2, 2..3]);
+        assert_eq!(deal(&[1, 1, 1, 1, 100], 2), [0..4, 4..5]);
+        assert_eq!(deal(&[7], 3), [0..1, 1..1, 1..1]);
+    }
 
     #[test]
     fn an_explicit_count_reads_the_one_count_grid_of_its_spec() {

@@ -83,7 +83,7 @@ pub fn merge_grids(op: BinOp, mut a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
 }
 
 /// Allreduce a per-rank accumulation grid into the global grid.
-pub fn allreduce_grid(comm: &Comm, op: BinOp, local: Vec<f64>) -> Vec<f64> {
+pub fn global_grid(comm: &Comm, op: BinOp, local: Vec<f64>) -> Vec<f64> {
     comm.allreduce(local, move |a, b| merge_grids(op, a, b))
 }
 
@@ -130,8 +130,8 @@ mod tests {
                 let s = comm.rank() * chunk;
                 let e = if comm.rank() + 1 == comm.size() { n } else { s + chunk };
                 let local = bin_host(&xs2[s..e], &ys2[s..e], Some(&vs2[s..e]), op, &g2);
-                let mut global = allreduce_grid(&comm, op, local);
-                let counts = allreduce_grid(
+                let mut global = global_grid(&comm, op, local);
+                let counts = global_grid(
                     &comm,
                     BinOp::Count,
                     bin_host(&xs2[s..e], &ys2[s..e], None, BinOp::Count, &g2),

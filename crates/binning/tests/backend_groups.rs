@@ -124,6 +124,8 @@ enum Attach {
 #[derive(Debug, Clone, Copy)]
 struct Run {
     ranks: usize,
+    /// Ranks per node: `ranks` puts every rank on one node.
+    per_node: usize,
     execution: ExecutionMethod,
     device: DeviceSpec,
     snapshot: SnapshotMode,
@@ -134,7 +136,8 @@ struct Run {
 
 fn run_of(execution: ExecutionMethod, device: DeviceSpec, snapshot: SnapshotMode) -> Run {
     let recovery = RecoveryPolicy::Abort;
-    Run { ranks: 2, execution, device, snapshot, recovery, auto_bounds: true, steps: 3 }
+    let (ranks, per_node) = (2, 2);
+    Run { ranks, per_node, execution, device, snapshot, recovery, auto_bounds: true, steps: 3 }
 }
 
 /// What a run left behind, seen from rank 0.
@@ -176,7 +179,7 @@ fn backends(
 fn run(cfg: Run, attach: Attach, fault: Option<FaultConfig>, out: Option<PathBuf>) -> Outcome {
     let specs = nine_specs(cfg.auto_bounds);
     let sink: ResultSink = Arc::default();
-    let outs = World::new(cfg.ranks).run(|comm| {
+    let outs = World::new(cfg.ranks).with_ranks_per_node(cfg.per_node).run(|comm| {
         let node = SimNode::new(NodeConfig::fast_test(2));
         if let Some(f) = &fault {
             node.fault().configure(f.clone());
@@ -286,6 +289,27 @@ fn nine_data_binning_back_ends_equal_per_op_back_ends_and_one_suite() {
                 };
                 assert_eq!(work(g), work(s), "{what}: the group works like the suite");
             }
+        }
+    }
+}
+
+#[test]
+fn nine_grouped_back_ends_equal_per_op_back_ends_on_more_ranks_and_nodes() {
+    // Nine specs dealt over three ranks, and over four ranks on two
+    // nodes: each owner's share of the merged step reaches rank 0 and
+    // every member gets its own results, as nine per-op back-ends publish.
+    for (ranks, per_node) in [(3, 3), (4, 2)] {
+        for device in [DeviceSpec::Host, DeviceSpec::Explicit(0)] {
+            let cfg = Run {
+                ranks,
+                per_node,
+                ..run_of(ExecutionMethod::Lockstep, device, SnapshotMode::Deep)
+            };
+            let what = format!("{ranks} ranks, {per_node} per node, on {device:?}");
+            let grouped = watched(cfg, Attach::Grouped, None, None);
+            let per_op = watched(cfg, Attach::PerOp, None, None);
+            assert_eq!(grouped.results.len(), 9 * 3, "{what}: one result per spec and step");
+            assert!(bits_of(&grouped.results) == bits_of(&per_op.results), "{what}: per-op");
         }
     }
 }

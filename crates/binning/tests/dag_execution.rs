@@ -453,6 +453,81 @@ fn a_retried_launch_never_re_enters_a_collective_another_rank_left() {
     }
 }
 
+/// One step of a suite on each of two ranks, each rank's suite built by
+/// `build(rank)`, under `execution`: what the step and the finalize
+/// returned on each rank, in rank order.
+fn one_step_per_rank(
+    execution: ExecutionMethod,
+    build: impl Fn(usize) -> BinningAnalysis + Send + Sync + 'static,
+) -> Vec<(Result<bool>, Option<sensei::Error>)> {
+    World::new(2).run(move |comm| {
+        let node = SimNode::new(NodeConfig::fast_test(2));
+        let controls = BackendControls { execution, ..Default::default() };
+        let mut bridge = Bridge::new(node.clone());
+        bridge.add_analysis(Box::new(build(comm.rank()).with_controls(controls)), &comm).unwrap();
+        let sim = Particles::new(node, None, comm.rank());
+        let step = bridge.execute(&sim, &comm, Duration::ZERO);
+        (step, bridge.finalize_partial(&comm).1)
+    })
+}
+
+#[test]
+fn a_malformed_part_fails_the_step_on_both_ranks_without_a_hang() {
+    // Two specs on two ranks: rank 0 owns the first, rank 1 the second.
+    // Rank 0 bins the second on a finer grid than rank 1 does, so the
+    // part of it rank 0 sends its owner is malformed there. Rank 1 fails
+    // its step once the reduce-scatter is over, and its error reaches rank
+    // 0 through the results gather instead of leaving rank 0 waiting in it.
+    for execution in EXECUTIONS {
+        let what = format!("{} with a malformed part", execution.name());
+        let got = within(Duration::from_secs(20), &what, move || {
+            one_step_per_rank(execution, |rank| {
+                let mut specs = spec_set(2, 4, false);
+                if rank == 0 {
+                    specs[1].resolution = (8, 8);
+                }
+                BinningSuite::new(specs).unwrap()
+            })
+        });
+        for (rank, (step, drain)) in got.into_iter().enumerate() {
+            let error = step.err().or(drain);
+            assert!(
+                matches!(error, Some(sensei::Error::Analysis(_))),
+                "{what}: rank {rank} returned {error:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_sink_on_rank_0_alone_receives_every_result_without_a_hang() {
+    // Rank 1 has no consumer of its own, yet owns two of the three specs:
+    // rank 0's wish for results rides to it in the reduce-scatter, so it
+    // finalizes them and rank 0's gather completes.
+    let specs = spec_set(3, 4, true);
+    let oracle =
+        run_backends(inline_run(2, DeviceSpec::Host, 1), &one_per_spec(&specs, false), None);
+    assert_eq!(oracle.0.len(), 3, "the per-op oracle publishes every spec");
+    for execution in EXECUTIONS {
+        let what = format!("{} with a sink on rank 0 alone", execution.name());
+        let sink: ResultSink = Arc::default();
+        let (specs, rank0) = (specs.clone(), sink.clone());
+        let got = within(Duration::from_secs(20), &what, move || {
+            one_step_per_rank(execution, move |rank| {
+                let suite = BinningSuite::new(specs.clone()).unwrap();
+                match rank {
+                    0 => suite.with_sink(rank0.clone()),
+                    _ => suite,
+                }
+            })
+        });
+        for (rank, (step, drain)) in got.into_iter().enumerate() {
+            assert!(step.is_ok() && drain.is_none(), "{what}: rank {rank} failed");
+        }
+        assert!(bits_of(&sink.lock()) == bits_of(&oracle.0), "{what}: differs from the oracle");
+    }
+}
+
 #[test]
 fn multi_table_steps_land_table_major_under_every_execution_method() {
     // Three local tables per rank: the graph's partials land table-major

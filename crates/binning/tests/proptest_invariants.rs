@@ -770,23 +770,37 @@ fn block_allreduce_equals_dense(seed: u64, ranks_per_node: usize) -> Vec<[bool; 
         .collect();
     let segments = grid_segments(&specs);
     let world = minimpi::World::new(4).with_ranks_per_node(ranks_per_node);
+    // The step's cuts: contiguous runs of specs, some ranks owning none.
+    let cuts: Vec<_> = (0..4).map(|d| d * specs.len() / 4..(d + 1) * specs.len() / 4).collect();
     let out = world.run(|c| {
-        let (merged, flat) = steps[c.rank()].clone();
+        let (local, flat) = steps[c.rank()].clone();
         let spare = std::cell::RefCell::new(block::Scratch::default());
-        let merged = c.allreduce_with(merged, |acc, part| {
+        let merged = c.allreduce_with(local.clone(), |acc, part| {
             block::merge_blocks(&specs, acc, part, &mut spare.borrow_mut()).unwrap()
         });
-        (merged, c.allreduce_packed(flat, &segments).unwrap())
+        let mut parts = vec![Vec::new(); 4];
+        block::split(&local, &specs, &cuts, &mut parts).unwrap();
+        let mine = &specs[cuts[c.rank()].clone()];
+        let owned = c.reduce_scatter_with(parts, |acc, part| {
+            block::merge_blocks(mine, acc, &part, &mut spare.borrow_mut()).unwrap()
+        });
+        (merged, c.allreduce_packed(flat, &segments).unwrap(), owned)
     });
+    let cells = |specs: &[PassSpec]| specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
     let mut formats = Vec::new();
-    for (rank, (merged, dense)) in out.iter().enumerate() {
+    for (rank, (merged, dense, owned)) in out.iter().enumerate() {
         let what = format!("seed {seed}, {ranks_per_node} ranks per node, rank {rank}");
         assert_eq!(bits(&unpack(merged, &specs)), bits(dense), "{what}: {specs:?}");
+        // The rank's share of the reduce-scatter over the cuts is that
+        // slice of the allreduce.
+        let cut = cuts[rank].clone();
+        let slice = &dense[cells(&specs[..cut.start])..][..cells(&specs[cut.clone()])];
+        assert_eq!(bits(&unpack(owned, &specs[cut])), bits(slice), "{what}: the cut");
         let words = &merged[1..1 + specs.len()];
         let dense_word = |w: &f64| w.to_bits() == block::DENSE;
         formats.push([words.iter().any(|w| !dense_word(w)), words.iter().any(dense_word)]);
     }
-    let (merged, dense) = &out[0];
+    let (merged, dense, _) = &out[0];
     let shapes = specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
     let parts = block::spec_parts(merged, shapes).unwrap();
     let mut at = 0;
@@ -810,11 +824,12 @@ fn block_allreduce_equals_dense(seed: u64, ranks_per_node: usize) -> Vec<[bool; 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The step's grid allreduce over compacted blocks — random touched
-    /// sets, specs sparse and dense, one to four tables per rank or none,
-    /// values with `-0.0`, NaN and both infinities — equals the dense
-    /// `[op][bin]` segment merge bit for bit on a flat and on a tiered
-    /// topology, and so does what rank 0 publishes from it.
+    /// The grid allreduce over compacted blocks — random touched sets,
+    /// specs sparse and dense, one to four tables per rank or none, values
+    /// with `-0.0`, NaN and both infinities — equals the dense `[op][bin]`
+    /// segment merge bit for bit on a flat and on a tiered topology, and
+    /// so do each rank's share of the step's reduce-scatter over the
+    /// blocks' cuts and what is published from a merged block.
     #[test]
     fn block_allreduce_and_publish_equal_the_dense_segment_merge(seed in any::<u64>()) {
         block_allreduce_equals_dense(seed, 4);

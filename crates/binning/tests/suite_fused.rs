@@ -240,6 +240,64 @@ fn suite_matches_per_op_instances_with_auto_bounds() {
     assert_bit_identical(&suite, &reference, 2);
 }
 
+/// One fused suite over `specs` and one per-op back-end per spec, side by
+/// side on `ranks` ranks `per_node` to a node, placed on `device_spec`,
+/// for `steps` steps: the suite's results, and each per-op back-end's.
+fn fused_beside_per_op(
+    specs: &[BinningSpec],
+    (ranks, per_node): (usize, usize),
+    device_spec: DeviceSpec,
+    steps: u64,
+) -> (Vec<BinnedResult>, Vec<Vec<BinnedResult>>) {
+    let fused: ResultSink = Arc::default();
+    let per_op: Vec<ResultSink> = specs.iter().map(|_| Arc::default()).collect();
+    World::new(ranks).with_ranks_per_node(per_node).run(|comm| {
+        let node = SimNode::new(NodeConfig::fast_test(2));
+        let controls = BackendControls { device: device_spec, ..Default::default() };
+        let mut bridge = Bridge::new(node.clone());
+        let suite = BinningSuite::new(specs.to_vec()).unwrap().with_sink(fused.clone());
+        bridge.add_analysis(Box::new(suite.with_controls(controls)), &comm).unwrap();
+        for (spec, sink) in specs.iter().zip(&per_op) {
+            let analysis = BinningAnalysis::new(spec.clone()).with_fused(false);
+            let analysis = analysis.with_sink(sink.clone()).with_controls(controls);
+            bridge.add_analysis(Box::new(analysis), &comm).unwrap();
+        }
+        let device = match device_spec {
+            DeviceSpec::Host => None,
+            _ => Some(0),
+        };
+        let mut sim = Particles::new(node, device, comm.rank());
+        for step in 0..steps {
+            sim.step = step;
+            bridge.execute(&sim, &comm, std::time::Duration::ZERO).unwrap();
+        }
+        bridge.finalize(&comm).unwrap();
+    });
+    let fused = fused.lock().clone();
+    (fused, per_op.iter().map(|s| s.lock().clone()).collect())
+}
+
+#[test]
+fn the_fused_step_matches_per_op_on_more_ranks_and_nodes() {
+    // Each rank merges and finalizes the specs it owns: on three ranks
+    // (one spec each), on four ranks over two nodes (the reduce-scatter
+    // crosses nodes directly), and with two specs on four ranks (two
+    // ranks own nothing), the gathered results are the oracle's.
+    let cases = [(specs(), (3, 3)), (specs(), (4, 2)), (specs()[..2].to_vec(), (4, 4))];
+    for (specs, world) in cases {
+        for device in [DeviceSpec::Host, DeviceSpec::Explicit(0)] {
+            for auto_bounds in [false, true] {
+                let mut specs = specs.clone();
+                if auto_bounds {
+                    specs.iter_mut().for_each(|s| s.bounds = None);
+                }
+                let (suite, reference) = fused_beside_per_op(&specs, world, device, 2);
+                assert_bit_identical(&suite, &reference, 2);
+            }
+        }
+    }
+}
+
 #[test]
 fn suite_issues_one_allreduce_per_step() {
     // Prescribed bounds: the only collective is the packed grid

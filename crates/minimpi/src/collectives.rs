@@ -368,6 +368,53 @@ impl Comm {
         self.allreduce_metered(data, &op, &dup, &|v: &Vec<f64>| std::mem::size_of_val(&v[..]))
     }
 
+    /// One reduction round that leaves each rank a share of the result:
+    /// `parts[d]` is this rank's contribution to rank `d`'s share, and rank
+    /// `d` returns every rank's `parts[d]` folded by `merge(acc, part)`.
+    /// The fold follows the canonical merge order [`Comm::reduce`] and
+    /// [`Comm::allreduce_with`] apply at their root, on any topology, so
+    /// each share equals the matching slice of an allreduce bit for bit.
+    /// `merge` is handed each folded-in part by value, so the caller may
+    /// keep its allocation for a later round's parts.
+    ///
+    /// The exchange is direct, as [`Comm::reduce`]'s is: every rank sends
+    /// each other rank its part, on whatever tier joins the two. It claims
+    /// one collective slot, counts as one round, and charges each message
+    /// its own length × 8 bytes; a rank's own part is not sent.
+    ///
+    /// # Panics
+    ///
+    /// If `parts` does not hold one part per rank.
+    pub fn reduce_scatter_with(
+        &self,
+        parts: Vec<Vec<f64>>,
+        merge: impl Fn(&mut Vec<f64>, Vec<f64>),
+    ) -> Vec<f64> {
+        assert_eq!(parts.len(), self.size(), "reduce_scatter_with takes one part per rank");
+        self.allreduce_rounds.set(self.allreduce_rounds.get() + 1);
+        let tag = self.next_coll_tag();
+        let mut got: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.size());
+        for (dst, part) in parts.into_iter().enumerate() {
+            if dst == self.rank() {
+                got.push(Some(part));
+            } else {
+                let bytes = std::mem::size_of_val(&part[..]);
+                self.coll_send_metered(dst, tag + SLOT_DATA, part, bytes);
+                got.push(None);
+            }
+        }
+        for (src, slot) in got.iter_mut().enumerate() {
+            if slot.is_none() {
+                *slot = Some(self.coll_recv(src, tag + SLOT_DATA).expect("every rank sends"));
+            }
+        }
+        let op = |mut acc: Vec<f64>, part: Vec<f64>| {
+            merge(&mut acc, part);
+            acc
+        };
+        canonical_combine(got, self.topology(), &op).expect("every rank contributes a part")
+    }
+
     /// One allreduce round over a packed `f64` buffer with per-segment
     /// merge semantics: `segments[i]` describes the op applied element-wise
     /// to the `i`-th run of consecutive elements. This is how N independent
@@ -394,8 +441,16 @@ impl Comm {
         }))
     }
 
-    /// Gather every rank's `value` at `root`, in rank order.
-    fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Result<Option<Vec<T>>> {
+    /// Gather every rank's `value` at `root`, in rank order: `Some` of
+    /// every rank's value on the root, `None` elsewhere. Each message is
+    /// charged `bytes(value)`: payloads are moved, not serialised, so only
+    /// the caller knows what one would put on the wire.
+    pub fn gather<T: Send + 'static>(
+        &self,
+        root: usize,
+        value: T,
+        bytes: impl Fn(&T) -> usize,
+    ) -> Result<Option<Vec<T>>> {
         let tag = self.next_coll_tag();
         if self.rank() == root {
             let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
@@ -407,15 +462,17 @@ impl Comm {
             }
             Ok(Some(out.into_iter().map(|v| v.expect("all ranks filled")).collect()))
         } else {
-            self.coll_send(root, tag + SLOT_DATA, value);
+            let bytes = bytes(&value);
+            self.coll_send_metered(root, tag + SLOT_DATA, value, bytes);
             Ok(None)
         }
     }
 
     /// Gather every rank's `value` and hand the full rank-ordered vector to
-    /// every rank.
+    /// every rank. Each message is charged the shallow size of what it
+    /// moves.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let gathered = self.gather(0, value).expect("rank 0 is always valid");
+        let gathered = self.gather(0, value, shallow).expect("rank 0 is always valid");
         let tag = self.next_coll_tag();
         if self.rank() == 0 {
             let all = gathered.expect("root has the gathered vector");
@@ -713,7 +770,7 @@ mod tests {
 
     #[test]
     fn gather_orders_by_rank() {
-        let got = World::new(5).run(|c| c.gather(1, c.rank() * 10).unwrap());
+        let got = World::new(5).run(|c| c.gather(1, c.rank() * 10, super::shallow).unwrap());
         assert_eq!(got[1], Some(vec![0, 10, 20, 30, 40]));
         assert_eq!(got[0], None);
     }

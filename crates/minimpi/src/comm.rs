@@ -66,9 +66,10 @@ pub struct Comm {
     /// Per-rank collective sequence number; advances identically on every
     /// rank because collectives must be called in the same order everywhere.
     pub(crate) coll_seq: Cell<u64>,
-    /// Allreduce rounds issued through this handle (packed or plain); the
-    /// observable a fused analysis path optimises, so callers can assert on
-    /// communication counts rather than trusting the implementation.
+    /// Reduction rounds issued through this handle: allreduces (packed or
+    /// plain) and reduce-scatters, one each. The observable a fused
+    /// analysis path optimises, so callers can assert on communication
+    /// counts rather than trusting the implementation.
     pub(crate) allreduce_rounds: Cell<u64>,
     /// Collective observer (fault injection, tracing); see
     /// [`CollectiveHook`].
@@ -193,7 +194,8 @@ impl Comm {
         }
     }
 
-    /// Number of allreduce rounds issued through this handle so far. A
+    /// Number of reduction rounds issued through this handle so far: every
+    /// allreduce and every [`Comm::reduce_scatter_with`] is one round. A
     /// packed allreduce counts as one round regardless of segment count.
     pub fn allreduce_count(&self) -> u64 {
         self.allreduce_rounds.get()

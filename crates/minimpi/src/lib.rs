@@ -9,7 +9,8 @@
 //!
 //! * point-to-point: [`Comm::send`], [`Comm::recv`]
 //! * collectives: [`Comm::barrier`], [`Comm::bcast`], [`Comm::reduce`],
-//!   [`Comm::allreduce`], [`Comm::allreduce_packed`], [`Comm::allgather`],
+//!   [`Comm::allreduce`], [`Comm::allreduce_packed`],
+//!   [`Comm::reduce_scatter_with`], [`Comm::gather`], [`Comm::allgather`],
 //!   [`Comm::allgather_into`], [`Comm::alltoall`]
 //! * communicator management: [`Comm::dup`]
 //!
@@ -23,8 +24,10 @@
 //! reduce, a binomial tree among node leaders across the interconnect,
 //! node-local broadcast. The tiered fold realises the topology's canonical
 //! merge order, the same one [`Comm::reduce`] applies at its root, so an
-//! allreduce equals `reduce` then `bcast` bit for bit. The default world
-//! is a single node, whose collectives take the direct all-to-root path.
+//! allreduce equals `reduce` then `bcast` bit for bit.
+//! [`Comm::reduce_scatter_with`] exchanges directly on every topology and
+//! folds each share in that same order. The default world is a single
+//! node, whose collectives take the direct all-to-root path.
 //!
 //! # Semantics
 //!

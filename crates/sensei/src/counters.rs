@@ -168,7 +168,8 @@ impl AnalysisCounters {
         self.downloads.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Count `n` allreduce rounds (a packed allreduce = 1).
+    /// Count `n` reduction rounds (a packed allreduce = 1, a
+    /// reduce-scatter = 1).
     pub fn add_allreduces(&self, n: u64) {
         self.allreduces.fetch_add(n, Ordering::Relaxed);
     }
@@ -214,7 +215,8 @@ pub struct CounterSnapshot {
     pub kernel_launches: u64,
     /// Device-to-host result downloads.
     pub downloads: u64,
-    /// Allreduce rounds issued.
+    /// Reduction rounds issued: allreduces and reduce-scatters
+    /// (`minimpi::Comm::allreduce_count`).
     pub allreduces: u64,
     /// Per-variable fetch/move requests.
     pub fetches: u64,
