@@ -71,14 +71,17 @@ echo "== binning fold, one release pass"
 # release build optimises those instantiations: the property tests and
 # the unit tests of both kernels that fold through it (host and device)
 # run here against the code the benchmark times, not only in the debug
-# build of `cargo test -q`.
+# build of `cargo test -q`, and so does the step's reduce-scatter.
 start=$SECONDS
 unit=$(cargo test --release --no-run -q --message-format=json -p binning --lib | executables)
 props=$(cargo test --release --no-run -q --message-format=json -p binning \
     --test proptest_invariants | executables)
+scatter=$(cargo test --release --no-run -q --message-format=json -p minimpi \
+    --test proptest_reduce_scatter | executables)
 built=$SECONDS
 soak "$unit" -q host_impl::tests device_impl::tests
 soak "$props" -q
+soak "$scatter" -q
 echo "release test build $((built - start)) s, 1 pass $((SECONDS - built)) s"
 
 echo "== harness smokes"

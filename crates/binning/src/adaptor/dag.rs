@@ -4,10 +4,10 @@
 //! One `Fetch` node (data movement, fused bounds, the bounds collective),
 //! one `Kernel` node per (table, spec range) and, on a device, one
 //! `Download` node per kernel on the copy stream of the device that runs
-//! it, ordered by events; then one `Reduce` node merging every partial
-//! block table-major into the step's block, cutting it per owner of the
-//! specs and running the single grid reduce-scatter, and one `Publish`
-//! node in which each owner finalizes its specs and rank 0 gathers the
+//! it, ordered by events; then one `Reduce` node writing, per owner of the
+//! specs, this rank's cut straight from the partial blocks, table-major,
+//! and running the single grid reduce-scatter, and one `Publish` node in
+//! which each owner finalizes its specs and rank 0 gathers the owners'
 //! results. Neither node returns an error before its collective is over:
 //! a malformed part or a failed publish travels to rank 0 in the gather.
 //! Under `dag` on a device the graph has one kernel per spec, each
@@ -26,7 +26,7 @@
 //! order — then delivers each member its own results. The group's step is
 //! all or nothing: a skipped or failed graph delivers to no member.
 
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ use sensei::{
 };
 
 use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched, Outlet};
-use crate::arena::{Slot, StepArena};
+use crate::arena::Slot;
 use crate::block::{self, block_len};
 use crate::device_impl;
 use crate::fused::{host_pass, num_grids, plan_pass, FusedStep, StepLayout};
@@ -124,40 +124,31 @@ impl DagState {
         Ok(cache.entry((ti, dw)).or_insert(Arc::new(cols)).clone())
     }
 
-    /// This rank's block of the step: every staged block merged in
-    /// ascending (table, spec) order, or the untouched block where the rank
-    /// has no tables. Blocks come from `arena` and merge through `scratch`.
-    fn local_block(
+    /// Write to `cuts[d]` this rank's block of the specs `owners[d]` out of
+    /// its `ntables` tables' staged blocks ([`block::write_cut`]), merging
+    /// through `scratch`.
+    fn write_cuts(
         &self,
-        arena: &StepArena,
         ranges: &[Range<usize>],
         ntables: usize,
+        owners: &[Range<usize>],
+        cuts: &mut [Vec<f64>],
         scratch: &mut block::Scratch,
-    ) -> Result<Vec<f64>> {
+    ) -> Result<()> {
         let layout = self.layout();
         let specs = &layout.pass[..];
-        let nranges = ranges.len();
-        let mut merged: Option<Vec<f64>> = None;
+        let held: Vec<_> = self.staged.iter().map(|slot| slot.borrow()).collect();
+        let mut views = Vec::new();
+        for part in &held {
+            if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
+                views.push(host.host_f64_ro().map_err(Error::Device)?);
+            }
+        }
+        let (nranges, mut views) = (ranges.len(), views.iter());
+        let mut tables = Vec::with_capacity(ntables);
         for ti in 0..ntables {
-            let slots = &self.staged[ti * nranges..][..nranges];
-            // A host pass over every spec hands its table's block over
-            // whole.
-            if merged.is_none() && nranges == 1 {
-                let host = |part: &mut StagedPart| matches!(part, StagedPart::Host(_));
-                if let Some(StagedPart::Host(out)) = slots[0].borrow_mut().take_if(host) {
-                    merged = Some(out);
-                    continue;
-                }
-            }
-            let held: Vec<_> = slots.iter().map(|slot| slot.borrow()).collect();
-            let mut views = Vec::new();
-            for part in &held {
-                if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
-                    views.push(host.host_f64_ro().map_err(Error::Device)?);
-                }
-            }
-            let (mut views, mut parts) = (views.iter(), Vec::with_capacity(specs.len()));
-            for (part, range) in held.iter().zip(ranges) {
+            let mut parts = Vec::with_capacity(specs.len());
+            for (part, range) in held[ti * nranges..][..nranges].iter().zip(ranges) {
                 let table: &[f64] = match part.as_ref() {
                     Some(StagedPart::Host(out)) => out,
                     Some(StagedPart::Downloaded(_)) => views.next().expect("viewed above"),
@@ -168,23 +159,15 @@ impl DagState {
                         )))
                     }
                 };
-                let shapes = block::shapes(&specs[range.clone()]);
-                parts.extend(block::spec_parts(table, shapes)?);
+                parts.extend(block::spec_parts(table, block::shapes(&specs[range.clone()]))?);
             }
-            match merged.as_mut() {
-                Some(acc) => block::merge_parts(specs, acc, &parts, scratch)?,
-                None => {
-                    let mut out = arena.take_block(room(specs));
-                    block::assemble(&mut out, specs, &parts, scratch);
-                    merged = Some(out);
-                }
-            }
+            tables.push(parts);
         }
-        Ok(merged.unwrap_or_else(|| {
-            let mut out = arena.take_block(room(specs));
-            block::untouched(&mut out, specs.len());
-            out
-        }))
+        for (owned, cut) in owners.iter().zip(cuts) {
+            let parts = tables.iter().map(|parts| &parts[owned.clone()]);
+            block::write_cut(cut, &specs[owned.clone()], parts, scratch)?;
+        }
+        Ok(())
     }
 }
 
@@ -422,48 +405,47 @@ impl BinningAnalysis {
             }
         }
 
-        // Reduce: merge every staged block into the step's block in
-        // ascending (table, spec) order — the same whatever the spec
-        // ranges, so the grids stay bit-identical — cut it into one block
-        // per owner of the step's coordinate systems, and reduce-scatter
-        // the cuts: each rank ends with the merged block of the specs it
-        // owns. On a device, gated on the download events so the host
-        // blocks are complete.
+        // Reduce: write this rank's cut of the step for each owner of its
+        // coordinate systems straight from the staged blocks, in ascending
+        // (table, spec) order — the same whatever the spec ranges, so the
+        // grids stay bit-identical — and reduce-scatter the cuts: each
+        // owner ends with the merged block of the specs it owns, and a rank
+        // that owns none receives nothing. On a device, gated on the
+        // download events so the host blocks are complete.
         let reduce = g.add_task(TaskKind::Reduce, "block-reduce-scatter", None, move |_| {
             let layout = state.layout();
             let specs = &layout.pass[..];
             let room = room(specs);
+            let owners = layout.owners(ctx.comm.size());
             let mut scratch = arena.take_merge(room);
-            let local = state.local_block(arena, ranges, ntables, &mut scratch);
+            let mut cuts: Vec<Vec<f64>> = owners.iter().map(|_| arena.take_block(room)).collect();
+            let cut = state.write_cuts(ranges, ntables, &owners, &mut cuts, &mut scratch);
             // Every kernel has run: drop the step's views of the fetched
             // columns, then the snapshot may let go of the CoW shares
             // they read in place.
             state.host_tables.borrow_mut().clear();
             state.dev_cols.borrow_mut().clear();
             data.release_shared();
-            let owners = layout.owners(ctx.comm.size());
-            let mut parts: Vec<Vec<f64>> = owners.iter().map(|_| arena.take_block(room)).collect();
-            let cut = local.and_then(|local| {
-                let cut = block::split(&local, specs, &owners, &mut parts);
-                arena.keep_block(local);
-                cut
-            });
-            // A rank that has no block to cut still joins the round, with
-            // parts its owners reject; behind every good part rides whether
-            // this rank consumes results.
+            // A rank whose cuts failed still joins the round, with cuts
+            // its owners reject; behind every good cut rides whether this
+            // rank consumes results.
             let trailer = f64::from(u8::from(consumes));
-            for part in &mut parts {
+            for cut_block in &mut cuts {
                 match cut {
-                    Ok(()) => part.push(trailer),
-                    Err(_) => part.clear(),
+                    Ok(()) => cut_block.push(trailer),
+                    Err(_) => cut_block.clear(),
                 }
             }
             // A malformed part is reported once the round is over, so no
             // rank is left waiting on the collective.
             let failed = RefCell::new(cut.err());
-            let mine = owners[ctx.comm.rank()].clone();
+            let rank = ctx.comm.rank();
+            let mine = owners.get(rank).cloned().unwrap_or_default();
+            // The cuts sent away leave this rank's blocks: it keeps as many
+            // of the parts it merges in, and lets the rest go.
+            let spare = Cell::new(owners.len() - usize::from(rank < owners.len()));
             let scratch = RefCell::new(scratch);
-            let owned = ctx.comm.reduce_scatter_with(parts, |acc, part| {
+            let owned = ctx.comm.reduce_scatter_with(cuts, |acc, part| {
                 let consumes = trailer_of(acc).max(trailer_of(&part));
                 let mut scratch = scratch.borrow_mut();
                 match block::merge_blocks(&specs[mine.clone()], acc, &part, &mut scratch) {
@@ -472,7 +454,10 @@ impl BinningAnalysis {
                         failed.borrow_mut().get_or_insert(e);
                     }
                 }
-                arena.keep_block(part);
+                if spare.get() > 0 {
+                    spare.set(spare.get() - 1);
+                    arena.keep_block(part);
+                }
             });
             arena.keep_merge(scratch.into_inner());
             *state.owned.borrow_mut() = Some(match failed.into_inner() {
@@ -490,12 +475,14 @@ impl BinningAnalysis {
 
         // Publish: each owner finalizes its specs when rank 0 consumes
         // results, and every owner's results — or its error — are gathered
-        // at rank 0 in rank order, which is spec order.
+        // at rank 0 in rank order, which is spec order. A rank that owns no
+        // spec sends nothing.
         g.add_task(TaskKind::Publish, "results", None, move |_| {
+            let layout = state.layout();
+            let owners = layout.owners(ctx.comm.size());
             let mine = match state.owned.borrow_mut().take() {
                 Some(Ok(mut owned)) => {
-                    let layout = state.layout();
-                    let range = layout.owners(ctx.comm.size())[ctx.comm.rank()].clone();
+                    let range = owners.get(ctx.comm.rank()).cloned().unwrap_or_default();
                     let published = match owned.pop() == Some(1.0) {
                         true => layout.publish(step.specs, range, &owned, data),
                         false => Ok(Vec::new()),
@@ -507,7 +494,7 @@ impl BinningAnalysis {
                 None => Err(Error::Analysis("dag publish: reduced block missing".into())),
             };
             let failed = mine.as_ref().err().cloned();
-            let gathered = ctx.comm.gather(0, mine, result_bytes);
+            let gathered = ctx.comm.gather(0, owners.len(), mine, result_bytes);
             let gathered = gathered.map_err(|e| Error::Analysis(format!("results gather: {e}")))?;
             let Some(gathered) = gathered else {
                 return failed.map_or(Ok(()), Err);

@@ -10,12 +10,13 @@
 //! smaller; then, and for a spec without a count, as every op's grid back
 //! to back, `[op][bin]`.
 //!
-//! A kernel commits each spec into a block as soon as its grids are
-//! complete (`commit`): a device kernel into its packed device block, a
-//! host pass into a `Vec`. The step merges its tables' blocks and cuts the
-//! result into one block per rank that owns some of the specs ([`split`]).
-//! The step's grid reduce-scatter merges every rank's cut of those specs
-//! at their owner ([`merge_blocks`]), and each owner finalizes its specs
+//! One writer writes every block, into a `Vec<f64>`: a kernel commits each
+//! spec as soon as its grids are complete (`commit`) — a host pass into its
+//! block, a device kernel into a host-side block it then stores into its
+//! packed device block whole. The step writes each owner's cut of its
+//! tables' blocks straight from their parts ([`write_cut`]). The
+//! step's grid reduce-scatter merges every rank's cut of those specs at
+//! their owner ([`merge_blocks`]), and each owner finalizes its specs
 //! straight from its merged block ([`SpecPart::finalized`]).
 //!
 //! Merging only the bins a block holds is exact: a kernel's sums start at
@@ -24,9 +25,6 @@
 //! identity into a partial changes no bit of it. A merged block holds, bin
 //! for bin, what merging the dense grids would.
 
-use std::ops::Range;
-
-use devsim::F64View;
 use sensei::{Error, Result};
 
 use crate::host_impl::{canonical, finalize, identity, FusedGrids, PassSpec};
@@ -79,14 +77,6 @@ impl SpecPart<'_> {
         match *self {
             SpecPart::Dense(_) => DENSE,
             SpecPart::Sparse { touched, .. } => touched.len() as u64,
-        }
-    }
-
-    /// Cells the part takes in a block's body.
-    fn cells(&self) -> usize {
-        match *self {
-            SpecPart::Dense(grids) => grids.len(),
-            SpecPart::Sparse { touched, values } => touched.len() + values.len(),
         }
     }
 
@@ -188,20 +178,6 @@ pub fn spec_parts(
     Ok(parts)
 }
 
-/// Where a kernel commits its specs: a block whose header is in place and
-/// whose body grows spec by spec.
-pub(crate) trait Sink {
-    /// Cells of the block written so far, header included.
-    fn used(&self) -> usize;
-    /// Store `word` as header cell `i`.
-    fn set_word(&mut self, i: usize, word: u64);
-    /// Append every op's grid, `[op][bin]`, out of the bin-major `rows`,
-    /// whose slot `s` accumulates op `order[s]` or is a pad (`None`).
-    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]);
-    /// Append the bins `touched`, then each op's values there.
-    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]);
-}
-
 /// The number of ops whose slots `order` lays out: every slot but the pads.
 fn ops_of(order: &[Option<usize>]) -> usize {
     order.iter().flatten().count()
@@ -212,85 +188,60 @@ fn slot_of(order: &[Option<usize>], k: usize) -> usize {
     order.iter().position(|&o| o == Some(k)).expect("every op has a slot")
 }
 
-/// A host block: a `Vec` holding the header, then appended to.
-impl Sink for Vec<f64> {
-    fn used(&self) -> usize {
-        self.len()
-    }
-
-    fn set_word(&mut self, i: usize, word: u64) {
-        self[i] = f64::from_bits(word);
-    }
-
-    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]) {
-        let width = order.len();
-        for k in 0..ops_of(order) {
-            let s = slot_of(order, k);
-            self.extend(rows.chunks_exact(width).map(|bin| bin[s]));
-        }
-    }
-
-    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]) {
-        let width = order.len();
-        self.extend(touched.iter().map(|&b| f64::from_bits(u64::from(b))));
-        for k in 0..ops_of(order) {
-            let s = slot_of(order, k);
-            self.extend(touched.iter().map(|&b| rows[b as usize * width + s]));
+/// Append every op's grid, `[op][bin]`, out of the bin-major `rows`, whose
+/// slot `s` accumulates op `order[s]` or is a pad (`None`).
+fn put_dense(out: &mut Vec<f64>, rows: &[f64], order: &[Option<usize>]) {
+    let width = order.len();
+    let bins = rows.len().checked_div(width).unwrap_or(0);
+    let start = out.len();
+    out.resize(start + ops_of(order) * bins, 0.0);
+    let grids = &mut out[start..];
+    // A block of bins at a time, so the strided reads of one op's slot hit
+    // lines the previous op's just pulled in.
+    const BLOCK: usize = 64;
+    for (b, block) in rows.chunks((BLOCK * width).max(1)).enumerate() {
+        for (s, k) in order.iter().enumerate().filter_map(|(s, o)| o.map(|k| (s, k))) {
+            let grid = &mut grids[k * bins + b * BLOCK..];
+            for (cell, row) in grid.iter_mut().zip(block.chunks_exact(width)) {
+                *cell = row[s];
+            }
         }
     }
 }
 
-/// A device block, written through a kernel's view of it.
-pub(crate) struct DeviceSink<'v> {
-    pub view: &'v F64View,
-    pub used: usize,
-}
-
-impl Sink for DeviceSink<'_> {
-    fn used(&self) -> usize {
-        self.used
-    }
-
-    fn set_word(&mut self, i: usize, word: u64) {
-        self.view.store_words(i, [word].into_iter());
-    }
-
-    fn put_dense(&mut self, rows: &[f64], order: &[Option<usize>]) {
-        let bins = rows.len() / order.len().max(1);
-        let starts: Vec<Option<usize>> =
-            order.iter().map(|o| o.map(|k| self.used + k * bins)).collect();
-        self.view.store_columns(rows, &starts);
-        self.used += ops_of(order) * bins;
-    }
-
-    fn put_sparse(&mut self, rows: &[f64], order: &[Option<usize>], touched: &[u32]) {
-        let t = touched.len();
-        self.view.store_words(self.used, touched.iter().map(|&b| u64::from(b)));
-        let starts: Vec<Option<usize>> =
-            order.iter().map(|o| o.map(|k| self.used + t + k * t)).collect();
-        self.view.store_picked(rows, touched, &starts);
-        self.used += t * (ops_of(order) + 1);
+/// Append the bins `touched`, then each op's values there.
+fn put_sparse(out: &mut Vec<f64>, rows: &[f64], order: &[Option<usize>], touched: &[u32]) {
+    let width = order.len();
+    out.extend(touched.iter().map(|&b| f64::from_bits(u64::from(b))));
+    for k in 0..ops_of(order) {
+        let s = slot_of(order, k);
+        out.extend(touched.iter().map(|&b| rows[b as usize * width + s]));
     }
 }
 
-/// Commit spec `si`'s grids, complete in `grids`, to `sink` behind the
-/// specs before it, in the smaller of its two forms, and set its header
+/// Store `word` as header cell `i` of `out`.
+fn set_word(out: &mut [f64], i: usize, word: u64) {
+    out[i] = f64::from_bits(word);
+}
+
+/// Commit spec `si`'s grids, complete in `grids`, to the block `out` behind
+/// the specs before it, in the smaller of its two forms, and set its header
 /// word. Only a spec whose touched bins the pass found can go sparse.
-pub(crate) fn commit(sink: &mut impl Sink, si: usize, spec: &PassSpec, grids: &FusedGrids) {
+pub(crate) fn commit(out: &mut Vec<f64>, si: usize, spec: &PassSpec, grids: &FusedGrids) {
     let (ops, bins) = (spec.ops.len(), spec.grid.num_bins());
     let (rows, order) = grids.rows();
     let word = match grids.touched() {
         Some(touched) if !is_dense(touched.len(), ops, bins) => {
-            sink.put_sparse(rows, order, touched);
+            put_sparse(out, rows, order, touched);
             touched.len() as u64
         }
         _ => {
             debug_assert!(!grids.initialised_touched_only(), "a dense commit reads every bin");
-            sink.put_dense(rows, order);
+            put_dense(out, rows, order);
             DENSE
         }
     };
-    sink.set_word(1 + si, word);
+    set_word(out, 1 + si, word);
 }
 
 /// Start a block of `specs` specs in `block`: its header, to be filled.
@@ -300,16 +251,25 @@ pub(crate) fn begin(block: &mut Vec<f64>, specs: usize) {
 }
 
 /// Close a block: its first cell records the cells in use.
-pub(crate) fn finish(sink: &mut impl Sink) {
-    let used = sink.used() as u64;
-    sink.set_word(0, used);
+pub(crate) fn finish(block: &mut [f64]) {
+    set_word(block, 0, block.len() as u64);
 }
 
-/// The block of `specs` in which no row touched any bin: what a rank
-/// without tables contributes.
-pub(crate) fn untouched(block: &mut Vec<f64>, specs: usize) {
-    begin(block, specs);
-    finish(block);
+/// Write to `out` the block whose specs are `parts`, each copied as it is:
+/// a new header, then every part's cells.
+fn copy_parts<'p>(out: &mut Vec<f64>, parts: impl ExactSizeIterator<Item = SpecPart<'p>>) {
+    begin(out, parts.len());
+    for (si, part) in parts.enumerate() {
+        set_word(out, 1 + si, part.word());
+        match part {
+            SpecPart::Dense(grids) => out.extend_from_slice(grids),
+            SpecPart::Sparse { touched, values } => {
+                out.extend_from_slice(touched);
+                out.extend_from_slice(values);
+            }
+        }
+    }
+    finish(out);
 }
 
 /// Which of two blocks holds a run of bins of their union: the first, the
@@ -452,39 +412,31 @@ pub(crate) fn shapes(specs: &[PassSpec]) -> impl ExactSizeIterator<Item = (usize
     specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()))
 }
 
-/// Write to `out` the block of `specs` whose spec `si` is the `si`-th
-/// pair's `a ⊕ p`.
-fn write<'p>(
-    out: &mut Vec<f64>,
-    runs: &mut Vec<(Held, usize)>,
-    specs: &[PassSpec],
-    pairs: impl ExactSizeIterator<Item = (SpecPart<'p>, SpecPart<'p>)>,
-) {
-    assert_eq!(pairs.len(), specs.len(), "one part per spec");
-    begin(out, specs.len());
-    for (si, (spec, (a, p))) in specs.iter().zip(pairs).enumerate() {
-        let word = merge_part(out, runs, spec, a, p);
-        out.set_word(1 + si, word);
-    }
-    finish(out);
-}
-
-/// Write to `out` the block of `specs` whose spec `si` is `parts[si]`
-/// alone (in its smaller form).
-pub(crate) fn assemble(
+/// Write to `out` a rank's block of `specs` out of its tables' parts of
+/// them, `tables` yielding each table's in table order: the first table's
+/// parts copied as they are, each later table's merged in spec by spec
+/// with the block's value on the left of each combine ([`merge_blocks`]),
+/// or, where the rank has no tables, parts no row touched. Every spec
+/// equals, bit for bit, merging the tables' dense `[op][bin]` grids
+/// table-major.
+pub fn write_cut<'a, 'p: 'a>(
     out: &mut Vec<f64>,
     specs: &[PassSpec],
-    parts: &[SpecPart<'_>],
+    mut tables: impl Iterator<Item = &'a [SpecPart<'p>]>,
     scratch: &mut Scratch,
-) {
-    write(out, &mut scratch.runs, specs, parts.iter().map(|&p| (UNTOUCHED, p)));
+) -> Result<()> {
+    match tables.next() {
+        Some(first) => copy_parts(out, first.iter().copied()),
+        None => copy_parts(out, std::iter::repeat_n(UNTOUCHED, specs.len())),
+    }
+    tables.try_for_each(|parts| merge_parts(specs, out, parts, scratch))
 }
 
 /// Merge the parts `parts` of `specs` into the block `acc`, spec by spec
 /// with `acc`'s value on the left of each combine. The merged block is
 /// written to `scratch`'s block and swapped with `acc`, which leaves
 /// `acc`'s old allocation in `scratch` for the next merge.
-pub(crate) fn merge_parts(
+fn merge_parts(
     specs: &[PassSpec],
     acc: &mut Vec<f64>,
     parts: &[SpecPart<'_>],
@@ -492,38 +444,14 @@ pub(crate) fn merge_parts(
 ) -> Result<()> {
     assert_eq!(parts.len(), specs.len(), "one part per spec");
     let own = spec_parts(acc, shapes(specs))?;
-    let Scratch { block, runs } = scratch;
-    write(block, runs, specs, own.into_iter().zip(parts.iter().copied()));
-    std::mem::swap(acc, block);
-    Ok(())
-}
-
-/// Cut the block of `specs` into one block per range of `cuts`, written to
-/// the same index of `outs`. The cuts run through the specs in order, and
-/// a block holds its specs' payloads back to back, so each cut is a new
-/// header and one contiguous copy of its specs' payloads, re-encoding
-/// nothing. An empty cut is the block of no spec.
-pub fn split(
-    block: &[f64],
-    specs: &[PassSpec],
-    cuts: &[Range<usize>],
-    outs: &mut [Vec<f64>],
-) -> Result<()> {
-    assert_eq!(cuts.len(), outs.len(), "one block per cut");
-    let parts = spec_parts(block, shapes(specs))?;
-    let (mut next, mut at) = (0, 1 + specs.len());
-    for (cut, out) in cuts.iter().zip(outs) {
-        assert!(cut.start == next && cut.end <= specs.len(), "cuts run through the specs in order");
-        let parts = &parts[cut.clone()];
-        begin(out, parts.len());
-        for (i, part) in parts.iter().enumerate() {
-            out.set_word(1 + i, part.word());
-        }
-        let cells: usize = parts.iter().map(SpecPart::cells).sum();
-        out.extend_from_slice(&block[at..at + cells]);
-        finish(out);
-        (next, at) = (cut.end, at + cells);
+    let Scratch { block: out, runs } = scratch;
+    begin(out, specs.len());
+    for (si, (spec, (a, &p))) in specs.iter().zip(own.into_iter().zip(parts)).enumerate() {
+        let word = merge_part(out, runs, spec, a, p);
+        set_word(out, 1 + si, word);
     }
+    finish(out);
+    std::mem::swap(acc, out);
     Ok(())
 }
 

@@ -65,13 +65,6 @@ pub fn usable_range(lo: f64, hi: f64) -> (f64, f64) {
     (lo - pad, hi + pad)
 }
 
-/// Full pipeline for one axis: local min/max → allreduce → usable range.
-pub fn axis_bounds(comm: &Comm, local_col: &[f64]) -> Result<(f64, f64)> {
-    let local = minmax(local_col);
-    let (lo, hi) = global_bounds(comm, local);
-    Ok(usable_range(lo, hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +124,8 @@ mod tests {
         let got = World::new(4).run(|c| {
             // rank r holds values around r*10.
             let col: Vec<f64> = vec![c.rank() as f64 * 10.0, c.rank() as f64 * 10.0 + 5.0];
-            axis_bounds(&c, &col).unwrap()
+            let (lo, hi) = global_bounds(&c, minmax(&col));
+            usable_range(lo, hi)
         });
         for (lo, hi) in got {
             assert_eq!((lo, hi), (0.0, 35.0));

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use devsim::{CellBuffer, KernelCost, SimNode, Stream};
 use sensei::{Error, Result};
 
-use crate::block::{self, block_len, DeviceSink};
+use crate::block::{self, block_len};
 use crate::grid::GridParams;
 use crate::host_impl::{self, identity, PassSpec, ScratchPool};
 use crate::spec::BinOp;
@@ -129,16 +129,16 @@ pub fn pass_cost(n: usize, specs: &[PassSpec]) -> KernelCost {
 /// header, then spec after spec its grids, each spec in the smaller of its
 /// touched-bins and dense forms.
 ///
-/// The launch runs the blocked core ([`host_impl::bin_all_host_each`],
+/// The launch runs the host block pass ([`host_impl::bin_all_block`],
 /// reading the columns through their kernel views, in a scratch borrowed
 /// from `scratches`) into launch-private accumulators in ascending row
-/// order, and commits each as soon as it is complete: a transposing store
-/// writes its touched bins' `(op, bin)` cells, or every one. The kernel
-/// runs as one block that owns `packed` for the launch, and its partials
-/// started from the reduction identities, so what a zero-initialised grid
-/// would hold after an `atomic_add`/`atomic_min`/`atomic_max` of a partial
-/// *is* the partial, bit for bit — the grids stay bit-identical to
-/// [`bin_device`]'s, whatever `packed` held before.
+/// order, committing each spec into the scratch's block as soon as it is
+/// complete, then stores the block's cells in use into `packed` with one
+/// store. The kernel runs as one block that owns `packed` for the launch,
+/// and its partials started from the reduction identities, so what a
+/// zero-initialised grid would hold after an `atomic_add`/`atomic_min`/
+/// `atomic_max` of a partial *is* the partial, bit for bit — the grids
+/// stay bit-identical to [`bin_device`]'s, whatever `packed` held before.
 pub fn bin_all_device(
     stream: &Arc<Stream>,
     cols: &[&CellBuffer],
@@ -170,13 +170,10 @@ pub fn bin_all_device(
             let views: Vec<&[f64]> = views.iter().map(|v| &v[..]).collect();
             let view = out.f64_view(scope)?;
             let mut scratch = scratches.take();
-            // Each spec's partial is committed while it is still in cache,
-            // spec after spec through the block.
-            let mut sink = DeviceSink { view: &view, used: 1 + specs.len() };
-            host_impl::bin_all_host_each(&views, &specs, &mut scratch, |si, grids| {
-                block::commit(&mut sink, si, &specs[si], grids)
-            });
-            block::finish(&mut sink);
+            let mut block = std::mem::take(&mut scratch.block);
+            host_impl::bin_all_block(&views, &specs, &mut scratch, &mut block);
+            view.store_words(0, block.iter().map(|v| v.to_bits()));
+            scratch.block = block;
             scratches.give(scratch);
             Ok(())
         })

@@ -21,12 +21,12 @@
 //!   ([`host_impl::bin_all_block`]), on a device in one kernel
 //!   ([`device_impl::bin_all_device`]) followed by one download of as much
 //!   of the block as the kernel filled ([`devsim::Stream::copy_counted`]);
-//! * the step's tables' blocks merge table-major into one block, cut into
-//!   one block per rank that owns some of the specs
-//!   ([`StepLayout::owners`]); **one** reduce-scatter per step merges
-//!   every rank's cut at its owner, each owner finalizes its specs
-//!   straight from its merged block, and only the finished results travel
-//!   to rank 0, which delivers them;
+//! * each rank writes one cut of its tables' blocks per rank that owns some
+//!   of the specs ([`StepLayout::owners`]), merged table-major straight
+//!   from the blocks' parts; **one** reduce-scatter per step merges every
+//!   rank's cut at its owner, each owner finalizes its specs straight from
+//!   its merged block, and only the owners' finished results travel to
+//!   rank 0, which delivers them;
 //! * every grid-sized buffer on the way lives in the back-end's
 //!   [`crate::arena::StepArena`] and is used again by the next step.
 
@@ -131,8 +131,8 @@ impl StepLayout {
         StepLayout { grids, ops, pass }
     }
 
-    /// Which coordinate systems each of `ranks` ranks merges and
-    /// finalizes: contiguous ranges over ranks `0..min(ranks, specs)`,
+    /// Which coordinate systems the owners among `ranks` ranks merge and
+    /// finalize: one contiguous range each for ranks `0..min(ranks, specs)`,
     /// balanced by dense cells (ops × bins); every other rank owns none
     /// ([`deal`]).
     pub fn owners(&self, ranks: usize) -> Vec<Range<usize>> {
@@ -179,8 +179,8 @@ impl StepLayout {
 /// ranges: ranks `0..min(ranks, specs)` own at least one spec each, and
 /// the boundary after rank `k` is the last that gives ranks `0..=k` no more
 /// than their even share of the cells, so a remainder goes to the higher
-/// ranks — rank 0 also gathers and delivers the results. Every other rank
-/// owns the empty range at the end.
+/// ranks — rank 0 also gathers and delivers the results. One range per
+/// owner: every other rank owns nothing.
 pub(crate) fn deal(cells: &[usize], ranks: usize) -> Vec<Range<usize>> {
     let (n, owners) = (cells.len(), ranks.min(cells.len()));
     let total: usize = cells.iter().sum();
@@ -191,7 +191,7 @@ pub(crate) fn deal(cells: &[usize], ranks: usize) -> Vec<Range<usize>> {
         }))
         .collect();
     let mut start = 0;
-    (0..ranks)
+    (0..owners)
         .map(|k| {
             let end = match k + 1 < owners {
                 // Leave every later owner a spec of its own.
@@ -319,12 +319,12 @@ mod tests {
         // Nine equal specs on two ranks: four, then five.
         assert_eq!(deal(&[10; 9], 2), [0..4, 4..9]);
         // Two specs on four ranks: one each, and two ranks own nothing.
-        assert_eq!(deal(&[10, 10], 4), [0..1, 1..2, 2..2, 2..2]);
+        assert_eq!(deal(&[10, 10], 4), [0..1, 1..2]);
         // Cells, not specs, are balanced; every owner keeps at least one.
         assert_eq!(deal(&[40, 10, 10, 10, 10], 2), [0..1, 1..5]);
         assert_eq!(deal(&[100, 1, 1], 3), [0..1, 1..2, 2..3]);
         assert_eq!(deal(&[1, 1, 1, 1, 100], 2), [0..4, 4..5]);
-        assert_eq!(deal(&[7], 3), [0..1, 1..1, 1..1]);
+        assert_eq!(deal(&[7], 3), vec![0..1]);
     }
 
     #[test]

@@ -117,7 +117,7 @@ const BLOCK: usize = 16_384;
 /// The per-core L2 the measurements in [`block_rows`] were taken on.
 const L2_BYTES: usize = 2 << 20;
 
-/// Rows per block of [`bin_all_host_each`]'s walk, from the pass's own shape.
+/// Rows per block of [`bin_all_block`]'s walk, from the pass's own shape.
 ///
 /// A block is indexed, gathered, and then folded into one spec's
 /// accumulator after another, so between two folds into the same
@@ -320,11 +320,11 @@ fn fold_lanes(plan: &mut FusedGrids, stage: &[f64], ix: &[u32], iy: &[u32], nx: 
     )
 }
 
-/// One spec's grids out of [`bin_all_host_each`], still in the kernel's
-/// op-interleaved layout (`[bin][slot]`): read them through
+/// One spec's grids out of [`bin_all_block`]'s pass, still in the
+/// kernel's op-interleaved layout (`[bin][slot]`): read them through
 /// [`FusedGrids::rows`].
 #[derive(Default)]
-pub struct FusedGrids {
+pub(crate) struct FusedGrids {
     /// `order[slot]` is the op (an index into `spec.ops`) a slot
     /// accumulates, or `None` for a pad.
     order: Vec<Option<usize>>,
@@ -365,8 +365,8 @@ impl FusedGrids {
     }
 
     /// Whether the pass initialised only the [touched](Self::touched)
-    /// bins: a handed-over spec that can never go dense
-    /// ([`crate::block`]), whose untouched bins nothing reads.
+    /// bins: a spec that can never go dense ([`crate::block`]), whose
+    /// untouched bins nothing reads.
     pub fn initialised_touched_only(&self) -> bool {
         self.sparse
     }
@@ -391,19 +391,21 @@ impl FusedGrids {
     }
 }
 
-/// Everything [`bin_all_host_each`] allocates: the per-spec plans with their
-/// accumulators, the block's axis indices and staged values. A caller that
-/// keeps one across launches pays for them once; each launch re-plans and
+/// Everything [`bin_all_block`] allocates: the per-spec plans with their
+/// accumulators, the block's axis indices and staged values, and the block
+/// a device launch commits into before storing it. A caller that keeps one
+/// across launches pays for them once; each launch re-plans and
 /// re-initialises them in place.
 #[derive(Default)]
 pub struct KernelScratch {
+    /// The host block [`crate::device_impl::bin_all_device`] commits into.
+    pub(crate) block: Vec<f64>,
     axes: Vec<(usize, f64, f64, usize)>,
     stages: Vec<Vec<Staged>>,
     plans: Vec<FusedGrids>,
     index: Vec<u32>,
     staged: Vec<Vec<f64>>,
-    /// The one accumulator every spec of a one-block pass folds into when
-    /// its grids are handed over rather than kept.
+    /// The one accumulator every spec of a one-block pass folds into.
     shared: Vec<f64>,
 }
 
@@ -443,8 +445,8 @@ impl ScratchPool {
 /// One fused host pass of every spec in `specs` over one table's `cols`
 /// into the host block `out` ([`crate::block`]), which is cleared first:
 /// each spec is committed in its smaller form as soon as its grids are
-/// complete, as [`crate::device_impl::bin_all_device`] commits into a
-/// device block.
+/// complete. [`crate::device_impl::bin_all_device`] runs this pass too, and
+/// stores its block into the device block.
 ///
 /// The rows are walked once, a block (`block_rows`) at a time. Per
 /// block, (1) each **unique** axis `(column, lo, hi, cells)` is
@@ -455,13 +457,26 @@ impl ScratchPool {
 /// shared by every spec with the same op list; (3) each spec folds its
 /// in-range rows into a private bin-major accumulator `[bin][lane][slot]`
 /// with the fold compiled for its lane shape (`fold`). That layout is
-/// the kernel's own choice; [`FusedGrids`] hands the grids out op by op.
+/// the kernel's own choice; the commit reads the grids out op by op.
 ///
 /// Every `(op, bin)` accumulator starts at its reduction identity and
 /// folds its rows in ascending row order with the per-op kernel's own
 /// operations, so each grid is **bit-identical** to [`bin_host`] over the
 /// same logical values, whatever the column storage — and combining it
 /// with an identity grid changes no bit of it.
+///
+/// An accumulator is initialised right before its first fold and
+/// committed right after its last, so the commit finds it in cache. On a
+/// table of one block that is the whole life of an accumulator, and every
+/// spec then folds into the same one: the pass touches one accumulator's
+/// worth of memory, hot, instead of all of them.
+///
+/// A spec that can never go dense in a block — `rows·(ops+1) < ops·bins` —
+/// has only the bins its rows touch initialised: a per-spec bitmap, set
+/// from each block's axis indices before its fold, marks a bin on its
+/// first row, which writes the bin's identities, and yields the touched
+/// bins. Every other spec's bins all start at their identities, and a
+/// walk of its count slot finds the touched ones.
 ///
 /// # Panics
 /// Panics when the columns a spec reads differ in length or a non-count
@@ -472,65 +487,12 @@ pub fn bin_all_block(
     scratch: &mut KernelScratch,
     out: &mut Vec<f64>,
 ) {
-    block::begin(out, specs.len());
-    bin_all_host_each(cols, specs, scratch, |si, grids| block::commit(out, si, &specs[si], grids));
-    block::finish(out);
-}
-
-/// Set the marks of the bins the rows `ix`/`iy` fall into, writing each
-/// newly marked bin's identities to its row of `acc` first.
-fn touch(
-    acc: &mut [f64],
-    identities: &[f64],
-    marks: &mut [u64],
-    ix: &[u32],
-    iy: &[u32],
-    nx: usize,
-) {
-    let width = identities.len();
-    for (&i, &j) in ix.iter().zip(iy) {
-        if i.max(j) == u32::MAX {
-            continue;
-        }
-        let b = j as usize * nx + i as usize;
-        let (word, bit) = (&mut marks[b / 64], 1u64 << (b % 64));
-        if *word & bit == 0 {
-            *word |= bit;
-            acc[b * width..][..width].copy_from_slice(identities);
-        }
-    }
-}
-
-/// The pass behind [`bin_all_block`], for a caller that consumes each
-/// spec's grids itself: `done` gets them (with the spec's index in `specs`,
-/// in ascending order) as soon as the spec's last row is folded, and they
-/// are not kept.
-///
-/// An accumulator is initialised right before its first fold and handed
-/// over right after its last, so a consumer that reads it there — the
-/// commit to a block ([`crate::block`]) — finds it in cache. On a table of
-/// one block that is the whole life of an accumulator, and every spec then
-/// folds into the same one: the pass touches one accumulator's worth of
-/// memory, hot, instead of all of them.
-///
-/// A spec that can never go dense in a block — `rows·(ops+1) < ops·bins` —
-/// has only those initialised: a per-spec bitmap, set from each block's
-/// axis indices before its fold, marks a bin on its first row, which
-/// writes the bin's identities, and yields the
-/// [touched](FusedGrids::touched) bins. Every other spec's bins all start
-/// at their identities, and a walk of its count slot finds the touched
-/// ones.
-pub fn bin_all_host_each(
-    cols: &[&[f64]],
-    specs: &[PassSpec],
-    scratch: &mut KernelScratch,
-    mut done: impl FnMut(usize, &FusedGrids),
-) {
     let rows = pass_rows(|c| cols[c].len(), specs).unwrap_or_else(|e| panic!("{e}"));
-    let KernelScratch { axes, stages, plans, index, staged, shared } = scratch;
+    let KernelScratch { axes, stages, plans, index, staged, shared, .. } = scratch;
+    block::begin(out, specs.len());
 
     // An empty table is one block of no rows: every spec still gets its
-    // identities and its `done`.
+    // identities and its commit.
     let block = block_rows(specs);
     let tile = block.min(rows).max(1);
     let blocks = rows.div_ceil(block).max(1);
@@ -633,11 +595,36 @@ pub fn bin_all_host_each(
             fold_lanes(plan, &staged[plan.stage], ix, iy, spec.grid.nx);
             if b + 1 == blocks {
                 plan.find_touched();
-                done(si, plan);
+                block::commit(out, si, spec, plan);
             }
             if share {
                 std::mem::swap(&mut plan.acc, shared);
             }
+        }
+    }
+    block::finish(out);
+}
+
+/// Set the marks of the bins the rows `ix`/`iy` fall into, writing each
+/// newly marked bin's identities to its row of `acc` first.
+fn touch(
+    acc: &mut [f64],
+    identities: &[f64],
+    marks: &mut [u64],
+    ix: &[u32],
+    iy: &[u32],
+    nx: usize,
+) {
+    let width = identities.len();
+    for (&i, &j) in ix.iter().zip(iy) {
+        if i.max(j) == u32::MAX {
+            continue;
+        }
+        let b = j as usize * nx + i as usize;
+        let (word, bit) = (&mut marks[b / 64], 1u64 << (b % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            acc[b * width..][..width].copy_from_slice(identities);
         }
     }
 }
@@ -1099,10 +1086,8 @@ mod tests {
             let cols: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
             bin_all_block(&cols, &specs, &mut scratch, &mut out);
             assert_eq!(bits(&out), bits(&reference_block(&cols, &specs)), "rows {rows}");
-            let mut touched_only = Vec::new();
-            bin_all_host_each(&cols, &specs, &mut scratch, |_, grids| {
-                touched_only.push(grids.initialised_touched_only())
-            });
+            let touched_only: Vec<bool> =
+                scratch.plans.iter().map(FusedGrids::initialised_touched_only).collect();
             assert_eq!(touched_only, [true, true, false, false], "rows {rows}");
             let words: Vec<bool> = out[1..5].iter().map(|w| w.to_bits() == block::DENSE).collect();
             assert_eq!(words, [false, false, true, true], "rows {rows}");

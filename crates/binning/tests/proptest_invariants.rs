@@ -1,6 +1,7 @@
 //! Property tests on the binning invariants: conservation, ordering, and
 //! host/device agreement over arbitrary data.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use binning::host_impl::PassSpec;
@@ -697,12 +698,13 @@ fn step_specs(seed: u64) -> (Vec<Vec<BinOp>>, Vec<PassSpec>) {
 }
 
 /// One rank's step: its tables' blocks out of the host block kernel,
-/// merged table-major, and the same tables' blocks read back dense and
-/// landed in a flat buffer as the step once did — the first table
-/// written, later ones merged, the identities where a rank has no table.
-fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64>) {
+/// those blocks merged table-major, and the same tables' blocks read back
+/// dense and landed in a flat buffer as the step once did — the first
+/// table written, later ones merged, the identities where a rank has no
+/// table.
+fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> RankStep {
     let mut scratch = host_impl::KernelScratch::default();
-    let (mut merged, mut table) = (Vec::new(), Vec::new());
+    let (mut merged, mut table, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
     let mut spare = block::Scratch::default();
     let mut flat: Vec<f64> = specs
         .iter()
@@ -713,6 +715,7 @@ fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64
     for (ti, cols) in tables.iter().enumerate() {
         let cols: Vec<&[f64]> = cols.iter().map(|c| &c[..]).collect();
         host_impl::bin_all_block(&cols, specs, &mut scratch, &mut table);
+        blocks.push(table.clone());
         let dense = unpack(&table, specs);
         match ti {
             0 => std::mem::swap(&mut merged, &mut table),
@@ -731,7 +734,91 @@ fn rank_step(tables: &[Vec<Vec<f64>>], specs: &[PassSpec]) -> (Vec<f64>, Vec<f64
         merged = vec![0.0; 1 + specs.len()];
         merged[0] = f64::from_bits(merged.len() as u64);
     }
-    (merged, flat)
+    RankStep { blocks, merged, flat }
+}
+
+/// What [`rank_step`] makes of one rank's tables.
+#[derive(Clone)]
+struct RankStep {
+    /// Each table's block.
+    blocks: Vec<Vec<f64>>,
+    /// The blocks merged table-major.
+    merged: Vec<f64>,
+    /// The blocks' grids merged dense, table-major.
+    flat: Vec<f64>,
+}
+
+/// Dense cells of `specs`' grids.
+fn cells(specs: &[PassSpec]) -> usize {
+    specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum()
+}
+
+/// The cut of `blocks` — one rank's tables' blocks of `specs` — that the
+/// owner of the specs `cut` receives, written from the blocks' parts.
+fn write_cut(blocks: &[Vec<f64>], specs: &[PassSpec], cut: Range<usize>) -> Vec<f64> {
+    let shapes = || specs.iter().map(|s| (s.ops.len(), s.grid.num_bins()));
+    let parts: Vec<_> = blocks.iter().map(|b| block::spec_parts(b, shapes()).unwrap()).collect();
+    // Garbage the writer must clear.
+    let mut out = vec![f64::NAN; 3];
+    let tables = parts.iter().map(|parts| &parts[cut.clone()]);
+    block::write_cut(&mut out, &specs[cut.clone()], tables, &mut block::Scratch::default())
+        .unwrap();
+    out
+}
+
+/// Contiguous runs of `n` specs dealt to the first `min(ranks, n)` of
+/// `ranks` ranks, one each; every other rank owns nothing.
+fn owner_cuts(n: usize, ranks: usize) -> Vec<Range<usize>> {
+    let owners = ranks.min(n);
+    (0..owners).map(|d| d * n / owners..(d + 1) * n / owners).collect()
+}
+
+/// One case of the owners' cuts against the dense merge: a rank of zero
+/// to four tables, its specs dealt over one to six ranks, each owner's cut
+/// read dense equals that owner's slice of the table-major dense merge.
+/// Returns, per cut, whether a later table was merged into it, and whether
+/// it held a spec sparse and one dense.
+fn cuts_equal_dense_slices(seed: u64) -> Vec<(bool, [bool; 2])> {
+    let (_, specs) = step_specs(seed);
+    let mut rng = Mix(seed ^ 0xc075);
+    let (tables, _) = landing_tables(seed);
+    let tables = &tables[..rng.below(tables.len() + 1)];
+    let step = rank_step(tables, &specs);
+    let mut seen = Vec::new();
+    for cut in owner_cuts(specs.len(), 1 + rng.below(6)) {
+        let out = write_cut(&step.blocks, &specs, cut.clone());
+        let slice = &step.flat[cells(&specs[..cut.start])..][..cells(&specs[cut.clone()])];
+        let what = format!("seed {seed}, {} tables, cut {cut:?}", tables.len());
+        assert_eq!(bits(&unpack(&out, &specs[cut.clone()])), bits(slice), "{what}: {specs:?}");
+        let words = &out[1..1 + cut.len()];
+        let dense = |w: &f64| w.to_bits() == block::DENSE;
+        seen.push((tables.len() > 1, [words.iter().any(|w| !dense(w)), words.iter().any(dense)]));
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An owner's cut written straight from a rank's tables' parts — the
+    /// first table's copied, later ones merged in, untouched parts where
+    /// the rank has no table — equals, bit for bit, that owner's slice of
+    /// the tables' dense grids merged table-major, whichever ranks own
+    /// which specs.
+    #[test]
+    fn an_owners_cut_equals_its_slice_of_the_table_major_dense_merge(seed in any::<u64>()) {
+        cuts_equal_dense_slices(seed);
+    }
+}
+
+/// The cut cases reach what the property is about: later tables merged
+/// into cuts holding every spec sparse, every spec dense, and both.
+#[test]
+fn owner_cut_cases_merge_later_tables_into_sparse_and_dense_specs() {
+    let seen: Vec<(bool, [bool; 2])> = (0..48).flat_map(cuts_equal_dense_slices).collect();
+    for want in [[true, false], [false, true], [true, true]] {
+        assert!(seen.contains(&(true, want)), "no merged cut with formats {want:?}");
+    }
 }
 
 /// The dense flat buffer's segments, one per grid.
@@ -756,7 +843,7 @@ fn grid_segments(specs: &[PassSpec]) -> Vec<minimpi::Segment> {
 /// dense.
 fn block_allreduce_equals_dense(seed: u64, ranks_per_node: usize) -> Vec<[bool; 2]> {
     let (listed, specs) = step_specs(seed);
-    let steps: Vec<(Vec<f64>, Vec<f64>)> = (0..4u64)
+    let steps: Vec<RankStep> = (0..4u64)
         .map(|r| {
             let (mut tables, _) = landing_tables(seed ^ (r + 1).wrapping_mul(0x9e37_79b9));
             // `+0.0` beside the `-0.0` some tables hold: a minimum or
@@ -770,32 +857,35 @@ fn block_allreduce_equals_dense(seed: u64, ranks_per_node: usize) -> Vec<[bool; 
         .collect();
     let segments = grid_segments(&specs);
     let world = minimpi::World::new(4).with_ranks_per_node(ranks_per_node);
-    // The step's cuts: contiguous runs of specs, some ranks owning none.
-    let cuts: Vec<_> = (0..4).map(|d| d * specs.len() / 4..(d + 1) * specs.len() / 4).collect();
+    // The step's cuts: contiguous runs of specs, ranks past the owners
+    // owning none.
+    let cuts = owner_cuts(specs.len(), 4);
     let out = world.run(|c| {
-        let (local, flat) = steps[c.rank()].clone();
+        let RankStep { blocks, merged: local, flat } = steps[c.rank()].clone();
         let spare = std::cell::RefCell::new(block::Scratch::default());
-        let merged = c.allreduce_with(local.clone(), |acc, part| {
+        let merged = c.allreduce_with(local, |acc, part| {
             block::merge_blocks(&specs, acc, part, &mut spare.borrow_mut()).unwrap()
         });
-        let mut parts = vec![Vec::new(); 4];
-        block::split(&local, &specs, &cuts, &mut parts).unwrap();
-        let mine = &specs[cuts[c.rank()].clone()];
+        let parts = cuts.iter().map(|cut| write_cut(&blocks, &specs, cut.clone())).collect();
+        let mine = &specs[cuts.get(c.rank()).cloned().unwrap_or_default()];
         let owned = c.reduce_scatter_with(parts, |acc, part| {
             block::merge_blocks(mine, acc, &part, &mut spare.borrow_mut()).unwrap()
         });
         (merged, c.allreduce_packed(flat, &segments).unwrap(), owned)
     });
-    let cells = |specs: &[PassSpec]| specs.iter().map(|s| s.ops.len() * s.grid.num_bins()).sum();
     let mut formats = Vec::new();
     for (rank, (merged, dense, owned)) in out.iter().enumerate() {
         let what = format!("seed {seed}, {ranks_per_node} ranks per node, rank {rank}");
         assert_eq!(bits(&unpack(merged, &specs)), bits(dense), "{what}: {specs:?}");
-        // The rank's share of the reduce-scatter over the cuts is that
-        // slice of the allreduce.
-        let cut = cuts[rank].clone();
-        let slice = &dense[cells(&specs[..cut.start])..][..cells(&specs[cut.clone()])];
-        assert_eq!(bits(&unpack(owned, &specs[cut])), bits(slice), "{what}: the cut");
+        // An owner's share of the reduce-scatter over the cuts is its
+        // slice of the allreduce; every other rank receives nothing.
+        match cuts.get(rank).cloned() {
+            Some(cut) => {
+                let slice = &dense[cells(&specs[..cut.start])..][..cells(&specs[cut.clone()])];
+                assert_eq!(bits(&unpack(owned, &specs[cut])), bits(slice), "{what}: the cut");
+            }
+            None => assert!(owned.is_empty(), "{what}: a rank that owns nothing"),
+        }
         let words = &merged[1..1 + specs.len()];
         let dense_word = |w: &f64| w.to_bits() == block::DENSE;
         formats.push([words.iter().any(|w| !dense_word(w)), words.iter().any(dense_word)]);

@@ -931,58 +931,6 @@ macro_rules! f64_ops {
                 self.0.cells().iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect()
             }
 
-            /// Store the row-major `rows`, each `starts.len()` values wide,
-            /// column by column: value `c` of row `r` lands at element
-            /// `starts[c] + r`, and a column whose start is `None` is not
-            /// stored.
-            ///
-            /// # Panics
-            /// Panics if `rows` is not a whole number of rows or a column
-            /// runs past the end of the view.
-            pub fn store_columns(&self, rows: &[f64], starts: &[Option<usize>]) {
-                let Some(n) = rows.len().checked_div(starts.len()) else {
-                    assert!(rows.is_empty(), "store_columns needs whole rows");
-                    return;
-                };
-                assert_eq!(rows.len(), n * starts.len(), "store_columns needs whole rows");
-                let (cells, width) = (self.0.cells(), starts.len());
-                let columns: Vec<(usize, &[AtomicU64])> = (0..)
-                    .zip(starts)
-                    .filter_map(|(c, s)| s.map(|s| (c, &cells[s..s + n])))
-                    .collect();
-                // A block of rows at a time, so the strided reads of one
-                // column hit lines the previous column just pulled in.
-                const BLOCK: usize = 64;
-                for (b, block) in rows.chunks(BLOCK * width).enumerate() {
-                    for &(c, column) in &columns {
-                        let block_rows = block.chunks_exact(width);
-                        for (cell, row) in column[b * BLOCK..].iter().zip(block_rows) {
-                            cell.store(row[c].to_bits(), Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-
-            /// [`Self::store_columns`] of the rows `picked` of the
-            /// row-major `rows` only, each `starts.len()` values wide:
-            /// value `c` of row `picked[j]` lands at element
-            /// `starts[c] + j` — a compacted append with no holes. A
-            /// column whose start is `None` is not stored.
-            ///
-            /// # Panics
-            /// Panics if a picked row is not in `rows` or a column runs
-            /// past the end of the view.
-            pub fn store_picked(&self, rows: &[f64], picked: &[u32], starts: &[Option<usize>]) {
-                let (cells, width) = (self.0.cells(), starts.len());
-                for (c, start) in starts.iter().enumerate() {
-                    let Some(start) = *start else { continue };
-                    let column = &cells[start..start + picked.len()];
-                    for (cell, &r) in column.iter().zip(picked) {
-                        cell.store(rows[r as usize * width + c].to_bits(), Ordering::Relaxed);
-                    }
-                }
-            }
-
             /// Store the words `words` as the raw bits of the elements
             /// from `start` on (counts and indices kept beside `f64`s).
             ///
@@ -1238,39 +1186,12 @@ mod tests {
         assert_eq!(v.to_vec(), vec![9.0; 3]);
         v.copy_from_slice(&[1.0, 2.0, 3.0]);
         assert_eq!(v.to_vec(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn column_stores_land_column_by_column() {
-        let b = host_buf(7);
-        let v = b.host_f64().unwrap();
-        v.fill(-1.0);
-        // Three rows of two values; column 0 lands at 4.., column 1 at 0...
-        v.store_columns(&[1.0, 10.0, 2.0, 20.0, 3.0, 30.0], &[Some(4), Some(0)]);
-        assert_eq!(v.to_vec(), vec![10.0, 20.0, 30.0, -1.0, 1.0, 2.0, 3.0]);
-        let before = v.to_vec();
-        v.store_columns(&[], &[]);
-        v.store_columns(&[], &[Some(3)]);
-        // A column without a start is skipped, whole or picked.
-        v.store_columns(&[7.0, 8.0, 9.0, 7.0, 8.0, 9.0], &[None, None, None]);
-        v.store_picked(&[7.0, 8.0], &[0], &[None, None]);
-        assert_eq!(v.to_vec(), before);
-        v.store_picked(&[7.0, 8.0, 5.0, 6.0], &[1], &[None, Some(3)]);
-        assert_eq!(v.get(3), 6.0);
-        v.set(3, -1.0);
         drop(v);
         // A read view is the same cells as a slice.
         let r = b.host_f64_ro().unwrap();
-        assert_eq!(r[2..5], [30.0, -1.0, 1.0]);
-        assert_eq!(r.iter().skip(4).copied().collect::<Vec<_>>(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(r.get(6), 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn column_store_past_the_view_panics() {
-        let b = host_buf(4);
-        b.host_f64().unwrap().store_columns(&[1.0, 2.0, 3.0], &[Some(2)]);
+        assert_eq!(r[1..], [2.0, 3.0]);
+        assert_eq!(r.iter().skip(1).copied().collect::<Vec<_>>(), vec![2.0, 3.0]);
+        assert_eq!(r.get(2), 3.0);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! fresh slice of the reserved tag space so that back-to-back collectives
 //! and user point-to-point traffic can never cross-match.
 
-use std::cell::RefCell;
-
 use crate::comm::{Comm, COLLECTIVE_TAG_BASE};
 use crate::error::{Error, Result};
 use crate::topology::Topology;
@@ -130,17 +128,14 @@ impl Comm {
     /// broadcast is tiered — root to the other nodes' leaders over the
     /// interconnect, then node-local fan-out.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: T) -> Result<T> {
-        self.bcast_metered(root, value, &T::clone, &shallow)
+        self.bcast_metered(root, value, &shallow)
     }
 
-    /// [`Comm::bcast`] charging `bytes(message)` per message. Every copy a
-    /// sender hands out is made by `dup` — `T::clone`, or a caller with
-    /// buffers to reuse.
-    pub(crate) fn bcast_metered<T: Send + 'static>(
+    /// [`Comm::bcast`] charging `bytes(message)` per message.
+    fn bcast_metered<T: Clone + Send + 'static>(
         &self,
         root: usize,
         value: T,
-        dup: &impl Fn(&T) -> T,
         bytes: &impl Fn(&T) -> usize,
     ) -> Result<T> {
         let tag = self.next_coll_tag();
@@ -148,12 +143,12 @@ impl Comm {
             return Ok(value);
         }
         if self.hierarchical() {
-            return self.bcast_hier(root, value, dup, bytes, tag);
+            return self.bcast_hier(root, value, bytes, tag);
         }
         if self.rank() == root {
             for dst in 0..self.size() {
                 if dst != root {
-                    self.coll_send_metered(dst, tag + SLOT_DATA, dup(&value), bytes(&value));
+                    self.coll_send_metered(dst, tag + SLOT_DATA, value.clone(), bytes(&value));
                 }
             }
             Ok(value)
@@ -166,11 +161,10 @@ impl Comm {
     /// leader (inter-node tier, on this comm's tag), then each node fans
     /// out locally on the node sub-communicator. The value is duplicated
     /// verbatim, so every rank gets the root's value whatever the route.
-    fn bcast_hier<T: Send + 'static>(
+    fn bcast_hier<T: Clone + Send + 'static>(
         &self,
         root: usize,
         value: T,
-        dup: &impl Fn(&T) -> T,
         bytes: &impl Fn(&T) -> usize,
         tag: u64,
     ) -> Result<T> {
@@ -188,7 +182,7 @@ impl Comm {
                             self.coll_send_metered(
                                 topo.leader(node),
                                 tag + SLOT_DATA,
-                                dup(&value),
+                                value.clone(),
                                 bytes(&value),
                             );
                         }
@@ -199,7 +193,7 @@ impl Comm {
                 };
                 for nr in 0..h.node.size() {
                     if nr != h.node.rank() {
-                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes(&v));
+                        h.node.coll_send_metered(nr, node_tag + SLOT_DATA, v.clone(), bytes(&v));
                     }
                 }
                 Ok(v)
@@ -264,19 +258,16 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
     {
-        self.allreduce_metered(value, &op, &T::clone, &shallow)
+        self.allreduce_metered(value, &op, &shallow)
     }
 
-    /// [`Comm::allreduce`] charging `bytes(message)` per message, the
-    /// copies of the result handed back down made by `dup` (see
-    /// [`Comm::bcast_metered`]). Every rank sends down exactly as many
-    /// copies as it merged partials on the way up, on the direct and the
-    /// tiered path alike.
-    fn allreduce_metered<T, F, D, B>(&self, value: T, op: &F, dup: &D, bytes: &B) -> T
+    /// [`Comm::allreduce`] charging `bytes(message)` per message. Every
+    /// rank sends down exactly as many copies of the result as it merged
+    /// partials on the way up, on the direct and the tiered path alike.
+    fn allreduce_metered<T, F, B>(&self, value: T, op: &F, bytes: &B) -> T
     where
-        T: Send + 'static,
+        T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
-        D: Fn(&T) -> T,
         B: Fn(&T) -> usize,
     {
         self.allreduce_rounds.set(self.allreduce_rounds.get() + 1);
@@ -290,11 +281,11 @@ impl Comm {
             return value;
         }
         if self.hierarchical() {
-            return self.allreduce_hier(value, op, dup, bytes);
+            return self.allreduce_hier(value, op, bytes);
         }
         let reduced = self.reduce_metered(0, value, op, bytes).expect("rank 0 is always valid");
         let down = |v: &Option<T>| v.as_ref().map_or(0, bytes);
-        self.bcast_metered(0, reduced, &|v: &Option<T>| v.as_ref().map(dup), &down)
+        self.bcast_metered(0, reduced, &down)
             .expect("rank 0 is always valid")
             .expect("root always holds the reduced value")
     }
@@ -303,11 +294,10 @@ impl Comm {
     /// (the hook observes the logical allreduce), then each tier's
     /// collective claims its own slot on its sub-communicator — so a hook
     /// such as the `mpi.collective` fault site fires on every tier.
-    fn allreduce_hier<T, F, D, B>(&self, value: T, op: &F, dup: &D, bytes: &B) -> T
+    fn allreduce_hier<T, F, B>(&self, value: T, op: &F, bytes: &B) -> T
     where
-        T: Send + 'static,
+        T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
-        D: Fn(&T) -> T,
         B: Fn(&T) -> usize,
     {
         let _ = self.next_coll_tag();
@@ -318,14 +308,14 @@ impl Comm {
             // Tier 2 (inter-node): binomial-tree allreduce among leaders.
             let result = h.leader.as_ref().map(|l| {
                 let partial = partial.expect("leader holds its node partial");
-                leader_allreduce(l, partial, op, dup, bytes)
+                leader_allreduce(l, partial, op, bytes)
             });
             // Tier 3 (intra-node): node-local broadcast of the result.
             let node_tag = h.node.next_coll_tag();
             if h.node.rank() == 0 {
                 let v = result.expect("node leader ran the leader tier");
                 for nr in 1..h.node.size() {
-                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, dup(&v), bytes(&v));
+                    h.node.coll_send_metered(nr, node_tag + SLOT_DATA, v.clone(), bytes(&v));
                 }
                 v
             } else {
@@ -340,74 +330,64 @@ impl Comm {
     /// The fold follows the canonical merge order of [`Comm::allreduce`],
     /// on the direct and the tiered path alike, and counts as one round.
     /// Each message is charged its own length × 8 bytes.
-    ///
-    /// A merged-in partial's buffer is dead weight its rank already holds:
-    /// the copies of the result sent back down are written into those, so
-    /// once they have grown to the result's size a round allocates nothing
-    /// payload-sized, and every non-merging rank gets the allocation it
-    /// sent back.
     pub fn allreduce_with(
         &self,
         data: Vec<f64>,
         merge: impl Fn(&mut Vec<f64>, &[f64]),
     ) -> Vec<f64> {
-        let spares = RefCell::new(Vec::new());
         let op = |mut a: Vec<f64>, b: Vec<f64>| {
             merge(&mut a, &b);
-            spares.borrow_mut().push(b);
             a
         };
-        let dup = |result: &Vec<f64>| match spares.borrow_mut().pop() {
-            Some(mut spare) => {
-                spare.clear();
-                spare.extend_from_slice(result);
-                spare
-            }
-            None => result.clone(),
-        };
-        self.allreduce_metered(data, &op, &dup, &|v: &Vec<f64>| std::mem::size_of_val(&v[..]))
+        self.allreduce_metered(data, &op, &|v: &Vec<f64>| std::mem::size_of_val(&v[..]))
     }
 
-    /// One reduction round that leaves each rank a share of the result:
-    /// `parts[d]` is this rank's contribution to rank `d`'s share, and rank
-    /// `d` returns every rank's `parts[d]` folded by `merge(acc, part)`.
-    /// The fold follows the canonical merge order [`Comm::reduce`] and
-    /// [`Comm::allreduce_with`] apply at their root, on any topology, so
-    /// each share equals the matching slice of an allreduce bit for bit.
-    /// `merge` is handed each folded-in part by value, so the caller may
-    /// keep its allocation for a later round's parts.
+    /// One reduction round that leaves each owning rank a share of the
+    /// result: `parts[d]` is this rank's contribution to rank `d`'s share,
+    /// and rank `d` returns every rank's `parts[d]` folded by
+    /// `merge(acc, part)`. Ranks `0..parts.len()` own a share; every rank
+    /// passes one part per owner, and a rank past the owners receives
+    /// nothing and returns an empty `Vec`. The fold follows the canonical
+    /// merge order [`Comm::reduce`] and [`Comm::allreduce_with`] apply at
+    /// their root, on any topology, so each share equals the matching
+    /// slice of an allreduce bit for bit. `merge` is handed each folded-in
+    /// part by value, so the caller may keep its allocation for a later
+    /// round's parts.
     ///
     /// The exchange is direct, as [`Comm::reduce`]'s is: every rank sends
-    /// each other rank its part, on whatever tier joins the two. It claims
+    /// each other owner its part, on whatever tier joins the two. It claims
     /// one collective slot, counts as one round, and charges each message
     /// its own length × 8 bytes; a rank's own part is not sent.
     ///
     /// # Panics
     ///
-    /// If `parts` does not hold one part per rank.
+    /// If `parts` holds more parts than there are ranks.
     pub fn reduce_scatter_with(
         &self,
         parts: Vec<Vec<f64>>,
         merge: impl Fn(&mut Vec<f64>, Vec<f64>),
     ) -> Vec<f64> {
-        assert_eq!(parts.len(), self.size(), "reduce_scatter_with takes one part per rank");
+        assert!(parts.len() <= self.size(), "reduce_scatter_with takes a part per owning rank");
         self.allreduce_rounds.set(self.allreduce_rounds.get() + 1);
         let tag = self.next_coll_tag();
-        let mut got: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.size());
+        let mut own = None;
         for (dst, part) in parts.into_iter().enumerate() {
             if dst == self.rank() {
-                got.push(Some(part));
+                own = Some(part);
             } else {
                 let bytes = std::mem::size_of_val(&part[..]);
                 self.coll_send_metered(dst, tag + SLOT_DATA, part, bytes);
-                got.push(None);
             }
         }
-        for (src, slot) in got.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(self.coll_recv(src, tag + SLOT_DATA).expect("every rank sends"));
-            }
+        if own.is_none() {
+            return Vec::new();
         }
+        let got = (0..self.size())
+            .map(|src| match src == self.rank() {
+                true => own.take(),
+                false => Some(self.coll_recv(src, tag + SLOT_DATA).expect("every rank sends")),
+            })
+            .collect();
         let op = |mut acc: Vec<f64>, part: Vec<f64>| {
             merge(&mut acc, part);
             acc
@@ -441,29 +421,37 @@ impl Comm {
         }))
     }
 
-    /// Gather every rank's `value` at `root`, in rank order: `Some` of
-    /// every rank's value on the root, `None` elsewhere. Each message is
-    /// charged `bytes(value)`: payloads are moved, not serialised, so only
-    /// the caller knows what one would put on the wire.
+    /// Gather the `value` of each of ranks `0..senders` at `root`, in rank
+    /// order: `Some` of them on the root, `None` elsewhere. Every rank
+    /// takes part, so the collective claims one slot everywhere, but a rank
+    /// past `senders` sends nothing and its `value` is dropped. Each message
+    /// is charged `bytes(value)`: payloads are moved, not serialised, so
+    /// only the caller knows what one would put on the wire.
+    ///
+    /// # Panics
+    ///
+    /// If `senders` exceeds the ranks.
     pub fn gather<T: Send + 'static>(
         &self,
         root: usize,
+        senders: usize,
         value: T,
         bytes: impl Fn(&T) -> usize,
     ) -> Result<Option<Vec<T>>> {
+        assert!(senders <= self.size(), "gather from more ranks than there are");
         let tag = self.next_coll_tag();
         if self.rank() == root {
-            let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-            out[root] = Some(value);
-            for (src, slot) in out.iter_mut().enumerate() {
-                if src != root {
-                    *slot = Some(self.coll_recv(src, tag + SLOT_DATA)?);
-                }
-            }
-            Ok(Some(out.into_iter().map(|v| v.expect("all ranks filled")).collect()))
+            let mut own = Some(value);
+            let out = (0..senders).map(|src| match src == root {
+                true => Ok(own.take().expect("the root's own value, once")),
+                false => self.coll_recv(src, tag + SLOT_DATA),
+            });
+            Ok(Some(out.collect::<Result<_>>()?))
         } else {
-            let bytes = bytes(&value);
-            self.coll_send_metered(root, tag + SLOT_DATA, value, bytes);
+            if self.rank() < senders {
+                let bytes = bytes(&value);
+                self.coll_send_metered(root, tag + SLOT_DATA, value, bytes);
+            }
             Ok(None)
         }
     }
@@ -472,7 +460,7 @@ impl Comm {
     /// every rank. Each message is charged the shallow size of what it
     /// moves.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let gathered = self.gather(0, value, shallow).expect("rank 0 is always valid");
+        let gathered = self.gather(0, self.size(), value, shallow).expect("rank 0 is always valid");
         let tag = self.next_coll_tag();
         if self.rank() == 0 {
             let all = gathered.expect("root has the gathered vector");
@@ -594,11 +582,10 @@ impl Comm {
 /// the mirrored tree back down. One collective slot on the leader comm
 /// covers both sweeps, so hooks (fault sites) observe one leader-tier
 /// collective per allreduce.
-fn leader_allreduce<T, F, D, B>(l: &Comm, mine: T, op: &F, dup: &D, bytes: &B) -> T
+fn leader_allreduce<T, F, B>(l: &Comm, mine: T, op: &F, bytes: &B) -> T
 where
-    T: Send + 'static,
+    T: Clone + Send + 'static,
     F: Fn(T, T) -> T,
-    D: Fn(&T) -> T,
     B: Fn(&T) -> usize,
 {
     let tag = l.next_coll_tag();
@@ -630,7 +617,7 @@ where
     while gap >= 1 {
         if i.is_multiple_of(2 * gap) {
             if i + gap < m {
-                let v = dup(acc.as_ref().expect("holders forward the result"));
+                let v = acc.clone().expect("holders forward the result");
                 let bytes = bytes(&v);
                 l.coll_send_metered(i + gap, tag + SLOT_RESULT, v, bytes);
             }
@@ -770,9 +757,17 @@ mod tests {
 
     #[test]
     fn gather_orders_by_rank() {
-        let got = World::new(5).run(|c| c.gather(1, c.rank() * 10, super::shallow).unwrap());
+        let got = World::new(5).run(|c| c.gather(1, 5, c.rank() * 10, super::shallow).unwrap());
         assert_eq!(got[1], Some(vec![0, 10, 20, 30, 40]));
         assert_eq!(got[0], None);
+        // From the first two ranks only: the others send nothing.
+        let got = World::new(5).run(|c| {
+            let gathered = c.gather(0, 2, c.rank() * 10, super::shallow).unwrap();
+            (gathered, c.tier_stats().messages())
+        });
+        assert_eq!(got[0], (Some(vec![0, 10]), 0));
+        assert_eq!(got[1], (None, 1));
+        assert!(got[2..].iter().all(|g| *g == (None, 0)));
     }
 
     #[test]

@@ -160,3 +160,59 @@ fn removed_memory_pool_and_topology_mode_are_config_errors() {
         }
     }
 }
+
+/// On `binning_hierarchical.xml` (two specs, four ranks on two nodes) ranks
+/// 0 and 1 own the specs, so only they receive grid cuts and send results:
+/// a binning step sends six inter-node messages — the bounds allreduce's
+/// two across the leaders' tree, and the cuts ranks 2 and 3 send ranks 0
+/// and 1 — in two allreduce rounds.
+#[test]
+fn the_hierarchical_config_sends_six_inter_node_messages_a_binning_step() {
+    use minimpi::World;
+    use newtonpp::{forces::Gravity, ic::UniformIc, IcKind, Newton, NewtonAdaptor, NewtonConfig};
+    use sensei::Bridge;
+
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/sensei_xml/binning_hierarchical.xml");
+    let xml = std::fs::read_to_string(&path).expect("readable config");
+    let topology = ConfigurableAnalysis::from_xml(&xml).unwrap().topology_config().unwrap();
+    let (ranks, steps) = (4, 3);
+    let world =
+        World::new(ranks).with_topology(topology.topology(ranks)).with_net(topology.net, 0.0);
+    let per_rank = world.run(move |comm| {
+        let node = SimNode::new(NodeConfig::fast_test(ranks));
+        let config = ConfigurableAnalysis::from_xml(&xml).unwrap();
+        let ctx = CreateContext { node: node.clone(), rank: comm.rank(), size: comm.size() };
+        let backends = config.instantiate(&stock_registry(), &ctx).unwrap();
+        let counters: Vec<_> = backends.iter().map(|b| b.counters().unwrap()).collect();
+        let newton = NewtonConfig {
+            ic: IcKind::Uniform(UniformIc {
+                n: 256,
+                seed: 7,
+                half_width: 1.0,
+                mass_range: (0.5, 1.5),
+                velocity_scale: 0.1,
+                central_mass: 256.0,
+            }),
+            dt: 1e-4,
+            grav: Gravity { g: 1.0, eps: 0.05 },
+            x_extent: (-2.0, 2.0),
+            repartition_every: None,
+        };
+        let mut sim = Newton::new(node.clone(), &comm, comm.rank() % ranks, newton).unwrap();
+        let mut bridge = Bridge::new(node);
+        for b in backends {
+            bridge.add_analysis(b, &comm).unwrap();
+        }
+        for _ in 0..steps {
+            let solver = sim.step(&comm).unwrap();
+            bridge.execute(&NewtonAdaptor::new(&sim), &comm, solver).unwrap();
+        }
+        bridge.finalize(&comm).unwrap();
+        let snapshot = counters[0].snapshot();
+        (snapshot.comm.inter_messages, snapshot.allreduces)
+    });
+    let inter: u64 = per_rank.iter().map(|&(inter, _)| inter).sum();
+    assert_eq!(inter, 6 * steps, "inter-node messages of {steps} binning steps: {per_rank:?}");
+    assert!(per_rank.iter().all(|&(_, rounds)| rounds == 2 * steps), "{per_rank:?}");
+}
