@@ -50,16 +50,19 @@ done
 echo "release test build $((built - start)) s, 20 passes $((SECONDS - built)) s"
 
 echo "== recovery suites, 5 release passes"
-# The step's task graph applies a back-end's recovery policy per node,
-# through one function, under every method, so a race or hang on a
-# recovery path shows up in these two suites: the engine's failure
-# paths, and the multi-rank task graph under injected faults
-# (watchdogged, so a hang fails in seconds).
+# The step runner applies a back-end's recovery policy per node, through
+# one function, under every method, so a race or hang on a recovery path
+# shows up in these suites: the runner's and the policy's own unit tests
+# (sensei's lib tests `scheduler::tests` and `recovery::tests`), the
+# engine's failure paths, and the multi-rank binning step under injected
+# faults (watchdogged, so a hang fails in seconds).
 start=$SECONDS
+runner=$(cargo test --release --no-run -q --message-format=json -p sensei --lib | executables)
 suites=$(cargo test --release --no-run -q --message-format=json \
     -p sensei -p binning --test engine_failures --test dag_execution | executables)
 built=$SECONDS
 for _ in $(seq 5); do
+    soak "$runner" -q scheduler::tests recovery::tests
     for suite in $suites; do
         soak "$suite" -q
     done

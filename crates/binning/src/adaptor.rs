@@ -188,14 +188,14 @@ impl CommMark {
 /// [`BinningSuite::new`] builds `binning_suite`, N of them — §4.3's
 /// instances of the one back-end, computed by one fused step that shares
 /// each step's fetch, bounds pass and grid round across every spec.
-/// The step is one task graph, whatever the execution method: one kernel
-/// per table under lockstep and asynchronous, one per spec spread over
-/// the node's devices under `dag`.
+/// The step is one sequence of typed nodes, whatever the execution
+/// method: one kernel per table under lockstep and asynchronous, one per
+/// spec spread over the node's devices under `dag`.
 ///
 /// Fused back-ends the bridge groups on one engine (the paper's nine
 /// `data_binning` instances) run one fused step between them: each member
 /// but the last hands its specs and where its results go forward through
-/// the step's [`sensei::GroupSlot`], and the last runs the graph over
+/// the step's [`sensei::GroupSlot`], and the last runs the step over
 /// every member's specs, in attach order, and delivers each member its
 /// own results.
 pub struct BinningAnalysis {
@@ -205,7 +205,7 @@ pub struct BinningAnalysis {
     /// Built by [`BinningSuite::new`]: named `binning_suite`, and spec
     /// `i`'s result is written under `dir/spec<i>`.
     suite: bool,
-    /// `true` (default): the fused step's task graph over every spec.
+    /// `true` (default): the fused step's nodes over every spec.
     /// `false`: the per-op reference path (one pass/kernel/download/allreduce per
     /// operation per spec), kept for A/B comparison and as the
     /// correctness reference.
@@ -291,7 +291,7 @@ impl BinningAnalysis {
     }
 
     /// The device each device kernel of the fused step ran on when it
-    /// last ran, in the task graph's (table, spec range) order — under
+    /// last ran, in the step's (table, spec range) order — under
     /// `dag`, one kernel per (table, spec). Empty on the host (diagnostic).
     pub fn kernel_devices(&self) -> Vec<usize> {
         self.arena.kernel_devices()
@@ -638,7 +638,7 @@ impl AnalysisAdaptor for BinningAnalysis {
 
     /// The engine calls [`execute_dag`](AnalysisAdaptor::execute_dag) for
     /// a fused back-end; a caller that calls `execute` instead gets the
-    /// same task graph, run in order on its thread.
+    /// same step, its nodes run in order on its thread.
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool> {
         if self.fused {
             let mut sched = DagScheduler::in_order(ctx.node.clone());
@@ -652,7 +652,7 @@ impl AnalysisAdaptor for BinningAnalysis {
         Ok(true)
     }
 
-    /// The fused step plans task graphs; the per-op reference does not.
+    /// The fused step plans its own nodes; the per-op reference does not.
     fn supports_dag(&self) -> bool {
         self.fused
     }

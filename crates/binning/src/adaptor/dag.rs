@@ -1,5 +1,5 @@
-//! The fused step as a task graph — the only form of the step, run by
-//! every execution method.
+//! The fused step as straight-line code over typed nodes — the only form
+//! of the step, run by every execution method.
 //!
 //! One `Fetch` node (data movement, fused bounds, the bounds collective),
 //! one `Kernel` node per (table, spec range) and, on a device, one
@@ -8,33 +8,37 @@
 //! specs, this rank's cut straight from the partial blocks, table-major,
 //! and running the single grid reduce-scatter, and one `Publish` node in
 //! which each owner finalizes its specs and rank 0 gathers the owners'
-//! results. Neither node returns an error before its collective is over:
-//! a malformed part or a failed publish travels to rank 0 in the gather.
-//! Under `dag` on a device the graph has one kernel per spec, each
-//! placed when the graph is planned on the device least loaded so far by
-//! its modeled cost (the placement device on ties), so kernels on
-//! different devices run side by side on the scheduler's streams.
-//! Otherwise — lockstep, asynchronous, or `dag` on the host — one kernel
-//! per table covers every spec: one launch, one download and one host
-//! pass per table. Results are bit-identical either way: the merge order
-//! is fixed table-major, and a grid is the same whichever pass or device
-//! computes it.
+//! results. Each node runs when the step's code reaches it
+//! ([`sensei::Step::run`]) and hands what it made to the next as a plain
+//! local. Neither collective node returns an error before its collective
+//! is over: a malformed part or a failed publish travels to rank 0 in the
+//! gather. Whatever the step's outcome, its host blocks go back to the
+//! arena and its collectives are charged to the counters.
+//!
+//! Under `dag` on a device the step has one kernel per spec, each placed,
+//! as it is reached, on the device least loaded so far by its modeled
+//! cost (the placement device on ties), so kernels on different devices
+//! run side by side on the scheduler's streams. Otherwise — lockstep,
+//! asynchronous, or `dag` on the host — one kernel per table covers every
+//! spec: one launch, one download and one host pass per table. Results
+//! are bit-identical either way: the merge order is fixed table-major,
+//! and a grid is the same whichever pass or device computes it.
 //!
 //! In a group of fused back-ends sharing one engine, every member but the
 //! last hands its specs and outlet forward as a [`Share`], and the last
-//! runs this graph once over all of them — the members' specs in attach
+//! runs this step once over all of them — the members' specs in attach
 //! order — then delivers each member its own results. The group's step is
-//! all or nothing: a skipped or failed graph delivers to no member.
+//! all or nothing: a skipped or failed step delivers to no member.
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use devsim::{CellBuffer, Event, ReadView};
+use devsim::{CellBuffer, Event};
 use sensei::{
-    AnalysisAdaptor, DagOutcome, DagScheduler, DataAdaptor, Error, ExecContext, ExecutionMethod,
-    GroupSlot, Result, TaskGraph, TaskKind,
+    AnalysisAdaptor, DagScheduler, DataAdaptor, Error, ExecContext, ExecutionMethod, GroupSlot,
+    Result, TaskKind,
 };
 
 use super::{local_tables, BinnedResult, BinningAnalysis, CommMark, Fetched, Outlet};
@@ -45,130 +49,84 @@ use crate::fused::{host_pass, num_grids, plan_pass, FusedStep, StepLayout};
 use crate::host_impl::{self, PassSpec};
 use crate::spec::BinningSpec;
 
-/// Where one (table, spec range) kernel's partial grids live between the
-/// kernel, download and reduce nodes of the step's task graph.
-enum StagedPart {
+/// One (table, spec range) kernel's partial block, as the reduce node
+/// reads it.
+enum Staged {
     /// Host placement: the block of one fused host table pass, an arena
     /// block given back once the step is over.
     Host(Vec<f64>),
-    /// Device kernel enqueued: its arena slot's packed device block and
-    /// host block, plus — when the device's copy stream is not the
-    /// kernel's — the event its stream records after the launch (the
-    /// download node's cross-stream ordering point).
-    Device { packed: CellBuffer, host: CellBuffer, ready: Option<Event> },
-    /// Download enqueued: the packed host buffer, valid once the download
-    /// node's event fires.
-    Downloaded(CellBuffer),
+    /// Device placement: the packed host buffer of the kernel's download,
+    /// valid once the download's event fires.
+    Device(CellBuffer),
 }
 
-/// What the step's nodes hand each other: everything the fetch node
-/// produces and the kernel/download/reduce nodes consume.
-#[derive(Default)]
-struct DagState {
-    /// Every spec's resolved grid and the step's block shape (fetch node
-    /// output).
-    layout: RefCell<Option<StepLayout>>,
-    /// Host placement: per table, the union columns' read views, shared
-    /// by the table's kernel tasks and dropped before the reduce node
-    /// tells the snapshot its shares are no longer read.
-    host_tables: RefCell<Vec<HashMap<String, ReadView<f64>>>>,
-    /// Device placement: `(table, device)` -> resident union columns.
-    /// Seeded on the placement device by the fetch node; the first kernel
-    /// placed on another device asks for the columns' versions there.
-    #[allow(clippy::type_complexity)]
-    dev_cols: RefCell<HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>>,
-    /// One slot per (table, spec range), indexed `table * nranges + range`.
-    staged: Vec<RefCell<Option<StagedPart>>>,
-    /// The globally merged block of the specs this rank owns, with
-    /// whether rank 0 consumes results as its trailing word — or why the
-    /// round failed here (reduce node output).
-    owned: RefCell<Option<Result<Vec<f64>>>>,
-    /// Finished step results (publish node output).
-    results: RefCell<Vec<BinnedResult>>,
+/// Device placement: `(table, device)` -> resident union columns. Seeded
+/// on the placement device by the fetch node; the first kernel placed on
+/// another device asks for the columns' versions there.
+type DeviceColumns = HashMap<(usize, usize), Arc<HashMap<String, CellBuffer>>>;
+
+/// The union columns of table `ti` on device `dw`: off the placement
+/// device, the fetched columns' versions there, asked for on `stream` (the
+/// kernel's compute stream) so the kernel launched right after is
+/// stream-ordered behind them. The columns keep those versions, so a later
+/// step's request refreshes them, or is granted them if the producer left
+/// the column alone.
+fn columns_on(
+    cache: &mut DeviceColumns,
+    node: &devsim::SimNode,
+    ti: usize,
+    dw: usize,
+    primary: usize,
+    stream: &devsim::Stream,
+) -> Result<Arc<HashMap<String, CellBuffer>>> {
+    if let Some(cols) = cache.get(&(ti, dw)) {
+        return Ok(cols.clone());
+    }
+    let fetched = cache
+        .get(&(ti, primary))
+        .ok_or_else(|| Error::Analysis(format!("dag kernel: table {ti} was not fetched")))?;
+    let cols = fetched
+        .iter()
+        .map(|(name, buf)| Ok((name.clone(), node.replica(buf, Some(dw), stream)?)))
+        .collect::<Result<HashMap<_, _>>>()?;
+    Ok(cache.entry((ti, dw)).or_insert(Arc::new(cols)).clone())
 }
 
-impl DagState {
-    /// The step's resolved grids and block shape: set by the fetch node,
-    /// which runs before every other node.
-    fn layout(&self) -> Ref<'_, StepLayout> {
-        Ref::map(self.layout.borrow(), |layout| {
-            layout.as_ref().expect("the fetch node resolved the step's grids")
-        })
+/// Write to `cuts[d]` this rank's block of the specs `owners[d]` out of
+/// the tables' staged blocks, `ranges.len()` a table ([`block::write_cut`]),
+/// merging through `scratch`.
+fn write_cuts(
+    staged: &[Staged],
+    specs: &[PassSpec],
+    ranges: &[Range<usize>],
+    owners: &[Range<usize>],
+    cuts: &mut [Vec<f64>],
+    scratch: &mut block::Scratch,
+) -> Result<()> {
+    let mut views = Vec::new();
+    for part in staged {
+        if let Staged::Device(host) = part {
+            views.push(host.host_f64_ro().map_err(Error::Device)?);
+        }
     }
-
-    /// The union columns of table `ti` on device `dw`: off the placement
-    /// device, the fetched columns' versions there, asked for on `stream`
-    /// (the kernel's compute stream) so the kernel launched right after
-    /// is stream-ordered behind them. The columns keep those versions, so
-    /// a later step's request refreshes them, or is granted them if the
-    /// producer left the column alone.
-    fn columns_on(
-        &self,
-        node: &devsim::SimNode,
-        ti: usize,
-        dw: usize,
-        primary: usize,
-        stream: &devsim::Stream,
-    ) -> Result<Arc<HashMap<String, CellBuffer>>> {
-        let mut cache = self.dev_cols.borrow_mut();
-        if let Some(cols) = cache.get(&(ti, dw)) {
-            return Ok(cols.clone());
+    let mut views = views.iter();
+    let mut tables = Vec::new();
+    for table in staged.chunks(ranges.len()) {
+        let mut parts = Vec::with_capacity(specs.len());
+        for (part, range) in table.iter().zip(ranges) {
+            let table: &[f64] = match part {
+                Staged::Host(out) => out,
+                Staged::Device(_) => views.next().expect("viewed above"),
+            };
+            parts.extend(block::spec_parts(table, block::shapes(&specs[range.clone()]))?);
         }
-        let fetched = cache
-            .get(&(ti, primary))
-            .ok_or_else(|| Error::Analysis(format!("dag kernel: table {ti} was not fetched")))?;
-        let cols = fetched
-            .iter()
-            .map(|(name, buf)| Ok((name.clone(), node.replica(buf, Some(dw), stream)?)))
-            .collect::<Result<HashMap<_, _>>>()?;
-        Ok(cache.entry((ti, dw)).or_insert(Arc::new(cols)).clone())
+        tables.push(parts);
     }
-
-    /// Write to `cuts[d]` this rank's block of the specs `owners[d]` out of
-    /// its `ntables` tables' staged blocks ([`block::write_cut`]), merging
-    /// through `scratch`.
-    fn write_cuts(
-        &self,
-        ranges: &[Range<usize>],
-        ntables: usize,
-        owners: &[Range<usize>],
-        cuts: &mut [Vec<f64>],
-        scratch: &mut block::Scratch,
-    ) -> Result<()> {
-        let layout = self.layout();
-        let specs = &layout.pass[..];
-        let held: Vec<_> = self.staged.iter().map(|slot| slot.borrow()).collect();
-        let mut views = Vec::new();
-        for part in &held {
-            if let Some(StagedPart::Downloaded(host)) = part.as_ref() {
-                views.push(host.host_f64_ro().map_err(Error::Device)?);
-            }
-        }
-        let (nranges, mut views) = (ranges.len(), views.iter());
-        let mut tables = Vec::with_capacity(ntables);
-        for ti in 0..ntables {
-            let mut parts = Vec::with_capacity(specs.len());
-            for (part, range) in held[ti * nranges..][..nranges].iter().zip(ranges) {
-                let table: &[f64] = match part.as_ref() {
-                    Some(StagedPart::Host(out)) => out,
-                    Some(StagedPart::Downloaded(_)) => views.next().expect("viewed above"),
-                    _ => {
-                        return Err(Error::Analysis(format!(
-                            "dag reduce: table {ti} partial {} missing",
-                            range.start
-                        )))
-                    }
-                };
-                parts.extend(block::spec_parts(table, block::shapes(&specs[range.clone()]))?);
-            }
-            tables.push(parts);
-        }
-        for (owned, cut) in owners.iter().zip(cuts) {
-            let parts = tables.iter().map(|parts| &parts[owned.clone()]);
-            block::write_cut(cut, &specs[owned.clone()], parts, scratch)?;
-        }
-        Ok(())
+    for (owned, cut) in owners.iter().zip(cuts) {
+        let parts = tables.iter().map(|parts| &parts[owned.clone()]);
+        block::write_cut(cut, &specs[owned.clone()], parts, scratch)?;
     }
+    Ok(())
 }
 
 /// Room for a block of `specs` and the trailing word a reduce-scatter part
@@ -219,8 +177,8 @@ struct Share {
 }
 
 impl BinningAnalysis {
-    /// The step as a task graph handed to `sched` (see the module docs);
-    /// in a group, only the last member plans it.
+    /// The step's nodes, run through `sched` (see the module docs); in a
+    /// group, only the last member runs them.
     pub(super) fn run_graph(
         &self,
         data: &dyn DataAdaptor,
@@ -257,8 +215,6 @@ impl BinningAnalysis {
         let device = self.controls.resolve_device(ctx.comm.rank(), ctx.node.num_devices());
         self.arena.place(device);
         let nspecs = specs.len();
-        let ntables = tables.len();
-        let row_counts: Vec<usize> = tables.iter().map(|t| t.num_rows()).collect();
         // Under `dag` on a device, a kernel per spec, to spread over the
         // devices; otherwise one pass per table over every spec.
         let spread = device.is_some() && self.controls.execution == ExecutionMethod::Dag;
@@ -266,265 +222,240 @@ impl BinningAnalysis {
             true => (0..nspecs).map(|si| si..si + 1).collect(),
             false => std::iter::once(0..nspecs).collect(),
         };
-        let (ranges, nranges) = (&ranges, ranges.len());
-        let mut loads = vec![0.0; ctx.node.num_devices()];
-
-        let state = DagState {
-            staged: (0..ntables * nranges).map(|_| RefCell::default()).collect(),
-            ..DagState::default()
-        };
-        let state = &state;
         let step = FusedStep { specs, counters: &self.counters };
         let arena = &self.arena;
         let consumes = outlets.iter().any(|(outlet, _)| outlet.publishes(ctx.comm));
         let node = ctx.node;
+        // One partial block per (table, spec range), table-major: outside
+        // the step, so its host blocks go back to the arena however the
+        // step ends.
+        let mut staged = Vec::with_capacity(tables.len() * ranges.len());
 
-        let mut g = TaskGraph::new(self.name(), self.counters.clone(), self.controls.recovery);
-
-        // Fetch: the union of every spec's variables, once per table, plus
-        // the fused bounds pass and its packed collective.
-        g.add_task(TaskKind::Fetch, "tables+bounds", None, move |_| {
-            // Idempotent under retry: the step's staging is rebuilt from
-            // scratch on every attempt.
-            state.host_tables.borrow_mut().clear();
-            state.dev_cols.borrow_mut().clear();
-            let fetched = step.fetch(data, &tables, device)?;
-            let grids = step.resolve_grids(&fetched, device, ctx)?;
-            *state.layout.borrow_mut() = Some(StepLayout::new(step.specs, grids));
-            for (ti, f) in fetched.into_iter().enumerate() {
-                match f {
-                    Fetched::Host(cols) => state.host_tables.borrow_mut().push(cols),
-                    Fetched::Device(views) => {
-                        let p = device.expect("device fetch implies device placement");
-                        let cols: HashMap<String, CellBuffer> =
-                            views.iter().map(|(k, v)| (k.clone(), v.cells().clone())).collect();
-                        state.dev_cols.borrow_mut().insert((ti, p), Arc::new(cols));
+        let policy = self.controls.recovery;
+        let stepped = sched.step(self.name(), &self.counters, policy, |s| {
+            // Fetch: the union of every spec's variables, once per table,
+            // plus the fused bounds pass and its packed collective. Each
+            // attempt returns staging of its own, so a retry starts clean.
+            let fetch = || "tables+bounds".to_string();
+            let (layout, mut host_tables, mut dev_cols) =
+                s.run(TaskKind::Fetch, fetch, None, &[], |_| {
+                    let fetched = step.fetch(data, &tables, device)?;
+                    let grids = step.resolve_grids(&fetched, device, ctx)?;
+                    let (mut host_tables, mut dev_cols) = (Vec::new(), DeviceColumns::new());
+                    for (ti, f) in fetched.into_iter().enumerate() {
+                        match f {
+                            Fetched::Host(cols) => host_tables.push(cols),
+                            Fetched::Device(views) => {
+                                let p = device.expect("device fetch implies device placement");
+                                let cols: HashMap<String, CellBuffer> = views
+                                    .iter()
+                                    .map(|(k, v)| (k.clone(), v.cells().clone()))
+                                    .collect();
+                                dev_cols.insert((ti, p), Arc::new(cols));
+                            }
+                        }
                     }
+                    Ok((StepLayout::new(step.specs, grids), host_tables, dev_cols))
+                })?;
+
+            // One kernel per (table, spec range), and on a device its
+            // download on the copy stream of the kernel's device. A host
+            // kernel's partial is in place when it returns.
+            let mut loads = vec![0.0; node.num_devices()];
+            let mut landed = Vec::new();
+            for (ti, table) in tables.iter().enumerate() {
+                for (ri, range) in ranges.iter().enumerate() {
+                    let label = || format!("t{ti}s{}", range.start);
+                    let Some(primary) = device else {
+                        let out = s.run(TaskKind::Kernel, label, None, &[], |_| {
+                            step.counters.add_table_passes(1);
+                            let (names, pass) = plan(step.specs, &layout, range);
+                            let mut scratch = arena.scratches().take();
+                            let mut out = arena.take_block(room(&layout.pass));
+                            host_pass(node, &host_tables[ti], &names, &pass, |cols| {
+                                host_impl::bin_all_block(cols, &pass, &mut scratch, &mut out);
+                            });
+                            arena.scratches().give(scratch);
+                            Ok(out)
+                        })?;
+                        staged.push(Staged::Host(out));
+                        continue;
+                    };
+                    let dw = match spread {
+                        true => {
+                            let rows = table.num_rows();
+                            let cost = |si: usize| {
+                                device_impl::fused_bin_cost(rows, num_grids(&specs[si]))
+                            };
+                            let cost = range.clone().map(|si| cost(si).flops + cost(si).bytes);
+                            least_loaded(&mut loads, primary, cost.sum())
+                        }
+                        false => primary,
+                    };
+                    let idx = ti * ranges.len() + ri;
+                    let kernel = s.run(TaskKind::Kernel, label, Some(dw), &[], |tctx| {
+                        let stream = tctx.stream().ok_or_else(|| {
+                            Error::Analysis(format!("no compute stream on device {dw}"))
+                        })?;
+                        let resident = columns_on(&mut dev_cols, node, ti, dw, primary, stream)?;
+                        let (names, pass) = plan(step.specs, &layout, range);
+                        let cols: Vec<&CellBuffer> =
+                            names.iter().map(|name| &resident[*name]).collect();
+                        let slot = arena.slot(node, idx, dw, block_len(&pass), stream)?;
+                        let scratches = arena.scratches();
+                        device_impl::bin_all_device(stream, &cols, &pass, &slot.packed, scratches)?;
+                        step.counters.add_kernel_launches(1);
+                        // A download on the kernel's own stream (in order)
+                        // is ordered behind it already.
+                        let ready = match tctx.copy_stream(dw) {
+                            Some(cp) if !Arc::ptr_eq(cp, stream) => {
+                                let ready = Event::new();
+                                stream.record(&ready).map_err(Error::Device)?;
+                                Some(ready)
+                            }
+                            _ => None,
+                        };
+                        Ok((slot, ready))
+                    })?;
+                    let (Slot { packed, host }, ready) = kernel;
+                    let ev = Event::new();
+                    s.run(TaskKind::Download, label, Some(dw), &[], |tctx| {
+                        let cp = tctx.copy_stream(dw).ok_or_else(|| {
+                            Error::Analysis(format!("no copy stream on device {dw}"))
+                        })?;
+                        if let Some(ready) = &ready {
+                            cp.wait_event(ready).map_err(Error::Device)?;
+                        }
+                        cp.copy_counted(&packed, &host).map_err(Error::Device)?;
+                        cp.record(&ev).map_err(Error::Device)?;
+                        step.counters.add_downloads(1);
+                        Ok(())
+                    })?;
+                    staged.push(Staged::Device(host));
+                    landed.push(ev);
                 }
             }
-            Ok(())
-        });
 
-        // One kernel per (table, spec range), and on a device its download
-        // on the copy stream of the kernel's device. A host kernel's
-        // partial is in place when it returns.
-        let mut download_events = Vec::new();
-        for (ti, &rows) in row_counts.iter().enumerate() {
-            for (ri, range) in ranges.iter().enumerate() {
-                let idx = ti * nranges + ri;
-                let label = format!("t{ti}s{}", range.start);
-                let Some(primary) = device else {
-                    g.add_task(TaskKind::Kernel, label, None, move |_| {
-                        let tables = state.host_tables.borrow();
-                        step.counters.add_table_passes(1);
-                        let layout = state.layout();
-                        let (names, pass) = plan(step.specs, &layout, range);
-                        let mut scratch = arena.scratches().take();
-                        let mut out = arena.take_block(room(&layout.pass));
-                        host_pass(node, &tables[ti], &names, &pass, |cols| {
-                            host_impl::bin_all_block(cols, &pass, &mut scratch, &mut out);
-                        });
-                        arena.scratches().give(scratch);
-                        *state.staged[idx].borrow_mut() = Some(StagedPart::Host(out));
-                        Ok(())
-                    });
-                    continue;
-                };
-                let dw = match spread {
-                    true => {
-                        let cost =
-                            |si: usize| device_impl::fused_bin_cost(rows, num_grids(&specs[si]));
-                        let cost = range.clone().map(|si| cost(si).flops + cost(si).bytes).sum();
-                        least_loaded(&mut loads, primary, cost)
+            // Reduce: write this rank's cut of the step for each owner of
+            // its coordinate systems straight from the staged blocks, in
+            // ascending (table, spec) order — the same whatever the spec
+            // ranges, so the grids stay bit-identical — and reduce-scatter
+            // the cuts: each owner ends with the merged block of the specs
+            // it owns, and a rank that owns none receives nothing. On a
+            // device, after the download events, so the host blocks are
+            // complete.
+            let reduce = || "block-reduce-scatter".to_string();
+            let owned = s.run(TaskKind::Reduce, reduce, None, &landed, |_| {
+                let specs = &layout.pass[..];
+                let room = room(specs);
+                let owners = layout.owners(ctx.comm.size());
+                let mut scratch = arena.take_merge(room);
+                let mut cuts: Vec<Vec<f64>> =
+                    owners.iter().map(|_| arena.take_block(room)).collect();
+                let cut = write_cuts(&staged, specs, &ranges, &owners, &mut cuts, &mut scratch);
+                // Every kernel has run: drop the step's views of the
+                // fetched columns, then the snapshot may let go of the CoW
+                // shares they read in place.
+                host_tables.clear();
+                dev_cols.clear();
+                data.release_shared();
+                // A rank whose cuts failed still joins the round, with cuts
+                // its owners reject; behind every good cut rides whether
+                // this rank consumes results.
+                let trailer = f64::from(u8::from(consumes));
+                for cut_block in &mut cuts {
+                    match cut {
+                        Ok(()) => cut_block.push(trailer),
+                        Err(_) => cut_block.clear(),
                     }
-                    false => primary,
-                };
-                g.add_task(TaskKind::Kernel, label.clone(), Some(dw), move |tctx| {
-                    let stream = tctx.stream().ok_or_else(|| {
-                        Error::Analysis(format!("no compute stream on device {dw}"))
-                    })?;
-                    let resident = state.columns_on(node, ti, dw, primary, stream)?;
-                    let layout = state.layout();
-                    let (names, pass) = plan(step.specs, &layout, range);
-                    let cols: Vec<&CellBuffer> =
-                        names.iter().map(|name| &resident[*name]).collect();
-                    let len = block_len(&pass);
-                    let slot = arena.slot(node, idx, dw, len, stream)?;
-                    device_impl::bin_all_device(
-                        stream,
-                        &cols,
-                        &pass,
-                        &slot.packed,
-                        arena.scratches(),
-                    )?;
-                    step.counters.add_kernel_launches(1);
-                    // A download on the kernel's own stream (in order) is
-                    // ordered behind it already.
-                    let ready = match tctx.copy_stream(dw) {
-                        Some(cp) if !Arc::ptr_eq(cp, stream) => {
-                            let ready = Event::new();
-                            stream.record(&ready).map_err(Error::Device)?;
-                            Some(ready)
+                }
+                // A malformed part is reported once the round is over, so
+                // no rank is left waiting on the collective.
+                let failed = RefCell::new(cut.err());
+                let rank = ctx.comm.rank();
+                let mine = owners.get(rank).cloned().unwrap_or_default();
+                // The cuts sent away leave this rank's blocks: it keeps as
+                // many of the parts it merges in, and lets the rest go.
+                let spare = Cell::new(owners.len() - usize::from(rank < owners.len()));
+                let scratch = RefCell::new(scratch);
+                let owned = ctx.comm.reduce_scatter_with(cuts, |acc, part| {
+                    let consumes = trailer_of(acc).max(trailer_of(&part));
+                    let mut scratch = scratch.borrow_mut();
+                    match block::merge_blocks(&specs[mine.clone()], acc, &part, &mut scratch) {
+                        Ok(()) => acc.push(consumes),
+                        Err(e) => {
+                            failed.borrow_mut().get_or_insert(e);
                         }
-                        _ => None,
-                    };
-                    let Slot { packed, host } = slot;
-                    *state.staged[idx].borrow_mut() =
-                        Some(StagedPart::Device { packed, host, ready });
-                    Ok(())
+                    }
+                    if spare.get() > 0 {
+                        spare.set(spare.get() - 1);
+                        arena.keep_block(part);
+                    }
                 });
-                let landed = Event::new();
-                let ev = landed.clone();
-                g.add_task(TaskKind::Download, label, Some(dw), move |tctx| {
-                    let part = match state.staged[idx].borrow().as_ref() {
-                        Some(StagedPart::Device { packed, host, ready }) => {
-                            (packed.clone(), host.clone(), ready.clone())
-                        }
-                        // A retried submission already landed.
-                        Some(StagedPart::Downloaded(_)) => return Ok(()),
-                        _ => {
+                arena.keep_merge(scratch.into_inner());
+                Ok(match failed.into_inner() {
+                    Some(e) => {
+                        arena.keep_block(owned);
+                        Err(Error::Analysis(format!("grid reduce-scatter: {e}")))
+                    }
+                    None => Ok(owned),
+                })
+            })?;
+
+            // Publish: each owner finalizes its specs when rank 0 consumes
+            // results, and every owner's results — or its error — are
+            // gathered at rank 0 in rank order, which is spec order. A rank
+            // that owns no spec sends nothing.
+            let mut owned = Some(owned);
+            let publish = || "results".to_string();
+            let results = s.run(TaskKind::Publish, publish, None, &[], |_| {
+                let owners = layout.owners(ctx.comm.size());
+                let mine = match owned.take() {
+                    Some(Ok(mut owned)) => {
+                        let range = owners.get(ctx.comm.rank()).cloned().unwrap_or_default();
+                        let published = match owned.pop() == Some(1.0) {
+                            true => layout.publish(step.specs, range, &owned, data),
+                            false => Ok(Vec::new()),
+                        };
+                        arena.keep_block(owned);
+                        published
+                    }
+                    Some(Err(e)) => Err(e),
+                    None => Err(Error::Analysis("dag publish: reduced block missing".into())),
+                };
+                let failed = mine.as_ref().err().cloned();
+                let gathered = ctx.comm.gather(0, owners.len(), mine, result_bytes);
+                let gathered =
+                    gathered.map_err(|e| Error::Analysis(format!("results gather: {e}")))?;
+                let Some(gathered) = gathered else {
+                    return failed.map_or(Ok(Vec::new()), Err);
+                };
+                let mut results = Vec::new();
+                for (rank, published) in gathered.into_iter().enumerate() {
+                    match published {
+                        Ok(published) => results.extend(published),
+                        Err(e) => {
                             return Err(Error::Analysis(format!(
-                                "dag download: kernel partial {idx} missing"
+                                "binning results of rank {rank}: {e}"
                             )))
                         }
-                    };
-                    let (packed, host, ready) = part;
-                    let cp = tctx
-                        .copy_stream(dw)
-                        .ok_or_else(|| Error::Analysis(format!("no copy stream on device {dw}")))?;
-                    if let Some(ready) = &ready {
-                        cp.wait_event(ready).map_err(Error::Device)?;
-                    }
-                    cp.copy_counted(&packed, &host).map_err(Error::Device)?;
-                    cp.record(&ev).map_err(Error::Device)?;
-                    step.counters.add_downloads(1);
-                    *state.staged[idx].borrow_mut() = Some(StagedPart::Downloaded(host));
-                    Ok(())
-                });
-                download_events.push(landed);
-            }
-        }
-
-        // Reduce: write this rank's cut of the step for each owner of its
-        // coordinate systems straight from the staged blocks, in ascending
-        // (table, spec) order — the same whatever the spec ranges, so the
-        // grids stay bit-identical — and reduce-scatter the cuts: each
-        // owner ends with the merged block of the specs it owns, and a rank
-        // that owns none receives nothing. On a device, gated on the
-        // download events so the host blocks are complete.
-        let reduce = g.add_task(TaskKind::Reduce, "block-reduce-scatter", None, move |_| {
-            let layout = state.layout();
-            let specs = &layout.pass[..];
-            let room = room(specs);
-            let owners = layout.owners(ctx.comm.size());
-            let mut scratch = arena.take_merge(room);
-            let mut cuts: Vec<Vec<f64>> = owners.iter().map(|_| arena.take_block(room)).collect();
-            let cut = state.write_cuts(ranges, ntables, &owners, &mut cuts, &mut scratch);
-            // Every kernel has run: drop the step's views of the fetched
-            // columns, then the snapshot may let go of the CoW shares
-            // they read in place.
-            state.host_tables.borrow_mut().clear();
-            state.dev_cols.borrow_mut().clear();
-            data.release_shared();
-            // A rank whose cuts failed still joins the round, with cuts
-            // its owners reject; behind every good cut rides whether this
-            // rank consumes results.
-            let trailer = f64::from(u8::from(consumes));
-            for cut_block in &mut cuts {
-                match cut {
-                    Ok(()) => cut_block.push(trailer),
-                    Err(_) => cut_block.clear(),
-                }
-            }
-            // A malformed part is reported once the round is over, so no
-            // rank is left waiting on the collective.
-            let failed = RefCell::new(cut.err());
-            let rank = ctx.comm.rank();
-            let mine = owners.get(rank).cloned().unwrap_or_default();
-            // The cuts sent away leave this rank's blocks: it keeps as many
-            // of the parts it merges in, and lets the rest go.
-            let spare = Cell::new(owners.len() - usize::from(rank < owners.len()));
-            let scratch = RefCell::new(scratch);
-            let owned = ctx.comm.reduce_scatter_with(cuts, |acc, part| {
-                let consumes = trailer_of(acc).max(trailer_of(&part));
-                let mut scratch = scratch.borrow_mut();
-                match block::merge_blocks(&specs[mine.clone()], acc, &part, &mut scratch) {
-                    Ok(()) => acc.push(consumes),
-                    Err(e) => {
-                        failed.borrow_mut().get_or_insert(e);
                     }
                 }
-                if spare.get() > 0 {
-                    spare.set(spare.get() - 1);
-                    arena.keep_block(part);
-                }
-            });
-            arena.keep_merge(scratch.into_inner());
-            *state.owned.borrow_mut() = Some(match failed.into_inner() {
-                Some(e) => {
-                    arena.keep_block(owned);
-                    Err(Error::Analysis(format!("grid reduce-scatter: {e}")))
-                }
-                None => Ok(owned),
-            });
-            Ok(())
-        });
-        for ev in download_events {
-            g.gate_on_event(reduce, ev);
-        }
-
-        // Publish: each owner finalizes its specs when rank 0 consumes
-        // results, and every owner's results — or its error — are gathered
-        // at rank 0 in rank order, which is spec order. A rank that owns no
-        // spec sends nothing.
-        g.add_task(TaskKind::Publish, "results", None, move |_| {
-            let layout = state.layout();
-            let owners = layout.owners(ctx.comm.size());
-            let mine = match state.owned.borrow_mut().take() {
-                Some(Ok(mut owned)) => {
-                    let range = owners.get(ctx.comm.rank()).cloned().unwrap_or_default();
-                    let published = match owned.pop() == Some(1.0) {
-                        true => layout.publish(step.specs, range, &owned, data),
-                        false => Ok(Vec::new()),
-                    };
-                    arena.keep_block(owned);
-                    published
-                }
-                Some(Err(e)) => Err(e),
-                None => Err(Error::Analysis("dag publish: reduced block missing".into())),
-            };
-            let failed = mine.as_ref().err().cloned();
-            let gathered = ctx.comm.gather(0, owners.len(), mine, result_bytes);
-            let gathered = gathered.map_err(|e| Error::Analysis(format!("results gather: {e}")))?;
-            let Some(gathered) = gathered else {
-                return failed.map_or(Ok(()), Err);
-            };
-            let mut results = state.results.borrow_mut();
-            for (rank, published) in gathered.into_iter().enumerate() {
-                match published {
-                    Ok(published) => results.extend(published),
-                    Err(e) => {
-                        results.clear();
-                        return Err(Error::Analysis(format!(
-                            "binning results of rank {rank}: {e}"
-                        )));
-                    }
-                }
-            }
-            Ok(())
+                Ok(results)
+            })?;
+            Ok(results)
         });
 
-        let outcome = sched.run(g)?;
-        for slot in &state.staged {
-            if let Some(StagedPart::Host(out)) = slot.borrow_mut().take() {
+        // Whatever the outcome, the step's host blocks go back to the
+        // arena and its collectives are charged.
+        for part in staged {
+            if let Staged::Host(out) = part {
                 self.arena.keep_block(out);
             }
         }
         comm_mark.charge(ctx.comm, &self.counters);
-        if outcome == DagOutcome::Skipped {
-            return Ok(true);
-        }
-        let mut results = state.results.take().into_iter();
+        let Some(results) = stepped? else { return Ok(true) };
+        let mut results = results.into_iter();
         for (outlet, n) in &outlets {
             outlet.deliver(ctx.comm, results.by_ref().take(*n).collect());
         }

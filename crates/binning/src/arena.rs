@@ -31,8 +31,7 @@ pub(crate) struct Slot {
 /// buffer of the new one.
 struct DeviceSide {
     device: usize,
-    /// Indexed by kernel node, in the task graph's (table, spec range)
-    /// order.
+    /// Indexed by kernel node, in the step's (table, spec range) order.
     slots: Vec<Option<Slot>>,
 }
 

@@ -1,7 +1,7 @@
 //! The fused binning step's stages, written once.
 //!
-//! A fused [`crate::BinningAnalysis`] plans each step as one task graph
-//! (`crate::adaptor::dag`) over its specs — one for `data_binning`, N for
+//! A fused [`crate::BinningAnalysis`] runs each step as one sequence of
+//! typed nodes (`crate::adaptor::dag`) over its specs — one for `data_binning`, N for
 //! `binning_suite` — whose nodes call these stages through the
 //! [`FusedStep`] view:
 //!
@@ -210,7 +210,7 @@ pub(crate) fn deal(cells: &[usize], ranks: usize) -> Vec<Range<usize>> {
 
 /// The fused step over `specs` (which share one mesh), counting its work
 /// into `counters`: a back-end's view of what the step reads, `Copy` so
-/// every node of its task graph can hold one.
+/// every node of the step can hold one.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedStep<'a> {
     pub specs: &'a [BinningSpec],

@@ -455,11 +455,12 @@ fn a_retried_launch_never_re_enters_a_collective_another_rank_left() {
 
 /// One step of a suite on each of two ranks, each rank's suite built by
 /// `build(rank)`, under `execution`: what the step and the finalize
-/// returned on each rank, in rank order.
+/// returned on each rank, and the allreduce rounds its counters charged,
+/// in rank order.
 fn one_step_per_rank(
     execution: ExecutionMethod,
     build: impl Fn(usize) -> BinningAnalysis + Send + Sync + 'static,
-) -> Vec<(Result<bool>, Option<sensei::Error>)> {
+) -> Vec<(Result<bool>, Option<sensei::Error>, u64)> {
     World::new(2).run(move |comm| {
         let node = SimNode::new(NodeConfig::fast_test(2));
         let controls = BackendControls { execution, ..Default::default() };
@@ -467,7 +468,8 @@ fn one_step_per_rank(
         bridge.add_analysis(Box::new(build(comm.rank()).with_controls(controls)), &comm).unwrap();
         let sim = Particles::new(node, None, comm.rank());
         let step = bridge.execute(&sim, &comm, Duration::ZERO);
-        (step, bridge.finalize_partial(&comm).1)
+        let (profiler, drain) = bridge.finalize_partial(&comm);
+        (step, drain, profiler.counters_total().allreduces)
     })
 }
 
@@ -478,6 +480,8 @@ fn a_malformed_part_fails_the_step_on_both_ranks_without_a_hang() {
     // part of it rank 0 sends its owner is malformed there. Rank 1 fails
     // its step once the reduce-scatter is over, and its error reaches rank
     // 0 through the results gather instead of leaving rank 0 waiting in it.
+    // The failed step's round is charged all the same (the bounds are
+    // fixed, so the reduce-scatter is the step's one round).
     for execution in EXECUTIONS {
         let what = format!("{} with a malformed part", execution.name());
         let got = within(Duration::from_secs(20), &what, move || {
@@ -489,12 +493,13 @@ fn a_malformed_part_fails_the_step_on_both_ranks_without_a_hang() {
                 BinningSuite::new(specs).unwrap()
             })
         });
-        for (rank, (step, drain)) in got.into_iter().enumerate() {
+        for (rank, (step, drain, allreduces)) in got.into_iter().enumerate() {
             let error = step.err().or(drain);
             assert!(
                 matches!(error, Some(sensei::Error::Analysis(_))),
                 "{what}: rank {rank} returned {error:?}"
             );
+            assert_eq!(allreduces, 1, "{what}: rank {rank}'s reduce-scatter round");
         }
     }
 }
@@ -521,7 +526,7 @@ fn a_sink_on_rank_0_alone_receives_every_result_without_a_hang() {
                 }
             })
         });
-        for (rank, (step, drain)) in got.into_iter().enumerate() {
+        for (rank, (step, drain, _)) in got.into_iter().enumerate() {
             assert!(step.is_ok() && drain.is_none(), "{what}: rank {rank} failed");
         }
         assert!(bits_of(&sink.lock()) == bits_of(&oracle.0), "{what}: differs from the oracle");

@@ -171,23 +171,22 @@ pub trait AnalysisAdaptor: Send {
     /// continue, `Ok(false)` to request the simulation stop.
     fn execute(&mut self, data: &dyn DataAdaptor, ctx: &ExecContext<'_>) -> Result<bool>;
 
-    /// True when this back-end can plan its step as a task graph for
+    /// True when this back-end runs its step as typed nodes in
     /// [`execute_dag`](Self::execute_dag). The engine then runs every step
     /// through `execute_dag` — on default streams under `lockstep` and
     /// `asynchronous`, on the scheduler's own streams under `dag`.
-    /// Otherwise each step is a
-    /// one-node graph calling [`execute`](Self::execute), run by the same
-    /// scheduler.
+    /// Otherwise each step is one node calling [`execute`](Self::execute),
+    /// run by the same scheduler.
     fn supports_dag(&self) -> bool {
         false
     }
 
-    /// Dataflow variant of [`execute`](Self::execute): plan the step as a
-    /// [`crate::TaskGraph`] and hand it to `sched` (typically via
-    /// [`crate::DagScheduler::run`]). The back-end's recovery policy
-    /// applies per task node inside the scheduler, so the engine does not
-    /// wrap this call in any recovery of its own. The default ignores the
-    /// scheduler and delegates to the monolithic path.
+    /// Dataflow variant of [`execute`](Self::execute): run the step as
+    /// typed nodes, each through [`crate::Step::run`] inside one
+    /// [`crate::DagScheduler::step`] of `sched`. The back-end's recovery
+    /// policy applies per node inside the scheduler, so the engine does
+    /// not wrap this call in any recovery of its own. The default ignores
+    /// the scheduler and delegates to the monolithic path.
     fn execute_dag(
         &mut self,
         data: &dyn DataAdaptor,

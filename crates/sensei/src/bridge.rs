@@ -96,7 +96,7 @@ impl Bridge {
     /// every rank must attach the same back-ends in the same order).
     ///
     /// A back-end joins the first existing engine that accepts it
-    /// ([`Engine::join`]: both plan task graphs under equal controls, share
+    /// ([`Engine::join`]: both plan their own nodes under equal controls, share
     /// a name and read one and the same mesh, and the engine's worker has
     /// not started) instead of getting its own. The group's members run in
     /// attach order on that engine's thread and queue, and it is one

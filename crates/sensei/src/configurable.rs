@@ -275,6 +275,9 @@ impl ConfigurableAnalysis {
                 stride: el.parse_attr_or::<usize>("stride", 1).map_err(Error::Xml)?,
                 offset: el.parse_attr_or::<usize>("offset", 0).map_err(Error::Xml)?,
             };
+            if selector.n_use == Some(0) || selector.stride == 0 {
+                return Err(Error::Config("n_use and stride must be at least 1".into()));
+            }
             let frequency = el.parse_attr_or::<u64>("frequency", 1).map_err(Error::Xml)?;
             let defaults = BackendControls::default();
             let queue_depth = el
@@ -728,6 +731,16 @@ mod tests {
             ),
             Err(Error::Config(_))
         ));
+        // Eq. (1) takes `rank mod n_u`, and a zero stride sends every rank
+        // to `d_0`: both are refused when the configuration is read, not
+        // at the first step.
+        for attr in [r#"n_use="0""#, r#"stride="0""#] {
+            let xml = format!(r#"<sensei><analysis type="x" device="-2" {attr}/></sensei>"#);
+            match ConfigurableAnalysis::from_xml(&xml) {
+                Err(Error::Config(msg)) => assert!(msg.contains("at least 1"), "{attr}: {msg}"),
+                other => panic!("{attr} must be a Config error, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

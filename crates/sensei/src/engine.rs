@@ -6,16 +6,17 @@
 //! persistent worker thread fed snapshots through a bounded queue under
 //! `asynchronous` and `dag`.
 //!
-//! Whatever the thread, a step is one task graph run by the engine's
-//! [`DagScheduler`] — in push order on the engine's thread, on default
-//! streams under `lockstep` and `asynchronous`, on the scheduler's own
-//! stream pair per device under `dag` — with the back-end's recovery
-//! policy applied per task node. A back-end that plans task graphs
-//! ([`AnalysisAdaptor::supports_dag`]) builds its own in `execute_dag`,
-//! so no retry re-enters a collective another rank has already left; any
-//! other back-end's step is one host node calling `execute`.
+//! Whatever the thread, a step is one [`DagScheduler::step`] of the
+//! engine's scheduler, which runs the step's typed nodes as its code
+//! reaches them — on the engine's thread, on default streams under
+//! `lockstep` and `asynchronous`, on the scheduler's own stream pair per
+//! device under `dag` — with the back-end's recovery policy applied per
+//! node. A back-end that plans its own nodes
+//! ([`AnalysisAdaptor::supports_dag`]) runs them in `execute_dag`, so no
+//! retry re-enters a collective another rank has already left; any other
+//! back-end's step is one host node calling `execute`.
 //!
-//! A group's members are back-ends that plan task graphs and that the
+//! A group's members are back-ends that plan their own nodes and that the
 //! bridge proved compatible ([`Engine::join`]). They run in attach order,
 //! on one scheduler, one thread and one queue, and each sees the step's
 //! [`GroupSlot`] through its [`ExecContext`]: a member can hand its work
@@ -31,7 +32,7 @@ use minimpi::Comm;
 use crate::adaptor::{AnalysisAdaptor, DataAdaptor, ExecContext, GroupSlot};
 use crate::controls::BackendControls;
 use crate::counters::AnalysisCounters;
-use crate::dag::{TaskGraph, TaskKind};
+use crate::dag::{TaskCtx, TaskKind};
 use crate::error::{Error, Result};
 use crate::execution::ExecutionMethod;
 use crate::queue::{bounded, BoundedSender, SendError};
@@ -98,15 +99,12 @@ impl Member {
         if adaptor.supports_dag() {
             return guarded(name, rank, || adaptor.execute_dag(data, ctx, sched));
         }
-        let mut proceed = true;
-        let mut graph =
-            TaskGraph::new(name.as_str(), counters.clone(), adaptor.controls().recovery);
-        graph.add_task(TaskKind::Kernel, "execute", None, |_| {
-            proceed = guarded(name, rank, || adaptor.execute(data, ctx))?;
-            Ok(())
-        });
-        sched.run(graph)?;
-        Ok(proceed)
+        let policy = adaptor.controls().recovery;
+        let execute = |_: &TaskCtx| guarded(name, rank, || adaptor.execute(data, ctx));
+        let proceed = sched.step(name, counters, policy, |s| {
+            s.run(TaskKind::Kernel, || "execute".into(), None, &[], execute)
+        })?;
+        Ok(proceed.unwrap_or(true))
     }
 }
 
@@ -293,7 +291,7 @@ enum Thread {
 /// [`RecoveryPolicy`](crate::RecoveryPolicy) with fault injection armed
 /// for this rank, so injected device faults and analysis panics are
 /// retried, skipped, or surfaced per policy — and counted in the
-/// [`FaultCounters`](crate::FaultCounters) of the graph that met them. A
+/// [`FaultCounters`](crate::FaultCounters) of the back-end that met them. A
 /// worker's queue depth and overflow policy come from the group's
 /// [`BackendControls`]; a worker that fails or panics surfaces as
 /// [`Error::Analysis`] from the next `dispatch` or from `finalize`.
@@ -302,7 +300,7 @@ pub struct Engine {
     controls: BackendControls,
     /// The union of every member's requirements.
     requirements: DataRequirements,
-    /// Every member plans task graphs.
+    /// Every member plans its own nodes.
     plans_graphs: bool,
     /// Per member, in attach order.
     counters: Vec<Arc<AnalysisCounters>>,
@@ -338,7 +336,7 @@ impl Engine {
 
     /// Add `adaptor` to this engine's group and return its counters, or
     /// hand it back when the two cannot share an engine. They can when
-    /// both plan task graphs, return the same name and equal
+    /// both plan their own nodes, return the same name and equal
     /// [`BackendControls`], and each requires one and the same mesh — and
     /// this engine's worker, if it has one, has not started yet.
     pub fn join(
@@ -455,8 +453,8 @@ mod tests {
         }
     }
 
-    /// Counts monolithic and task-graph executes separately; optionally
-    /// claims task-graph support, or has `execute` fail or request a stop.
+    /// Counts monolithic and node-planning executes separately; optionally
+    /// claims node planning, or has `execute` fail or request a stop.
     #[derive(Default)]
     struct Counting {
         controls: BackendControls,
@@ -595,12 +593,12 @@ mod tests {
 
     #[test]
     fn every_step_runs_through_the_scheduler_under_every_mode() {
-        // A back-end that plans task graphs runs `execute_dag` under every
-        // mode, and one that cannot runs `execute` as a one-node graph of
-        // the same scheduler: in order on default streams under lockstep
-        // and asynchronous, which counts nothing, and under dag, which counts
-        // that node once per dispatch. (`Counting`'s `execute_dag` hands
-        // the scheduler no graph.)
+        // A back-end that plans its own nodes runs `execute_dag` under
+        // every mode, and one that cannot runs `execute` as one node of the
+        // same scheduler: in order on default streams under lockstep and
+        // asynchronous, which counts nothing, and under dag, which counts
+        // that node once per dispatch. (`Counting`'s `execute_dag` runs no
+        // node.)
         for execution in MODES {
             for plans_graphs in [false, true] {
                 let controls = BackendControls { execution, ..Default::default() };

@@ -14,12 +14,12 @@ pub enum ExecutionMethod {
     /// separate thread, and the call returns immediately; simulation and
     /// analysis proceed concurrently.
     Asynchronous,
-    /// Asynchronous, but a back-end's task graph
-    /// (`Fetch → Kernel → Download → Reduce → Publish`) is planned with
-    /// its kernels spread over the node's devices, and runs on a compute
+    /// Asynchronous, but a back-end's step nodes
+    /// (`Fetch → Kernel → Download → Reduce → Publish`) are planned with
+    /// its kernels spread over the node's devices, and run on a compute
     /// and a copy stream per device instead of each device's default
-    /// stream. Back-ends that do not plan task graphs run as under plain
-    /// asynchronous execution.
+    /// stream. Back-ends that do not plan their own nodes run as under
+    /// plain asynchronous execution.
     Dag,
 }
 

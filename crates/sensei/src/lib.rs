@@ -16,8 +16,8 @@
 //! * [`ExecutionMethod`] — *lockstep* (simulation and in situ take turns),
 //!   *asynchronous* (in situ deep-copies its inputs and runs in a
 //!   separate thread, concurrently with the simulation), or *dag*
-//!   (asynchronous, each step a task graph whose kernels are spread
-//!   over the node's devices when it is planned);
+//!   (asynchronous, each step a sequence of typed nodes whose kernels
+//!   are spread over the node's devices as they are reached);
 //! * [`Placement`] — run-time control over whether in situ work runs on
 //!   the host, on the data's device, or on dedicated device(s);
 //! * [`DeviceSelector`] — automatic device selection, Eq. (1):
@@ -29,15 +29,16 @@
 //!   its mode says: lockstep on the simulation's thread, asynchronous and
 //!   dag on a persistent worker fed through a bounded snapshot queue with
 //!   a configurable [`OverflowPolicy`] (block / drop-oldest / error).
-//!   Every mode runs a step the same way: as a task graph run by a
-//!   [`DagScheduler`] — in push order on the engine's thread, on default
-//!   streams under lockstep and asynchronous, on its own per-device
-//!   streams under dag — with the back-end's [`RecoveryPolicy`] applied
-//!   per task node. A back-end that plans task graphs builds its own; any
-//!   other runs
-//!   `execute` as a one-node graph. The members of a group run in attach
-//!   order and see the step's [`GroupSlot`] through their
-//!   [`ExecContext`], so the last can run one merged step for all;
+//!   Every mode runs a step the same way: through a [`DagScheduler`],
+//!   whose [`DagScheduler::step`] runs the step's typed nodes one after
+//!   another as its code reaches them ([`Step::run`]) — on the engine's
+//!   thread, on default streams under lockstep and asynchronous, on its
+//!   own per-device streams under dag — with the back-end's
+//!   [`RecoveryPolicy`] applied per node. A back-end that plans its own
+//!   nodes runs them in `execute_dag`; any other runs `execute` as one
+//!   node. The members of a group run in attach order and see the step's
+//!   [`GroupSlot`] through their [`ExecContext`], so the last can run
+//!   one merged step for all;
 //! * [`DataRequirements`] — what each back-end declares it reads
 //!   ([`AnalysisAdaptor::required_arrays`]); asynchronous snapshots deep
 //!   copy only the union of the due back-ends' requirements;
@@ -88,7 +89,7 @@ pub use counters::{
     AnalysisCounters, CommCounters, CounterSnapshot, FaultCounters, FaultSnapshot,
     SnapshotCounterSnapshot, SnapshotCounters,
 };
-pub use dag::{DeviceStreams, TaskCtx, TaskGraph, TaskId, TaskKind};
+pub use dag::{DeviceStreams, TaskCtx, TaskKind};
 pub use device_select::{select_device, DeviceSelector};
 pub use engine::Engine;
 pub use error::{Error, Result};
@@ -102,5 +103,5 @@ pub use queue::OverflowPolicy;
 pub use recovery::RecoveryPolicy;
 pub use registry::{AnalysisFactory, AnalysisRegistry, CreateContext};
 pub use requirements::{ArraySelection, DataRequirements, MeshRequirements};
-pub use scheduler::{DagOutcome, DagScheduler, SchedulerCounters, SchedulerSnapshot};
+pub use scheduler::{DagOutcome, DagScheduler, Halt, SchedulerCounters, SchedulerSnapshot, Step};
 pub use snapshot::{SnapshotAdaptor, SnapshotMode, SnapshotPipeline};

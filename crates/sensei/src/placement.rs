@@ -38,17 +38,6 @@ impl Placement {
         }
     }
 
-    /// Parse an XML/CLI spelling.
-    pub fn parse(s: &str) -> Option<Placement> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "host" => Some(Placement::Host),
-            "same_device" | "same-device" | "same" => Some(Placement::SameDevice),
-            "dedicated" | "dedicated_1" | "dedicated-1" => Some(Placement::DedicatedDevices(1)),
-            "dedicated_2" | "dedicated-2" => Some(Placement::DedicatedDevices(2)),
-            _ => None,
-        }
-    }
-
     /// MPI ranks per node: one per *simulation* device (Table 1's
     /// "Ranks per node" column).
     ///
@@ -167,12 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_parse() {
-        assert_eq!(Placement::parse("host"), Some(Placement::Host));
-        assert_eq!(Placement::parse("same_device"), Some(Placement::SameDevice));
-        assert_eq!(Placement::parse("dedicated"), Some(Placement::DedicatedDevices(1)));
-        assert_eq!(Placement::parse("dedicated_2"), Some(Placement::DedicatedDevices(2)));
-        assert_eq!(Placement::parse("???"), None);
+    fn labels() {
         assert_eq!(Placement::DedicatedDevices(2).label(), "2 dedicated devices");
     }
 }

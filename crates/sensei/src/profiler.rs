@@ -84,8 +84,8 @@ pub struct SnapshotSample {
     pub counters: SnapshotCounterSnapshot,
 }
 
-/// One back-end's task-graph scheduler totals at the end of a run (dag
-/// execution only): tasks executed.
+/// One back-end's scheduler totals at the end of a run (dag execution
+/// only): nodes run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedulerSample {
     /// Back-end instance name.
@@ -228,7 +228,7 @@ impl Profiler {
     }
 
     /// Record one back-end's scheduler counter totals (the bridge does
-    /// this at finalize for every engine that executes task graphs).
+    /// this at finalize for every engine).
     pub fn record_scheduler_counters(
         &mut self,
         backend: impl Into<String>,

@@ -3,17 +3,21 @@
 //! An in situ fault — an injected device error, a transient allocation
 //! failure, a panicking analysis — should not be forced to take the whole
 //! simulation down. Each back-end carries a [`RecoveryPolicy`] in its
-//! [`crate::BackendControls`] choosing what happens when one task node of
-//! its step fails. Every step is a task graph run by the engine's
-//! [`DagScheduler`](crate::DagScheduler) — a back-end that plans none runs
-//! `execute` as one node — and one function applies the policy to a node:
+//! [`crate::BackendControls`] choosing what happens when one node of its
+//! step fails. Every step is a sequence of typed nodes, each run at
+//! once by [`Step::run`](crate::Step::run) inside one
+//! [`DagScheduler::step`](crate::DagScheduler::step) — a back-end that
+//! plans none runs `execute` as one node — and one function applies the
+//! policy to a node:
 //!
 //! * [`RecoveryPolicy::Abort`] (the default) propagates the error, which
 //!   preserves the pre-existing contract that analysis failures surface at
 //!   `Bridge::finalize`.
 //! * [`RecoveryPolicy::SkipStep`] drops the rest of the failed iteration
-//!   and keeps the solver running — graceful degradation: the analysis
-//!   output has a hole, the simulation does not.
+//!   (`run` returns [`Halt::Skipped`](crate::Halt::Skipped), which the
+//!   step's code passes on with `?`) and keeps the solver running —
+//!   graceful degradation: the analysis output has a hole, the
+//!   simulation does not.
 //! * [`RecoveryPolicy::Retry`] re-runs the failed node with capped
 //!   exponential backoff, falling back to abort once the budget is spent.
 //!
@@ -73,9 +77,9 @@ impl RecoveryPolicy {
 }
 
 /// Run `attempt` under `policy`, recording every outcome on `counters`:
-/// the one place a policy is applied, by
-/// [`DagScheduler`](crate::DagScheduler) to every task node — a back-end
-/// that plans no task graph runs its `execute` as a one-node graph.
+/// the one place a policy is applied, by [`Step::run`](crate::Step::run)
+/// to every node — a back-end that plans no nodes runs its `execute` as
+/// one node.
 ///
 /// The first failure counts as `injected`; what happens next depends on
 /// the policy (see the module docs). `SkipStep` reports
