@@ -178,15 +178,17 @@ done
 # unchanged column moves again. The downloads are the lockstep ones plus
 # headers: a per-spec block carries a 2-cell header where the per-table
 # block carries 1 + 9, so the dag segment downloads 8 cells more per rank
-# and step, 385 008 B a step in all; a kernel per table under dag reads
-# 64 B less, dense blocks far more. Nothing moves a task once planned:
-# no steals.
+# and step, 376 816 B a step in all, the solver's x, y, z of its 1 024
+# bodies among them (its masses gather once, at set-up: downloading them
+# every step too, 8 B x 1 024 more, reads 385 008); a kernel per table
+# under dag reads 64 B less, dense blocks far more. Nothing moves a task
+# once planned: no steals.
 traced=benchmarks/out/fused90_real.traced.json
 for want in 'binning.kernel_launches_per_step": {"value": 6,' \
             'binning.downloads_per_step": {"value": 6,' \
             'sensei.sched_tasks_per_step": {"value": 10.5,' \
             'devsim.d2d_bytes_per_step": {"value": 45056,' \
-            'devsim.d2h_bytes_per_step": {"value": 385008,' \
+            'devsim.d2h_bytes_per_step": {"value": 376816,' \
             'sensei.sched_steals_per_step": {"value": 0,'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
@@ -202,24 +204,30 @@ done
 # fetches, 18 rounds and 38 collectives.
 # Beside them, what those collectives carry, per step over both ranks.
 # The bounds round: 6 auto-bounded axis columns x (lo, hi) x 8 B, up and
-# down, 192 B. The solver's exchange: rank 1's 1 030 bodies x 4 values
-# up, the 2 lengths and all 2 048 bodies x 4 down, (4 120 + 2 + 8 192) x
-# 8 = 98 512 B. The grid round: rank 0 owns specs 0-3 and rank 1 specs
-# 4-8, and each rank sends the other its cut of the other's specs — a
-# header of 1 + 5 or 1 + 4 cells and a trailing word (13 cells), then 11
-# cells per touched bin (its index, the count grid and nine ops: at about
-# 1 024 rows a rank the nine specs never go dense). Over the 3 timed
-# steps those cuts touch 9 032 bins: (3·13 + 9 032·11) x 8 / 3 =
-# 265 042.67 B a step. The results: rank 1's five finished specs go up,
+# down, 192 B. The solver's exchange: rank 1's 1 030 bodies x 3
+# positions up, the 2 lengths and all 2 048 bodies x 3 down, (3 090 + 2 +
+# 6 144) x 8 = 73 888 B (masses gather once, at set-up; with them every
+# step, x 4 values, 98 512). The grid round: rank 0 owns specs 0-3 and
+# rank 1 specs 4-8, and each rank sends the other its cut of the other's
+# specs — a header of 1 + 5 or 1 + 4 cells and a trailing word (13
+# cells), then 11 cells per touched bin (its index, the count grid and
+# nine ops: at about 1 024 rows a rank the nine specs never go dense).
+# Over the 3 timed steps those cuts touch 9 032 bins: (3·13 + 9 032·11)
+# x 8 / 3 = 265 042.67 B a step. The results: rank 1's five finished specs go up,
 # 5 x 10 arrays x 4 096 bins x 8 B = 1 638 400 B. Per rank: (192 +
-# 98 512 + 265 042.67 + 1 638 400) / 2 = 1 001 073.33 B. The grid
+# 73 888 + 265 042.67 + 1 638 400) / 2 = 988 761.33 B. The grid
 # allreduce it replaced (rank 1's block up, the merged block down) read
-# 428 902.67.
+# 428 902.67 beside the old exchange.
+# Beside them, what the solver uploads: each rank the other's x, y, z,
+# 3 x 8 B x 1 030 + 3 x 8 B x 1 018 = 49 152 B a step over both ranks.
+# Its own bodies stay on its device and every mass went up at set-up;
+# uploading every body's (x, y, z, m) each step read 131 072.
 traced=benchmarks/out/paper90_lockstep_modeled.traced.json
 for want in 'minimpi.collectives_per_step": {"value": 6,' \
             'binning.allreduces_per_step": {"value": 2,' \
             'svtk.fetch_calls_per_step": {"value": 1,' \
-            'minimpi.bytes_per_step": {"value": 1001073.33'; do
+            'minimpi.bytes_per_step": {"value": 988761.33' \
+            'devsim.h2d_bytes_per_step": {"value": 49152,'; do
     if ! grep -q "\"$want" "$traced"; then
         echo "FAIL: $traced: ${want%%\"*} is not ${want##* }"
         exit 1

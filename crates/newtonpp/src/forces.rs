@@ -3,7 +3,10 @@
 //! The host implementation is the physics reference used by tests; the
 //! device kernel in [`crate::Newton`] computes the same expression on the
 //! simulated accelerator through [`accelerations`], which sweeps the
-//! sources once per block of targets.
+//! sources once per block of targets. The kernel's sources come as an
+//! ordered list of segments — the other ranks' bodies, uploaded by the
+//! exchange, around the rank's own, read where they live — and a target
+//! sums them as it would their concatenation.
 
 use crate::body::BodySet;
 
@@ -87,16 +90,19 @@ pub fn accelerations_host(targets: &BodySet, sources: &BodySet, grav: &Gravity) 
 const TARGET_BLOCK: usize = 4;
 
 /// Accelerations of the bodies at `targets` (`x, y, z`) due to every body
-/// in `sources` (`x, y, z, m`), handed to `out` as `(target, [ax, ay,
-/// az])` in target order.
+/// in `sources`, handed to `out` as `(target, [ax, ay, az])` in target
+/// order. `sources` is an ordered list of segments, each one's `x, y, z,
+/// m` columns; the bodies are the segments' concatenation, in order.
 ///
-/// The sources are swept once per block of `TARGET_BLOCK` (4) targets, and
-/// the compiler vectorises across the block. Every target still sums its
-/// sources on its own, in source order, with [`pair_accel`]'s operations
-/// in [`pair_accel`]'s order (Rust never fuses a multiply-add), so each
-/// result is bit-identical to [`accelerations_host`]'s — a NaN result is
-/// a NaN there too, though not necessarily the same one: Rust leaves the
-/// sign and payload of a NaN an operation produces unspecified.
+/// Each block of `TARGET_BLOCK` (4) targets sweeps the segments in order,
+/// and the compiler vectorises across the block. Every target still sums
+/// its sources on its own, in source order, with [`pair_accel`]'s
+/// operations in [`pair_accel`]'s order (Rust never fuses a multiply-add),
+/// so each result is bit-identical to [`accelerations_host`]'s over the
+/// concatenated sources — a NaN result is a NaN there too, though not
+/// necessarily the same one: Rust leaves the sign and payload of a NaN an
+/// operation produces unspecified. How the sources are split into
+/// segments changes no bit.
 ///
 /// A pair with `r2 == 0`, where [`pair_accel`] returns `+0.0`, has its
 /// factor `f` masked to `+0.0` instead of branched on, so the block stays
@@ -108,17 +114,22 @@ const TARGET_BLOCK: usize = 4;
 /// dropped.
 ///
 /// # Panics
-/// Panics if the target or source columns differ in length.
+/// Panics if the target columns, or one segment's columns, differ in
+/// length.
 pub fn accelerations(
     targets: [&[f64]; 3],
-    sources: [&[f64]; 4],
+    sources: &[[&[f64]; 4]],
     grav: &Gravity,
     mut out: impl FnMut(usize, [f64; 3]),
 ) {
     let [tx, ty, tz] = targets;
-    let [sx, sy, sz, sm] = sources;
     assert!(ty.len() == tx.len() && tz.len() == tx.len(), "target columns differ in length");
-    assert!([sy, sz, sm].iter().all(|c| c.len() == sx.len()), "source columns differ in length");
+    for [sx, sy, sz, sm] in sources {
+        assert!(
+            [sy, sz, sm].iter().all(|c| c.len() == sx.len()),
+            "source columns differ in length"
+        );
+    }
     let eps2 = grav.eps * grav.eps;
     for start in (0..tx.len()).step_by(TARGET_BLOCK) {
         let lanes = TARGET_BLOCK.min(tx.len() - start);
@@ -129,18 +140,20 @@ pub fn accelerations(
         };
         let (xi, yi, zi) = (block(tx), block(ty), block(tz));
         let mut acc = [[0.0; TARGET_BLOCK]; 3];
-        for (((&xj, &yj), &zj), &mj) in sx.iter().zip(sy).zip(sz).zip(sm) {
-            for b in 0..TARGET_BLOCK {
-                let dx = xj - xi[b];
-                let dy = yj - yi[b];
-                let dz = zj - zi[b];
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let inv_r = 1.0 / r2.sqrt();
-                let keep = if r2 == 0.0 { 0 } else { u64::MAX };
-                let f = f64::from_bits((grav.g * mj * inv_r * inv_r * inv_r).to_bits() & keep);
-                acc[0][b] += f * dx;
-                acc[1][b] += f * dy;
-                acc[2][b] += f * dz;
+        for &[sx, sy, sz, sm] in sources {
+            for (((&xj, &yj), &zj), &mj) in sx.iter().zip(sy).zip(sz).zip(sm) {
+                for b in 0..TARGET_BLOCK {
+                    let dx = xj - xi[b];
+                    let dy = yj - yi[b];
+                    let dz = zj - zi[b];
+                    let r2 = dx * dx + dy * dy + dz * dz + eps2;
+                    let inv_r = 1.0 / r2.sqrt();
+                    let keep = if r2 == 0.0 { 0 } else { u64::MAX };
+                    let f = f64::from_bits((grav.g * mj * inv_r * inv_r * inv_r).to_bits() & keep);
+                    acc[0][b] += f * dx;
+                    acc[1][b] += f * dy;
+                    acc[2][b] += f * dz;
+                }
             }
         }
         (0..lanes).for_each(|b| out(start + b, acc.map(|axis| axis[b])));
@@ -188,6 +201,67 @@ mod tests {
         for (k, (a0, a1)) in acc[0].iter().zip(&acc[1]).enumerate() {
             let net = 3.0 * a0 + 5.0 * a1;
             assert!(net.abs() < 1e-12, "component {k}: {net}");
+        }
+    }
+
+    /// `n` bodies at deterministic pseudo-random positions in the unit
+    /// cube and masses in `[0.5, 1.5)`, drawn from `seed`.
+    fn scattered(n: usize, seed: u64) -> BodySet {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut set = BodySet::new();
+        for _ in 0..n {
+            set.push(
+                [draw() * 2.0 - 1.0, draw() * 2.0 - 1.0, draw() * 2.0 - 1.0],
+                [0.0; 3],
+                0.5 + draw(),
+            );
+        }
+        set
+    }
+
+    #[test]
+    fn split_sources_sum_as_their_rank_ordered_concatenation() {
+        // Three ranks' bodies, 7, 5 and 6 of them: no count a multiple of
+        // the target block. Rank 1's third body sits on rank 0's second,
+        // so at `eps = 0` a coincident pair spans two segments, beside
+        // every target's own self-pair.
+        let mut parts: Vec<BodySet> =
+            [7, 5, 6].iter().zip(1..).map(|(&n, s)| scattered(n, s)).collect();
+        let shared = [parts[0].x[1], parts[0].y[1], parts[0].z[1]];
+        (parts[1].x[2], parts[1].y[2], parts[1].z[2]) = (shared[0], shared[1], shared[2]);
+        for ranks in 1..=3 {
+            let parts = &parts[..ranks];
+            let mut all = BodySet::new();
+            parts.iter().for_each(|p| all.extend(p));
+            let segments: Vec<[&[f64]; 4]> =
+                parts.iter().map(|p| [&p.x[..], &p.y[..], &p.z[..], &p.m[..]]).collect();
+            // The targeted rank's own segment first, in the middle, last.
+            for (own, targets) in parts.iter().enumerate() {
+                for grav in [Gravity { g: 1.0, eps: 0.0 }, Gravity { g: 0.5, eps: 0.05 }] {
+                    let want = accelerations_host(targets, &all, &grav);
+                    let mut got = vec![[0.0; 3]; targets.len()];
+                    accelerations(
+                        [&targets.x, &targets.y, &targets.z],
+                        &segments,
+                        &grav,
+                        |i, a| got[i] = a,
+                    );
+                    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            got.map(f64::to_bits),
+                            want.map(f64::to_bits),
+                            "{ranks} ranks, own segment {own}, eps {}, target {i}",
+                            grav.eps
+                        );
+                    }
+                }
+            }
         }
     }
 

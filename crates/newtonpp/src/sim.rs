@@ -7,15 +7,19 @@
 //!
 //! 1. half kick with the cached accelerations,
 //! 2. drift,
-//! 3. exchange: positions/masses of *all* bodies are allgathered (direct
-//!    n-body needs every source) and uploaded to the device,
-//! 4. force kernel: `n_local × n_global` softened interactions,
+//! 3. exchange: the positions of *all* bodies are allgathered (direct
+//!    n-body needs every source) and the other ranks' are uploaded to the
+//!    device — a rank's own never leave it, and masses, which never
+//!    change, were gathered when the body set was laid out,
+//! 4. force kernel: `n_local × n_global` softened interactions, over the
+//!    other ranks' bodies and the rank's own state in rank order,
 //! 5. half kick with the fresh accelerations (cached for the next step).
 //!
 //! Optionally, every `repartition_every` steps bodies that drifted out of
 //! their slab migrate to the owning rank (disabled in the paper's runs,
 //! and by default here).
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,47 +93,127 @@ struct DeviceState {
     speed: CellBuffer,
 }
 
-/// The exchange's buffers, kept from step to step: the host landing of
-/// the four local columns (x, y, z, m) a step downloads, the message they
-/// are bundled into and the buffer the allgather lands every rank's in,
-/// and the host and device columns the gathered bodies are scattered into
-/// and uploaded to. The columns are re-made only when the body counts
-/// change (a repartition); the message buffers only grow.
-#[derive(Default)]
+/// The exchange's layout and buffers, laid out by [`Exchange::gather`]
+/// for one body set and kept from step to step until a repartition
+/// replaces it: the host landing of the three local columns (x, y, z) a
+/// step downloads, the message they are bundled into and the buffer the
+/// allgather lands every rank's in, and the host and device buffers the
+/// other ranks' bundles are packed into and uploaded to. The other ranks'
+/// masses stay on the device beside them. The message buffers only grow.
 struct Exchange {
-    local: Vec<CellBuffer>,
-    /// This rank's (x, y, z, m), one column after another: its message.
+    rank: usize,
+    /// Bodies on each rank, in rank order.
+    counts: Vec<usize>,
+    /// Host landing of this rank's x, y, z.
+    local: [CellBuffer; 3],
+    /// This rank's (x, y, z), one column after another: its message.
     bundle: Vec<f64>,
     /// Every rank's bundle in rank order, and each one's length.
     received: (Vec<f64>, Vec<usize>),
-    gathered: Vec<CellBuffer>,
-    sources: Vec<CellBuffer>,
+    /// The other ranks' bundles in rank order, on the host and on the
+    /// device.
+    packed: CellBuffer,
+    remote: CellBuffer,
+    /// The other ranks' masses in rank order, on the device.
+    remote_m: CellBuffer,
+    /// The write generation of the state's mass column at the gather: the
+    /// masses on the device are its values while it has not moved.
+    m_generation: u64,
 }
 
-/// `bufs`, re-made as four columns of `len` when they are not already.
-fn four_columns(
-    bufs: &mut Vec<CellBuffer>,
-    len: usize,
-    alloc: impl Fn() -> Result<CellBuffer>,
-) -> Result<&[CellBuffer]> {
-    if bufs.first().is_none_or(|b| b.len() != len) {
-        *bufs = (0..4).map(|_| alloc()).collect::<Result<_>>()?;
+impl Exchange {
+    /// Lay the exchange out for the body set `state` holds, whose masses
+    /// (`masses`, this rank's) every rank gathers here — the only time
+    /// masses cross a link. Collective. `state` must be uploaded and its
+    /// stream synchronized.
+    fn gather(
+        node: &SimNode,
+        device: usize,
+        stream: &Stream,
+        comm: &Comm,
+        state: &DeviceState,
+        masses: &[f64],
+    ) -> Result<Exchange> {
+        let (mut all, mut counts) = (Vec::new(), Vec::new());
+        comm.allgather_into(masses, &mut all, &mut counts);
+        let rank = comm.rank();
+        let (n_local, n_remote) = (counts[rank], all.len() - counts[rank]);
+        let dev = node.device(device)?;
+        let staged = node.host_alloc_f64(n_remote);
+        let own = counts[..rank].iter().sum::<usize>();
+        pack_others(&staged, &all, own..own + n_local)?;
+        let remote_m = dev.alloc_f64(n_remote)?;
+        if n_remote > 0 {
+            stream.copy(&staged, &remote_m).map_err(Error::Device)?;
+        }
+        Ok(Exchange {
+            rank,
+            counts,
+            local: [0; 3].map(|_| node.host_alloc_f64(n_local)),
+            bundle: Vec::new(),
+            received: (Vec::new(), Vec::new()),
+            packed: node.host_alloc_f64(3 * n_remote),
+            remote: dev.alloc_f64(3 * n_remote)?,
+            remote_m,
+            m_generation: state.m.generation(),
+        })
     }
-    Ok(bufs)
+
+    /// The force kernel's sources in rank order: each other rank's bundle
+    /// and masses where they landed on the device, and this rank's own
+    /// bodies where they live, in `state`.
+    fn sources(&self, state: &DeviceState) -> Vec<Segment> {
+        let (mut at, mut m_at) = (0, 0);
+        let segment = |(r, &len): (usize, &usize)| {
+            if r == self.rank {
+                return Segment::whole([&state.x, &state.y, &state.z, &state.m]);
+            }
+            let x = |k| (self.remote.clone(), at + k * len);
+            let cols = [x(0), x(1), x(2), (self.remote_m.clone(), m_at)];
+            (at, m_at) = (at + 3 * len, m_at + len);
+            Segment { cols, len }
+        };
+        self.counts.iter().enumerate().map(segment).collect()
+    }
+}
+
+/// Store `all` — one value or bundle per rank, back to back in rank order
+/// — into the host buffer `dst` without this rank's own run `own`: at most
+/// two slice copies.
+fn pack_others(dst: &CellBuffer, all: &[f64], own: Range<usize>) -> Result<()> {
+    let view = dst.host_f64().map_err(Error::Device)?;
+    view.store_words(0, all[..own.start].iter().map(|v| v.to_bits()));
+    view.store_words(own.start, all[own.end..].iter().map(|v| v.to_bits()));
+    Ok(())
+}
+
+/// `len` source bodies whose x, y, z and m columns start at the given
+/// offsets of the given buffers.
+struct Segment {
+    cols: [(CellBuffer, usize); 4],
+    len: usize,
+}
+
+impl Segment {
+    /// All of the columns `x, y, z, m`.
+    fn whole(cols: [&CellBuffer; 4]) -> Segment {
+        Segment { len: cols[0].len(), cols: cols.map(|c| (c.clone(), 0)) }
+    }
 }
 
 /// Enqueue the O(n_local x n_global) force kernel on `stream`: `acc`
 /// receives the accelerations of the bodies at `targets` (x, y, z) due to
-/// every body in `sources` (x, y, z, m), computed by
+/// every body in `sources`, in order, computed by
 /// [`forces::accelerations`] over the columns' read views.
 fn launch_forces(
     stream: &Stream,
     targets: [CellBuffer; 3],
-    sources: [CellBuffer; 4],
+    sources: Vec<Segment>,
     acc: [CellBuffer; 3],
     grav: Gravity,
 ) -> Result<()> {
-    let (n, n_global) = (targets[0].len(), sources[0].len());
+    let n = targets[0].len();
+    let n_global = sources.iter().map(|s| s.len).sum::<usize>();
     let cost = KernelCost {
         flops: 20.0 * n as f64 * n_global as f64,
         bytes: 32.0 * (n + n_global) as f64,
@@ -138,16 +222,19 @@ fn launch_forces(
         .launch("nbody_forces", cost, move |scope| {
             let [x, y, z] = &targets;
             let (x, y, z) = (x.f64_view_ro(scope)?, y.f64_view_ro(scope)?, z.f64_view_ro(scope)?);
-            let [sx, sy, sz, sm] = &sources;
-            let (sx, sy, sz, sm) = (
-                sx.f64_view_ro(scope)?,
-                sy.f64_view_ro(scope)?,
-                sz.f64_view_ro(scope)?,
-                sm.f64_view_ro(scope)?,
-            );
+            let mut views = Vec::with_capacity(sources.len());
+            for Segment { cols: [x, y, z, m], .. } in &sources {
+                let view = |(buf, _): &(CellBuffer, usize)| buf.f64_view_ro(scope);
+                views.push([view(x)?, view(y)?, view(z)?, view(m)?]);
+            }
+            let columns: Vec<[&[f64]; 4]> = views
+                .iter()
+                .zip(&sources)
+                .map(|(v, s)| std::array::from_fn(|k| &v[k][s.cols[k].1..][..s.len]))
+                .collect();
             let [ax, ay, az] = &acc;
             let (ax, ay, az) = (ax.f64_view(scope)?, ay.f64_view(scope)?, az.f64_view(scope)?);
-            forces::accelerations([&x, &y, &z], [&sx, &sy, &sz, &sm], &grav, |i, a| {
+            forces::accelerations([&x, &y, &z], &columns, &grav, |i, a| {
                 ax.set(i, a[0]);
                 ay.set(i, a[1]);
                 az.set(i, a[2]);
@@ -175,8 +262,8 @@ pub struct Newton {
 
 impl Newton {
     /// Initialize the simulation: generate the IC (identically on every
-    /// rank from the shared seed), keep this rank's slab, and upload it
-    /// to `device`. Collective.
+    /// rank from the shared seed), keep this rank's slab, upload it to
+    /// `device`, and gather every rank's masses. Collective.
     pub fn new(
         node: Arc<SimNode>,
         comm: &Comm,
@@ -189,9 +276,9 @@ impl Newton {
         };
         let domain = Domain::new(cfg.x_extent.0, cfg.x_extent.1, comm.size());
         let mine = domain.select_owned(&all, comm.rank());
-        let n_global = all.len();
         let stream = node.device(device)?.create_stream();
         let state = Self::upload(&node, device, &stream, &mine)?;
+        let exchange = Exchange::gather(&node, device, &stream, comm, &state, &mine.m)?;
         let sim = Newton {
             node,
             device,
@@ -199,9 +286,9 @@ impl Newton {
             cfg,
             domain,
             state,
-            exchange: Exchange::default(),
+            exchange,
             n_local: mine.len(),
-            n_global,
+            n_global: all.len(),
             needs_force_refresh: true,
             step: 0,
             time: 0.0,
@@ -248,23 +335,22 @@ impl Newton {
         Ok(state)
     }
 
-    /// Copy the local body state back to the host.
+    /// Copy the local body state back to the host: seven copies, one wait.
     pub fn download(&self) -> Result<BodySet> {
-        let down = |buf: &CellBuffer| -> Result<Vec<f64>> {
+        let s = &self.state;
+        let mut hosts = Vec::with_capacity(7);
+        for buf in [&s.x, &s.y, &s.z, &s.vx, &s.vy, &s.vz, &s.m] {
             let host = self.node.host_alloc_f64(buf.len());
             self.stream.copy(buf, &host).map_err(Error::Device)?;
-            self.stream.synchronize().map_err(Error::Device)?;
-            Ok(host.host_f64_ro().map_err(Error::Device)?.to_vec())
-        };
-        Ok(BodySet {
-            x: down(&self.state.x)?,
-            y: down(&self.state.y)?,
-            z: down(&self.state.z)?,
-            vx: down(&self.state.vx)?,
-            vy: down(&self.state.vy)?,
-            vz: down(&self.state.vz)?,
-            m: down(&self.state.m)?,
-        })
+            hosts.push(host);
+        }
+        self.stream.synchronize().map_err(Error::Device)?;
+        let columns = hosts
+            .iter()
+            .map(|host| Ok(host.host_f64_ro().map_err(Error::Device)?.to_vec()))
+            .collect::<Result<Vec<_>>>()?;
+        let [x, y, z, vx, vy, vz, m] = columns.try_into().expect("seven columns");
+        Ok(BodySet { x, y, z, vx, vy, vz, m })
     }
 
     /// Half-kick kernel: `v += a * dt/2`.
@@ -316,27 +402,31 @@ impl Newton {
             .map_err(Error::Device)
     }
 
-    /// Exchange all bodies' positions/masses and recompute accelerations.
+    /// Exchange all bodies' positions and recompute accelerations.
     ///
     /// The exchange is host-side work (download, allgather, upload) and is
     /// charged to the host executor; the O(n_local × n_global) force
     /// evaluation runs as a device kernel. Every buffer on the way is the
-    /// rank's resident [`Exchange`].
+    /// rank's resident [`Exchange`]. Only positions move: masses stay
+    /// where the set-up gather put them, and a rank's own bodies on its
+    /// device.
     fn compute_forces(&mut self, comm: &Comm) -> Result<()> {
-        // Download local (x, y, z, m) — four copies, one wait — and
-        // bundle them into one message.
-        let n = self.n_local;
-        let node = &self.node;
-        let local = four_columns(&mut self.exchange.local, n, || Ok(node.host_alloc_f64(n)))?;
-        let state = [&self.state.x, &self.state.y, &self.state.z, &self.state.m];
-        for (buf, host) in state.into_iter().zip(local) {
+        let ex = &mut self.exchange;
+        debug_assert_eq!(
+            self.state.m.generation(),
+            ex.m_generation,
+            "the mass column was written after its masses were gathered"
+        );
+        // Download local (x, y, z) — three copies, one wait — and bundle
+        // them into one message.
+        let state = [&self.state.x, &self.state.y, &self.state.z];
+        for (buf, host) in state.into_iter().zip(&ex.local) {
             self.stream.copy(buf, host).map_err(Error::Device)?;
         }
         self.stream.synchronize().map_err(Error::Device)?;
-        let bundle = &mut self.exchange.bundle;
-        bundle.clear();
-        for host in local {
-            bundle.extend_from_slice(&host.host_f64_ro().map_err(Error::Device)?);
+        ex.bundle.clear();
+        for host in &ex.local {
+            ex.bundle.extend_from_slice(&host.host_f64_ro().map_err(Error::Device)?);
         }
 
         // Allgather across ranks; charged as host work (this is the
@@ -345,52 +435,26 @@ impl Newton {
         // collective from queueing behind asynchronous in situ kernels —
         // a rank stuck behind analysis work would hold every other rank
         // inside the allgather.
-        let (received, lens) = &mut self.exchange.received;
+        let (received, lens) = &mut ex.received;
         self.node.host().run_urgent(
             "nbody_exchange",
-            KernelCost::bytes((self.n_global * 4 * 8) as f64),
-            || comm.allgather_into(bundle, received, lens),
+            KernelCost::bytes((self.n_global * 3 * 8) as f64),
+            || comm.allgather_into(&ex.bundle, received, lens),
         );
-        let n_global = received.len() / 4;
-        self.n_global = n_global;
+        debug_assert!(lens.iter().zip(&ex.counts).all(|(&len, &n)| len == 3 * n));
 
-        // Concatenate per variable and upload to the device.
-        let host = four_columns(&mut self.exchange.gathered, n_global, || {
-            Ok(node.host_alloc_f64(n_global))
-        })?;
-        {
-            let (vx, vy, vz, vm) = (
-                host[0].host_f64().map_err(Error::Device)?,
-                host[1].host_f64().map_err(Error::Device)?,
-                host[2].host_f64().map_err(Error::Device)?,
-                host[3].host_f64().map_err(Error::Device)?,
-            );
-            let (mut off, mut parts) = (0, &received[..]);
-            for &len in lens.iter() {
-                let (part, rest) = parts.split_at(len);
-                parts = rest;
-                let pn = len / 4;
-                for i in 0..pn {
-                    vx.set(off + i, part[i]);
-                    vy.set(off + i, part[pn + i]);
-                    vz.set(off + i, part[2 * pn + i]);
-                    vm.set(off + i, part[3 * pn + i]);
-                }
-                off += pn;
-            }
-        }
-        let dev = node.device(self.device)?;
-        let sources =
-            four_columns(&mut self.exchange.sources, n_global, || Ok(dev.alloc_f64(n_global)?))?;
-        for (h, d) in host.iter().zip(sources) {
-            self.stream.copy(h, d).map_err(Error::Device)?;
+        // Pack the other ranks' bundles, in rank order, and upload them.
+        let own = 3 * ex.counts[..ex.rank].iter().sum::<usize>();
+        pack_others(&ex.packed, received, own..own + ex.bundle.len())?;
+        if !ex.remote.is_empty() {
+            self.stream.copy(&ex.packed, &ex.remote).map_err(Error::Device)?;
         }
 
         let s = &self.state;
         launch_forces(
             &self.stream,
             [s.x.clone(), s.y.clone(), s.z.clone()],
-            std::array::from_fn(|k| sources[k].clone()),
+            ex.sources(s),
             [s.ax.clone(), s.ay.clone(), s.az.clone()],
             self.cfg.grav,
         )
@@ -428,6 +492,8 @@ impl Newton {
         let mine = self.download()?;
         let mine = repartition(comm, &self.domain, mine);
         self.state = Self::upload(&self.node, self.device, &self.stream, &mine)?;
+        self.exchange =
+            Exchange::gather(&self.node, self.device, &self.stream, comm, &self.state, &mine.m)?;
         self.n_local = mine.len();
         self.needs_force_refresh = true;
         self.update_derived()?;
@@ -440,7 +506,7 @@ impl Newton {
         self.n_local
     }
 
-    /// Total bodies across all ranks (as of the last exchange).
+    /// Total bodies across all ranks.
     pub fn num_global(&self) -> usize {
         self.n_global
     }
@@ -785,6 +851,69 @@ mod tests {
         }
     }
 
+    /// A device column's values.
+    fn read(sim: &Newton, buf: &CellBuffer) -> Vec<f64> {
+        let host = sim.node.host_alloc_f64(buf.len());
+        sim.stream.copy(buf, &host).unwrap();
+        sim.stream.synchronize().unwrap();
+        host.host_f64_ro().unwrap().to_vec()
+    }
+
+    #[test]
+    fn migrating_bodies_keep_every_force_exact_and_their_masses_move_at_gathers_only() {
+        // Fast bodies on a coarse step: every step's repartition moves
+        // some of them across a slab boundary.
+        let mut cfg = small_cfg(23, 7);
+        cfg.dt = 1e-2;
+        cfg.repartition_every = Some(1);
+        if let IcKind::Uniform(p) = &mut cfg.ic {
+            p.velocity_scale = 5.0;
+        }
+        for ranks in [2, 3] {
+            let migrated = World::new(ranks).run(|comm| {
+                let node = SimNode::new(NodeConfig::fast_test(1));
+                let mut sim = Newton::new(node.clone(), &comm, 0, cfg).unwrap();
+                let h2d = || node.stats().bytes_h2d;
+                let remote = |sim: &Newton| (sim.num_global() - sim.num_local()) as u64;
+                let (n, others) = (sim.num_local() as u64, remote(&sim));
+                // Set-up uploads the state's seven columns and the other
+                // ranks' masses.
+                assert_eq!(h2d(), 8 * (7 * n + others), "set-up, {ranks} ranks");
+                let mut migrated = 0;
+                for step in 0..6 {
+                    // Refresh the forces of the body set the last
+                    // repartition laid out, as the step would first.
+                    let (before, others) = (h2d(), remote(&sim));
+                    sim.compute_forces(&comm).unwrap();
+                    sim.needs_force_refresh = false;
+                    let all = gather_all(&comm, &sim);
+                    let mine = sim.download().unwrap();
+                    let want = crate::forces::accelerations_host(&mine, &all, &cfg.grav);
+                    let s = &sim.state;
+                    let got = [&s.ax, &s.ay, &s.az].map(|a| read(&sim, a));
+                    for (i, want) in want.iter().enumerate() {
+                        let got = [0, 1, 2].map(|k| got[k][i].to_bits());
+                        assert_eq!(
+                            got,
+                            want.map(f64::to_bits),
+                            "{ranks} ranks, step {step}, body {i}"
+                        );
+                    }
+                    // The step exchanges once more, then migrates and
+                    // gathers the new layout's masses.
+                    sim.step(&comm).unwrap();
+                    let after = sim.download().unwrap();
+                    migrated += after.m.iter().filter(|m| !mine.m.contains(m)).count();
+                    let (n, now) = (sim.num_local() as u64, remote(&sim));
+                    let want = 8 * (2 * 3 * others + 7 * n + now);
+                    assert_eq!(h2d() - before, want, "{ranks} ranks, step {step}");
+                }
+                migrated
+            });
+            assert!(migrated.iter().sum::<usize>() > 0, "no body crossed a slab on {ranks} ranks");
+        }
+    }
+
     #[test]
     fn a_warm_step_requests_no_memory_and_waits_twice() {
         World::new(2).run(|comm| {
@@ -798,11 +927,10 @@ mod tests {
             assert_eq!(stats.stream_syncs - before.stream_syncs, 2, "one download, one step");
             let moved =
                 |s: &devsim::StatsSnapshot| (s.copies_d2h, s.copies_h2d, s.total_link_bytes());
-            let n = (sim.num_local() * 8) as u64;
             let global = (sim.num_global() * 8) as u64;
             let (d2h, h2d, bytes) = moved(&stats);
             let (d2h0, h2d0, bytes0) = moved(&before);
-            assert_eq!((d2h - d2h0, h2d - h2d0, bytes - bytes0), (4, 4, 4 * (n + global)));
+            assert_eq!((d2h - d2h0, h2d - h2d0, bytes - bytes0), (3, 1, 3 * global));
         });
     }
 
@@ -846,7 +974,12 @@ mod tests {
             launch_forces(
                 &stream,
                 [column(&targets.x), column(&targets.y), column(&targets.z)],
-                [column(&sources.x), column(&sources.y), column(&sources.z), column(&sources.m)],
+                vec![Segment::whole([
+                    &column(&sources.x),
+                    &column(&sources.y),
+                    &column(&sources.z),
+                    &column(&sources.m),
+                ])],
                 acc.clone(),
                 grav,
             )

@@ -1,7 +1,8 @@
 //! Allocation budget of a warm Newton++ step: once the exchange's buffers
 //! have grown to the bodies' count, a step allocates nothing body-column
 //! sized — the bundle a rank sends, the buffer the allgather lands every
-//! rank's bundle in and the messages between them are all kept.
+//! rank's bundle in, the messages between them and the buffer the other
+//! ranks' bundles are packed into for the upload are all kept.
 //!
 //! This binary holds a single `#[test]`: the counting allocator sees every
 //! thread of the process, so nothing else may run beside the measurement.
